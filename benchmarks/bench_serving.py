@@ -22,7 +22,9 @@ Three measured quantities per dataset:
   number is reported.
 
 Acceptance bars (enforced by the ``serving-gate`` CI job):
-throughput >= 3x naive sequential, p99 <= 5x p50, and 100% identity.
+throughput >= 3x naive sequential, p50 and p99 each under an absolute
+bar set against the recorded ``BENCH_serving.json`` values, and 100%
+identity.
 Results land in ``benchmarks/results/serving_latency.csv`` plus the
 top-level ``BENCH_serving.json``.  Run as a pytest test or directly::
 
@@ -62,7 +64,19 @@ FRACTIONS = (0.5, 0.3, 0.1)
 
 #: Gate bars (also asserted by the serving-gate CI job).
 THROUGHPUT_BAR = 3.0     # served throughput >= 3x naive sequential
-TAIL_BAR = 5.0           # p99 <= 5x p50
+#: Absolute latency bars.  The two percentiles measure different things —
+#: p50 is a warm hit (answered by its cache probe on the loop thread), p99
+#: a cold miss at the back of the burst — so each gets its own bar; a
+#: ratio between them fails as soon as only the median improves.
+#: ``BENCH_serving.json`` records p50 0.02 ms on both datasets: 5 ms
+#: leaves a slow CI host 250x and is still 40x under the 213 ms the same
+#: burst's median took when every hit hopped through the pool.  p99 is
+#: recorded at 202 / 91 ms full-size (93 / 76 ms in a second run: it is
+#: the four cold misses, and which plan calibration picks for them) and
+#: measured 0.50 s on the smoke grid, whose cold queries are heavier: the
+#: bars leave 2.5x / 3x.
+P50_BAR_S = 0.005
+P99_BAR_S = smoke_grid(0.5, 1.5)
 
 
 def _zipf_ranks(n_items: int, n_draws: int, rng) -> np.ndarray:
@@ -208,7 +222,7 @@ def write_results(out: dict) -> None:
     rows = [
         [r["dataset"], r["n_requests"], f"{r['naive_qps']:.1f}",
          f"{r['throughput_qps']:.1f}", f"{r['speedup']:.1f}x",
-         f"{r['p50_s'] * 1e3:.1f}", f"{r['p99_s'] * 1e3:.1f}",
+         f"{r['p50_s'] * 1e3:.2f}", f"{r['p99_s'] * 1e3:.1f}",
          f"{r['tail_ratio']:.1f}x", r["executions"], r["coalesced"],
          r["cache_short_circuits"]]
         for r in records
@@ -254,9 +268,13 @@ def test_serving_gate():
             f"{r['dataset']}: served throughput {r['speedup']:.2f}x naive "
             f"< {THROUGHPUT_BAR}x"
         )
-        assert r["tail_ratio"] <= TAIL_BAR, (
+        assert r["p50_s"] <= P50_BAR_S, (
+            f"{r['dataset']}: p50 {r['p50_s'] * 1e3:.2f} ms > "
+            f"{P50_BAR_S * 1e3:.0f} ms"
+        )
+        assert r["p99_s"] <= P99_BAR_S, (
             f"{r['dataset']}: p99 {r['p99_s'] * 1e3:.1f} ms > "
-            f"{TAIL_BAR}x p50 {r['p50_s'] * 1e3:.1f} ms"
+            f"{P99_BAR_S * 1e3:.0f} ms"
         )
 
 

@@ -15,10 +15,14 @@ execution:
   ``minconf`` without SEARCH/ELIMINATE or any support counting — the
   counts are threshold-free above the entry's ``minsupp``.
 
-The cache is a first-class plan alternative, not a transparent memo: the
-optimizer probes it per query, prices a CACHE variant for every plan from
-the fitted ``cache_probe``/``cache_load`` weights, and picks it only when
-it beats the serial and sharded variants (:mod:`repro.core.optimizer`).
+The cache is a first-class plan alternative, not a transparent memo: each
+request probes it once, the optimizer prices a CACHE variant for every
+plan from the fitted ``cache_probe``/``cache_load`` weights, and picks it
+only when it beats the serial and sharded variants
+(:mod:`repro.core.optimizer`).  A rules entry remembers what that pricing
+needs (:class:`HitPricing`), so an exact-key repeat makes the same
+comparison from the entry alone and the probe that finds it serves it in
+one critical section (:meth:`RuleCache.probe`).
 
 Policy: every entry is byte-accounted; inserts evict LRU-first under a
 byte budget, except *landmark* entries (``hits >= landmark_hits``), which
@@ -34,10 +38,11 @@ so a cached entry only ever replays its own plan family.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -52,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
 __all__ = [
     "CachedLattice",
     "CacheProbe",
+    "HitPricing",
     "CacheStats",
     "RuleCache",
     "MIP_FAMILY",
@@ -74,19 +80,49 @@ _ENTRY_BASE_BYTES = 256
 
 
 @dataclass(frozen=True)
+class HitPricing:
+    """What a rules entry remembers so a repeat is priced without a profile.
+
+    Stamped by the priced path that produced (or last served) the entry:
+    ``fresh_price`` is the cheapest non-cached candidate of that
+    :class:`~repro.core.optimizer.PlanChoice` (risk-adjusted seconds — the
+    number a CACHE variant has to beat), ``kind`` the plan the optimizer
+    names when it serves the entry, ``dq_size`` the focal subset size the
+    outcome reports.  All three are functions of the query, the index
+    generation (the entry's own stamp) and ``weights`` — the
+    ``CostWeights`` object they were priced under — so they hold for as
+    long as the entry lives and the optimizer still prices with that
+    object (installing a parallel profile refits the weights; dropping
+    one only removes fresh candidates, which a stamp then understates —
+    it can send a hit to full pricing, never serve one ``choose`` would
+    not).  Typed loosely: this module knows no plan or cost classes.
+    """
+
+    dq_size: int
+    kind: object
+    fresh_price: float
+    weights: object
+
+
+@dataclass(frozen=True)
 class CacheProbe:
     """Outcome of one cache probe, as the optimizer prices it.
 
     ``kind`` is ``"rules"`` (full hit), ``"lattice"`` (counts hit — rule
     extraction still due), or ``None`` (miss).  ``family`` says which plan
     family a rules hit replays; ``n_rules``/``lattice_cells`` size the
-    ``cache_load`` term.
+    ``cache_load`` term.  ``pricing`` is the rules entry's stamp (``None``
+    for an entry nobody priced yet, e.g. one warm-loaded from disk), and
+    ``rules`` is set when the probe also *served* the hit (see
+    :meth:`RuleCache.probe`).
     """
 
     kind: str | None
     family: str = MIP_FAMILY
     n_rules: int = 0
     lattice_cells: int = 0
+    pricing: HitPricing | None = None
+    rules: list[Rule] | None = None
 
 
 @dataclass
@@ -175,6 +211,7 @@ class _Entry:
     nbytes: int
     generation: int
     hits: int = 0
+    pricing: HitPricing | None = None   # rules entries only
 
 
 class RuleCache:
@@ -185,6 +222,11 @@ class RuleCache:
     naming the same focal subset differently share entries) need no extra
     plumbing.  ``expand`` mirrors the owning engine's mode and is part of
     every key.
+
+    Thread-safe: one lock guards the entry table, the LRU order, the byte
+    accounting and :attr:`stats`, so a serving thread can probe-and-serve
+    a hit while another thread populates, evicts or rebinds — no caller
+    needs the engine lock to touch the cache.
     """
 
     def __init__(
@@ -199,10 +241,14 @@ class RuleCache:
         if landmark_hits < 1:
             raise ValueError(f"landmark_hits must be >= 1, got {landmark_hits}")
         self.index = index
+        #: The schema's domain sizes (fixed for the life of a lineage of
+        #: indexes), kept so building a key does not rebuild the tuple.
+        self._cardinalities = index.cardinalities
         self.expand = expand
         self.landmark_hits = landmark_hits
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self.stats = CacheStats(budget_bytes=budget_bytes)
+        self._lock = threading.Lock()
 
     # -- keys and generations -------------------------------------------------
 
@@ -223,7 +269,7 @@ class RuleCache:
         subset, :mod:`repro.serving` coalesces them onto one execution).
         """
         return canonical_focal_key(
-            query.range_selections, self.index.cardinalities
+            query.range_selections, self._cardinalities
         )
 
     def _aitem_key(self, query: "LocalizedQuery") -> tuple | None:
@@ -254,7 +300,8 @@ class RuleCache:
     # -- lookups ---------------------------------------------------------------
 
     def _live_entry(self, key: tuple) -> _Entry | None:
-        """The entry at ``key`` if present *and* current-generation."""
+        """The entry at ``key`` if present *and* current-generation
+        (lock held)."""
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -265,56 +312,101 @@ class RuleCache:
             return None
         return entry
 
-    def probe(self, query: "LocalizedQuery") -> CacheProbe:
+    def _serve(self, key: tuple, entry: _Entry) -> object:
+        """Count one serve of ``entry`` and hand out its payload (lock
+        held): rules as a shallow copy (Rule is frozen), lattice counts
+        shared read-only."""
+        entry.hits += 1
+        self._entries.move_to_end(key)
+        if entry.kind == "rules":
+            self.stats.rule_hits += 1
+            return list(entry.payload)
+        self.stats.lattice_hits += 1
+        return entry.payload
+
+    def probe(
+        self,
+        query: "LocalizedQuery",
+        serve_if: Callable[[CacheProbe], bool] | None = None,
+    ) -> CacheProbe:
         """What (if anything) the cache can serve for this query.
 
         Preference order mirrors the replay cost: a full rules hit (MIP
         family first — it is what a fresh optimizer run of a repeated
         query would produce — then ARM), else a lattice-counts hit.
-        Probing never bumps LRU position or hit counts; only
-        :meth:`get_rules`/:meth:`get_lattice` (an actual serve) do.
+        A plain probe never bumps LRU position or hit counts; only an
+        actual serve does.
+
+        ``serve_if`` makes probe and serve one critical section: it is
+        asked about a *priced* rules-tier hit (``probe.pricing`` set), and
+        when it says yes the entry is served exactly as
+        :meth:`get_rules` would, in the returned probe's ``rules`` — the
+        entry cannot be evicted or go stale in between.  It runs under
+        the cache lock, so it must be quick and must not touch the cache.
         """
-        self.stats.probes += 1
-        for family in (MIP_FAMILY, ARM_FAMILY):
-            entry = self._live_entry(self._rules_key(query, family))
-            if entry is not None:
-                return CacheProbe(
+        with self._lock:
+            self.stats.probes += 1
+            for family in (MIP_FAMILY, ARM_FAMILY):
+                key = self._rules_key(query, family)
+                entry = self._live_entry(key)
+                if entry is None:
+                    continue
+                probe = CacheProbe(
                     kind="rules",
                     family=family,
                     n_rules=len(entry.payload),
+                    pricing=entry.pricing,
                 )
-        entry = self._live_entry(self._lattice_key(query))
-        if entry is not None:
-            return CacheProbe(
-                kind="lattice",
-                lattice_cells=entry.payload.n_cells,
-            )
-        self.stats.misses += 1
-        return CacheProbe(kind=None)
+                if (
+                    serve_if is None
+                    or entry.pricing is None
+                    or not serve_if(probe)
+                ):
+                    return probe
+                return CacheProbe(
+                    kind="rules",
+                    family=family,
+                    n_rules=probe.n_rules,
+                    pricing=entry.pricing,
+                    rules=self._serve(key, entry),
+                )
+            entry = self._live_entry(self._lattice_key(query))
+            if entry is not None:
+                return CacheProbe(
+                    kind="lattice",
+                    lattice_cells=entry.payload.n_cells,
+                )
+            self.stats.misses += 1
+            return CacheProbe(kind=None)
 
     def get_rules(
-        self, query: "LocalizedQuery", family: str = MIP_FAMILY
+        self,
+        query: "LocalizedQuery",
+        family: str = MIP_FAMILY,
+        pricing: HitPricing | None = None,
     ) -> list[Rule] | None:
-        """Serve a full rules hit (a shallow copy — Rule is frozen)."""
+        """Serve a full rules hit (a shallow copy — Rule is frozen).
+
+        ``pricing`` (re-)stamps the entry: the priced path passes what it
+        just computed, so the next repeat is priced from the stamp.
+        """
         key = self._rules_key(query, family)
-        entry = self._live_entry(key)
-        if entry is None:
-            return None
-        entry.hits += 1
-        self._entries.move_to_end(key)
-        self.stats.rule_hits += 1
-        return list(entry.payload)
+        with self._lock:
+            entry = self._live_entry(key)
+            if entry is None:
+                return None
+            if pricing is not None:
+                entry.pricing = pricing
+            return self._serve(key, entry)
 
     def get_lattice(self, query: "LocalizedQuery") -> CachedLattice | None:
         """Serve the focal region's lattice counts (shared, read-only)."""
         key = self._lattice_key(query)
-        entry = self._live_entry(key)
-        if entry is None:
-            return None
-        entry.hits += 1
-        self._entries.move_to_end(key)
-        self.stats.lattice_hits += 1
-        return entry.payload
+        with self._lock:
+            entry = self._live_entry(key)
+            if entry is None:
+                return None
+            return self._serve(key, entry)
 
     # -- population ------------------------------------------------------------
 
@@ -324,20 +416,23 @@ class RuleCache:
         rules: list[Rule],
         family: str = MIP_FAMILY,
         generation: int | None = None,
+        pricing: HitPricing | None = None,
     ) -> bool:
         """Insert one finished rule set.
 
         ``generation`` is the caller's pre-execution snapshot; if the
         index has mutated since (the rules were computed against a tree
         that no longer exists), the insert is refused — stale results
-        never enter the cache.
+        never enter the cache.  ``pricing`` is the entry's stamp (see
+        :class:`HitPricing`); without one the first repeat is priced in
+        full.
         """
         if family not in (MIP_FAMILY, ARM_FAMILY):
             raise ValueError(f"unknown rule family {family!r}")
         nbytes = _ENTRY_BASE_BYTES + _rules_nbytes(rules)
         return self._insert(
             self._rules_key(query, family), "rules", list(rules),
-            nbytes, generation,
+            nbytes, generation, pricing,
         )
 
     def put_lattice(
@@ -361,27 +456,30 @@ class RuleCache:
         payload: object,
         nbytes: int,
         generation: int | None,
+        pricing: HitPricing | None = None,
     ) -> bool:
-        current = self.generation()
-        if generation is not None and generation != current:
-            self.stats.stale_drops += 1
-            return False
-        if nbytes > self.stats.budget_bytes:
-            self.stats.rejected += 1
-            return False
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.stats.current_bytes -= old.nbytes
-        self._entries[key] = _Entry(
-            kind=kind, payload=payload, nbytes=nbytes, generation=current
-        )
-        self.stats.current_bytes += nbytes
-        self.stats.insertions += 1
-        self._evict_to_budget()
-        return True
+        with self._lock:
+            current = self.generation()
+            if generation is not None and generation != current:
+                self.stats.stale_drops += 1
+                return False
+            if nbytes > self.stats.budget_bytes:
+                self.stats.rejected += 1
+                return False
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.stats.current_bytes -= old.nbytes
+            self._entries[key] = _Entry(
+                kind=kind, payload=payload, nbytes=nbytes,
+                generation=current, pricing=pricing,
+            )
+            self.stats.current_bytes += nbytes
+            self.stats.insertions += 1
+            self._evict_to_budget()
+            return True
 
     def _evict_to_budget(self) -> None:
-        """LRU eviction with landmark protection.
+        """LRU eviction with landmark protection (lock held).
 
         Cold entries (fewer than ``landmark_hits`` serves) go first in LRU
         order; landmarks are only reclaimed when no cold entry remains —
@@ -404,6 +502,10 @@ class RuleCache:
 
     def invalidate(self) -> int:
         """Drop every entry (e.g. after a bulk index rebuild); returns count."""
+        with self._lock:
+            return self._clear()
+
+    def _clear(self) -> int:
         n = len(self._entries)
         self._entries.clear()
         self.stats.stale_drops += n
@@ -418,16 +520,18 @@ class RuleCache:
         clearing now keeps the footprint honest instead of leaking dead
         payloads until probe-time drops find them.
         """
-        self.index = index
-        self.invalidate()
+        with self._lock:
+            self.index = index
+            self._clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def entries_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {"rules": 0, "lattice": 0}
-        for entry in self._entries.values():
-            out[entry.kind] += 1
+        with self._lock:
+            for entry in self._entries.values():
+                out[entry.kind] += 1
         return out
 
     # -- calibration probes ----------------------------------------------------

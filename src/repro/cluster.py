@@ -29,8 +29,9 @@ Three protocols make the split safe:
   executing, so a serve at a stale generation is impossible by
   construction.
 
-* **Crash respawn.**  A reader thread per worker detects EOF on the
-  worker pipe; an unexpected death respawns the worker (bounded by
+* **Crash respawn.**  The router's event loop watches every worker
+  pipe (``loop.add_reader``) and sees EOF when a worker dies; an
+  unexpected death respawns the worker (bounded by
   ``max_respawns``) and re-sends its in-flight requests — executions are
   deterministic, so the retried responses are byte-identical.  A worker
   past its respawn budget is removed from the ring and its in-flight
@@ -47,6 +48,7 @@ import itertools
 import json
 import multiprocessing as mp
 import os
+import select
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +79,12 @@ __all__ = [
 ]
 
 EPOCH_FILE = "EPOCH.json"
+
+#: Focal keys the router counts per ``warm_top_k`` slot.  Past that many
+#: it keeps the hotter half: only the top ``warm_top_k`` are ever read, so
+#: the table stays bounded however many distinct regions a long-lived
+#: router sees.
+_HOT_KEYS_PER_WARM_SLOT = 64
 
 
 # -- consistent hashing ------------------------------------------------------
@@ -503,6 +511,7 @@ async def _worker_loop(worker_id: int, conn, directory: Path,
     await runtime.service.start()
     loop = asyncio.get_running_loop()
     tasks: set[asyncio.Task] = set()
+    stopped = loop.create_future()
     conn.send(("ready", worker_id, runtime.epoch, runtime.generation,
                runtime.rss()))
 
@@ -535,28 +544,36 @@ async def _worker_loop(worker_id: int, conn, directory: Path,
         except Exception as exc:  # noqa: BLE001 — the router re-raises it
             conn.send(("err", req_id, exc))
 
-    while True:
+    def spawn(coro) -> None:
+        task = asyncio.ensure_future(coro)
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    def on_readable() -> None:
+        """One message per wake-up, read on the loop thread: the pipe is
+        watched by the loop's selector, so a request reaches ``serve``
+        without a thread hand-off."""
         try:
-            msg = await loop.run_in_executor(None, conn.recv)
+            msg = conn.recv()
         except (EOFError, OSError):
-            break
+            msg = ("stop",)
         tag = msg[0]
         if tag == "query":
-            task = asyncio.ensure_future(serve(*msg[1:]))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            spawn(serve(*msg[1:]))
         elif tag == "reload":
-            task = asyncio.ensure_future(runtime.ensure_epoch(msg[1]))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            spawn(runtime.ensure_epoch(msg[1]))
         elif tag == "stats":
             conn.send(("stats", msg[1], runtime.stats()))
         elif tag == "rss":
             conn.send(("rss", msg[1], runtime.rss()))
         elif tag == "stop":
-            break
+            loop.remove_reader(conn.fileno())
+            stopped.set_result(None)
         else:  # pragma: no cover — protocol drift guard
             conn.send(("err", None, ServiceError(f"unknown message {tag!r}")))
+
+    loop.add_reader(conn.fileno(), on_readable)
+    await stopped
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
     if runtime.service is not None:
@@ -590,7 +607,6 @@ class _WorkerHandle:
         self.id = worker_id
         self.process = None
         self.conn = None
-        self.reader: threading.Thread | None = None
         self.ready: asyncio.Future | None = None
         self.stopping = False
         self.respawns = 0
@@ -692,16 +708,15 @@ class ClusterService:
     async def _stop_worker(self, handle: _WorkerHandle) -> None:
         handle.stopping = True
         try:
-            handle.conn.send(("stop",))
-        except (OSError, BrokenPipeError):
+            self._post(handle.id, ("stop",))
+        except (KeyError, OSError):
             pass
         process = handle.process
         await self._loop.run_in_executor(None, process.join, 30)
         if process.is_alive():  # pragma: no cover — stuck worker backstop
             process.terminate()
             await self._loop.run_in_executor(None, process.join, 5)
-        if handle.reader is not None:
-            await self._loop.run_in_executor(None, handle.reader.join, 5)
+        self._unwatch(handle.conn)
         self._handles.pop(handle.id, None)
 
     def _spawn(self, worker_id: int) -> asyncio.Future:
@@ -723,28 +738,46 @@ class ClusterService:
         handle.conn = parent
         handle.stopping = False
         handle.ready = self._loop.create_future()
-        reader = threading.Thread(
-            target=self._read_loop,
-            args=(handle.id, parent),
-            name=f"colarm-router-read-{worker_id}",
-            daemon=True,
+        self._loop.add_reader(
+            parent.fileno(), self._on_readable, worker_id, parent
         )
-        handle.reader = reader
-        reader.start()
         return asyncio.wait_for(
             asyncio.shield(handle.ready), self.config.ready_timeout_s
         )
 
-    # -- reader thread -> event loop ---------------------------------------
+    # -- worker pipes, watched by the event loop -----------------------------
 
-    def _read_loop(self, worker_id: int, conn) -> None:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                self._loop.call_soon_threadsafe(self._on_eof, worker_id, conn)
-                return
-            self._loop.call_soon_threadsafe(self._on_message, worker_id, msg)
+    def _on_readable(self, worker_id: int, conn) -> None:
+        """One message per wake-up, read and unpickled on the loop thread
+        — an answer reaches its awaiting ``submit`` with no hand-off."""
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            self._unwatch(conn)
+            self._on_eof(worker_id, conn)
+            return
+        self._on_message(worker_id, msg)
+
+    def _unwatch(self, conn) -> None:
+        """Stop watching a worker pipe and close it (idempotent)."""
+        if not conn.closed:
+            self._loop.remove_reader(conn.fileno())
+            conn.close()
+
+    def _post(self, worker_id: int, message: tuple) -> None:
+        """Write one message into a worker's pipe.
+
+        The loop thread is also that pipe's only reader, so it must not
+        block in ``send`` on a full pipe: a worker that is itself blocked
+        writing answers nobody takes will never drain it.  While the pipe
+        has no room, take the worker's answers instead.  Raises
+        ``KeyError``/``OSError`` when the worker (or its pipe) is gone.
+        """
+        conn = self._handles[worker_id].conn
+        while not select.select([], [conn], [], 0)[1]:
+            if select.select([conn], [conn], [])[0]:
+                self._on_readable(worker_id, conn)
+        conn.send(message)
 
     def _on_message(self, worker_id: int, msg: tuple) -> None:
         tag = msg[0]
@@ -790,8 +823,8 @@ class ClusterService:
                 return
             for pending in orphans:
                 try:
-                    handle.conn.send(pending.message)
-                except (OSError, BrokenPipeError):  # pragma: no cover
+                    self._post(handle.id, pending.message)
+                except (KeyError, OSError):  # pragma: no cover
                     pass  # the new pipe died too; the next EOF re-drives
         else:
             await self._retire(handle, orphans)
@@ -813,8 +846,8 @@ class ClusterService:
             pending.worker = new_worker
             self.n_rerouted += 1
             try:
-                self._handles[new_worker].conn.send(pending.message)
-            except (OSError, BrokenPipeError):  # pragma: no cover
+                self._post(new_worker, pending.message)
+            except (KeyError, OSError):  # pragma: no cover
                 pass  # the successor's EOF handler will re-drive it
 
     # -- requests ----------------------------------------------------------
@@ -824,8 +857,8 @@ class ClusterService:
         future = self._loop.create_future()
         self._pending[req_id] = _Pending(future, worker_id, message, key)
         try:
-            self._handles[worker_id].conn.send(message)
-        except (KeyError, OSError, BrokenPipeError):
+            self._post(worker_id, message)
+        except (KeyError, OSError):
             pass  # worker just died; its EOF handler re-drives this request
         return future
 
@@ -844,8 +877,7 @@ class ClusterService:
         key = _focal_key_bytes(q, self.engine.index.cardinalities)
         worker_id = self.ring.route(key)
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
-        hot = self._hot.setdefault(key, [0, q])
-        hot[0] += 1
+        self._count_hot(key, q)
         req_id = next(self._req_ids)
         message = ("query", req_id, q, plan, use_cache, self._min_epoch)
         payload = await self._send(worker_id, message, key)
@@ -906,8 +938,8 @@ class ClusterService:
         for handle in self._handles.values():
             if not handle.stopping:
                 try:
-                    handle.conn.send(("reload", info.epoch))
-                except (OSError, BrokenPipeError):  # pragma: no cover
+                    self._post(handle.id, ("reload", info.epoch))
+                except (KeyError, OSError):  # pragma: no cover
                     pass
         return info
 
@@ -918,6 +950,20 @@ class ClusterService:
         self.publisher._fold()
         self._seed_cache()
         return self.publisher.publish()
+
+    def _count_hot(self, key: bytes, query: LocalizedQuery) -> None:
+        """Count one routed request for the cache seeding; past the cap,
+        forget the colder half of the keys (the survivors keep their
+        arrival order: it breaks count ties in :meth:`_seed_cache`)."""
+        hot = self._hot.setdefault(key, [0, query])
+        hot[0] += 1
+        if len(self._hot) > _HOT_KEYS_PER_WARM_SLOT * max(
+            self.config.warm_top_k, 1
+        ):
+            keep = set(sorted(
+                self._hot, key=lambda k: self._hot[k][0], reverse=True
+            )[: len(self._hot) // 2])
+            self._hot = {k: v for k, v in self._hot.items() if k in keep}
 
     def _seed_cache(self) -> None:
         """Warm the writer cache with the hottest focal groups, so the

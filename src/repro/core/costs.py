@@ -981,13 +981,14 @@ class CostModel:
     def cached_loads(
         self,
         kind: PlanKind,
-        profile: QueryProfile,
+        profile: QueryProfile | None,
         probe,
     ) -> dict[str, float] | None:
         """The load vector of one plan's CACHE variant, given a live probe.
 
         ``probe`` is a :class:`repro.cache.CacheProbe` (typed loosely to
-        keep this module cache-agnostic).  Returns ``None`` when nothing
+        keep this module cache-agnostic); the loads depend on nothing in
+        ``profile``, so a caller without one passes ``None``.  Returns ``None`` when nothing
         is cached for the query, or when the cached entry belongs to the
         other plan family — an ``"arm"`` rules entry only prices ARM's
         cached variant, a MIP-family entry only the five MIP plans'

@@ -23,7 +23,13 @@ import time
 from dataclasses import dataclass
 
 from repro import tidset as ts
-from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
+from repro.cache import (
+    ARM_FAMILY,
+    MIP_FAMILY,
+    CachedLattice,
+    CacheProbe,
+    RuleCache,
+)
 from repro.core.calibration import (
     CalibrationReport,
     calibrate,
@@ -421,15 +427,20 @@ class Colarm:
         When a materialized cache is enabled (and ``use_cache``), the
         optimizer's choice also says whether to *serve* the plan from the
         cache — byte-identical to executing it fresh — and every fresh
-        execution populates the cache for the next repeat.  Forced plans
-        consult only the exact-key rules tier of their own plan family.
+        execution populates the cache for the next repeat.  A repeat whose
+        rules entry was stamped by that priced path is decided from the
+        stamp and served by the request's one cache probe
+        (:meth:`probe_cache`); everything else is priced in full, with
+        that probe handed to the optimizer.  Forced plans consult only
+        the exact-key rules tier of their own plan family.
         ``use_cache=False`` bypasses both consulting and populating.
 
         A caller that already priced the request (the serving layer's
         admission control) can pass its :class:`PlanChoice` back via
         ``choice`` to skip the second ``optimizer.choose``.  The choice is
-        reused only while it is still valid — same index generation, and
-        not a CACHE pick when this call does not consult the cache — and
+        reused only while it is still valid — same index generation, not
+        a CACHE pick when this call does not consult the cache, and not
+        the profile-less choice of an already served stamped hit — and
         silently re-chosen otherwise, so a stale handoff can never force
         a stale serve.
         """
@@ -441,10 +452,19 @@ class Colarm:
             if choice is not None and (
                 choice.generation != self.index.generation
                 or (choice.cached and not consult)
+                or choice.profile is None  # a stamp-priced hit, long served
             ):
                 choice = None
             if choice is None:
-                choice = self.optimizer.choose(q, use_cache=consult)
+                probe = None
+                if consult:
+                    q.validate_against(self.schema)
+                    served, probe = self.probe_cache(q)
+                    if served is not None:
+                        return served
+                choice = self.optimizer.choose(
+                    q, use_cache=consult, probe=probe
+                )
             kind, chosen_by = choice.kind, "optimizer"
             parallel = self.parallel if choice.parallel else None
             if self.maintenance is not None:
@@ -468,7 +488,7 @@ class Colarm:
             delta=self.maintenance,
         )
         if consult:
-            self._populate_cache(q, kind, result, generation)
+            self._populate_cache(q, kind, result, generation, choice)
         return QueryOutcome(
             rules=result.rules,
             plan=kind,
@@ -476,6 +496,29 @@ class Colarm:
             choice=choice,
             result=result,
         )
+
+    def probe_cache(
+        self, q: LocalizedQuery
+    ) -> tuple[QueryOutcome | None, CacheProbe]:
+        """The one cache probe of an optimizer-planned request.
+
+        Returns the served outcome when the probe found a rules-tier
+        entry at the current generation whose stamp says the optimizer
+        would serve it (:meth:`ColarmOptimizer.probe_cache`) — one
+        dictionary lookup and one list copy under the cache's own lock,
+        no profile, no plan pricing.  Otherwise the outcome is ``None``
+        and the probe is for ``optimizer.choose(probe=...)``.  ``q`` must
+        already be validated against the schema (:meth:`query` and the
+        serving layer do).  Safe on any thread without the serving
+        layer's engine lock.
+        """
+        start = time.perf_counter()
+        probe, choice = self.optimizer.probe_cache(q)
+        if choice is None:
+            return None, probe
+        return _cached_outcome(
+            choice.kind, probe.rules, start, probe.pricing.dq_size, choice
+        ), probe
 
     def _serve_cached(
         self, q: LocalizedQuery, kind: PlanKind, choice: PlanChoice
@@ -485,7 +528,10 @@ class Colarm:
         probe = choice.cache_probe
         start = time.perf_counter()
         if probe.kind == "rules":
-            rules = self.cache.get_rules(q, probe.family)
+            rules = self.cache.get_rules(
+                q, probe.family,
+                pricing=self.optimizer.hit_pricing(choice, probe.family),
+            )
         else:
             lattice = self.cache.get_lattice(q)
             if lattice is None:
@@ -496,24 +542,12 @@ class Colarm:
             self.cache.put_rules(
                 q, rules, family=MIP_FAMILY,
                 generation=self.cache.generation(),
+                pricing=self.optimizer.hit_pricing(choice, MIP_FAMILY),
             )
         if rules is None:
             return None
-        elapsed = time.perf_counter() - start
-        result = PlanResult(
-            kind=kind,
-            rules=rules,
-            trace=ExecutionTrace(),
-            elapsed=elapsed,
-            dq_size=choice.profile.dq_size,
-        )
-        return QueryOutcome(
-            rules=rules,
-            plan=kind,
-            chosen_by="optimizer",
-            choice=choice,
-            result=result,
-            cached=True,
+        return _cached_outcome(
+            kind, rules, start, choice.profile.dq_size, choice
         )
 
     def _serve_forced_cached(
@@ -521,30 +555,14 @@ class Colarm:
     ) -> QueryOutcome | None:
         """Exact-key rules-tier lookup for a forced plan (its own family)."""
         q.validate_against(self.schema)
-        family = ARM_FAMILY if kind is PlanKind.ARM else MIP_FAMILY
         start = time.perf_counter()
-        rules = self.cache.get_rules(q, family)
+        rules = self.cache.get_rules(q, _family(kind))
         if rules is None:
             return None
         dq_size = ts.count(
             self.index.table.tids_matching(q.range_selections)
         )
-        elapsed = time.perf_counter() - start
-        result = PlanResult(
-            kind=kind,
-            rules=rules,
-            trace=ExecutionTrace(),
-            elapsed=elapsed,
-            dq_size=dq_size,
-        )
-        return QueryOutcome(
-            rules=rules,
-            plan=kind,
-            chosen_by="forced",
-            choice=None,
-            result=result,
-            cached=True,
-        )
+        return _cached_outcome(kind, rules, start, dq_size, None)
 
     def _populate_cache(
         self,
@@ -552,18 +570,23 @@ class Colarm:
         kind: PlanKind,
         result: PlanResult,
         generation: int | None,
+        choice: PlanChoice | None,
     ) -> None:
         """Insert a fresh execution's products under its pre-execution
-        generation snapshot (refused if the index mutated mid-flight)."""
-        if kind is PlanKind.ARM:
-            self.cache.put_rules(
-                q, result.rules, family=ARM_FAMILY, generation=generation
-            )
-            return
+        generation snapshot (refused if the index mutated mid-flight).
+        The rules entry is stamped with what ``choice`` priced, so its
+        repeats are decided from the stamp; a forced plan's entry has no
+        price and its first optimizer-planned repeat is priced in full."""
+        family = _family(kind)
         self.cache.put_rules(
-            q, result.rules, family=MIP_FAMILY, generation=generation
+            q, result.rules, family=family, generation=generation,
+            pricing=(
+                self.optimizer.hit_pricing(choice, family)
+                if choice is not None
+                else None
+            ),
         )
-        if result.lattice_groups is not None:
+        if kind is not PlanKind.ARM and result.lattice_groups is not None:
             lattice = CachedLattice(
                 groups=tuple(
                     (tuple(group), counts)
@@ -617,3 +640,34 @@ class Colarm:
             minsupp,
             minconf,
         )
+
+
+def _family(kind: PlanKind) -> str:
+    """The rule-cache family a plan's rule set belongs to."""
+    return ARM_FAMILY if kind is PlanKind.ARM else MIP_FAMILY
+
+
+def _cached_outcome(
+    kind: PlanKind,
+    rules: list[Rule],
+    start: float,
+    dq_size: int,
+    choice: PlanChoice | None,
+) -> QueryOutcome:
+    """The outcome of a cache serve that began at ``start``; ``choice``
+    is ``None`` for a forced plan."""
+    result = PlanResult(
+        kind=kind,
+        rules=rules,
+        trace=ExecutionTrace(),
+        elapsed=time.perf_counter() - start,
+        dq_size=dq_size,
+    )
+    return QueryOutcome(
+        rules=rules,
+        plan=kind,
+        chosen_by="forced" if choice is None else "optimizer",
+        choice=choice,
+        result=result,
+        cached=True,
+    )

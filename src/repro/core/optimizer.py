@@ -11,10 +11,13 @@ for this implementation.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro import tidset as ts
+from repro.cache import ARM_FAMILY, MIP_FAMILY, CacheProbe, HitPricing
 from repro.core.costs import (
     CostModel,
     CostWeights,
@@ -45,6 +48,20 @@ _TIE_PREFERENCE: dict[PlanKind, int] = {
     PlanKind.SEV: 4,
     PlanKind.ARM: 5,
 }
+
+#: The plan :meth:`ColarmOptimizer.choose` names when it serves a family's
+#: rules entry: the family's CACHE variants are priced alike, so the tie
+#: preference alone decides.
+_SERVED_KIND: dict[str, PlanKind] = {
+    MIP_FAMILY: min(
+        (kind for kind in PlanKind if kind is not PlanKind.ARM),
+        key=_TIE_PREFERENCE.__getitem__,
+    ),
+    ARM_FAMILY: PlanKind.ARM,
+}
+
+#: Ledger slot a probe outcome is counted under.
+_LEDGER_SLOT = {"rules": "rule_hits", "lattice": "lattice_hits", None: "misses"}
 
 #: Bound on the per-optimizer profile memo (see
 #: :meth:`ColarmOptimizer.profile_for`): enough for any realistic hot
@@ -113,11 +130,16 @@ class PlanChoice:
     ``cache_probe`` carries the live probe the prices were built from
     (``kind``/``family``/sizes — what the engine needs to actually serve
     the hit).
+
+    A rules-tier hit priced from its entry's stamp
+    (:meth:`ColarmOptimizer.probe_cache`) never built a profile or the
+    fresh estimates: its choice has ``profile=None``, empty ``estimates``
+    and the one ``cached_estimates`` price it was served at.
     """
 
     kind: PlanKind
     estimates: dict[PlanKind, float]
-    profile: QueryProfile
+    profile: QueryProfile | None
     parallel: bool = False
     parallel_estimates: dict[PlanKind, float] = field(default_factory=dict)
     cached: bool = False
@@ -150,6 +172,8 @@ class PlanChoice:
         lines = [
             f"focal subset: {self.profile.dq_size} records, "
             f"min_count={self.profile.min_count}"
+            if self.profile is not None
+            else "rules-tier cache hit, priced from the entry's stamp"
         ]
         ranked = [
             (cost, kind, "") for kind, cost in self.estimates.items()
@@ -224,6 +248,10 @@ class ColarmOptimizer:
             "misses": 0,
             "cached_picks": 0,
         }
+        #: Owns :attr:`cache_ledger`: a stamped hit is priced on whatever
+        #: thread asked, beside a :meth:`choose` running under the engine
+        #: lock.
+        self._ledger_lock = threading.Lock()
         #: estimate-vs-actual observations fed back by the caller
         #: (:meth:`record_measurement`); unbounded only if the caller
         #: keeps feeding it — benches clear it per run.
@@ -334,8 +362,89 @@ class ColarmOptimizer:
             self._profile_memo.popitem(last=False)
         return profile
 
+    def _risk(self, kind: PlanKind) -> float:
+        return self.arm_risk_factor if kind is PlanKind.ARM else 1.0
+
+    def _log_probe(self, probe: CacheProbe, picked: bool) -> None:
+        with self._ledger_lock:
+            self.cache_ledger["probes"] += 1
+            self.cache_ledger[_LEDGER_SLOT[probe.kind]] += 1
+            if picked:
+                self.cache_ledger["cached_picks"] += 1
+
+    def hit_pricing(self, choice: PlanChoice, family: str) -> HitPricing:
+        """The stamp for a ``family`` rules entry priced by ``choice``.
+
+        ``fresh_price`` is the first key of the cheapest non-cached
+        candidate :meth:`choose` ranked — so a repeat can make
+        :meth:`choose`'s cached-or-fresh comparison from the stamp alone
+        (:meth:`probe_cache`).
+        """
+        return HitPricing(
+            dq_size=choice.profile.dq_size,
+            kind=_SERVED_KIND[family],
+            fresh_price=min(
+                cost * self._risk(kind)
+                for kind, cost in chain(
+                    choice.estimates.items(),
+                    choice.parallel_estimates.items(),
+                )
+            ),
+            weights=self.weights,
+        )
+
+    def probe_cache(
+        self, query: LocalizedQuery
+    ) -> tuple[CacheProbe, PlanChoice | None]:
+        """The one cache probe of a request — serving a stamped rules hit.
+
+        A rules-tier hit whose entry was stamped under the current
+        weights is priced here exactly as :meth:`choose` would price it —
+        ``cache_probe + n_rules x cache_load`` (risk-adjusted for the ARM
+        family) against the stamped cheapest fresh candidate, ties to the
+        cache — and, when the cache wins, served in the same critical
+        section: the probe comes back with ``rules`` and the second
+        element is the choice :meth:`choose` would have returned, minus
+        the profile and fresh estimates nobody computed.  Otherwise the
+        second element is ``None`` and the probe is to be handed to
+        :meth:`choose` (``probe=``), which then makes no second one.
+
+        Touches no optimizer state but the (locked) ledger, so it is safe
+        on any thread, beside a :meth:`choose` in flight.
+        """
+        model = self.cost_model
+        estimate = 0.0
+
+        def cache_wins(probe: CacheProbe) -> bool:
+            nonlocal estimate
+            stamp = probe.pricing
+            if stamp.weights is not model.weights:
+                return False
+            estimate = model.weights.price(
+                model.cached_loads(stamp.kind, None, probe)
+            )
+            return estimate * self._risk(stamp.kind) <= stamp.fresh_price
+
+        probe = self.cache.probe(query, serve_if=cache_wins)
+        if probe.rules is None:
+            return probe, None
+        self._log_probe(probe, picked=True)
+        kind = probe.pricing.kind
+        return probe, PlanChoice(
+            kind=kind,
+            estimates={},
+            profile=None,
+            cached=True,
+            cached_estimates={kind: estimate},
+            cache_probe=probe,
+            generation=self.index.generation,
+        )
+
     def choose(
-        self, query: LocalizedQuery, use_cache: bool = True
+        self,
+        query: LocalizedQuery,
+        use_cache: bool = True,
+        probe: CacheProbe | None = None,
     ) -> PlanChoice:
         """Suggest the cheapest plan for this request.
 
@@ -351,8 +460,10 @@ class ColarmOptimizer:
         With a parallel profile installed, the candidate set doubles:
         every MIP plan is also priced as its sharded variant, and the
         cheapest variant overall wins.  With a materialized cache
-        installed (and ``use_cache``), the cache is probed and — on a hit
-        — every plan the entry can serve gets a CACHE variant too.  The
+        installed (and ``use_cache``), the cache is probed — unless the
+        caller hands in the ``probe`` it already made
+        (:meth:`probe_cache`) — and, on a hit, every plan the entry can
+        serve gets a CACHE variant too.  The
         variant rank breaks exact ties: cached beats serial (a hit is
         strictly less work and byte-identical to its plan family's fresh
         execution) and serial beats sharded (the dispatch risk buys
@@ -368,22 +479,13 @@ class ColarmOptimizer:
         cache_probe = None
         cached_estimates: dict[PlanKind, float] = {}
         if self.cache is not None and use_cache:
-            cache_probe = self.cache.probe(query)
-            self.cache_ledger["probes"] += 1
-            if cache_probe.kind == "rules":
-                self.cache_ledger["rule_hits"] += 1
-            elif cache_probe.kind == "lattice":
-                self.cache_ledger["lattice_hits"] += 1
-            else:
-                self.cache_ledger["misses"] += 1
+            cache_probe = probe if probe is not None else self.cache.probe(query)
             cached_estimates = self.cost_model.estimate_all_cached(
                 profile, cache_probe
             )
 
         def adjust(kind: PlanKind, cost: float) -> float:
-            return cost * (
-                self.arm_risk_factor if kind is PlanKind.ARM else 1.0
-            )
+            return cost * self._risk(kind)
 
         candidates = [
             (adjust(kind, cost), 1, _TIE_PREFERENCE[kind], kind, False, False)
@@ -396,8 +498,8 @@ class ColarmOptimizer:
             for kind, cost in cached_estimates.items()
         ]
         _, _, _, best, best_parallel, best_cached = min(candidates)
-        if best_cached:
-            self.cache_ledger["cached_picks"] += 1
+        if cache_probe is not None:
+            self._log_probe(cache_probe, picked=best_cached)
         return PlanChoice(
             kind=best,
             estimates=estimates,
@@ -479,7 +581,9 @@ class ColarmOptimizer:
         sharded-variant estimate (it must exist in the choice);
         ``cached=True`` against its CACHE-variant estimate.
         """
-        arm = choice.profile.arm_stats
+        # A hit priced from its stamp carries no profile.
+        profile = choice.profile
+        arm = profile.arm_stats if profile is not None else None
         if cached:
             estimated = choice.cached_estimates[kind]
         elif parallel:
@@ -490,7 +594,11 @@ class ColarmOptimizer:
             kind=kind,
             estimated_s=estimated,
             measured_s=measured_s,
-            dq_size=choice.profile.dq_size,
+            dq_size=(
+                profile.dq_size
+                if profile is not None
+                else choice.cache_probe.pricing.dq_size
+            ),
             arm_f1=arm.f1 if arm is not None else 0,
             arm_chain=arm.chain_length if arm is not None else 0,
             parallel=parallel,

@@ -10,9 +10,11 @@ three pieces:
   (:func:`repro.core.query.canonical_focal_key` plus the item/threshold
   fields), so N concurrent identical requests cost one execution: the
   first arrival leads, later arrivals attach as waiters, and the finish
-  fans the result out to everyone.  Warm cache hits short-circuit the
-  queue entirely — the optimizer's CACHE pick is served inline without
-  ever entering the scheduler.  ``use_cache=False`` requests bypass
+  fans the result out to everyone.  Warm rules-tier hits short-circuit
+  the service entirely — the request's one cache probe prices the hit
+  from its entry's stamp and serves it on the event-loop thread
+  (:meth:`repro.core.engine.Colarm.probe_cache`), so a hit never waits
+  behind a miss that is mining.  ``use_cache=False`` requests bypass
   coalescing in *both* directions (they neither attach nor accept
   attachments): a bypass caller asked for a fresh execution, not another
   waiter's shared result.
@@ -29,9 +31,10 @@ three pieces:
   beats any newcomer's (no starvation).  ``aging = inf`` degenerates to
   pure FIFO; ``aging = 0`` to pure cost order.
 
-* **Off-loop execution** — the event loop never mines: pricing and plan
-  execution run on a small thread pool, serialized by one lock (the
-  engine's cache/optimizer state is not thread-safe), and the sharded
+* **Off-loop execution** — the event loop never mines: full pricing and
+  plan execution run on a small thread pool, serialized by one lock (the
+  engine's optimizer/index state is not thread-safe; the rule cache has
+  its own lock), and the sharded
   :class:`repro.parallel.ParallelContext` composes *underneath* exactly
   as in direct ``engine.query`` calls — a broken worker pool degrades to
   serial, never to a wrong answer.
@@ -57,9 +60,11 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.cache import CacheProbe
 from repro.core.engine import Colarm, QueryOutcome
 from repro.core.optimizer import PlanChoice
 from repro.core.plans import PlanKind, plan_from_name
@@ -250,9 +255,18 @@ class CostScheduler:
         return len(self._ready) + len(self._deferred)
 
 
+#: Latencies :class:`ServiceStats` keeps for its percentiles: the most
+#: recent ones, so a long-lived service neither grows nor sorts its whole
+#: history on every ``snapshot()``.
+LATENCY_WINDOW = 4096
+
+
 @dataclass
 class ServiceStats:
-    """Running counters plus the latency reservoir of one service."""
+    """Running counters plus the recent-latency window of one service.
+
+    Written from the event-loop thread only.
+    """
 
     submitted: int = 0
     served: int = 0
@@ -263,7 +277,9 @@ class ServiceStats:
     shed_queue_full: int = 0
     shed_over_budget: int = 0
     deferred: int = 0
-    latencies_s: list[float] = field(default_factory=list)
+    latencies_s: deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
     first_serve_t: float | None = None
     last_serve_t: float | None = None
 
@@ -279,7 +295,8 @@ class ServiceStats:
         return self.shed_queue_full + self.shed_over_budget
 
     def percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 1] (0.0 when nothing served)."""
+        """Latency percentile ``q`` in [0, 1] over the recent window (0.0
+        when nothing served)."""
         if not self.latencies_s:
             return 0.0
         ordered = sorted(self.latencies_s)
@@ -354,11 +371,11 @@ class QueryService:
             aging=self.config.aging,
         )
         self.stats = ServiceStats()
-        #: Serializes every touch of the engine (optimizer memo, cache
-        #: LRU order, ledger counters — none of it is thread-safe).  When
-        #: several services front the *same* engine in one process (the
-        #: cluster's in-process fallback), they must share one lock —
-        #: pass it here.
+        #: Serializes pricing, execution and mutation on the engine (the
+        #: optimizer memo and the index state are not thread-safe; only
+        #: ``Colarm.probe_cache`` runs outside it).  When several services
+        #: front the *same* engine in one process (the cluster's
+        #: in-process fallback), they must share one lock — pass it here.
         self._engine_lock = engine_lock or threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -491,33 +508,38 @@ class QueryService:
         )
         if isinstance(plan, str):
             plan = plan_from_name(plan)
+        q.validate_against(self.engine.schema)
 
         loop = asyncio.get_running_loop()
         choice: PlanChoice | None = None
         cost = 0.0
+        probe = None
+        if plan is None and use_cache and self.engine.cache is not None:
+            outcome, probe = self.engine.probe_cache(q)
+            if outcome is not None:
+                # Warm rules-tier hit, served by the probe itself: no
+                # pricing, no engine lock, no queue, no thread hop.
+                return self._served_inline(outcome, t_submit)
+        coalescible = use_cache and self.config.coalesce
+        key = self._request_key(q, plan) if coalescible else None
         if plan is None:
+            # A flight already registered needs no price to be joined —
+            # and the probe above would be stale by the time a pricing
+            # that waited out that flight's execution used it.
+            waiter = self._attach(key, t_submit)
+            if waiter is not None:
+                return await waiter
             choice = await loop.run_in_executor(
-                self._executor, self._price, q, use_cache
+                self._executor, self._price, q, use_cache, probe
             )
             cost = choice.chosen_estimate
             if self._closed:
                 raise ServiceClosedError("service is stopped")
-            if choice.cached:
-                # Warm cache hit: serve inline, never touching the queue.
-                return await self._serve_short_circuit(
-                    q, choice, use_cache, t_submit
-                )
 
-        coalescible = use_cache and self.config.coalesce
-        key = self._request_key(q, plan) if coalescible else None
+        waiter = self._attach(key, t_submit)
+        if waiter is not None:
+            return await waiter
         generation = self.engine.index.generation
-        if key is not None:
-            flight = self._inflight.get(key)
-            if flight is not None and flight.generation == generation:
-                fut: asyncio.Future = loop.create_future()
-                flight.waiters.append((fut, t_submit, False))
-                self.stats.coalesced += 1
-                return await fut
 
         if self.n_pending >= self.config.max_pending:
             self.stats.shed_queue_full += 1
@@ -570,12 +592,49 @@ class QueryService:
             plan,
         )
 
+    def _attach(
+        self, key: tuple | None, t_submit: float
+    ) -> asyncio.Future | None:
+        """Join the in-flight execution of ``key`` priced against the
+        current index generation, if there is one."""
+        flight = self._inflight.get(key) if key is not None else None
+        if (
+            flight is None
+            or flight.generation != self.engine.index.generation
+        ):
+            return None
+        fut = asyncio.get_running_loop().create_future()
+        flight.waiters.append((fut, t_submit, False))
+        self.stats.coalesced += 1
+        return fut
+
+    def _served_inline(
+        self, outcome: QueryOutcome, t_submit: float
+    ) -> ServedQuery:
+        now = time.monotonic()
+        self.stats.cache_short_circuits += 1
+        self.stats.executions += 1
+        trace = RequestTrace(
+            estimated_cost=outcome.choice.chosen_estimate,
+            execute_s=now - t_submit,
+            total_s=now - t_submit,
+            plan=outcome.plan,
+            cached=True,
+            generation=outcome.choice.generation,
+        )
+        self.stats.record_serve(trace.total_s, now)
+        return ServedQuery(outcome=outcome, trace=trace)
+
     # -- engine access (worker threads only) --------------------------------
 
-    def _price(self, q: LocalizedQuery, use_cache: bool) -> PlanChoice:
+    def _price(
+        self, q: LocalizedQuery, use_cache: bool, probe: CacheProbe | None
+    ) -> PlanChoice:
         with self._engine_lock:
             consult = use_cache and self.engine.cache is not None
-            return self.engine.optimizer.choose(q, use_cache=consult)
+            return self.engine.optimizer.choose(
+                q, use_cache=consult, probe=probe
+            )
 
     def _execute(self, flight: _Flight) -> QueryOutcome:
         with self._engine_lock:
@@ -585,45 +644,6 @@ class QueryService:
                 use_cache=flight.use_cache,
                 choice=flight.choice,
             )
-
-    async def _serve_short_circuit(
-        self,
-        q: LocalizedQuery,
-        choice: PlanChoice,
-        use_cache: bool,
-        t_submit: float,
-    ) -> ServedQuery:
-        loop = asyncio.get_running_loop()
-        t_exec = time.monotonic()
-        outcome = await loop.run_in_executor(
-            self._executor,
-            lambda: self._execute(_Flight(
-                query=q, plan=None, use_cache=use_cache, choice=choice,
-                generation=choice.generation, key=None, deferred=False,
-                enqueued=t_submit,
-            )),
-        )
-        now = time.monotonic()
-        self.stats.cache_short_circuits += 1
-        self.stats.executions += 1
-        trace = RequestTrace(
-            estimated_cost=choice.chosen_estimate,
-            queue_wait_s=t_exec - t_submit,
-            execute_s=now - t_exec,
-            total_s=now - t_submit,
-            coalesced=1,
-            leader=True,
-            plan=outcome.plan,
-            cached=outcome.cached,
-            parallel=(
-                outcome.choice.parallel
-                if outcome.choice is not None
-                else False
-            ),
-            generation=self.engine.index.generation,
-        )
-        self.stats.record_serve(trace.total_s, now)
-        return ServedQuery(outcome=outcome, trace=trace)
 
     # -- dispatch ----------------------------------------------------------
 

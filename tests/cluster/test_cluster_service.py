@@ -11,10 +11,13 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import threading
+from collections import Counter
 
 import pytest
 
 from repro.cluster import (
+    _HOT_KEYS_PER_WARM_SLOT,
     ClusterConfig,
     ClusterService,
     _focal_key_bytes,
@@ -267,3 +270,58 @@ def test_submit_after_stop_raises(tmp_path):
             await cluster.submit(SEATTLE)
 
     asyncio.run(main())
+
+
+def test_burst_larger_than_the_pipes_is_served(tmp_path):
+    """The router's loop both writes requests into a worker's pipe and
+    reads its answers: a burst that fills both directions must not leave
+    router and worker each blocked in ``send`` waiting for the other to
+    read.  Run off-thread so a regression fails the test, not the suite."""
+    engine = fresh_engine()
+    reference = fresh_engine().query(SEATTLE).rules
+    n_requests = 2000
+    served: list = []
+
+    async def main():
+        cfg = config(workers=1, serving=ServingConfig(
+            workers=2, max_pending=n_requests + 1,
+        ))
+        async with ClusterService(engine, tmp_path, cfg) as cluster:
+            served.extend(await asyncio.gather(
+                *(cluster.submit(SEATTLE) for _ in range(n_requests))
+            ))
+
+    runner = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive(), "router and worker deadlocked on full pipes"
+    assert len(served) == n_requests
+    assert all(res.rules == reference for res in served)
+
+
+def test_hot_key_table_is_pruned_and_seeds_the_same_top_k(tmp_path):
+    """The per-key routing counters stay bounded, and what they forget is
+    never what ``_seed_cache`` reads: the hottest ``warm_top_k``."""
+    engine = fresh_engine()
+    engine.enable_cache(calibrate=False)
+    cluster = ClusterService(engine, tmp_path, config(warm_top_k=2))
+    cap = _HOT_KEYS_PER_WARM_SLOT * 2
+    hot = [engine.parse(q) for q in QUERIES]
+    exact: Counter = Counter()
+
+    def route(query, key: bytes) -> None:
+        exact[key] += 1
+        cluster._count_hot(key, query)
+
+    for i in range(3 * cap):
+        route(hot[0], b"cold-%d" % i)          # a long tail of one-offs
+        for rank, query in enumerate(hot):
+            if i % (rank + 1) == 0:            # hot[0] > hot[1] > hot[2]
+                route(query, b"hot-%d" % rank)
+    assert len(exact) > 3 * cap
+    assert len(cluster._hot) <= cap
+    for rank in range(3):
+        assert cluster._hot[b"hot-%d" % rank][0] == exact[b"hot-%d" % rank]
+    cluster._seed_cache()
+    warmed = [engine.cache.probe(query).kind for query in hot]
+    assert warmed == ["rules", "rules", None]

@@ -9,13 +9,25 @@ Three layers of coverage:
   the ``use_cache`` bypass, and composition with sharded execution
   (a broken pool must degrade to serial *and still populate the cache*);
 * ``save_cache``/``load_cache`` round-trips, including ``mmap_mode`` and
-  the strict generation check on load.
+  the strict generation check on load;
+* the stamped hit path — a repeat priced from its entry's stamp decides
+  exactly as ``optimizer.choose`` does and answers exactly as the priced
+  serve does — and the cache's own lock under a thread hammer.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
+from repro.cache import (
+    ARM_FAMILY,
+    MIP_FAMILY,
+    CachedLattice,
+    HitPricing,
+    RuleCache,
+)
 from repro.core.costs import CostWeights
 from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
@@ -175,6 +187,117 @@ def test_constructor_validation(index):
         cache.put_rules(q({0: {1}}), [], family="nope")
 
 
+def test_probe_serves_a_priced_hit_in_one_critical_section(index):
+    cache = RuleCache(index)
+    query = q({0: {1}})
+    rules = execute_plan(PlanKind.SSVS, index, query).rules
+    cache.put_rules(query, rules)
+    # An entry nobody priced is never offered to serve_if.
+    probe = cache.probe(query, serve_if=lambda probe: True)
+    assert probe.kind == "rules" and probe.rules is None
+    stamp = HitPricing(dq_size=7, kind=PlanKind.SSVS, fresh_price=1.0,
+                       weights=None)
+    assert cache.get_rules(query, pricing=stamp) == rules  # re-stamps
+    asked = []
+    probe = cache.probe(query, serve_if=lambda p: asked.append(p) or False)
+    assert probe.rules is None and probe.pricing is stamp
+    assert asked[0].n_rules == len(rules) and asked[0].rules is None
+    assert cache.stats.rule_hits == 1  # a declined probe is not a serve
+    probe = cache.probe(query, serve_if=lambda probe: True)
+    assert probe.rules == rules and probe.rules is not rules
+    assert cache.stats.rule_hits == 2 and cache.stats.probes == 3
+
+
+def test_thread_hammer_keeps_accounting_and_generations(index):
+    """Concurrent probe / serve / put / invalidate / rebind under a budget
+    of a few entries: every counter update happens under the cache lock
+    (none is lost), the byte ledger matches the entries, and no serve
+    ever hands out an entry stamped with another generation."""
+    other = build_mip_index(index.table, primary_support=0.05)
+    base = index.clock.base
+    queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(12)]
+    template = execute_plan(PlanKind.SSVS, index, queries[0]).rules[:6]
+    assert template
+    probe_cache = RuleCache(index, budget_bytes=1 << 30)
+    probe_cache.put_rules(queries[0], template)
+    cache = RuleCache(index, budget_bytes=3 * probe_cache.stats.current_bytes)
+    stamp = HitPricing(dq_size=1, kind=PlanKind.SSVS, fresh_price=1.0,
+                       weights=None)
+    rounds, n_readers, n_writers = 2500, 5, 3
+    probes = [0] * n_readers
+    problems: list[str] = []
+
+    def tagged(generation):
+        return [
+            type(rule)(rule.antecedent, rule.consequent, generation,
+                       rule.support, rule.confidence)
+            for rule in template
+        ]
+
+    def check(served, before, after):
+        tags = {rule.support_count for rule in served}
+        if len(tags) != 1 or not before <= tags.pop() <= after:
+            problems.append(f"served {tags} outside [{before}, {after}]")
+
+    def reader(slot):
+        for i in range(rounds):
+            query = queries[(i + slot) % len(queries)]
+            before = cache.generation()
+            if i % 3:
+                probe = cache.probe(query, serve_if=lambda probe: True)
+                probes[slot] += 1
+                served = probe.rules
+            else:
+                served = cache.get_rules(query)
+            if served is not None:
+                check(served, before, cache.generation())
+
+    def writer(slot):
+        for i in range(rounds):
+            generation = cache.generation()
+            cache.put_rules(queries[(i * 5 + slot) % len(queries)],
+                            tagged(generation), generation=generation,
+                            pricing=stamp)
+            if slot == 0 and i % 40 == 39:
+                cache.index.bump_generation()
+            if slot == 1 and i % 97 == 96:
+                cache.invalidate()
+            if slot == 2 and i % 131 == 130:
+                # As a fold does: the replacement's clock starts past the
+                # old index's.
+                new = other if cache.index is index else index
+                new.clock.base += cache.generation() + 1 - new.generation
+                cache.rebind_index(new)
+
+    def guarded(work, slot):
+        try:
+            work(slot)
+        except Exception as exc:  # noqa: BLE001 — reported by the test
+            problems.append(f"{work.__name__} {slot}: {exc!r}")
+
+    threads = [threading.Thread(target=guarded, args=(reader, i))
+               for i in range(n_readers)]
+    threads += [threading.Thread(target=guarded, args=(writer, i))
+                for i in range(n_writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        index.clock.base = base
+    assert not any(thread.is_alive() for thread in threads)
+    assert not problems, problems[:3]
+    assert cache.stats.probes == sum(probes)
+    assert cache.stats.current_bytes == sum(
+        entry.nbytes for entry in cache._entries.values()
+    )
+    assert cache.stats.current_bytes <= cache.budget_bytes
+
+
 # -- engine integration -------------------------------------------------------
 
 
@@ -189,6 +312,109 @@ def test_repeat_query_served_from_cache(engine):
     assert second.chosen_by == "optimizer" and second.choice.cached
     ledger = engine.optimizer.cache_ledger
     assert ledger["cached_picks"] >= 1 and ledger["rule_hits"] >= 1
+
+
+def _spy_choose(engine, monkeypatch):
+    calls = []
+    real = engine.optimizer.choose
+
+    def choose(query, **kwargs):
+        calls.append(kwargs.get("probe"))
+        return real(query, **kwargs)
+
+    monkeypatch.setattr(engine.optimizer, "choose", choose)
+    return calls, real
+
+
+WARM_KEYS = [
+    q({0: {1, 2}}), q({0: {1}}, minconf=0.7), q({1: {0, 1}}, minsupp=0.35),
+    q({2: {0}, 3: {1}}, minsupp=0.2), q({4: {0, 2}}, minconf=0.8),
+]
+
+
+def test_stamped_hit_is_the_priced_serve(engine, monkeypatch):
+    """A repeat answered from its entry's stamp equals, field for field,
+    what the full pricing path serves for the same request — and makes
+    one cache probe, no ``choose``."""
+    engine.enable_cache(calibrate=False)
+    for query in WARM_KEYS:
+        assert not engine.query(query).cached  # populates and stamps
+    for query in WARM_KEYS:
+        choice = engine.optimizer.choose(query)
+        assert choice.cached
+        priced = engine._serve_cached(query, choice.kind, choice)
+        calls, _ = _spy_choose(engine, monkeypatch)
+        probes = engine.cache.stats.probes
+        inline = engine.query(query)
+        monkeypatch.undo()
+        assert calls == []
+        assert engine.cache.stats.probes == probes + 1
+        assert inline.rules == priced.rules
+        assert inline.plan is priced.plan and inline.cached
+        assert inline.chosen_by == "optimizer"
+        assert inline.dq_size == priced.dq_size
+        assert inline.choice.cached and inline.choice.kind is choice.kind
+        assert inline.choice.chosen_estimate == choice.chosen_estimate
+        assert inline.choice.generation == engine.index.generation
+        assert "chosen" in inline.choice.explain()
+        residual = engine.optimizer.record_measurement(
+            inline.choice, inline.plan, inline.elapsed, cached=True
+        )
+        assert residual.dq_size == priced.dq_size
+
+
+@pytest.mark.parametrize("probe_w, load_w, inline_all", [
+    (None, None, None),            # the default weights: whatever choose says
+    (float("inf"), None, False),   # the CI cache self-test's two settings
+    (0.0, 0.0, True),
+])
+def test_stamp_decision_equals_choose(engine, monkeypatch, probe_w, load_w,
+                                      inline_all):
+    engine.enable_cache(calibrate=False)
+    for query in WARM_KEYS:
+        engine.query(query)
+        engine.query(query, plan=PlanKind.ARM)  # both families warm
+    weights = dict(engine.optimizer.weights.weights)
+    if probe_w is not None:
+        weights["cache_probe"] = probe_w
+    if load_w is not None:
+        weights["cache_load"] = load_w
+    engine.optimizer.set_weights(CostWeights(weights))
+    calls, choose = _spy_choose(engine, monkeypatch)
+    # Entries stamped under other weights are priced in full, once ...
+    for query in WARM_KEYS:
+        engine.query(query)
+    assert len(calls) == len(WARM_KEYS)
+    assert all(probe is not None for probe in calls)  # the one probe, handed on
+    # ... and from their new stamp afterwards, deciding as choose() does.
+    for query in WARM_KEYS:
+        expected = choose(query).cached
+        del calls[:]
+        outcome = engine.query(query)
+        assert outcome.cached == expected
+        assert (calls == []) == expected
+        if inline_all is not None:
+            assert expected == inline_all
+
+
+def test_warm_loaded_entry_is_priced_once_then_stamped(index, tmp_path,
+                                                       monkeypatch):
+    cache, queries = populated_cache(index)
+    path = tmp_path / "warm.cache.npz"
+    save_cache(cache, path)
+    engine = Colarm.from_index(index)
+    engine.enable_cache(cache=load_cache(path, index), calibrate=False)
+    assert engine.cache.probe(queries[0]).pricing is None
+    calls, _ = _spy_choose(engine, monkeypatch)
+    first = engine.query(queries[0])
+    second = engine.query(queries[0])
+    assert first.cached and second.cached and first.rules == second.rules
+    assert len(calls) == 1
+    assert second.choice.profile is None and first.choice.profile is not None
+    # A forced plan's entry carries no price either.
+    fresh = q({3: {0}}, minsupp=0.25)
+    engine.query(fresh, plan=PlanKind.SSVS)
+    assert engine.cache.probe(fresh).pricing is None
 
 
 def test_lattice_hit_replays_at_new_minconf(engine):

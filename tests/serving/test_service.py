@@ -9,6 +9,7 @@ flights queue up and attach predictably), then start and drain.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -17,8 +18,10 @@ from repro.core.plans import PlanKind
 from repro.dataset.salary import salary_dataset
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.serving import (
+    LATENCY_WINDOW,
     QueryService,
     ServedQuery,
+    ServiceStats,
     ServingConfig,
     serve_all,
 )
@@ -176,6 +179,134 @@ def test_cache_hit_short_circuits_queue(engine):
     assert service.stats.cache_short_circuits == 1
     assert service.n_pending == 0
     assert served.rules == warm.rules
+
+
+def _park_executions(service):
+    """Make every flight wait, holding the engine lock as a mining miss
+    does, until the returned ``release`` event is set."""
+    started, release = threading.Event(), threading.Event()
+    real = service._execute
+
+    def parked(flight):
+        with service._engine_lock:
+            started.set()
+            assert release.wait(30)
+        return real(flight)
+
+    service._execute = parked
+    return started, release
+
+
+def test_warm_hit_overtakes_a_parked_miss(engine):
+    """A rules-tier hit is answered on the loop thread by its one cache
+    probe: it neither queues nor waits for the engine lock a miss holds."""
+    engine.enable_cache(calibrate=False)
+    warm = engine.query(SEATTLE_F)  # populates and stamps the entry
+
+    async def main():
+        async with QueryService(engine) as service:
+            started, release = _park_executions(service)
+            miss = asyncio.ensure_future(service.submit(BOSTON))
+            await _settle(started.is_set)
+            try:
+                hit = await asyncio.wait_for(service.submit(SEATTLE_F), 5)
+                overtook = not miss.done()
+            finally:
+                release.set()
+            return service, hit, overtook, await miss
+
+    service, hit, overtook, miss = asyncio.run(main())
+    assert overtook
+    assert hit.cached and hit.rules == warm.rules
+    assert hit.trace.queue_wait_s == 0
+    assert hit.trace.cached and hit.trace.plan is hit.plan
+    assert hit.outcome.choice.cached
+    assert hit.trace.estimated_cost == hit.outcome.choice.chosen_estimate
+    assert not miss.cached
+    assert service.stats.cache_short_circuits == 1
+
+
+def test_append_between_populate_and_repeat_is_never_inline(engine):
+    engine.enable_cache(calibrate=False)
+    engine.enable_maintenance(calibrate=False)
+    record = [int(v) for v in engine.table.data[0]]
+
+    async def main():
+        async with QueryService(engine) as service:
+            first = await service.submit(SEATTLE_F)
+            repeat = await service.submit(SEATTLE_F)
+            await service.ingest([record])
+            after = await service.submit(SEATTLE_F)
+            return service, first, repeat, after
+
+    service, first, repeat, after = asyncio.run(main())
+    assert not first.cached and repeat.cached
+    assert service.stats.cache_short_circuits == 1  # the repeat alone
+    assert not after.cached
+    assert after.trace.generation == engine.index.generation
+    assert after.rules == engine.query(SEATTLE_F, use_cache=False).rules
+
+
+def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
+    """Regression: probe and serve used to be two steps, so an entry
+    evicted between them was re-mined outside the scheduler (no
+    admission, no slot, no coalescing) and still counted as a cache short
+    circuit.  One critical section leaves no such request: what the probe
+    finds it serves, what it does not find is an ordinary miss."""
+    boston = engine.parse(BOSTON)
+    boston_rules = engine.query(boston, use_cache=False).rules
+    engine.enable_cache(calibrate=False)
+    sizes = []
+    for fill in (lambda: engine.query(SEATTLE_F),
+                 lambda: engine.cache.put_rules(boston, boston_rules)):
+        engine.cache.invalidate()
+        fill()
+        sizes.append(engine.cache.stats.current_bytes)
+    # Room for either entry, never for both.
+    engine.enable_cache(budget_bytes=max(sizes) + 64, calibrate=False)
+    warm = engine.query(SEATTLE_F)
+    cache = engine.cache
+    real_probe = cache.probe
+
+    def probe_then_evict(query, **kwargs):
+        found = real_probe(query, **kwargs)
+        cache.put_rules(boston, boston_rules)  # takes the only slot
+        return found
+
+    async def main():
+        async with QueryService(engine) as service:
+            cache.probe = probe_then_evict
+            try:
+                raced = await service.submit(SEATTLE_F)
+            finally:
+                del cache.probe
+            assert cache.probe(engine.parse(SEATTLE_F)).kind is None
+            missed = await service.submit(SEATTLE_F)
+            return service, raced, missed
+
+    service, raced, missed = asyncio.run(main())
+    assert raced.cached and raced.rules == warm.rules
+    assert not missed.cached and missed.rules == warm.rules
+    assert missed.trace.leader and missed.trace.estimated_cost > 0
+    # Every short circuit was a cache serve; the miss ran as a flight.
+    assert service.stats.cache_short_circuits == 1
+    assert service.stats.executions == 2
+
+
+def test_latency_window_is_bounded_and_exact_for_short_runs():
+    stats = ServiceStats()
+    short = [((i * 37) % 101) / 1000 for i in range(200)]
+    for i, latency in enumerate(short):
+        stats.record_serve(latency, float(i))
+    ordered = sorted(short)
+    for quantile in (0.50, 0.99):
+        rank = min(len(ordered) - 1, int(quantile * (len(ordered) - 1) + 0.5))
+        assert stats.percentile(quantile) == ordered[rank]
+    for i in range(LATENCY_WINDOW + 500):
+        stats.record_serve(1.0, 1000.0 + i)
+    assert len(stats.latencies_s) == LATENCY_WINDOW
+    assert stats.served == 200 + LATENCY_WINDOW + 500
+    assert stats.snapshot()["p50_s"] == 1.0  # the old samples aged out
 
 
 def test_mutation_between_enqueue_and_execute_forces_reexecution(engine):

@@ -253,8 +253,8 @@ def run_cache_selftest(config: dict) -> dict:
 def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
     """Admission-control sanity for the concurrent query service.
 
-    Three structural assertions (no thresholds — each pins a degenerate
-    knob setting to the behaviour it *must* produce):
+    Four structural assertions (no thresholds — the first three pin a
+    degenerate knob setting to the behaviour it *must* produce):
 
     * ``cost_ceiling = 0`` with ``over_budget="shed"`` — every request's
       estimated cost is strictly positive, so a live service over a
@@ -266,6 +266,12 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
       FIFO) even when costs are pushed in descending order.
     * ``aging = 0`` — priority is pure cost, so pops must come out in
       **cost order** regardless of arrival order.
+    * **a warm hit overtakes a parked miss** — with one execution parked
+      on an event while it holds the engine lock, a request whose rules
+      entry is cached and stamped must still be answered (by its cache
+      probe, on the loop thread) before the miss is released.  A
+      regression that routes hits back through pricing, the engine lock
+      or the thread pool times out here.
 
     ``corrupt=True`` deliberately mis-wires the first two knobs (ceiling
     ``0 -> inf``, aging ``inf -> 0``) while keeping the assertions: both
@@ -307,6 +313,8 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
         cost_sched.push(i, cost, enqueued=float(i))
     cost_order = [cost_sched.pop() for _ in costs]
 
+    overtook = asyncio.run(_warm_hit_overtakes_parked_miss(engine, queries))
+
     failures = []
     if n_shed != len(queries):
         failures.append("zero_ceiling_did_not_shed_everything")
@@ -314,6 +322,8 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
         failures.append("infinite_aging_not_fifo")
     if cost_order != sorted(range(len(costs)), key=lambda i: costs[i]):
         failures.append("zero_aging_not_cost_order")
+    if not overtook:
+        failures.append("warm_hit_waited_for_parked_miss")
     return {
         "dataset": "salary",
         "scenarios": len(queries),
@@ -322,10 +332,49 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
         "shed_at_zero_ceiling": n_shed,
         "fifo_order_at_inf_aging": fifo_order,
         "cost_order_at_zero_aging": cost_order,
+        "warm_hit_overtook_parked_miss": overtook,
         "service_stats": snapshot,
         "passed": not failures,
         "failures": failures,
     }
+
+
+async def _warm_hit_overtakes_parked_miss(engine, queries) -> bool:
+    """Park one miss inside ``_execute`` (engine lock held); is a stamped
+    warm hit submitted afterwards answered before the miss is released?"""
+    import asyncio
+    import threading
+
+    from repro.serving import QueryService
+
+    warm, cold = queries[0], queries[1]
+    engine.enable_cache(calibrate=False)
+    engine.query(warm)  # populates and stamps the rules entry
+    started, release = threading.Event(), threading.Event()
+    try:
+        async with QueryService(engine) as service:
+            execute = service._execute
+
+            def parked(flight):
+                with service._engine_lock:
+                    started.set()
+                    release.wait(30)
+                return execute(flight)
+
+            service._execute = parked
+            miss = asyncio.ensure_future(service.submit(cold))
+            while not started.is_set():
+                await asyncio.sleep(0.005)
+            try:
+                hit = await asyncio.wait_for(service.submit(warm), 5)
+                return hit.cached and not miss.done()
+            except asyncio.TimeoutError:
+                return False
+            finally:
+                release.set()
+                await miss
+    finally:
+        engine.disable_cache()
 
 
 def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
@@ -778,7 +827,9 @@ def main(argv: list[str] | None = None) -> int:
             f"shed at zero ceiling={serving_report['shed_at_zero_ceiling']}"
             f" (want {serving_report['scenarios']}), "
             f"FIFO at inf aging="
-            f"{serving_report['fifo_order_at_inf_aging']}"
+            f"{serving_report['fifo_order_at_inf_aging']}, "
+            f"warm hit overtook parked miss="
+            f"{serving_report['warm_hit_overtook_parked_miss']}"
             + (" [admission corrupted]" if serving_report["corrupted"] else "")
         )
     if maintenance_report is not None:

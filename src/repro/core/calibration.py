@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -150,16 +152,25 @@ def calibrate(
     rows: list[list[float]] = []
     times: list[float] = []
     n_runs = 0
+    # Probe timings feed the weight fit directly; a collector pause
+    # mid-probe (rule extraction allocates Rule objects in bulk) would be
+    # priced into the weights, so every timed execution runs with the
+    # collector paused.  The heap is collected *once*, up front: a full
+    # collection walks the whole index (tens of milliseconds) and one
+    # before each of the 6 x len(probe_queries) executions cost more than
+    # the executions themselves, while what a probe leaves behind is
+    # reclaimed by the collector's own schedule between the pauses.
+    gc.collect()
+    item_tidsets = {
+        (item.attribute, item.value): mask
+        for item, mask in index.table.item_tidsets().items()
+    }
     for query in probe_queries:
         focal = query.focal_range(index.cardinalities)
         dq = index.table.tids_matching(query.range_selections)
         dq_size = ts.count(dq)
         if dq_size == 0:
             continue
-        item_tidsets = {
-            (item.attribute, item.value): mask
-            for item, mask in index.table.item_tidsets().items()
-        }
         profile = QueryProfile.from_query(
             query,
             focal,
@@ -170,21 +181,9 @@ def calibrate(
             dq=dq,
         )
         for kind in PlanKind:
-            # Probe timings feed the weight fit directly; a collector
-            # pause mid-probe (rule extraction allocates Rule objects in
-            # bulk) would be priced into the weights.  Collect first,
-            # pause, measure — matching how the accuracy harness times
-            # the plans.
-            gc.collect()
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
+            with _collector_paused():
                 result = execute_plan(kind, index, query, expand=expand)
-            finally:
-                if was_enabled:
-                    gc.enable()
             n_runs += 1
-            loads = base_model.loads(kind, profile)
             supported = kind.name.startswith("SS")
             per_feature = {
                 "search": base_model.search_load(profile, supported=supported),
@@ -194,7 +193,6 @@ def calibrate(
                 "select": base_model.select_load(profile),
                 "arm": base_model.arm_load(profile),
             }
-            del loads  # per-operator attribution below covers everything
 
             def add_solo_row(feature: str, elapsed: float) -> None:
                 row = [0.0] * len(feature_names)
@@ -239,7 +237,9 @@ def calibrate(
     target = np.asarray(times, dtype=float)
 
     weights = dict(DEFAULT_WEIGHTS)
-    fitted = _nnls(matrix, target)
+    # The joint least-squares fit backs only features without solo rows;
+    # it (and scipy's import) is skipped when every feature has them.
+    fitted: np.ndarray | None = None
     solo_rows: dict[str, int] = {}
     arm_spread = 0.0
     for j, name in enumerate(feature_names):
@@ -260,8 +260,11 @@ def calibrate(
             if name == "arm" and len(solo) >= 2:
                 p25, med, p75 = np.percentile(solo, (25, 50, 75))
                 arm_spread = float((p75 - p25) / med) if med > 0 else 0.0
-        elif matrix[:, j].max() > 0 and fitted[j] > 0:
-            weights[name] = float(fitted[j])
+        elif matrix[:, j].max() > 0:
+            if fitted is None:
+                fitted = _nnls(matrix, target)
+            if fitted[j] > 0:
+                weights[name] = float(fitted[j])
     predicted = matrix @ np.asarray(
         [weights[name] for name in feature_names], dtype=float
     )
@@ -273,6 +276,18 @@ def calibrate(
         solo_rows=solo_rows,
         arm_spread=arm_spread,
     )
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector, restoring the state found on entry."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def calibrate_parallel(

@@ -760,13 +760,12 @@ class CostModel:
     def est_node_accesses(self, profile: QueryProfile,
                           supported: bool) -> float:
         """Eq. 1 COST(S) / Eq. 3 COST(SS): expected node accesses."""
-        plain = expected_node_accesses(
-            list(self.stats.level_stats),
-            profile.hull_extents,
-            self.stats.cardinalities,
-        )
         if not supported:
-            return plain
+            return expected_node_accesses(
+                list(self.stats.level_stats),
+                profile.hull_extents,
+                self.stats.cardinalities,
+            )
         # Per-level pruning fractions from the precomputed max-count profiles.
         total = 1.0
         root_level = max((s.level for s in self.stats.level_stats), default=0)
@@ -907,12 +906,21 @@ class CostModel:
 
     # -- plan load vectors --------------------------------------------------------
 
-    def loads(self, kind: PlanKind, profile: QueryProfile) -> dict[str, float]:
+    def loads(
+        self,
+        kind: PlanKind,
+        profile: QueryProfile,
+        search_loads: "dict[bool, float] | None" = None,
+    ) -> dict[str, float]:
         """The load-feature vector of one plan for one query.
 
         ``const`` counts the plan's pipeline stages, pricing the fixed
         per-operator overhead — the intermediate-materialization cost that
         selection push-up (VS) saves.
+
+        ``search_loads`` hands in :meth:`search_load` by ``supported``
+        when the caller prices several plans of one profile: the node-
+        access estimate behind it depends on nothing else.
         """
         if kind is PlanKind.ARM:
             return {
@@ -922,7 +930,11 @@ class CostModel:
             }
         supported = kind in (PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV)
         loads = {
-            "search": self.search_load(profile, supported=supported),
+            "search": (
+                search_loads[supported]
+                if search_loads is not None
+                else self.search_load(profile, supported=supported)
+            ),
             "eliminate": self.eliminate_load(profile, kind),
             "verify": self.verify_load(profile),
             "rulegen": self.rulegen_load(profile),
@@ -1029,7 +1041,14 @@ class CostModel:
 
     def estimate_all(self, profile: QueryProfile) -> dict[PlanKind, float]:
         """All six formulae — the optimizer's constant-time computation."""
-        return {kind: self.estimate(kind, profile) for kind in PlanKind}
+        search_loads = {
+            supported: self.search_load(profile, supported=supported)
+            for supported in (False, True)
+        }
+        return {
+            kind: self.weights.price(self.loads(kind, profile, search_loads))
+            for kind in PlanKind
+        }
 
     def estimate_parallel(
         self,

@@ -127,11 +127,13 @@ class MIPIndex:
         in the instance ``__dict__`` (bypassing the frozen dataclass), so
         indexes rebuilt by :mod:`repro.core.persistence` regain it lazily.
         """
-        matrix = kernels.pack_many(
-            [mip.tidset for mip in self.mips], self.tidset_words
-        )
-        matrix.setflags(write=False)
-        return matrix
+        return _pack_mip_tidsets(self.mips, self.tidset_words)
+
+
+def _pack_mip_tidsets(mips: Sequence[MIP], words: int) -> np.ndarray:
+    matrix = kernels.pack_many([mip.tidset for mip in mips], words)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def build_mip_index(
@@ -177,13 +179,17 @@ def build_mip_index(
         compile_flat=compile_flat,
     )
     ittree = ClosedITTree(closed)
+    # Packed once: the statistics count through it, and the index keeps it
+    # so the first online ELIMINATE does not pay the packing cost.
+    mip_matrix = _pack_mip_tidsets(mips, kernels.n_words(table.n_records))
     stats = gather_statistics(
         mips,
-        rtree.tree,
+        rtree,
         cardinalities,
         table.n_records,
         primary_support,
-        item_tidsets=table.item_tidsets(),
+        mip_matrix,
+        item_matrix=table.item_matrix(),
     )
     index = MIPIndex(
         table=table,
@@ -193,7 +199,5 @@ def build_mip_index(
         ittree=ittree,
         stats=stats,
     )
-    # Materialize the packed MIP-tidset matrix during the offline phase so
-    # the first online query does not pay the packing cost.
-    index.mip_tidset_matrix  # noqa: B018 — intentional cache warm-up
+    index.__dict__["mip_tidset_matrix"] = mip_matrix
     return index

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -236,6 +236,23 @@ class QueryContext:
     def __post_init__(self) -> None:
         if self.main_dq_size < 0:
             self.main_dq_size = self.dq_size
+
+    @property
+    def qualify_floor(self) -> int:
+        """The combined local count a candidate needs to stay in play.
+
+        ``min_count``, except in expanded mode over a live delta.  There a
+        qualified closure stands for its sub-itemsets, and a sub-itemset
+        ``S`` whose main closure is ``C`` counts ``main(C) + delta(S)``:
+        the delta records need not support all of ``C``, so ``S`` can
+        reach ``min_count`` while ``C`` falls short by up to the delta
+        focal size.  The floor relaxes by exactly that bound (as
+        SUPPORTED-SEARCH's does); the exact combined-count filter of the
+        extraction discards whatever it over-admits.
+        """
+        if self.expand and self.delta is not None:
+            return max(self.min_count - self.delta.dq_size, 1)
+        return self.min_count
 
     def packed_dq(self) -> np.ndarray:
         """The focal tidset as a packed kernel row (computed once)."""
@@ -502,7 +519,7 @@ def _qualify_candidates(
                 counts = counts + ctx.delta.mip_counts(rows)
         else:
             counts = np.zeros(0, dtype=np.int64)
-        qualifies = counts >= ctx.min_count
+        qualifies = counts >= ctx.qualify_floor
         return (
             QualifiedArray(
                 ctx.index, rows[qualifies], counts[qualifies].astype(np.int64)
@@ -530,14 +547,14 @@ def _qualify_candidates(
         qualified = [
             (mip, int(local))
             for (mip, _), local in zip(checked, counts)
-            if local >= ctx.min_count
+            if local >= ctx.qualify_floor
         ]
     else:
         for mip, _overlap in checked:
             local = mip.local_count(ctx.dq)
             if ctx.delta is not None:
                 local += ctx.delta.itemset_count(mip.itemset)
-            if local >= ctx.min_count:
+            if local >= ctx.qualify_floor:
                 qualified.append((mip, local))
     return qualified, len(checked)
 
@@ -600,7 +617,7 @@ def qualified_from_contained(
                     ctx.index.mip_tidset_matrix.take(rows, axis=0)
                 )
             counts = counts + ctx.delta.mip_counts(rows)
-            qualifies = counts >= ctx.min_count
+            qualifies = counts >= ctx.qualify_floor
             rows, counts = rows[qualifies], counts[qualifies]
         return QualifiedArray(ctx.index, rows, counts)
     if ctx.delta is not None:
@@ -611,7 +628,7 @@ def qualified_from_contained(
             local = mip.local_count(ctx.dq) + ctx.delta.itemset_count(
                 mip.itemset
             )
-            if local >= ctx.min_count:
+            if local >= ctx.qualify_floor:
                 out.append((mip, local))
         return out
     return [
@@ -744,7 +761,6 @@ def _rules_from_qualified(
     pairs = [(mip.itemset, int(local)) for mip, local in qualified]
     kernel: "kernels.FocalKernel | None" = None
     evaluations_before = 0
-    sharded_evaluations = 0
     kernel_s = 0.0
 
     def focal_kernel() -> "kernels.FocalKernel":
@@ -784,15 +800,58 @@ def _rules_from_qualified(
             )
             if len(allowed) >= 2:
                 allowed_seen.add(allowed)
-        narrow = [s for s in allowed_seen if len(s) <= _LATTICE_MAX_WIDTH]
-        t0 = time.perf_counter()
-        sources = focal_kernel().frequent_subsets(narrow, ctx.min_count)
-        kernel_s += time.perf_counter() - t0
-        if len(narrow) < len(allowed_seen):  # pragma: no cover - huge schema
-            sources = _merge_wide_sources(
-                ctx, focal_kernel(), allowed_seen, sources
-            )
+        sources, discovery_s = _expanded_sources(
+            ctx, focal_kernel(), allowed_seen
+        )
+        kernel_s += discovery_s
 
+    rules, ctx.lattice_groups, sharded_evaluations, counting_s = (
+        _rules_from_sources(ctx, sources, focal_kernel, ctx.parallel)
+    )
+    kernel_s += counting_s
+    lookups = sharded_evaluations
+    if kernel is not None:
+        lookups += kernel.evaluations - evaluations_before
+    return rules, lookups, kernel_s
+
+
+def _expanded_sources(
+    ctx: QueryContext,
+    kernel: "kernels.FocalKernel",
+    closures: "set[Itemset]",
+) -> tuple[list[Itemset], float]:
+    """Expanded-mode rule sources: the distinct locally frequent
+    sub-itemsets (two items or more) of ``closures``, discovered in array
+    space inside the kernel.  Returns them with the kernel seconds spent."""
+    narrow = [s for s in closures if len(s) <= _LATTICE_MAX_WIDTH]
+    t0 = time.perf_counter()
+    sources = kernel.frequent_subsets(narrow, ctx.min_count)
+    kernel_s = time.perf_counter() - t0
+    if len(narrow) < len(closures):  # pragma: no cover - huge schema
+        sources = _merge_wide_sources(ctx, kernel, closures, sources)
+    return sources, kernel_s
+
+
+def _rules_from_sources(
+    ctx: QueryContext,
+    sources: list[Itemset],
+    focal_kernel: "Callable[[], kernels.FocalKernel]",
+    parallel: "ParallelContext | None",
+) -> "tuple[list[Rule], list | None, int, float]":
+    """Count every source's subset lattice and extract the rules.
+
+    The shared tail of VERIFY-family and ARM rule generation: sources are
+    grouped by width, each group's lattice is counted at once (offered to
+    ``parallel`` first when one is given, else through ``focal_kernel()``,
+    which is only called on first serial need), and one vectorized
+    confidence pass emits the rules in canonical order.
+
+    Returns ``(rules, lattice_groups, sharded_evaluations,
+    kernel_seconds)``; ``lattice_groups`` is ``None`` when the wide
+    fallback fired (its rules are not in the counted lattices).
+    """
+    sharded_evaluations = 0
+    kernel_s = 0.0
     by_width: dict[int, list[Itemset]] = {}
     for itemset in sources:
         by_width.setdefault(len(itemset), []).append(itemset)
@@ -805,12 +864,12 @@ def _rules_from_qualified(
             continue
         t0 = time.perf_counter()
         counts = None
-        if ctx.parallel is not None:
+        if parallel is not None:
             # The shard pool counts over the *main* universe (its workers
             # hold the main item matrix), so it gets the main focal size;
             # the delta lattice — a handful of words per row — adds on
             # top as one vectorized elementwise sum.
-            counts = ctx.parallel.count_subset_lattice(
+            counts = parallel.count_subset_lattice(
                 group, ctx.packed_dq(), ctx.main_dq_size
             )
             if counts is not None:
@@ -832,9 +891,6 @@ def _rules_from_qualified(
         ctx.query.minconf,
         min_count=ctx.min_count if ctx.expand else None,
     )
-    # Expose the counted lattices for the materialized cache — only when
-    # they cover *all* sources (the wide fallback's rules are not in them).
-    ctx.lattice_groups = None if wide else groups
     if wide:  # pragma: no cover - beyond any schema in this repo
         family: set[Itemset] = set()
         for itemset in wide:
@@ -856,10 +912,9 @@ def _rules_from_qualified(
             )
         )
         rules.sort(key=_RULE_ORDER)
-    lookups = sharded_evaluations
-    if kernel is not None:
-        lookups += kernel.evaluations - evaluations_before
-    return rules, lookups, kernel_s
+    # The counted lattices are cache-worthy only when they cover *all*
+    # sources (the wide fallback's rules are not in them).
+    return rules, None if wide else groups, sharded_evaluations, kernel_s
 
 
 def _merge_wide_sources(
@@ -1021,10 +1076,11 @@ def op_arm(ctx: QueryContext, sub: RelationalTable) -> list[Rule]:
     """ARM: traditional two-step rule mining from scratch on the subset.
 
     Mines closed frequent itemsets with CHARM at the query's minsupp over
-    the item attributes only, then generates rules with antecedent supports
-    resolved through a throwaway IT-tree over the local closed sets.  In
-    expanded mode all locally frequent sub-itemsets are enumerated, to
-    mirror the expanded MIP-plans.
+    the item attributes only, then generates rules from them as VERIFY
+    does: the focal-projected kernel counts each closed itemset's subset
+    lattice over the table's item matrix (no MIP is consulted) and one
+    vectorized pass checks the confidences.  In expanded mode all locally
+    frequent sub-itemsets are sources, to mirror the expanded MIP-plans.
     """
     start = time.perf_counter()
     item_tidsets = {
@@ -1034,37 +1090,12 @@ def op_arm(ctx: QueryContext, sub: RelationalTable) -> list[Rule]:
         or item.attribute in ctx.query.item_attributes
     }
     closed = charm(item_tidsets, sub.n_records, ctx.query.minsupp)
-    full = ts.full(sub.n_records)
-    cache: dict[Itemset, int | None] = {
-        cfi.items: cfi.support_count for cfi in closed
-    }
-
-    def local_count(items: Itemset) -> int | None:
-        if items in cache:
-            return cache[items]
-        mask = full
-        for item in items:
-            mask &= item_tidsets.get(item, 0)
-            if not mask:
-                break
-        count_ = mask.bit_count()
-        cache[items] = count_
-        return count_
-
-    if not ctx.expand:
-        itemsets = [cfi.items for cfi in closed]
-    else:
-        family: set[Itemset] = set()
-        for cfi in closed:
-            n = len(cfi.items)
-            for mask in range(1, 1 << n):
-                family.add(
-                    tuple(cfi.items[i] for i in range(n) if mask >> i & 1)
-                )
-        itemsets = sorted(family)
-    rules = rules_from_itemsets(
-        itemsets, local_count, sub.n_records, ctx.query.minsupp, ctx.query.minconf
-    )
+    sources = [cfi.items for cfi in closed if len(cfi.items) >= 2]
+    kernel = ctx.focal_kernel()
+    if ctx.expand:
+        sources, _ = _expanded_sources(ctx, kernel, set(sources))
+    # Serial on purpose: the optimizer prices no sharded twin for ARM.
+    rules, _, _, _ = _rules_from_sources(ctx, sources, lambda: kernel, None)
     ctx.trace.add(
         OperatorTrace(
             name="ARM",

@@ -9,14 +9,18 @@ itemset lengths, and per-attribute fixing probabilities.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.mip import MIP
+from repro.dataset.schema import Item
+from repro.kernels import and_count, popcount_rows
 from repro.rtree.node import Node
 from repro.rtree.rtree import LevelStat, RTree
+from repro.rtree.supported import SupportedRTree
 
 __all__ = ["LevelCountProfile", "IndexStatistics"]
 
@@ -128,94 +132,88 @@ class IndexStatistics:
 
 def gather_statistics(
     mips: Sequence[MIP],
-    tree: RTree,
+    tree: SupportedRTree,
     cardinalities: Sequence[int],
     n_records: int,
     primary_support: float,
-    item_tidsets: "dict | None" = None,
+    mip_matrix: np.ndarray,
+    item_matrix: "tuple[np.ndarray, Mapping[Item, int]] | None" = None,
 ) -> IndexStatistics:
     """Collect all statistics in one offline pass over index and MIPs.
 
-    ``item_tidsets`` (item -> tidset, from the source table) enables the
-    per-item local-count profile; when omitted, that profile is empty and
-    the optimizer falls back to the distribution-based estimates.
+    ``tree`` answers the level profile from its compiled flat form when
+    that is current.  ``mip_matrix`` is the packed ``(n_mips, words)``
+    MIP-tidset matrix the index keeps for ELIMINATE; ``item_matrix`` the
+    table's packed item matrix with its row lookup
+    (:meth:`RelationalTable.item_matrix`, rows in item sort order).  The
+    latter enables the per-item local-count profile; when omitted, that
+    profile is empty and the optimizer falls back to the
+    distribution-based estimates.
     """
     cardinalities = tuple(cardinalities)
     n_dims = len(cardinalities)
+    n_mips = len(mips)
 
-    if mips:
-        sums = [0.0] * n_dims
-        fixes = [0] * n_dims
-        for mip in mips:
-            for d, extent in enumerate(mip.box.extents()):
-                sums[d] += extent
-            for d in mip.fixed_attributes:
-                fixes[d] += 1
-        avg_extents = tuple(s / len(mips) for s in sums)
-        fix_prob = tuple(f / len(mips) for f in fixes)
+    fixed_values = np.full((n_mips, n_dims), -1, dtype=np.int32)
+    lengths = np.fromiter((mip.length for mip in mips), np.intp, n_mips)
+    items = np.array(
+        [item for mip in mips for item in mip.itemset], dtype=np.int32
+    ).reshape(-1, 2)
+    fixed_values[np.repeat(np.arange(n_mips), lengths), items[:, 0]] = items[:, 1]
+    fixed = fixed_values >= 0
+
+    if n_mips:
+        extents = np.where(fixed, 1, np.asarray(cardinalities, dtype=np.int64))
+        avg_extents = tuple(s / n_mips for s in extents.sum(axis=0).tolist())
+        fix_prob = tuple(f / n_mips for f in fixed.sum(axis=0).tolist())
     else:
         avg_extents = tuple(float(c) for c in cardinalities)
         fix_prob = tuple(0.0 for _ in cardinalities)
 
-    histogram: dict[int, int] = {}
-    for mip in mips:
-        histogram[mip.length] = histogram.get(mip.length, 0) + 1
-
-    fixed_values = np.full((len(mips), n_dims), -1, dtype=np.int32)
-    for i, mip in enumerate(mips):
-        for item in mip.itemset:
-            fixed_values[i, item.attribute] = item.value
+    histogram = dict(Counter(lengths.tolist()))
 
     item_columns: dict[tuple[int, int], int] = {}
-    if item_tidsets:
-        for j, item in enumerate(sorted(item_tidsets)):
-            item_columns[(item[0], item[1])] = j
-        local_counts = np.zeros((len(mips), len(item_columns)), dtype=np.int32)
-        for i, mip in enumerate(mips):
-            for item, mask in item_tidsets.items():
-                j = item_columns[(item[0], item[1])]
-                local_counts[i, j] = (mip.tidset & mask).bit_count()
-    else:
-        local_counts = np.zeros((len(mips), 0), dtype=np.int32)
-
     global_f1 = 0
     global_pair_density = 0.0
-    if item_tidsets:
+    if item_matrix is not None and len(item_matrix[1]):
+        item_rows, row_of = item_matrix
+        item_columns = {(item[0], item[1]): j for item, j in row_of.items()}
+        by_item = np.empty((len(item_rows), n_mips), dtype=np.int32)
+        for j, row in enumerate(item_rows):
+            by_item[j] = and_count(mip_matrix, row)
+        local_counts = np.ascontiguousarray(by_item.T)
+
         exact = primary_support * n_records
         floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
-        strong = sorted(
-            (mask for mask in item_tidsets.values()
-             if mask.bit_count() >= floor),
-            key=lambda m: -m.bit_count(),
-        )
+        item_counts = popcount_rows(item_rows)
+        strong = np.flatnonzero(item_counts >= floor)
         global_f1 = len(strong)
-        strong = strong[:48]
-        pairs = frequent_pairs = 0
-        for i, mi in enumerate(strong):
-            for mj in strong[i + 1:]:
-                pairs += 1
-                if (mi & mj).bit_count() >= floor:
-                    frequent_pairs += 1
+        strong = strong[np.argsort(-item_counts[strong], kind="stable")][:48]
+        rows = item_rows[strong]
+        pairs = len(rows) * (len(rows) - 1) // 2
+        frequent_pairs = sum(
+            int((and_count(rows[i + 1:], rows[i]) >= floor).sum())
+            for i in range(len(rows) - 1)
+        )
         if pairs:
             global_pair_density = frequent_pairs / pairs
+    else:
+        local_counts = np.zeros((n_mips, 0), dtype=np.int32)
 
+    global_counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     return IndexStatistics(
         n_records=n_records,
         n_attributes=n_dims,
         cardinalities=cardinalities,
-        n_mips=len(mips),
+        n_mips=n_mips,
         avg_box_extents=avg_extents,
         level_stats=tuple(tree.level_stats()),
-        level_counts=tuple(_level_count_profiles(tree)),
-        sorted_global_counts=np.sort(
-            np.asarray([m.global_count for m in mips], dtype=np.int64)
-        ),
+        level_counts=tuple(_level_count_profiles(tree.tree)),
+        sorted_global_counts=np.sort(global_counts),
         length_histogram=histogram,
         attr_fix_prob=fix_prob,
         primary_support=primary_support,
-        mip_global_counts=np.asarray(
-            [m.global_count for m in mips], dtype=np.int64
-        ),
+        mip_global_counts=global_counts,
         mip_fixed_values=fixed_values,
         item_columns=item_columns,
         item_local_counts=local_counts,

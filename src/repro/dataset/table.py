@@ -193,7 +193,11 @@ class RelationalTable:
         Used by the ARM plan, which runs a miner from scratch on the
         extracted focal subset.
         """
-        rows = ts.to_list(tids)
+        # Row indices straight from the packed row's bits, in tid order.
+        packed = kernels.pack(tids, self.tidset_words)
+        rows = np.flatnonzero(
+            np.unpackbits(packed.view(np.uint8), bitorder="little")
+        )
         return RelationalTable(self.schema, self.data[rows, :])
 
     def project(self, attribute_indices: Sequence[int]) -> "RelationalTable":

@@ -147,7 +147,8 @@ def subset_lattice_partial(
     workers free of any per-query repack: the lattice root *is* the focal
     slice, and every lattice row inherits it through the mask recurrence.
 
-    Slab memory is chunked exactly like the serial kernel (~64 MiB cap).
+    Slab memory is chunked exactly like the serial kernel
+    (:data:`repro.kernels.LATTICE_SLAB_BYTES`).
     """
     m, n = idx.shape
     size = 1 << n
@@ -166,7 +167,7 @@ def subset_lattice_partial(
     if valid.any():  # an all-absent idx (even an empty item_matrix) is fine
         rows[valid] = item_matrix[idx[valid], lo:hi]
     lowbit = [(s & -s).bit_length() - 1 for s in range(size)]
-    chunk = max(1, (64 << 20) // (size * max(span, 1) * 8))
+    chunk = max(1, kernels.LATTICE_SLAB_BYTES // (size * max(span, 1) * 8))
     for c_lo in range(0, m, chunk):
         c_hi = min(m, c_lo + chunk)
         lattice = np.empty((c_hi - c_lo, size, span), dtype=_WORD_DTYPE)

@@ -127,11 +127,13 @@ class Rect:
 
 def mbr_of(rects: Iterable[Rect]) -> Rect:
     """Minimum bounding rectangle of a non-empty collection."""
-    it = iter(rects)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise DataError("mbr_of needs at least one rectangle") from None
-    for rect in it:
-        acc = acc.union(rect)
-    return acc
+    rects = list(rects)
+    if not rects:
+        raise DataError("mbr_of needs at least one rectangle")
+    for rect in rects:
+        rects[0]._check_dims(rect)
+    # One min/max per dimension over all boxes: no intermediate unions.
+    return Rect(
+        tuple(map(min, zip(*[r.lows for r in rects]))),
+        tuple(map(max, zip(*[r.highs for r in rects]))),
+    )

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import DataError
 
-__all__ = ["hilbert_index", "bits_needed"]
+__all__ = ["hilbert_index", "hilbert_indices", "bits_needed"]
+
+#: Widest coordinate the vectorized transform holds in an int64 lane.
+_MAX_VECTOR_BITS = 62
 
 
 def bits_needed(max_coordinate: int) -> int:
@@ -69,3 +74,55 @@ def hilbert_index(coords: Sequence[int], bits: int) -> int:
         for i in range(n):
             index = (index << 1) | ((x[i] >> bit) & 1)
     return index
+
+
+def hilbert_indices(coords: np.ndarray, bits: int) -> list[int]:
+    """Hilbert-curve indices of ``N`` points at once.
+
+    ``coords`` is an ``(N, n)`` integer array; entry ``k`` of the result
+    equals ``hilbert_index(coords[k], bits)``.  Skilling's transform runs
+    once over whole columns instead of once per point; the indices come
+    back as Python ints because ``bits * n`` routinely exceeds 64.
+    """
+    x = np.array(coords, dtype=np.int64, ndmin=2)
+    n_points, n = x.shape
+    if n == 0:
+        raise DataError("need at least one coordinate")
+    if not 1 <= bits <= _MAX_VECTOR_BITS:
+        raise DataError(f"bits must be in 1..{_MAX_VECTOR_BITS}, got {bits}")
+    if n_points == 0:
+        return []
+    if x.min() < 0 or int(x.max()) >> bits:
+        raise DataError(f"coordinate out of range for {bits} bits")
+
+    m = 1 << (bits - 1)
+    first = x[:, 0]
+    q = m
+    while q > 1:
+        p = q - 1
+        for i in range(n):
+            column = x[:, i]
+            inverted = (column & q) != 0
+            swap = np.where(inverted, 0, (first ^ column) & p)
+            first ^= np.where(inverted, p, swap)
+            column ^= swap
+        q >>= 1
+    for i in range(1, n):
+        x[:, i] ^= x[:, i - 1]
+    t = np.zeros(n_points, dtype=np.int64)
+    last = x[:, n - 1]
+    q = m
+    while q > 1:
+        t ^= np.where((last & q) != 0, q - 1, 0)
+        q >>= 1
+    x ^= t[:, None]
+
+    # Interleave: bit ``bits - 1`` of every dimension first, then the next
+    # bit down — big-endian, front-padded to whole bytes.
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    interleaved = ((x[:, None, :] >> shifts[None, :, None]) & 1).astype(np.uint8)
+    pad = -(bits * n) % 8
+    padded = np.zeros((n_points, pad + bits * n), dtype=np.uint8)
+    padded[:, pad:] = interleaved.reshape(n_points, bits * n)
+    packed = np.packbits(padded, axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]

@@ -14,9 +14,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.errors import IndexError_
 from repro.rtree.geometry import Rect
-from repro.rtree.hilbert import bits_needed, hilbert_index
+from repro.rtree.hilbert import bits_needed, hilbert_indices
 from repro.rtree.node import Entry, Node
 from repro.rtree.rtree import DEFAULT_MAX_ENTRIES, RTree
 
@@ -33,18 +35,15 @@ def pack_hilbert(
 ) -> RTree:
     """Bulk-load a fully packed R-tree via Hilbert-order tiling."""
     _check_items(n_dims, items)
-    max_coord = max(
-        max(rect.highs) for rect, _, _ in items
-    ) if items else 0
-    bits = bits_needed(max_coord * 2 + 1)  # centers are doubled to stay integral
-
-    def key(item: PackInput) -> int:
-        rect = item[0]
-        doubled_center = tuple(lo + hi for lo, hi in zip(rect.lows, rect.highs))
-        return hilbert_index(doubled_center, bits)
-
-    ordered = sorted(items, key=key)
-    return _pack_ordered(n_dims, ordered, max_entries)
+    if not items:
+        return _pack_ordered(n_dims, items, max_entries)
+    lows = np.array([rect.lows for rect, _, _ in items], dtype=np.int64)
+    highs = np.array([rect.highs for rect, _, _ in items], dtype=np.int64)
+    # Centers are doubled (lo + hi) to stay integral.
+    bits = bits_needed(int(highs.max()) * 2 + 1)
+    keys = hilbert_indices(lows + highs, bits)
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    return _pack_ordered(n_dims, [items[i] for i in order], max_entries)
 
 
 def pack_str(

@@ -116,3 +116,67 @@ def test_degenerate_probe_does_not_poison_weights(index):
         b = base.weights.weights[feature]
         p = poisoned.weights.weights[feature]
         assert p <= b * 10, (feature, b, p)
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_collects_at_most_once_per_probe_query(index, monkeypatch, collector_on):
+    """A full collection walks the whole index heap; one before each of the
+    6 x n plan executions cost more than the executions.  The collector is
+    still paused inside every execution and left as it was found."""
+    import gc
+
+    from repro.core import calibration
+
+    probes = default_probe_queries(index, 4, seed=1)
+    collections = []
+    paused = []
+    real_execute = calibration.execute_plan
+
+    def counting_collect(*args):
+        collections.append(args)
+        return 0
+
+    def watching_execute(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return real_execute(*args, **kwargs)
+
+    monkeypatch.setattr(calibration.gc, "collect", counting_collect)
+    monkeypatch.setattr(calibration, "execute_plan", watching_execute)
+    was_enabled = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        calibrate(index, probes)
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(paused) == 6 * len(probes) and all(paused)
+    assert 1 <= len(collections) <= len(probes)
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_collector_state_restored_when_a_probe_raises(
+    index, monkeypatch, collector_on
+):
+    import gc
+
+    from repro.core import calibration
+
+    calls = []
+
+    def failing_execute(*args, **kwargs):
+        calls.append(gc.isenabled())
+        if len(calls) == 3:
+            raise RuntimeError("probe failed")
+        return real_execute(*args, **kwargs)
+
+    real_execute = calibration.execute_plan
+    monkeypatch.setattr(calibration, "execute_plan", failing_execute)
+    was_enabled = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="probe failed"):
+            calibrate(index, default_probe_queries(index, 2, seed=1))
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert calls == [False, False, False]

@@ -1,11 +1,16 @@
 """Index statistics: every precomputed profile checked against brute force."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index
 from repro.core.stats import LevelCountProfile
+from repro.dataset.schema import Attribute, Schema
+from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
+from repro.dataset.table import RelationalTable
 from tests.conftest import make_random_table
 
 
@@ -110,3 +115,125 @@ def test_level_counts_cover_tree(setup):
     leaf_profile = next(p for p in stats.level_counts if p.level == 0)
     assert len(leaf_profile.sorted_max_counts) == \
         next(s for s in stats.level_stats if s.level == 0).n_nodes
+
+
+# ---------------------------------------------------------------------------
+# The kernel path against the scalar loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_statistics(index):
+    """The per-MIP / per-item Python loops ``gather_statistics`` ran before
+    it counted through the packed matrices — kept here as the reference."""
+    mips = index.mips
+    cardinalities = index.cardinalities
+    n_dims = len(cardinalities)
+    n_records = index.table.n_records
+    item_tidsets = index.table.item_tidsets()
+    out = {}
+
+    if mips:
+        sums = [0.0] * n_dims
+        fixes = [0] * n_dims
+        for mip in mips:
+            for d, extent in enumerate(mip.box.extents()):
+                sums[d] += extent
+            for d in mip.fixed_attributes:
+                fixes[d] += 1
+        out["avg_box_extents"] = tuple(s / len(mips) for s in sums)
+        out["attr_fix_prob"] = tuple(f / len(mips) for f in fixes)
+    else:
+        out["avg_box_extents"] = tuple(float(c) for c in cardinalities)
+        out["attr_fix_prob"] = tuple(0.0 for _ in cardinalities)
+
+    histogram = {}
+    for mip in mips:
+        histogram[mip.length] = histogram.get(mip.length, 0) + 1
+    out["length_histogram"] = histogram
+
+    fixed_values = np.full((len(mips), n_dims), -1, dtype=np.int32)
+    for i, mip in enumerate(mips):
+        for item in mip.itemset:
+            fixed_values[i, item.attribute] = item.value
+    out["mip_fixed_values"] = fixed_values
+
+    item_columns = {}
+    for j, item in enumerate(sorted(item_tidsets)):
+        item_columns[(item[0], item[1])] = j
+    local_counts = np.zeros((len(mips), len(item_columns)), dtype=np.int32)
+    for i, mip in enumerate(mips):
+        for item, mask in item_tidsets.items():
+            j = item_columns[(item[0], item[1])]
+            local_counts[i, j] = (mip.tidset & mask).bit_count()
+    out["item_columns"] = item_columns
+    out["item_local_counts"] = local_counts
+
+    exact = index.primary_support * n_records
+    floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
+    strong = sorted(
+        (mask for mask in item_tidsets.values() if mask.bit_count() >= floor),
+        key=lambda m: -m.bit_count(),
+    )
+    out["global_f1"] = len(strong)
+    strong = strong[:48]
+    pairs = frequent_pairs = 0
+    for i, mi in enumerate(strong):
+        for mj in strong[i + 1:]:
+            pairs += 1
+            if (mi & mj).bit_count() >= floor:
+                frequent_pairs += 1
+    out["global_pair_density"] = frequent_pairs / pairs if pairs else 0.0
+
+    counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
+    out["mip_global_counts"] = counts
+    out["sorted_global_counts"] = np.sort(counts)
+    out["level_stats"] = tuple(index.rtree.tree.level_stats())
+    return out
+
+
+def _constant_table(n_records=10):
+    attrs = tuple(Attribute(f"a{i}", ("x", "y")) for i in range(3))
+    return RelationalTable(
+        Schema(attrs), np.zeros((n_records, 3), dtype=np.int32)
+    )
+
+
+REFERENCE_CASES = {
+    "chess": lambda: (chess_like(n_records=400, n_attributes=9), 0.15),
+    "mushroom": lambda: (mushroom_like(n_records=400, n_attributes=9), 0.12),
+    "pumsb": lambda: (pumsb_like(n_records=500, n_attributes=9), 0.15),
+    "no-mip": lambda: (
+        make_random_table(seed=3, n_records=40, cardinalities=(4, 4, 4)), 1.0
+    ),
+    "one-mip": lambda: (_constant_table(), 0.5),
+    # 4200 records: 66 words per packed tidset row.
+    "over-64-words": lambda: (
+        make_random_table(seed=5, n_records=4200, cardinalities=(3, 2, 4, 3)),
+        0.02,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernel_statistics_equal_scalar_loops(case):
+    table, primary = REFERENCE_CASES[case]()
+    index = build_mip_index(table, primary_support=primary)
+    if case == "no-mip":
+        assert index.n_mips == 0
+    elif case == "one-mip":
+        assert index.n_mips == 1
+    elif case == "over-64-words":
+        assert index.tidset_words > 64
+    expected = scalar_statistics(index)
+    stats = index.stats
+    assert set(expected) < {f.name for f in dataclasses.fields(stats)}
+    for name, want in expected.items():
+        got = getattr(stats, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            assert got.tobytes() == want.tobytes(), name
+        elif isinstance(want, dict):
+            assert list(got.items()) == list(want.items()), name
+        else:
+            assert got == want, name

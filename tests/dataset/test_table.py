@@ -94,6 +94,35 @@ def test_subset(small):
     assert sub.schema == small.schema
 
 
+@pytest.mark.parametrize("n_records", [1, 64, 64_001])
+def test_subset_equals_tid_walk(n_records):
+    """The packed-row extraction returns the rows the one-tid-at-a-time
+    walk returned, in tid order: empty, full, one-row and strided tidsets
+    on tables up to 64 001 records (1 001 words)."""
+    rng = np.random.default_rng(n_records)
+    schema = Schema((Attribute("A", ("a0", "a1", "a2")),
+                     Attribute("B", ("b0", "b1"))))
+    data = np.column_stack(
+        [rng.integers(0, 3, size=n_records), rng.integers(0, 2, size=n_records)]
+    ).astype(np.int32)
+    table = RelationalTable(schema, data)
+    tidsets = [
+        ts.EMPTY,
+        ts.full(n_records),
+        ts.singleton(0),
+        ts.singleton(n_records - 1),
+        ts.from_array(np.arange(0, n_records, 3)),
+        ts.from_array(rng.choice(n_records, size=(n_records + 1) // 2,
+                                 replace=False)),
+    ]
+    for tids in tidsets:
+        sub = table.subset(tids)
+        expected = data[ts.to_list(tids), :]
+        assert sub.schema == schema
+        assert sub.data.dtype == np.int32
+        assert np.array_equal(sub.data, expected)
+
+
 def test_project(small):
     proj = small.project([1])
     assert proj.n_attributes == 1

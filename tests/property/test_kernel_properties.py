@@ -162,3 +162,35 @@ def test_popcount_elementwise_paths_agree():
     lut = kernels._popcount16_table()
     expected = lut[array.view("<u2")].reshape(13, 5, 4).sum(axis=-1)
     assert np.array_equal(kernels.popcount(array).astype(np.int64), expected)
+
+
+def test_subset_lattice_counts_do_not_depend_on_the_slab_cap(monkeypatch):
+    """The lattice is evaluated in chunks of sources that fit the slab cap;
+    one source per chunk counts exactly what one chunk for all does, and
+    both equal the per-subset big-int reference."""
+    rng = np.random.default_rng(5)
+    n_records, n_items = 300, 7
+    tidsets = [
+        ts.from_array(np.flatnonzero(rng.random(n_records) < 0.6))
+        for _ in range(n_items)
+    ]
+    words = kernels.n_words(n_records)
+    dq = ts.from_array(np.flatnonzero(rng.random(n_records) < 0.5))
+    kernel = kernels.FocalKernel(
+        kernels.pack_many(tidsets, words),
+        {i: i for i in range(n_items)},
+        kernels.pack(dq, words),
+        ts.count(dq),
+    )
+    sources = [(0, 1, 2), (1, 3, 6), (2, 4, 5), (0, 5, 6), (3, 4, 6)]
+    whole = kernel.count_subset_lattice(sources)
+    monkeypatch.setattr(kernels, "LATTICE_SLAB_BYTES", 1)
+    assert np.array_equal(kernel.count_subset_lattice(sources), whole)
+    for j, source in enumerate(sources):
+        for mask in range(8):
+            expected = reduce(
+                lambda acc, b: acc & tidsets[source[b]],
+                [b for b in range(3) if mask >> b & 1],
+                dq,
+            )
+            assert whole[j, mask] == ts.count(expected)

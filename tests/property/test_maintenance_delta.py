@@ -10,7 +10,7 @@ kernel path.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Colarm
@@ -105,8 +105,19 @@ def _live_table(rows, alive):
     return RelationalTable(_schema(), data)
 
 
+#: Found by hypothesis (CHANGES.md, PR 14): the appended row supports
+#: {a0=0, a1=1} but not that itemset's closure in the main index, so the
+#: sub-itemset reaches min_count (4 main + 1 delta = 5) while the closure
+#: (4 + 0) does not.  Expanded-mode qualification must keep such a closure
+#: in play (``QueryContext.qualify_floor``).
+DELTA_LIFTS_SUBSET_ONLY = (
+    485, 50, [("append", 1, 1350)], {0: frozenset({0})}, 0.45, 0.5
+)
+
+
 @settings(max_examples=20, deadline=None)
 @given(scenarios())
+@example(DELTA_LIFTS_SUBSET_ONLY)
 def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
     seed, n_base, ops, selections, minsupp, minconf = scenario
     rng = np.random.default_rng(seed)
@@ -145,6 +156,7 @@ def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
 
 @settings(max_examples=12, deadline=None)
 @given(scenarios())
+@example(DELTA_LIFTS_SUBSET_ONLY)
 def test_engine_with_cache_matches_rebuild(scenario):
     """The optimizer-driven engine path — cache on and off — agrees with
     a from-scratch rebuild after every interleaving (expanded mode)."""

@@ -2,10 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.errors import DataError
-from repro.rtree.hilbert import bits_needed, hilbert_index
+from repro.rtree.hilbert import bits_needed, hilbert_index, hilbert_indices
 
 
 def test_bits_needed():
@@ -53,3 +54,33 @@ def test_rejects_out_of_range():
 def test_1d_is_identity():
     for v in range(16):
         assert hilbert_index((v,), bits=4) == v
+
+
+@pytest.mark.parametrize(
+    "n_dims,bits",
+    [(1, 1), (3, 1), (1, 7), (2, 3), (4, 5), (16, 5), (40, 6), (3, 62)],
+)
+def test_indices_equal_scalar_on_random_points(n_dims, bits):
+    """The vectorized transform is the scalar one, point for point —
+    including the all-zero and all-maximum corners and keys far past 64
+    bits (``bits * n_dims`` up to 240 here)."""
+    rng = np.random.default_rng(n_dims * 100 + bits)
+    coords = rng.integers(0, 1 << bits, size=(200, n_dims), dtype=np.int64)
+    coords[0] = 0
+    coords[1] = (1 << bits) - 1
+    coords[2, ::2] = (1 << bits) - 1
+    expected = [hilbert_index(tuple(map(int, row)), bits) for row in coords]
+    assert hilbert_indices(coords, bits) == expected
+
+
+def test_indices_edge_inputs():
+    assert hilbert_indices(np.zeros((0, 3), dtype=np.int64), bits=4) == []
+    assert hilbert_indices([[5, 2]], bits=3) == [hilbert_index((5, 2), 3)]
+    with pytest.raises(DataError):
+        hilbert_indices([[4, 0]], bits=2)
+    with pytest.raises(DataError):
+        hilbert_indices([[-1, 0]], bits=2)
+    with pytest.raises(DataError):
+        hilbert_indices(np.zeros((2, 0), dtype=np.int64), bits=2)
+    with pytest.raises(DataError):
+        hilbert_indices([[0, 0]], bits=63)

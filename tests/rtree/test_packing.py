@@ -80,3 +80,32 @@ def test_packed_single(packer):
 def test_pack_rejects_dim_mismatch():
     with pytest.raises(IndexError_):
         pack_hilbert(3, [(Rect((0,), (0,)), 1, 1)])
+
+
+def test_hilbert_pack_order_is_the_scalar_key_order():
+    """Leaves hold the items in the (stable) order of their scalar Hilbert
+    keys — the order the per-box key loop produced before the vectorized
+    pass, ties included."""
+    from repro.rtree.hilbert import bits_needed, hilbert_index
+
+    rng = random.Random(11)
+    items = random_items(rng, 300)
+    items += [(rect, 1000 + k, 1) for k, (rect, _, _) in enumerate(items[:40])]
+    bits = bits_needed(max(max(r.highs) for r, _, _ in items) * 2 + 1)
+    expected = sorted(
+        items,
+        key=lambda it: hilbert_index(
+            tuple(lo + hi for lo, hi in zip(it[0].lows, it[0].highs)), bits
+        ),
+    )
+    tree = pack_hilbert(3, items, max_entries=8)
+    leaves = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack.extend(reversed([e.child for e in node.entries]))
+    got = [e.payload for leaf in leaves for e in leaf.entries]
+    assert got == [payload for _, payload, _ in expected]

@@ -18,19 +18,22 @@ Usage::
     ... --only serving --corrupt-admission       # likewise: must FAIL
     ... --only maintenance --corrupt-maintenance # likewise: must FAIL
     ... --only cluster --corrupt-routing         # likewise: must FAIL
+    ... --only setup --corrupt-setup             # likewise: must FAIL
 
 ``--override-weight`` deliberately corrupts one fitted weight after
 calibration, ``--corrupt-admission`` mis-wires the serving layer's
 admission knobs, ``--corrupt-maintenance`` severs the delta-store merge
-correction, and ``--corrupt-routing`` swaps consistent hashing for
-modulo placement; they exist so the gates themselves can be tested (a
-gate that cannot fail gates nothing).
+correction, ``--corrupt-routing`` swaps consistent hashing for modulo
+placement, and ``--corrupt-setup`` puts a full collection back in front
+of every calibration probe; they exist so the gates themselves can be
+tested (a gate that cannot fail gates nothing).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,32 +43,50 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 
+#: Independently built and calibrated engines behind one ACC verdict.
+ACC_CALIBRATIONS = 3
+
+
 def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
-    """Run the reduced ACC experiment and evaluate its thresholds."""
+    """Run the reduced ACC experiment and evaluate its thresholds.
+
+    Each check is the **median over three calibrations** (three engines,
+    each built, calibrated and put through the whole experiment): with 18
+    scenarios ``strict_accuracy`` moves in steps of 1/18, and one
+    calibration's fit flipped a near-tie scenario — and with it the
+    0.33 bar — about one run in three.  The bars are unchanged.
+    """
     from _harness import build_engine, run_accuracy, summarize_accuracy
     from repro.core.costs import CostWeights
     from repro.workloads.experiments import EXPERIMENTS
 
     spec = EXPERIMENTS[config["dataset"]]
-    t0 = time.perf_counter()
-    engine = build_engine(spec)
-    build_s = time.perf_counter() - t0
+    build_s = run_s = 0.0
+    summaries = []
+    for _ in range(ACC_CALIBRATIONS):
+        t0 = time.perf_counter()
+        engine = build_engine(spec)
+        build_s += time.perf_counter() - t0
 
-    if overrides:
-        weights = dict(engine.optimizer.weights.weights)
-        weights.update(overrides)
-        engine.optimizer.set_weights(CostWeights(weights))
+        if overrides:
+            weights = dict(engine.optimizer.weights.weights)
+            weights.update(overrides)
+            engine.optimizer.set_weights(CostWeights(weights))
 
-    t0 = time.perf_counter()
-    records = run_accuracy(
-        engine,
-        spec,
-        tuple(config["fractions"]),
-        seed=config["seed"],
-        repetitions=config["repetitions"],
-    )
-    run_s = time.perf_counter() - t0
-    summary = summarize_accuracy(records)
+        t0 = time.perf_counter()
+        records = run_accuracy(
+            engine,
+            spec,
+            tuple(config["fractions"]),
+            seed=config["seed"],
+            repetitions=config["repetitions"],
+        )
+        run_s += time.perf_counter() - t0
+        summaries.append(summarize_accuracy(records))
+    summary = {
+        key: statistics.median(float(s[key]) for s in summaries)
+        for key in summaries[0]
+    }
 
     checks = {
         "strict_accuracy": (
@@ -86,6 +107,7 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
         if (value < bound if op == ">=" else value > bound)
     ]
 
+    # Estimate-vs-actual feedback of the last calibration's run.
     residuals = {
         kind.value: stats
         for kind, stats in engine.optimizer.residual_summary().items()
@@ -93,15 +115,91 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
     return {
         "dataset": config["dataset"],
         "scenarios": int(summary["n"]),
+        "calibrations": ACC_CALIBRATIONS,
         "build_s": round(build_s, 2),
         "run_s": round(run_s, 2),
         "summary": {k: round(float(v), 4) for k, v in summary.items()},
+        "per_calibration": [
+            {k: round(float(v), 4) for k, v in s.items()} for s in summaries
+        ],
         "checks": {
             name: {"value": round(float(v), 4), "op": op, "bound": bound}
             for name, (v, op, bound) in checks.items()
         },
         "residuals": residuals,
         "weight_overrides": overrides,
+        "passed": not failures,
+        "failures": failures,
+    }
+
+
+def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
+    """The offline phase must not be spent in the garbage collector.
+
+    Times ``Colarm(...)`` + ``calibrate()`` on one look-alike table, with
+    every collection of the run clocked through ``gc.callbacks``:
+
+    * the collector's share of the set-up stays under ``max_gc_share`` —
+      a full collection walks the whole index heap, and one before each
+      of calibration's 48 probe executions was three-quarters of set-up;
+    * the set-up finishes under the recorded ``max_setup_s``.
+
+    ``corrupt=True`` reinstates the per-execution ``gc.collect()`` in
+    front of every probe; the gate must then FAIL.
+    """
+    import gc
+
+    from repro.core import calibration
+    from repro.core.engine import Colarm
+    from repro.workloads.experiments import EXPERIMENTS
+
+    spec = EXPERIMENTS[config["dataset"]]
+    table = spec.make_table()
+    gc_s = 0.0
+    collections = 0
+    started = 0.0
+
+    def clock(phase: str, info: dict) -> None:
+        nonlocal gc_s, collections, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            gc_s += time.perf_counter() - started
+            collections += 1
+
+    execute_plan = calibration.execute_plan
+
+    def collect_then_execute(*args, **kwargs):
+        gc.collect()
+        return execute_plan(*args, **kwargs)
+
+    if corrupt:
+        calibration.execute_plan = collect_then_execute
+    gc.callbacks.append(clock)
+    try:
+        t0 = time.perf_counter()
+        engine = Colarm(table, primary_support=spec.primary_support)
+        engine.calibrate()
+        setup_s = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(clock)
+        calibration.execute_plan = execute_plan
+    gc_share = gc_s / setup_s
+    failures = []
+    if gc_share >= config["max_gc_share"]:
+        failures.append("setup_gc_share")
+    if setup_s >= config["max_setup_s"]:
+        failures.append("setup_seconds")
+    return {
+        "dataset": config["dataset"],
+        "n_mips": engine.n_mips,
+        "setup_s": round(setup_s, 3),
+        "gc_s": round(gc_s, 3),
+        "gc_share": round(gc_share, 3),
+        "collections": collections,
+        "max_gc_share": config["max_gc_share"],
+        "max_setup_s": config["max_setup_s"],
+        "corrupted": corrupt,
         "passed": not failures,
         "failures": failures,
     }
@@ -685,7 +783,9 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     }
 
 
-_GATES = ("acc", "parallel", "cache", "serving", "maintenance", "cluster")
+_GATES = (
+    "acc", "setup", "parallel", "cache", "serving", "maintenance", "cluster"
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -727,6 +827,12 @@ def main(argv: list[str] | None = None) -> int:
         help="replace consistent hashing with modulo placement (a join "
         "reshuffles the key space); the cluster self-test must then FAIL",
     )
+    parser.add_argument(
+        "--corrupt-setup",
+        action="store_true",
+        help="collect before every calibration probe again (the set-up "
+        "spends its time in gc); the setup gate must then FAIL",
+    )
     args = parser.parse_args(argv)
 
     overrides: dict[str, float] = {}
@@ -739,6 +845,11 @@ def main(argv: list[str] | None = None) -> int:
 
     config = json.loads(args.config.read_text())
     report = run_acc_gate(config["acc"], overrides) if wanted("acc") else None
+    setup_report = (
+        run_setup_gate(config["setup"], corrupt=args.corrupt_setup)
+        if "setup" in config and wanted("setup")
+        else None
+    )
     parallel_report = (
         run_parallel_selftest(config["parallel"])
         if "parallel" in config and wanted("parallel")
@@ -769,6 +880,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args.report.parent.mkdir(parents=True, exist_ok=True)
     full_report = dict(report) if report is not None else {}
+    if setup_report is not None:
+        full_report["setup_gate"] = setup_report
     if parallel_report is not None:
         full_report["parallel_selftest"] = parallel_report
     if cache_report is not None:
@@ -786,6 +899,7 @@ def main(argv: list[str] | None = None) -> int:
         passed = report["passed"]
         print(
             f"acc-gate [{report['dataset']}, {report['scenarios']} scenarios, "
+            f"median of {report['calibrations']} calibrations, "
             f"build {report['build_s']}s + run {report['run_s']}s]"
         )
         for name, check in report["checks"].items():
@@ -800,6 +914,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"median log(est/meas)={stats['median_log_ratio']:+.2f} "
                 f"mean|.|={stats['mean_abs_log_ratio']:.2f}"
             )
+    if setup_report is not None:
+        passed = passed and setup_report["passed"]
+        status = "ok  " if setup_report["passed"] else "FAIL"
+        print(
+            f"  {status} setup-gate         "
+            f"[{setup_report['dataset']}] "
+            f"{setup_report['setup_s']:.2f}s"
+            f" (bar {setup_report['max_setup_s']}s), gc share "
+            f"{setup_report['gc_share']:.2f} over "
+            f"{setup_report['collections']} collections"
+            f" (bar {setup_report['max_gc_share']})"
+            + (" [per-probe collect reinstated]"
+               if setup_report["corrupted"] else "")
+        )
     if parallel_report is not None:
         passed = passed and parallel_report["passed"]
         status = "ok  " if parallel_report["passed"] else "FAIL"
@@ -862,6 +990,8 @@ def main(argv: list[str] | None = None) -> int:
         print("ci-gates: PASS")
         return 0
     failures = list(report["failures"]) if report is not None else []
+    if setup_report is not None:
+        failures += setup_report["failures"]
     if parallel_report is not None:
         failures += parallel_report["failures"]
     if cache_report is not None:

@@ -5,9 +5,10 @@ Repeated-/overlapping-focal workloads — the workloads COLARM is built for
 per (focal subset, thresholds) key, the two reusable products of a plan
 execution:
 
-* the **rules tier** — the finished confidence-filtered rule list, served
-  verbatim on an exact-key repeat (a *full hit*: probe plus one shallow
-  list copy);
+* the **rules tier** — the finished confidence-filtered rule list, one
+  immutable columnar :class:`~repro.itemsets.rules.RuleBlock`, handed out
+  as is on an exact-key repeat (a *full hit* is the probe and nothing
+  else);
 * the **lattice tier** — the subset-lattice count arrays from
   :meth:`repro.kernels.FocalKernel.count_subset_lattice` (PR 5's cheap,
   reusable intermediate).  A lattice hit replays rule extraction
@@ -24,10 +25,11 @@ needs (:class:`HitPricing`), so an exact-key repeat makes the same
 comparison from the entry alone and the probe that finds it serves it in
 one critical section (:meth:`RuleCache.probe`).
 
-Policy: every entry is byte-accounted; inserts evict LRU-first under a
-byte budget, except *landmark* entries (``hits >= landmark_hits``), which
-are only evicted once no cold entry remains — a scan of one-off focal
-regions cannot flush the hot set.  Correctness: every entry is stamped
+Policy: every entry is byte-accounted (a rules entry at its columns'
+real ``nbytes``); inserts evict LRU-first under a byte budget, except
+*landmark* entries (``hits >= landmark_hits``), which are only evicted
+once no cold entry remains — a scan of one-off focal regions cannot
+flush the hot set.  Correctness: every entry is stamped
 with the index generation (the R-tree mutation counter) at insert; a
 probe under any other generation drops the entry, so a mutated index can
 never serve stale rules.  Rules from the from-scratch ARM plan are tagged
@@ -41,14 +43,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.query import canonical_focal_key
 from repro.itemsets.itemset import Itemset
-from repro.itemsets.rules import Rule, rules_from_subset_lattices
+from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.core.mipindex import MIPIndex
@@ -70,10 +73,10 @@ __all__ = [
 MIP_FAMILY = "mip"
 ARM_FAMILY = "arm"
 
-#: Byte estimate per cached Rule beyond its item tuples (object headers,
-#: the two floats, the count).  Deliberately a fixed formula — the budget
+#: Byte estimate per cached lattice source itemset: the tuple plus
+#: ``_ITEM_BYTES`` per item.  Deliberately a fixed formula — the budget
 #: needs deterministic accounting, not sys.getsizeof's allocator trivia.
-_RULE_BASE_BYTES = 96
+_ITEMSET_BASE_BYTES = 96
 _ITEM_BYTES = 16
 #: Per-entry bookkeeping overhead (key tuple, OrderedDict slot, _Entry).
 _ENTRY_BASE_BYTES = 256
@@ -110,11 +113,11 @@ class CacheProbe:
 
     ``kind`` is ``"rules"`` (full hit), ``"lattice"`` (counts hit — rule
     extraction still due), or ``None`` (miss).  ``family`` says which plan
-    family a rules hit replays; ``n_rules``/``lattice_cells`` size the
-    ``cache_load`` term.  ``pricing`` is the rules entry's stamp (``None``
-    for an entry nobody priced yet, e.g. one warm-loaded from disk), and
-    ``rules`` is set when the probe also *served* the hit (see
-    :meth:`RuleCache.probe`).
+    family a rules hit replays; ``lattice_cells`` sizes a lattice hit's
+    ``cache_load`` term (a rules hit is O(1) whatever its ``n_rules``).
+    ``pricing`` is the rules entry's stamp (``None`` for an entry nobody
+    priced yet, e.g. one warm-loaded from disk), and ``rules`` is set when
+    the probe also *served* the hit (see :meth:`RuleCache.probe`).
     """
 
     kind: str | None
@@ -122,7 +125,7 @@ class CacheProbe:
     n_rules: int = 0
     lattice_cells: int = 0
     pricing: HitPricing | None = None
-    rules: list[Rule] | None = None
+    rules: RuleBlock | None = None
 
 
 @dataclass
@@ -173,12 +176,10 @@ class CachedLattice:
     dq_size: int
     extract_min_count: int | None
 
-    def extract(self, minconf: float) -> list[Rule]:
+    def extract(self, minconf: float) -> RuleBlock:
         """Replay rule extraction from the cached counts."""
         return rules_from_subset_lattices(
-            [(list(itemsets), counts) for itemsets, counts in self.groups],
-            self.dq_size,
-            minconf,
+            self.groups, self.dq_size, minconf,
             min_count=self.extract_min_count,
         )
 
@@ -191,23 +192,15 @@ class CachedLattice:
         for itemsets, counts in self.groups:
             total += int(counts.nbytes)
             total += sum(
-                _RULE_BASE_BYTES + _ITEM_BYTES * len(s) for s in itemsets
+                _ITEMSET_BASE_BYTES + _ITEM_BYTES * len(s) for s in itemsets
             )
         return total
-
-
-def _rules_nbytes(rules: list[Rule]) -> int:
-    return sum(
-        _RULE_BASE_BYTES
-        + _ITEM_BYTES * (len(r.antecedent) + len(r.consequent))
-        for r in rules
-    )
 
 
 @dataclass
 class _Entry:
     kind: str                   # "rules" | "lattice"
-    payload: object             # list[Rule] | CachedLattice
+    payload: object             # RuleBlock | CachedLattice
     nbytes: int
     generation: int
     hits: int = 0
@@ -314,14 +307,14 @@ class RuleCache:
 
     def _serve(self, key: tuple, entry: _Entry) -> object:
         """Count one serve of ``entry`` and hand out its payload (lock
-        held): rules as a shallow copy (Rule is frozen), lattice counts
-        shared read-only."""
+        held) — the immutable block or the read-only lattice counts
+        themselves, never a copy."""
         entry.hits += 1
         self._entries.move_to_end(key)
         if entry.kind == "rules":
             self.stats.rule_hits += 1
-            return list(entry.payload)
-        self.stats.lattice_hits += 1
+        else:
+            self.stats.lattice_hits += 1
         return entry.payload
 
     def probe(
@@ -384,8 +377,8 @@ class RuleCache:
         query: "LocalizedQuery",
         family: str = MIP_FAMILY,
         pricing: HitPricing | None = None,
-    ) -> list[Rule] | None:
-        """Serve a full rules hit (a shallow copy — Rule is frozen).
+    ) -> RuleBlock | None:
+        """Serve a full rules hit: the cached block itself (immutable).
 
         ``pricing`` (re-)stamps the entry: the priced path passes what it
         just computed, so the next repeat is priced from the stamp.
@@ -413,12 +406,12 @@ class RuleCache:
     def put_rules(
         self,
         query: "LocalizedQuery",
-        rules: list[Rule],
+        rules: RuleBlock,
         family: str = MIP_FAMILY,
         generation: int | None = None,
         pricing: HitPricing | None = None,
     ) -> bool:
-        """Insert one finished rule set.
+        """Insert one finished rule set (the block is stored as is).
 
         ``generation`` is the caller's pre-execution snapshot; if the
         index has mutated since (the rules were computed against a tree
@@ -429,10 +422,9 @@ class RuleCache:
         """
         if family not in (MIP_FAMILY, ARM_FAMILY):
             raise ValueError(f"unknown rule family {family!r}")
-        nbytes = _ENTRY_BASE_BYTES + _rules_nbytes(rules)
         return self._insert(
-            self._rules_key(query, family), "rules", list(rules),
-            nbytes, generation, pricing,
+            self._rules_key(query, family), "rules", rules,
+            _ENTRY_BASE_BYTES + rules.nbytes, generation, pricing,
         )
 
     def put_lattice(
@@ -558,25 +550,13 @@ class RuleCache:
         return samples[len(samples) // 2]
 
     @staticmethod
-    def measure_load_throughput(n_rules: int = 4096, rounds: int = 3) -> float:
-        """Seconds per served element (the shallow-copy cost of a full
-        hit; the lattice tier's per-cell gather is the same order)."""
-        from repro.dataset.schema import Item
-
-        rules = [
-            Rule(
-                antecedent=(Item(0, i % 3),),
-                consequent=(Item(1, i % 5),),
-                support_count=i,
-                support=0.5,
-                confidence=0.5,
-            )
-            for i in range(n_rules)
-        ]
+    def measure_load_throughput(n_cells: int = 4096, rounds: int = 3) -> float:
+        """Seconds per lattice count cell read back from the cache (one
+        pass over an int64 matrix; a rules hit loads nothing)."""
+        cells = np.ones(n_cells, dtype=np.int64)
         best = float("inf")
         for _ in range(rounds):
             start = time.perf_counter()
-            copied = list(rules)
+            cells.copy()
             best = min(best, time.perf_counter() - start)
-        del copied
-        return best / n_rules
+        return best / n_cells

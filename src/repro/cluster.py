@@ -63,7 +63,7 @@ from repro.core.persistence import (
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import DataError, ServiceClosedError, ServiceError
-from repro.itemsets.rules import Rule
+from repro.itemsets.rules import RuleBlock
 from repro.serving import QueryService, ServingConfig
 
 __all__ = [
@@ -342,7 +342,7 @@ class ClusterConfig:
 class ClusterResponse:
     """One routed response: the rules plus where/when they were served."""
 
-    rules: list[Rule]
+    rules: RuleBlock
     plan: PlanKind
     cached: bool
     worker: int
@@ -406,6 +406,8 @@ class _WorkerRuntime:
         self.generation = 0
         self.baseline_rss_kb = private_rss_kb()
         self.n_reloads = 0
+        #: Why the last epoch's cache sidecar was not loaded, if it was not.
+        self.cold_start_reason: str | None = None
         self.engine: Colarm | None = None
         self.service: QueryService | None = None
         self._reload_lock = asyncio.Lock()
@@ -430,9 +432,15 @@ class _WorkerRuntime:
                                    expand=info.expand)
         if self.config.use_cache:
             cache = None
+            self.cold_start_reason = None
             cache_path = info.cache_path(self.directory)
             if cache_path is not None and cache_path.exists():
-                cache = load_cache(cache_path, index, mmap_mode="r")
+                try:
+                    cache = load_cache(cache_path, index, mmap_mode="r")
+                except DataError as exc:
+                    # An unreadable sidecar (another format version, a
+                    # torn write) costs the warm start, not the worker.
+                    self.cold_start_reason = str(exc)
             # calibrate=False: cost weights came with the snapshot; a
             # per-worker refit would make siblings price plans apart.
             engine.enable_cache(
@@ -500,6 +508,7 @@ class _WorkerRuntime:
             epoch=self.epoch,
             generation=self.generation,
             n_reloads=self.n_reloads,
+            cold_start_reason=self.cold_start_reason,
         )
         return snap
 

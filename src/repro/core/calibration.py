@@ -328,9 +328,9 @@ def calibrate_cache(cache: "RuleCache", weights: CostWeights) -> CostWeights:
     * ``cache_probe`` — seconds per :meth:`~repro.cache.RuleCache.probe`
       call (key construction plus the tier lookups), the fixed price every
       CACHE variant pays;
-    * ``cache_load`` — seconds per served element (a rules hit's shallow
-      copy per rule; a lattice hit's extraction scales with its count
-      cells through the same term plus the serial ``rulegen`` weight).
+    * ``cache_load`` — seconds per lattice count cell read back (a
+      lattice hit's extraction scales with its cells through this term
+      plus the serial ``rulegen`` weight; a rules hit pays the probe only).
 
     Every other weight is untouched; note that rerunning
     :func:`calibrate` afterwards resets these two to their defaults (the

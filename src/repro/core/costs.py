@@ -57,10 +57,9 @@ __all__ = [
 #: (per-shard-task pool round-trips and per-shard partial merges); they are
 #: fitted from the live pool by ``calibration.calibrate_parallel`` and never
 #: appear in a serial load vector.  ``cache_probe``/``cache_load`` price the
-#: CACHE plan variants only (one materialized-tier probe per query, plus the
-#: per-element serve cost — a rules hit copies ``n_rules`` references, a
-#: lattice hit gathers ``lattice_cells`` counts before re-extracting); they
-#: are fitted from the live cache by ``calibration.calibrate_cache`` and
+#: CACHE plan variants only (one materialized-tier probe per query, plus —
+#: for a lattice hit — reading ``lattice_cells`` counts back before
+#: re-extracting; a rules hit hands out the cached block); they are fitted from the live cache by ``calibration.calibrate_cache`` and
 #: never appear in a serial load vector either.
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
@@ -1008,9 +1007,8 @@ class CostModel:
         other one: in closed mode ARM's locally-closed rule set can
         differ from the MIP plans').
 
-        * full rules hit — one probe plus the per-rule serve copy: the
-          whole pipeline collapses to ``cache_probe + n_rules x
-          cache_load``;
+        * full rules hit — the probe hands out the cached block itself,
+          so the whole pipeline collapses to ``cache_probe``;
         * lattice hit — SEARCH/ELIMINATE and all support counting are
           skipped, but extraction is still due: the gather of
           ``lattice_cells`` counts (``cache_load``) plus the confidence
@@ -1023,10 +1021,7 @@ class CostModel:
         if (probe.family == "arm") != (kind is PlanKind.ARM):
             return None
         if probe.kind == "rules":
-            return {
-                "cache_probe": 1.0,
-                "cache_load": float(probe.n_rules),
-            }
+            return {"cache_probe": 1.0}
         return {
             "cache_probe": 1.0,
             "cache_load": float(probe.lattice_cells),

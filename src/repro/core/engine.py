@@ -48,7 +48,7 @@ from repro.core.plans import PlanKind, PlanResult, execute_plan, plan_from_name
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.itemsets.apriori import min_count_for
-from repro.itemsets.rules import Rule, rules_from_itemsets
+from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
 from repro.rtree.rtree import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm"]
@@ -58,7 +58,7 @@ __all__ = ["QueryOutcome", "Colarm"]
 class QueryOutcome:
     """Everything returned for one localized mining request."""
 
-    rules: list[Rule]
+    rules: RuleBlock                # an immutable Sequence[Rule]
     plan: PlanKind
     chosen_by: str                  # "optimizer" or "forced"
     choice: PlanChoice | None       # present when the optimizer ran
@@ -505,7 +505,7 @@ class Colarm:
         Returns the served outcome when the probe found a rules-tier
         entry at the current generation whose stamp says the optimizer
         would serve it (:meth:`ColarmOptimizer.probe_cache`) — one
-        dictionary lookup and one list copy under the cache's own lock,
+        dictionary lookup under the cache's own lock,
         no profile, no plan pricing.  Otherwise the outcome is ``None``
         and the probe is for ``optimizer.choose(probe=...)``.  ``q`` must
         already be validated against the schema (:meth:`query` and the
@@ -649,7 +649,7 @@ def _family(kind: PlanKind) -> str:
 
 def _cached_outcome(
     kind: PlanKind,
-    rules: list[Rule],
+    rules: RuleBlock,
     start: float,
     dq_size: int,
     choice: PlanChoice | None,

@@ -73,7 +73,7 @@ from repro.dataset.table import RelationalTable
 from repro.errors import DataError
 from repro.itemsets.apriori import min_count_for
 from repro.itemsets.itemset import Itemset, make_itemset
-from repro.itemsets.rules import Rule, rules_from_itemsets
+from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
 
 __all__ = ["DeltaBuffer", "DeltaView", "MaintainedIndex"]
 
@@ -732,18 +732,18 @@ class MaintainedIndex:
         plan: PlanKind = PlanKind.SEV,
         expand: bool = False,
         parallel=None,
-    ) -> list[Rule]:
+    ) -> RuleBlock:
         """Answer a localized query over live main+delta on the kernel path.
 
         Runs the requested plan through the ordinary operator pipeline
         with this delta store attached: stored counts come off the flat
         R-tree and the batched AND+popcount kernels exactly as for an
         immutable index, and the delta corrections are vectorized
-        partials.  An empty focal subset answers ``[]``.
+        partials.  An empty focal subset answers the empty block.
         """
         query.validate_against(self.schema)
         if self._focal_empty(query):
-            return []
+            return RuleBlock.from_rules(())
         return execute_plan(
             plan, self.index, query, expand=expand, parallel=parallel,
             delta=self,

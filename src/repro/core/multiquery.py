@@ -52,7 +52,7 @@ from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import QueryError
 from repro.itemsets.apriori import min_count_for
 from repro.itemsets.itemset import Itemset
-from repro.itemsets.rules import Rule, rules_from_subset_lattices
+from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 __all__ = ["BatchItem", "BatchReport", "execute_batch"]
 
@@ -62,7 +62,7 @@ class BatchItem:
     """Result of one query inside a batch."""
 
     query: LocalizedQuery
-    rules: list[Rule]
+    rules: RuleBlock
     dq_size: int
     shared_group: int  # index of the focal-subset group this query joined
 
@@ -191,7 +191,7 @@ def _rules_with_shared_lattice(
     ctx: QueryContext,
     qualified: QualifiedArray,
     memo: "dict[Itemset, np.ndarray]",
-) -> tuple[list[Rule], int] | None:
+) -> tuple[RuleBlock, int] | None:
     """Closed-mode rule generation replaying the group's lattice memo.
 
     Each qualified closure's subset-lattice count row is computed at most

@@ -56,6 +56,7 @@ from repro.itemsets.charm import charm
 from repro.itemsets.itemset import Itemset, make_itemset
 from repro.itemsets.rules import (
     Rule,
+    RuleBlock,
     generate_rules,
     rules_from_counts,
     rules_from_itemsets,
@@ -645,7 +646,7 @@ def qualified_from_contained(
 
 def op_verify(
     ctx: QueryContext, qualified: "QualifiedArray | list[Qualified]"
-) -> list[Rule]:
+) -> RuleBlock:
     """VERIFY: rule generation and minconf checks over the IT-tree."""
     start = time.perf_counter()
     projection_before = ctx.projection_s
@@ -673,7 +674,7 @@ def op_verify(
 
 def op_supported_verify(
     ctx: QueryContext, candidates: "CandidateArray | list[Candidate]"
-) -> list[Rule]:
+) -> RuleBlock:
     """SUPPORTED-VERIFY: selection pushed up into verification (Section 4.2).
 
     The minsupp check is interleaved with rule generation in a single pass,
@@ -720,7 +721,7 @@ _LATTICE_MAX_WIDTH = 16
 
 def _rules_from_qualified(
     ctx: QueryContext, qualified: "QualifiedArray | list[Qualified]"
-) -> tuple[list[Rule], int, float]:
+) -> tuple[RuleBlock, int, float]:
     """Generate localized rules from support-qualified candidates, batched.
 
     All supports are served by the focal-projected kernel.  Sources are
@@ -837,7 +838,7 @@ def _rules_from_sources(
     sources: list[Itemset],
     focal_kernel: "Callable[[], kernels.FocalKernel]",
     parallel: "ParallelContext | None",
-) -> "tuple[list[Rule], list | None, int, float]":
+) -> "tuple[RuleBlock, list | None, int, float]":
     """Count every source's subset lattice and extract the rules.
 
     The shared tail of VERIFY-family and ARM rule generation: sources are
@@ -902,16 +903,16 @@ def _rules_from_sources(
         t0 = time.perf_counter()
         focal_kernel().count_family(family)
         kernel_s += time.perf_counter() - t0
-        rules.extend(
-            rules_from_counts(
-                wide,
-                focal_kernel().count,
-                ctx.dq_size,
-                ctx.query.minconf,
-                min_count=ctx.min_count if ctx.expand else None,
-            )
+        wide_rules = rules_from_counts(
+            wide,
+            focal_kernel().count,
+            ctx.dq_size,
+            ctx.query.minconf,
+            min_count=ctx.min_count if ctx.expand else None,
         )
-        rules.sort(key=_RULE_ORDER)
+        rules = RuleBlock.from_rules(
+            sorted([*rules, *wide_rules], key=_RULE_ORDER)
+        )
     # The counted lattices are cache-worthy only when they cover *all*
     # sources (the wide fallback's rules are not in them).
     return rules, None if wide else groups, sharded_evaluations, kernel_s
@@ -1072,7 +1073,7 @@ def op_select(ctx: QueryContext) -> RelationalTable:
     return sub
 
 
-def op_arm(ctx: QueryContext, sub: RelationalTable) -> list[Rule]:
+def op_arm(ctx: QueryContext, sub: RelationalTable) -> RuleBlock:
     """ARM: traditional two-step rule mining from scratch on the subset.
 
     Mines closed frequent itemsets with CHARM at the query's minsupp over

@@ -400,8 +400,7 @@ class ColarmOptimizer:
 
         A rules-tier hit whose entry was stamped under the current
         weights is priced here exactly as :meth:`choose` would price it —
-        ``cache_probe + n_rules x cache_load`` (risk-adjusted for the ARM
-        family) against the stamped cheapest fresh candidate, ties to the
+        ``cache_probe`` (risk-adjusted for the ARM family) against the stamped cheapest fresh candidate, ties to the
         cache — and, when the cache wins, served in the same critical
         section: the probe comes back with ``rules`` and the second
         element is the choice :meth:`choose` would have returned, minus

@@ -41,7 +41,7 @@ from repro.errors import DataError, IndexError_
 from repro.itemsets.apriori import min_count_for
 from repro.itemsets.charm import ClosedItemset
 from repro.itemsets.itemset import make_itemset
-from repro.itemsets.rules import Rule
+from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import FlatRTree
 
 __all__ = [
@@ -61,7 +61,7 @@ _SUPPORTED_VERSIONS = (1, 2)
 _FLAT_PREFIX = "flat_"
 _KERNEL_MIPS = "kernel_mip_tidsets"
 _KERNEL_ITEMS = "kernel_item_matrix"
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 _MAINT_FORMAT_VERSION = 1
 
 
@@ -232,7 +232,7 @@ def load_index(
         )
     try:
         archive = np.load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read index file {path}: {exc}") from exc
     try:
         meta = json.loads(bytes(archive["meta"]).decode())
@@ -521,7 +521,7 @@ def load_maintained(path: str | Path):
     sidecar = delta_sidecar_path(path)
     try:
         archive = np.load(sidecar)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read delta sidecar {sidecar}: {exc}") from exc
     try:
         meta = json.loads(bytes(archive["meta"]).decode())
@@ -565,10 +565,12 @@ def save_cache(
     Conventionally stored next to the index file (``*.cache.npz``) so a
     restarted worker loads both and starts warm.  Entries are stored in
     LRU -> MRU order with their hit counts, so the reloaded cache has the
-    same eviction order and landmark set.  ``compress=False`` stores the
-    members raw, which makes the lattice count matrices (the bulk of a
-    warm cache) eligible for zero-copy ``load_cache(..., mmap_mode="r")``
-    — the same tradeoff as :func:`save_index`.
+    same eviction order and landmark set.  A rules entry is one member —
+    its block's :meth:`~repro.itemsets.rules.RuleBlock.pack` buffer — and
+    a lattice entry one count matrix per width group; ``compress=False``
+    stores them raw, which makes both eligible for zero-copy
+    ``load_cache(..., mmap_mode="r")`` — the same tradeoff as
+    :func:`save_index`.
     """
     path = Path(path)
     index = cache.index
@@ -586,23 +588,8 @@ def save_cache(
         if entry.kind == "rules":
             record["minconf"] = key[5]
             record["family"] = key[6]
-            rules: list[Rule] = entry.payload
-            items: list[tuple[int, int]] = []
-            splits = np.zeros((len(rules), 2), dtype=np.int64)
-            counts = np.zeros(len(rules), dtype=np.int64)
-            fracs = np.zeros((len(rules), 2), dtype=np.float64)
-            for j, rule in enumerate(rules):
-                items.extend((it.attribute, it.value) for it in rule.antecedent)
-                items.extend((it.attribute, it.value) for it in rule.consequent)
-                splits[j] = (len(rule.antecedent), len(rule.consequent))
-                counts[j] = rule.support_count
-                fracs[j] = (rule.support, rule.confidence)
-            arrays[f"e{i}_items"] = np.asarray(
-                items, dtype=np.int32
-            ).reshape(-1, 2)
-            arrays[f"e{i}_splits"] = splits
-            arrays[f"e{i}_counts"] = counts
-            arrays[f"e{i}_fracs"] = fracs
+            body, record["n_rules"], record["n_sources"] = entry.payload.pack()
+            arrays[f"e{i}_block"] = np.frombuffer(body, dtype=np.uint8)
         else:
             lattice: CachedLattice = entry.payload
             record["dq_size"] = lattice.dq_size
@@ -649,7 +636,8 @@ def load_cache(
     disagrees with the live index.  A warm-loaded cache can therefore
     never serve rules mined against a different tree.
 
-    ``mmap_mode="r"``/``"c"`` maps the lattice count matrices straight
+    ``mmap_mode="r"``/``"c"`` maps the rule blocks' columns and the
+    lattice count matrices straight
     out of the archive (members must be stored uncompressed, i.e.
     :func:`save_cache` with ``compress=False``; compressed members fall
     back to the eager copy) — pairing with ``load_index(mmap_mode=...)``
@@ -662,7 +650,7 @@ def load_cache(
         )
     try:
         archive = np.load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read cache file {path}: {exc}") from exc
     try:
         meta = json.loads(bytes(archive["meta"]).decode())
@@ -694,9 +682,14 @@ def load_cache(
     )
 
     def member(name: str) -> np.ndarray:
+        """One archive member: mapped in place when asked for and stored
+        raw, read whole otherwise."""
         if name not in archive.files:
             raise DataError(f"{path}: missing cache member {name}")
-        return archive[name]
+        mapped = None
+        if zf is not None:
+            mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
+        return archive[name] if mapped is None else mapped
 
     zf = zipfile.ZipFile(path) if mmap_mode is not None else None
     try:
@@ -727,46 +720,21 @@ def load_cache(
                     raise DataError(
                         f"{path}: entry {i} has unknown family {family!r}"
                     )
-                items = member(f"e{i}_items")
-                splits = member(f"e{i}_splits")
-                counts = member(f"e{i}_counts")
-                fracs = member(f"e{i}_fracs")
-                rules = []
-                pos = 0
-                for j in range(len(splits)):
-                    n_ant, n_con = int(splits[j, 0]), int(splits[j, 1])
-                    ant = tuple(
-                        Item(int(a), int(v))
-                        for a, v in items[pos:pos + n_ant]
+                try:
+                    rules = RuleBlock.unpack(
+                        member(f"e{i}_block"),
+                        int(record["n_rules"]),
+                        int(record["n_sources"]),
                     )
-                    con = tuple(
-                        Item(int(a), int(v))
-                        for a, v in items[pos + n_ant:pos + n_ant + n_con]
-                    )
-                    pos += n_ant + n_con
-                    rules.append(
-                        Rule(
-                            antecedent=ant,
-                            consequent=con,
-                            support_count=int(counts[j]),
-                            support=float(fracs[j, 0]),
-                            confidence=float(fracs[j, 1]),
-                        )
-                    )
+                except DataError as exc:
+                    raise DataError(f"{path}: entry {i}: {exc}") from exc
                 cache.put_rules(query, rules, family=family)
                 key = cache._rules_key(query, family)
             else:
                 groups = []
                 for j in range(int(record["n_groups"])):
                     g_items = member(f"e{i}_g{j}_items")
-                    counts_name = f"e{i}_g{j}_counts"
-                    g_counts = None
-                    if zf is not None:
-                        g_counts = _mmap_npz_member(
-                            path, zf, counts_name + ".npy", mmap_mode
-                        )
-                    if g_counts is None:
-                        g_counts = member(counts_name)
+                    g_counts = member(f"e{i}_g{j}_counts")
                     itemsets = tuple(
                         tuple(Item(int(a), int(v)) for a, v in row)
                         for row in g_items

@@ -42,7 +42,7 @@ from repro.core.operators import (
 )
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
-from repro.itemsets.rules import Rule
+from repro.itemsets.rules import RuleBlock
 
 __all__ = ["PlanKind", "PlanResult", "execute_plan", "plan_from_name"]
 
@@ -63,7 +63,7 @@ class PlanResult:
     """Outcome of executing one plan for one query."""
 
     kind: PlanKind
-    rules: list[Rule]
+    rules: RuleBlock
     trace: ExecutionTrace
     elapsed: float
     dq_size: int
@@ -113,29 +113,29 @@ def execute_plan(
     )
 
 
-def _run_sev(ctx: QueryContext) -> list[Rule]:
+def _run_sev(ctx: QueryContext) -> RuleBlock:
     candidates = op_search(ctx)
     qualified = op_eliminate(ctx, candidates)
     return op_verify(ctx, qualified)
 
 
-def _run_svs(ctx: QueryContext) -> list[Rule]:
+def _run_svs(ctx: QueryContext) -> RuleBlock:
     candidates = op_search(ctx)
     return op_supported_verify(ctx, candidates)
 
 
-def _run_ssev(ctx: QueryContext) -> list[Rule]:
+def _run_ssev(ctx: QueryContext) -> RuleBlock:
     candidates = op_supported_search(ctx)
     qualified = op_eliminate(ctx, candidates)
     return op_verify(ctx, qualified)
 
 
-def _run_ssvs(ctx: QueryContext) -> list[Rule]:
+def _run_ssvs(ctx: QueryContext) -> RuleBlock:
     candidates = op_supported_search(ctx)
     return op_supported_verify(ctx, candidates)
 
 
-def _run_sseuv(ctx: QueryContext) -> list[Rule]:
+def _run_sseuv(ctx: QueryContext) -> RuleBlock:
     candidates = op_supported_search(ctx)
     contained, partial = candidates.split_overlap()
     # Lemma 4.5: a contained MIP's local count equals its global count, and
@@ -149,7 +149,7 @@ def _run_sseuv(ctx: QueryContext) -> list[Rule]:
     return op_verify(ctx, merged)
 
 
-def _run_arm(ctx: QueryContext) -> list[Rule]:
+def _run_arm(ctx: QueryContext) -> RuleBlock:
     sub = op_select(ctx)
     return op_arm(ctx, sub)
 

@@ -9,26 +9,30 @@ Support lookups are abstracted behind a ``support_fn`` so the same generator
 serves both the global case (counts over the whole dataset) and COLARM's
 localized case (counts intersected with the focal subset) — the VERIFY
 operator is this module parameterized by local counts.
+
+The query path carries a rule list as one columnar :class:`RuleBlock`;
+:class:`Rule` objects exist only while a consumer iterates it.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.dataset.schema import Schema
+from repro.dataset.schema import Item, Schema
 from repro.errors import DataError
 from repro.itemsets.itemset import Itemset, make_itemset
 
 __all__ = [
     "Rule",
+    "RuleBlock",
     "generate_rules",
     "rules_from_itemsets",
     "rules_from_counts",
-    "rules_from_subset_lattice",
     "rules_from_subset_lattices",
 ]
 
@@ -37,8 +41,7 @@ __all__ = [
 SupportFn = Callable[[Itemset], "int | None"]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An association rule ``antecedent => consequent`` with its stats.
 
     ``support`` and ``confidence`` are relative to the universe the rule was
@@ -251,31 +254,33 @@ def rules_from_counts(
 
 
 # ---------------------------------------------------------------------------
-# Mask-indexed extraction over whole subset lattices
+# The columnar rule list
 # ---------------------------------------------------------------------------
 
-#: Cached per-width split accessors: for width ``n``, entry ``p`` describes
-#: the split whose antecedent is submask ``p + 1`` of the full itemset —
-#: C-speed ``itemgetter``s building the antecedent/consequent tuples.
+#: Cached per-width split accessors: for width ``n``, entry ``mask``
+#: describes the split whose antecedent is submask ``mask`` of the full
+#: itemset — C-speed ``itemgetter``s building the antecedent/consequent
+#: tuples (entry 0 is unused: the empty antecedent is no rule).
 _SPLIT_GETTERS: dict[int, tuple[list, list]] = {}
 
 
 def _tuple_getter(positions: list[int]):
     """A callable mapping an itemset tuple to the sub-tuple at positions."""
     if len(positions) == 1:
-        pos = positions[0]
-        return lambda s: (s[pos],)
+        # itemgetter(p) would return the bare item; a one-wide slice
+        # returns the 1-tuple, still without a Python frame.
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
     return operator.itemgetter(*positions)
 
 
 def _split_getters(n: int) -> tuple[list, list]:
     """Antecedent/consequent getters for every proper non-empty split of a
-    width-``n`` itemset, indexed by ``antecedent_mask - 1`` (built once)."""
+    width-``n`` itemset, indexed by antecedent mask (built once)."""
     cached = _SPLIT_GETTERS.get(n)
     if cached is not None:
         return cached
-    ants: list = []
-    cons: list = []
+    ants: list = [None]
+    cons: list = [None]
     for mask in range(1, (1 << n) - 1):
         ants.append(_tuple_getter([b for b in range(n) if mask >> b & 1]))
         cons.append(
@@ -286,100 +291,214 @@ def _split_getters(n: int) -> tuple[list, list]:
     return table
 
 
-def rules_from_subset_lattice(
-    itemsets: Sequence[Itemset],
-    counts: np.ndarray,
-    universe_count: int,
-    minconf: float,
-    *,
-    min_count: int | None = None,
-    seen: "set[tuple[Itemset, Itemset]] | None" = None,
-) -> list[Rule]:
-    """Vectorized rule extraction from mask-indexed subset-lattice counts.
+#: Widest source a block can split: ``ant_mask`` is an int32 column.
+_MAX_BLOCK_WIDTH = 31
 
-    ``itemsets`` are *distinct* same-length (``n``) sorted tuples and
-    ``counts`` the matching ``(m, 2**n)`` matrix from
-    :meth:`repro.kernels.FocalKernel.count_subset_lattice`:
-    ``counts[j, mask]`` is the support of the sub-itemset of
-    ``itemsets[j]`` selected by ``mask``'s bits.  Each itemset is a rule
-    source; every proper non-empty antecedent/consequent split is checked
-    in one vectorized confidence pass, and Python objects (two cached
-    ``itemgetter`` calls and one :class:`Rule`) materialize only for
-    splits that pass ``minconf`` — the interpreter cost is proportional to
-    the emitted rule set, not the enumerated lattice.
+#: Process-wide intern table of :class:`Item` objects keyed by
+#: ``attribute << 32 | value`` — a block rebuilt from bytes looks its items
+#: up instead of constructing them (bounded by the distinct items seen).
+_ITEM_TABLE: dict[int, Item] = {}
 
-    ``min_count`` (floored at 1) filters source supports.  Because
-    ``antecedent ∪ consequent`` uniquely determines the source and sources
-    are distinct, emitted rules are distinct; ``seen`` is only needed when
-    a caller stitches together lattices whose sources may repeat across
-    calls.  Rules are returned unsorted; callers sort the concatenation.
+_COLUMNS = (
+    ("src", np.int32),
+    ("ant_mask", np.int32),
+    ("support_count", np.int64),
+    ("support", np.float64),
+    ("confidence", np.float64),
+)
+
+_new_rule = tuple.__new__
+
+
+def _referenced(sources: Sequence[Itemset], src: np.ndarray):
+    """``(sources, src)`` with the sources no rule references dropped."""
+    used = np.zeros(len(sources), dtype=bool)
+    used[src] = True
+    if used.all():
+        return sources, src
+    return list(compress(sources, used.tolist())), (np.cumsum(used) - 1)[src]
+
+
+class RuleBlock(Sequence):
+    """An immutable rule list held as columns — a ``Sequence[Rule]``.
+
+    ``sources`` are the distinct itemsets the rules split; rule ``i``
+    splits ``sources[src[i]]`` into the antecedent at the positions set in
+    ``ant_mask[i]`` (bit ``k`` = source position ``k``) and the consequent
+    at the others, and carries ``support_count[i]``, ``support[i]``,
+    ``confidence[i]``.  The five arrays are read-only and in the order the
+    rules are listed in.
+
+    ``len``, iteration, indexing, slicing (to a block) and ``==`` against
+    any sequence of :class:`Rule` behave as for a ``list[Rule]``, but
+    :class:`Rule` objects are built on each access and never kept: a
+    cached or queued block is six references, not thousands of tuples the
+    cyclic collector has to walk.  ``list(block)`` gives a mutable copy.
     """
-    if not 0.0 <= minconf <= 1.0:
-        raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    m = len(itemsets)
-    if m == 0:
-        return []
-    n = len(itemsets[0])
-    if n < 2:
-        return []
-    floor = max(min_count if min_count is not None else 1, 1)
-    full = (1 << n) - 1
-    ant_getters, cons_getters = _split_getters(n)
-    rules: list[Rule] = []
-    # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
-    chunk = max(1, (4 << 20) // max(1, full - 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        source_counts = counts[lo:hi, full]
-        ac = counts[lo:hi, 1:full]  # column p: antecedent mask p + 1
-        ok = (source_counts[:, None] >= floor) & (ac > 0)
-        conf = np.zeros(ac.shape, dtype=np.float64)
-        np.divide(source_counts[:, None], ac, out=conf, where=ok)
-        keep = ok & (conf >= minconf)
-        js, ps = np.nonzero(keep)
-        if len(js) == 0:
-            continue
-        kept_ic = source_counts[js]
-        # True division, not a reciprocal multiply: bit-identical to the
-        # scalar reference's ``count / universe`` for counts below 2**53.
-        kept_supp = (
-            kept_ic / universe_count
-            if universe_count
-            else np.zeros(len(js), dtype=np.float64)
-        )
-        kept = zip(
-            js.tolist(),
-            ps.tolist(),
-            kept_ic.tolist(),
-            kept_supp.tolist(),
-            conf[js, ps].tolist(),
-        )
-        if seen is None:
-            append = rules.append
-            for j, p, count_, supp, conf_ in kept:
-                source = itemsets[lo + j]
-                append(
-                    Rule(
-                        ant_getters[p](source),
-                        cons_getters[p](source),
-                        count_,
-                        supp,
-                        conf_,
-                    )
+
+    __slots__ = ("sources", *(name for name, _ in _COLUMNS))
+
+    def __init__(self, sources: Iterable[Itemset], *columns):
+        self.sources = tuple(sources)
+        for (name, dtype), values in zip(_COLUMNS, columns, strict=True):
+            column = np.asarray(values, dtype=dtype)
+            if column.shape != (len(columns[0]),):
+                raise DataError(f"rule block column {name} is {column.shape}")
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @classmethod
+    def from_rules(cls, rules: Iterable[Rule]) -> "RuleBlock":
+        """The block listing ``rules`` in the order given.
+
+        Antecedents and consequents must be sorted itemsets (every
+        generator in this module emits them so): a rule is stored as a
+        split of its sorted union.
+        """
+        ids: dict[Itemset, int] = {}
+        rows = []
+        for rule in rules:
+            source = tuple(sorted(rule.antecedent + rule.consequent))
+            if len(source) > _MAX_BLOCK_WIDTH:
+                raise DataError(
+                    f"a rule over {len(source)} items exceeds the "
+                    f"{_MAX_BLOCK_WIDTH}-item block limit"
                 )
-        else:
-            for j, p, count_, supp, conf_ in kept:
-                source = itemsets[lo + j]
-                antecedent = ant_getters[p](source)
-                consequent = cons_getters[p](source)
-                key = (antecedent, consequent)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rules.append(
-                    Rule(antecedent, consequent, count_, supp, conf_)
-                )
-    return rules
+            mask = sum(1 << source.index(item) for item in rule.antecedent)
+            rows.append((ids.setdefault(source, len(ids)), mask, *rule[2:]))
+        return cls(ids, *(zip(*rows) if rows else [()] * len(_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self) -> Iterator[Rule]:
+        tables = [(s, *_split_getters(len(s))) for s in self.sources]
+        for (source, ants, cons), mask, count_, supp, conf in zip(
+            map(tables.__getitem__, self.src.tolist()),
+            self.ant_mask.tolist(),
+            self.support_count.tolist(),
+            self.support.tolist(),
+            self.confidence.tolist(),
+        ):
+            yield _new_rule(
+                Rule,
+                (ants[mask](source), cons[mask](source), count_, supp, conf),
+            )
+
+    def __getitem__(self, index):
+        columns = [getattr(self, name)[index] for name, _ in _COLUMNS]
+        if isinstance(index, slice):
+            return RuleBlock(self.sources, *columns)
+        source = self.sources[columns[0]]
+        ants, cons = _split_getters(len(source))
+        return Rule(
+            ants[columns[1]](source),
+            cons[columns[1]](source),
+            *(column.item() for column in columns[2:]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self is other or (
+            len(self) == len(other) and all(map(operator.eq, self, other))
+        )
+
+    def __repr__(self) -> str:
+        return f"RuleBlock({len(self)} rules over {len(self.sources)} itemsets)"
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the five columns (what a cache entry accounts)."""
+        return sum(getattr(self, name).nbytes for name, _ in _COLUMNS)
+
+    def pack(self) -> tuple[bytes, int, int]:
+        """``(body, n_rules, n_sources)`` — the block as one buffer.
+
+        ``body`` is the 8-byte columns (``support_count``, ``support``,
+        ``confidence``), one int64 id per source item (``attribute << 32
+        | value``, sources back to back), then the 4-byte columns
+        (``src``, ``ant_mask``) and the source widths; only sources a rule
+        references are written, so a slice ships no more than it lists.
+        """
+        sources, src = _referenced(self.sources, self.src)
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(sources)), dtype=np.int64
+        )
+        body = b"".join((
+            self.support_count.tobytes(),
+            self.support.tobytes(),
+            self.confidence.tobytes(),
+            (pairs[0::2] << 32 | pairs[1::2]).tobytes(),
+            src.astype(np.int32, copy=False).tobytes(),
+            self.ant_mask.tobytes(),
+            np.fromiter(map(len, sources), dtype=np.int32).tobytes(),
+        ))
+        return body, len(src), len(sources)
+
+    @staticmethod
+    def unpack(body, n_rules: int, n_sources: int) -> "RuleBlock":
+        """The block :meth:`pack` wrote, its columns views over ``body``
+        (any buffer — ``bytes`` off a pipe, a memory-mapped file member).
+
+        Raises :class:`DataError` when ``body`` is not exactly the bytes
+        the two counts call for, or names a split no source has — a
+        truncated buffer never yields a short rule list.
+        """
+        buffer = memoryview(body).cast("B")
+        wide = 3 * 8 * n_rules
+        tail = 4 * (2 * n_rules + n_sources)
+        n_items = (len(buffer) - wide - tail) // 8
+        if (
+            min(n_rules, n_sources, n_items) < 0
+            or wide + 8 * n_items + tail != len(buffer)
+        ):
+            raise DataError(
+                f"rule block of {n_rules} rules over {n_sources} itemsets "
+                f"cannot be {len(buffer)} bytes"
+            )
+
+        def column(dtype, count: int, offset: int) -> np.ndarray:
+            return np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+
+        narrow = wide + 8 * n_items
+        src = column(np.int32, n_rules, narrow)
+        ant_mask = column(np.int32, n_rules, narrow + 4 * n_rules)
+        width_of = column(np.int32, n_sources, narrow + 8 * n_rules)
+        widths = width_of.tolist()
+        if (
+            sum(widths) != n_items
+            or not 2 <= min(widths, default=2) <= max(widths, default=2)
+            <= _MAX_BLOCK_WIDTH
+            or n_rules and (
+                not 0 <= src.min() <= src.max() < n_sources
+                or ant_mask.min() < 1
+                or (ant_mask >= ((1 << width_of) - 1)[src]).any()
+            )
+        ):
+            raise DataError("rule block splits a source it does not hold")
+        ids = column(np.int64, n_items, wide).tolist()
+        table = _ITEM_TABLE
+        for i in set(ids).difference(table):
+            table[i] = Item(i >> 32, i & 0xFFFFFFFF)
+        items = tuple(map(table.__getitem__, ids))
+        ends = list(accumulate(widths))
+        return RuleBlock(
+            map(items.__getitem__, map(slice, [0] + ends, ends)),
+            src,
+            ant_mask,
+            column(np.int64, n_rules, 0),
+            column(np.float64, n_rules, 8 * n_rules),
+            column(np.float64, n_rules, 16 * n_rules),
+        )
+
+    def __reduce__(self):
+        return RuleBlock.unpack, self.pack()
+
+
+# ---------------------------------------------------------------------------
+# Mask-indexed extraction over whole subset lattices
+# ---------------------------------------------------------------------------
 
 
 def rules_from_subset_lattices(
@@ -388,44 +507,44 @@ def rules_from_subset_lattices(
     minconf: float,
     *,
     min_count: int | None = None,
-) -> list[Rule]:
+) -> RuleBlock:
     """Globally sorted rule extraction across several subset-lattice groups.
 
-    ``groups`` pairs each same-width source batch with its
-    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` matrix (sources
-    must be distinct across *all* groups).  Beyond running the vectorized
-    confidence pass of :func:`rules_from_subset_lattice` per group, the
-    canonical ``(antecedent, consequent)`` output order is produced
+    ``groups`` pairs each same-width batch of *distinct* sorted source
+    itemsets with its ``(m, 2**n)`` matrix from
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice`
+    (``counts[j, mask]`` is the support of the sub-itemset of source ``j``
+    selected by ``mask``'s bits; sources must be distinct across *all*
+    groups).  Every proper non-empty antecedent/consequent split of every
+    source is checked in one vectorized confidence pass per group;
+    ``min_count`` (floored at 1) filters source supports.  Because
+    ``antecedent ∪ consequent`` determines the source, the kept splits are
+    distinct rules.
+
+    The canonical ``(antecedent, consequent)`` output order is produced
     *numerically*: every kept split's antecedent/consequent item ranks are
     compacted into fixed-width packed integer keys (pad rank 0 sorts
     shorter tuples first, exactly like tuple comparison) and one
-    ``np.lexsort`` replaces the comparison sort over Python tuple keys —
-    so :class:`Rule` objects are built once, already in final order.
-
-    Falls back to per-group extraction plus a tuple-keyed sort in the
-    (never-observed) case of more than ``2**16 - 1`` distinct items.
+    ``np.lexsort`` replaces the comparison sort over Python tuple keys.
+    The sorted columns *are* the result — a :class:`RuleBlock` over the
+    sources that kept a split; no per-rule Python object is built here.
     """
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
     live = [
-        (list(itemsets), counts)
+        (itemsets, counts)
         for itemsets, counts in groups
         if len(itemsets) and len(itemsets[0]) >= 2
     ]
     if not live:
-        return []
-    distinct = sorted({item for itemsets, _ in live for s in itemsets for item in s})
+        return _EMPTY_BLOCK
+    sources = [s for itemsets, _ in live for s in itemsets]
+    distinct = sorted(set(chain.from_iterable(sources)))
     if len(distinct) >= (1 << 16) - 1:  # pragma: no cover - absurd schema
-        out: list[Rule] = []
-        for itemsets, counts in live:
-            out.extend(
-                rules_from_subset_lattice(
-                    itemsets, counts, universe_count, minconf,
-                    min_count=min_count,
-                )
-            )
-        out.sort(key=operator.attrgetter("antecedent", "consequent"))
-        return out
+        raise DataError(
+            f"{len(distinct)} distinct items in one query's rule sources "
+            "exceed the 16-bit rank of the packed sort key"
+        )
     rank_of = {item: r + 1 for r, item in enumerate(distinct)}
     floor = max(min_count if min_count is not None else 1, 1)
     n_pad = max(len(itemsets[0]) for itemsets, _ in live)
@@ -434,30 +553,29 @@ def rules_from_subset_lattices(
     shifts = np.array([48, 32, 16, 0], dtype=np.int64)
 
     kept_keys: list[np.ndarray] = []
-    kept_gid: list[int] = []
-    kept_js: list[np.ndarray] = []
-    kept_ps: list[np.ndarray] = []
+    kept_src: list[np.ndarray] = []
+    kept_mask: list[np.ndarray] = []
     kept_ic: list[np.ndarray] = []
     kept_supp: list[np.ndarray] = []
     kept_conf: list[np.ndarray] = []
-    getters_by_group: list[tuple[list, list]] = []
     pad = np.int64(1) << np.int64(40)  # sorts after every real rank
 
-    for gid, (itemsets, counts) in enumerate(live):
+    base = 0  # index of the group's first source in ``sources``
+    for itemsets, counts in live:
         m = len(itemsets)
         n = len(itemsets[0])
         full = (1 << n) - 1
-        getters_by_group.append(_split_getters(n))
         ranks = np.array(
             [[rank_of[item] for item in s] for s in itemsets], dtype=np.int64
         )
         masks = np.arange(1, full, dtype=np.int64)
         ant_table = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
         chunk = max(1, (4 << 20) // max(1, full - 1))
         for lo in range(0, m, chunk):
             hi = min(m, lo + chunk)
             source_counts = counts[lo:hi, full]
-            ac = counts[lo:hi, 1:full]
+            ac = counts[lo:hi, 1:full]  # column p: antecedent mask p + 1
             ok = (source_counts[:, None] >= floor) & (ac > 0)
             conf = np.zeros(ac.shape, dtype=np.float64)
             np.divide(source_counts[:, None], ac, out=conf, where=ok)
@@ -491,47 +609,23 @@ def rules_from_subset_lattices(
                 padded.reshape(len(js), n_words, 4) << shifts, axis=2
             )
             kept_keys.append(words)
-            kept_gid.append(gid)
-            kept_js.append(js + lo)
-            kept_ps.append(ps)
+            kept_src.append(js + (base + lo))
+            kept_mask.append(ps + 1)
             kept_ic.append(ic)
             kept_supp.append(supp)
             kept_conf.append(conf[js, ps])
+        base += m
 
     if not kept_keys:
-        return []
-    keys = np.concatenate(kept_keys, axis=0)
-    gids = np.concatenate(
-        [np.full(len(a), g, dtype=np.int64) for g, a in zip(kept_gid, kept_js)]
+        return _EMPTY_BLOCK
+    order = np.lexsort(np.concatenate(kept_keys, axis=0).T[::-1])
+    return RuleBlock(
+        *_referenced(sources, np.concatenate(kept_src)[order]),
+        np.concatenate(kept_mask)[order],
+        np.concatenate(kept_ic)[order],
+        np.concatenate(kept_supp)[order],
+        np.concatenate(kept_conf)[order],
     )
-    js_all = np.concatenate(kept_js)
-    ps_all = np.concatenate(kept_ps)
-    ic_all = np.concatenate(kept_ic)
-    supp_all = np.concatenate(kept_supp)
-    conf_all = np.concatenate(kept_conf)
-    order = np.lexsort(keys.T[::-1])
 
-    gid_l = gids[order].tolist()
-    js_l = js_all[order].tolist()
-    ps_l = ps_all[order].tolist()
-    ic_l = ic_all[order].tolist()
-    supp_l = supp_all[order].tolist()
-    conf_l = conf_all[order].tolist()
-    itemsets_by_group = [itemsets for itemsets, _ in live]
-    rules: list[Rule] = []
-    append = rules.append
-    for g, j, p, count_, supp_, conf_ in zip(
-        gid_l, js_l, ps_l, ic_l, supp_l, conf_l
-    ):
-        source = itemsets_by_group[g][j]
-        ant_getters, cons_getters = getters_by_group[g]
-        append(
-            Rule(
-                ant_getters[p](source),
-                cons_getters[p](source),
-                count_,
-                supp_,
-                conf_,
-            )
-        )
-    return rules
+
+_EMPTY_BLOCK = RuleBlock.from_rules(())

@@ -74,7 +74,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadError,
 )
-from repro.itemsets.rules import Rule
+from repro.itemsets.rules import RuleBlock
 
 __all__ = [
     "ServingConfig",
@@ -169,7 +169,7 @@ class ServedQuery:
     trace: RequestTrace
 
     @property
-    def rules(self) -> list[Rule]:
+    def rules(self) -> RuleBlock:
         return self.outcome.rules
 
     @property

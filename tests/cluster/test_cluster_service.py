@@ -9,22 +9,27 @@ drives its own loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
     _HOT_KEYS_PER_WARM_SLOT,
     ClusterConfig,
     ClusterService,
+    EpochPublisher,
     _focal_key_bytes,
+    _WorkerRuntime,
     read_epoch,
 )
 from repro.core.engine import Colarm
 from repro.dataset.salary import salary_dataset
+from repro.itemsets.rules import RuleBlock
 from repro.serving import ServingConfig
 
 SEATTLE = (
@@ -90,6 +95,67 @@ def test_routing_is_sticky_and_byte_identical(tmp_path):
             assert sum(s["served"] for s in stats) >= 3  # coalescing may fold
 
     asyncio.run(main())
+
+
+def test_responses_are_blocks_equal_rule_for_rule_to_the_engines(tmp_path):
+    """What crosses the pipe is the engine's block: same rules, same
+    order, same floats — rebuilt as read-only columns over one buffer."""
+    engine = fresh_engine()
+    reference = fresh_engine()
+
+    async def main():
+        async with ClusterService(engine, tmp_path, config()) as cluster:
+            for q in QUERIES:
+                for _ in range(2):  # a fresh execution, then a worker hit
+                    res = await cluster.submit(q)
+                    want = reference.query(q, use_cache=False).rules
+                    assert isinstance(res.rules, RuleBlock)
+                    assert isinstance(want, RuleBlock)
+                    assert res.rules == want and want == res.rules
+                    assert list(res.rules) == list(want)
+                    assert res.n_rules == len(want)
+                    assert not res.rules.support.flags.writeable
+                    assert len(res.rules.sources) == \
+                        len(set(res.rules.src.tolist()))
+
+    asyncio.run(main())
+
+
+def test_worker_meeting_an_unreadable_sidecar_starts_cold(tmp_path):
+    """A cache sidecar of another format version (or a torn one) costs the
+    warm start, not the worker: it loads the snapshot, serves, and says
+    why it is cold."""
+    engine = fresh_engine()
+    engine.enable_cache(calibrate=False)
+    want = engine.query(SEATTLE).rules
+    info = EpochPublisher(engine, tmp_path).publish()
+    sidecar = info.cache_path(tmp_path)
+    assert sidecar is not None and sidecar.exists()
+
+    runtime = _WorkerRuntime(0, tmp_path, config())
+    runtime.load_current()
+    assert runtime.cold_start_reason is None and len(runtime.engine.cache)
+
+    with np.load(sidecar) as archive:
+        members = {name: archive[name] for name in archive.files}
+    meta = json.loads(bytes(members["meta"]).decode())
+    meta["cache_format_version"] = 1
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(sidecar, **members)
+
+    runtime = _WorkerRuntime(0, tmp_path, config())
+    runtime.load_current()
+    assert "version 1" in runtime.cold_start_reason
+    assert runtime.stats()["cold_start_reason"] == runtime.cold_start_reason
+    assert len(runtime.engine.cache) == 0
+    outcome = runtime.engine.query(SEATTLE)
+    assert not outcome.cached and outcome.rules == want
+
+    sidecar.write_bytes(sidecar.read_bytes()[:100])  # torn write
+    runtime = _WorkerRuntime(0, tmp_path, config())
+    runtime.load_current()
+    assert "cannot read cache file" in runtime.cold_start_reason
+    assert runtime.engine.query(SEATTLE).rules == want
 
 
 def test_crash_respawn_serves_every_request_byte_identically(tmp_path):

@@ -18,6 +18,8 @@ Three layers of coverage:
 import sys
 import threading
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from repro.core.persistence import load_cache, save_cache
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError
+from repro.itemsets.rules import RuleBlock
 from tests.conftest import make_random_table
 
 MIP_PLANS = (PlanKind.SEV, PlanKind.SVS, PlanKind.SSEV, PlanKind.SSVS,
@@ -70,9 +73,27 @@ def test_put_get_rules_roundtrip(index):
     assert cache.put_rules(query, rules)
     served = cache.get_rules(query)
     assert served == rules
-    assert served is not rules  # shallow copy, not the stored list
+    # The entry itself is handed out, no copy: a block cannot be changed.
+    assert served is rules
+    for column in (served.src, served.ant_mask, served.support_count,
+                   served.support, served.confidence):
+        assert not column.flags.writeable
+    assert not hasattr(served, "append")
     # Family separation: the ARM tier is distinct.
     assert cache.get_rules(query, ARM_FAMILY) is None
+
+
+def test_rules_entry_accounts_its_columns_real_bytes(index):
+    cache = RuleCache(index)
+    query = q({0: {1}})
+    rules = execute_plan(PlanKind.SSVS, index, query).rules
+    assert isinstance(rules, RuleBlock) and len(rules)
+    cache.put_rules(query, rules)
+    (entry,) = cache._entries.values()
+    assert entry.payload is rules
+    assert entry.nbytes == cache.stats.current_bytes
+    assert rules.nbytes == 32 * len(rules)  # 32 B a rule ...
+    assert 0 < entry.nbytes - rules.nbytes <= 512  # ... plus the entry itself
 
 
 def test_probe_preference_and_no_lru_bump(index):
@@ -204,7 +225,7 @@ def test_probe_serves_a_priced_hit_in_one_critical_section(index):
     assert asked[0].n_rules == len(rules) and asked[0].rules is None
     assert cache.stats.rule_hits == 1  # a declined probe is not a serve
     probe = cache.probe(query, serve_if=lambda probe: True)
-    assert probe.rules == rules and probe.rules is not rules
+    assert probe.rules is rules  # the entry itself: nothing to copy
     assert cache.stats.rule_hits == 2 and cache.stats.probes == 3
 
 
@@ -228,11 +249,11 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
     problems: list[str] = []
 
     def tagged(generation):
-        return [
-            type(rule)(rule.antecedent, rule.consequent, generation,
-                       rule.support, rule.confidence)
-            for rule in template
-        ]
+        return RuleBlock(
+            template.sources, template.src, template.ant_mask,
+            np.full(len(template), generation),
+            template.support, template.confidence,
+        )
 
     def check(served, before, after):
         tags = {rule.support_count for rule in served}
@@ -549,23 +570,119 @@ def test_save_load_roundtrip(index, tmp_path):
     assert list(loaded._entries) == list(cache._entries)
 
 
+def _mapped(arr) -> bool:
+    """Whether an array's memory is a file mapping somewhere down its
+    chain of bases (``frombuffer`` columns hang off a memoryview)."""
+    while arr is not None:
+        if isinstance(arr, np.memmap):
+            return True
+        arr = getattr(arr, "base", None) if isinstance(arr, np.ndarray) \
+            else getattr(arr, "obj", None)
+    return False
+
+
 def test_save_load_mmap_lattice(index, tmp_path):
     cache, queries = populated_cache(index)
     path = tmp_path / "warm.cache.npz"
     save_cache(cache, path, compress=False)
     loaded = load_cache(path, index, mmap_mode="r")
 
-    def is_mapped(arr):
-        while arr is not None:
-            if isinstance(arr, np.memmap):
-                return True
-            arr = getattr(arr, "base", None)
-        return False
-
     lattice = loaded.get_lattice(queries[0])
-    assert any(is_mapped(counts) for _, counts in lattice.groups)
+    assert any(_mapped(counts) for _, counts in lattice.groups)
     assert lattice.extract(queries[0].minconf) == \
         cache.get_lattice(queries[0]).extract(queries[0].minconf)
+
+
+def test_save_load_mmap_rule_blocks(index, tmp_path):
+    cache, queries = populated_cache(index)
+    path = tmp_path / "warm.cache.npz"
+    save_cache(cache, path, compress=False)
+    mapped = load_cache(path, index, mmap_mode="r")
+    eager = load_cache(path, index)
+    for query in queries:
+        for family in (MIP_FAMILY, ARM_FAMILY):
+            want = cache.get_rules(query, family)
+            got = mapped.get_rules(query, family)
+            assert isinstance(got, RuleBlock) and got == want
+            assert _mapped(got.support_count) and _mapped(got.src)
+            assert not got.confidence.flags.writeable
+            assert not _mapped(eager.get_rules(query, family).support)
+    # A compressed archive cannot be mapped: the same call reads it whole.
+    save_cache(cache, path)
+    fallback = load_cache(path, index, mmap_mode="r")
+    assert fallback.get_rules(queries[0]) == cache.get_rules(queries[0])
+    assert not _mapped(fallback.get_rules(queries[0]).src)
+
+
+def test_loaded_entries_keep_order_hits_landmarks_and_no_stamp(index, tmp_path):
+    cache, queries = populated_cache(index)
+    stamp = HitPricing(dq_size=7, kind=PlanKind.SSVS, fresh_price=1.0,
+                       weights=None)
+    assert cache.get_rules(queries[1], pricing=stamp) is not None
+    path = tmp_path / "warm.cache.npz"
+    save_cache(cache, path, compress=False)
+    for mmap_mode in (None, "r"):
+        loaded = load_cache(path, index, mmap_mode=mmap_mode)
+        assert list(loaded._entries) == list(cache._entries)  # LRU -> MRU
+        assert [e.hits for e in loaded._entries.values()] == \
+            [e.hits for e in cache._entries.values()]
+        landmarks = [e.hits >= cache.landmark_hits
+                     for e in loaded._entries.values()]
+        assert any(landmarks) and not all(landmarks)
+        # Prices are not persisted: the first repeat is priced in full.
+        assert all(e.pricing is None for e in loaded._entries.values())
+        assert [e.nbytes for e in loaded._entries.values()] == \
+            [e.nbytes for e in cache._entries.values()]
+
+
+def _rewrite(path, change):
+    """Re-save the archive at ``path`` after ``change(members)``."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    change(members)
+    np.savez(path, **members)
+
+
+def test_load_refuses_a_v1_sidecar(index, tmp_path):
+    cache, _ = populated_cache(index)
+    path = tmp_path / "warm.cache.npz"
+    save_cache(cache, path, compress=False)
+
+    def downgrade(members):
+        meta = json.loads(bytes(members["meta"]).decode())
+        assert meta["cache_format_version"] == 2
+        meta["cache_format_version"] = 1
+        members["meta"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8
+        )
+
+    _rewrite(path, downgrade)
+    for mmap_mode in (None, "r"):
+        with pytest.raises(DataError, match="version 1"):
+            load_cache(path, index, mmap_mode=mmap_mode)
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"])
+@pytest.mark.parametrize("cut", [1, 8, 40])
+def test_truncated_block_member_is_refused(index, tmp_path, mmap_mode, cut):
+    """A rules member shorter than its entry says never loads as a short
+    rule list."""
+    cache, _ = populated_cache(index)
+    path = tmp_path / "warm.cache.npz"
+    save_cache(cache, path, compress=False)
+
+    def truncate(members):
+        name = next(n for n in members if n.endswith("_block"))
+        members[name] = members[name][:-cut]
+
+    _rewrite(path, truncate)
+    with pytest.raises(DataError, match="entry"):
+        load_cache(path, index, mmap_mode=mmap_mode)
+    # ... and a missing member is refused by name.
+    _rewrite(path, lambda members: members.pop(
+        next(n for n in members if n.endswith("_block"))))
+    with pytest.raises(DataError, match="missing cache member"):
+        load_cache(path, index, mmap_mode=mmap_mode)
 
 
 def test_load_refuses_generation_mismatch(index, tmp_path):

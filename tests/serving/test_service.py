@@ -17,6 +17,7 @@ from repro.core.engine import Colarm
 from repro.core.plans import PlanKind
 from repro.dataset.salary import salary_dataset
 from repro.errors import ServiceClosedError, ServiceOverloadError
+from repro.itemsets.rules import RuleBlock
 from repro.serving import (
     LATENCY_WINDOW,
     QueryService,
@@ -71,6 +72,10 @@ def test_coalesce_fanout(engine):
     service, results = asyncio.run(main())
     reference = engine.query(SEATTLE_F, use_cache=False)
     assert all(r.rules == reference.rules for r in results)
+    # One execution, one immutable block: every waiter holds the same
+    # object, not a copy of it.
+    assert isinstance(results[0].rules, RuleBlock)
+    assert all(r.rules is results[0].rules for r in results)
     assert service.stats.executions == 1
     assert service.stats.coalesced == 5
     leaders = [r for r in results if r.trace.leader]

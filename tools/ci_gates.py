@@ -19,13 +19,15 @@ Usage::
     ... --only maintenance --corrupt-maintenance # likewise: must FAIL
     ... --only cluster --corrupt-routing         # likewise: must FAIL
     ... --only setup --corrupt-setup             # likewise: must FAIL
+    ... --only heap --corrupt-heap               # likewise: must FAIL
 
 ``--override-weight`` deliberately corrupts one fitted weight after
 calibration, ``--corrupt-admission`` mis-wires the serving layer's
 admission knobs, ``--corrupt-maintenance`` severs the delta-store merge
 correction, ``--corrupt-routing`` swaps consistent hashing for modulo
-placement, and ``--corrupt-setup`` puts a full collection back in front
-of every calibration probe; they exist so the gates themselves can be
+placement, ``--corrupt-setup`` puts a full collection back in front
+of every calibration probe, and ``--corrupt-heap`` caches ``Rule``
+objects in place of rule blocks; they exist so the gates themselves can be
 tested (a gate that cannot fail gates nothing).
 """
 
@@ -199,6 +201,106 @@ def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
         "collections": collections,
         "max_gc_share": config["max_gc_share"],
         "max_setup_s": config["max_setup_s"],
+        "corrupted": corrupt,
+        "passed": not failures,
+        "failures": failures,
+    }
+
+
+def run_heap_gate(config: dict, corrupt: bool = False) -> dict:
+    """What a warm rule cache leaves on the collector's plate.
+
+    ``Colarm(...)`` on a mushroom look-alike (the end-to-end benchmark's
+    ``served`` table) with a 16 MB rule cache answers a Zipf(1.1) stream
+    over ``regions x minconfs`` keys; then one full collection runs.
+    Gated: the number of gc-tracked objects alive afterwards, and the
+    longest gen-2 pause ``gc.callbacks`` saw from the first query on (the
+    closing collection included, so the pause over the resident heap is
+    always measured).  A cached rule list is one
+    columnar block, so neither grows with the number of cached rules.
+
+    ``corrupt=True`` caches ``list(block)`` — the ``Rule`` objects — in
+    place of each block; the gate must then FAIL.
+    """
+    import gc
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.cache import RuleCache
+    from repro.core.engine import Colarm
+    from repro.dataset.synthetic import mushroom_like
+    from repro.workloads.queries import random_focal_query
+
+    table = mushroom_like(
+        n_records=int(config["n_records"]),
+        n_attributes=int(config["n_attributes"]),
+    )
+    engine = Colarm(table, primary_support=config["primary_support"])
+    engine.enable_cache(budget_bytes=int(config["cache_mb"]) << 20)
+    rng = np.random.default_rng(int(config["seed"]))
+    cells = [(f, s) for f in config["fractions"] for s in config["minsupps"]]
+    regions: dict = {}
+    while len(regions) < int(config["regions"]):
+        fraction, minsupp = cells[len(regions) % len(cells)]
+        q = random_focal_query(table, fraction, minsupp, 0.5, rng).query
+        regions.setdefault((engine.cache.focal_key(q), minsupp), q)
+    pool = [
+        replace(q, minconf=minconf)
+        for q in regions.values()
+        for minconf in config["minconfs"]
+    ]
+    pool = [pool[i] for i in rng.permutation(len(pool))]
+    weights = 1.0 / np.arange(1, len(pool) + 1) ** float(config["zipf_s"])
+    stream = rng.choice(
+        len(pool), size=int(config["n_queries"]), p=weights / weights.sum()
+    )
+
+    insert = RuleCache._insert
+
+    def insert_rule_objects(self, key, kind, payload, *rest):
+        if kind == "rules":
+            payload = list(payload)
+        return insert(self, key, kind, payload, *rest)
+
+    longest = started = 0.0
+    full_collections = 0
+
+    def clock(phase: str, info: dict) -> None:
+        nonlocal longest, started, full_collections
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            longest = max(longest, time.perf_counter() - started)
+            full_collections += 1
+
+    if corrupt:
+        RuleCache._insert = insert_rule_objects
+    gc.callbacks.append(clock)
+    try:
+        n_rules = sum(len(engine.query(pool[i]).rules) for i in stream)
+        gc.collect()
+    finally:
+        gc.callbacks.remove(clock)
+        RuleCache._insert = insert
+    tracked = len(gc.get_objects())
+    failures = []
+    if tracked > config["max_tracked_objects"]:
+        failures.append("heap_tracked_objects")
+    if longest * 1e3 > config["max_gen2_pause_ms"]:
+        failures.append("heap_gen2_pause")
+    return {
+        "queries": len(stream),
+        "rules_served": n_rules,
+        "cache_entries": len(engine.cache),
+        "cache_stats": engine.cache.stats.as_dict(),
+        "tracked_objects": tracked,
+        "max_tracked_objects": config["max_tracked_objects"],
+        "full_collections": full_collections,
+        "longest_gen2_pause_ms": round(longest * 1e3, 2),
+        "max_gen2_pause_ms": config["max_gen2_pause_ms"],
         "corrupted": corrupt,
         "passed": not failures,
         "failures": failures,
@@ -784,7 +886,8 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
 
 
 _GATES = (
-    "acc", "setup", "parallel", "cache", "serving", "maintenance", "cluster"
+    "acc", "setup", "heap", "parallel", "cache", "serving", "maintenance",
+    "cluster",
 )
 
 
@@ -833,6 +936,12 @@ def main(argv: list[str] | None = None) -> int:
         help="collect before every calibration probe again (the set-up "
         "spends its time in gc); the setup gate must then FAIL",
     )
+    parser.add_argument(
+        "--corrupt-heap",
+        action="store_true",
+        help="cache list(block) - the Rule objects - instead of each rule "
+        "block; the heap gate must then FAIL",
+    )
     args = parser.parse_args(argv)
 
     overrides: dict[str, float] = {}
@@ -848,6 +957,11 @@ def main(argv: list[str] | None = None) -> int:
     setup_report = (
         run_setup_gate(config["setup"], corrupt=args.corrupt_setup)
         if "setup" in config and wanted("setup")
+        else None
+    )
+    heap_report = (
+        run_heap_gate(config["heap"], corrupt=args.corrupt_heap)
+        if "heap" in config and wanted("heap")
         else None
     )
     parallel_report = (
@@ -882,6 +996,8 @@ def main(argv: list[str] | None = None) -> int:
     full_report = dict(report) if report is not None else {}
     if setup_report is not None:
         full_report["setup_gate"] = setup_report
+    if heap_report is not None:
+        full_report["heap_gate"] = heap_report
     if parallel_report is not None:
         full_report["parallel_selftest"] = parallel_report
     if cache_report is not None:
@@ -927,6 +1043,18 @@ def main(argv: list[str] | None = None) -> int:
             f" (bar {setup_report['max_gc_share']})"
             + (" [per-probe collect reinstated]"
                if setup_report["corrupted"] else "")
+        )
+    if heap_report is not None:
+        passed = passed and heap_report["passed"]
+        status = "ok  " if heap_report["passed"] else "FAIL"
+        print(
+            f"  {status} heap-gate          "
+            f"{heap_report['tracked_objects']} tracked objects"
+            f" (bar {heap_report['max_tracked_objects']}), longest gen-2 "
+            f"pause {heap_report['longest_gen2_pause_ms']:.1f} ms over "
+            f"{heap_report['full_collections']} full collections"
+            f" (bar {heap_report['max_gen2_pause_ms']} ms)"
+            + (" [Rule objects cached]" if heap_report["corrupted"] else "")
         )
     if parallel_report is not None:
         passed = passed and parallel_report["passed"]
@@ -992,6 +1120,8 @@ def main(argv: list[str] | None = None) -> int:
     failures = list(report["failures"]) if report is not None else []
     if setup_report is not None:
         failures += setup_report["failures"]
+    if heap_report is not None:
+        failures += heap_report["failures"]
     if parallel_report is not None:
         failures += parallel_report["failures"]
     if cache_report is not None:

@@ -263,11 +263,6 @@ class EpochPublisher:
         """Fold, snapshot, and atomically advance the published epoch."""
         self._fold()
         index = self.engine.index
-        if index.rtree.tree.mutations != 0:
-            raise DataError(
-                "cannot publish a structurally mutated index — fold it "
-                "into a fresh build first"
-            )
         epoch = self.epoch + 1
         self.directory.mkdir(parents=True, exist_ok=True)
         snapshot = f"snapshot-{epoch:06d}.colarm.npz"

@@ -49,7 +49,7 @@ from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.itemsets.apriori import min_count_for
 from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
-from repro.rtree.rtree import DEFAULT_MAX_ENTRIES
+from repro.rtree.flat import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm"]
 
@@ -86,12 +86,11 @@ class Colarm:
         table: RelationalTable,
         primary_support: float,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        packing: str = "hilbert",
         weights: CostWeights | None = None,
         expand: bool = False,
     ):
         self.index: MIPIndex = build_mip_index(
-            table, primary_support, max_entries=max_entries, packing=packing
+            table, primary_support, max_entries=max_entries
         )
         self.expand = expand
         self.optimizer = ColarmOptimizer(self.index, weights)
@@ -158,8 +157,8 @@ class Colarm:
         ``True`` (defaults), or ``None``/``False`` to tear the pool down
         and return to serial execution.  Configuring:
 
-        1. registers the index's kernel matrices and the compiled flat
-           R-tree arrays in shared memory and starts the worker pool
+        1. registers the index's kernel matrices and the R-tree arrays
+           in shared memory and starts the worker pool
            (:class:`repro.parallel.ParallelContext`);
         2. fits the ``par_dispatch``/``par_merge`` cost weights from the
            live pool (:func:`repro.core.calibration.calibrate_parallel`);

@@ -42,8 +42,8 @@ Folding the delta back in
 Two ways: :meth:`MaintainedIndex.rebuild` folds synchronously (the
 legacy ``max_delta_fraction`` auto policy still drives it), and
 :meth:`MaintainedIndex.begin_recompaction` builds the fresh index — a
-full offline artifact, flat-compiled and format-v2 ready — on a
-background thread while reads keep serving the old generation;
+full offline artifact, format-v2 ready — on a background thread while
+reads keep serving the old generation;
 :meth:`poll_recompaction` installs the result and replays whatever
 appends/deletes landed mid-build through an op log with old→new tid
 translation.  The engine prices *when* to fold via the cost model's
@@ -300,12 +300,6 @@ class DeltaView:
             self.buffer.mips.take(rows, axis=0), self.focal_row
         )
 
-    def itemset_count(self, itemset: Itemset) -> int:
-        """Delta-local support of one itemset (list-path correction)."""
-        if self.dq_size == 0:
-            return 0
-        return self.kernel().count(tuple(itemset))
-
     def dead_counts(self, matrix: np.ndarray) -> np.ndarray:
         """``|row_i ∩ dead_main|`` per packed main-universe row."""
         if self.main_dead_packed is None:
@@ -443,17 +437,6 @@ class MaintainedIndex:
     def recompacting(self) -> bool:
         """Whether a background fold is currently in flight."""
         return self._recomp is not None
-
-    @property
-    def flat_rtree_current(self) -> bool:
-        """Whether the main index's compiled flat traversal form is current.
-
-        Delta mutations deliberately do *not* flip this: they bump the
-        generation through the index's logical clock, leaving the R-tree's
-        own mutation counter (which the flat compile is checked against)
-        untouched — ingest never knocks queries off the flat fast path.
-        """
-        return self.index.rtree.flat_is_current()
 
     @property
     def delta_words(self) -> int:
@@ -602,11 +585,11 @@ class MaintainedIndex:
         """Start folding the live data into a fresh index off the hot path.
 
         Snapshots the live main+delta rows, then builds the replacement
-        index — flat-compiled, i.e. format-v2 ready — on a daemon thread
-        while reads keep serving the current generation.  Mutations that
-        land mid-build accumulate normally *and* are recorded in an op
-        log for replay at install time.  Returns ``True`` if a build was
-        started (``False``: nothing to fold, or one is already running).
+        index on a daemon thread while reads keep serving the current
+        generation.  Mutations that land mid-build accumulate normally
+        *and* are recorded in an op log for replay at install time.
+        Returns ``True`` if a build was started (``False``: nothing to
+        fold, or one is already running).
         """
         if self._recomp is not None:
             return False
@@ -764,8 +747,10 @@ class MaintainedIndex:
         """The pre-kernel scalar main+delta path, kept as the oracle and
         benchmark baseline.
 
-        Candidate itemsets come from the main index's pointer R-tree;
-        every support count is a per-item big-int AND over the live main
+        Candidate itemsets come from a scan of the main index's MIPs,
+        each box classified against the focal region — no R-tree, so the
+        oracle shares no SEARCH code with the path it checks; every
+        support count is a per-item big-int AND over the live main
         focal tidset **plus a per-record Python loop** over the matching
         delta records — the cliff the array-native path removes.  Rule
         *statistics* are exact; output agrees with :meth:`query` under
@@ -812,10 +797,8 @@ class MaintainedIndex:
                 cache[items] = ts.count(mask) + delta_count(items)
             return cache[items]
 
-        hull = focal.hull()
         candidates: list[Itemset] = []
-        for entry in self.index.rtree.search(hull).entries:
-            mip = entry.payload
+        for mip in self.index.mips:
             if focal.classify(mip.box) is Overlap.DISJOINT:
                 continue
             if not expand and query.item_attributes is not None and not all(

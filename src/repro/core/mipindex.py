@@ -23,7 +23,7 @@ from repro.dataset.table import RelationalTable
 from repro.errors import DataError
 from repro.itemsets.charm import ClosedItemset, charm
 from repro.itemsets.ittree import ClosedITTree
-from repro.rtree.rtree import DEFAULT_MAX_ENTRIES
+from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatRTree
 from repro.rtree.supported import SupportedRTree
 
 __all__ = ["GenerationClock", "MIPIndex", "build_mip_index"]
@@ -35,12 +35,10 @@ class GenerationClock:
     ``base`` seats the index in a monotone lineage: a recompacted index
     starts at the predecessor's final generation plus one, so stamps
     issued against any earlier index of the lineage can never collide
-    with the new one's.  ``ticks`` counts logical mutations that do not
-    touch the R-tree — delta-store appends and tombstone deletes — which
-    must invalidate caches, memoized profiles, and serving coalesce
-    windows exactly like structural tree mutations, *without* flipping
-    the flat-compile currency check (that compares the tree's own
-    mutation counter, which delta ticks deliberately leave alone).
+    with the new one's.  ``ticks`` counts the logical mutations since —
+    delta-store appends and tombstone deletes, which leave the packed
+    R-tree untouched but must invalidate caches, memoized profiles, and
+    serving coalesce windows.
     """
 
     __slots__ = ("base", "ticks")
@@ -69,21 +67,11 @@ class MIPIndex:
         return len(self.mips)
 
     @property
-    def flat_rtree(self):
-        """The compiled flat SoA traversal form (``None`` until compiled).
-
-        Built eagerly by :func:`build_mip_index` right after packing and
-        re-attached from stored arrays by :mod:`repro.core.persistence`;
-        the SEARCH / SUPPORTED-SEARCH operators use it transparently via
-        :class:`~repro.rtree.supported.SupportedRTree` whenever it is
-        current, falling back to the pointer tree after any direct
-        insert/delete on ``rtree.tree`` until :meth:`recompile_flat`.
-        """
+    def flat_rtree(self) -> FlatRTree:
+        """The packed R-tree's per-level arrays — what SEARCH and
+        SUPPORTED-SEARCH traverse, packed by :func:`build_mip_index` or
+        adopted from a snapshot by :mod:`repro.core.persistence`."""
         return self.rtree.flat
-
-    def recompile_flat(self):
-        """Recompile the flat form after pointer-tree mutations."""
-        return self.rtree.compile_flat()
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -93,21 +81,19 @@ class MIPIndex:
     def generation(self) -> int:
         """The index's invalidation token.
 
-        The sum of the lineage base, the logical mutation ticks (delta
-        appends/deletes, bumped via :meth:`bump_generation`), and the
-        R-tree's structural mutation counter.  Every mutation of any kind
-        bumps it; the cache, the optimizer's plan choices, and the
-        serving layer's coalescing all stamp their products with it so
-        nothing computed against an older state is ever served against a
-        newer one.
+        The lineage base plus the logical mutation ticks (delta
+        appends/deletes, bumped via :meth:`bump_generation`).  Every
+        mutation bumps it; the cache, the optimizer's plan choices, and
+        the serving layer's coalescing all stamp their products with it
+        so nothing computed against an older state is ever served against
+        a newer one.
         """
-        return self.clock.base + self.clock.ticks + self.rtree.tree.mutations
+        return self.clock.base + self.clock.ticks
 
     def bump_generation(self) -> int:
-        """Record one logical (non-structural) mutation; returns the new
-        generation.  Used by the delta store: query-visible state changed
-        but the R-tree did not, so the flat compile stays current while
-        every generation-stamped product goes stale."""
+        """Record one logical mutation; returns the new generation.  Used
+        by the delta store: query-visible state changed, so every
+        generation-stamped product goes stale."""
         self.clock.ticks += 1
         return self.generation
 
@@ -130,6 +116,19 @@ class MIPIndex:
         return _pack_mip_tidsets(self.mips, self.tidset_words)
 
 
+def _mip_boxes(
+    mips: Sequence[MIP], cardinalities: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lows, highs, global_counts)`` of the MIPs, row ``i`` = MIP ``i`` —
+    the ``(N, d)`` box arrays the R-tree is packed over."""
+    shape = (len(mips), len(cardinalities))
+    return (
+        np.array([m.box.lows for m in mips], dtype=np.int64).reshape(shape),
+        np.array([m.box.highs for m in mips], dtype=np.int64).reshape(shape),
+        np.array([m.global_count for m in mips], dtype=np.int64),
+    )
+
+
 def _pack_mip_tidsets(mips: Sequence[MIP], words: int) -> np.ndarray:
     matrix = kernels.pack_many([mip.tidset for mip in mips], words)
     matrix.setflags(write=False)
@@ -140,9 +139,8 @@ def build_mip_index(
     table: RelationalTable,
     primary_support: float,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    packing: str = "hilbert",
-    compile_flat: bool = True,
     closed: Sequence[ClosedItemset] | None = None,
+    rtree: SupportedRTree | None = None,
 ) -> MIPIndex:
     """Run the offline preprocessing phase and return the MIP-index.
 
@@ -153,7 +151,11 @@ def build_mip_index(
     ``closed`` supplies precomputed closed frequent itemsets (in row
     order) instead of mining them — the persistence layer's fast load
     path reconstructs them from a trusted snapshot, where re-running the
-    miner would only rediscover what the file already states.
+    miner would only rediscover what the file already states.  ``rtree``
+    likewise supplies a snapshot's stored tree instead of packing one, so
+    the statistics describe the tree that will be searched; it is adopted
+    only if it indexes exactly the MIPs' boxes and global counts
+    (:meth:`repro.rtree.flat.FlatRTree.verify` raises ``IndexError_``).
     """
     if table.n_records == 0:
         raise DataError("cannot build a MIP-index over an empty table")
@@ -168,16 +170,11 @@ def build_mip_index(
         MIP.from_closed(cfi, cardinalities, row=i)
         for i, cfi in enumerate(closed)
     )
-    rtree = SupportedRTree.build(
-        n_dims=table.n_attributes,
-        items=[(mip.box, mip, mip.global_count) for mip in mips],
-        max_entries=max_entries,
-        method=packing,
-        # The flat SoA traversal form is part of the offline artifact so
-        # the first online SEARCH does not pay the compile; persistence
-        # passes False and attaches the stored compile instead.
-        compile_flat=compile_flat,
-    )
+    boxes = _mip_boxes(mips, cardinalities)
+    if rtree is None:
+        rtree = SupportedRTree.build(*boxes, max_entries)
+    else:
+        rtree.flat.verify(*boxes)
     ittree = ClosedITTree(closed)
     # Packed once: the statistics count through it, and the index keeps it
     # so the first online ELIMINATE does not pay the packing cost.

@@ -237,23 +237,15 @@ def _rules_with_shared_lattice(
 
 
 def _group_candidate_rows(index: MIPIndex, focal) -> np.ndarray:
-    """MIP rows overlapping ``focal``, array-native with pointer fallback.
+    """MIP rows overlapping ``focal``.
 
-    Mirrors the SEARCH operator: hull probe (flat arrays when the compile
-    is current, Entry walk otherwise), then exact vectorized
-    re-classification against the true per-attribute value sets.
+    Mirrors the SEARCH operator: hull probe of the R-tree, then exact
+    vectorized re-classification against the true per-attribute value
+    sets.
     """
-    hull = focal.hull()
-    hits = index.rtree.search_arrays(hull)
-    if hits is not None:
-        rows = hits.rows.astype(np.intp, copy=False)
-    else:
-        entries = index.rtree.search(hull).entries
-        rows = np.fromiter(
-            (entry.payload.row for entry in entries),
-            dtype=np.intp,
-            count=len(entries),
-        )
+    rows = index.rtree.search_arrays(focal.hull()).rows.astype(
+        np.intp, copy=False
+    )
     if not len(rows):
         return rows
     overlaps, _contained = focal.classify_all(

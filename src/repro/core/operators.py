@@ -13,15 +13,14 @@ operators with precise inputs and outputs:
 * ARM               — traditional from-scratch mining on the focal subset.
 
 The MIP-plan pipeline is *array-native* end to end: SEARCH serves hits as
-contiguous payload-row / global-count arrays straight from the compiled
-flat R-tree (:class:`CandidateArray`), ELIMINATE qualifies them with one
+contiguous payload-row / global-count arrays straight from the packed
+R-tree (:class:`CandidateArray`), ELIMINATE qualifies them with one
 batched kernel call into a :class:`QualifiedArray`, and VERIFY extracts
 rules through a focal-projected kernel (:class:`repro.kernels.FocalKernel`)
 that counts whole antecedent families level-by-level over ``|D^Q|``-bit
 rows.  :class:`Rule` objects materialize only at the very end.  Both array
-containers iterate as the classic ``(mip, Overlap)`` / ``(mip, count)``
-tuples, so list-based callers (tests, analysis scripts, standalone MIPs)
-keep working through the same operators.
+containers iterate as ``(mip, Overlap)`` / ``(mip, count)`` tuples for
+consumers that want the objects.
 
 Every operator call appends an :class:`OperatorTrace` (cardinalities,
 record-level work, wall time) to the query's :class:`ExecutionTrace`; the
@@ -388,34 +387,8 @@ def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArr
     start = time.perf_counter()
     hull = ctx.focal.hull()
     hits = ctx.index.rtree.search_arrays(hull, min_count=min_count)
-    if hits is not None:
-        # Array-native fast path: payload rows and global counts straight
-        # from the compiled flat leaf level — no Entry objects anywhere.
-        rows = hits.rows.astype(np.intp, copy=False)
-        global_counts = hits.counts.astype(np.int64, copy=False)
-        nodes_visited = hits.nodes_visited
-        hull_hits = len(hits)
-    else:
-        # Pointer fallback (stale or missing compile): rebuild the arrays
-        # from the entry list.  Same hit set and nodes_visited either way.
-        result = (
-            ctx.index.rtree.search(hull)
-            if min_count is None
-            else ctx.index.rtree.search_supported(hull, min_count)
-        )
-        entries = result.entries
-        rows = np.fromiter(
-            (entry.payload.row for entry in entries),
-            dtype=np.intp,
-            count=len(entries),
-        )
-        global_counts = np.fromiter(
-            (entry.count for entry in entries),
-            dtype=np.int64,
-            count=len(entries),
-        )
-        nodes_visited = result.nodes_visited
-        hull_hits = len(entries)
+    rows = hits.rows.astype(np.intp, copy=False)
+    global_counts = hits.counts
     # Exact classification of the hits in one vectorized pass (equivalent
     # to FocalRange.classify per box — asserted by the operator tests).
     # Only the hit rows' fixed values are gathered and classified: the
@@ -442,8 +415,8 @@ def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArr
             output_size=len(candidates),
             elapsed=time.perf_counter() - start,
             detail={
-                "nodes_visited": nodes_visited,
-                "hull_hits": hull_hits,
+                "nodes_visited": hits.nodes_visited,
+                "hull_hits": len(hits),
             },
         )
     )
@@ -453,10 +426,6 @@ def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArr
 # ---------------------------------------------------------------------------
 # ELIMINATE
 # ---------------------------------------------------------------------------
-
-#: Below this many candidates the batched kernel's fixed numpy overhead
-#: outweighs the per-candidate Python dispatch it saves (list path only).
-_QUALIFY_KERNEL_MIN = 4
 
 
 def _aitem_mask(ctx: QueryContext, rows: np.ndarray) -> np.ndarray:
@@ -478,91 +447,55 @@ def _aitem_mask(ctx: QueryContext, rows: np.ndarray) -> np.ndarray:
 
 
 def _qualify_candidates(
-    ctx: QueryContext, candidates: "CandidateArray | list[Candidate]"
-) -> "tuple[QualifiedArray | list[Qualified], int]":
+    ctx: QueryContext, candidates: CandidateArray
+) -> tuple[QualifiedArray, int]:
     """The record-level minsupp qualification shared by ELIMINATE and
     SUPPORTED-VERIFY (plus the Aitem filter).
 
-    The array path never touches a MIP object: the Aitem filter is one
-    vectorized mask over the gathered fixed-value rows, and qualification
-    is *one* batched kernel call — the surviving rows of the index's
-    packed MIP-tidset matrix are gathered, ANDed with the packed focal
-    tidset, and popcounted together (:func:`repro.kernels.and_count`).
-    List inputs (standalone MIPs, legacy callers) take the original
-    per-candidate path; either path produces identical counts.
+    No MIP object is touched: the Aitem filter is one vectorized mask over
+    the gathered fixed-value rows, and qualification is *one* batched
+    kernel call — the surviving rows of the index's packed MIP-tidset
+    matrix are gathered, ANDed with the packed focal tidset, and
+    popcounted together (:func:`repro.kernels.and_count`).
 
     Returns the qualified candidates (order preserved) and the number of
     record-level checks performed (the ELIMINATE cost-model feature).
     """
-    if isinstance(candidates, CandidateArray):
-        keep = _aitem_mask(ctx, candidates.rows)
-        rows = candidates.rows[keep]
-        if len(rows):
-            counts = None
-            if ctx.parallel is not None:
-                # Sharded qualification: the workers AND word shards of the
-                # shared MIP-tidset matrix against the focal row and the
-                # int64 partial sums merge exactly; None means the context
-                # declined (below break-even, pool broken) — run serial.
-                counts = ctx.parallel.and_count_mips(rows, ctx.packed_dq())
-                if counts is not None:
-                    ctx.sharded_calls += 1
-            if counts is None:
-                counts = kernels.and_count(
-                    ctx.index.mip_tidset_matrix.take(rows, axis=0),
-                    ctx.packed_dq(),
-                )
-            if ctx.delta is not None:
-                # Exact delta correction, one AND+popcount row-gather over
-                # the delta store's per-MIP matrix (``packed_dq`` is
-                # already masked to live main records, so the main share
-                # needs no tombstone adjustment).
-                counts = counts + ctx.delta.mip_counts(rows)
-        else:
-            counts = np.zeros(0, dtype=np.int64)
-        qualifies = counts >= ctx.qualify_floor
-        return (
-            QualifiedArray(
-                ctx.index, rows[qualifies], counts[qualifies].astype(np.int64)
-            ),
-            int(len(rows)),
-        )
-    checked = [
-        cand
-        for cand in candidates
-        if ctx.expand or ctx.aitem_allows(cand[0].itemset)
-    ]
-    matrix = ctx.index.mip_tidset_matrix
-    n_rows = matrix.shape[0]
-    use_kernel = len(checked) >= _QUALIFY_KERNEL_MIN and all(
-        0 <= mip.row < n_rows for mip, _ in checked
-    )
-    qualified: list[Qualified] = []
-    if use_kernel:
-        rows = np.fromiter(
-            (mip.row for mip, _ in checked), dtype=np.intp, count=len(checked)
-        )
-        counts = kernels.and_count(matrix[rows], ctx.packed_dq())
+    keep = _aitem_mask(ctx, candidates.rows)
+    rows = candidates.rows[keep]
+    if len(rows):
+        counts = None
+        if ctx.parallel is not None:
+            # Sharded qualification: the workers AND word shards of the
+            # shared MIP-tidset matrix against the focal row and the
+            # int64 partial sums merge exactly; None means the context
+            # declined (below break-even, pool broken) — run serial.
+            counts = ctx.parallel.and_count_mips(rows, ctx.packed_dq())
+            if counts is not None:
+                ctx.sharded_calls += 1
+        if counts is None:
+            counts = kernels.and_count(
+                ctx.index.mip_tidset_matrix.take(rows, axis=0),
+                ctx.packed_dq(),
+            )
         if ctx.delta is not None:
+            # Exact delta correction, one AND+popcount row-gather over
+            # the delta store's per-MIP matrix (``packed_dq`` is
+            # already masked to live main records, so the main share
+            # needs no tombstone adjustment).
             counts = counts + ctx.delta.mip_counts(rows)
-        qualified = [
-            (mip, int(local))
-            for (mip, _), local in zip(checked, counts)
-            if local >= ctx.qualify_floor
-        ]
     else:
-        for mip, _overlap in checked:
-            local = mip.local_count(ctx.dq)
-            if ctx.delta is not None:
-                local += ctx.delta.itemset_count(mip.itemset)
-            if local >= ctx.qualify_floor:
-                qualified.append((mip, local))
-    return qualified, len(checked)
+        counts = np.zeros(0, dtype=np.int64)
+    qualifies = counts >= ctx.qualify_floor
+    return (
+        QualifiedArray(
+            ctx.index, rows[qualifies], counts[qualifies].astype(np.int64)
+        ),
+        int(len(rows)),
+    )
 
 
-def op_eliminate(
-    ctx: QueryContext, candidates: "CandidateArray | list[Candidate]"
-) -> "QualifiedArray | list[Qualified]":
+def op_eliminate(ctx: QueryContext, candidates: CandidateArray) -> QualifiedArray:
     """ELIMINATE: record-level minsupp check (plus the Aitem filter).
 
     Every surviving candidate carries its exact local support count so
@@ -589,16 +522,16 @@ def op_eliminate(
 
 
 def qualified_from_contained(
-    ctx: QueryContext, contained: "CandidateArray | list[Candidate]"
-) -> "QualifiedArray | list[Qualified]":
+    ctx: QueryContext, contained: CandidateArray
+) -> QualifiedArray:
     """Lemma 4.5 shortcut for fully contained candidates (SS-E-U-V).
 
     A contained MIP's local count *equals* its global count, and
     SUPPORTED-SEARCH already guaranteed the global count reaches
     ``min_count`` — so contained candidates become qualified without any
     record-level work (only the cheap Aitem filter applies outside
-    expanded mode).  On the array path the global counts ride along from
-    the supported R-tree's leaf level, so this is a masked copy.
+    expanded mode).  The global counts ride along from the supported
+    R-tree's leaf level, so this is a masked copy.
 
     With a delta store attached the lemma still holds per universe —
     every record supporting a contained MIP's itemset lies inside the
@@ -608,35 +541,18 @@ def qualified_from_contained(
     ``min_count``, so the threshold is re-checked.  All three steps are
     batched kernel calls.
     """
-    if isinstance(contained, CandidateArray):
-        keep = _aitem_mask(ctx, contained.rows)
-        rows = contained.rows[keep]
-        counts = contained.global_counts[keep].astype(np.int64)
-        if ctx.delta is not None:
-            if ctx.delta.main_dead_packed is not None and len(rows):
-                counts = counts - ctx.delta.dead_counts(
-                    ctx.index.mip_tidset_matrix.take(rows, axis=0)
-                )
-            counts = counts + ctx.delta.mip_counts(rows)
-            qualifies = counts >= ctx.qualify_floor
-            rows, counts = rows[qualifies], counts[qualifies]
-        return QualifiedArray(ctx.index, rows, counts)
+    keep = _aitem_mask(ctx, contained.rows)
+    rows = contained.rows[keep]
+    counts = contained.global_counts[keep].astype(np.int64)
     if ctx.delta is not None:
-        out: list[Qualified] = []
-        for mip, _ in contained:
-            if not (ctx.expand or ctx.aitem_allows(mip.itemset)):
-                continue
-            local = mip.local_count(ctx.dq) + ctx.delta.itemset_count(
-                mip.itemset
+        if ctx.delta.main_dead_packed is not None and len(rows):
+            counts = counts - ctx.delta.dead_counts(
+                ctx.index.mip_tidset_matrix.take(rows, axis=0)
             )
-            if local >= ctx.qualify_floor:
-                out.append((mip, local))
-        return out
-    return [
-        (mip, mip.global_count)
-        for mip, _ in contained
-        if ctx.expand or ctx.aitem_allows(mip.itemset)
-    ]
+        counts = counts + ctx.delta.mip_counts(rows)
+        qualifies = counts >= ctx.qualify_floor
+        rows, counts = rows[qualifies], counts[qualifies]
+    return QualifiedArray(ctx.index, rows, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +560,7 @@ def qualified_from_contained(
 # ---------------------------------------------------------------------------
 
 
-def op_verify(
-    ctx: QueryContext, qualified: "QualifiedArray | list[Qualified]"
-) -> RuleBlock:
+def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
     """VERIFY: rule generation and minconf checks over the IT-tree."""
     start = time.perf_counter()
     projection_before = ctx.projection_s
@@ -673,7 +587,7 @@ def op_verify(
 
 
 def op_supported_verify(
-    ctx: QueryContext, candidates: "CandidateArray | list[Candidate]"
+    ctx: QueryContext, candidates: CandidateArray
 ) -> RuleBlock:
     """SUPPORTED-VERIFY: selection pushed up into verification (Section 4.2).
 
@@ -720,7 +634,7 @@ _LATTICE_MAX_WIDTH = 16
 
 
 def _rules_from_qualified(
-    ctx: QueryContext, qualified: "QualifiedArray | list[Qualified]"
+    ctx: QueryContext, qualified: QualifiedArray
 ) -> tuple[RuleBlock, int, float]:
     """Generate localized rules from support-qualified candidates, batched.
 
@@ -946,7 +860,7 @@ def _merge_wide_sources(
 
 
 def _rules_from_qualified_reference(
-    ctx: QueryContext, qualified: "QualifiedArray | list[Qualified]"
+    ctx: QueryContext, qualified: QualifiedArray
 ) -> tuple[list[Rule], int]:
     """The scalar reference path: memoized big-int AND chain per lookup.
 
@@ -1015,21 +929,11 @@ def _rules_from_qualified_reference(
 
 
 def op_union(
-    ctx: QueryContext,
-    contained: "QualifiedArray | list[Qualified]",
-    partial: "QualifiedArray | list[Qualified]",
-) -> "QualifiedArray | list[Qualified]":
-    """UNION: merge the two mutually exclusive qualified lists (constant cost).
-
-    Two array inputs concatenate without touching a MIP object; mixed or
-    list inputs merge as plain lists.
-    """
+    ctx: QueryContext, contained: QualifiedArray, partial: QualifiedArray
+) -> QualifiedArray:
+    """UNION: merge the two mutually exclusive qualified sets (constant cost)."""
     start = time.perf_counter()
-    merged: QualifiedArray | list[Qualified]
-    if isinstance(contained, QualifiedArray) and isinstance(partial, QualifiedArray):
-        merged = QualifiedArray.concat(contained, partial)
-    else:
-        merged = list(contained) + list(partial)
+    merged = QualifiedArray.concat(contained, partial)
     ctx.trace.add(
         OperatorTrace(
             name="UNION",

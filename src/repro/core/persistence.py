@@ -6,17 +6,17 @@ the online phase needs into a single ``.npz`` file:
 
 * the relational table (schema labels + the cell-index matrix),
 * the closed frequent itemsets (flattened (attribute, value) pairs),
-* the index construction parameters (primary support, fanout, packing),
-* the compiled flat R-tree arrays (format v2 — per-level SoA layout of
-  :mod:`repro.rtree.flat`, plus the leaf-slot -> MIP-row payload map),
+* the index construction parameters (primary support, fanout),
+* the packed R-tree (format v2 — the per-level arrays of
+  :mod:`repro.rtree.flat`, including the leaf-slot -> MIP-row map),
 * optionally the calibrated cost weights.
 
-Tidsets, the pointer R-tree and the statistics are *derived* state: they
-are recomputed deterministically on load (packing and statistics gathering
-are pure functions of the stored inputs), which keeps the file small and
-the format trivially forward-compatible.  The flat traversal arrays are
-stored so a reloaded index skips the SoA recompilation; v1 files (without
-them) still load and simply recompile.
+Tidsets and the statistics are *derived* state: they are recomputed
+deterministically on load, which keeps the file small and the format
+trivially forward-compatible.  The stored R-tree is loaded *as* the
+index's tree — verified against the rebuilt MIPs, never re-packed — so the
+statistics describe the tree that is searched; v1 files (without it)
+still load and pack a fresh one.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.itemsets.charm import ClosedItemset
 from repro.itemsets.itemset import make_itemset
 from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import FlatRTree
+from repro.rtree.supported import SupportedRTree
 
 __all__ = [
     "save_index",
@@ -125,7 +126,7 @@ def save_index(
     meta = {
         "format_version": _FORMAT_VERSION,
         "primary_support": index.primary_support,
-        "max_entries": index.rtree.tree.max_entries,
+        "max_entries": index.rtree.max_entries,
         "attributes": [
             {"name": attr.name, "values": list(attr.values)}
             for attr in schema.attributes
@@ -138,37 +139,18 @@ def save_index(
         for item in mip.itemset:
             flat_items.extend((item.attribute, item.value))
         offsets.append(len(flat_items) // 2)
-    arrays: dict[str, np.ndarray] = {}
-    flat = None
-    if index.rtree.tree.mutations == 0:
-        # Only a flat form of the *pristine packed* tree is stored: the
-        # loader re-packs the pointer tree deterministically from the
-        # table, so a compile taken after direct inserts/deletes would
-        # disagree with the reloaded tree.  Mutated indexes simply store
-        # no flat arrays and the loader recompiles.
-        flat = (
-            index.rtree.flat
-            if index.rtree.flat_is_current()
-            else index.rtree.compile_flat()
-        )
-    if flat is not None:
-        for key, arr in flat.to_arrays().items():
-            arrays[_FLAT_PREFIX + key] = arr
-        # The cached per-slot row vector — no Entry materialization on save,
-        # matching the Entry-free load path below.
-        arrays[_FLAT_PREFIX + "payload_rows"] = np.asarray(
-            flat.payload_rows, dtype=np.int64
-        )
-        # The packed kernel matrices are derived state, but storing them
-        # moves the hot-path bulk of a worker's working set into the
-        # archive itself: an mmap load shares these pages across every
-        # process on the box instead of rebuilding a private copy each.
-        # They are verified bit-for-bit against the rebuild on load, so a
-        # corrupt file cannot smuggle in wrong counts.  Stored only for
-        # pristine trees, same as the flat arrays (one coherent format-v2
-        # payload).
-        arrays[_KERNEL_MIPS] = index.mip_tidset_matrix
-        arrays[_KERNEL_ITEMS] = index.table.item_matrix()[0]
+    arrays = {
+        _FLAT_PREFIX + key: arr
+        for key, arr in index.flat_rtree.to_arrays().items()
+    }
+    # The packed kernel matrices are derived state, but storing them
+    # moves the hot-path bulk of a worker's working set into the
+    # archive itself: an mmap load shares these pages across every
+    # process on the box instead of rebuilding a private copy each.
+    # They are verified bit-for-bit against the rebuild on load, so a
+    # corrupt file cannot smuggle in wrong counts.
+    arrays[_KERNEL_MIPS] = index.mip_tidset_matrix
+    arrays[_KERNEL_ITEMS] = index.table.item_matrix()[0]
     path.parent.mkdir(parents=True, exist_ok=True)
     savez = np.savez_compressed if compress else np.savez
     savez(
@@ -189,13 +171,14 @@ def load_index(
     """Load a MIP-index saved by :func:`save_index`.
 
     Returns the index plus the calibrated weights (``None`` when the file
-    was saved without them).  Derived structures (tidsets, packed R-tree,
-    statistics) are rebuilt; with ``verify="mine"`` (the default) the
-    stored closed itemsets are verified to match a fresh CHARM run so a
-    stale or corrupted file cannot silently produce wrong answers.
-    Format-v2 files additionally carry the flat SoA traversal arrays,
-    which are attached directly (validated structurally) so the reloaded
-    index skips the SoA recompilation; v1 files recompile on load.
+    was saved without them).  Derived structures (tidsets, statistics)
+    are rebuilt; with ``verify="mine"`` (the default) the stored closed
+    itemsets are verified to match a fresh CHARM run so a stale or
+    corrupted file cannot silently produce wrong answers.  Format-v2
+    files additionally carry the packed R-tree's arrays, which become the
+    index's tree once verified against the rebuilt MIPs (every leaf entry
+    is its MIP's box and global count, every internal entry the aggregate
+    of its child node); v1 files pack a fresh tree on load.
 
     ``verify="stored"`` skips the re-mine: MIP tidsets are reconstructed
     by intersecting the item tidsets of each *stored* itemset, and then
@@ -209,7 +192,7 @@ def load_index(
     small fraction of the mmap-shared archive.
 
     ``mmap_mode="r"`` (or ``"c"``, copy-on-write) opens the big members —
-    the table's cell matrix, the flat SoA traversal arrays, and the
+    the table's cell matrix, the R-tree level arrays, and the
     packed kernel matrices — as read-only memory maps into the archive
     itself instead of decompressing each into a fresh heap copy: a mapped
     load is zero-copy, pages in on demand, and N processes mapping the
@@ -286,17 +269,25 @@ def load_index(
             closed = _reconstruct_closed(
                 table, items, offsets, float(meta["primary_support"]), path
             )
-        index = build_mip_index(
-            table,
-            primary_support=float(meta["primary_support"]),
-            max_entries=int(meta["max_entries"]),
-            compile_flat=not flat_arrays,
-            closed=closed,
-        )
+        max_entries = int(meta["max_entries"])
+        try:
+            index = build_mip_index(
+                table,
+                primary_support=float(meta["primary_support"]),
+                max_entries=max_entries,
+                closed=closed,
+                rtree=(
+                    SupportedRTree(FlatRTree.from_arrays(flat_arrays), max_entries)
+                    if flat_arrays
+                    else None
+                ),
+            )
+        except IndexError_ as exc:
+            raise DataError(
+                f"{path}: corrupt flat R-tree arrays: {exc}"
+            ) from exc
         if verify == "mine":
             _verify_itemsets(index, items, offsets, path)
-        if flat_arrays:
-            _attach_flat(index, flat_arrays, path)
         _attach_kernels(index, archive, member, path)
     finally:
         if zf is not None:
@@ -411,42 +402,6 @@ def _mmap_npz_member(
         shape=shape,
         order="F" if fortran else "C",
     )
-
-
-def _attach_flat(
-    index: MIPIndex, arrays: dict[str, np.ndarray], path: Path
-) -> None:
-    """Rebuild the stored flat traversal form against the reloaded MIPs.
-
-    The stored ``payload_rows`` map each leaf slot to a MIP row; since the
-    packed pointer tree and the MIP enumeration are deterministic functions
-    of the (verified) table, attaching the stored compile is equivalent to
-    recompiling — without walking the object graph again.  The attached
-    tree is *payload-first*: no leaf :class:`~repro.rtree.node.Entry`
-    objects are rebuilt here (``search_hits`` serves straight from the
-    arrays; entries materialize lazily only for the legacy per-entry
-    search).
-    """
-    try:
-        rows = np.asarray(arrays.pop("payload_rows"), dtype=np.int64)
-    except KeyError:
-        raise DataError(f"{path}: flat arrays lack their payload map")
-    n_mips = index.n_mips
-    if (
-        len(rows) != n_mips
-        or (n_mips and (rows.min() < 0 or rows.max() >= n_mips))
-        or len(np.unique(rows)) != len(rows)
-    ):
-        raise DataError(
-            f"{path}: flat payload map is not a bijection onto the "
-            f"{n_mips} rebuilt MIPs"
-        )
-    try:
-        index.rtree.flat = FlatRTree.from_arrays(
-            arrays, [index.mips[int(r)] for r in rows]
-        )
-    except IndexError_ as exc:
-        raise DataError(f"{path}: corrupt flat R-tree arrays: {exc}") from exc
 
 
 def delta_sidecar_path(path: str | Path) -> Path:

@@ -18,8 +18,7 @@ import numpy as np
 from repro.core.mip import MIP
 from repro.dataset.schema import Item
 from repro.kernels import and_count, popcount_rows
-from repro.rtree.node import Node
-from repro.rtree.rtree import LevelStat, RTree
+from repro.rtree.flat import LevelStat
 from repro.rtree.supported import SupportedRTree
 
 __all__ = ["LevelCountProfile", "IndexStatistics"]
@@ -141,8 +140,7 @@ def gather_statistics(
 ) -> IndexStatistics:
     """Collect all statistics in one offline pass over index and MIPs.
 
-    ``tree`` answers the level profile from its compiled flat form when
-    that is current.  ``mip_matrix`` is the packed ``(n_mips, words)``
+    ``mip_matrix`` is the packed ``(n_mips, words)``
     MIP-tidset matrix the index keeps for ELIMINATE; ``item_matrix`` the
     table's packed item matrix with its row lookup
     (:meth:`RelationalTable.item_matrix`, rows in item sort order).  The
@@ -208,7 +206,10 @@ def gather_statistics(
         n_mips=n_mips,
         avg_box_extents=avg_extents,
         level_stats=tuple(tree.level_stats()),
-        level_counts=tuple(_level_count_profiles(tree.tree)),
+        level_counts=tuple(
+            LevelCountProfile(level, counts)
+            for level, counts in enumerate(tree.level_max_counts())
+        ),
         sorted_global_counts=np.sort(global_counts),
         length_histogram=histogram,
         attr_fix_prob=fix_prob,
@@ -220,17 +221,3 @@ def gather_statistics(
         global_f1=global_f1,
         global_pair_density=global_pair_density,
     )
-
-
-def _level_count_profiles(tree: RTree) -> list[LevelCountProfile]:
-    per_level: dict[int, list[int]] = {}
-    stack: list[Node] = [tree.root]
-    while stack:
-        node = stack.pop()
-        per_level.setdefault(node.level, []).append(node.max_count())
-        if not node.is_leaf:
-            stack.extend(e.child for e in node.entries)  # type: ignore[misc]
-    return [
-        LevelCountProfile(level, np.sort(np.asarray(counts, dtype=np.int64)))
-        for level, counts in sorted(per_level.items())
-    ]

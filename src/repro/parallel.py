@@ -280,21 +280,11 @@ def _w_search(
     """
     tree = _WORKER_TREES.get(prefix)
     if tree is None:
-        shape = _WORKER_ARRAYS[prefix + "shape"]
-        arrays = {
+        tree = _WORKER_TREES[prefix] = FlatRTree.from_arrays({
             key[len(prefix):]: arr
             for key, arr in _WORKER_ARRAYS.items()
-            if key.startswith(prefix) and key != prefix + "payload_rows"
-        }
-        n_levels = int(shape[1])
-        payload_rows = _WORKER_ARRAYS[prefix + "payload_rows"]
-        tree = FlatRTree.from_arrays(
-            arrays,
-            payloads=[None] * len(payload_rows),
-            payload_rows=payload_rows,
-        )
-        assert tree.height == n_levels
-        _WORKER_TREES[prefix] = tree
+            if key.startswith(prefix)
+        })
     hits = tree.search_hits(Rect(q_lo, q_hi), min_count=min_count)
     return (
         hits.rows.astype(np.int64, copy=False).tobytes(),
@@ -542,7 +532,7 @@ class ParallelContext:
     """The engine's handle on sharded execution for one MIP-index.
 
     Registers the index's kernel matrices (MIP tidsets, item tidsets) and
-    the compiled flat R-tree's per-level SoA arrays in shared memory,
+    the R-tree's per-level SoA arrays in shared memory,
     owns the worker pool, and serves the operator-facing sharded ops with
     break-even gating and serial fallback.  Created by
     ``Colarm.configure(parallel=...)``; explicitly opt-in.
@@ -558,12 +548,8 @@ class ParallelContext:
             _KEY_MIPS: index.mip_tidset_matrix,
             _KEY_ITEMS: matrix,
         }
-        flat = index.rtree.flat if index.rtree.flat_is_current() else None
-        if flat is not None:
-            for key, arr in flat.to_arrays().items():
-                arrays[_KEY_RTREE + key] = arr
-            arrays[_KEY_RTREE + "payload_rows"] = flat.payload_rows
-        self._has_tree = flat is not None
+        for key, arr in index.flat_rtree.to_arrays().items():
+            arrays[_KEY_RTREE + key] = arr
         self.executor = ShardedExecutor(arrays, self.config)
         #: Median per-task dispatch overhead, measured on the live pool.
         self.dispatch_s = self.executor.measure_dispatch_overhead()
@@ -697,11 +683,10 @@ class ParallelContext:
     def search_remote(self, query: Rect, min_count: int | None = None):
         """Worker-served SUPPORTED-SEARCH over the shared flat R-tree.
 
-        ``None`` when no current compiled tree was registered or the pool
-        is down; otherwise ``(rows, counts, nodes_visited)`` identical to
-        the parent-side traversal.
+        ``None`` when the pool is down; otherwise ``(rows, counts,
+        nodes_visited)`` identical to the parent-side traversal.
         """
-        if not self._has_tree or not self.available:
+        if not self.available:
             return None
         try:
             return self.executor.search(_KEY_RTREE, query, min_count)

@@ -1,13 +1,10 @@
-"""R-tree substrate: geometry, dynamic/packed trees, supported filter, costs."""
+"""R-tree substrate: geometry, the packed flat tree, supported filter, costs."""
 
 from repro.rtree.costmodel import expected_leaf_matches, expected_node_accesses
-from repro.rtree.flat import FlatLevel, FlatRTree
+from repro.rtree.flat import FlatLevel, FlatRTree, LevelStat
 from repro.rtree.geometry import Rect, mbr_of
 from repro.rtree.hilbert import bits_needed, hilbert_index, hilbert_indices
-from repro.rtree.node import Entry, Node
-from repro.rtree.packing import pack_hilbert, pack_str
-from repro.rtree.rstar import RStarTree
-from repro.rtree.rtree import LevelStat, RTree, SearchResult
+from repro.rtree.packing import pack_hilbert
 from repro.rtree.supported import SupportedRTree
 
 __all__ = [
@@ -16,16 +13,10 @@ __all__ = [
     "hilbert_index",
     "hilbert_indices",
     "bits_needed",
-    "Entry",
-    "Node",
     "FlatLevel",
     "FlatRTree",
-    "RTree",
-    "RStarTree",
-    "SearchResult",
     "LevelStat",
     "pack_hilbert",
-    "pack_str",
     "SupportedRTree",
     "expected_node_accesses",
     "expected_leaf_matches",

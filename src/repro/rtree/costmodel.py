@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import DataError
-from repro.rtree.rtree import LevelStat
+from repro.rtree.flat import LevelStat
 
 __all__ = ["expected_node_accesses", "expected_leaf_matches"]
 

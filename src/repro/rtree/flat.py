@@ -1,45 +1,39 @@
-"""Flat structure-of-arrays R-tree: contiguous layout + vectorized traversal.
+"""The R-tree: per-level structure-of-arrays layout + vectorized traversal.
 
-The pointer :class:`~repro.rtree.rtree.RTree` answers a window query by
-descending a Python object graph one :class:`~repro.rtree.node.Entry` at a
-time — after the PR-1 kernel layer this pointer-chasing became the dominant
-online cost of the MIP-side plans (~55% of chess query time; ROADMAP).
-This module compiles any *built* tree (dynamic or Hilbert/STR-packed) into
-structure-of-arrays form and replaces the per-entry loop with **vectorized
-frontier expansion**:
+COLARM's index (Section 4.3) is a *packed* R-tree: built once offline over
+the full set of MIP bounding boxes and never inserted into — every
+mutation of the system goes through the main+delta store, and a fold is a
+fresh pack.  So the tree is one immutable data format, produced by
+:mod:`repro.rtree.packing` and read by a **vectorized frontier
+expansion**:
 
 * per level, the entries of all nodes live in contiguous numpy arrays —
   ``lows[n_entries, n_dims]``, ``highs``, ``counts`` — grouped by owning
   node through a CSR-style ``node_offsets`` array;
 * a window query keeps a *frontier* of node indices per level; one batched
   interval-overlap test (``all(q_lo <= highs) & all(lows <= q_hi)``) plus
-  one batched ``counts >= min_count`` mask replaces the Python loop over
-  the frontier's entries;
+  one batched ``counts >= min_count`` mask decides every entry of the
+  frontier's nodes at once;
 * the child of entry ``j`` at an internal level is node ``j`` of the level
-  below (the **child-order invariant**: the compiler enumerates each
-  level's nodes in parent-entry order), so no explicit child-pointer array
-  is needed and the matched-entry index vector *is* the next frontier.
+  below (the **child-order invariant**), so no child-pointer array is
+  needed and the matched-entry index vector *is* the next frontier;
+* an internal entry's box and count are the MBR and the maximum count of
+  the node beneath it (Lemma 4.4 makes that count an upper bound on every
+  local support in the subtree, which is what lets ``min_count`` prune
+  whole subtrees).
 
-``nodes_visited`` is exact, not estimated: the pointer search pops the
-root plus every internal entry that passes both filters, so the flat
-traversal returns ``1 + sum(matched internal entries per level)`` — byte-
-identical to :meth:`RTree.search` on every query (asserted by the property
-suite), keeping the R-tree cost model (:mod:`repro.rtree.costmodel`) and
-its calibration pricing the same unit.
+``nodes_visited`` is exact, not estimated — a recursive descent reads the
+root plus the child of every internal entry that passes both filters, so
+the traversal returns ``1 + sum(matched internal entries per level)`` —
+and is the unit the R-tree cost model (:mod:`repro.rtree.costmodel`) and
+its calibration price.
 
-Since the array-native pipeline (PR 5) the leaf level is *payload-first*:
-the compiled tree stores a payload table plus cached ``payload_rows`` /
-global-count arrays, and :meth:`search_hits` returns a :class:`FlatHits`
-bundle of contiguous arrays (leaf slots, payload rows, global counts)
-instead of rebuilding :class:`Entry` objects per query.  The per-entry
-:meth:`search` contract is kept for the pointer-parity property tests and
-builds its ``Entry`` list lazily from the same slot vector.
-
-The compiled form is a snapshot: it records the source tree's mutation
-counter, and :class:`~repro.rtree.supported.SupportedRTree` falls back to
-the pointer tree whenever the counters diverge (inserts/deletes), so a
-stale compile can never serve wrong hits.  The arrays round-trip through
-:mod:`repro.core.persistence` so reloaded indexes skip recompilation.
+The leaf payload is one int64 vector, ``payload_rows``: leaf slot ``j``
+indexes input box ``payload_rows[j]`` (a MIP row).  The arrays round-trip
+through :mod:`repro.core.persistence` (:meth:`FlatRTree.to_arrays` /
+:meth:`FlatRTree.from_arrays`), so a reloaded index searches the stored
+tree itself; :meth:`FlatRTree.verify` is the loader's proof that a stored
+tree indexes exactly the boxes it is attached to.
 """
 
 from __future__ import annotations
@@ -51,22 +45,35 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.rtree.geometry import Rect
-from repro.rtree.node import Entry, Node
-from repro.rtree.rtree import RTree, SearchResult
 
-__all__ = ["FlatHits", "FlatLevel", "FlatRTree"]
+__all__ = [
+    "DEFAULT_MAX_ENTRIES",
+    "FlatHits",
+    "FlatLevel",
+    "FlatRTree",
+    "LevelStat",
+]
+
+DEFAULT_MAX_ENTRIES = 8
+
+
+@dataclass(frozen=True)
+class LevelStat:
+    """Aggregate statistics of one tree level, consumed by the cost model."""
+
+    level: int
+    n_nodes: int
+    avg_extents: tuple[float, ...]  # average MBR extent per dimension, in cells
 
 
 @dataclass(frozen=True)
 class FlatHits:
-    """Array-native result of a flat window search.
+    """Array-native result of a window search.
 
-    The payload-array counterpart of :class:`~repro.rtree.rtree.SearchResult`:
     ``slots`` are leaf-table indices (leaf-array order), ``rows`` the
-    payloads' index rows (``payload.row``; ``-1`` for payloads without one)
-    and ``counts`` the entries' global support counts.  ``nodes_visited``
-    is byte-identical to the pointer traversal's, so the R-tree cost model
-    prices both paths in the same unit.
+    indexed boxes' input rows (MIP ids) and ``counts`` their global support
+    counts.  ``nodes_visited`` is the exact number of nodes the traversal
+    read — the unit the R-tree cost model prices.
     """
 
     slots: np.ndarray          # (k,) intp — leaf-table slot per hit
@@ -86,7 +93,7 @@ class FlatLevel:
     ``node_offsets[i] : node_offsets[i + 1]``; ``lows``/``highs``/``counts``
     are per-entry.  For internal levels, entry ``j`` parents node ``j`` of
     the level below (child-order invariant); for the leaf level, entry
-    ``j`` maps to slot ``j`` of the owning tree's leaf payload table.
+    ``j`` is slot ``j`` of the owning tree's ``payload_rows``.
     """
 
     node_offsets: np.ndarray  # (n_nodes + 1,) intp, CSR over entries
@@ -101,6 +108,20 @@ class FlatLevel:
     @property
     def n_entries(self) -> int:
         return len(self.counts)
+
+    def node_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node MBR ``(lows, highs)``: segment min/max of its entries."""
+        starts = self.node_offsets[:-1]
+        return (
+            np.minimum.reduceat(self.lows, starts, axis=0),
+            np.maximum.reduceat(self.highs, starts, axis=0),
+        )
+
+    def node_max_counts(self) -> np.ndarray:
+        """Per-node maximum entry count (0 for the empty tree's root)."""
+        if not self.n_entries:
+            return np.zeros(self.n_nodes, dtype=np.int64)
+        return np.maximum.reduceat(self.counts, self.node_offsets[:-1])
 
 
 def _gather_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -126,34 +147,24 @@ def _gather_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 class FlatRTree:
-    """A compiled, immutable SoA snapshot of a built :class:`RTree`."""
+    """An immutable packed R-tree over integer cell boxes."""
 
     def __init__(
         self,
         n_dims: int,
         levels: Sequence[FlatLevel],
-        leaf_entries: Sequence[Entry] | None = None,
-        source_mutations: int = 0,
-        *,
-        payloads: Sequence[object] | None = None,
+        payload_rows: np.ndarray,
     ):
-        """Build from either materialized ``leaf_entries`` (the compiler
-        path) or a bare ``payloads`` table (the persistence path — leaf
-        :class:`Entry` objects are then built lazily, only if a caller
-        still asks for the per-entry :meth:`search` contract)."""
         if not levels:
-            raise IndexError_("a flat R-tree needs at least the leaf level")
-        if (leaf_entries is None) == (payloads is None):
+            raise IndexError_("an R-tree needs at least the leaf level")
+        if levels[-1].n_entries != len(payload_rows):
             raise IndexError_(
-                "exactly one of leaf_entries / payloads must be given"
+                f"leaf level has {levels[-1].n_entries} entries but "
+                f"payload_rows holds {len(payload_rows)}"
             )
-        n_leaf = levels[-1].n_entries
-        table = leaf_entries if leaf_entries is not None else payloads
-        assert table is not None
-        if n_leaf != len(table):
+        if levels[0].n_nodes != 1:
             raise IndexError_(
-                f"leaf level has {n_leaf} entries but the "
-                f"payload table holds {len(table)}"
+                f"the top level holds {levels[0].n_nodes} nodes, not one root"
             )
         for upper, lower in zip(levels, levels[1:]):
             if upper.n_entries != lower.n_nodes:
@@ -164,97 +175,7 @@ class FlatRTree:
                 )
         self.n_dims = n_dims
         self.levels = tuple(levels)       # root level first, leaf level last
-        if leaf_entries is not None:
-            self._leaf_entries: list[Entry] | None = list(leaf_entries)
-            self.payloads: list[object] = [e.payload for e in leaf_entries]
-        else:
-            self._leaf_entries = None
-            self.payloads = list(payloads)  # type: ignore[arg-type]
-        self._payload_rows: np.ndarray | None = None
-        self.source_mutations = source_mutations
-
-    @property
-    def leaf_entries(self) -> list[Entry]:
-        """The materialized leaf :class:`Entry` table (built lazily).
-
-        Persistence-loaded trees never pay this unless a caller still uses
-        the per-entry :meth:`search`; the array-native pipeline goes
-        through :meth:`search_hits` and the bare payload table instead.
-        """
-        if self._leaf_entries is None:
-            leaf = self.levels[-1]
-            self._leaf_entries = [
-                Entry(
-                    rect=Rect(
-                        tuple(int(v) for v in leaf.lows[j]),
-                        tuple(int(v) for v in leaf.highs[j]),
-                    ),
-                    payload=self.payloads[j],
-                    count=int(leaf.counts[j]),
-                )
-                for j in range(leaf.n_entries)
-            ]
-        return self._leaf_entries
-
-    @property
-    def payload_rows(self) -> np.ndarray:
-        """Per-leaf-slot payload row ids (``payload.row``; ``-1`` if absent).
-
-        One contiguous int64 vector, built once: :meth:`search_hits`
-        answers every query with a gather from this array instead of a
-        Python attribute walk over hit payloads.
-        """
-        if self._payload_rows is None:
-            rows = np.fromiter(
-                (getattr(p, "row", -1) for p in self.payloads),
-                dtype=np.int64,
-                count=len(self.payloads),
-            )
-            rows.setflags(write=False)
-            self._payload_rows = rows
-        return self._payload_rows
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_rtree(cls, tree: RTree) -> "FlatRTree":
-        """Compile a built pointer tree (dynamic or packed) level by level."""
-        levels: list[FlatLevel] = []
-        current: list[Node] = [tree.root]
-        leaf_entries: list[Entry] = []
-        while True:
-            level_no = current[0].level
-            if any(node.level != level_no for node in current):
-                raise IndexError_("tree is not level-balanced; cannot compile")
-            node_offsets = np.empty(len(current) + 1, dtype=np.intp)
-            node_offsets[0] = 0
-            entries: list[Entry] = []
-            for i, node in enumerate(current):
-                entries.extend(node.entries)
-                node_offsets[i + 1] = len(entries)
-            n = len(entries)
-            lows = np.empty((n, tree.n_dims), dtype=np.int64)
-            highs = np.empty((n, tree.n_dims), dtype=np.int64)
-            counts = np.empty(n, dtype=np.int64)
-            for j, entry in enumerate(entries):
-                lows[j] = entry.rect.lows
-                highs[j] = entry.rect.highs
-                counts[j] = entry.count
-            for arr in (node_offsets, lows, highs, counts):
-                arr.setflags(write=False)
-            levels.append(FlatLevel(node_offsets, lows, highs, counts))
-            if level_no == 0:
-                leaf_entries = entries
-                break
-            # Child-order invariant: enumerate the next level's nodes in
-            # parent-entry order, so entry j parents node j below.
-            current = [e.child for e in entries]  # type: ignore[misc]
-        return cls(
-            n_dims=tree.n_dims,
-            levels=levels,
-            leaf_entries=leaf_entries,
-            source_mutations=tree.mutations,
-        )
+        self.payload_rows = payload_rows  # (len(self),) int64
 
     # -- introspection -----------------------------------------------------
 
@@ -263,26 +184,70 @@ class FlatRTree:
 
     @property
     def height(self) -> int:
+        """Number of levels (1 for a tree that is a single leaf)."""
         return len(self.levels)
 
     def nbytes(self) -> int:
-        """Total array payload of the compiled form (layout footprint)."""
+        """Total array payload of the level arrays (layout footprint)."""
         return sum(
             int(lv.node_offsets.nbytes + lv.lows.nbytes
                 + lv.highs.nbytes + lv.counts.nbytes)
             for lv in self.levels
         )
 
+    def verify(
+        self, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Raise unless this tree indexes exactly the given boxes.
+
+        Leaf slot ``j`` must hold box ``payload_rows[j]`` with its count,
+        every input box must sit in exactly one slot, and every internal
+        entry must carry the MBR and maximum count of the node beneath it —
+        together the conditions under which a window search returns exactly
+        the overlapping (and, with ``min_count``, sufficiently supported)
+        input boxes.  Structure alone does not show that: a tree whose
+        counts were zeroed is well-formed and silently prunes everything.
+        """
+        rows = self.payload_rows
+        n = len(counts)
+        if (
+            len(rows) != n
+            or (n and (rows.min() < 0 or rows.max() >= n))
+            or len(np.unique(rows)) != n
+        ):
+            raise IndexError_(
+                f"payload_rows is not a bijection onto the {n} indexed boxes"
+            )
+        leaf = self.levels[-1]
+        if not (
+            np.array_equal(leaf.lows, lows[rows])
+            and np.array_equal(leaf.highs, highs[rows])
+            and np.array_equal(leaf.counts, counts[rows])
+        ):
+            raise IndexError_("leaf entries disagree with the indexed boxes")
+        for depth in range(self.height - 1):
+            upper, lower = self.levels[depth], self.levels[depth + 1]
+            node_lows, node_highs = lower.node_boxes()
+            if not (
+                np.array_equal(upper.lows, node_lows)
+                and np.array_equal(upper.highs, node_highs)
+                and np.array_equal(upper.counts, lower.node_max_counts())
+            ):
+                raise IndexError_(
+                    f"level {depth} entries are not the aggregates of "
+                    "their child nodes"
+                )
+
     # -- search ------------------------------------------------------------
 
-    def _matched_leaf_slots(
-        self, query: Rect, min_count: int | None
-    ) -> tuple[np.ndarray, int]:
-        """Shared frontier traversal: matched leaf slots + exact node count.
+    def search_hits(self, query: Rect, min_count: int | None = None) -> FlatHits:
+        """All indexed boxes intersecting ``query``, as contiguous arrays.
 
-        ``nodes_visited`` equals the pointer traversal's: the root plus one
-        per internal entry that passes the overlap test (and, with
-        ``min_count``, the supported filter of Lemma 4.4).
+        With ``min_count`` set, entries whose count falls below it are
+        skipped and their subtrees never descended — the SUPPORTED-SEARCH
+        filter: an entry's count upper-bounds the local support of
+        everything beneath it (Lemma 4.4), so pruned subtrees cannot
+        contain qualifying itemsets.
         """
         if query.n_dims != self.n_dims:
             raise IndexError_(
@@ -292,49 +257,24 @@ class FlatRTree:
         q_hi = np.asarray(query.highs, dtype=np.int64)
         visited = 1  # the root is always read
         frontier = np.zeros(1, dtype=np.intp)
-        last = len(self.levels) - 1
-        for depth, level in enumerate(self.levels):
+        for level in self.levels:
             cand = _gather_ranges(
                 level.node_offsets[frontier], level.node_offsets[frontier + 1]
             )
             if cand.size == 0:
-                return np.empty(0, dtype=np.intp), visited
+                slots = cand
+                break
             mask = np.logical_and(
                 (level.lows[cand] <= q_hi).all(axis=1),
                 (q_lo <= level.highs[cand]).all(axis=1),
             )
             if min_count is not None:
                 mask &= level.counts[cand] >= min_count
-            matched = cand[mask]
-            if depth == last:
-                return matched, visited
-            # Every matched internal entry's child is pushed — and later
-            # popped — by the pointer search, hence counted as visited.
-            visited += int(matched.size)
-            frontier = matched
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def search(self, query: Rect, min_count: int | None = None) -> SearchResult:
-        """Vectorized window search; same contract as :meth:`RTree.search`.
-
-        Returns the same hit set and the *exact same* ``nodes_visited`` as
-        the pointer traversal.  Hits are returned in leaf-array order,
-        which may differ from the pointer tree's stack order; no caller
-        depends on hit order.
-        """
-        slots, visited = self._matched_leaf_slots(query, min_count)
-        entries = self.leaf_entries
-        return SearchResult([entries[j] for j in slots.tolist()], visited)
-
-    def search_hits(self, query: Rect, min_count: int | None = None) -> FlatHits:
-        """Array-native window search: payload rows and counts, no Entries.
-
-        Same hit set and ``nodes_visited`` as :meth:`search`, but the
-        result stays in contiguous arrays — leaf slots, payload rows (MIP
-        ids) and global counts — so the operator pipeline can carry
-        candidates without materializing one :class:`Entry` per hit.
-        """
-        slots, visited = self._matched_leaf_slots(query, min_count)
+            slots = cand[mask]
+            if level is not self.levels[-1]:
+                # The child of every matched internal entry is read next.
+                visited += int(slots.size)
+                frontier = slots
         return FlatHits(
             slots=slots,
             rows=self.payload_rows[slots],
@@ -345,14 +285,10 @@ class FlatRTree:
     # -- persistence -------------------------------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """The compiled arrays as a flat mapping (``.npz``-ready).
-
-        Payloads are *not* serialized here — the caller owns the payload
-        table and rebuilds :class:`Entry` objects on load (persistence
-        stores the MIP row per leaf slot).
-        """
+        """The tree as a flat mapping of arrays (``.npz``-ready)."""
         out: dict[str, np.ndarray] = {
             "shape": np.asarray([self.n_dims, len(self.levels)], dtype=np.int64),
+            "payload_rows": self.payload_rows,
         }
         for i, level in enumerate(self.levels):
             out[f"offsets_{i}"] = np.asarray(level.node_offsets, dtype=np.int64)
@@ -362,29 +298,17 @@ class FlatRTree:
         return out
 
     @classmethod
-    def from_arrays(
-        cls,
-        arrays: Mapping[str, np.ndarray],
-        payloads: Sequence[object],
-        payload_rows: np.ndarray | None = None,
-    ) -> "FlatRTree":
-        """Rebuild a compiled tree from :meth:`to_arrays` output.
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "FlatRTree":
+        """Rebuild a tree from :meth:`to_arrays` output, zero-copy.
 
-        ``payloads[j]`` becomes the payload of leaf slot ``j``.  Leaf
-        :class:`Entry` objects are *not* rebuilt here: the loaded tree is
-        payload-first and serves :meth:`search_hits` straight from the
-        stored arrays, materializing entries lazily only if a caller still
-        uses :meth:`search`.  Structural invariants (CSR monotonicity,
-        child-order cardinalities) are re-validated so a corrupted file
-        fails loudly.
-
-        ``payload_rows`` optionally installs the per-slot row vector
-        directly (shard workers pass the shared-memory array so the
-        rebuilt view stays zero-copy and payload objects never exist);
-        when omitted it is derived lazily from ``payloads`` as usual.
+        Structural invariants (shapes, CSR offsets covering every entry
+        with no empty node, child-order cardinalities) are re-validated so
+        a corrupted file fails loudly; whether the arrays index the right
+        boxes is :meth:`verify`'s question.
         """
         try:
             n_dims, n_levels = (int(x) for x in arrays["shape"])
+            payload_rows = np.asarray(arrays["payload_rows"], dtype=np.int64)
         except KeyError as exc:
             raise IndexError_(f"flat arrays missing field {exc}") from exc
         if n_levels < 1:
@@ -403,7 +327,8 @@ class FlatRTree:
                 len(offsets) < 2
                 or offsets[0] != 0
                 or offsets[-1] != n
-                or np.any(np.diff(offsets) < 0)
+                # Only the empty tree's lone root may own no entries.
+                or (np.any(np.diff(offsets) <= 0) and (n or n_levels > 1))
                 or lows.shape != (n, n_dims)
                 or highs.shape != (n, n_dims)
             ):
@@ -411,18 +336,5 @@ class FlatRTree:
             for arr in (offsets, lows, highs, counts):
                 arr.setflags(write=False)
             levels.append(FlatLevel(offsets, lows, highs, counts))
-        tree = cls(
-            n_dims=n_dims,
-            levels=levels,
-            payloads=payloads,
-            source_mutations=0,  # matches a freshly packed source tree
-        )
-        if payload_rows is not None:
-            rows = np.asarray(payload_rows, dtype=np.int64)
-            if len(rows) != len(tree.payloads):
-                raise IndexError_(
-                    f"payload_rows has {len(rows)} slots for "
-                    f"{len(tree.payloads)} payloads"
-                )
-            tree._payload_rows = rows
-        return tree
+        payload_rows.setflags(write=False)
+        return cls(n_dims=n_dims, levels=levels, payload_rows=payload_rows)

@@ -10,170 +10,85 @@ subtrees* that cannot qualify, without any record-level work.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
-from repro.rtree.flat import FlatHits, FlatRTree
+from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatHits, FlatRTree, LevelStat
 from repro.rtree.geometry import Rect
-from repro.rtree.packing import pack_hilbert, pack_str
-from repro.rtree.rtree import DEFAULT_MAX_ENTRIES, LevelStat, RTree, SearchResult
+from repro.rtree.packing import pack_hilbert
 
 __all__ = ["SupportedRTree"]
 
 
-@dataclass
 class SupportedRTree:
-    """Support-annotated packed R-tree with a plain and a filtered search.
+    """Support-annotated packed R-tree with a plain and a filtered search."""
 
-    Both search entry points transparently use the compiled flat SoA form
-    (:class:`~repro.rtree.flat.FlatRTree`) when one is attached *and still
-    current* (same mutation counter as the pointer tree); otherwise they
-    fall back to the pointer traversal.  The two paths return the same hit
-    set and byte-identical ``nodes_visited``, so the cost model stays
-    calibrated regardless of which one answered.
-    """
-
-    tree: RTree
-    counts: np.ndarray  # sorted global support counts of all indexed boxes
-    flat: FlatRTree | None = None  # compiled SoA snapshot (may be stale)
+    def __init__(self, flat: FlatRTree, max_entries: int):
+        self.flat = flat
+        self.max_entries = max_entries  # the fan-out the tree was packed at
+        #: Sorted global support counts of all indexed boxes.
+        self.counts = np.sort(flat.levels[-1].counts)
 
     @classmethod
     def build(
         cls,
-        n_dims: int,
-        items: Sequence[tuple[Rect, Any, int]],
+        lows: np.ndarray,
+        highs: np.ndarray,
+        counts: np.ndarray,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        method: str = "hilbert",
-        compile_flat: bool = True,
     ) -> "SupportedRTree":
-        """Pack ``(box, payload, global_count)`` triples into a supported R-tree.
+        """Pack ``(N, d)`` box corners with their ``(N,)`` global counts.
 
-        ``method`` selects the bulk-loading order: ``"hilbert"`` (Kamel &
-        Faloutsos, the paper's choice) or ``"str"``.  With ``compile_flat``
-        (the default) the flat SoA traversal form is compiled right after
-        packing; pass ``False`` when the caller will attach a persisted
-        compile instead (:mod:`repro.core.persistence`).
+        Bulk-loaded in Hilbert order (Kamel & Faloutsos, the paper's
+        choice); a hit's ``rows`` entry is the box's input position.
         """
-        packer = pack_hilbert if method == "hilbert" else pack_str
-        tree = packer(n_dims, items, max_entries=max_entries)
-        counts = np.sort(np.asarray([count for _, _, count in items], dtype=np.int64))
-        built = cls(tree=tree, counts=counts)
-        if compile_flat:
-            built.compile_flat()
-        return built
-
-    # -- flat SoA snapshot management --------------------------------------
-
-    def compile_flat(self) -> FlatRTree:
-        """(Re)compile the flat traversal form from the pointer tree."""
-        self.flat = FlatRTree.from_rtree(self.tree)
-        return self.flat
-
-    def invalidate_flat(self) -> None:
-        """Drop the compiled form (searches fall back to the pointer tree)."""
-        self.flat = None
-
-    def flat_is_current(self) -> bool:
-        """Whether the compiled form matches the pointer tree's state."""
-        return (
-            self.flat is not None
-            and self.flat.source_mutations == self.tree.mutations
-        )
+        return cls(pack_hilbert(lows, highs, counts, max_entries), max_entries)
 
     def __len__(self) -> int:
-        return len(self.tree)
+        return len(self.flat)
 
     @property
     def height(self) -> int:
-        return self.tree.height
+        return self.flat.height
 
     def level_stats(self) -> list[LevelStat]:
-        """Per-level node counts and average MBR extents (cost-model input).
-
-        When a *current* compiled form is attached the stats come from one
-        vectorized ``reduceat`` pass per level over the flat CSR arrays
-        (node MBR = segment min/max of its entries' boxes) instead of the
-        Python pointer walk; both paths return identical values — nodes
-        with no entries are skipped exactly as the pointer walk skips them.
-        """
-        if self.flat_is_current():
-            return self._level_stats_flat()
-        return self.tree.level_stats()
-
-    def _level_stats_flat(self) -> list[LevelStat]:
-        assert self.flat is not None
-        stats: list[LevelStat] = []
-        height = self.flat.height
-        # Flat levels are root-first; pointer levels number leaf=0 upward.
-        for depth, lv in enumerate(self.flat.levels):
-            offsets = np.asarray(lv.node_offsets)
-            lens = np.diff(offsets)
-            nonempty = lens > 0
-            n_nodes = int(nonempty.sum())
-            if n_nodes == 0:
-                continue
-            starts = offsets[:-1][nonempty]
-            # Segment min/max over each node's entry slice: the node MBR.
-            node_lows = np.minimum.reduceat(lv.lows, starts, axis=0)
-            node_highs = np.maximum.reduceat(lv.highs, starts, axis=0)
-            # reduceat folds each start up to the next *start* — with the
-            # empty segments dropped above, that is exactly each surviving
-            # node's slice (trailing entries of removed empty nodes cannot
-            # exist: an empty node contributes no entries).
-            extents = node_highs - node_lows + 1
+        """Per-level node counts and average MBR extents, leaf level first
+        (cost-model input).  The empty tree has no boxes to average."""
+        if not len(self):
+            return []
+        stats = []
+        for level, lv in enumerate(reversed(self.flat.levels)):
+            node_lows, node_highs = lv.node_boxes()
+            extents = (node_highs - node_lows + 1).mean(axis=0, dtype=np.float64)
             stats.append(
                 LevelStat(
-                    level=height - 1 - depth,
-                    n_nodes=n_nodes,
-                    avg_extents=tuple(
-                        float(x) for x in extents.mean(axis=0, dtype=np.float64)
-                    ),
+                    level=level,
+                    n_nodes=lv.n_nodes,
+                    avg_extents=tuple(float(x) for x in extents),
                 )
             )
-        stats.sort(key=lambda s: s.level)
         return stats
 
-    def search(self, query: Rect) -> SearchResult:
-        """Plain window search — the basic SEARCH operator."""
-        if self.flat_is_current():
-            return self.flat.search(query)
-        return self.tree.search(query)
-
-    def search_supported(self, query: Rect, min_count: int) -> SearchResult:
-        """Window search with the support filter — SUPPORTED-SEARCH.
-
-        Only entries with global count >= ``min_count`` are returned;
-        subtrees whose maximum count falls short are never descended.
-        """
-        if self.flat_is_current():
-            return self.flat.search(query, min_count=min_count)
-        return self.tree.search(query, min_count=min_count)
+    def level_max_counts(self) -> list[np.ndarray]:
+        """Sorted maximum subtree count of every node, per level, leaf
+        level first — the fraction of a level's nodes surviving the
+        supported filter at any threshold is one binary search away."""
+        return [
+            np.sort(lv.node_max_counts()) for lv in reversed(self.flat.levels)
+        ]
 
     def search_arrays(
         self, query: Rect, min_count: int | None = None
-    ) -> FlatHits | None:
-        """Array-native window search, or ``None`` when it cannot be served.
+    ) -> FlatHits:
+        """Window search — SEARCH, or SUPPORTED-SEARCH with ``min_count``.
 
-        Returns :class:`~repro.rtree.flat.FlatHits` (leaf slots, payload
-        rows, global counts) straight from the compiled arrays.  A stale or
-        missing compile returns ``None`` — never arrays from a diverged
-        snapshot — and the caller falls back to the per-entry search; the
-        staleness guard is property-tested on the payload path.
+        With ``min_count`` only entries with global count >= ``min_count``
+        are returned; subtrees whose maximum count falls short are never
+        descended.
         """
-        if not self.flat_is_current():
-            return None
-        assert self.flat is not None
         return self.flat.search_hits(query, min_count=min_count)
 
     def fraction_with_count_at_least(self, min_count: int) -> float:
-        """Fraction of indexed boxes whose global count reaches ``min_count``.
-
-        A precomputed index statistic (sorted count array + binary search)
-        used by the cost model to estimate SUPPORTED-SEARCH selectivity.
-        """
+        """Fraction of indexed boxes whose global count reaches ``min_count``."""
         if len(self.counts) == 0:
             return 0.0
         idx = int(np.searchsorted(self.counts, min_count, side="left"))

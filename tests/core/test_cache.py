@@ -167,23 +167,21 @@ def test_generation_invalidation(index):
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     cache.put_rules(query, rules)
-    index.rtree.tree.mutations += 1
+    index.bump_generation()
     try:
         assert cache.probe(query).kind is None
         assert cache.stats.stale_drops == 1
         assert cache.stats.current_bytes == 0
         # A stale pre-mutation snapshot is refused at insert time too.
         assert not cache.put_rules(
-            query, rules, generation=index.rtree.tree.mutations - 1
+            query, rules, generation=index.generation - 1
         )
         assert cache.stats.stale_drops == 2
         # A current-generation insert works again.
-        assert cache.put_rules(
-            query, rules, generation=index.rtree.tree.mutations
-        )
+        assert cache.put_rules(query, rules, generation=index.generation)
         assert cache.get_rules(query) == rules
     finally:
-        index.rtree.tree.mutations -= 1
+        index.clock.ticks -= 1  # the fixture is shared
 
 
 def test_invalidate_clears_everything(index):
@@ -689,12 +687,12 @@ def test_load_refuses_generation_mismatch(index, tmp_path):
     cache, _ = populated_cache(index)
     path = tmp_path / "warm.cache.npz"
     save_cache(cache, path)
-    index.rtree.tree.mutations += 1
+    index.bump_generation()
     try:
         with pytest.raises(DataError, match="generation"):
             load_cache(path, index)
     finally:
-        index.rtree.tree.mutations -= 1
+        index.clock.ticks -= 1  # the fixture is shared
     assert len(load_cache(path, index)) == len(cache)
 
 

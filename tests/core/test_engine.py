@@ -114,7 +114,7 @@ def test_query_rechooses_stale_choice():
     query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
     choice = engine.choose_plan(query)
     assert choice.generation == engine.index.generation
-    engine.index.rtree.tree.mutations += 1  # simulate index maintenance
+    engine.index.bump_generation()  # simulate index maintenance
     outcome = engine.query(query, choice=choice)
     assert outcome.choice is not choice  # stale generation: re-chosen
     assert outcome.choice.generation == engine.index.generation

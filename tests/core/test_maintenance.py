@@ -148,8 +148,6 @@ def test_append_bumps_generation(maintained):
     assert g1 > g0
     mx.delete([0])
     assert mx.generation > g1
-    # ...without knocking queries off the flat R-tree fast path.
-    assert mx.flat_rtree_current
 
 
 def test_cache_staleness_append_between_populate_and_probe():
@@ -375,32 +373,21 @@ def test_service_ingest_is_serialized_with_queries():
 
 
 def test_flat_form_tracks_index_lifecycle(maintained):
-    """The maintained index's hull searches use the flat traversal while
-    current, fall back (never stale) after direct R-tree mutations, and a
-    rebuild's fresh index carries a fresh compile."""
+    """Delta mutations leave the main index's packed R-tree alone, and a
+    rebuild's fresh index carries a fresh tree over exactly its own MIPs."""
     from repro.rtree.geometry import Rect
 
     _, mx = maintained
-    assert mx.flat_rtree_current
-    before = rule_key(mx.query(QUERY))
-
-    # Mutate the pointer tree directly: flat goes stale, answers unchanged.
-    tree = mx.index.rtree.tree
-    mip = mx.index.mips[0]
-    assert tree.delete(mip.box, mip)
-    tree.insert(mip.box, mip, count=mip.global_count)
-    assert not mx.flat_rtree_current
-    assert rule_key(mx.query(QUERY)) == before
-
-    # Explicit recompile restores the vectorized path, same answers.
-    mx.index.recompile_flat()
-    assert mx.flat_rtree_current
-    assert rule_key(mx.query(QUERY)) == before
-
-    # A rebuild produces a new index whose flat form is compiled and
-    # current out of the box.
+    tree = mx.index.flat_rtree
     mx.append(make_new_records(5, seed=77))
+    mx.delete([0])
+    assert mx.index.flat_rtree is tree
+
     mx.rebuild()
-    assert mx.flat_rtree_current
+    assert mx.index.flat_rtree is not tree
     full = Rect.full_domain(mx.index.cardinalities)
-    assert len(mx.index.rtree.search(full).entries) == mx.index.n_mips
+    hits = mx.index.rtree.search_arrays(full)
+    assert sorted(hits.rows.tolist()) == list(range(mx.index.n_mips))
+    assert hits.counts.tolist() == [
+        mx.index.mips[r].global_count for r in hits.rows.tolist()
+    ]

@@ -1,10 +1,12 @@
 """The isolated online-mining operators against brute-force ground truth."""
 
+import numpy as np
 import pytest
 
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index
 from repro.core.operators import (
+    QualifiedArray,
     make_context,
     op_arm,
     op_eliminate,
@@ -154,10 +156,10 @@ def test_supported_verify_equals_eliminate_verify(setup):
 def test_union_merges(setup):
     _, index, query = setup
     ctx = make_context(index, query)
-    a = [(index.mips[0], 5)]
-    b = [(index.mips[1], 7)]
+    a = QualifiedArray(index, np.asarray([0]), np.asarray([5]))
+    b = QualifiedArray(index, np.asarray([1]), np.asarray([7]))
     merged = op_union(ctx, a, b)
-    assert merged == a + b
+    assert list(merged) == [(index.mips[0], 5), (index.mips[1], 7)]
     assert ctx.trace.by_name("UNION").output_size == 2
 
 

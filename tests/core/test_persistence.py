@@ -11,6 +11,7 @@ from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError
+from repro.rtree.geometry import Rect
 from tests.conftest import make_random_table
 
 
@@ -101,62 +102,83 @@ def test_load_detects_itemset_mismatch(index, tmp_path):
             load_index(path)
 
 
+def _tree_arrays(index):
+    return {k: np.asarray(v) for k, v in index.flat_rtree.to_arrays().items()}
+
+
+def _assert_same_tree(a, b):
+    """Byte-for-byte the same level arrays, statistics and search answers."""
+    arrays_a, arrays_b = _tree_arrays(a), _tree_arrays(b)
+    assert list(arrays_a) == list(arrays_b)
+    for key in arrays_a:
+        assert arrays_a[key].dtype == arrays_b[key].dtype, key
+        assert np.array_equal(arrays_a[key], arrays_b[key]), key
+    assert a.stats.level_stats == b.stats.level_stats
+    assert [(p.level, p.sorted_max_counts.tolist()) for p in a.stats.level_counts] \
+        == [(p.level, p.sorted_max_counts.tolist()) for p in b.stats.level_counts]
+    hull = Rect.full_domain(a.cardinalities)
+    for min_count in (None, 2, 10**9):
+        x = a.rtree.search_arrays(hull, min_count=min_count)
+        y = b.rtree.search_arrays(hull, min_count=min_count)
+        assert x.nodes_visited == y.nodes_visited
+        assert np.array_equal(x.rows, y.rows)
+        assert np.array_equal(x.counts, y.counts)
+
+
 def test_roundtrip_attaches_stored_flat_form(index, tmp_path):
-    """v2 files carry the compiled flat R-tree; loading skips recompile
-    and the attached form answers searches identically to a fresh one."""
+    """v2 files carry the packed R-tree; the loaded index searches the
+    stored arrays themselves, identical to the tree that was saved."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
     archive = np.load(path)
     assert any(k.startswith("flat_") for k in archive.files)
     loaded, _ = load_index(path)
-    assert loaded.flat_rtree is not None
-    assert loaded.rtree.flat_is_current()
-    fresh = loaded.recompile_flat()  # reference compile from pointer tree
-    stored, _ = load_index(path)
-    hull = loaded.rtree.tree.root.mbr()
-    for min_count in (None, 2, 10**9):
-        a = fresh.search(hull, min_count=min_count)
-        b = stored.flat_rtree.search(hull, min_count=min_count)
-        assert sorted(e.payload.itemset for e in a.entries) == \
-            sorted(e.payload.itemset for e in b.entries)
-        assert a.nodes_visited == b.nodes_visited
+    _assert_same_tree(index, loaded)
+    assert loaded.rtree.max_entries == index.rtree.max_entries
+    for key, arr in _tree_arrays(loaded).items():
+        assert np.array_equal(arr, archive["flat_" + key]), key
+
+
+@pytest.mark.parametrize("verify", ["mine", "stored"])
+def test_v2_load_never_packs(index, tmp_path, monkeypatch, verify):
+    """A format-v2 load adopts the stored tree: no Hilbert keying, no
+    packing — so the statistics describe the tree that is searched."""
+    path = tmp_path / "t.colarm.npz"
+    save_index(index, path)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a v2 load must not key or pack")
+
+    monkeypatch.setattr("repro.rtree.packing.hilbert_indices", boom)
+    monkeypatch.setattr("repro.rtree.supported.pack_hilbert", boom)
+    loaded, _ = load_index(path, verify=verify)
+    _assert_same_tree(index, loaded)
 
 
 def test_roundtrip_payload_first_no_entry_rebuild(index, tmp_path):
-    """v2 files round-trip the payload arrays: the load path attaches the
-    flat form without materializing leaf Entry objects, and the array
-    search serves rows/counts identical to a fresh compile."""
+    """v2 files round-trip the leaf payload as one row vector, a bijection
+    onto the MIP rows that the loaded tree serves hits through."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
     archive = np.load(path)
     assert "flat_payload_rows" in archive.files
     stored_rows = archive["flat_payload_rows"]
+    assert stored_rows.dtype == np.int64
     assert sorted(stored_rows.tolist()) == list(range(index.n_mips))
 
     loaded, _ = load_index(path)
     flat = loaded.flat_rtree
-    assert flat is not None
-    # Entry-free attach: the lazy table has not been built by loading.
-    assert flat._leaf_entries is None
-    fresh = loaded.recompile_flat()
-    hull = loaded.rtree.tree.root.mbr()
-    stored_again, _ = load_index(path)
-    flat = stored_again.flat_rtree
-    for min_count in (None, 2, 10**9):
-        a = fresh.search_hits(hull, min_count=min_count)
-        b = flat.search_hits(hull, min_count=min_count)
-        assert a.nodes_visited == b.nodes_visited
-        assert sorted(zip(a.rows.tolist(), a.counts.tolist())) == \
-            sorted(zip(b.rows.tolist(), b.counts.tolist()))
-    # search_hits never forced Entry materialization either.
-    assert flat._leaf_entries is None
-    # The payload table maps slots to the reloaded MIPs per the stored rows.
-    assert [p.row for p in flat.payloads] == stored_rows.tolist()
+    assert flat.payload_rows.tolist() == stored_rows.tolist()
+    hits = flat.search_hits(Rect.full_domain(loaded.cardinalities))
+    assert np.array_equal(hits.rows, stored_rows[hits.slots])
+    assert hits.counts.tolist() == [
+        loaded.mips[r].global_count for r in hits.rows.tolist()
+    ]
 
 
 def test_load_v1_file_recompiles_flat(index, tmp_path):
-    """A legacy v1 archive (no flat arrays) still loads; the flat form is
-    compiled on load instead of attached."""
+    """A legacy v1 archive (no R-tree arrays) still loads; the tree is
+    packed on load instead of adopted, and comes out the same."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
     archive = dict(np.load(path))
@@ -166,7 +188,7 @@ def test_load_v1_file_recompiles_flat(index, tmp_path):
     stripped["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **stripped)
     loaded, _ = load_index(path)
-    assert loaded.flat_rtree is not None and loaded.rtree.flat_is_current()
+    _assert_same_tree(index, loaded)
     assert [m.itemset for m in loaded.mips] == [m.itemset for m in index.mips]
 
 
@@ -188,7 +210,7 @@ def test_load_detects_corrupt_flat_arrays(index, tmp_path):
     # Missing payload map entirely.
     tampered = {k: v for k, v in archive.items() if k != "flat_payload_rows"}
     np.savez(path, **tampered)
-    with pytest.raises(DataError, match="payload map"):
+    with pytest.raises(DataError, match="payload_rows"):
         load_index(path)
 
     # Inconsistent CSR offsets.
@@ -201,6 +223,51 @@ def test_load_detects_corrupt_flat_arrays(index, tmp_path):
     np.savez(path, **tampered)
     with pytest.raises(DataError, match="corrupt flat"):
         load_index(path)
+
+
+def _zero(arr):
+    arr[:] = 0
+
+
+def _flip_bit(arr):
+    arr[len(arr) // 2] ^= 1 << 3
+
+
+def _shrink(arr):
+    arr[np.unravel_index(np.argmax(arr), arr.shape)] -= 1
+
+
+def _swap_ends(arr):
+    arr[[0, -1]] = arr[[-1, 0]]
+
+
+@pytest.mark.parametrize("member,damage", [
+    ("flat_counts_0", _zero),          # the root prunes every supported search
+    ("flat_counts_{leaf}", _zero),
+    ("flat_counts_{leaf}", _flip_bit),
+    ("flat_counts_0", _flip_bit),
+    ("flat_highs_0", _shrink),         # a subtree's box no longer covers it
+    ("flat_highs_{leaf}", _shrink),
+    ("flat_payload_rows", _swap_ends),  # hits would name the wrong MIPs
+])
+def test_load_refuses_a_well_formed_wrong_tree(index, tmp_path, member, damage):
+    """Arrays that pass every structural check but are not the tree of the
+    index's MIPs — zeroed or bit-flipped counts, a shrunken box, a permuted
+    payload map — used to load and silently lose hits; they must fail."""
+    path = tmp_path / "t.colarm.npz"
+    save_index(index, path, compress=False)
+    archive = dict(np.load(path))
+    leaf = int(archive["flat_shape"][1]) - 1
+    assert leaf >= 1  # the damaged root is an internal level
+    key = member.format(leaf=leaf)
+    arr = archive[key].copy()
+    damage(arr)
+    assert not np.array_equal(arr, archive[key])
+    archive[key] = arr
+    np.savez(path, **archive)
+    for verify in ("mine", "stored"):
+        with pytest.raises(DataError, match="corrupt flat"):
+            load_index(path, verify=verify)
 
 
 def test_mmap_load_zero_copy_and_identical(index, tmp_path):
@@ -220,13 +287,9 @@ def test_mmap_load_zero_copy_and_identical(index, tmp_path):
         return False
 
     assert all(is_mapped(level.lows) for level in flat.levels)
+    assert is_mapped(flat.payload_rows)
     eager, _ = load_index(path)
-    hull = eager.rtree.tree.root.mbr()
-    for min_count in (None, 2):
-        a = eager.flat_rtree.search_hits(hull, min_count=min_count)
-        b = flat.search_hits(hull, min_count=min_count)
-        assert np.array_equal(a.rows, b.rows)
-        assert np.array_equal(a.counts, b.counts)
+    _assert_same_tree(eager, loaded)
 
 
 def test_mmap_load_compressed_falls_back_to_copy(index, tmp_path):
@@ -243,7 +306,7 @@ def test_mmap_load_compressed_falls_back_to_copy(index, tmp_path):
     assert not any(
         isinstance(level.lows, np.memmap) for level in flat.levels
     )
-    assert loaded.rtree.flat_is_current()
+    _assert_same_tree(index, loaded)
 
 
 def test_mmap_load_rejects_writable_modes(index, tmp_path):

@@ -11,7 +11,10 @@ from repro.core.stats import LevelCountProfile
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
 from repro.dataset.table import RelationalTable
+from repro.rtree.flat import LevelStat
 from tests.conftest import make_random_table
+from tests.rtree import reference
+from tests.rtree.test_rtree import oracle_tree
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +190,33 @@ def scalar_statistics(index):
     counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     out["mip_global_counts"] = counts
     out["sorted_global_counts"] = np.sort(counts)
-    out["level_stats"] = tuple(index.rtree.tree.level_stats())
+    out["level_stats"] = tuple(
+        LevelStat(
+            level,
+            len(nodes),
+            tuple(
+                sum(max(h[d] for _, h, _ in node) - min(l[d] for l, _, _ in node)
+                    + 1 for node in nodes) / len(nodes)
+                for d in range(n_dims)
+            ),
+        )
+        for level, nodes in enumerate(_oracle_levels(index))
+        if mips
+    )
     return out
+
+
+def _oracle_levels(index):
+    """The R-tree's nodes per level, leaf level first, from the test
+    oracle packed over the MIP boxes: each node a list of ``(lows, highs,
+    count)`` entries."""
+    items = [(m.box, m.row, m.global_count) for m in index.mips]
+    arrays = reference.level_arrays(*oracle_tree(items, index.rtree.max_entries))
+    return [
+        [list(zip(lows[a:b], highs[a:b], counts[a:b]))
+         for a, b in zip(offsets, offsets[1:])]
+        for offsets, lows, highs, counts in reversed(arrays)
+    ]
 
 
 def _constant_table(n_records=10):
@@ -237,3 +265,10 @@ def test_kernel_statistics_equal_scalar_loops(case):
             assert list(got.items()) == list(want.items()), name
         else:
             assert got == want, name
+    # The supported filter's per-level profile: every node's maximum count.
+    assert [(p.level, p.sorted_max_counts.tolist()) for p in stats.level_counts] \
+        == [
+            (level, sorted(max([c for _, _, c in node], default=0)
+                           for node in nodes))
+            for level, nodes in enumerate(_oracle_levels(index))
+        ]

@@ -109,9 +109,8 @@ def test_mutation_and_invalidation_interleavings_never_serve_stale(scenario):
     cache = engine.cache
     for op, arg in ops:
         if op == "mutate":
-            # The generation token is the R-tree mutation counter; bumping
-            # it models any structural index maintenance.
-            engine.index.rtree.tree.mutations += 1
+            # Bumping the generation token models any index maintenance.
+            engine.index.bump_generation()
         elif op == "invalidate":
             cache.invalidate()
             assert len(cache) == 0 and cache.stats.current_bytes == 0

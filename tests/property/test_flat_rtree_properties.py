@@ -1,8 +1,8 @@
-"""Property tests: the flat SoA traversal is bit-equivalent to the pointer
-tree — same hit set *and the same exact* ``nodes_visited`` — for dynamic
-and packed trees, all window/``min_count`` combinations, and degenerate
-(empty / single-box) inputs; and a stale compile is never served after
-inserts/deletes."""
+"""Property tests: the flat SoA traversal is bit-equivalent to the test
+oracle's recursive descent over the same packed boxes — same hit set *and
+the same exact* ``nodes_visited`` — for all window/``min_count``
+combinations and degenerate (empty / single-box) inputs, and every level's
+arrays equal the oracle's, before and after an array round-trip."""
 
 import random
 
@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.rtree.flat import FlatRTree
 from repro.rtree.geometry import Rect
-from repro.rtree.packing import pack_hilbert, pack_str
-from repro.rtree.rtree import RTree
-from repro.rtree.supported import SupportedRTree
+from repro.rtree.packing import pack_hilbert
+from tests.rtree import reference
+from tests.rtree.test_rtree import as_arrays, assert_matches_oracle, oracle_tree
 
 CARDS = (6, 5, 7)
 
@@ -41,117 +41,32 @@ def rect_sets(draw):
     return items, queries
 
 
-def assert_flat_equivalent(tree, flat, query, min_count):
-    """Same hits and byte-identical nodes_visited on both layouts."""
-    for mc in (None, min_count):
-        pointer = tree.search(query, min_count=mc)
-        vector = flat.search(query, min_count=mc)
-        assert sorted(e.payload for e in pointer.entries) == \
-            sorted(e.payload for e in vector.entries)
-        assert pointer.nodes_visited == vector.nodes_visited
-
-
-@settings(max_examples=30, deadline=None)
-@given(rect_sets(), st.sampled_from(["hilbert", "str"]), st.sampled_from([3, 8]))
-def test_flat_matches_packed_pointer_tree(data, method, max_entries):
-    items, queries = data
-    packer = pack_hilbert if method == "hilbert" else pack_str
-    tree = packer(3, items, max_entries=max_entries)
-    flat = FlatRTree.from_rtree(tree)
-    for query, mc in queries:
-        assert_flat_equivalent(tree, flat, query, mc)
+def assert_flat_equivalent(tree, oracle, queries):
+    """Oracle-equal level arrays; same hits and byte-identical
+    nodes_visited with and without the supported filter."""
+    assert [
+        (lv.node_offsets.tolist(), lv.lows.tolist(), lv.highs.tolist(),
+         lv.counts.tolist())
+        for lv in tree.levels
+    ] == reference.level_arrays(*oracle)
+    for query, min_count in queries:
+        for mc in (None, min_count):
+            assert_matches_oracle(tree, oracle, query, mc)
 
 
 @settings(max_examples=30, deadline=None)
 @given(rect_sets(), st.sampled_from([3, 8]))
-def test_flat_matches_dynamic_pointer_tree(data, max_entries):
+def test_flat_matches_packed_pointer_tree(data, max_entries):
     items, queries = data
-    tree = RTree(n_dims=3, max_entries=max_entries)
-    for rect, pid, cnt in items:
-        tree.insert(rect, pid, cnt)
-    flat = FlatRTree.from_rtree(tree)
-    for query, mc in queries:
-        assert_flat_equivalent(tree, flat, query, mc)
+    tree = pack_hilbert(*as_arrays(items), max_entries=max_entries)
+    assert_flat_equivalent(tree, oracle_tree(items, max_entries), queries)
+    tree.verify(*as_arrays(items))
 
 
 @settings(max_examples=25, deadline=None)
 @given(rect_sets())
 def test_flat_array_round_trip_preserves_search(data):
     items, queries = data
-    tree = pack_hilbert(3, items, max_entries=8)
-    flat = FlatRTree.from_rtree(tree)
-    rebuilt = FlatRTree.from_arrays(
-        flat.to_arrays(), [e.payload for e in flat.leaf_entries]
-    )
-    for query, mc in queries:
-        assert_flat_equivalent(tree, rebuilt, query, mc)
-
-
-@settings(max_examples=20, deadline=None)
-@given(rect_sets(), st.integers(min_value=0, max_value=2**31))
-def test_mutations_never_serve_stale_flat_hits(data, seed):
-    """After any insert/delete sequence, SupportedRTree search results
-    equal a brute-force scan — the stale compile is bypassed, and a
-    recompile re-enables the flat path with identical answers."""
-    items, queries = data
-    rng = random.Random(seed)
-    sup = SupportedRTree.build(3, items, max_entries=4)
-    live = dict()
-    for rect, pid, cnt in items:
-        live[pid] = (rect, cnt)
-
-    # Random mutation burst against the pointer tree underneath the compile.
-    for step in range(rng.randrange(1, 6)):
-        if live and rng.random() < 0.4:
-            pid = rng.choice(sorted(live))
-            rect, _cnt = live.pop(pid)
-            assert sup.tree.delete(rect, pid)
-        else:
-            pid = 1000 + step
-            lows = tuple(rng.randrange(c) for c in CARDS)
-            rect = Rect.point(lows)
-            cnt = rng.randrange(1, 40)
-            sup.tree.insert(rect, pid, cnt)
-            live[pid] = (rect, cnt)
-    assert not sup.flat_is_current()
-
-    def brute(query, mc=None):
-        return sorted(
-            pid for pid, (rect, cnt) in live.items()
-            if rect.intersects(query) and (mc is None or cnt >= mc)
-        )
-
-    for query, mc in queries:
-        assert sorted(
-            e.payload for e in sup.search(query).entries
-        ) == brute(query)
-        assert sorted(
-            e.payload for e in sup.search_supported(query, mc).entries
-        ) == brute(query, mc)
-        # The payload-array path must refuse to answer from the stale
-        # compile — never arrays from a diverged snapshot.
-        assert sup.search_arrays(query) is None
-        assert sup.search_arrays(query, min_count=mc) is None
-
-    # Recompile: flat path returns, answers unchanged.
-    sup.compile_flat()
-    assert sup.flat_is_current()
-    for query, mc in queries:
-        assert sorted(
-            e.payload for e in sup.search(query).entries
-        ) == brute(query)
-        assert sorted(
-            e.payload for e in sup.search_supported(query, mc).entries
-        ) == brute(query, mc)
-        # Payload arrays are served again and agree with the brute-force
-        # scan: slots resolve to the live payloads with their counts.
-        for eff_mc in (None, mc):
-            hits = sup.search_arrays(query, min_count=eff_mc)
-            assert hits is not None
-            got = sorted(
-                (sup.flat.payloads[int(slot)], int(cnt))
-                for slot, cnt in zip(hits.slots, hits.counts)
-            )
-            assert got == sorted(
-                (pid, live[pid][1]) for pid in brute(query, eff_mc)
-            )
+    tree = pack_hilbert(*as_arrays(items), max_entries=8)
+    rebuilt = FlatRTree.from_arrays(tree.to_arrays())
+    assert_flat_equivalent(rebuilt, oracle_tree(items, 8), queries)

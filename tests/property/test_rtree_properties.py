@@ -1,4 +1,4 @@
-"""Property tests: R-tree variants agree with brute-force range search."""
+"""Property tests: the packed R-tree agrees with brute-force range search."""
 
 import random
 
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtree.geometry import Rect
-from repro.rtree.packing import pack_hilbert, pack_str
-from repro.rtree.rtree import RTree
+from repro.rtree.packing import pack_hilbert
+from tests.rtree.test_rtree import as_arrays, brute
 
 CARDS = (6, 5, 7)
 
@@ -34,53 +34,13 @@ def rect_sets(draw):
     return items, queries
 
 
-def brute(items, query, min_count=None):
-    return sorted(
-        pid for rect, pid, cnt in items
-        if rect.intersects(query) and (min_count is None or cnt >= min_count)
-    )
-
-
 @settings(max_examples=30, deadline=None)
-@given(rect_sets(), st.sampled_from([3, 8]))
-def test_dynamic_tree_matches_brute_force(data, max_entries):
+@given(rect_sets(), st.sampled_from([2, 8]))
+def test_packed_tree_matches_brute_force(data, max_entries):
     items, queries = data
-    tree = RTree(n_dims=3, max_entries=max_entries)
-    for rect, pid, cnt in items:
-        tree.insert(rect, pid, cnt)
+    tree = pack_hilbert(*as_arrays(items), max_entries=max_entries)
     for query, mc in queries:
-        assert sorted(e.payload for e in tree.search(query).entries) == \
+        assert sorted(tree.search_hits(query).rows.tolist()) == \
             brute(items, query)
-        assert sorted(
-            e.payload for e in tree.search(query, min_count=mc).entries
-        ) == brute(items, query, mc)
-
-
-@settings(max_examples=30, deadline=None)
-@given(rect_sets(), st.sampled_from(["hilbert", "str"]))
-def test_packed_tree_matches_brute_force(data, method):
-    items, queries = data
-    packer = pack_hilbert if method == "hilbert" else pack_str
-    tree = packer(3, items, max_entries=8)
-    for query, mc in queries:
-        assert sorted(e.payload for e in tree.search(query).entries) == \
-            brute(items, query)
-        assert sorted(
-            e.payload for e in tree.search(query, min_count=mc).entries
-        ) == brute(items, query, mc)
-
-
-@settings(max_examples=20, deadline=None)
-@given(rect_sets())
-def test_insert_then_delete_half(data):
-    items, queries = data
-    tree = RTree(n_dims=3, max_entries=4)
-    for rect, pid, cnt in items:
-        tree.insert(rect, pid, cnt)
-    keep = items[len(items) // 2:]
-    for rect, pid, _ in items[: len(items) // 2]:
-        assert tree.delete(rect, pid)
-    assert len(tree) == len(keep)
-    for query, _ in queries:
-        assert sorted(e.payload for e in tree.search(query).entries) == \
-            brute(keep, query)
+        assert sorted(tree.search_hits(query, min_count=mc).rows.tolist()) == \
+            brute(items, query, mc)

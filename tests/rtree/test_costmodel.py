@@ -6,9 +6,9 @@ import pytest
 
 from repro.errors import DataError
 from repro.rtree.costmodel import expected_leaf_matches, expected_node_accesses
-from repro.rtree.packing import pack_hilbert
-from repro.rtree.rtree import LevelStat
-from tests.rtree.test_rtree import random_items
+from repro.rtree.flat import LevelStat
+from repro.rtree.supported import SupportedRTree
+from tests.rtree.test_rtree import as_arrays, random_items, random_query
 
 
 def test_empty_stats():
@@ -46,16 +46,15 @@ def test_matches_measured_accesses_roughly():
     """The model should land within ~3x of measured node accesses."""
     rng = random.Random(2)
     items = random_items(rng, 500)
-    tree = pack_hilbert(3, items, max_entries=8)
+    tree = SupportedRTree.build(*as_arrays(items), max_entries=8)
     stats = tree.level_stats()
     cards = (8, 6, 10)
-    from tests.rtree.test_rtree import random_query
 
     total_est = total_meas = 0.0
     for _ in range(50):
         q = random_query(rng)
         total_est += expected_node_accesses(stats, q.extents(), cards)
-        total_meas += tree.search(q).nodes_visited
+        total_meas += tree.search_arrays(q).nodes_visited
     ratio = total_est / total_meas
     assert 1 / 3 < ratio < 3, ratio
 

@@ -1,4 +1,4 @@
-"""Unit tests of the flat SoA R-tree: compile, search, staleness, arrays."""
+"""Unit tests of the flat SoA R-tree: search, array round-trip, validation."""
 
 import random
 
@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexError_
-from repro.rtree.flat import FlatRTree, _gather_ranges
+from repro.rtree.flat import FlatLevel, FlatRTree, _gather_ranges
 from repro.rtree.geometry import Rect
-from repro.rtree.packing import pack_hilbert, pack_str
-from repro.rtree.rtree import RTree
-from repro.rtree.supported import SupportedRTree
+from repro.rtree.packing import pack_hilbert
+from tests.rtree import reference
+from tests.rtree.test_rtree import (
+    as_arrays,
+    assert_matches_oracle,
+    oracle_items,
+    oracle_tree,
+)
 
 CARDS = (6, 5, 7)
+FULL = Rect((0, 0, 0), tuple(c - 1 for c in CARDS))
 
 
 def make_items(rng, n):
@@ -37,64 +43,32 @@ def make_queries(rng, n=8):
     return queries
 
 
-def assert_equivalent(tree, flat, query, min_count):
-    a = tree.search(query, min_count=min_count)
-    b = flat.search(query, min_count=min_count)
-    assert sorted(e.payload for e in a.entries) == \
-        sorted(e.payload for e in b.entries)
-    assert a.nodes_visited == b.nodes_visited
-
-
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_compile_packed_tree_equivalence(packer):
     rng = random.Random(11)
     items = make_items(rng, 100)
-    tree = packer(3, items, max_entries=8)
-    flat = FlatRTree.from_rtree(tree)
-    assert len(flat) == len(tree)
-    assert flat.height == tree.height
+    tree = packer(*as_arrays(items), max_entries=8)
+    oracle = oracle_tree(items, 8)
+    assert len(tree) == len(items)
+    assert tree.height == oracle[1]
     for query, mc in make_queries(rng):
-        assert_equivalent(tree, flat, query, mc)
-
-
-def test_compile_dynamic_tree_equivalence():
-    rng = random.Random(5)
-    items = make_items(rng, 80)
-    tree = RTree(n_dims=3, max_entries=4)
-    for rect, pid, cnt in items:
-        tree.insert(rect, pid, cnt)
-    flat = FlatRTree.from_rtree(tree)
-    for query, mc in make_queries(rng):
-        assert_equivalent(tree, flat, query, mc)
+        assert_matches_oracle(tree, oracle, query, mc)
 
 
 def test_empty_and_single_node_trees():
-    empty = RTree(n_dims=3)
-    flat = FlatRTree.from_rtree(empty)
-    result = flat.search(Rect((0, 0, 0), (5, 4, 6)))
-    assert result.entries == [] and result.nodes_visited == 1
-    assert empty.search(Rect((0, 0, 0), (5, 4, 6))).nodes_visited == 1
+    empty = pack_hilbert(*as_arrays([]))
+    hits = assert_matches_oracle(empty, oracle_tree([], 8), FULL)
+    assert len(hits) == 0 and hits.nodes_visited == 1
 
-    one = RTree(n_dims=3)
-    one.insert(Rect.point((1, 2, 3)), "p", count=7)
-    flat = FlatRTree.from_rtree(one)
-    hit = flat.search(Rect((0, 0, 0), (5, 4, 6)))
-    assert [e.payload for e in hit.entries] == ["p"]
+    items = [(Rect.point((1, 2, 3)), 0, 7)]
+    one = pack_hilbert(*as_arrays(items))
+    oracle = oracle_tree(items, 8)
+    hit = assert_matches_oracle(one, oracle, FULL)
+    assert hit.rows.tolist() == [0] and hit.counts.tolist() == [7]
     assert hit.nodes_visited == 1
-    assert flat.search(Rect((0, 0, 0), (5, 4, 6)), min_count=8).entries == []
-    miss = flat.search(Rect.point((0, 0, 0)))
-    assert miss.entries == [] and miss.nodes_visited == 1
-
-
-def test_flat_returns_same_entry_objects():
-    """Hits are the pointer tree's own Entry objects (payload identity)."""
-    rng = random.Random(3)
-    items = make_items(rng, 40)
-    tree = pack_hilbert(3, items, max_entries=8)
-    flat = FlatRTree.from_rtree(tree)
-    query = Rect((0, 0, 0), tuple(c - 1 for c in CARDS))
-    pointer_ids = {id(e) for e in tree.search(query).entries}
-    assert {id(e) for e in flat.search(query).entries} == pointer_ids
+    assert len(assert_matches_oracle(one, oracle, FULL, min_count=8)) == 0
+    miss = assert_matches_oracle(one, oracle, Rect.point((0, 0, 0)))
+    assert len(miss) == 0 and miss.nodes_visited == 1
 
 
 def test_gather_ranges():
@@ -107,158 +81,92 @@ def test_gather_ranges():
 
 
 def test_dimension_mismatch_rejected():
-    tree = pack_hilbert(3, make_items(random.Random(1), 10), max_entries=4)
-    flat = FlatRTree.from_rtree(tree)
+    tree = pack_hilbert(*as_arrays(make_items(random.Random(1), 10)), max_entries=4)
     with pytest.raises(IndexError_):
-        flat.search(Rect((0, 0), (1, 1)))
+        tree.search_hits(Rect((0, 0), (1, 1)))
 
 
 def test_arrays_round_trip():
     rng = random.Random(9)
     items = make_items(rng, 60)
-    tree = pack_hilbert(3, items, max_entries=4)
-    flat = FlatRTree.from_rtree(tree)
-    arrays = flat.to_arrays()
-    rebuilt = FlatRTree.from_arrays(
-        arrays, [e.payload for e in flat.leaf_entries]
-    )
-    assert rebuilt.height == flat.height
-    assert len(rebuilt) == len(flat)
+    tree = pack_hilbert(*as_arrays(items), max_entries=4)
+    rebuilt = FlatRTree.from_arrays(tree.to_arrays())
+    assert rebuilt.height == tree.height
+    assert len(rebuilt) == len(tree)
+    rebuilt.verify(*as_arrays(items))
+    oracle = oracle_tree(items, 4)
     for query, mc in make_queries(rng):
-        a = flat.search(query, min_count=mc)
-        b = rebuilt.search(query, min_count=mc)
-        assert sorted(e.payload for e in a.entries) == \
-            sorted(e.payload for e in b.entries)
-        assert a.nodes_visited == b.nodes_visited
+        assert_matches_oracle(rebuilt, oracle, query, mc)
 
 
 def test_from_arrays_rejects_corruption():
-    tree = pack_hilbert(3, make_items(random.Random(2), 30), max_entries=4)
-    flat = FlatRTree.from_rtree(tree)
-    payloads = [e.payload for e in flat.leaf_entries]
-    good = flat.to_arrays()
+    tree = pack_hilbert(*as_arrays(make_items(random.Random(2), 30)), max_entries=4)
+    good = tree.to_arrays()
+    leaf = f"offsets_{tree.height - 1}"
+
+    def corrupt(**changes):
+        with pytest.raises(IndexError_):
+            FlatRTree.from_arrays({**good, **changes})
 
     missing = dict(good)
     del missing["counts_0"]
     with pytest.raises(IndexError_):
-        FlatRTree.from_arrays(missing, payloads)
+        FlatRTree.from_arrays(missing)
 
-    broken = dict(good)
-    key = f"offsets_{flat.height - 1}"
-    bad = np.array(broken[key])
+    bad = np.array(good[leaf])
     bad[-1] += 1  # CSR no longer covers exactly the entry array
-    broken[key] = bad
-    with pytest.raises(IndexError_):
-        FlatRTree.from_arrays(broken, payloads)
-
-    with pytest.raises(IndexError_):
-        FlatRTree.from_arrays(good, payloads[:-1])  # payload table short
-
-
-def test_supported_tree_uses_flat_and_detects_mutation():
-    """Insert/delete after compile must never serve stale flat hits."""
-    rng = random.Random(21)
-    items = make_items(rng, 50)
-    sup = SupportedRTree.build(3, items, max_entries=4)
-    assert sup.flat_is_current()
-    full = Rect((0, 0, 0), tuple(c - 1 for c in CARDS))
-    assert len(sup.search(full).entries) == 50
-
-    # Mutate the pointer tree directly: the compiled form is now stale.
-    new_rect = Rect.point((2, 2, 2))
-    sup.tree.insert(new_rect, "fresh", count=99)
-    assert not sup.flat_is_current()
-    # Search falls back to the pointer tree and sees the new entry.
-    payloads = [e.payload for e in sup.search(full).entries]
-    assert "fresh" in payloads and len(payloads) == 51
-    assert "fresh" in [
-        e.payload for e in sup.search_supported(full, min_count=50).entries
-    ]
-
-    # Recompile: the flat form is current again and agrees with pointer.
-    sup.compile_flat()
-    assert sup.flat_is_current()
-    assert sorted(map(str, (e.payload for e in sup.search(full).entries))) == \
-        sorted(map(str, payloads))
-
-    # Deletion invalidates too.
-    assert sup.tree.delete(new_rect, "fresh")
-    assert not sup.flat_is_current()
-    assert len(sup.search(full).entries) == 50
-    sup.invalidate_flat()
-    assert sup.flat is None and len(sup.search(full).entries) == 50
+    corrupt(**{leaf: bad})
+    bad = np.array(good[leaf])
+    bad[1] = bad[0]  # a node that owns no entries
+    corrupt(**{leaf: bad})
+    corrupt(payload_rows=good["payload_rows"][:-1])  # payload table short
+    # Two roots: the traversal would only ever read the first.
+    n_root = len(good["counts_0"])
+    corrupt(offsets_0=np.asarray([0, 1, n_root], dtype=np.int64))
 
 
 def test_unbalanced_tree_rejected():
-    """The compiler refuses structurally broken (non-level-balanced) input."""
-    from repro.rtree.node import Entry, Node
-
-    leaf = Node(level=0, entries=[
-        Entry(rect=Rect.point((0, 0, 0)), payload="x", count=1)
-    ])
-    wrong = Node(level=1, entries=[
-        Entry(rect=leaf.mbr(), child=leaf, count=1)
-    ])
-    root = Node(level=2, entries=[
-        Entry(rect=leaf.mbr(), child=leaf, count=1),
-        Entry(rect=wrong.mbr(), child=wrong, count=1),
-    ])
-    tree = RTree(n_dims=3)
-    tree._root = root
+    """Levels that do not chain — some entry has no node beneath it, or a
+    node no entry above — are refused (the child-order invariant)."""
+    tree = pack_hilbert(*as_arrays(make_items(random.Random(4), 30)), max_entries=4)
+    assert tree.height == 3
+    root, _, leaf = tree.levels
     with pytest.raises(IndexError_):
-        FlatRTree.from_rtree(tree)
+        FlatRTree(3, [root, leaf], tree.payload_rows)
+    with pytest.raises(IndexError_):
+        FlatRTree(3, [], tree.payload_rows)
+    lone = FlatLevel(
+        np.asarray([0, 1]), leaf.lows[:1], leaf.highs[:1], leaf.counts[:1]
+    )
+    with pytest.raises(IndexError_):
+        FlatRTree(3, [lone], tree.payload_rows)  # one entry, 30 payload rows
 
 
 def test_search_hits_matches_entry_search():
-    """The payload-array search returns the same hits (slots resolve to the
-    same payloads and counts) and byte-identical nodes_visited."""
+    """The array search returns the oracle's entries — ids and counts — and
+    the exact same ``nodes_visited``."""
     rng = random.Random(31)
     items = make_items(rng, 80)
-    tree = pack_hilbert(3, items, max_entries=6)
-    flat = FlatRTree.from_rtree(tree)
+    tree = pack_hilbert(*as_arrays(items), max_entries=6)
+    oracle = oracle_tree(items, 6)
+    plain = oracle_items(items)
     for query, mc in make_queries(rng):
-        entry_result = flat.search(query, min_count=mc)
-        hits = flat.search_hits(query, min_count=mc)
-        assert len(hits) == len(entry_result.entries)
-        assert hits.nodes_visited == entry_result.nodes_visited
-        assert sorted(
-            (flat.payloads[int(s)], int(c))
-            for s, c in zip(hits.slots, hits.counts)
-        ) == sorted((e.payload, e.count) for e in entry_result.entries)
-        # Integer payloads carry no .row: the row vector reports -1.
-        assert (hits.rows == -1).all()
+        hits = assert_matches_oracle(tree, oracle, query, mc)
+        expected, _ = reference.search(*oracle, query.lows, query.highs, mc)
+        assert sorted(zip(hits.rows.tolist(), hits.counts.tolist())) == \
+            sorted((i, plain[i][2]) for i in expected)
 
 
 def test_search_hits_rows_gather_payload_rows():
-    """Payloads exposing ``.row`` surface their rows as a contiguous vector."""
-
-    class P:
-        def __init__(self, row):
-            self.row = row
-
-    rng = random.Random(32)
-    items = [
-        (rect, P(pid), cnt) for rect, pid, cnt in make_items(rng, 40)
-    ]
-    tree = pack_hilbert(3, items, max_entries=4)
-    flat = FlatRTree.from_rtree(tree)
-    full = Rect((0, 0, 0), tuple(c - 1 for c in CARDS))
-    hits = flat.search_hits(full)
+    """Hit rows are the input positions of the hit boxes, as one int64
+    vector gathered from ``payload_rows``."""
+    items = make_items(random.Random(32), 40)
+    tree = pack_hilbert(*as_arrays(items), max_entries=4)
+    hits = tree.search_hits(FULL)
     assert sorted(hits.rows.tolist()) == list(range(40))
     assert hits.rows.dtype == np.int64
-
-
-def test_search_arrays_refuses_stale_compile():
-    """SupportedRTree.search_arrays returns None the moment the pointer
-    tree diverges from the compile, and serves arrays again after a
-    recompile."""
-    rng = random.Random(33)
-    sup = SupportedRTree.build(3, make_items(rng, 30), max_entries=4)
-    full = Rect((0, 0, 0), tuple(c - 1 for c in CARDS))
-    assert sup.search_arrays(full) is not None
-    sup.tree.insert(Rect.point((1, 1, 1)), "fresh", count=7)
-    assert sup.search_arrays(full) is None
-    assert sup.search_arrays(full, min_count=5) is None
-    sup.compile_flat()
-    hits = sup.search_arrays(full)
-    assert hits is not None and len(hits) == 31
+    assert np.array_equal(hits.rows, tree.payload_rows[hits.slots])
+    lows, highs, counts = as_arrays(items)
+    leaf = tree.levels[-1]
+    assert np.array_equal(leaf.lows[hits.slots], lows[hits.rows])
+    assert np.array_equal(leaf.counts[hits.slots], counts[hits.rows])

@@ -2,110 +2,117 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import IndexError_
 from repro.rtree.geometry import Rect
-from repro.rtree.packing import pack_hilbert, pack_str
-from tests.rtree.test_rtree import brute, random_items, random_query
+from repro.rtree.packing import pack_hilbert
+from tests.rtree import reference
+from tests.rtree.test_rtree import (
+    as_arrays,
+    assert_matches_oracle,
+    brute,
+    oracle_tree,
+    random_items,
+    random_query,
+)
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_search_matches_brute_force(packer):
     rng = random.Random(3)
     items = random_items(rng, 400)
-    tree = packer(3, items, max_entries=8)
+    tree = packer(*as_arrays(items), max_entries=8)
     assert len(tree) == 400
     for _ in range(60):
         q = random_query(rng)
-        got = sorted(e.payload for e in tree.search(q).entries)
-        assert got == brute(items, q)
+        assert sorted(tree.search_hits(q).rows.tolist()) == brute(items, q)
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_utilization(packer):
     """Kamel-Faloutsos packing fills all but the last node at each level."""
     rng = random.Random(4)
-    items = random_items(rng, 256)
-    tree = packer(3, items, max_entries=8)
-    stack = [tree.root]
-    per_level = {}
-    while stack:
-        node = stack.pop()
-        per_level.setdefault(node.level, []).append(len(node.entries))
-        if not node.is_leaf:
-            stack.extend(e.child for e in node.entries)
-    for level, sizes in per_level.items():
-        underfull = [s for s in sizes if s < 8]
-        assert len(underfull) <= 1, (level, sizes)
+    items = random_items(rng, 250)
+    tree = packer(*as_arrays(items), max_entries=8)
+    for level in tree.levels:
+        sizes = np.diff(level.node_offsets)
+        assert (sizes[:-1] == 8).all() and 1 <= sizes[-1] <= 8
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_height_is_minimal(packer):
     rng = random.Random(5)
     items = random_items(rng, 64)
-    tree = packer(3, items, max_entries=8)
+    tree = packer(*as_arrays(items), max_entries=8)
     assert tree.height == 2  # 64 leaves entries / 8 = 8 leaves -> 1 root
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_counts_aggregate(packer):
+    """Every internal entry carries the box and maximum count of its child."""
     rng = random.Random(6)
     items = random_items(rng, 100)
-    tree = packer(3, items, max_entries=8)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        for entry in node.entries:
-            assert entry.count == entry.child.max_count()
-            stack.append(entry.child)
+    tree = packer(*as_arrays(items), max_entries=8)
+    for upper, lower in zip(tree.levels, tree.levels[1:]):
+        for j, (a, b) in enumerate(
+            zip(lower.node_offsets, lower.node_offsets[1:])
+        ):
+            assert upper.counts[j] == lower.counts[a:b].max()
+            assert (upper.lows[j] == lower.lows[a:b].min(axis=0)).all()
+            assert (upper.highs[j] == lower.highs[a:b].max(axis=0)).all()
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_empty(packer):
-    tree = packer(2, [])
-    assert len(tree) == 0
-    assert tree.search(Rect((0, 0), (1, 1))).entries == []
+    tree = packer(np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64), [])
+    assert len(tree) == 0 and tree.height == 1
+    hits = assert_matches_oracle(tree, reference.pack([], [], 8), Rect((0, 0), (1, 1)))
+    assert len(hits) == 0 and hits.nodes_visited == 1
+    tree.verify(np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64),
+                np.zeros(0, np.int64))
 
 
-@pytest.mark.parametrize("packer", [pack_hilbert, pack_str])
+@pytest.mark.parametrize("packer", [pack_hilbert])
 def test_packed_single(packer):
-    tree = packer(2, [(Rect((1, 1), (2, 2)), "x", 5)])
+    items = [(Rect((1, 1), (2, 2)), 0, 5)]
+    tree = packer(*as_arrays(items, n_dims=2))
     assert len(tree) == 1
-    assert tree.search(Rect((0, 0), (3, 3))).entries[0].payload == "x"
+    oracle = oracle_tree(items, 8)
+    assert assert_matches_oracle(
+        tree, oracle, Rect((0, 0), (3, 3))
+    ).rows.tolist() == [0]
+    assert len(assert_matches_oracle(tree, oracle, Rect((0, 0), (3, 3)), 6)) == 0
+    assert len(assert_matches_oracle(tree, oracle, Rect((3, 3), (3, 3)))) == 0
 
 
 def test_pack_rejects_dim_mismatch():
     with pytest.raises(IndexError_):
-        pack_hilbert(3, [(Rect((0,), (0,)), 1, 1)])
+        pack_hilbert(np.zeros((1, 3), np.int64), np.zeros((1, 1), np.int64), [1])
 
 
 def test_hilbert_pack_order_is_the_scalar_key_order():
     """Leaves hold the items in the (stable) order of their scalar Hilbert
     keys — the order the per-box key loop produced before the vectorized
-    pass, ties included."""
-    from repro.rtree.hilbert import bits_needed, hilbert_index
-
+    pass, ties included — and every level's arrays are the oracle's."""
     rng = random.Random(11)
     items = random_items(rng, 300)
-    items += [(rect, 1000 + k, 1) for k, (rect, _, _) in enumerate(items[:40])]
-    bits = bits_needed(max(max(r.highs) for r, _, _ in items) * 2 + 1)
-    expected = sorted(
-        items,
-        key=lambda it: hilbert_index(
-            tuple(lo + hi for lo, hi in zip(it[0].lows, it[0].highs)), bits
-        ),
-    )
-    tree = pack_hilbert(3, items, max_entries=8)
-    leaves = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaves.append(node)
-        else:
-            stack.extend(reversed([e.child for e in node.entries]))
-    got = [e.payload for leaf in leaves for e in leaf.entries]
-    assert got == [payload for _, payload, _ in expected]
+    items += [(rect, 300 + k, 1) for k, (rect, _, _) in enumerate(items[:40])]
+    tree = pack_hilbert(*as_arrays(items), max_entries=8)
+    root, height = oracle_tree(items, 8)
+    expected = reference.level_arrays(root, height)
+    leaves = [e[3] for node in _leaf_nodes(root, height) for e in node]
+    assert tree.payload_rows.tolist() == leaves
+    assert tree.payload_rows.dtype == np.int64
+    assert [
+        (lv.node_offsets.tolist(), lv.lows.tolist(), lv.highs.tolist(),
+         lv.counts.tolist())
+        for lv in tree.levels
+    ] == [tuple(level) for level in expected]
+
+
+def _leaf_nodes(node, height):
+    if height == 1:
+        return [node]
+    return [leaf for e in node for leaf in _leaf_nodes(e[3], height - 1)]

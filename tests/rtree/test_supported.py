@@ -4,13 +4,20 @@ import random
 
 from repro.rtree.geometry import Rect
 from repro.rtree.supported import SupportedRTree
-from tests.rtree.test_rtree import brute, random_items, random_query
+from tests.rtree import reference
+from tests.rtree.test_rtree import (
+    as_arrays,
+    brute,
+    oracle_tree,
+    random_items,
+    random_query,
+)
 
 
-def build(seed=9, n=300, method="hilbert"):
+def build(seed=9, n=300):
     rng = random.Random(seed)
     items = random_items(rng, n)
-    return SupportedRTree.build(3, items, method=method), items, rng
+    return SupportedRTree.build(*as_arrays(items)), items, rng
 
 
 def test_search_supported_matches_brute_force():
@@ -18,28 +25,30 @@ def test_search_supported_matches_brute_force():
     for _ in range(50):
         q = random_query(rng)
         mc = rng.randrange(1, 50)
-        got = sorted(e.payload for e in tree.search_supported(q, mc).entries)
+        got = sorted(tree.search_arrays(q, mc).rows.tolist())
         assert got == brute(items, q, mc)
 
 
 def test_plain_search_unfiltered():
     tree, items, rng = build()
     q = Rect((0, 0, 0), (7, 5, 9))
-    got = sorted(e.payload for e in tree.search(q).entries)
-    assert got == brute(items, q)
+    assert sorted(tree.search_arrays(q).rows.tolist()) == brute(items, q)
 
 
 def test_filter_prunes_node_accesses():
     """A high threshold must never visit more nodes than the plain search."""
     tree, items, rng = build()
+    oracle = oracle_tree(items, tree.max_entries)
     q = Rect((0, 0, 0), (7, 5, 9))
-    plain = tree.search(q).nodes_visited
+    plain = tree.search_arrays(q).nodes_visited
     for mc in (10, 30, 49):
-        filtered = tree.search_supported(q, mc).nodes_visited
+        filtered = tree.search_arrays(q, mc).nodes_visited
         assert filtered <= plain
+        # exactly the nodes the oracle's pruned descent reads
+        assert filtered == reference.search(*oracle, q.lows, q.highs, mc)[1]
     # an impossible threshold reads only the root
-    assert tree.search_supported(q, 10_000).nodes_visited == 1
-    assert tree.search_supported(q, 10_000).entries == []
+    assert tree.search_arrays(q, 10_000).nodes_visited == 1
+    assert len(tree.search_arrays(q, 10_000)) == 0
 
 
 def test_fraction_with_count_at_least():
@@ -51,20 +60,9 @@ def test_fraction_with_count_at_least():
 
 
 def test_fraction_empty_tree():
-    tree = SupportedRTree.build(2, [])
+    tree = SupportedRTree.build(*as_arrays([], n_dims=2))
     assert tree.fraction_with_count_at_least(1) == 0.0
     assert len(tree) == 0
-
-
-def test_str_method_equivalent_results():
-    hil, items, rng = build(method="hilbert")
-    st, _, _ = build(method="str")
-    for _ in range(30):
-        q = random_query(rng)
-        mc = rng.randrange(1, 50)
-        a = sorted(e.payload for e in hil.search_supported(q, mc).entries)
-        b = sorted(e.payload for e in st.search_supported(q, mc).entries)
-        assert a == b
 
 
 def test_level_stats_exposed():
@@ -72,3 +70,16 @@ def test_level_stats_exposed():
     stats = tree.level_stats()
     assert stats and stats[0].level == 0
     assert tree.height == max(s.level for s in stats) + 1
+    assert SupportedRTree.build(*as_arrays([])).level_stats() == []
+
+
+def test_level_max_counts_are_the_oracle_nodes_maxima():
+    tree, items, _ = build()
+    levels = reference.level_arrays(*oracle_tree(items, tree.max_entries))
+    expected = [
+        sorted(max(counts[a:b]) for a, b in zip(offsets, offsets[1:]))
+        for offsets, _, _, counts in reversed(levels)  # leaf level first
+    ]
+    assert [c.tolist() for c in tree.level_max_counts()] == expected
+    empty = SupportedRTree.build(*as_arrays([]))
+    assert [c.tolist() for c in empty.level_max_counts()] == [[0]]

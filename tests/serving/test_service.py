@@ -326,7 +326,7 @@ def test_mutation_between_enqueue_and_execute_forces_reexecution(engine):
         task = asyncio.ensure_future(service.submit(BOSTON))
         await _settle(lambda: service.n_pending == 1)
         # Mutate the index while the request sits in the queue.
-        engine.index.rtree.tree.mutations += 1
+        engine.index.bump_generation()
         await service.start()
         served_boston = await task
         served = await service.submit(SEATTLE_F)
@@ -351,7 +351,7 @@ def test_mutation_between_attach_windows_splits_flights(engine):
         service = QueryService(engine)
         first = asyncio.ensure_future(service.submit(SEATTLE_F))
         await _settle(lambda: service.n_pending == 1)
-        engine.index.rtree.tree.mutations += 1
+        engine.index.bump_generation()
         second = asyncio.ensure_future(service.submit(SEATTLE_F))
         await _settle(lambda: service.n_pending == 2)
         await service.start()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,6 +166,7 @@ class AccuracyRecord:
     regret: float  # chosen time / fastest time - 1
     chosen_s: float = 0.0   # measured time of the chosen plan (paired median)
     fastest_s: float = 0.0  # measured time of the fastest plan (paired median)
+    choose_s: float = 0.0   # one un-memoized optimizer.choose() for the query
 
 
 def run_accuracy(
@@ -210,7 +212,12 @@ def run_accuracy(
                     for kind in PlanKind
                 }
                 fastest = min(times, key=lambda k: times[k])
-                choice = engine.choose_plan(workload.query)
+                # The scenario's first choose(): nothing above went through
+                # the optimizer, so the profile is built, not recalled.
+                with paused_gc():
+                    t0 = time.perf_counter()
+                    choice = engine.choose_plan(workload.query)
+                    choose_s = time.perf_counter() - t0
                 chosen = choice.kind
                 for kind in PlanKind:
                     engine.optimizer.record_measurement(
@@ -226,6 +233,7 @@ def run_accuracy(
                         regret=times[chosen] / times[fastest] - 1.0,
                         chosen_s=times[chosen],
                         fastest_s=times[fastest],
+                        choose_s=choose_s,
                     )
                 )
     return records
@@ -261,4 +269,9 @@ def summarize_accuracy(records: list[AccuracyRecord],
         "extra_cost": (
             chosen_total / fastest_total - 1.0 if fastest_total else 0.0
         ),
+        # What share of an optimizer-planned request is the planning: per
+        # scenario choose() over choose() + the plan it chose, the median.
+        "planning_share": float(np.median(
+            [r.choose_s / (r.choose_s + r.chosen_s) for r in records]
+        )) if n else 0.0,
     }

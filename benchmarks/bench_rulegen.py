@@ -79,7 +79,7 @@ def _bench_cell(dataset, index, wq, n_records, fraction, minsupp, expand):
     def batched():
         # A fresh kernel per repetition charges the one-off focal
         # projection to the batched timing — no amortization tricks.
-        ctx._focal_kernel = None
+        ctx.focus._lazy[1] = None
         ctx.projection_s = 0.0
         rules, _evals, _kernel_s = _rules_from_qualified(ctx, qualified)
         return rules

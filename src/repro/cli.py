@@ -279,8 +279,8 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def _cmd_simpson(args: argparse.Namespace) -> int:
-    from repro import tidset as ts
     from repro.analysis.simpson import find_rule_flips, find_vanishing_rules
+    from repro.core.focal import resolve_focal
 
     engine = _load_engine(args.index)
     query = parse_query(args.text, engine.schema).query
@@ -288,8 +288,8 @@ def _cmd_simpson(args: argparse.Namespace) -> int:
     vanishing = find_vanishing_rules(
         engine.index, query, global_minsupp=query.minsupp, margin=args.margin
     )
-    dq = engine.index.table.tids_matching(query.range_selections)
-    print(f"focal subset: {ts.count(dq)} records — "
+    focus = resolve_focal(engine.index, query)
+    print(f"focal subset: {focus.dq_size} records — "
           f"{len(emerging)} emerging, {len(vanishing)} vanishing rules "
           f"(margin {args.margin:.2f})")
     for title, flips in (("EMERGING", emerging), ("VANISHING", vanishing)):
@@ -304,13 +304,13 @@ def _cmd_simpson(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    from repro import tidset as ts
     from repro.analysis.ranking import rank_rules
+    from repro.core.focal import resolve_focal
 
     engine = _load_engine(args.index)
     query = parse_query(args.text, engine.schema).query
     outcome = engine.query(query)
-    dq = engine.index.table.tids_matching(query.range_selections)
+    dq = resolve_focal(engine.index, query).dq
     ranked = rank_rules(engine.index, outcome.rules, dq,
                         measure=args.measure, top_k=args.top_k)
     print(f"{outcome.n_rules} rules; top {len(ranked)} by {args.measure}:")

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.costs import CostModel, CostWeights, DEFAULT_WEIGHTS, QueryProfile
+from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
@@ -140,9 +141,6 @@ def calibrate(
     is identified by the operator that actually exercises it, instead of
     being confounded inside per-plan totals.
     """
-    from repro import tidset as ts
-    from repro.itemsets.apriori import min_count_for
-
     if probe_queries is None:
         probe_queries = default_probe_queries(index)
     base_model = CostModel(index.stats)
@@ -161,25 +159,14 @@ def calibrate(
     # the executions themselves, while what a probe leaves behind is
     # reclaimed by the collector's own schedule between the pauses.
     gc.collect()
-    item_tidsets = {
-        (item.attribute, item.value): mask
-        for item, mask in index.table.item_tidsets().items()
-    }
     for query in probe_queries:
-        focal = query.focal_range(index.cardinalities)
-        dq = index.table.tids_matching(query.range_selections)
-        dq_size = ts.count(dq)
-        if dq_size == 0:
+        focus = resolve_focal(index, query)
+        if focus.dq_size == 0:
             continue
-        profile = QueryProfile.from_query(
-            query,
-            focal,
-            index.stats,
-            dq_size,
-            min_count_for(query.minsupp, dq_size),
-            item_local_tidsets=item_tidsets,
-            dq=dq,
-        )
+        profile = QueryProfile.from_query(query, focus, index.stats)
+        # Each timed execution resolves (and projects) for itself: a
+        # projection shared across the six plans would be timed once and
+        # bias the ``verify``/``select`` fits.
         for kind in PlanKind:
             with _collector_paused():
                 result = execute_plan(kind, index, query, expand=expand)

@@ -17,9 +17,11 @@ work estimates the paper's equations describe:
 * ``rulegen``   — rule extraction proper: the per-candidate antecedent /
   consequent enumeration and vectorized confidence pass, scaling with the
   qualified fan-out but independent of the tidset width;
-* ``select``    — focal-subset extraction (Eq. 6 COST(sigma));
+* ``select``    — focal-subset extraction (Eq. 6 COST(sigma)): the
+  subset is read out of the focal projection, so this is the projection
+  term ``verify`` also pays;
 * ``arm``       — from-scratch mining work (Eq. 6 COST(eps_AR)), sized by
-  an independence-model estimate of the *locally* frequent itemsets;
+  a density-aware estimate of the *locally* frequent itemsets;
 * ``const``     — fixed per-pipeline-stage overhead (what selection
   push-up saves).
 
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.focal import FocalSubset
 from repro.core.query import FocalRange, LocalizedQuery
 from repro.core.stats import IndexStatistics
 from repro.core.plans import PlanKind
@@ -73,7 +76,7 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "eliminate": 3e-8,
     "verify": 4e-8,
     "rulegen": 5e-7,
-    "select": 4e-7,
+    "select": 6e-8,
     "arm": 2e-7,
     "const": 5e-5,
     "par_dispatch": 2e-4,
@@ -141,8 +144,8 @@ class QueryProfile:
     qualified_fanout: float    # sum of 2**length over the expected survivors
     arm_itemsets: float        # model-based locally-frequent itemset count
     arm_fanout: float          # ... and its 2**length rule-generation mass
-    #: Measured local structure behind the ARM estimate (None when the
-    #: per-item tidsets were unavailable and stored-MIP survivors stood in).
+    #: Measured local structure behind the ARM estimate (``from_query``
+    #: always measures it; None only on a hand-built profile).
     arm_stats: "ArmModelStats | None" = None
     #: Live delta-store records awaiting the next fold (0 = immutable
     #: index; the delta load terms then vanish from every plan).
@@ -156,60 +159,51 @@ class QueryProfile:
     def from_query(
         cls,
         query: LocalizedQuery,
-        focal: FocalRange,
+        focus: FocalSubset,
         stats: IndexStatistics,
-        dq_size: int,
-        min_count: int,
-        item_local_tidsets: "dict[tuple[int, int], int] | None" = None,
-        dq: int | None = None,
-        delta_records: int = 0,
-        delta_dq_size: int = 0,
-        delta_words: int = 0,
     ) -> "QueryProfile":
-        """Build the profile.
+        """Build the profile of ``query`` over its resolved, non-empty
+        focal subset.
 
-        ``item_local_tidsets`` maps each (attribute, value) item to its
-        tidset and ``dq`` is the focal tidset; together they let the
-        profile measure the *exact* locally frequent item and item-pair
-        counts (a few hundred bitmask ANDs — microseconds).  These feed
-        the clique-model estimate of ARM's from-scratch mining work, which
-        must account for locally frequent itemsets *below* the index's
-        primary floor; without them the stored-MIP survivors stand in.
+        Besides the statistics, the profile reads the table's keyed item
+        tidsets (:meth:`RelationalTable.item_tidsets` — ``Item`` keys are
+        (attribute, value) pairs): with ``focus.dq`` they let it measure
+        the *exact* locally frequent item and item-pair counts (a few
+        hundred bitmask ANDs — microseconds), which feed the clique-model
+        estimate of ARM's from-scratch mining work — that must account
+        for locally frequent itemsets *below* the index's primary floor,
+        which no stored statistic covers.
         """
+        dq_size, min_count = focus.dq_size, focus.min_count
         exact = query.minsupp * stats.n_records
         global_floor = int(exact)
         if global_floor < exact:
             global_floor += 1
         global_floor = max(global_floor, 1)
         aitem_fraction = _aitem_fraction(query, stats)
-        contained_fraction = _contained_fraction(query, focal, stats)
-        cards = _vectorized_cardinalities(
-            query, focal, stats, min_count, global_floor, aitem_fraction,
-            contained_fraction,
+        contained_fraction = _contained_fraction(query, focus.focal, stats)
+        cards = _cardinalities(
+            query, focus.focal, stats, min_count, global_floor,
+            aitem_fraction, contained_fraction,
         )
-        arm_stats = None
-        if item_local_tidsets is not None and dq is not None and dq_size > 0:
-            arm_stats = _model_arm_counts(
-                query, item_local_tidsets, dq, dq_size, min_count
-            )
-            arm_itemsets = arm_stats.est_itemsets
-            arm_fanout = arm_stats.est_fanout
-        else:
-            arm_itemsets = cards["est_qualified"]
-            arm_fanout = cards["qualified_fanout"]
+        arm_stats = _model_arm_counts(
+            query, focus.index.table.item_tidsets(), focus.dq, dq_size,
+            min_count,
+        )
+        delta = focus.delta
         return cls(
-            hull_extents=focal.hull_extents(),
+            hull_extents=focus.focal.hull_extents(),
             min_count=min_count,
             global_floor=global_floor,
             dq_size=dq_size,
             aitem_fraction=aitem_fraction,
             contained_fraction=contained_fraction,
-            arm_itemsets=arm_itemsets,
-            arm_fanout=arm_fanout,
+            arm_itemsets=arm_stats.est_itemsets,
+            arm_fanout=arm_stats.est_fanout,
             arm_stats=arm_stats,
-            delta_records=delta_records,
-            delta_dq_size=delta_dq_size,
-            delta_words=delta_words,
+            delta_records=focus.source.n_pending if delta is not None else 0,
+            delta_dq_size=delta.dq_size if delta is not None else 0,
+            delta_words=delta.buffer.words if delta is not None else 0,
             **cards,
         )
 
@@ -229,6 +223,14 @@ _ARM_CHAIN_FANOUT_CAP = 13
 #: units: candidate generation + support-dict lookup cost a few hundred
 #: nanoseconds regardless of how narrow the focal tidset is.
 _ARM_OP_OVERHEAD_WORDS = 8.0
+#: Fixed cost of one from-scratch mining pass, in tidset-word units: CHARM's
+#: root construction and class sorts plus the set-up of the batched rule
+#: extraction run a few hundred microseconds before the first candidate is
+#: evaluated, whatever the focal subset's size.  (This is what the fitted
+#: ``arm`` weight used to absorb through the row-scan term ARM no longer
+#: has; over the e2e query pools a width-independent constant halves the
+#: spread of measured/estimated against no constant at all.)
+_ARM_PASS_OVERHEAD_WORDS = 8192.0
 #: Fixed setup cost of one batched rule-extraction pass, in fan-out units:
 #: numpy dispatch over the lattice chunks, the packed-rank lexsort, and the
 #: per-width group loop amount to roughly two thousand fan-out units of
@@ -253,10 +255,6 @@ class ArmModelStats:
     pairs_sampled: int      # pairs measured (C(sample_size, 2))
     f2_sampled: int         # exact locally frequent pairs in the sample
     density: float          # f2_sampled / pairs_sampled
-    degree_mean: float      # mean frequent-pair degree over the sample
-    degree_max: int         # max frequent-pair degree over the sample
-    core_size: int          # densest degree-ordered prefix (top-clique core)
-    core_density: float     # pair density inside that core
     triangle_items: int     # items with exact triangle measurements
     triangles_candidate: int  # pair-graph triangles examined (Apriori cands)
     f3_sampled: int         # exact locally frequent triples in the sample
@@ -354,9 +352,7 @@ def _model_arm_counts(
     * ``F1`` — the exact number of locally frequent items;
     * ``F2`` — the exact number of locally frequent item *pairs* among the
       strongest ``_ARM_MODEL_MAX_ITEMS`` items (plus a pair-density
-      extrapolation for any unsampled tail), together with the per-item
-      degree sequence and the densest degree-ordered core of the
-      frequent-pair graph;
+      extrapolation for any unsampled tail);
     * ``F3`` — the exact number of locally frequent *triples* among the
       strongest ``_ARM_MODEL_MAX_TRIANGLE_ITEMS`` items, enumerated
       Apriori-style over the measured pair graph's triangles;
@@ -377,23 +373,25 @@ def _model_arm_counts(
     (``f1``, ``f2_sampled``, ``f3_sampled``, the chain) shrink
     monotonically as ``min_count`` rises.
     """
-    frequent: list[tuple[int, tuple[int, int], int]] = []
-    for (attribute, value), mask in item_tidsets.items():
-        if query.item_attributes is not None and \
-                attribute not in query.item_attributes:
-            continue
-        local = mask & dq
-        count_ = local.bit_count()
-        if count_ >= min_count:
-            frequent.append((count_, (attribute, value), local))
+    # Every admitted item's local tidset, in item order: F1 filters it
+    # and the chain below draws its pool from it.
+    aitem = query.item_attributes
+    pool = [
+        (key, mask & dq)
+        for key, mask in sorted(item_tidsets.items())
+        if aitem is None or key[0] in aitem
+    ]
+    frequent = [
+        (count_, key, local)
+        for key, local in pool
+        if (count_ := local.bit_count()) >= min_count
+    ]
 
     f1 = len(frequent)
     if f1 == 0:
-        return ArmModelStats(0, 0, 0, 0, 0.0, 0.0, 0, 0, 0.0, 0, 0, 0, 0,
-                             0.0, 0.0, 0.0, 0.0)
+        return ArmModelStats(0, 0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0)
     if f1 == 1:
-        return ArmModelStats(1, 1, 0, 0, 0.0, 0.0, 0, 1, 0.0, 1, 0, 0, 1,
-                             1.0, 0.0, 1.0, 2.0)
+        return ArmModelStats(1, 1, 0, 0, 0.0, 1, 0, 0, 1, 1.0, 0.0, 1.0, 2.0)
 
     # Deterministic strongest-first order: the sample at a higher floor is
     # always a prefix of the sample at a lower one, which keeps every
@@ -402,18 +400,15 @@ def _model_arm_counts(
     sample = frequent[:_ARM_MODEL_MAX_ITEMS]
     m = len(sample)
 
-    # -- F2: exact pairs + degree sequence over the sample -------------------
+    # -- F2: exact pairs over the sample --------------------------------------
     adjacency: set[tuple[int, int]] = set()
     pair_masks: dict[tuple[int, int], int] = {}
-    degrees = [0] * m
     t = min(m, _ARM_MODEL_MAX_TRIANGLE_ITEMS)
     for i in range(m):
         for j in range(i + 1, m):
             inter = sample[i][2] & sample[j][2]
             if inter.bit_count() >= min_count:
                 adjacency.add((i, j))
-                degrees[i] += 1
-                degrees[j] += 1
                 if j < t:
                     pair_masks[(i, j)] = inter
     pairs_sampled = m * (m - 1) // 2
@@ -421,29 +416,6 @@ def _model_arm_counts(
     density = f2_sampled / pairs_sampled if pairs_sampled else 0.0
     tail_pairs = f1 * (f1 - 1) / 2.0 - pairs_sampled
     f2 = f2_sampled + density * max(tail_pairs, 0.0)
-
-    # -- top-clique core: densest degree-ordered prefix ----------------------
-    # (diagnostic + calibration feature: how concentrated the pair graph
-    # is; the series itself is anchored on measured triangles below).
-    order = sorted(range(m), key=lambda i: (-degrees[i], i))
-    core_size, core_density = (2, 1.0) if f2_sampled else (0, 0.0)
-    best_mass = 0.0
-    edges_in_prefix = 0
-    for idx, node in enumerate(order):
-        for prev in order[:idx]:
-            edge = (prev, node) if prev < node else (node, prev)
-            if edge in adjacency:
-                edges_in_prefix += 1
-        p = idx + 1
-        if p < 2:
-            continue
-        dens = edges_in_prefix / (p * (p - 1) / 2.0)
-        mass = sum(
-            _real_comb(float(p), k) * dens ** (k * (k - 1) // 2)
-            for k in range(3, min(p, _ARM_MODEL_MAX_LENGTH) + 1)
-        )
-        if mass > best_mass:
-            best_mass, core_size, core_density = mass, p, dens
 
     # -- F3: exact triangles over the strongest items ------------------------
     triangles_candidate = 0
@@ -469,12 +441,6 @@ def _model_arm_counts(
     # extension count is bounded by its support — so the greedy path
     # depends only on the measured supports, never on ``min_count``,
     # which makes the chain length provably monotone in the floor).
-    pool = [
-        ((attribute, value), mask & dq)
-        for (attribute, value), mask in sorted(item_tidsets.items())
-        if query.item_attributes is None or
-        attribute in query.item_attributes
-    ]
     chain_mask = dq
     chain_length = 0
     used_attrs: set[int] = set()
@@ -530,17 +496,12 @@ def _model_arm_counts(
     count = max(count, 2.0 ** min(chain_length, _ARM_CHAIN_COUNT_CAP))
     fanout = max(fanout, 3.0 ** min(chain_length, _ARM_CHAIN_FANOUT_CAP))
 
-    n_deg = max(m, 1)
     return ArmModelStats(
         f1=f1,
         sample_size=m,
         pairs_sampled=pairs_sampled,
         f2_sampled=f2_sampled,
         density=density,
-        degree_mean=sum(degrees) / n_deg,
-        degree_max=max(degrees, default=0),
-        core_size=core_size,
-        core_density=core_density,
         triangle_items=t,
         triangles_candidate=triangles_candidate,
         f3_sampled=f3_sampled,
@@ -552,7 +513,7 @@ def _model_arm_counts(
     )
 
 
-def _vectorized_cardinalities(
+def _cardinalities(
     query: LocalizedQuery,
     focal: FocalRange,
     stats: IndexStatistics,
@@ -561,18 +522,19 @@ def _vectorized_cardinalities(
     aitem_fraction: float,
     contained_fraction: float,
 ) -> dict[str, float]:
-    """Data-aware candidate/survivor counts from the per-MIP profiles."""
+    """Data-aware candidate/survivor counts from the per-MIP profiles.
+
+    The geometric part — which MIPs overlap the region, which lie inside
+    it — is boolean work over all N MIPs, one lookup-table gather per
+    range attribute.  The numeric part — each MIP's expected local
+    count — runs only over the MIPs still *in play* (overlapping and
+    passing the supported filter): the estimate never exceeds a MIP's
+    global count, so a MIP the supported filter drops cannot qualify.
+    """
     n = stats.n_mips
     if n == 0:
-        return {
-            "n_cands": 0.0,
-            "n_cands_supported": 0.0,
-            "n_contained": 0.0,
-            "est_qualified": 0.0,
-            "est_qualified_partial": 0.0,
-            "qualified_fanout": 0.0,
-        }
-    if stats.item_local_counts.shape[1] == 0:
+        return dict.fromkeys(_CARDINALITY_FIELDS, 0.0)
+    if not stats.item_rows:
         # No per-item profile: fall back to the distribution-based lemmas.
         upper = stats.fraction_with_count_at_least(min_count)
         uniform = stats.fraction_with_count_at_least(global_floor)
@@ -595,35 +557,37 @@ def _vectorized_cardinalities(
         }
 
     fixed = stats.mip_fixed_values
+    selections = query.range_selections
     overlap = np.ones(n, dtype=bool)
     contained = np.ones(n, dtype=bool)
-    local_upper = np.full(n, stats.n_records, dtype=np.int64)
-    n_range_attrs = 0
-    log_prod = np.zeros(n, dtype=float)
-    for ai, values in query.range_selections.items():
+    for ai, values in selections.items():
         card = stats.cardinalities[ai]
-        sel = np.zeros(card, dtype=bool)
-        sel[list(values)] = True
-        col = fixed[:, ai]
-        fixes = col >= 0
-        in_sel = np.zeros(n, dtype=bool)
-        in_sel[fixes] = sel[col[fixes]]
-        overlap &= ~fixes | in_sel
-        if not sel.all():
-            contained &= fixes & in_sel
-        cols = [
-            stats.item_columns[(ai, v)]
-            for v in values
-            if (ai, v) in stats.item_columns
+        if len(values) == card:
+            continue  # full domain: every box overlaps and is contained
+        # Tables over the fixed value, slot -1 (= index ``card``) being
+        # "free": a free attribute always overlaps and is never contained.
+        inside = np.zeros(card + 1, dtype=bool)
+        inside[list(values)] = True
+        contained &= inside.take(fixed[:, ai])
+        inside[card] = True
+        overlap &= inside.take(fixed[:, ai])
+
+    in_play = overlap & (stats.mip_global_counts >= min_count)
+    n_cands_supported = int(np.count_nonzero(in_play))
+    # Without a range attribute the local bound is |D|, not a MIP count,
+    # and unsupported MIPs stay in the numeric pass.
+    rows = np.flatnonzero(in_play if selections else overlap)
+    local_upper = np.full(len(rows), stats.n_records, dtype=np.int64)
+    log_prod = np.zeros(len(rows), dtype=float)
+    for ai, values in selections.items():
+        items = [
+            stats.item_rows[(ai, v)] for v in values
+            if (ai, v) in stats.item_rows
         ]
-        if cols:
-            attr_counts = stats.item_local_counts[:, cols].sum(
-                axis=1, dtype=np.int64
-            )
-        else:
-            attr_counts = np.zeros(n, dtype=np.int64)
+        attr_counts = (
+            stats.item_mip_counts[items].sum(axis=0, dtype=np.int64).take(rows)
+        )
         local_upper = np.minimum(local_upper, attr_counts)
-        n_range_attrs += 1
         with np.errstate(divide="ignore"):
             log_prod += np.log(attr_counts.astype(float))
 
@@ -634,40 +598,44 @@ def _vectorized_cardinalities(
     # errs the other way on correlated attributes, so — as with the
     # distribution-based fallback above — the model takes their geometric
     # mean.
-    if n_range_attrs >= 2:
-        g = stats.mip_global_counts.astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_expected = log_prod - (n_range_attrs - 1) * np.log(g)
-        expected = np.where(g > 0, np.exp(log_expected), 0.0)
+    if len(selections) >= 2:
+        with np.errstate(invalid="ignore"):
+            log_expected = log_prod - (len(selections) - 1) * (
+                stats.mip_log_counts.take(rows)
+            )
+        expected = np.where(
+            stats.mip_global_counts.take(rows) > 0, np.exp(log_expected), 0.0
+        )
         est_local = np.sqrt(local_upper * np.minimum(expected, local_upper))
     else:
         est_local = local_upper.astype(float)
 
-    if query.item_attributes is None:
-        aitem_ok = np.ones(n, dtype=bool)
-    else:
+    qualifies = est_local >= min_count
+    if query.item_attributes is not None:
         outside = [
-            a for a in range(stats.n_attributes) if a not in query.item_attributes
+            a for a in range(stats.n_attributes)
+            if a not in query.item_attributes
         ]
-        aitem_ok = (
-            ~(fixed[:, outside] >= 0).any(axis=1)
-            if outside
-            else np.ones(n, dtype=bool)
-        )
-
-    supported = stats.mip_global_counts >= min_count
-    qualified_mask = overlap & aitem_ok & (est_local >= min_count)
-    contained &= overlap
-    lengths = (fixed >= 0).sum(axis=1)
-    fanout = np.exp2(np.minimum(lengths, 16).astype(float))
+        if outside:
+            qualifies &= ~(fixed.take(rows, axis=0)[:, outside] >= 0).any(axis=1)
+    qualified = rows[qualifies]
     return {
-        "n_cands": float(overlap.sum()),
-        "n_cands_supported": float((overlap & supported).sum()),
-        "n_contained": float((contained & supported).sum()),
-        "est_qualified": float(qualified_mask.sum()),
-        "est_qualified_partial": float((qualified_mask & ~contained).sum()),
-        "qualified_fanout": float(fanout[qualified_mask].sum()),
+        "n_cands": float(np.count_nonzero(overlap)),
+        "n_cands_supported": float(n_cands_supported),
+        "n_contained": float(np.count_nonzero(contained & in_play)),
+        "est_qualified": float(len(qualified)),
+        "est_qualified_partial": float(
+            len(qualified) - np.count_nonzero(contained.take(qualified))
+        ),
+        "qualified_fanout": float(stats.mip_fanout.take(qualified).sum()),
     }
+
+
+#: The fields of :class:`QueryProfile` the cardinality pass fills.
+_CARDINALITY_FIELDS = (
+    "n_cands", "n_cands_supported", "n_contained", "est_qualified",
+    "est_qualified_partial", "qualified_fanout",
+)
 
 
 def _aitem_fraction(query: LocalizedQuery, stats: IndexStatistics) -> float:
@@ -727,35 +695,6 @@ class CostModel:
             self.stats.cardinalities,
         )
 
-    def supported_selectivity(self, profile: QueryProfile) -> float:
-        """Fraction of MIPs passing the supported filter (Lemma 4.4)."""
-        return self.stats.fraction_with_count_at_least(profile.min_count)
-
-    def est_candidates_supported(self, profile: QueryProfile) -> float:
-        return self.est_candidates_search(profile) * self.supported_selectivity(
-            profile
-        )
-
-    def est_pass_eliminate(self, est_in: float, profile: QueryProfile,
-                           after_supported: bool) -> float:
-        """Lemma 4.2 analogue: expected candidates surviving the local
-        support check.
-
-        The true pass fraction lies between two computable bounds: the
-        supported-filter fraction (local count can never exceed the global
-        count, Lemma 4.4) and the locally-uniform-density fraction (local
-        count ~ global count x |D^Q|/|D|).  Local patterns concentrate
-        support inside focal subsets, so the uniform bound is pessimistic;
-        the geometric mean of the two interpolates between them.
-        """
-        upper = self.stats.fraction_with_count_at_least(profile.min_count)
-        uniform = self.stats.fraction_with_count_at_least(profile.global_floor)
-        base = (upper * uniform) ** 0.5
-        if after_supported:
-            sigma = max(self.supported_selectivity(profile), 1e-12)
-            base = min(1.0, base / sigma)
-        return est_in * base
-
     def est_node_accesses(self, profile: QueryProfile,
                           supported: bool) -> float:
         """Eq. 1 COST(S) / Eq. 3 COST(SS): expected node accesses."""
@@ -808,20 +747,24 @@ class CostModel:
             cands = max(cands - profile.n_contained, 0.0)
         return cands * profile.aitem_fraction * self.stats.tidset_words
 
+    def projection_load(self) -> float:
+        """One focal projection: every item row repacked at the full
+        tidset width (``sum(cardinalities)`` rows — an upper bound on the
+        item count — times ``tidset_words``)."""
+        return float(sum(self.stats.cardinalities)) * self.stats.tidset_words
+
     def verify_load(self, profile: QueryProfile) -> float:
         """Eq. 1 COST(V): support counting through the focal projection.
 
-        The kernel path pays the projection once — every item row repacked
-        at the full tidset width (``sum(cardinalities)`` rows, an upper
-        bound on the item count, times ``tidset_words``) — after which the
-        antecedent family's batched evaluations run at the *projected*
-        ``|D^Q|``-word width.  This replaces the old
-        ``fanout x tidset_words`` pricing, whose width term no longer
-        reflects the work once lookups shrink with the focal subset.
+        The kernel path pays the projection once
+        (:meth:`projection_load`), after which the antecedent family's
+        batched evaluations run at the *projected* ``|D^Q|``-word width.
+        This replaces the old ``fanout x tidset_words`` pricing, whose
+        width term no longer reflects the work once lookups shrink with
+        the focal subset.
         """
         dq_words = max(1, -(-profile.dq_size // 64))
-        projection = float(sum(self.stats.cardinalities)) * self.stats.tidset_words
-        return projection + profile.qualified_fanout * dq_words
+        return self.projection_load() + profile.qualified_fanout * dq_words
 
     def rulegen_load(self, profile: QueryProfile) -> float:
         """Rule extraction proper: the mask-indexed confidence pass and
@@ -843,13 +786,20 @@ class CostModel:
         return profile.qualified_fanout + _RULEGEN_OVERHEAD_UNITS
 
     def select_load(self, profile: QueryProfile) -> float:
-        """Eq. 6 COST(sigma): focal-subset record extraction."""
-        return float(profile.dq_size * self.stats.n_attributes)
+        """Eq. 6 COST(sigma): the focal subset in vertical form.
+
+        SELECT builds the focal projection and reads its rows out as
+        tidsets — no record is copied — so it costs the projection term
+        :meth:`verify_load` prices for the MIP plans.
+        """
+        return self.projection_load()
 
     def arm_load(self, profile: QueryProfile) -> float:
-        """Eq. 6 COST(eps_AR): the subset scan (building the subset's item
-        tidsets, ~|D^Q| x n), from-scratch mining sized by the local-
-        itemset estimate, plus its rule-generation fan-out.
+        """Eq. 6 COST(eps_AR): from-scratch mining sized by the local-
+        itemset estimate, plus its rule-generation fan-out, on top of the
+        pass's fixed cost (``_ARM_PASS_OVERHEAD_WORDS``).  The subset's
+        item tidsets arrive from SELECT's projection, so there is no
+        per-record scan term.
 
         Each candidate evaluation costs its tidset intersection (``dq``
         words) *plus* a constant — the per-operation interpreter overhead
@@ -862,7 +812,7 @@ class CostModel:
         op_cost = dq_words + _ARM_OP_OVERHEAD_WORDS
         est_local = max(1.0, profile.arm_itemsets)
         return (
-            float(profile.dq_size * self.stats.n_attributes)
+            _ARM_PASS_OVERHEAD_WORDS
             + est_local * max(self.stats.avg_length, 1.0) * op_cost
             + profile.arm_fanout * op_cost
         )
@@ -887,9 +837,10 @@ class CostModel:
           subset-lattice counts at the projected ``|D^Q_delta|`` width
           (``qualified_fanout x delta_dq_words``).
 
-        ARM has no delta-specific term: the delta records ride into the
-        selected sub-table, and ``select``/``arm`` are already priced by
-        the *combined* ``dq_size`` the optimizer profiles.
+        ARM has no delta-specific term: the delta view's projection (a
+        handful of words per row) stacks under the main one in SELECT,
+        and ``arm`` is already priced by the *combined* ``dq_size`` the
+        optimizer profiles.
         """
         if profile.delta_records <= 0 or kind is PlanKind.ARM:
             return {}

@@ -39,6 +39,7 @@ from repro.core.calibration import (
     default_probe_queries,
 )
 from repro.core.costs import CostWeights
+from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import MIPIndex, build_mip_index
 from repro.core.operators import ExecutionTrace
@@ -343,10 +344,6 @@ class Colarm:
             )
         return self.maintenance
 
-    def _pending_mutations(self) -> int:
-        m = self.maintenance
-        return m.n_delta_records + (m.n_main_records - m.n_main_live)
-
     def _build_cost_estimate(self) -> float:
         """Fold cost in seconds: measured when available, sized otherwise."""
         if self.maintenance.last_build_s > 0.0:
@@ -359,19 +356,19 @@ class Colarm:
         if m.recompacting:
             self.poll_maintenance()
             return
-        if self._pending_mutations() > m.max_delta_fraction * max(
-            m.n_main_records, 1
-        ):
+        if m.n_pending > m.max_delta_fraction * max(m.n_main_records, 1):
             m.begin_recompaction()
 
-    def _advise_recompact(self, q: LocalizedQuery) -> None:
+    def _advise_recompact(self, choice: PlanChoice) -> None:
         """The priced trigger: fold when the accumulated delta toll over
-        the recompaction horizon exceeds the fold cost."""
+        the recompaction horizon exceeds the fold cost — priced from what
+        the request's ``choose()`` already computed."""
         m = self.maintenance
-        if m.recompacting or self._pending_mutations() == 0:
+        if m.recompacting or m.n_pending == 0:
             return
         advice = self.optimizer.recompaction_advice(
-            q, self._build_cost_estimate(), horizon=self._recompact_horizon
+            choice, self._build_cost_estimate(),
+            horizon=self._recompact_horizon,
         )
         if advice.recommended:
             m.begin_recompaction()
@@ -442,11 +439,18 @@ class Colarm:
         the profile-less choice of an already served stamped hit — and
         silently re-chosen otherwise, so a stale handoff can never force
         a stale serve.
+
+        The focal subset is resolved once per request: the one the
+        optimizer profiled (``choice.focus``) is what the plan executes
+        on.  The projection built on it ends with the request
+        (:meth:`FocalSubset.release`), so an outcome a caller keeps pins
+        the resolution only.
         """
         q = self.parse(request) if isinstance(request, str) else request
         if self.maintenance is not None:
             self._install_recompaction()
         consult = use_cache and self.cache is not None
+        focus = None
         if plan is None:
             if choice is not None and (
                 choice.generation != self.index.generation
@@ -464,10 +468,10 @@ class Colarm:
                 choice = self.optimizer.choose(
                     q, use_cache=consult, probe=probe
                 )
-            kind, chosen_by = choice.kind, "optimizer"
+            kind, chosen_by, focus = choice.kind, "optimizer", choice.focus
             parallel = self.parallel if choice.parallel else None
             if self.maintenance is not None:
-                self._advise_recompact(q)
+                self._advise_recompact(choice)
             if choice.cached:
                 served = self._serve_cached(q, kind, choice)
                 if served is not None:
@@ -484,8 +488,10 @@ class Colarm:
         generation = self.cache.generation() if consult else None
         result = execute_plan(
             kind, self.index, q, expand=self.expand, parallel=parallel,
-            delta=self.maintenance,
+            delta=self.maintenance, focus=focus,
         )
+        if focus is not None:
+            focus.release()
         if consult:
             self._populate_cache(q, kind, result, generation, choice)
         return QueryOutcome(
@@ -558,9 +564,7 @@ class Colarm:
         rules = self.cache.get_rules(q, _family(kind))
         if rules is None:
             return None
-        dq_size = ts.count(
-            self.index.table.tids_matching(q.range_selections)
-        )
+        dq_size = resolve_focal(self.index, q, self.maintenance).dq_size
         return _cached_outcome(kind, rules, start, dq_size, None)
 
     def _populate_cache(

@@ -66,6 +66,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro import kernels, tidset as ts
+from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex, build_mip_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery, Overlap
@@ -93,7 +94,7 @@ class DeltaBuffer:
     in the buffer):
 
     * ``data``  — the raw ``(capacity, n_attrs)`` int32 record matrix
-      (rebuilds and the ARM plan's SELECT read live rows from it);
+      (rebuilds read live rows from it);
     * ``items`` — one packed delta tidset per schema item, attr-major
       (row ``bases[a] + v`` is item ``(a, v)``), so a whole batch lands
       with a single ``bitwise_or.at`` scatter;
@@ -231,12 +232,6 @@ class DeltaBuffer:
             row &= selected
         return row
 
-    def matching_records(self, row: np.ndarray) -> np.ndarray:
-        """The raw records at the set positions of a packed row."""
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        mask = bits[: self.n_rows].astype(bool)
-        return self.data[: self.n_rows][mask]
-
     def nbytes(self) -> int:
         """Footprint of the packed matrices plus the record store."""
         return int(
@@ -305,12 +300,6 @@ class DeltaView:
         if self.main_dead_packed is None:
             return np.zeros(len(matrix), dtype=np.int64)
         return kernels.and_count(matrix, self.main_dead_packed)
-
-    def records(self) -> np.ndarray:
-        """Matching live delta records (the ARM plan's SELECT extension)."""
-        if self.dq_size == 0:
-            return self.buffer.data[:0]
-        return self.buffer.matching_records(self.focal_row)
 
 
 class _Recompaction:
@@ -414,6 +403,11 @@ class MaintainedIndex:
     def n_delta_records(self) -> int:
         """Live delta records (appended minus tombstoned)."""
         return self._buffer.n_live
+
+    @property
+    def n_pending(self) -> int:
+        """Un-folded mutations: live delta records plus main tombstones."""
+        return self._buffer.n_live + self._main_dead_count
 
     @property
     def n_records(self) -> int:
@@ -724,22 +718,13 @@ class MaintainedIndex:
         immutable index, and the delta corrections are vectorized
         partials.  An empty focal subset answers the empty block.
         """
-        query.validate_against(self.schema)
-        if self._focal_empty(query):
+        focus = resolve_focal(self.index, query, self)
+        if focus.dq_size == 0:
             return RuleBlock.from_rules(())
         return execute_plan(
             plan, self.index, query, expand=expand, parallel=parallel,
-            delta=self,
+            delta=self, focus=focus,
         ).rules
-
-    def _focal_empty(self, query: LocalizedQuery) -> bool:
-        dq = self.index.table.tids_matching(query.range_selections)
-        if ts.count(dq & ~self._main_dead):
-            return False
-        if self._buffer.n_rows:
-            row = self._buffer.focal_row(query.range_selections)
-            return int(kernels.popcount_rows(row[None, :])[0]) == 0
-        return True
 
     def query_scalar(
         self, query: LocalizedQuery, expand: bool = False

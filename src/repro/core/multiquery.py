@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels, tidset as ts
+from repro import kernels
+from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.operators import (
     _LATTICE_MAX_WIDTH,
@@ -50,7 +51,6 @@ from repro.core.operators import (
 )
 from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
 from repro.itemsets.itemset import Itemset
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
@@ -112,56 +112,44 @@ def execute_batch(
         # n_groups overcounts distinct subsets.
         key = canonical_focal_key(query.range_selections, cards)
         if key not in groups:
-            focal = query.focal_range(index.cardinalities)
-            dq = index.table.tids_matching(query.range_selections)
-            dq_size = ts.count(dq)
-            if dq_size == 0:
+            focus = resolve_focal(index, query)
+            if focus.dq_size == 0:
                 raise QueryError(f"query {qi}: focal subset is empty")
-            packed_dq = kernels.pack(dq, index.tidset_words)
-            rows = _group_candidate_rows(index, focal)
+            rows = _group_candidate_rows(index, focus.focal)
             # One batched record-level pass: every candidate's exact local
             # count, shared by all queries of the group and pre-sorted
             # descending so each query's threshold is a prefix cut.
             if len(rows):
                 counts = kernels.and_count(
-                    index.mip_tidset_matrix.take(rows, axis=0), packed_dq
+                    index.mip_tidset_matrix.take(rows, axis=0),
+                    focus.packed_dq(),
                 ).astype(np.int64)
                 order = np.argsort(-counts, kind="stable")
                 rows, counts = rows[order], counts[order]
             else:
                 counts = np.zeros(0, dtype=np.int64)
             groups[key] = len(group_data)
+            focus.kernel()  # the group's one projection, built up front
             group_data.append({
-                "focal": focal,
-                "dq": dq,
-                "dq_size": dq_size,
-                "packed_dq": packed_dq,
+                # The group's resolution; every query of the group reads
+                # its packed row and projection (``rethreshold`` shares
+                # them).
+                "focus": focus,
                 "rows": rows,
                 "counts": counts,
-                "kernel": None,  # focal projection, built on first use
                 "lattice": {},   # Itemset -> its subset-lattice count row
             })
-        gid = groups[key]
-        data = group_data[gid]
-        min_count = min_count_for(query.minsupp, data["dq_size"])
-        # Counts are sorted descending: qualified candidates are a prefix.
-        n_keep = int(np.searchsorted(-data["counts"], -min_count, side="right"))
-        ctx = QueryContext(
-            index=index,
-            query=query,
-            focal=data["focal"],
-            dq=data["dq"],
-            dq_size=data["dq_size"],
-            min_count=min_count,
-            expand=expand,
-        )
-        ctx._dq_packed = data["packed_dq"]
-        if data["kernel"] is None:
-            data["kernel"] = ctx.focal_kernel()  # builds + times the projection
             n_projections += 1
         else:
-            ctx._focal_kernel = data["kernel"]
             projection_hits += 1
+        gid = groups[key]
+        data = group_data[gid]
+        focus = data["focus"].rethreshold(query)
+        # Counts are sorted descending: qualified candidates are a prefix.
+        n_keep = int(
+            np.searchsorted(-data["counts"], -focus.min_count, side="right")
+        )
+        ctx = QueryContext(index=index, query=query, focus=focus, expand=expand)
         rows_q = data["rows"][:n_keep]
         counts_q = data["counts"][:n_keep]
         keep = _aitem_mask(ctx, rows_q)
@@ -173,7 +161,7 @@ def execute_batch(
         else:
             rules, _lookups, _kernel_s = _rules_from_qualified(ctx, qualified)
         items[qi] = BatchItem(
-            query=query, rules=rules, dq_size=data["dq_size"], shared_group=gid
+            query=query, rules=rules, dq_size=focus.dq_size, shared_group=gid
         )
 
     return BatchReport(

@@ -3,7 +3,7 @@
 COLARM treats online mining not as a black box but as a pipeline of
 operators with precise inputs and outputs:
 
-* SELECT            — extract the focal subset's records (ARM plan);
+* SELECT            — the focal subset in vertical form (ARM plan);
 * SEARCH            — R-tree window search for overlapping MIPs;
 * SUPPORTED-SEARCH  — SEARCH with the supported R-tree filter (Lemma 4.4);
 * ELIMINATE         — record-level ``Aitem`` + minsupp filtering;
@@ -44,13 +44,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.parallel import ParallelContext
 
-from repro import kernels, tidset as ts
+from repro import kernels
+from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mip import MIP
 from repro.core.mipindex import MIPIndex
 from repro.core.query import FocalRange, LocalizedQuery, Overlap
-from repro.dataset.table import RelationalTable
+from repro.dataset.schema import Item
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
 from repro.itemsets.charm import charm
 from repro.itemsets.itemset import Itemset, make_itemset
 from repro.itemsets.rules import (
@@ -195,24 +195,19 @@ class ExecutionTrace:
 
 @dataclass
 class QueryContext:
-    """Shared runtime state for one localized query execution."""
+    """Shared runtime state for one localized query execution.
+
+    The focal subset itself — tidset, sizes, thresholds, delta view, the
+    packed focal row and the focal-projected kernel — lives on ``focus``
+    (:class:`repro.core.focal.FocalSubset`); the context reads through
+    to it, so a subset the optimizer already resolved is executed on
+    as-is.
+    """
 
     index: MIPIndex
     query: LocalizedQuery
-    focal: FocalRange
-    dq: int            # focal-subset tidset (live main records only)
-    dq_size: int       # |D^Q| (main live + delta live)
-    min_count: int     # ceil(minsupp * |D^Q|)
+    focus: FocalSubset
     expand: bool       # expand candidates to all locally frequent itemsets
-    #: ``|D^Q ∩ main_live|`` — the main-universe share of ``dq_size``
-    #: (equal to ``dq_size`` whenever no delta store is attached; the
-    #: ``-1`` default resolves to ``dq_size`` in ``__post_init__``).
-    main_dq_size: int = -1
-    #: Attached delta-store read view
-    #: (:class:`repro.core.maintenance.DeltaView`; ``None`` = immutable
-    #: index).  When present, ``dq`` is already masked to live main
-    #: records and every operator adds the view's vectorized corrections.
-    delta: "object | None" = field(default=None, repr=False)
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     projection_s: float = 0.0  # one-off focal-projection build time
     #: Sharded-execution handle (None = serial).  Operators *try* it for
@@ -230,12 +225,38 @@ class QueryContext:
     lattice_groups: "list[tuple[list[Itemset], np.ndarray]] | None" = field(
         default=None, repr=False
     )
-    _dq_packed: np.ndarray | None = field(default=None, repr=False)
-    _focal_kernel: "kernels.FocalKernel | None" = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.main_dq_size < 0:
-            self.main_dq_size = self.dq_size
+    @property
+    def focal(self) -> FocalRange:
+        return self.focus.focal
+
+    @property
+    def dq(self) -> int:
+        """Focal-subset tidset (live main records only)."""
+        return self.focus.dq
+
+    @property
+    def dq_size(self) -> int:
+        """``|D^Q|`` (main live + delta live)."""
+        return self.focus.dq_size
+
+    @property
+    def main_dq_size(self) -> int:
+        """``|D^Q ∩ main_live|`` (``dq_size`` without a delta store)."""
+        return self.focus.main_dq_size
+
+    @property
+    def min_count(self) -> int:
+        """``ceil(minsupp * |D^Q|)``."""
+        return self.focus.min_count
+
+    @property
+    def delta(self):
+        """Attached delta-store read view
+        (:class:`repro.core.maintenance.DeltaView`; ``None`` = immutable
+        index).  When present, ``dq`` is already masked to live main
+        records and every operator adds the view's vectorized corrections."""
+        return self.focus.delta
 
     @property
     def qualify_floor(self) -> int:
@@ -256,35 +277,18 @@ class QueryContext:
 
     def packed_dq(self) -> np.ndarray:
         """The focal tidset as a packed kernel row (computed once)."""
-        if self._dq_packed is None:
-            self._dq_packed = kernels.pack(self.dq, self.index.tidset_words)
-        return self._dq_packed
+        return self.focus.packed_dq()
 
     def focal_kernel(self) -> "kernels.FocalKernel":
-        """The focal-projected support kernel, built lazily once per query.
-
-        Multi-query batches sharing a focal region pre-set the kernel on
-        the context (:mod:`repro.core.multiquery`), in which case no build
-        happens here and ``projection_s`` stays zero for this context.
-        """
-        if self._focal_kernel is None:
-            start = time.perf_counter()
-            matrix, row_of = self.index.table.item_matrix()
-            main_kernel = kernels.FocalKernel(
-                matrix, row_of, self.packed_dq(), self.main_dq_size
-            )
-            if self.delta is not None:
-                # Delta-aware queries count through the combined kernel:
-                # the main projection spans the live main focal subset,
-                # the delta view's kernel spans the delta focal subset,
-                # and every support is their exact elementwise sum.
-                self._focal_kernel = kernels.CombinedFocalKernel(
-                    main_kernel, self.delta.kernel()
-                )
-            else:
-                self._focal_kernel = main_kernel
-            self.projection_s += time.perf_counter() - start
-        return self._focal_kernel
+        """The focal-projected support kernel, built once per resolved
+        subset; the build (if this call makes it) is timed into
+        ``projection_s``.  A context whose ``focus`` arrives with the
+        kernel already built — a later query of a multi-query group —
+        pays nothing here."""
+        start = time.perf_counter()
+        kernel = self.focus.kernel()
+        self.projection_s += time.perf_counter() - start
+        return kernel
 
     def aitem_allows(self, itemset: Itemset) -> bool:
         """Whether every item of ``itemset`` lies in the query's Aitem."""
@@ -300,50 +304,38 @@ def make_context(
     expand: bool = False,
     parallel: "ParallelContext | None" = None,
     delta: "object | None" = None,
+    focus: FocalSubset | None = None,
 ) -> QueryContext:
-    """Resolve the focal subset and thresholds (the shared query setup).
+    """The shared query setup: the focal subset and its thresholds.
 
-    Computing ``D^Q``'s tidset and size is needed by every plan (even the
-    thresholds depend on ``|D^Q|``), so it is traced as a common ``FOCUS``
-    step rather than attributed to any single plan's operators.
+    ``D^Q``'s tidset and size are needed by every plan (even the
+    thresholds depend on ``|D^Q|``), so obtaining them is traced as a
+    common ``FOCUS`` step rather than attributed to any single plan's
+    operators.  ``focus`` hands in a subset already resolved for this
+    request (the optimizer's, through ``PlanChoice.focus``); it is
+    adopted only while :meth:`FocalSubset.valid_for` holds — a missing
+    or stale one is resolved afresh (:func:`repro.core.focal.
+    resolve_focal`), never trusted.
 
     ``delta`` optionally attaches a
-    :class:`repro.core.maintenance.MaintainedIndex`: the main focal
-    tidset is masked to live records (tombstones disappear from every
-    packed-dq count for free) and the per-query delta view rides the
-    context so the operators add their vectorized corrections.
+    :class:`repro.core.maintenance.MaintainedIndex`, so the subset is
+    the live main+delta one and the operators add their vectorized
+    delta corrections.
     """
-    query.validate_against(index.table.schema)
     start = time.perf_counter()
-    focal = query.focal_range(index.cardinalities)
-    dq = index.table.tids_matching(query.range_selections)
-    view = None
-    if delta is not None:
-        view = delta.delta_view(query)
-        if view is not None:
-            dq &= ~delta.main_dead
-    main_dq_size = ts.count(dq)
-    dq_size = main_dq_size + (view.dq_size if view is not None else 0)
-    if dq_size == 0:
+    if focus is None or not focus.valid_for(index, query, delta):
+        focus = resolve_focal(index, query, delta)
+    if focus.dq_size == 0:
         raise QueryError("focal subset is empty; nothing to mine")
-    min_count = min_count_for(query.minsupp, dq_size)
     ctx = QueryContext(
-        index=index,
-        query=query,
-        focal=focal,
-        dq=dq,
-        dq_size=dq_size,
-        min_count=min_count,
-        expand=expand,
-        main_dq_size=main_dq_size,
-        delta=view,
+        index=index, query=query, focus=focus, expand=expand,
         parallel=parallel,
     )
     ctx.trace.add(
         OperatorTrace(
             name="FOCUS",
             input_size=index.table.n_records,
-            output_size=dq_size,
+            output_size=focus.dq_size,
             elapsed=time.perf_counter() - start,
         )
     )
@@ -950,51 +942,49 @@ def op_union(
 # ---------------------------------------------------------------------------
 
 
-def op_select(ctx: QueryContext) -> RelationalTable:
-    """SELECT: extract the focal subset's records into a new table.
+def op_select(ctx: QueryContext) -> dict[Item, int]:
+    """SELECT: the focal subset in vertical form, one tidset per item.
 
-    With a delta store attached, the matching live delta records stack
-    under the main extraction — the ARM plan then mines the combined
-    focal subset from scratch, denominators included, with no further
-    delta awareness.
+    The records of ``D^Q`` are exactly the columns of the context's
+    focal projection, so SELECT builds that projection (the one VERIFY
+    would build) and reads its rows out as ``|D^Q|``-bit int tidsets —
+    bit ``p`` is the ``p``-th focal record, live main records first and
+    the delta view's records after them.  No row is copied and no
+    tidset is rebuilt from rows; ARM's rule generation then counts
+    through the same kernel.
     """
     start = time.perf_counter()
-    sub = ctx.index.table.subset(ctx.dq)
-    if ctx.delta is not None:
-        extra = ctx.delta.records()
-        if len(extra):
-            sub = RelationalTable(
-                sub.schema, np.vstack([sub.data, extra])
-            )
+    item_tidsets = ctx.focal_kernel().item_tidsets()
     ctx.trace.add(
         OperatorTrace(
             name="SELECT",
             input_size=ctx.index.table.n_records,
-            output_size=sub.n_records,
+            output_size=ctx.dq_size,
             elapsed=time.perf_counter() - start,
         )
     )
-    return sub
+    return item_tidsets
 
 
-def op_arm(ctx: QueryContext, sub: RelationalTable) -> RuleBlock:
+def op_arm(ctx: QueryContext, sub: dict[Item, int]) -> RuleBlock:
     """ARM: traditional two-step rule mining from scratch on the subset.
 
     Mines closed frequent itemsets with CHARM at the query's minsupp over
-    the item attributes only, then generates rules from them as VERIFY
-    does: the focal-projected kernel counts each closed itemset's subset
-    lattice over the table's item matrix (no MIP is consulted) and one
-    vectorized pass checks the confidences.  In expanded mode all locally
-    frequent sub-itemsets are sources, to mirror the expanded MIP-plans.
+    the item attributes only — on SELECT's vertical subset — then
+    generates rules from them as VERIFY does: the focal-projected kernel
+    counts each closed itemset's subset lattice (no MIP is consulted) and
+    one vectorized pass checks the confidences.  In expanded mode all
+    locally frequent sub-itemsets are sources, to mirror the expanded
+    MIP-plans.
     """
     start = time.perf_counter()
-    item_tidsets = {
-        item: mask
-        for item, mask in sub.item_tidsets().items()
-        if ctx.query.item_attributes is None
-        or item.attribute in ctx.query.item_attributes
-    }
-    closed = charm(item_tidsets, sub.n_records, ctx.query.minsupp)
+    aitem = ctx.query.item_attributes
+    if aitem is not None:
+        sub = {
+            item: mask for item, mask in sub.items()
+            if item.attribute in aitem
+        }
+    closed = charm(sub, ctx.dq_size, ctx.query.minsupp)
     sources = [cfi.items for cfi in closed if len(cfi.items) >= 2]
     kernel = ctx.focal_kernel()
     if ctx.expand:
@@ -1004,7 +994,7 @@ def op_arm(ctx: QueryContext, sub: RelationalTable) -> RuleBlock:
     ctx.trace.add(
         OperatorTrace(
             name="ARM",
-            input_size=sub.n_records,
+            input_size=ctx.dq_size,
             output_size=len(rules),
             elapsed=time.perf_counter() - start,
             detail={"local_closed_itemsets": len(closed)},

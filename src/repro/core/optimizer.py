@@ -16,7 +16,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 
-from repro import tidset as ts
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CacheProbe, HitPricing
 from repro.core.costs import (
     CostModel,
@@ -24,11 +23,11 @@ from repro.core.costs import (
     ParallelCostProfile,
     QueryProfile,
 )
+from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.plans import PlanKind
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
 
 __all__ = [
     "EstimateResidual",
@@ -151,6 +150,11 @@ class PlanChoice:
     #: cached-variant prices and the memoized profile are both stale
     #: after a mutation.
     generation: int = 0
+    #: The focal subset the profile was built over, for the execution to
+    #: adopt (``execute_plan(..., focus=)``) instead of resolving it
+    #: again.  ``None`` when nothing was resolved — the profile came from
+    #: the memo, or the choice is a stamp-priced hit.
+    focus: FocalSubset | None = field(default=None, repr=False, compare=False)
 
     @property
     def chosen_estimate(self) -> float:
@@ -256,8 +260,8 @@ class ColarmOptimizer:
         #: (:meth:`record_measurement`); unbounded only if the caller
         #: keeps feeding it — benches clear it per run.
         self.residuals: list[EstimateResidual] = []
-        #: (query, index generation) -> QueryProfile LRU memo; see
-        #: :meth:`profile_for`.
+        #: (range selections, Aitem, minsupp, index generation) ->
+        #: QueryProfile LRU memo; see :meth:`profile_for`.
         self._profile_memo: "OrderedDict[tuple, QueryProfile]" = OrderedDict()
 
     @property
@@ -297,70 +301,50 @@ class ColarmOptimizer:
         self.cost_model = CostModel(index.stats, self.cost_model.weights)
         self._profile_memo.clear()
 
-    def profile_for(self, query: LocalizedQuery) -> QueryProfile:
+    def profile_for(
+        self, query: LocalizedQuery
+    ) -> tuple[QueryProfile, FocalSubset | None]:
         """Resolve the focal subset and build the query's cost profile.
 
-        The profile is a pure function of the (frozen, hashable) query
-        and the index state, so it is memoized per (query, index
-        generation) under a small LRU bound: the density-aware ARM model
-        *measures* the focal subset's frequent-item structure, which
-        costs milliseconds — on the repeated-query workloads the
+        Returns the profile and the :class:`FocalSubset` it was built
+        over, which :meth:`choose` hands on (``PlanChoice.focus``) so the
+        execution does not resolve it again.
+
+        The profile is a pure function of the query's range selections
+        (as spelled: the cardinality pass counts a full-domain selection
+        as a range attribute), ``item_attributes`` and ``minsupp`` — not
+        of ``minconf`` — and of the index state, so it is memoized on
+        exactly those and the index generation under a small LRU bound:
+        the density-aware ARM model *measures* the focal subset's
+        frequent-item structure, and on the repeated-query workloads the
         materialized cache serves, re-measuring an unchanged subset per
-        repeat would dwarf the cache hit itself.  Any index mutation
-        changes the generation key, so a stale profile is never reused.
+        repeat (or per ``minconf`` variant) would dwarf the cache hit
+        itself.  Any index mutation changes the generation key, so a
+        stale profile is never reused.  A memo hit resolves nothing and
+        returns no subset; the memo holds profiles only, never a subset
+        or its projection.
         """
-        memo_key = (query, self.index.generation)
+        memo_key = (
+            tuple(query.range_selections.items()),
+            query.item_attributes,
+            query.minsupp,
+            self.index.generation,
+        )
         cached = self._profile_memo.get(memo_key)
         if cached is not None:
             self._profile_memo.move_to_end(memo_key)
-            return cached
-        query.validate_against(self.index.table.schema)
-        focal = query.focal_range(self.index.cardinalities)
-        dq = self.index.table.tids_matching(query.range_selections)
-        delta_view = (
-            self.delta_source.delta_view(query)
-            if self.delta_source is not None
-            else None
-        )
-        delta_records = delta_dq = delta_words = 0
-        if delta_view is not None:
-            # Mask tombstoned main records and extend the focal subset by
-            # the live delta rows — the combined |D^Q| every plan answers
-            # over, so min_count and all cardinality estimates line up
-            # with the maintained execution.
-            source = self.delta_source
-            dq &= ~source.main_dead
-            delta_dq = delta_view.dq_size
-            delta_words = delta_view.buffer.words
-            delta_records = (
-                source.n_delta_records
-                + source.n_main_records
-                - source.n_main_live
-            )
-        dq_size = ts.count(dq) + delta_dq
-        if dq_size == 0:
+            return cached, None
+        # Over a live delta this is the combined live |D^Q| every plan
+        # answers over, so min_count and all cardinality estimates line
+        # up with the maintained execution.
+        focus = resolve_focal(self.index, query, self.delta_source)
+        if focus.dq_size == 0:
             raise QueryError("focal subset is empty; nothing to optimize")
-        min_count = min_count_for(query.minsupp, dq_size)
-        item_tidsets = {
-            (item.attribute, item.value): mask
-            for item, mask in self.index.table.item_tidsets().items()
-        }
-        profile = QueryProfile.from_query(
-            query,
-            focal,
-            self.index.stats,
-            dq_size,
-            min_count,
-            item_local_tidsets=item_tidsets,
-            dq=dq,
-            delta_records=delta_records,
-            delta_dq_size=delta_dq,
-            delta_words=delta_words,
-        )
+        profile = QueryProfile.from_query(query, focus, self.index.stats)
         self._profile_memo[memo_key] = profile
         if len(self._profile_memo) > _PROFILE_MEMO_MAX:
             self._profile_memo.popitem(last=False)
-        return profile
+        return profile, focus
 
     def _risk(self, kind: PlanKind) -> float:
         return self.arm_risk_factor if kind is PlanKind.ARM else 1.0
@@ -468,7 +452,7 @@ class ColarmOptimizer:
         execution) and serial beats sharded (the dispatch risk buys
         nothing at equal cost).
         """
-        profile = self.profile_for(query)
+        profile, focus = self.profile_for(query)
         estimates = self.cost_model.estimate_all(profile)
         parallel_estimates: dict[PlanKind, float] = {}
         if self.parallel_profile is not None:
@@ -509,23 +493,27 @@ class ColarmOptimizer:
             cached_estimates=cached_estimates,
             cache_probe=cache_probe,
             generation=self.index.generation,
+            focus=focus,
         )
 
     def recompaction_advice(
         self,
-        query: LocalizedQuery,
+        choice: PlanChoice,
         build_cost_s: float,
         horizon: int = 100,
     ) -> RecompactionAdvice:
-        """Price rebuild-vs-accumulate for the maintained index.
+        """Price rebuild-vs-accumulate for the maintained index, from the
+        request's own :meth:`choose` result.
 
         The per-query *toll* is the price of the delta load terms
         (``delta_probe``/``delta_merge``) on the query's cheapest
         **delta-free** MIP plan — the plan the workload would run on a
-        freshly folded index.  Folding is recommended once the toll,
-        accumulated over ``horizon`` queries, exceeds ``build_cost_s``
-        (use the maintained index's measured ``last_build_s``, or a
-        calibration estimate, for the latter).
+        freshly folded index; its delta-free price is the choice's
+        estimate less that plan's toll.  Folding is recommended once the
+        toll, accumulated over ``horizon`` queries, exceeds
+        ``build_cost_s`` (use the maintained index's measured
+        ``last_build_s``, or a calibration estimate, for the latter).  A
+        stamp-priced cache hit (no profile) pays no toll.
 
         Ranking on the delta-free prices is deliberate: with
         ``delta_probe = inf`` (the CI gate's forcing function) every
@@ -533,30 +521,32 @@ class ColarmOptimizer:
         laden prices would dodge the toll by "choosing" ARM — the stripped
         ranking keeps the toll attached to the plan actually at stake, so
         an infinite probe weight always recommends folding while a live
-        delta exists.
+        delta exists (every plan's toll is then infinite, whichever one
+        the ranking lands on).
         """
-        profile = self.profile_for(query)
-        if profile.delta_records <= 0:
+        profile = choice.profile
+        if profile is None or profile.delta_records <= 0:
             return RecompactionAdvice(
                 recommended=False,
                 toll_s=0.0,
                 build_cost_s=build_cost_s,
                 horizon=horizon,
             )
-        base_prices = {}
-        for kind in PlanKind:
-            if kind is PlanKind.ARM:
-                continue
-            loads = self.cost_model.loads(kind, profile)
-            loads.pop("delta_probe", None)
-            loads.pop("delta_merge", None)
-            base_prices[kind] = self.weights.price(loads)
-        kind = min(
-            base_prices, key=lambda k: (base_prices[k], _TIE_PREFERENCE[k])
-        )
-        toll = self.weights.price(
-            self.cost_model.delta_loads(kind, profile)
-        )
+        tolls = {
+            kind: self.weights.price(self.cost_model.delta_loads(kind, profile))
+            for kind in PlanKind
+            if kind is not PlanKind.ARM
+        }
+
+        def delta_free(kind: PlanKind) -> tuple[float, int]:
+            toll = tolls[kind]
+            price = (
+                choice.estimates[kind] - toll if math.isfinite(toll)
+                else math.inf
+            )
+            return price, _TIE_PREFERENCE[kind]
+
+        toll = tolls[min(tolls, key=delta_free)]
         return RecompactionAdvice(
             recommended=toll * horizon > build_cost_s,
             toll_s=toll,

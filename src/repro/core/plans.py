@@ -84,6 +84,7 @@ def execute_plan(
     expand: bool = False,
     parallel=None,
     delta=None,
+    focus=None,
 ) -> PlanResult:
     """Run one plan end to end and return its rules plus instrumentation.
 
@@ -97,10 +98,16 @@ def execute_plan(
     :class:`repro.core.maintenance.MaintainedIndex`; all six plans then
     answer over live main+delta with vectorized delta corrections (see
     :func:`repro.core.operators.make_context`).
+
+    ``focus`` hands in the request's already resolved
+    :class:`repro.core.focal.FocalSubset` (data, not an option: the rules
+    are the same with or without it); ``make_context`` adopts it only
+    while it is valid for ``index``/``query``/``delta`` and resolves the
+    subset itself otherwise.
     """
     start = time.perf_counter()
     ctx = make_context(index, query, expand=expand, parallel=parallel,
-                       delta=delta)
+                       delta=delta, focus=focus)
     rules = _PLAN_BODIES[kind](ctx)
     elapsed = time.perf_counter() - start
     return PlanResult(

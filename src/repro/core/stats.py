@@ -52,17 +52,23 @@ class LevelCountProfile:
 class IndexStatistics:
     """Aggregates describing the dataset, the MIPs and the R-tree.
 
-    Beyond the scalar aggregates the paper's formulae use, three vectorized
-    profiles are precomputed so the optimizer's cardinality estimates can
-    be *data-aware* (a numpy pass over N MIPs, microseconds at query time):
+    Beyond the scalar aggregates the paper's formulae use, vectorized
+    per-MIP profiles are precomputed so the optimizer's cardinality
+    estimates can be *data-aware* (a numpy pass over N MIPs, microseconds
+    at query time), each laid out the way its reader walks it:
 
-    * ``mip_global_counts[i]``  — global support count of MIP ``i``;
+    * ``mip_global_counts[i]``  — global support count of MIP ``i``
+      (``mip_log_counts[i]`` its natural log, ``mip_fanout[i]`` the
+      capped ``2**length`` rule-generation factor);
     * ``mip_fixed_values[i, a]`` — the value MIP ``i`` fixes attribute ``a``
-      to, or ``-1`` when the attribute is free;
-    * ``item_local_counts[i, j]`` — ``|t(I_i) ∩ t(item_j)|``, the MIP's
-      support inside each single-item subset (columns indexed by
-      ``item_columns``) — the basis of the local-support upper bound used
-      to estimate ELIMINATE's output.
+      to, or ``-1`` when the attribute is free.  MIP-major: SEARCH,
+      ELIMINATE and the delta store gather its *rows*;
+    * ``item_mip_counts[j, i]`` — ``|t(I_i) ∩ t(item_j)|``, the MIP's
+      support inside each single-item subset (rows indexed by
+      ``item_rows``) — the basis of the local-support upper bound used
+      to estimate ELIMINATE's output.  Item-major: the cardinality pass
+      (:mod:`repro.core.costs`, its only reader) sums a few items'
+      contiguous rows.
     """
 
     n_records: int
@@ -78,8 +84,10 @@ class IndexStatistics:
     primary_support: float
     mip_global_counts: np.ndarray            # (N,) int64, MIP order
     mip_fixed_values: np.ndarray             # (N, n) int32, -1 = free
-    item_columns: dict[tuple[int, int], int]  # (attribute, value) -> column
-    item_local_counts: np.ndarray            # (N, n_items) int32
+    item_rows: dict[tuple[int, int], int]    # (attribute, value) -> row
+    item_mip_counts: np.ndarray              # (n_items, N) int32
+    mip_fanout: np.ndarray                   # (N,) float64, 2**min(length, 16)
+    mip_log_counts: np.ndarray               # (N,) float64, log(global count)
     #: Whole-table analogues of the per-query ARM-model measurements
     #: (:class:`~repro.core.costs.ArmModelStats`), computed once at build
     #: time: how many items are frequent at the primary support, and the
@@ -170,24 +178,23 @@ def gather_statistics(
 
     histogram = dict(Counter(lengths.tolist()))
 
-    item_columns: dict[tuple[int, int], int] = {}
+    item_rows: dict[tuple[int, int], int] = {}
     global_f1 = 0
     global_pair_density = 0.0
     if item_matrix is not None and len(item_matrix[1]):
-        item_rows, row_of = item_matrix
-        item_columns = {(item[0], item[1]): j for item, j in row_of.items()}
-        by_item = np.empty((len(item_rows), n_mips), dtype=np.int32)
-        for j, row in enumerate(item_rows):
-            by_item[j] = and_count(mip_matrix, row)
-        local_counts = np.ascontiguousarray(by_item.T)
+        item_tidsets, row_of = item_matrix
+        item_rows = {(item[0], item[1]): j for item, j in row_of.items()}
+        item_mip_counts = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
+        for j, row in enumerate(item_tidsets):
+            item_mip_counts[j] = and_count(mip_matrix, row)
 
         exact = primary_support * n_records
         floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
-        item_counts = popcount_rows(item_rows)
+        item_counts = popcount_rows(item_tidsets)
         strong = np.flatnonzero(item_counts >= floor)
         global_f1 = len(strong)
         strong = strong[np.argsort(-item_counts[strong], kind="stable")][:48]
-        rows = item_rows[strong]
+        rows = item_tidsets[strong]
         pairs = len(rows) * (len(rows) - 1) // 2
         frequent_pairs = sum(
             int((and_count(rows[i + 1:], rows[i]) >= floor).sum())
@@ -196,7 +203,7 @@ def gather_statistics(
         if pairs:
             global_pair_density = frequent_pairs / pairs
     else:
-        local_counts = np.zeros((n_mips, 0), dtype=np.int32)
+        item_mip_counts = np.zeros((0, n_mips), dtype=np.int32)
 
     global_counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     return IndexStatistics(
@@ -216,8 +223,10 @@ def gather_statistics(
         primary_support=primary_support,
         mip_global_counts=global_counts,
         mip_fixed_values=fixed_values,
-        item_columns=item_columns,
-        item_local_counts=local_counts,
+        item_rows=item_rows,
+        item_mip_counts=item_mip_counts,
+        mip_fanout=np.exp2(np.minimum(lengths, _MAX_POW2_LENGTH).astype(float)),
+        mip_log_counts=np.log(global_counts.astype(float)),
         global_f1=global_f1,
         global_pair_density=global_pair_density,
     )

@@ -187,19 +187,6 @@ class RelationalTable:
                 break
         return kernels.unpack(mask)
 
-    def subset(self, tids: int) -> "RelationalTable":
-        """A new table holding only the records in tidset ``tids``.
-
-        Used by the ARM plan, which runs a miner from scratch on the
-        extracted focal subset.
-        """
-        # Row indices straight from the packed row's bits, in tid order.
-        packed = kernels.pack(tids, self.tidset_words)
-        rows = np.flatnonzero(
-            np.unpackbits(packed.view(np.uint8), bitorder="little")
-        )
-        return RelationalTable(self.schema, self.data[rows, :])
-
     def project(self, attribute_indices: Sequence[int]) -> "RelationalTable":
         """A new table keeping only the given attributes, in the given order."""
         attrs = tuple(self.schema.attributes[i] for i in attribute_indices)

@@ -349,6 +349,17 @@ class FocalKernel:
         """Footprint of the projected item matrix (the per-query cost)."""
         return int(self.matrix.nbytes)
 
+    def item_tidsets(self) -> dict[Hashable, int]:
+        """The projected item rows as int tidsets over the dense universe
+        — the focal subset in *vertical* form (bit ``p`` of an item's
+        tidset is the ``p``-th focal record), what a tidset miner runs on."""
+        data = self.matrix.tobytes()
+        stride = self.words * 8
+        return {
+            key: int.from_bytes(data[i * stride:(i + 1) * stride], "little")
+            for key, i in self._row_of.items()
+        }
+
     def _item_row(self, key: Hashable) -> np.ndarray:
         idx = self._row_of.get(key)
         return self._zero if idx is None else self.matrix[idx]
@@ -600,6 +611,16 @@ class CombinedFocalKernel:
 
     def nbytes(self) -> int:
         return self.main.nbytes() + self.delta.nbytes()
+
+    def item_tidsets(self) -> dict[Hashable, int]:
+        """Item tidsets over the stacked universe: the main focal records
+        first, the delta focal records after them."""
+        tidsets = self.main.item_tidsets()
+        shift = self.main.dq_size
+        for key, mask in self.delta.item_tidsets().items():
+            if mask:
+                tidsets[key] = tidsets.get(key, 0) | (mask << shift)
+        return tidsets
 
     def seed(self, itemset: tuple, count: int) -> None:
         """No-op (see class docstring): combined counts are not seedable."""

@@ -1,5 +1,5 @@
 """The ARM cardinality model: F1/F2/F3 exactness, density-aware series,
-core extraction, chain bound, and the structural early returns."""
+chain bound, and the structural early returns."""
 
 import numpy as np
 import pytest
@@ -19,11 +19,7 @@ from tests.conftest import make_random_table
 
 def build_inputs(table, selections):
     dq = table.tids_matching(selections)
-    item_tidsets = {
-        (item.attribute, item.value): mask
-        for item, mask in table.item_tidsets().items()
-    }
-    return item_tidsets, dq, ts.count(dq)
+    return table.item_tidsets(), dq, ts.count(dq)
 
 
 def exact_f1(table, dq, min_count, item_attrs=None):
@@ -156,8 +152,7 @@ def test_chain_lower_bound_fires_on_pure_subset():
     assert stats.est_itemsets >= 2.0 ** n_attrs
     assert stats.est_fanout >= 3.0 ** n_attrs
     # the pure block is a perfect pairwise core
-    assert stats.core_size >= n_attrs
-    assert stats.core_density == pytest.approx(1.0)
+    assert stats.density == pytest.approx(1.0)
 
 
 def test_noisy_dense_core_priced_at_least_chain_bound():
@@ -188,8 +183,6 @@ def test_noisy_dense_core_priced_at_least_chain_bound():
     assert stats.est_fanout >= 3.0 ** min(stats.chain_length, 13)
     assert stats.est_itemsets >= 2.0 ** min(stats.chain_length, 16)
     # the signature items form a measured dense core
-    assert stats.core_size >= 5
-    assert stats.core_density >= 0.8
     assert stats.f3_sampled > 0
 
 

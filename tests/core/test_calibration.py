@@ -44,10 +44,9 @@ def test_calibrated_weights_improve_fit(index):
     defaults (they minimize exactly that residual)."""
     import numpy as np
 
-    from repro import tidset as ts
     from repro.core.costs import CostModel, QueryProfile
+    from repro.core.focal import resolve_focal
     from repro.core.plans import PlanKind, execute_plan
-    from repro.itemsets.apriori import min_count_for
 
     probes = default_probe_queries(index, 4, seed=7)
     report = calibrate(index, probes)
@@ -56,11 +55,8 @@ def test_calibrated_weights_improve_fit(index):
     fitted_model = CostModel(index.stats, report.weights)
     default_err, fitted_err = [], []
     for query in probes:
-        focal = query.focal_range(index.cardinalities)
-        dq = index.table.tids_matching(query.range_selections)
         profile = QueryProfile.from_query(
-            query, focal, index.stats, ts.count(dq),
-            min_count_for(query.minsupp, ts.count(dq)),
+            query, resolve_focal(index, query), index.stats
         )
         for kind in PlanKind:
             result = execute_plan(kind, index, query)

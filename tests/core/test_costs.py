@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.costs import CostModel, CostWeights, DEFAULT_WEIGHTS, QueryProfile
+from repro.core.focal import resolve_focal
 from repro.core.mipindex import build_mip_index
 from repro.core.operators import make_context, op_eliminate, op_search, \
     op_supported_search
@@ -29,7 +30,8 @@ QUERIES = [
 
 
 def profile_for(index, query):
-    return ColarmOptimizer(index).profile_for(query)
+    profile, _focus = ColarmOptimizer(index).profile_for(query)
+    return profile
 
 
 @pytest.mark.parametrize("query", QUERIES)
@@ -128,13 +130,13 @@ def test_fallback_without_item_profile(setup):
     _, index = setup
     stats = dataclasses.replace(
         index.stats,
-        item_columns={},
-        item_local_counts=np.zeros((index.n_mips, 0), dtype=np.int32),
+        item_rows={},
+        item_mip_counts=np.zeros((0, index.n_mips), dtype=np.int32),
     )
     query = QUERIES[0]
-    focal = query.focal_range(index.cardinalities)
-    profile = QueryProfile.from_query(query, focal, stats, dq_size=30,
-                                      min_count=9)
+    profile = QueryProfile.from_query(
+        query, resolve_focal(index, query), stats
+    )
     assert profile.n_cands > 0
     model = CostModel(stats)
     estimates = model.estimate_all(profile)

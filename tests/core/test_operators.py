@@ -181,10 +181,16 @@ def test_select_extracts_focal_subset(setup):
     table, index, query = setup
     ctx = make_context(index, query)
     sub = op_select(ctx)
-    assert sub.n_records == ctx.dq_size
+    # Vertical form: bit ``p`` of an item's tidset is the ``p``-th focal
+    # record, so reading the tidsets column-wise gives the records back.
     tids = ts.to_list(ctx.dq)
-    for i, tid in enumerate(tids):
-        assert sub.record(i) == table.record(tid)
+    assert ctx.trace.by_name("SELECT").output_size == len(tids)
+    for p, tid in enumerate(tids):
+        record = tuple(
+            sorted(item for item, mask in sub.items() if mask >> p & 1)
+        )
+        assert record == table.record(tid)
+    assert all(mask >> len(tids) == 0 for mask in sub.values())
 
 
 def test_arm_rules_are_correct(setup):

@@ -148,7 +148,7 @@ def test_parallel_loads_scale_with_workers(salary_engine):
     """More effective workers => cheaper record-partitioned terms, same
     dispatch term; ARM has no parallel variant."""
     optimizer = salary_engine.optimizer
-    profile = optimizer.profile_for(QUERY)
+    profile, _focus = optimizer.profile_for(QUERY)
     model = CostModel(salary_engine.index.stats, optimizer.weights)
     p2 = ParallelCostProfile(n_shards=4, effective_workers=2)
     p4 = ParallelCostProfile(n_shards=4, effective_workers=4)
@@ -166,7 +166,7 @@ def test_single_worker_profile_prices_parallel_above_serial(salary_engine):
     """With one effective worker the record-partitioned terms do not
     shrink, so parallel = serial + dispatch/merge overhead > serial."""
     optimizer = salary_engine.optimizer
-    profile = optimizer.profile_for(QUERY)
+    profile, _focus = optimizer.profile_for(QUERY)
     model = CostModel(salary_engine.index.stats, optimizer.weights)
     p1 = ParallelCostProfile(n_shards=4, effective_workers=1)
     for kind in PlanKind:

@@ -84,18 +84,29 @@ def test_mip_fixed_values_matrix(setup):
 
 
 def test_item_local_counts_matrix(setup):
+    """The per-item profile is item-major: row ``j`` holds item ``j``'s
+    local count inside every MIP, contiguously."""
     table, index = setup
     stats = index.stats
-    for (attribute, value), col in stats.item_columns.items():
-        mask = table.item_tidsets().get((attribute, value))
-        if mask is None:
-            from repro.dataset.schema import Item
-
-            mask = table.item_tidset(Item(attribute, value))
+    assert stats.item_mip_counts.shape == (len(stats.item_rows), stats.n_mips)
+    assert stats.item_mip_counts.flags.c_contiguous
+    for (attribute, value), row in stats.item_rows.items():
+        mask = table.item_tidsets()[(attribute, value)]
         for i, mip in enumerate(index.mips):
-            assert stats.item_local_counts[i, col] == ts.count(
+            assert stats.item_mip_counts[row, i] == ts.count(
                 mip.tidset & mask
             )
+
+
+def test_precomputed_fanout_and_log_counts(setup):
+    _, index = setup
+    stats = index.stats
+    assert stats.mip_fanout.tolist() == [
+        2.0 ** min(m.length, 16) for m in index.mips
+    ]
+    assert stats.mip_log_counts.tolist() == np.log(
+        np.asarray([m.global_count for m in index.mips], dtype=float)
+    ).tolist()
 
 
 def test_level_count_profile():
@@ -160,16 +171,16 @@ def scalar_statistics(index):
             fixed_values[i, item.attribute] = item.value
     out["mip_fixed_values"] = fixed_values
 
-    item_columns = {}
+    item_rows = {}
     for j, item in enumerate(sorted(item_tidsets)):
-        item_columns[(item[0], item[1])] = j
-    local_counts = np.zeros((len(mips), len(item_columns)), dtype=np.int32)
+        item_rows[(item[0], item[1])] = j
+    item_mip_counts = np.zeros((len(item_rows), len(mips)), dtype=np.int32)
     for i, mip in enumerate(mips):
         for item, mask in item_tidsets.items():
-            j = item_columns[(item[0], item[1])]
-            local_counts[i, j] = (mip.tidset & mask).bit_count()
-    out["item_columns"] = item_columns
-    out["item_local_counts"] = local_counts
+            j = item_rows[(item[0], item[1])]
+            item_mip_counts[j, i] = (mip.tidset & mask).bit_count()
+    out["item_rows"] = item_rows
+    out["item_mip_counts"] = item_mip_counts
 
     exact = index.primary_support * n_records
     floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)

@@ -86,43 +86,6 @@ def test_tids_matching_bad_attribute(small):
         small.tids_matching({7: {0}})
 
 
-def test_subset(small):
-    sub = small.subset(ts.from_tids([1, 3]))
-    assert sub.n_records == 2
-    assert sub.record_labels(0) == {"A": "a0", "B": "b1"}
-    assert sub.record_labels(1) == {"A": "a1", "B": "b2"}
-    assert sub.schema == small.schema
-
-
-@pytest.mark.parametrize("n_records", [1, 64, 64_001])
-def test_subset_equals_tid_walk(n_records):
-    """The packed-row extraction returns the rows the one-tid-at-a-time
-    walk returned, in tid order: empty, full, one-row and strided tidsets
-    on tables up to 64 001 records (1 001 words)."""
-    rng = np.random.default_rng(n_records)
-    schema = Schema((Attribute("A", ("a0", "a1", "a2")),
-                     Attribute("B", ("b0", "b1"))))
-    data = np.column_stack(
-        [rng.integers(0, 3, size=n_records), rng.integers(0, 2, size=n_records)]
-    ).astype(np.int32)
-    table = RelationalTable(schema, data)
-    tidsets = [
-        ts.EMPTY,
-        ts.full(n_records),
-        ts.singleton(0),
-        ts.singleton(n_records - 1),
-        ts.from_array(np.arange(0, n_records, 3)),
-        ts.from_array(rng.choice(n_records, size=(n_records + 1) // 2,
-                                 replace=False)),
-    ]
-    for tids in tidsets:
-        sub = table.subset(tids)
-        expected = data[ts.to_list(tids), :]
-        assert sub.schema == schema
-        assert sub.data.dtype == np.int32
-        assert np.array_equal(sub.data, expected)
-
-
 def test_project(small):
     proj = small.project([1])
     assert proj.n_attributes == 1

@@ -1,12 +1,15 @@
 """ARM through the kernel path equals ARM through the scalar path.
 
-``op_arm`` generates its rules through the focal-projected subset-lattice
-kernel (the same tail VERIFY uses).  The scalar generator it replaced —
-a memoized big-int AND chain per support lookup feeding the consequent-
-growth ``rules_from_itemsets`` — is kept here, verbatim, as the identity
-oracle: same rules, same floats, same order, in closed and expanded mode,
-over an immutable index and over main+delta, on the scenario strategies
-of the plan-equivalence and maintenance property suites.
+``op_arm`` mines SELECT's *vertical* focal subset (the rows of the
+focal projection) and generates its rules through the focal-projected
+subset-lattice kernel (the same tail VERIFY uses).  The scalar path it
+replaced — extract the focal records row by row, rebuild their item
+tidsets, then a memoized big-int AND chain per support lookup feeding the
+consequent-growth ``rules_from_itemsets`` — is kept here as the identity
+oracle and shares nothing with the projection: same rules, same floats,
+same order, in closed and expanded mode, over an immutable index and over
+main+delta, on the scenario strategies of the plan-equivalence and
+maintenance property suites.
 """
 
 import numpy as np
@@ -24,8 +27,23 @@ from tests.property import test_maintenance_delta as delta_suite
 from tests.property import test_plan_equivalence as plan_suite
 
 
-def arm_scalar(ctx, sub):
+def select_rows(ctx):
+    """The row-wise SELECT ``op_select`` ran before the projection: copy
+    the focal records out of the table, live delta records stacked under
+    them, into a table of their own."""
+    rows = ctx.index.table.data[ts.to_list(ctx.dq), :]
+    if ctx.delta is not None:
+        buffer = ctx.delta.buffer
+        in_focus = np.unpackbits(
+            ctx.delta.focal_row.view(np.uint8), bitorder="little"
+        )[: buffer.n_rows].astype(bool)
+        rows = np.vstack([rows, buffer.data[: buffer.n_rows][in_focus]])
+    return RelationalTable(ctx.index.table.schema, rows)
+
+
+def arm_scalar(ctx):
     """The scalar ARM rule generation ``op_arm`` ran before the kernels."""
+    sub = select_rows(ctx)
     item_tidsets = {
         item: mask
         for item, mask in sub.item_tidsets().items()
@@ -67,8 +85,7 @@ def arm_scalar(ctx, sub):
 def assert_arm_paths_agree(index, query, delta=None):
     for expand in (False, True):
         ctx = make_context(index, query, expand=expand, delta=delta)
-        sub = op_select(ctx)
-        assert op_arm(ctx, sub) == arm_scalar(ctx, sub), expand
+        assert op_arm(ctx, op_select(ctx)) == arm_scalar(ctx), expand
 
 
 @settings(max_examples=25, deadline=None)

@@ -57,6 +57,13 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
     scenarios ``strict_accuracy`` moves in steps of 1/18, and one
     calibration's fit flipped a near-tie scenario — and with it the
     0.33 bar — about one run in three.  The bars are unchanged.
+
+    ``planning_share`` holds the optimizer to its own budget: per
+    scenario, one un-memoized ``choose()`` over ``choose()`` plus the
+    measured time of the plan it chose, the median over the scenarios.
+    A planner that re-derives what the execution derives anyway (or a
+    profile that stops being a pass over precomputed statistics) shows
+    up here while every accuracy number stays put.
     """
     from _harness import build_engine, run_accuracy, summarize_accuracy
     from repro.core.costs import CostWeights
@@ -102,6 +109,11 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
             config["min_tolerant_accuracy"],
         ),
         "extra_cost": (summary["extra_cost"], "<=", config["max_extra_cost"]),
+        "planning_share": (
+            summary["planning_share"],
+            "<=",
+            config["max_planning_share"],
+        ),
     }
     failures = [
         name
@@ -663,7 +675,7 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         1
         for q in queries
         if engine.optimizer.recompaction_advice(
-            q, build_cost_s=1e6, horizon=1
+            engine.optimizer.choose(q), build_cost_s=1e6, horizon=1
         ).recommended
     )
     engine.optimizer.set_weights(CostWeights(base))
@@ -671,7 +683,7 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         1
         for q in queries
         if engine.optimizer.recompaction_advice(
-            q, build_cost_s=1e6, horizon=1
+            engine.optimizer.choose(q), build_cost_s=1e6, horizon=1
         ).recommended
     )
 

@@ -1,13 +1,11 @@
 """KERN — scalar int-tidset path vs the batched ``repro.kernels`` path.
 
-Measures the two hot-path kernels the vectorized bitset layer replaced:
+Measures the hot-path kernel the vectorized bitset layer replaced:
 
 * ``eliminate_qualify`` — ELIMINATE/SUPPORTED-VERIFY's candidate
   qualification: ``|t(I_k) ∩ D^Q|`` for all k candidates (scalar: one
   big-int AND + popcount per candidate; kernel: one row-gather +
-  :func:`repro.kernels.and_count`);
-* ``charm_pairwise`` — CHARM's one-vs-rest extension step: ``|t(X_i) ∩
-  t(X_j)|`` for all j > i over an equivalence class.
+  :func:`repro.kernels.and_count`).
 
 The grid crosses ``n_records ∈ {1k, 5k, 20k}`` with candidate counts, and
 the speedup series lands in ``benchmarks/results/kernels_speedup.csv``
@@ -39,8 +37,6 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_kernels.json"
 #: acceptance bar below is still enforced, just on a smaller grid.
 N_RECORDS = smoke_grid((1_000, 5_000, 20_000), (1_000, 5_000))
 N_CANDIDATES = smoke_grid((64, 256, 1024), (64, 256))
-#: CHARM levels are quadratic in the class size — keep the grid tractable.
-CHARM_CANDIDATES = smoke_grid((32, 128, 512), (32, 128))
 DENSITY = 0.3
 REPEATS = smoke_grid(5, 3)
 
@@ -94,50 +90,12 @@ def _bench_eliminate(rng, n_records: int, n_candidates: int) -> dict:
     }
 
 
-def _bench_charm_pairwise(rng, n_records: int, n_candidates: int) -> dict:
-    """One whole CHARM extension level: one-vs-rest for every class member.
-
-    The packed class matrix is built once per level and amortized over all
-    ``k`` one-vs-rest sweeps — exactly how ``_charm_extend`` uses it — so
-    the kernel timing charges the packing too.
-    """
-    tidsets = _random_tidsets(rng, n_candidates, n_records)
-    words = kernels.n_words(n_records)
-
-    def scalar():
-        return [
-            [(ti & tj).bit_count() for tj in tidsets[i + 1:]]
-            for i, ti in enumerate(tidsets)
-        ]
-
-    def kernel():
-        matrix = kernels.pack_many(tidsets, words)
-        return [
-            kernels.and_count(matrix[i + 1:], matrix[i])
-            for i in range(len(tidsets))
-        ]
-
-    assert [list(row) for row in kernel()] == scalar()
-    scalar_s = _best_of(scalar)
-    kernel_s = _best_of(kernel)
-    return {
-        "kernel": "charm_pairwise",
-        "n_records": n_records,
-        "n_candidates": n_candidates,
-        "scalar_s": scalar_s,
-        "kernel_s": kernel_s,
-        "speedup": scalar_s / kernel_s if kernel_s else float("inf"),
-    }
-
-
 def run_bench(seed: int = 3) -> list[dict]:
     rng = np.random.default_rng(seed)
     records: list[dict] = []
     for n_records in N_RECORDS:
         for n_candidates in N_CANDIDATES:
             records.append(_bench_eliminate(rng, n_records, n_candidates))
-        for n_candidates in CHARM_CANDIDATES:
-            records.append(_bench_charm_pairwise(rng, n_records, n_candidates))
     return records
 
 

@@ -7,11 +7,12 @@ Measures the whole VERIFY rule-generation stage on qualified candidates:
   pre-focal-projection implementation, kept verbatim as the parity
   oracle);
 * **batched** — :func:`repro.core.operators._rules_from_qualified`, the
-  focal-projected subset-lattice path: one projection into the dense
-  ``|D^Q|``-bit universe (charged to the batched timing via a fresh
-  kernel per repetition), ``2**n`` vectorized ANDs per width group, one
-  batched popcount, mask-indexed confidence checks, and a numeric
-  ``lexsort`` emit in canonical rule order.
+  focal-projected path in the integer item space: one projection into
+  the dense ``|D^Q|``-bit universe (charged to the batched timing via a
+  fresh kernel per repetition), one table of the request's distinct
+  sub-itemsets (an AND and a popcount per level), mask-indexed
+  confidence checks, and a numeric ``lexsort`` emit in canonical rule
+  order.
 
 The grid crosses chess- and mushroom-shaped tables with focal fractions
 and both expand modes; every cell asserts the two paths produce

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.query import canonical_focal_key
-from repro.itemsets.itemset import Itemset
+from repro.dataset.schema import Schema
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
@@ -73,13 +73,11 @@ __all__ = [
 MIP_FAMILY = "mip"
 ARM_FAMILY = "arm"
 
-#: Byte estimate per cached lattice source itemset: the tuple plus
-#: ``_ITEM_BYTES`` per item.  Deliberately a fixed formula — the budget
-#: needs deterministic accounting, not sys.getsizeof's allocator trivia.
-_ITEMSET_BASE_BYTES = 96
-_ITEM_BYTES = 16
 #: Per-entry bookkeeping overhead (key tuple, OrderedDict slot, _Entry).
 _ENTRY_BASE_BYTES = 256
+#: Distinct source itemsets the cache shares between its blocks before it
+#: forgets the table (the blocks keep theirs).
+_SHARED_ITEMSETS_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,25 +160,27 @@ class CacheStats:
 class CachedLattice:
     """One focal region's width-grouped subset-lattice counts.
 
-    ``groups`` pairs each same-width source batch with its ``(m, 2**n)``
-    int64 count matrix — exactly the intermediate
-    :func:`repro.core.operators._rules_from_qualified` builds before rule
-    extraction.  ``extract`` replays the extraction deterministically, so
+    ``groups`` pairs each same-width source batch — an ``(m, n)`` matrix
+    of item ids — with its ``(m, 2**n)`` int64 count matrix: exactly the
+    intermediate :func:`repro.core.operators._rules_from_qualified`
+    builds before rule extraction; ``schema`` is the one the ids belong
+    to.  ``extract`` replays the extraction deterministically, so
     a lattice hit is byte-identical to the fresh MIP-plan execution for
     any ``minconf``.  ``extract_min_count`` is the expanded-mode frequency
     floor (``None`` in closed mode, where the sources are already
     qualified closures).
     """
 
-    groups: tuple[tuple[tuple[Itemset, ...], np.ndarray], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     dq_size: int
     extract_min_count: int | None
+    schema: Schema
 
     def extract(self, minconf: float) -> RuleBlock:
         """Replay rule extraction from the cached counts."""
         return rules_from_subset_lattices(
             self.groups, self.dq_size, minconf,
-            min_count=self.extract_min_count,
+            schema=self.schema, min_count=self.extract_min_count,
         )
 
     @property
@@ -188,13 +188,7 @@ class CachedLattice:
         return sum(int(counts.size) for _, counts in self.groups)
 
     def nbytes(self) -> int:
-        total = 0
-        for itemsets, counts in self.groups:
-            total += int(counts.nbytes)
-            total += sum(
-                _ITEMSET_BASE_BYTES + _ITEM_BYTES * len(s) for s in itemsets
-            )
-        return total
+        return sum(ids.nbytes + counts.nbytes for ids, counts in self.groups)
 
 
 @dataclass
@@ -240,6 +234,10 @@ class RuleCache:
         self.expand = expand
         self.landmark_hits = landmark_hits
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        #: Source itemsets of the cached blocks, one tuple each: every
+        #: tuple a cached block holds is one more object for the cyclic
+        #: collector to walk.
+        self._itemsets: dict = {}
         self.stats = CacheStats(budget_bytes=budget_bytes)
         self._lock = threading.Lock()
 
@@ -422,6 +420,10 @@ class RuleCache:
         """
         if family not in (MIP_FAMILY, ARM_FAMILY):
             raise ValueError(f"unknown rule family {family!r}")
+        with self._lock:
+            if len(self._itemsets) > _SHARED_ITEMSETS_LIMIT:
+                self._itemsets.clear()
+            rules.share_sources(self._itemsets)
         return self._insert(
             self._rules_key(query, family), "rules", rules,
             _ENTRY_BASE_BYTES + rules.nbytes, generation, pricing,
@@ -500,6 +502,7 @@ class RuleCache:
     def _clear(self) -> int:
         n = len(self._entries)
         self._entries.clear()
+        self._itemsets.clear()
         self.stats.stale_drops += n
         self.stats.current_bytes = 0
         return n

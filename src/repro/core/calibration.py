@@ -342,9 +342,9 @@ def calibrate_maintenance(
       focal row), measured over a matrix shaped like the live delta
       store so the per-call numpy overhead is amortized exactly as the
       query path amortizes it;
-    * ``delta_merge`` — seconds per word of the delta lattice merge
-      (the projected subset-lattice AND+popcount plus the elementwise
-      int64 add into the main counts).
+    * ``delta_merge`` — seconds per word of projecting the delta item
+      rows into the request's universe (unpack, select the focal
+      columns, repack).
 
     Every other weight is untouched; like the cache fit, rerunning
     :func:`calibrate` afterwards resets these two to their defaults (the
@@ -378,24 +378,22 @@ def _measure_delta_probe(
 
 
 def _measure_delta_merge(
-    words: int, n_groups: int = 512, rounds: int = 3
+    words: int, n_rows: int = 128, rounds: int = 3
 ) -> float:
-    """Seconds per word of the delta lattice count-and-add."""
+    """Seconds per row-word of the delta item rows' focal projection."""
     from repro import kernels
 
     rng = np.random.default_rng(11)
     matrix = rng.integers(
-        0, np.iinfo(np.uint64).max, size=(n_groups, words), dtype=np.uint64
+        0, np.iinfo(np.uint64).max, size=(n_rows, words), dtype=np.uint64
     ).astype(np.dtype("<u8"))
     row = matrix[0].copy()
-    main = np.ones(n_groups, dtype=np.int64)
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        counts = kernels.and_count(matrix, row).astype(np.int64)
-        _ = main + counts
+        kernels.project_rows(matrix, row)
         best = min(best, time.perf_counter() - start)
-    return best / (n_groups * words)
+    return best / (n_rows * words)
 
 
 def _measure_merge_throughput(

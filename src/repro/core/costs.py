@@ -12,8 +12,9 @@ work estimates the paper's equations describe:
   overlapped candidates (Lemma 4.5);
 * ``verify``    — support-counting work inside VERIFY: one focal
   projection of the item tidsets (all item rows times the full tidset
-  width) plus the antecedent family's batched kernel evaluations at the
-  *projected* ``|D^Q|``-word width (Eq. 1 COST(V));
+  width) plus the request's sub-itemset table — every ``(source, mask)``
+  cell named and gathered, every *distinct* sub-itemset ANDed once at
+  the *projected* ``|D^Q|``-word width (Eq. 1 COST(V));
 * ``rulegen``   — rule extraction proper: the per-candidate antecedent /
   consequent enumeration and vectorized confidence pass, scaling with the
   qualified fan-out but independent of the tidset width;
@@ -66,7 +67,8 @@ __all__ = [
 #: never appear in a serial load vector either.
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
-#: and the delta lattice build+merge in rule generation); they are fitted
+#: and projecting the delta item rows into the request's one universe);
+#: they are fitted
 #: from the live delta store by ``calibration.calibrate_maintenance`` and
 #: appear in a load vector only while un-folded delta records exist — the
 #: optimizer's recompaction advice compares their accumulated toll against
@@ -220,17 +222,36 @@ _ARM_MODEL_MAX_LENGTH = 16
 _ARM_CHAIN_COUNT_CAP = 16
 _ARM_CHAIN_FANOUT_CAP = 13
 #: Per-candidate constant overhead of the from-scratch miner, in tidset-word
-#: units: candidate generation + support-dict lookup cost a few hundred
-#: nanoseconds regardless of how narrow the focal tidset is.
-_ARM_OP_OVERHEAD_WORDS = 8.0
-#: Fixed cost of one from-scratch mining pass, in tidset-word units: CHARM's
-#: root construction and class sorts plus the set-up of the batched rule
-#: extraction run a few hundred microseconds before the first candidate is
-#: evaluated, whatever the focal subset's size.  (This is what the fitted
-#: ``arm`` weight used to absorb through the row-scan term ARM no longer
-#: has; over the e2e query pools a width-independent constant halves the
-#: spread of measured/estimated against no constant at all.)
-_ARM_PASS_OVERHEAD_WORDS = 8192.0
+#: units: generating a candidate, comparing its tidset and recording it
+#: cost a few hundred nanoseconds of interpreter time, whatever the focal
+#: tidset's width — as much as ANDing ~64 words of it.  (CHARM's search
+#: runs on Python ints; over the e2e pools one estimated itemset-item
+#: costs 0.31 us plus 7 ns per ``|D^Q|`` word.)
+_ARM_OP_OVERHEAD_WORDS = 64.0
+#: Fixed cost of one from-scratch mining pass, in the same units: SELECT's
+#: read-out, CHARM's roots and class sorts, one sub-itemset table and one
+#: batched rule extraction run ~0.4 ms before the first candidate is
+#: evaluated, whatever the focal subset's size.  (Tried at 16384 / 32768 /
+#: 65536 / 131072 on the ``acc`` gate — docs/cost_model.md has the table:
+#: ARM's median log(est/meas) goes +0.23 / -0.24 / -0.50 / -0.60 and
+#: ``extra_cost`` 0.048 / 0.038 / 0.040 / 2.3; the e2e query pools alone
+#: would have picked 65536.)
+_ARM_PASS_OVERHEAD_WORDS = 32768.0
+#: One rule-generation cell of the from-scratch plan — naming a ``(source,
+#: mask)`` pair, gathering its count, checking its confidence — in the
+#: same units: about one word's AND, and independent of the width (a
+#: shared sub-itemset is ANDed once, not once per pair).
+_ARM_CELL_WORDS = 1.0
+#: The sub-itemset table of a VERIFY pass, in projected-word units (one
+#: word of the focal projection repacked): the fixed cost of its naming
+#: passes, the price of one ``(source, mask)`` cell, and how many
+#: cell-words of AND one projected word buys — cells per distinct
+#: sub-itemset (6-15 measured) times the AND's speed against the repack's.
+#: Fitted over the e2e pools: counting takes 0.19 ms + 13 ns a cell + 1 ns
+#: a cell-word, against 22 ns a projected word.
+_LATTICE_PASS_WORDS = 8192.0
+_LATTICE_CELL_WORDS = 4.0
+_LATTICE_SHARING = 8.0
 #: Fixed setup cost of one batched rule-extraction pass, in fan-out units:
 #: numpy dispatch over the lattice chunks, the packed-rank lexsort, and the
 #: per-width group loop amount to roughly two thousand fan-out units of
@@ -757,14 +778,19 @@ class CostModel:
         """Eq. 1 COST(V): support counting through the focal projection.
 
         The kernel path pays the projection once
-        (:meth:`projection_load`), after which the antecedent family's
-        batched evaluations run at the *projected* ``|D^Q|``-word width.
-        This replaces the old ``fanout x tidset_words`` pricing, whose
-        width term no longer reflects the work once lookups shrink with
-        the focal subset.
+        (:meth:`projection_load`) and then one sub-itemset table: a fixed
+        pass cost, a width-independent price per ``(source, mask)`` cell
+        (named and gathered, never ANDed per pair) and the distinct
+        sub-itemsets' ANDs at the *projected* ``|D^Q|``-word width —
+        ``_LATTICE_SHARING`` cells to the projected word.
         """
         dq_words = max(1, -(-profile.dq_size // 64))
-        return self.projection_load() + profile.qualified_fanout * dq_words
+        return (
+            self.projection_load()
+            + _LATTICE_PASS_WORDS
+            + profile.qualified_fanout
+            * (dq_words + _LATTICE_CELL_WORDS) / _LATTICE_SHARING
+        )
 
     def rulegen_load(self, profile: QueryProfile) -> float:
         """Rule extraction proper: the mask-indexed confidence pass and
@@ -803,18 +829,20 @@ class CostModel:
 
         Each candidate evaluation costs its tidset intersection (``dq``
         words) *plus* a constant — the per-operation interpreter overhead
-        of generating the candidate and looking up its support, which
-        dominates for small focal subsets where ``dq_words`` is 1-2.
-        Without the constant, the per-word weight fitted on large subsets
-        underprices small ones by the same factor.
+        of generating the candidate and comparing its tidset, which
+        dominates until the focal tidset is tens of words wide.  Without
+        the constant, the per-word weight fitted on narrow subsets
+        overprices wide ones by the same factor.  A rule-generation cell
+        costs a constant only: its support comes from the request's
+        table of distinct sub-itemsets.
         """
         dq_words = max(1, -(-profile.dq_size // 64))
-        op_cost = dq_words + _ARM_OP_OVERHEAD_WORDS
         est_local = max(1.0, profile.arm_itemsets)
         return (
             _ARM_PASS_OVERHEAD_WORDS
-            + est_local * max(self.stats.avg_length, 1.0) * op_cost
-            + profile.arm_fanout * op_cost
+            + est_local * max(self.stats.avg_length, 1.0)
+            * (dq_words + _ARM_OP_OVERHEAD_WORDS)
+            + profile.arm_fanout * _ARM_CELL_WORDS
         )
 
     def delta_loads(
@@ -832,10 +860,11 @@ class CostModel:
           AND+popcount of its delta-MIP row against the delta focal row
           (``cands x delta_words``), plus the focal-row build itself
           (one pass over the delta item rows);
-        * ``delta_merge`` — rule generation re-projects the delta item
-          rows (``sum(cardinalities) x delta_words``) and adds the delta
-          subset-lattice counts at the projected ``|D^Q_delta|`` width
-          (``qualified_fanout x delta_dq_words``).
+        * ``delta_merge`` — rule generation projects the delta item rows
+          (``sum(cardinalities) x delta_words``) and appends them to the
+          main projection.  There is no second lattice: the request's one
+          universe is ``dq_size`` bits wide, delta records included, and
+          ``verify`` prices it at that width.
 
         ARM has no delta-specific term: the delta view's projection (a
         handful of words per row) stacks under the main one in SELECT,
@@ -847,11 +876,9 @@ class CostModel:
         supported = kind in (PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV)
         cands = profile.n_cands_supported if supported else profile.n_cands
         words = max(1, profile.delta_words)
-        ddq_words = max(1, -(-profile.delta_dq_size // 64))
-        projection = float(sum(self.stats.cardinalities)) * words
         return {
             "delta_probe": (cands + 1.0) * words,
-            "delta_merge": projection + profile.qualified_fanout * ddq_words,
+            "delta_merge": float(sum(self.stats.cardinalities)) * words,
         }
 
     # -- plan load vectors --------------------------------------------------------

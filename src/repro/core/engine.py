@@ -591,16 +591,14 @@ class Colarm:
         )
         if kind is not PlanKind.ARM and result.lattice_groups is not None:
             lattice = CachedLattice(
-                groups=tuple(
-                    (tuple(group), counts)
-                    for group, counts in result.lattice_groups
-                ),
+                groups=tuple(result.lattice_groups),
                 dq_size=result.dq_size,
                 extract_min_count=(
                     min_count_for(q.minsupp, result.dq_size)
                     if self.expand
                     else None
                 ),
+                schema=self.schema,
             )
             self.cache.put_lattice(q, lattice, generation=generation)
 

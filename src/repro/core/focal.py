@@ -96,24 +96,28 @@ class FocalSubset:
             self._lazy[0] = kernels.pack(self.dq, self.index.tidset_words)
         return self._lazy[0]
 
-    def kernel(self) -> "kernels.FocalKernel | kernels.CombinedFocalKernel":
+    def kernel(self) -> "kernels.FocalKernel":
         """The focal-projected support kernel.
 
-        Over a live delta the main projection spans the live main focal
-        records, the delta view's kernel the delta focal records, and
-        every support is their exact elementwise sum
-        (:class:`~repro.kernels.CombinedFocalKernel`).
+        One universe: the live main focal records first, the delta
+        view's focal records after them, item rows aligned by item id —
+        so every support is counted once, over ``|D^Q|`` bits, and an
+        empty delta is simply the case where nothing is appended.
         """
         if self._lazy[1] is None:
-            matrix, row_of = self.index.table.item_matrix()
-            kernel = kernels.FocalKernel(
-                matrix, row_of, self.packed_dq(), self.main_dq_size
-            )
+            table = self.index.table
+            universes = [(
+                table.item_matrix()[0], table.item_ids(), self.packed_dq(),
+                self.main_dq_size,
+            )]
             if self.delta is not None:
-                kernel = kernels.CombinedFocalKernel(
-                    kernel, self.delta.kernel()
-                )
-            self._lazy[1] = kernel
+                universes.append((
+                    self.delta.buffer.items, None, self.delta.focal_row,
+                    self.delta.dq_size,
+                ))
+            self._lazy[1] = kernels.FocalKernel.project(
+                table.schema.n_items, universes
+            )
         return self._lazy[1]
 
     def release(self) -> None:

@@ -110,25 +110,17 @@ class DeltaBuffer:
     def __init__(self, schema, mip_fixed_values: np.ndarray, capacity: int = 64):
         self.schema = schema
         self.n_attrs = schema.n_attributes
-        self.cards = np.asarray(schema.cardinalities(), dtype=np.int64)
-        bases = np.zeros(self.n_attrs, dtype=np.int64)
-        np.cumsum(self.cards[:-1], out=bases[1:])
-        self.bases = bases
-        self.total_items = int(self.cards.sum())
-        #: Item -> row of ``items``; covers *every* schema item (also ones
+        #: Row ``bases[a] + v`` of ``items`` is item ``(a, v)`` — the
+        #: schema's item id; *every* schema item has a row (also ones
         #: absent from the main table), so delta-only items still count.
-        self.row_of = {
-            schema.item(a, v): int(bases[a]) + v
-            for a in range(self.n_attrs)
-            for v in range(int(self.cards[a]))
-        }
+        self.bases = np.asarray(schema.item_bases, dtype=np.int64)
         self.mip_fixed = np.asarray(mip_fixed_values, dtype=np.int64)
         self.capacity = 0
         self.words = 1
         self.n_rows = 0
         self.data = np.zeros((0, self.n_attrs), dtype=np.int32)
         self.live = kernels.zero_row(1)
-        self.items = np.zeros((self.total_items, 1), dtype=_WORD_DTYPE)
+        self.items = np.zeros((schema.n_items, 1), dtype=_WORD_DTYPE)
         self.mips = np.zeros((len(self.mip_fixed), 1), dtype=_WORD_DTYPE)
         self._reserve(max(int(capacity), 1))
 
@@ -249,9 +241,9 @@ class DeltaView:
 
     * :meth:`mip_counts` — ELIMINATE's per-candidate delta partial, one
       AND+popcount over a row-gather of the buffer's MIP matrix;
-    * :meth:`kernel` — a delta-universe
-      :class:`~repro.kernels.FocalKernel` that VERIFY combines with the
-      main projection (:class:`~repro.kernels.CombinedFocalKernel`);
+    * ``buffer.items`` / ``focal_row`` — the delta universe the request's
+      focal projection appends to the main one
+      (:meth:`repro.core.focal.FocalSubset.kernel`);
     * ``main_dead_packed`` — the packed main tombstone mask, for the
       contained-candidate correction (Lemma 4.5 counts must drop dead
       records the stored global counts still include).
@@ -259,7 +251,7 @@ class DeltaView:
 
     __slots__ = (
         "buffer", "focal_row", "dq_size", "main_dead_packed",
-        "main_dead_count", "_kernel",
+        "main_dead_count",
     )
 
     def __init__(
@@ -274,18 +266,6 @@ class DeltaView:
         self.dq_size = int(kernels.popcount_rows(focal_row[None, :])[0])
         self.main_dead_packed = main_dead_packed
         self.main_dead_count = main_dead_count
-        self._kernel: kernels.FocalKernel | None = None
-
-    def kernel(self) -> "kernels.FocalKernel":
-        """The delta-universe focal kernel (lazy; tiny projection)."""
-        if self._kernel is None:
-            self._kernel = kernels.FocalKernel(
-                self.buffer.items,
-                self.buffer.row_of,
-                self.focal_row,
-                self.dq_size,
-            )
-        return self._kernel
 
     def mip_counts(self, rows: np.ndarray) -> np.ndarray:
         """``|delta(I) ∩ D^Q_delta|`` for the given MIP rows, batched."""

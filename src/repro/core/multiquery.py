@@ -43,15 +43,14 @@ from repro import kernels
 from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.operators import (
-    _LATTICE_MAX_WIDTH,
     QualifiedArray,
     QueryContext,
     _aitem_mask,
     _rules_from_qualified,
+    mip_sources,
 )
 from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import QueryError
-from repro.itemsets.itemset import Itemset
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 __all__ = ["BatchItem", "BatchReport", "execute_batch"]
@@ -137,7 +136,7 @@ def execute_batch(
                 "focus": focus,
                 "rows": rows,
                 "counts": counts,
-                "lattice": {},   # Itemset -> its subset-lattice count row
+                "lattice": {},   # MIP row -> its source ids and count row
             })
             n_projections += 1
         else:
@@ -178,7 +177,7 @@ def execute_batch(
 def _rules_with_shared_lattice(
     ctx: QueryContext,
     qualified: QualifiedArray,
-    memo: "dict[Itemset, np.ndarray]",
+    memo: "dict[int, tuple[np.ndarray, np.ndarray]]",
 ) -> tuple[RuleBlock, int] | None:
     """Closed-mode rule generation replaying the group's lattice memo.
 
@@ -188,40 +187,46 @@ def _rules_with_shared_lattice(
     sources hit the kernel, and extraction runs over the combined rows —
     the same :func:`rules_from_subset_lattices` call as the per-query
     path, so the rule sets are byte-identical (its canonical ordering is
-    source-order independent).
+    source-order independent).  ``memo`` maps a MIP row to its source ids
+    and count row.
 
     Returns ``(rules, n_memo_hits)``, or ``None`` to fall back to
     :func:`_rules_from_qualified` (expanded mode — sources depend on the
-    query's own frequency floor, so rows are not reusable as-is — or a
-    pathologically wide closure).
+    query's own frequency floor, so rows are not reusable as-is).
     """
     if ctx.expand:
         return None
-    sources: list[Itemset] = []
-    seen: set[Itemset] = set()
-    for mip, local in qualified:
-        itemset = mip.itemset
-        if len(itemset) >= 2 and local > 0 and itemset not in seen:
-            seen.add(itemset)
-            sources.append(itemset)
-    by_width: dict[int, list[Itemset]] = {}
-    for itemset in sources:
-        by_width.setdefault(len(itemset), []).append(itemset)
-    if any(n > _LATTICE_MAX_WIDTH for n in by_width):
-        return None  # pragma: no cover - beyond any schema in this repo
-    hits = 0
-    groups: list[tuple[list[Itemset], np.ndarray]] = []
-    for n in sorted(by_width):
-        group = by_width[n]
-        missing = [s for s in group if s not in memo]
-        if missing:
-            counts_new = ctx.focal_kernel().count_subset_lattice(missing)
-            for i, itemset in enumerate(missing):
-                memo[itemset] = counts_new[i]
-        hits += len(group) - len(missing)
-        groups.append((group, np.stack([memo[s] for s in group])))
-    rules = rules_from_subset_lattices(groups, ctx.dq_size, ctx.query.minconf)
-    return rules, hits
+    rows = qualified.rows.tolist()
+    missing = [row for row in rows if row not in memo]
+    counted = 0
+    if missing:
+        sources, widths = mip_sources(ctx.index, missing)
+        # One same-width batch per call: the kernel keeps a batch's order,
+        # so its rows pair back with the MIP rows they were made from.
+        for n in np.unique(widths).tolist():
+            batch = np.flatnonzero(widths == n).tolist()
+            if n < 2:
+                memo.update((missing[i], None) for i in batch)
+                continue
+            [(ids, counts)] = ctx.focal_kernel().count_subset_lattice(
+                sources[batch, :n]
+            )
+            counted += len(batch)
+            memo.update(zip((missing[i] for i in batch), zip(ids, counts)))
+    # MIPs of fewer than two items (memoized as ``None``) are no source.
+    by_width: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for row in rows:
+        if memo[row] is not None:
+            by_width.setdefault(len(memo[row][0]), []).append(memo[row])
+    groups = [
+        tuple(np.stack(column) for column in zip(*by_width[n]))
+        for n in sorted(by_width)
+    ]
+    rules = rules_from_subset_lattices(
+        groups, ctx.dq_size, ctx.query.minconf,
+        schema=ctx.index.table.schema,
+    )
+    return rules, sum(map(len, by_width.values())) - counted
 
 
 def _group_candidate_rows(index: MIPIndex, focal) -> np.ndarray:

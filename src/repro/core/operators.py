@@ -17,8 +17,11 @@ contiguous payload-row / global-count arrays straight from the packed
 R-tree (:class:`CandidateArray`), ELIMINATE qualifies them with one
 batched kernel call into a :class:`QualifiedArray`, and VERIFY extracts
 rules through a focal-projected kernel (:class:`repro.kernels.FocalKernel`)
-that counts whole antecedent families level-by-level over ``|D^Q|``-bit
-rows.  :class:`Rule` objects materialize only at the very end.  Both array
+that counts every distinct sub-itemset of the request once over
+``|D^Q|``-bit rows.  From SELECT/VERIFY to the :class:`RuleBlock`,
+itemsets live in one integer item space (the schema's item ids):
+``Item`` tuples are built for the sources that kept a rule, and
+:class:`Rule` objects only when a consumer iterates the block.  Both array
 containers iterate as ``(mip, Overlap)`` / ``(mip, count)`` tuples for
 consumers that want the objects.
 
@@ -34,9 +37,9 @@ the cost model can price the ``rulegen`` term separately.
 from __future__ import annotations
 
 import time
-from operator import attrgetter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,15 +52,13 @@ from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mip import MIP
 from repro.core.mipindex import MIPIndex
 from repro.core.query import FocalRange, LocalizedQuery, Overlap
-from repro.dataset.schema import Item
 from repro.errors import QueryError
-from repro.itemsets.charm import charm
+from repro.itemsets.charm import closed_masks
 from repro.itemsets.itemset import Itemset, make_itemset
 from repro.itemsets.rules import (
     Rule,
     RuleBlock,
     generate_rules,
-    rules_from_counts,
     rules_from_itemsets,
     rules_from_subset_lattices,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "op_select",
     "op_arm",
     "qualified_from_contained",
+    "mip_sources",
 ]
 
 #: A candidate MIP tagged with its exact relation to the focal region.
@@ -219,10 +221,10 @@ class QueryContext:
     #: report per-operator shares as ``sharded_calls``).
     sharded_calls: int = 0
     #: Per-width subset-lattice groups from the last VERIFY-family rule
-    #: generation (``[(sources, (m, 2**n) counts), ...]``) — the reusable
-    #: intermediate the materialized cache stores.  ``None`` when rule
-    #: generation bypassed the lattice (wide fallback) or never ran.
-    lattice_groups: "list[tuple[list[Itemset], np.ndarray]] | None" = field(
+    #: generation (``[((m, n) source ids, (m, 2**n) counts), ...]``) — the
+    #: reusable intermediate the materialized cache stores.  ``None``
+    #: until rule generation ran.
+    lattice_groups: "list[tuple[np.ndarray, np.ndarray]] | None" = field(
         default=None, repr=False
     )
 
@@ -615,240 +617,140 @@ def op_supported_verify(
     return rules
 
 
-#: Sort key for the canonical rule order (C-speed, no lambda frames).
-_RULE_ORDER = attrgetter("antecedent", "consequent")
-
-#: Widest itemset the mask-indexed lattice path handles before falling back
-#: to the tuple-keyed ``count_family`` path (``2**n`` lattice slots and, in
-#: expanded mode, a ~``3**n``-entry split table).  Itemsets are bounded by
-#: the schema's attribute count, so real workloads sit far below this.
-_LATTICE_MAX_WIDTH = 16
-
-
 def _rules_from_qualified(
     ctx: QueryContext, qualified: QualifiedArray
 ) -> tuple[RuleBlock, int, float]:
     """Generate localized rules from support-qualified candidates, batched.
 
-    All supports are served by the focal-projected kernel.  Sources are
-    grouped by itemset width ``n`` and each group's *entire subset
-    lattice* is evaluated at once — ``2**n`` vectorized ANDs over
-    ``|D^Q|``-bit rows plus one batched popcount
-    (:meth:`repro.kernels.FocalKernel.count_subset_lattice`) — after which
-    every antecedent/consequent confidence is checked in one vectorized
-    pass and tuples materialize only for rules that pass ``minconf``
-    (:func:`repro.itemsets.rules.rules_from_subset_lattices`).  No
-    per-subset Python object is ever built for splits that fail, and the
-    canonical rule order is produced by a numeric ``lexsort`` over packed
-    item ranks instead of a comparison sort over tuples.
+    The qualified MIP rows become rule sources in the integer item space
+    without touching a ``MIP`` object — a candidate's itemset is its row
+    of ``stats.mip_fixed_values`` — and :func:`_rules_from_sources`
+    counts and extracts them.  In expanded mode the candidates are cut
+    down to ``Aitem`` first and every locally frequent sub-itemset of
+    what is left is a source, so all six plans return the same rule set
+    whenever the primary floor covers the query (DESIGN.md).
 
-    This supersedes the per-lookup big-int AND chain kept in
-    :func:`_rules_from_qualified_reference` on both axes that sank the
-    first batched attempt (see docs/performance.md): the projection makes
-    each AND ``|D^Q|/64`` words instead of ``n/64``, and the mask-indexed
-    lattice removes the tuple-domain bookkeeping (family sets, memo
-    probes, per-subset hashing) that made eager enumeration lose to the
-    reference's confidence pruning.  Pathologically wide itemsets
-    (``> _LATTICE_MAX_WIDTH`` items) fall back to the tuple-keyed
-    ``count_family`` + :func:`rules_from_counts` path, which has no
-    exponential table.
-
-    When a :class:`~repro.parallel.ParallelContext` is attached, each
-    width group's lattice is offered to the shard pool first: the workers
-    evaluate the same mask recurrence over *full-width* shards of the raw
-    item matrix rooted at the focal row (no projection, no repack) and
-    the int64 partials merge exactly.  In closed mode a query whose every
-    group is served sharded never builds the focal projection at all —
-    the serial path's one-off ``projection_s`` cost disappears; any group
-    the context declines falls back to the projected kernel.
-
-    Returns ``(rules, kernel_evaluations, kernel_seconds)``; the latter two
-    feed the VERIFY trace detail.
+    Returns ``(rules, kernel_evaluations, kernel_seconds)``, which feed
+    the VERIFY trace detail.
     """
-    pairs = [(mip.itemset, int(local)) for mip, local in qualified]
-    kernel: "kernels.FocalKernel | None" = None
-    evaluations_before = 0
-    kernel_s = 0.0
-
-    def focal_kernel() -> "kernels.FocalKernel":
-        # Built (and seeded) on first serial need only: a fully sharded
-        # closed-mode pass skips the projection entirely.
-        nonlocal kernel, evaluations_before
-        if kernel is None:
-            kernel = ctx.focal_kernel()
-            evaluations_before = kernel.evaluations
-            for itemset, local in pairs:
-                kernel.seed(itemset, local)
-        return kernel
-
-    if not ctx.expand:
-        # Closed mode: the qualified closures themselves are the sources.
-        sources: list[Itemset] = []
-        source_seen: set[Itemset] = set()
-        for itemset, local in pairs:
-            if len(itemset) >= 2 and local > 0 and itemset not in source_seen:
-                source_seen.add(itemset)
-                sources.append(itemset)
-    else:
-        # Expanded mode: every locally frequent sub-itemset (within Aitem)
-        # of the qualified closures is a source; all six plans then return
-        # the same rule set whenever the primary floor covers the query
-        # (DESIGN.md).  Discovery — lattice counts over the deduped
-        # Aitem-allowed closures, qualification against the focal floor,
-        # and collapse of sub-itemsets shared by overlapping closures —
-        # all happens in array space inside the kernel.
-        allowed_seen: set[Itemset] = set()
-        for itemset, _local in pairs:
-            allowed = make_itemset(
-                item
-                for item in itemset
-                if ctx.query.item_attributes is None
-                or item.attribute in ctx.query.item_attributes
-            )
-            if len(allowed) >= 2:
-                allowed_seen.add(allowed)
-        sources, discovery_s = _expanded_sources(
-            ctx, focal_kernel(), allowed_seen
-        )
-        kernel_s += discovery_s
-
-    rules, ctx.lattice_groups, sharded_evaluations, counting_s = (
-        _rules_from_sources(ctx, sources, focal_kernel, ctx.parallel)
+    aitem = ctx.query.item_attributes if ctx.expand else None
+    sources, widths = mip_sources(ctx.index, qualified.rows, aitem)
+    sources = sources[widths >= 2]
+    if ctx.expand:
+        # Distinct MIPs can agree inside Aitem.
+        sources = np.unique(sources, axis=0)
+    rules, ctx.lattice_groups, lookups, kernel_s = _rules_from_sources(
+        ctx, sources, ctx.parallel
     )
-    kernel_s += counting_s
-    lookups = sharded_evaluations
-    if kernel is not None:
-        lookups += kernel.evaluations - evaluations_before
     return rules, lookups, kernel_s
 
 
-def _expanded_sources(
-    ctx: QueryContext,
-    kernel: "kernels.FocalKernel",
-    closures: "set[Itemset]",
-) -> tuple[list[Itemset], float]:
-    """Expanded-mode rule sources: the distinct locally frequent
-    sub-itemsets (two items or more) of ``closures``, discovered in array
-    space inside the kernel.  Returns them with the kernel seconds spent."""
-    narrow = [s for s in closures if len(s) <= _LATTICE_MAX_WIDTH]
-    t0 = time.perf_counter()
-    sources = kernel.frequent_subsets(narrow, ctx.min_count)
-    kernel_s = time.perf_counter() - t0
-    if len(narrow) < len(closures):  # pragma: no cover - huge schema
-        sources = _merge_wide_sources(ctx, kernel, closures, sources)
-    return sources, kernel_s
+def mip_sources(
+    index: MIPIndex, rows, aitem: "frozenset[int] | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The itemsets of MIP ``rows`` as a right-padded matrix of ascending
+    item ids (cut down to the attributes in ``aitem`` when given), and
+    their widths — read off ``stats.mip_fixed_values``, no ``MIP`` object
+    touched."""
+    fixed = index.stats.mip_fixed_values.take(rows, axis=0)
+    if aitem is not None:
+        fixed[:, [a for a in range(fixed.shape[1]) if a not in aitem]] = -1
+    schema = index.table.schema
+    # One id per fixed attribute, free attributes padded out to the right
+    # (attribute order is id order, so the sort only compacts).
+    sources = np.where(fixed >= 0, fixed + schema.item_bases, schema.n_items)
+    sources.sort(axis=1)
+    widths = (fixed >= 0).sum(axis=1)
+    return sources[:, :widths.max(initial=0)], widths
 
 
 def _rules_from_sources(
     ctx: QueryContext,
-    sources: list[Itemset],
-    focal_kernel: "Callable[[], kernels.FocalKernel]",
+    sources: np.ndarray,
     parallel: "ParallelContext | None",
-) -> "tuple[RuleBlock, list | None, int, float]":
-    """Count every source's subset lattice and extract the rules.
+) -> "tuple[RuleBlock, list, int, float]":
+    """Count the request's sub-itemset table and extract the rules — the
+    shared tail of VERIFY-family and ARM rule generation.
 
-    The shared tail of VERIFY-family and ARM rule generation: sources are
-    grouped by width, each group's lattice is counted at once (offered to
-    ``parallel`` first when one is given, else through ``focal_kernel()``,
-    which is only called on first serial need), and one vectorized
-    confidence pass emits the rules in canonical order.
+    ``sources`` is a right-padded ``(M, w)`` matrix of ascending item ids
+    (what :meth:`repro.kernels.FocalKernel.count_subset_lattice` takes);
+    in expanded mode its rows are the closures whose locally frequent
+    sub-itemsets are the sources.  All supports come from the
+    focal-projected kernel: every *distinct* sub-itemset of the request
+    is ANDed and popcounted once over ``|D^Q|``-bit rows, the per-width
+    ``(m, 2**n)`` count matrices are a gather from that table, and one
+    vectorized pass checks every antecedent/consequent confidence and
+    emits the rules in canonical order
+    (:func:`repro.itemsets.rules.rules_from_subset_lattices`) —
+    ``Item`` tuples materialize only for sources that kept a rule.
 
-    Returns ``(rules, lattice_groups, sharded_evaluations,
-    kernel_seconds)``; ``lattice_groups`` is ``None`` when the wide
-    fallback fired (its rules are not in the counted lattices).
+    When a :class:`~repro.parallel.ParallelContext` is attached (closed
+    mode, no delta records in focus — its workers hold the main item
+    matrix), each width group's lattice is offered to the shard pool
+    first: the workers evaluate the mask recurrence over *full-width*
+    shards of the raw item matrix rooted at the focal row and the int64
+    partials merge exactly.  A query whose every group is served sharded
+    never builds the focal projection; the groups the context declines
+    are counted together, serially.
+
+    Returns ``(rules, lattice_groups, kernel_evaluations,
+    kernel_seconds)``.
     """
-    sharded_evaluations = 0
-    kernel_s = 0.0
-    by_width: dict[int, list[Itemset]] = {}
-    for itemset in sources:
-        by_width.setdefault(len(itemset), []).append(itemset)
-    wide: list[Itemset] = []
-    groups: list[tuple[list[Itemset], "np.ndarray"]] = []
-    for n in sorted(by_width):
-        group = by_width[n]
-        if n > _LATTICE_MAX_WIDTH:
-            wide.extend(group)
-            continue
-        t0 = time.perf_counter()
-        counts = None
-        if parallel is not None:
-            # The shard pool counts over the *main* universe (its workers
-            # hold the main item matrix), so it gets the main focal size;
-            # the delta lattice — a handful of words per row — adds on
-            # top as one vectorized elementwise sum.
-            counts = parallel.count_subset_lattice(
-                group, ctx.packed_dq(), ctx.main_dq_size
-            )
-            if counts is not None:
-                if ctx.delta is not None:
-                    counts = counts + ctx.delta.kernel().count_subset_lattice(
-                        group
-                    )
-                ctx.sharded_calls += 1
-                # Same accounting as the serial kernel: one evaluation per
-                # non-empty sub-itemset of each source.
-                sharded_evaluations += len(group) * ((1 << n) - 1)
-        if counts is None:
-            counts = focal_kernel().count_subset_lattice(group)
-        kernel_s += time.perf_counter() - t0
-        groups.append((group, counts))
+    t0 = time.perf_counter()
+    evaluations = 0
+    groups: list[tuple[np.ndarray, np.ndarray]] = []
+    if (
+        parallel is not None
+        and not ctx.expand
+        and not (ctx.delta is not None and ctx.delta.dq_size)
+    ):
+        groups, sources = _sharded_lattices(ctx, sources, parallel)
+        # Same accounting as the group alone on the serial kernel: one
+        # evaluation per non-empty sub-itemset of each source.
+        evaluations = sum(counts.size - len(counts) for _, counts in groups)
+    if len(sources):
+        built = time.perf_counter()
+        kernel = ctx.focal_kernel()  # its build is ``projection_s``
+        t0 += time.perf_counter() - built
+        before = kernel.evaluations
+        groups += kernel.count_subset_lattice(
+            sources, floor=ctx.min_count if ctx.expand else None
+        )
+        groups.sort(key=lambda group: group[0].shape[1])
+        evaluations += kernel.evaluations - before
+    kernel_s = time.perf_counter() - t0
     rules = rules_from_subset_lattices(
         groups,
         ctx.dq_size,
         ctx.query.minconf,
+        schema=ctx.index.table.schema,
         min_count=ctx.min_count if ctx.expand else None,
     )
-    if wide:  # pragma: no cover - beyond any schema in this repo
-        family: set[Itemset] = set()
-        for itemset in wide:
-            n = len(itemset)
-            for mask in range(1, (1 << n) - 1):
-                family.add(
-                    tuple(itemset[k] for k in range(n) if mask >> k & 1)
-                )
-        t0 = time.perf_counter()
-        focal_kernel().count_family(family)
-        kernel_s += time.perf_counter() - t0
-        wide_rules = rules_from_counts(
-            wide,
-            focal_kernel().count,
-            ctx.dq_size,
-            ctx.query.minconf,
-            min_count=ctx.min_count if ctx.expand else None,
-        )
-        rules = RuleBlock.from_rules(
-            sorted([*rules, *wide_rules], key=_RULE_ORDER)
-        )
-    # The counted lattices are cache-worthy only when they cover *all*
-    # sources (the wide fallback's rules are not in them).
-    return rules, None if wide else groups, sharded_evaluations, kernel_s
+    return rules, groups, evaluations, kernel_s
 
 
-def _merge_wide_sources(
-    ctx: QueryContext,
-    kernel: "kernels.FocalKernel",
-    allowed_seen: "set[Itemset]",
-    sources: list[Itemset],
-) -> list[Itemset]:  # pragma: no cover - beyond any schema in this repo
-    """Expanded-mode fallback for pathologically wide closures: enumerate
-    their frequent sub-itemsets through the tuple-keyed family path and
-    merge with the lattice-discovered ``sources``."""
-    family: set[Itemset] = set()
-    for allowed in allowed_seen:
-        n = len(allowed)
-        if n <= _LATTICE_MAX_WIDTH:
-            continue
-        for mask in range(1, 1 << n):
-            family.add(
-                tuple(allowed[i] for i in range(n) if mask >> i & 1)
-            )
-    kernel.count_family(family)
-    floor = max(ctx.min_count, 1)
-    merged = set(sources)
-    for itemset in family:
-        if len(itemset) >= 2 and kernel.count(itemset) >= floor:
-            merged.add(itemset)
-    return sorted(merged)
+def _sharded_lattices(
+    ctx: QueryContext, sources: np.ndarray, parallel: "ParallelContext"
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Offer each width group of ``sources`` to the shard pool: the
+    ``(ids, counts)`` groups it served, and the sources it declined
+    (below break-even, pool broken) for the serial kernel."""
+    widths = (sources < ctx.index.table.schema.n_items).sum(axis=1)
+    declined = np.ones(len(sources), dtype=bool)
+    groups = []
+    for n in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == n)
+        ids = sources[rows, :n]
+        # The pool counts over the *main* universe, so it gets the main
+        # focal size.
+        counts = parallel.count_subset_lattice(
+            ids, ctx.packed_dq(), ctx.main_dq_size
+        )
+        if counts is not None:
+            ctx.sharded_calls += 1
+            declined[rows] = False
+            groups.append((ids, counts))
+    return groups, sources[declined]
 
 
 def _rules_from_qualified_reference(
@@ -942,16 +844,16 @@ def op_union(
 # ---------------------------------------------------------------------------
 
 
-def op_select(ctx: QueryContext) -> dict[Item, int]:
-    """SELECT: the focal subset in vertical form, one tidset per item.
+def op_select(ctx: QueryContext) -> list[int]:
+    """SELECT: the focal subset in vertical form, one tidset per item id.
 
     The records of ``D^Q`` are exactly the columns of the context's
     focal projection, so SELECT builds that projection (the one VERIFY
     would build) and reads its rows out as ``|D^Q|``-bit int tidsets —
-    bit ``p`` is the ``p``-th focal record, live main records first and
-    the delta view's records after them.  No row is copied and no
-    tidset is rebuilt from rows; ARM's rule generation then counts
-    through the same kernel.
+    entry ``i`` is item id ``i``, bit ``p`` the ``p``-th focal record,
+    live main records first and the delta view's records after them.  No
+    row is copied and no tidset is rebuilt from rows; ARM's rule
+    generation then counts through the same kernel.
     """
     start = time.perf_counter()
     item_tidsets = ctx.focal_kernel().item_tidsets()
@@ -966,31 +868,29 @@ def op_select(ctx: QueryContext) -> dict[Item, int]:
     return item_tidsets
 
 
-def op_arm(ctx: QueryContext, sub: dict[Item, int]) -> RuleBlock:
+def op_arm(ctx: QueryContext, sub: list[int]) -> RuleBlock:
     """ARM: traditional two-step rule mining from scratch on the subset.
 
     Mines closed frequent itemsets with CHARM at the query's minsupp over
-    the item attributes only — on SELECT's vertical subset — then
-    generates rules from them as VERIFY does: the focal-projected kernel
-    counts each closed itemset's subset lattice (no MIP is consulted) and
-    one vectorized pass checks the confidences.  In expanded mode all
-    locally frequent sub-itemsets are sources, to mirror the expanded
-    MIP-plans.
+    the item attributes only — on SELECT's vertical subset, in the
+    integer item space — then generates rules from them as VERIFY does:
+    the focal-projected kernel counts the closed itemsets' sub-itemset
+    table (no MIP is consulted) and one vectorized pass checks the
+    confidences.  In expanded mode all locally frequent sub-itemsets are
+    sources, to mirror the expanded MIP-plans.
     """
     start = time.perf_counter()
+    schema = ctx.index.table.schema
     aitem = ctx.query.item_attributes
-    if aitem is not None:
-        sub = {
-            item: mask for item, mask in sub.items()
-            if item.attribute in aitem
-        }
-    closed = charm(sub, ctx.dq_size, ctx.query.minsupp)
-    sources = [cfi.items for cfi in closed if len(cfi.items) >= 2]
-    kernel = ctx.focal_kernel()
-    if ctx.expand:
-        sources, _ = _expanded_sources(ctx, kernel, set(sources))
+    admitted = range(schema.n_items) if aitem is None else chain.from_iterable(
+        range(schema.item_bases[a], schema.item_bases[a] + card)
+        for a, card in enumerate(schema.cardinalities()) if a in aitem
+    )
+    closed = closed_masks(((i, sub[i]) for i in admitted), ctx.min_count)
     # Serial on purpose: the optimizer prices no sharded twin for ARM.
-    rules, _, _, _ = _rules_from_sources(ctx, sources, lambda: kernel, None)
+    rules, _, _, _ = _rules_from_sources(
+        ctx, _mask_sources(list(closed.values()), schema.n_items), None
+    )
     ctx.trace.add(
         OperatorTrace(
             name="ARM",
@@ -1001,3 +901,21 @@ def op_arm(ctx: QueryContext, sub: dict[Item, int]) -> RuleBlock:
         )
     )
     return rules
+
+
+def _mask_sources(masks: list[int], n_items: int) -> np.ndarray:
+    """Item bitmasks (bit ``i`` = item id ``i``) of two items or more as
+    a right-padded matrix of ascending ids, rows in itemset order."""
+    masks = [mask for mask in masks if mask & (mask - 1)]
+    if not masks:
+        return np.zeros((0, 0), dtype=np.intp)
+    n_bytes = -(-n_items // 8)
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(n_bytes, "little") for mask in masks),
+        dtype=np.uint8,
+    ).reshape(len(masks), n_bytes)
+    member = np.unpackbits(packed, axis=1, count=n_items, bitorder="little")
+    sources = np.where(member, np.arange(n_items), n_items)
+    sources.sort(axis=1)
+    sources = sources[:, :member.sum(axis=1).max()]
+    return sources[np.lexsort(sources.T[::-1])]

@@ -529,6 +529,7 @@ def save_cache(
     """
     path = Path(path)
     index = cache.index
+    bases = np.asarray(index.table.schema.item_bases)
     entries_meta: list[dict] = []
     arrays: dict[str, np.ndarray] = {}
     for i, (key, entry) in enumerate(cache._entries.items()):
@@ -550,14 +551,12 @@ def save_cache(
             record["dq_size"] = lattice.dq_size
             record["extract_min_count"] = lattice.extract_min_count
             record["n_groups"] = len(lattice.groups)
-            for j, (itemsets, group_counts) in enumerate(lattice.groups):
-                arrays[f"e{i}_g{j}_items"] = np.asarray(
-                    [
-                        [(it.attribute, it.value) for it in itemset]
-                        for itemset in itemsets
-                    ],
-                    dtype=np.int32,
-                )
+            for j, (ids, group_counts) in enumerate(lattice.groups):
+                # An id is its attribute's base plus the value.
+                attrs = np.searchsorted(bases, ids, side="right") - 1
+                arrays[f"e{i}_g{j}_items"] = np.stack(
+                    [attrs, ids - bases[attrs]], axis=-1
+                ).astype(np.int32)
                 arrays[f"e{i}_g{j}_counts"] = group_counts
         entries_meta.append(record)
     meta = {
@@ -616,7 +615,9 @@ def load_cache(
             f"{path}: unsupported cache format version "
             f"{meta.get('cache_format_version')}"
         )
+    schema = index.table.schema
     cards = [int(c) for c in index.cardinalities]
+    card_of, bases = np.asarray(cards), np.asarray(schema.item_bases)
     if meta["cardinalities"] != cards:
         raise DataError(
             f"{path}: cache schema {meta['cardinalities']} does not match "
@@ -688,13 +689,26 @@ def load_cache(
             else:
                 groups = []
                 for j in range(int(record["n_groups"])):
-                    g_items = member(f"e{i}_g{j}_items")
+                    pairs = np.asarray(member(f"e{i}_g{j}_items"))
                     g_counts = member(f"e{i}_g{j}_counts")
-                    itemsets = tuple(
-                        tuple(Item(int(a), int(v)) for a, v in row)
-                        for row in g_items
-                    )
-                    groups.append((itemsets, g_counts))
+                    if pairs.ndim != 3 or pairs.shape[2] != 2:
+                        raise DataError(
+                            f"{path}: entry {i} group {j} lists no "
+                            "(attribute, value) pairs"
+                        )
+                    attrs, values = pairs[..., 0], pairs[..., 1]
+                    if (
+                        g_counts.shape != (len(pairs), 1 << pairs.shape[1])
+                        or (attrs < 0).any()
+                        or (attrs >= len(cards)).any()
+                        or (values < 0).any()
+                        or (values >= card_of[attrs.clip(0, len(cards) - 1)]).any()
+                    ):
+                        raise DataError(
+                            f"{path}: entry {i} counts itemsets outside "
+                            "the schema"
+                        )
+                    groups.append((bases[attrs] + values, g_counts))
                 lattice = CachedLattice(
                     groups=tuple(groups),
                     dq_size=int(record["dq_size"]),
@@ -703,6 +717,7 @@ def load_cache(
                         if record["extract_min_count"] is not None
                         else None
                     ),
+                    schema=schema,
                 )
                 cache.put_lattice(query, lattice)
                 key = cache._lattice_key(query)

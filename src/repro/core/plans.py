@@ -68,8 +68,8 @@ class PlanResult:
     elapsed: float
     dq_size: int
     #: Subset-lattice count groups from VERIFY-family rule generation
-    #: (``None`` for the ARM plan or when the wide fallback fired) —
-    #: the cache-worthy intermediate picked up by ``engine.query``.
+    #: (``None`` for the ARM plan) — the cache-worthy intermediate picked
+    #: up by ``engine.query``.
     lattice_groups: list | None = None
 
     @property

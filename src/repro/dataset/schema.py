@@ -13,6 +13,7 @@ sort cheaply; the schema renders them back into human-readable form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from repro.errors import SchemaError
@@ -79,6 +80,13 @@ class Schema:
             raise SchemaError(f"duplicate attribute names in schema: {names}")
         self.attributes = attributes
         self._index = {a.name: i for i, a in enumerate(attributes)}
+        #: The integer item space: item ``(a, v)`` has id ``item_bases[a] + v``
+        #: (attr-major, so id order is ``Item`` sort order); ``n_items`` ids.
+        self.item_bases = tuple(
+            accumulate((a.cardinality for a in attributes[:-1]), initial=0)
+        )
+        self.n_items = sum(a.cardinality for a in attributes)
+        self._items_by_id: tuple[Item, ...] | None = None
 
     # -- basic shape ----------------------------------------------------
 
@@ -142,11 +150,29 @@ class Schema:
 
     def all_items(self) -> list[Item]:
         """Every possible item, in (attribute, value) order."""
-        return [
-            Item(ai, vi)
-            for ai, attr in enumerate(self.attributes)
-            for vi in range(attr.cardinality)
-        ]
+        return list(self.items_by_id)
+
+    @property
+    def items_by_id(self) -> tuple[Item, ...]:
+        """The item of every id, ``items_by_id[item_id(item)] is item``
+        (built once; the edge where id arrays turn back into items)."""
+        if self._items_by_id is None:
+            self._items_by_id = tuple(
+                Item(ai, vi)
+                for ai, attr in enumerate(self.attributes)
+                for vi in range(attr.cardinality)
+            )
+        return self._items_by_id
+
+    def item_id(self, item: Item) -> int:
+        """The integer id of an item, ``item_bases[attribute] + value``."""
+        return self.item_bases[item[0]] + item[1]
+
+    def itemsets(self, ids) -> list[tuple[Item, ...]]:
+        """The itemsets an ``(m, n)`` matrix of item ids lists, row by
+        row — one stream of items, cut into tuples of the matrix's width."""
+        stream = map(self.items_by_id.__getitem__, ids.ravel().tolist())
+        return list(zip(*[stream] * ids.shape[1]))
 
     def render_item(self, item: Item) -> str:
         """Human-readable form of an item, e.g. ``Age=20-30``."""

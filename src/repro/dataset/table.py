@@ -52,6 +52,7 @@ class RelationalTable:
         self.data.setflags(write=False)
         self._item_tidsets: dict[Item, int] | None = None
         self._item_matrix: tuple[np.ndarray, dict[Item, int]] | None = None
+        self._item_ids: np.ndarray | None = None
 
     # -- shape -----------------------------------------------------------
 
@@ -123,6 +124,20 @@ class RelationalTable:
             matrix.setflags(write=False)
             self._item_matrix = (matrix, {it: i for i, it in enumerate(items)})
         return self._item_matrix
+
+    def item_ids(self) -> np.ndarray:
+        """Schema item id (:meth:`Schema.item_id`) of each
+        :meth:`item_matrix` row, ascending — the one array that maps the
+        matrix's present-items-only rows into the integer item space."""
+        if self._item_ids is None:
+            bases = self.schema.item_bases
+            ids = np.fromiter(
+                (bases[a] + v for a, v in self.item_matrix()[1]),
+                dtype=np.intp,
+            )
+            ids.setflags(write=False)
+            self._item_ids = ids
+        return self._item_ids
 
     @property
     def tidset_words(self) -> int:

@@ -13,19 +13,26 @@ tidset-relation properties to jump directly between closed sets:
 A hash on tidsets provides the subsumption check that keeps only closed
 sets.  This is the offline miner that populates the MIP-index (Section 3.2
 of the COLARM paper) and the miner the ARM plan runs on focal subsets.
+
+The search itself (:func:`closed_masks`) runs in one integer item space:
+an itemset is a Python-int bitmask over item ids, a tidset a Python-int
+bitmask over records, so every step of the four properties is one
+big-int operation.  :func:`charm` is the edge that speaks ``Item``
+tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from operator import attrgetter
 
-from repro import kernels, tidset as ts
+from repro import tidset as ts
 from repro.dataset.schema import Item
 from repro.itemsets.apriori import min_count_for
-from repro.itemsets.itemset import Itemset, make_itemset
+from repro.itemsets.itemset import Itemset
 
-__all__ = ["ClosedItemset", "charm"]
+__all__ = ["ClosedItemset", "charm", "closed_masks"]
 
 
 @dataclass(frozen=True)
@@ -48,14 +55,18 @@ class ClosedItemset:
         return len(self.items)
 
 
-@dataclass
 class _Node:
-    """A mutable IT-pair during the search; ``items`` grows via properties 1-2."""
+    """An IT-pair during the search; ``items`` grows via properties 1-2."""
 
-    items: set[Item]
-    tidset: int
-    children: list["_Node"] = field(default_factory=list)
-    removed: bool = False
+    __slots__ = ("items", "tidset", "count")
+
+    def __init__(self, items: int, tidset: int, count: int):
+        self.items = items
+        self.tidset = tidset
+        self.count = count
+
+
+_BY_COUNT = attrgetter("count")
 
 
 def charm(
@@ -70,107 +81,78 @@ def charm(
     for every frequent itemset X there is exactly one returned set with
     tidset ``t(X)`` that contains X (its closure).
     """
-    min_count = min_count_for(minsupp, n_records)
+    # Bit ``b`` of an item mask is the ``b``-th key in sort order, so the
+    # set bits of a closed mask read back as an already sorted itemset.
+    keys = sorted(item_tidsets)
+    closed = closed_masks(
+        ((b, item_tidsets[key]) for b, key in enumerate(keys)),
+        min_count_for(minsupp, n_records),
+    )
+    found = []
+    for tidset, items in closed.items():
+        itemset = []
+        while items:  # lowest set bit first: the itemset comes out sorted
+            low = items & -items
+            itemset.append(keys[low.bit_length() - 1])
+            items ^= low
+        found.append((len(itemset), tuple(itemset), tidset))
+    found.sort()  # (length, items): itemsets are distinct, tidsets never compare
+    return [ClosedItemset(itemset, tidset) for _, itemset, tidset in found]
+
+
+def closed_masks(
+    item_tidsets: Iterable[tuple[int, int]], min_count: int
+) -> dict[int, int]:
+    """CHARM over integer ids: ``{tidset: item mask}`` of every closed
+    itemset supported by at least ``min_count`` records.
+
+    ``item_tidsets`` yields ``(item id, tidset)`` pairs; bit ``i`` of an
+    item mask is item id ``i``.  Per tidset only the largest item set
+    survives (two itemsets with equal tidsets share a closure and are
+    union-compatible by construction).
+    """
     roots = [
-        _Node({item}, mask)
-        for item, mask in sorted(item_tidsets.items())
-        if ts.count(mask) >= min_count
+        _Node(1 << item, tidset, count)
+        for item, tidset in item_tidsets
+        if (count := tidset.bit_count()) >= min_count
     ]
-    closed_by_tidset: dict[int, set[Item]] = {}
-    # Size packed rows from the widest tidset actually present, so callers
-    # whose masks outrun ``n_records`` (legal for the pure-int reference)
-    # still pack without overflow.
-    max_bits = max((mask.bit_length() for mask in item_tidsets.values()), default=0)
-    words = kernels.n_words(max(n_records, max_bits))
-    _charm_extend(roots, min_count, closed_by_tidset, words)
-    result = [
-        ClosedItemset(make_itemset(items), mask)
-        for mask, items in closed_by_tidset.items()
-    ]
-    result.sort(key=lambda c: (c.length, c.items))
-    return result
-
-
-#: Classes smaller than this skip the packed-matrix kernel — the fixed
-#: numpy overhead beats what the batch saves on a handful of pairs
-#: (bench_kernels.py puts break-even near 32 members on small universes).
-_KERNEL_MIN_NODES = 16
+    closed: dict[int, int] = {}
+    _charm_extend(roots, min_count, closed)
+    return closed
 
 
 def _charm_extend(
-    nodes: list[_Node], min_count: int, closed: dict[int, set[Item]], words: int
+    nodes: "list[_Node | None]", min_count: int, closed: dict[int, int]
 ) -> None:
     # Zaki & Hsiao process classes in increasing support order so that the
     # subset-tidset properties (1 and 2) fire as often as possible.
-    nodes.sort(key=lambda n: ts.count(n.tidset))
-    # One-vs-rest kernel: tidsets never change within a class, so pack the
-    # class once and batch ``|t(Xi) ∩ t(Xj)|`` for all j > i in one
-    # vectorized AND+popcount per i.  Since ``t(Xi) ∩ t(Xj)`` is contained
-    # in both operands, count equality is set equality — properties 1–3
-    # dispatch on the batched cardinalities alone, and the intersection
-    # itself is materialized only when property 4 creates a child.
-    use_kernel = len(nodes) >= _KERNEL_MIN_NODES
-    if use_kernel:
-        matrix = kernels.pack_many([n.tidset for n in nodes], words)
-        counts = kernels.popcount_rows(matrix)
+    nodes.sort(key=_BY_COUNT)
     for i, node in enumerate(nodes):
-        if node.removed:
+        if node is None:  # fused or re-parented by an earlier node
             continue
-        inter_counts = (
-            kernels.and_count(matrix[i + 1:], matrix[i]) if use_kernel else None
-        )
-        for off, other in enumerate(nodes[i + 1:]):
-            if other.removed:
+        ti = node.tidset
+        items = node.items
+        children: list[_Node] = []
+        for j in range(i + 1, len(nodes)):
+            other = nodes[j]
+            if other is None:
                 continue
-            ti, tj = node.tidset, other.tidset
-            if inter_counts is not None:
-                cij = int(inter_counts[off])
-                eq_i = cij == int(counts[i])
-                eq_j = cij == int(counts[i + 1 + off])
-            else:
-                tij = ti & tj
-                cij = ts.count(tij)
-                eq_i = tij == ti
-                eq_j = tij == tj
-            if eq_i and eq_j:  # property 1: equal tidsets
-                node.items |= other.items
-                _absorb_into_children(node, other.items)
-                other.removed = True
-            elif eq_i:  # property 2: t(Xi) subset of t(Xj)
-                node.items |= other.items
-                _absorb_into_children(node, other.items)
-            elif eq_j:  # property 3: t(Xi) superset of t(Xj)
-                node.children.append(_Node(node.items | other.items, tj))
-                other.removed = True
-            elif cij >= min_count:  # property 4: new child if frequent
-                node.children.append(_Node(node.items | other.items, ti & tj))
-        if node.children:
-            # Children were created before later property-1/2 extensions of
-            # this node, so refresh them with the final item set.
-            _absorb_into_children(node, node.items)
-            _charm_extend(node.children, min_count, closed, words)
-        _record_closed(node, closed)
-
-
-def _absorb_into_children(node: _Node, items: set[Item]) -> None:
-    """Propagate a property-1/2 extension of ``node`` into its subtree.
-
-    Any child's tidset is a subset of the node's, so the extending items
-    (whose tidset covers the node's) belong to every child's closure too.
-    """
-    for child in node.children:
-        child.items |= items
-        _absorb_into_children(child, items)
-
-
-def _record_closed(node: _Node, closed: dict[int, set[Item]]) -> None:
-    """Keep ``node`` unless an itemset with the same tidset already covers it.
-
-    Two itemsets with equal tidsets share a closure, so per tidset only the
-    largest item set survives (union-compatible by construction).
-    """
-    existing = closed.get(node.tidset)
-    if existing is None:
-        closed[node.tidset] = set(node.items)
-    else:
-        existing |= node.items
+            tj = other.tidset
+            tij = ti & tj
+            if tij == ti:  # properties 1 and 2: t(Xi) within t(Xj)
+                items |= other.items
+                if tij == tj:  # property 1: equal tidsets, Xj is fused
+                    nodes[j] = None
+            elif tij == tj:  # property 3: t(Xi) superset of t(Xj)
+                children.append(_Node(other.items, tj, other.count))
+                nodes[j] = None
+            elif (count := tij.bit_count()) >= min_count:  # property 4
+                children.append(_Node(other.items, tij, count))
+        if children:
+            # A child's tidset lies inside the node's, so every item of the
+            # node — also the ones properties 1-2 added after the child was
+            # made — belongs to the child's closure.
+            for child in children:
+                child.items |= items
+            _charm_extend(children, min_count, closed)
+        closed[ti] = closed.get(ti, 0) | items

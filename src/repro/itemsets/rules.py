@@ -32,7 +32,6 @@ __all__ = [
     "RuleBlock",
     "generate_rules",
     "rules_from_itemsets",
-    "rules_from_counts",
     "rules_from_subset_lattices",
 ]
 
@@ -167,92 +166,6 @@ def rules_from_itemsets(
     return out
 
 
-def rules_from_counts(
-    itemsets: Iterable[Itemset],
-    count_of: Callable[[Itemset], int],
-    universe_count: int,
-    minconf: float,
-    min_count: int | None = None,
-) -> list[Rule]:
-    """Batched rule extraction from pre-computed support counts.
-
-    The array-native sibling of :func:`rules_from_itemsets`: ``count_of``
-    must return an exact support count for every source itemset *and every
-    proper non-empty sub-itemset* of the sources (a
-    :class:`repro.kernels.FocalKernel` whose family has been evaluated
-    satisfies this).  All antecedent/consequent splits are enumerated
-    eagerly and confidences are evaluated in one vectorized pass.
-
-    This produces *exactly* the same rule set as the consequent-growth
-    generator: pruning there is lossless (dropping a consequent only skips
-    supersets whose confidence is provably lower, never a passing rule),
-    deduplication is a no-op because ``antecedent ∪ consequent`` uniquely
-    determines the source itemset, and the float64 division here matches
-    Python int division for any counts below ``2**53``.
-
-    ``min_count`` filters *source* itemsets below the support floor (the
-    expanded-mode caller passes the focal minimum count); sub-itemsets are
-    never filtered — they only serve as antecedents.
-    """
-    if not 0.0 <= minconf <= 1.0:
-        raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    antecedents: list[Itemset] = []
-    consequents: list[Itemset] = []
-    i_counts: list[int] = []
-    a_counts: list[int] = []
-    seen: set[tuple[Itemset, Itemset]] = set()
-    for itemset in itemsets:
-        if len(itemset) < 2:
-            continue
-        itemset_count = count_of(itemset)
-        if itemset_count is None or itemset_count == 0:
-            continue
-        if min_count is not None and itemset_count < min_count:
-            continue
-        n = len(itemset)
-        for mask in range(1, (1 << n) - 1):
-            antecedent = tuple(
-                itemset[k] for k in range(n) if mask >> k & 1
-            )
-            consequent = tuple(
-                itemset[k] for k in range(n) if not mask >> k & 1
-            )
-            key = (antecedent, consequent)
-            if key in seen:
-                continue
-            seen.add(key)
-            antecedents.append(antecedent)
-            consequents.append(consequent)
-            i_counts.append(itemset_count)
-            a_counts.append(count_of(antecedent))
-    if not antecedents:
-        return []
-    ic = np.asarray(i_counts, dtype=np.int64)
-    ac = np.asarray(a_counts, dtype=np.int64)
-    ok = ac > 0
-    conf = np.zeros(len(ic), dtype=np.float64)
-    np.divide(ic, ac, out=conf, where=ok)
-    keep = ok & (conf >= minconf)
-    supp = (
-        ic / universe_count
-        if universe_count
-        else np.zeros(len(ic), dtype=np.float64)
-    )
-    out = [
-        Rule(
-            antecedents[i],
-            consequents[i],
-            int(ic[i]),
-            float(supp[i]),
-            float(conf[i]),
-        )
-        for i in np.flatnonzero(keep)
-    ]
-    out.sort(key=lambda r: (r.antecedent, r.consequent))
-    return out
-
-
-
 # ---------------------------------------------------------------------------
 # The columnar rule list
 # ---------------------------------------------------------------------------
@@ -367,6 +280,13 @@ class RuleBlock(Sequence):
             mask = sum(1 << source.index(item) for item in rule.antecedent)
             rows.append((ids.setdefault(source, len(ids)), mask, *rule[2:]))
         return cls(ids, *(zip(*rows) if rows else [()] * len(_COLUMNS)))
+
+    def share_sources(self, table: dict[Itemset, Itemset]) -> None:
+        """Swap every source for the equal tuple ``table`` already holds
+        (entering the new ones): blocks kept side by side — a region
+        cached at three thresholds, neighbouring regions — then list one
+        tuple per itemset, not one each.  The rules do not change."""
+        self.sources = tuple(map(table.setdefault, self.sources, self.sources))
 
     def __len__(self) -> int:
         return len(self.src)
@@ -502,128 +422,138 @@ class RuleBlock(Sequence):
 
 
 def rules_from_subset_lattices(
-    groups: "Sequence[tuple[Sequence[Itemset], np.ndarray]]",
+    groups: "Sequence[tuple[np.ndarray, np.ndarray]]",
     universe_count: int,
     minconf: float,
     *,
+    schema: Schema,
     min_count: int | None = None,
 ) -> RuleBlock:
     """Globally sorted rule extraction across several subset-lattice groups.
 
-    ``groups`` pairs each same-width batch of *distinct* sorted source
-    itemsets with its ``(m, 2**n)`` matrix from
-    :meth:`~repro.kernels.FocalKernel.count_subset_lattice`
+    ``groups`` pairs each same-width batch of *distinct* source itemsets —
+    an ``(m, n)`` matrix of ascending item ids — with its ``(m, 2**n)``
+    matrix from :meth:`~repro.kernels.FocalKernel.count_subset_lattice`
     (``counts[j, mask]`` is the support of the sub-itemset of source ``j``
     selected by ``mask``'s bits; sources must be distinct across *all*
-    groups).  Every proper non-empty antecedent/consequent split of every
-    source is checked in one vectorized confidence pass per group;
-    ``min_count`` (floored at 1) filters source supports.  Because
-    ``antecedent ∪ consequent`` determines the source, the kept splits are
-    distinct rules.
+    groups); ``schema`` is the one the ids belong to.  Every proper
+    non-empty antecedent/consequent split of every source is checked in
+    one vectorized confidence pass per group; ``min_count`` (floored at
+    1) filters source supports.  Because ``antecedent ∪ consequent``
+    determines the source, the kept splits are distinct rules.
 
     The canonical ``(antecedent, consequent)`` output order is produced
-    *numerically*: every kept split's antecedent/consequent item ranks are
-    compacted into fixed-width packed integer keys (pad rank 0 sorts
-    shorter tuples first, exactly like tuple comparison) and one
+    *numerically*, once for all kept splits: id order is item order, so
+    every split's antecedent/consequent ids (plus one; 0 pads a shorter
+    tuple, which therefore sorts first, exactly like tuple comparison)
+    are compacted into fixed-width packed integer keys and one
     ``np.lexsort`` replaces the comparison sort over Python tuple keys.
-    The sorted columns *are* the result — a :class:`RuleBlock` over the
-    sources that kept a split; no per-rule Python object is built here.
+    The sorted columns *are* the result — a :class:`RuleBlock` whose
+    ``Item`` tuples are built for the sources that kept a split and for
+    nothing else; no per-rule Python object is built here.
     """
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
     live = [
-        (itemsets, counts)
-        for itemsets, counts in groups
-        if len(itemsets) and len(itemsets[0]) >= 2
+        (ids, counts) for ids, counts in groups
+        if len(ids) and ids.shape[1] >= 2
     ]
     if not live:
         return _EMPTY_BLOCK
-    sources = [s for itemsets, _ in live for s in itemsets]
-    distinct = sorted(set(chain.from_iterable(sources)))
-    if len(distinct) >= (1 << 16) - 1:  # pragma: no cover - absurd schema
-        raise DataError(
-            f"{len(distinct)} distinct items in one query's rule sources "
-            "exceed the 16-bit rank of the packed sort key"
-        )
-    rank_of = {item: r + 1 for r, item in enumerate(distinct)}
     floor = max(min_count if min_count is not None else 1, 1)
-    n_pad = max(len(itemsets[0]) for itemsets, _ in live)
-    slots = 2 * n_pad
-    n_words = -(-slots // 4)  # four 16-bit ranks per packed int64 word
-    shifts = np.array([48, 32, 16, 0], dtype=np.int64)
-
-    kept_keys: list[np.ndarray] = []
-    kept_src: list[np.ndarray] = []
-    kept_mask: list[np.ndarray] = []
-    kept_ic: list[np.ndarray] = []
-    kept_supp: list[np.ndarray] = []
-    kept_conf: list[np.ndarray] = []
-    pad = np.int64(1) << np.int64(40)  # sorts after every real rank
-
-    base = 0  # index of the group's first source in ``sources``
-    for itemsets, counts in live:
-        m = len(itemsets)
-        n = len(itemsets[0])
-        full = (1 << n) - 1
-        ranks = np.array(
-            [[rank_of[item] for item in s] for s in itemsets], dtype=np.int64
+    n_pad = max(ids.shape[1] for ids, _ in live)
+    if n_pad > _MAX_BLOCK_WIDTH:
+        raise DataError(
+            f"a rule over {n_pad} items exceeds the "
+            f"{_MAX_BLOCK_WIDTH}-item block limit"
         )
-        masks = np.arange(1, full, dtype=np.int64)
-        ant_table = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    # Slot ``k`` of a source holds its ``k``-th id plus one; slots a
+    # narrower source does not have hold ``absent``, which sorts last and
+    # masks to 0.
+    bits = schema.n_items.bit_length()
+    absent = np.int64(1) << np.int64(bits)
+    slots = np.empty((sum(len(ids) for ids, _ in live), n_pad), dtype=np.int64)
+    slots.fill(absent)
+
+    kept_src: list[np.ndarray] = []
+    kept_split: list[np.ndarray] = []
+    kept_conf: list[np.ndarray] = []
+    source_counts: list[np.ndarray] = []
+    base = 0  # index of the group's first source
+    for ids, counts in live:
+        m, n = ids.shape
+        full = (1 << n) - 1
+        np.add(ids, 1, out=slots[base:base + m, :n])
+        source_counts.append(counts[:, full])
+        # A sub-itemset is supported wherever its source is: a source at
+        # the floor (>= 1) divides by no zero, and one below it goes.
+        rows = None
+        if np.minimum.reduce(source_counts[-1]) < floor:
+            rows = np.flatnonzero(source_counts[-1] >= floor)
+            counts = counts[rows]
         # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
-        chunk = max(1, (4 << 20) // max(1, full - 1))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            source_counts = counts[lo:hi, full]
-            ac = counts[lo:hi, 1:full]  # column p: antecedent mask p + 1
-            ok = (source_counts[:, None] >= floor) & (ac > 0)
-            conf = np.zeros(ac.shape, dtype=np.float64)
-            np.divide(source_counts[:, None], ac, out=conf, where=ok)
-            keep = ok & (conf >= minconf)
-            js, ps = np.nonzero(keep)
-            if len(js) == 0:
-                continue
-            ic = source_counts[js]
+        chunk = max(1, (4 << 20) // (full - 1))
+        for lo in range(0, len(counts), chunk):
+            block = counts[lo:lo + chunk]
             # True division: bit-identical to the scalar reference's
-            # ``count / universe`` for counts below 2**53.
-            supp = (
-                ic / universe_count
-                if universe_count
-                else np.zeros(len(js), dtype=np.float64)
-            )
-            sel = ant_table[ps]  # (K, n) — bits of antecedent mask p + 1
-            src_ranks = ranks[lo + js]
-            # Compact selected ranks to the left, in order: sources are
-            # sorted so their ranks ascend, and an ascending sort with an
-            # oversized placeholder both compacts and preserves order.
-            ant = np.where(sel, src_ranks, pad)
-            ant.sort(axis=1)
-            ant[ant == pad] = 0
-            con = np.where(sel, pad, src_ranks)
-            con.sort(axis=1)
-            con[con == pad] = 0
-            padded = np.zeros((len(js), n_words * 4), dtype=np.int64)
-            padded[:, :n] = ant
-            padded[:, n_pad:n_pad + n] = con
-            words = np.bitwise_or.reduce(
-                padded.reshape(len(js), n_words, 4) << shifts, axis=2
-            )
-            kept_keys.append(words)
-            kept_src.append(js + (base + lo))
-            kept_mask.append(ps + 1)
-            kept_ic.append(ic)
-            kept_supp.append(supp)
-            kept_conf.append(conf[js, ps])
+            # ``count / count`` for counts below 2**53.
+            conf = block[:, full, None] / block[:, 1:full]
+            js, splits = (conf >= minconf).nonzero()
+            kept_conf.append(conf[js, splits])
+            kept_split.append(splits)  # column p: antecedent mask p + 1
+            js += lo
+            kept_src.append((js if rows is None else rows[js]) + base)
         base += m
 
-    if not kept_keys:
+    src = np.concatenate(kept_src)
+    if not len(src):
         return _EMPTY_BLOCK
-    order = np.lexsort(np.concatenate(kept_keys, axis=0).T[::-1])
+    ant_mask = np.concatenate(kept_split) + 1
+    # Split every kept source's slots into antecedent and consequent,
+    # each compacted to the left in id order: sources ascend, so an
+    # ascending sort with ``absent`` in the other side's slots does both.
+    # A quarter megabyte of keys at a time, so a rule-heavy answer's
+    # transient footprint stays that of a small one.
+    per_word = 63 // bits
+    n_words = -(-2 * n_pad // per_word)
+    shifts = np.arange(per_word - 1, -1, -1, dtype=np.int64) * bits
+    positions = np.arange(n_pad)
+    keys = np.empty((len(src), n_words), dtype=np.int64)
+    chunk = max(1, (1 << 18) // (8 * n_words * per_word))
+    for lo in range(0, len(src), chunk):
+        picked = slots[src[lo:lo + chunk]]
+        chosen = (ant_mask[lo:lo + chunk, None] >> positions & 1).astype(bool)
+        sides = np.zeros((len(picked), n_words * per_word), dtype=np.int64)
+        for at, side in ((0, np.where(chosen, picked, absent)),
+                         (n_pad, np.where(chosen, absent, picked))):
+            side.sort(axis=1)
+            side &= absent - 1
+            sides[:, at:at + n_pad] = side
+        np.bitwise_or.reduce(
+            sides.reshape(len(picked), n_words, per_word) << shifts,
+            axis=2, out=keys[lo:lo + chunk],
+        )
+    order = np.lexsort(keys.T[::-1])
+    src, ant_mask = src[order], ant_mask[order]
+    support_count = np.concatenate(source_counts)[src]
+
+    used = np.zeros(len(slots), dtype=bool)
+    used[src] = True
+    sources: list[Itemset] = []
+    base = 0
+    for ids, _ in live:
+        sources += schema.itemsets(ids[used[base:base + len(ids)]])
+        base += len(ids)
     return RuleBlock(
-        *_referenced(sources, np.concatenate(kept_src)[order]),
-        np.concatenate(kept_mask)[order],
-        np.concatenate(kept_ic)[order],
-        np.concatenate(kept_supp)[order],
+        sources,
+        (used.cumsum() - 1)[src],
+        ant_mask,
+        support_count,
+        # True division: bit-identical to the scalar reference's
+        # ``count / universe`` for counts below 2**53.
+        support_count / universe_count
+        if universe_count
+        else np.zeros(len(src), dtype=np.float64),
         np.concatenate(kept_conf)[order],
     )
 

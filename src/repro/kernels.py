@@ -63,7 +63,6 @@ __all__ = [
     "project_rows",
     "set_bits",
     "FocalKernel",
-    "CombinedFocalKernel",
 ]
 
 #: Bits per matrix word.
@@ -305,356 +304,357 @@ def set_bits(row: np.ndarray, positions: np.ndarray) -> None:
     np.bitwise_or.at(row, words, bits)
 
 
+#: Per source width ``n``, the non-empty masks over a source's positions
+#: in level (popcount) order, as columns to broadcast against sources:
+#: ``(masks, parents, high, starts)`` — each mask, the mask of its parent
+#: sub-itemset (itself minus its largest item, the highest set position),
+#: that position, and the row where each level starts.  Built once per
+#: width.
+_LATTICE_TEMPLATES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list]] = {}
+
+
+def _lattice_template(n: int):
+    template = _LATTICE_TEMPLATES.get(n)
+    if template is None:
+        masks = np.arange(1, 1 << n, dtype=np.int32)
+        level = popcount(masks.astype(_WORD_DTYPE))
+        by_level = np.argsort(level, kind="stable")
+        masks = masks[by_level]
+        high = np.zeros(len(masks), dtype=np.intp)
+        for b in range(1, n):
+            high[masks >= 1 << b] = b
+        starts = np.searchsorted(level[by_level], np.arange(1, n + 2))
+        template = (
+            masks[:, None], (masks - (1 << high).astype(np.int32))[:, None],
+            high, starts.tolist(),
+        )
+        _LATTICE_TEMPLATES[n] = template
+    return template
+
+
 class FocalKernel:
     """Batched support counting over one focal-projected universe.
 
     Built once per query (or shared across a multi-query batch) from the
-    packed single-item tidset rows and the packed focal tidset: the item
-    rows are gathered and repacked into the dense ``|D^Q|``-bit universe,
-    after which the support of any itemset inside ``D^Q`` is just the
-    popcount of the AND of its items' *projected* rows — no per-lookup
-    intersection with the focal tidset, and ``|D^Q|/64``-word operands.
+    item rows repacked into the dense ``|D^Q|``-bit universe of the focal
+    subset (:meth:`project`): the support of any itemset inside ``D^Q`` is
+    the popcount of the AND of its items' *projected* rows — no
+    per-lookup intersection with the focal tidset, and ``|D^Q|/64``-word
+    operands.
 
-    Keys are arbitrary hashables (the callers use
-    :class:`~repro.dataset.schema.Item`); an *itemset* is a tuple of keys.
-    Keys absent from ``row_of`` count as empty tidsets (an item that
-    occurs in no record supports nothing), matching the int-tidset
-    reference semantics.
+    The kernel speaks the schema's integer item space: row ``i`` of
+    ``matrix`` is item id ``i`` (all-zero for an item no focal record
+    holds), an itemset is a row of ascending ids.
     """
 
-    def __init__(
-        self,
-        item_matrix: np.ndarray,
-        row_of: Mapping[Hashable, int],
-        mask_row: np.ndarray,
-        dq_size: int,
-    ):
+    def __init__(self, matrix: np.ndarray, dq_size: int):
         self.dq_size = int(dq_size)
         self.words = n_words(self.dq_size)
-        self._row_of = dict(row_of)
-        self.matrix = project_rows(item_matrix, mask_row)
-        if self.matrix.shape[1] != self.words:  # pragma: no cover - defensive
+        if matrix.ndim != 2 or matrix.shape[1] != self.words:
             raise ValueError(
-                f"projected to {self.matrix.shape[1]} words for a "
+                f"item rows of shape {matrix.shape} for a "
                 f"{self.dq_size}-bit universe ({self.words} words)"
             )
-        self._zero = zero_row(self.words)
-        #: itemset -> projected row (prefix-chain memo for scalar lookups)
-        self._rows: dict[tuple, np.ndarray] = {}
-        self._counts: dict[tuple, int] = {(): self.dq_size}
-        #: support lookups answered by actual kernel evaluation (not cache)
+        self.matrix = matrix
+        #: sub-itemsets counted by an actual AND + popcount so far
         self.evaluations = 0
 
-    def nbytes(self) -> int:
-        """Footprint of the projected item matrix (the per-query cost)."""
-        return int(self.matrix.nbytes)
+    @classmethod
+    def project(cls, n_items: int, universes) -> "FocalKernel":
+        """The kernel over the focal records of several universes, stacked.
 
-    def item_tidsets(self) -> dict[Hashable, int]:
-        """The projected item rows as int tidsets over the dense universe
-        — the focal subset in *vertical* form (bit ``p`` of an item's
-        tidset is the ``p``-th focal record), what a tidset miner runs on."""
+        ``universes`` lists ``(matrix, ids, mask_row, size)``: packed item
+        rows over one record universe, the item id of each row (``None``
+        when row ``i`` is id ``i``), the universe's packed focal row and
+        its popcount.  Bit ``p`` of a projected row is the ``p``-th focal
+        record, the first universe's records first; a universe without
+        focal records is not projected at all.
+        """
+        dq_size = sum(size for *_, size in universes)
+        rows = np.zeros((n_items, n_words(dq_size)), dtype=_WORD_DTYPE)
+        at = 0
+        for matrix, ids, mask_row, size in universes:
+            if size:
+                _or_bits(rows, ids, at, project_rows(matrix, mask_row))
+                at += size
+        return cls(rows, dq_size)
+
+    def item_tidsets(self) -> list[int]:
+        """The projected item rows as int tidsets over the dense universe,
+        by item id — the focal subset in *vertical* form (bit ``p`` of an
+        item's tidset is the ``p``-th focal record), what a tidset miner
+        runs on."""
         data = self.matrix.tobytes()
         stride = self.words * 8
-        return {
-            key: int.from_bytes(data[i * stride:(i + 1) * stride], "little")
-            for key, i in self._row_of.items()
-        }
+        return [
+            int.from_bytes(data[at:at + stride], "little")
+            for at in range(0, len(data), stride)
+        ]
 
-    def _item_row(self, key: Hashable) -> np.ndarray:
-        idx = self._row_of.get(key)
-        return self._zero if idx is None else self.matrix[idx]
+    def count_subset_lattice(
+        self, itemsets, floor: int | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Support counts of *every* sub-itemset of every source, from one
+        table of the request's distinct sub-itemsets.
 
-    def _itemset_row(self, itemset: tuple) -> np.ndarray:
-        """Projected row of an itemset, via the memoized prefix chain."""
-        row = self._rows.get(itemset)
-        if row is not None:
-            return row
-        if len(itemset) == 1:
-            row = self._item_row(itemset[0])
-        else:
-            row = self._itemset_row(itemset[:-1]) & self._item_row(itemset[-1])
-        self._rows[itemset] = row
-        return row
+        ``itemsets`` is an ``(M, w)`` id matrix (or same-length id tuples),
+        one source per row: ascending item ids, right-padded with any
+        value ``>= n_items`` where a source is narrower than ``w``.  The
+        result groups the sources by width, ascending: ``(ids, counts)``
+        per width ``n`` with ``ids`` the ``(m, n)`` sources in input order
+        and ``counts[j, mask]`` the local support ``|t(S) ∩ D^Q|`` of the
+        sub-itemset ``S`` of source ``j`` selected by the bits of ``mask``
+        (``mask == 0`` is the empty itemset: ``|D^Q|``) — what
+        :func:`repro.itemsets.rules.rules_from_subset_lattices` extracts
+        rules from.
 
-    def seed(self, itemset: tuple, count: int) -> None:
-        """Pre-seed a known support count (e.g. ELIMINATE's exact locals).
+        With ``floor`` the sources are not ``itemsets`` themselves but
+        their *distinct* sub-itemsets of two items or more whose support
+        reaches ``floor`` (at least 1) — the expanded-mode rule sources.
 
-        Seeded counts are served from the memo without evaluation; an
-        already-known itemset keeps its existing count (they agree by the
-        projection invariant, so first-write-wins is arbitrary but cheap).
+        Sub-itemsets shared by overlapping sources are the norm (ten to
+        fifteen ``(source, mask)`` cells per distinct sub-itemset on the
+        benchmark tables), so each *distinct* one is ANDed and popcounted
+        once: cells are named level by level by the prefix id ``parent *
+        n_items + largest item`` — which never outgrows a machine word,
+        however many items the schema has — and a level's distinct ids
+        are one batched ``row[parent] & row[item]``.  The count matrices
+        are a gather from that table.
         """
-        self._counts.setdefault(itemset, int(count))
+        n_items = len(self.matrix)
+        sources = np.asarray(itemsets, dtype=np.intp)
+        groups = _width_groups(sources, n_items) if sources.size else []
+        if not groups:
+            return []
+        if sum(len(ids) << ids.shape[1] for ids in groups) >= 1 << 31:
+            raise ValueError(  # pragma: no cover - tens of gigabytes of cells
+                "the sources' subset lattices are not tractable"
+            )
+        nodes, levels = _name_cells(groups, n_items)
+        counts = self._count_levels(levels)
+        if floor is not None:
+            # The table holds every sub-itemset of the frequent ones, so
+            # their lattices are a second naming pass over it: no new AND.
+            frequent = _frequent_nodes(levels, counts, max(int(floor), 1))
+            groups = _width_groups(frequent, n_items)
+            if not groups:
+                return []
+            nodes, _ = _name_cells(groups, n_items, levels)
+        cells = counts.take(nodes)
+        out = []
+        at = 0
+        for ids in groups:
+            m, n = ids.shape
+            out.append((ids, cells[at:at + (m << n)].reshape(m, 1 << n)))
+            at += m << n
+        return out
 
-    def count(self, itemset: tuple) -> int:
-        """``|t(itemset) ∩ D^Q|`` for one itemset (memoized)."""
-        cached = self._counts.get(itemset)
-        if cached is not None:
-            return cached
-        self.evaluations += 1
-        count_ = int(popcount_rows(self._itemset_row(itemset)[None, :])[0])
-        self._counts[itemset] = count_
-        return count_
+    def _count_levels(self, levels: list) -> np.ndarray:
+        """Support count of every node of the sub-itemset table, by node
+        id: the empty itemset, the items, then each level's distinct
+        sub-itemsets.
 
-    def count_subset_lattice(self, itemsets: Sequence[tuple]) -> np.ndarray:
-        """Support counts of *every* sub-itemset of each itemset, at once.
-
-        ``itemsets`` must all share one length ``n``; the result is an
-        ``(m, 2**n)`` int64 matrix where ``counts[j, mask]`` is the local
-        support ``|t(S) ∩ D^Q|`` of the sub-itemset ``S`` selected by the
-        bits of ``mask`` from ``itemsets[j]`` (``mask == 0`` is the empty
-        itemset: ``|D^Q|``).
-
-        This is the rule-generation kernel proper: the subset lattice of
-        each source is filled by the standard mask recurrence
-        ``row[mask] = row[mask & (mask - 1)] & item_row[lowbit(mask)]`` —
-        ``2**n`` *vectorized* ANDs over ``(m, words)`` slabs, then one
-        batched popcount — so no per-subset Python objects (tuples,
-        hashes, memo probes) ever exist.  Redundant counts across sources
-        that share sub-itemsets cost only word-ops, which the projection
-        already made narrow; the tuple domain is what was expensive.
-
-        Work is chunked so the lattice slab stays within a fixed memory
-        budget regardless of ``m``.
+        A level-``L`` row is its parent's row ANDed with its largest
+        item's; nodes of a level are in lexicographic order, so the
+        sub-itemsets that start with an item range are one slice per
+        level, and the table is filled one such range at a time — never
+        more than about :data:`LATTICE_SLAB_BYTES` of rows at once,
+        however wide the universe.
         """
-        m = len(itemsets)
-        if m == 0:
-            return np.zeros((0, 1), dtype=np.int64)
-        n = len(itemsets[0])
-        if any(len(s) != n for s in itemsets):
-            raise ValueError("count_subset_lattice needs same-length itemsets")
-        if n == 0:
-            return np.full((m, 1), self.dq_size, dtype=np.int64)
-        if n >= 60:  # pragma: no cover - astronomically wide itemsets
-            raise ValueError(f"subset lattice of width {n} is not tractable")
-        sentinel = self.matrix.shape[0]
-        ext = np.vstack([self.matrix, self._zero[None, :]])
-        idx = np.array(
-            [[self._row_of.get(key, sentinel) for key in s] for s in itemsets],
-            dtype=np.intp,
-        )
-        size = 1 << n
-        universe = pack((1 << self.dq_size) - 1, self.words)
-        counts = np.empty((m, size), dtype=np.int64)
-        counts[:, 0] = self.dq_size
-        chunk = max(1, LATTICE_SLAB_BYTES // (size * self.words * 8))
-        lowbit = [(mask & -mask).bit_length() - 1 for mask in range(size)]
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            rows = ext[idx[lo:hi]]  # (c, n, words)
-            lattice = np.empty((hi - lo, size, self.words), dtype=_WORD_DTYPE)
-            lattice[:, 0] = universe
-            for mask in range(1, size):
+        n_items = len(self.matrix)
+        counts = np.empty(levels[-1][0][1] if levels else 1 + n_items,
+                          dtype=np.int64)
+        counts[0] = self.dq_size
+        counts[1:1 + n_items] = popcount_rows(self.matrix)
+        if not levels:
+            return counts
+        self.evaluations += len(counts) - 1 - n_items
+        budget = max(1, LATTICE_SLAB_BYTES // (self.words * 8))
+        for cuts in _slab_cuts(levels, n_items, budget):
+            # One slab holds the chunk's rows of every level, level 2
+            # first; a parent is found at its level's offset in it.
+            sizes = [hi - lo for lo, hi in cuts]
+            slab = np.empty((sum(sizes), self.words), dtype=_WORD_DTYPE)
+            source, shift, at = self.matrix, -1, 0
+            for ((first, _), parents, items), (lo, hi), size in zip(
+                levels, cuts, sizes
+            ):
                 np.bitwise_and(
-                    lattice[:, mask & (mask - 1)],
-                    rows[:, lowbit[mask]],
-                    out=lattice[:, mask],
+                    source.take(parents[lo:hi] + shift, axis=0),
+                    self.matrix.take(items[lo:hi], axis=0),
+                    out=slab[at:at + size],
                 )
-            counts[lo:hi] = popcount_rows(
-                lattice.reshape(-1, self.words)
-            ).reshape(hi - lo, size)
-        self.evaluations += m * (size - 1)
+                # The next level's parents are this level's nodes.
+                source, shift, at = slab, at - (first + lo), at + size
+            chunk = popcount_rows(slab)
+            at = 0
+            for ((first, _), _, _), (lo, hi), size in zip(levels, cuts, sizes):
+                counts[first + lo:first + hi] = chunk[at:at + size]
+                at += size
         return counts
 
-    def frequent_subsets(
-        self,
-        itemsets: Sequence[tuple],
-        floor: int,
-        min_width: int = 2,
-    ) -> list[tuple]:
-        """The *distinct* sub-itemsets of ``itemsets`` whose projected
-        support reaches ``floor`` (at least 1) with at least ``min_width``
-        items — the expanded-mode source discovery.
 
-        Sub-itemsets shared by many overlapping closures are the norm, so
-        deduplication happens in array space: each qualifying ``(itemset,
-        mask)`` pair is encoded as a *set signature* — a bitmask over the
-        kernel's global item rows, OR-reduced per word — and duplicate
-        signatures collapse with one sort before a single Python tuple is
-        built.  The encoding is canonical (a set of item rows has exactly
-        one signature, regardless of which closure it was reached
-        through), and items absent from the kernel's matrix can never
-        qualify (their rows are empty, so any superset counts 0), so the
-        sentinel id they encode to is never observed.
-        """
-        floor = max(int(floor), 1)
-        groups: dict[int, list[tuple]] = {}
-        for itemset in itemsets:
-            groups.setdefault(len(itemset), []).append(itemset)
-        widths = [n for n in groups if n >= min_width]
-        if not widths:
-            return []
-        sentinel = self.matrix.shape[0]
-        sig_words = (sentinel + 1 + WORD_BITS - 1) // WORD_BITS
-        chunks: list[np.ndarray] = []
-        for n in sorted(widths):
-            group = groups[n]
-            counts = self.count_subset_lattice(group)
-            size = 1 << n
-            mask_widths = popcount(
-                np.arange(size, dtype=_WORD_DTYPE)
-            ).astype(np.int64)
-            qual = (counts >= floor) & (mask_widths >= min_width)[None, :]
-            js, masks = np.nonzero(qual)
-            if len(js) == 0:
-                continue
-            ids = np.array(
-                [
-                    [self._row_of.get(key, sentinel) for key in s]
-                    for s in group
-                ],
-                dtype=np.int64,
-            )
-            id_word = ids >> 6  # (m, n)
-            id_bit = np.uint64(1) << (ids & 63).astype(_WORD_DTYPE)
-            bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-            sel_word = id_word[js]  # (K, n)
-            sel_bit = np.where(bits, id_bit[js], np.uint64(0))
-            sig = np.zeros((len(js), sig_words), dtype=_WORD_DTYPE)
-            for w in range(sig_words):
-                contrib = np.where(sel_word == w, sel_bit, np.uint64(0))
-                sig[:, w] = np.bitwise_or.reduce(contrib, axis=1)
-            chunks.append(sig)
-        if not chunks:
-            return []
-        sigs = np.concatenate(chunks, axis=0)
-        if sig_words == 1:
-            uniq = np.unique(sigs[:, 0])[:, None]
-        else:
-            order = np.lexsort(sigs.T[::-1])
-            ordered = sigs[order]
-            keep = np.concatenate(
-                [[True], np.any(ordered[1:] != ordered[:-1], axis=1)]
-            )
-            uniq = ordered[keep]
-        key_of = {row: key for key, row in self._row_of.items()}
-        out: list[tuple] = []
-        for row in uniq.tolist():
-            items = []
-            for w, word in enumerate(row):
-                base = w << 6
-                while word:
-                    low = word & -word
-                    items.append(key_of[base + low.bit_length() - 1])
-                    word ^= low
-            out.append(tuple(sorted(items)))
-        return out
-
-    def count_family(self, family: Iterable[tuple]) -> dict[tuple, int]:
-        """Supports of a whole itemset family, evaluated level by level.
-
-        The family is closed under prefixes internally (the row of
-        ``(a, b, c)`` is ``row((a, b)) & row(c)``), every level is one
-        batched AND over the previous level's matrix, and all counts of a
-        level come from a single :func:`popcount_rows` call — the batched
-        replacement for one big-int AND chain per family member.  Returns
-        counts for the requested family *and* any prefixes pulled in.
-        """
-        needed: set[tuple] = set()
-        for itemset in family:
-            for length in range(1, len(itemset) + 1):
-                prefix = itemset[:length]
-                if prefix not in self._counts:
-                    needed.add(prefix)
-        out: dict[tuple, int] = {}
-        if not needed:
-            return out
-        by_len: dict[int, list[tuple]] = {}
-        for itemset in needed:
-            by_len.setdefault(len(itemset), []).append(itemset)
-        self.evaluations += len(needed)
-        for length in sorted(by_len):
-            sets_l = sorted(by_len[length])
-            if length == 1:
-                level = np.vstack([self._item_row(s[0]) for s in sets_l])
-            else:
-                parents = np.vstack(
-                    [self._itemset_row(s[:-1]) for s in sets_l]
-                )
-                items = np.vstack([self._item_row(s[-1]) for s in sets_l])
-                level = parents & items
-            counts = popcount_rows(level)
-            for j, itemset in enumerate(sets_l):
-                self._rows[itemset] = level[j]
-                count_ = int(counts[j])
-                self._counts[itemset] = count_
-                out[itemset] = count_
-        return out
+def _or_bits(
+    rows: np.ndarray, ids: np.ndarray | None, at: int, part: np.ndarray
+) -> None:
+    """OR ``part``'s bits into ``rows[ids]`` (all rows when ``ids`` is
+    ``None``) from bit position ``at`` on, in place."""
+    word, shift = divmod(at, WORD_BITS)
+    if shift:
+        span = part.shape[1]
+        shifted = np.zeros((len(part), span + 1), dtype=_WORD_DTYPE)
+        shifted[:, :span] = part << np.uint64(shift)
+        shifted[:, 1:] |= part >> np.uint64(WORD_BITS - shift)
+        part = shifted
+    # Words past the stacked universe hold no bit: the projection keeps
+    # everything beyond its own size clear.
+    width = min(part.shape[1], rows.shape[1] - word)
+    rows[slice(None) if ids is None else ids, word:word + width] |= (
+        part[:, :width]
+    )
 
 
-class CombinedFocalKernel:
-    """Two focal kernels — a main-index projection and a delta-store
-    projection — presented as one: every count is the exact sum of the
-    two universes' counts.
+def _width_groups(sources: np.ndarray, n_items: int) -> list[np.ndarray]:
+    """``sources`` (ids ``>= n_items`` are padding) split by width,
+    ascending: one ``(m, n)`` id matrix per width ``n >= 1`` present."""
+    widths = (sources < n_items).sum(axis=1)
+    order = np.argsort(widths, kind="stable")
+    ordered = widths[order]
+    present = np.unique(ordered)
+    cuts = np.searchsorted(ordered, present).tolist() + [len(ordered)]
+    return [
+        sources[order[lo:hi], :n]
+        for n, lo, hi in zip(present.tolist(), cuts, cuts[1:])
+        if n
+    ]
 
-    This is how the delta store rides the rule-generation kernel without
-    touching the operators: :class:`~repro.core.operators.QueryContext`
-    hands VERIFY a combined kernel whenever a delta is attached, the mask
-    recurrence runs once per universe (main rows are ``|D^Q_main|/64``
-    words, delta rows a handful of words), and the two int64 lattices add
-    elementwise — one vectorized partial, no per-record Python loops.
 
-    ``seed`` is a deliberate no-op: qualified candidates arrive with
-    *combined* local counts, which belong to neither underlying universe;
-    seeding either kernel with them would corrupt its memo, and the seed
-    is only ever a cache (``FocalKernel.seed`` documents first-write-wins
-    semantics), so dropping it costs at most a few re-evaluations.
+def _name_cells(
+    groups: list[np.ndarray], n_items: int, known: list | None = None
+) -> tuple[np.ndarray, list]:
+    """Name every ``(source, mask)`` cell of width-grouped sources by the
+    node id of its sub-itemset.
+
+    Returns ``(nodes, levels)``: ``nodes`` lists the cells group by
+    group, source by source, mask by mask; node 0 is the empty itemset,
+    node ``1 + i`` item ``i``, and ``levels[k]`` describes the distinct
+    sub-itemsets of ``k + 2`` items as ``((first, end), parents, items)``
+    — node ids ``first..end - 1`` in lexicographic order, each the node
+    ``parents[j]`` extended by its largest item ``items[j]``.  With
+    ``known`` (the levels of an earlier call whose sources contain these)
+    cells are looked up instead and no level is made.
     """
+    # Per level, every group's cells of that level: their index in
+    # ``nodes``, their parent cell's, and their largest item (32-bit: a
+    # request's cells are what its transient footprint is made of).
+    deepest = groups[-1].shape[1]
+    cells, parents, items = ([[] for _ in range(deepest)] for _ in range(3))
+    at = 0
+    for ids in groups:
+        m, n = ids.shape
+        masks, parent_masks, high, starts = _lattice_template(n)
+        # Each source's cell 0, then masks down the rows, sources across.
+        first = np.arange(at, at + (m << n), 1 << n, dtype=np.int32)
+        pieces = (
+            masks + first,
+            parent_masks + first,
+            ids.astype(np.int32).T.take(high, axis=0),
+        )
+        for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            for level, piece in zip((cells, parents, items), pieces):
+                level[k].append(piece[lo:hi].ravel())
+        at += m << n
+    nodes = np.zeros(at, dtype=np.int32)
+    nodes[_joined(cells[0])] = _joined(items[0]) + 1
+    levels = [] if known is None else known
+    first, end = 1, 1 + n_items  # the node ids of the level below
+    for k in range(1, deepest):
+        # A cell's prefix id: its parent's rank in the level below, then
+        # its largest item.  Ranks follow key order, so a level lists its
+        # sub-itemsets lexicographically.
+        keys = nodes.take(_joined(parents[k])).astype(np.int64)
+        keys -= first
+        keys *= n_items
+        keys += _joined(items[k])
+        if known is None:
+            distinct, named = _distinct(keys, (end - first) * n_items)
+            below, largest = np.divmod(distinct, n_items)
+            below += first
+            first, end = end, end + len(distinct)
+            levels.append(((first, end), below, largest))
+        else:
+            (lo, hi), below, largest = known[k - 1]
+            named = np.searchsorted((below - first) * n_items + largest, keys)
+            first, end = lo, hi
+        named += first
+        nodes[_joined(cells[k])] = named
+    return nodes, levels
 
-    def __init__(self, main: FocalKernel, delta: FocalKernel):
-        self.main = main
-        self.delta = delta
-        self.dq_size = main.dq_size + delta.dq_size
 
-    @property
-    def evaluations(self) -> int:
-        return self.main.evaluations + self.delta.evaluations
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
-    def nbytes(self) -> int:
-        return self.main.nbytes() + self.delta.nbytes()
 
-    def item_tidsets(self) -> dict[Hashable, int]:
-        """Item tidsets over the stacked universe: the main focal records
-        first, the delta focal records after them."""
-        tidsets = self.main.item_tidsets()
-        shift = self.main.dq_size
-        for key, mask in self.delta.item_tidsets().items():
-            if mask:
-                tidsets[key] = tidsets.get(key, 0) | (mask << shift)
-        return tidsets
+def _distinct(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``keys`` (all within ``[0, bound)``)
+    and every key's rank among them.
 
-    def seed(self, itemset: tuple, count: int) -> None:
-        """No-op (see class docstring): combined counts are not seedable."""
+    A dense key space is deduplicated by address — one flag per possible
+    key, no sort — which is what a level of sub-itemsets almost always
+    is (``parents x items`` slots for an order of magnitude more cells);
+    a sparse one (a wide schema, few sources) is sorted.
+    """
+    if bound > 8 * len(keys) + (1 << 16):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(bound, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(bound, dtype=np.int32)
+    rank[distinct] = np.arange(len(distinct), dtype=np.int32)
+    return distinct, rank.take(keys)
 
-    def count(self, itemset: tuple) -> int:
-        return self.main.count(itemset) + self.delta.count(itemset)
 
-    def count_subset_lattice(self, itemsets: Sequence[tuple]) -> np.ndarray:
-        return self.main.count_subset_lattice(
-            itemsets
-        ) + self.delta.count_subset_lattice(itemsets)
+def _frequent_nodes(levels: list, counts: np.ndarray, floor: int) -> np.ndarray:
+    """The sub-itemsets of two items or more counted at ``floor`` or
+    above, as a right-padded ``(k, deepest level)`` id matrix."""
+    n_items = levels[0][0][0] - 1 if levels else 0
+    width = len(levels) + 1
+    chains = np.arange(n_items).reshape(-1, 1)  # level-1 id rows
+    first = 1
+    frequent = []
+    for (lo, hi), parents, items in levels:
+        chains = np.column_stack([chains.take(parents - first, axis=0), items])
+        first = lo
+        kept = chains[counts[lo:hi] >= floor]
+        frequent.append(
+            np.pad(kept, ((0, 0), (0, width - kept.shape[1])),
+                   constant_values=n_items)
+        )
+    if not frequent:
+        return np.zeros((0, 0), dtype=np.intp)
+    return np.concatenate(frequent)
 
-    def frequent_subsets(
-        self,
-        itemsets: Sequence[tuple],
-        floor: int,
-        min_width: int = 2,
-    ) -> list[tuple]:
-        """Distinct sub-itemsets whose *combined* support reaches ``floor``.
 
-        A sub-itemset's delta contribution is at most ``|D^Q_delta|``, so
-        every combined-frequent sub-itemset clears the main floor relaxed
-        by that bound; discovery runs on the main kernel at the relaxed
-        floor and the caller's exact combined-count filter (the lattice
-        extraction's ``min_count``) discards any over-admitted subset.
-        Under the coverage guarantee the relaxed floor stays >= 1, so
-        itemsets absent from the main index can never qualify — exactly
-        the guarantee's contract.
-        """
-        relaxed = max(int(floor) - self.delta.dq_size, 1)
-        return self.main.frequent_subsets(itemsets, relaxed, min_width)
-
-    def count_family(self, family: Iterable[tuple]) -> dict[tuple, int]:
-        family = list(family)
-        self.main.count_family(family)
-        self.delta.count_family(family)
-        return {itemset: self.count(itemset) for itemset in family}
+def _slab_cuts(levels: list, n_items: int, budget: int):
+    """Split the table into item ranges whose rows fit ``budget`` rows of
+    a slab: yields, per range, the ``(lo, hi)`` slice of every level
+    holding the sub-itemsets whose smallest item lies in the range."""
+    sizes = [end - first for (first, end), _, _ in levels]
+    if sum(sizes) <= budget:
+        yield [(0, size) for size in sizes]
+        return
+    # The smallest item of every node, level by level, then how many
+    # nodes of each level start with each item.
+    root = np.arange(n_items)
+    first = 1
+    starts = []
+    for (lo, _), parents, _ in levels:
+        root = root.take(parents - first)
+        first = lo
+        starts.append(np.searchsorted(root, np.arange(n_items + 1)))
+    weight = np.sum(starts, axis=0)  # rows of items below each boundary
+    item_cuts = np.unique(np.append(
+        np.searchsorted(weight, np.arange(0, weight[-1], budget)), n_items
+    )).tolist()
+    for a, b in zip(item_cuts, item_cuts[1:]):
+        yield [(int(start[a]), int(start[b])) for start in starts]

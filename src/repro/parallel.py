@@ -542,8 +542,11 @@ class ParallelContext:
         self.config = config or ParallelConfig()
         self.index = index
         self.tidset_words = index.tidset_words
-        matrix, row_of = index.table.item_matrix()
-        self._row_of = dict(row_of)
+        matrix, _ = index.table.item_matrix()
+        #: Item id -> row of the shared item matrix (-1: the item occurs
+        #: in no main record, its tidset is empty).
+        self._row_of_id = np.full(index.table.schema.n_items, -1, dtype=np.int64)
+        self._row_of_id[index.table.item_ids()] = np.arange(len(matrix))
         arrays: dict[str, np.ndarray] = {
             _KEY_MIPS: index.mip_tidset_matrix,
             _KEY_ITEMS: matrix,
@@ -638,24 +641,18 @@ class ParallelContext:
         """Sharded rule-generation lattice counts, or ``None`` for serial.
 
         Mirrors :meth:`repro.kernels.FocalKernel.count_subset_lattice`
-        byte for byte (itemsets share one width ``n``; ``counts[j, 0]``
-        is ``|D^Q|``), but over full-width shards of the *raw* item
-        matrix ANDed with the focal row — no per-query projection.
+        count for count for one same-width ``(m, n)`` batch of item ids
+        (``counts[j, 0]`` is ``|D^Q|``), but over full-width shards of
+        the *raw* item matrix ANDed with the focal row — no per-query
+        projection.
         """
-        m = len(itemsets)
+        m, n = itemsets.shape
         if m == 0:
             return np.zeros((0, 1), dtype=np.int64)
-        n = len(itemsets[0])
         work = m * (1 << n) * self.tidset_words
         if n == 0 or n >= 60 or not self.should_shard(work):
             return None
-        idx = np.array(
-            [
-                [self._row_of.get(key, -1) for key in itemset]
-                for itemset in itemsets
-            ],
-            dtype=np.int64,
-        )
+        idx = self._row_of_id.take(itemsets)
         try:
             counts = self.executor.subset_lattice(
                 _KEY_ITEMS, idx, packed_dq, self.tidset_words

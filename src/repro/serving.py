@@ -382,6 +382,10 @@ class QueryService:
             thread_name_prefix="colarm-serve",
         )
         self._inflight: dict[tuple, _Flight] = {}
+        #: Coalescing key -> done-future of the request being priced to
+        #: lead its flight; same-key arrivals wait for that flight instead
+        #: of pricing themselves.
+        self._pricing: dict[tuple, asyncio.Future] = {}
         self._wake = asyncio.Event()
         self._slots = asyncio.Semaphore(self.config.workers)
         self._dispatcher: asyncio.Task | None = None
@@ -525,13 +529,27 @@ class QueryService:
         if plan is None:
             # A flight already registered needs no price to be joined —
             # and the probe above would be stale by the time a pricing
-            # that waited out that flight's execution used it.
-            waiter = self._attach(key, t_submit)
-            if waiter is not None:
-                return await waiter
-            choice = await loop.run_in_executor(
-                self._executor, self._price, q, use_cache, probe
-            )
+            # that waited out that flight's execution used it.  One being
+            # priced right now will be registered the moment its pricing
+            # returns: wait for it instead of pricing the same request.
+            while True:
+                waiter = self._attach(key, t_submit)
+                if waiter is not None:
+                    return await waiter
+                pricing = self._pricing.get(key)
+                if pricing is None:
+                    break
+                await pricing
+            if key is not None:
+                priced = self._pricing[key] = loop.create_future()
+            try:
+                choice = await loop.run_in_executor(
+                    self._executor, self._price, q, use_cache, probe
+                )
+            finally:
+                if key is not None:
+                    del self._pricing[key]
+                    priced.set_result(None)
             cost = choice.chosen_estimate
             if self._closed:
                 raise ServiceClosedError("service is stopped")

@@ -101,9 +101,10 @@ def test_probe_preference_and_no_lru_bump(index):
     query = q({0: {1}})
     result = execute_plan(PlanKind.SSVS, index, query)
     lattice = CachedLattice(
-        groups=tuple((tuple(g), c) for g, c in result.lattice_groups),
+        groups=tuple(result.lattice_groups),
         dq_size=result.dq_size,
         extract_min_count=None,
+        schema=index.table.schema,
     )
     assert cache.put_lattice(query, lattice)
     probe = cache.probe(query)

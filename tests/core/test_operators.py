@@ -181,16 +181,19 @@ def test_select_extracts_focal_subset(setup):
     table, index, query = setup
     ctx = make_context(index, query)
     sub = op_select(ctx)
-    # Vertical form: bit ``p`` of an item's tidset is the ``p``-th focal
-    # record, so reading the tidsets column-wise gives the records back.
+    # Vertical form, one tidset per item id: bit ``p`` of an item's tidset
+    # is the ``p``-th focal record, so reading the tidsets column-wise
+    # gives the records back.
+    items = table.schema.items_by_id
+    assert len(sub) == len(items)
     tids = ts.to_list(ctx.dq)
     assert ctx.trace.by_name("SELECT").output_size == len(tids)
     for p, tid in enumerate(tids):
         record = tuple(
-            sorted(item for item, mask in sub.items() if mask >> p & 1)
+            item for item, mask in zip(items, sub) if mask >> p & 1
         )
         assert record == table.record(tid)
-    assert all(mask >> len(tids) == 0 for mask in sub.values())
+    assert all(mask >> len(tids) == 0 for mask in sub)
 
 
 def test_arm_rules_are_correct(setup):

@@ -3,14 +3,14 @@
 Two invariants guard the batched VERIFY pipeline:
 
 * **Count parity** — for random tables, focal regions, and itemsets, the
-  :class:`repro.kernels.FocalKernel`'s projected counts (scalar ``count``
-  and batched ``count_family`` alike) equal the big-int reference
+  :class:`repro.kernels.FocalKernel`'s projected counts (every cell of
+  every source's subset lattice) equal the big-int reference
   ``popcount(t(I) & D^Q)``, including items missing from the table,
   empty focal subsets, and universes straddling the 64-bit word boundary;
 * **Rule-set parity** — for every plan on random scenarios, in both
   expanded and non-expanded mode, the batched extraction
   (:func:`repro.core.operators._rules_from_qualified` via
-  ``FocalKernel`` + :func:`repro.itemsets.rules.rules_from_counts`)
+  ``FocalKernel`` + :func:`repro.itemsets.rules.rules_from_subset_lattices`)
   returns *byte-identical* rules — antecedent, consequent, counts, and
   float support/confidence — to the retained scalar reference path
   (:func:`repro.core.operators._rules_from_qualified_reference`, the
@@ -48,17 +48,18 @@ MIP_PLANS = (PlanKind.SEV, PlanKind.SVS, PlanKind.SSEV, PlanKind.SSVS,
 
 @st.composite
 def kernel_cases(draw):
-    """Random packed item rows, a focal mask, and itemsets over the keys."""
+    """Random packed item rows, a focal mask, and itemsets over the ids."""
     n = draw(st.sampled_from([1, 7, 63, 64, 65, 130, 300]))
     n_items = draw(st.integers(min_value=1, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
-    tidsets = {
-        key: ts.from_tids(
+    # Item 0 occurs in no record: zero-tidset semantics.
+    tidsets = [0] + [
+        ts.from_tids(
             np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9)).tolist()
         )
-        for key in range(n_items)
-    }
+        for _ in range(n_items)
+    ]
     mask = ts.from_tids(
         np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.9)).tolist()
     )
@@ -67,7 +68,6 @@ def kernel_cases(draw):
             sorted(
                 draw(
                     st.sets(
-                        # n_items is a *missing* key: zero-tidset semantics.
                         st.integers(min_value=0, max_value=n_items),
                         min_size=1,
                         max_size=min(n_items + 1, 5),
@@ -85,31 +85,38 @@ def kernel_cases(draw):
 def test_focal_counts_match_bigint_reference(case):
     n, tidsets, mask, itemsets = case
     words = kernels.n_words(n)
-    matrix = kernels.pack_many([tidsets[k] for k in sorted(tidsets)], words)
-    row_of = {k: i for i, k in enumerate(sorted(tidsets))}
-    dq_size = ts.count(mask)
-    kernel = kernels.FocalKernel(matrix, row_of, kernels.pack(mask, words), dq_size)
+    kernel = kernels.FocalKernel(
+        kernels.project_rows(
+            kernels.pack_many(tidsets, words), kernels.pack(mask, words)
+        ),
+        ts.count(mask),
+    )
 
     def reference(itemset):
-        inter = reduce(
-            lambda acc, key: acc & tidsets.get(key, 0), itemset, mask
-        )
+        inter = reduce(lambda acc, i: acc & tidsets[i], itemset, mask)
         return ts.count(inter)
 
-    # Batched family evaluation first, scalar lookups after: both paths
-    # must agree with the reference (and with each other through the
-    # shared memo).
-    family_counts = kernel.count_family(itemsets)
-    for itemset in itemsets:
-        assert family_counts[itemset] == reference(itemset)
-        assert kernel.count(itemset) == reference(itemset)
-    # Fresh kernel, scalar-only path (no prior family batch).
-    scalar = kernels.FocalKernel(
-        matrix, row_of, kernels.pack(mask, words), dq_size
-    )
-    for itemset in itemsets:
-        assert scalar.count(itemset) == reference(itemset)
-    assert kernel.count(()) == dq_size
+    # Sources of mixed widths, right-padded with "no item"; every cell of
+    # every source's lattice must agree with the reference.
+    width = max(map(len, itemsets))
+    padded = [s + (len(tidsets),) * (width - len(s)) for s in itemsets]
+    seen = []
+    for ids, counts in kernel.count_subset_lattice(padded):
+        for source, row in zip(ids.tolist(), counts.tolist()):
+            seen.append(tuple(source))
+            for cell, count_ in enumerate(row):
+                subset = [i for k, i in enumerate(source) if cell >> k & 1]
+                assert count_ == reference(subset), (source, cell)
+    assert sorted(seen) == sorted(itemsets)
+    assert kernel.item_tidsets() == [_dense(t, mask) for t in tidsets]
+
+
+def _dense(tidset: int, mask: int) -> int:
+    """``tidset``'s bits at the set positions of ``mask``, packed densely."""
+    out = 0
+    for p, tid in enumerate(ts.to_list(mask)):
+        out |= (tidset >> tid & 1) << p
+    return out
 
 
 # ---------------------------------------------------------------------------

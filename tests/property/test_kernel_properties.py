@@ -165,9 +165,9 @@ def test_popcount_elementwise_paths_agree():
 
 
 def test_subset_lattice_counts_do_not_depend_on_the_slab_cap(monkeypatch):
-    """The lattice is evaluated in chunks of sources that fit the slab cap;
-    one source per chunk counts exactly what one chunk for all does, and
-    both equal the per-subset big-int reference."""
+    """The sub-itemset table is filled in slices of item ranges that fit
+    the slab cap; one item per slice counts exactly what one slice for all
+    does, and both equal the per-subset big-int reference."""
     rng = np.random.default_rng(5)
     n_records, n_items = 300, 7
     tidsets = [
@@ -177,15 +177,20 @@ def test_subset_lattice_counts_do_not_depend_on_the_slab_cap(monkeypatch):
     words = kernels.n_words(n_records)
     dq = ts.from_array(np.flatnonzero(rng.random(n_records) < 0.5))
     kernel = kernels.FocalKernel(
-        kernels.pack_many(tidsets, words),
-        {i: i for i in range(n_items)},
-        kernels.pack(dq, words),
+        kernels.project_rows(
+            kernels.pack_many(tidsets, words), kernels.pack(dq, words)
+        ),
         ts.count(dq),
     )
     sources = [(0, 1, 2), (1, 3, 6), (2, 4, 5), (0, 5, 6), (3, 4, 6)]
-    whole = kernel.count_subset_lattice(sources)
-    monkeypatch.setattr(kernels, "LATTICE_SLAB_BYTES", 1)
-    assert np.array_equal(kernel.count_subset_lattice(sources), whole)
+    [(ids, whole)] = kernel.count_subset_lattice(sources)
+    assert ids.tolist() == [list(source) for source in sources]
+    for rows_per_slab in (0, 3, 7, 20):
+        monkeypatch.setattr(
+            kernels, "LATTICE_SLAB_BYTES", max(1, rows_per_slab * words * 8)
+        )
+        [(_, sliced)] = kernel.count_subset_lattice(sources)
+        assert np.array_equal(sliced, whole), rows_per_slab
     for j, source in enumerate(sources):
         for mask in range(8):
             expected = reduce(

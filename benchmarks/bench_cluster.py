@@ -15,7 +15,7 @@ serial reference before any number is reported.  Two gates (enforced by
 the ``cluster-gate`` CI job through :func:`test_cluster_gate`):
 
 * throughput: cluster >= 2x single — enforced only where the host can
-  actually run the workers concurrently (``available_cpus() >= 4``;
+  actually run the workers concurrently (``AVAILABLE_CPUS >= 4``;
   smaller hosts still run the identity checks and record the numbers);
 * shared memory: every worker's **unique RSS right after loading the
   snapshot** (``Private_Clean + Private_Dirty`` growth since worker
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -47,7 +48,6 @@ from repro.analysis.reporting import format_table, write_csv
 from repro.cluster import ClusterConfig, ClusterService, read_epoch
 from repro.core.engine import Colarm
 from repro.dataset.synthetic import chess_like
-from repro.parallel import available_cpus
 from repro.serving import QueryService, ServingConfig
 from repro.workloads.queries import random_focal_query
 
@@ -73,7 +73,11 @@ MINCONF = 0.7
 SPEEDUP_BAR = 2.0        # cluster throughput >= 2x single-process
 RSS_BAR = 0.25           # per-worker unique RSS <= 25% of the snapshot
 RSS_ENFORCED = not BENCH_SMOKE
-SPEEDUP_ENFORCED = available_cpus() >= WORKERS
+try:  # affinity-aware: a container may see fewer CPUs than the host has
+    AVAILABLE_CPUS = max(1, len(os.sched_getaffinity(0)))
+except (AttributeError, OSError):  # pragma: no cover - non-Linux
+    AVAILABLE_CPUS = max(1, os.cpu_count() or 1)
+SPEEDUP_ENFORCED = AVAILABLE_CPUS >= WORKERS
 
 
 def _query_pool(table, seed: int):
@@ -239,7 +243,7 @@ def write_results(out: dict) -> None:
             {
                 "bench": "cluster",
                 "numpy": np.__version__,
-                "available_cpus": available_cpus(),
+                "available_cpus": AVAILABLE_CPUS,
                 "smoke": BENCH_SMOKE,
                 "zipf_s": ZIPF_S,
                 "primary_support": PRIMARY_SUPPORT,

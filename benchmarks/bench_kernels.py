@@ -116,10 +116,6 @@ def write_results(records: list[dict]) -> None:
             {
                 "bench": "kernels",
                 "numpy": np.__version__,
-                "popcount": (
-                    "bitwise_count" if kernels.HAS_BITWISE_COUNT
-                    else "lut16"
-                ),
                 "density": DENSITY,
                 "repeats": REPEATS,
                 "smoke": BENCH_SMOKE,

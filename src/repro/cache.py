@@ -19,11 +19,11 @@ execution:
 The cache is a first-class plan alternative, not a transparent memo: each
 request probes it once, the optimizer prices a CACHE variant for every
 plan from the fitted ``cache_probe``/``cache_load`` weights, and picks it
-only when it beats the serial and sharded variants
-(:mod:`repro.core.optimizer`).  A rules entry remembers what that pricing
-needs (:class:`HitPricing`), so an exact-key repeat makes the same
-comparison from the entry alone and the probe that finds it serves it in
-one critical section (:meth:`RuleCache.probe`).
+only when it beats every fresh plan (:mod:`repro.core.optimizer`).  A
+rules entry remembers what that pricing needs (:class:`HitPricing`), so
+an exact-key repeat makes the same comparison from the entry alone and
+the probe that finds it serves it in one critical section
+(:meth:`RuleCache.probe`).
 
 Policy: every entry is byte-accounted (a rules entry at its columns'
 real ``nbytes``); inserts evict LRU-first under a byte budget, except
@@ -93,10 +93,7 @@ class HitPricing:
     generation (the entry's own stamp) and ``weights`` — the
     ``CostWeights`` object they were priced under — so they hold for as
     long as the entry lives and the optimizer still prices with that
-    object (installing a parallel profile refits the weights; dropping
-    one only removes fresh candidates, which a stamp then understates —
-    it can send a hit to full pricing, never serve one ``choose`` would
-    not).  Typed loosely: this module knows no plan or cost classes.
+    object.  Typed loosely: this module knows no plan or cost classes.
     """
 
     dq_size: int

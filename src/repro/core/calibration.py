@@ -32,14 +32,12 @@ from repro.errors import QueryError
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.cache import RuleCache
     from repro.core.maintenance import MaintainedIndex
-    from repro.parallel import ParallelContext
 
 __all__ = [
     "CalibrationReport",
     "calibrate",
     "calibrate_cache",
     "calibrate_maintenance",
-    "calibrate_parallel",
     "default_probe_queries",
 ]
 
@@ -277,40 +275,10 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def calibrate_parallel(
-    parallel: "ParallelContext", weights: CostWeights
-) -> CostWeights:
-    """Fit the sharded-execution weights from the live worker pool.
-
-    The two parallel cost terms are measured, not guessed, exactly like
-    ``arm``/``rulegen`` were:
-
-    * ``par_dispatch`` — seconds per shard *task*: the pool's median
-      empty round-trip (submit, pickle a no-op payload, wake a worker,
-      return), measured at :class:`~repro.parallel.ParallelContext`
-      construction on the warmed pool;
-    * ``par_merge`` — seconds per merged output element: one int64
-      partial per shard summed in the parent, timed here over a
-      representative merge.
-
-    The record-partitioned work terms reuse the fitted serial
-    ``eliminate``/``verify`` weights (same kernels, same words — just
-    divided across workers), so only these two weights are new.  Returns
-    a new :class:`CostWeights`; every serial weight is untouched.
-    """
-    fitted = dict(weights.weights)
-    fitted["par_dispatch"] = max(parallel.dispatch_s, 1e-7)
-    fitted["par_merge"] = max(
-        _measure_merge_throughput(parallel.n_shards), 1e-12
-    )
-    return CostWeights(fitted)
-
-
 def calibrate_cache(cache: "RuleCache", weights: CostWeights) -> CostWeights:
     """Fit the materialized-cache weights from the live cache.
 
-    Mirrors :func:`calibrate_parallel`: the two cache cost terms are
-    measured, not guessed —
+    The two cache cost terms are measured, not guessed —
 
     * ``cache_probe`` — seconds per :meth:`~repro.cache.RuleCache.probe`
       call (key construction plus the tier lookups), the fixed price every
@@ -334,8 +302,8 @@ def calibrate_maintenance(
 ) -> CostWeights:
     """Fit the delta-store weights from the live maintained index.
 
-    Mirrors :func:`calibrate_parallel` / :func:`calibrate_cache`: the two
-    delta cost terms are measured, not guessed —
+    Mirrors :func:`calibrate_cache`: the two delta cost terms are
+    measured, not guessed —
 
     * ``delta_probe`` — seconds per candidate-word of the delta count
       correction (one AND+popcount of a delta-MIP row against the delta
@@ -394,21 +362,6 @@ def _measure_delta_merge(
         kernels.project_rows(matrix, row)
         best = min(best, time.perf_counter() - start)
     return best / (n_rows * words)
-
-
-def _measure_merge_throughput(
-    n_shards: int, n_elements: int = 65536, rounds: int = 3
-) -> float:
-    """Seconds per element of summing one int64 partial per shard."""
-    parts = [np.ones(n_elements, dtype=np.int64) for _ in range(n_shards)]
-    best = float("inf")
-    for _ in range(rounds):
-        total = np.zeros(n_elements, dtype=np.int64)
-        start = time.perf_counter()
-        for part in parts:
-            total += part
-        best = min(best, time.perf_counter() - start)
-    return best / (n_shards * n_elements)
 
 
 def _nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from repro.rtree.costmodel import expected_leaf_matches, expected_node_accesses
 __all__ = [
     "ArmModelStats",
     "CostWeights",
-    "ParallelCostProfile",
     "QueryProfile",
     "CostModel",
     "DEFAULT_WEIGHTS",
@@ -57,14 +56,12 @@ __all__ = [
 
 #: Uncalibrated per-unit weights (seconds per load unit), rough orders of
 #: magnitude for CPython; calibration replaces them with fitted values.
-#: ``par_dispatch``/``par_merge`` price the sharded plan variants only
-#: (per-shard-task pool round-trips and per-shard partial merges); they are
-#: fitted from the live pool by ``calibration.calibrate_parallel`` and never
-#: appear in a serial load vector.  ``cache_probe``/``cache_load`` price the
-#: CACHE plan variants only (one materialized-tier probe per query, plus —
-#: for a lattice hit — reading ``lattice_cells`` counts back before
-#: re-extracting; a rules hit hands out the cached block); they are fitted from the live cache by ``calibration.calibrate_cache`` and
-#: never appear in a serial load vector either.
+#: ``cache_probe``/``cache_load`` price the CACHE plan variants only (one
+#: materialized-tier probe per query, plus — for a lattice hit — reading
+#: ``lattice_cells`` counts back before re-extracting; a rules hit hands
+#: out the cached block); they are fitted from the live cache by
+#: ``calibration.calibrate_cache`` and never appear in a fresh plan's load
+#: vector.
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
 #: and projecting the delta item rows into the request's one universe);
@@ -81,31 +78,11 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "select": 6e-8,
     "arm": 2e-7,
     "const": 5e-5,
-    "par_dispatch": 2e-4,
-    "par_merge": 1e-9,
     "cache_probe": 5e-6,
     "cache_load": 2e-8,
     "delta_probe": 3e-8,
     "delta_merge": 4e-8,
 }
-
-
-@dataclass(frozen=True)
-class ParallelCostProfile:
-    """Host and pool facts the parallel plan variants are priced against.
-
-    ``n_shards`` sizes the dispatch and merge terms (one task and one
-    partial per shard, regardless of core count); ``effective_workers``
-    is the concurrency the host can actually deliver —
-    ``min(n_workers, n_shards, available_cpus())`` — and divides the
-    record-partitioned work terms.  On a single-core host it is 1, the
-    work terms don't shrink, the dispatch term still costs, and the
-    optimizer correctly prices every parallel variant above its serial
-    twin.
-    """
-
-    n_shards: int
-    effective_workers: int
 
 
 @dataclass(frozen=True)
@@ -925,48 +902,6 @@ class CostModel:
         loads.update(self.delta_loads(kind, profile))
         return loads
 
-    def parallel_loads(
-        self,
-        kind: PlanKind,
-        profile: QueryProfile,
-        par: ParallelCostProfile,
-    ) -> dict[str, float] | None:
-        """The load vector of one plan's *sharded* execution variant.
-
-        Returns ``None`` for ARM: the from-scratch miner's Python-level
-        candidate loop is not record-partitioned, so it has no parallel
-        twin.  For the five MIP plans, the record-partitioned terms
-        shrink by the deliverable concurrency:
-
-        * ``eliminate`` — the AND+popcount qualification splits across
-          shards, so the word work divides by ``effective_workers``;
-        * ``verify`` — the sharded subset-lattice kernel works at the
-          *full* tidset width (no focal projection, no per-query repack:
-          the lattice is rooted at the focal row itself), split across
-          workers — ``qualified_fanout x tidset_words / P_eff`` replaces
-          the serial ``projection + fanout x dq_words``;
-        * ``par_dispatch`` — one pool round-trip per shard task, two
-          sharded dispatches per query (qualification + rule lattice);
-        * ``par_merge`` — summing one int64 partial per shard for every
-          output element (candidate counts + lattice cells).
-
-        ``search``, ``rulegen``, ``select``, and ``const`` are untouched:
-        the traversal and the confidence pass stay in-process.
-        """
-        if kind is PlanKind.ARM:
-            return None
-        p_eff = float(max(1, par.effective_workers))
-        loads = self.loads(kind, profile)
-        loads["eliminate"] = loads["eliminate"] / p_eff
-        loads["verify"] = (
-            profile.qualified_fanout * self.stats.tidset_words / p_eff
-        )
-        loads["par_dispatch"] = 2.0 * par.n_shards
-        loads["par_merge"] = par.n_shards * (
-            profile.n_cands + profile.qualified_fanout
-        )
-        return loads
-
     def cached_loads(
         self,
         kind: PlanKind,
@@ -1022,27 +957,6 @@ class CostModel:
             kind: self.weights.price(self.loads(kind, profile, search_loads))
             for kind in PlanKind
         }
-
-    def estimate_parallel(
-        self,
-        kind: PlanKind,
-        profile: QueryProfile,
-        par: ParallelCostProfile,
-    ) -> float | None:
-        """Estimated cost of one plan's sharded variant (None for ARM)."""
-        loads = self.parallel_loads(kind, profile, par)
-        return None if loads is None else self.weights.price(loads)
-
-    def estimate_all_parallel(
-        self, profile: QueryProfile, par: ParallelCostProfile
-    ) -> dict[PlanKind, float]:
-        """Sharded-variant costs for every plan that has one."""
-        out: dict[PlanKind, float] = {}
-        for kind in PlanKind:
-            est = self.estimate_parallel(kind, profile, par)
-            if est is not None:
-                out[kind] = est
-        return out
 
     def estimate_all_cached(
         self, profile: QueryProfile, probe

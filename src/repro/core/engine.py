@@ -35,7 +35,6 @@ from repro.core.calibration import (
     calibrate,
     calibrate_cache,
     calibrate_maintenance,
-    calibrate_parallel,
     default_probe_queries,
 )
 from repro.core.costs import CostWeights
@@ -95,7 +94,6 @@ class Colarm:
         )
         self.expand = expand
         self.optimizer = ColarmOptimizer(self.index, weights)
-        self.parallel = None
         self.cache: RuleCache | None = None
         self.maintenance: MaintainedIndex | None = None
         self._recompact_horizon = 100
@@ -112,7 +110,6 @@ class Colarm:
         engine.index = index
         engine.expand = expand
         engine.optimizer = ColarmOptimizer(index, weights)
-        engine.parallel = None
         engine.cache = None
         engine.maintenance = None
         engine._recompact_horizon = 100
@@ -148,46 +145,6 @@ class Colarm:
         report = calibrate(self.index, probe_queries, expand=self.expand)
         self.optimizer.set_weights(report.weights)
         return report
-
-    # -- offline: sharded execution ------------------------------------------
-
-    def configure(self, parallel=None) -> "Colarm":
-        """Opt in to (or out of) sharded multi-process kernel execution.
-
-        ``parallel`` accepts a :class:`repro.parallel.ParallelConfig`,
-        ``True`` (defaults), or ``None``/``False`` to tear the pool down
-        and return to serial execution.  Configuring:
-
-        1. registers the index's kernel matrices and the R-tree arrays
-           in shared memory and starts the worker pool
-           (:class:`repro.parallel.ParallelContext`);
-        2. fits the ``par_dispatch``/``par_merge`` cost weights from the
-           live pool (:func:`repro.core.calibration.calibrate_parallel`);
-        3. installs the parallel cost profile in the optimizer, which
-           from then on prices every plan both serial and sharded and
-           chooses across all variants.
-
-        Explicitly opt-in and idempotent; returns ``self`` for chaining.
-        """
-        from repro.parallel import ParallelConfig, ParallelContext
-
-        if self.parallel is not None:
-            self.parallel.close()
-            self.parallel = None
-            self.optimizer.set_parallel(None)
-        if parallel is None or parallel is False:
-            return self
-        config = ParallelConfig() if parallel is True else parallel
-        self.parallel = ParallelContext(self.index, config)
-        self.optimizer.set_weights(
-            calibrate_parallel(self.parallel, self.optimizer.weights)
-        )
-        self.optimizer.set_parallel(self.parallel.cost_profile())
-        return self
-
-    def close(self) -> None:
-        """Release the shard pool and its shared segments (if configured)."""
-        self.configure(parallel=None)
 
     # -- offline: materialized rule caches ------------------------------------
 
@@ -385,15 +342,6 @@ class Colarm:
         self.optimizer.rebind_index(index)
         if self.cache is not None:
             self.cache.rebind_index(index)
-        if self.parallel is not None:
-            # The pool's shared segments hold the old index's matrices;
-            # restart it against the replacement with the same config.
-            config = self.parallel.config
-            self.parallel.close()
-            from repro.parallel import ParallelContext
-
-            self.parallel = ParallelContext(index, config)
-            self.optimizer.set_parallel(self.parallel.cost_profile())
 
     # -- online: queries -------------------------------------------------------
 
@@ -413,12 +361,6 @@ class Colarm:
         With ``plan=None`` the COLARM optimizer picks the strategy; passing
         a :class:`PlanKind` (or its paper name, e.g. ``"SS-E-U-V"``) forces
         a specific plan.
-
-        When sharded execution is configured, the optimizer's choice also
-        says whether to run the plan's sharded variant — the context is
-        attached only then, so a serial pick costs nothing extra.  Forced
-        plans always get the context (the per-call break-even gate still
-        applies); either way the rules are identical to serial.
 
         When a materialized cache is enabled (and ``use_cache``), the
         optimizer's choice also says whether to *serve* the plan from the
@@ -469,7 +411,6 @@ class Colarm:
                     q, use_cache=consult, probe=probe
                 )
             kind, chosen_by, focus = choice.kind, "optimizer", choice.focus
-            parallel = self.parallel if choice.parallel else None
             if self.maintenance is not None:
                 self._advise_recompact(choice)
             if choice.cached:
@@ -480,14 +421,13 @@ class Colarm:
             choice = None
             kind = plan_from_name(plan) if isinstance(plan, str) else plan
             chosen_by = "forced"
-            parallel = self.parallel
             if consult:
                 served = self._serve_forced_cached(q, kind)
                 if served is not None:
                     return served
         generation = self.cache.generation() if consult else None
         result = execute_plan(
-            kind, self.index, q, expand=self.expand, parallel=parallel,
+            kind, self.index, q, expand=self.expand,
             delta=self.maintenance, focus=focus,
         )
         if focus is not None:

@@ -688,7 +688,6 @@ class MaintainedIndex:
         query: LocalizedQuery,
         plan: PlanKind = PlanKind.SEV,
         expand: bool = False,
-        parallel=None,
     ) -> RuleBlock:
         """Answer a localized query over live main+delta on the kernel path.
 
@@ -702,8 +701,7 @@ class MaintainedIndex:
         if focus.dq_size == 0:
             return RuleBlock.from_rules(())
         return execute_plan(
-            plan, self.index, query, expand=expand, parallel=parallel,
-            delta=self, focus=focus,
+            plan, self.index, query, expand=expand, delta=self, focus=focus
         ).rules
 
     def query_scalar(

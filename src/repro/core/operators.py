@@ -40,12 +40,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.parallel import ParallelContext
 
 from repro import kernels
 from repro.core.focal import FocalSubset, resolve_focal
@@ -212,14 +208,6 @@ class QueryContext:
     expand: bool       # expand candidates to all locally frequent itemsets
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     projection_s: float = 0.0  # one-off focal-projection build time
-    #: Sharded-execution handle (None = serial).  Operators *try* it for
-    #: their batched kernel calls and fall back to the in-process kernels
-    #: whenever it declines (below break-even, pool broken) — identical
-    #: counts either way, so correctness never depends on it.
-    parallel: "ParallelContext | None" = field(default=None, repr=False)
-    #: Kernel batches actually served by the shard pool so far (trace deltas
-    #: report per-operator shares as ``sharded_calls``).
-    sharded_calls: int = 0
     #: Per-width subset-lattice groups from the last VERIFY-family rule
     #: generation (``[((m, n) source ids, (m, 2**n) counts), ...]``) — the
     #: reusable intermediate the materialized cache stores.  ``None``
@@ -304,7 +292,6 @@ def make_context(
     index: MIPIndex,
     query: LocalizedQuery,
     expand: bool = False,
-    parallel: "ParallelContext | None" = None,
     delta: "object | None" = None,
     focus: FocalSubset | None = None,
 ) -> QueryContext:
@@ -329,10 +316,7 @@ def make_context(
         focus = resolve_focal(index, query, delta)
     if focus.dq_size == 0:
         raise QueryError("focal subset is empty; nothing to mine")
-    ctx = QueryContext(
-        index=index, query=query, focus=focus, expand=expand,
-        parallel=parallel,
-    )
+    ctx = QueryContext(index=index, query=query, focus=focus, expand=expand)
     ctx.trace.add(
         OperatorTrace(
             name="FOCUS",
@@ -458,20 +442,10 @@ def _qualify_candidates(
     keep = _aitem_mask(ctx, candidates.rows)
     rows = candidates.rows[keep]
     if len(rows):
-        counts = None
-        if ctx.parallel is not None:
-            # Sharded qualification: the workers AND word shards of the
-            # shared MIP-tidset matrix against the focal row and the
-            # int64 partial sums merge exactly; None means the context
-            # declined (below break-even, pool broken) — run serial.
-            counts = ctx.parallel.and_count_mips(rows, ctx.packed_dq())
-            if counts is not None:
-                ctx.sharded_calls += 1
-        if counts is None:
-            counts = kernels.and_count(
-                ctx.index.mip_tidset_matrix.take(rows, axis=0),
-                ctx.packed_dq(),
-            )
+        counts = kernels.and_count(
+            ctx.index.mip_tidset_matrix.take(rows, axis=0),
+            ctx.packed_dq(),
+        )
         if ctx.delta is not None:
             # Exact delta correction, one AND+popcount row-gather over
             # the delta store's per-MIP matrix (``packed_dq`` is
@@ -498,7 +472,6 @@ def op_eliminate(ctx: QueryContext, candidates: CandidateArray) -> QualifiedArra
     attributes outside Aitem whose sub-itemsets still matter).
     """
     start = time.perf_counter()
-    sharded_before = ctx.sharded_calls
     qualified, record_checks = _qualify_candidates(ctx, candidates)
     ctx.trace.add(
         OperatorTrace(
@@ -506,10 +479,7 @@ def op_eliminate(ctx: QueryContext, candidates: CandidateArray) -> QualifiedArra
             input_size=len(candidates),
             output_size=len(qualified),
             elapsed=time.perf_counter() - start,
-            detail={
-                "record_checks": record_checks,
-                "sharded_calls": ctx.sharded_calls - sharded_before,
-            },
+            detail={"record_checks": record_checks},
         )
     )
     return qualified
@@ -558,7 +528,6 @@ def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
     """VERIFY: rule generation and minconf checks over the IT-tree."""
     start = time.perf_counter()
     projection_before = ctx.projection_s
-    sharded_before = ctx.sharded_calls
     rules, lookups, kernel_s = _rules_from_qualified(ctx, qualified)
     elapsed = time.perf_counter() - start
     ctx.trace.add(
@@ -573,7 +542,6 @@ def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
                 "rulegen_s": elapsed,
                 "kernel_s": kernel_s,
                 "projection_s": ctx.projection_s - projection_before,
-                "sharded_calls": ctx.sharded_calls - sharded_before,
             },
         )
     )
@@ -592,7 +560,6 @@ def op_supported_verify(
     """
     start = time.perf_counter()
     projection_before = ctx.projection_s
-    sharded_before = ctx.sharded_calls
     qualified, record_checks = _qualify_candidates(ctx, candidates)
     mining_s = time.perf_counter() - start
     rules, lookups, kernel_s = _rules_from_qualified(ctx, qualified)
@@ -610,7 +577,6 @@ def op_supported_verify(
                 "rulegen_s": elapsed - mining_s,
                 "kernel_s": kernel_s,
                 "projection_s": ctx.projection_s - projection_before,
-                "sharded_calls": ctx.sharded_calls - sharded_before,
             },
         )
     )
@@ -640,7 +606,7 @@ def _rules_from_qualified(
         # Distinct MIPs can agree inside Aitem.
         sources = np.unique(sources, axis=0)
     rules, ctx.lattice_groups, lookups, kernel_s = _rules_from_sources(
-        ctx, sources, ctx.parallel
+        ctx, sources
     )
     return rules, lookups, kernel_s
 
@@ -665,9 +631,7 @@ def mip_sources(
 
 
 def _rules_from_sources(
-    ctx: QueryContext,
-    sources: np.ndarray,
-    parallel: "ParallelContext | None",
+    ctx: QueryContext, sources: np.ndarray
 ) -> "tuple[RuleBlock, list, int, float]":
     """Count the request's sub-itemset table and extract the rules — the
     shared tail of VERIFY-family and ARM rule generation.
@@ -684,40 +648,21 @@ def _rules_from_sources(
     (:func:`repro.itemsets.rules.rules_from_subset_lattices`) —
     ``Item`` tuples materialize only for sources that kept a rule.
 
-    When a :class:`~repro.parallel.ParallelContext` is attached (closed
-    mode, no delta records in focus — its workers hold the main item
-    matrix), each width group's lattice is offered to the shard pool
-    first: the workers evaluate the mask recurrence over *full-width*
-    shards of the raw item matrix rooted at the focal row and the int64
-    partials merge exactly.  A query whose every group is served sharded
-    never builds the focal projection; the groups the context declines
-    are counted together, serially.
-
     Returns ``(rules, lattice_groups, kernel_evaluations,
     kernel_seconds)``.
     """
     t0 = time.perf_counter()
     evaluations = 0
     groups: list[tuple[np.ndarray, np.ndarray]] = []
-    if (
-        parallel is not None
-        and not ctx.expand
-        and not (ctx.delta is not None and ctx.delta.dq_size)
-    ):
-        groups, sources = _sharded_lattices(ctx, sources, parallel)
-        # Same accounting as the group alone on the serial kernel: one
-        # evaluation per non-empty sub-itemset of each source.
-        evaluations = sum(counts.size - len(counts) for _, counts in groups)
     if len(sources):
         built = time.perf_counter()
         kernel = ctx.focal_kernel()  # its build is ``projection_s``
         t0 += time.perf_counter() - built
         before = kernel.evaluations
-        groups += kernel.count_subset_lattice(
+        groups = kernel.count_subset_lattice(
             sources, floor=ctx.min_count if ctx.expand else None
         )
-        groups.sort(key=lambda group: group[0].shape[1])
-        evaluations += kernel.evaluations - before
+        evaluations = kernel.evaluations - before
     kernel_s = time.perf_counter() - t0
     rules = rules_from_subset_lattices(
         groups,
@@ -727,30 +672,6 @@ def _rules_from_sources(
         min_count=ctx.min_count if ctx.expand else None,
     )
     return rules, groups, evaluations, kernel_s
-
-
-def _sharded_lattices(
-    ctx: QueryContext, sources: np.ndarray, parallel: "ParallelContext"
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Offer each width group of ``sources`` to the shard pool: the
-    ``(ids, counts)`` groups it served, and the sources it declined
-    (below break-even, pool broken) for the serial kernel."""
-    widths = (sources < ctx.index.table.schema.n_items).sum(axis=1)
-    declined = np.ones(len(sources), dtype=bool)
-    groups = []
-    for n in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == n)
-        ids = sources[rows, :n]
-        # The pool counts over the *main* universe, so it gets the main
-        # focal size.
-        counts = parallel.count_subset_lattice(
-            ids, ctx.packed_dq(), ctx.main_dq_size
-        )
-        if counts is not None:
-            ctx.sharded_calls += 1
-            declined[rows] = False
-            groups.append((ids, counts))
-    return groups, sources[declined]
 
 
 def _rules_from_qualified_reference(
@@ -887,9 +808,8 @@ def op_arm(ctx: QueryContext, sub: list[int]) -> RuleBlock:
         for a, card in enumerate(schema.cardinalities()) if a in aitem
     )
     closed = closed_masks(((i, sub[i]) for i in admitted), ctx.min_count)
-    # Serial on purpose: the optimizer prices no sharded twin for ARM.
     rules, _, _, _ = _rules_from_sources(
-        ctx, _mask_sources(list(closed.values()), schema.n_items), None
+        ctx, _mask_sources(list(closed.values()), schema.n_items)
     )
     ctx.trace.add(
         OperatorTrace(

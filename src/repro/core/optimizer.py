@@ -14,15 +14,9 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain
 
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CacheProbe, HitPricing
-from repro.core.costs import (
-    CostModel,
-    CostWeights,
-    ParallelCostProfile,
-    QueryProfile,
-)
+from repro.core.costs import CostModel, CostWeights, QueryProfile
 from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.plans import PlanKind
@@ -84,7 +78,6 @@ class EstimateResidual:
     dq_size: int = 0
     arm_f1: int = 0          # measured local structure behind the ARM price
     arm_chain: int = 0
-    parallel: bool = False   # sharded execution variant of the plan
     cached: bool = False     # materialized-cache variant of the plan
 
     @property
@@ -119,16 +112,12 @@ class RecompactionAdvice:
 class PlanChoice:
     """The optimizer's suggestion plus everything behind it.
 
-    When a parallel cost profile is installed, ``parallel_estimates``
-    holds the sharded-variant prices (no ARM entry: the from-scratch
-    miner has no parallel twin) and ``parallel`` says whether the chosen
-    plan should execute sharded.  When a materialized cache is installed
-    and its probe hit, ``cached_estimates`` holds the CACHE-variant
-    prices (one per plan the cached entry can serve), ``cached`` says
-    whether the chosen plan should be served from the cache, and
-    ``cache_probe`` carries the live probe the prices were built from
-    (``kind``/``family``/sizes — what the engine needs to actually serve
-    the hit).
+    When a materialized cache is installed and its probe hit,
+    ``cached_estimates`` holds the CACHE-variant prices (one per plan the
+    cached entry can serve), ``cached`` says whether the chosen plan
+    should be served from the cache, and ``cache_probe`` carries the live
+    probe the prices were built from (``kind``/``family``/sizes — what
+    the engine needs to actually serve the hit).
 
     A rules-tier hit priced from its entry's stamp
     (:meth:`ColarmOptimizer.probe_cache`) never built a profile or the
@@ -139,8 +128,6 @@ class PlanChoice:
     kind: PlanKind
     estimates: dict[PlanKind, float]
     profile: QueryProfile | None
-    parallel: bool = False
-    parallel_estimates: dict[PlanKind, float] = field(default_factory=dict)
     cached: bool = False
     cached_estimates: dict[PlanKind, float] = field(default_factory=dict)
     cache_probe: object | None = None   # repro.cache.CacheProbe when probed
@@ -162,13 +149,10 @@ class PlanChoice:
 
         This is the scalar the serving layer uses as the admission /
         priority weight: the cached-variant price when the choice is a
-        cache serve, the sharded price when it is a parallel execution,
-        the serial price otherwise.
+        cache serve, the fresh plan's price otherwise.
         """
         if self.cached:
             return self.cached_estimates[self.kind]
-        if self.parallel:
-            return self.parallel_estimates[self.kind]
         return self.estimates[self.kind]
 
     def explain(self) -> str:
@@ -182,19 +166,12 @@ class PlanChoice:
         ranked = [
             (cost, kind, "") for kind, cost in self.estimates.items()
         ] + [
-            (cost, kind, "+P")
-            for kind, cost in self.parallel_estimates.items()
-        ] + [
             (cost, kind, "+C")
             for kind, cost in self.cached_estimates.items()
         ]
         for cost, kind, tag in sorted(ranked, key=lambda kv: kv[0]):
             label = kind.value + tag
-            chosen = (
-                kind is self.kind
-                and (tag == "+P") == self.parallel
-                and (tag == "+C") == self.cached
-            )
+            chosen = kind is self.kind and (tag == "+C") == self.cached
             marker = " <== chosen" if chosen else ""
             lines.append(f"  {label:<11} est {cost:.6f}s{marker}")
         return "\n".join(lines)
@@ -226,11 +203,6 @@ class ColarmOptimizer:
         self.index = index
         self.cost_model = CostModel(index.stats, weights)
         self.arm_risk_factor = arm_risk_factor
-        #: Sharded-execution facts (None = no pool configured); installed
-        #: by ``Colarm.configure(parallel=...)``.  While set, every plan
-        #: is priced both serial and sharded and :meth:`choose` picks
-        #: across all variants.
-        self.parallel_profile: ParallelCostProfile | None = None
         #: Materialized-result cache (None = none installed); installed by
         #: ``Colarm.enable_cache``.  While set, :meth:`choose` probes it
         #: per query, prices a CACHE variant for every plan the cached
@@ -271,10 +243,6 @@ class ColarmOptimizer:
     def set_weights(self, weights: CostWeights) -> None:
         self.cost_model = CostModel(self.index.stats, weights)
 
-    def set_parallel(self, profile: ParallelCostProfile | None) -> None:
-        """Install (or clear) the sharded-execution cost profile."""
-        self.parallel_profile = profile
-
     def set_cache(self, cache) -> None:
         """Install (or clear) the materialized-result cache to price."""
         self.cache = cache
@@ -294,8 +262,8 @@ class ColarmOptimizer:
         """Point the optimizer at a freshly recompacted (or rebuilt) index.
 
         Rebuilds the cost model on the new index statistics and drops the
-        profile memo; weights, risk factor, and the installed parallel /
-        cache / delta companions are kept.
+        profile memo; weights, risk factor, and the installed cache /
+        delta companions are kept.
         """
         self.index = index
         self.cost_model = CostModel(index.stats, self.cost_model.weights)
@@ -369,10 +337,7 @@ class ColarmOptimizer:
             kind=_SERVED_KIND[family],
             fresh_price=min(
                 cost * self._risk(kind)
-                for kind, cost in chain(
-                    choice.estimates.items(),
-                    choice.parallel_estimates.items(),
-                )
+                for kind, cost in choice.estimates.items()
             ),
             weights=self.weights,
         )
@@ -440,25 +405,16 @@ class ColarmOptimizer:
         the primary floor the supported filter's *estimated* pass
         fraction is 1, which collapses the S-* and SS-* load vectors.)
 
-        With a parallel profile installed, the candidate set doubles:
-        every MIP plan is also priced as its sharded variant, and the
-        cheapest variant overall wins.  With a materialized cache
-        installed (and ``use_cache``), the cache is probed — unless the
-        caller hands in the ``probe`` it already made
-        (:meth:`probe_cache`) — and, on a hit, every plan the entry can
-        serve gets a CACHE variant too.  The
-        variant rank breaks exact ties: cached beats serial (a hit is
-        strictly less work and byte-identical to its plan family's fresh
-        execution) and serial beats sharded (the dispatch risk buys
-        nothing at equal cost).
+        With a materialized cache installed (and ``use_cache``), the
+        cache is probed — unless the caller hands in the ``probe`` it
+        already made (:meth:`probe_cache`) — and, on a hit, every plan
+        the entry can serve gets a CACHE variant too; the cheapest
+        variant overall wins.  Exact ties go to the cached variant (a
+        hit is strictly less work and byte-identical to its plan
+        family's fresh execution).
         """
         profile, focus = self.profile_for(query)
         estimates = self.cost_model.estimate_all(profile)
-        parallel_estimates: dict[PlanKind, float] = {}
-        if self.parallel_profile is not None:
-            parallel_estimates = self.cost_model.estimate_all_parallel(
-                profile, self.parallel_profile
-            )
         cache_probe = None
         cached_estimates: dict[PlanKind, float] = {}
         if self.cache is not None and use_cache:
@@ -471,24 +427,19 @@ class ColarmOptimizer:
             return cost * self._risk(kind)
 
         candidates = [
-            (adjust(kind, cost), 1, _TIE_PREFERENCE[kind], kind, False, False)
+            (adjust(kind, cost), 1, _TIE_PREFERENCE[kind], kind, False)
             for kind, cost in estimates.items()
         ] + [
-            (adjust(kind, cost), 2, _TIE_PREFERENCE[kind], kind, True, False)
-            for kind, cost in parallel_estimates.items()
-        ] + [
-            (adjust(kind, cost), 0, _TIE_PREFERENCE[kind], kind, False, True)
+            (adjust(kind, cost), 0, _TIE_PREFERENCE[kind], kind, True)
             for kind, cost in cached_estimates.items()
         ]
-        _, _, _, best, best_parallel, best_cached = min(candidates)
+        _, _, _, best, best_cached = min(candidates)
         if cache_probe is not None:
             self._log_probe(cache_probe, picked=best_cached)
         return PlanChoice(
             kind=best,
             estimates=estimates,
             profile=profile,
-            parallel=best_parallel,
-            parallel_estimates=parallel_estimates,
             cached=best_cached,
             cached_estimates=cached_estimates,
             cache_probe=cache_probe,
@@ -561,22 +512,18 @@ class ColarmOptimizer:
         choice: PlanChoice,
         kind: PlanKind,
         measured_s: float,
-        parallel: bool = False,
         cached: bool = False,
     ) -> EstimateResidual:
         """Log one measured plan execution against its estimate.
 
-        ``parallel=True`` scores the measurement against the plan's
-        sharded-variant estimate (it must exist in the choice);
-        ``cached=True`` against its CACHE-variant estimate.
+        ``cached=True`` scores the measurement against the plan's
+        CACHE-variant estimate (it must exist in the choice).
         """
         # A hit priced from its stamp carries no profile.
         profile = choice.profile
         arm = profile.arm_stats if profile is not None else None
         if cached:
             estimated = choice.cached_estimates[kind]
-        elif parallel:
-            estimated = choice.parallel_estimates[kind]
         else:
             estimated = choice.estimates[kind]
         residual = EstimateResidual(
@@ -590,7 +537,6 @@ class ColarmOptimizer:
             ),
             arm_f1=arm.f1 if arm is not None else 0,
             arm_chain=arm.chain_length if arm is not None else 0,
-            parallel=parallel,
             cached=cached,
         )
         self.residuals.append(residual)

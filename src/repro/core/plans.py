@@ -82,17 +82,10 @@ def execute_plan(
     index: MIPIndex,
     query: LocalizedQuery,
     expand: bool = False,
-    parallel=None,
     delta=None,
     focus=None,
 ) -> PlanResult:
     """Run one plan end to end and return its rules plus instrumentation.
-
-    ``parallel`` optionally attaches a :class:`repro.parallel.
-    ParallelContext`; the MIP plans' batched kernel calls then shard
-    across its worker pool when the work clears the break-even point
-    (identical rules either way — the shard merges are exact and every
-    sharded call has a serial fallback).
 
     ``delta`` optionally attaches a
     :class:`repro.core.maintenance.MaintainedIndex`; all six plans then
@@ -106,8 +99,7 @@ def execute_plan(
     subset itself otherwise.
     """
     start = time.perf_counter()
-    ctx = make_context(index, query, expand=expand, parallel=parallel,
-                       delta=delta, focus=focus)
+    ctx = make_context(index, query, expand=expand, delta=delta, focus=focus)
     rules = _PLAN_BODIES[kind](ctx)
     elapsed = time.perf_counter() - start
     return PlanResult(

@@ -20,8 +20,7 @@ the batched kernels the hot paths need:
   batched set algebra;
 * :func:`subset_of` — per-row containment tests;
 * :func:`popcount` / :func:`popcount_rows` — elementwise and per-row
-  popcounts, via ``np.bitwise_count`` on numpy >= 2 and a 16-bit
-  lookup table on older numpy;
+  popcounts (``np.bitwise_count``);
 * :func:`pack` / :func:`pack_many` / :func:`unpack` — cheap converters
   between Python-int tidsets and packed rows;
 * :func:`project_rows` / :class:`FocalKernel` — the focal projection:
@@ -43,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "WORD_BITS",
-    "HAS_BITWISE_COUNT",
     "LATTICE_SLAB_BYTES",
     "n_words",
     "pack",
@@ -68,13 +66,6 @@ __all__ = [
 #: Bits per matrix word.
 WORD_BITS = 64
 
-#: Whether this numpy has a native popcount ufunc (numpy >= 2.0).
-HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: Dispatch flag for the popcount implementation.  Tests flip this to
-#: exercise the lookup-table fallback on modern numpy as well.
-_use_bitwise_count = HAS_BITWISE_COUNT
-
 #: Packed rows use explicit little-endian words so ``pack``/``unpack``
 #: round-trip identically on any host byte order.
 _WORD_DTYPE = np.dtype("<u8")
@@ -85,21 +76,6 @@ _WORD_DTYPE = np.dtype("<u8")
 #: — 150 width-6 sources over 500-word rows count in 14 ms at 4 MiB
 #: against 41 ms at 64 MiB — and bounds what a query adds to peak RSS.
 LATTICE_SLAB_BYTES = 4 << 20
-
-_POPCOUNT16: np.ndarray | None = None
-
-
-def _popcount16_table() -> np.ndarray:
-    """The 65536-entry per-uint16 popcount table (built once, ~64 KiB)."""
-    global _POPCOUNT16
-    if _POPCOUNT16 is None:
-        counts = np.arange(1 << 16, dtype=np.uint16)
-        table = np.zeros(1 << 16, dtype=np.uint8)
-        while counts.any():
-            table += (counts & 1).astype(np.uint8)
-            counts >>= 1
-        _POPCOUNT16 = table
-    return _POPCOUNT16
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +136,7 @@ def zero_row(words: int) -> np.ndarray:
 
 def popcount(array: np.ndarray) -> np.ndarray:
     """Elementwise popcount of a uint64 array (same shape, uint8 counts)."""
-    if _use_bitwise_count:
-        return np.bitwise_count(array)
-    table = _popcount16_table()
-    halves = np.ascontiguousarray(array, dtype=_WORD_DTYPE).view("<u2")
-    counts = table[halves]
-    # Four uint16 halves per word: fold back to the word shape.
-    return counts.reshape(*array.shape, 4).sum(axis=-1, dtype=np.uint8)
+    return np.bitwise_count(array)
 
 
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:

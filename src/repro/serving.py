@@ -34,10 +34,7 @@ three pieces:
 * **Off-loop execution** — the event loop never mines: full pricing and
   plan execution run on a small thread pool, serialized by one lock (the
   engine's optimizer/index state is not thread-safe; the rule cache has
-  its own lock), and the sharded
-  :class:`repro.parallel.ParallelContext` composes *underneath* exactly
-  as in direct ``engine.query`` calls — a broken worker pool degrades to
-  serial, never to a wrong answer.
+  its own lock).
 
 Correctness across mutations: every priced choice and every in-flight
 group is stamped with :attr:`repro.core.mipindex.MIPIndex.generation`.
@@ -47,7 +44,7 @@ mutation between enqueue and execute forces re-pricing and re-execution,
 never a stale serve (the cache's own generation check backstops this).
 
 Every response carries a :class:`RequestTrace` (queue wait, coalesce
-fan-out, plan, cached/parallel/deferred flags) and the service keeps
+fan-out, plan, cached/deferred flags) and the service keeps
 running counters with p50/p99 latency and throughput
 (:meth:`ServiceStats.snapshot`) — the observables the serving benchmark
 and the CI ``serving-gate`` assert against.
@@ -141,7 +138,6 @@ class RequestTrace:
     leader: bool = True         # False: attached to another's execution
     plan: PlanKind | None = None
     cached: bool = False
-    parallel: bool = False
     deferred: bool = False
     generation: int = 0
 
@@ -155,7 +151,6 @@ class RequestTrace:
             "leader": self.leader,
             "plan": self.plan.value if self.plan is not None else None,
             "cached": self.cached,
-            "parallel": self.parallel,
             "deferred": self.deferred,
             "generation": self.generation,
         }
@@ -437,12 +432,10 @@ class QueryService:
         return len(self.scheduler)
 
     def snapshot(self) -> dict:
-        """Service stats plus the engine's parallel-pool state."""
+        """Service stats plus the queue and maintenance state."""
         out = self.stats.snapshot()
         out["pending"] = self.n_pending
         out["inflight_groups"] = len(self._inflight)
-        if self.engine.parallel is not None:
-            out["parallel"] = self.engine.parallel.snapshot()
         if self.engine.maintenance is not None:
             m = self.engine.maintenance
             out["maintenance"] = {
@@ -717,11 +710,6 @@ class QueryService:
                     leader=leader,
                     plan=outcome.plan,
                     cached=outcome.cached,
-                    parallel=(
-                        outcome.choice.parallel
-                        if outcome.choice is not None
-                        else False
-                    ),
                     deferred=flight.deferred,
                     generation=self.engine.index.generation,
                 )

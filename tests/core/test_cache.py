@@ -6,8 +6,7 @@ Three layers of coverage:
   landmark eviction, generation invalidation, the stats ledger;
 * the engine path — ``enable_cache``/``query`` serving repeats byte-
   identically, lattice hits replaying at a new ``minconf``, forced plans,
-  the ``use_cache`` bypass, and composition with sharded execution
-  (a broken pool must degrade to serial *and still populate the cache*);
+  the ``use_cache`` bypass;
 * ``save_cache``/``load_cache`` round-trips, including ``mmap_mode`` and
   the strict generation check on load;
 * the stamped hit path — a repeat priced from its entry's stamp decides
@@ -493,40 +492,6 @@ def test_enable_cache_rejects_expand_mismatch(engine, index):
     foreign = RuleCache(index, expand=True)
     with pytest.raises(ValueError, match="expand"):
         engine.enable_cache(cache=foreign)
-
-
-def test_broken_pool_still_populates_cache(index):
-    """Satellite regression: sharded fallback must not bypass the cache.
-
-    With a SIGKILL-broken pool every sharded kernel call declines and the
-    operators fall back to serial — the fresh execution must still
-    populate the cache with the (correct, serial) rules, and the repeat
-    must serve them; a broken pool must never poison cached entries.
-    """
-    from repro.parallel import ParallelConfig
-
-    reference = {}
-    query = q({0: {1, 2}})
-    for kind in (PlanKind.SSVS, PlanKind.ARM):
-        reference[kind] = execute_plan(kind, index, query).rules
-
-    engine = Colarm.from_index(index)
-    engine.configure(parallel=ParallelConfig(n_shards=2, force=True))
-    try:
-        engine.enable_cache(calibrate=False)
-        engine.parallel.executor._broken = True
-        first = engine.query(query)
-        assert not first.cached
-        assert first.rules == reference[
-            PlanKind.ARM if first.plan is PlanKind.ARM else PlanKind.SSVS
-        ]
-        assert len(engine.cache) >= 1
-        second = engine.query(query)
-        assert second.cached and second.rules == first.rules
-        forced = engine.query(query, plan=PlanKind.SSVS)
-        assert forced.rules == reference[PlanKind.SSVS]
-    finally:
-        engine.close()
 
 
 # -- persistence --------------------------------------------------------------

@@ -296,6 +296,10 @@ def test_engine_append_delete_and_background_fold():
     assert engine.index is engine.maintenance.index
     assert engine.optimizer.index is engine.index
     assert engine.cache.index is engine.index
+    # ... and that is all a swap rebinds: there is no worker pool to restart.
+    assert not any(
+        hasattr(engine, name) for name in ("parallel", "configure", "close")
+    )
     assert engine.maintenance.n_delta_records == 0
     assert engine.index.table.n_records == 88  # 80 - 1 dead + 9 appended
 

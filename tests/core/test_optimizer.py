@@ -1,12 +1,13 @@
 """The COLARM optimizer: choice validity, weight sensitivity, explain."""
 
-from dataclasses import replace
+from dataclasses import fields
 
 import pytest
 
 from repro.core.costs import CostWeights
+from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
-from repro.core.optimizer import ColarmOptimizer
+from repro.core.optimizer import ColarmOptimizer, PlanChoice
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
@@ -102,22 +103,31 @@ def test_choice_is_generation_stamped(setup):
 
 def test_chosen_estimate_tracks_execution_variant(setup):
     """chosen_estimate is the admission-weight scalar: it must price the
-    variant that will actually run (serial / sharded / cache serve)."""
+    variant that will actually run — the fresh plan, or its cache serve —
+    and those are the only variants there are."""
     _, index = setup
-    optimizer = ColarmOptimizer(index)
+    engine = Colarm.from_index(index).enable_cache(calibrate=False)
     query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
-    choice = optimizer.choose(query)
 
-    serial = replace(choice, parallel=False, cached=False)
-    assert serial.chosen_estimate == serial.estimates[serial.kind]
+    fresh = engine.optimizer.choose(query)
+    assert not fresh.cached and not fresh.cached_estimates
+    assert fresh.chosen_estimate == fresh.estimates[fresh.kind]
 
-    sharded = replace(
-        choice, parallel=True, cached=False,
-        parallel_estimates={choice.kind: 0.25},
-    )
-    assert sharded.chosen_estimate == 0.25
+    engine.query(query)
+    served = engine.optimizer.choose(query)
+    assert served.cached
+    assert served.chosen_estimate == served.cached_estimates[served.kind]
+    assert served.chosen_estimate < min(served.estimates.values())
 
-    served = replace(
-        choice, cached=True, cached_estimates={choice.kind: 0.01},
-    )
-    assert served.chosen_estimate == 0.01
+    assert not [f.name for f in fields(PlanChoice) if "parallel" in f.name]
+    for choice in (fresh, served):
+        rows = choice.explain().splitlines()[1:]
+        assert sorted(row.split()[0] for row in rows) == sorted(
+            [kind.value for kind in PlanKind]
+            + [kind.value + "+C" for kind in choice.cached_estimates]
+        )
+        chosen = [row for row in rows if row.endswith("<== chosen")]
+        assert len(chosen) == 1
+        assert chosen[0].split()[0] == (
+            choice.kind.value + ("+C" if choice.cached else "")
+        )

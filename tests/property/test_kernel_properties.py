@@ -3,12 +3,9 @@
 ``repro.kernels`` is an optimization layer only — ``repro.tidset`` ints
 remain the semantic reference.  For random tidset batches (including
 universes with ``n % 64 != 0`` trailing-word edges and empty batches /
-empty masks) every kernel must agree *exactly* with the big-int path,
-under both popcount implementations (``np.bitwise_count`` and the 16-bit
-lookup-table fallback used on numpy < 2).
+empty masks) every kernel must agree *exactly* with the big-int path.
 """
 
-from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
@@ -18,23 +15,10 @@ from hypothesis import strategies as st
 
 from repro import kernels, tidset as ts
 
-#: Both popcount dispatch paths (hypothesis forbids function-scoped
-#: fixtures, so tests parametrize and flip the flag via context manager).
-POPCOUNT_PATHS = ["native", "lut"]
-both_paths = pytest.mark.parametrize("popcount_path", POPCOUNT_PATHS)
-
-
-@contextmanager
-def use_path(path):
-    """Temporarily force one popcount implementation."""
-    if path == "native" and not kernels.HAS_BITWISE_COUNT:
-        pytest.skip("numpy < 2 has no bitwise_count")
-    saved = kernels._use_bitwise_count
-    kernels._use_bitwise_count = path == "native"
-    try:
-        yield
-    finally:
-        kernels._use_bitwise_count = saved
+#: ``np.bitwise_count`` is the one popcount path since the numpy >= 2
+#: floor; the ``native`` id keeps the names these properties had beside
+#: their deleted numpy-1.x lookup-table leg.
+native_path = pytest.mark.parametrize("popcount_path", ["native"])
 
 
 #: Universes straddling the word boundary: n % 64 == 0 and != 0, n < 64.
@@ -58,95 +42,90 @@ def batches(draw):
     return n, sets, mask
 
 
-@both_paths
+@native_path
 @given(batches())
 def test_pack_unpack_roundtrip(popcount_path, batch):
     n, sets, mask = batch
-    with use_path(popcount_path):
-        words = kernels.n_words(n)
-        matrix = kernels.pack_many(sets, words)
-        assert matrix.shape == (len(sets), words)
-        assert [kernels.unpack(row) for row in matrix] == sets
-        assert kernels.unpack(kernels.pack(mask, words)) == mask
-        assert kernels.unpack(kernels.full_row(n, words)) == ts.full(n)
-        assert kernels.unpack(kernels.zero_row(words)) == ts.EMPTY
+    words = kernels.n_words(n)
+    matrix = kernels.pack_many(sets, words)
+    assert matrix.shape == (len(sets), words)
+    assert [kernels.unpack(row) for row in matrix] == sets
+    assert kernels.unpack(kernels.pack(mask, words)) == mask
+    assert kernels.unpack(kernels.full_row(n, words)) == ts.full(n)
+    assert kernels.unpack(kernels.zero_row(words)) == ts.EMPTY
 
 
-@both_paths
+@native_path
 @given(batches())
 def test_counts_match_reference(popcount_path, batch):
     n, sets, mask = batch
-    with use_path(popcount_path):
-        words = kernels.n_words(n)
-        matrix = kernels.pack_many(sets, words)
-        packed_mask = kernels.pack(mask, words)
-        assert list(kernels.popcount_rows(matrix)) == [
-            ts.count(s) for s in sets
-        ]
-        assert list(kernels.and_count(matrix, packed_mask)) == [
-            ts.count(ts.intersect(s, mask)) for s in sets
-        ]
-        assert list(kernels.andnot_count(matrix, packed_mask)) == [
-            ts.count(ts.difference(s, mask)) for s in sets
-        ]
+    words = kernels.n_words(n)
+    matrix = kernels.pack_many(sets, words)
+    packed_mask = kernels.pack(mask, words)
+    assert list(kernels.popcount_rows(matrix)) == [
+        ts.count(s) for s in sets
+    ]
+    assert list(kernels.and_count(matrix, packed_mask)) == [
+        ts.count(ts.intersect(s, mask)) for s in sets
+    ]
+    assert list(kernels.andnot_count(matrix, packed_mask)) == [
+        ts.count(ts.difference(s, mask)) for s in sets
+    ]
 
 
-@both_paths
+@native_path
 @given(batches())
 def test_set_algebra_matches_reference(popcount_path, batch):
     n, sets, mask = batch
-    with use_path(popcount_path):
-        words = kernels.n_words(n)
-        matrix = kernels.pack_many(sets, words)
-        packed_mask = kernels.pack(mask, words)
-        inter = kernels.intersect_many(matrix, packed_mask)
-        assert [kernels.unpack(row) for row in inter] == [
-            s & mask for s in sets
-        ]
-        assert list(kernels.subset_of(matrix, packed_mask)) == [
-            ts.is_subset(s, mask) for s in sets
-        ]
-        assert list(kernels.is_zero_rows(matrix)) == [
-            s == ts.EMPTY for s in sets
-        ]
-        assert kernels.unpack(kernels.union_reduce(matrix)) == reduce(
-            ts.union, sets, ts.EMPTY
-        )
-        assert kernels.unpack(
-            kernels.and_reduce(matrix, kernels.full_row(n, words))
-        ) == reduce(ts.intersect, sets, ts.full(n))
+    words = kernels.n_words(n)
+    matrix = kernels.pack_many(sets, words)
+    packed_mask = kernels.pack(mask, words)
+    inter = kernels.intersect_many(matrix, packed_mask)
+    assert [kernels.unpack(row) for row in inter] == [
+        s & mask for s in sets
+    ]
+    assert list(kernels.subset_of(matrix, packed_mask)) == [
+        ts.is_subset(s, mask) for s in sets
+    ]
+    assert list(kernels.is_zero_rows(matrix)) == [
+        s == ts.EMPTY for s in sets
+    ]
+    assert kernels.unpack(kernels.union_reduce(matrix)) == reduce(
+        ts.union, sets, ts.EMPTY
+    )
+    assert kernels.unpack(
+        kernels.and_reduce(matrix, kernels.full_row(n, words))
+    ) == reduce(ts.intersect, sets, ts.full(n))
 
 
-@both_paths
+@native_path
 @given(universes)
 def test_empty_matrix_edges(popcount_path, n):
-    with use_path(popcount_path):
-        words = kernels.n_words(n)
-        empty = kernels.pack_many([], words)
-        zero = kernels.zero_row(words)
-        assert empty.shape == (0, words)
-        assert kernels.popcount_rows(empty).shape == (0,)
-        assert kernels.and_count(empty, zero).shape == (0,)
-        assert kernels.subset_of(empty, zero).shape == (0,)
-        assert kernels.unpack(kernels.union_reduce(empty)) == ts.EMPTY
-        # AND over zero rows is the seed (here: the packed universe).
-        assert kernels.unpack(
-            kernels.and_reduce(empty, kernels.full_row(n, words))
-        ) == ts.full(n)
+    words = kernels.n_words(n)
+    empty = kernels.pack_many([], words)
+    zero = kernels.zero_row(words)
+    assert empty.shape == (0, words)
+    assert kernels.popcount_rows(empty).shape == (0,)
+    assert kernels.and_count(empty, zero).shape == (0,)
+    assert kernels.subset_of(empty, zero).shape == (0,)
+    assert kernels.unpack(kernels.union_reduce(empty)) == ts.EMPTY
+    # AND over zero rows is the seed (here: the packed universe).
+    assert kernels.unpack(
+        kernels.and_reduce(empty, kernels.full_row(n, words))
+    ) == ts.full(n)
 
 
-@both_paths
+@native_path
 @given(universes)
 def test_empty_mask_edge(popcount_path, n):
-    with use_path(popcount_path):
-        words = kernels.n_words(n)
-        matrix = kernels.pack_many([ts.full(n)], words)
-        zero = kernels.zero_row(words)
-        assert list(kernels.and_count(matrix, zero)) == [0]
-        assert list(kernels.subset_of(matrix, zero)) == [n == 0]
-        assert kernels.unpack(
-            kernels.intersect_many(matrix, zero)[0]
-        ) == ts.EMPTY
+    words = kernels.n_words(n)
+    matrix = kernels.pack_many([ts.full(n)], words)
+    zero = kernels.zero_row(words)
+    assert list(kernels.and_count(matrix, zero)) == [0]
+    assert list(kernels.subset_of(matrix, zero)) == [n == 0]
+    assert kernels.unpack(
+        kernels.intersect_many(matrix, zero)[0]
+    ) == ts.EMPTY
 
 
 def test_pack_overflow_raises():
@@ -159,9 +138,8 @@ def test_pack_overflow_raises():
 def test_popcount_elementwise_paths_agree():
     rng = np.random.default_rng(7)
     array = rng.integers(0, 2**63, size=(13, 5), dtype=np.uint64)
-    lut = kernels._popcount16_table()
-    expected = lut[array.view("<u2")].reshape(13, 5, 4).sum(axis=-1)
-    assert np.array_equal(kernels.popcount(array).astype(np.int64), expected)
+    expected = [[int(word).bit_count() for word in row] for row in array]
+    assert kernels.popcount(array).tolist() == expected
 
 
 def test_subset_lattice_counts_do_not_depend_on_the_slab_cap(monkeypatch):

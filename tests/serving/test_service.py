@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -97,6 +98,8 @@ def test_responses_carry_traces(engine):
     assert trace.queue_wait_s >= 0
     assert trace.generation == engine.index.generation
     payload = trace.as_dict()
+    assert set(payload) == {f.name for f in fields(trace)}
+    assert "parallel" not in payload
     assert payload["plan"] == served.plan.value
     assert payload["coalesced"] == 1
 
@@ -483,6 +486,12 @@ def test_stats_snapshot_shape(engine):
     assert snap["throughput_qps"] >= 0
     assert snap["pending"] == 0
     assert snap["inflight_groups"] == 0
+    assert set(snap) == {
+        "submitted", "served", "errors", "executions", "coalesced",
+        "cache_short_circuits", "shed", "shed_queue_full",
+        "shed_over_budget", "deferred", "p50_s", "p99_s", "throughput_qps",
+        "pending", "inflight_groups",
+    }
 
 
 def test_serve_all_keeps_submission_order(engine):

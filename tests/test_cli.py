@@ -1,5 +1,7 @@
 """The colarm command-line interface, end to end through main()."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -131,7 +133,8 @@ def test_replay(workspace, tmp_path, capsys):
                  "--limit", "2"]) == 0
     out = capsys.readouterr().out
     assert "[1] plan" in out and "[2] plan" in out
-    assert '"served": 2' in out  # stats snapshot JSON at the end
+    snapshot = json.loads(out[out.index("\n{") :])  # stats JSON at the end
+    assert snapshot["served"] == 2 and "parallel" not in snapshot
 
 
 def test_replay_all_shed_exits_nonzero(workspace, tmp_path, capsys):
@@ -155,7 +158,6 @@ def test_replay_empty_workload(workspace, tmp_path, capsys):
 
 def test_serve_stdin_loop(workspace, capsys, monkeypatch):
     import io
-    import json
 
     _, index_path = workspace
     monkeypatch.setattr(
@@ -168,6 +170,10 @@ def test_serve_stdin_loop(workspace, capsys, monkeypatch):
     assert len(responses) == 2
     assert all(r["ok"] for r in responses)
     assert {r["line"] for r in responses} == {1, 2}
-    assert all("trace" in r and "rules" in r for r in responses)
+    assert all("rules" in r for r in responses)
+    assert all(set(r["trace"]) == {
+        "estimated_cost", "queue_wait_s", "execute_s", "total_s",
+        "coalesced", "leader", "plan", "cached", "deferred", "generation",
+    } for r in responses)
     snapshot = json.loads(captured.err.strip().splitlines()[-1])
-    assert snapshot["served"] == 2
+    assert snapshot["served"] == 2 and "parallel" not in snapshot

@@ -319,82 +319,6 @@ def run_heap_gate(config: dict, corrupt: bool = False) -> dict:
     }
 
 
-def run_parallel_selftest(config: dict) -> dict:
-    """Pricing sanity for the sharded-execution cost terms.
-
-    Two structural assertions over a probe workload, no worker pool
-    needed (a synthetic multi-worker profile is installed, so the test
-    is meaningful even on single-core runners where a real pool would
-    trivially never be chosen):
-
-    * ``par_dispatch = inf`` — every parallel variant prices to
-      infinity, so the optimizer must pick a parallel plan **zero**
-      times.  A regression that drops the dispatch term from the
-      parallel formulae (making "free" sharding look attractive) fails
-      here.
-    * ``par_dispatch = par_merge = 0`` — with overhead priced at zero a
-      parallel variant strictly undercuts its serial twin wherever the
-      record-partitioned terms are nonzero, so **at least one** scenario
-      must choose parallel.  A regression that prices parallel variants
-      above serial unconditionally (a gate that cannot fail gates
-      nothing) fails here.
-    """
-    from repro.core.calibration import default_probe_queries
-    from repro.core.costs import CostWeights, ParallelCostProfile
-    from repro.core.engine import Colarm
-    from repro.workloads.experiments import EXPERIMENTS
-
-    spec = EXPERIMENTS[config["dataset"]]
-    t0 = time.perf_counter()
-    # Default weights suffice: both assertions are structural (inf / 0),
-    # not threshold comparisons, so the calibration step is skipped.
-    engine = Colarm(spec.make_table(), primary_support=spec.primary_support)
-    build_s = time.perf_counter() - t0
-    profile = ParallelCostProfile(
-        n_shards=int(config["n_shards"]),
-        effective_workers=int(config["effective_workers"]),
-    )
-    engine.optimizer.set_parallel(profile)
-    queries = default_probe_queries(
-        engine.index,
-        n_queries=int(config["n_queries"]),
-        seed=int(config["seed"]),
-    )
-    base = dict(engine.optimizer.weights.weights)
-
-    def picks_with(dispatch: float, merge: float) -> tuple[int, int]:
-        weights = dict(base)
-        weights["par_dispatch"] = dispatch
-        weights["par_merge"] = merge
-        engine.optimizer.set_weights(CostWeights(weights))
-        choices = [engine.optimizer.choose(q) for q in queries]
-        priced = sum(1 for c in choices if c.parallel_estimates)
-        return sum(1 for c in choices if c.parallel), priced
-
-    inf_picks, inf_priced = picks_with(float("inf"), base["par_merge"])
-    free_picks, _ = picks_with(0.0, 0.0)
-    failures = []
-    if inf_priced == 0:
-        failures.append("no_parallel_estimates")
-    if inf_picks != 0:
-        failures.append("parallel_chosen_at_infinite_dispatch")
-    if free_picks == 0:
-        failures.append("parallel_never_chosen_at_zero_overhead")
-    return {
-        "dataset": config["dataset"],
-        "scenarios": len(queries),
-        "build_s": round(build_s, 2),
-        "profile": {
-            "n_shards": profile.n_shards,
-            "effective_workers": profile.effective_workers,
-        },
-        "parallel_picks_at_inf_dispatch": inf_picks,
-        "parallel_picks_at_zero_overhead": free_picks,
-        "passed": not failures,
-        "failures": failures,
-    }
-
-
 def run_cache_selftest(config: dict) -> dict:
     """Pricing sanity for the materialized-cache cost terms.
 
@@ -897,10 +821,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     }
 
 
-_GATES = (
-    "acc", "setup", "heap", "parallel", "cache", "serving", "maintenance",
-    "cluster",
-)
+_GATES = ("acc", "setup", "heap", "cache", "serving", "maintenance", "cluster")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -976,11 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         if "heap" in config and wanted("heap")
         else None
     )
-    parallel_report = (
-        run_parallel_selftest(config["parallel"])
-        if "parallel" in config and wanted("parallel")
-        else None
-    )
     cache_report = (
         run_cache_selftest(config["cache"])
         if "cache" in config and wanted("cache")
@@ -1010,8 +926,6 @@ def main(argv: list[str] | None = None) -> int:
         full_report["setup_gate"] = setup_report
     if heap_report is not None:
         full_report["heap_gate"] = heap_report
-    if parallel_report is not None:
-        full_report["parallel_selftest"] = parallel_report
     if cache_report is not None:
         full_report["cache_selftest"] = cache_report
     if serving_report is not None:
@@ -1067,15 +981,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{heap_report['full_collections']} full collections"
             f" (bar {heap_report['max_gen2_pause_ms']} ms)"
             + (" [Rule objects cached]" if heap_report["corrupted"] else "")
-        )
-    if parallel_report is not None:
-        passed = passed and parallel_report["passed"]
-        status = "ok  " if parallel_report["passed"] else "FAIL"
-        print(
-            f"  {status} parallel-selftest  "
-            f"inf-dispatch picks={parallel_report['parallel_picks_at_inf_dispatch']}"
-            f" (want 0), zero-overhead picks="
-            f"{parallel_report['parallel_picks_at_zero_overhead']} (want >0)"
         )
     if cache_report is not None:
         passed = passed and cache_report["passed"]
@@ -1134,8 +1039,6 @@ def main(argv: list[str] | None = None) -> int:
         failures += setup_report["failures"]
     if heap_report is not None:
         failures += heap_report["failures"]
-    if parallel_report is not None:
-        failures += parallel_report["failures"]
     if cache_report is not None:
         failures += cache_report["failures"]
     if serving_report is not None:

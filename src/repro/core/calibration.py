@@ -165,13 +165,14 @@ def calibrate(
         # Each timed execution resolves (and projects) for itself: a
         # projection shared across the six plans would be timed once and
         # bias the ``verify``/``select`` fits.
+        focus.release()
         for kind in PlanKind:
             with _collector_paused():
                 result = execute_plan(kind, index, query, expand=expand)
             n_runs += 1
             supported = kind.name.startswith("SS")
             per_feature = {
-                "search": base_model.search_load(profile, supported=supported),
+                "search": base_model.search_loads(profile)[supported],
                 "eliminate": base_model.eliminate_load(profile, kind),
                 "verify": base_model.verify_load(profile),
                 "rulegen": base_model.rulegen_load(profile),

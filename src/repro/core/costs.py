@@ -40,11 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import kernels
 from repro.core.focal import FocalSubset
 from repro.core.query import FocalRange, LocalizedQuery
 from repro.core.stats import IndexStatistics
 from repro.core.plans import PlanKind
-from repro.rtree.costmodel import expected_leaf_matches, expected_node_accesses
+from repro.rtree.costmodel import expected_leaf_matches
 
 __all__ = [
     "ArmModelStats",
@@ -144,14 +145,15 @@ class QueryProfile:
         """Build the profile of ``query`` over its resolved, non-empty
         focal subset.
 
-        Besides the statistics, the profile reads the table's keyed item
-        tidsets (:meth:`RelationalTable.item_tidsets` — ``Item`` keys are
-        (attribute, value) pairs): with ``focus.dq`` they let it measure
-        the *exact* locally frequent item and item-pair counts (a few
-        hundred bitmask ANDs — microseconds), which feed the clique-model
-        estimate of ARM's from-scratch mining work — that must account
-        for locally frequent itemsets *below* the index's primary floor,
-        which no stored statistic covers.
+        Besides the statistics, the profile reads the request's own focal
+        projection (``focus.kernel()``, built here and adopted by the
+        execution): one popcount over it is every item's local support,
+        and its rows as int tidsets let the ARM model measure the *exact*
+        locally frequent item, pair and triangle counts (a few hundred
+        ``|D^Q|``-bit ANDs) — ARM's from-scratch mining must account for
+        locally frequent itemsets *below* the index's primary floor, which
+        no stored statistic covers.  Over a live delta that is the
+        combined main+delta universe ``min_count`` is computed for.
         """
         dq_size, min_count = focus.dq_size, focus.min_count
         exact = query.minsupp * stats.n_records
@@ -165,8 +167,15 @@ class QueryProfile:
             query, focus.focal, stats, min_count, global_floor,
             aitem_fraction, contained_fraction,
         )
-        arm_stats = _model_arm_counts(
-            query, focus.index.table.item_tidsets(), focus.dq, dq_size,
+        aitem = query.item_attributes
+        arm_stats = _arm_model(
+            kernels.popcount_rows(focus.kernel().matrix).tolist(),
+            focus.item_tidsets(),
+            [
+                (base, base + stats.cardinalities[a])
+                for a, base in enumerate(focus.index.table.schema.item_bases)
+                if aitem is None or a in aitem
+            ],
             min_count,
         )
         delta = focus.delta
@@ -263,25 +272,26 @@ class ArmModelStats:
     est_fanout: float       # the rule-generation (sum 2**k) estimate
 
 
-def _clique_equivalent_size(f_k: float, k: int) -> float:
-    """The real ``x`` with ``C(x, k) = f_k`` — the size of the clique whose
-    level-``k`` itemset count matches the measurement.
+def _clique_equivalent_size(f3: float) -> float:
+    """The real ``x`` with ``C(x, 3) = f3`` — the size of the clique whose
+    triple count matches the measurement.
 
     Anchoring the series on this *clique-equivalent size* is what makes
-    the estimate density-aware: ``C(x, k)`` concentrates all measured mass
+    the estimate density-aware: ``C(x, 3)`` concentrates all measured mass
     in one dense core (the Kruskal-Katona extremal configuration), so a
     dense cluster inside an otherwise sparse focal subset is priced at
     its own density instead of being diluted by the global mean.
     """
-    if f_k <= 0.0:
+    if f3 <= 0.0:
         return 0.0
-    # C(x, k) is increasing in x for x >= k - 1; bisect on [k - 1, 64].
-    lo, hi = float(k - 1), 64.0
-    if _real_comb(hi, k) <= f_k:
+    # C(x, 3) increases in x for x >= 2: bisect on [2, 64], with
+    # ``_real_comb(x, 3)`` written out (same operations, same order).
+    lo, hi = 2.0, 64.0
+    if _real_comb(hi, 3) <= f3:
         return hi
     for _ in range(50):
         mid = (lo + hi) / 2.0
-        if _real_comb(mid, k) < f_k:
+        if mid / 3 * ((mid - 1) / 2) * (mid - 2) < f3:
             lo = mid
         else:
             hi = mid
@@ -314,10 +324,8 @@ def _quasi_clique_size(f2: float, f3: float) -> float:
         return 0.0
 
     def h(n: float) -> float:
-        c2 = _real_comb(n, 2)
-        if c2 <= 0.0:
-            return float("inf")
-        return _real_comb(n, 3) * (f2 / c2) ** 3
+        # C(n, 3) (f2 / C(n, 2))**3 written out in ``_real_comb``'s order.
+        return n / 3 * ((n - 1) / 2) * (n - 2) * (f2 / (n / 2 * (n - 1))) ** 3
 
     lo, hi = 3.0, 4096.0
     if h(lo) <= f3:
@@ -333,11 +341,10 @@ def _quasi_clique_size(f2: float, f3: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _model_arm_counts(
-    query: LocalizedQuery,
-    item_tidsets: "dict[tuple[int, int], int]",
-    dq: int,
-    dq_size: int,
+def _arm_model(
+    counts: list[int],
+    tidsets: list[int],
+    spans: list[tuple[int, int]],
     min_count: int,
 ) -> ArmModelStats:
     """Density-aware estimate of ARM's from-scratch mining mass.
@@ -345,7 +352,9 @@ def _model_arm_counts(
     ARM mines the focal subset from scratch, so its work scales with the
     number of *locally* frequent itemsets — including those below the
     index's primary floor, which no stored statistic covers.  The model
-    measures, with a few thousand bitmask intersections:
+    measures on the focal projection (``counts[i]``, ``tidsets[i]``: item
+    id ``i``'s local support and ``|D^Q|``-bit tidset; ``spans``: the id
+    ranges of the admitted attributes) with a few hundred intersections:
 
     * ``F1`` — the exact number of locally frequent items;
     * ``F2`` — the exact number of locally frequent item *pairs* among the
@@ -358,33 +367,18 @@ def _model_arm_counts(
       with the best remaining item until support dips below the floor.
 
     Levels ``k >= 4`` extrapolate by *moment-matching a quasi-clique* to
-    the measured second and third levels: solving ``C(n, 2) q = F2`` and
-    ``C(n, 3) q**3 = F3`` for ``(n, q)`` and pricing ``F_k = C(n, k)
-    q^(k(k-1)/2)``.  A uniform pair graph fits the mean-field series
-    (``n ~ F1`` at the mean density, with per-level geometric decay); a
-    clustered graph — many triangles for its pair count, mushroom's
-    cluster-pure focal subsets — fits a small core at ``q -> 1``, the
-    Kruskal-Katona extremal configuration, so the core is priced at its
-    own density instead of being diluted by the mean.  The series is
-    truncated one level past the measured chain depth, which measures how
-    deep the frequent lattice actually reaches.  All measured inputs
-    (``f1``, ``f2_sampled``, ``f3_sampled``, the chain) shrink
+    the measured second and third levels (see the series below),
+    truncated one level past the measured chain depth.  All measured
+    inputs (``f1``, ``f2_sampled``, ``f3_sampled``, the chain) shrink
     monotonically as ``min_count`` rises.
     """
-    # Every admitted item's local tidset, in item order: F1 filters it
-    # and the chain below draws its pool from it.
-    aitem = query.item_attributes
-    pool = [
-        (key, mask & dq)
-        for key, mask in sorted(item_tidsets.items())
-        if aitem is None or key[0] in aitem
-    ]
+    # The locally frequent items as (-support, id, attribute), id order.
     frequent = [
-        (count_, key, local)
-        for key, local in pool
-        if (count_ := local.bit_count()) >= min_count
+        (-counts[i], i, attribute)
+        for attribute, (lo, hi) in enumerate(spans)
+        for i in range(lo, hi)
+        if counts[i] >= min_count
     ]
-
     f1 = len(frequent)
     if f1 == 0:
         return ArmModelStats(0, 0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -394,36 +388,43 @@ def _model_arm_counts(
     # Deterministic strongest-first order: the sample at a higher floor is
     # always a prefix of the sample at a lower one, which keeps every
     # sampled measurement monotone in ``min_count``.
-    frequent.sort(key=lambda cm: (-cm[0], cm[1]))
-    sample = frequent[:_ARM_MODEL_MAX_ITEMS]
+    sample = [
+        tidsets[i] for _, i, _ in sorted(frequent)[:_ARM_MODEL_MAX_ITEMS]
+    ]
     m = len(sample)
 
     # -- F2: exact pairs over the sample --------------------------------------
-    adjacency: set[tuple[int, int]] = set()
-    pair_masks: dict[tuple[int, int], int] = {}
+    # Bit ``j`` of ``adjacency[i]``: a frequent pair ``i < j < t``.
     t = min(m, _ARM_MODEL_MAX_TRIANGLE_ITEMS)
+    adjacency = [0] * m
+    pair_masks: list[tuple[int, int, int]] = []
+    f2_sampled = 0
     for i in range(m):
+        mask_i = sample[i]
         for j in range(i + 1, m):
-            inter = sample[i][2] & sample[j][2]
+            inter = mask_i & sample[j]
             if inter.bit_count() >= min_count:
-                adjacency.add((i, j))
+                f2_sampled += 1
                 if j < t:
-                    pair_masks[(i, j)] = inter
+                    adjacency[i] |= 1 << j
+                    pair_masks.append((i, j, inter))
     pairs_sampled = m * (m - 1) // 2
-    f2_sampled = len(adjacency)
     density = f2_sampled / pairs_sampled if pairs_sampled else 0.0
     tail_pairs = f1 * (f1 - 1) / 2.0 - pairs_sampled
     f2 = f2_sampled + density * max(tail_pairs, 0.0)
 
     # -- F3: exact triangles over the strongest items ------------------------
+    # Apriori candidates of (i, j): the k > j adjacent to both.
     triangles_candidate = 0
     f3_sampled = 0
-    for (i, j), mask_ij in pair_masks.items():
-        for k in range(j + 1, t):
-            if (i, k) in adjacency and (j, k) in adjacency:
-                triangles_candidate += 1
-                if (mask_ij & sample[k][2]).bit_count() >= min_count:
-                    f3_sampled += 1
+    for i, j, mask_ij in pair_masks:
+        common = adjacency[i] & adjacency[j]
+        triangles_candidate += common.bit_count()
+        while common:
+            low = common & -common
+            common ^= low
+            if (mask_ij & sample[low.bit_length() - 1]).bit_count() >= min_count:
+                f3_sampled += 1
     tail_triples = _real_comb(float(f1), 3) - _real_comb(float(t), 3)
     f3 = f3_sampled + density ** 3 * max(tail_triples, 0.0)
 
@@ -434,30 +435,30 @@ def _model_arm_counts(
     # candidates), and L *measures the lattice's frequent depth* — in
     # locally dense data the per-level survival decays geometrically with
     # itemset length, so levels are near-complete up to the depth the
-    # chain reaches and near-empty beyond it.  The candidate pool is
-    # *all* items (an item below the floor can never be accepted — its
-    # extension count is bounded by its support — so the greedy path
-    # depends only on the measured supports, never on ``min_count``,
-    # which makes the chain length provably monotone in the floor).
-    chain_mask = dq
+    # chain reaches and near-empty beyond it.  The path is the one a
+    # greedy walk over *all* items takes (an extension count is bounded
+    # by the item's support and only shrinks as the chain grows), so it
+    # depends on the measured supports alone, never on ``min_count``:
+    # the chain length is provably monotone in the floor.
+    pool = [(tidsets[i], attribute) for _, i, attribute in frequent]
+    chain_mask = -1  # every focal record
     chain_length = 0
-    used_attrs: set[int] = set()
     while pool:
-        best_i = -1
-        best_count = -1
-        for idx, ((attribute, _v), mask) in enumerate(pool):
-            if attribute in used_attrs:
-                continue
-            extended_count = (chain_mask & mask).bit_count()
-            if extended_count > best_count:
-                best_count = extended_count
-                best_i = idx
-        if best_i < 0 or best_count < min_count:
+        best = None
+        best_count = min_count - 1
+        alive = []
+        for entry in pool:
+            extended_count = (chain_mask & entry[0]).bit_count()
+            if extended_count >= min_count:
+                alive.append(entry)
+                if extended_count > best_count:
+                    best_count = extended_count
+                    best = entry
+        if best is None:
             break
-        (attribute, _v), mask = pool.pop(best_i)
-        chain_mask &= mask
+        chain_mask &= best[0]
         chain_length += 1
-        used_attrs.add(attribute)
+        pool = [entry for entry in alive if entry[1] != best[1]]
 
     # -- levels >= 4: depth-truncated two-moment quasi-clique series ---------
     # Fit a quasi-clique G(n, q) to the measured second and third levels
@@ -479,7 +480,7 @@ def _model_arm_counts(
     n_eff = 0.0
     q_eff = 0.0
     if f3 > 0.0 and f2 > 0.0 and f1 >= 3:
-        x3 = _clique_equivalent_size(f3, 3)
+        x3 = _clique_equivalent_size(f3)
         n_eff = _quasi_clique_size(f2, f3)
         n_eff = min(max(n_eff, max(3.0, x3)), float(f1))
         denom = _real_comb(n_eff, 3)
@@ -522,12 +523,14 @@ def _cardinalities(
 ) -> dict[str, float]:
     """Data-aware candidate/survivor counts from the per-MIP profiles.
 
-    The geometric part — which MIPs overlap the region, which lie inside
-    it — is boolean work over all N MIPs, one lookup-table gather per
-    range attribute.  The numeric part — each MIP's expected local
-    count — runs only over the MIPs still *in play* (overlapping and
-    passing the supported filter): the estimate never exceeds a MIP's
-    global count, so a MIP the supported filter drops cannot qualify.
+    The geometric part — which MIPs overlap the region, lie inside it,
+    pass the supported filter — is bit-counting over the statistics'
+    support-ordered MIP bitsets: ORs and ANDs of N-bit ints per partial
+    range attribute and a prefix mask for the filter.  The numeric part —
+    each MIP's expected local count — unpacks and runs over only the
+    MIPs still *in play* (overlapping and supported): the estimate never
+    exceeds a MIP's global count, so a MIP the filter drops cannot
+    qualify.
     """
     n = stats.n_mips
     if n == 0:
@@ -554,40 +557,45 @@ def _cardinalities(
             "qualified_fanout": qualified * max(stats.avg_pow2_length, 1.0),
         }
 
-    fixed = stats.mip_fixed_values
     selections = query.range_selections
-    overlap = np.ones(n, dtype=bool)
-    contained = np.ones(n, dtype=bool)
+    overlap = contained = (1 << n) - 1
     for ai, values in selections.items():
-        card = stats.cardinalities[ai]
-        if len(values) == card:
+        if len(values) == stats.cardinalities[ai]:
             continue  # full domain: every box overlaps and is contained
-        # Tables over the fixed value, slot -1 (= index ``card``) being
-        # "free": a free attribute always overlaps and is never contained.
-        inside = np.zeros(card + 1, dtype=bool)
-        inside[list(values)] = True
-        contained &= inside.take(fixed[:, ai])
-        inside[card] = True
-        overlap &= inside.take(fixed[:, ai])
+        # A free attribute always overlaps and is never contained.
+        value_bits = stats.mip_value_bits[ai]
+        inside = 0
+        for v in values:
+            inside |= value_bits[v]
+        contained &= inside
+        overlap &= inside | stats.mip_free_bits[ai]
 
-    in_play = overlap & (stats.mip_global_counts >= min_count)
-    n_cands_supported = int(np.count_nonzero(in_play))
+    # Support order: the MIPs reaching the floor are a prefix.
+    n_supported = n - int(stats.sorted_global_counts.searchsorted(min_count))
+    in_play = overlap & ((1 << n_supported) - 1)
     # Without a range attribute the local bound is |D|, not a MIP count,
-    # and unsupported MIPs stay in the numeric pass.
-    rows = np.flatnonzero(in_play if selections else overlap)
+    # and unsupported MIPs stay in the numeric pass.  A MIP fixing an
+    # attribute outside Aitem cannot qualify and leaves it here.
+    numeric = in_play if selections else overlap
+    if query.item_attributes is not None:
+        for a in range(stats.n_attributes):
+            if a not in query.item_attributes:
+                numeric &= stats.mip_free_bits[a]
+    rows = _bit_array(numeric, n).view(np.bool_).nonzero()[0]
     local_upper = np.full(len(rows), stats.n_records, dtype=np.int64)
     log_prod = np.zeros(len(rows), dtype=float)
-    for ai, values in selections.items():
-        items = [
-            stats.item_rows[(ai, v)] for v in values
-            if (ai, v) in stats.item_rows
-        ]
-        attr_counts = (
-            stats.item_mip_counts[items].sum(axis=0, dtype=np.int64).take(rows)
-        )
-        local_upper = np.minimum(local_upper, attr_counts)
-        with np.errstate(divide="ignore"):
-            log_prod += np.log(attr_counts.astype(float))
+    # log(0) = -inf is meant: no record there, expected 0 (exp(-inf)).
+    with np.errstate(divide="ignore"):
+        for ai, values in selections.items():
+            # One attribute's values partition the records, so their
+            # counts inside a MIP sum to at most its own: int32 holds.
+            attr_counts = np.zeros(len(rows), dtype=np.int32)
+            for v in values:
+                row = stats.item_rows.get((ai, v))
+                if row is not None:
+                    attr_counts += stats.item_mip_counts[row].take(rows)
+            local_upper = np.minimum(local_upper, attr_counts)
+            log_prod += np.log(attr_counts)
 
     # Expected local count: the Frechet bound ``min_a |t(M) n D^Q_a|`` is
     # exact for single-attribute regions but overcounts multi-attribute
@@ -595,38 +603,36 @@ def _cardinalities(
     # the loosest slice).  The independence estimate ``g * prod_a(c_a/g)``
     # errs the other way on correlated attributes, so — as with the
     # distribution-based fallback above — the model takes their geometric
-    # mean.
+    # mean.  (A MIP's global count ``g`` is at least 1.)
     if len(selections) >= 2:
-        with np.errstate(invalid="ignore"):
-            log_expected = log_prod - (len(selections) - 1) * (
-                stats.mip_log_counts.take(rows)
-            )
-        expected = np.where(
-            stats.mip_global_counts.take(rows) > 0, np.exp(log_expected), 0.0
+        expected = np.exp(
+            log_prod
+            - (len(selections) - 1) * stats.mip_log_counts.take(rows)
         )
         est_local = np.sqrt(local_upper * np.minimum(expected, local_upper))
     else:
         est_local = local_upper.astype(float)
 
-    qualifies = est_local >= min_count
-    if query.item_attributes is not None:
-        outside = [
-            a for a in range(stats.n_attributes)
-            if a not in query.item_attributes
-        ]
-        if outside:
-            qualifies &= ~(fixed.take(rows, axis=0)[:, outside] >= 0).any(axis=1)
-    qualified = rows[qualifies]
+    qualified = rows[est_local >= min_count]
     return {
-        "n_cands": float(np.count_nonzero(overlap)),
-        "n_cands_supported": float(n_cands_supported),
-        "n_contained": float(np.count_nonzero(contained & in_play)),
+        "n_cands": float(overlap.bit_count()),
+        "n_cands_supported": float(in_play.bit_count()),
+        "n_contained": float((contained & in_play).bit_count()),
         "est_qualified": float(len(qualified)),
         "est_qualified_partial": float(
-            len(qualified) - np.count_nonzero(contained.take(qualified))
+            len(qualified)
+            - np.count_nonzero(_bit_array(contained, n).take(qualified))
         ),
         "qualified_fanout": float(stats.mip_fanout.take(qualified).sum()),
     }
+
+
+def _bit_array(bits: int, n: int) -> np.ndarray:
+    """The low ``n`` bits of an int as a uint8 array (padded to a byte)."""
+    return np.unpackbits(
+        np.frombuffer(bits.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
+        bitorder="little",
+    )
 
 
 #: The fields of :class:`QueryProfile` the cardinality pass fills.
@@ -675,12 +681,33 @@ def _contained_fraction(
     return prob
 
 
+_SUPPORTED_PLANS = frozenset({PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV})
+
+
 class CostModel:
     """Constant-time evaluation of the six plan cost formulae."""
 
     def __init__(self, stats: IndexStatistics, weights: CostWeights | None = None):
         self.stats = stats
         self.weights = weights if weights is not None else CostWeights()
+        # Index-only terms: the non-root R-tree levels as (node count,
+        # normalized extents, max-count profile), projection, mean length.
+        root_level = max((s.level for s in stats.level_stats), default=0)
+        by_level = {p.level: p for p in stats.level_counts}
+        self._levels = [
+            (
+                stat.n_nodes,
+                [e / c for e, c in zip(stat.avg_extents, stats.cardinalities)],
+                by_level.get(stat.level),
+            )
+            for stat in stats.level_stats
+            if stat.level != root_level
+        ]
+        self._n_items = float(sum(stats.cardinalities))
+        #: One focal projection: every item row (``sum(cardinalities)``, an
+        #: upper bound on the item count) repacked at the full tidset width.
+        self.projection_load = self._n_items * stats.tidset_words
+        self._avg_length = max(stats.avg_length, 1.0)
 
     # -- cardinality estimates (Lemmas 4.1-4.5) ------------------------------
 
@@ -693,45 +720,39 @@ class CostModel:
             self.stats.cardinalities,
         )
 
-    def est_node_accesses(self, profile: QueryProfile,
-                          supported: bool) -> float:
-        """Eq. 1 COST(S) / Eq. 3 COST(SS): expected node accesses."""
-        if not supported:
-            return expected_node_accesses(
-                list(self.stats.level_stats),
-                profile.hull_extents,
-                self.stats.cardinalities,
-            )
-        # Per-level pruning fractions from the precomputed max-count profiles.
-        total = 1.0
-        root_level = max((s.level for s in self.stats.level_stats), default=0)
-        by_level = {p.level: p for p in self.stats.level_counts}
+    def est_node_accesses(self, profile: QueryProfile) -> tuple[float, float]:
+        """Eq. 1 COST(S) and Eq. 3 COST(SS): expected node accesses of
+        the plain and the supported search, indexed by ``supported`` — the
+        Theodoridis-Sellis sum over the non-root levels, the supported
+        search scaling each level by the fraction of its nodes whose max
+        count survives the filter (one pass: every ``prob`` is shared).
+        """
         q_norm = [
             q / c for q, c in zip(profile.hull_extents, self.stats.cardinalities)
         ]
-        for stat in self.stats.level_stats:
-            if stat.level == root_level:
-                continue
+        # An empty tree has no root to read on the plain search's books.
+        plain = 1.0 if self.stats.level_stats else 0.0
+        supported = 1.0
+        for n_nodes, extents, surviving in self._levels:
             prob = 1.0
-            for dim, card in enumerate(self.stats.cardinalities):
-                prob *= min(1.0, stat.avg_extents[dim] / card + q_norm[dim])
-            surviving = by_level.get(stat.level)
-            frac = (
+            for extent, q in zip(extents, q_norm):
+                prob *= min(1.0, extent + q)
+            plain += n_nodes * prob
+            supported += n_nodes * prob * (
                 surviving.fraction_at_least(profile.min_count)
                 if surviving is not None
                 else 1.0
             )
-            total += stat.n_nodes * prob * frac
-        return total
+        return plain, supported
 
     # -- per-operator loads ----------------------------------------------------
 
-    def search_load(self, profile: QueryProfile, supported: bool) -> float:
-        """Work of SEARCH / SUPPORTED-SEARCH: node visits plus the exact
-        per-candidate classification against the focal value sets."""
-        nodes = self.est_node_accesses(profile, supported=supported)
-        cands = profile.n_cands_supported if supported else profile.n_cands
-        return nodes + cands
+    def search_loads(self, profile: QueryProfile) -> tuple[float, float]:
+        """Work of SEARCH and SUPPORTED-SEARCH, indexed by ``supported``:
+        node visits plus the exact per-candidate classification against
+        the focal value sets."""
+        plain, supported = self.est_node_accesses(profile)
+        return plain + profile.n_cands, supported + profile.n_cands_supported
 
     def eliminate_load(self, profile: QueryProfile, kind: PlanKind) -> float:
         """Eq. 1 COST(E): record-level checks in tidset-word units.
@@ -739,23 +760,17 @@ class CostModel:
         SS-E-U-V only pays for the partially-overlapped candidates
         (Lemma 4.5 exempts contained MIPs from the record-level check).
         """
-        supported = kind in (PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV)
+        supported = kind in _SUPPORTED_PLANS
         cands = profile.n_cands_supported if supported else profile.n_cands
         if kind is PlanKind.SSEUV:
             cands = max(cands - profile.n_contained, 0.0)
         return cands * profile.aitem_fraction * self.stats.tidset_words
 
-    def projection_load(self) -> float:
-        """One focal projection: every item row repacked at the full
-        tidset width (``sum(cardinalities)`` rows — an upper bound on the
-        item count — times ``tidset_words``)."""
-        return float(sum(self.stats.cardinalities)) * self.stats.tidset_words
-
     def verify_load(self, profile: QueryProfile) -> float:
         """Eq. 1 COST(V): support counting through the focal projection.
 
         The kernel path pays the projection once
-        (:meth:`projection_load`) and then one sub-itemset table: a fixed
+        (:attr:`projection_load`) and then one sub-itemset table: a fixed
         pass cost, a width-independent price per ``(source, mask)`` cell
         (named and gathered, never ANDed per pair) and the distinct
         sub-itemsets' ANDs at the *projected* ``|D^Q|``-word width —
@@ -763,7 +778,7 @@ class CostModel:
         """
         dq_words = max(1, -(-profile.dq_size // 64))
         return (
-            self.projection_load()
+            self.projection_load
             + _LATTICE_PASS_WORDS
             + profile.qualified_fanout
             * (dq_words + _LATTICE_CELL_WORDS) / _LATTICE_SHARING
@@ -795,7 +810,7 @@ class CostModel:
         tidsets — no record is copied — so it costs the projection term
         :meth:`verify_load` prices for the MIP plans.
         """
-        return self.projection_load()
+        return self.projection_load
 
     def arm_load(self, profile: QueryProfile) -> float:
         """Eq. 6 COST(eps_AR): from-scratch mining sized by the local-
@@ -817,7 +832,7 @@ class CostModel:
         est_local = max(1.0, profile.arm_itemsets)
         return (
             _ARM_PASS_OVERHEAD_WORDS
-            + est_local * max(self.stats.avg_length, 1.0)
+            + est_local * self._avg_length
             * (dq_words + _ARM_OP_OVERHEAD_WORDS)
             + profile.arm_fanout * _ARM_CELL_WORDS
         )
@@ -850,21 +865,30 @@ class CostModel:
         """
         if profile.delta_records <= 0 or kind is PlanKind.ARM:
             return {}
-        supported = kind in (PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV)
+        supported = kind in _SUPPORTED_PLANS
         cands = profile.n_cands_supported if supported else profile.n_cands
         words = max(1, profile.delta_words)
         return {
             "delta_probe": (cands + 1.0) * words,
-            "delta_merge": float(sum(self.stats.cardinalities)) * words,
+            "delta_merge": self._n_items * words,
         }
 
     # -- plan load vectors --------------------------------------------------------
+
+    def shared_loads(self, profile: QueryProfile) -> tuple:
+        """What the plans of one profile share — ``(search loads by
+        supported, verify, rulegen)`` — for :meth:`loads`."""
+        return (
+            self.search_loads(profile),
+            self.verify_load(profile),
+            self.rulegen_load(profile),
+        )
 
     def loads(
         self,
         kind: PlanKind,
         profile: QueryProfile,
-        search_loads: "dict[bool, float] | None" = None,
+        shared: tuple | None = None,
     ) -> dict[str, float]:
         """The load-feature vector of one plan for one query.
 
@@ -872,9 +896,8 @@ class CostModel:
         per-operator overhead — the intermediate-materialization cost that
         selection push-up (VS) saves.
 
-        ``search_loads`` hands in :meth:`search_load` by ``supported``
-        when the caller prices several plans of one profile: the node-
-        access estimate behind it depends on nothing else.
+        ``shared`` hands in :meth:`shared_loads` of the same profile when
+        the caller prices several of its plans.
         """
         if kind is PlanKind.ARM:
             return {
@@ -882,16 +905,12 @@ class CostModel:
                 "arm": self.arm_load(profile),
                 "const": 2.0,
             }
-        supported = kind in (PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV)
+        search, verify, rulegen = shared or self.shared_loads(profile)
         loads = {
-            "search": (
-                search_loads[supported]
-                if search_loads is not None
-                else self.search_load(profile, supported=supported)
-            ),
+            "search": search[kind in _SUPPORTED_PLANS],
             "eliminate": self.eliminate_load(profile, kind),
-            "verify": self.verify_load(profile),
-            "rulegen": self.rulegen_load(profile),
+            "verify": verify,
+            "rulegen": rulegen,
         }
         if kind in (PlanKind.SEV, PlanKind.SSEV):
             loads["const"] = 3.0
@@ -949,12 +968,9 @@ class CostModel:
 
     def estimate_all(self, profile: QueryProfile) -> dict[PlanKind, float]:
         """All six formulae — the optimizer's constant-time computation."""
-        search_loads = {
-            supported: self.search_load(profile, supported=supported)
-            for supported in (False, True)
-        }
+        shared = self.shared_loads(profile)
         return {
-            kind: self.weights.price(self.loads(kind, profile, search_loads))
+            kind: self.weights.price(self.loads(kind, profile, shared))
             for kind in PlanKind
         }
 

@@ -382,11 +382,11 @@ class Colarm:
         silently re-chosen otherwise, so a stale handoff can never force
         a stale serve.
 
-        The focal subset is resolved once per request: the one the
-        optimizer profiled (``choice.focus``) is what the plan executes
-        on.  The projection built on it ends with the request
-        (:meth:`FocalSubset.release`), so an outcome a caller keeps pins
-        the resolution only.
+        The focal subset is resolved and projected once per request: the
+        one the optimizer profiled (``choice.focus``) is what the plan
+        executes on.  The projection ends with the request — executed,
+        served from the cache or re-priced (:meth:`PlanChoice.release`) —
+        so a choice or outcome a caller keeps pins the resolution only.
         """
         q = self.parse(request) if isinstance(request, str) else request
         if self.maintenance is not None:
@@ -399,6 +399,7 @@ class Colarm:
                 or (choice.cached and not consult)
                 or choice.profile is None  # a stamp-priced hit, long served
             ):
+                choice.release()
                 choice = None
             if choice is None:
                 probe = None
@@ -416,6 +417,7 @@ class Colarm:
             if choice.cached:
                 served = self._serve_cached(q, kind, choice)
                 if served is not None:
+                    choice.release()
                     return served
         else:
             choice = None
@@ -430,8 +432,8 @@ class Colarm:
             kind, self.index, q, expand=self.expand,
             delta=self.maintenance, focus=focus,
         )
-        if focus is not None:
-            focus.release()
+        if choice is not None:
+            choice.release()
         if consult:
             self._populate_cache(q, kind, result, generation, choice)
         return QueryOutcome(
@@ -556,9 +558,11 @@ class Colarm:
         }
 
     def choose_plan(self, request: LocalizedQuery | str) -> PlanChoice:
-        """The optimizer's suggestion without executing anything."""
+        """The optimizer's suggestion; nothing executes on its projection."""
         q = self.parse(request) if isinstance(request, str) else request
-        return self.optimizer.choose(q)
+        choice = self.optimizer.choose(q)
+        choice.release()
+        return choice
 
     # -- convenience: global rules ------------------------------------------------
 

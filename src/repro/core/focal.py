@@ -38,10 +38,11 @@ class FocalSubset:
     ``dq`` holds the *live main* records only (tombstones already masked
     out); ``delta`` is the request's read view of the delta store
     (``None`` on an immutable or pristine index) and ``dq_size`` counts
-    both universes.  The packed focal row and the focal-projected kernel
-    are built on first use and kept, so SELECT/ARM and VERIFY of one
-    execution — or the queries of a multi-query group, through
-    :meth:`rethreshold` — share one projection.
+    both universes.  The packed focal row, the focal-projected kernel
+    and its rows as int tidsets are built on first use and kept, so the
+    optimizer's profile, SELECT/ARM and VERIFY of one request — or the
+    queries of a multi-query group, through :meth:`rethreshold` — share
+    one projection.
     """
 
     index: "MIPIndex"
@@ -54,9 +55,9 @@ class FocalSubset:
     delta: "DeltaView | None"
     dq_size: int             # |D^Q| (main live + delta live)
     min_count: int           # ceil(minsupp * |D^Q|)
-    #: ``[packed dq, focal kernel]``, filled on first use; siblings made
-    #: by :meth:`rethreshold` share the list.
-    _lazy: list = field(default_factory=lambda: [None, None], repr=False)
+    #: ``[packed dq, focal kernel, its int tidsets]``, filled on first
+    #: use; siblings made by :meth:`rethreshold` share the list.
+    _lazy: list = field(default_factory=lambda: [None] * 3, repr=False)
 
     def valid_for(
         self,
@@ -120,12 +121,20 @@ class FocalSubset:
             )
         return self._lazy[1]
 
+    def item_tidsets(self) -> list[int]:
+        """The kernel's rows as int tidsets by item id, read once: the ARM
+        model measures on them and SELECT hands them to CHARM."""
+        if self._lazy[2] is None:
+            self._lazy[2] = self.kernel().item_tidsets()
+        return self._lazy[2]
+
     def release(self) -> None:
-        """Drop the projection (a later :meth:`kernel` rebuilds it): the
-        owner of a request calls this when the request ends, so a subset
-        that stays reachable — through a kept ``PlanChoice`` — holds the
-        resolution, not ``n_items x |D^Q|`` bits of item rows."""
-        self._lazy[1] = None
+        """Drop the projection, both forms (a later :meth:`kernel`
+        rebuilds it): the owner of a request calls this when the request
+        ends, so a subset that stays reachable — through a kept
+        ``PlanChoice`` — holds the resolution, not ``n_items x |D^Q|``
+        bits of item rows."""
+        self._lazy[1] = self._lazy[2] = None
 
 
 def resolve_focal(

@@ -769,15 +769,17 @@ def op_select(ctx: QueryContext) -> list[int]:
     """SELECT: the focal subset in vertical form, one tidset per item id.
 
     The records of ``D^Q`` are exactly the columns of the context's
-    focal projection, so SELECT builds that projection (the one VERIFY
-    would build) and reads its rows out as ``|D^Q|``-bit int tidsets —
+    focal projection, so SELECT takes that projection (the one VERIFY
+    would build; a planned request arrives with it built and read out by
+    the profile) and hands its rows out as ``|D^Q|``-bit int tidsets —
     entry ``i`` is item id ``i``, bit ``p`` the ``p``-th focal record,
     live main records first and the delta view's records after them.  No
     row is copied and no tidset is rebuilt from rows; ARM's rule
     generation then counts through the same kernel.
     """
     start = time.perf_counter()
-    item_tidsets = ctx.focal_kernel().item_tidsets()
+    ctx.focal_kernel()
+    item_tidsets = ctx.focus.item_tidsets()
     ctx.trace.add(
         OperatorTrace(
             name="SELECT",

@@ -137,11 +137,17 @@ class PlanChoice:
     #: cached-variant prices and the memoized profile are both stale
     #: after a mutation.
     generation: int = 0
-    #: The focal subset the profile was built over, for the execution to
-    #: adopt (``execute_plan(..., focus=)``) instead of resolving it
-    #: again.  ``None`` when nothing was resolved — the profile came from
-    #: the memo, or the choice is a stamp-priced hit.
+    #: The focal subset the profile was built over — resolved *and
+    #: projected* — for the execution to adopt (``execute_plan(...,
+    #: focus=)``).  ``None`` when nothing was resolved: the profile came
+    #: from the memo, or the choice is a stamp-priced hit.  Whoever holds
+    #: the choice calls :meth:`release` when the request ends.
     focus: FocalSubset | None = field(default=None, repr=False, compare=False)
+
+    def release(self) -> None:
+        """End the request's projection; resolution and prices stay."""
+        if self.focus is not None:
+            self.focus.release()
 
     @property
     def chosen_estimate(self) -> float:

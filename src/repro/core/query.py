@@ -106,7 +106,10 @@ class FocalRange:
 
     def hull_extents(self) -> tuple[int, ...]:
         """Cell extents of the hull per dimension (the cost model's D^Q_i)."""
-        return self.hull().extents()
+        return tuple(
+            mask.bit_length() - (mask & -mask).bit_length() + 1
+            for mask in self.value_masks
+        )
 
     def classify(self, box: Rect) -> Overlap:
         """Exact relation of a box to the region (product of value sets)."""

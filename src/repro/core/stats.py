@@ -52,23 +52,30 @@ class LevelCountProfile:
 class IndexStatistics:
     """Aggregates describing the dataset, the MIPs and the R-tree.
 
-    Beyond the scalar aggregates the paper's formulae use, vectorized
-    per-MIP profiles are precomputed so the optimizer's cardinality
-    estimates can be *data-aware* (a numpy pass over N MIPs, microseconds
-    at query time), each laid out the way its reader walks it:
+    Beyond the scalar aggregates the paper's formulae use, per-MIP
+    profiles make the optimizer's cardinality estimates *data-aware*,
+    each laid out the way its reader walks it:
 
-    * ``mip_global_counts[i]``  — global support count of MIP ``i``
-      (``mip_log_counts[i]`` its natural log, ``mip_fanout[i]`` the
-      capped ``2**length`` rule-generation factor);
     * ``mip_fixed_values[i, a]`` — the value MIP ``i`` fixes attribute ``a``
-      to, or ``-1`` when the attribute is free.  MIP-major: SEARCH,
-      ELIMINATE and the delta store gather its *rows*;
-    * ``item_mip_counts[j, i]`` — ``|t(I_i) ∩ t(item_j)|``, the MIP's
-      support inside each single-item subset (rows indexed by
-      ``item_rows``) — the basis of the local-support upper bound used
-      to estimate ELIMINATE's output.  Item-major: the cardinality pass
-      (:mod:`repro.core.costs`, its only reader) sums a few items'
-      contiguous rows.
+      to, or ``-1`` when the attribute is free.  MIP-major, MIP order:
+      SEARCH, ELIMINATE and the delta store gather its *rows*.
+
+    The rest has one reader, the cardinality pass of
+    :mod:`repro.core.costs`, and is in **support order** — position ``p``
+    is the MIP with the ``p``-th largest global count (ties by row), so
+    the MIPs passing the supported filter are a *prefix* — and rebuilt,
+    never persisted, at build, fold and load:
+
+    * ``mip_value_bits[a][v]`` / ``mip_free_bits[a]`` — N-bit ints, bit
+      ``p`` set when MIP ``p`` fixes attribute ``a`` to ``v`` / leaves it
+      free: overlap and containment are ORs, ANDs and a ``bit_count()``;
+    * ``mip_log_counts[p]`` — log of the global count (the counts are
+      ``sorted_global_counts`` read backwards), ``mip_fanout[p]`` the
+      capped ``2**length`` rule-generation factor;
+    * ``item_mip_counts[j, p]`` — ``|t(I_p) ∩ t(item_j)|``, the MIP's
+      support inside each single-item subset (rows by ``item_rows``),
+      the basis of the local-support upper bound behind ELIMINATE's
+      estimated output.  Item-major: the pass sums a few items' rows.
     """
 
     n_records: int
@@ -78,12 +85,13 @@ class IndexStatistics:
     avg_box_extents: tuple[float, ...]      # avg MIP box extent per dim, cells
     level_stats: tuple[LevelStat, ...]       # R-tree level profile
     level_counts: tuple[LevelCountProfile, ...]
-    sorted_global_counts: np.ndarray         # of all MIPs
+    sorted_global_counts: np.ndarray         # of all MIPs, ascending
     length_histogram: dict[int, int]         # itemset length -> # MIPs
     attr_fix_prob: tuple[float, ...]         # P(MIP fixes attribute d)
     primary_support: float
-    mip_global_counts: np.ndarray            # (N,) int64, MIP order
     mip_fixed_values: np.ndarray             # (N, n) int32, -1 = free
+    mip_value_bits: tuple[tuple[int, ...], ...]  # [a][v] -> N-bit int
+    mip_free_bits: tuple[int, ...]           # [a] -> N-bit int
     item_rows: dict[tuple[int, int], int]    # (attribute, value) -> row
     item_mip_counts: np.ndarray              # (n_items, N) int32
     mip_fanout: np.ndarray                   # (N,) float64, 2**min(length, 16)
@@ -178,6 +186,21 @@ def gather_statistics(
 
     histogram = dict(Counter(lengths.tolist()))
 
+    # Support order: descending global count, ties by MIP row.
+    global_counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
+    order = np.argsort(-global_counts, kind="stable")
+    by_support = fixed_values[order]
+
+    def bits(member: np.ndarray) -> int:
+        packed = np.packbits(member, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    value_bits = tuple(
+        tuple(bits(by_support[:, a] == v) for v in range(card))
+        for a, card in enumerate(cardinalities)
+    )
+    free_bits = tuple(bits(by_support[:, a] < 0) for a in range(n_dims))
+
     item_rows: dict[tuple[int, int], int] = {}
     global_f1 = 0
     global_pair_density = 0.0
@@ -186,7 +209,7 @@ def gather_statistics(
         item_rows = {(item[0], item[1]): j for item, j in row_of.items()}
         item_mip_counts = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
         for j, row in enumerate(item_tidsets):
-            item_mip_counts[j] = and_count(mip_matrix, row)
+            item_mip_counts[j] = and_count(mip_matrix, row)[order]
 
         exact = primary_support * n_records
         floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
@@ -205,7 +228,7 @@ def gather_statistics(
     else:
         item_mip_counts = np.zeros((0, n_mips), dtype=np.int32)
 
-    global_counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
+    sorted_counts = np.sort(global_counts)
     return IndexStatistics(
         n_records=n_records,
         n_attributes=n_dims,
@@ -217,16 +240,17 @@ def gather_statistics(
             LevelCountProfile(level, counts)
             for level, counts in enumerate(tree.level_max_counts())
         ),
-        sorted_global_counts=np.sort(global_counts),
+        sorted_global_counts=sorted_counts,
         length_histogram=histogram,
         attr_fix_prob=fix_prob,
         primary_support=primary_support,
-        mip_global_counts=global_counts,
         mip_fixed_values=fixed_values,
+        mip_value_bits=value_bits,
+        mip_free_bits=free_bits,
         item_rows=item_rows,
         item_mip_counts=item_mip_counts,
-        mip_fanout=np.exp2(np.minimum(lengths, _MAX_POW2_LENGTH).astype(float)),
-        mip_log_counts=np.log(global_counts.astype(float)),
+        mip_fanout=np.exp2(np.minimum(lengths[order], _MAX_POW2_LENGTH).astype(float)),
+        mip_log_counts=np.log(sorted_counts[::-1].astype(float)),
         global_f1=global_f1,
         global_pair_density=global_pair_density,
     )

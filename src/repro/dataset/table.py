@@ -186,7 +186,7 @@ class RelationalTable:
         This is the record-level semantics of the paper's ``Arange``.
         """
         matrix, rows = self.item_matrix()
-        mask = kernels.full_row(self.n_records, self.tidset_words)
+        mask = None
         for ai, values in selections.items():
             if not 0 <= ai < self.n_attributes:
                 raise SchemaError(f"attribute index {ai} out of range")
@@ -195,11 +195,12 @@ class RelationalTable:
                 for vi in values
                 if (row := rows.get(Item(ai, vi))) is not None
             ]
-            # One vectorized OR over the admitted values' rows, then AND
+            # One vectorized OR over the admitted values' rows, ANDed
             # into the running selection.
-            mask &= kernels.union_reduce(matrix[indices])
-            if not mask.any():
-                break
+            union = kernels.union_reduce(matrix[indices])
+            mask = union if mask is None else mask & union
+        if mask is None:
+            return ts.full(self.n_records)
         return kernels.unpack(mask)
 
     def project(self, attribute_indices: Sequence[int]) -> "RelationalTable":

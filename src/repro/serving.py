@@ -544,42 +544,52 @@ class QueryService:
                     del self._pricing[key]
                     priced.set_result(None)
             cost = choice.chosen_estimate
+        return await self._admit(q, plan, use_cache, choice, cost, key, t_submit)
+
+    def _admit(self, q, plan, use_cache, choice, cost, key, t_submit):
+        """Join, queue or refuse a priced request; the future to await.
+        A ``choice`` that does not become a flight's (joined another,
+        shed, service closed) ends here, and its projection with it."""
+        flight = None
+        try:
             if self._closed:
                 raise ServiceClosedError("service is stopped")
+            waiter = self._attach(key, t_submit)
+            if waiter is not None:
+                return waiter
+            generation = self.engine.index.generation
 
-        waiter = self._attach(key, t_submit)
-        if waiter is not None:
-            return await waiter
-        generation = self.engine.index.generation
+            if self.n_pending >= self.config.max_pending:
+                self.stats.shed_queue_full += 1
+                raise ServiceOverloadError(
+                    f"queue full ({self.config.max_pending} pending)"
+                )
+            verdict = self.scheduler.admit(cost)
+            if verdict == "shed":
+                self.stats.shed_over_budget += 1
+                raise ServiceOverloadError(
+                    f"estimated cost {cost:.6f}s over ceiling "
+                    f"{self.config.cost_ceiling:.6f}s"
+                )
+            deferred = verdict == "defer"
+            if deferred:
+                self.stats.deferred += 1
 
-        if self.n_pending >= self.config.max_pending:
-            self.stats.shed_queue_full += 1
-            raise ServiceOverloadError(
-                f"queue full ({self.config.max_pending} pending)"
+            flight = _Flight(
+                query=q, plan=plan, use_cache=use_cache, choice=choice,
+                generation=generation, key=key, deferred=deferred,
+                enqueued=t_submit,
             )
-        verdict = self.scheduler.admit(cost)
-        if verdict == "shed":
-            self.stats.shed_over_budget += 1
-            raise ServiceOverloadError(
-                f"estimated cost {cost:.6f}s over ceiling "
-                f"{self.config.cost_ceiling:.6f}s"
-            )
-        deferred = verdict == "defer"
-        if deferred:
-            self.stats.deferred += 1
-
-        flight = _Flight(
-            query=q, plan=plan, use_cache=use_cache, choice=choice,
-            generation=generation, key=key, deferred=deferred,
-            enqueued=t_submit,
-        )
-        fut = loop.create_future()
-        flight.waiters.append((fut, t_submit, True))
-        if key is not None:
-            self._inflight[key] = flight
-        self.scheduler.push(flight, cost, t_submit, deferred=deferred)
-        self._wake.set()
-        return await fut
+            fut = asyncio.get_running_loop().create_future()
+            flight.waiters.append((fut, t_submit, True))
+            if key is not None:
+                self._inflight[key] = flight
+            self.scheduler.push(flight, cost, t_submit, deferred=deferred)
+            self._wake.set()
+            return fut
+        finally:
+            if flight is None and choice is not None:
+                choice.release()
 
     def _request_key(
         self, q: LocalizedQuery, plan: PlanKind | str | None
@@ -723,6 +733,8 @@ class QueryService:
     def _fail_flight(self, flight: _Flight, exc: BaseException) -> None:
         if flight.key is not None and self._inflight.get(flight.key) is flight:
             del self._inflight[flight.key]
+        if flight.choice is not None:
+            flight.choice.release()
         for fut, _t, _leader in flight.waiters:
             if not fut.done():
                 self.stats.errors += 1

@@ -1,16 +1,46 @@
 """The pre-layout cardinality pass, kept as the reference.
 
 ``repro.core.costs._cardinalities`` computes the six candidate/survivor
-counts of a :class:`~repro.core.costs.QueryProfile` with its numeric pass
+counts of a :class:`~repro.core.costs.QueryProfile` by bit-counting over
+the statistics' support-ordered MIP bitsets, with its numeric pass
 restricted to the MIPs still in play; this is the function it replaced,
 verbatim but for reading the per-item profile through a transposed view
-of the item-major array.  ``tests/property/test_profile_properties.py``
-holds the two to ``==`` on every output.
+of the item-major array.  It walks every per-MIP array in MIP order
+beside ``mip_fixed_values``, so it runs on :func:`mip_order_stats`.
+``tests/property/test_profile_properties.py`` holds the two to ``==`` on
+every output.
 """
+
+import dataclasses
 
 import numpy as np
 
+from repro.core.stats import IndexStatistics
 from repro.rtree.costmodel import expected_leaf_matches
+
+
+@dataclasses.dataclass(frozen=True)
+class MipOrderStatistics(IndexStatistics):
+    """The layout this pass was written against: every per-MIP array in
+    MIP order, the global counts among them."""
+
+    mip_global_counts: np.ndarray = None
+
+
+def mip_order_stats(index) -> MipOrderStatistics:
+    """``index.stats`` with the support-ordered per-MIP arrays put back in
+    MIP order."""
+    stats = index.stats
+    counts = np.asarray([m.global_count for m in index.mips], dtype=np.int64)
+    position = np.argsort(np.argsort(-counts, kind="stable"))
+    fields = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    fields.update(
+        mip_global_counts=counts,
+        item_mip_counts=stats.item_mip_counts[:, position],
+        mip_fanout=stats.mip_fanout[position],
+        mip_log_counts=stats.mip_log_counts[position],
+    )
+    return MipOrderStatistics(**fields)
 
 
 def reference_cardinalities(

@@ -1,5 +1,6 @@
 """The ARM cardinality model: F1/F2/F3 exactness, density-aware series,
-chain bound, and the structural early returns."""
+chain bound, and the structural early returns — measured as a request
+measures them, on the focal projection (``projected_arm_model``)."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,24 @@ from repro import tidset as ts
 from repro.core.costs import (
     ArmModelStats,
     _clique_equivalent_size,
-    _model_arm_counts,
     _real_comb,
 )
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from tests.conftest import make_random_table
+from tests.core.reference_arm_model import projected_arm_model
 
 
 def build_inputs(table, selections):
     dq = table.tids_matching(selections)
-    return table.item_tidsets(), dq, ts.count(dq)
+    return table, dq, ts.count(dq)
+
+
+def _model_arm_counts(query, table, dq, dq_size, min_count):
+    """The model over ``table``'s focal records ``dq``, projected the
+    way a request projects them."""
+    return projected_arm_model(table, query, min_count, dq)
 
 
 def exact_f1(table, dq, min_count, item_attrs=None):
@@ -39,9 +46,9 @@ def test_zero_when_nothing_frequent():
     """f1 == 0: no locally frequent item, zero mining mass."""
     table = make_random_table(seed=131, n_records=50)
     query = LocalizedQuery({0: frozenset({0})}, 0.9, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
     stats = _model_arm_counts(
-        query, item_tidsets, dq, dq_size, min_count=dq_size + 1
+        query, table, dq, dq_size, min_count=dq_size + 1
     )
     assert isinstance(stats, ArmModelStats)
     assert (stats.est_itemsets, stats.est_fanout) == (0.0, 0.0)
@@ -59,8 +66,8 @@ def test_single_frequent_item():
     ]).astype(np.int32)
     table = RelationalTable(Schema(attrs), data)
     query = LocalizedQuery({}, 0.9, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, {})
-    stats = _model_arm_counts(query, item_tidsets, dq, dq_size, min_count=28)
+    table, dq, dq_size = build_inputs(table, {})
+    stats = _model_arm_counts(query, table, dq, dq_size, min_count=28)
     assert stats.f1 == 1
     assert stats.est_itemsets == pytest.approx(1.0)
     assert stats.est_fanout == pytest.approx(2.0)
@@ -73,9 +80,9 @@ def test_single_frequent_item():
 def test_f1_counted_exactly():
     table = make_random_table(seed=133, n_records=60)
     query = LocalizedQuery({0: frozenset({0, 1})}, 0.4, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
     min_count = 20
-    stats = _model_arm_counts(query, item_tidsets, dq, dq_size, min_count)
+    stats = _model_arm_counts(query, table, dq, dq_size, min_count)
     f1 = exact_f1(table, dq, min_count)
     assert stats.f1 == f1
     assert stats.est_itemsets >= f1  # F1 is always included
@@ -86,12 +93,12 @@ def test_f2_f3_counted_exactly_when_sample_covers_all_items():
     """Small tables fit inside both sample caps: pairs and triples exact."""
     table = make_random_table(seed=134, n_records=80)
     query = LocalizedQuery({0: frozenset({0, 1})}, 0.3, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
     min_count = 12
-    stats = _model_arm_counts(query, item_tidsets, dq, dq_size, min_count)
+    stats = _model_arm_counts(query, table, dq, dq_size, min_count)
 
     local = [
-        mask & dq for mask in item_tidsets.values()
+        mask & dq for mask in table.item_tidsets().values()
         if (mask & dq).bit_count() >= min_count
     ]
     exact_pairs = sum(
@@ -121,10 +128,10 @@ def test_respects_item_attributes():
     restricted = LocalizedQuery(base, 0.4, 0.5,
                                 item_attributes=frozenset({1}))
     unrestricted = LocalizedQuery(base, 0.4, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, base)
-    s_restricted = _model_arm_counts(restricted, item_tidsets, dq,
+    table, dq, dq_size = build_inputs(table, base)
+    s_restricted = _model_arm_counts(restricted, table, dq,
                                      dq_size, 15)
-    s_unrestricted = _model_arm_counts(unrestricted, item_tidsets, dq,
+    s_unrestricted = _model_arm_counts(unrestricted, table, dq,
                                        dq_size, 15)
     assert s_restricted.f1 == exact_f1(table, dq, 15, item_attrs={1})
     assert s_restricted.f1 <= s_unrestricted.f1
@@ -146,8 +153,8 @@ def test_chain_lower_bound_fires_on_pure_subset():
     data[30:, :] = 1  # a second block so items are not universal
     table = RelationalTable(Schema(attrs), data)
     query = LocalizedQuery({0: frozenset({0})}, 0.5, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
-    stats = _model_arm_counts(query, item_tidsets, dq, dq_size, min_count=15)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
+    stats = _model_arm_counts(query, table, dq, dq_size, min_count=15)
     assert stats.chain_length == n_attrs
     assert stats.est_itemsets >= 2.0 ** n_attrs
     assert stats.est_fanout >= 3.0 ** n_attrs
@@ -175,9 +182,9 @@ def test_noisy_dense_core_priced_at_least_chain_bound():
     data[cluster, 0] = 0
     table = RelationalTable(Schema(attrs), data)
     query = LocalizedQuery({0: frozenset({0})}, 0.5, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
     stats = _model_arm_counts(
-        query, item_tidsets, dq, dq_size,
+        query, table, dq, dq_size,
         min_count=max(1, int(0.5 * dq_size)),
     )
     assert stats.est_fanout >= 3.0 ** min(stats.chain_length, 13)
@@ -193,9 +200,9 @@ def test_noisy_dense_core_priced_at_least_chain_bound():
 def test_monotone_in_min_count():
     table = make_random_table(seed=137, n_records=80)
     query = LocalizedQuery({0: frozenset({0, 1, 2})}, 0.3, 0.5)
-    item_tidsets, dq, dq_size = build_inputs(table, query.range_selections)
+    table, dq, dq_size = build_inputs(table, query.range_selections)
     results = [
-        _model_arm_counts(query, item_tidsets, dq, dq_size, mc)
+        _model_arm_counts(query, table, dq, dq_size, mc)
         for mc in (5, 10, 15, 20, 30)
     ]
     counts = [r.est_itemsets for r in results]
@@ -222,6 +229,6 @@ def test_clique_equivalent_size_inverts_comb():
     import math
 
     for c in (3, 5, 9, 14):
-        x = _clique_equivalent_size(float(math.comb(c, 3)), 3)
+        x = _clique_equivalent_size(float(math.comb(c, 3)))
         assert x == pytest.approx(c, abs=1e-6)
-    assert _clique_equivalent_size(0.0, 3) == 0.0
+    assert _clique_equivalent_size(0.0) == 0.0

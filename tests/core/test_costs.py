@@ -94,8 +94,8 @@ def test_supported_search_term_not_larger(setup):
     _, index = setup
     profile = profile_for(index, QUERIES[0])
     model = CostModel(index.stats)
-    assert model.est_node_accesses(profile, supported=True) <= \
-        model.est_node_accesses(profile, supported=False) + 1e-9
+    plain, supported = model.est_node_accesses(profile)
+    assert supported <= plain + 1e-9
 
 
 def test_estimate_all_returns_every_plan(setup):

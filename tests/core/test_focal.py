@@ -1,26 +1,28 @@
 """One resolution of the focal subset per request (``repro.core.focal``).
 
-The optimizer resolves ``D^Q`` for the profile, ``PlanChoice`` carries it
-and ``make_context`` adopts it — while it still describes the index — so
-a request makes one ``tids_matching``, one delta view and one main
-projection whatever plan runs; a resolution made before a mutation is
-re-made, never executed on.
+The optimizer resolves — and projects — ``D^Q`` for the profile,
+``PlanChoice`` carries it and ``make_context`` adopts it — while it still
+describes the index — so a request makes one ``tids_matching``, one delta
+view and one main projection whatever plan runs; a resolution made before
+a mutation is re-made, never executed on; and the projection ends with
+the request on every exit.
 """
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
 
 from repro import Colarm, LocalizedQuery, PlanKind, kernels
-from repro.core import costs
 from repro.core.costs import CostModel, CostWeights, QueryProfile
+from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
 from repro.core.operators import make_context
 from repro.core.plans import execute_plan
 from repro.dataset.table import RelationalTable
-from repro.serving import QueryService
+from repro.serving import QueryService, ServingConfig
 from tests.conftest import make_random_table
 
 CARDS = (4, 3, 3, 2)
@@ -188,13 +190,79 @@ def test_three_minconfs_build_one_profile(monkeypatch):
     assert len(built) == 4
 
 
+def projected(choice) -> bool:
+    """Whether the choice's subset still holds item rows, in either form."""
+    return choice.focus is not None and choice.focus._lazy[1:] != [None, None]
+
+
 def test_projection_ends_with_the_request():
     engine = make_engine(mutate=False)
     outcome = engine.query(QUERY)
     focus = outcome.choice.focus
-    assert focus is not None and focus._lazy[1] is None
+    assert focus is not None and not projected(outcome.choice)
     # Still a usable resolution: the kernel comes back on demand.
     assert focus.kernel().dq_size == outcome.dq_size
+    # The planner projects, so every way a priced choice ends releases:
+    # one nobody executes, ...
+    assert not projected(engine.choose_plan(QUERY))
+    raw = engine.optimizer.choose(
+        LocalizedQuery(QUERY.range_selections, 0.31, 0.6)
+    )
+    assert projected(raw)  # (what an un-released choice looks like)
+    # ... one handed back after a mutation re-priced the request, ...
+    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False,
+                              horizon=0)
+    mutate_region(engine, n_append=3, n_delete=0)
+    outcome = engine.query(raw.focus.query, choice=raw)
+    assert outcome.choice is not raw
+    assert not projected(raw) and not projected(outcome.choice)
+
+
+def test_projection_ends_with_a_cached_serve():
+    """A lattice-tier hit is priced in full — profile, projection — and
+    then served from the cache without executing anything."""
+    engine = make_engine(mutate=False)
+    engine.enable_cache(calibrate=False)
+    engine.query(QUERY, plan="SS-VS")  # seeds the lattice tier
+    looser = LocalizedQuery(QUERY.range_selections, QUERY.minsupp, 0.5)
+    outcome = engine.query(looser)
+    assert outcome.cached and outcome.choice.profile is not None
+    assert outcome.choice.focus is not None
+    assert not projected(outcome.choice)
+
+
+def test_projection_ends_with_a_shed_flight():
+    engine = make_engine(mutate=False)
+    priced = []
+    choose = engine.optimizer.choose
+
+    def recording(*args, **kwargs):
+        priced.append(choose(*args, **kwargs))
+        return priced[-1]
+
+    engine.optimizer.choose = recording
+
+    async def scenario():
+        # Nothing is cheap enough: admission sheds every priced request.
+        async with QueryService(
+            engine, ServingConfig(cost_ceiling=1e-12)
+        ) as service:
+            with pytest.raises(ServiceOverloadError):
+                await service.submit(QUERY)
+        # Queued, never run: the service stops without draining.  (A new
+        # floor: the first request's profile is in the memo.)
+        service = QueryService(engine)
+        other = LocalizedQuery(QUERY.range_selections, 0.31, 0.6)
+        task = asyncio.ensure_future(service.submit(other))
+        while service.n_pending != 1:
+            await asyncio.sleep(0.01)
+        assert projected(priced[-1])  # the flight will execute on it
+        await service.stop(drain=False)
+        with pytest.raises(ServiceClosedError):
+            await task
+
+    asyncio.run(scenario())
+    assert len(priced) == 2 and not any(map(projected, priced))
 
 
 @pytest.mark.parametrize("expand", [False, True], ids=["closed", "expanded"])
@@ -350,6 +418,37 @@ def test_recompaction_advice_prices_from_the_choice():
     ).recommended
 
 
+@pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
+def test_estimate_all_prices_each_plans_own_loads(mutate):
+    """Six prices from shared terms are the six load vectors priced one
+    by one — with a live delta, without, and at the CI gate's infinite
+    probe weight (where a delta-free plan must not turn ``nan``)."""
+    engine = make_engine(mutate)
+    optimizer = engine.optimizer
+    queries = (
+        QUERY,
+        LocalizedQuery({0: frozenset({1}), 2: frozenset({0, 1})}, 0.2, 0.5),
+        LocalizedQuery({1: frozenset({0, 1, 2})}, 0.3, 0.5,
+                       item_attributes=frozenset({0, 2, 3})),
+    )
+    for probe_weight in (optimizer.weights.weights["delta_probe"],
+                         float("inf")):
+        optimizer.set_weights(CostWeights(
+            {**optimizer.weights.weights, "delta_probe": probe_weight}
+        ))
+        model, weights = optimizer.cost_model, optimizer.weights
+        for query in queries:
+            profile, _focus = optimizer.profile_for(query)
+            assert (profile.delta_records > 0) == mutate
+            estimates = model.estimate_all(profile)
+            assert list(estimates) == list(PlanKind)
+            for kind in PlanKind:
+                assert estimates[kind] == weights.price(
+                    model.loads(kind, profile)
+                )
+                assert not math.isnan(estimates[kind])
+
+
 def test_pristine_index_pays_no_toll():
     engine = make_engine(mutate=False)
     advice = engine.optimizer.recompaction_advice(
@@ -358,19 +457,38 @@ def test_pristine_index_pays_no_toll():
     assert advice.toll_s == 0.0 and not advice.recommended
 
 
-def test_arm_model_reads_the_table_item_tidsets(monkeypatch):
-    """The profile takes its keyed item tidsets from the table's one
-    cache, not from a dict rebuilt per query."""
-    engine = make_engine(mutate=False)
-    seen = []
-    model_arm_counts = costs._model_arm_counts
+@pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
+@pytest.mark.parametrize("kind", [PlanKind.ARM, PlanKind.SSVS],
+                         ids=lambda k: k.value)
+def test_profile_and_execution_share_one_projection(monkeypatch, kind, mutate):
+    """The profile measures on the projection the plan then counts
+    through: one ``project_rows`` per universe and at most one read-out
+    of its rows per planned miss, and the table's ``Item``-keyed tidsets
+    are not on the request path at all."""
+    engine = make_engine(mutate)
+    steer(monkeypatch, kind)
+    calls = {"project_rows": 0, "kernel_tidsets": 0, "table_tidsets": 0}
 
-    def spy(query, item_tidsets, *rest):
-        seen.append(item_tidsets)
-        return model_arm_counts(query, item_tidsets, *rest)
+    def counted(owner, attr, key):
+        fn = getattr(owner, attr)
 
-    monkeypatch.setattr(costs, "_model_arm_counts", spy)
-    engine.optimizer.choose(QUERY)
-    engine.optimizer.choose(LocalizedQuery({1: frozenset({0})}, 0.3, 0.5))
-    assert len(seen) == 2
-    assert seen[0] is seen[1] is engine.index.table.item_tidsets()
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(kernels, "project_rows", "project_rows")
+    counted(kernels.FocalKernel, "item_tidsets", "kernel_tidsets")
+    counted(RelationalTable, "item_tidsets", "table_tidsets")
+    outcome = engine.query(QUERY)
+    assert outcome.plan is kind and outcome.choice.focus is not None
+    assert calls == {
+        "project_rows": 2 if mutate else 1,
+        "kernel_tidsets": 1,
+        "table_tidsets": 0,
+    }
+    # A memo hit resolves and projects nothing at planning time.
+    calls.update(dict.fromkeys(calls, 0))
+    choice = engine.optimizer.choose(QUERY)
+    assert choice.focus is None and not any(calls.values())

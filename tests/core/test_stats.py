@@ -83,17 +83,23 @@ def test_mip_fixed_values_matrix(setup):
             assert stats.mip_fixed_values[i, a] == fixed.get(a, -1)
 
 
+def support_order(index):
+    """The MIPs by descending global count, ties by row: the order of
+    everything per-MIP the cardinality pass reads."""
+    return sorted(index.mips, key=lambda m: (-m.global_count, m.row))
+
+
 def test_item_local_counts_matrix(setup):
     """The per-item profile is item-major: row ``j`` holds item ``j``'s
-    local count inside every MIP, contiguously."""
+    local count inside every MIP, contiguously, in support order."""
     table, index = setup
     stats = index.stats
     assert stats.item_mip_counts.shape == (len(stats.item_rows), stats.n_mips)
     assert stats.item_mip_counts.flags.c_contiguous
     for (attribute, value), row in stats.item_rows.items():
         mask = table.item_tidsets()[(attribute, value)]
-        for i, mip in enumerate(index.mips):
-            assert stats.item_mip_counts[row, i] == ts.count(
+        for p, mip in enumerate(support_order(index)):
+            assert stats.item_mip_counts[row, p] == ts.count(
                 mip.tidset & mask
             )
 
@@ -101,12 +107,36 @@ def test_item_local_counts_matrix(setup):
 def test_precomputed_fanout_and_log_counts(setup):
     _, index = setup
     stats = index.stats
+    mips = support_order(index)
+    assert stats.sorted_global_counts.tolist()[::-1] == [
+        m.global_count for m in mips
+    ]
     assert stats.mip_fanout.tolist() == [
-        2.0 ** min(m.length, 16) for m in index.mips
+        2.0 ** min(m.length, 16) for m in mips
     ]
     assert stats.mip_log_counts.tolist() == np.log(
-        np.asarray([m.global_count for m in index.mips], dtype=float)
+        np.asarray([m.global_count for m in mips], dtype=float)
     ).tolist()
+
+
+def test_support_ordered_bitsets(setup):
+    """Bit ``p`` of a value's (an attribute's free) bitset is the MIP at
+    support position ``p`` fixing the attribute to it (leaving it free)."""
+    _, index = setup
+    stats = index.stats
+    mips = support_order(index)
+    for a, card in enumerate(stats.cardinalities):
+        fixed = [
+            {item.attribute: item.value for item in m.itemset}.get(a, -1)
+            for m in mips
+        ]
+        for v in range(card):
+            assert stats.mip_value_bits[a][v] == sum(
+                1 << p for p, f in enumerate(fixed) if f == v
+            )
+        assert stats.mip_free_bits[a] == sum(
+            1 << p for p, f in enumerate(fixed) if f < 0
+        )
 
 
 def test_level_count_profile():
@@ -171,16 +201,31 @@ def scalar_statistics(index):
             fixed_values[i, item.attribute] = item.value
     out["mip_fixed_values"] = fixed_values
 
+    # Everything per MIP but the fixed-value matrix is in support order.
+    by_support = support_order(index)
     item_rows = {}
     for j, item in enumerate(sorted(item_tidsets)):
         item_rows[(item[0], item[1])] = j
     item_mip_counts = np.zeros((len(item_rows), len(mips)), dtype=np.int32)
-    for i, mip in enumerate(mips):
+    for p, mip in enumerate(by_support):
         for item, mask in item_tidsets.items():
             j = item_rows[(item[0], item[1])]
-            item_mip_counts[j, i] = (mip.tidset & mask).bit_count()
+            item_mip_counts[j, p] = (mip.tidset & mask).bit_count()
     out["item_rows"] = item_rows
     out["item_mip_counts"] = item_mip_counts
+    value_bits = [[0] * card for card in cardinalities]
+    free_bits = [0] * n_dims
+    for p, mip in enumerate(by_support):
+        for d in range(n_dims):
+            if d not in mip.fixed_attributes:
+                free_bits[d] |= 1 << p
+        for item in mip.itemset:
+            value_bits[item.attribute][item.value] |= 1 << p
+    out["mip_value_bits"] = tuple(tuple(bits) for bits in value_bits)
+    out["mip_free_bits"] = tuple(free_bits)
+    out["mip_fanout"] = np.asarray(
+        [2.0 ** min(m.length, 16) for m in by_support], dtype=float
+    )
 
     exact = index.primary_support * n_records
     floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
@@ -199,7 +244,6 @@ def scalar_statistics(index):
     out["global_pair_density"] = frequent_pairs / pairs if pairs else 0.0
 
     counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
-    out["mip_global_counts"] = counts
     out["sorted_global_counts"] = np.sort(counts)
     out["level_stats"] = tuple(
         LevelStat(

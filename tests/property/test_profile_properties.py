@@ -1,9 +1,10 @@
 """The layout-aware cardinality pass equals the pass it replaced.
 
-``costs._cardinalities`` reads the item-major statistics and runs its
-numeric steps only over the MIPs still in play;
+``costs._cardinalities`` counts bits of the support-ordered MIP bitsets
+and runs its numeric steps only over the MIPs still in play;
 ``tests/core/reference_cardinalities.py`` is the pass it replaced (every
-step over all N MIPs).  The six counts it fills must be ``==`` — not
+step over all N MIPs, boolean arrays in MIP order).  The six counts it
+fills must be ``==`` — not
 close — on random tables and queries (``item_attributes`` restrictions
 and full-domain selections included, drawn by the plan-equivalence
 strategy), with no MIPs at all, without the per-item profile, and for
@@ -23,7 +24,10 @@ from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.optimizer import ColarmOptimizer
 from repro.core.query import LocalizedQuery
-from tests.core.reference_cardinalities import reference_cardinalities
+from tests.core.reference_cardinalities import (
+    mip_order_stats,
+    reference_cardinalities,
+)
 from tests.property import test_maintenance_delta as delta_suite
 from tests.property import test_plan_equivalence as plan_suite
 
@@ -39,9 +43,12 @@ def cardinality_args(query, focus, stats):
     )
 
 
-def assert_passes_agree(query, focus, stats):
-    args = cardinality_args(query, focus, stats)
-    new, old = costs._cardinalities(*args), reference_cardinalities(*args)
+def assert_passes_agree(query, focus, stats, reference_stats):
+    """``reference_stats`` is ``stats`` in the reference's MIP order."""
+    new = costs._cardinalities(*cardinality_args(query, focus, stats))
+    old = reference_cardinalities(
+        *cardinality_args(query, focus, reference_stats)
+    )
     assert list(new) == list(old) == list(costs._CARDINALITY_FIELDS)
     assert new == old
 
@@ -53,19 +60,20 @@ def test_cardinalities_equal_reference(scenario, primary_support):
     table, query = scenario
     index = build_mip_index(table, primary_support=primary_support)
     focus = resolve_focal(index, query)
-    assert_passes_agree(query, focus, index.stats)
+    by_mip = mip_order_stats(index)
+    assert_passes_agree(query, focus, index.stats, by_mip)
     # A query with no range attribute at all bounds every MIP by |D|.
     everything = LocalizedQuery({}, query.minsupp, query.minconf,
                                 item_attributes=query.item_attributes)
     assert_passes_agree(everything, resolve_focal(index, everything),
-                        index.stats)
+                        index.stats, by_mip)
     # Without the per-item profile both take the distribution fallback.
     bare = dataclasses.replace(
         index.stats,
         item_rows={},
         item_mip_counts=np.zeros((0, index.n_mips), dtype=np.int32),
     )
-    assert_passes_agree(query, focus, bare)
+    assert_passes_agree(query, focus, bare, bare)
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +104,12 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
         focus.delta.dq_size if focus.delta is not None else 0
     )
     real = costs._cardinalities
-    costs._cardinalities = reference_cardinalities
+    by_mip = mip_order_stats(mx.index)
+
+    def reference(query, focal, _stats, *rest):
+        return reference_cardinalities(query, focal, by_mip, *rest)
+
+    costs._cardinalities = reference
     try:
         expected = QueryProfile.from_query(query, focus, mx.index.stats)
     finally:

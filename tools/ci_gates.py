@@ -60,7 +60,9 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
 
     ``planning_share`` holds the optimizer to its own budget: per
     scenario, one un-memoized ``choose()`` over ``choose()`` plus the
-    measured time of the plan it chose, the median over the scenarios.
+    plan it chose, timed as a request runs them — the plan adopts the
+    projection ``choose()`` built, so the projection counts once, as
+    planning — the median over the scenarios.
     A planner that re-derives what the execution derives anyway (or a
     profile that stops being a pass over precomputed statistics) shows
     up here while every accuracy number stays put.

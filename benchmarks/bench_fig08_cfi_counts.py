@@ -16,23 +16,16 @@ from repro.itemsets.charm import charm
 from repro.workloads.experiments import EXPERIMENTS
 
 
-@pytest.mark.parametrize("miner_name", ["charm", "dcharm"])
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_fig08_charm_at_primary_threshold(benchmark, name, miner_name):
-    """Time the offline closed-itemset run at the primary threshold.
-
-    Benchmarks both the tidset miner (CHARM) and the diffset variant
-    (dCHARM) — the offline cost Figure 8's x-axis trades against.
-    """
-    from repro.itemsets.dcharm import dcharm
-
+def test_fig08_charm_at_primary_threshold(benchmark, name):
+    """Time the offline closed-itemset run (CHARM) at the primary
+    threshold — the offline cost Figure 8's x-axis trades against."""
     spec = EXPERIMENTS[name]
     table = spec.make_table()
     tidsets = table.item_tidsets()  # warm the per-item tidsets first
-    miner = charm if miner_name == "charm" else dcharm
 
     closed = benchmark.pedantic(
-        miner, args=(tidsets, table.n_records, spec.primary_support),
+        charm, args=(tidsets, table.n_records, spec.primary_support),
         rounds=3, iterations=1,
     )
     assert len(closed) > 0

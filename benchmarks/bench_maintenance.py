@@ -1,19 +1,15 @@
-"""MAINT — array-native ingest-while-serving vs scalar delta and rebuild.
+"""MAINT — array-native ingest-while-serving vs rebuild-per-batch.
 
 Models the workload the delta store exists for: a *Zipf-distributed
 query stream* served while record batches keep arriving.  Each round
 appends a batch (plus a couple of deletes), then serves a burst of
-Zipf-drawn queries from a fixed pool; the same episode is priced three
+Zipf-drawn queries from a fixed pool; the same episode is priced two
 ways:
 
 * **array** — the maintained kernel path (``MaintainedIndex.query``):
   vectorized batch append, then stored∩D^Q counts off the flat R-tree
   and the batched AND+popcount kernels with vectorized delta
   corrections;
-* **scalar** — the same maintained state served through
-  ``MaintainedIndex.query_scalar``: per-item big-int ANDs over main plus
-  a per-record Python loop over the matching delta rows (the
-  pre-kernel baseline the refactor removed);
 * **rebuild** — no delta store at all: a from-scratch
   ``build_mip_index`` over the live records every round, then kernel
   serves against the fresh index (the freshness-equivalent strategy
@@ -26,7 +22,7 @@ that asymmetry is the point of the delta store.  Before timing is
 trusted, every coverage-guaranteed pool query served off main+delta is
 asserted **byte-identical** (expanded mode) to the fresh rebuild of the
 live records.  The acceptance bar is a >= 2x geometric-mean round
-speedup of the array path over *both* baselines per dataset.  Results
+speedup of the array path over rebuild-per-batch per dataset.  Results
 land in ``benchmarks/results/maintenance_speedup.csv`` plus the
 top-level ``BENCH_maintenance.json``.  Run as a pytest test or
 directly::
@@ -156,13 +152,6 @@ def run_bench(seed: int = 13) -> dict:
                     mx.query(pool[qi])
                 array_serve_s = time.perf_counter() - t0
 
-            # -- scalar path: same maintained state, scalar serves -----
-            with paused_gc():
-                t0 = time.perf_counter()
-                for qi in draws:
-                    mx.query_scalar(pool[qi])
-                scalar_serve_s = time.perf_counter() - t0
-
             # -- rebuild path: fresh index over the live records -------
             live = np.asarray(
                 [r for r, ok in zip(rows, alive) if ok],
@@ -203,7 +192,6 @@ def run_bench(seed: int = 13) -> dict:
                 )
 
             array_s = append_s + array_serve_s
-            scalar_s = append_s + scalar_serve_s
             rebuild_s = rebuild_build_s + rebuild_serve_s
             records.append({
                 "dataset": dataset,
@@ -213,10 +201,8 @@ def run_bench(seed: int = 13) -> dict:
                 "n_queries": len(draws),
                 "append_s": append_s,
                 "array_serve_s": array_serve_s,
-                "scalar_serve_s": scalar_serve_s,
                 "rebuild_build_s": rebuild_build_s,
                 "rebuild_serve_s": rebuild_serve_s,
-                "speedup_vs_scalar": scalar_s / array_s,
                 "speedup_vs_rebuild": rebuild_s / array_s,
             })
 
@@ -238,26 +224,22 @@ def _geomean(values) -> float:
 def write_results(out: dict) -> None:
     records = out["series"]
     headers = ["dataset", "round", "main", "delta", "queries", "append_ms",
-               "array_ms", "scalar_ms", "rebuild_ms", "vs_scalar",
-               "vs_rebuild"]
+               "array_ms", "rebuild_ms", "vs_rebuild"]
     rows = [
         [r["dataset"], r["round"], r["n_main"], r["n_delta"], r["n_queries"],
          f"{r['append_s'] * 1e3:.2f}",
          f"{(r['append_s'] + r['array_serve_s']) * 1e3:.1f}",
-         f"{(r['append_s'] + r['scalar_serve_s']) * 1e3:.1f}",
          f"{(r['rebuild_build_s'] + r['rebuild_serve_s']) * 1e3:.1f}",
-         f"{r['speedup_vs_scalar']:.1f}x", f"{r['speedup_vs_rebuild']:.1f}x"]
+         f"{r['speedup_vs_rebuild']:.1f}x"]
         for r in records
     ]
-    print("\nMAINT — array-native ingest-while-serving vs scalar and rebuild")
+    print("\nMAINT — array-native ingest-while-serving vs rebuild-per-batch")
     print(format_table(headers, rows))
     for dataset in DATASETS:
         cells = [r for r in records if r["dataset"] == dataset]
         ident = out["identity"][dataset]
         print(
             f"  {dataset}: geomean "
-            f"{_geomean([r['speedup_vs_scalar'] for r in cells]):.1f}x vs "
-            f"scalar, "
             f"{_geomean([r['speedup_vs_rebuild'] for r in cells]):.1f}x vs "
             f"rebuild-per-batch over {len(cells)} rounds; identity "
             f"{ident['covered'] - ident['mismatches']}/{ident['covered']} "
@@ -296,14 +278,9 @@ def test_maintenance_speedup():
         assert ident["mismatches"] == 0, (
             f"{ident['mismatches']} diverging serves on {dataset}"
         )
-        # Acceptance bar: >= 2x geomean round speedup over the scalar
-        # main+delta path AND over rebuild-per-batch.
-        vs_scalar = _geomean([r["speedup_vs_scalar"] for r in cells])
+        # Acceptance bar: >= 2x geomean round speedup over
+        # rebuild-per-batch.
         vs_rebuild = _geomean([r["speedup_vs_rebuild"] for r in cells])
-        assert vs_scalar >= MIN_SPEEDUP, (
-            f"array path {vs_scalar:.2f}x < {MIN_SPEEDUP}x vs scalar "
-            f"on {dataset}"
-        )
         assert vs_rebuild >= MIN_SPEEDUP, (
             f"array path {vs_rebuild:.2f}x < {MIN_SPEEDUP}x vs "
             f"rebuild-per-batch on {dataset}"

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.mipindex import MIPIndex
-from repro.core.operators import make_context, op_search
+from repro.core.operators import make_context, op_search, op_supported_verify
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
-from repro.itemsets.itemset import Itemset
-from repro.itemsets.rules import Rule, generate_rules
+from repro.itemsets.rules import RuleBlock
 
 __all__ = ["ParameterGrid", "explore_parameter_space"]
 
@@ -38,7 +39,7 @@ class ParameterGrid:
     minsupps: tuple[float, ...]
     minconfs: tuple[float, ...]
     counts: tuple[tuple[int, ...], ...]
-    rules: tuple[Rule, ...]  # all candidate rules with their exact stats
+    rules: RuleBlock  # all candidate rules with their exact stats
 
     def count_at(self, minsupp: float, minconf: float) -> int:
         """Rules output at an exact grid cell."""
@@ -78,7 +79,7 @@ def explore_parameter_space(
     ``base_query`` supplies the range selections and item attributes; its
     own thresholds are ignored.  All candidate rules are generated once at
     the loosest cell and bucketed into the grid by their exact (support,
-    confidence) — one pass instead of ``len(grid)`` plan executions.
+    confidence) — one plan execution instead of ``len(grid)``.
 
     Exact for every cell with
     ``minsupp >= primary_support * |D| / |D^Q|`` (the POQM floor); looser
@@ -104,34 +105,15 @@ def explore_parameter_space(
             "with a lower primary support or raise the grid"
         )
 
-    candidates = op_search(ctx)
-    cache: dict[Itemset, int | None] = {}
-
-    def local_count(items: Itemset) -> int | None:
-        if items not in cache:
-            cache[items] = ctx.index.ittree.local_support_count(items, ctx.dq)
-        return cache[items]
-
-    rules: list[Rule] = []
-    for mip, _overlap in candidates:
-        if not ctx.aitem_allows(mip.itemset):
-            continue
-        local = mip.local_count(ctx.dq)
-        if local < ctx.min_count:
-            continue
-        cache[mip.itemset] = local
-        rules.extend(
-            generate_rules(mip.itemset, local_count, ctx.dq_size, minconfs[0])
-        )
-
+    # The loosest cell's answer, every rule with its exact statistics;
+    # a tighter cell's is the part of it over both thresholds.
+    rules = op_supported_verify(ctx, op_search(ctx))
     counts = tuple(
         tuple(
-            sum(
-                1
-                for rule in rules
-                if rule.support >= minsupp - 1e-12
-                and rule.confidence >= minconf - 1e-12
-            )
+            int(np.count_nonzero(
+                (rules.support >= minsupp - 1e-12)
+                & (rules.confidence >= minconf - 1e-12)
+            ))
             for minconf in minconfs
         )
         for minsupp in minsupps
@@ -140,5 +122,5 @@ def explore_parameter_space(
         minsupps=minsupps,
         minconfs=minconfs,
         counts=counts,
-        rules=tuple(rules),
+        rules=rules,
     )

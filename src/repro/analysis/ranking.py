@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro import tidset as ts
+from repro import kernels, tidset as ts
 from repro.core.mipindex import MIPIndex
 from repro.errors import QueryError
 from repro.itemsets import measures
 from repro.itemsets.measures import RuleStats
-from repro.itemsets.rules import Rule
+from repro.itemsets.rules import Rule, RuleBlock, split_counts
 
 __all__ = ["localized_rule_stats", "rank_rules", "MEASURES"]
 
@@ -33,23 +33,31 @@ MEASURES: dict[str, Callable[[RuleStats], float]] = {
 }
 
 
+def _block_stats(index: MIPIndex, block: RuleBlock, dq: int) -> list[RuleStats]:
+    """The contingency counts of every rule of ``block`` inside ``dq``."""
+    table = index.table
+    n = ts.count(dq)
+    kernel = kernels.FocalKernel.project(
+        table.schema.n_items,
+        [(table.item_matrix()[0], table.item_ids(),
+          kernels.pack(dq, index.tidset_words), n)],
+    )
+    return [
+        RuleStats(n=n, n_xy=n_xy, n_x=n_x, n_y=n_y)
+        for n_xy, n_x, n_y in zip(
+            *(c.tolist() for c in split_counts(block, kernel, table.schema))
+        )
+    ]
+
+
 def localized_rule_stats(index: MIPIndex, rule: Rule, dq: int) -> RuleStats:
     """Exact contingency counts of a rule inside a focal tidset.
 
-    Counts come from IT-tree closure lookups intersected with ``dq``; a
-    rule whose parts fall below the index's primary floor cannot be
-    evaluated and raises :class:`QueryError`.
+    Counted over the table's item rows projected onto ``dq``, so any rule
+    can be evaluated — also one an ARM-plan answer holds whose parts lie
+    below the index's primary floor.
     """
-    n = ts.count(dq)
-    n_xy = index.ittree.local_support_count(rule.items, dq)
-    n_x = index.ittree.local_support_count(rule.antecedent, dq)
-    n_y = index.ittree.local_support_count(rule.consequent, dq)
-    if n_xy is None or n_x is None or n_y is None:
-        raise QueryError(
-            "rule parts below the index's primary floor; cannot evaluate "
-            "measures from the MIP-index"
-        )
-    return RuleStats(n=n, n_xy=n_xy, n_x=n_x, n_y=n_y)
+    return _block_stats(index, RuleBlock.from_rules([rule]), dq)[0]
 
 
 def rank_rules(
@@ -73,8 +81,10 @@ def rank_rules(
             ) from None
     else:
         fn = measure
+    block = rules if isinstance(rules, RuleBlock) else RuleBlock.from_rules(rules)
     scored = [
-        (rule, fn(localized_rule_stats(index, rule, dq))) for rule in rules
+        (rule, fn(stats))
+        for rule, stats in zip(block, _block_stats(index, block, dq))
     ]
     scored.sort(key=lambda rs: (-rs[1], rs[0].antecedent, rs[0].consequent))
     return scored[:top_k] if top_k is not None else scored

@@ -12,15 +12,18 @@ Two questions from the paper's evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 
-from repro import tidset as ts
+import numpy as np
+
+from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.operators import make_context, op_eliminate, op_search
+from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
-from repro.itemsets.apriori import min_count_for
-from repro.itemsets.itemset import Itemset
-from repro.itemsets.rules import Rule, generate_rules
+from repro.itemsets.itemset import Itemset, min_count_for
+from repro.itemsets.rules import Rule, split_counts
 
 __all__ = [
     "LocalGlobalItemsets",
@@ -104,45 +107,22 @@ def find_rule_flips(
     """Rules confident in exactly one of the two contexts.
 
     Returns localized rules passing ``minconf`` locally whose global
-    confidence misses it by at least ``margin``, plus (as negative
-    ``local_confidence`` evidence) global rules that fail locally.  Sorted
-    by the size of the confidence gap, largest first.
+    confidence misses it by at least ``margin``.  Sorted by the size of
+    the confidence gap, largest first (ties in rule order).
     """
-    ctx = make_context(index, query)
-    candidates = op_search(ctx)
-    qualified = op_eliminate(ctx, candidates)
-    full = ts.full(index.table.n_records)
-
-    def local_count(items: Itemset) -> int | None:
-        return index.ittree.local_support_count(items, ctx.dq)
-
-    def global_count(items: Itemset) -> int | None:
-        return index.ittree.local_support_count(items, full)
-
-    flips: list[RuleFlip] = []
-    seen: set[tuple[Itemset, Itemset]] = set()
-    for mip, _local in qualified:
-        local_rules = generate_rules(
-            mip.itemset, local_count, ctx.dq_size, query.minconf
+    rules = execute_plan(PlanKind.SEV, index, query).rules
+    both, antecedent, _ = split_counts(
+        rules, _whole_table(index, query).kernel(), index.table.schema
+    )
+    # Where a rule holds locally its antecedent occurs, so also globally.
+    global_confidence = both / antecedent
+    flips = [
+        RuleFlip(rule, global_, rule.confidence)
+        for rule, global_ in compress(
+            zip(rules, global_confidence.tolist()),
+            global_confidence < query.minconf - margin,
         )
-        for rule in local_rules:
-            key = (rule.antecedent, rule.consequent)
-            if key in seen:
-                continue
-            seen.add(key)
-            g_itemset = global_count(rule.items)
-            g_antecedent = global_count(rule.antecedent)
-            if not g_antecedent:
-                continue
-            g_conf = (g_itemset or 0) / g_antecedent
-            if g_conf < query.minconf - margin:
-                flips.append(
-                    RuleFlip(
-                        rule=rule,
-                        global_confidence=g_conf,
-                        local_confidence=rule.confidence,
-                    )
-                )
+    ]
     flips.sort(key=lambda f: -(f.local_confidence - f.global_confidence))
     return flips
 
@@ -162,45 +142,30 @@ def find_vanishing_rules(
     keeps those whose *local* confidence misses ``minconf`` by at least
     ``margin`` (rules whose antecedent never occurs locally are skipped —
     they neither hold nor fail there).  Sorted by confidence drop,
-    largest first.
+    largest first (ties in rule order).
     """
-    ctx = make_context(index, query)
-    full = ts.full(index.table.n_records)
-
-    def global_count(items: Itemset) -> int | None:
-        return index.ittree.local_support_count(items, full)
-
-    def local_count(items: Itemset) -> int | None:
-        return index.ittree.local_support_count(items, ctx.dq)
-
-    global_floor = min_count_for(global_minsupp, index.table.n_records)
-    flips: list[RuleFlip] = []
-    seen: set[tuple[Itemset, Itemset]] = set()
-    for mip in index.mips:
-        if mip.global_count < global_floor:
-            continue
-        if query.item_attributes is not None and not all(
-            item.attribute in query.item_attributes for item in mip.itemset
-        ):
-            continue
-        for rule in generate_rules(
-            mip.itemset, global_count, index.table.n_records, query.minconf
-        ):
-            key = (rule.antecedent, rule.consequent)
-            if key in seen:
-                continue
-            seen.add(key)
-            l_antecedent = local_count(rule.antecedent)
-            if not l_antecedent:
-                continue  # the rule is vacuous in this subset
-            l_conf = (local_count(rule.items) or 0) / l_antecedent
-            if l_conf < query.minconf - margin:
-                flips.append(
-                    RuleFlip(
-                        rule=rule,
-                        global_confidence=rule.confidence,
-                        local_confidence=l_conf,
-                    )
-                )
+    local = make_context(index, query).focus
+    everything = _whole_table(index, replace(query, minsupp=global_minsupp))
+    rules = execute_plan(
+        PlanKind.SEV, index, everything.query, focus=everything
+    ).rules
+    both, antecedent, _ = split_counts(
+        rules, local.kernel(), index.table.schema
+    )
+    occurs = antecedent > 0
+    local_confidence = both / np.where(occurs, antecedent, 1)
+    flips = [
+        RuleFlip(rule, rule.confidence, local_)
+        for rule, local_ in compress(
+            zip(rules, local_confidence.tolist()),
+            occurs & (local_confidence < query.minconf - margin),
+        )
+    ]
     flips.sort(key=lambda f: -(f.global_confidence - f.local_confidence))
     return flips
+
+
+def _whole_table(index: MIPIndex, query: LocalizedQuery) -> FocalSubset:
+    """``query`` asked of every record: the global context is the focal
+    subset no range selects from."""
+    return resolve_focal(index, replace(query, range_selections={}))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro import tidset as ts
 from repro.cache import (
     ARM_FAMILY,
     MIP_FAMILY,
@@ -47,8 +46,8 @@ from repro.core.parser import parse_query
 from repro.core.plans import PlanKind, PlanResult, execute_plan, plan_from_name
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
-from repro.itemsets.apriori import min_count_for
-from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
+from repro.itemsets.itemset import min_count_for
+from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm"]
@@ -566,25 +565,19 @@ class Colarm:
 
     # -- convenience: global rules ------------------------------------------------
 
-    def global_rules(self, minsupp: float, minconf: float) -> list[Rule]:
+    def global_rules(self, minsupp: float, minconf: float) -> RuleBlock:
         """Classic *global* rules straight from the stored closed itemsets.
 
         The baseline analysts start from; comparing these against localized
         query results is how Simpson's-paradox effects are surfaced
-        (Section 5.3 / :mod:`repro.analysis.simpson`).
+        (Section 5.3 / :mod:`repro.analysis.simpson`).  The whole table is
+        the focal subset no range selects from, so this is that localized
+        query's answer.
         """
-        full = ts.full(self.table.n_records)
-
-        def global_count(items):
-            return self.index.ittree.local_support_count(items, full)
-
-        return rules_from_itemsets(
-            [mip.itemset for mip in self.index.mips],
-            global_count,
-            self.table.n_records,
-            minsupp,
-            minconf,
+        everything = LocalizedQuery(
+            range_selections={}, minsupp=minsupp, minconf=minconf
         )
+        return execute_plan(PlanKind.SSVS, self.index, everything).rules
 
 
 def _family(kind: PlanKind) -> str:

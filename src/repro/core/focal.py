@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import kernels, tidset as ts
 from repro.core.query import FocalRange, LocalizedQuery
-from repro.itemsets.apriori import min_count_for
+from repro.itemsets.itemset import min_count_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.core.maintenance import DeltaView, MaintainedIndex

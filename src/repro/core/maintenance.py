@@ -69,12 +69,10 @@ from repro import kernels, tidset as ts
 from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex, build_mip_index
 from repro.core.plans import PlanKind, execute_plan
-from repro.core.query import LocalizedQuery, Overlap
+from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError
-from repro.itemsets.apriori import min_count_for
-from repro.itemsets.itemset import Itemset, make_itemset
-from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
+from repro.itemsets.rules import RuleBlock
 
 __all__ = ["DeltaBuffer", "DeltaView", "MaintainedIndex"]
 
@@ -703,91 +701,3 @@ class MaintainedIndex:
         return execute_plan(
             plan, self.index, query, expand=expand, delta=self, focus=focus
         ).rules
-
-    def query_scalar(
-        self, query: LocalizedQuery, expand: bool = False
-    ) -> list[Rule]:
-        """The pre-kernel scalar main+delta path, kept as the oracle and
-        benchmark baseline.
-
-        Candidate itemsets come from a scan of the main index's MIPs,
-        each box classified against the focal region — no R-tree, so the
-        oracle shares no SEARCH code with the path it checks; every
-        support count is a per-item big-int AND over the live main
-        focal tidset **plus a per-record Python loop** over the matching
-        delta records — the cliff the array-native path removes.  Rule
-        *statistics* are exact; output agrees with :meth:`query` under
-        the coverage guarantee.
-        """
-        query.validate_against(self.schema)
-        focal = query.focal_range(self.index.cardinalities)
-        dq_main = (
-            self.index.table.tids_matching(query.range_selections)
-            & ~self._main_dead
-        )
-        live = self._buffer.live_bool()
-        delta_rows = [
-            row
-            for row, alive in zip(self._buffer.data[: self._buffer.n_rows], live)
-            if alive
-            and all(
-                int(row[ai]) in values
-                for ai, values in query.range_selections.items()
-            )
-        ]
-        dq_size = ts.count(dq_main) + len(delta_rows)
-        if dq_size == 0:
-            return []
-        min_count = min_count_for(query.minsupp, dq_size)
-        item_tidsets = self.index.table.item_tidsets()
-
-        def delta_count(items: Itemset) -> int:
-            return sum(
-                1
-                for row in delta_rows
-                if all(row[item.attribute] == item.value for item in items)
-            )
-
-        cache: dict[Itemset, int] = {}
-
-        def local_count(items: Itemset) -> int:
-            if items not in cache:
-                mask = dq_main
-                for item in items:
-                    mask &= item_tidsets.get(item, 0)
-                    if not mask:
-                        break
-                cache[items] = ts.count(mask) + delta_count(items)
-            return cache[items]
-
-        candidates: list[Itemset] = []
-        for mip in self.index.mips:
-            if focal.classify(mip.box) is Overlap.DISJOINT:
-                continue
-            if not expand and query.item_attributes is not None and not all(
-                item.attribute in query.item_attributes
-                for item in mip.itemset
-            ):
-                continue
-            if local_count(mip.itemset) >= min_count:
-                candidates.append(mip.itemset)
-        if not expand:
-            sources: list[Itemset] = candidates
-        else:
-            family: set[Itemset] = set()
-            for itemset in candidates:
-                allowed = make_itemset(
-                    item
-                    for item in itemset
-                    if query.item_attributes is None
-                    or item.attribute in query.item_attributes
-                )
-                n = len(allowed)
-                for mask in range(1, 1 << n):
-                    family.add(
-                        tuple(allowed[i] for i in range(n) if mask >> i & 1)
-                    )
-            sources = sorted(family)
-        return rules_from_itemsets(
-            sources, local_count, dq_size, query.minsupp, query.minconf
-        )

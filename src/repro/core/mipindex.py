@@ -3,9 +3,12 @@
 Offline preprocessing in one call: run CHARM at the primary support
 threshold, turn every closed frequent itemset into a
 :class:`~repro.core.mip.MIP`, pack the boxes (with their global counts)
-into a :class:`~repro.rtree.supported.SupportedRTree`, store the itemsets
-in a :class:`~repro.itemsets.ittree.ClosedITTree`, and gather the index
-statistics the optimizer consumes.
+into a :class:`~repro.rtree.supported.SupportedRTree`, and gather the
+index statistics the optimizer consumes.  The second level's role — the
+exact local support of any stored itemset — is served by the table's
+packed item rows and ``stats.mip_fixed_values`` (an itemset per row):
+one AND + popcount through :class:`repro.kernels.FocalKernel`, so no
+closed IT-tree is built or carried.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.core.stats import IndexStatistics, gather_statistics
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError
 from repro.itemsets.charm import ClosedItemset, charm
-from repro.itemsets.ittree import ClosedITTree
 from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatRTree
 from repro.rtree.supported import SupportedRTree
 
@@ -56,7 +58,6 @@ class MIPIndex:
     primary_support: float
     mips: tuple[MIP, ...]
     rtree: SupportedRTree
-    ittree: ClosedITTree
     stats: IndexStatistics
     clock: GenerationClock = field(
         default_factory=GenerationClock, repr=False, compare=False
@@ -175,7 +176,6 @@ def build_mip_index(
         rtree = SupportedRTree.build(*boxes, max_entries)
     else:
         rtree.flat.verify(*boxes)
-    ittree = ClosedITTree(closed)
     # Packed once: the statistics count through it, and the index keeps it
     # so the first online ELIMINATE does not pay the packing cost.
     mip_matrix = _pack_mip_tidsets(mips, kernels.n_words(table.n_records))
@@ -193,7 +193,6 @@ def build_mip_index(
         primary_support=primary_support,
         mips=mips,
         rtree=rtree,
-        ittree=ittree,
         stats=stats,
     )
     index.__dict__["mip_tidset_matrix"] = mip_matrix

@@ -7,7 +7,7 @@ operators with precise inputs and outputs:
 * SEARCH            — R-tree window search for overlapping MIPs;
 * SUPPORTED-SEARCH  — SEARCH with the supported R-tree filter (Lemma 4.4);
 * ELIMINATE         — record-level ``Aitem`` + minsupp filtering;
-* VERIFY            — rule generation + minconf checks via the IT-tree;
+* VERIFY            — rule generation + minconf checks over the item rows;
 * SUPPORTED-VERIFY  — ELIMINATE and VERIFY interleaved (selection push-up);
 * UNION             — merge contained and partially-overlapped candidates;
 * ARM               — traditional from-scratch mining on the focal subset.
@@ -50,14 +50,8 @@ from repro.core.mipindex import MIPIndex
 from repro.core.query import FocalRange, LocalizedQuery, Overlap
 from repro.errors import QueryError
 from repro.itemsets.charm import closed_masks
-from repro.itemsets.itemset import Itemset, make_itemset
-from repro.itemsets.rules import (
-    Rule,
-    RuleBlock,
-    generate_rules,
-    rules_from_itemsets,
-    rules_from_subset_lattices,
-)
+from repro.itemsets.itemset import Itemset
+from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 __all__ = [
     "OperatorTrace",
@@ -525,7 +519,8 @@ def qualified_from_contained(
 
 
 def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
-    """VERIFY: rule generation and minconf checks over the IT-tree."""
+    """VERIFY: rule generation and minconf checks, every support counted
+    over the focal-projected item rows (the paper's IT-tree lookups)."""
     start = time.perf_counter()
     projection_before = ctx.projection_s
     rules, lookups, kernel_s = _rules_from_qualified(ctx, qualified)
@@ -672,70 +667,6 @@ def _rules_from_sources(
         min_count=ctx.min_count if ctx.expand else None,
     )
     return rules, groups, evaluations, kernel_s
-
-
-def _rules_from_qualified_reference(
-    ctx: QueryContext, qualified: QualifiedArray
-) -> tuple[list[Rule], int]:
-    """The scalar reference path: memoized big-int AND chain per lookup.
-
-    Kept verbatim as the parity oracle for the batched kernel path — the
-    property suite and the rule-generation benchmark assert byte-identical
-    rule sets between the two — and as the fallback semantics
-    documentation: equivalent to the IT-tree closure lookup of
-    ``ClosedITTree.local_support_count`` for every itemset above the
-    primary floor, and exact below it too.
-    """
-    item_tidsets = ctx.index.table.item_tidsets()
-    cache: dict[Itemset, int | None] = {}
-    lookups = 0
-    for mip, local in qualified:
-        cache[mip.itemset] = local
-
-    def local_count(items: Itemset) -> int | None:
-        nonlocal lookups
-        if items in cache:
-            return cache[items]
-        lookups += 1
-        mask = ctx.dq
-        for item in items:
-            mask &= item_tidsets.get(item, 0)
-            if not mask:
-                break
-        count_ = mask.bit_count()
-        cache[items] = count_
-        return count_
-
-    if not ctx.expand:
-        rules: list[Rule] = []
-        for mip, _local in qualified:
-            rules.extend(
-                generate_rules(
-                    mip.itemset, local_count, ctx.dq_size, ctx.query.minconf
-                )
-            )
-        rules.sort(key=lambda r: (r.antecedent, r.consequent))
-        return rules, lookups
-
-    family: set[Itemset] = set()
-    for mip, _local in qualified:
-        allowed = make_itemset(
-            item
-            for item in mip.itemset
-            if ctx.query.item_attributes is None
-            or item.attribute in ctx.query.item_attributes
-        )
-        n = len(allowed)
-        for mask in range(1, 1 << n):
-            family.add(tuple(allowed[i] for i in range(n) if mask >> i & 1))
-    rules = rules_from_itemsets(
-        sorted(family),
-        local_count,
-        ctx.dq_size,
-        ctx.query.minsupp,
-        ctx.query.minconf,
-    )
-    return rules, lookups
 
 
 # ---------------------------------------------------------------------------

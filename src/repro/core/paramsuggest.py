@@ -22,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import tidset as ts
+from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
+from repro.core.operators import mip_sources
+from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Item
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
-from repro.itemsets.rules import generate_rules
+from repro.itemsets.itemset import min_count_for
+from repro.itemsets.rules import rules_from_subset_lattices
 
 __all__ = ["RangeSuggestion", "suggest_minsupp", "suggest_minconf", "suggest_ranges"]
 
@@ -71,20 +74,21 @@ def suggest_minconf(index: MIPIndex, target_fraction: float = 0.25,
     """A minconf passing ~``target_fraction`` of rules off stored itemsets."""
     if not 0.0 < target_fraction <= 1.0:
         raise QueryError("target_fraction must be in (0, 1]")
-    full = ts.full(index.table.n_records)
-
-    def global_count(items):
-        return index.ittree.local_support_count(items, full)
-
-    confidences: list[float] = []
-    for mip in index.mips[:sample]:
-        for rule in generate_rules(
-            mip.itemset, global_count, index.table.n_records, 0.0
-        ):
-            confidences.append(rule.confidence)
-    if not confidences:
+    # Every split of the first ``sample`` stored itemsets, counted in the
+    # whole table: the focal subset no range selects from.
+    everything = resolve_focal(
+        index, LocalizedQuery({}, minsupp=index.primary_support, minconf=0.0)
+    )
+    sources, widths = mip_sources(index, np.arange(min(sample, index.n_mips)))
+    confidences = rules_from_subset_lattices(
+        everything.kernel().count_subset_lattice(sources[widths >= 2]),
+        everything.dq_size,
+        0.0,
+        schema=index.table.schema,
+    ).confidence
+    if not len(confidences):
         return 0.5
-    return float(np.quantile(np.asarray(confidences), 1.0 - target_fraction))
+    return float(np.quantile(confidences, 1.0 - target_fraction))
 
 
 def suggest_ranges(

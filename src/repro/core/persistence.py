@@ -38,9 +38,8 @@ from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Item, Schema
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError, IndexError_
-from repro.itemsets.apriori import min_count_for
 from repro.itemsets.charm import ClosedItemset
-from repro.itemsets.itemset import make_itemset
+from repro.itemsets.itemset import make_itemset, min_count_for
 from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import FlatRTree
 from repro.rtree.supported import SupportedRTree

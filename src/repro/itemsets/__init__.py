@@ -1,21 +1,17 @@
-"""Frequent/closed itemset mining, the closed IT-tree, rules and measures."""
+"""Closed itemset mining, rules and measures."""
 
-from repro.itemsets.apriori import FrequentItemset, apriori, min_count_for
 from repro.itemsets.charm import ClosedItemset, charm
-from repro.itemsets.dcharm import dcharm
-from repro.itemsets.eclat import eclat
-from repro.itemsets.fpgrowth import fpgrowth
 from repro.itemsets.itemset import (
     Itemset,
     attributes_of,
     is_subset_itemset,
     make_itemset,
+    min_count_for,
     proper_subsets,
     union_itemsets,
 )
-from repro.itemsets.ittree import ClosedITTree
 from repro.itemsets.measures import RuleStats, evaluate_all
-from repro.itemsets.rules import Rule, generate_rules, rules_from_itemsets
+from repro.itemsets.rules import Rule, RuleBlock, rules_from_subset_lattices
 
 __all__ = [
     "Itemset",
@@ -24,18 +20,12 @@ __all__ = [
     "is_subset_itemset",
     "attributes_of",
     "proper_subsets",
-    "FrequentItemset",
-    "apriori",
     "min_count_for",
-    "eclat",
-    "fpgrowth",
     "ClosedItemset",
     "charm",
-    "dcharm",
-    "ClosedITTree",
     "Rule",
-    "generate_rules",
-    "rules_from_itemsets",
+    "RuleBlock",
+    "rules_from_subset_lattices",
     "RuleStats",
     "evaluate_all",
 ]

@@ -29,8 +29,7 @@ from operator import attrgetter
 
 from repro import tidset as ts
 from repro.dataset.schema import Item
-from repro.itemsets.apriori import min_count_for
-from repro.itemsets.itemset import Itemset
+from repro.itemsets.itemset import Itemset, min_count_for
 
 __all__ = ["ClosedItemset", "charm", "closed_masks"]
 

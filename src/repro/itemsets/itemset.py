@@ -15,6 +15,7 @@ from repro.errors import DataError
 
 __all__ = [
     "Itemset",
+    "min_count_for",
     "make_itemset",
     "union_itemsets",
     "is_subset_itemset",
@@ -24,6 +25,22 @@ __all__ = [
 
 #: An itemset is a sorted tuple of items; the empty tuple is the empty itemset.
 Itemset = tuple[Item, ...]
+
+
+def min_count_for(minsupp: float, n_records: int) -> int:
+    """Absolute support count threshold for a relative ``minsupp``.
+
+    An itemset is frequent iff its count is at least
+    ``ceil(minsupp * n_records)`` (and at least 1 — empty support never
+    counts as frequent).
+    """
+    if not 0.0 <= minsupp <= 1.0:
+        raise DataError(f"minsupp must be in [0, 1], got {minsupp}")
+    exact = minsupp * n_records
+    threshold = int(exact)
+    if threshold < exact:
+        threshold += 1
+    return max(threshold, 1)
 
 
 def make_itemset(items: Iterable[Item]) -> Itemset:

@@ -1,23 +1,20 @@
-"""Association-rule generation with confidence pruning.
+"""Association rules: the columnar rule list and its extraction.
 
-Rules are generated from itemsets by the classic Agrawal-Srikant consequent
-growth: for an itemset ``I``, confidence of ``X => I\\X`` only drops as the
-antecedent ``X`` shrinks (its support grows), so once a consequent fails
-``minconf`` all of its supersets can be pruned.
-
-Support lookups are abstracted behind a ``support_fn`` so the same generator
-serves both the global case (counts over the whole dataset) and COLARM's
-localized case (counts intersected with the focal subset) — the VERIFY
-operator is this module parameterized by local counts.
-
-The query path carries a rule list as one columnar :class:`RuleBlock`;
-:class:`Rule` objects exist only while a consumer iterates it.
+Every rule list is one :class:`RuleBlock` — five columns over the
+distinct source itemsets — and :class:`Rule` objects exist only while a
+consumer iterates it.  :func:`rules_from_subset_lattices` extracts a
+block from the support counts of the sources' sub-itemsets
+(:meth:`repro.kernels.FocalKernel.count_subset_lattice`): the same
+function serves the global case (the whole table as the universe) and
+COLARM's localized case (the focal subset), because the universe is the
+kernel's.  :func:`split_counts` reads a block's rules back against
+another universe.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
@@ -30,14 +27,9 @@ from repro.itemsets.itemset import Itemset, make_itemset
 __all__ = [
     "Rule",
     "RuleBlock",
-    "generate_rules",
-    "rules_from_itemsets",
     "rules_from_subset_lattices",
+    "split_counts",
 ]
-
-#: Returns the support count of an itemset within the current universe, or
-#: ``None`` when the count is unavailable (below the index's primary floor).
-SupportFn = Callable[[Itemset], "int | None"]
 
 
 class Rule(NamedTuple):
@@ -66,104 +58,6 @@ class Rule(NamedTuple):
             f"{schema.render_itemset(self.consequent)} "
             f"(supp={self.support:.3f}, conf={self.confidence:.3f})"
         )
-
-
-def generate_rules(
-    itemset: Itemset,
-    support_fn: SupportFn,
-    universe_count: int,
-    minconf: float,
-) -> list[Rule]:
-    """All rules from one itemset whose confidence reaches ``minconf``.
-
-    The itemset's own support is obtained through ``support_fn``; when it or
-    an antecedent's support is unreported (``None``) the corresponding rules
-    are skipped — the caller guarantees candidates sit above the primary
-    floor, so this only happens for deliberately truncated indexes.
-    """
-    if not 0.0 <= minconf <= 1.0:
-        raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    if len(itemset) < 2:
-        return []
-    itemset_count = support_fn(itemset)
-    if itemset_count is None or itemset_count == 0:
-        return []
-    support = itemset_count / universe_count if universe_count else 0.0
-
-    rules: list[Rule] = []
-    # Consequent growth: level k holds consequents of size k that passed.
-    consequents: list[Itemset] = [(item,) for item in itemset]
-    while consequents:
-        passed: list[Itemset] = []
-        for consequent in consequents:
-            antecedent = tuple(i for i in itemset if i not in set(consequent))
-            if not antecedent:
-                continue
-            antecedent_count = support_fn(antecedent)
-            if antecedent_count is None or antecedent_count == 0:
-                continue
-            confidence = itemset_count / antecedent_count
-            if confidence >= minconf:
-                rules.append(
-                    Rule(antecedent, consequent, itemset_count, support, confidence)
-                )
-                passed.append(consequent)
-        consequents = _grow_consequents(passed)
-    rules.sort(key=lambda r: (r.antecedent, r.consequent))
-    return rules
-
-
-def _grow_consequents(passed: Sequence[Itemset]) -> list[Itemset]:
-    """Join passing size-k consequents sharing a (k-1)-prefix into size k+1.
-
-    Mirrors Apriori candidate generation: a consequent of size k+1 can only
-    pass if all its size-k subsets did, and joining sorted same-prefix pairs
-    enumerates each candidate exactly once.
-    """
-    passed_set = set(passed)
-    grown: list[Itemset] = []
-    ordered = sorted(passed)
-    for i, left in enumerate(ordered):
-        for right in ordered[i + 1:]:
-            if left[:-1] != right[:-1]:
-                break
-            candidate = left + (right[-1],)
-            if all(
-                candidate[:k] + candidate[k + 1:] in passed_set
-                for k in range(len(candidate) - 2)
-            ):
-                grown.append(candidate)
-    return grown
-
-
-def rules_from_itemsets(
-    itemsets: Iterable[Itemset],
-    support_fn: SupportFn,
-    universe_count: int,
-    minsupp: float,
-    minconf: float,
-) -> list[Rule]:
-    """Rules from many itemsets, filtering itemsets below ``minsupp`` first.
-
-    Deduplicates rules that arise from several source itemsets (e.g. when a
-    candidate list contains both an itemset and its superset).
-    """
-    from repro.itemsets.apriori import min_count_for
-
-    min_count = min_count_for(minsupp, universe_count) if universe_count else 1
-    seen: set[tuple[Itemset, Itemset]] = set()
-    out: list[Rule] = []
-    for itemset in itemsets:
-        count_ = support_fn(itemset)
-        if count_ is None or count_ < min_count:
-            continue
-        for rule in generate_rules(itemset, support_fn, universe_count, minconf):
-            key = (rule.antecedent, rule.consequent)
-            if key not in seen:
-                seen.add(key)
-                out.append(rule)
-    out.sort(key=lambda r: (r.antecedent, r.consequent))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +389,8 @@ def rules_from_subset_lattices(
         chunk = max(1, (4 << 20) // (full - 1))
         for lo in range(0, len(counts), chunk):
             block = counts[lo:lo + chunk]
-            # True division: bit-identical to the scalar reference's
-            # ``count / count`` for counts below 2**53.
+            # True division: bit-identical to Python's ``count / count``
+            # for counts below 2**53.
             conf = block[:, full, None] / block[:, 1:full]
             js, splits = (conf >= minconf).nonzero()
             kept_conf.append(conf[js, splits])
@@ -505,9 +399,9 @@ def rules_from_subset_lattices(
             kept_src.append((js if rows is None else rows[js]) + base)
         base += m
 
-    src = np.concatenate(kept_src)
-    if not len(src):
+    if not any(map(len, kept_src)):  # also: every source under the floor
         return _EMPTY_BLOCK
+    src = np.concatenate(kept_src)
     ant_mask = np.concatenate(kept_split) + 1
     # Split every kept source's slots into antecedent and consequent,
     # each compacted to the left in id order: sources ascend, so an
@@ -549,13 +443,43 @@ def rules_from_subset_lattices(
         (used.cumsum() - 1)[src],
         ant_mask,
         support_count,
-        # True division: bit-identical to the scalar reference's
-        # ``count / universe`` for counts below 2**53.
+        # True division: bit-identical to Python's ``count / universe``
+        # for counts below 2**53.
         support_count / universe_count
         if universe_count
         else np.zeros(len(src), dtype=np.float64),
         np.concatenate(kept_conf)[order],
     )
+
+
+def split_counts(
+    block: RuleBlock, kernel, schema: Schema
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per rule of ``block``, how many records of ``kernel``'s universe
+    hold its itemset, its antecedent and its consequent — the rules of
+    one universe read against another (the local rules in the whole
+    table, the global ones in a focal subset), exact for any rule.
+
+    ``kernel`` is a :class:`repro.kernels.FocalKernel` over ``schema``'s
+    item ids; the three counts are cells of the rule's source row of
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice`.
+    """
+    widths = np.fromiter(map(len, block.sources), np.intp, len(block.sources))
+    ids = np.full((len(widths), widths.max(initial=0)), schema.n_items)
+    for row, source in zip(ids, block.sources):
+        row[:len(source)] = [schema.item_id(item) for item in source]
+    both, antecedent, consequent = np.zeros((3, len(block)), dtype=np.int64)
+    for _, counts in kernel.count_subset_lattice(ids):
+        # A group lists the sources of one width, in ``sources`` order.
+        full = counts.shape[1] - 1
+        of_width = widths == full.bit_length()
+        rules = np.flatnonzero(of_width[block.src])
+        rows = (np.cumsum(of_width) - 1)[block.src[rules]]
+        masks = block.ant_mask[rules]
+        both[rules] = counts[rows, full]
+        antecedent[rules] = counts[rows, masks]
+        consequent[rules] = counts[rows, full ^ masks]
+    return both, antecedent, consequent
 
 
 _EMPTY_BLOCK = RuleBlock.from_rules(())

@@ -10,7 +10,7 @@ from repro.analysis.simpson import (
 from repro.core.mipindex import build_mip_index
 from repro.core.query import LocalizedQuery
 from repro.dataset.synthetic import quest_like
-from repro.itemsets.apriori import min_count_for
+from repro.itemsets.itemset import min_count_for
 
 
 @pytest.fixture(scope="module")

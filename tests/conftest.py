@@ -43,6 +43,11 @@ def make_random_table(
     return RelationalTable(Schema(attrs), data)
 
 
+def rows_of(table: RelationalTable) -> list[tuple[int, ...]]:
+    """The table as the row tuples ``tests/oracle.py`` scans."""
+    return [tuple(row) for row in table.data.tolist()]
+
+
 @pytest.fixture()
 def random_table() -> RelationalTable:
     return make_random_table(seed=42)

@@ -19,7 +19,7 @@ from repro.core.operators import (
 )
 from repro.core.query import LocalizedQuery, Overlap
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
+from repro.itemsets.itemset import min_count_for
 from tests.conftest import make_random_table
 
 

@@ -10,7 +10,7 @@ from repro.core.paramsuggest import (
 )
 from repro.dataset.synthetic import quest_like
 from repro.errors import QueryError
-from repro.itemsets.apriori import min_count_for
+from repro.itemsets.itemset import min_count_for
 from tests.conftest import make_random_table
 
 

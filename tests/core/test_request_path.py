@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import LocalizedQuery, PlanKind, kernels
-from repro.core import operators
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import execute_plan
 from repro.dataset.schema import Attribute, Schema
@@ -67,8 +66,7 @@ class Counts:
         monkeypatch.setattr(kernels.FocalKernel, "__init__", counted_init)
         monkeypatch.setattr(kernels, "_name_cells", counted_name_cells)
         monkeypatch.setattr(np, "bitwise_and", counted_and)
-        for module in (itemset_module, operators):
-            monkeypatch.setattr(module, "make_itemset", counted_make_itemset)
+        monkeypatch.setattr(itemset_module, "make_itemset", counted_make_itemset)
         schema = engine.schema
         monkeypatch.setattr(
             schema, "_items_by_id", CountedItems(schema.items_by_id)

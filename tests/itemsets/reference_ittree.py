@@ -1,10 +1,10 @@
-"""The closed IT-tree: query-time access to stored closed itemsets.
+"""The closed IT-tree of the paper's §3.3, kept as a test reference.
 
-The MIP-index's second layer (Section 3.3 of the COLARM paper).  It stores
-the closed frequent itemsets produced offline by CHARM, organized by level —
-Lemma 4.3: the level of an itemset equals its number of singleton items
-``C_I`` — together with an inverted item index that answers the two
-questions the online operators ask:
+The MIP-index's second layer in the paper.  It stores the closed frequent
+itemsets produced offline by CHARM, organized by level — Lemma 4.3: the
+level of an itemset equals its number of singleton items ``C_I`` —
+together with an inverted item index that answers the two questions the
+online operators ask:
 
 * ``closure_of(X)`` — the smallest stored closed superset of an arbitrary
   itemset ``X``.  Because ``t(X) = t(closure(X))``, this gives the *exact*
@@ -12,6 +12,10 @@ questions the online operators ask:
   support reaches the primary threshold;
 * ``local_support_count(X, dq)`` — ``|t(X) ∩ D^Q|``, the record-level check
   at the heart of ELIMINATE and VERIFY.
+
+``src/`` answers the second question from the packed item rows
+(:meth:`repro.kernels.FocalKernel.count_subset_lattice`) and builds no
+tree; ``tests/itemsets/test_ittree.py`` holds that count to this one.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """CHARM: closedness, completeness, exact closures (vs brute force)."""
 
 from repro import tidset as ts
-from repro.itemsets.apriori import apriori, min_count_for
 from repro.itemsets.charm import charm
-from repro.itemsets.itemset import is_subset_itemset
+from repro.itemsets.itemset import is_subset_itemset, min_count_for
 from tests.conftest import make_random_table
+from tests.itemsets.enumerations import oracle_frequent
 
 
 def brute_force_closure(table, tidset):
@@ -16,9 +16,18 @@ def brute_force_closure(table, tidset):
     return tuple(sorted(items))
 
 
+def frequent_tidsets(table, minsupp):
+    """Every frequent itemset (enumerated from the definitions) with its
+    tidset."""
+    return {
+        items: table.itemset_tidset(items)
+        for items in oracle_frequent(table, minsupp)
+    }
+
+
 def check_charm(table, minsupp):
     closed = charm(table.item_tidsets(), table.n_records, minsupp)
-    frequent = apriori(table.item_tidsets(), table.n_records, minsupp)
+    frequent = frequent_tidsets(table, minsupp)
     min_count = min_count_for(minsupp, table.n_records)
 
     # 1. Every output is frequent and its tidset is exact.
@@ -34,9 +43,9 @@ def check_charm(table, minsupp):
     #    covers every frequent itemset with that tidset.
     by_tidset = {c.tidset: c for c in closed}
     assert len(by_tidset) == len(closed)
-    assert set(by_tidset) == {f.tidset for f in frequent}
-    for f in frequent:
-        assert is_subset_itemset(f.items, by_tidset[f.tidset].items)
+    assert set(by_tidset) == set(frequent.values())
+    for items, tidset in frequent.items():
+        assert is_subset_itemset(items, by_tidset[tidset].items)
 
     return closed
 
@@ -54,8 +63,7 @@ def test_charm_on_random_tables():
 
 def test_charm_smaller_than_frequent(salary):
     closed = charm(salary.item_tidsets(), salary.n_records, 0.2)
-    frequent = apriori(salary.item_tidsets(), salary.n_records, 0.2)
-    assert len(closed) < len(frequent)
+    assert len(closed) < len(frequent_tidsets(salary, 0.2))
 
 
 def test_charm_output_sorted(salary):

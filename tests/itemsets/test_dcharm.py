@@ -1,14 +1,29 @@
-"""dCHARM must produce byte-identical output to tidset CHARM."""
+"""CHARM over a focal projection returns the itemsets closed *in* it.
+
+dCHARM left ``src/`` in PR 24; the second CHARM entry a request runs is
+``closed_masks`` in the integer item space, over the item rows projected
+onto ``D^Q`` (what SELECT hands ARM).  It is held here to the oracle's
+closed itemsets of the same records, and on the whole table to
+``charm``, the ``Item``-tuple edge.  The test ids are the ones the floor
+file tracks, hence the names.
+"""
 
 from repro.itemsets.charm import charm
-from repro.itemsets.dcharm import dcharm
+from tests import oracle
 from tests.conftest import make_random_table
+from tests.itemsets.enumerations import closed_by_projection, focal_rows
 
 
-def assert_same(table, minsupp):
-    a = charm(table.item_tidsets(), table.n_records, minsupp)
-    d = dcharm(table.item_tidsets(), table.n_records, minsupp)
-    assert [(c.items, c.tidset) for c in a] == [(c.items, c.tidset) for c in d]
+def assert_same(table, minsupp, dq=None):
+    rows = focal_rows(table, dq)
+    got = closed_by_projection(table, minsupp, dq)
+    assert got == oracle.closed_itemsets(
+        rows, oracle.min_count(minsupp, len(rows)), range(table.n_attributes)
+    )
+    if dq is None:
+        mined = charm(table.item_tidsets(), table.n_records, minsupp)
+        assert got == {c.items: c.support_count for c in mined}
+    return got
 
 
 def test_dcharm_equals_charm_on_salary(salary):
@@ -20,21 +35,22 @@ def test_dcharm_on_random_tables():
     for seed in range(6):
         table = make_random_table(seed, n_records=60)
         assert_same(table, 0.15)
+        assert_same(table, 0.15, dq=table.tids_matching({0: {0, 2}}))
 
 
 def test_dcharm_on_dense_data():
-    """Diffsets exist for dense data — exercise that regime explicitly."""
+    """Dense data — long closed itemsets, most tidsets nested."""
     from repro.dataset.synthetic import chess_like
 
-    table = chess_like(n_records=300, seed=3)
+    table = chess_like(n_records=150, n_attributes=6, seed=3)
     assert_same(table, 0.3)
-    assert_same(table, 0.15)
+    assert_same(table, 0.15, dq=table.tids_matching({0: {1, 3}}))
 
 
 def test_dcharm_high_threshold_empty(salary):
-    assert dcharm(salary.item_tidsets(), salary.n_records, 0.99) == []
+    assert assert_same(salary, 0.99) == {}
 
 
 def test_dcharm_supports_are_exact(salary):
-    for cfi in dcharm(salary.item_tidsets(), salary.n_records, 0.2):
-        assert cfi.support_count == salary.support_count(cfi.items)
+    for itemset, count in assert_same(salary, 0.2).items():
+        assert count == salary.support_count(itemset)

@@ -8,8 +8,9 @@ import pytest
 
 from repro.dataset.schema import Item
 from repro.errors import DataError
-from repro.itemsets.rules import Rule, RuleBlock, rules_from_itemsets
-from tests.conftest import make_random_table
+from repro.itemsets.rules import Rule, RuleBlock
+from tests import oracle
+from tests.conftest import make_random_table, rows_of
 
 COLUMNS = ("src", "ant_mask", "support_count", "support", "confidence")
 
@@ -23,9 +24,7 @@ def rules() -> list[Rule]:
         for a in range(2) for b in range(2) for c in range(2)
         for d in range(2) for width in (2, 3, 4)
     ]
-    out = rules_from_itemsets(
-        sorted(set(itemsets)), table.support_count, table.n_records, 0.01, 0.0
-    )
+    out = [Rule(*r) for r in oracle.rules_from(itemsets, rows_of(table), 0.0)]
     assert len(out) > 100
     return out
 

@@ -38,7 +38,7 @@ from repro.core.optimizer import ColarmOptimizer
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
-from repro.itemsets.apriori import min_count_for
+from repro.itemsets.itemset import min_count_for
 from tests.core.reference_arm_model import (
     projected_arm_model,
     reference_arm_model,

@@ -12,9 +12,9 @@ Two invariants guard the batched VERIFY pipeline:
   (:func:`repro.core.operators._rules_from_qualified` via
   ``FocalKernel`` + :func:`repro.itemsets.rules.rules_from_subset_lattices`)
   returns *byte-identical* rules — antecedent, consequent, counts, and
-  float support/confidence — to the retained scalar reference path
-  (:func:`repro.core.operators._rules_from_qualified_reference`, the
-  memoized big-int AND chain feeding the consequent-growth generator).
+  float support/confidence — to the brute-force oracle's MIP-family
+  answer (``tests/oracle.mip_rules``: rows scanned, every split of every
+  source checked).
 """
 
 from functools import reduce
@@ -27,7 +27,6 @@ from repro import kernels, tidset as ts
 from repro.core.mipindex import build_mip_index
 from repro.core.operators import (
     _rules_from_qualified,
-    _rules_from_qualified_reference,
     make_context,
     op_eliminate,
     op_search,
@@ -36,6 +35,8 @@ from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
+from tests import oracle
+from tests.conftest import rows_of
 
 MIP_PLANS = (PlanKind.SEV, PlanKind.SVS, PlanKind.SSEV, PlanKind.SSVS,
              PlanKind.SSEUV)
@@ -120,7 +121,7 @@ def _dense(tidset: int, mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rule-set parity: batched extraction vs the scalar reference, all plans
+# Rule-set parity: batched extraction vs the brute-force oracle, all plans
 # ---------------------------------------------------------------------------
 
 
@@ -169,10 +170,13 @@ def rule_scenarios(draw):
 
 def _exact(rules):
     """Byte-exact comparison key: all fields including the floats."""
-    return [
-        (r.antecedent, r.consequent, r.support_count, r.support, r.confidence)
-        for r in rules
-    ]
+    return [tuple(r) for r in rules]
+
+
+def oracle_mip_rules(table, primary_support, query, expand):
+    """The MIP family's answer on a pristine index over ``table``."""
+    rows = rows_of(table)
+    return oracle.mip_rules(rows, primary_support, rows, 0, query, expand)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,17 +188,18 @@ def test_batched_rules_match_scalar_reference_all_plans(scenario, expand):
     if ts.count(dq) == 0:
         return  # empty focal subset: every plan raises, nothing to compare
 
-    # Reference rules from the retained scalar path, off the SEV pipeline.
+    # Reference rules: the oracle scans the rows (the scalar reference
+    # this id names left ``src/``; the floor file tracks the id).
+    ref_rules = oracle_mip_rules(table, 0.05, query, expand)
+
+    # The batched path must agree byte-for-byte when fed the SEV
+    # pipeline's qualified candidates...
     ref_ctx = make_context(index, query, expand=expand)
     qualified = op_eliminate(ref_ctx, op_search(ref_ctx))
-    ref_rules, _lookups = _rules_from_qualified_reference(ref_ctx, qualified)
-
-    # The batched path must agree byte-for-byte when fed the same
-    # qualified candidates...
     batched_rules, _lk, _ks = _rules_from_qualified(ref_ctx, qualified)
-    assert _exact(batched_rules) == _exact(ref_rules)
+    assert _exact(batched_rules) == ref_rules
 
     # ...and through every full plan pipeline (array-native end to end).
     for kind in MIP_PLANS:
         result = execute_plan(kind, index, query, expand=expand)
-        assert _exact(result.rules) == _exact(ref_rules), kind
+        assert _exact(result.rules) == ref_rules, kind

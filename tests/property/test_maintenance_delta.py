@@ -4,8 +4,8 @@ Random interleavings of append / delete / query / recompact must be
 byte-identical (expanded mode, where all plan families agree exactly) to a
 from-scratch rebuild of the live data whenever the coverage guarantee
 holds — across all six plans, and through the engine with the materialized
-cache on and off.  Closed-mode output is checked against the scalar
-oracle (``MaintainedIndex.query_scalar``), which shares no code with the
+cache on and off.  Closed-mode output is checked against the brute-force
+oracle (``tests/oracle.mip_rules``), which shares no code with the
 kernel path.
 """
 
@@ -20,6 +20,7 @@ from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
+from tests import oracle
 
 CARDS = (3, 3, 2, 3)
 PRIMARY = 0.05
@@ -98,6 +99,23 @@ def _apply_ops(mx, rows, alive, ops):
             alive[:] = [True] * len(rows)
 
 
+def oracle_rules(mx, rows, alive, query, expand):
+    """The MIP family's answer over a maintained index, from the mirror
+    ``_apply_ops`` keeps: ``rows``/``alive`` cover the whole tid space,
+    the first ``mx.n_main_records`` of them being what the index stores."""
+    stored = [tuple(r) for r in rows[:mx.n_main_records]]
+    live = [tuple(r) for r, ok in zip(rows, alive) if ok]
+    appended = [
+        tuple(r) for r, ok in
+        zip(rows[mx.n_main_records:], alive[mx.n_main_records:]) if ok
+    ]
+    assume(oracle.focal_rows(live, query))
+    return oracle.mip_rules(
+        stored, PRIMARY, live, len(oracle.focal_rows(appended, query)),
+        query, expand,
+    )
+
+
 def _live_table(rows, alive):
     data = np.asarray(
         [r for r, ok in zip(rows, alive) if ok], dtype=np.int32
@@ -147,11 +165,11 @@ def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
         ).rules
         assert rule_key(got) == rule_key(expected), plan
 
-    # Closed mode: the kernel path against the scalar oracle (generation-
-    # independent code path; exactness needs no coverage argument beyond
-    # the one already assumed).
-    oracle = mx.query_scalar(query)
-    assert rule_key(mx.query(query)) == rule_key(oracle)
+    # Closed mode: the kernel path against the brute-force oracle — same
+    # rules, same floats, same order.
+    assert [tuple(r) for r in mx.query(query)] == oracle_rules(
+        mx, rows, alive, query, expand=False
+    )
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,16 +1,15 @@
-"""Property tests: a RuleBlock lists exactly the scalar reference's rules.
+"""Property tests: a RuleBlock lists exactly the reference's rules.
 
 The columnar block the query path returns must materialize, field for
-field and in order, the ``list[Rule]`` the retained scalar generators
-build one object at a time:
+field and in order, the ``list[Rule]`` the brute-force oracle
+(``tests/oracle.mip_rules``) builds one tuple at a time from scanned
+rows:
 
-* **serial** — every MIP plan's block against
-  :func:`repro.core.operators._rules_from_qualified_reference` (the
-  memoized big-int AND chain feeding consequent growth), closed and
+* **serial** — every MIP plan's block on a pristine index, closed and
   expanded;
 * **main+delta** — the kernel path's block over a mutated
-  :class:`MaintainedIndex` against ``query_scalar`` (per-record Python
-  loops over the delta), closed and expanded;
+  :class:`MaintainedIndex` (appends, deletes, folds), closed and
+  expanded;
 
 and every way of holding the same rules — ``from_rules``, a pickle round
 trip, ``pack``/``unpack``, slices — must compare equal to the list.
@@ -19,24 +18,19 @@ trip, ``pack``/``unpack``, slices — must compare equal to the list.
 import pickle
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tidset as ts
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
-from repro.core.operators import (
-    _rules_from_qualified_reference,
-    make_context,
-    op_eliminate,
-    op_search,
-)
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.itemsets.rules import Rule, RuleBlock
 from tests.property.test_focal_rulegen_properties import (
     MIP_PLANS,
+    oracle_mip_rules,
     rule_scenarios,
 )
 from tests.property.test_maintenance_delta import (
@@ -44,6 +38,7 @@ from tests.property.test_maintenance_delta import (
     PRIMARY,
     _apply_ops,
     _schema,
+    oracle_rules,
     scenarios,
 )
 
@@ -77,9 +72,9 @@ def test_block_lists_the_scalar_reference_serial(scenario, expand):
     index = build_mip_index(table, primary_support=0.05)
     if ts.count(table.tids_matching(query.range_selections)) == 0:
         return  # empty focal subset: every plan raises, nothing to compare
-    ctx = make_context(index, query, expand=expand)
-    qualified = op_eliminate(ctx, op_search(ctx))
-    reference, _lookups = _rules_from_qualified_reference(ctx, qualified)
+    reference = [
+        Rule(*r) for r in oracle_mip_rules(table, 0.05, query, expand)
+    ]
     for kind in MIP_PLANS:
         block = execute_plan(kind, index, query, expand=expand).rules
         _same_rules_every_way(block, reference)
@@ -101,13 +96,7 @@ def test_block_lists_the_scalar_reference_main_plus_delta(scenario, expand):
     alive = [True] * n_base
     _apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)
-    dq_combined = sum(
-        ok and all(r[a] in vs for a, vs in selections.items())
-        for r, ok in zip(rows, alive)
-    )
-    assume(dq_combined > 0)
-    assume(mx.coverage_guaranteed(query, dq_combined))
-    reference = mx.query_scalar(query, expand=expand)
+    reference = [Rule(*r) for r in oracle_rules(mx, rows, alive, query, expand)]
     for kind in (PlanKind.SEV, PlanKind.SSVS):
         _same_rules_every_way(
             mx.query(query, plan=kind, expand=expand), reference

@@ -16,14 +16,11 @@ execution:
   ``minconf`` without SEARCH/ELIMINATE or any support counting — the
   counts are threshold-free above the entry's ``minsupp``.
 
-The cache is a first-class plan alternative, not a transparent memo: each
-request probes it once, the optimizer prices a CACHE variant for every
-plan from the fitted ``cache_probe``/``cache_load`` weights, and picks it
-only when it beats every fresh plan (:mod:`repro.core.optimizer`).  A
-rules entry remembers what that pricing needs (:class:`HitPricing`), so
-an exact-key repeat makes the same comparison from the entry alone and
-the probe that finds it serves it in one critical section
-(:meth:`RuleCache.probe`).
+A stored answer is served, not priced: each request makes one
+:meth:`RuleCache.probe`, which says what the cache holds for it, and the
+engine serves that — the rules block as is, or the lattice replayed at
+the request's ``minconf`` — before the optimizer runs
+(:meth:`repro.core.engine.Colarm.serve_cached`).  Only a miss is priced.
 
 Policy: every entry is byte-accounted (a rules entry at its columns'
 real ``nbytes``); inserts evict LRU-first under a byte budget, except
@@ -41,9 +38,7 @@ so a cached entry only ever replays its own plan family.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
 __all__ = [
     "CachedLattice",
     "CacheProbe",
-    "HitPricing",
     "CacheStats",
     "RuleCache",
     "MIP_FAMILY",
@@ -81,46 +75,20 @@ _SHARED_ITEMSETS_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
-class HitPricing:
-    """What a rules entry remembers so a repeat is priced without a profile.
-
-    Stamped by the priced path that produced (or last served) the entry:
-    ``fresh_price`` is the cheapest non-cached candidate of that
-    :class:`~repro.core.optimizer.PlanChoice` (risk-adjusted seconds — the
-    number a CACHE variant has to beat), ``kind`` the plan the optimizer
-    names when it serves the entry, ``dq_size`` the focal subset size the
-    outcome reports.  All three are functions of the query, the index
-    generation (the entry's own stamp) and ``weights`` — the
-    ``CostWeights`` object they were priced under — so they hold for as
-    long as the entry lives and the optimizer still prices with that
-    object.  Typed loosely: this module knows no plan or cost classes.
-    """
-
-    dq_size: int
-    kind: object
-    fresh_price: float
-    weights: object
-
-
-@dataclass(frozen=True)
 class CacheProbe:
-    """Outcome of one cache probe, as the optimizer prices it.
+    """What one cache probe found for a query.
 
-    ``kind`` is ``"rules"`` (full hit), ``"lattice"`` (counts hit — rule
-    extraction still due), or ``None`` (miss).  ``family`` says which plan
-    family a rules hit replays; ``lattice_cells`` sizes a lattice hit's
-    ``cache_load`` term (a rules hit is O(1) whatever its ``n_rules``).
-    ``pricing`` is the rules entry's stamp (``None`` for an entry nobody
-    priced yet, e.g. one warm-loaded from disk), and ``rules`` is set when
-    the probe also *served* the hit (see :meth:`RuleCache.probe`).
+    ``families`` lists the plan families holding a rules entry for the
+    exact key, MIP first.  ``kind`` is the best tier found: ``"rules"``
+    when any family does, else ``"lattice"`` (counts hit — rule
+    extraction still due), else ``None`` (miss).  ``dq_size`` is the
+    ``|D^Q|`` the found entries were computed over: one focal subset at
+    one generation, so every live entry of the key agrees on it.
     """
 
     kind: str | None
-    family: str = MIP_FAMILY
-    n_rules: int = 0
-    lattice_cells: int = 0
-    pricing: HitPricing | None = None
-    rules: RuleBlock | None = None
+    families: tuple[str, ...] = ()
+    dq_size: int = 0
 
 
 @dataclass
@@ -180,10 +148,6 @@ class CachedLattice:
             schema=self.schema, min_count=self.extract_min_count,
         )
 
-    @property
-    def n_cells(self) -> int:
-        return sum(int(counts.size) for _, counts in self.groups)
-
     def nbytes(self) -> int:
         return sum(ids.nbytes + counts.nbytes for ids, counts in self.groups)
 
@@ -194,8 +158,8 @@ class _Entry:
     payload: object             # RuleBlock | CachedLattice
     nbytes: int
     generation: int
+    dq_size: int                # |D^Q| of the execution that made it
     hits: int = 0
-    pricing: HitPricing | None = None   # rules entries only
 
 
 class RuleCache:
@@ -312,79 +276,41 @@ class RuleCache:
             self.stats.lattice_hits += 1
         return entry.payload
 
-    def probe(
-        self,
-        query: "LocalizedQuery",
-        serve_if: Callable[[CacheProbe], bool] | None = None,
-    ) -> CacheProbe:
-        """What (if anything) the cache can serve for this query.
+    def probe(self, query: "LocalizedQuery") -> CacheProbe:
+        """What the cache holds for this query, at the current generation.
 
-        Preference order mirrors the replay cost: a full rules hit (MIP
-        family first — it is what a fresh optimizer run of a repeated
-        query would produce — then ARM), else a lattice-counts hit.
-        A plain probe never bumps LRU position or hit counts; only an
-        actual serve does.
-
-        ``serve_if`` makes probe and serve one critical section: it is
-        asked about a *priced* rules-tier hit (``probe.pricing`` set), and
-        when it says yes the entry is served exactly as
-        :meth:`get_rules` would, in the returned probe's ``rules`` — the
-        entry cannot be evicted or go stale in between.  It runs under
-        the cache lock, so it must be quick and must not touch the cache.
+        The rules entries of both plan families, MIP first — it is what a
+        fresh optimizer run of a repeated query would produce — and, when
+        neither exists, the lattice-counts entry.  A probe never bumps LRU
+        position or hit counts; only a serve (:meth:`get_rules`,
+        :meth:`get_lattice`) does, so an entry evicted after the probe is
+        simply not served.
         """
         with self._lock:
             self.stats.probes += 1
+            families: list[str] = []
             for family in (MIP_FAMILY, ARM_FAMILY):
-                key = self._rules_key(query, family)
-                entry = self._live_entry(key)
-                if entry is None:
-                    continue
-                probe = CacheProbe(
-                    kind="rules",
-                    family=family,
-                    n_rules=len(entry.payload),
-                    pricing=entry.pricing,
-                )
-                if (
-                    serve_if is None
-                    or entry.pricing is None
-                    or not serve_if(probe)
-                ):
-                    return probe
-                return CacheProbe(
-                    kind="rules",
-                    family=family,
-                    n_rules=probe.n_rules,
-                    pricing=entry.pricing,
-                    rules=self._serve(key, entry),
-                )
+                entry = self._live_entry(self._rules_key(query, family))
+                if entry is not None:
+                    families.append(family)
+                    dq_size = entry.dq_size
+            if families:
+                return CacheProbe("rules", tuple(families), dq_size)
             entry = self._live_entry(self._lattice_key(query))
             if entry is not None:
-                return CacheProbe(
-                    kind="lattice",
-                    lattice_cells=entry.payload.n_cells,
-                )
+                return CacheProbe(kind="lattice", dq_size=entry.dq_size)
             self.stats.misses += 1
             return CacheProbe(kind=None)
 
     def get_rules(
-        self,
-        query: "LocalizedQuery",
-        family: str = MIP_FAMILY,
-        pricing: HitPricing | None = None,
+        self, query: "LocalizedQuery", family: str = MIP_FAMILY
     ) -> RuleBlock | None:
-        """Serve a full rules hit: the cached block itself (immutable).
-
-        ``pricing`` (re-)stamps the entry: the priced path passes what it
-        just computed, so the next repeat is priced from the stamp.
-        """
+        """Serve a full rules hit: the cached block itself (immutable)."""
         key = self._rules_key(query, family)
         with self._lock:
             entry = self._live_entry(key)
             if entry is None:
                 return None
-            if pricing is not None:
-                entry.pricing = pricing
             return self._serve(key, entry)
 
     def get_lattice(self, query: "LocalizedQuery") -> CachedLattice | None:
@@ -402,18 +328,17 @@ class RuleCache:
         self,
         query: "LocalizedQuery",
         rules: RuleBlock,
+        dq_size: int,
         family: str = MIP_FAMILY,
         generation: int | None = None,
-        pricing: HitPricing | None = None,
     ) -> bool:
-        """Insert one finished rule set (the block is stored as is).
+        """Insert one finished rule set (the block is stored as is),
+        computed over a focal subset of ``dq_size`` records.
 
         ``generation`` is the caller's pre-execution snapshot; if the
         index has mutated since (the rules were computed against a tree
         that no longer exists), the insert is refused — stale results
-        never enter the cache.  ``pricing`` is the entry's stamp (see
-        :class:`HitPricing`); without one the first repeat is priced in
-        full.
+        never enter the cache.
         """
         if family not in (MIP_FAMILY, ARM_FAMILY):
             raise ValueError(f"unknown rule family {family!r}")
@@ -423,7 +348,7 @@ class RuleCache:
             rules.share_sources(self._itemsets)
         return self._insert(
             self._rules_key(query, family), "rules", rules,
-            _ENTRY_BASE_BYTES + rules.nbytes, generation, pricing,
+            _ENTRY_BASE_BYTES + rules.nbytes, generation, dq_size,
         )
 
     def put_lattice(
@@ -437,7 +362,8 @@ class RuleCache:
             counts.setflags(write=False)
         nbytes = _ENTRY_BASE_BYTES + lattice.nbytes()
         return self._insert(
-            self._lattice_key(query), "lattice", lattice, nbytes, generation
+            self._lattice_key(query), "lattice", lattice, nbytes, generation,
+            lattice.dq_size,
         )
 
     def _insert(
@@ -447,7 +373,7 @@ class RuleCache:
         payload: object,
         nbytes: int,
         generation: int | None,
-        pricing: HitPricing | None = None,
+        dq_size: int,
     ) -> bool:
         with self._lock:
             current = self.generation()
@@ -462,7 +388,7 @@ class RuleCache:
                 self.stats.current_bytes -= old.nbytes
             self._entries[key] = _Entry(
                 kind=kind, payload=payload, nbytes=nbytes,
-                generation=current, pricing=pricing,
+                generation=current, dq_size=dq_size,
             )
             self.stats.current_bytes += nbytes
             self.stats.insertions += 1
@@ -525,38 +451,3 @@ class RuleCache:
             for entry in self._entries.values():
                 out[entry.kind] += 1
         return out
-
-    # -- calibration probes ----------------------------------------------------
-
-    def measure_probe_overhead(self, rounds: int = 200) -> float:
-        """Median seconds per :meth:`probe` call (measured on a miss —
-        the common shape: key construction plus the tier lookups)."""
-        from repro.core.query import LocalizedQuery
-
-        card = self.index.cardinalities[0]
-        query = LocalizedQuery(
-            range_selections={0: frozenset(range(max(1, card - 1)))},
-            minsupp=0.5,
-            minconf=0.5,
-        )
-        before = (self.stats.probes, self.stats.misses)
-        samples = []
-        for _ in range(max(rounds, 8)):
-            start = time.perf_counter()
-            self.probe(query)
-            samples.append(time.perf_counter() - start)
-        self.stats.probes, self.stats.misses = before
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    @staticmethod
-    def measure_load_throughput(n_cells: int = 4096, rounds: int = 3) -> float:
-        """Seconds per lattice count cell read back from the cache (one
-        pass over an int64 matrix; a rules hit loads nothing)."""
-        cells = np.ones(n_cells, dtype=np.int64)
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            cells.copy()
-            best = min(best, time.perf_counter() - start)
-        return best / n_cells

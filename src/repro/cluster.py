@@ -62,7 +62,12 @@ from repro.core.persistence import (
 )
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery, canonical_focal_key
-from repro.errors import DataError, ServiceClosedError, ServiceError
+from repro.errors import (
+    DataError,
+    QueryError,
+    ServiceClosedError,
+    ServiceError,
+)
 from repro.itemsets.rules import RuleBlock
 from repro.serving import QueryService, ServingConfig
 
@@ -436,12 +441,8 @@ class _WorkerRuntime:
                     # An unreadable sidecar (another format version, a
                     # torn write) costs the warm start, not the worker.
                     self.cold_start_reason = str(exc)
-            # calibrate=False: cost weights came with the snapshot; a
-            # per-worker refit would make siblings price plans apart.
             engine.enable_cache(
-                budget_bytes=self.config.cache_budget_bytes,
-                calibrate=False,
-                cache=cache,
+                budget_bytes=self.config.cache_budget_bytes, cache=cache
             )
         self.engine = engine
         self.service = QueryService(engine, self.config.serving)
@@ -659,6 +660,9 @@ class ClusterService:
         self.n_crashes = 0
         self.n_respawns = 0
         self.n_rerouted = 0
+        #: Hot keys the last cache seedings could not answer (a focal
+        #: subset deleted empty): skipped, the colder keys still seeded.
+        self.n_seed_skipped = 0
         if self.config.start_method is not None:
             self._mp = mp.get_context(self.config.start_method)
         else:
@@ -984,8 +988,8 @@ class ClusterService:
         for _, (count, query) in hottest[: self.config.warm_top_k]:
             try:
                 self.engine.query(query, use_cache=True)
-            except Exception:  # pragma: no cover — warmup is best-effort
-                return
+            except QueryError:
+                self.n_seed_skipped += 1
 
     # -- membership --------------------------------------------------------
 
@@ -1057,6 +1061,7 @@ class ClusterService:
             "crashes": self.n_crashes,
             "respawns": self.n_respawns,
             "rerouted": self.n_rerouted,
+            "seed_skipped": self.n_seed_skipped,
         }
 
 

@@ -30,13 +30,11 @@ from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.cache import RuleCache
     from repro.core.maintenance import MaintainedIndex
 
 __all__ = [
     "CalibrationReport",
     "calibrate",
-    "calibrate_cache",
     "calibrate_maintenance",
     "default_probe_queries",
 ]
@@ -276,35 +274,12 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def calibrate_cache(cache: "RuleCache", weights: CostWeights) -> CostWeights:
-    """Fit the materialized-cache weights from the live cache.
-
-    The two cache cost terms are measured, not guessed —
-
-    * ``cache_probe`` — seconds per :meth:`~repro.cache.RuleCache.probe`
-      call (key construction plus the tier lookups), the fixed price every
-      CACHE variant pays;
-    * ``cache_load`` — seconds per lattice count cell read back (a
-      lattice hit's extraction scales with its cells through this term
-      plus the serial ``rulegen`` weight; a rules hit pays the probe only).
-
-    Every other weight is untouched; note that rerunning
-    :func:`calibrate` afterwards resets these two to their defaults (the
-    probe traces never exercise them), so fit the cache last.
-    """
-    fitted = dict(weights.weights)
-    fitted["cache_probe"] = max(cache.measure_probe_overhead(), 1e-8)
-    fitted["cache_load"] = max(cache.measure_load_throughput(), 1e-12)
-    return CostWeights(fitted)
-
-
 def calibrate_maintenance(
     maintained: "MaintainedIndex", weights: CostWeights
 ) -> CostWeights:
     """Fit the delta-store weights from the live maintained index.
 
-    Mirrors :func:`calibrate_cache`: the two delta cost terms are
-    measured, not guessed —
+    The two delta cost terms are measured, not guessed —
 
     * ``delta_probe`` — seconds per candidate-word of the delta count
       correction (one AND+popcount of a delta-MIP row against the delta
@@ -315,10 +290,9 @@ def calibrate_maintenance(
       rows into the request's universe (unpack, select the focal
       columns, repack).
 
-    Every other weight is untouched; like the cache fit, rerunning
-    :func:`calibrate` afterwards resets these two to their defaults (the
-    probe traces never exercise them), so fit the maintenance weights
-    last.
+    Every other weight is untouched; rerunning :func:`calibrate`
+    afterwards resets these two to their defaults (the probe traces never
+    exercise them), so fit the maintenance weights last.
     """
     words = max(1, maintained.delta_words)
     fitted = dict(weights.weights)

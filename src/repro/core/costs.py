@@ -57,12 +57,6 @@ __all__ = [
 
 #: Uncalibrated per-unit weights (seconds per load unit), rough orders of
 #: magnitude for CPython; calibration replaces them with fitted values.
-#: ``cache_probe``/``cache_load`` price the CACHE plan variants only (one
-#: materialized-tier probe per query, plus — for a lattice hit — reading
-#: ``lattice_cells`` counts back before re-extracting; a rules hit hands
-#: out the cached block); they are fitted from the live cache by
-#: ``calibration.calibrate_cache`` and never appear in a fresh plan's load
-#: vector.
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
 #: and projecting the delta item rows into the request's one universe);
@@ -79,8 +73,6 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "select": 6e-8,
     "arm": 2e-7,
     "const": 5e-5,
-    "cache_probe": 5e-6,
-    "cache_load": 2e-8,
     "delta_probe": 3e-8,
     "delta_merge": 4e-8,
 }
@@ -921,45 +913,6 @@ class CostModel:
         loads.update(self.delta_loads(kind, profile))
         return loads
 
-    def cached_loads(
-        self,
-        kind: PlanKind,
-        profile: QueryProfile | None,
-        probe,
-    ) -> dict[str, float] | None:
-        """The load vector of one plan's CACHE variant, given a live probe.
-
-        ``probe`` is a :class:`repro.cache.CacheProbe` (typed loosely to
-        keep this module cache-agnostic); the loads depend on nothing in
-        ``profile``, so a caller without one passes ``None``.  Returns ``None`` when nothing
-        is cached for the query, or when the cached entry belongs to the
-        other plan family — an ``"arm"`` rules entry only prices ARM's
-        cached variant, a MIP-family entry only the five MIP plans'
-        (cached results replay their own family, never stand in for the
-        other one: in closed mode ARM's locally-closed rule set can
-        differ from the MIP plans').
-
-        * full rules hit — the probe hands out the cached block itself,
-          so the whole pipeline collapses to ``cache_probe``;
-        * lattice hit — SEARCH/ELIMINATE and all support counting are
-          skipped, but extraction is still due: the gather of
-          ``lattice_cells`` counts (``cache_load``) plus the confidence
-          pass priced by the fitted ``rulegen`` weight on the *known*
-          cell count (tighter than the profile's estimated fan-out —
-          the cache knows exactly how much lattice it stored).
-        """
-        if probe is None or probe.kind is None:
-            return None
-        if (probe.family == "arm") != (kind is PlanKind.ARM):
-            return None
-        if probe.kind == "rules":
-            return {"cache_probe": 1.0}
-        return {
-            "cache_probe": 1.0,
-            "cache_load": float(probe.lattice_cells),
-            "rulegen": float(probe.lattice_cells) + _RULEGEN_OVERHEAD_UNITS,
-        }
-
     # -- costs ------------------------------------------------------------------
 
     def estimate(self, kind: PlanKind, profile: QueryProfile) -> float:
@@ -974,13 +927,3 @@ class CostModel:
             for kind in PlanKind
         }
 
-    def estimate_all_cached(
-        self, profile: QueryProfile, probe
-    ) -> dict[PlanKind, float]:
-        """CACHE-variant costs for every plan the probe's entry can serve."""
-        out: dict[PlanKind, float] = {}
-        for kind in PlanKind:
-            loads = self.cached_loads(kind, profile, probe)
-            if loads is not None:
-                out[kind] = self.weights.price(loads)
-        return out

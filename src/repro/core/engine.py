@@ -22,22 +22,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.cache import (
-    ARM_FAMILY,
-    MIP_FAMILY,
-    CachedLattice,
-    CacheProbe,
-    RuleCache,
-)
+from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.calibration import (
     CalibrationReport,
     calibrate,
-    calibrate_cache,
     calibrate_maintenance,
     default_probe_queries,
 )
 from repro.core.costs import CostWeights
-from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import MIPIndex, build_mip_index
 from repro.core.operators import ExecutionTrace
@@ -52,6 +44,14 @@ from repro.rtree.flat import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm"]
 
+#: The plan a cache serve is named after, by the family of the entry: the
+#: MIP plans' answers are identical, and SS-VS is the one the optimizer
+#: prefers among them on a tie.
+_SERVED_KIND: dict[str, PlanKind] = {
+    MIP_FAMILY: PlanKind.SSVS,
+    ARM_FAMILY: PlanKind.ARM,
+}
+
 
 @dataclass
 class QueryOutcome:
@@ -60,7 +60,7 @@ class QueryOutcome:
     rules: RuleBlock                # an immutable Sequence[Rule]
     plan: PlanKind
     chosen_by: str                  # "optimizer" or "forced"
-    choice: PlanChoice | None       # present when the optimizer ran
+    choice: PlanChoice | None       # present when the optimizer priced it
     result: PlanResult
     cached: bool = False            # served from the materialized cache
 
@@ -151,23 +151,15 @@ class Colarm:
         self,
         budget_bytes: int = 64 << 20,
         landmark_hits: int = 4,
-        calibrate: bool = True,
         cache: RuleCache | None = None,
     ) -> "Colarm":
         """Attach a budget-bound materialized-result cache (:mod:`repro.cache`).
 
-        Enabling:
-
-        1. builds a :class:`~repro.cache.RuleCache` bound to this index
-           (or adopts ``cache``, e.g. one warm-loaded from disk via
-           :func:`repro.core.persistence.load_cache`);
-        2. fits the ``cache_probe``/``cache_load`` cost weights from the
-           live cache (:func:`repro.core.calibration.calibrate_cache`) —
-           run *after* :meth:`calibrate`, which refits from plan traces
-           and would reset them to defaults;
-        3. installs the cache in the optimizer, which from then on probes
-           it per query and prices a CACHE variant for every plan the
-           cached entry can serve.
+        Builds a :class:`~repro.cache.RuleCache` bound to this index (or
+        adopts ``cache``, e.g. one warm-loaded from disk via
+        :func:`repro.core.persistence.load_cache`).  From then on every
+        request is first offered to the cache (:meth:`serve_cached`) and
+        every fresh execution populates it.
 
         Idempotent (replaces any previous cache); returns ``self``.
         """
@@ -185,17 +177,11 @@ class Colarm:
                 landmark_hits=landmark_hits,
                 expand=self.expand,
             )
-        if calibrate:
-            self.optimizer.set_weights(
-                calibrate_cache(self.cache, self.optimizer.weights)
-            )
-        self.optimizer.set_cache(self.cache)
         return self
 
     def disable_cache(self) -> "Colarm":
         """Detach the materialized cache (queries mine fresh again)."""
         self.cache = None
-        self.optimizer.set_cache(None)
         return self
 
     # -- offline: delta-store maintenance --------------------------------------
@@ -252,8 +238,7 @@ class Colarm:
         """Fold any outstanding delta and return to an immutable index."""
         if self.maintenance is None:
             return self
-        self.maintenance.poll_recompaction(wait=True)
-        self._install_recompaction()
+        self.poll_maintenance(wait=True)
         if (
             self.maintenance.n_delta_records
             or self.maintenance.n_main_live != self.maintenance.n_main_records
@@ -329,12 +314,6 @@ class Colarm:
         if advice.recommended:
             m.begin_recompaction()
 
-    def _install_recompaction(self) -> None:
-        """Adopt a replacement index if one is ready (a finished background
-        fold, or a fold someone installed on the maintenance object
-        directly — identity, not the poll result, is the trigger)."""
-        self.poll_maintenance()
-
     def _rebind_index(self, index: MIPIndex) -> None:
         """Swap in a replacement index across every attached component."""
         self.index = index
@@ -362,70 +341,53 @@ class Colarm:
         a specific plan.
 
         When a materialized cache is enabled (and ``use_cache``), the
-        optimizer's choice also says whether to *serve* the plan from the
-        cache — byte-identical to executing it fresh — and every fresh
-        execution populates the cache for the next repeat.  A repeat whose
-        rules entry was stamped by that priced path is decided from the
-        stamp and served by the request's one cache probe
-        (:meth:`probe_cache`); everything else is priced in full, with
-        that probe handed to the optimizer.  Forced plans consult only
-        the exact-key rules tier of their own plan family.
-        ``use_cache=False`` bypasses both consulting and populating.
+        request is first offered to it (:meth:`serve_cached`): one probe,
+        and whatever it finds is served — byte-identical to executing the
+        plan fresh — with no pricing.  Only a request the cache cannot
+        serve is priced and executed, and every fresh execution populates
+        the cache for the next repeat.  ``use_cache=False`` bypasses both
+        consulting and populating.
 
-        A caller that already priced the request (the serving layer's
-        admission control) can pass its :class:`PlanChoice` back via
-        ``choice`` to skip the second ``optimizer.choose``.  The choice is
-        reused only while it is still valid — same index generation, not
-        a CACHE pick when this call does not consult the cache, and not
-        the profile-less choice of an already served stamped hit — and
-        silently re-chosen otherwise, so a stale handoff can never force
-        a stale serve.
+        A caller that already offered the request to the cache and priced
+        it (the serving layer's admission control) passes its
+        :class:`PlanChoice` back via ``choice``: the request then makes no
+        second probe and no second ``optimizer.choose``.  The choice is
+        reused only while its index generation is current, and silently
+        re-chosen otherwise, so a stale handoff can never force a stale
+        execution.
 
         The focal subset is resolved and projected once per request: the
         one the optimizer profiled (``choice.focus``) is what the plan
-        executes on.  The projection ends with the request — executed,
-        served from the cache or re-priced (:meth:`PlanChoice.release`) —
-        so a choice or outcome a caller keeps pins the resolution only.
+        executes on.  The projection ends with the request — executed or
+        re-priced (:meth:`PlanChoice.release`) — so a choice or outcome a
+        caller keeps pins the resolution only.
         """
         q = self.parse(request) if isinstance(request, str) else request
         if self.maintenance is not None:
-            self._install_recompaction()
+            self.poll_maintenance()
+        kind = None
+        if plan is not None:
+            kind = plan_from_name(plan) if isinstance(plan, str) else plan
+            choice = None
         consult = use_cache and self.cache is not None
+        if consult and choice is None:
+            q.validate_against(self.schema)
+            served = self.serve_cached(q, kind)
+            if served is not None:
+                return served
         focus = None
-        if plan is None:
-            if choice is not None and (
-                choice.generation != self.index.generation
-                or (choice.cached and not consult)
-                or choice.profile is None  # a stamp-priced hit, long served
+        if kind is None:
+            if (
+                choice is not None
+                and choice.generation != self.index.generation
             ):
                 choice.release()
                 choice = None
             if choice is None:
-                probe = None
-                if consult:
-                    q.validate_against(self.schema)
-                    served, probe = self.probe_cache(q)
-                    if served is not None:
-                        return served
-                choice = self.optimizer.choose(
-                    q, use_cache=consult, probe=probe
-                )
-            kind, chosen_by, focus = choice.kind, "optimizer", choice.focus
+                choice = self.optimizer.choose(q)
+            kind, focus = choice.kind, choice.focus
             if self.maintenance is not None:
                 self._advise_recompact(choice)
-            if choice.cached:
-                served = self._serve_cached(q, kind, choice)
-                if served is not None:
-                    choice.release()
-                    return served
-        else:
-            choice = None
-            kind = plan_from_name(plan) if isinstance(plan, str) else plan
-            chosen_by = "forced"
-            if consult:
-                served = self._serve_forced_cached(q, kind)
-                if served is not None:
-                    return served
         generation = self.cache.generation() if consult else None
         result = execute_plan(
             kind, self.index, q, expand=self.expand,
@@ -434,79 +396,73 @@ class Colarm:
         if choice is not None:
             choice.release()
         if consult:
-            self._populate_cache(q, kind, result, generation, choice)
+            self._populate_cache(q, kind, result, generation)
         return QueryOutcome(
             rules=result.rules,
             plan=kind,
-            chosen_by=chosen_by,
+            chosen_by="forced" if choice is None else "optimizer",
             choice=choice,
             result=result,
         )
 
-    def probe_cache(
-        self, q: LocalizedQuery
-    ) -> tuple[QueryOutcome | None, CacheProbe]:
-        """The one cache probe of an optimizer-planned request.
+    def serve_cached(
+        self, q: LocalizedQuery, kind: PlanKind | None
+    ) -> QueryOutcome | None:
+        """Offer a request to the cache: its one probe, and the serve of
+        what the probe found.
 
-        Returns the served outcome when the probe found a rules-tier
-        entry at the current generation whose stamp says the optimizer
-        would serve it (:meth:`ColarmOptimizer.probe_cache`) — one
-        dictionary lookup under the cache's own lock,
-        no profile, no plan pricing.  Otherwise the outcome is ``None``
-        and the probe is for ``optimizer.choose(probe=...)``.  ``q`` must
-        already be validated against the schema (:meth:`query` and the
-        serving layer do).  Safe on any thread without the serving
+        An optimizer-planned request (``kind=None``) takes an exact-key
+        rules entry — MIP family first, named SS-VS, then ARM — and,
+        failing that, replays the focal region's lattice entry at
+        ``q.minconf``; the replayed rules become a rules entry for the
+        next repeat.  A forced plan takes its own family's rules entry
+        only.  Nothing is priced.  ``None`` when the probe found nothing
+        the request can use, or the entry was evicted before it was
+        served: the request is then priced and executed fresh, without
+        probing again.
+
+        ``q`` must already be validated against the schema (:meth:`query`
+        and the serving layer do).  Touches nothing but the cache, which
+        has its own lock, so it is safe on any thread without the serving
         layer's engine lock.
         """
         start = time.perf_counter()
-        probe, choice = self.optimizer.probe_cache(q)
-        if choice is None:
-            return None, probe
-        return _cached_outcome(
-            choice.kind, probe.rules, start, probe.pricing.dq_size, choice
-        ), probe
-
-    def _serve_cached(
-        self, q: LocalizedQuery, kind: PlanKind, choice: PlanChoice
-    ) -> QueryOutcome | None:
-        """Serve the optimizer's CACHE pick; ``None`` falls back to fresh
-        execution (the entry was evicted between probe and serve)."""
-        probe = choice.cache_probe
-        start = time.perf_counter()
-        if probe.kind == "rules":
-            rules = self.cache.get_rules(
-                q, probe.family,
-                pricing=self.optimizer.hit_pricing(choice, probe.family),
-            )
-        else:
-            lattice = self.cache.get_lattice(q)
+        cache = self.cache
+        generation = cache.generation()
+        probe = cache.probe(q)
+        families = [
+            family for family in probe.families
+            if kind is None or family == _family(kind)
+        ]
+        if families:
+            rules = cache.get_rules(q, families[0])
+            served = _SERVED_KIND[families[0]] if kind is None else kind
+        elif kind is None and probe.kind == "lattice":
+            lattice = cache.get_lattice(q)
             if lattice is None:
                 return None
             rules = lattice.extract(q.minconf)
-            # The extracted set upgrades to a full rules hit on the next
-            # exact-key repeat (lattice hits only price MIP plans).
-            self.cache.put_rules(
-                q, rules, family=MIP_FAMILY,
-                generation=self.cache.generation(),
-                pricing=self.optimizer.hit_pricing(choice, MIP_FAMILY),
-            )
+            cache.put_rules(q, rules, lattice.dq_size, generation=generation)
+            served = _SERVED_KIND[MIP_FAMILY]
+        else:
+            return None
         if rules is None:
             return None
-        return _cached_outcome(
-            kind, rules, start, choice.profile.dq_size, choice
+        result = PlanResult(
+            kind=served,
+            rules=rules,
+            trace=ExecutionTrace(),
+            elapsed=time.perf_counter() - start,
+            dq_size=probe.dq_size,
         )
-
-    def _serve_forced_cached(
-        self, q: LocalizedQuery, kind: PlanKind
-    ) -> QueryOutcome | None:
-        """Exact-key rules-tier lookup for a forced plan (its own family)."""
-        q.validate_against(self.schema)
-        start = time.perf_counter()
-        rules = self.cache.get_rules(q, _family(kind))
-        if rules is None:
-            return None
-        dq_size = resolve_focal(self.index, q, self.maintenance).dq_size
-        return _cached_outcome(kind, rules, start, dq_size, None)
+        return QueryOutcome(
+            rules=rules,
+            plan=served,
+            chosen_by="optimizer" if kind is None else "forced",
+            choice=None,
+            result=result,
+            cached=True,
+        )
 
     def _populate_cache(
         self,
@@ -514,21 +470,12 @@ class Colarm:
         kind: PlanKind,
         result: PlanResult,
         generation: int | None,
-        choice: PlanChoice | None,
     ) -> None:
         """Insert a fresh execution's products under its pre-execution
-        generation snapshot (refused if the index mutated mid-flight).
-        The rules entry is stamped with what ``choice`` priced, so its
-        repeats are decided from the stamp; a forced plan's entry has no
-        price and its first optimizer-planned repeat is priced in full."""
-        family = _family(kind)
+        generation snapshot (refused if the index mutated mid-flight)."""
         self.cache.put_rules(
-            q, result.rules, family=family, generation=generation,
-            pricing=(
-                self.optimizer.hit_pricing(choice, family)
-                if choice is not None
-                else None
-            ),
+            q, result.rules, result.dq_size,
+            family=_family(kind), generation=generation,
         )
         if kind is not PlanKind.ARM and result.lattice_groups is not None:
             lattice = CachedLattice(
@@ -583,29 +530,3 @@ class Colarm:
 def _family(kind: PlanKind) -> str:
     """The rule-cache family a plan's rule set belongs to."""
     return ARM_FAMILY if kind is PlanKind.ARM else MIP_FAMILY
-
-
-def _cached_outcome(
-    kind: PlanKind,
-    rules: RuleBlock,
-    start: float,
-    dq_size: int,
-    choice: PlanChoice | None,
-) -> QueryOutcome:
-    """The outcome of a cache serve that began at ``start``; ``choice``
-    is ``None`` for a forced plan."""
-    result = PlanResult(
-        kind=kind,
-        rules=rules,
-        trace=ExecutionTrace(),
-        elapsed=time.perf_counter() - start,
-        dq_size=dq_size,
-    )
-    return QueryOutcome(
-        rules=rules,
-        plan=kind,
-        chosen_by="forced" if choice is None else "optimizer",
-        choice=choice,
-        result=result,
-        cached=True,
-    )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro import tidset as ts
 from repro.itemsets.charm import ClosedItemset
 from repro.itemsets.itemset import Itemset, attributes_of
 from repro.rtree.geometry import Rect
@@ -71,7 +70,3 @@ class MIP:
     @property
     def fixed_attributes(self) -> frozenset[int]:
         return attributes_of(self.itemset)
-
-    def local_count(self, dq: int) -> int:
-        """``|D^Q_I|`` — records supporting the itemset inside a focal tidset."""
-        return ts.count(self.tidset & dq)

@@ -11,11 +11,9 @@ for this implementation.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.cache import ARM_FAMILY, MIP_FAMILY, CacheProbe, HitPricing
 from repro.core.costs import CostModel, CostWeights, QueryProfile
 from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mipindex import MIPIndex
@@ -42,20 +40,6 @@ _TIE_PREFERENCE: dict[PlanKind, int] = {
     PlanKind.ARM: 5,
 }
 
-#: The plan :meth:`ColarmOptimizer.choose` names when it serves a family's
-#: rules entry: the family's CACHE variants are priced alike, so the tie
-#: preference alone decides.
-_SERVED_KIND: dict[str, PlanKind] = {
-    MIP_FAMILY: min(
-        (kind for kind in PlanKind if kind is not PlanKind.ARM),
-        key=_TIE_PREFERENCE.__getitem__,
-    ),
-    ARM_FAMILY: PlanKind.ARM,
-}
-
-#: Ledger slot a probe outcome is counted under.
-_LEDGER_SLOT = {"rules": "rule_hits", "lattice": "lattice_hits", None: "misses"}
-
 #: Bound on the per-optimizer profile memo (see
 #: :meth:`ColarmOptimizer.profile_for`): enough for any realistic hot
 #: query set, small enough that stale-generation leftovers never matter.
@@ -78,7 +62,6 @@ class EstimateResidual:
     dq_size: int = 0
     arm_f1: int = 0          # measured local structure behind the ARM price
     arm_chain: int = 0
-    cached: bool = False     # materialized-cache variant of the plan
 
     @property
     def log_ratio(self) -> float:
@@ -112,36 +95,23 @@ class RecompactionAdvice:
 class PlanChoice:
     """The optimizer's suggestion plus everything behind it.
 
-    When a materialized cache is installed and its probe hit,
-    ``cached_estimates`` holds the CACHE-variant prices (one per plan the
-    cached entry can serve), ``cached`` says whether the chosen plan
-    should be served from the cache, and ``cache_probe`` carries the live
-    probe the prices were built from (``kind``/``family``/sizes — what
-    the engine needs to actually serve the hit).
-
-    A rules-tier hit priced from its entry's stamp
-    (:meth:`ColarmOptimizer.probe_cache`) never built a profile or the
-    fresh estimates: its choice has ``profile=None``, empty ``estimates``
-    and the one ``cached_estimates`` price it was served at.
+    Only a request the cache cannot serve is priced, so a choice is
+    always of a fresh execution.
     """
 
     kind: PlanKind
     estimates: dict[PlanKind, float]
-    profile: QueryProfile | None
-    cached: bool = False
-    cached_estimates: dict[PlanKind, float] = field(default_factory=dict)
-    cache_probe: object | None = None   # repro.cache.CacheProbe when probed
+    profile: QueryProfile
     #: Index generation the choice was priced against.  A choice is only
     #: reusable (``Colarm.query(choice=...)``, the serving layer's
-    #: admission weights) while this matches ``index.generation`` —
-    #: cached-variant prices and the memoized profile are both stale
-    #: after a mutation.
+    #: admission weights) while this matches ``index.generation`` — the
+    #: memoized profile is stale after a mutation.
     generation: int = 0
     #: The focal subset the profile was built over — resolved *and
     #: projected* — for the execution to adopt (``execute_plan(...,
     #: focus=)``).  ``None`` when nothing was resolved: the profile came
-    #: from the memo, or the choice is a stamp-priced hit.  Whoever holds
-    #: the choice calls :meth:`release` when the request ends.
+    #: from the memo.  Whoever holds the choice calls :meth:`release`
+    #: when the request ends.
     focus: FocalSubset | None = field(default=None, repr=False, compare=False)
 
     def release(self) -> None:
@@ -151,35 +121,19 @@ class PlanChoice:
 
     @property
     def chosen_estimate(self) -> float:
-        """The estimated cost of the chosen variant, in seconds.
-
-        This is the scalar the serving layer uses as the admission /
-        priority weight: the cached-variant price when the choice is a
-        cache serve, the fresh plan's price otherwise.
-        """
-        if self.cached:
-            return self.cached_estimates[self.kind]
+        """The estimated cost of the chosen plan, in seconds — the scalar
+        the serving layer uses as the admission / priority weight."""
         return self.estimates[self.kind]
 
     def explain(self) -> str:
-        """Human-readable ranking of the plan variants."""
+        """Human-readable ranking of the six plans."""
         lines = [
             f"focal subset: {self.profile.dq_size} records, "
             f"min_count={self.profile.min_count}"
-            if self.profile is not None
-            else "rules-tier cache hit, priced from the entry's stamp"
         ]
-        ranked = [
-            (cost, kind, "") for kind, cost in self.estimates.items()
-        ] + [
-            (cost, kind, "+C")
-            for kind, cost in self.cached_estimates.items()
-        ]
-        for cost, kind, tag in sorted(ranked, key=lambda kv: kv[0]):
-            label = kind.value + tag
-            chosen = kind is self.kind and (tag == "+C") == self.cached
-            marker = " <== chosen" if chosen else ""
-            lines.append(f"  {label:<11} est {cost:.6f}s{marker}")
+        for kind, cost in sorted(self.estimates.items(), key=lambda kv: kv[1]):
+            marker = " <== chosen" if kind is self.kind else ""
+            lines.append(f"  {kind.value:<11} est {cost:.6f}s{marker}")
         return "\n".join(lines)
 
 
@@ -209,31 +163,12 @@ class ColarmOptimizer:
         self.index = index
         self.cost_model = CostModel(index.stats, weights)
         self.arm_risk_factor = arm_risk_factor
-        #: Materialized-result cache (None = none installed); installed by
-        #: ``Colarm.enable_cache``.  While set, :meth:`choose` probes it
-        #: per query, prices a CACHE variant for every plan the cached
-        #: entry can serve, and logs the probe outcome in
-        #: :attr:`cache_ledger`.
-        self.cache = None
         #: Delta-store source (a :class:`repro.core.maintenance.
         #: MaintainedIndex`, None = immutable index); installed by
         #: ``Colarm.enable_maintenance``.  While set, :meth:`profile_for`
         #: prices the combined live main+delta focal subset and attaches
         #: the delta load-term inputs to the profile.
         self.delta_source = None
-        #: Hit/miss/pick outcomes of every cache probe made by
-        #: :meth:`choose` — the measurement ledger's cache section.
-        self.cache_ledger: dict[str, int] = {
-            "probes": 0,
-            "rule_hits": 0,
-            "lattice_hits": 0,
-            "misses": 0,
-            "cached_picks": 0,
-        }
-        #: Owns :attr:`cache_ledger`: a stamped hit is priced on whatever
-        #: thread asked, beside a :meth:`choose` running under the engine
-        #: lock.
-        self._ledger_lock = threading.Lock()
         #: estimate-vs-actual observations fed back by the caller
         #: (:meth:`record_measurement`); unbounded only if the caller
         #: keeps feeding it — benches clear it per run.
@@ -248,10 +183,6 @@ class ColarmOptimizer:
 
     def set_weights(self, weights: CostWeights) -> None:
         self.cost_model = CostModel(self.index.stats, weights)
-
-    def set_cache(self, cache) -> None:
-        """Install (or clear) the materialized-result cache to price."""
-        self.cache = cache
 
     def set_delta(self, source) -> None:
         """Install (or clear) the maintained-index delta source.
@@ -268,8 +199,8 @@ class ColarmOptimizer:
         """Point the optimizer at a freshly recompacted (or rebuilt) index.
 
         Rebuilds the cost model on the new index statistics and drops the
-        profile memo; weights, risk factor, and the installed cache /
-        delta companions are kept.
+        profile memo; weights, risk factor and the installed delta source
+        are kept.
         """
         self.index = index
         self.cost_model = CostModel(index.stats, self.cost_model.weights)
@@ -290,11 +221,10 @@ class ColarmOptimizer:
         of ``minconf`` — and of the index state, so it is memoized on
         exactly those and the index generation under a small LRU bound:
         the density-aware ARM model *measures* the focal subset's
-        frequent-item structure, and on the repeated-query workloads the
-        materialized cache serves, re-measuring an unchanged subset per
-        repeat (or per ``minconf`` variant) would dwarf the cache hit
-        itself.  Any index mutation changes the generation key, so a
-        stale profile is never reused.  A memo hit resolves nothing and
+        frequent-item structure, and on repeated-query workloads
+        re-measuring an unchanged subset per ``minconf`` variant would
+        dwarf the plan it prices.  Any index mutation changes the
+        generation key, so a stale profile is never reused.  A memo hit resolves nothing and
         returns no subset; the memo holds profiles only, never a subset
         or its projection.
         """
@@ -323,83 +253,7 @@ class ColarmOptimizer:
     def _risk(self, kind: PlanKind) -> float:
         return self.arm_risk_factor if kind is PlanKind.ARM else 1.0
 
-    def _log_probe(self, probe: CacheProbe, picked: bool) -> None:
-        with self._ledger_lock:
-            self.cache_ledger["probes"] += 1
-            self.cache_ledger[_LEDGER_SLOT[probe.kind]] += 1
-            if picked:
-                self.cache_ledger["cached_picks"] += 1
-
-    def hit_pricing(self, choice: PlanChoice, family: str) -> HitPricing:
-        """The stamp for a ``family`` rules entry priced by ``choice``.
-
-        ``fresh_price`` is the first key of the cheapest non-cached
-        candidate :meth:`choose` ranked — so a repeat can make
-        :meth:`choose`'s cached-or-fresh comparison from the stamp alone
-        (:meth:`probe_cache`).
-        """
-        return HitPricing(
-            dq_size=choice.profile.dq_size,
-            kind=_SERVED_KIND[family],
-            fresh_price=min(
-                cost * self._risk(kind)
-                for kind, cost in choice.estimates.items()
-            ),
-            weights=self.weights,
-        )
-
-    def probe_cache(
-        self, query: LocalizedQuery
-    ) -> tuple[CacheProbe, PlanChoice | None]:
-        """The one cache probe of a request — serving a stamped rules hit.
-
-        A rules-tier hit whose entry was stamped under the current
-        weights is priced here exactly as :meth:`choose` would price it —
-        ``cache_probe`` (risk-adjusted for the ARM family) against the stamped cheapest fresh candidate, ties to the
-        cache — and, when the cache wins, served in the same critical
-        section: the probe comes back with ``rules`` and the second
-        element is the choice :meth:`choose` would have returned, minus
-        the profile and fresh estimates nobody computed.  Otherwise the
-        second element is ``None`` and the probe is to be handed to
-        :meth:`choose` (``probe=``), which then makes no second one.
-
-        Touches no optimizer state but the (locked) ledger, so it is safe
-        on any thread, beside a :meth:`choose` in flight.
-        """
-        model = self.cost_model
-        estimate = 0.0
-
-        def cache_wins(probe: CacheProbe) -> bool:
-            nonlocal estimate
-            stamp = probe.pricing
-            if stamp.weights is not model.weights:
-                return False
-            estimate = model.weights.price(
-                model.cached_loads(stamp.kind, None, probe)
-            )
-            return estimate * self._risk(stamp.kind) <= stamp.fresh_price
-
-        probe = self.cache.probe(query, serve_if=cache_wins)
-        if probe.rules is None:
-            return probe, None
-        self._log_probe(probe, picked=True)
-        kind = probe.pricing.kind
-        return probe, PlanChoice(
-            kind=kind,
-            estimates={},
-            profile=None,
-            cached=True,
-            cached_estimates={kind: estimate},
-            cache_probe=probe,
-            generation=self.index.generation,
-        )
-
-    def choose(
-        self,
-        query: LocalizedQuery,
-        use_cache: bool = True,
-        probe: CacheProbe | None = None,
-    ) -> PlanChoice:
+    def choose(self, query: LocalizedQuery) -> PlanChoice:
         """Suggest the cheapest plan for this request.
 
         Estimate ties break by :data:`_TIE_PREFERENCE`, not enum order:
@@ -410,45 +264,17 @@ class ColarmOptimizer:
         touches at most the same leaves.  (Exact ties are common: below
         the primary floor the supported filter's *estimated* pass
         fraction is 1, which collapses the S-* and SS-* load vectors.)
-
-        With a materialized cache installed (and ``use_cache``), the
-        cache is probed — unless the caller hands in the ``probe`` it
-        already made (:meth:`probe_cache`) — and, on a hit, every plan
-        the entry can serve gets a CACHE variant too; the cheapest
-        variant overall wins.  Exact ties go to the cached variant (a
-        hit is strictly less work and byte-identical to its plan
-        family's fresh execution).
         """
         profile, focus = self.profile_for(query)
         estimates = self.cost_model.estimate_all(profile)
-        cache_probe = None
-        cached_estimates: dict[PlanKind, float] = {}
-        if self.cache is not None and use_cache:
-            cache_probe = probe if probe is not None else self.cache.probe(query)
-            cached_estimates = self.cost_model.estimate_all_cached(
-                profile, cache_probe
-            )
-
-        def adjust(kind: PlanKind, cost: float) -> float:
-            return cost * self._risk(kind)
-
-        candidates = [
-            (adjust(kind, cost), 1, _TIE_PREFERENCE[kind], kind, False)
+        _, _, best = min(
+            (cost * self._risk(kind), _TIE_PREFERENCE[kind], kind)
             for kind, cost in estimates.items()
-        ] + [
-            (adjust(kind, cost), 0, _TIE_PREFERENCE[kind], kind, True)
-            for kind, cost in cached_estimates.items()
-        ]
-        _, _, _, best, best_cached = min(candidates)
-        if cache_probe is not None:
-            self._log_probe(cache_probe, picked=best_cached)
+        )
         return PlanChoice(
             kind=best,
             estimates=estimates,
             profile=profile,
-            cached=best_cached,
-            cached_estimates=cached_estimates,
-            cache_probe=cache_probe,
             generation=self.index.generation,
             focus=focus,
         )
@@ -469,8 +295,7 @@ class ColarmOptimizer:
         estimate less that plan's toll.  Folding is recommended once the
         toll, accumulated over ``horizon`` queries, exceeds
         ``build_cost_s`` (use the maintained index's measured
-        ``last_build_s``, or a calibration estimate, for the latter).  A
-        stamp-priced cache hit (no profile) pays no toll.
+        ``last_build_s``, or a calibration estimate, for the latter).
 
         Ranking on the delta-free prices is deliberate: with
         ``delta_probe = inf`` (the CI gate's forcing function) every
@@ -482,7 +307,7 @@ class ColarmOptimizer:
         the ranking lands on).
         """
         profile = choice.profile
-        if profile is None or profile.delta_records <= 0:
+        if profile.delta_records <= 0:
             return RecompactionAdvice(
                 recommended=False,
                 toll_s=0.0,
@@ -514,36 +339,17 @@ class ColarmOptimizer:
     # -- estimate-vs-actual feedback ----------------------------------------
 
     def record_measurement(
-        self,
-        choice: PlanChoice,
-        kind: PlanKind,
-        measured_s: float,
-        cached: bool = False,
+        self, choice: PlanChoice, kind: PlanKind, measured_s: float
     ) -> EstimateResidual:
-        """Log one measured plan execution against its estimate.
-
-        ``cached=True`` scores the measurement against the plan's
-        CACHE-variant estimate (it must exist in the choice).
-        """
-        # A hit priced from its stamp carries no profile.
-        profile = choice.profile
-        arm = profile.arm_stats if profile is not None else None
-        if cached:
-            estimated = choice.cached_estimates[kind]
-        else:
-            estimated = choice.estimates[kind]
+        """Log one measured plan execution against its estimate."""
+        arm = choice.profile.arm_stats
         residual = EstimateResidual(
             kind=kind,
-            estimated_s=estimated,
+            estimated_s=choice.estimates[kind],
             measured_s=measured_s,
-            dq_size=(
-                profile.dq_size
-                if profile is not None
-                else choice.cache_probe.pricing.dq_size
-            ),
+            dq_size=choice.profile.dq_size,
             arm_f1=arm.f1 if arm is not None else 0,
             arm_chain=arm.chain_length if arm is not None else 0,
-            cached=cached,
         )
         self.residuals.append(residual)
         return residual

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import tidset as ts
+from repro import kernels
 from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.operators import mip_sources
 from repro.core.query import LocalizedQuery
-from repro.dataset.schema import Item
 from repro.errors import QueryError
 from repro.itemsets.itemset import min_count_for
 from repro.itemsets.rules import rules_from_subset_lattices
@@ -103,29 +102,31 @@ def suggest_ranges(
     count stored itemsets that are locally frequent at ``minsupp`` inside
     the subset, split into *fresh* (globally below ``minsupp``) and
     *repeated* (already globally frequent) — the Figure 13 quantities —
-    and return the ``top_k`` subsets with the most fresh itemsets.
+    and return the ``top_k`` subsets with the most fresh itemsets.  One
+    AND + popcount of the packed MIP tidsets against the item's row counts
+    every stored itemset inside one subset.
     """
-    if index.table.n_records == 0:
+    n_records = index.table.n_records
+    if n_records == 0:
         return []
-    global_floor = min_count_for(minsupp, index.table.n_records)
+    mips = index.mip_tidset_matrix
+    globally = kernels.popcount_rows(mips) >= min_count_for(minsupp, n_records)
+    fixed = index.stats.mip_fixed_values
+    items, rows = index.table.item_matrix()
+    sizes = kernels.popcount_rows(items)
     suggestions: list[RangeSuggestion] = []
-    for item, mask in index.table.item_tidsets().items():
-        dq_size = ts.count(mask)
-        if dq_size < min_subset_fraction * index.table.n_records:
+    for item, row in rows.items():
+        dq_size = int(sizes[row])
+        if dq_size < min_subset_fraction * n_records:
             continue
-        local_floor = min_count_for(minsupp, dq_size)
-        fresh = repeated = 0
-        for mip in index.mips:
-            # Skip trivial hits: itemsets that *contain* the selector item
-            # are frequent in its subset by construction of the subset.
-            if Item(item.attribute, item.value) in mip.itemset:
-                continue
-            local = mip.local_count(mask)
-            if local >= local_floor:
-                if mip.global_count >= global_floor:
-                    repeated += 1
-                else:
-                    fresh += 1
+        local = kernels.and_count(mips, items[row])
+        # Skip trivial hits: itemsets that *contain* the selector item
+        # are frequent in its subset by construction of the subset.
+        frequent = (local >= min_count_for(minsupp, dq_size)) & (
+            fixed[:, item.attribute] != item.value
+        )
+        repeated = int(np.count_nonzero(frequent & globally))
+        fresh = int(np.count_nonzero(frequent)) - repeated
         suggestions.append(
             RangeSuggestion(
                 attribute=item.attribute,

@@ -61,7 +61,7 @@ _SUPPORTED_VERSIONS = (1, 2)
 _FLAT_PREFIX = "flat_"
 _KERNEL_MIPS = "kernel_mip_tidsets"
 _KERNEL_ITEMS = "kernel_item_matrix"
-_CACHE_FORMAT_VERSION = 2
+_CACHE_FORMAT_VERSION = 3
 _MAINT_FORMAT_VERSION = 1
 
 
@@ -518,8 +518,10 @@ def save_cache(
 
     Conventionally stored next to the index file (``*.cache.npz``) so a
     restarted worker loads both and starts warm.  Entries are stored in
-    LRU -> MRU order with their hit counts, so the reloaded cache has the
-    same eviction order and landmark set.  A rules entry is one member —
+    LRU -> MRU order with their hit counts and the ``|D^Q|`` they were
+    computed over, so the reloaded cache has the same eviction order and
+    landmark set and serves without resolving anything (format v3; older
+    sidecars are refused).  A rules entry is one member —
     its block's :meth:`~repro.itemsets.rules.RuleBlock.pack` buffer — and
     a lattice entry one count matrix per width group; ``compress=False``
     stores them raw, which makes both eligible for zero-copy
@@ -539,6 +541,7 @@ def save_cache(
             "aitem": list(aitem) if aitem is not None else None,
             "minsupp": key[4],
             "hits": entry.hits,
+            "dq_size": entry.dq_size,
         }
         if entry.kind == "rules":
             record["minconf"] = key[5]
@@ -547,7 +550,6 @@ def save_cache(
             arrays[f"e{i}_block"] = np.frombuffer(body, dtype=np.uint8)
         else:
             lattice: CachedLattice = entry.payload
-            record["dq_size"] = lattice.dq_size
             record["extract_min_count"] = lattice.extract_min_count
             record["n_groups"] = len(lattice.groups)
             for j, (ids, group_counts) in enumerate(lattice.groups):
@@ -683,7 +685,9 @@ def load_cache(
                     )
                 except DataError as exc:
                     raise DataError(f"{path}: entry {i}: {exc}") from exc
-                cache.put_rules(query, rules, family=family)
+                cache.put_rules(
+                    query, rules, int(record["dq_size"]), family=family
+                )
                 key = cache._rules_key(query, family)
             else:
                 groups = []

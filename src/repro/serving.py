@@ -10,10 +10,10 @@ three pieces:
   (:func:`repro.core.query.canonical_focal_key` plus the item/threshold
   fields), so N concurrent identical requests cost one execution: the
   first arrival leads, later arrivals attach as waiters, and the finish
-  fans the result out to everyone.  Warm rules-tier hits short-circuit
-  the service entirely — the request's one cache probe prices the hit
-  from its entry's stamp and serves it on the event-loop thread
-  (:meth:`repro.core.engine.Colarm.probe_cache`), so a hit never waits
+  fans the result out to everyone.  Cache hits short-circuit the service
+  entirely — the request's one cache probe finds the entry and it is
+  served on the event-loop thread, unpriced
+  (:meth:`repro.core.engine.Colarm.serve_cached`), so a hit never waits
   behind a miss that is mining.  ``use_cache=False`` requests bypass
   coalescing in *both* directions (they neither attach nor accept
   attachments): a bypass caller asked for a fresh execution, not another
@@ -26,7 +26,7 @@ three pieces:
   ``cost_ceiling`` are shed (:class:`~repro.errors.ServiceOverloadError`)
   or parked on a deferred heap, and the ready queue is a priority heap
   ordered by ``estimated_cost - aging * time_waited`` — cheap MIP-plan
-  and cache-serve requests run ahead of expensive ARM re-mines, while
+  requests run ahead of expensive ARM re-mines, while
   the aging term guarantees an expensive request's priority eventually
   beats any newcomer's (no starvation).  ``aging = inf`` degenerates to
   pure FIFO; ``aging = 0`` to pure cost order.
@@ -61,7 +61,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.cache import CacheProbe
 from repro.core.engine import Colarm, QueryOutcome
 from repro.core.optimizer import PlanChoice
 from repro.core.plans import PlanKind, plan_from_name
@@ -368,7 +367,7 @@ class QueryService:
         self.stats = ServiceStats()
         #: Serializes pricing, execution and mutation on the engine (the
         #: optimizer memo and the index state are not thread-safe; only
-        #: ``Colarm.probe_cache`` runs outside it).  When several services
+        #: ``Colarm.serve_cached`` runs outside it).  When several services
         #: front the *same* engine in one process (the cluster's
         #: in-process fallback), they must share one lock — pass it here.
         self._engine_lock = engine_lock or threading.Lock()
@@ -510,21 +509,19 @@ class QueryService:
         loop = asyncio.get_running_loop()
         choice: PlanChoice | None = None
         cost = 0.0
-        probe = None
         if plan is None and use_cache and self.engine.cache is not None:
-            outcome, probe = self.engine.probe_cache(q)
+            outcome = self.engine.serve_cached(q, None)
             if outcome is not None:
-                # Warm rules-tier hit, served by the probe itself: no
-                # pricing, no engine lock, no queue, no thread hop.
+                # A cache hit: no pricing, no engine lock, no queue, no
+                # thread hop.
                 return self._served_inline(outcome, t_submit)
         coalescible = use_cache and self.config.coalesce
         key = self._request_key(q, plan) if coalescible else None
         if plan is None:
-            # A flight already registered needs no price to be joined —
-            # and the probe above would be stale by the time a pricing
-            # that waited out that flight's execution used it.  One being
-            # priced right now will be registered the moment its pricing
-            # returns: wait for it instead of pricing the same request.
+            # A flight already registered needs no price to be joined.
+            # One being priced right now will be registered the moment its
+            # pricing returns: wait for it instead of pricing the same
+            # request.
             while True:
                 waiter = self._attach(key, t_submit)
                 if waiter is not None:
@@ -537,7 +534,7 @@ class QueryService:
                 priced = self._pricing[key] = loop.create_future()
             try:
                 choice = await loop.run_in_executor(
-                    self._executor, self._price, q, use_cache, probe
+                    self._executor, self._price, q
                 )
             finally:
                 if key is not None:
@@ -636,26 +633,20 @@ class QueryService:
         self.stats.cache_short_circuits += 1
         self.stats.executions += 1
         trace = RequestTrace(
-            estimated_cost=outcome.choice.chosen_estimate,
             execute_s=now - t_submit,
             total_s=now - t_submit,
             plan=outcome.plan,
             cached=True,
-            generation=outcome.choice.generation,
+            generation=self.engine.index.generation,
         )
         self.stats.record_serve(trace.total_s, now)
         return ServedQuery(outcome=outcome, trace=trace)
 
     # -- engine access (worker threads only) --------------------------------
 
-    def _price(
-        self, q: LocalizedQuery, use_cache: bool, probe: CacheProbe | None
-    ) -> PlanChoice:
+    def _price(self, q: LocalizedQuery) -> PlanChoice:
         with self._engine_lock:
-            consult = use_cache and self.engine.cache is not None
-            return self.engine.optimizer.choose(
-                q, use_cache=consult, probe=probe
-            )
+            return self.engine.optimizer.choose(q)
 
     def _execute(self, flight: _Flight) -> QueryOutcome:
         with self._engine_lock:

@@ -126,7 +126,7 @@ def test_worker_meeting_an_unreadable_sidecar_starts_cold(tmp_path):
     warm start, not the worker: it loads the snapshot, serves, and says
     why it is cold."""
     engine = fresh_engine()
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     want = engine.query(SEATTLE).rules
     info = EpochPublisher(engine, tmp_path).publish()
     sidecar = info.cache_path(tmp_path)
@@ -219,7 +219,7 @@ def test_epoch_publish_never_serves_stale_or_torn(tmp_path):
     carries the generation of a *published* epoch, and no response lands
     at an epoch older than the one current when it was submitted."""
     engine = fresh_engine()
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     salary = salary_dataset()
 
     async def main():
@@ -268,7 +268,7 @@ def test_warm_cache_sidecar_survives_the_hot_swap(tmp_path):
     worker that hot-swaps to the new epoch starts warm and serves the
     very first repeat of a hot query from its reloaded cache."""
     engine = fresh_engine()
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
@@ -369,7 +369,7 @@ def test_hot_key_table_is_pruned_and_seeds_the_same_top_k(tmp_path):
     """The per-key routing counters stay bounded, and what they forget is
     never what ``_seed_cache`` reads: the hottest ``warm_top_k``."""
     engine = fresh_engine()
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     cluster = ClusterService(engine, tmp_path, config(warm_top_k=2))
     cap = _HOT_KEYS_PER_WARM_SLOT * 2
     hot = [engine.parse(q) for q in QUERIES]
@@ -391,3 +391,31 @@ def test_hot_key_table_is_pruned_and_seeds_the_same_top_k(tmp_path):
     cluster._seed_cache()
     warmed = [engine.cache.probe(query).kind for query in hot]
     assert warmed == ["rules", "rules", None]
+
+
+def test_an_emptied_hot_region_does_not_stop_cache_seeding(tmp_path):
+    """A hot key whose focal subset was deleted empty cannot be answered:
+    seeding skips and counts it, and still warms every colder hot key."""
+    engine = fresh_engine()
+    engine.enable_cache()
+    # No fold may start (and rebind the cache) while the keys are seeded.
+    engine.enable_maintenance(max_delta_fraction=0.99, horizon=0)
+    cluster = ClusterService(engine, tmp_path, config(warm_top_k=3))
+    male = (
+        "REPORT LOCALIZED ASSOCIATION RULES FROM salary "
+        "WHERE RANGE Gender = (M) "
+        "HAVING minsupport = 0.4 AND minconfidence = 0.7;"
+    )
+    hot = [engine.parse(q) for q in (SEATTLE, BOSTON, male)]
+    for rank, query in enumerate(hot):
+        for _ in range(3 - rank):
+            cluster._count_hot(b"hot-%d" % rank, query)
+    emptied = hot[0].range_selections
+    engine.delete([
+        tid for tid, row in enumerate(engine.table.data.tolist())
+        if all(row[a] in values for a, values in emptied.items())
+    ])
+    cluster._seed_cache()
+    warmed = [engine.cache.probe(query).kind for query in hot]
+    assert warmed == [None, "rules", "rules"]
+    assert cluster.snapshot()["seed_skipped"] == 1

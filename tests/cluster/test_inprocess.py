@@ -70,7 +70,7 @@ def test_inprocess_cluster_routes_and_matches_the_engine():
 
 def test_inprocess_concurrent_burst_is_safe_and_complete():
     engine = Colarm(salary_dataset(), primary_support=0.15)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     ref = Colarm(salary_dataset(), primary_support=0.15).query(SEATTLE).rules
 
     async def main():

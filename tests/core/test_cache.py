@@ -9,27 +9,19 @@ Three layers of coverage:
   the ``use_cache`` bypass;
 * ``save_cache``/``load_cache`` round-trips, including ``mmap_mode`` and
   the strict generation check on load;
-* the stamped hit path — a repeat priced from its entry's stamp decides
-  exactly as ``optimizer.choose`` does and answers exactly as the priced
-  serve does — and the cache's own lock under a thread hammer.
+* one probe per request, a hit served without pricing, and the cache's
+  own lock under a thread hammer.
 """
 
+import asyncio
+import json
 import sys
 import threading
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.cache import (
-    ARM_FAMILY,
-    MIP_FAMILY,
-    CachedLattice,
-    HitPricing,
-    RuleCache,
-)
-from repro.core.costs import CostWeights
+from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
 from repro.core.persistence import load_cache, save_cache
@@ -37,6 +29,7 @@ from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError
 from repro.itemsets.rules import RuleBlock
+from repro.serving import QueryService
 from tests.conftest import make_random_table
 
 MIP_PLANS = (PlanKind.SEV, PlanKind.SVS, PlanKind.SSEV, PlanKind.SSVS,
@@ -69,7 +62,7 @@ def test_put_get_rules_roundtrip(index):
     cache = RuleCache(index)
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
-    assert cache.put_rules(query, rules)
+    assert cache.put_rules(query, rules, 7)
     served = cache.get_rules(query)
     assert served == rules
     # The entry itself is handed out, no copy: a block cannot be changed.
@@ -87,7 +80,7 @@ def test_rules_entry_accounts_its_columns_real_bytes(index):
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     assert isinstance(rules, RuleBlock) and len(rules)
-    cache.put_rules(query, rules)
+    cache.put_rules(query, rules, 7)
     (entry,) = cache._entries.values()
     assert entry.payload is rules
     assert entry.nbytes == cache.stats.current_bytes
@@ -107,11 +100,14 @@ def test_probe_preference_and_no_lru_bump(index):
     )
     assert cache.put_lattice(query, lattice)
     probe = cache.probe(query)
-    assert probe.kind == "lattice" and probe.lattice_cells > 0
-    cache.put_rules(query, result.rules)
+    assert probe.kind == "lattice" and probe.dq_size == result.dq_size
+    arm = execute_plan(PlanKind.ARM, index, query)
+    cache.put_rules(query, arm.rules, arm.dq_size, family=ARM_FAMILY)
+    assert cache.probe(query).families == (ARM_FAMILY,)
+    cache.put_rules(query, result.rules, result.dq_size)
     probe = cache.probe(query)
-    assert probe.kind == "rules" and probe.family == MIP_FAMILY
-    assert probe.n_rules == len(result.rules)
+    assert probe.kind == "rules" and probe.families == (MIP_FAMILY, ARM_FAMILY)
+    assert probe.dq_size == result.dq_size
     # Probes never count as serves.
     assert cache.stats.rule_hits == 0 and cache.stats.lattice_hits == 0
     assert cache.probe(q({0: {2}})).kind is None
@@ -125,7 +121,7 @@ def test_focal_key_drops_full_domain_selections(index):
     implicit = q({0: {1}})
     assert cache.focal_key(spelled) == cache.focal_key(implicit)
     rules = execute_plan(PlanKind.SSVS, index, implicit).rules
-    cache.put_rules(spelled, rules)
+    cache.put_rules(spelled, rules, 7)
     assert cache.get_rules(implicit) == rules
 
 
@@ -133,15 +129,15 @@ def test_lru_eviction_with_landmark_protection(index):
     queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(4)]
     rules = execute_plan(PlanKind.SSVS, index, queries[0]).rules
     cache = RuleCache(index, budget_bytes=1 << 30, landmark_hits=2)
-    cache.put_rules(queries[0], rules)
+    cache.put_rules(queries[0], rules, 7)
     per_entry = cache.stats.current_bytes
     # Room for exactly two entries; entry 0 is made a landmark.
     cache = RuleCache(index, budget_bytes=2 * per_entry, landmark_hits=2)
-    cache.put_rules(queries[0], rules)
+    cache.put_rules(queries[0], rules, 7)
     for _ in range(2):
         assert cache.get_rules(queries[0]) is not None
-    cache.put_rules(queries[1], rules)
-    cache.put_rules(queries[2], rules)  # evicts 1 (cold LRU), never 0
+    cache.put_rules(queries[1], rules, 7)
+    cache.put_rules(queries[2], rules, 7)  # evicts 1 (cold LRU), never 0
     assert cache.get_rules(queries[1]) is None
     assert cache.get_rules(queries[0]) is not None
     assert cache.stats.evictions == 1
@@ -149,7 +145,7 @@ def test_lru_eviction_with_landmark_protection(index):
     # With only landmarks left, LRU order applies to them after all.
     for _ in range(2):
         cache.get_rules(queries[2])
-    cache.put_rules(queries[3], rules)
+    cache.put_rules(queries[3], rules, 7)
     assert len(cache) == 2
     assert cache.stats.current_bytes <= cache.budget_bytes
 
@@ -158,7 +154,7 @@ def test_oversized_entry_rejected(index):
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     cache = RuleCache(index, budget_bytes=64)
-    assert not cache.put_rules(query, rules)
+    assert not cache.put_rules(query, rules, 7)
     assert cache.stats.rejected == 1 and len(cache) == 0
 
 
@@ -166,7 +162,7 @@ def test_generation_invalidation(index):
     cache = RuleCache(index)
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
-    cache.put_rules(query, rules)
+    cache.put_rules(query, rules, 7)
     index.bump_generation()
     try:
         assert cache.probe(query).kind is None
@@ -174,11 +170,11 @@ def test_generation_invalidation(index):
         assert cache.stats.current_bytes == 0
         # A stale pre-mutation snapshot is refused at insert time too.
         assert not cache.put_rules(
-            query, rules, generation=index.generation - 1
+            query, rules, 7, generation=index.generation - 1
         )
         assert cache.stats.stale_drops == 2
         # A current-generation insert works again.
-        assert cache.put_rules(query, rules, generation=index.generation)
+        assert cache.put_rules(query, rules, 7, generation=index.generation)
         assert cache.get_rules(query) == rules
     finally:
         index.clock.ticks -= 1  # the fixture is shared
@@ -188,8 +184,8 @@ def test_invalidate_clears_everything(index):
     cache = RuleCache(index)
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
-    cache.put_rules(query, rules)
-    cache.put_rules(query, rules, family=ARM_FAMILY)
+    cache.put_rules(query, rules, 7)
+    cache.put_rules(query, rules, 7, family=ARM_FAMILY)
     assert cache.invalidate() == 2
     assert len(cache) == 0 and cache.stats.current_bytes == 0
     stats = cache.stats.as_dict()
@@ -203,28 +199,7 @@ def test_constructor_validation(index):
         RuleCache(index, landmark_hits=0)
     cache = RuleCache(index)
     with pytest.raises(ValueError):
-        cache.put_rules(q({0: {1}}), [], family="nope")
-
-
-def test_probe_serves_a_priced_hit_in_one_critical_section(index):
-    cache = RuleCache(index)
-    query = q({0: {1}})
-    rules = execute_plan(PlanKind.SSVS, index, query).rules
-    cache.put_rules(query, rules)
-    # An entry nobody priced is never offered to serve_if.
-    probe = cache.probe(query, serve_if=lambda probe: True)
-    assert probe.kind == "rules" and probe.rules is None
-    stamp = HitPricing(dq_size=7, kind=PlanKind.SSVS, fresh_price=1.0,
-                       weights=None)
-    assert cache.get_rules(query, pricing=stamp) == rules  # re-stamps
-    asked = []
-    probe = cache.probe(query, serve_if=lambda p: asked.append(p) or False)
-    assert probe.rules is None and probe.pricing is stamp
-    assert asked[0].n_rules == len(rules) and asked[0].rules is None
-    assert cache.stats.rule_hits == 1  # a declined probe is not a serve
-    probe = cache.probe(query, serve_if=lambda probe: True)
-    assert probe.rules is rules  # the entry itself: nothing to copy
-    assert cache.stats.rule_hits == 2 and cache.stats.probes == 3
+        cache.put_rules(q({0: {1}}), [], 7, family="nope")
 
 
 def test_thread_hammer_keeps_accounting_and_generations(index):
@@ -237,11 +212,9 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
     queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(12)]
     template = execute_plan(PlanKind.SSVS, index, queries[0]).rules[:6]
     assert template
-    probe_cache = RuleCache(index, budget_bytes=1 << 30)
-    probe_cache.put_rules(queries[0], template)
-    cache = RuleCache(index, budget_bytes=3 * probe_cache.stats.current_bytes)
-    stamp = HitPricing(dq_size=1, kind=PlanKind.SSVS, fresh_price=1.0,
-                       weights=None)
+    sizing = RuleCache(index, budget_bytes=1 << 30)
+    sizing.put_rules(queries[0], template, 7)
+    cache = RuleCache(index, budget_bytes=3 * sizing.stats.current_bytes)
     rounds, n_readers, n_writers = 2500, 5, 3
     probes = [0] * n_readers
     problems: list[str] = []
@@ -263,9 +236,9 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
             query = queries[(i + slot) % len(queries)]
             before = cache.generation()
             if i % 3:
-                probe = cache.probe(query, serve_if=lambda probe: True)
                 probes[slot] += 1
-                served = probe.rules
+                found = cache.probe(query).kind == "rules"
+                served = cache.get_rules(query) if found else None
             else:
                 served = cache.get_rules(query)
             if served is not None:
@@ -275,8 +248,7 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
         for i in range(rounds):
             generation = cache.generation()
             cache.put_rules(queries[(i * 5 + slot) % len(queries)],
-                            tagged(generation), generation=generation,
-                            pricing=stamp)
+                            tagged(generation), 7, generation=generation)
             if slot == 0 and i % 40 == 39:
                 cache.index.bump_generation()
             if slot == 1 and i % 97 == 96:
@@ -321,144 +293,138 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
 
 
 def test_repeat_query_served_from_cache(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     query = q({0: {1, 2}})
     first = engine.query(query)
-    assert not first.cached
+    assert not first.cached and first.choice is not None
     second = engine.query(query)
     assert second.cached
     assert second.rules == first.rules
-    assert second.chosen_by == "optimizer" and second.choice.cached
-    ledger = engine.optimizer.cache_ledger
-    assert ledger["cached_picks"] >= 1 and ledger["rule_hits"] >= 1
+    assert second.chosen_by == "optimizer" and second.choice is None
+    assert second.plan in (PlanKind.SSVS, PlanKind.ARM)
+    assert (second.plan is PlanKind.ARM) == (first.plan is PlanKind.ARM)
+    assert second.dq_size == first.dq_size
+    assert engine.cache.stats.rule_hits == 1
 
 
-def _spy_choose(engine, monkeypatch):
-    calls = []
-    real = engine.optimizer.choose
+def _spy(engine, monkeypatch, evict_after_probe=False):
+    """Count cache probes, profiles and pricings; optionally empty the
+    cache right after each probe (an eviction between probe and serve)."""
+    calls = {"probe": 0, "profile_for": 0, "choose": 0}
 
-    def choose(query, **kwargs):
-        calls.append(kwargs.get("probe"))
-        return real(query, **kwargs)
+    def counted(owner, name, after=None):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(engine.optimizer, "choose", choose)
-    return calls, real
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
+            if after is not None:
+                after()
+            return out
 
+        monkeypatch.setattr(owner, name, spy)
 
-WARM_KEYS = [
-    q({0: {1, 2}}), q({0: {1}}, minconf=0.7), q({1: {0, 1}}, minsupp=0.35),
-    q({2: {0}, 3: {1}}, minsupp=0.2), q({4: {0, 2}}, minconf=0.8),
-]
-
-
-def test_stamped_hit_is_the_priced_serve(engine, monkeypatch):
-    """A repeat answered from its entry's stamp equals, field for field,
-    what the full pricing path serves for the same request — and makes
-    one cache probe, no ``choose``."""
-    engine.enable_cache(calibrate=False)
-    for query in WARM_KEYS:
-        assert not engine.query(query).cached  # populates and stamps
-    for query in WARM_KEYS:
-        choice = engine.optimizer.choose(query)
-        assert choice.cached
-        priced = engine._serve_cached(query, choice.kind, choice)
-        calls, _ = _spy_choose(engine, monkeypatch)
-        probes = engine.cache.stats.probes
-        inline = engine.query(query)
-        monkeypatch.undo()
-        assert calls == []
-        assert engine.cache.stats.probes == probes + 1
-        assert inline.rules == priced.rules
-        assert inline.plan is priced.plan and inline.cached
-        assert inline.chosen_by == "optimizer"
-        assert inline.dq_size == priced.dq_size
-        assert inline.choice.cached and inline.choice.kind is choice.kind
-        assert inline.choice.chosen_estimate == choice.chosen_estimate
-        assert inline.choice.generation == engine.index.generation
-        assert "chosen" in inline.choice.explain()
-        residual = engine.optimizer.record_measurement(
-            inline.choice, inline.plan, inline.elapsed, cached=True
-        )
-        assert residual.dq_size == priced.dq_size
+    counted(engine.cache, "probe",
+            engine.cache.invalidate if evict_after_probe else None)
+    counted(engine.optimizer, "profile_for")
+    counted(engine.optimizer, "choose")
+    return calls
 
 
-@pytest.mark.parametrize("probe_w, load_w, inline_all", [
-    (None, None, None),            # the default weights: whatever choose says
-    (float("inf"), None, False),   # the CI cache self-test's two settings
-    (0.0, 0.0, True),
-])
-def test_stamp_decision_equals_choose(engine, monkeypatch, probe_w, load_w,
-                                      inline_all):
-    engine.enable_cache(calibrate=False)
-    for query in WARM_KEYS:
-        engine.query(query)
-        engine.query(query, plan=PlanKind.ARM)  # both families warm
-    weights = dict(engine.optimizer.weights.weights)
-    if probe_w is not None:
-        weights["cache_probe"] = probe_w
-    if load_w is not None:
-        weights["cache_load"] = load_w
-    engine.optimizer.set_weights(CostWeights(weights))
-    calls, choose = _spy_choose(engine, monkeypatch)
-    # Entries stamped under other weights are priced in full, once ...
-    for query in WARM_KEYS:
-        engine.query(query)
-    assert len(calls) == len(WARM_KEYS)
-    assert all(probe is not None for probe in calls)  # the one probe, handed on
-    # ... and from their new stamp afterwards, deciding as choose() does.
-    for query in WARM_KEYS:
-        expected = choose(query).cached
-        del calls[:]
-        outcome = engine.query(query)
-        assert outcome.cached == expected
-        assert (calls == []) == expected
-        if inline_all is not None:
-            assert expected == inline_all
+def test_every_request_probes_once_and_a_hit_is_not_priced(engine,
+                                                          monkeypatch):
+    """Optimizer-planned, forced and service requests each make exactly one
+    cache probe; a request served from either tier neither profiles nor
+    prices; an entry evicted between probe and serve is priced and
+    executed fresh, without a second probe."""
+    engine.enable_cache()
+    calls = _spy(engine, monkeypatch)
+
+    def ask(request, plan=None):
+        for name in calls:
+            calls[name] = 0
+        outcome = engine.query(request, plan=plan)
+        return outcome, dict(calls)
+
+    priced = {"probe": 1, "profile_for": 1, "choose": 1}
+    unpriced = {"probe": 1, "profile_for": 0, "choose": 0}
+    miss, seen = ask(q({0: {1, 2}}))
+    assert not miss.cached and seen == priced
+    hit, seen = ask(q({0: {1, 2}}))
+    assert hit.cached and seen == unpriced and hit.rules == miss.rules
+
+    region = q({1: {0, 1}}, minconf=0.6)
+    forced, seen = ask(region, plan=PlanKind.SSVS)
+    assert not forced.cached and seen == unpriced
+    replay, seen = ask(q({1: {0, 1}}, minconf=0.8))  # the lattice tier
+    assert replay.cached and seen == unpriced
+    assert replay.plan is PlanKind.SSVS
+    assert engine.cache.stats.lattice_hits == 1
+    assert replay.rules == execute_plan(
+        PlanKind.SSVS, engine.index, q({1: {0, 1}}, minconf=0.8)
+    ).rules
+    again, seen = ask(region, plan=PlanKind.SVS)
+    assert again.cached and seen == unpriced and again.plan is PlanKind.SVS
+    other, seen = ask(region, plan=PlanKind.ARM)  # not its family's entry
+    assert not other.cached and seen == unpriced
+
+    keys = [q({2: {0}}), q({2: {0}}), region]
+
+    async def serve():
+        async with QueryService(engine) as service:
+            out = []
+            for query, plan in zip(keys, (None, None, PlanKind.ARM)):
+                for name in calls:
+                    calls[name] = 0
+                out.append((await service.submit(query, plan=plan),
+                            dict(calls)))
+            return out
+
+    (first, seen_miss), (repeat, seen_hit), (arm, seen_forced) = \
+        asyncio.run(serve())
+    assert not first.cached and seen_miss == priced
+    assert repeat.cached and seen_hit == unpriced
+    assert arm.cached and seen_forced == unpriced
+
+    monkeypatch.undo()
+    calls = _spy(engine, monkeypatch, evict_after_probe=True)
+    evicted, seen = ask(q({0: {1, 2}}))
+    assert not evicted.cached and seen == priced
+    assert evicted.rules == miss.rules
 
 
-def test_warm_loaded_entry_is_priced_once_then_stamped(index, tmp_path,
-                                                       monkeypatch):
+def test_warm_loaded_entry_is_served_on_first_repeat(index, tmp_path,
+                                                     monkeypatch):
     cache, queries = populated_cache(index)
     path = tmp_path / "warm.cache.npz"
     save_cache(cache, path)
     engine = Colarm.from_index(index)
-    engine.enable_cache(cache=load_cache(path, index), calibrate=False)
-    assert engine.cache.probe(queries[0]).pricing is None
-    calls, _ = _spy_choose(engine, monkeypatch)
+    engine.enable_cache(cache=load_cache(path, index))
+    calls = _spy(engine, monkeypatch)
     first = engine.query(queries[0])
-    second = engine.query(queries[0])
-    assert first.cached and second.cached and first.rules == second.rules
-    assert len(calls) == 1
-    assert second.choice.profile is None and first.choice.profile is not None
-    # A forced plan's entry carries no price either.
-    fresh = q({3: {0}}, minsupp=0.25)
-    engine.query(fresh, plan=PlanKind.SSVS)
-    assert engine.cache.probe(fresh).pricing is None
+    assert first.cached and calls["choose"] == calls["profile_for"] == 0
+    fresh = execute_plan(PlanKind.SSVS, index, queries[0])
+    assert first.rules == fresh.rules and first.dq_size == fresh.dq_size
 
 
 def test_lattice_hit_replays_at_new_minconf(engine):
-    engine.enable_cache(calibrate=False)
-    # Uncalibrated default weights underprice the fresh ARM plan on this
-    # tiny index; pricing accuracy is the benches' concern — here ARM is
-    # made expensive so the choice exercises the lattice-serve path.
-    weights = dict(engine.optimizer.weights.weights)
-    weights["arm"] = 1.0
-    engine.optimizer.set_weights(CostWeights(weights))
+    engine.enable_cache()
     base = q({1: {0, 1}}, minsupp=0.3, minconf=0.6)
     engine.query(base, plan=PlanKind.SSVS)  # populates rules + lattice
     assert engine.cache.entries_by_kind()["lattice"] == 1
     shifted = q({1: {0, 1}}, minsupp=0.3, minconf=0.8)
     outcome = engine.query(shifted)
-    assert outcome.cached
-    assert outcome.choice.cache_probe.kind == "lattice"
+    assert outcome.cached and outcome.plan is PlanKind.SSVS
+    assert engine.cache.stats.lattice_hits == 1
     fresh = execute_plan(PlanKind.SSVS, engine.index, shifted)
     assert outcome.rules == fresh.rules
+    assert outcome.dq_size == fresh.dq_size
     # The extraction upgraded to a full rules hit for the next repeat.
     assert engine.cache.probe(shifted).kind == "rules"
 
 
 def test_forced_plan_uses_own_family(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     query = q({0: {1, 2}}, minconf=0.7)
     mip = engine.query(query, plan=PlanKind.SSEUV)
     arm = engine.query(query, plan=PlanKind.ARM)
@@ -470,7 +436,7 @@ def test_forced_plan_uses_own_family(engine):
 
 
 def test_use_cache_false_bypasses_consult_and_populate(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     query = q({0: {1, 2}})
     engine.query(query, use_cache=False)
     assert len(engine.cache) == 0
@@ -480,7 +446,7 @@ def test_use_cache_false_bypasses_consult_and_populate(engine):
 
 
 def test_disable_cache_detaches(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     query = q({0: {1, 2}})
     engine.query(query)
     engine.disable_cache()
@@ -498,7 +464,7 @@ def test_enable_cache_rejects_expand_mismatch(engine, index):
 
 
 def populated_cache(index):
-    engine = Colarm.from_index(index).enable_cache(calibrate=False)
+    engine = Colarm.from_index(index).enable_cache()
     queries = [
         q({0: {1}}, minconf=0.6),
         q({0: {1}}, minconf=0.8),
@@ -578,11 +544,8 @@ def test_save_load_mmap_rule_blocks(index, tmp_path):
     assert not _mapped(fallback.get_rules(queries[0]).src)
 
 
-def test_loaded_entries_keep_order_hits_landmarks_and_no_stamp(index, tmp_path):
+def test_loaded_entries_keep_order_hits_landmarks_and_dq_size(index, tmp_path):
     cache, queries = populated_cache(index)
-    stamp = HitPricing(dq_size=7, kind=PlanKind.SSVS, fresh_price=1.0,
-                       weights=None)
-    assert cache.get_rules(queries[1], pricing=stamp) is not None
     path = tmp_path / "warm.cache.npz"
     save_cache(cache, path, compress=False)
     for mmap_mode in (None, "r"):
@@ -593,8 +556,8 @@ def test_loaded_entries_keep_order_hits_landmarks_and_no_stamp(index, tmp_path):
         landmarks = [e.hits >= cache.landmark_hits
                      for e in loaded._entries.values()]
         assert any(landmarks) and not all(landmarks)
-        # Prices are not persisted: the first repeat is priced in full.
-        assert all(e.pricing is None for e in loaded._entries.values())
+        assert [e.dq_size for e in loaded._entries.values()] == \
+            [e.dq_size for e in cache._entries.values()]
         assert [e.nbytes for e in loaded._entries.values()] == \
             [e.nbytes for e in cache._entries.values()]
 
@@ -608,22 +571,24 @@ def _rewrite(path, change):
 
 
 def test_load_refuses_a_v1_sidecar(index, tmp_path):
+    """... and a v2 one: neither stores a rules entry's ``|D^Q|``."""
     cache, _ = populated_cache(index)
     path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path, compress=False)
+    for version in (1, 2):
+        save_cache(cache, path, compress=False)
 
-    def downgrade(members):
-        meta = json.loads(bytes(members["meta"]).decode())
-        assert meta["cache_format_version"] == 2
-        meta["cache_format_version"] = 1
-        members["meta"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
+        def downgrade(members):
+            meta = json.loads(bytes(members["meta"]).decode())
+            assert meta["cache_format_version"] == 3
+            meta["cache_format_version"] = version
+            members["meta"] = np.frombuffer(
+                json.dumps(meta).encode(), dtype=np.uint8
+            )
 
-    _rewrite(path, downgrade)
-    for mmap_mode in (None, "r"):
-        with pytest.raises(DataError, match="version 1"):
-            load_cache(path, index, mmap_mode=mmap_mode)
+        _rewrite(path, downgrade)
+        for mmap_mode in (None, "r"):
+            with pytest.raises(DataError, match=f"version {version}"):
+                load_cache(path, index, mmap_mode=mmap_mode)
 
 
 @pytest.mark.parametrize("mmap_mode", [None, "r"])
@@ -667,7 +632,10 @@ def test_load_adopts_into_engine(index, tmp_path):
     path = tmp_path / "warm.cache.npz"
     save_cache(cache, path)
     engine = Colarm.from_index(index)
-    engine.enable_cache(cache=load_cache(path, index), calibrate=False)
+    engine.enable_cache(cache=load_cache(path, index))
     outcome = engine.query(queries[0], plan=PlanKind.SSVS)
     assert outcome.cached
     assert outcome.rules == cache.get_rules(queries[0])
+    assert outcome.dq_size == execute_plan(
+        PlanKind.SSVS, index, queries[0]
+    ).dq_size

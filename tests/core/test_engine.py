@@ -118,20 +118,3 @@ def test_query_rechooses_stale_choice():
     outcome = engine.query(query, choice=choice)
     assert outcome.choice is not choice  # stale generation: re-chosen
     assert outcome.choice.generation == engine.index.generation
-
-
-def test_query_drops_cached_choice_without_consult():
-    """A CACHE-variant choice must not survive into a use_cache=False
-    call: the engine re-chooses instead of serving from the cache."""
-    table = make_random_table(seed=44, n_records=80,
-                              cardinalities=(4, 3, 3, 2))
-    engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
-    query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
-    warm_rules = engine.query(query).rules  # populate
-    choice = engine.optimizer.choose(query, use_cache=True)
-    assert choice.cached  # precondition: repeat would be a cache serve
-    outcome = engine.query(query, use_cache=False, choice=choice)
-    assert not outcome.cached
-    assert outcome.choice is not choice
-    assert outcome.rules == warm_rules

@@ -218,17 +218,18 @@ def test_projection_ends_with_the_request():
     assert not projected(raw) and not projected(outcome.choice)
 
 
-def test_projection_ends_with_a_cached_serve():
-    """A lattice-tier hit is priced in full — profile, projection — and
-    then served from the cache without executing anything."""
+def test_projection_ends_with_a_cached_serve(monkeypatch):
+    """A lattice-tier hit is served without pricing: nothing is resolved
+    or projected, so there is no projection to end."""
     engine = make_engine(mutate=False)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.query(QUERY, plan="SS-VS")  # seeds the lattice tier
     looser = LocalizedQuery(QUERY.range_selections, QUERY.minsupp, 0.5)
+    counts = Counts(monkeypatch, engine)
     outcome = engine.query(looser)
-    assert outcome.cached and outcome.choice.profile is not None
-    assert outcome.choice.focus is not None
-    assert not projected(outcome.choice)
+    assert outcome.cached and outcome.choice is None
+    assert (counts.tids_matching, counts.main_projections) == (0, 0)
+    assert outcome.dq_size == live_dq_size(engine, QUERY)
 
 
 def test_projection_ends_with_a_shed_flight():
@@ -275,7 +276,7 @@ def test_forced_cached_serve_reports_live_dq_size(n_append, n_delete, expand):
     its fresh execution on a maintained engine (it used to count the
     main table unmasked and ignore the delta)."""
     engine = Colarm(make_table(), primary_support=0.05, expand=expand)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.enable_maintenance(
         max_delta_fraction=0.99, calibrate=False, horizon=0
     )

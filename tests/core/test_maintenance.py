@@ -160,7 +160,7 @@ def test_cache_staleness_append_between_populate_and_probe():
     from repro.core.engine import Colarm
 
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.enable_maintenance(calibrate=False)
     engine.query(QUERY, plan=PlanKind.SEV)       # populates the cache
     assert engine.cache.probe(QUERY).kind == "rules"
@@ -278,7 +278,7 @@ def test_engine_append_delete_and_background_fold():
     table = make_random_table(seed=127, n_records=80,
                               cardinalities=(4, 3, 3, 2))
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.enable_maintenance(max_delta_fraction=0.1, calibrate=False)
     old_index = engine.index
 

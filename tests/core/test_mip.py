@@ -1,4 +1,4 @@
-"""MIP bounding boxes and local counts."""
+"""MIP bounding boxes."""
 
 from repro import tidset as ts
 from repro.core.mip import MIP, mip_bounding_box
@@ -35,13 +35,3 @@ def test_from_closed(salary):
         for tid in ts.iter_tids(mip.tidset):
             coords = tuple(int(v) for v in salary.data[tid])
             assert mip.box.contains_point(coords)
-
-
-def test_local_count(salary):
-    closed = charm(salary.item_tidsets(), salary.n_records, 0.3)
-    cards = salary.schema.cardinalities()
-    mip = MIP.from_closed(closed[0], cards)
-    dq = ts.from_tids(range(5))
-    assert mip.local_count(dq) == ts.count(mip.tidset & dq)
-    assert mip.local_count(ts.full(salary.n_records)) == mip.global_count
-    assert mip.local_count(ts.EMPTY) == 0

@@ -170,7 +170,7 @@ def test_contained_mips_local_equals_global(setup):
     found = 0
     for mip, overlap in op_search(ctx):
         if overlap is Overlap.CONTAINED:
-            assert mip.local_count(ctx.dq) == mip.global_count
+            assert ts.count(mip.tidset & ctx.dq) == mip.global_count
             found += 1
     # the check is vacuous if no contained MIPs exist in this setup
     if found == 0:

@@ -102,32 +102,25 @@ def test_choice_is_generation_stamped(setup):
 
 
 def test_chosen_estimate_tracks_execution_variant(setup):
-    """chosen_estimate is the admission-weight scalar: it must price the
-    variant that will actually run — the fresh plan, or its cache serve —
-    and those are the only variants there are."""
+    """chosen_estimate is the admission-weight scalar: it prices the plan
+    that will run, a fresh one — a cache hit is served, never priced, so
+    a warm cache changes no price and there is no other variant."""
     _, index = setup
-    engine = Colarm.from_index(index).enable_cache(calibrate=False)
+    engine = Colarm.from_index(index).enable_cache()
     query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
 
     fresh = engine.optimizer.choose(query)
-    assert not fresh.cached and not fresh.cached_estimates
     assert fresh.chosen_estimate == fresh.estimates[fresh.kind]
-
     engine.query(query)
-    served = engine.optimizer.choose(query)
-    assert served.cached
-    assert served.chosen_estimate == served.cached_estimates[served.kind]
-    assert served.chosen_estimate < min(served.estimates.values())
+    warm = engine.optimizer.choose(query)
+    assert warm.estimates == fresh.estimates and warm.kind is fresh.kind
 
-    assert not [f.name for f in fields(PlanChoice) if "parallel" in f.name]
-    for choice in (fresh, served):
-        rows = choice.explain().splitlines()[1:]
-        assert sorted(row.split()[0] for row in rows) == sorted(
-            [kind.value for kind in PlanKind]
-            + [kind.value + "+C" for kind in choice.cached_estimates]
-        )
-        chosen = [row for row in rows if row.endswith("<== chosen")]
-        assert len(chosen) == 1
-        assert chosen[0].split()[0] == (
-            choice.kind.value + ("+C" if choice.cached else "")
-        )
+    assert [f.name for f in fields(PlanChoice)] == [
+        "kind", "estimates", "profile", "generation", "focus"
+    ]
+    rows = warm.explain().splitlines()[1:]
+    assert sorted(row.split()[0] for row in rows) == sorted(
+        kind.value for kind in PlanKind
+    )
+    chosen = [row for row in rows if row.endswith("<== chosen")]
+    assert len(chosen) == 1 and chosen[0].split()[0] == warm.kind.value

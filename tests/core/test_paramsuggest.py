@@ -8,9 +8,11 @@ from repro.core.paramsuggest import (
     suggest_minsupp,
     suggest_ranges,
 )
+from repro.dataset.schema import Item
 from repro.dataset.synthetic import quest_like
 from repro.errors import QueryError
 from repro.itemsets.itemset import min_count_for
+from tests import oracle
 from tests.conftest import make_random_table
 
 
@@ -87,3 +89,48 @@ def test_suggest_ranges_counts_are_exact(index):
                 fresh += 1
     assert (fresh, repeated) == (s.fresh_local_itemsets,
                                  s.repeated_global_itemsets)
+
+
+def test_suggest_ranges_equals_brute_force(salary):
+    """Every single-value subset's fresh/repeated split, recounted by
+    scanning rows (``tests/oracle.py``) over the closed itemsets the index
+    stores, on the salary table and a random one."""
+    minsupp = 0.3
+    for table, primary in (
+        (salary, 0.15),
+        (make_random_table(seed=17, n_records=80), 0.05),
+    ):
+        index = build_mip_index(table, primary_support=primary)
+        rows = [tuple(int(v) for v in row) for row in table.data]
+        attributes = range(table.n_attributes)
+        stored = oracle.closed_itemsets(
+            rows, oracle.min_count(primary, len(rows)), attributes
+        )
+        global_floor = oracle.min_count(minsupp, len(rows))
+        want = []
+        items = {Item(a, row[a]) for row in rows for a in attributes}
+        for item in sorted(items):
+            subset = [row for row in rows if row[item.attribute] == item.value]
+            if len(subset) < 0.02 * len(rows):
+                continue
+            floor = oracle.min_count(minsupp, len(subset))
+            frequent = [
+                itemset for itemset in stored
+                if item not in itemset
+                and oracle.support(subset, itemset) >= floor
+            ]
+            repeated = sum(
+                oracle.support(rows, itemset) >= global_floor
+                for itemset in frequent
+            )
+            want.append((item.attribute, item.value, len(subset),
+                         len(frequent) - repeated, repeated))
+        got = suggest_ranges(index, minsupp, top_k=len(want))
+        assert sorted(
+            (s.attribute, *s.values, s.dq_size, s.fresh_local_itemsets,
+             s.repeated_global_itemsets)
+            for s in got
+        ) == want
+        assert [s.fresh_local_itemsets for s in got] == sorted(
+            (s.fresh_local_itemsets for s in got), reverse=True
+        )

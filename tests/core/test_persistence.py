@@ -397,7 +397,7 @@ def test_load_cache_accepts_rebased_generation(index, tmp_path):
     loaded.clock.base = 7  # what a worker does to join the lineage
     assert loaded.generation == 7
 
-    engine = Colarm.from_index(loaded).enable_cache(calibrate=False)
+    engine = Colarm.from_index(loaded).enable_cache()
     query = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6)
     engine.query(query)
     cache_path = tmp_path / "t.cache.npz"

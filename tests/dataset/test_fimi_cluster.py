@@ -37,7 +37,7 @@ def fixture_table():
 def test_micro_chess_through_the_cluster(tmp_path):
     table = fixture_table()
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
 
     async def main():
         config = ClusterConfig(workers=2, serving=ServingConfig(workers=2))

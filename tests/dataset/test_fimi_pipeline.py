@@ -69,7 +69,7 @@ def test_fixture_through_index_build_and_query():
 
     # The cache tier composes with the pipeline: a repeat serves the
     # same rules without re-mining.
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     first = engine.query(query)
     repeat = engine.query(query)
     assert repeat.cached and repeat.rules == first.rules

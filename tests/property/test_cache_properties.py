@@ -69,7 +69,7 @@ def test_cache_served_rules_identical_across_all_six_plans(scenario):
     if not table.tids_matching(query.range_selections):
         return  # empty focal subsets are rejected; nothing to serve
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     for kind in PlanKind:
         fresh = execute_plan(kind, engine.index, query)
         first = engine.query(query, plan=kind)
@@ -105,7 +105,7 @@ def test_mutation_and_invalidation_interleavings_never_serve_stale(scenario):
     if not pool:
         return
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     cache = engine.cache
     for op, arg in ops:
         if op == "mutate":
@@ -163,9 +163,9 @@ def test_tight_budget_eviction_keeps_byte_accounting_exact(scenario):
         return
     index = build_mip_index(table, primary_support=0.05)
     rules = {q: execute_plan(PlanKind.SSVS, index, q).rules for q in pool}
-    probe = RuleCache(index, budget_bytes=1 << 30)
-    probe.put_rules(pool[0], rules[pool[0]])
-    per_entry = max(probe.stats.current_bytes, 1)
+    sizing = RuleCache(index, budget_bytes=1 << 30)
+    sizing.put_rules(pool[0], rules[pool[0]], 1)
+    per_entry = max(sizing.stats.current_bytes, 1)
     cache = RuleCache(
         index, budget_bytes=budget_entries * per_entry, landmark_hits=2
     )
@@ -173,7 +173,7 @@ def test_tight_budget_eviction_keeps_byte_accounting_exact(scenario):
     for op, arg in ops:
         query = pool[arg % len(pool)]
         if op == "put":
-            accepted += cache.put_rules(query, rules[query])
+            accepted += cache.put_rules(query, rules[query], 1)
         else:
             served = cache.get_rules(query)
             if served is not None:

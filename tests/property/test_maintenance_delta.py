@@ -185,7 +185,7 @@ def test_engine_with_cache_matches_rebuild(scenario):
     ).astype(np.int32)
     table = RelationalTable(_schema(), base)
     engine = Colarm(table, primary_support=PRIMARY, expand=True)
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.enable_maintenance(calibrate=False)
     mx = engine.maintenance
     rows = [list(map(int, r)) for r in base]
@@ -194,7 +194,7 @@ def test_engine_with_cache_matches_rebuild(scenario):
 
     for op in ops:
         _apply_ops(mx, rows, alive, [op])
-        engine._install_recompaction()  # adopt any fold immediately
+        engine.poll_maintenance()  # adopt any fold immediately
         live = _live_table(rows, alive)
         dq_combined = int(
             np.all([np.isin(live.data[:, a], list(vs))

@@ -3,17 +3,20 @@
 ``charm`` must return exactly the oracle's closed frequent itemsets, and
 each of the six forced plans exactly the oracle's rule list for its
 family — same rules, same counts, same floats, same order — closed and
-expanded, on a pristine index and over main+delta after appends and
-deletes.  The tables are small enough to enumerate (24 rows, 4
-attributes); the named cases pin the corners the random ones rarely
-reach.
+expanded, on a pristine index, over main+delta after appends and
+deletes, and served from the rule cache's two tiers.  The tables are
+small enough to enumerate (24 rows, 4 attributes); the named cases pin
+the corners the random ones rarely reach.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import Colarm
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import PlanKind, execute_plan
@@ -161,6 +164,52 @@ def test_six_plans_equal_the_oracle_after_append_and_delete(case):
     if not live:
         return
     assert_plans_match_oracle(mx, rows, live, n_delta, query)
+
+
+#: (plan, served from the cache?) in the order a cached engine is asked,
+#: per ``minconf``: the exact repeat of the populating request, another
+#: ``minconf`` (a lattice replay, then its upgraded rules entry), and a
+#: third one whose only rules entry is ARM's.
+CACHED_LEG = (
+    ((None, True), (PlanKind.SVS, True), (PlanKind.ARM, False)),
+    ((None, True), (PlanKind.SEV, True), (PlanKind.ARM, False)),
+    ((PlanKind.ARM, False), (None, True), (PlanKind.SSEUV, False)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pristine_cases())
+def test_cache_serves_equal_the_oracle(case):
+    """Rules-tier and lattice-tier serves, optimizer-planned and forced
+    per family, closed and expanded: each answer is the oracle's list for
+    the family it reports."""
+    cards, rows, query, primary = case
+    dq = oracle.focal_rows(rows, query)
+    if not dq:
+        return
+    index = build_mip_index(make_table(cards, rows), primary)
+    minconfs = [query.minconf] + [
+        c for c in (0.0, 0.5, 0.8, 1.0) if c != query.minconf
+    ]
+    for expand in (False, True):
+        engine = Colarm.from_index(index, expand=expand).enable_cache()
+        engine.query(query, plan=PlanKind.SSVS)  # populates both tiers
+        for minconf, steps in zip(minconfs, CACHED_LEG):
+            asked = replace(query, minconf=minconf)
+            want = {
+                "arm": oracle.arm_rules(rows, asked, expand),
+                "mip": oracle.mip_rules(
+                    rows, primary, rows, 0, asked, expand
+                ),
+            }
+            for plan, cached in steps:
+                out = engine.query(asked, plan=plan)
+                assert out.cached == cached, (minconf, plan, expand)
+                assert out.dq_size == len(dq)
+                family = "arm" if out.plan is PlanKind.ARM else "mip"
+                assert as_tuples(out.rules) == want[family], (
+                    minconf, plan, expand
+                )
 
 
 # -- the corners ---------------------------------------------------------------

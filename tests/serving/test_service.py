@@ -171,7 +171,7 @@ def test_over_budget_defer_still_serves(engine):
 
 
 def test_cache_hit_short_circuits_queue(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.query(SEATTLE_F)  # populate
     warm = engine.query(SEATTLE_F)
     assert warm.cached  # precondition: repeat is a cache serve
@@ -206,10 +206,11 @@ def _park_executions(service):
 
 
 def test_warm_hit_overtakes_a_parked_miss(engine):
-    """A rules-tier hit is answered on the loop thread by its one cache
-    probe: it neither queues nor waits for the engine lock a miss holds."""
-    engine.enable_cache(calibrate=False)
-    warm = engine.query(SEATTLE_F)  # populates and stamps the entry
+    """A cache hit is answered on the loop thread after its one probe,
+    unpriced: it neither queues nor waits for the engine lock a miss
+    holds."""
+    engine.enable_cache()
+    warm = engine.query(SEATTLE_F)  # populates the entry
 
     async def main():
         async with QueryService(engine) as service:
@@ -228,14 +229,13 @@ def test_warm_hit_overtakes_a_parked_miss(engine):
     assert hit.cached and hit.rules == warm.rules
     assert hit.trace.queue_wait_s == 0
     assert hit.trace.cached and hit.trace.plan is hit.plan
-    assert hit.outcome.choice.cached
-    assert hit.trace.estimated_cost == hit.outcome.choice.chosen_estimate
+    assert hit.outcome.choice is None and hit.trace.estimated_cost == 0.0
     assert not miss.cached
     assert service.stats.cache_short_circuits == 1
 
 
 def test_append_between_populate_and_repeat_is_never_inline(engine):
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.enable_maintenance(calibrate=False)
     record = [int(v) for v in engine.table.data[0]]
 
@@ -256,29 +256,35 @@ def test_append_between_populate_and_repeat_is_never_inline(engine):
 
 
 def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
-    """Regression: probe and serve used to be two steps, so an entry
-    evicted between them was re-mined outside the scheduler (no
-    admission, no slot, no coalescing) and still counted as a cache short
-    circuit.  One critical section leaves no such request: what the probe
-    finds it serves, what it does not find is an ordinary miss."""
+    """Regression: an entry evicted between probe and serve used to be
+    re-mined outside the scheduler (no admission, no slot, no coalescing)
+    and still counted as a cache short circuit.  Now it is an ordinary
+    miss: priced, queued and executed as a flight, with no second
+    probe."""
     boston = engine.parse(BOSTON)
-    boston_rules = engine.query(boston, use_cache=False).rules
-    engine.enable_cache(calibrate=False)
+    boston_fresh = engine.query(boston, use_cache=False)
+    boston_rules = boston_fresh.rules
+    engine.enable_cache()
     sizes = []
     for fill in (lambda: engine.query(SEATTLE_F),
-                 lambda: engine.cache.put_rules(boston, boston_rules)):
+                 lambda: engine.cache.put_rules(
+                     boston, boston_rules, boston_fresh.dq_size)):
         engine.cache.invalidate()
         fill()
         sizes.append(engine.cache.stats.current_bytes)
     # Room for either entry, never for both.
-    engine.enable_cache(budget_bytes=max(sizes) + 64, calibrate=False)
+    engine.enable_cache(budget_bytes=max(sizes) + 64)
     warm = engine.query(SEATTLE_F)
     cache = engine.cache
     real_probe = cache.probe
 
-    def probe_then_evict(query, **kwargs):
-        found = real_probe(query, **kwargs)
-        cache.put_rules(boston, boston_rules)  # takes the only slot
+    probes = []
+
+    def probe_then_evict(query):
+        found = real_probe(query)
+        probes.append(found.kind)
+        # Takes the only slot.
+        cache.put_rules(boston, boston_rules, boston_fresh.dq_size)
         return found
 
     async def main():
@@ -288,15 +294,15 @@ def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
                 raced = await service.submit(SEATTLE_F)
             finally:
                 del cache.probe
-            assert cache.probe(engine.parse(SEATTLE_F)).kind is None
-            missed = await service.submit(SEATTLE_F)
-            return service, raced, missed
+            repeat = await service.submit(SEATTLE_F)
+            return service, raced, repeat
 
-    service, raced, missed = asyncio.run(main())
-    assert raced.cached and raced.rules == warm.rules
-    assert not missed.cached and missed.rules == warm.rules
-    assert missed.trace.leader and missed.trace.estimated_cost > 0
-    # Every short circuit was a cache serve; the miss ran as a flight.
+    service, raced, repeat = asyncio.run(main())
+    assert probes == ["rules"]  # found, evicted, and never probed again
+    assert not raced.cached and raced.rules == warm.rules
+    assert raced.trace.leader and raced.trace.estimated_cost > 0
+    # The flight's execution put the entry back: the repeat is a hit.
+    assert repeat.cached and repeat.rules == warm.rules
     assert service.stats.cache_short_circuits == 1
     assert service.stats.executions == 2
 
@@ -320,7 +326,7 @@ def test_latency_window_is_bounded_and_exact_for_short_runs():
 def test_mutation_between_enqueue_and_execute_forces_reexecution(engine):
     """An index mutation while a request is queued must re-price and
     re-execute — never serve against the stale generation."""
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     engine.query(SEATTLE_F)  # populate the cache pre-mutation
     fresh = engine.query(SEATTLE_F, use_cache=False)
 

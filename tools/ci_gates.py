@@ -321,73 +321,6 @@ def run_heap_gate(config: dict, corrupt: bool = False) -> dict:
     }
 
 
-def run_cache_selftest(config: dict) -> dict:
-    """Pricing sanity for the materialized-cache cost terms.
-
-    A live cache is warmed by executing every probe query once (each
-    execution populates the rules and lattice tiers); the repeat pass is
-    then priced twice:
-
-    * ``cache_probe = inf`` — every CACHE variant prices to infinity, so
-      the optimizer must pick one **zero** times even with a fully warm
-      cache.  A regression that drops the probe term (making "free"
-      cache hits look costless to even consider) fails here.
-    * ``cache_probe = cache_load = 0`` — a zero-cost warm hit strictly
-      undercuts every fresh variant, so **every** repeated query must be
-      served from the cache.  A regression that misprices CACHE variants
-      above fresh execution unconditionally fails here.
-    """
-    from repro.core.calibration import default_probe_queries
-    from repro.core.costs import CostWeights
-    from repro.core.engine import Colarm
-    from repro.workloads.experiments import EXPERIMENTS
-
-    spec = EXPERIMENTS[config["dataset"]]
-    t0 = time.perf_counter()
-    # Default weights suffice: both assertions are structural (inf / 0).
-    engine = Colarm(spec.make_table(), primary_support=spec.primary_support)
-    build_s = time.perf_counter() - t0
-    engine.enable_cache(calibrate=False)
-    queries = default_probe_queries(
-        engine.index,
-        n_queries=int(config["n_queries"]),
-        seed=int(config["seed"]),
-    )
-    for q in queries:  # warm pass: populate rules + lattice tiers
-        engine.query(q)
-    base = dict(engine.optimizer.weights.weights)
-
-    def picks_with(probe_w: float, load_w: float) -> tuple[int, int]:
-        weights = dict(base)
-        weights["cache_probe"] = probe_w
-        weights["cache_load"] = load_w
-        engine.optimizer.set_weights(CostWeights(weights))
-        choices = [engine.optimizer.choose(q) for q in queries]
-        priced = sum(1 for c in choices if c.cached_estimates)
-        return sum(1 for c in choices if c.cached), priced
-
-    inf_picks, inf_priced = picks_with(float("inf"), base["cache_load"])
-    free_picks, _ = picks_with(0.0, 0.0)
-    failures = []
-    if inf_priced == 0:
-        failures.append("no_cache_estimates")
-    if inf_picks != 0:
-        failures.append("cache_chosen_at_infinite_probe")
-    if free_picks != len(queries):
-        failures.append("cache_not_chosen_for_all_warm_repeats")
-    return {
-        "dataset": config["dataset"],
-        "scenarios": len(queries),
-        "build_s": round(build_s, 2),
-        "cache_entries": len(engine.cache),
-        "cache_stats": engine.cache.stats.as_dict(),
-        "cache_picks_at_inf_probe": inf_picks,
-        "cache_picks_at_zero_cost": free_picks,
-        "passed": not failures,
-        "failures": failures,
-    }
-
-
 def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
     """Admission-control sanity for the concurrent query service.
 
@@ -406,8 +339,8 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
       **cost order** regardless of arrival order.
     * **a warm hit overtakes a parked miss** — with one execution parked
       on an event while it holds the engine lock, a request whose rules
-      entry is cached and stamped must still be answered (by its cache
-      probe, on the loop thread) before the miss is released.  A
+      entry is cached must still be answered (after its one cache probe,
+      on the loop thread, unpriced) before the miss is released.  A
       regression that routes hits back through pricing, the engine lock
       or the thread pool times out here.
 
@@ -478,16 +411,16 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
 
 
 async def _warm_hit_overtakes_parked_miss(engine, queries) -> bool:
-    """Park one miss inside ``_execute`` (engine lock held); is a stamped
-    warm hit submitted afterwards answered before the miss is released?"""
+    """Park one miss inside ``_execute`` (engine lock held); is a warm hit
+    submitted afterwards answered before the miss is released?"""
     import asyncio
     import threading
 
     from repro.serving import QueryService
 
     warm, cold = queries[0], queries[1]
-    engine.enable_cache(calibrate=False)
-    engine.query(warm)  # populates and stamps the rules entry
+    engine.enable_cache()
+    engine.query(warm)  # populates the rules entry
     started, release = threading.Event(), threading.Event()
     try:
         async with QueryService(engine) as service:
@@ -560,7 +493,7 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
     # assertion is structural (miss / inf / identity).
     engine = Colarm(table, primary_support=spec.primary_support, expand=True)
     build_s = time.perf_counter() - t0
-    engine.enable_cache(calibrate=False)
+    engine.enable_cache()
     # A near-unity delta fraction and a zero advice horizon: no trigger
     # may fold the delta away mid-gate, or the corrupted run would
     # trivially pass (a gate that cannot fail gates nothing).
@@ -823,7 +756,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     }
 
 
-_GATES = ("acc", "setup", "heap", "cache", "serving", "maintenance", "cluster")
+_GATES = ("acc", "setup", "heap", "serving", "maintenance", "cluster")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -899,11 +832,6 @@ def main(argv: list[str] | None = None) -> int:
         if "heap" in config and wanted("heap")
         else None
     )
-    cache_report = (
-        run_cache_selftest(config["cache"])
-        if "cache" in config and wanted("cache")
-        else None
-    )
     serving_report = (
         run_serving_selftest(config["serving"], corrupt=args.corrupt_admission)
         if "serving" in config and wanted("serving")
@@ -928,8 +856,6 @@ def main(argv: list[str] | None = None) -> int:
         full_report["setup_gate"] = setup_report
     if heap_report is not None:
         full_report["heap_gate"] = heap_report
-    if cache_report is not None:
-        full_report["cache_selftest"] = cache_report
     if serving_report is not None:
         full_report["serving_selftest"] = serving_report
     if maintenance_report is not None:
@@ -984,16 +910,6 @@ def main(argv: list[str] | None = None) -> int:
             f" (bar {heap_report['max_gen2_pause_ms']} ms)"
             + (" [Rule objects cached]" if heap_report["corrupted"] else "")
         )
-    if cache_report is not None:
-        passed = passed and cache_report["passed"]
-        status = "ok  " if cache_report["passed"] else "FAIL"
-        print(
-            f"  {status} cache-selftest     "
-            f"inf-probe picks={cache_report['cache_picks_at_inf_probe']}"
-            f" (want 0), zero-cost picks="
-            f"{cache_report['cache_picks_at_zero_cost']}"
-            f" (want {cache_report['scenarios']})"
-        )
     if serving_report is not None:
         passed = passed and serving_report["passed"]
         status = "ok  " if serving_report["passed"] else "FAIL"
@@ -1041,8 +957,6 @@ def main(argv: list[str] | None = None) -> int:
         failures += setup_report["failures"]
     if heap_report is not None:
         failures += heap_report["failures"]
-    if cache_report is not None:
-        failures += cache_report["failures"]
     if serving_report is not None:
         failures += serving_report["failures"]
     if maintenance_report is not None:

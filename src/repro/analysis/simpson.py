@@ -22,6 +22,7 @@ from repro.core.mipindex import MIPIndex
 from repro.core.operators import make_context, op_eliminate, op_search
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
+from repro.dataset.schema import Item
 from repro.itemsets.itemset import Itemset, min_count_for
 from repro.itemsets.rules import Rule, split_counts
 
@@ -69,17 +70,16 @@ def compare_itemsets(
     if global_minsupp is None:
         global_minsupp = query.minsupp
     ctx = make_context(index, query)
-    candidates = op_search(ctx)
-    qualified = op_eliminate(ctx, candidates)
+    rows = op_eliminate(ctx, op_search(ctx)).rows
+    itemsets = [
+        tuple(Item(a, v) for a, v in enumerate(values) if v >= 0)
+        for values in index.stats.mip_fixed_values.take(rows, axis=0).tolist()
+    ]
     global_floor = min_count_for(global_minsupp, index.table.n_records)
-    fresh, repeated = [], []
-    for mip, _local in qualified:
-        if mip.global_count >= global_floor:
-            repeated.append(mip.itemset)
-        else:
-            fresh.append(mip.itemset)
+    repeated = index.global_counts[rows] >= global_floor
     return LocalGlobalItemsets(
-        fresh_local=tuple(fresh), repeated_global=tuple(repeated)
+        fresh_local=tuple(compress(itemsets, (~repeated).tolist())),
+        repeated_global=tuple(compress(itemsets, repeated.tolist())),
     )
 
 

@@ -4,26 +4,23 @@ from repro.core.calibration import CalibrationReport, calibrate, default_probe_q
 from repro.core.costs import CostModel, CostWeights, QueryProfile
 from repro.core.engine import Colarm, QueryOutcome
 from repro.core.maintenance import MaintainedIndex
-from repro.core.mip import MIP, mip_bounding_box
 from repro.core.multiquery import BatchReport, execute_batch
 from repro.core.persistence import load_index, save_index
-from repro.core.mipindex import MIPIndex, build_mip_index
+from repro.core.mipindex import MIP, MIPIndex, build_mip_index
 from repro.core.operators import ExecutionTrace, OperatorTrace, make_context
 from repro.core.optimizer import ColarmOptimizer, PlanChoice
 from repro.core.parser import ParsedQuery, parse_query
 from repro.core.plans import PlanKind, PlanResult, execute_plan, plan_from_name
-from repro.core.query import FocalRange, LocalizedQuery, Overlap
+from repro.core.query import FocalRange, LocalizedQuery
 from repro.core.stats import IndexStatistics
 
 __all__ = [
     "MIP",
-    "mip_bounding_box",
     "MIPIndex",
     "build_mip_index",
     "IndexStatistics",
     "LocalizedQuery",
     "FocalRange",
-    "Overlap",
     "ParsedQuery",
     "parse_query",
     "ExecutionTrace",

@@ -1,34 +1,39 @@
 """The two-level MIP-index (Section 3.3, Figure 3).
 
 Offline preprocessing in one call: run CHARM at the primary support
-threshold, turn every closed frequent itemset into a
-:class:`~repro.core.mip.MIP`, pack the boxes (with their global counts)
-into a :class:`~repro.rtree.supported.SupportedRTree`, and gather the
-index statistics the optimizer consumes.  The second level's role — the
-exact local support of any stored itemset — is served by the table's
-packed item rows and ``stats.mip_fixed_values`` (an itemset per row):
-one AND + popcount through :class:`repro.kernels.FocalKernel`, so no
-closed IT-tree is built or carried.
+threshold and turn the closed frequent itemsets straight into the arrays
+the index is — the ``(n_mips, d)`` fixed-value matrix (each row an
+itemset and, with it, its cell-grid box), the global counts and the
+packed tidsets — then pack the boxes into a
+:class:`~repro.rtree.supported.SupportedRTree` and gather the statistics
+the optimizer consumes.  The second level — the exact local support of a
+stored itemset — is one AND + popcount over the table's packed item rows
+(:class:`repro.kernels.FocalKernel`).  A :class:`MIP` object is only a
+view of one row (:meth:`MIPIndex.mip`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from repro import kernels
-from repro.core.mip import MIP
 from repro.core.stats import IndexStatistics, gather_statistics
+from repro.dataset.schema import Item
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError
-from repro.itemsets.charm import ClosedItemset, charm
+from repro.itemsets.charm import charm
+from repro.itemsets.itemset import Itemset
 from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatRTree
+from repro.rtree.geometry import Rect
 from repro.rtree.supported import SupportedRTree
 
-__all__ = ["GenerationClock", "MIPIndex", "build_mip_index"]
+__all__ = [
+    "GenerationClock", "MIP", "MIPIndex", "assemble_index", "build_mip_index",
+    "mine_mips", "mip_boxes",
+]
 
 
 class GenerationClock:
@@ -51,21 +56,41 @@ class GenerationClock:
 
 
 @dataclass(frozen=True)
+class MIP:
+    """One multidimensional itemset partition (Section 3.2) as a view:
+    the paper's ``I^P_k`` (itemset) and ``D^P_k`` (box) of MIP ``row``,
+    built on demand by :meth:`MIPIndex.mip`."""
+
+    itemset: Itemset
+    box: Rect
+    global_count: int
+    row: int
+
+
+@dataclass(frozen=True)
 class MIPIndex:
-    """The offline artifact of the COLARM framework."""
+    """The offline artifact of the COLARM framework, as arrays.
+
+    MIP ``i`` is row ``i`` of ``stats.mip_fixed_values`` (its itemset and
+    box), of ``global_counts`` and of ``mip_tidset_matrix`` — the packed
+    ``(n_mips, words)`` tidsets the ELIMINATE / SUPPORTED-VERIFY
+    qualification gathers rows of for one batched
+    :func:`repro.kernels.and_count`.
+    """
 
     table: RelationalTable
     primary_support: float
-    mips: tuple[MIP, ...]
     rtree: SupportedRTree
     stats: IndexStatistics
+    global_counts: np.ndarray      # (n_mips,) int64 — |D^G_I| per MIP
+    mip_tidset_matrix: np.ndarray  # (n_mips, words) packed tidsets
     clock: GenerationClock = field(
         default_factory=GenerationClock, repr=False, compare=False
     )
 
     @property
     def n_mips(self) -> int:
-        return len(self.mips)
+        return len(self.global_counts)
 
     @property
     def flat_rtree(self) -> FlatRTree:
@@ -103,84 +128,61 @@ class MIPIndex:
         """64-bit words per packed tidset row for this index's universe."""
         return kernels.n_words(self.table.n_records)
 
-    @cached_property
-    def mip_tidset_matrix(self) -> np.ndarray:
-        """Packed ``(n_mips, words)`` matrix of every MIP's tidset.
-
-        Row ``i`` is ``kernels.pack(mips[i].tidset)``; the ELIMINATE /
-        SUPPORTED-VERIFY qualification batches ``|t(I) ∩ D^Q|`` for all
-        candidates with one :func:`repro.kernels.and_count` call over a
-        row-gather of this matrix.  ``cached_property`` stores the matrix
-        in the instance ``__dict__`` (bypassing the frozen dataclass), so
-        indexes rebuilt by :mod:`repro.core.persistence` regain it lazily.
-        """
-        return _pack_mip_tidsets(self.mips, self.tidset_words)
-
-
-def _mip_boxes(
-    mips: Sequence[MIP], cardinalities: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lows, highs, global_counts)`` of the MIPs, row ``i`` = MIP ``i`` —
-    the ``(N, d)`` box arrays the R-tree is packed over."""
-    shape = (len(mips), len(cardinalities))
-    return (
-        np.array([m.box.lows for m in mips], dtype=np.int64).reshape(shape),
-        np.array([m.box.highs for m in mips], dtype=np.int64).reshape(shape),
-        np.array([m.global_count for m in mips], dtype=np.int64),
-    )
+    def mip(self, row: int) -> MIP:
+        """MIP ``row`` as an object, read off the index's arrays."""
+        values = self.stats.mip_fixed_values[row]
+        lows, highs = mip_boxes(values[None], self.cardinalities)
+        return MIP(
+            itemset=tuple(
+                Item(a, int(values[a])) for a in np.flatnonzero(values >= 0).tolist()
+            ),
+            box=Rect(tuple(lows[0].tolist()), tuple(highs[0].tolist())),
+            global_count=int(self.global_counts[row]),
+            row=row,
+        )
 
 
-def _pack_mip_tidsets(mips: Sequence[MIP], words: int) -> np.ndarray:
-    matrix = kernels.pack_many([mip.tidset for mip in mips], words)
-    matrix.setflags(write=False)
-    return matrix
+def mip_boxes(
+    fixed_values: np.ndarray, cardinalities: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lows, highs)`` int64 box corners of MIPs given their ``(N, d)``
+    fixed values (``-1`` = free): a fixed attribute collapses to its
+    cell, a free one spans its whole domain — Figure 1's construction."""
+    fixed = fixed_values >= 0
+    values = fixed_values.astype(np.int64)
+    top = np.asarray(cardinalities, dtype=np.int64) - 1
+    return np.where(fixed, values, 0), np.where(fixed, values, top)
 
 
-def build_mip_index(
+def assemble_index(
     table: RelationalTable,
     primary_support: float,
+    fixed_values: np.ndarray,
+    mip_matrix: np.ndarray,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    closed: Sequence[ClosedItemset] | None = None,
     rtree: SupportedRTree | None = None,
 ) -> MIPIndex:
-    """Run the offline preprocessing phase and return the MIP-index.
+    """The index over MIPs given as arrays — what build and load share.
 
-    ``primary_support`` is the domain-specific floor of footnote 2: queries
-    are answered exactly for any ``minsupp * |D^Q| >= primary_support * |D|``;
-    itemsets below the floor are only reachable through the ARM plan.
-
-    ``closed`` supplies precomputed closed frequent itemsets (in row
-    order) instead of mining them — the persistence layer's fast load
-    path reconstructs them from a trusted snapshot, where re-running the
-    miner would only rediscover what the file already states.  ``rtree``
-    likewise supplies a snapshot's stored tree instead of packing one, so
-    the statistics describe the tree that will be searched; it is adopted
-    only if it indexes exactly the MIPs' boxes and global counts
+    ``fixed_values`` is the ``(n_mips, d)`` itemset matrix and
+    ``mip_matrix`` the matching packed tidsets.  ``rtree`` supplies a
+    snapshot's stored tree instead of packing one, so the statistics
+    describe the tree that will be searched; it is adopted only if it
+    indexes exactly the MIPs' boxes and global counts
     (:meth:`repro.rtree.flat.FlatRTree.verify` raises ``IndexError_``).
     """
-    if table.n_records == 0:
-        raise DataError("cannot build a MIP-index over an empty table")
-    if not 0.0 < primary_support <= 1.0:
-        raise DataError(
-            f"primary_support must be in (0, 1], got {primary_support}"
-        )
-    if closed is None:
-        closed = charm(table.item_tidsets(), table.n_records, primary_support)
     cardinalities = table.schema.cardinalities()
-    mips = tuple(
-        MIP.from_closed(cfi, cardinalities, row=i)
-        for i, cfi in enumerate(closed)
-    )
-    boxes = _mip_boxes(mips, cardinalities)
+    global_counts = kernels.popcount_rows(mip_matrix)
+    boxes = (*mip_boxes(fixed_values, cardinalities), global_counts)
     if rtree is None:
         rtree = SupportedRTree.build(*boxes, max_entries)
     else:
         rtree.flat.verify(*boxes)
-    # Packed once: the statistics count through it, and the index keeps it
-    # so the first online ELIMINATE does not pay the packing cost.
-    mip_matrix = _pack_mip_tidsets(mips, kernels.n_words(table.n_records))
+    mip_matrix.setflags(write=False)
+    global_counts.setflags(write=False)
     stats = gather_statistics(
-        mips,
+        fixed_values,
+        global_counts,
         rtree,
         cardinalities,
         table.n_records,
@@ -188,12 +190,54 @@ def build_mip_index(
         mip_matrix,
         item_matrix=table.item_matrix(),
     )
-    index = MIPIndex(
+    return MIPIndex(
         table=table,
         primary_support=primary_support,
-        mips=mips,
         rtree=rtree,
         stats=stats,
+        global_counts=global_counts,
+        mip_tidset_matrix=mip_matrix,
     )
-    index.__dict__["mip_tidset_matrix"] = mip_matrix
-    return index
+
+
+def mine_mips(
+    table: RelationalTable, primary_support: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """CHARM at the primary support, as ``(fixed_values, mip_matrix)``:
+    row ``i`` is the ``i``-th closed frequent itemset (CHARM's order)."""
+    if table.n_records == 0:
+        raise DataError("cannot build a MIP-index over an empty table")
+    if not 0.0 < primary_support <= 1.0:
+        raise DataError(
+            f"primary_support must be in (0, 1], got {primary_support}"
+        )
+    closed = charm(table.item_tidsets(), table.n_records, primary_support)
+    fixed = np.full((len(closed), table.n_attributes), -1, dtype=np.int32)
+    lengths = [len(cfi.items) for cfi in closed]
+    items = np.array(
+        [item for cfi in closed for item in cfi.items], dtype=np.int32
+    ).reshape(-1, 2)
+    fixed[np.repeat(np.arange(len(closed)), lengths), items[:, 0]] = items[:, 1]
+    matrix = kernels.pack_many(
+        [cfi.tidset for cfi in closed], kernels.n_words(table.n_records)
+    )
+    return fixed, matrix
+
+
+def build_mip_index(
+    table: RelationalTable,
+    primary_support: float,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> MIPIndex:
+    """Run the offline preprocessing phase and return the MIP-index.
+
+    ``primary_support`` is the domain-specific floor of footnote 2: queries
+    are answered exactly for any ``minsupp * |D^Q| >= primary_support * |D|``;
+    itemsets below the floor are only reachable through the ARM plan.
+    """
+    return assemble_index(
+        table,
+        primary_support,
+        *mine_mips(table, primary_support),
+        max_entries=max_entries,
+    )

@@ -152,7 +152,7 @@ def execute_batch(
         rows_q = data["rows"][:n_keep]
         counts_q = data["counts"][:n_keep]
         keep = _aitem_mask(ctx, rows_q)
-        qualified = QualifiedArray(index, rows_q[keep], counts_q[keep])
+        qualified = QualifiedArray(rows_q[keep], counts_q[keep])
         shared = _rules_with_shared_lattice(ctx, qualified, data["lattice"])
         if shared is not None:
             rules, hits = shared

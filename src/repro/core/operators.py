@@ -21,9 +21,9 @@ that counts every distinct sub-itemset of the request once over
 ``|D^Q|``-bit rows.  From SELECT/VERIFY to the :class:`RuleBlock`,
 itemsets live in one integer item space (the schema's item ids):
 ``Item`` tuples are built for the sources that kept a rule, and
-:class:`Rule` objects only when a consumer iterates the block.  Both array
-containers iterate as ``(mip, Overlap)`` / ``(mip, count)`` tuples for
-consumers that want the objects.
+:class:`Rule` objects only when a consumer iterates the block; a caller
+that wants a MIP object asks the index for the row's view
+(:meth:`~repro.core.mipindex.MIPIndex.mip`).
 
 Every operator call appends an :class:`OperatorTrace` (cardinalities,
 record-level work, wall time) to the query's :class:`ExecutionTrace`; the
@@ -37,7 +37,6 @@ the cost model can price the ``rulegen`` term separately.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -45,9 +44,8 @@ import numpy as np
 
 from repro import kernels
 from repro.core.focal import FocalSubset, resolve_focal
-from repro.core.mip import MIP
 from repro.core.mipindex import MIPIndex
-from repro.core.query import FocalRange, LocalizedQuery, Overlap
+from repro.core.query import FocalRange, LocalizedQuery
 from repro.errors import QueryError
 from repro.itemsets.charm import closed_masks
 from repro.itemsets.itemset import Itemset
@@ -72,12 +70,6 @@ __all__ = [
     "mip_sources",
 ]
 
-#: A candidate MIP tagged with its exact relation to the focal region.
-Candidate = tuple[MIP, Overlap]
-#: A candidate that passed the support check, with its exact local count.
-Qualified = tuple[MIP, int]
-
-
 @dataclass
 class CandidateArray:
     """SEARCH output in array form: rows into the index, not MIP objects.
@@ -85,11 +77,9 @@ class CandidateArray:
     ``rows`` are MIP ids (rows of the index's statistics and tidset
     matrices), ``global_counts`` the matching global support counts from
     the supported R-tree, ``contained`` the exact classification against
-    the focal region.  Iterating yields the classic ``(mip, Overlap)``
-    pairs, so array-unaware consumers see no difference.
+    the focal region.
     """
 
-    index: MIPIndex
     rows: np.ndarray          # (k,) intp — MIP rows, search order
     global_counts: np.ndarray  # (k,) int64 — |D^G_I| per row
     contained: np.ndarray     # (k,) bool — CONTAINED vs PARTIAL
@@ -97,51 +87,30 @@ class CandidateArray:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Candidate]:
-        mips = self.index.mips
-        for row, is_contained in zip(self.rows, self.contained):
-            yield (
-                mips[int(row)],
-                Overlap.CONTAINED if is_contained else Overlap.PARTIAL,
-            )
-
     def split_overlap(self) -> "tuple[CandidateArray, CandidateArray]":
         """``(contained, partial)`` halves — the SS-E-U-V split, one mask."""
         c = self.contained
         return (
+            CandidateArray(self.rows[c], self.global_counts[c], self.contained[c]),
             CandidateArray(
-                self.index, self.rows[c], self.global_counts[c], self.contained[c]
-            ),
-            CandidateArray(
-                self.index, self.rows[~c], self.global_counts[~c], self.contained[~c]
+                self.rows[~c], self.global_counts[~c], self.contained[~c]
             ),
         )
 
 
 @dataclass
 class QualifiedArray:
-    """ELIMINATE output in array form: MIP rows plus exact local counts.
+    """ELIMINATE output in array form: MIP rows plus exact local counts."""
 
-    Iterating yields ``(mip, local_count)`` pairs for array-unaware
-    consumers; VERIFY reads the arrays directly.
-    """
-
-    index: MIPIndex
     rows: np.ndarray          # (k,) intp — MIP rows
     local_counts: np.ndarray  # (k,) int64 — |t(I) ∩ D^Q| per row
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self) -> Iterator[Qualified]:
-        mips = self.index.mips
-        for row, local in zip(self.rows, self.local_counts):
-            yield mips[int(row)], int(local)
-
     @classmethod
     def concat(cls, a: "QualifiedArray", b: "QualifiedArray") -> "QualifiedArray":
         return cls(
-            a.index,
             np.concatenate([a.rows, b.rows]),
             np.concatenate([a.local_counts, b.local_counts]),
         )
@@ -362,7 +331,7 @@ def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArr
     rows = hits.rows.astype(np.intp, copy=False)
     global_counts = hits.counts
     # Exact classification of the hits in one vectorized pass (equivalent
-    # to FocalRange.classify per box — asserted by the operator tests).
+    # to a per-box classification — asserted by the operator tests).
     # Only the hit rows' fixed values are gathered and classified: the
     # hull usually returns a handful of hits, so classifying all N MIPs
     # (as the first kernel cut did) wasted a full-index pass per query.
@@ -371,19 +340,14 @@ def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArr
             ctx.index.stats.mip_fixed_values.take(rows, axis=0)
         )
         candidates = CandidateArray(
-            ctx.index, rows[overlaps], global_counts[overlaps], contained[overlaps]
+            rows[overlaps], global_counts[overlaps], contained[overlaps]
         )
     else:
-        candidates = CandidateArray(
-            ctx.index,
-            rows,
-            global_counts,
-            np.zeros(0, dtype=bool),
-        )
+        candidates = CandidateArray(rows, global_counts, np.zeros(0, dtype=bool))
     ctx.trace.add(
         OperatorTrace(
             name=name,
-            input_size=len(ctx.index.mips),
+            input_size=ctx.index.n_mips,
             output_size=len(candidates),
             elapsed=time.perf_counter() - start,
             detail={
@@ -450,9 +414,7 @@ def _qualify_candidates(
         counts = np.zeros(0, dtype=np.int64)
     qualifies = counts >= ctx.qualify_floor
     return (
-        QualifiedArray(
-            ctx.index, rows[qualifies], counts[qualifies].astype(np.int64)
-        ),
+        QualifiedArray(rows[qualifies], counts[qualifies].astype(np.int64)),
         int(len(rows)),
     )
 
@@ -510,7 +472,7 @@ def qualified_from_contained(
         counts = counts + ctx.delta.mip_counts(rows)
         qualifies = counts >= ctx.qualify_floor
         rows, counts = rows[qualifies], counts[qualifies]
-    return QualifiedArray(ctx.index, rows, counts)
+    return QualifiedArray(rows, counts)
 
 
 # ---------------------------------------------------------------------------

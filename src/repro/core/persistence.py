@@ -25,21 +25,22 @@ import json
 import struct
 import warnings
 import zipfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro import kernels
 from repro import tidset as ts
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.costs import CostWeights
-from repro.core.mipindex import MIPIndex, build_mip_index
+from repro.core.mipindex import MIPIndex, assemble_index, mine_mips
 from repro.core.query import LocalizedQuery
-from repro.dataset.schema import Attribute, Item, Schema
+from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError, IndexError_
-from repro.itemsets.charm import ClosedItemset
-from repro.itemsets.itemset import make_itemset, min_count_for
+from repro.itemsets.itemset import min_count_for
 from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import FlatRTree
 from repro.rtree.supported import SupportedRTree
@@ -132,12 +133,7 @@ def save_index(
         ],
         "weights": dict(weights.weights) if weights is not None else None,
     }
-    flat_items: list[int] = []
-    offsets = [0]
-    for mip in index.mips:
-        for item in mip.itemset:
-            flat_items.extend((item.attribute, item.value))
-        offsets.append(len(flat_items) // 2)
+    itemset_items, itemset_offsets = _itemset_arrays(index.stats.mip_fixed_values)
     arrays = {
         _FLAT_PREFIX + key: arr
         for key, arr in index.flat_rtree.to_arrays().items()
@@ -156,8 +152,8 @@ def save_index(
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         data=index.table.data,
-        itemset_items=np.asarray(flat_items, dtype=np.int32).reshape(-1, 2),
-        itemset_offsets=np.asarray(offsets, dtype=np.int64),
+        itemset_items=itemset_items,
+        itemset_offsets=itemset_offsets,
         **arrays,
     )
 
@@ -171,16 +167,16 @@ def load_index(
 
     Returns the index plus the calibrated weights (``None`` when the file
     was saved without them).  Derived structures (tidsets, statistics)
-    are rebuilt; with ``verify="mine"`` (the default) the stored closed
-    itemsets are verified to match a fresh CHARM run so a stale or
-    corrupted file cannot silently produce wrong answers.  Format-v2
-    files additionally carry the packed R-tree's arrays, which become the
-    index's tree once verified against the rebuilt MIPs (every leaf entry
-    is its MIP's box and global count, every internal entry the aggregate
-    of its child node); v1 files pack a fresh tree on load.
+    are rebuilt; with ``verify="mine"`` (the default) the stored itemset
+    arrays must equal a fresh CHARM run's, so a stale or corrupted file
+    cannot silently produce wrong answers.  Format-v2 files additionally
+    carry the packed R-tree's arrays, which become the index's tree once
+    verified against the rebuilt MIPs (every leaf entry is its MIP's box
+    and global count, every internal entry the aggregate of its child
+    node); v1 files pack a fresh tree on load.
 
-    ``verify="stored"`` skips the re-mine: MIP tidsets are reconstructed
-    by intersecting the item tidsets of each *stored* itemset, and then
+    ``verify="stored"`` skips the re-mine: each MIP's tidset row is the
+    AND of the item rows of its *stored* itemset, and the rows are then
     cross-checked bit-for-bit against the archive's packed kernel
     matrices (required to be present).  A tampered itemset or tidset
     still fails the load, but the closure/completeness of the stored
@@ -212,38 +208,46 @@ def load_index(
         raise DataError(
             f"verify must be 'mine' or 'stored', got {verify!r}"
         )
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read index file {path}: {exc}") from exc
-    try:
-        meta = json.loads(bytes(archive["meta"]).decode())
-        items = archive["itemset_items"]
-        offsets = archive["itemset_offsets"]
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc} — not a COLARM index")
-    if meta.get("format_version") not in _SUPPORTED_VERSIONS:
-        raise DataError(
-            f"{path}: unsupported format version {meta.get('format_version')}"
-        )
     mapped_names: list[str] = []
     fallback_names: list[str] = []
-    zf = zipfile.ZipFile(path) if mmap_mode is not None else None
+    with _open_npz(path, "index file") as archive, (
+        zipfile.ZipFile(path) if mmap_mode is not None else nullcontext()
+    ) as zf:
 
-    def member(name: str) -> np.ndarray:
-        """One mappable member: zero-copy when possible, recorded either way."""
-        if zf is not None:
-            mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
-            if mapped is not None:
-                mapped_names.append(name)
-                return mapped
-        fallback_names.append(name)
-        return archive[name]
+        def member(name: str) -> np.ndarray:
+            """One mappable member: zero-copy when possible, recorded
+            either way."""
+            if zf is not None:
+                mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
+                if mapped is not None:
+                    mapped_names.append(name)
+                    return mapped
+            fallback_names.append(name)
+            return archive[name]
 
-    try:
-        if "data" not in archive.files:
-            raise DataError(f"{path}: missing field 'data' — not a COLARM index")
-        data = member("data")
+        try:
+            meta = json.loads(bytes(archive["meta"]).decode())
+            items = archive["itemset_items"]
+            offsets = archive["itemset_offsets"]
+            data = member("data")
+        except KeyError as exc:
+            raise DataError(
+                f"{path}: missing field {exc} — not a COLARM index"
+            ) from None
+        if meta.get("format_version") not in _SUPPORTED_VERSIONS:
+            raise DataError(
+                f"{path}: unsupported format version "
+                f"{meta.get('format_version')}"
+            )
+        if verify == "stored" and not (
+            _KERNEL_MIPS in archive.files and _KERNEL_ITEMS in archive.files
+        ):
+            raise DataError(
+                f"{path}: verify='stored' needs the packed kernel "
+                "matrices for its bit-for-bit tidset cross-check, "
+                "but the archive carries none — load with "
+                "verify='mine' instead"
+            )
         schema = Schema(
             tuple(
                 Attribute(spec["name"], tuple(spec["values"]))
@@ -251,30 +255,40 @@ def load_index(
             )
         )
         table = RelationalTable(schema, data)
-        flat_keys = [k for k in archive.files if k.startswith(_FLAT_PREFIX)]
         flat_arrays = {
-            key[len(_FLAT_PREFIX):]: member(key) for key in flat_keys
+            key[len(_FLAT_PREFIX):]: member(key)
+            for key in archive.files
+            if key.startswith(_FLAT_PREFIX)
         }
-        closed = None
+        built_items, item_rows = table.item_matrix()
+        table._item_matrix = (
+            _adopt_kernel(archive, member, _KERNEL_ITEMS, built_items, "item", path),
+            item_rows,
+        )
+        primary_support = float(meta["primary_support"])
         if verify == "stored":
-            if not (_KERNEL_MIPS in archive.files
-                    and _KERNEL_ITEMS in archive.files):
-                raise DataError(
-                    f"{path}: verify='stored' needs the packed kernel "
-                    "matrices for its bit-for-bit tidset cross-check, "
-                    "but the archive carries none — load with "
-                    "verify='mine' instead"
-                )
-            closed = _reconstruct_closed(
-                table, items, offsets, float(meta["primary_support"]), path
+            fixed, built = _stored_mips(
+                table, items, offsets, primary_support, path
             )
+        else:
+            fixed, built = mine_mips(table, primary_support)
+            if not all(
+                map(np.array_equal, (items, offsets), _itemset_arrays(fixed))
+            ):
+                raise DataError(
+                    f"{path}: stored itemsets disagree with the rebuilt index "
+                    f"({len(offsets) - 1} stored vs {len(fixed)} rebuilt) — "
+                    "the file does not match its own data"
+                )
+        mip_matrix = _adopt_kernel(archive, member, _KERNEL_MIPS, built, "MIP", path)
         max_entries = int(meta["max_entries"])
         try:
-            index = build_mip_index(
+            index = assemble_index(
                 table,
-                primary_support=float(meta["primary_support"]),
+                primary_support,
+                fixed,
+                mip_matrix,
                 max_entries=max_entries,
-                closed=closed,
                 rtree=(
                     SupportedRTree(FlatRTree.from_arrays(flat_arrays), max_entries)
                     if flat_arrays
@@ -285,12 +299,6 @@ def load_index(
             raise DataError(
                 f"{path}: corrupt flat R-tree arrays: {exc}"
             ) from exc
-        if verify == "mine":
-            _verify_itemsets(index, items, offsets, path)
-        _attach_kernels(index, archive, member, path)
-    finally:
-        if zf is not None:
-            zf.close()
     report = LoadReport(
         requested=mmap_mode is not None,
         mapped=tuple(mapped_names),
@@ -312,44 +320,40 @@ def load_index(
     return index, weights
 
 
-def _attach_kernels(index: MIPIndex, archive, member, path: Path) -> None:
-    """Verify stored kernel matrices against the rebuild, then adopt them.
+def _adopt_kernel(
+    archive, member, name: str, built: np.ndarray, what: str, path: Path
+) -> np.ndarray:
+    """The stored packed ``what`` matrix if it equals the rebuild, else
+    a ``DataError``; the rebuild itself when the archive carries none.
 
     The packed MIP-tidset and item-tidset matrices are deterministic
-    functions of the (already verified) table, so equality with the
-    rebuilt copies is both a correctness check on the file and the
-    license to swap the heap copies for the archive-backed ones — after
-    the swap the transient rebuilds are garbage and the hot kernels read
-    file-backed pages every process on the box shares.
+    functions of the table, so equality with the rebuild both checks the
+    file and licenses serving the archive-backed copy: the hot kernels
+    then read file-backed pages every process on the box shares.
     """
-    if _KERNEL_MIPS in archive.files:
-        stored = member(_KERNEL_MIPS)
-        built = index.mip_tidset_matrix
-        if (
-            stored.dtype != built.dtype
-            or stored.shape != built.shape
-            or not np.array_equal(stored, built)
-        ):
-            raise DataError(
-                f"{path}: stored MIP kernel matrix disagrees with the "
-                "rebuilt index — the file does not match its own data"
-            )
-        stored.setflags(write=False)
-        index.__dict__["mip_tidset_matrix"] = stored
-    if _KERNEL_ITEMS in archive.files:
-        stored = member(_KERNEL_ITEMS)
-        built, rows = index.table.item_matrix()
-        if (
-            stored.dtype != built.dtype
-            or stored.shape != built.shape
-            or not np.array_equal(stored, built)
-        ):
-            raise DataError(
-                f"{path}: stored item kernel matrix disagrees with the "
-                "rebuilt table — the file does not match its own data"
-            )
-        stored.setflags(write=False)
-        index.table._item_matrix = (stored, rows)
+    if name not in archive.files:
+        return built
+    stored = member(name)
+    if (
+        stored.dtype != built.dtype
+        or stored.shape != built.shape
+        or not np.array_equal(stored, built)
+    ):
+        raise DataError(
+            f"{path}: stored {what} kernel matrix disagrees with the "
+            "rebuilt index — the file does not match its own data"
+        )
+    stored.setflags(write=False)
+    return stored
+
+
+def _open_npz(path: Path, what: str):
+    """``np.load`` of an archive (a context manager), any read failure a
+    ``DataError``."""
+    try:
+        return np.load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _mmap_npz_member(
@@ -430,8 +434,6 @@ def save_maintained(
     to save while a background recompaction is in flight (poll it first —
     the op log is thread state, not data).
     """
-    from repro import tidset as ts
-
     if maintained.recompacting:
         raise DataError(
             "cannot save while a recompaction is in flight; "
@@ -473,16 +475,15 @@ def load_maintained(path: str | Path):
 
     path = Path(path)
     sidecar = delta_sidecar_path(path)
-    try:
-        archive = np.load(sidecar)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read delta sidecar {sidecar}: {exc}") from exc
-    try:
-        meta = json.loads(bytes(archive["meta"]).decode())
-        delta_records = archive["delta_records"]
-        main_dead = archive["main_dead"]
-    except KeyError as exc:
-        raise DataError(f"{sidecar}: missing field {exc} — not a delta sidecar")
+    with _open_npz(sidecar, "delta sidecar") as archive:
+        try:
+            meta = json.loads(bytes(archive["meta"]).decode())
+            delta_records = archive["delta_records"]
+            main_dead = archive["main_dead"]
+        except KeyError as exc:
+            raise DataError(
+                f"{sidecar}: missing field {exc} — not a delta sidecar"
+            ) from None
     if meta.get("maintenance_format_version") != _MAINT_FORMAT_VERSION:
         raise DataError(
             f"{sidecar}: unsupported maintenance format version "
@@ -603,53 +604,52 @@ def load_cache(
         raise DataError(
             f"mmap_mode must be None, 'r' or 'c', got {mmap_mode!r}"
         )
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read cache file {path}: {exc}") from exc
-    try:
-        meta = json.loads(bytes(archive["meta"]).decode())
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc} — not a COLARM cache")
-    if meta.get("cache_format_version") != _CACHE_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported cache format version "
-            f"{meta.get('cache_format_version')}"
+    with _open_npz(path, "cache file") as archive, (
+        zipfile.ZipFile(path) if mmap_mode is not None else nullcontext()
+    ) as zf:
+        try:
+            meta = json.loads(bytes(archive["meta"]).decode())
+        except KeyError as exc:
+            raise DataError(
+                f"{path}: missing field {exc} — not a COLARM cache"
+            ) from None
+        if meta.get("cache_format_version") != _CACHE_FORMAT_VERSION:
+            raise DataError(
+                f"{path}: unsupported cache format version "
+                f"{meta.get('cache_format_version')}"
+            )
+        schema = index.table.schema
+        cards = [int(c) for c in index.cardinalities]
+        card_of, bases = np.asarray(cards), np.asarray(schema.item_bases)
+        if meta["cardinalities"] != cards:
+            raise DataError(
+                f"{path}: cache schema {meta['cardinalities']} does not match "
+                f"the index schema {cards}"
+            )
+        generation = int(meta["generation"])
+        if generation != index.generation:
+            raise DataError(
+                f"{path}: cache generation {generation} does not match the "
+                f"index generation {index.generation} — the index "
+                "mutated since the cache was saved; mine fresh instead"
+            )
+        cache = RuleCache(
+            index,
+            budget_bytes=int(meta["budget_bytes"]),
+            landmark_hits=int(meta["landmark_hits"]),
+            expand=bool(meta["expand"]),
         )
-    schema = index.table.schema
-    cards = [int(c) for c in index.cardinalities]
-    card_of, bases = np.asarray(cards), np.asarray(schema.item_bases)
-    if meta["cardinalities"] != cards:
-        raise DataError(
-            f"{path}: cache schema {meta['cardinalities']} does not match "
-            f"the index schema {cards}"
-        )
-    generation = int(meta["generation"])
-    if generation != index.generation:
-        raise DataError(
-            f"{path}: cache generation {generation} does not match the "
-            f"index generation {index.generation} — the index "
-            "mutated since the cache was saved; mine fresh instead"
-        )
-    cache = RuleCache(
-        index,
-        budget_bytes=int(meta["budget_bytes"]),
-        landmark_hits=int(meta["landmark_hits"]),
-        expand=bool(meta["expand"]),
-    )
 
-    def member(name: str) -> np.ndarray:
-        """One archive member: mapped in place when asked for and stored
-        raw, read whole otherwise."""
-        if name not in archive.files:
-            raise DataError(f"{path}: missing cache member {name}")
-        mapped = None
-        if zf is not None:
-            mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
-        return archive[name] if mapped is None else mapped
+        def member(name: str) -> np.ndarray:
+            """One archive member: mapped in place when asked for and stored
+            raw, read whole otherwise."""
+            if name not in archive.files:
+                raise DataError(f"{path}: missing cache member {name}")
+            mapped = None
+            if zf is not None:
+                mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
+            return archive[name] if mapped is None else mapped
 
-    zf = zipfile.ZipFile(path) if mmap_mode is not None else None
-    try:
         for i, record in enumerate(meta["entries"]):
             selections = {}
             for ai, vs in record["selections"]:
@@ -729,78 +729,72 @@ def load_cache(
                 # Restore the landmark state; insertion order already
                 # restored the LRU order (entries were saved LRU -> MRU).
                 entry.hits = int(record["hits"])
-    finally:
-        if zf is not None:
-            zf.close()
     return cache
 
 
-def _reconstruct_closed(
+def _itemset_arrays(fixed_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The snapshot's ``(itemset_items, itemset_offsets)``: every MIP's
+    ``(attribute, value)`` pairs in attribute order, flattened MIP by
+    MIP, and where each MIP's pairs start."""
+    fixed = fixed_values >= 0
+    rows, attrs = np.nonzero(fixed)
+    items = np.stack([attrs, fixed_values[rows, attrs]], axis=-1).astype(np.int32)
+    offsets = np.zeros(len(fixed_values) + 1, dtype=np.int64)
+    np.cumsum(fixed.sum(axis=1), out=offsets[1:])
+    return items, offsets
+
+
+def _stored_mips(
     table: RelationalTable,
     items: np.ndarray,
     offsets: np.ndarray,
     primary_support: float,
     path: Path,
-) -> list[ClosedItemset]:
-    """Rebuild the closed-itemset list from the archive, miner-free.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stored itemsets as ``(fixed_values, mip_matrix)``, miner-free.
 
-    Each stored itemset's tidset is the intersection of its items'
-    tidsets — a deterministic function of the (already loaded) table, so
-    any inconsistency between the stored list and the data surfaces
-    either here (unknown item, infrequent result, duplicate) or in the
-    bit-for-bit kernel-matrix cross-check that follows in
-    :func:`_attach_kernels`.
+    The pairs land straight in the fixed-value matrix, which must encode
+    back to exactly the stored arrays (one value per fixed attribute, in
+    attribute order), and each MIP's tidset row is the AND of its items'
+    rows of ``table.item_matrix()`` — a deterministic function of the
+    (already loaded) table, so any inconsistency between the stored list
+    and the data surfaces either here (malformed list, value outside its
+    domain, item in no record, duplicate, infrequent result) or in the
+    bit-for-bit kernel-matrix cross-check that follows.
     """
-    item_tidsets = table.item_tidsets()
-    floor = min_count_for(primary_support, table.n_records)
-    closed: list[ClosedItemset] = []
-    seen: set[tuple] = set()
-    for i in range(len(offsets) - 1):
-        pairs = [tuple(map(int, pair)) for pair in
-                 items[offsets[i]:offsets[i + 1]]]
-        key = tuple(sorted(pairs))
-        if key in seen:
-            raise DataError(
-                f"{path}: duplicate stored itemset {key} — the file does "
-                "not match its own data"
-            )
-        seen.add(key)
-        itemset = make_itemset(Item(a, v) for a, v in pairs)
-        tid: int | None = None
-        for item in itemset:
-            if item not in item_tidsets:
-                raise DataError(
-                    f"{path}: stored itemset {key} names item {item} "
-                    "that occurs in no record — the file does not match "
-                    "its own data"
-                )
-            tid = item_tidsets[item] if tid is None \
-                else tid & item_tidsets[item]
-        if tid is None or ts.count(tid) < floor:
-            raise DataError(
-                f"{path}: stored itemset {key} is not frequent at the "
-                f"primary support floor — the file does not match its "
-                "own data"
-            )
-        closed.append(ClosedItemset(items=itemset, tidset=tid))
-    return closed
 
+    def refuse(what: str) -> DataError:
+        return DataError(f"{path}: {what} — the file does not match its own data")
 
-def _verify_itemsets(
-    index: MIPIndex, items: np.ndarray, offsets: np.ndarray, path: Path
-) -> None:
-    """Cross-check stored itemsets against the rebuilt index."""
-    stored = {
-        tuple(map(tuple, items[offsets[i]:offsets[i + 1]]))
-        for i in range(len(offsets) - 1)
-    }
-    rebuilt = {
-        tuple((it.attribute, it.value) for it in mip.itemset)
-        for mip in index.mips
-    }
-    if stored != rebuilt:
-        raise DataError(
-            f"{path}: stored itemsets disagree with the rebuilt index "
-            f"({len(stored)} stored vs {len(rebuilt)} rebuilt) — the file "
-            "does not match its own data"
+    schema = table.schema
+    try:
+        lengths = np.diff(offsets)
+        fixed = np.full((len(lengths), schema.n_attributes), -1, dtype=np.int32)
+        fixed[np.repeat(np.arange(len(lengths)), lengths), items[:, 0]] = items[:, 1]
+    except (TypeError, ValueError, IndexError) as exc:
+        raise refuse(f"malformed stored itemset list ({exc})") from None
+    if (lengths < 1).any() or not all(
+        map(np.array_equal, (items, offsets), _itemset_arrays(fixed))
+    ):
+        raise refuse(
+            "stored itemsets are not non-empty (attribute, value) lists, "
+            "one value per attribute in attribute order"
         )
+    if (fixed >= np.asarray(schema.cardinalities())).any():
+        raise refuse("a stored itemset names a value outside its domain")
+    if len(np.unique(fixed, axis=0)) != len(fixed):
+        raise refuse("duplicate stored itemset")
+    matrix, _ = table.item_matrix()
+    row_of = np.full(schema.n_items, -1, dtype=np.intp)
+    row_of[table.item_ids()] = np.arange(len(matrix))
+    bases = np.asarray(schema.item_bases)
+    if (row_of[bases[items[:, 0]] + items[:, 1]] < 0).any():
+        raise refuse("a stored itemset names an item that occurs in no record")
+    built = np.full((len(fixed), matrix.shape[1]), ~np.uint64(0), dtype=matrix.dtype)
+    for a, base in enumerate(schema.item_bases):
+        has = fixed[:, a] >= 0
+        built[has] &= matrix[row_of[base + fixed[has, a]]]
+    floor = min_count_for(primary_support, table.n_records)
+    if (kernels.popcount_rows(built) < floor).any():
+        raise refuse("a stored itemset is not frequent at the primary support floor")
+    return fixed, built

@@ -14,7 +14,6 @@ every candidate box exactly as contained / partially overlapped / disjoint
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ from repro.errors import QueryError
 from repro.rtree.geometry import Rect
 
 __all__ = [
-    "Overlap",
     "FocalRange",
     "LocalizedQuery",
     "canonical_focal_key",
@@ -50,14 +48,6 @@ def canonical_focal_key(
         for ai, vs in range_selections.items()
         if len(vs) < cardinalities[ai]
     ))
-
-
-class Overlap(enum.Enum):
-    """Relation of a MIP bounding box to the focal region (Section 3.4)."""
-
-    CONTAINED = "contained"
-    PARTIAL = "partial"
-    DISJOINT = "disjoint"
 
 
 @dataclass(frozen=True)
@@ -111,19 +101,6 @@ class FocalRange:
             for mask in self.value_masks
         )
 
-    def classify(self, box: Rect) -> Overlap:
-        """Exact relation of a box to the region (product of value sets)."""
-        contained = True
-        for dim, sel_mask in enumerate(self.value_masks):
-            lo, hi = box.lows[dim], box.highs[dim]
-            interval_mask = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
-            inside = interval_mask & sel_mask
-            if inside == 0:
-                return Overlap.DISJOINT
-            if inside != interval_mask:
-                contained = False
-        return Overlap.CONTAINED if contained else Overlap.PARTIAL
-
     def selectivity(self) -> float:
         """Fraction of grid cells admitted (product over dimensions)."""
         fraction = 1.0
@@ -137,9 +114,10 @@ class FocalRange:
         ``fixed_values`` is the (N, n) int matrix of
         :class:`~repro.core.stats.IndexStatistics` — the value each MIP
         fixes per attribute, ``-1`` when free.  Returns boolean arrays
-        ``(overlaps, contained)`` equivalent to calling :meth:`classify`
-        on each MIP's box (asserted equivalent in the tests); used by
-        SEARCH to classify thousands of candidates in one numpy pass.
+        ``(overlaps, contained)``: whether each MIP's box meets the region
+        and whether it lies inside it (Section 3.4; checked against a
+        per-box reference in the tests).  SEARCH classifies its hits in
+        this one numpy pass.
         """
         import numpy as np
 

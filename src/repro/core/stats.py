@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mip import MIP
 from repro.dataset.schema import Item
 from repro.kernels import and_count, popcount_rows
 from repro.rtree.flat import LevelStat
@@ -146,7 +145,8 @@ class IndexStatistics:
 
 
 def gather_statistics(
-    mips: Sequence[MIP],
+    fixed_values: np.ndarray,
+    global_counts: np.ndarray,
     tree: SupportedRTree,
     cardinalities: Sequence[int],
     n_records: int,
@@ -156,7 +156,9 @@ def gather_statistics(
 ) -> IndexStatistics:
     """Collect all statistics in one offline pass over index and MIPs.
 
-    ``mip_matrix`` is the packed ``(n_mips, words)``
+    ``fixed_values`` is the ``(n_mips, d)`` itemset matrix (``-1`` =
+    free) and ``global_counts`` the MIPs' global support counts, both in
+    MIP order; ``mip_matrix`` is the packed ``(n_mips, words)``
     MIP-tidset matrix the index keeps for ELIMINATE; ``item_matrix`` the
     table's packed item matrix with its row lookup
     (:meth:`RelationalTable.item_matrix`, rows in item sort order).  The
@@ -166,15 +168,9 @@ def gather_statistics(
     """
     cardinalities = tuple(cardinalities)
     n_dims = len(cardinalities)
-    n_mips = len(mips)
-
-    fixed_values = np.full((n_mips, n_dims), -1, dtype=np.int32)
-    lengths = np.fromiter((mip.length for mip in mips), np.intp, n_mips)
-    items = np.array(
-        [item for mip in mips for item in mip.itemset], dtype=np.int32
-    ).reshape(-1, 2)
-    fixed_values[np.repeat(np.arange(n_mips), lengths), items[:, 0]] = items[:, 1]
+    n_mips = len(fixed_values)
     fixed = fixed_values >= 0
+    lengths = fixed.sum(axis=1)
 
     if n_mips:
         extents = np.where(fixed, 1, np.asarray(cardinalities, dtype=np.int64))
@@ -187,7 +183,6 @@ def gather_statistics(
     histogram = dict(Counter(lengths.tolist()))
 
     # Support order: descending global count, ties by MIP row.
-    global_counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     order = np.argsort(-global_counts, kind="stable")
     by_support = fixed_values[order]
 

@@ -62,7 +62,8 @@ def test_offline_callers_equal_the_oracle(case):
     # itemsets, whatever their confidence (0.5 when they split into none).
     for sample in (3, 15, 200):
         sampled = oracle.rules_from(
-            [mip.itemset for mip in index.mips[:sample]], rows, 0.0
+            [index.mip(row).itemset for row in range(min(sample, index.n_mips))],
+            rows, 0.0,
         )
         for fraction in (0.1, 0.5, 1.0):
             assert suggest_minconf(index, fraction, sample=sample) == (

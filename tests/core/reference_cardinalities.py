@@ -31,7 +31,7 @@ def mip_order_stats(index) -> MipOrderStatistics:
     """``index.stats`` with the support-ordered per-MIP arrays put back in
     MIP order."""
     stats = index.stats
-    counts = np.asarray([m.global_count for m in index.mips], dtype=np.int64)
+    counts = np.asarray(index.global_counts, dtype=np.int64)
     position = np.argsort(np.argsort(-counts, kind="stable"))
     fields = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
     fields.update(

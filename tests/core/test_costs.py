@@ -9,7 +9,7 @@ from repro.core.operators import make_context, op_eliminate, op_search, \
     op_supported_search
 from repro.core.optimizer import ColarmOptimizer
 from repro.core.plans import PlanKind
-from repro.core.query import Overlap, LocalizedQuery
+from repro.core.query import LocalizedQuery
 from tests.conftest import make_random_table
 
 
@@ -45,8 +45,7 @@ def test_candidate_counts_exact(setup, query):
     ctx2 = make_context(index, query)
     supported = op_supported_search(ctx2)
     assert profile.n_cands_supported == len(supported)
-    contained = [c for c in supported if c[1] is Overlap.CONTAINED]
-    assert profile.n_contained == len(contained)
+    assert profile.n_contained == int(supported.contained.sum())
 
 
 @pytest.mark.parametrize("query", QUERIES)

@@ -88,7 +88,7 @@ def test_global_rules(engine):
 
 
 def test_engine_introspection(engine):
-    assert engine.n_mips == len(engine.index.mips)
+    assert engine.n_mips == len(engine.index.stats.mip_fixed_values)
     assert engine.schema is engine.table.schema
 
 

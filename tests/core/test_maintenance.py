@@ -392,6 +392,53 @@ def test_flat_form_tracks_index_lifecycle(maintained):
     full = Rect.full_domain(mx.index.cardinalities)
     hits = mx.index.rtree.search_arrays(full)
     assert sorted(hits.rows.tolist()) == list(range(mx.index.n_mips))
-    assert hits.counts.tolist() == [
-        mx.index.mips[r].global_count for r in hits.rows.tolist()
-    ]
+    assert hits.counts.tolist() == mx.index.global_counts[hits.rows].tolist()
+
+
+def test_failed_background_fold_surfaces_and_keeps_serving(monkeypatch):
+    """An error inside the fold thread is handed to the next
+    ``poll_recompaction`` as the very exception raised, and the engine
+    keeps answering over main+delta, exactly as the oracle does."""
+    from repro.core import maintenance
+    from repro.core.engine import Colarm
+    from tests import oracle
+
+    cards = (3, 3, 2)
+    table = make_random_table(seed=131, n_records=40, cardinalities=cards)
+    engine = Colarm(table, primary_support=0.1)
+    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    appended = make_new_records(5, seed=73, cards=cards)
+    engine.append(appended)
+    engine.delete([4])
+    index, generation = engine.index, engine.index.generation
+
+    failure = MemoryError("the fold ran out of memory")
+
+    def failing_build(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(maintenance, "build_mip_index", failing_build)
+    assert engine.maintenance.begin_recompaction()
+    with pytest.raises(MemoryError) as raised:
+        engine.maintenance.poll_recompaction(wait=True)
+    assert raised.value is failure
+    assert not engine.maintenance.recompacting
+    assert engine.index is index and engine.index.generation == generation
+
+    stored = [tuple(row) for row in table.data.tolist()]
+    live = [row for tid, row in enumerate(stored) if tid != 4]
+    live += [tuple(row) for row in appended]
+    for query in (QUERY, LocalizedQuery({2: frozenset({1})}, 0.2, 0.5)):
+        dq = oracle.focal_rows(live, query)
+        want = {
+            "arm": oracle.arm_rules(live, query, expand=False),
+            "mip": oracle.mip_rules(
+                stored, index.primary_support, live, 0, query, expand=False
+            ),
+        }
+        for kind in PlanKind:
+            out = engine.query(query, plan=kind)
+            assert out.dq_size == len(dq)
+            family = "arm" if kind is PlanKind.ARM else "mip"
+            assert [tuple(rule) for rule in out.rules] == want[family], kind
+    assert engine.index is index

@@ -17,10 +17,17 @@ from repro.core.operators import (
     op_union,
     op_verify,
 )
-from repro.core.query import LocalizedQuery, Overlap
+from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
 from repro.itemsets.itemset import min_count_for
 from tests.conftest import make_random_table
+from tests.core.reference_mips import (
+    Overlap,
+    candidate_pairs,
+    classify,
+    qualified_pairs,
+    ref_mips,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,28 +76,30 @@ def test_make_context_empty_focal(setup):
 def test_search_exact_overlap(setup):
     table, index, query = setup
     ctx = make_context(index, query)
-    candidates = op_search(ctx)
+    candidates = candidate_pairs(ctx.index, op_search(ctx))
     got = {mip.itemset for mip, _ in candidates}
     expected = {
         mip.itemset
-        for mip in index.mips
-        if ctx.focal.classify(mip.box) is not Overlap.DISJOINT
+        for mip in ref_mips(index)
+        if classify(ctx.focal, mip.box) is not Overlap.DISJOINT
     }
     assert got == expected
     for mip, overlap in candidates:
-        assert overlap == ctx.focal.classify(mip.box)
+        assert overlap == classify(ctx.focal, mip.box)
         assert overlap is not Overlap.DISJOINT
 
 
 def test_supported_search_filters_by_count(setup):
     table, index, query = setup
     ctx = make_context(index, query)
-    plain = {m.itemset for m, _ in op_search(ctx)}
-    supported = {m.itemset for m, _ in op_supported_search(ctx)}
+    plain = {m.itemset for m, _ in candidate_pairs(ctx.index, op_search(ctx))}
+    supported = {
+        m.itemset for m, _ in candidate_pairs(ctx.index, op_supported_search(ctx))
+    }
     expected = {
         mip.itemset
-        for mip in index.mips
-        if ctx.focal.classify(mip.box) is not Overlap.DISJOINT
+        for mip in ref_mips(index)
+        if classify(ctx.focal, mip.box) is not Overlap.DISJOINT
         and mip.global_count >= ctx.min_count
     }
     assert supported == expected
@@ -101,13 +110,13 @@ def test_eliminate_exact_local_counts(setup):
     table, index, query = setup
     ctx = make_context(index, query)
     candidates = op_search(ctx)
-    qualified = op_eliminate(ctx, candidates)
+    qualified = qualified_pairs(ctx.index, op_eliminate(ctx, candidates))
     for mip, local in qualified:
         truth = ts.count(table.itemset_tidset(mip.itemset) & ctx.dq)
         assert local == truth
         assert local >= ctx.min_count
     surviving = {m.itemset for m, _ in qualified}
-    for mip, _ in candidates:
+    for mip, _ in candidate_pairs(ctx.index, candidates):
         truth = ts.count(table.itemset_tidset(mip.itemset) & ctx.dq)
         assert (mip.itemset in surviving) == (truth >= ctx.min_count)
 
@@ -122,7 +131,7 @@ def test_eliminate_applies_aitem(setup):
     )
     ctx = make_context(index, query)
     qualified = op_eliminate(ctx, op_search(ctx))
-    for mip, _ in qualified:
+    for mip, _ in qualified_pairs(ctx.index, qualified):
         assert all(item.attribute in {1, 2} for item in mip.itemset)
 
 
@@ -156,10 +165,11 @@ def test_supported_verify_equals_eliminate_verify(setup):
 def test_union_merges(setup):
     _, index, query = setup
     ctx = make_context(index, query)
-    a = QualifiedArray(index, np.asarray([0]), np.asarray([5]))
-    b = QualifiedArray(index, np.asarray([1]), np.asarray([7]))
+    a = QualifiedArray(np.asarray([0]), np.asarray([5]))
+    b = QualifiedArray(np.asarray([1]), np.asarray([7]))
     merged = op_union(ctx, a, b)
-    assert list(merged) == [(index.mips[0], 5), (index.mips[1], 7)]
+    assert merged.rows.tolist() == [0, 1]
+    assert merged.local_counts.tolist() == [5, 7]
     assert ctx.trace.by_name("UNION").output_size == 2
 
 
@@ -168,7 +178,7 @@ def test_contained_mips_local_equals_global(setup):
     table, index, query = setup
     ctx = make_context(index, query)
     found = 0
-    for mip, overlap in op_search(ctx):
+    for mip, overlap in candidate_pairs(ctx.index, op_search(ctx)):
         if overlap is Overlap.CONTAINED:
             assert ts.count(mip.tidset & ctx.dq) == mip.global_count
             found += 1

@@ -14,6 +14,7 @@ from repro.errors import QueryError
 from repro.itemsets.itemset import min_count_for
 from tests import oracle
 from tests.conftest import make_random_table
+from tests.core.reference_mips import ref_mips
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ def test_suggest_ranges_counts_are_exact(index):
     local_floor = min_count_for(0.3, ts.count(mask))
     global_floor = min_count_for(0.3, table.n_records)
     fresh = repeated = 0
-    for mip in index.mips:
+    for mip in ref_mips(index):
         if Item(s.attribute, value) in mip.itemset:
             continue
         if ts.count(mip.tidset & mask) >= local_floor:

@@ -30,9 +30,10 @@ def test_roundtrip_identical_index(index, tmp_path):
     assert loaded.primary_support == index.primary_support
     assert loaded.table.schema == index.table.schema
     assert np.array_equal(loaded.table.data, index.table.data)
-    assert [m.itemset for m in loaded.mips] == [m.itemset for m in index.mips]
-    assert [m.global_count for m in loaded.mips] == \
-        [m.global_count for m in index.mips]
+    assert np.array_equal(
+        loaded.stats.mip_fixed_values, index.stats.mip_fixed_values
+    )
+    assert np.array_equal(loaded.global_counts, index.global_counts)
 
 
 def test_roundtrip_same_query_answers(index, tmp_path):
@@ -171,9 +172,7 @@ def test_roundtrip_payload_first_no_entry_rebuild(index, tmp_path):
     assert flat.payload_rows.tolist() == stored_rows.tolist()
     hits = flat.search_hits(Rect.full_domain(loaded.cardinalities))
     assert np.array_equal(hits.rows, stored_rows[hits.slots])
-    assert hits.counts.tolist() == [
-        loaded.mips[r].global_count for r in hits.rows.tolist()
-    ]
+    assert hits.counts.tolist() == loaded.global_counts[hits.rows].tolist()
 
 
 def test_load_v1_file_recompiles_flat(index, tmp_path):
@@ -189,7 +188,9 @@ def test_load_v1_file_recompiles_flat(index, tmp_path):
     np.savez(path, **stripped)
     loaded, _ = load_index(path)
     _assert_same_tree(index, loaded)
-    assert [m.itemset for m in loaded.mips] == [m.itemset for m in index.mips]
+    assert np.array_equal(
+        loaded.stats.mip_fixed_values, index.stats.mip_fixed_values
+    )
 
 
 def test_load_detects_corrupt_flat_arrays(index, tmp_path):
@@ -408,3 +409,162 @@ def test_load_cache_accepts_rebased_generation(index, tmp_path):
     loaded.clock.base = 8  # an actual lineage mismatch still refuses
     with pytest.raises(DataError, match="generation"):
         load_cache(cache_path, loaded)
+
+
+def _rewrite(path, change):
+    """Apply ``change`` to the archive's members (a dict) and rewrite it."""
+    with np.load(path) as archive:
+        members = dict(archive)
+    change(members)
+    np.savez(path, **members)
+
+
+def _itemset(members, i):
+    offsets = members["itemset_offsets"]
+    return members["itemset_items"][offsets[i]:offsets[i + 1]]
+
+
+def _set_meta(members, **fields):
+    meta = json.loads(bytes(members["meta"]).decode())
+    meta.update(fields)
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def _duplicate_itemset(members):
+    members["itemset_items"] = np.concatenate(
+        [members["itemset_items"], _itemset(members, 0)]
+    )
+    offsets = members["itemset_offsets"]
+    members["itemset_offsets"] = np.append(
+        offsets, offsets[-1] + offsets[1] - offsets[0]
+    )
+    kernel = members["kernel_mip_tidsets"]
+    members["kernel_mip_tidsets"] = np.concatenate([kernel, kernel[:1]])
+
+
+def _unknown_item(members):
+    """Widen attribute ``a``'s domain by one value no record holds, and
+    point the first itemset at it."""
+    items = members["itemset_items"].copy()
+    a = int(items[0, 0])
+    meta = json.loads(bytes(members["meta"]).decode())
+    values = meta["attributes"][a]["values"]
+    items[0, 1] = len(values)
+    members["itemset_items"] = items
+    meta["attributes"][a]["values"] = values + ["never-seen"]
+    _set_meta(members, attributes=meta["attributes"])
+
+
+def _value_outside_domain(members):
+    items = members["itemset_items"].copy()
+    meta = json.loads(bytes(members["meta"]).decode())
+    items[0, 1] = len(meta["attributes"][int(items[0, 0])]["values"])
+    members["itemset_items"] = items
+
+
+def _attribute_fixed_twice(members):
+    offsets = members["itemset_offsets"]
+    i = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+    items = members["itemset_items"].copy()
+    items[offsets[i] + 1, 0] = items[offsets[i], 0]
+    members["itemset_items"] = items
+
+
+def _below_primary_floor(members):
+    _set_meta(members, primary_support=0.9)
+
+
+def _flipped_kernel_bit(members):
+    kernel = members["kernel_mip_tidsets"].copy()
+    kernel[0, 0] ^= 1
+    members["kernel_mip_tidsets"] = kernel
+
+
+@pytest.mark.parametrize("verify", ["mine", "stored"])
+@pytest.mark.parametrize("fault,stored_reason", [
+    (_duplicate_itemset, "duplicate"),
+    (_unknown_item, "occurs in no record"),
+    (_value_outside_domain, "outside its domain"),
+    (_attribute_fixed_twice, "one value per attribute"),
+    (_below_primary_floor, "not frequent"),
+    (_flipped_kernel_bit, "kernel"),
+])
+def test_load_refuses_a_damaged_snapshot(
+    index, tmp_path, verify, fault, stored_reason
+):
+    """Every damage to the stored MIP arrays is a ``DataError`` under
+    both verify modes; ``verify="stored"`` names the array check that
+    caught it (``"mine"`` catches it as a disagreement with CHARM or in
+    the kernel cross-check)."""
+    path = tmp_path / "t.colarm.npz"
+    save_index(index, path, compress=False)
+    _rewrite(path, fault)
+    match = stored_reason if verify == "stored" else "disagree|kernel"
+    for mmap_mode in (None, "r"):
+        with pytest.raises(DataError, match=match):
+            load_index(path, mmap_mode=mmap_mode, verify=verify)
+
+
+@pytest.mark.parametrize("verify", ["mine", "stored"])
+def test_save_load_save_is_byte_equal(index, tmp_path, verify):
+    """A loaded index saves back to the very members it was loaded from."""
+    import zipfile
+
+    first, second = tmp_path / "a.colarm.npz", tmp_path / "b.colarm.npz"
+    save_index(index, first, compress=False)
+    loaded, _ = load_index(first, mmap_mode="r", verify=verify)
+    save_index(loaded, second, compress=False)
+    with zipfile.ZipFile(first) as a, zipfile.ZipFile(second) as b:
+        assert a.namelist() == b.namelist()
+        for name in a.namelist():
+            assert a.read(name) == b.read(name), name
+
+
+def test_loads_close_their_archives(index, tmp_path, monkeypatch):
+    """``load_index``, ``load_maintained`` and ``load_cache`` — a refused
+    cache sidecar included — leave no archive open for the collector to
+    find (a ``ResourceWarning`` under ``-X dev``): a refusal has closed
+    its archive even while its traceback still holds the loader's frame."""
+    import gc
+    import os
+    import sys
+    import warnings
+
+    from repro.core.engine import Colarm
+    from repro.core.maintenance import MaintainedIndex
+    from repro.core.persistence import (
+        load_cache,
+        load_maintained,
+        save_cache,
+        save_maintained,
+    )
+
+    path = tmp_path / "t.colarm.npz"
+    save_index(index, path, compress=False)
+    engine = Colarm.from_index(index).enable_cache()
+    engine.query(LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6))
+    cache_path = tmp_path / "t.cache.npz"
+    save_cache(engine.cache, cache_path, compress=False)
+    maintained_path = tmp_path / "m.colarm.npz"
+    save_maintained(MaintainedIndex.from_index(index), maintained_path)
+
+    def open_fds():
+        fd_dir = "/proc/self/fd"
+        return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else 0
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for mmap_mode in (None, "r"):
+            loaded, _ = load_index(path, mmap_mode=mmap_mode, verify="stored")
+            load_cache(cache_path, loaded, mmap_mode=mmap_mode)
+            loaded.clock.base += 1  # the sidecar is now refused
+            before = open_fds()
+            with pytest.raises(DataError, match="generation") as refused:
+                load_cache(cache_path, loaded, mmap_mode=mmap_mode)
+            assert refused.value.__traceback__ is not None
+            assert open_fds() == before
+        load_maintained(maintained_path)
+        gc.collect()
+    assert unraisable == []

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from repro.core.query import FocalRange, LocalizedQuery, Overlap
+from repro.core.query import FocalRange, LocalizedQuery
 from repro.errors import QueryError
 from repro.rtree.geometry import Rect
+from tests.core.reference_mips import Overlap, classify
 
 
 def test_query_validation():
@@ -128,15 +129,15 @@ def test_classify_matches_brute_force():
             min(c - 1, lo + rng.randrange(c)) for lo, c in zip(lows, cards)
         )
         box = Rect(lows, highs)
-        assert fr.classify(box) == classify_brute(fr, box)
+        assert classify(fr, box) == classify_brute(fr, box)
 
 
 def test_classify_non_contiguous_selection():
     """Value sets with gaps: hull would be wrong, classify is exact."""
     fr = FocalRange.from_selections({0: frozenset({0, 2})}, (3,))
-    assert fr.classify(Rect((1,), (1,))) is Overlap.DISJOINT
-    assert fr.classify(Rect((0,), (2,))) is Overlap.PARTIAL
-    assert fr.classify(Rect((2,), (2,))) is Overlap.CONTAINED
+    assert classify(fr, Rect((1,), (1,))) is Overlap.DISJOINT
+    assert classify(fr, Rect((0,), (2,))) is Overlap.PARTIAL
+    assert classify(fr, Rect((2,), (2,))) is Overlap.CONTAINED
     # ... while the hull covers the gap
     assert fr.hull() == Rect((0,), (2,))
 
@@ -147,22 +148,20 @@ def test_classify_all_matches_classify():
 
     import numpy as np
 
-    from repro.core.mip import mip_bounding_box
-    from repro.dataset.schema import Item
-
     rng = random.Random(3)
     cards = (4, 3, 3, 2)
     # random "MIPs": random subsets of attributes fixed to random values
     fixed = np.full((120, len(cards)), -1, dtype=np.int32)
     boxes = []
     for i in range(120):
-        items = []
         for a, card in enumerate(cards):
             if rng.random() < 0.5:
-                v = rng.randrange(card)
-                fixed[i, a] = v
-                items.append(Item(a, v))
-        boxes.append(mip_bounding_box(tuple(items), cards))
+                fixed[i, a] = rng.randrange(card)
+        # Fixed attributes collapse to their cell, free ones span it all.
+        boxes.append(Rect(
+            tuple(max(int(v), 0) for v in fixed[i]),
+            tuple(int(v) if v >= 0 else c - 1 for v, c in zip(fixed[i], cards)),
+        ))
     for _ in range(40):
         selections = {}
         for a, card in enumerate(cards):
@@ -174,7 +173,7 @@ def test_classify_all_matches_classify():
         fr = FocalRange.from_selections(selections, cards)
         overlaps, contained = fr.classify_all(fixed)
         for i, box in enumerate(boxes):
-            expected = fr.classify(box)
+            expected = classify(fr, box)
             assert overlaps[i] == (expected is not Overlap.DISJOINT), i
             if overlaps[i]:
                 assert contained[i] == (expected is Overlap.CONTAINED), i

@@ -13,6 +13,7 @@ from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
 from repro.dataset.table import RelationalTable
 from repro.rtree.flat import LevelStat
 from tests.conftest import make_random_table
+from tests.core.reference_mips import ref_mips
 from tests.rtree import reference
 from tests.rtree.test_rtree import oracle_tree
 
@@ -31,7 +32,7 @@ def test_basic_shape(setup):
     assert stats.n_records == table.n_records
     assert stats.n_attributes == table.n_attributes
     assert stats.cardinalities == table.schema.cardinalities()
-    assert stats.n_mips == len(index.mips)
+    assert stats.n_mips == index.n_mips
     assert stats.primary_support == index.primary_support
 
 
@@ -39,14 +40,14 @@ def test_avg_box_extents(setup):
     _, index = setup
     stats = index.stats
     for dim in range(stats.n_attributes):
-        expected = np.mean([m.box.extent(dim) for m in index.mips])
+        expected = np.mean([m.box.extent(dim) for m in ref_mips(index)])
         assert stats.avg_box_extents[dim] == pytest.approx(expected)
 
 
 def test_length_histogram_and_derived(setup):
     _, index = setup
     stats = index.stats
-    lengths = [m.length for m in index.mips]
+    lengths = [m.length for m in ref_mips(index)]
     assert sum(stats.length_histogram.values()) == len(lengths)
     assert stats.avg_length == pytest.approx(np.mean(lengths))
     assert stats.max_length == max(lengths)
@@ -60,7 +61,7 @@ def test_attr_fix_prob(setup):
     stats = index.stats
     for dim in range(stats.n_attributes):
         expected = np.mean(
-            [dim in m.fixed_attributes for m in index.mips]
+            [dim in m.fixed_attributes for m in ref_mips(index)]
         )
         assert stats.attr_fix_prob[dim] == pytest.approx(expected)
 
@@ -68,7 +69,7 @@ def test_attr_fix_prob(setup):
 def test_fraction_with_count_at_least(setup):
     _, index = setup
     stats = index.stats
-    counts = [m.global_count for m in index.mips]
+    counts = [m.global_count for m in ref_mips(index)]
     for threshold in (1, 10, max(counts), max(counts) + 1):
         expected = sum(1 for c in counts if c >= threshold) / len(counts)
         assert stats.fraction_with_count_at_least(threshold) == expected
@@ -77,7 +78,7 @@ def test_fraction_with_count_at_least(setup):
 def test_mip_fixed_values_matrix(setup):
     _, index = setup
     stats = index.stats
-    for i, mip in enumerate(index.mips):
+    for i, mip in enumerate(ref_mips(index)):
         fixed = {item.attribute: item.value for item in mip.itemset}
         for a in range(stats.n_attributes):
             assert stats.mip_fixed_values[i, a] == fixed.get(a, -1)
@@ -86,7 +87,7 @@ def test_mip_fixed_values_matrix(setup):
 def support_order(index):
     """The MIPs by descending global count, ties by row: the order of
     everything per-MIP the cardinality pass reads."""
-    return sorted(index.mips, key=lambda m: (-m.global_count, m.row))
+    return sorted(ref_mips(index), key=lambda m: (-m.global_count, m.row))
 
 
 def test_item_local_counts_matrix(setup):
@@ -169,7 +170,7 @@ def test_level_counts_cover_tree(setup):
 def scalar_statistics(index):
     """The per-MIP / per-item Python loops ``gather_statistics`` ran before
     it counted through the packed matrices — kept here as the reference."""
-    mips = index.mips
+    mips = ref_mips(index)
     cardinalities = index.cardinalities
     n_dims = len(cardinalities)
     n_records = index.table.n_records
@@ -265,7 +266,7 @@ def _oracle_levels(index):
     """The R-tree's nodes per level, leaf level first, from the test
     oracle packed over the MIP boxes: each node a list of ``(lows, highs,
     count)`` entries."""
-    items = [(m.box, m.row, m.global_count) for m in index.mips]
+    items = [(m.box, m.row, m.global_count) for m in ref_mips(index)]
     arrays = reference.level_arrays(*oracle_tree(items, index.rtree.max_entries))
     return [
         [list(zip(lows[a:b], highs[a:b], counts[a:b]))

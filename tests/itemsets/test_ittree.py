@@ -126,8 +126,9 @@ def counting_cases(draw):
     index = build_mip_index(table, draw(st.sampled_from([0.05, 0.2, 0.4])))
     dq = draw(st.integers(0, (1 << table.n_records) - 1))
     itemsets = set()
-    for mip in draw(st.lists(st.sampled_from(index.mips), max_size=6)
-                    if index.mips else st.just([])):
+    mips = [index.mip(row) for row in range(index.n_mips)]
+    for mip in draw(st.lists(st.sampled_from(mips), max_size=6)
+                    if mips else st.just([])):
         picked = draw(st.sets(st.sampled_from(mip.itemset), min_size=1))
         itemsets.add(tuple(sorted(picked)))
     for _ in range(draw(st.integers(1, 4))):

@@ -37,6 +37,9 @@ def test_roundtrip_preserves_everything(tmp_path_factory, table, primary):
     assert weights is None
     assert loaded.table.schema == index.table.schema
     assert np.array_equal(loaded.table.data, index.table.data)
-    assert [(m.itemset, m.tidset, m.global_count) for m in loaded.mips] == \
-        [(m.itemset, m.tidset, m.global_count) for m in index.mips]
+    assert np.array_equal(
+        loaded.stats.mip_fixed_values, index.stats.mip_fixed_values
+    )
+    assert np.array_equal(loaded.mip_tidset_matrix, index.mip_tidset_matrix)
+    assert np.array_equal(loaded.global_counts, index.global_counts)
     assert loaded.stats.length_histogram == index.stats.length_histogram

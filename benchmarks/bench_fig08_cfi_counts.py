@@ -12,8 +12,16 @@ import pytest
 
 from _harness import RESULTS_DIR
 from repro.analysis.reporting import format_series, write_csv
-from repro.itemsets.charm import charm
+from repro.itemsets.charm import closed_masks
+from repro.itemsets.itemset import min_count_for
 from repro.workloads.experiments import EXPERIMENTS
+
+
+def _id_tidsets(table):
+    """The table's ``(item id, tidset)`` pairs, what CHARM mines over."""
+    schema = table.schema
+    return [(schema.item_id(item), tidset)
+            for item, tidset in table.item_tidsets().items()]
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -22,10 +30,11 @@ def test_fig08_charm_at_primary_threshold(benchmark, name):
     threshold — the offline cost Figure 8's x-axis trades against."""
     spec = EXPERIMENTS[name]
     table = spec.make_table()
-    tidsets = table.item_tidsets()  # warm the per-item tidsets first
+    tidsets = _id_tidsets(table)  # warm the per-item tidsets first
 
     closed = benchmark.pedantic(
-        charm, args=(tidsets, table.n_records, spec.primary_support),
+        closed_masks,
+        args=(tidsets, min_count_for(spec.primary_support, table.n_records)),
         rounds=3, iterations=1,
     )
     assert len(closed) > 0
@@ -38,9 +47,11 @@ def test_fig08_series(benchmark):
         series = {}
         for name, spec in sorted(EXPERIMENTS.items()):
             table = spec.make_table()
-            tidsets = table.item_tidsets()
+            tidsets = _id_tidsets(table)
             counts = [
-                len(charm(tidsets, table.n_records, threshold))
+                len(closed_masks(
+                    tidsets, min_count_for(threshold, table.n_records)
+                ))
                 for threshold in spec.fig8_thresholds
             ]
             series[name] = (spec.fig8_thresholds, counts)

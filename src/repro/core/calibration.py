@@ -3,9 +3,16 @@
 The cost formulae express each plan's work in abstract load units (node
 accesses, tidset-word operations, rule-generation fan-out, ...).  What one
 unit costs in wall-clock seconds depends on the machine and the Python
-runtime, so at index-build time a small *probe workload* is executed with
-all six plans and the per-feature weights are fitted by non-negative least
-squares on (load vector, measured time) pairs.
+runtime, so at index-build time a small *probe workload* is executed and
+the per-feature weights are fitted from (load, measured time) pairs — per
+feature the median ratio over the rows that exercise it alone, with
+non-negative least squares as the fallback.
+
+Each probe runs three plans, which between them invoke every operator
+kind once: S-E-V (SEARCH, ELIMINATE, VERIFY), SS-VS (SUPPORTED-SEARCH,
+SUPPORTED-VERIFY — also the MIP plan the optimizer picks most) and ARM
+(SELECT, ARM).  The other three plans only recombine those operators, so
+running them would time the same work again on the same inputs.
 
 The probe time excludes the shared FOCUS step (identical across plans, so
 irrelevant to plan *selection*).
@@ -107,6 +114,10 @@ def default_probe_queries(
     ]
 
 
+#: The plans each probe runs: together they invoke every operator kind of
+#: :data:`_OPERATOR_FEATURES` exactly once.
+_PROBE_PLANS = (PlanKind.SEV, PlanKind.SSVS, PlanKind.ARM)
+
 #: Which cost features each instrumented operator exercises.  Used as the
 #: joint-attribution fallback when an operator trace carries no internal
 #: time split; VERIFY-family traces normally report ``mining_s`` /
@@ -151,7 +162,7 @@ def calibrate(
     # priced into the weights, so every timed execution runs with the
     # collector paused.  The heap is collected *once*, up front: a full
     # collection walks the whole index (tens of milliseconds) and one
-    # before each of the 6 x len(probe_queries) executions cost more than
+    # before each of the 3 x len(probe_queries) executions cost more than
     # the executions themselves, while what a probe leaves behind is
     # reclaimed by the collector's own schedule between the pauses.
     gc.collect()
@@ -161,10 +172,10 @@ def calibrate(
             continue
         profile = QueryProfile.from_query(query, focus, index.stats)
         # Each timed execution resolves (and projects) for itself: a
-        # projection shared across the six plans would be timed once and
+        # projection shared across the probe plans would be timed once and
         # bias the ``verify``/``select`` fits.
         focus.release()
-        for kind in PlanKind:
+        for kind in _PROBE_PLANS:
             with _collector_paused():
                 result = execute_plan(kind, index, query, expand=expand)
             n_runs += 1

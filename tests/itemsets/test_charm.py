@@ -1,10 +1,10 @@
 """CHARM: closedness, completeness, exact closures (vs brute force)."""
 
 from repro import tidset as ts
-from repro.itemsets.charm import charm
 from repro.itemsets.itemset import is_subset_itemset, min_count_for
 from tests.conftest import make_random_table
 from tests.itemsets.enumerations import oracle_frequent
+from tests.itemsets.reference_charm import charm
 
 
 def brute_force_closure(table, tidset):

@@ -8,10 +8,10 @@ closed itemsets of the same records, and on the whole table to
 file tracks, hence the names.
 """
 
-from repro.itemsets.charm import charm
 from tests import oracle
 from tests.conftest import make_random_table
 from tests.itemsets.enumerations import closed_by_projection, focal_rows
+from tests.itemsets.reference_charm import charm
 
 
 def assert_same(table, minsupp, dq=None):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index
 from repro.errors import IndexError_
-from repro.itemsets.charm import charm
 from repro.itemsets.itemset import min_count_for
 from tests.conftest import make_random_table
 from tests.itemsets.enumerations import focal_kernel, oracle_frequent
+from tests.itemsets.reference_charm import charm
 from tests.itemsets.reference_ittree import ClosedITTree
 
 

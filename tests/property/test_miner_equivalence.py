@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from repro import tidset as ts
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
-from repro.itemsets.charm import charm
 from repro.itemsets.itemset import is_subset_itemset
 from tests.itemsets.enumerations import frequent_by_kernel, oracle_frequent
+from tests.itemsets.reference_charm import charm
 
 
 @st.composite

@@ -23,8 +23,8 @@ from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Item, Schema
 from repro.dataset.table import RelationalTable
-from repro.itemsets.charm import charm
 from tests import oracle
+from tests.itemsets.reference_charm import charm
 
 MIP_PLANS = [kind for kind in PlanKind if kind is not PlanKind.ARM]
 

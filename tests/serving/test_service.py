@@ -129,6 +129,50 @@ def test_cancellation_mid_coalesce(engine):
     assert all(r.rules == reference.rules for r in survivors)
 
 
+def test_execution_failure_reaches_every_coalesced_waiter(engine):
+    """An exception raised while a coalesced flight executes is relayed
+    to every waiter as that very object, counted once per waiter; the
+    flight's slot and in-flight key are freed (the next request for the
+    key executes afresh) and its priced projection is released."""
+    boom = RuntimeError("execution failed")
+    failed = []
+    real = None
+
+    def failing_once(flight):
+        if not failed:
+            failed.append(flight.choice)
+            assert flight.choice.focus._lazy[1] is not None  # projected
+            raise boom
+        return real(flight)
+
+    async def main():
+        nonlocal real
+        # One slot: a slot the failure kept would park the retry forever.
+        service = QueryService(engine, ServingConfig(workers=1))
+        real = service._execute
+        service._execute = failing_once
+        tasks = [
+            asyncio.ensure_future(service.submit(SEATTLE_F))
+            for _ in range(4)
+        ]
+        await _settle(lambda: service.stats.coalesced == 3)
+        await service.start()
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+        assert not service._inflight
+        retry = await asyncio.wait_for(service.submit(SEATTLE_F), 10)
+        await service.stop()
+        return service, outcomes, retry
+
+    service, outcomes, retry = asyncio.run(main())
+    assert all(outcome is boom for outcome in outcomes)
+    assert service.stats.errors == 4
+    (choice,) = failed
+    assert choice.focus._lazy[1] is None and choice.focus._lazy[2] is None
+    assert service.stats.executions == 1  # the retry, led afresh
+    assert not retry.trace.cached and retry.trace.coalesced == 1
+    assert retry.rules == engine.query(SEATTLE_F, use_cache=False).rules
+
+
 def test_queue_full_sheds(engine):
     async def main():
         service = QueryService(engine, ServingConfig(max_pending=1))

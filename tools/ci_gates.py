@@ -157,7 +157,8 @@ def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
 
     * the collector's share of the set-up stays under ``max_gc_share`` —
       a full collection walks the whole index heap, and one before each
-      of calibration's 48 probe executions was three-quarters of set-up;
+      of calibration's probe executions (48 then; 24 now, three plans per
+      probe) was three-quarters of set-up;
     * the set-up finishes under the recorded ``max_setup_s``.
 
     ``corrupt=True`` reinstates the per-execution ``gc.collect()`` in

@@ -115,7 +115,7 @@ def run_bench(seed: int = 13) -> dict:
         pool = _query_pool(spec, base, seed + di)
 
         mx = MaintainedIndex(
-            base, primary_support=spec.primary_support, auto_rebuild=False
+            base, primary_support=spec.primary_support
         )
         rows = [list(map(int, r)) for r in base.data]
         alive = [True] * len(rows)

@@ -150,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser(
         "ingest",
         help="append records to an index through the array-native delta "
-             "store (no rebuild on the hot path; background recompaction "
-             "folds the delta when it outgrows its bound)",
+             "store (no rebuild on the hot path; a background recompaction "
+             "folds the delta when it outgrows its bound, and the rest is "
+             "folded before the index is saved)",
     )
     ingest.add_argument("index", help="index file (.npz) to ingest into")
     ingest.add_argument("records",
@@ -564,7 +565,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         maintained = MaintainedIndex.from_index(
             index, max_delta_fraction=args.max_delta_fraction
         )
-    maintained.auto_rebuild = False  # folds run in the background instead
     schema = maintained.schema
     encoders = [
         {label: code for code, label in enumerate(attr.values)}
@@ -606,7 +606,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         print("colarm: error: no records to ingest", file=sys.stderr)
         return 2
 
-    n_folds = 0
+    def installed(generation: int) -> None:
+        print(
+            f"recompaction installed -> generation {generation}, "
+            f"{maintained.n_main_records} main records "
+            f"({maintained.last_build_s * 1000:.0f} ms in background)"
+        )
+
     for lo in range(0, len(rows), max(args.batch_size, 1)):
         batch = rows[lo:lo + max(args.batch_size, 1)]
         maintained.append(batch)
@@ -614,33 +620,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"appended {len(batch)} records -> generation "
             f"{maintained.generation} ({maintained.n_delta_records} in delta)"
         )
-        pending = maintained.n_delta_records + (
-            maintained.n_main_records - maintained.n_main_live
-        )
-        if (
-            not maintained.recompacting
-            and pending
-            > maintained.max_delta_fraction * max(maintained.n_main_records, 1)
-        ):
-            maintained.begin_recompaction()
-            print(f"recompaction started (delta held {pending} mutations)")
-        if maintained.recompacting:
-            generation = maintained.poll_recompaction()
-            if generation is not None:
-                n_folds += 1
-                print(
-                    f"recompaction installed -> generation {generation}, "
-                    f"{maintained.n_main_records} main records "
-                    f"({maintained.last_build_s * 1000:.0f} ms in background)"
-                )
-    if maintained.recompacting:
-        generation = maintained.poll_recompaction(wait=True)
-        n_folds += 1
-        print(
-            f"recompaction installed -> generation {generation}, "
-            f"{maintained.n_main_records} main records "
-            f"({maintained.last_build_s * 1000:.0f} ms in background)"
-        )
+        if maintained.fold_due and maintained.begin_recompaction():
+            print(f"recompaction started (delta held "
+                  f"{maintained.n_pending} mutations)")
+        generation = maintained.poll_recompaction()
+        if generation is not None:
+            installed(generation)
+    generation = maintained.recompact()
+    if generation is not None:
+        installed(generation)
+    n_folds = maintained.n_recompactions + maintained.n_rebuilds
     out = args.out or args.index
     save_maintained(maintained, out, weights=weights)
     print(

@@ -34,8 +34,8 @@ Three protocols make the split safe:
   unexpected death respawns the worker (bounded by
   ``max_respawns``) and re-sends its in-flight requests — executions are
   deterministic, so the retried responses are byte-identical.  A worker
-  past its respawn budget is removed from the ring and its in-flight
-  requests re-route to the survivors.
+  past its respawn budget, or whose respawn fails, is removed from the
+  ring and its in-flight requests re-route to the survivors.
 """
 
 from __future__ import annotations
@@ -251,17 +251,8 @@ class EpochPublisher:
 
     def _fold(self) -> None:
         """Land every pending mutation in the main index."""
-        maintained = self.engine.maintenance
-        if maintained is None:
-            return
-        if maintained.recompacting:
-            maintained.poll_recompaction(wait=True)
-            self.engine.poll_maintenance()
-        pending = maintained.n_delta_records + (
-            maintained.n_main_records - maintained.n_main_live
-        )
-        if pending:
-            maintained.rebuild()
+        if self.engine.maintenance is not None:
+            self.engine.maintenance.recompact()
             self.engine.poll_maintenance()
 
     def publish(self) -> EpochInfo:
@@ -827,6 +818,15 @@ class ClusterService:
             try:
                 await self._spawn(handle.id)
             except Exception:
+                # The fork raised, or the worker missed its ready deadline:
+                # the slot retires as if past its budget, and a worker
+                # that did start is killed with it.
+                self._unwatch(handle.conn)
+                if handle.process.is_alive():
+                    handle.process.kill()
+                    await self._loop.run_in_executor(
+                        None, handle.process.join, 5
+                    )
                 await self._retire(handle, orphans)
                 return
             for pending in orphans:

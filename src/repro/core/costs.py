@@ -60,11 +60,11 @@ __all__ = [
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
 #: and projecting the delta item rows into the request's one universe);
-#: they are fitted
-#: from the live delta store by ``calibration.calibrate_maintenance`` and
-#: appear in a load vector only while un-folded delta records exist — the
-#: optimizer's recompaction advice compares their accumulated toll against
-#: the cost of folding (see ``ColarmOptimizer.recompaction_advice``).
+#: they are fitted from the live delta store by
+#: ``calibration.calibrate_maintenance`` and appear in a MIP plan's load
+#: vector only while un-folded delta records exist, where they can tip a
+#: pick toward ARM.  When to fold is not priced: see
+#: ``MaintainedIndex.fold_due``.
 DEFAULT_WEIGHTS: dict[str, float] = {
     "search": 3e-6,
     "eliminate": 3e-8,
@@ -836,9 +836,9 @@ class CostModel:
 
         Empty when the index is immutable (``delta_records == 0``) — the
         delta terms must *vanish* rather than appear with zero loads, so
-        that pricing with ``delta_probe = inf`` (the recompaction
-        forcing-function used by the CI gate) never multiplies
-        ``inf * 0 = nan`` into a delta-free plan's cost.
+        that pricing with ``delta_probe = inf`` (the CI gate's forcing
+        function) never multiplies ``inf * 0 = nan`` into a delta-free
+        plan's cost.
 
         * ``delta_probe`` — every candidate's count correction is one
           AND+popcount of its delta-MIP row against the delta focal row

@@ -95,7 +95,6 @@ class Colarm:
         self.optimizer = ColarmOptimizer(self.index, weights)
         self.cache: RuleCache | None = None
         self.maintenance: MaintainedIndex | None = None
-        self._recompact_horizon = 100
 
     @classmethod
     def from_index(
@@ -111,7 +110,6 @@ class Colarm:
         engine.optimizer = ColarmOptimizer(index, weights)
         engine.cache = None
         engine.maintenance = None
-        engine._recompact_horizon = 100
         return engine
 
     # -- introspection ------------------------------------------------------
@@ -190,7 +188,6 @@ class Colarm:
         self,
         max_delta_fraction: float = 0.1,
         calibrate: bool = True,
-        horizon: int = 100,
     ) -> "Colarm":
         """Make the engine ingest-while-serving (:mod:`repro.core.maintenance`).
 
@@ -207,26 +204,21 @@ class Colarm:
            profiles the combined live focal subset and prices the delta
            toll into every MIP plan.
 
-        Rebuild-vs-accumulate is then a *priced* decision: each optimized
-        query compares the accumulated delta toll over ``horizon`` queries
-        against the measured fold cost and starts a **background**
-        recompaction when folding wins (the size backstop
-        ``max_delta_fraction`` also triggers one).  The fold is installed
-        on the serving thread at the next query or :meth:`poll_maintenance`
-        call, rebinding the optimizer/cache/pool to the fresh index.
+        When the un-folded mutations outgrow ``max_delta_fraction`` of the
+        main data (:attr:`MaintainedIndex.fold_due`), :meth:`append` /
+        :meth:`delete` start a **background** fold.  It is installed on
+        the serving thread at the next query or :meth:`poll_maintenance`
+        call, rebinding the optimizer and cache to the fresh index.
 
         Idempotent (re-enabling keeps the current delta store); returns
         ``self``.
         """
         if self.maintenance is None:
             self.maintenance = MaintainedIndex.from_index(
-                self.index,
-                max_delta_fraction=max_delta_fraction,
-                auto_rebuild=False,
+                self.index, max_delta_fraction=max_delta_fraction
             )
         else:
             self.maintenance.max_delta_fraction = max_delta_fraction
-        self._recompact_horizon = horizon
         if calibrate:
             self.optimizer.set_weights(
                 calibrate_maintenance(self.maintenance, self.optimizer.weights)
@@ -238,13 +230,8 @@ class Colarm:
         """Fold any outstanding delta and return to an immutable index."""
         if self.maintenance is None:
             return self
-        self.poll_maintenance(wait=True)
-        if (
-            self.maintenance.n_delta_records
-            or self.maintenance.n_main_live != self.maintenance.n_main_records
-        ):
-            self.maintenance.rebuild()
-            self._rebind_index(self.maintenance.index)
+        self.maintenance.recompact()
+        self.poll_maintenance()
         self.maintenance = None
         self.optimizer.set_delta(None)
         return self
@@ -253,10 +240,10 @@ class Colarm:
         """Ingest new records; returns the index generation after the append.
 
         Requires :meth:`enable_maintenance`.  The append is a vectorized
-        delta-store insert (no index rebuild on the hot path); if the live
-        delta outgrows ``max_delta_fraction`` of the main data a
-        *background* recompaction starts, folding the delta into a fresh
-        index off the serving path.
+        delta-store insert (no index rebuild on the hot path); once the
+        fold is due (:attr:`MaintainedIndex.fold_due`) a *background*
+        recompaction starts, folding the delta into a fresh index off the
+        serving path.
         """
         self._require_maintenance().append(records)
         self._maybe_recompact()
@@ -268,11 +255,12 @@ class Colarm:
         self._maybe_recompact()
         return self.index.generation
 
-    def poll_maintenance(self, wait: bool = False) -> bool:
-        """Install a finished background fold; True if one was installed."""
+    def poll_maintenance(self) -> bool:
+        """Install a finished background fold — or rebind to one the
+        maintained index installed itself; True if the index changed."""
         if self.maintenance is None:
             return False
-        self.maintenance.poll_recompaction(wait=wait)
+        self.maintenance.poll_recompaction()
         if self.maintenance.index is self.index:
             return False
         self._rebind_index(self.maintenance.index)
@@ -285,33 +273,12 @@ class Colarm:
             )
         return self.maintenance
 
-    def _build_cost_estimate(self) -> float:
-        """Fold cost in seconds: measured when available, sized otherwise."""
-        if self.maintenance.last_build_s > 0.0:
-            return self.maintenance.last_build_s
-        return max(0.05, 2e-6 * self.index.table.n_records)
-
     def _maybe_recompact(self) -> None:
-        """The size backstop: fold when the delta outgrows its fraction."""
+        """Install a finished fold, or start one when it is due."""
         m = self.maintenance
         if m.recompacting:
             self.poll_maintenance()
-            return
-        if m.n_pending > m.max_delta_fraction * max(m.n_main_records, 1):
-            m.begin_recompaction()
-
-    def _advise_recompact(self, choice: PlanChoice) -> None:
-        """The priced trigger: fold when the accumulated delta toll over
-        the recompaction horizon exceeds the fold cost — priced from what
-        the request's ``choose()`` already computed."""
-        m = self.maintenance
-        if m.recompacting or m.n_pending == 0:
-            return
-        advice = self.optimizer.recompaction_advice(
-            choice, self._build_cost_estimate(),
-            horizon=self._recompact_horizon,
-        )
-        if advice.recommended:
+        elif m.fold_due:
             m.begin_recompaction()
 
     def _rebind_index(self, index: MIPIndex) -> None:
@@ -386,8 +353,6 @@ class Colarm:
             if choice is None:
                 choice = self.optimizer.choose(q)
             kind, focus = choice.kind, choice.focus
-            if self.maintenance is not None:
-                self._advise_recompact(choice)
         generation = self.cache.generation() if consult else None
         result = execute_plan(
             kind, self.index, q, expand=self.expand,

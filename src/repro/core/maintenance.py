@@ -39,16 +39,16 @@ closure representation (combined data can grow new closed sets).
 Folding the delta back in
 -------------------------
 
-Two ways: :meth:`MaintainedIndex.rebuild` folds synchronously (the
-legacy ``max_delta_fraction`` auto policy still drives it), and
-:meth:`MaintainedIndex.begin_recompaction` builds the fresh index — a
-full offline artifact, format-v2 ready — on a background thread while
-reads keep serving the old generation;
+One way: :meth:`MaintainedIndex.begin_recompaction` builds the fresh
+index — a full offline artifact, format-v2 ready — on a background
+thread while reads keep serving the old generation, and
 :meth:`poll_recompaction` installs the result and replays whatever
 appends/deletes landed mid-build through an op log with old→new tid
-translation.  The engine prices *when* to fold via the cost model's
-``delta_probe``/``delta_merge`` weights (see
-:meth:`repro.core.optimizer.ColarmOptimizer.recompaction_advice`).
+translation.  :meth:`MaintainedIndex.recompact` is the same fold,
+waited on.  *When* to fold is one size bound,
+:attr:`MaintainedIndex.fold_due`; the index never folds on a mutation
+by itself — its owner (``Colarm.append``/``delete``, ``colarm ingest``)
+reads the bound and starts the fold.
 
 Every mutation is a first-class generation event
 (:meth:`repro.core.mipindex.MIPIndex.bump_generation`), so cached rules,
@@ -303,12 +303,12 @@ class _Recompaction:
 class MaintainedIndex:
     """A MIP-index plus an array-native delta store of appended records.
 
-    ``max_delta_fraction`` bounds the live delta relative to the main
-    table; :meth:`append` triggers an automatic synchronous rebuild
-    beyond it (disable with ``auto_rebuild=False`` and fold manually via
-    :meth:`rebuild` or the background
-    :meth:`begin_recompaction`/:meth:`poll_recompaction` pair — the
-    engine's priced policy uses the latter).
+    ``max_delta_fraction`` bounds the un-folded mutations relative to
+    the main table (:attr:`fold_due`); folding is the background
+    :meth:`begin_recompaction`/:meth:`poll_recompaction` pair, or
+    :meth:`recompact` to wait for it.  Installs are counted by how they
+    were awaited: ``n_rebuilds`` for a fold someone blocked on,
+    ``n_recompactions`` for one a poll found finished.
     """
 
     def __init__(
@@ -316,13 +316,11 @@ class MaintainedIndex:
         table: RelationalTable,
         primary_support: float,
         max_delta_fraction: float = 0.1,
-        auto_rebuild: bool = True,
     ):
         if not 0.0 < max_delta_fraction < 1.0:
             raise DataError("max_delta_fraction must be in (0, 1)")
         self.primary_support = primary_support
         self.max_delta_fraction = max_delta_fraction
-        self.auto_rebuild = auto_rebuild
         self.n_rebuilds = 0
         self.n_recompactions = 0
         self.last_build_s = 0.0
@@ -336,7 +334,6 @@ class MaintainedIndex:
         cls,
         index: MIPIndex,
         max_delta_fraction: float = 0.1,
-        auto_rebuild: bool = False,
     ) -> "MaintainedIndex":
         """Wrap an existing (possibly persisted) index for maintenance.
 
@@ -349,7 +346,6 @@ class MaintainedIndex:
         self = cls.__new__(cls)
         self.primary_support = index.primary_support
         self.max_delta_fraction = max_delta_fraction
-        self.auto_rebuild = auto_rebuild
         self.n_rebuilds = 0
         self.n_recompactions = 0
         self.last_build_s = 0.0
@@ -386,6 +382,14 @@ class MaintainedIndex:
     def n_pending(self) -> int:
         """Un-folded mutations: live delta records plus main tombstones."""
         return self._buffer.n_live + self._main_dead_count
+
+    @property
+    def fold_due(self) -> bool:
+        """Whether the un-folded mutations outgrew ``max_delta_fraction``
+        of the main table — the one fold trigger."""
+        return self.n_pending > self.max_delta_fraction * max(
+            self.n_main_records, 1
+        )
 
     @property
     def n_records(self) -> int:
@@ -466,7 +470,8 @@ class MaintainedIndex:
         Validation is one batched ndarray check; ingest is the
         vectorized :meth:`DeltaBuffer.append`.  A first-class generation
         event: caches, memoized plan choices, and serving coalescing all
-        go stale atomically with the data change.
+        go stale atomically with the data change.  Never folds: the
+        owner reads :attr:`fold_due`.
         """
         batch = self._validated(records)
         if len(batch) == 0:
@@ -475,13 +480,6 @@ class MaintainedIndex:
         if self._recomp is not None:
             self._recomp.log.append(("append", batch.copy()))
         self.index.bump_generation()
-        if (
-            self.auto_rebuild
-            and self._recomp is None
-            and self.n_delta_records
-            > self.max_delta_fraction * self.n_main_records
-        ):
-            self.rebuild()
 
     def delete(self, tids: Sequence[int]) -> None:
         """Tombstone live records by global tid.
@@ -514,13 +512,6 @@ class MaintainedIndex:
 
     # -- folding ---------------------------------------------------------------
 
-    def _live_data(self) -> np.ndarray:
-        main = self.index.table.data
-        if self._main_dead_count:
-            main = main[self._main_live_mask()]
-        delta = self._buffer.data[: self._buffer.n_rows][self._buffer.live_bool()]
-        return np.vstack([main, delta]) if len(delta) else np.ascontiguousarray(main)
-
     def _main_live_mask(self) -> np.ndarray:
         mask = np.ones(self.n_main_records, dtype=bool)
         if self._main_dead_count:
@@ -531,27 +522,6 @@ class MaintainedIndex:
             )
             mask[dead] = False
         return mask
-
-    def rebuild(self) -> None:
-        """Fold the live delta and tombstones into a fresh index, now.
-
-        The new index re-bases its generation lineage one past the old
-        one's, so every stamp issued against any prior state stays stale.
-        """
-        if self._buffer.n_rows == 0 and not self._main_dead_count:
-            return
-        if self._recomp is not None:
-            raise DataError("cannot rebuild while a recompaction is in flight")
-        data = self._live_data()
-        old_generation = self.index.generation
-        start = time.perf_counter()
-        index = build_mip_index(
-            RelationalTable(self.schema, data), self.primary_support
-        )
-        self.last_build_s = time.perf_counter() - start
-        index.clock.base = old_generation + 1
-        self._adopt(index)
-        self.n_rebuilds += 1
 
     def begin_recompaction(self) -> bool:
         """Start folding the live data into a fresh index off the hot path.
@@ -599,7 +569,9 @@ class MaintainedIndex:
         op log of mid-build mutations is replayed with old→new tid
         translation (records dead at snapshot time are simply gone).
         Returns the new generation.  A failed build raises its error
-        (the old state stays fully serviceable).
+        (the old state stays fully serviceable).  An install counts into
+        ``n_rebuilds`` when ``wait`` blocked for it, ``n_recompactions``
+        otherwise.
         """
         state = self._recomp
         if state is None:
@@ -623,7 +595,10 @@ class MaintainedIndex:
         index.clock.base = old_generation + 1
         self.last_build_s = state.build_s
         self._adopt(index)
-        self.n_recompactions += 1
+        if wait:
+            self.n_rebuilds += 1
+        else:
+            self.n_recompactions += 1
         for op, payload in state.log:
             if op == "append":
                 self._buffer.append(payload)
@@ -649,11 +624,15 @@ class MaintainedIndex:
         return self.index.generation
 
     def recompact(self) -> int | None:
-        """Synchronous fold through the background machinery (begin, wait,
-        install); returns the new generation or ``None`` if nothing to do."""
-        if not self.begin_recompaction():
-            return None
-        return self.poll_recompaction(wait=True)
+        """The synchronous fold: wait out and install any fold in flight,
+        then fold whatever is still pending (mutations that landed
+        mid-build included) through the same background machinery.
+        Returns the new generation, ``None`` if there was nothing to fold.
+        """
+        generation = self.poll_recompaction(wait=True)
+        if self.begin_recompaction():
+            generation = self.poll_recompaction(wait=True)
+        return generation
 
     # -- queries ---------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from repro.errors import QueryError
 __all__ = [
     "EstimateResidual",
     "PlanChoice",
-    "RecompactionAdvice",
     "ColarmOptimizer",
 ]
 
@@ -68,27 +67,6 @@ class EstimateResidual:
         """log(estimated / measured); 0 = perfect, >0 = overestimate."""
         return math.log(max(self.estimated_s, 1e-12) /
                         max(self.measured_s, 1e-12))
-
-
-@dataclass(frozen=True)
-class RecompactionAdvice:
-    """Priced answer to "should the maintained index fold its delta now?".
-
-    ``toll_s`` is the per-query overhead the live delta adds to the
-    query's cheapest delta-free MIP plan (the ``delta_probe`` /
-    ``delta_merge`` terms at the fitted weights); folding pays off once
-    that toll, accumulated over the expected ``horizon`` of queries
-    before the next fold, exceeds the build cost.
-    """
-
-    recommended: bool
-    toll_s: float            # per-query delta overhead at the fitted weights
-    build_cost_s: float      # estimated cost of one recompaction
-    horizon: int             # queries expected before the next fold
-
-    @property
-    def amortized_build_s(self) -> float:
-        return self.build_cost_s / max(self.horizon, 1)
 
 
 @dataclass(frozen=True)
@@ -196,7 +174,7 @@ class ColarmOptimizer:
         self.delta_source = source
 
     def rebind_index(self, index: MIPIndex) -> None:
-        """Point the optimizer at a freshly recompacted (or rebuilt) index.
+        """Point the optimizer at a freshly folded index.
 
         Rebuilds the cost model on the new index statistics and drops the
         profile memo; weights, risk factor and the installed delta source
@@ -277,63 +255,6 @@ class ColarmOptimizer:
             profile=profile,
             generation=self.index.generation,
             focus=focus,
-        )
-
-    def recompaction_advice(
-        self,
-        choice: PlanChoice,
-        build_cost_s: float,
-        horizon: int = 100,
-    ) -> RecompactionAdvice:
-        """Price rebuild-vs-accumulate for the maintained index, from the
-        request's own :meth:`choose` result.
-
-        The per-query *toll* is the price of the delta load terms
-        (``delta_probe``/``delta_merge``) on the query's cheapest
-        **delta-free** MIP plan — the plan the workload would run on a
-        freshly folded index; its delta-free price is the choice's
-        estimate less that plan's toll.  Folding is recommended once the
-        toll, accumulated over ``horizon`` queries, exceeds
-        ``build_cost_s`` (use the maintained index's measured
-        ``last_build_s``, or a calibration estimate, for the latter).
-
-        Ranking on the delta-free prices is deliberate: with
-        ``delta_probe = inf`` (the CI gate's forcing function) every
-        delta-laden MIP variant prices to infinity, and ranking on the
-        laden prices would dodge the toll by "choosing" ARM — the stripped
-        ranking keeps the toll attached to the plan actually at stake, so
-        an infinite probe weight always recommends folding while a live
-        delta exists (every plan's toll is then infinite, whichever one
-        the ranking lands on).
-        """
-        profile = choice.profile
-        if profile.delta_records <= 0:
-            return RecompactionAdvice(
-                recommended=False,
-                toll_s=0.0,
-                build_cost_s=build_cost_s,
-                horizon=horizon,
-            )
-        tolls = {
-            kind: self.weights.price(self.cost_model.delta_loads(kind, profile))
-            for kind in PlanKind
-            if kind is not PlanKind.ARM
-        }
-
-        def delta_free(kind: PlanKind) -> tuple[float, int]:
-            toll = tolls[kind]
-            price = (
-                choice.estimates[kind] - toll if math.isfinite(toll)
-                else math.inf
-            )
-            return price, _TIE_PREFERENCE[kind]
-
-        toll = tolls[min(tolls, key=delta_free)]
-        return RecompactionAdvice(
-            recommended=toll * horizon > build_cost_s,
-            toll_s=toll,
-            build_cost_s=build_cost_s,
-            horizon=horizon,
         )
 
     # -- estimate-vs-actual feedback ----------------------------------------

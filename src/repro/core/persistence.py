@@ -445,7 +445,6 @@ def save_maintained(
         "maintenance_format_version": _MAINT_FORMAT_VERSION,
         "generation": maintained.generation,
         "max_delta_fraction": maintained.max_delta_fraction,
-        "auto_rebuild": maintained.auto_rebuild,
         "n_main_records": maintained.n_main_records,
     }
     sidecar = delta_sidecar_path(path)
@@ -470,6 +469,8 @@ def load_maintained(path: str | Path):
     :class:`~repro.core.optimizer.PlanChoice`) can never falsely validate.
     A missing sidecar is an error — load the main file with
     :func:`load_index` when the delta state is intentionally dropped.
+    Meta keys the loader does not read are ignored: older sidecars carry
+    a fold-policy flag the maintained index no longer has.
     """
     from repro.core.maintenance import MaintainedIndex
 
@@ -497,15 +498,12 @@ def load_maintained(path: str | Path):
             f"{index.table.n_records} — the files do not belong together"
         )
     maintained = MaintainedIndex.from_index(
-        index,
-        max_delta_fraction=float(meta["max_delta_fraction"]),
-        auto_rebuild=False,  # the replay batches must land verbatim
+        index, max_delta_fraction=float(meta["max_delta_fraction"])
     )
     if len(main_dead):
         maintained.delete([int(t) for t in main_dead])
     if len(delta_records):
         maintained.append(delta_records)
-    maintained.auto_rebuild = bool(meta["auto_rebuild"])
     saved_generation = int(meta["generation"])
     if maintained.generation < saved_generation:
         index.clock.base += saved_generation - maintained.generation

@@ -9,7 +9,9 @@ drives its own loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import multiprocessing as mp
 import os
 import signal
 import threading
@@ -28,7 +30,11 @@ from repro.cluster import (
     read_epoch,
 )
 from repro.core.engine import Colarm
+from repro.core.mipindex import build_mip_index
+from repro.core.persistence import load_index
 from repro.dataset.salary import salary_dataset
+from repro.dataset.table import RelationalTable
+from repro.errors import QueryError
 from repro.itemsets.rules import RuleBlock
 from repro.serving import ServingConfig
 
@@ -48,6 +54,12 @@ SEATTLE_F = (
     "HAVING minsupport = 0.5 AND minconfidence = 0.8;"
 )
 QUERIES = (SEATTLE, BOSTON, SEATTLE_F)
+#: No salary record is a man in Seattle: an empty focal subset.
+EMPTY = (
+    "REPORT LOCALIZED ASSOCIATION RULES FROM salary "
+    "WHERE RANGE Location = (Seattle) AND Gender = (M) "
+    "HAVING minsupport = 0.4 AND minconfidence = 0.7;"
+)
 
 
 def fresh_engine() -> Colarm:
@@ -212,6 +224,111 @@ def test_respawn_budget_exhausted_reroutes_to_survivors(tmp_path):
             assert res.worker != victim
 
     asyncio.run(main())
+
+
+def test_a_request_the_worker_cannot_answer_raises_and_the_worker_serves_on(
+    tmp_path,
+):
+    """An empty focal subset raises inside the worker; the router hands
+    the caller that ``QueryError`` and the same worker, still alive,
+    answers the next request byte-identically."""
+    engine = fresh_engine()
+    with pytest.raises(QueryError):
+        fresh_engine().query(EMPTY)
+
+    async def main():
+        async with ClusterService(engine, tmp_path, config()) as cluster:
+            def owner(q: str) -> int:
+                return cluster.ring.route(_focal_key_bytes(
+                    engine.parse(q), engine.index.cardinalities
+                ))
+
+            worker = owner(EMPTY)
+            follow = next(q for q in QUERIES if owner(q) == worker)
+            with pytest.raises(QueryError):
+                await cluster.submit(EMPTY)
+            res = await cluster.submit(follow)
+            assert res.worker == worker
+            assert res.rules == fresh_engine().query(follow).rules
+            assert cluster.snapshot()["crashes"] == 0
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("failure", ["oserror", "ready_timeout"])
+def test_a_failed_respawn_retires_the_slot_and_reroutes(tmp_path, failure):
+    """A crashed worker whose respawn fails — the fork raises, or the new
+    worker misses its ready deadline — leaves the ring, and the request
+    it held is answered by a survivor, byte-identically."""
+    engine = fresh_engine()
+    want = fresh_engine().query(SEATTLE).rules
+
+    async def main():
+        async with ClusterService(engine, tmp_path, config()) as cluster:
+            victim = cluster.ring.route(_focal_key_bytes(
+                engine.parse(SEATTLE), engine.index.cardinalities
+            ))
+            if failure == "oserror":
+                def spawn(worker_id):
+                    raise OSError("fork failed")
+
+                cluster._spawn = spawn
+            else:
+                cluster.config = dataclasses.replace(
+                    cluster.config, ready_timeout_s=0.0
+                )
+            process = cluster._handles[victim].process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(10)
+            # Routed to the dead worker before the router saw its EOF:
+            # in flight when the crash is handled.
+            res = await asyncio.wait_for(cluster.submit(SEATTLE), 30)
+            assert res.worker != victim
+            assert res.rules == want
+            snap = cluster.snapshot()
+            assert victim not in cluster.ring and victim not in snap["workers"]
+            assert (snap["crashes"], snap["respawns"], snap["rerouted"]) == (
+                1, 1, 1
+            )
+            assert not any(
+                p.name == f"colarm-worker-{victim}" and p.is_alive()
+                for p in mp.active_children()
+            )
+
+    asyncio.run(main())
+
+
+def test_publish_folds_pending_mutations_into_the_snapshot(tmp_path):
+    """A publish with a fold in flight and mutations pending lands them
+    all: the snapshot's arrays are a fresh build over the live rows, main
+    then delta, and its generation continues past the pre-fold one."""
+    salary = salary_dataset()
+    engine = fresh_engine()
+    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+    appended = salary.data[:3].tolist()
+    engine.append(appended)
+    assert engine.maintenance.begin_recompaction()
+    engine.maintenance.delete([1, 4])  # lands while the fold builds
+    before = engine.index.generation
+    info = EpochPublisher(engine, tmp_path).publish()
+
+    live = np.vstack([np.delete(salary.data, [1, 4], axis=0), appended])
+    expected = build_mip_index(RelationalTable(salary.schema, live), 0.15)
+    snapshot, _ = load_index(info.snapshot_path(tmp_path))
+    assert np.array_equal(snapshot.table.data, live)
+    for name in ("mip_tidset_matrix", "global_counts"):
+        assert np.array_equal(
+            getattr(snapshot, name), getattr(expected, name)
+        ), name
+    assert np.array_equal(
+        snapshot.stats.mip_fixed_values, expected.stats.mip_fixed_values
+    )
+    got, want = snapshot.flat_rtree.to_arrays(), expected.flat_rtree.to_arrays()
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert info.generation == engine.index.generation > before
+    assert engine.maintenance.n_pending == 0
+    assert not engine.maintenance.recompacting
 
 
 def test_epoch_publish_never_serves_stale_or_torn(tmp_path):
@@ -399,7 +516,7 @@ def test_an_emptied_hot_region_does_not_stop_cache_seeding(tmp_path):
     engine = fresh_engine()
     engine.enable_cache()
     # No fold may start (and rebind the cache) while the keys are seeded.
-    engine.enable_maintenance(max_delta_fraction=0.99, horizon=0)
+    engine.enable_maintenance(max_delta_fraction=0.99)
     cluster = ClusterService(engine, tmp_path, config(warm_top_k=3))
     male = (
         "REPORT LOCALIZED ASSOCIATION RULES FROM salary "

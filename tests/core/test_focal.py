@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import Colarm, LocalizedQuery, PlanKind, kernels
+from repro import tidset as ts
 from repro.core.costs import CostModel, CostWeights, QueryProfile
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.core.focal import resolve_focal
@@ -47,10 +48,8 @@ def make_engine(mutate: bool, expand: bool = False) -> Colarm:
     tombstones inside ``QUERY``'s region without folding them."""
     engine = Colarm(make_table(), primary_support=0.05, expand=expand)
     if mutate:
-        # A zero horizon and a near-unity fraction: nothing folds.
-        engine.enable_maintenance(
-            max_delta_fraction=0.99, calibrate=False, horizon=0
-        )
+        # A near-unity fraction: nothing folds.
+        engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
         mutate_region(engine, n_append=6, n_delete=5)
     return engine
 
@@ -66,7 +65,10 @@ def mutate_region(engine: Colarm, n_append: int, n_delete: int) -> None:
 def live_data(engine: Colarm) -> np.ndarray:
     """The live records, as the fold would collect them."""
     m = engine.maintenance
-    return m._live_data() if m is not None else engine.table.data
+    if m is None:
+        return engine.table.data
+    main = np.delete(engine.table.data, ts.to_list(m.main_dead), axis=0)
+    return np.vstack([main, m.delta_data()])
 
 
 def live_dq_size(engine: Colarm, query: LocalizedQuery) -> int:
@@ -210,8 +212,7 @@ def test_projection_ends_with_the_request():
     )
     assert projected(raw)  # (what an un-released choice looks like)
     # ... one handed back after a mutation re-priced the request, ...
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False,
-                              horizon=0)
+    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
     mutate_region(engine, n_append=3, n_delete=0)
     outcome = engine.query(raw.focus.query, choice=raw)
     assert outcome.choice is not raw
@@ -277,9 +278,7 @@ def test_forced_cached_serve_reports_live_dq_size(n_append, n_delete, expand):
     main table unmasked and ignore the delta)."""
     engine = Colarm(make_table(), primary_support=0.05, expand=expand)
     engine.enable_cache()
-    engine.enable_maintenance(
-        max_delta_fraction=0.99, calibrate=False, horizon=0
-    )
+    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
     mutate_region(engine, n_append, n_delete)
     fresh = engine.query(QUERY, plan="SS-VS")
     cached = engine.query(QUERY, plan="SS-VS")
@@ -383,47 +382,16 @@ def test_context_adopts_only_a_matching_resolution():
     ).dq_size == focus.dq_size
 
 
-# -- recompaction advice priced from the request's choice --------------------
-
-
-def test_recompaction_advice_prices_from_the_choice():
-    """The toll and the plan it is charged on equal what stripping the
-    delta terms from each MIP plan's load vector gives."""
-    engine = make_engine(mutate=True)
-    optimizer = engine.optimizer
-    choice = optimizer.choose(QUERY)
-    model, weights = optimizer.cost_model, optimizer.weights
-    base = {}
-    for kind in PlanKind:
-        if kind is PlanKind.ARM:
-            continue
-        loads = model.loads(kind, choice.profile)
-        assert loads.pop("delta_probe") > 0
-        loads.pop("delta_merge", None)
-        base[kind] = weights.price(loads)
-    cheapest = min(base, key=base.get)
-    toll = weights.price(model.delta_loads(cheapest, choice.profile))
-    advice = optimizer.recompaction_advice(choice, build_cost_s=toll * 50,
-                                           horizon=100)
-    assert advice.toll_s == pytest.approx(toll) and advice.recommended
-    assert not optimizer.recompaction_advice(
-        choice, build_cost_s=toll * 200, horizon=100
-    ).recommended
-    # The CI gate's forcing function: an infinite probe weight always
-    # recommends folding while a delta is live.
-    optimizer.set_weights(
-        CostWeights({**weights.weights, "delta_probe": float("inf")})
-    )
-    assert optimizer.recompaction_advice(
-        optimizer.choose(QUERY), build_cost_s=1e9, horizon=1
-    ).recommended
+# -- the delta load terms ------------------------------------------------------
 
 
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
 def test_estimate_all_prices_each_plans_own_loads(mutate):
     """Six prices from shared terms are the six load vectors priced one
     by one — with a live delta, without, and at the CI gate's infinite
-    probe weight (where a delta-free plan must not turn ``nan``)."""
+    probe weight (where a delta-free plan must not turn ``nan``).  A live
+    delta puts positive ``delta_probe``/``delta_merge`` loads on every
+    MIP plan and none on ARM; a pristine index puts them on no plan."""
     engine = make_engine(mutate)
     optimizer = engine.optimizer
     queries = (
@@ -444,18 +412,15 @@ def test_estimate_all_prices_each_plans_own_loads(mutate):
             estimates = model.estimate_all(profile)
             assert list(estimates) == list(PlanKind)
             for kind in PlanKind:
-                assert estimates[kind] == weights.price(
-                    model.loads(kind, profile)
-                )
+                loads = model.loads(kind, profile)
+                assert estimates[kind] == weights.price(loads)
                 assert not math.isnan(estimates[kind])
-
-
-def test_pristine_index_pays_no_toll():
-    engine = make_engine(mutate=False)
-    advice = engine.optimizer.recompaction_advice(
-        engine.optimizer.choose(QUERY), build_cost_s=0.0
-    )
-    assert advice.toll_s == 0.0 and not advice.recommended
+                if mutate and kind is not PlanKind.ARM:
+                    assert loads["delta_probe"] > 0
+                    assert loads["delta_merge"] > 0
+                else:
+                    assert "delta_probe" not in loads
+                    assert "delta_merge" not in loads
 
 
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])

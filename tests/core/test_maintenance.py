@@ -1,5 +1,7 @@
 """Incremental maintenance: delta-exactness against full rebuilds."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,7 @@ def rule_key(rules):
 def maintained():
     table = make_random_table(seed=111, n_records=80,
                               cardinalities=(4, 3, 3, 2))
-    return table, MaintainedIndex(table, primary_support=0.05,
-                                  auto_rebuild=False)
+    return table, MaintainedIndex(table, primary_support=0.05)
 
 
 QUERY = LocalizedQuery({0: frozenset({1, 2})}, 0.35, 0.6)
@@ -65,27 +66,110 @@ def test_delta_query_equals_full_rebuild(maintained):
     assert rule_key(got) == rule_key(expected)
 
 
-def test_rebuild_folds_delta(maintained):
+def test_recompact_folds_delta(maintained):
     table, mx = maintained
     mx.append(make_new_records(5, seed=9))
     before = mx.query(QUERY)
-    mx.rebuild()
+    g0 = mx.generation
+    assert mx.recompact() == mx.generation > g0
     assert mx.n_delta_records == 0
     assert mx.n_main_records == 85
-    assert mx.n_rebuilds == 1
+    assert (mx.n_rebuilds, mx.n_recompactions) == (1, 0)
     assert rule_key(mx.query(QUERY)) == rule_key(before)
+    assert mx.recompact() is None  # nothing pending: nothing to fold
 
 
-def test_auto_rebuild_threshold():
+def test_size_bound_starts_a_background_fold():
+    """The maintained index never folds on a mutation; the engine reads
+    ``fold_due`` after each one and starts a background fold, which a
+    poll installs."""
+    from repro.core.engine import Colarm
+
     table = make_random_table(seed=113, n_records=60,
                               cardinalities=(4, 3, 3, 2))
-    mx = MaintainedIndex(table, primary_support=0.05,
-                         max_delta_fraction=0.1, auto_rebuild=True)
-    mx.append(make_new_records(5, seed=1))  # 5/60 < 10%? 5/60 = 8.3% -> no
-    assert mx.n_rebuilds == 0
-    mx.append(make_new_records(3, seed=2))  # 8/60 > 10% -> rebuild
-    assert mx.n_rebuilds == 1
-    assert mx.n_main_records == 68
+    engine = Colarm(table, primary_support=0.05)
+    engine.enable_maintenance(max_delta_fraction=0.1, calibrate=False)
+    mx = engine.maintenance
+    engine.append(make_new_records(5, seed=1))  # 5/60 = 8.3% -> not due
+    assert not mx.fold_due and not mx.recompacting
+    mx.append(make_new_records(3, seed=2))      # 8/60 > 10%, bare index
+    assert mx.fold_due and not mx.recompacting
+    engine.delete([0])                          # the engine starts it
+    assert mx.recompacting
+    deadline = time.monotonic() + 30
+    while not engine.poll_maintenance():  # the next poll installs it
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert not mx.recompacting and not mx.fold_due
+    assert (mx.n_recompactions, mx.n_rebuilds) == (1, 0)
+    assert engine.index is mx.index
+    assert mx.n_main_records == 67 and mx.n_pending == 0
+
+
+def test_recompact_waits_out_a_fold_in_flight_and_folds_the_rest():
+    """A synchronous fold called while a background one builds installs
+    it and then folds the mutations that landed mid-build: nothing is
+    left pending, and every forced plan answers as the oracle does over
+    the live rows."""
+    from repro.core.engine import Colarm
+    from tests import oracle
+
+    cards = (4, 3, 3, 2)
+    table = make_random_table(seed=137, n_records=80, cardinalities=cards)
+    engine = Colarm(table, primary_support=0.05)
+    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    mx = engine.maintenance
+    first = make_new_records(6, seed=141)
+    engine.append(first)
+    assert mx.begin_recompaction()
+    # Straight into the maintained index: an engine mutation would poll,
+    # and might install the fold before the mutations land.
+    late = make_new_records(4, seed=142)
+    mx.append(late)
+    mx.delete([7, 81])  # a main record, a pre-snapshot delta record
+    assert mx.recompact() is not None
+    engine.poll_maintenance()
+    assert not mx.recompacting
+    assert mx.n_pending == 0
+    assert engine.index is mx.index
+
+    stored = [tuple(row) for row in table.data.tolist()]
+    live = [row for tid, row in enumerate(stored) if tid != 7]
+    live += [tuple(row) for i, row in enumerate(first) if i != 1]
+    live += [tuple(row) for row in late]
+    assert mx.n_records == len(live)
+    for query in (QUERY, LocalizedQuery({2: frozenset({1})}, 0.2, 0.5)):
+        dq = oracle.focal_rows(live, query)
+        want = {
+            "arm": oracle.arm_rules(live, query, expand=False),
+            "mip": oracle.mip_rules(
+                live, engine.index.primary_support, live, 0, query,
+                expand=False,
+            ),
+        }
+        for kind in PlanKind:
+            out = engine.query(query, plan=kind)
+            assert out.dq_size == len(dq)
+            family = "arm" if kind is PlanKind.ARM else "mip"
+            assert [tuple(rule) for rule in out.rules] == want[family], kind
+
+
+def test_disable_maintenance_folds_everything_pending():
+    from repro.core.engine import Colarm
+
+    table = make_random_table(seed=139, n_records=60,
+                              cardinalities=(4, 3, 3, 2))
+    engine = Colarm(table, primary_support=0.05)
+    engine.enable_cache()
+    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    engine.append(make_new_records(4, seed=3))
+    assert engine.maintenance.begin_recompaction()
+    engine.maintenance.append(make_new_records(2, seed=4))
+    engine.disable_maintenance()
+    assert engine.maintenance is None and engine.optimizer.delta_source is None
+    assert engine.index.table.n_records == 66
+    assert engine.optimizer.index is engine.index
+    assert engine.cache.index is engine.index
 
 
 def test_append_validation(maintained):
@@ -122,7 +206,7 @@ def test_many_appends_random_equivalence():
     """Randomized: repeated appends, each query checked vs full rebuild."""
     table = make_random_table(seed=117, n_records=70,
                               cardinalities=(3, 3, 2, 3))
-    mx = MaintainedIndex(table, primary_support=0.04, auto_rebuild=False)
+    mx = MaintainedIndex(table, primary_support=0.04)
     all_rows = [table.data]
     rng = np.random.default_rng(0)
     for step in range(3):
@@ -337,6 +421,45 @@ def test_maintained_persistence_roundtrip(tmp_path, maintained):
     assert rule_key(loaded.query(QUERY)) == before
 
 
+def test_a_sidecar_carrying_the_old_fold_flag_loads_the_same(
+    tmp_path, maintained
+):
+    """Every sidecar written before the fold policy moved out of the
+    maintained index carries ``"auto_rebuild": true`` in its meta; such a
+    file loads with the same generation, delta rows and tombstones, and
+    folds nothing on load."""
+    import json
+
+    from repro.core.persistence import (
+        delta_sidecar_path,
+        load_maintained,
+        save_maintained,
+    )
+
+    _, mx = maintained
+    mx.append(make_new_records(12, seed=93))  # past the 0.1 bound
+    mx.delete([5, 83])
+    assert mx.fold_due
+    path = tmp_path / "old.colarm.npz"
+    save_maintained(mx, path)
+    sidecar = delta_sidecar_path(path)
+    with np.load(sidecar) as archive:
+        members = {name: archive[name] for name in archive.files}
+    meta = json.loads(bytes(members["meta"]).decode())
+    assert "auto_rebuild" not in meta
+    meta["auto_rebuild"] = True
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(sidecar, **members)
+
+    loaded, _weights = load_maintained(path)
+    assert loaded.generation == mx.generation
+    assert np.array_equal(loaded.delta_data(), mx.delta_data())
+    assert loaded.main_dead == mx.main_dead
+    assert loaded.n_main_records == mx.n_main_records
+    assert not loaded.recompacting
+    assert (loaded.n_rebuilds, loaded.n_recompactions) == (0, 0)
+
+
 def test_service_ingest_is_serialized_with_queries():
     """QueryService.ingest lands batches atomically between flights."""
     import asyncio
@@ -378,7 +501,7 @@ def test_service_ingest_is_serialized_with_queries():
 
 def test_flat_form_tracks_index_lifecycle(maintained):
     """Delta mutations leave the main index's packed R-tree alone, and a
-    rebuild's fresh index carries a fresh tree over exactly its own MIPs."""
+    fold's fresh index carries a fresh tree over exactly its own MIPs."""
     from repro.rtree.geometry import Rect
 
     _, mx = maintained
@@ -387,7 +510,7 @@ def test_flat_form_tracks_index_lifecycle(maintained):
     mx.delete([0])
     assert mx.index.flat_rtree is tree
 
-    mx.rebuild()
+    mx.recompact()
     assert mx.index.flat_rtree is not tree
     full = Rect.full_domain(mx.index.cardinalities)
     hits = mx.index.rtree.search_arrays(full)

@@ -26,7 +26,6 @@ def assert_same(table, minsupp, max_length=None):
     n_main = 3 * len(rows) // 4
     mx = MaintainedIndex(
         RelationalTable(table.schema, table.data[:n_main]), 0.5,
-        auto_rebuild=False,
     )
     mx.append(rows[n_main:])
     mx.delete([1, len(rows) - 1])

@@ -55,7 +55,6 @@ def test_arm_kernel_equals_scalar_over_main_plus_delta(scenario):
     mx = MaintainedIndex(
         RelationalTable(delta_suite._schema(), base),
         primary_support=delta_suite.PRIMARY,
-        auto_rebuild=False,
     )
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base

@@ -88,7 +88,7 @@ def test_maintained_index_matches_full_rebuild(case, seed, n_new):
     ]
     if not runnable:
         return
-    mx = MaintainedIndex(table, primary_support=0.05, auto_rebuild=False)
+    mx = MaintainedIndex(table, primary_support=0.05)
     rng = np.random.default_rng(seed)
     new = [[int(rng.integers(0, c)) for c in CARDS] for _ in range(n_new)]
     mx.append(new)

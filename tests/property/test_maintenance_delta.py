@@ -143,7 +143,7 @@ def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
         [rng.integers(0, c, size=n_base) for c in CARDS]
     ).astype(np.int32)
     table = RelationalTable(_schema(), base)
-    mx = MaintainedIndex(table, primary_support=PRIMARY, auto_rebuild=False)
+    mx = MaintainedIndex(table, primary_support=PRIMARY)
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base
     _apply_ops(mx, rows, alive, ops)

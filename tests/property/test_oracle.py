@@ -151,7 +151,7 @@ def mutated_cases(draw):
 @given(mutated_cases())
 def test_six_plans_equal_the_oracle_after_append_and_delete(case):
     cards, rows, query, primary, appended, deleted = case
-    mx = MaintainedIndex(make_table(cards, rows), primary, auto_rebuild=False)
+    mx = MaintainedIndex(make_table(cards, rows), primary)
     mx.append(appended)
     mx.delete(deleted)
     everything = rows + appended
@@ -240,7 +240,7 @@ def test_one_record_focal_subset():
 
 
 def test_item_present_only_in_the_delta():
-    mx = MaintainedIndex(make_table(CARDS, ROWS), 0.1, auto_rebuild=False)
+    mx = MaintainedIndex(make_table(CARDS, ROWS), 0.1)
     appended = [(2, 0, 2, 0), (2, 0, 2, 1), (2, 1, 2, 0)]  # values 2: new
     assert all(row[0] != 2 and row[2] != 2 for row in ROWS)
     mx.append(appended)
@@ -265,7 +265,7 @@ def test_schema_of_more_than_64_items():
     assert table.schema.n_items == 76
     assert max(table.item_ids()) >= 64
     index = build_mip_index(table, 0.08)
-    mx = MaintainedIndex(make_table(cards, rows), 0.08, auto_rebuild=False)
+    mx = MaintainedIndex(make_table(cards, rows), 0.08)
     appended = [(39, 2, 29, 2), (39, 2, 29, 2), (38, 1, 29, 2)]
     mx.append(appended)
     mx.delete([0, 3, 25])

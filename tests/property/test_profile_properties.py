@@ -88,7 +88,7 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     alive = [True] * n_base
     mx = MaintainedIndex(
         delta_suite._live_table(rows, alive),
-        primary_support=delta_suite.PRIMARY, auto_rebuild=False,
+        primary_support=delta_suite.PRIMARY,
     )
     delta_suite._apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)

@@ -90,7 +90,6 @@ def test_block_lists_the_scalar_reference_main_plus_delta(scenario, expand):
     ).astype(np.int32)
     mx = MaintainedIndex(
         RelationalTable(_schema(), base), primary_support=PRIMARY,
-        auto_rebuild=False,
     )
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -461,13 +462,14 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
       probe must MISS.  A regression that stops stamping delta mutations
       into the generation clock (serving pre-append rules from the
       cache) fails here.
-    * **Pricing** — ``delta_probe = inf`` makes the per-query delta toll
-      infinite, so :meth:`recompaction_advice` must recommend folding
-      for **every** probe while un-folded delta exists; restored default
-      weights against an astronomically large build cost must recommend
-      it for **none**.  A regression that drops the delta terms from the
-      cost formulae (making un-folded delta look free forever) fails the
-      first; one that prices rebuilds as free fails the second.
+    * **Pricing** — while un-folded delta exists, ``delta_probe = inf``
+      must price **every** MIP plan of every probe at ``inf`` and so
+      make every probe pick ARM; at the default weights every MIP plan's
+      load vector must carry finite, positive ``delta_probe`` and
+      ``delta_merge`` loads, and ARM's neither.  A regression that drops
+      the delta terms from the cost formulae (making un-folded delta
+      look free to the MIP plans) fails the first; one that charges
+      them to ARM, or lets them go non-finite, fails the second.
     * **Byte-identity** — every coverage-guaranteed probe answered
       against main + delta must equal a from-scratch rebuild of the live
       records, rule for rule, support count for support count.
@@ -495,12 +497,10 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
     engine = Colarm(table, primary_support=spec.primary_support, expand=True)
     build_s = time.perf_counter() - t0
     engine.enable_cache()
-    # A near-unity delta fraction and a zero advice horizon: no trigger
-    # may fold the delta away mid-gate, or the corrupted run would
-    # trivially pass (a gate that cannot fail gates nothing).
-    engine.enable_maintenance(
-        max_delta_fraction=0.99, calibrate=False, horizon=0
-    )
+    # A near-unity delta fraction: no fold may land the delta mid-gate,
+    # or the corrupted run would trivially pass (a gate that cannot fail
+    # gates nothing).
+    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
     queries = default_probe_queries(
         engine.index,
         n_queries=int(config["n_queries"]),
@@ -528,24 +528,36 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
     )
 
     base = dict(engine.optimizer.weights.weights)
-    inf_weights = dict(base)
-    inf_weights["delta_probe"] = float("inf")
-    engine.optimizer.set_weights(CostWeights(inf_weights))
-    inf_recommended = sum(
-        1
-        for q in queries
-        if engine.optimizer.recompaction_advice(
-            engine.optimizer.choose(q), build_cost_s=1e6, horizon=1
-        ).recommended
+    engine.optimizer.set_weights(
+        CostWeights({**base, "delta_probe": float("inf")})
     )
+    profiles = []
+    inf_arm_picks = inf_mip_priced = 0
+    for q in queries:
+        choice = engine.optimizer.choose(q)
+        choice.release()
+        profiles.append(choice.profile)
+        inf_arm_picks += choice.kind is PlanKind.ARM
+        inf_mip_priced += all(
+            math.isinf(cost) for kind, cost in choice.estimates.items()
+            if kind is not PlanKind.ARM
+        )
     engine.optimizer.set_weights(CostWeights(base))
-    finite_recommended = sum(
-        1
-        for q in queries
-        if engine.optimizer.recompaction_advice(
-            engine.optimizer.choose(q), build_cost_s=1e6, horizon=1
-        ).recommended
-    )
+    model = engine.optimizer.cost_model
+    delta_terms_ok = 0
+    for profile in profiles:
+        placed = True
+        for kind in PlanKind:
+            loads = model.loads(kind, profile)
+            terms = [loads.get(name) for name in ("delta_probe", "delta_merge")]
+            if kind is PlanKind.ARM:
+                placed &= terms == [None, None]
+            else:
+                placed &= all(
+                    t is not None and math.isfinite(t) and t > 0
+                    for t in terms
+                )
+        delta_terms_ok += placed
 
     keep = np.ones(len(table.data), dtype=bool)
     keep[:n_delete] = False
@@ -586,10 +598,12 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         failures.append("cache_not_warm_before_append")
     if stale_hits != 0:
         failures.append("stale_cache_hit_after_append")
-    if inf_recommended != len(queries):
-        failures.append("inf_delta_probe_did_not_force_recompaction")
-    if finite_recommended != 0:
-        failures.append("default_weights_always_force_recompaction")
+    if inf_mip_priced != len(queries):
+        failures.append("inf_delta_probe_left_a_mip_plan_finite")
+    if inf_arm_picks != len(queries):
+        failures.append("inf_delta_probe_did_not_force_arm")
+    if delta_terms_ok != len(queries):
+        failures.append("delta_load_terms_missing_or_misplaced")
     if covered == 0:
         failures.append("no_coverage_guaranteed_probes")
     if mismatches != 0:
@@ -603,8 +617,9 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         "n_delete": n_delete,
         "warm_hits_before_append": warm_hits,
         "stale_hits_after_append": stale_hits,
-        "recompact_recommended_at_inf_probe": inf_recommended,
-        "recompact_recommended_at_default": finite_recommended,
+        "mip_plans_inf_at_inf_probe": inf_mip_priced,
+        "arm_picks_at_inf_probe": inf_arm_picks,
+        "delta_terms_placed_at_default": delta_terms_ok,
         "identity_covered": covered,
         "identity_mismatches": mismatches,
         "passed": not failures,
@@ -932,8 +947,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  {status} maintenance-selftest "
             f"stale hits={maintenance_report['stale_hits_after_append']}"
-            f" (want 0), inf-probe recompacts="
-            f"{maintenance_report['recompact_recommended_at_inf_probe']}"
+            f" (want 0), inf-probe ARM picks="
+            f"{maintenance_report['arm_picks_at_inf_probe']}"
+            f" (want {maintenance_report['scenarios']}), delta terms placed="
+            f"{maintenance_report['delta_terms_placed_at_default']}"
             f" (want {maintenance_report['scenarios']}), "
             f"identity {identical}/{covered}"
             + (" [merge corrupted]" if maintenance_report["corrupted"] else "")

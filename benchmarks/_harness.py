@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.engine import Colarm
-from repro.core.plans import PlanKind
+from repro.core.plans import PlanKind, execute_plan
 from repro.workloads.experiments import ExperimentSpec
 from repro.workloads.queries import random_focal_query
 
@@ -222,9 +222,12 @@ def run_accuracy(
                     t0 = time.perf_counter()
                     choice = engine.optimizer.choose(workload.query)
                     choose_s = time.perf_counter() - t0
-                    planned = engine.query(
-                        workload.query, choice=choice, use_cache=False
+                    planned = execute_plan(
+                        choice.kind, engine.index, workload.query,
+                        expand=engine.expand, delta=engine.maintenance,
+                        focus=choice.focus,
                     )
+                    choice.release()
                 chosen = choice.kind
                 for kind in PlanKind:
                     engine.optimizer.record_measurement(
@@ -241,7 +244,7 @@ def run_accuracy(
                         chosen_s=times[chosen],
                         fastest_s=times[fastest],
                         choose_s=choose_s,
-                        planned_s=planned.result.elapsed,
+                        planned_s=planned.elapsed,
                     )
                 )
     return records

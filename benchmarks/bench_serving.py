@@ -1,4 +1,4 @@
-"""SERVING — concurrent Zipf traffic through the cost-admission service.
+"""SERVING — concurrent Zipf traffic through the query service.
 
 Models the ROADMAP's north-star workload: a burst of concurrent localized
 mining requests over one shared engine, where a few hot focal regions

@@ -106,24 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "service)")
         p.add_argument("--threads", type=int, default=2,
                        help="execution threads per service (default 2)")
-        p.add_argument("--in-process", action="store_true",
-                       help="with --workers N: route across N services "
-                            "in this process instead of spawning worker "
-                            "processes")
         p.add_argument("--cluster-dir", default=None,
                        help="snapshot directory for the cluster's epoch "
                             "publishes (default: a temporary directory)")
         p.add_argument("--max-pending", type=int, default=64,
-                       help="scheduler queue bound (default 64)")
-        p.add_argument("--cost-ceiling", type=float, default=float("inf"),
-                       help="admission ceiling in estimated seconds "
-                            "(default: unlimited)")
-        p.add_argument("--over-budget", choices=("shed", "defer"),
-                       default="shed",
-                       help="what happens above the ceiling (default shed)")
-        p.add_argument("--aging", type=float, default=1.0,
-                       help="priority credit per second waited; "
-                            "inf = FIFO, 0 = pure cost order (default 1.0)")
+                       help="bound on queued cache misses per service; "
+                            "past it a request is shed (default 64)")
         p.add_argument("--no-cache", action="store_true",
                        help="serve without the materialized rule cache")
 
@@ -323,13 +311,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _serving_config(args: argparse.Namespace):
     from repro.serving import ServingConfig
 
-    return ServingConfig(
-        max_pending=args.max_pending,
-        workers=args.threads,
-        cost_ceiling=args.cost_ceiling,
-        over_budget=args.over_budget,
-        aging=args.aging,
-    )
+    return ServingConfig(max_pending=args.max_pending, workers=args.threads)
 
 
 def _cluster_config(args: argparse.Namespace):
@@ -348,11 +330,9 @@ def _make_cluster(engine: Colarm, args: argparse.Namespace):
     import contextlib
     import tempfile
 
-    from repro.cluster import ClusterService, InProcessCluster
+    from repro.cluster import ClusterService
 
     config = _cluster_config(args)
-    if args.in_process:
-        return InProcessCluster(engine, config), contextlib.nullcontext()
     if args.cluster_dir is not None:
         return ClusterService(engine, args.cluster_dir, config), \
             contextlib.nullcontext()
@@ -405,14 +385,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Requests are read and submitted as they arrive and answered in
     completion order (each response carries its request line number), so
-    coalescing and cost-priority scheduling are observable from a shell
-    pipe.  EOF drains in-flight requests and prints the stats snapshot
-    to stderr.
+    cache hits overtaking queued misses and coalescing are observable
+    from a shell pipe.  A line that is shed, fails, or does not parse
+    gets an ``{"ok": false, ...}`` response naming the error.  EOF drains
+    in-flight requests and prints the stats snapshot to stderr.
     """
     import asyncio
     import json
 
-    from repro.errors import ServiceError
+    from repro.errors import QueryError, ServiceError
     from repro.serving import QueryService
 
     engine = _serving_engine(args)
@@ -437,7 +418,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     payload["worker"] = served.worker
                     payload["epoch"] = served.epoch
                 print(json.dumps(payload), flush=True)
-            except ServiceError as exc:
+            except (ServiceError, QueryError) as exc:
                 print(json.dumps({
                     "ok": False, "line": line_no,
                     "error": type(exc).__name__, "message": str(exc),
@@ -471,11 +452,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    """Submit a whole workload file concurrently; print responses + stats."""
+    """Submit a whole workload file concurrently; print responses + stats.
+
+    A request that is shed, fails, or does not parse is reported in its
+    place; the exit status is 1 only when every request failed.
+    """
     import asyncio
     import json
 
-    from repro.errors import ServiceError
+    from repro.errors import QueryError, ServiceError
     from repro.serving import serve_all
 
     if args.workload == "-":
@@ -508,7 +493,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         results, snapshot, worker_stats, cluster = asyncio.run(run_cluster())
         n_failed = 0
         for i, res in enumerate(results, start=1):
-            if isinstance(res, ServiceError):
+            if isinstance(res, (ServiceError, QueryError)):
                 n_failed += 1
                 print(f"[{i}] {type(res).__name__}: {res}")
             else:
@@ -529,7 +514,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     n_failed = 0
     for i, res in enumerate(results, start=1):
-        if isinstance(res, ServiceError):
+        if isinstance(res, (ServiceError, QueryError)):
             n_failed += 1
             print(f"[{i}] {type(res).__name__}: {res}")
         else:

@@ -76,7 +76,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterResponse",
     "ClusterService",
-    "InProcessCluster",
     "EpochInfo",
     "EpochPublisher",
     "read_epoch",
@@ -319,7 +318,6 @@ class ClusterConfig:
     cache_budget_bytes: int = 16 << 20   #: per-worker rule-cache budget
     use_cache: bool = True           #: workers serve through their cache
     warm_top_k: int = 8              #: hot focal groups seeded per publish
-    start_method: str | None = None  #: mp start method (None: fork if available)
     ready_timeout_s: float = 120.0   #: worker must load within this bound
 
     def __post_init__(self) -> None:
@@ -654,13 +652,10 @@ class ClusterService:
         #: Hot keys the last cache seedings could not answer (a focal
         #: subset deleted empty): skipped, the colder keys still seeded.
         self.n_seed_skipped = 0
-        if self.config.start_method is not None:
-            self._mp = mp.get_context(self.config.start_method)
-        else:
-            methods = mp.get_all_start_methods()
-            self._mp = mp.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
+        try:
+            self._mp = mp.get_context("fork")
+        except ValueError:  # no fork here: the platform's default method
+            self._mp = mp.get_context()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1065,102 +1060,18 @@ class ClusterService:
         }
 
 
-# -- in-process fallback -----------------------------------------------------
-
-
-class InProcessCluster:
-    """The cluster's routing surface without processes.
-
-    ``W`` :class:`QueryService` instances over *one* engine, sharing one
-    engine lock, routed through the same :class:`HashRing` — the
-    fallback `colarm replay --workers N --in-process` uses on hosts
-    where spawning worker processes is unwanted.  It measures routing
-    distribution and per-worker service behavior (coalescing, admission,
-    p50/p99), not parallel speedup: every execution still serializes on
-    the single engine lock.
-    """
-
-    def __init__(self, engine: Colarm, config: ClusterConfig | None = None):
-        self.engine = engine
-        self.config = config or ClusterConfig()
-        self.ring = HashRing(self.config.replicas)
-        lock = threading.Lock()
-        self.services = [
-            QueryService(engine, self.config.serving, engine_lock=lock)
-            for _ in range(self.config.workers)
-        ]
-        for worker_id in range(self.config.workers):
-            self.ring.add(worker_id)
-        self.route_counts = {w: 0 for w in range(self.config.workers)}
-
-    async def start(self) -> "InProcessCluster":
-        for service in self.services:
-            await service.start()
-        return self
-
-    async def stop(self) -> None:
-        for service in self.services:
-            await service.stop()
-
-    async def __aenter__(self) -> "InProcessCluster":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    async def submit(
-        self,
-        request: LocalizedQuery | str,
-        plan: PlanKind | str | None = None,
-        use_cache: bool = True,
-    ) -> ClusterResponse:
-        q = self.engine.parse(request) if isinstance(request, str) else request
-        key = _focal_key_bytes(q, self.engine.index.cardinalities)
-        worker_id = self.ring.route(key)
-        self.route_counts[worker_id] += 1
-        served = await self.services[worker_id].submit(
-            q, plan=plan, use_cache=use_cache
-        )
-        return ClusterResponse(
-            rules=served.rules,
-            plan=served.plan,
-            cached=served.cached,
-            worker=worker_id,
-            epoch=0,
-            generation=self.engine.index.generation,
-            trace=served.trace.as_dict(),
-        )
-
-    async def worker_stats(self) -> list[dict]:
-        stats = []
-        for worker_id, service in enumerate(self.services):
-            snap = service.snapshot()
-            snap.update(worker=worker_id, epoch=0,
-                        generation=self.engine.index.generation,
-                        n_reloads=0)
-            stats.append(snap)
-        return stats
-
-    def snapshot(self) -> dict:
-        total = sum(self.route_counts.values())
-        return {
-            "workers": sorted(self.route_counts),
-            "routed": total,
-            "routing": {str(w): n for w, n in self.route_counts.items()},
-        }
-
-
 async def replay_cluster(cluster, requests) -> tuple[list, dict]:
     """Submit a workload through a started cluster; gather all responses.
 
-    Mirrors :func:`repro.serving.serve_all`: per-request failures come
-    back as the exception object in the results list, and the second
-    element is the router snapshot taken after the drain.
+    Mirrors :func:`repro.serving.serve_all`: per-request failures —
+    a shed or failed request, or query text that does not parse or
+    validate — come back as the exception object in the results list,
+    and the second element is the router snapshot taken after the drain.
     """
     async def one(req):
         try:
             return await cluster.submit(req)
-        except ServiceError as exc:
+        except (ServiceError, QueryError) as exc:
             return exc
 
     results = await asyncio.gather(*(one(r) for r in requests))

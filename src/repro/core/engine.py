@@ -299,7 +299,6 @@ class Colarm:
         request: LocalizedQuery | str,
         plan: PlanKind | str | None = None,
         use_cache: bool = True,
-        choice: PlanChoice | None = None,
     ) -> QueryOutcome:
         """Answer one localized mining request.
 
@@ -311,56 +310,55 @@ class Colarm:
         request is first offered to it (:meth:`serve_cached`): one probe,
         and whatever it finds is served — byte-identical to executing the
         plan fresh — with no pricing.  Only a request the cache cannot
-        serve is priced and executed, and every fresh execution populates
-        the cache for the next repeat.  ``use_cache=False`` bypasses both
-        consulting and populating.
-
-        A caller that already offered the request to the cache and priced
-        it (the serving layer's admission control) passes its
-        :class:`PlanChoice` back via ``choice``: the request then makes no
-        second probe and no second ``optimizer.choose``.  The choice is
-        reused only while its index generation is current, and silently
-        re-chosen otherwise, so a stale handoff can never force a stale
-        execution.
-
-        The focal subset is resolved and projected once per request: the
-        one the optimizer profiled (``choice.focus``) is what the plan
-        executes on.  The projection ends with the request — executed or
-        re-priced (:meth:`PlanChoice.release`) — so a choice or outcome a
-        caller keeps pins the resolution only.
+        serve goes on to :meth:`serve_fresh`.  ``use_cache=False``
+        bypasses both consulting and populating.
         """
         q = self.parse(request) if isinstance(request, str) else request
-        if self.maintenance is not None:
-            self.poll_maintenance()
-        kind = None
-        if plan is not None:
-            kind = plan_from_name(plan) if isinstance(plan, str) else plan
-            choice = None
-        consult = use_cache and self.cache is not None
-        if consult and choice is None:
+        kind = plan_from_name(plan) if isinstance(plan, str) else plan
+        if use_cache and self.cache is not None:
             q.validate_against(self.schema)
             served = self.serve_cached(q, kind)
             if served is not None:
                 return served
+        return self.serve_fresh(q, kind, use_cache)
+
+    def serve_fresh(
+        self,
+        q: LocalizedQuery,
+        kind: PlanKind | None,
+        use_cache: bool = True,
+    ) -> QueryOutcome:
+        """The miss half of :meth:`query`: plan and execute a request the
+        cache did not serve, without probing it again.
+
+        Installs a finished background fold first, so the request is
+        planned and executed against the live index.  With ``kind=None``
+        the optimizer prices the request (its one ``choose``) and the
+        chosen plan executes on the focal subset that was profiled
+        (``choice.focus``): the subset is resolved and projected once per
+        request, and the projection ends with the request
+        (:meth:`PlanChoice.release`), so an outcome a caller keeps pins
+        the resolution only.  With a cache enabled and ``use_cache``, the
+        fresh answer populates it for the next repeat.
+        """
+        if self.maintenance is not None:
+            self.poll_maintenance()
+        choice = None
         focus = None
         if kind is None:
-            if (
-                choice is not None
-                and choice.generation != self.index.generation
-            ):
-                choice.release()
-                choice = None
-            if choice is None:
-                choice = self.optimizer.choose(q)
+            choice = self.optimizer.choose(q)
             kind, focus = choice.kind, choice.focus
-        generation = self.cache.generation() if consult else None
-        result = execute_plan(
-            kind, self.index, q, expand=self.expand,
-            delta=self.maintenance, focus=focus,
-        )
-        if choice is not None:
-            choice.release()
-        if consult:
+        populate = use_cache and self.cache is not None
+        generation = self.cache.generation() if populate else None
+        try:
+            result = execute_plan(
+                kind, self.index, q, expand=self.expand,
+                delta=self.maintenance, focus=focus,
+            )
+        finally:
+            if choice is not None:
+                choice.release()
+        if populate:
             self._populate_cache(q, kind, result, generation)
         return QueryOutcome(
             rules=result.rules,
@@ -383,8 +381,8 @@ class Colarm:
         next repeat.  A forced plan takes its own family's rules entry
         only.  Nothing is priced.  ``None`` when the probe found nothing
         the request can use, or the entry was evicted before it was
-        served: the request is then priced and executed fresh, without
-        probing again.
+        served: the request then goes to :meth:`serve_fresh`, which does
+        not probe again.
 
         ``q`` must already be validated against the schema (:meth:`query`
         and the serving layer do).  Touches nothing but the cache, which

@@ -80,11 +80,6 @@ class PlanChoice:
     kind: PlanKind
     estimates: dict[PlanKind, float]
     profile: QueryProfile
-    #: Index generation the choice was priced against.  A choice is only
-    #: reusable (``Colarm.query(choice=...)``, the serving layer's
-    #: admission weights) while this matches ``index.generation`` — the
-    #: memoized profile is stale after a mutation.
-    generation: int = 0
     #: The focal subset the profile was built over — resolved *and
     #: projected* — for the execution to adopt (``execute_plan(...,
     #: focus=)``).  ``None`` when nothing was resolved: the profile came
@@ -96,12 +91,6 @@ class PlanChoice:
         """End the request's projection; resolution and prices stay."""
         if self.focus is not None:
             self.focus.release()
-
-    @property
-    def chosen_estimate(self) -> float:
-        """The estimated cost of the chosen plan, in seconds — the scalar
-        the serving layer uses as the admission / priority weight."""
-        return self.estimates[self.kind]
 
     def explain(self) -> str:
         """Human-readable ranking of the six plans."""
@@ -253,7 +242,6 @@ class ColarmOptimizer:
             kind=best,
             estimates=estimates,
             profile=profile,
-            generation=self.index.generation,
             focus=focus,
         )
 

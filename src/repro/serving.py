@@ -1,60 +1,52 @@
-"""Concurrent query service with cost-model admission control.
+"""Concurrent query service: cache hits on the loop, misses in FIFO flights.
 
 The ROADMAP's north-star is COLARM as a *service*: heavy concurrent
 traffic over one shared MIP-index.  This module is that serving layer —
 an asyncio front door over :class:`repro.core.engine.Colarm` built from
 three pieces:
 
-* **Request coalescing** — in-flight requests are grouped by the same
-  canonical key the cache and the batch executor already use
+* **Inline cache hits** — every request, forced plans included, makes
+  its one cache probe on the event-loop thread
+  (:meth:`repro.core.engine.Colarm.serve_cached`).  A hit is served
+  right there, unpriced: it never queues, never takes the engine lock
+  and never waits behind a miss that is mining.
+
+* **Request coalescing** — a miss becomes a *flight* at submit, keyed by
+  the same canonical key the cache and the batch executor already use
   (:func:`repro.core.query.canonical_focal_key` plus the item/threshold
-  fields), so N concurrent identical requests cost one execution: the
-  first arrival leads, later arrivals attach as waiters, and the finish
-  fans the result out to everyone.  Cache hits short-circuit the service
-  entirely — the request's one cache probe finds the entry and it is
-  served on the event-loop thread, unpriced
-  (:meth:`repro.core.engine.Colarm.serve_cached`), so a hit never waits
-  behind a miss that is mining.  ``use_cache=False`` requests bypass
-  coalescing in *both* directions (they neither attach nor accept
-  attachments): a bypass caller asked for a fresh execution, not another
-  waiter's shared result.
+  fields and the forced plan), so N concurrent identical misses cost one
+  execution: the first arrival leads, later arrivals attach as waiters,
+  and the finish fans the result out to everyone.  ``use_cache=False``
+  requests bypass coalescing in *both* directions (they neither attach
+  nor accept attachments): a bypass caller asked for a fresh execution,
+  not another waiter's shared result.
 
-* **Cost-aware admission and scheduling** — every request is priced by
-  ``optimizer.choose()`` before it is queued, and the chosen variant's
-  estimate (:attr:`~repro.core.optimizer.PlanChoice.chosen_estimate`)
-  becomes its admission weight: requests costing more than
-  ``cost_ceiling`` are shed (:class:`~repro.errors.ServiceOverloadError`)
-  or parked on a deferred heap, and the ready queue is a priority heap
-  ordered by ``estimated_cost - aging * time_waited`` — cheap MIP-plan
-  requests run ahead of expensive ARM re-mines, while
-  the aging term guarantees an expensive request's priority eventually
-  beats any newcomer's (no starvation).  ``aging = inf`` degenerates to
-  pure FIFO; ``aging = 0`` to pure cost order.
+* **Off-loop execution** — flights wait in a FIFO queue bounded by
+  ``max_pending`` (past it a request is shed with
+  :class:`~repro.errors.ServiceOverloadError`) and run on a small thread
+  pool, serialized by one engine lock (the engine's optimizer/index
+  state is not thread-safe; the rule cache has its own lock).  A flight
+  makes one executor hop: :meth:`~repro.core.engine.Colarm.serve_fresh`
+  installs any finished fold, prices the request (its one
+  ``optimizer.choose``), executes the chosen plan on the profiled
+  projection and populates the cache.
 
-* **Off-loop execution** — the event loop never mines: full pricing and
-  plan execution run on a small thread pool, serialized by one lock (the
-  engine's optimizer/index state is not thread-safe; the rule cache has
-  its own lock).
-
-Correctness across mutations: every priced choice and every in-flight
-group is stamped with :attr:`repro.core.mipindex.MIPIndex.generation`.
-A request never attaches to a group priced against an older tree, and
-``engine.query(choice=...)`` re-prices any stale handoff — so an index
-mutation between enqueue and execute forces re-pricing and re-execution,
-never a stale serve (the cache's own generation check backstops this).
+Correctness across mutations: a miss is priced when its flight runs, so
+an index mutation while it is queued is simply part of the state it is
+planned against.  Every flight is stamped with the index generation it
+was queued at, and a request never attaches to a flight of an older
+generation (the cache's own generation check backstops the populate).
 
 Every response carries a :class:`RequestTrace` (queue wait, coalesce
-fan-out, plan, cached/deferred flags) and the service keeps
-running counters with p50/p99 latency and throughput
-(:meth:`ServiceStats.snapshot`) — the observables the serving benchmark
-and the CI ``serving-gate`` assert against.
+fan-out, plan, cached flag) and the service keeps running counters with
+p50/p99 latency and throughput (:meth:`ServiceStats.snapshot`) — the
+observables the serving benchmark and the CI ``serving-gate`` assert
+against.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
 import threading
 import time
 from collections import deque
@@ -62,10 +54,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.engine import Colarm, QueryOutcome
-from repro.core.optimizer import PlanChoice
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import (
+    QueryError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadError,
@@ -76,7 +68,6 @@ __all__ = [
     "ServingConfig",
     "RequestTrace",
     "ServedQuery",
-    "CostScheduler",
     "ServiceStats",
     "QueryService",
 ]
@@ -84,26 +75,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Admission-control and execution knobs of one :class:`QueryService`.
+    """Queue bound and execution threads of one :class:`QueryService`.
 
-    ``max_pending`` bounds the scheduler queue (distinct in-flight
-    executions; coalesced waiters ride for free).  ``cost_ceiling`` is
-    the admission bar in estimated seconds; ``over_budget`` says what
-    happens above it (``"shed"`` raises
-    :class:`~repro.errors.ServiceOverloadError`, ``"defer"`` parks the
-    request until the ready queue is empty).  ``aging`` is the priority
-    credit per second waited, in estimated-cost seconds — ``inf`` means
-    strict FIFO, ``0`` strict cost order.  ``workers`` sizes the
-    execution thread pool; ``coalesce=False`` disables request sharing
-    entirely (every request executes fresh).
+    ``max_pending`` bounds the queue of flights waiting to run (distinct
+    executions; coalesced waiters ride for free).  ``workers`` sizes the
+    execution thread pool.
     """
 
     max_pending: int = 64
     workers: int = 2
-    cost_ceiling: float = float("inf")
-    over_budget: str = "shed"
-    aging: float = 1.0
-    coalesce: bool = True
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -112,24 +92,12 @@ class ServingConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.cost_ceiling < 0:
-            raise ValueError(
-                f"cost_ceiling must be non-negative, got {self.cost_ceiling}"
-            )
-        if self.over_budget not in ("shed", "defer"):
-            raise ValueError(
-                f"over_budget must be 'shed' or 'defer', got "
-                f"{self.over_budget!r}"
-            )
-        if self.aging < 0:
-            raise ValueError(f"aging must be non-negative, got {self.aging}")
 
 
 @dataclass
 class RequestTrace:
     """What happened to one request inside the service."""
 
-    estimated_cost: float = 0.0
     queue_wait_s: float = 0.0
     execute_s: float = 0.0
     total_s: float = 0.0
@@ -137,12 +105,10 @@ class RequestTrace:
     leader: bool = True         # False: attached to another's execution
     plan: PlanKind | None = None
     cached: bool = False
-    deferred: bool = False
     generation: int = 0
 
     def as_dict(self) -> dict:
         return {
-            "estimated_cost": self.estimated_cost,
             "queue_wait_s": self.queue_wait_s,
             "execute_s": self.execute_s,
             "total_s": self.total_s,
@@ -150,7 +116,6 @@ class RequestTrace:
             "leader": self.leader,
             "plan": self.plan.value if self.plan is not None else None,
             "cached": self.cached,
-            "deferred": self.deferred,
             "generation": self.generation,
         }
 
@@ -175,80 +140,6 @@ class ServedQuery:
         return self.outcome.cached
 
 
-class CostScheduler:
-    """Cost-priority queue with admission control and an aging term.
-
-    Pure and synchronous — the service drives it from the event loop, the
-    self-tests drive it directly.  The dynamic priority ``cost - aging *
-    (now - enqueued)`` is realized as the *static* heap key ``cost +
-    aging * enqueued`` (the ``aging * now`` term is common to every
-    entry, so the order is identical and no re-heapify is ever needed);
-    ties break by arrival order.  With ``aging = inf`` every key
-    collapses to the arrival sequence — strict FIFO.
-
-    Two heaps: the ready heap, and a deferred heap for over-ceiling
-    requests under ``over_budget="defer"`` — popped only when the ready
-    heap is empty, so deferred work runs in idle gaps instead of being
-    dropped.
-    """
-
-    def __init__(
-        self,
-        cost_ceiling: float = float("inf"),
-        over_budget: str = "shed",
-        aging: float = 1.0,
-    ):
-        if over_budget not in ("shed", "defer"):
-            raise ValueError(
-                f"over_budget must be 'shed' or 'defer', got {over_budget!r}"
-            )
-        self.cost_ceiling = cost_ceiling
-        self.over_budget = over_budget
-        self.aging = aging
-        self._ready: list[tuple[float, int, object]] = []
-        self._deferred: list[tuple[float, int, object]] = []
-        self._seq = itertools.count()
-
-    def admit(self, cost: float) -> str:
-        """Admission verdict for an estimated cost: run / defer / shed."""
-        if cost <= self.cost_ceiling:
-            return "run"
-        return self.over_budget
-
-    def _key(self, cost: float, enqueued: float) -> float:
-        if self.aging == float("inf"):
-            return 0.0  # sequence tie-break alone orders the heap: FIFO
-        return cost + self.aging * enqueued
-
-    def push(self, item: object, cost: float, enqueued: float,
-             deferred: bool = False) -> None:
-        heap = self._deferred if deferred else self._ready
-        heapq.heappush(heap, (self._key(cost, enqueued), next(self._seq), item))
-
-    def pop(self) -> object:
-        """Cheapest-effective ready item; deferred only when ready is empty."""
-        if self._ready:
-            return heapq.heappop(self._ready)[2]
-        if self._deferred:
-            return heapq.heappop(self._deferred)[2]
-        raise IndexError("pop from an empty scheduler")
-
-    def drain(self) -> list[object]:
-        """Remove and return every queued item (shutdown without drain)."""
-        items = [entry[2] for entry in self._ready]
-        items += [entry[2] for entry in self._deferred]
-        self._ready.clear()
-        self._deferred.clear()
-        return items
-
-    @property
-    def n_deferred(self) -> int:
-        return len(self._deferred)
-
-    def __len__(self) -> int:
-        return len(self._ready) + len(self._deferred)
-
-
 #: Latencies :class:`ServiceStats` keeps for its percentiles: the most
 #: recent ones, so a long-lived service neither grows nor sorts its whole
 #: history on every ``snapshot()``.
@@ -268,9 +159,7 @@ class ServiceStats:
     executions: int = 0
     coalesced: int = 0           # requests that attached to another flight
     cache_short_circuits: int = 0
-    shed_queue_full: int = 0
-    shed_over_budget: int = 0
-    deferred: int = 0
+    shed: int = 0                # refused: the queue was full
     latencies_s: deque[float] = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
     )
@@ -283,10 +172,6 @@ class ServiceStats:
         if self.first_serve_t is None:
             self.first_serve_t = now
         self.last_serve_t = now
-
-    @property
-    def shed(self) -> int:
-        return self.shed_queue_full + self.shed_over_budget
 
     def percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 1] over the recent window (0.0
@@ -309,9 +194,6 @@ class ServiceStats:
             "coalesced": self.coalesced,
             "cache_short_circuits": self.cache_short_circuits,
             "shed": self.shed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_over_budget": self.shed_over_budget,
-            "deferred": self.deferred,
             "p50_s": self.percentile(0.50),
             "p99_s": self.percentile(0.99),
             "throughput_qps": (self.served / span) if span > 0 else 0.0,
@@ -319,26 +201,18 @@ class ServiceStats:
 
 
 class _Flight:
-    """One scheduled execution and everyone waiting on it."""
+    """One queued execution and everyone waiting on it."""
 
-    __slots__ = (
-        "query", "plan", "use_cache", "choice", "generation",
-        "key", "deferred", "enqueued", "waiters", "started",
-    )
+    __slots__ = ("query", "plan", "use_cache", "generation", "key", "waiters")
 
-    def __init__(self, query, plan, use_cache, choice, generation, key,
-                 deferred, enqueued):
+    def __init__(self, query, plan, use_cache, generation, key):
         self.query = query
         self.plan = plan
         self.use_cache = use_cache
-        self.choice = choice
         self.generation = generation
         self.key = key              # None: not coalescible (cache bypass)
-        self.deferred = deferred
-        self.enqueued = enqueued
         #: (future, submit time, leader?) per request sharing this flight.
         self.waiters: list[tuple[asyncio.Future, float, bool]] = []
-        self.started = False
 
 
 class QueryService:
@@ -351,35 +225,20 @@ class QueryService:
     ordering tests use.
     """
 
-    def __init__(
-        self,
-        engine: Colarm,
-        config: ServingConfig | None = None,
-        engine_lock: threading.Lock | None = None,
-    ):
+    def __init__(self, engine: Colarm, config: ServingConfig | None = None):
         self.engine = engine
         self.config = config or ServingConfig()
-        self.scheduler = CostScheduler(
-            cost_ceiling=self.config.cost_ceiling,
-            over_budget=self.config.over_budget,
-            aging=self.config.aging,
-        )
         self.stats = ServiceStats()
-        #: Serializes pricing, execution and mutation on the engine (the
-        #: optimizer memo and the index state are not thread-safe; only
-        #: ``Colarm.serve_cached`` runs outside it).  When several services
-        #: front the *same* engine in one process (the cluster's
-        #: in-process fallback), they must share one lock — pass it here.
-        self._engine_lock = engine_lock or threading.Lock()
+        #: Serializes execution and mutation on the engine (the optimizer
+        #: memo and the index state are not thread-safe; only
+        #: ``Colarm.serve_cached`` runs outside it).
+        self._engine_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="colarm-serve",
         )
+        self._queue: deque[_Flight] = deque()
         self._inflight: dict[tuple, _Flight] = {}
-        #: Coalescing key -> done-future of the request being priced to
-        #: lead its flight; same-key arrivals wait for that flight instead
-        #: of pricing themselves.
-        self._pricing: dict[tuple, asyncio.Future] = {}
         self._wake = asyncio.Event()
         self._slots = asyncio.Semaphore(self.config.workers)
         self._dispatcher: asyncio.Task | None = None
@@ -408,9 +267,9 @@ class QueryService:
             return
         self._closed = True
         if not drain:
-            for flight in self.scheduler.drain():
+            while self._queue:
                 self._fail_flight(
-                    flight, ServiceClosedError("service stopped")
+                    self._queue.popleft(), ServiceClosedError("service stopped")
                 )
         self._wake.set()
         if self._dispatcher is not None:
@@ -428,7 +287,7 @@ class QueryService:
 
     @property
     def n_pending(self) -> int:
-        return len(self.scheduler)
+        return len(self._queue)
 
     def snapshot(self) -> dict:
         """Service stats plus the queue and maintenance state."""
@@ -452,31 +311,27 @@ class QueryService:
 
         Runs on a worker thread *under the engine lock*, so a batch lands
         atomically between flights: every execution sees either none or
-        all of it, and the generation bump invalidates priced choices and
-        cache entries from before the append.  Returns the new index
-        generation.  Requires ``engine.enable_maintenance()``.
+        all of it, and the generation bump invalidates cache entries from
+        before the append.  Returns the new index generation.  Requires
+        ``engine.enable_maintenance()``.
         """
-        if self._closed:
-            raise ServiceClosedError("service is stopped")
-        loop = asyncio.get_running_loop()
-
-        def run() -> int:
-            with self._engine_lock:
-                return self.engine.append(records)
-
-        return await loop.run_in_executor(self._executor, run)
+        return await self._mutate(self.engine.append, records)
 
     async def remove(self, tids) -> int:
         """Tombstone records by tid; same locking contract as :meth:`ingest`."""
+        return await self._mutate(self.engine.delete, tids)
+
+    async def _mutate(self, fn, arg) -> int:
         if self._closed:
             raise ServiceClosedError("service is stopped")
-        loop = asyncio.get_running_loop()
 
         def run() -> int:
             with self._engine_lock:
-                return self.engine.delete(tids)
+                return fn(arg)
 
-        return await loop.run_in_executor(self._executor, run)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, run
+        )
 
     # -- request intake ----------------------------------------------------
 
@@ -488,108 +343,62 @@ class QueryService:
     ) -> ServedQuery:
         """Serve one localized mining request through the service.
 
-        Raises :class:`~repro.errors.ServiceOverloadError` when admission
-        sheds the request and :class:`~repro.errors.ServiceClosedError`
-        after :meth:`stop`.  ``use_cache=False`` additionally opts the
-        request out of coalescing — it always gets a fresh execution.
+        Raises :class:`~repro.errors.ServiceOverloadError` when the queue
+        is full, :class:`~repro.errors.ServiceClosedError` after
+        :meth:`stop`, and the :class:`~repro.errors.QueryError` of a
+        request that does not parse or validate.  ``use_cache=False``
+        additionally opts the request out of coalescing — it always gets
+        a fresh execution.
         """
         if self._closed:
             raise ServiceClosedError("service is stopped")
         t_submit = time.monotonic()
         self.stats.submitted += 1
-        q = (
-            self.engine.parse(request)
-            if isinstance(request, str)
-            else request
-        )
-        if isinstance(plan, str):
-            plan = plan_from_name(plan)
-        q.validate_against(self.engine.schema)
-
-        loop = asyncio.get_running_loop()
-        choice: PlanChoice | None = None
-        cost = 0.0
-        if plan is None and use_cache and self.engine.cache is not None:
-            outcome = self.engine.serve_cached(q, None)
+        try:
+            q = (
+                self.engine.parse(request)
+                if isinstance(request, str)
+                else request
+            )
+            if isinstance(plan, str):
+                plan = plan_from_name(plan)
+            q.validate_against(self.engine.schema)
+        except QueryError:
+            self.stats.errors += 1
+            raise
+        if use_cache and self.engine.cache is not None:
+            outcome = self.engine.serve_cached(q, plan)
             if outcome is not None:
                 # A cache hit: no pricing, no engine lock, no queue, no
                 # thread hop.
                 return self._served_inline(outcome, t_submit)
-        coalescible = use_cache and self.config.coalesce
-        key = self._request_key(q, plan) if coalescible else None
-        if plan is None:
-            # A flight already registered needs no price to be joined.
-            # One being priced right now will be registered the moment its
-            # pricing returns: wait for it instead of pricing the same
-            # request.
-            while True:
-                waiter = self._attach(key, t_submit)
-                if waiter is not None:
-                    return await waiter
-                pricing = self._pricing.get(key)
-                if pricing is None:
-                    break
-                await pricing
-            if key is not None:
-                priced = self._pricing[key] = loop.create_future()
-            try:
-                choice = await loop.run_in_executor(
-                    self._executor, self._price, q
-                )
-            finally:
-                if key is not None:
-                    del self._pricing[key]
-                    priced.set_result(None)
-            cost = choice.chosen_estimate
-        return await self._admit(q, plan, use_cache, choice, cost, key, t_submit)
+        key = self._request_key(q, plan) if use_cache else None
+        waiter = self._attach(key, t_submit)
+        if waiter is None:
+            waiter = self._enqueue(q, plan, use_cache, key, t_submit)
+        return await waiter
 
-    def _admit(self, q, plan, use_cache, choice, cost, key, t_submit):
-        """Join, queue or refuse a priced request; the future to await.
-        A ``choice`` that does not become a flight's (joined another,
-        shed, service closed) ends here, and its projection with it."""
-        flight = None
-        try:
-            if self._closed:
-                raise ServiceClosedError("service is stopped")
-            waiter = self._attach(key, t_submit)
-            if waiter is not None:
-                return waiter
-            generation = self.engine.index.generation
-
-            if self.n_pending >= self.config.max_pending:
-                self.stats.shed_queue_full += 1
-                raise ServiceOverloadError(
-                    f"queue full ({self.config.max_pending} pending)"
-                )
-            verdict = self.scheduler.admit(cost)
-            if verdict == "shed":
-                self.stats.shed_over_budget += 1
-                raise ServiceOverloadError(
-                    f"estimated cost {cost:.6f}s over ceiling "
-                    f"{self.config.cost_ceiling:.6f}s"
-                )
-            deferred = verdict == "defer"
-            if deferred:
-                self.stats.deferred += 1
-
-            flight = _Flight(
-                query=q, plan=plan, use_cache=use_cache, choice=choice,
-                generation=generation, key=key, deferred=deferred,
-                enqueued=t_submit,
+    def _enqueue(self, q, plan, use_cache, key, t_submit) -> asyncio.Future:
+        """Queue a new flight led by this request; the future to await."""
+        if self.n_pending >= self.config.max_pending:
+            self.stats.shed += 1
+            raise ServiceOverloadError(
+                f"queue full ({self.config.max_pending} pending)"
             )
-            fut = asyncio.get_running_loop().create_future()
-            flight.waiters.append((fut, t_submit, True))
-            if key is not None:
-                self._inflight[key] = flight
-            self.scheduler.push(flight, cost, t_submit, deferred=deferred)
-            self._wake.set()
-            return fut
-        finally:
-            if flight is None and choice is not None:
-                choice.release()
+        flight = _Flight(
+            query=q, plan=plan, use_cache=use_cache,
+            generation=self.engine.index.generation, key=key,
+        )
+        fut = asyncio.get_running_loop().create_future()
+        flight.waiters.append((fut, t_submit, True))
+        if key is not None:
+            self._inflight[key] = flight
+        self._queue.append(flight)
+        self._wake.set()
+        return fut
 
     def _request_key(
-        self, q: LocalizedQuery, plan: PlanKind | str | None
+        self, q: LocalizedQuery, plan: PlanKind | None
     ) -> tuple:
         """The coalescing identity of a request.
 
@@ -613,8 +422,8 @@ class QueryService:
     def _attach(
         self, key: tuple | None, t_submit: float
     ) -> asyncio.Future | None:
-        """Join the in-flight execution of ``key`` priced against the
-        current index generation, if there is one."""
+        """Join the in-flight execution of ``key`` queued at the current
+        index generation, if there is one."""
         flight = self._inflight.get(key) if key is not None else None
         if (
             flight is None
@@ -644,41 +453,32 @@ class QueryService:
 
     # -- engine access (worker threads only) --------------------------------
 
-    def _price(self, q: LocalizedQuery) -> PlanChoice:
-        with self._engine_lock:
-            return self.engine.optimizer.choose(q)
-
     def _execute(self, flight: _Flight) -> QueryOutcome:
         with self._engine_lock:
-            return self.engine.query(
-                flight.query,
-                plan=flight.plan,
-                use_cache=flight.use_cache,
-                choice=flight.choice,
+            return self.engine.serve_fresh(
+                flight.query, flight.plan, flight.use_cache
             )
 
     # -- dispatch ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
         while True:
-            while not self._closed and len(self.scheduler) == 0:
+            while not self._closed and not self._queue:
                 self._wake.clear()
                 await self._wake.wait()
-            if len(self.scheduler) == 0:  # closed and drained
+            if not self._queue:  # closed and drained
                 break
             await self._slots.acquire()
-            if len(self.scheduler) == 0:  # drained while waiting for a slot
+            if not self._queue:  # drained while waiting for a slot
                 self._slots.release()
                 continue
-            flight = self.scheduler.pop()
-            task = asyncio.ensure_future(self._run_flight(flight))
+            task = asyncio.ensure_future(self._run_flight(self._queue.popleft()))
             self._running.add(task)
             task.add_done_callback(self._running.discard)
 
     async def _run_flight(self, flight: _Flight) -> None:
         loop = asyncio.get_running_loop()
         try:
-            flight.started = True
             t_exec = time.monotonic()
             try:
                 outcome = await loop.run_in_executor(
@@ -697,11 +497,6 @@ class QueryService:
                 if fut.done():  # the waiter cancelled; others still serve
                     continue
                 trace = RequestTrace(
-                    estimated_cost=(
-                        flight.choice.chosen_estimate
-                        if flight.choice is not None
-                        else 0.0
-                    ),
                     # A waiter that attached after execution started has
                     # waited zero queue time, not negative.
                     queue_wait_s=max(0.0, t_exec - t_submit),
@@ -711,7 +506,6 @@ class QueryService:
                     leader=leader,
                     plan=outcome.plan,
                     cached=outcome.cached,
-                    deferred=flight.deferred,
                     generation=self.engine.index.generation,
                 )
                 self.stats.record_serve(trace.total_s, now)
@@ -724,8 +518,6 @@ class QueryService:
     def _fail_flight(self, flight: _Flight, exc: BaseException) -> None:
         if flight.key is not None and self._inflight.get(flight.key) is flight:
             del self._inflight[flight.key]
-        if flight.choice is not None:
-            flight.choice.release()
         for fut, _t, _leader in flight.waiters:
             if not fut.done():
                 self.stats.errors += 1
@@ -736,19 +528,20 @@ async def serve_all(
     engine: Colarm,
     requests: list[LocalizedQuery | str],
     config: ServingConfig | None = None,
-) -> tuple[list[ServedQuery | ServiceError], dict]:
+) -> tuple[list[ServedQuery | ServiceError | QueryError], dict]:
     """Run a whole workload through a fresh service (the replay helper).
 
-    Returns per-request results *in submission order* — a shed or failed
-    request yields its :class:`~repro.errors.ServiceError` instead of a
-    response — plus the final stats snapshot.
+    Returns per-request results *in submission order* — a shed, failed or
+    malformed request yields its :class:`~repro.errors.ServiceError` or
+    :class:`~repro.errors.QueryError` instead of a response — plus the
+    final stats snapshot.
     """
     service = QueryService(engine, config)
 
     async def one(req):
         try:
             return await service.submit(req)
-        except ServiceError as exc:
+        except (ServiceError, QueryError) as exc:
             return exc
 
     async with service:

@@ -95,26 +95,3 @@ def test_engine_introspection(engine):
 def test_bad_query_raises(engine):
     with pytest.raises(QueryError):
         engine.query(LocalizedQuery({99: frozenset({0})}, 0.3, 0.5))
-
-
-def test_query_reuses_priced_choice(engine):
-    """A caller that already priced the request (the serving layer) can
-    hand its PlanChoice back and skip the second choose()."""
-    query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
-    choice = engine.choose_plan(query)
-    outcome = engine.query(query, choice=choice)
-    assert outcome.choice is choice  # reused verbatim, not re-chosen
-    assert outcome.plan is choice.kind
-
-
-def test_query_rechooses_stale_choice():
-    table = make_random_table(seed=43, n_records=80,
-                              cardinalities=(4, 3, 3, 2))
-    engine = Colarm(table, primary_support=0.05)
-    query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.6)
-    choice = engine.choose_plan(query)
-    assert choice.generation == engine.index.generation
-    engine.index.bump_generation()  # simulate index maintenance
-    outcome = engine.query(query, choice=choice)
-    assert outcome.choice is not choice  # stale generation: re-chosen
-    assert outcome.choice.generation == engine.index.generation

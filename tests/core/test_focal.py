@@ -197,7 +197,7 @@ def projected(choice) -> bool:
     return choice.focus is not None and choice.focus._lazy[1:] != [None, None]
 
 
-def test_projection_ends_with_the_request():
+def test_projection_ends_with_the_request(monkeypatch):
     engine = make_engine(mutate=False)
     outcome = engine.query(QUERY)
     focus = outcome.choice.focus
@@ -211,12 +211,24 @@ def test_projection_ends_with_the_request():
         LocalizedQuery(QUERY.range_selections, 0.31, 0.6)
     )
     assert projected(raw)  # (what an un-released choice looks like)
-    # ... one handed back after a mutation re-priced the request, ...
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
-    mutate_region(engine, n_append=3, n_delete=0)
-    outcome = engine.query(raw.focus.query, choice=raw)
-    assert outcome.choice is not raw
-    assert not projected(raw) and not projected(outcome.choice)
+    raw.release()
+    # ... and one whose execution raises.
+    priced = []
+    choose = engine.optimizer.choose
+
+    def recording(q):
+        priced.append(choose(q))
+        return priced[-1]
+
+    def failing(*args, **kwargs):
+        assert projected(priced[-1])
+        raise RuntimeError("execution failed")
+
+    monkeypatch.setattr(engine.optimizer, "choose", recording)
+    monkeypatch.setattr("repro.core.engine.execute_plan", failing)
+    with pytest.raises(RuntimeError):
+        engine.query(LocalizedQuery(QUERY.range_selections, 0.32, 0.6))
+    assert len(priced) == 1 and not projected(priced[0])
 
 
 def test_projection_ends_with_a_cached_serve(monkeypatch):
@@ -234,6 +246,9 @@ def test_projection_ends_with_a_cached_serve(monkeypatch):
 
 
 def test_projection_ends_with_a_shed_flight():
+    """A miss is priced — and projected — only when its flight runs: a
+    request shed at a full queue, or queued and never run, resolves
+    nothing, so there is no projection to end."""
     engine = make_engine(mutate=False)
     priced = []
     choose = engine.optimizer.choose
@@ -245,26 +260,21 @@ def test_projection_ends_with_a_shed_flight():
     engine.optimizer.choose = recording
 
     async def scenario():
-        # Nothing is cheap enough: admission sheds every priced request.
-        async with QueryService(
-            engine, ServingConfig(cost_ceiling=1e-12)
-        ) as service:
-            with pytest.raises(ServiceOverloadError):
-                await service.submit(QUERY)
-        # Queued, never run: the service stops without draining.  (A new
-        # floor: the first request's profile is in the memo.)
-        service = QueryService(engine)
-        other = LocalizedQuery(QUERY.range_selections, 0.31, 0.6)
-        task = asyncio.ensure_future(service.submit(other))
+        service = QueryService(engine, ServingConfig(max_pending=1))
+        task = asyncio.ensure_future(service.submit(QUERY))
         while service.n_pending != 1:
             await asyncio.sleep(0.01)
-        assert projected(priced[-1])  # the flight will execute on it
+        with pytest.raises(ServiceOverloadError):
+            await service.submit(
+                LocalizedQuery(QUERY.range_selections, 0.31, 0.6)
+            )
+        # Queued, never run: the service stops without draining.
         await service.stop(drain=False)
         with pytest.raises(ServiceClosedError):
             await task
 
     asyncio.run(scenario())
-    assert len(priced) == 2 and not any(map(projected, priced))
+    assert priced == []
 
 
 @pytest.mark.parametrize("expand", [False, True], ids=["closed", "expanded"])
@@ -314,9 +324,9 @@ def test_query_re_resolves_a_choice_priced_before_a_mutation(mutation):
     stale = choice.focus
     assert stale is not None
     mutation(engine)
-    outcome = engine.query(QUERY, choice=choice)
+    outcome = engine.query(QUERY)
     assert outcome.choice is not choice
-    assert outcome.choice.generation == engine.index.generation
+    assert outcome.choice.focus is not stale
     assert outcome.dq_size == live_dq_size(engine, QUERY)
     rebuilt = Colarm(
         RelationalTable(engine.schema, live_data(engine)),
@@ -333,8 +343,8 @@ def test_query_re_resolves_a_choice_priced_before_a_mutation(mutation):
 
 @pytest.mark.parametrize("mutation", [_append, _delete, _fold])
 def test_service_re_resolves_a_request_queued_across_a_mutation(mutation):
-    """A request priced and queued before the mutation carries the old
-    resolution in its flight; the execution must not run on it."""
+    """A request queued before the mutation is priced when its flight
+    runs, after it: the execution answers the live records."""
     engine = make_engine(mutate=True, expand=True)
 
     async def scenario():
@@ -352,7 +362,6 @@ def test_service_re_resolves_a_request_queued_across_a_mutation(mutation):
 
     served = asyncio.run(scenario())
     assert served.outcome.dq_size == live_dq_size(engine, QUERY)
-    assert served.outcome.choice.generation == engine.index.generation
     rebuilt = Colarm(
         RelationalTable(engine.schema, live_data(engine)),
         primary_support=0.05, expand=True,

@@ -1,4 +1,4 @@
-"""QueryService integration tests: coalescing, admission, concurrency edges.
+"""QueryService integration tests: coalescing, queueing, concurrency edges.
 
 No pytest-asyncio in this environment: every test drives its own event
 loop with ``asyncio.run``.  The deterministic pattern used throughout:
@@ -14,10 +14,11 @@ from dataclasses import fields
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import Colarm
 from repro.core.plans import PlanKind
 from repro.dataset.salary import salary_dataset
-from repro.errors import ServiceClosedError, ServiceOverloadError
+from repro.errors import ParseError, ServiceClosedError, ServiceOverloadError
 from repro.itemsets.rules import RuleBlock
 from repro.serving import (
     LATENCY_WINDOW,
@@ -52,8 +53,8 @@ def engine() -> Colarm:
 
 
 async def _settle(predicate, timeout: float = 5.0) -> None:
-    """Poll the loop until ``predicate()`` holds (submissions need a few
-    executor round-trips to price and enqueue)."""
+    """Poll the loop until ``predicate()`` holds (a submitted task needs
+    a loop turn to probe the cache and enqueue)."""
     deadline = asyncio.get_running_loop().time() + timeout
     while not predicate():
         if asyncio.get_running_loop().time() > deadline:
@@ -93,7 +94,6 @@ def test_responses_carry_traces(engine):
     assert isinstance(served, ServedQuery)
     trace = served.trace
     assert trace.plan is served.plan
-    assert trace.estimated_cost > 0
     assert trace.total_s >= trace.execute_s >= 0
     assert trace.queue_wait_s >= 0
     assert trace.generation == engine.index.generation
@@ -129,28 +129,35 @@ def test_cancellation_mid_coalesce(engine):
     assert all(r.rules == reference.rules for r in survivors)
 
 
-def test_execution_failure_reaches_every_coalesced_waiter(engine):
+def test_execution_failure_reaches_every_coalesced_waiter(engine,
+                                                          monkeypatch):
     """An exception raised while a coalesced flight executes is relayed
     to every waiter as that very object, counted once per waiter; the
     flight's slot and in-flight key are freed (the next request for the
-    key executes afresh) and its priced projection is released."""
+    key executes afresh) and the projection its pricing made is
+    released."""
     boom = RuntimeError("execution failed")
-    failed = []
-    real = None
+    priced, failed = [], []
+    choose = engine.optimizer.choose
+    real = engine_module.execute_plan
 
-    def failing_once(flight):
+    def recording(q):
+        priced.append(choose(q))
+        return priced[-1]
+
+    def failing_once(*args, **kwargs):
         if not failed:
-            failed.append(flight.choice)
-            assert flight.choice.focus._lazy[1] is not None  # projected
+            failed.append(kwargs["focus"])
+            assert kwargs["focus"]._lazy[1] is not None  # projected
             raise boom
-        return real(flight)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine.optimizer, "choose", recording)
+    monkeypatch.setattr(engine_module, "execute_plan", failing_once)
 
     async def main():
-        nonlocal real
         # One slot: a slot the failure kept would park the retry forever.
         service = QueryService(engine, ServingConfig(workers=1))
-        real = service._execute
-        service._execute = failing_once
         tasks = [
             asyncio.ensure_future(service.submit(SEATTLE_F))
             for _ in range(4)
@@ -166,8 +173,9 @@ def test_execution_failure_reaches_every_coalesced_waiter(engine):
     service, outcomes, retry = asyncio.run(main())
     assert all(outcome is boom for outcome in outcomes)
     assert service.stats.errors == 4
-    (choice,) = failed
-    assert choice.focus._lazy[1] is None and choice.focus._lazy[2] is None
+    (focus,) = failed
+    assert priced[0].focus is focus
+    assert focus._lazy[1] is None and focus._lazy[2] is None
     assert service.stats.executions == 1  # the retry, led afresh
     assert not retry.trace.cached and retry.trace.coalesced == 1
     assert retry.rules == engine.query(SEATTLE_F, use_cache=False).rules
@@ -186,32 +194,8 @@ def test_queue_full_sheds(engine):
         return service, first
 
     service, first = asyncio.run(main())
-    assert service.stats.shed_queue_full == 1
+    assert service.stats.shed == 1
     assert first.rules == engine.query(SEATTLE_F, use_cache=False).rules
-
-
-def test_zero_ceiling_sheds_everything(engine):
-    async def main():
-        config = ServingConfig(cost_ceiling=0.0, over_budget="shed")
-        async with QueryService(engine, config) as service:
-            for text in (SEATTLE_F, BOSTON, SEATTLE):
-                with pytest.raises(ServiceOverloadError):
-                    await service.submit(text)
-            return service.stats.shed_over_budget
-
-    assert asyncio.run(main()) == 3
-
-
-def test_over_budget_defer_still_serves(engine):
-    async def main():
-        config = ServingConfig(cost_ceiling=0.0, over_budget="defer")
-        async with QueryService(engine, config) as service:
-            return service, await service.submit(SEATTLE_F)
-
-    service, served = asyncio.run(main())
-    assert served.trace.deferred
-    assert service.stats.deferred == 1
-    assert served.rules == engine.query(SEATTLE_F, use_cache=False).rules
 
 
 def test_cache_hit_short_circuits_queue(engine):
@@ -273,9 +257,44 @@ def test_warm_hit_overtakes_a_parked_miss(engine):
     assert hit.cached and hit.rules == warm.rules
     assert hit.trace.queue_wait_s == 0
     assert hit.trace.cached and hit.trace.plan is hit.plan
-    assert hit.outcome.choice is None and hit.trace.estimated_cost == 0.0
+    assert hit.outcome.choice is None
     assert not miss.cached
     assert service.stats.cache_short_circuits == 1
+
+
+def test_forced_hit_overtakes_a_parked_miss(engine):
+    """A forced-plan request makes its one probe on the loop thread too:
+    whose family entry is cached, it is answered before a miss holding
+    the engine lock is released."""
+    engine.enable_cache()
+    warm = {plan: engine.query(SEATTLE_F, plan=plan) for plan in ("ARM",
+                                                                   "SS-VS")}
+
+    async def main():
+        async with QueryService(engine) as service:
+            started, release = _park_executions(service)
+            miss = asyncio.ensure_future(service.submit(BOSTON))
+            await _settle(started.is_set)
+            try:
+                hits = [
+                    await asyncio.wait_for(
+                        service.submit(SEATTLE_F, plan=plan), 5
+                    )
+                    for plan in warm
+                ]
+                overtook = not miss.done()
+            finally:
+                release.set()
+            return service, hits, overtook, await miss
+
+    service, hits, overtook, miss = asyncio.run(main())
+    assert overtook
+    for hit, (plan, fresh) in zip(hits, warm.items()):
+        assert hit.cached and hit.plan.value == plan
+        assert hit.rules == fresh.rules
+        assert hit.trace.queue_wait_s == 0 and hit.outcome.choice is None
+    assert not miss.cached
+    assert service.stats.cache_short_circuits == 2
 
 
 def test_append_between_populate_and_repeat_is_never_inline(engine):
@@ -301,10 +320,9 @@ def test_append_between_populate_and_repeat_is_never_inline(engine):
 
 def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
     """Regression: an entry evicted between probe and serve used to be
-    re-mined outside the scheduler (no admission, no slot, no coalescing)
-    and still counted as a cache short circuit.  Now it is an ordinary
-    miss: priced, queued and executed as a flight, with no second
-    probe."""
+    re-mined outside the queue (no slot, no coalescing) and still counted
+    as a cache short circuit.  Now it is an ordinary miss: queued, priced
+    and executed as a flight, with no second probe."""
     boston = engine.parse(BOSTON)
     boston_fresh = engine.query(boston, use_cache=False)
     boston_rules = boston_fresh.rules
@@ -344,7 +362,7 @@ def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
     service, raced, repeat = asyncio.run(main())
     assert probes == ["rules"]  # found, evicted, and never probed again
     assert not raced.cached and raced.rules == warm.rules
-    assert raced.trace.leader and raced.trace.estimated_cost > 0
+    assert raced.trace.leader and raced.outcome.chosen_by == "optimizer"
     # The flight's execution put the entry back: the repeat is a hit.
     assert repeat.cached and repeat.rules == warm.rules
     assert service.stats.cache_short_circuits == 1
@@ -368,8 +386,9 @@ def test_latency_window_is_bounded_and_exact_for_short_runs():
 
 
 def test_mutation_between_enqueue_and_execute_forces_reexecution(engine):
-    """An index mutation while a request is queued must re-price and
-    re-execute — never serve against the stale generation."""
+    """An index mutation while a request is queued is part of the state
+    the request is priced and executed against — it is never served
+    against the stale generation."""
     engine.enable_cache()
     engine.query(SEATTLE_F)  # populate the cache pre-mutation
     fresh = engine.query(SEATTLE_F, use_cache=False)
@@ -387,10 +406,11 @@ def test_mutation_between_enqueue_and_execute_forces_reexecution(engine):
         return served_boston, served
 
     served_boston, served = asyncio.run(main())
-    # The queued request's priced choice was stamped with the old
-    # generation; execution re-chose at the new one.
+    # The queued request was priced when its flight ran, after the bump.
     assert served_boston.trace.generation == engine.index.generation
-    assert served_boston.outcome.choice.generation == engine.index.generation
+    boston = engine.query(BOSTON, use_cache=False)
+    assert served_boston.rules == boston.rules
+    assert served_boston.outcome.dq_size == boston.dq_size
     assert not served_boston.cached
     # And a query cached before the mutation is never served stale.
     assert not served.cached
@@ -481,42 +501,26 @@ def test_shutdown_without_drain_fails_queued(engine):
     asyncio.run(main())
 
 
-def test_priority_orders_executions_by_cost(engine):
-    """With aging=0 the queue must run cheap plans before expensive ones
-    regardless of arrival order."""
-    costs = {}
-    for text in (SEATTLE_F, BOSTON, SEATTLE):
-        q = engine.parse(text)
-        costs[text] = engine.optimizer.choose(q).chosen_estimate
-    # BOSTON's focal group is the largest, so it is strictly the most
-    # expensive; the two Seattle queries may tie (the ARM fallback prices
-    # the whole relation, ignoring the focal selection), so the assertion
-    # below checks cost monotonicity rather than one exact permutation.
-    expected = sorted(costs, key=costs.get)
-    assert costs[BOSTON] == max(costs.values())
-
+def test_misses_run_in_arrival_order(engine):
+    """Queued misses run first in, first out, whatever they would cost."""
     order: list[str] = []
 
     async def main():
-        service = QueryService(engine, ServingConfig(aging=0.0, workers=1))
+        service = QueryService(engine, ServingConfig(workers=1))
 
         async def one(text):
             await service.submit(text)
             order.append(text)
 
-        # Enqueue expensive-first (reverse of expected execution order).
-        tasks = [
-            asyncio.ensure_future(one(text)) for text in reversed(expected)
-        ]
+        texts = (BOSTON, SEATTLE_F, SEATTLE)
+        tasks = [asyncio.ensure_future(one(text)) for text in texts]
         await _settle(lambda: service.n_pending == 3)
         await service.start()
         await asyncio.gather(*tasks)
         await service.stop()
+        return texts
 
-    asyncio.run(main())
-    completed_costs = [costs[t] for t in order]
-    assert completed_costs == sorted(completed_costs)
-    assert order[-1] == BOSTON
+    assert order == list(asyncio.run(main()))
 
 
 def test_stats_snapshot_shape(engine):
@@ -538,8 +542,7 @@ def test_stats_snapshot_shape(engine):
     assert snap["inflight_groups"] == 0
     assert set(snap) == {
         "submitted", "served", "errors", "executions", "coalesced",
-        "cache_short_circuits", "shed", "shed_queue_full",
-        "shed_over_budget", "deferred", "p50_s", "p99_s", "throughput_qps",
+        "cache_short_circuits", "shed", "p50_s", "p99_s", "throughput_qps",
         "pending", "inflight_groups",
     }
 
@@ -554,12 +557,17 @@ def test_serve_all_keeps_submission_order(engine):
 
 
 def test_serve_all_reports_shed_requests_in_place(engine):
-    config = ServingConfig(cost_ceiling=0.0, over_budget="shed")
+    """A shed request and one whose text does not parse come back as
+    their errors, in place; the others are served."""
+    config = ServingConfig(max_pending=1)
     results, snapshot = asyncio.run(
-        serve_all(engine, [SEATTLE_F, BOSTON], config)
+        serve_all(engine, [SEATTLE_F, BOSTON, "REPORT garbage;"], config)
     )
-    assert all(isinstance(r, ServiceOverloadError) for r in results)
-    assert snapshot["shed"] == 2
+    assert isinstance(results[0], ServedQuery)
+    assert isinstance(results[1], ServiceOverloadError)
+    assert isinstance(results[2], ParseError)
+    assert snapshot["shed"] == 1 and snapshot["errors"] == 1
+    assert snapshot["served"] == 1 and snapshot["submitted"] == 3
 
 
 def test_forced_plan_requests_coalesce_per_plan(engine):
@@ -586,9 +594,6 @@ def test_config_validation():
         ServingConfig(max_pending=0)
     with pytest.raises(ValueError):
         ServingConfig(workers=0)
-    with pytest.raises(ValueError):
-        ServingConfig(cost_ceiling=-1.0)
-    with pytest.raises(ValueError):
-        ServingConfig(over_budget="park")
-    with pytest.raises(ValueError):
-        ServingConfig(aging=-0.5)
+    assert [f.name for f in fields(ServingConfig)] == [
+        "max_pending", "workers"
+    ]

@@ -137,15 +137,60 @@ def test_replay(workspace, tmp_path, capsys):
     assert snapshot["served"] == 2 and "parallel" not in snapshot
 
 
-def test_replay_all_shed_exits_nonzero(workspace, tmp_path, capsys):
+def test_replay_all_failed_exits_nonzero(workspace, tmp_path, capsys):
     _, index_path = workspace
     workload = tmp_path / "w.txt"
-    workload.write_text(QUERY + "\n")
-    code = main(["replay", str(index_path), str(workload),
-                 "--cost-ceiling", "0", "--over-budget", "shed",
-                 "--no-cache"])
+    workload.write_text("REPORT garbage;\nREPORT nonsense;\n")
+    code = main(["replay", str(index_path), str(workload), "--no-cache"])
     assert code == 1
-    assert "ServiceOverloadError" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[1] ParseError:" in out and "[2] ParseError:" in out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["service", "cluster"])
+def test_replay_reports_malformed_text_in_place(workspace, tmp_path, capsys,
+                                                workers):
+    """A line that does not parse is answered with its error, in place;
+    the valid lines are still served and the replay exits 0."""
+    _, index_path = workspace
+    workload = tmp_path / "w.txt"
+    workload.write_text(f"{QUERY}\nREPORT garbage;\n{QUERY}\n")
+    code = main(["replay", str(index_path), str(workload),
+                 "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "[2] ParseError:" in captured.out
+    assert "[1] " in captured.out and "[3] " in captured.out
+    assert "[1] ParseError" not in captured.out
+    assert "[3] ParseError" not in captured.out
+    assert "never retrieved" not in captured.err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["service", "cluster"])
+def test_serve_answers_malformed_text_with_an_error(workspace, capsys,
+                                                    monkeypatch, workers):
+    import io
+
+    _, index_path = workspace
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO(f"{QUERY}\nREPORT garbage;\n{QUERY}\n")
+    )
+    assert main(["serve", str(index_path), "--workers", workers]) == 0
+    captured = capsys.readouterr()
+    responses = {
+        r["line"]: r
+        for r in map(json.loads, captured.out.strip().splitlines())
+    }
+    assert sorted(responses) == [1, 2, 3]
+    assert responses[1]["ok"] and responses[3]["ok"]
+    assert not responses[2]["ok"]
+    assert responses[2]["error"] == "ParseError"
+    assert "garbage" in responses[2]["message"]
+    assert "never retrieved" not in captured.err
+    if workers == "1":
+        snapshot = json.loads(captured.err.strip().splitlines()[-1])
+        assert snapshot["submitted"] == 3
+        assert snapshot["served"] == 2 and snapshot["errors"] == 1
 
 
 def test_replay_empty_workload(workspace, tmp_path, capsys):
@@ -172,8 +217,8 @@ def test_serve_stdin_loop(workspace, capsys, monkeypatch):
     assert {r["line"] for r in responses} == {1, 2}
     assert all("rules" in r for r in responses)
     assert all(set(r["trace"]) == {
-        "estimated_cost", "queue_wait_s", "execute_s", "total_s",
-        "coalesced", "leader", "plan", "cached", "deferred", "generation",
+        "queue_wait_s", "execute_s", "total_s",
+        "coalesced", "leader", "plan", "cached", "generation",
     } for r in responses)
     snapshot = json.loads(captured.err.strip().splitlines()[-1])
     assert snapshot["served"] == 2 and "parallel" not in snapshot

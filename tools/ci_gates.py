@@ -22,8 +22,8 @@ Usage::
     ... --only heap --corrupt-heap               # likewise: must FAIL
 
 ``--override-weight`` deliberately corrupts one fitted weight after
-calibration, ``--corrupt-admission`` mis-wires the serving layer's
-admission knobs, ``--corrupt-maintenance`` severs the delta-store merge
+calibration, ``--corrupt-admission`` routes the serving layer's cache
+hits through its thread pool, ``--corrupt-maintenance`` severs the delta-store merge
 correction, ``--corrupt-routing`` swaps consistent hashing for modulo
 placement, ``--corrupt-setup`` puts a full collection back in front
 of every calibration probe, and ``--corrupt-heap`` caches ``Rule``
@@ -324,39 +324,28 @@ def run_heap_gate(config: dict, corrupt: bool = False) -> dict:
 
 
 def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
-    """Admission-control sanity for the concurrent query service.
+    """Cache hits never wait for the engine: the concurrent service's
+    one structural promise, checked twice.
 
-    Four structural assertions (no thresholds — the first three pin a
-    degenerate knob setting to the behaviour it *must* produce):
-
-    * ``cost_ceiling = 0`` with ``over_budget="shed"`` — every request's
-      estimated cost is strictly positive, so a live service over a
-      probe workload must shed **everything** (zero serves).  A
-      regression that stops using the optimizer's estimates as admission
-      weights (e.g. admitting on a constant) fails here.
-    * ``aging = inf`` — the scheduler's effective priority is dominated
-      by waiting time, so pops must come out in **arrival order** (pure
-      FIFO) even when costs are pushed in descending order.
-    * ``aging = 0`` — priority is pure cost, so pops must come out in
-      **cost order** regardless of arrival order.
     * **a warm hit overtakes a parked miss** — with one execution parked
-      on an event while it holds the engine lock, a request whose rules
-      entry is cached must still be answered (after its one cache probe,
-      on the loop thread, unpriced) before the miss is released.  A
-      regression that routes hits back through pricing, the engine lock
-      or the thread pool times out here.
+      on an event while it holds the engine lock, an optimizer-planned
+      request whose rules entry is cached must still be answered (after
+      its one cache probe, on the loop thread, unpriced) before the miss
+      is released.
+    * **a forced hit overtakes a parked miss** — the same for a request
+      forcing a plan (``ARM``) whose family entry is cached.
 
-    ``corrupt=True`` deliberately mis-wires the first two knobs (ceiling
-    ``0 -> inf``, aging ``inf -> 0``) while keeping the assertions: both
-    must then FAIL — a gate that cannot fail gates nothing.
+    A regression that routes hits back through pricing, the engine lock
+    or the thread pool times out here.  ``corrupt=True`` does exactly
+    that: the service's inline probe finds nothing, so every request,
+    hits included, becomes a flight on the pool — both legs must then
+    FAIL (a gate that cannot fail gates nothing).
     """
     import asyncio
 
     from repro.core.calibration import default_probe_queries
     from repro.core.engine import Colarm
     from repro.dataset.salary import salary_dataset
-    from repro.errors import ServiceOverloadError
-    from repro.serving import CostScheduler, ServingConfig, serve_all
 
     t0 = time.perf_counter()
     engine = Colarm(
@@ -369,60 +358,44 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
         n_queries=int(config["n_queries"]),
         seed=int(config["seed"]),
     )
-
-    ceiling = float("inf") if corrupt else 0.0
-    serving = ServingConfig(cost_ceiling=ceiling, over_budget="shed")
-    results, snapshot = asyncio.run(serve_all(engine, list(queries), serving))
-    n_shed = sum(isinstance(r, ServiceOverloadError) for r in results)
-
-    costs = [5.0, 4.0, 3.0, 2.0, 1.0]  # descending: FIFO != cost order
-    fifo_sched = CostScheduler(aging=0.0 if corrupt else float("inf"))
-    for i, cost in enumerate(costs):
-        fifo_sched.push(i, cost, enqueued=float(i))
-    fifo_order = [fifo_sched.pop() for _ in costs]
-
-    cost_sched = CostScheduler(aging=0.0)
-    for i, cost in enumerate(costs):
-        cost_sched.push(i, cost, enqueued=float(i))
-    cost_order = [cost_sched.pop() for _ in costs]
-
-    overtook = asyncio.run(_warm_hit_overtakes_parked_miss(engine, queries))
+    cold = queries[1]
+    overtook = {
+        plan: asyncio.run(
+            _hit_overtakes_parked_miss(engine, warm, cold, plan, corrupt)
+        )
+        for warm, plan in ((queries[0], None), (queries[2], "ARM"))
+    }
 
     failures = []
-    if n_shed != len(queries):
-        failures.append("zero_ceiling_did_not_shed_everything")
-    if fifo_order != list(range(len(costs))):
-        failures.append("infinite_aging_not_fifo")
-    if cost_order != sorted(range(len(costs)), key=lambda i: costs[i]):
-        failures.append("zero_aging_not_cost_order")
-    if not overtook:
+    if not overtook[None]:
         failures.append("warm_hit_waited_for_parked_miss")
+    if not overtook["ARM"]:
+        failures.append("forced_hit_waited_for_parked_miss")
     return {
         "dataset": "salary",
-        "scenarios": len(queries),
         "build_s": round(build_s, 2),
         "corrupted": corrupt,
-        "shed_at_zero_ceiling": n_shed,
-        "fifo_order_at_inf_aging": fifo_order,
-        "cost_order_at_zero_aging": cost_order,
-        "warm_hit_overtook_parked_miss": overtook,
-        "service_stats": snapshot,
+        "warm_hit_overtook_parked_miss": overtook[None],
+        "forced_hit_overtook_parked_miss": overtook["ARM"],
         "passed": not failures,
         "failures": failures,
     }
 
 
-async def _warm_hit_overtakes_parked_miss(engine, queries) -> bool:
-    """Park one miss inside ``_execute`` (engine lock held); is a warm hit
-    submitted afterwards answered before the miss is released?"""
+async def _hit_overtakes_parked_miss(engine, warm, cold, plan,
+                                     corrupt: bool) -> bool:
+    """Park the miss ``cold`` inside ``_execute`` (engine lock held); is
+    ``warm`` — cached under ``plan`` first — answered from the cache
+    before the miss is released?"""
     import asyncio
     import threading
 
     from repro.serving import QueryService
 
-    warm, cold = queries[0], queries[1]
     engine.enable_cache()
-    engine.query(warm)  # populates the rules entry
+    engine.query(warm, plan=plan)  # populates the rules entry
+    if corrupt:
+        engine.serve_cached = lambda q, kind: None
     started, release = threading.Event(), threading.Event()
     try:
         async with QueryService(engine) as service:
@@ -439,7 +412,9 @@ async def _warm_hit_overtakes_parked_miss(engine, queries) -> bool:
             while not started.is_set():
                 await asyncio.sleep(0.005)
             try:
-                hit = await asyncio.wait_for(service.submit(warm), 5)
+                hit = await asyncio.wait_for(
+                    service.submit(warm, plan=plan), 5
+                )
                 return hit.cached and not miss.done()
             except asyncio.TimeoutError:
                 return False
@@ -447,6 +422,7 @@ async def _warm_hit_overtakes_parked_miss(engine, queries) -> bool:
                 release.set()
                 await miss
     finally:
+        engine.__dict__.pop("serve_cached", None)
         engine.disable_cache()
 
 
@@ -799,8 +775,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--corrupt-admission",
         action="store_true",
-        help="mis-wire the serving admission knobs (ceiling 0 -> inf, "
-        "aging inf -> 0); the serving self-test must then FAIL",
+        help="route cache hits through the service's thread pool and "
+        "engine lock; the serving self-test must then FAIL",
     )
     parser.add_argument(
         "--corrupt-maintenance",
@@ -931,13 +907,12 @@ def main(argv: list[str] | None = None) -> int:
         status = "ok  " if serving_report["passed"] else "FAIL"
         print(
             f"  {status} serving-selftest   "
-            f"shed at zero ceiling={serving_report['shed_at_zero_ceiling']}"
-            f" (want {serving_report['scenarios']}), "
-            f"FIFO at inf aging="
-            f"{serving_report['fifo_order_at_inf_aging']}, "
             f"warm hit overtook parked miss="
-            f"{serving_report['warm_hit_overtook_parked_miss']}"
-            + (" [admission corrupted]" if serving_report["corrupted"] else "")
+            f"{serving_report['warm_hit_overtook_parked_miss']}, "
+            f"forced hit overtook parked miss="
+            f"{serving_report['forced_hit_overtook_parked_miss']}"
+            + (" [hits routed through the pool]"
+               if serving_report["corrupted"] else "")
         )
     if maintenance_report is not None:
         passed = passed and maintenance_report["passed"]

@@ -54,12 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.engine import Colarm
-from repro.core.persistence import (
-    load_cache,
-    load_index,
-    save_cache,
-    save_index,
-)
+from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery, canonical_focal_key
 from repro.errors import (
@@ -84,11 +79,9 @@ __all__ = [
 
 EPOCH_FILE = "EPOCH.json"
 
-#: Focal keys the router counts per ``warm_top_k`` slot.  Past that many
-#: it keeps the hotter half: only the top ``warm_top_k`` are ever read, so
-#: the table stays bounded however many distinct regions a long-lived
-#: router sees.
-_HOT_KEYS_PER_WARM_SLOT = 64
+#: Published snapshots kept on disk: the current epoch and the one before
+#: it, which a worker still mid-reload may hold open.
+KEEP_SNAPSHOTS = 2
 
 
 # -- consistent hashing ------------------------------------------------------
@@ -189,13 +182,9 @@ class EpochInfo:
     generation: int
     n_records: int
     expand: bool = False
-    cache: str | None = None
 
     def snapshot_path(self, directory: Path) -> Path:
         return Path(directory) / self.snapshot
-
-    def cache_path(self, directory: Path) -> Path | None:
-        return Path(directory) / self.cache if self.cache else None
 
     def as_dict(self) -> dict:
         return {
@@ -204,12 +193,16 @@ class EpochInfo:
             "generation": self.generation,
             "n_records": self.n_records,
             "expand": self.expand,
-            "cache": self.cache,
         }
 
 
 def read_epoch(directory: str | Path) -> EpochInfo | None:
-    """The currently published epoch, or ``None`` before the first publish."""
+    """The currently published epoch, or ``None`` before the first publish.
+
+    Keys the reader does not know are ignored: an epoch file written by an
+    older publisher may still name a rule-cache sidecar.  A file that is
+    not a JSON object with every field is a ``DataError`` naming it.
+    """
     path = Path(directory) / EPOCH_FILE
     try:
         meta = json.loads(path.read_text())
@@ -217,14 +210,18 @@ def read_epoch(directory: str | Path) -> EpochInfo | None:
         return None
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read epoch file {path}: {exc}") from exc
-    return EpochInfo(
-        epoch=int(meta["epoch"]),
-        snapshot=str(meta["snapshot"]),
-        generation=int(meta["generation"]),
-        n_records=int(meta["n_records"]),
-        expand=bool(meta.get("expand", False)),
-        cache=meta.get("cache"),
-    )
+    try:
+        return EpochInfo(
+            epoch=int(meta["epoch"]),
+            snapshot=str(meta["snapshot"]),
+            generation=int(meta["generation"]),
+            n_records=int(meta["n_records"]),
+            expand=bool(meta.get("expand", False)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"malformed epoch file {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 class EpochPublisher:
@@ -239,24 +236,19 @@ class EpochPublisher:
     see either the previous epoch or the complete new one.
     """
 
-    def __init__(self, engine: Colarm, directory: str | Path,
-                 keep_snapshots: int = 2):
+    def __init__(self, engine: Colarm, directory: str | Path):
         self.engine = engine
         self.directory = Path(directory)
-        self.keep_snapshots = max(keep_snapshots, 1)
         current = read_epoch(self.directory)
         self.epoch = current.epoch if current is not None else 0
         self.n_publishes = 0
 
-    def _fold(self) -> None:
-        """Land every pending mutation in the main index."""
-        if self.engine.maintenance is not None:
-            self.engine.maintenance.recompact()
-            self.engine.poll_maintenance()
-
     def publish(self) -> EpochInfo:
         """Fold, snapshot, and atomically advance the published epoch."""
-        self._fold()
+        if self.engine.maintenance is not None:
+            # Land every pending mutation in the main index.
+            self.engine.maintenance.recompact()
+            self.engine.poll_maintenance()
         index = self.engine.index
         epoch = self.epoch + 1
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -267,18 +259,12 @@ class EpochPublisher:
             weights=self.engine.optimizer.weights,
             compress=False,
         )
-        cache_name = None
-        cache = self.engine.cache
-        if cache is not None and len(cache._entries):
-            cache_name = f"snapshot-{epoch:06d}.cache.npz"
-            save_cache(cache, self.directory / cache_name, compress=False)
         info = EpochInfo(
             epoch=epoch,
             snapshot=snapshot,
             generation=index.generation,
             n_records=index.table.n_records,
             expand=self.engine.expand,
-            cache=cache_name,
         )
         tmp = self.directory / (EPOCH_FILE + ".tmp")
         tmp.write_text(json.dumps(info.as_dict()))
@@ -291,7 +277,7 @@ class EpochPublisher:
     def _gc(self, epoch: int) -> None:
         """Drop snapshots older than the retention window (best effort —
         a worker mid-reload may still hold the previous epoch open)."""
-        floor = epoch - self.keep_snapshots
+        floor = epoch - KEEP_SNAPSHOTS
         for path in self.directory.glob("snapshot-*.npz"):
             try:
                 n = int(path.name.split("-")[1].split(".")[0])
@@ -299,7 +285,7 @@ class EpochPublisher:
                 continue
             if n <= floor:
                 try:
-                    path.unlink()  # the glob covers the .cache.npz sidecars too
+                    path.unlink()  # an older publisher's .cache.npz too
                 except OSError:
                     pass
 
@@ -317,7 +303,6 @@ class ClusterConfig:
     max_respawns: int = 2            #: crash respawns per worker slot
     cache_budget_bytes: int = 16 << 20   #: per-worker rule-cache budget
     use_cache: bool = True           #: workers serve through their cache
-    warm_top_k: int = 8              #: hot focal groups seeded per publish
     ready_timeout_s: float = 120.0   #: worker must load within this bound
 
     def __post_init__(self) -> None:
@@ -395,20 +380,20 @@ class _WorkerRuntime:
         self.generation = 0
         self.baseline_rss_kb = private_rss_kb()
         self.n_reloads = 0
-        #: Why the last epoch's cache sidecar was not loaded, if it was not.
-        self.cold_start_reason: str | None = None
         self.engine: Colarm | None = None
         self.service: QueryService | None = None
         self._reload_lock = asyncio.Lock()
 
     def _load(self, info: EpochInfo) -> None:
-        """Open one published epoch: mmap the snapshot, warm the cache.
+        """Open one published epoch: mmap the snapshot, start an empty cache.
 
         ``verify="stored"`` because the snapshot came from this cluster's
         own writer: tidsets are still cross-checked bit-for-bit against
         the archive's kernel matrices, but no miner runs — the mining
         heap watermark would otherwise dominate the worker's unique RSS
-        and defeat the point of sharing the index via mmap.
+        and defeat the point of sharing the index via mmap.  The rule
+        cache fills from this worker's own traffic, at first start and
+        after every hot-swap alike.
         """
         index, weights = load_index(
             info.snapshot_path(self.directory), mmap_mode="r",
@@ -420,19 +405,7 @@ class _WorkerRuntime:
         engine = Colarm.from_index(index, weights=weights,
                                    expand=info.expand)
         if self.config.use_cache:
-            cache = None
-            self.cold_start_reason = None
-            cache_path = info.cache_path(self.directory)
-            if cache_path is not None and cache_path.exists():
-                try:
-                    cache = load_cache(cache_path, index, mmap_mode="r")
-                except DataError as exc:
-                    # An unreadable sidecar (another format version, a
-                    # torn write) costs the warm start, not the worker.
-                    self.cold_start_reason = str(exc)
-            engine.enable_cache(
-                budget_bytes=self.config.cache_budget_bytes, cache=cache
-            )
+            engine.enable_cache(budget_bytes=self.config.cache_budget_bytes)
         self.engine = engine
         self.service = QueryService(engine, self.config.serving)
         self.epoch = info.epoch
@@ -493,7 +466,6 @@ class _WorkerRuntime:
             epoch=self.epoch,
             generation=self.generation,
             n_reloads=self.n_reloads,
-            cold_start_reason=self.cold_start_reason,
         )
         return snap
 
@@ -645,13 +617,9 @@ class ClusterService:
         self._closed = False
         self._next_slot = 0
         self.route_counts: dict[int, int] = {}
-        self._hot: dict[bytes, list] = {}   # key -> [count, example query]
         self.n_crashes = 0
         self.n_respawns = 0
         self.n_rerouted = 0
-        #: Hot keys the last cache seedings could not answer (a focal
-        #: subset deleted empty): skipped, the colder keys still seeded.
-        self.n_seed_skipped = 0
         try:
             self._mp = mp.get_context("fork")
         except ValueError:  # no fork here: the platform's default method
@@ -880,7 +848,6 @@ class ClusterService:
         key = _focal_key_bytes(q, self.engine.index.cardinalities)
         worker_id = self.ring.route(key)
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
-        self._count_hot(key, q)
         req_id = next(self._req_ids)
         message = ("query", req_id, q, plan, use_cache, self._min_epoch)
         payload = await self._send(worker_id, message, key)
@@ -935,8 +902,10 @@ class ClusterService:
         serving them — the reload broadcast below is a latency
         optimization, not a correctness requirement.
         """
+        if self._closed:
+            raise ServiceClosedError("cluster is stopped")
         async with self._publish_lock:
-            info = await self._run_writer(self._publish_locked)
+            info = await self._run_writer(self.publisher.publish)
         self._min_epoch = info.epoch
         for handle in self._handles.values():
             if not handle.stopping:
@@ -945,46 +914,6 @@ class ClusterService:
                 except (KeyError, OSError):  # pragma: no cover
                     pass
         return info
-
-    def _publish_locked(self) -> EpochInfo:
-        # Fold *before* seeding: installing a fold rebinds the writer's
-        # cache (dropping every entry), so warming only sticks once the
-        # delta has landed.  publish() re-checks and finds nothing to fold.
-        self.publisher._fold()
-        self._seed_cache()
-        return self.publisher.publish()
-
-    def _count_hot(self, key: bytes, query: LocalizedQuery) -> None:
-        """Count one routed request for the cache seeding; past the cap,
-        forget the colder half of the keys (the survivors keep their
-        arrival order: it breaks count ties in :meth:`_seed_cache`)."""
-        hot = self._hot.setdefault(key, [0, query])
-        hot[0] += 1
-        if len(self._hot) > _HOT_KEYS_PER_WARM_SLOT * max(
-            self.config.warm_top_k, 1
-        ):
-            keep = set(sorted(
-                self._hot, key=lambda k: self._hot[k][0], reverse=True
-            )[: len(self._hot) // 2])
-            self._hot = {k: v for k, v in self._hot.items() if k in keep}
-
-    def _seed_cache(self) -> None:
-        """Warm the writer cache with the hottest focal groups, so the
-        published sidecar lets workers start warm after a hot-swap."""
-        if (
-            self.engine.cache is None
-            or self.config.warm_top_k <= 0
-            or not self._hot
-        ):
-            return
-        hottest = sorted(
-            self._hot.items(), key=lambda kv: kv[1][0], reverse=True
-        )
-        for _, (count, query) in hottest[: self.config.warm_top_k]:
-            try:
-                self.engine.query(query, use_cache=True)
-            except QueryError:
-                self.n_seed_skipped += 1
 
     # -- membership --------------------------------------------------------
 
@@ -1052,11 +981,9 @@ class ClusterService:
             "routing": {
                 str(w): self.route_counts.get(w, 0) for w in self.workers
             },
-            "distinct_focal_groups": len(self._hot),
             "crashes": self.n_crashes,
             "respawns": self.n_respawns,
             "rerouted": self.n_rerouted,
-            "seed_skipped": self.n_seed_skipped,
         }
 
 

@@ -145,36 +145,18 @@ class Colarm:
 
     # -- offline: materialized rule caches ------------------------------------
 
-    def enable_cache(
-        self,
-        budget_bytes: int = 64 << 20,
-        landmark_hits: int = 4,
-        cache: RuleCache | None = None,
-    ) -> "Colarm":
+    def enable_cache(self, budget_bytes: int = 64 << 20) -> "Colarm":
         """Attach a budget-bound materialized-result cache (:mod:`repro.cache`).
 
-        Builds a :class:`~repro.cache.RuleCache` bound to this index (or
-        adopts ``cache``, e.g. one warm-loaded from disk via
-        :func:`repro.core.persistence.load_cache`).  From then on every
-        request is first offered to the cache (:meth:`serve_cached`) and
-        every fresh execution populates it.
+        Builds an empty :class:`~repro.cache.RuleCache` bound to this
+        index.  From then on every request is first offered to the cache
+        (:meth:`serve_cached`) and every fresh execution populates it.
 
         Idempotent (replaces any previous cache); returns ``self``.
         """
-        if cache is not None:
-            if cache.expand != self.expand:
-                raise ValueError(
-                    f"cache expand={cache.expand} does not match "
-                    f"engine expand={self.expand}"
-                )
-            self.cache = cache
-        else:
-            self.cache = RuleCache(
-                self.index,
-                budget_bytes=budget_bytes,
-                landmark_hits=landmark_hits,
-                expand=self.expand,
-            )
+        self.cache = RuleCache(
+            self.index, budget_bytes=budget_bytes, expand=self.expand
+        )
         return self
 
     def disable_cache(self) -> "Colarm":

@@ -33,23 +33,18 @@ import numpy as np
 
 from repro import kernels
 from repro import tidset as ts
-from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.costs import CostWeights
 from repro.core.mipindex import MIPIndex, assemble_index, mine_mips
-from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError, IndexError_
 from repro.itemsets.itemset import min_count_for
-from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import FlatRTree
 from repro.rtree.supported import SupportedRTree
 
 __all__ = [
     "save_index",
     "load_index",
-    "save_cache",
-    "load_cache",
     "save_maintained",
     "load_maintained",
     "delta_sidecar_path",
@@ -62,7 +57,6 @@ _SUPPORTED_VERSIONS = (1, 2)
 _FLAT_PREFIX = "flat_"
 _KERNEL_MIPS = "kernel_mip_tidsets"
 _KERNEL_ITEMS = "kernel_item_matrix"
-_CACHE_FORMAT_VERSION = 3
 _MAINT_FORMAT_VERSION = 1
 
 
@@ -508,226 +502,6 @@ def load_maintained(path: str | Path):
     if maintained.generation < saved_generation:
         index.clock.base += saved_generation - maintained.generation
     return maintained, weights
-
-
-def save_cache(
-    cache: RuleCache, path: str | Path, compress: bool = True
-) -> None:
-    """Write a materialized rule cache to a sidecar ``.npz`` at ``path``.
-
-    Conventionally stored next to the index file (``*.cache.npz``) so a
-    restarted worker loads both and starts warm.  Entries are stored in
-    LRU -> MRU order with their hit counts and the ``|D^Q|`` they were
-    computed over, so the reloaded cache has the same eviction order and
-    landmark set and serves without resolving anything (format v3; older
-    sidecars are refused).  A rules entry is one member —
-    its block's :meth:`~repro.itemsets.rules.RuleBlock.pack` buffer — and
-    a lattice entry one count matrix per width group; ``compress=False``
-    stores them raw, which makes both eligible for zero-copy
-    ``load_cache(..., mmap_mode="r")`` — the same tradeoff as
-    :func:`save_index`.
-    """
-    path = Path(path)
-    index = cache.index
-    bases = np.asarray(index.table.schema.item_bases)
-    entries_meta: list[dict] = []
-    arrays: dict[str, np.ndarray] = {}
-    for i, (key, entry) in enumerate(cache._entries.items()):
-        focal, aitem = key[1], key[2]
-        record: dict = {
-            "kind": entry.kind,
-            "selections": [[ai, list(vs)] for ai, vs in focal],
-            "aitem": list(aitem) if aitem is not None else None,
-            "minsupp": key[4],
-            "hits": entry.hits,
-            "dq_size": entry.dq_size,
-        }
-        if entry.kind == "rules":
-            record["minconf"] = key[5]
-            record["family"] = key[6]
-            body, record["n_rules"], record["n_sources"] = entry.payload.pack()
-            arrays[f"e{i}_block"] = np.frombuffer(body, dtype=np.uint8)
-        else:
-            lattice: CachedLattice = entry.payload
-            record["extract_min_count"] = lattice.extract_min_count
-            record["n_groups"] = len(lattice.groups)
-            for j, (ids, group_counts) in enumerate(lattice.groups):
-                # An id is its attribute's base plus the value.
-                attrs = np.searchsorted(bases, ids, side="right") - 1
-                arrays[f"e{i}_g{j}_items"] = np.stack(
-                    [attrs, ids - bases[attrs]], axis=-1
-                ).astype(np.int32)
-                arrays[f"e{i}_g{j}_counts"] = group_counts
-        entries_meta.append(record)
-    meta = {
-        "cache_format_version": _CACHE_FORMAT_VERSION,
-        "generation": cache.generation(),
-        "expand": cache.expand,
-        "budget_bytes": cache.budget_bytes,
-        "landmark_hits": cache.landmark_hits,
-        "cardinalities": [int(c) for c in index.cardinalities],
-        "entries": entries_meta,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    savez = np.savez_compressed if compress else np.savez
-    savez(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
-
-
-def load_cache(
-    path: str | Path,
-    index: MIPIndex,
-    mmap_mode: str | None = None,
-) -> RuleCache:
-    """Load a cache saved by :func:`save_cache` and bind it to ``index``.
-
-    Strict invalidation survives the restart: the file records the
-    generation (R-tree mutation counter) its entries were computed at,
-    and loading refuses any file whose generation — or schema shape —
-    disagrees with the live index.  A warm-loaded cache can therefore
-    never serve rules mined against a different tree.
-
-    ``mmap_mode="r"``/``"c"`` maps the rule blocks' columns and the
-    lattice count matrices straight
-    out of the archive (members must be stored uncompressed, i.e.
-    :func:`save_cache` with ``compress=False``; compressed members fall
-    back to the eager copy) — pairing with ``load_index(mmap_mode=...)``
-    gives a warm restart whose big arrays all page in on demand.
-    """
-    path = Path(path)
-    if mmap_mode not in (None, "r", "c"):
-        raise DataError(
-            f"mmap_mode must be None, 'r' or 'c', got {mmap_mode!r}"
-        )
-    with _open_npz(path, "cache file") as archive, (
-        zipfile.ZipFile(path) if mmap_mode is not None else nullcontext()
-    ) as zf:
-        try:
-            meta = json.loads(bytes(archive["meta"]).decode())
-        except KeyError as exc:
-            raise DataError(
-                f"{path}: missing field {exc} — not a COLARM cache"
-            ) from None
-        if meta.get("cache_format_version") != _CACHE_FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported cache format version "
-                f"{meta.get('cache_format_version')}"
-            )
-        schema = index.table.schema
-        cards = [int(c) for c in index.cardinalities]
-        card_of, bases = np.asarray(cards), np.asarray(schema.item_bases)
-        if meta["cardinalities"] != cards:
-            raise DataError(
-                f"{path}: cache schema {meta['cardinalities']} does not match "
-                f"the index schema {cards}"
-            )
-        generation = int(meta["generation"])
-        if generation != index.generation:
-            raise DataError(
-                f"{path}: cache generation {generation} does not match the "
-                f"index generation {index.generation} — the index "
-                "mutated since the cache was saved; mine fresh instead"
-            )
-        cache = RuleCache(
-            index,
-            budget_bytes=int(meta["budget_bytes"]),
-            landmark_hits=int(meta["landmark_hits"]),
-            expand=bool(meta["expand"]),
-        )
-
-        def member(name: str) -> np.ndarray:
-            """One archive member: mapped in place when asked for and stored
-            raw, read whole otherwise."""
-            if name not in archive.files:
-                raise DataError(f"{path}: missing cache member {name}")
-            mapped = None
-            if zf is not None:
-                mapped = _mmap_npz_member(path, zf, name + ".npy", mmap_mode)
-            return archive[name] if mapped is None else mapped
-
-        for i, record in enumerate(meta["entries"]):
-            selections = {}
-            for ai, vs in record["selections"]:
-                ai = int(ai)
-                if not 0 <= ai < len(cards) or any(
-                    not 0 <= int(v) < cards[ai] for v in vs
-                ):
-                    raise DataError(
-                        f"{path}: entry {i} selects outside the schema"
-                    )
-                selections[ai] = frozenset(int(v) for v in vs)
-            query = LocalizedQuery(
-                range_selections=selections,
-                minsupp=float(record["minsupp"]),
-                minconf=float(record.get("minconf", 0.5)),
-                item_attributes=(
-                    frozenset(int(a) for a in record["aitem"])
-                    if record["aitem"] is not None
-                    else None
-                ),
-            )
-            if record["kind"] == "rules":
-                family = record["family"]
-                if family not in (MIP_FAMILY, ARM_FAMILY):
-                    raise DataError(
-                        f"{path}: entry {i} has unknown family {family!r}"
-                    )
-                try:
-                    rules = RuleBlock.unpack(
-                        member(f"e{i}_block"),
-                        int(record["n_rules"]),
-                        int(record["n_sources"]),
-                    )
-                except DataError as exc:
-                    raise DataError(f"{path}: entry {i}: {exc}") from exc
-                cache.put_rules(
-                    query, rules, int(record["dq_size"]), family=family
-                )
-                key = cache._rules_key(query, family)
-            else:
-                groups = []
-                for j in range(int(record["n_groups"])):
-                    pairs = np.asarray(member(f"e{i}_g{j}_items"))
-                    g_counts = member(f"e{i}_g{j}_counts")
-                    if pairs.ndim != 3 or pairs.shape[2] != 2:
-                        raise DataError(
-                            f"{path}: entry {i} group {j} lists no "
-                            "(attribute, value) pairs"
-                        )
-                    attrs, values = pairs[..., 0], pairs[..., 1]
-                    if (
-                        g_counts.shape != (len(pairs), 1 << pairs.shape[1])
-                        or (attrs < 0).any()
-                        or (attrs >= len(cards)).any()
-                        or (values < 0).any()
-                        or (values >= card_of[attrs.clip(0, len(cards) - 1)]).any()
-                    ):
-                        raise DataError(
-                            f"{path}: entry {i} counts itemsets outside "
-                            "the schema"
-                        )
-                    groups.append((bases[attrs] + values, g_counts))
-                lattice = CachedLattice(
-                    groups=tuple(groups),
-                    dq_size=int(record["dq_size"]),
-                    extract_min_count=(
-                        int(record["extract_min_count"])
-                        if record["extract_min_count"] is not None
-                        else None
-                    ),
-                    schema=schema,
-                )
-                cache.put_lattice(query, lattice)
-                key = cache._lattice_key(query)
-            entry = cache._entries.get(key)
-            if entry is not None:
-                # Restore the landmark state; insertion order already
-                # restored the LRU order (entries were saved LRU -> MRU).
-                entry.hits = int(record["hits"])
-    return cache
 
 
 def _itemset_arrays(fixed_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,13 +15,11 @@ import multiprocessing as mp
 import os
 import signal
 import threading
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
-    _HOT_KEYS_PER_WARM_SLOT,
     ClusterConfig,
     ClusterService,
     EpochPublisher,
@@ -131,43 +129,6 @@ def test_responses_are_blocks_equal_rule_for_rule_to_the_engines(tmp_path):
                         len(set(res.rules.src.tolist()))
 
     asyncio.run(main())
-
-
-def test_worker_meeting_an_unreadable_sidecar_starts_cold(tmp_path):
-    """A cache sidecar of another format version (or a torn one) costs the
-    warm start, not the worker: it loads the snapshot, serves, and says
-    why it is cold."""
-    engine = fresh_engine()
-    engine.enable_cache()
-    want = engine.query(SEATTLE).rules
-    info = EpochPublisher(engine, tmp_path).publish()
-    sidecar = info.cache_path(tmp_path)
-    assert sidecar is not None and sidecar.exists()
-
-    runtime = _WorkerRuntime(0, tmp_path, config())
-    runtime.load_current()
-    assert runtime.cold_start_reason is None and len(runtime.engine.cache)
-
-    with np.load(sidecar) as archive:
-        members = {name: archive[name] for name in archive.files}
-    meta = json.loads(bytes(members["meta"]).decode())
-    meta["cache_format_version"] = 1
-    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(sidecar, **members)
-
-    runtime = _WorkerRuntime(0, tmp_path, config())
-    runtime.load_current()
-    assert "version 1" in runtime.cold_start_reason
-    assert runtime.stats()["cold_start_reason"] == runtime.cold_start_reason
-    assert len(runtime.engine.cache) == 0
-    outcome = runtime.engine.query(SEATTLE)
-    assert not outcome.cached and outcome.rules == want
-
-    sidecar.write_bytes(sidecar.read_bytes()[:100])  # torn write
-    runtime = _WorkerRuntime(0, tmp_path, config())
-    runtime.load_current()
-    assert "cannot read cache file" in runtime.cold_start_reason
-    assert runtime.engine.query(SEATTLE).rules == want
 
 
 def test_crash_respawn_serves_every_request_byte_identically(tmp_path):
@@ -380,27 +341,44 @@ def test_epoch_publish_never_serves_stale_or_torn(tmp_path):
     asyncio.run(main())
 
 
-def test_warm_cache_sidecar_survives_the_hot_swap(tmp_path):
-    """The publisher seeds its cache with the hottest focal groups, so a
-    worker that hot-swaps to the new epoch starts warm and serves the
-    very first repeat of a hot query from its reloaded cache."""
+def test_a_hot_swapped_worker_starts_cold_and_refills(tmp_path):
+    """A publish ships the snapshot only: the worker that hot-swaps to it
+    answers a key that was hot before with a fresh execution, equal to a
+    rebuild over the grown rows, and serves the repeat from its own cache.
+    An epoch file that still names a cache sidecar stays servable."""
     engine = fresh_engine()
     engine.enable_cache()
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
             for _ in range(3):
-                await cluster.submit(SEATTLE)  # make the key hot
+                assert (await cluster.submit(SEATTLE)).epoch == 1
             await cluster.ingest(
                 salary_dataset().data[:2].tolist(), publish=True
             )
             info = read_epoch(tmp_path)
-            assert info.cache is not None, "publish did not seed a sidecar"
-            res = await cluster.submit(SEATTLE)
-            assert res.epoch == info.epoch
-            assert res.cached, "the hot-swapped worker should start warm"
+            assert not list(tmp_path.glob("*.cache.npz"))
+            want = Colarm(
+                engine.index.table, primary_support=0.15
+            ).query(SEATTLE).rules
+            first = await cluster.submit(SEATTLE)
+            assert first.epoch == info.epoch and not first.cached
+            assert first.rules == want
+            repeat = await cluster.submit(SEATTLE)
+            assert repeat.epoch == info.epoch and repeat.cached
+            assert repeat.rules == want
+            return info, want
 
-    asyncio.run(main())
+    info, want = asyncio.run(main())
+    legacy = dict(info.as_dict(), cache=info.snapshot.replace(
+        ".colarm.npz", ".cache.npz"
+    ))
+    (tmp_path / "EPOCH.json").write_text(json.dumps(legacy))
+    assert read_epoch(tmp_path) == info
+    runtime = _WorkerRuntime(0, tmp_path, config())
+    runtime.load_current()
+    assert runtime.epoch == info.epoch and len(runtime.engine.cache) == 0
+    assert runtime.engine.query(SEATTLE).rules == want
 
 
 def test_membership_changes_remap_boundedly(tmp_path):
@@ -455,6 +433,45 @@ def test_submit_after_stop_raises(tmp_path):
     asyncio.run(main())
 
 
+def test_publish_after_stop_raises(tmp_path):
+    """A stopped cluster publishes nothing: no snapshot is written and
+    the epoch does not advance with no worker left to serve it."""
+    from repro.errors import ServiceClosedError
+
+    engine = fresh_engine()
+
+    async def main():
+        cluster = ClusterService(engine, tmp_path, config())
+        await cluster.start()
+        await cluster.stop()
+        with pytest.raises(ServiceClosedError):
+            await cluster.publish()
+
+    asyncio.run(main())
+    assert read_epoch(tmp_path).epoch == 1
+    assert sorted(p.name for p in tmp_path.glob("snapshot-*")) == [
+        "snapshot-000001.colarm.npz"
+    ]
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('{"epoch": 1, "generation": 0, "n_records": 5}', "'snapshot'"),
+    ('[1, "snapshot-000001.colarm.npz", 0, 5]', "TypeError"),
+    ('{"epoch": "x", "snapshot": "s", "generation": 0, "n_records": 5}',
+     "ValueError"),
+], ids=["missing-field", "list", "non-integer-epoch"])
+def test_a_malformed_epoch_file_is_a_data_error(tmp_path, text, reason):
+    """A readable ``EPOCH.json`` that is not a complete epoch record is
+    refused as a ``DataError`` naming the file, never a bare exception."""
+    from repro.errors import DataError
+
+    path = tmp_path / "EPOCH.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match="EPOCH.json") as refused:
+        read_epoch(tmp_path)
+    assert reason in str(refused.value)
+
+
 def test_burst_larger_than_the_pipes_is_served(tmp_path):
     """The router's loop both writes requests into a worker's pipe and
     reads its answers: a burst that fills both directions must not leave
@@ -480,59 +497,3 @@ def test_burst_larger_than_the_pipes_is_served(tmp_path):
     assert not runner.is_alive(), "router and worker deadlocked on full pipes"
     assert len(served) == n_requests
     assert all(res.rules == reference for res in served)
-
-
-def test_hot_key_table_is_pruned_and_seeds_the_same_top_k(tmp_path):
-    """The per-key routing counters stay bounded, and what they forget is
-    never what ``_seed_cache`` reads: the hottest ``warm_top_k``."""
-    engine = fresh_engine()
-    engine.enable_cache()
-    cluster = ClusterService(engine, tmp_path, config(warm_top_k=2))
-    cap = _HOT_KEYS_PER_WARM_SLOT * 2
-    hot = [engine.parse(q) for q in QUERIES]
-    exact: Counter = Counter()
-
-    def route(query, key: bytes) -> None:
-        exact[key] += 1
-        cluster._count_hot(key, query)
-
-    for i in range(3 * cap):
-        route(hot[0], b"cold-%d" % i)          # a long tail of one-offs
-        for rank, query in enumerate(hot):
-            if i % (rank + 1) == 0:            # hot[0] > hot[1] > hot[2]
-                route(query, b"hot-%d" % rank)
-    assert len(exact) > 3 * cap
-    assert len(cluster._hot) <= cap
-    for rank in range(3):
-        assert cluster._hot[b"hot-%d" % rank][0] == exact[b"hot-%d" % rank]
-    cluster._seed_cache()
-    warmed = [engine.cache.probe(query).kind for query in hot]
-    assert warmed == ["rules", "rules", None]
-
-
-def test_an_emptied_hot_region_does_not_stop_cache_seeding(tmp_path):
-    """A hot key whose focal subset was deleted empty cannot be answered:
-    seeding skips and counts it, and still warms every colder hot key."""
-    engine = fresh_engine()
-    engine.enable_cache()
-    # No fold may start (and rebind the cache) while the keys are seeded.
-    engine.enable_maintenance(max_delta_fraction=0.99)
-    cluster = ClusterService(engine, tmp_path, config(warm_top_k=3))
-    male = (
-        "REPORT LOCALIZED ASSOCIATION RULES FROM salary "
-        "WHERE RANGE Gender = (M) "
-        "HAVING minsupport = 0.4 AND minconfidence = 0.7;"
-    )
-    hot = [engine.parse(q) for q in (SEATTLE, BOSTON, male)]
-    for rank, query in enumerate(hot):
-        for _ in range(3 - rank):
-            cluster._count_hot(b"hot-%d" % rank, query)
-    emptied = hot[0].range_selections
-    engine.delete([
-        tid for tid, row in enumerate(engine.table.data.tolist())
-        if all(row[a] in values for a, values in emptied.items())
-    ])
-    cluster._seed_cache()
-    warmed = [engine.cache.probe(query).kind for query in hot]
-    assert warmed == [None, "rules", "rules"]
-    assert cluster.snapshot()["seed_skipped"] == 1

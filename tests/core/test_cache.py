@@ -1,4 +1,4 @@
-"""The materialized rule cache: unit policy, engine integration, persistence.
+"""The materialized rule cache: unit policy and engine integration.
 
 Three layers of coverage:
 
@@ -7,14 +7,11 @@ Three layers of coverage:
 * the engine path — ``enable_cache``/``query`` serving repeats byte-
   identically, lattice hits replaying at a new ``minconf``, forced plans,
   the ``use_cache`` bypass;
-* ``save_cache``/``load_cache`` round-trips, including ``mmap_mode`` and
-  the strict generation check on load;
 * one probe per request, a hit served without pricing, and the cache's
   own lock under a thread hammer.
 """
 
 import asyncio
-import json
 import sys
 import threading
 
@@ -24,10 +21,8 @@ import pytest
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
-from repro.core.persistence import load_cache, save_cache
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
-from repro.errors import DataError
 from repro.itemsets.rules import RuleBlock
 from repro.serving import QueryService
 from tests.conftest import make_random_table
@@ -393,20 +388,6 @@ def test_every_request_probes_once_and_a_hit_is_not_priced(engine,
     assert evicted.rules == miss.rules
 
 
-def test_warm_loaded_entry_is_served_on_first_repeat(index, tmp_path,
-                                                     monkeypatch):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path)
-    engine = Colarm.from_index(index)
-    engine.enable_cache(cache=load_cache(path, index))
-    calls = _spy(engine, monkeypatch)
-    first = engine.query(queries[0])
-    assert first.cached and calls["choose"] == calls["profile_for"] == 0
-    fresh = execute_plan(PlanKind.SSVS, index, queries[0])
-    assert first.rules == fresh.rules and first.dq_size == fresh.dq_size
-
-
 def test_lattice_hit_replays_at_new_minconf(engine):
     engine.enable_cache()
     base = q({1: {0, 1}}, minsupp=0.3, minconf=0.6)
@@ -452,190 +433,3 @@ def test_disable_cache_detaches(engine):
     engine.disable_cache()
     assert engine.cache is None
     assert not engine.query(query).cached
-
-
-def test_enable_cache_rejects_expand_mismatch(engine, index):
-    foreign = RuleCache(index, expand=True)
-    with pytest.raises(ValueError, match="expand"):
-        engine.enable_cache(cache=foreign)
-
-
-# -- persistence --------------------------------------------------------------
-
-
-def populated_cache(index):
-    engine = Colarm.from_index(index).enable_cache()
-    queries = [
-        q({0: {1}}, minconf=0.6),
-        q({0: {1}}, minconf=0.8),
-        q({1: {0, 1}}, minsupp=0.35, aitem=frozenset({0, 2, 3})),
-    ]
-    for query in queries:
-        engine.query(query, plan=PlanKind.SSVS)
-        engine.query(query, plan=PlanKind.ARM)
-    # Make one entry a landmark so hit counts are non-trivial.
-    for _ in range(4):
-        engine.query(queries[0], plan=PlanKind.SSVS)
-    return engine.cache, queries
-
-
-def test_save_load_roundtrip(index, tmp_path):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path)
-    loaded = load_cache(path, index)
-    assert len(loaded) == len(cache)
-    assert loaded.entries_by_kind() == cache.entries_by_kind()
-    assert loaded.budget_bytes == cache.budget_bytes
-    assert loaded.landmark_hits == cache.landmark_hits
-    for query in queries:
-        for family in (MIP_FAMILY, ARM_FAMILY):
-            assert loaded.get_rules(query, family) == \
-                cache.get_rules(query, family), (query, family)
-        a, b = loaded.get_lattice(query), cache.get_lattice(query)
-        assert a.extract(query.minconf) == b.extract(query.minconf)
-    # Hit counts (landmark status) and LRU order survive the round-trip.
-    assert [e.hits for e in loaded._entries.values()] == \
-        [e.hits for e in cache._entries.values()]
-    assert list(loaded._entries) == list(cache._entries)
-
-
-def _mapped(arr) -> bool:
-    """Whether an array's memory is a file mapping somewhere down its
-    chain of bases (``frombuffer`` columns hang off a memoryview)."""
-    while arr is not None:
-        if isinstance(arr, np.memmap):
-            return True
-        arr = getattr(arr, "base", None) if isinstance(arr, np.ndarray) \
-            else getattr(arr, "obj", None)
-    return False
-
-
-def test_save_load_mmap_lattice(index, tmp_path):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path, compress=False)
-    loaded = load_cache(path, index, mmap_mode="r")
-
-    lattice = loaded.get_lattice(queries[0])
-    assert any(_mapped(counts) for _, counts in lattice.groups)
-    assert lattice.extract(queries[0].minconf) == \
-        cache.get_lattice(queries[0]).extract(queries[0].minconf)
-
-
-def test_save_load_mmap_rule_blocks(index, tmp_path):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path, compress=False)
-    mapped = load_cache(path, index, mmap_mode="r")
-    eager = load_cache(path, index)
-    for query in queries:
-        for family in (MIP_FAMILY, ARM_FAMILY):
-            want = cache.get_rules(query, family)
-            got = mapped.get_rules(query, family)
-            assert isinstance(got, RuleBlock) and got == want
-            assert _mapped(got.support_count) and _mapped(got.src)
-            assert not got.confidence.flags.writeable
-            assert not _mapped(eager.get_rules(query, family).support)
-    # A compressed archive cannot be mapped: the same call reads it whole.
-    save_cache(cache, path)
-    fallback = load_cache(path, index, mmap_mode="r")
-    assert fallback.get_rules(queries[0]) == cache.get_rules(queries[0])
-    assert not _mapped(fallback.get_rules(queries[0]).src)
-
-
-def test_loaded_entries_keep_order_hits_landmarks_and_dq_size(index, tmp_path):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path, compress=False)
-    for mmap_mode in (None, "r"):
-        loaded = load_cache(path, index, mmap_mode=mmap_mode)
-        assert list(loaded._entries) == list(cache._entries)  # LRU -> MRU
-        assert [e.hits for e in loaded._entries.values()] == \
-            [e.hits for e in cache._entries.values()]
-        landmarks = [e.hits >= cache.landmark_hits
-                     for e in loaded._entries.values()]
-        assert any(landmarks) and not all(landmarks)
-        assert [e.dq_size for e in loaded._entries.values()] == \
-            [e.dq_size for e in cache._entries.values()]
-        assert [e.nbytes for e in loaded._entries.values()] == \
-            [e.nbytes for e in cache._entries.values()]
-
-
-def _rewrite(path, change):
-    """Re-save the archive at ``path`` after ``change(members)``."""
-    with np.load(path) as archive:
-        members = {name: archive[name] for name in archive.files}
-    change(members)
-    np.savez(path, **members)
-
-
-def test_load_refuses_a_v1_sidecar(index, tmp_path):
-    """... and a v2 one: neither stores a rules entry's ``|D^Q|``."""
-    cache, _ = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    for version in (1, 2):
-        save_cache(cache, path, compress=False)
-
-        def downgrade(members):
-            meta = json.loads(bytes(members["meta"]).decode())
-            assert meta["cache_format_version"] == 3
-            meta["cache_format_version"] = version
-            members["meta"] = np.frombuffer(
-                json.dumps(meta).encode(), dtype=np.uint8
-            )
-
-        _rewrite(path, downgrade)
-        for mmap_mode in (None, "r"):
-            with pytest.raises(DataError, match=f"version {version}"):
-                load_cache(path, index, mmap_mode=mmap_mode)
-
-
-@pytest.mark.parametrize("mmap_mode", [None, "r"])
-@pytest.mark.parametrize("cut", [1, 8, 40])
-def test_truncated_block_member_is_refused(index, tmp_path, mmap_mode, cut):
-    """A rules member shorter than its entry says never loads as a short
-    rule list."""
-    cache, _ = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path, compress=False)
-
-    def truncate(members):
-        name = next(n for n in members if n.endswith("_block"))
-        members[name] = members[name][:-cut]
-
-    _rewrite(path, truncate)
-    with pytest.raises(DataError, match="entry"):
-        load_cache(path, index, mmap_mode=mmap_mode)
-    # ... and a missing member is refused by name.
-    _rewrite(path, lambda members: members.pop(
-        next(n for n in members if n.endswith("_block"))))
-    with pytest.raises(DataError, match="missing cache member"):
-        load_cache(path, index, mmap_mode=mmap_mode)
-
-
-def test_load_refuses_generation_mismatch(index, tmp_path):
-    cache, _ = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path)
-    index.bump_generation()
-    try:
-        with pytest.raises(DataError, match="generation"):
-            load_cache(path, index)
-    finally:
-        index.clock.ticks -= 1  # the fixture is shared
-    assert len(load_cache(path, index)) == len(cache)
-
-
-def test_load_adopts_into_engine(index, tmp_path):
-    cache, queries = populated_cache(index)
-    path = tmp_path / "warm.cache.npz"
-    save_cache(cache, path)
-    engine = Colarm.from_index(index)
-    engine.enable_cache(cache=load_cache(path, index))
-    outcome = engine.query(queries[0], plan=PlanKind.SSVS)
-    assert outcome.cached
-    assert outcome.rules == cache.get_rules(queries[0])
-    assert outcome.dq_size == execute_plan(
-        PlanKind.SSVS, index, queries[0]
-    ).dq_size

@@ -384,33 +384,6 @@ def test_load_detects_corrupt_kernel_matrix(index, tmp_path):
         load_index(path)
 
 
-def test_load_cache_accepts_rebased_generation(index, tmp_path):
-    """Regression: ``load_cache`` compares ``index.generation`` (lineage
-    base + ticks + mutations), not the raw R-tree mutation counter — a
-    cluster worker re-bases its clock to the published generation, and a
-    warm sidecar saved at that generation must load."""
-    from repro.core.persistence import load_cache, save_cache
-    from repro.core.engine import Colarm
-
-    path = tmp_path / "t.colarm.npz"
-    save_index(index, path, compress=False)
-    loaded, _ = load_index(path, mmap_mode="r")
-    loaded.clock.base = 7  # what a worker does to join the lineage
-    assert loaded.generation == 7
-
-    engine = Colarm.from_index(loaded).enable_cache()
-    query = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6)
-    engine.query(query)
-    cache_path = tmp_path / "t.cache.npz"
-    save_cache(engine.cache, cache_path, compress=False)
-    warm = load_cache(cache_path, loaded, mmap_mode="r")
-    assert len(warm) == len(engine.cache)
-
-    loaded.clock.base = 8  # an actual lineage mismatch still refuses
-    with pytest.raises(DataError, match="generation"):
-        load_cache(cache_path, loaded)
-
-
 def _rewrite(path, change):
     """Apply ``change`` to the archive's members (a dict) and rewrite it."""
     with np.load(path) as archive:
@@ -521,30 +494,23 @@ def test_save_load_save_is_byte_equal(index, tmp_path, verify):
 
 
 def test_loads_close_their_archives(index, tmp_path, monkeypatch):
-    """``load_index``, ``load_maintained`` and ``load_cache`` — a refused
-    cache sidecar included — leave no archive open for the collector to
-    find (a ``ResourceWarning`` under ``-X dev``): a refusal has closed
-    its archive even while its traceback still holds the loader's frame."""
+    """``load_index`` and ``load_maintained`` — a refused snapshot
+    included — leave no archive open for the collector to find (a
+    ``ResourceWarning`` under ``-X dev``): a refusal has closed its
+    archive even while its traceback still holds the loader's frame."""
     import gc
     import os
     import sys
     import warnings
 
-    from repro.core.engine import Colarm
     from repro.core.maintenance import MaintainedIndex
-    from repro.core.persistence import (
-        load_cache,
-        load_maintained,
-        save_cache,
-        save_maintained,
-    )
+    from repro.core.persistence import load_maintained, save_maintained
 
     path = tmp_path / "t.colarm.npz"
     save_index(index, path, compress=False)
-    engine = Colarm.from_index(index).enable_cache()
-    engine.query(LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6))
-    cache_path = tmp_path / "t.cache.npz"
-    save_cache(engine.cache, cache_path, compress=False)
+    damaged = tmp_path / "damaged.colarm.npz"
+    save_index(index, damaged, compress=False)
+    _rewrite(damaged, _flipped_kernel_bit)
     maintained_path = tmp_path / "m.colarm.npz"
     save_maintained(MaintainedIndex.from_index(index), maintained_path)
 
@@ -557,13 +523,17 @@ def test_loads_close_their_archives(index, tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         for mmap_mode in (None, "r"):
-            loaded, _ = load_index(path, mmap_mode=mmap_mode, verify="stored")
-            load_cache(cache_path, loaded, mmap_mode=mmap_mode)
-            loaded.clock.base += 1  # the sidecar is now refused
+            load_index(path, mmap_mode=mmap_mode, verify="stored")
             before = open_fds()
-            with pytest.raises(DataError, match="generation") as refused:
-                load_cache(cache_path, loaded, mmap_mode=mmap_mode)
+            with pytest.raises(DataError, match="kernel") as refused:
+                load_index(damaged, mmap_mode=mmap_mode, verify="stored")
             assert refused.value.__traceback__ is not None
+            if mmap_mode is None:
+                assert open_fds() == before
+            # Members mapped before the refusal hold their own descriptor
+            # until the traceback lets go of them; the archives do not.
+            del refused
+            gc.collect()
             assert open_fds() == before
         load_maintained(maintained_path)
         gc.collect()

@@ -621,7 +621,11 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
       caches alive through membership changes.
     * **Identity** — a live two-worker cluster over the salary dataset
       answers every probe byte-identically to the engine it was built
-      from, on the worker the ring names (sticky routing).
+      from, on the worker the ring names (sticky routing); then, after
+      one ingest + publish, every probe is answered at the new epoch
+      byte-identically to an engine rebuilt from the grown rows — the
+      hot-swapped workers start with empty caches, so this is the cold
+      path a publish leaves them on.
 
     ``corrupt=True`` replaces consistent routing with naive modulo
     placement — still deterministic and balanced, but a join reshuffles
@@ -630,6 +634,8 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     """
     import asyncio
     import tempfile
+
+    import numpy as np
 
     from repro import cluster as cluster_mod
     from repro.cluster import (
@@ -641,6 +647,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     from repro.core.calibration import default_probe_queries
     from repro.core.engine import Colarm
     from repro.dataset.salary import salary_dataset
+    from repro.dataset.table import RelationalTable
     from repro.errors import ServiceError
     from repro.serving import ServingConfig
 
@@ -695,11 +702,10 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
         if any(a.route(k) != before[k] for k in keys):
             failures.append("leave_moved_unrelated_keys")
 
+        primary_support = float(config.get("primary_support", 0.15))
+        salary = salary_dataset()
         t0 = time.perf_counter()
-        engine = Colarm(
-            salary_dataset(),
-            primary_support=float(config.get("primary_support", 0.15)),
-        )
+        engine = Colarm(salary, primary_support=primary_support)
         build_s = time.perf_counter() - t0
         queries = default_probe_queries(
             engine.index,
@@ -707,6 +713,14 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
             seed=int(config["seed"]),
         )
         refs = [engine.query(q, use_cache=False).rules for q in queries]
+        grown_rows = salary.data[::5]
+        grown = Colarm(
+            RelationalTable(
+                salary.schema, np.vstack([salary.data, grown_rows])
+            ),
+            primary_support=primary_support,
+        )
+        grown_refs = [grown.query(q, use_cache=False).rules for q in queries]
 
         async def identity_run():
             with tempfile.TemporaryDirectory() as tmp:
@@ -722,13 +736,21 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
                         key = _focal_key_bytes(q, engine.index.cardinalities)
                         n_identical += res.rules == ref
                         n_sticky += res.worker == cluster.ring.route(key)
-                    return n_identical, n_sticky
+                    await cluster.ingest(grown_rows.tolist(), publish=True)
+                    epoch = cluster.publisher.epoch
+                    n_published = 0
+                    for q, ref in zip(queries, grown_refs):
+                        res = await cluster.submit(q)
+                        n_published += res.epoch == epoch and res.rules == ref
+                    return n_identical, n_sticky, n_published
 
-        n_identical, n_sticky = asyncio.run(identity_run())
+        n_identical, n_sticky, n_published = asyncio.run(identity_run())
         if n_identical != len(queries):
             failures.append("cluster_answers_diverge")
         if n_sticky != len(queries):
             failures.append("routing_not_sticky")
+        if n_published != len(queries):
+            failures.append("published_answers_diverge")
     finally:
         HashRing.route = original_route
 
@@ -743,6 +765,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
         "join_remap_fraction": round(len(moved) / len(keys), 4),
         "identity": n_identical,
         "sticky": n_sticky,
+        "identity_after_publish": n_published,
         "passed": not failures,
         "failures": failures,
     }
@@ -939,7 +962,9 @@ def main(argv: list[str] | None = None) -> int:
             f" (bound {1 / cluster_report['workers'] + 0.08:.3f}), "
             f"identity {cluster_report['identity']}/"
             f"{cluster_report['scenarios']}, sticky "
-            f"{cluster_report['sticky']}/{cluster_report['scenarios']}"
+            f"{cluster_report['sticky']}/{cluster_report['scenarios']}, "
+            f"after publish {cluster_report['identity_after_publish']}/"
+            f"{cluster_report['scenarios']}"
             + (" [routing corrupted]" if cluster_report["corrupted"] else "")
         )
     if passed:

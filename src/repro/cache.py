@@ -125,9 +125,12 @@ class CacheStats:
 class CachedLattice:
     """One focal region's width-grouped subset-lattice counts.
 
-    ``groups`` pairs each same-width source batch — an ``(m, n)`` matrix
-    of item ids — with its ``(m, 2**n)`` int64 count matrix: exactly the
-    intermediate :func:`repro.core.operators._rules_from_qualified`
+    ``groups`` are the ``(ids, counts, order)`` width groups of one
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call — each
+    same-width source batch as an ``(m, n)`` matrix of item ids, with its
+    ``(m, 2**n)`` int32 matrices of sub-itemset supports and of their
+    positions in the table's id-tuple order (eight bytes a cell): exactly
+    the intermediate :func:`repro.core.operators._rules_from_qualified`
     builds before rule extraction; ``schema`` is the one the ids belong
     to.  ``extract`` replays the extraction deterministically, so
     a lattice hit is byte-identical to the fresh MIP-plan execution for
@@ -136,7 +139,7 @@ class CachedLattice:
     qualified closures).
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     dq_size: int
     extract_min_count: int | None
     schema: Schema
@@ -149,7 +152,7 @@ class CachedLattice:
         )
 
     def nbytes(self) -> int:
-        return sum(ids.nbytes + counts.nbytes for ids, counts in self.groups)
+        return sum(array.nbytes for group in self.groups for array in group)
 
 
 @dataclass
@@ -357,9 +360,11 @@ class RuleCache:
         lattice: CachedLattice,
         generation: int | None = None,
     ) -> bool:
-        """Insert one focal region's subset-lattice counts."""
-        for _, counts in lattice.groups:
-            counts.setflags(write=False)
+        """Insert one focal region's subset-lattice counts.  Every array
+        of the lattice becomes read-only: each replay shares them."""
+        for group in lattice.groups:
+            for array in group:
+                array.setflags(write=False)
         nbytes = _ENTRY_BASE_BYTES + lattice.nbytes()
         return self._insert(
             self._lattice_key(query), "lattice", lattice, nbytes, generation,

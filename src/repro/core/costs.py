@@ -231,8 +231,8 @@ _LATTICE_PASS_WORDS = 8192.0
 _LATTICE_CELL_WORDS = 4.0
 _LATTICE_SHARING = 8.0
 #: Fixed setup cost of one batched rule-extraction pass, in fan-out units:
-#: numpy dispatch over the lattice chunks, the packed-rank lexsort, and the
-#: per-width group loop amount to roughly two thousand fan-out units of
+#: numpy dispatch over the lattice chunks, the argsort of the rank keys and
+#: the per-width group loop amount to roughly two thousand fan-out units of
 #: vectorized work regardless of how many splits are actually checked.
 _RULEGEN_OVERHEAD_UNITS = 2048.0
 
@@ -787,7 +787,7 @@ class CostModel:
         ``_RULEGEN_OVERHEAD_UNITS`` is the mirror image of
         ``_ARM_OP_OVERHEAD_WORDS``: the batched extraction pays a fixed
         setup cost (chunked numpy dispatch over the subset lattice, the
-        packed-rank ``lexsort``, the per-width group loop) that dominates
+        ``argsort`` of the rank keys, the per-width group loop) that dominates
         small fan-outs.  Without the constant, the per-unit weight fitted
         on small probe fan-outs *overprices* large queries by the same
         factor the vectorized pass amortizes — which tips the optimizer

@@ -15,11 +15,10 @@ sharing work across them:
   ``|D^Q|``-bit repack of the item tidsets) is built once per distinct
   focal subset and shared by every query in the group, so only the first
   query of a group pays the projection cost;
-* in closed mode, the *subset-lattice counts* of each source itemset
-  (:meth:`~repro.kernels.FocalKernel.count_subset_lattice` rows) are
-  memoized per group — a later query at a different threshold recounts
-  only sources the earlier queries did not qualify, and its rule
-  extraction replays the memoized rows for the rest.
+* in closed mode, the *subset-lattice counts* of a group's sources
+  (:meth:`~repro.kernels.FocalKernel.count_subset_lattice`) are one
+  table: every source any query of the group qualifies is counted once,
+  and each query extracts its rules from its own rows of that table.
 
 Focal-subset grouping is *canonical*: selections naming an attribute's
 entire domain are dropped from the group key, so queries that select the
@@ -76,7 +75,7 @@ class BatchReport:
     elapsed: float
     n_projections: int = 0  # focal projections actually built
     projection_hits: int = 0  # queries served by an already-built projection
-    lattice_hits: int = 0   # source lattices replayed from the group memo
+    lattice_hits: int = 0   # source lattices read again off a group's table
 
     @property
     def n_queries(self) -> int:
@@ -95,12 +94,12 @@ def execute_batch(
 
     groups: dict[tuple, int] = {}
     group_data: list[dict] = []
-    items: list[BatchItem | None] = [None] * len(queries)
     n_projections = 0
     projection_hits = 0
     lattice_hits = 0
     cards = index.cardinalities
 
+    asked = []  # per query: its group, context and qualified MIPs
     for qi, query in enumerate(queries):
         query.validate_against(index.table.schema)
         # Canonical focal key (shared with the cache and the serving
@@ -136,7 +135,7 @@ def execute_batch(
                 "focus": focus,
                 "rows": rows,
                 "counts": counts,
-                "lattice": {},   # MIP row -> its source ids and count row
+                "qualified": np.zeros(len(rows), dtype=bool),
             })
             n_projections += 1
         else:
@@ -149,22 +148,35 @@ def execute_batch(
             np.searchsorted(-data["counts"], -focus.min_count, side="right")
         )
         ctx = QueryContext(index=index, query=query, focus=focus, expand=expand)
-        rows_q = data["rows"][:n_keep]
-        counts_q = data["counts"][:n_keep]
-        keep = _aitem_mask(ctx, rows_q)
-        qualified = QualifiedArray(rows_q[keep], counts_q[keep])
-        shared = _rules_with_shared_lattice(ctx, qualified, data["lattice"])
-        if shared is not None:
-            rules, hits = shared
-            lattice_hits += hits
+        keep = np.flatnonzero(_aitem_mask(ctx, data["rows"][:n_keep]))
+        data["qualified"][keep] = True
+        asked.append((gid, ctx, keep))
+
+    tables = [
+        None if expand else _count_group(data, index) for data in group_data
+    ]
+    items = []
+    for gid, ctx, keep in asked:
+        data = group_data[gid]
+        if tables[gid] is None:
+            rules, _lookups, _kernel_s = _rules_from_qualified(
+                ctx, QualifiedArray(data["rows"][keep], data["counts"][keep])
+            )
         else:
-            rules, _lookups, _kernel_s = _rules_from_qualified(ctx, qualified)
-        items[qi] = BatchItem(
-            query=query, rules=rules, dq_size=focus.dq_size, shared_group=gid
-        )
+            rules, n_sources = _rules_from_table(ctx, tables[gid], keep)
+            lattice_hits += n_sources
+        items.append(BatchItem(
+            query=ctx.query, rules=rules, dq_size=ctx.dq_size,
+            shared_group=gid,
+        ))
+    # Every source was counted once; each other use of it was a replay.
+    lattice_hits -= sum(
+        len(members) for table in tables if table is not None
+        for members, _ in table
+    )
 
     return BatchReport(
-        items=[item for item in items if item is not None],
+        items=items,
         n_groups=len(group_data),
         n_searches=len(group_data),
         elapsed=time.perf_counter() - start,
@@ -174,59 +186,40 @@ def execute_batch(
     )
 
 
-def _rules_with_shared_lattice(
-    ctx: QueryContext,
-    qualified: QualifiedArray,
-    memo: "dict[int, tuple[np.ndarray, np.ndarray]]",
-) -> tuple[RuleBlock, int] | None:
-    """Closed-mode rule generation replaying the group's lattice memo.
+def _count_group(data: dict, index: MIPIndex) -> list:
+    """Closed mode: the group's one sub-itemset table over every source a
+    query of the group qualified, as ``(members, group)`` per width group
+    of :meth:`~repro.kernels.FocalKernel.count_subset_lattice` —
+    ``members[j]`` is the candidate whose source is the group's row
+    ``j``."""
+    counted = np.flatnonzero(data["qualified"])
+    sources, widths = mip_sources(index, data["rows"][counted])
+    wide = widths >= 2  # MIPs of fewer than two items are no source
+    if not wide.any():
+        return []
+    groups = data["focus"].kernel().count_subset_lattice(sources[wide])
+    # The kernel groups sources by width, ascending, keeping their order.
+    counted, widths = counted[wide], widths[wide]
+    return [(counted[widths == group[0].shape[1]], group) for group in groups]
 
-    Each qualified closure's subset-lattice count row is computed at most
-    once per focal-subset group: rows already memoized by an earlier query
-    of the group (at any threshold) are reused verbatim, only the missing
-    sources hit the kernel, and extraction runs over the combined rows —
-    the same :func:`rules_from_subset_lattices` call as the per-query
-    path, so the rule sets are byte-identical (its canonical ordering is
-    source-order independent).  ``memo`` maps a MIP row to its source ids
-    and count row.
 
-    Returns ``(rules, n_memo_hits)``, or ``None`` to fall back to
-    :func:`_rules_from_qualified` (expanded mode — sources depend on the
-    query's own frequency floor, so rows are not reusable as-is).
-    """
-    if ctx.expand:
-        return None
-    rows = qualified.rows.tolist()
-    missing = [row for row in rows if row not in memo]
-    counted = 0
-    if missing:
-        sources, widths = mip_sources(ctx.index, missing)
-        # One same-width batch per call: the kernel keeps a batch's order,
-        # so its rows pair back with the MIP rows they were made from.
-        for n in np.unique(widths).tolist():
-            batch = np.flatnonzero(widths == n).tolist()
-            if n < 2:
-                memo.update((missing[i], None) for i in batch)
-                continue
-            [(ids, counts)] = ctx.focal_kernel().count_subset_lattice(
-                sources[batch, :n]
-            )
-            counted += len(batch)
-            memo.update(zip((missing[i] for i in batch), zip(ids, counts)))
-    # MIPs of fewer than two items (memoized as ``None``) are no source.
-    by_width: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for row in rows:
-        if memo[row] is not None:
-            by_width.setdefault(len(memo[row][0]), []).append(memo[row])
-    groups = [
-        tuple(np.stack(column) for column in zip(*by_width[n]))
-        for n in sorted(by_width)
-    ]
+def _rules_from_table(
+    ctx: QueryContext, table: list, keep: np.ndarray
+) -> tuple[RuleBlock, int]:
+    """The rules of the qualified candidates ``keep`` extracted from their
+    rows of the group's table — the same
+    :func:`rules_from_subset_lattices` call as the per-query path, over
+    positions from one table, so the rule sets are byte-identical.
+    Returns ``(rules, sources read)``."""
+    mine = []
+    for members, group in table:
+        rows = np.flatnonzero(np.isin(members, keep))
+        if len(rows):
+            mine.append(tuple(array[rows] for array in group))
     rules = rules_from_subset_lattices(
-        groups, ctx.dq_size, ctx.query.minconf,
-        schema=ctx.index.table.schema,
+        mine, ctx.dq_size, ctx.query.minconf, schema=ctx.index.table.schema,
     )
-    return rules, sum(map(len, by_width.values())) - counted
+    return rules, sum(len(ids) for ids, _, _ in mine)
 
 
 def _group_candidate_rows(index: MIPIndex, focal) -> np.ndarray:

@@ -172,10 +172,10 @@ class QueryContext:
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     projection_s: float = 0.0  # one-off focal-projection build time
     #: Per-width subset-lattice groups from the last VERIFY-family rule
-    #: generation (``[((m, n) source ids, (m, 2**n) counts), ...]``) — the
-    #: reusable intermediate the materialized cache stores.  ``None``
-    #: until rule generation ran.
-    lattice_groups: "list[tuple[np.ndarray, np.ndarray]] | None" = field(
+    #: generation (``[((m, n) source ids, (m, 2**n) counts, (m, 2**n)
+    #: order), ...]``) — the reusable intermediate the materialized cache
+    #: stores.  ``None`` until rule generation ran.
+    lattice_groups: "list[tuple[np.ndarray, ...]] | None" = field(
         default=None, repr=False
     )
 
@@ -599,9 +599,9 @@ def _rules_from_sources(
     sub-itemsets are the sources.  All supports come from the
     focal-projected kernel: every *distinct* sub-itemset of the request
     is ANDed and popcounted once over ``|D^Q|``-bit rows, the per-width
-    ``(m, 2**n)`` count matrices are a gather from that table, and one
-    vectorized pass checks every antecedent/consequent confidence and
-    emits the rules in canonical order
+    ``(m, 2**n)`` count and order matrices are gathers from that table,
+    and one vectorized pass checks every antecedent/consequent confidence
+    and emits the rules in the canonical order the table's positions give
     (:func:`repro.itemsets.rules.rules_from_subset_lattices`) —
     ``Item`` tuples materialize only for sources that kept a rule.
 
@@ -610,7 +610,7 @@ def _rules_from_sources(
     """
     t0 = time.perf_counter()
     evaluations = 0
-    groups: list[tuple[np.ndarray, np.ndarray]] = []
+    groups: list[tuple[np.ndarray, ...]] = []
     if len(sources):
         built = time.perf_counter()
         kernel = ctx.focal_kernel()  # its build is ``projection_s``

@@ -4,10 +4,11 @@ Every rule list is one :class:`RuleBlock` — five columns over the
 distinct source itemsets — and :class:`Rule` objects exist only while a
 consumer iterates it.  :func:`rules_from_subset_lattices` extracts a
 block from the support counts of the sources' sub-itemsets
-(:meth:`repro.kernels.FocalKernel.count_subset_lattice`): the same
-function serves the global case (the whole table as the universe) and
-COLARM's localized case (the focal subset), because the universe is the
-kernel's.  :func:`split_counts` reads a block's rules back against
+(:meth:`repro.kernels.FocalKernel.count_subset_lattice`) and orders it
+by the positions that table gives each antecedent and consequent: the
+same function serves the global case (the whole table as the universe)
+and COLARM's localized case (the focal subset), because the universe is
+the kernel's.  :func:`split_counts` reads a block's rules back against
 another universe.
 """
 
@@ -316,7 +317,7 @@ class RuleBlock(Sequence):
 
 
 def rules_from_subset_lattices(
-    groups: "Sequence[tuple[np.ndarray, np.ndarray]]",
+    groups: "Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]",
     universe_count: int,
     minconf: float,
     *,
@@ -325,66 +326,60 @@ def rules_from_subset_lattices(
 ) -> RuleBlock:
     """Globally sorted rule extraction across several subset-lattice groups.
 
-    ``groups`` pairs each same-width batch of *distinct* source itemsets —
-    an ``(m, n)`` matrix of ascending item ids — with its ``(m, 2**n)``
-    matrix from :meth:`~repro.kernels.FocalKernel.count_subset_lattice`
-    (``counts[j, mask]`` is the support of the sub-itemset of source ``j``
-    selected by ``mask``'s bits; sources must be distinct across *all*
-    groups); ``schema`` is the one the ids belong to.  Every proper
-    non-empty antecedent/consequent split of every source is checked in
-    one vectorized confidence pass per group; ``min_count`` (floored at
-    1) filters source supports.  Because ``antecedent ∪ consequent``
-    determines the source, the kept splits are distinct rules.
+    ``groups`` are the ``(ids, counts, order)`` width groups of one
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call, or any
+    selection of their rows: each same-width batch of *distinct* source
+    itemsets — an ``(m, n)`` matrix of ascending item ids — with its
+    ``(m, 2**n)`` matrices of sub-itemset supports (``counts[j, mask]`` is
+    the support of the sub-itemset of source ``j`` selected by ``mask``'s
+    bits) and of the sub-itemsets' positions in id-tuple order (sources
+    must be distinct across *all* groups); ``schema`` is the one the ids
+    belong to.  Every proper non-empty antecedent/consequent split of
+    every source is checked in one vectorized confidence pass per group;
+    ``min_count`` (floored at 1) filters source supports.  Because
+    ``antecedent ∪ consequent`` determines the source, the kept splits
+    are distinct rules.
 
-    The canonical ``(antecedent, consequent)`` output order is produced
-    *numerically*, once for all kept splits: id order is item order, so
-    every split's antecedent/consequent ids (plus one; 0 pads a shorter
-    tuple, which therefore sorts first, exactly like tuple comparison)
-    are compacted into fixed-width packed integer keys and one
-    ``np.lexsort`` replaces the comparison sort over Python tuple keys.
-    The sorted columns *are* the result — a :class:`RuleBlock` whose
-    ``Item`` tuples are built for the sources that kept a split and for
-    nothing else; no per-rule Python object is built here.
+    The canonical ``(antecedent, consequent)`` output order is read off
+    the table: antecedent and consequent are both nodes of it, so a kept
+    split's key is the one int64 ``order[antecedent] << 32 |
+    order[consequent]`` and one ``argsort`` orders every rule.  The
+    sorted columns *are* the result — a :class:`RuleBlock` whose ``Item``
+    tuples are built for the sources that kept a split and for nothing
+    else; no per-rule Python object is built here.
     """
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
     live = [
-        (ids, counts) for ids, counts in groups
-        if len(ids) and ids.shape[1] >= 2
+        group for group in groups
+        if len(group[0]) and group[0].shape[1] >= 2
     ]
     if not live:
         return _EMPTY_BLOCK
     floor = max(min_count if min_count is not None else 1, 1)
-    n_pad = max(ids.shape[1] for ids, _ in live)
+    n_pad = max(ids.shape[1] for ids, _, _ in live)
     if n_pad > _MAX_BLOCK_WIDTH:
         raise DataError(
             f"a rule over {n_pad} items exceeds the "
             f"{_MAX_BLOCK_WIDTH}-item block limit"
         )
-    # Slot ``k`` of a source holds its ``k``-th id plus one; slots a
-    # narrower source does not have hold ``absent``, which sorts last and
-    # masks to 0.
-    bits = schema.n_items.bit_length()
-    absent = np.int64(1) << np.int64(bits)
-    slots = np.empty((sum(len(ids) for ids, _ in live), n_pad), dtype=np.int64)
-    slots.fill(absent)
 
     kept_src: list[np.ndarray] = []
-    kept_split: list[np.ndarray] = []
+    kept_mask: list[np.ndarray] = []
+    kept_key: list[np.ndarray] = []
     kept_conf: list[np.ndarray] = []
     source_counts: list[np.ndarray] = []
     base = 0  # index of the group's first source
-    for ids, counts in live:
+    for ids, counts, order in live:
         m, n = ids.shape
         full = (1 << n) - 1
-        np.add(ids, 1, out=slots[base:base + m, :n])
         source_counts.append(counts[:, full])
         # A sub-itemset is supported wherever its source is: a source at
         # the floor (>= 1) divides by no zero, and one below it goes.
         rows = None
         if np.minimum.reduce(source_counts[-1]) < floor:
             rows = np.flatnonzero(source_counts[-1] >= floor)
-            counts = counts[rows]
+            counts, order = counts[rows], order[rows]
         # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
         chunk = max(1, (4 << 20) // (full - 1))
         for lo in range(0, len(counts), chunk):
@@ -392,63 +387,43 @@ def rules_from_subset_lattices(
             # True division: bit-identical to Python's ``count / count``
             # for counts below 2**53.
             conf = block[:, full, None] / block[:, 1:full]
-            js, splits = (conf >= minconf).nonzero()
-            kept_conf.append(conf[js, splits])
-            kept_split.append(splits)  # column p: antecedent mask p + 1
+            js, masks = (conf >= minconf).nonzero()
+            kept_conf.append(conf[js, masks])
+            masks += 1  # column p: antecedent mask p + 1
+            kept_mask.append(masks)
+            ranks = order[lo:lo + chunk]
+            keys = ranks[js, masks].astype(np.int64)
+            keys <<= 32
+            keys |= ranks[js, full ^ masks]
+            kept_key.append(keys)
             js += lo
             kept_src.append((js if rows is None else rows[js]) + base)
         base += m
 
     if not any(map(len, kept_src)):  # also: every source under the floor
         return _EMPTY_BLOCK
-    src = np.concatenate(kept_src)
-    ant_mask = np.concatenate(kept_split) + 1
-    # Split every kept source's slots into antecedent and consequent,
-    # each compacted to the left in id order: sources ascend, so an
-    # ascending sort with ``absent`` in the other side's slots does both.
-    # A quarter megabyte of keys at a time, so a rule-heavy answer's
-    # transient footprint stays that of a small one.
-    per_word = 63 // bits
-    n_words = -(-2 * n_pad // per_word)
-    shifts = np.arange(per_word - 1, -1, -1, dtype=np.int64) * bits
-    positions = np.arange(n_pad)
-    keys = np.empty((len(src), n_words), dtype=np.int64)
-    chunk = max(1, (1 << 18) // (8 * n_words * per_word))
-    for lo in range(0, len(src), chunk):
-        picked = slots[src[lo:lo + chunk]]
-        chosen = (ant_mask[lo:lo + chunk, None] >> positions & 1).astype(bool)
-        sides = np.zeros((len(picked), n_words * per_word), dtype=np.int64)
-        for at, side in ((0, np.where(chosen, picked, absent)),
-                         (n_pad, np.where(chosen, absent, picked))):
-            side.sort(axis=1)
-            side &= absent - 1
-            sides[:, at:at + n_pad] = side
-        np.bitwise_or.reduce(
-            sides.reshape(len(picked), n_words, per_word) << shifts,
-            axis=2, out=keys[lo:lo + chunk],
-        )
-    order = np.lexsort(keys.T[::-1])
-    src, ant_mask = src[order], ant_mask[order]
-    support_count = np.concatenate(source_counts)[src]
+    ranked = np.argsort(np.concatenate(kept_key))
+    src = np.concatenate(kept_src)[ranked]
+    support_count = np.concatenate(source_counts).astype(np.int64)[src]
 
-    used = np.zeros(len(slots), dtype=bool)
+    used = np.zeros(base, dtype=bool)
     used[src] = True
     sources: list[Itemset] = []
     base = 0
-    for ids, _ in live:
+    for ids, _, _ in live:
         sources += schema.itemsets(ids[used[base:base + len(ids)]])
         base += len(ids)
     return RuleBlock(
         sources,
         (used.cumsum() - 1)[src],
-        ant_mask,
+        np.concatenate(kept_mask)[ranked],
         support_count,
         # True division: bit-identical to Python's ``count / universe``
         # for counts below 2**53.
         support_count / universe_count
         if universe_count
         else np.zeros(len(src), dtype=np.float64),
-        np.concatenate(kept_conf)[order],
+        np.concatenate(kept_conf)[ranked],
     )
 
 
@@ -469,7 +444,7 @@ def split_counts(
     for row, source in zip(ids, block.sources):
         row[:len(source)] = [schema.item_id(item) for item in source]
     both, antecedent, consequent = np.zeros((3, len(block)), dtype=np.int64)
-    for _, counts in kernel.count_subset_lattice(ids):
+    for _, counts, _ in kernel.count_subset_lattice(ids):
         # A group lists the sources of one width, in ``sources`` order.
         full = counts.shape[1] - 1
         of_width = widths == full.bit_length()

@@ -363,20 +363,23 @@ class FocalKernel:
 
     def count_subset_lattice(
         self, itemsets, floor: int | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Support counts of *every* sub-itemset of every source, from one
         table of the request's distinct sub-itemsets.
 
         ``itemsets`` is an ``(M, w)`` id matrix (or same-length id tuples),
         one source per row: ascending item ids, right-padded with any
         value ``>= n_items`` where a source is narrower than ``w``.  The
-        result groups the sources by width, ascending: ``(ids, counts)``
-        per width ``n`` with ``ids`` the ``(m, n)`` sources in input order
-        and ``counts[j, mask]`` the local support ``|t(S) ∩ D^Q|`` of the
-        sub-itemset ``S`` of source ``j`` selected by the bits of ``mask``
-        (``mask == 0`` is the empty itemset: ``|D^Q|``) — what
+        result groups the sources by width, ascending: ``(ids, counts,
+        order)`` per width ``n`` with ``ids`` the ``(m, n)`` sources in
+        input order, ``counts[j, mask]`` the local support ``|t(S) ∩ D^Q|``
+        of the sub-itemset ``S`` of source ``j`` selected by the bits of
+        ``mask`` (``mask == 0`` is the empty itemset: ``|D^Q|``) and
+        ``order[j, mask]`` the position of ``S`` among the table's
+        sub-itemsets in id-tuple order — what
         :func:`repro.itemsets.rules.rules_from_subset_lattices` extracts
-        rules from.
+        and orders rules from.  Both matrices are int32: a cell is eight
+        bytes.  Positions compare only within one call's result.
 
         With ``floor`` the sources are not ``itemsets`` themselves but
         their *distinct* sub-itemsets of two items or more whose support
@@ -388,8 +391,8 @@ class FocalKernel:
         once: cells are named level by level by the prefix id ``parent *
         n_items + largest item`` — which never outgrows a machine word,
         however many items the schema has — and a level's distinct ids
-        are one batched ``row[parent] & row[item]``.  The count matrices
-        are a gather from that table.
+        are one batched ``row[parent] & row[item]``.  The count and order
+        matrices are gathers from that table.
         """
         n_items = len(self.matrix)
         sources = np.asarray(itemsets, dtype=np.intp)
@@ -411,18 +414,22 @@ class FocalKernel:
                 return []
             nodes, _ = _name_cells(groups, n_items, levels)
         cells = counts.take(nodes)
+        ranks = _node_ranks(levels, n_items).take(nodes)
         out = []
         at = 0
         for ids in groups:
             m, n = ids.shape
-            out.append((ids, cells[at:at + (m << n)].reshape(m, 1 << n)))
-            at += m << n
+            shape, end = (m, 1 << n), at + (m << n)
+            out.append((
+                ids, cells[at:end].reshape(shape), ranks[at:end].reshape(shape)
+            ))
+            at = end
         return out
 
     def _count_levels(self, levels: list) -> np.ndarray:
         """Support count of every node of the sub-itemset table, by node
-        id: the empty itemset, the items, then each level's distinct
-        sub-itemsets.
+        id (int32): the empty itemset, the items, then each level's
+        distinct sub-itemsets.
 
         A level-``L`` row is its parent's row ANDed with its largest
         item's; nodes of a level are in lexicographic order, so the
@@ -433,7 +440,7 @@ class FocalKernel:
         """
         n_items = len(self.matrix)
         counts = np.empty(levels[-1][0][1] if levels else 1 + n_items,
-                          dtype=np.int64)
+                          dtype=np.int32)
         counts[0] = self.dq_size
         counts[1:1 + n_items] = popcount_rows(self.matrix)
         if not levels:
@@ -603,6 +610,39 @@ def _frequent_nodes(levels: list, counts: np.ndarray, floor: int) -> np.ndarray:
     if not frequent:
         return np.zeros((0, 0), dtype=np.intp)
     return np.concatenate(frequent)
+
+
+def _node_ranks(levels: list, n_items: int) -> np.ndarray:
+    """Every node's position in id-tuple order, by node id (int32).
+
+    A node's key packs its ids plus one into fixed-width fields, the
+    first id highest and 0 where the itemset has ended, so a prefix sorts
+    before its extensions exactly as a shorter tuple does; a level's keys
+    are its parents' with the largest item's field filled in.  One
+    ``lexsort`` over the key words ranks them (one word unless the
+    deepest level needs more than one int64).
+    """
+    n_nodes = levels[-1][0][1] if levels else 1 + n_items
+    bits = n_items.bit_length()
+    per_word = 63 // bits
+    keys = np.zeros((-(-(len(levels) + 1) // per_word), n_nodes),
+                    dtype=np.int64)
+
+    def field(position: int) -> tuple[int, int]:
+        word, slot = divmod(position, per_word)
+        return word, (per_word - 1 - slot) * bits
+
+    word, shift = field(0)
+    keys[word, 1:1 + n_items] = np.arange(1, n_items + 1) << shift
+    for position, ((first, end), parents, items) in enumerate(levels, 1):
+        word, shift = field(position)
+        level = keys.take(parents, axis=1)
+        level[word] |= (items + 1) << shift
+        keys[:, first:end] = level
+    order = np.lexsort(keys[::-1])
+    ranks = np.empty(n_nodes, dtype=np.int32)
+    ranks[order] = np.arange(n_nodes, dtype=np.int32)
+    return ranks
 
 
 def _slab_cuts(levels: list, n_items: int, budget: int):

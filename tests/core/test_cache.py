@@ -109,6 +109,28 @@ def test_probe_preference_and_no_lru_bump(index):
     assert cache.stats.misses == 1
 
 
+def test_replayed_lattice_is_read_only(index):
+    """Every array of a cached lattice is shared by every replay: none of
+    them — source ids, counts or order — can be written to."""
+    cache = RuleCache(index)
+    query = q({0: {1}})
+    result = execute_plan(PlanKind.SSVS, index, query)
+    assert cache.put_lattice(query, CachedLattice(
+        groups=tuple(result.lattice_groups),
+        dq_size=result.dq_size,
+        extract_min_count=None,
+        schema=index.table.schema,
+    ))
+    replayed = cache.get_lattice(query)
+    assert replayed.groups
+    for group in replayed.groups:
+        assert len(group) == 3
+        for array in group:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+    assert replayed.extract(query.minconf) == result.rules
+
+
 def test_focal_key_drops_full_domain_selections(index):
     cache = RuleCache(index)
     cards = index.cardinalities

@@ -1,5 +1,6 @@
 """Multi-query batching: identical output, shared work."""
 
+import numpy as np
 import pytest
 
 from repro.core.mipindex import build_mip_index
@@ -7,6 +8,7 @@ from repro.core.multiquery import execute_batch
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
+from repro.kernels import FocalKernel
 from tests.conftest import make_random_table
 
 
@@ -116,3 +118,31 @@ def test_batch_rejects_empty_subset(index):
         pytest.skip("selection unexpectedly non-empty")
     with pytest.raises(QueryError):
         execute_batch(index, [impossible])
+
+
+def test_batch_counts_each_source_once_at_any_threshold_order(
+    index, monkeypatch
+):
+    """One group asked at descending, then ascending minsupp: every source
+    is counted once, and each answer is the one-at-a-time answer, rule
+    for rule in the same order."""
+    counted = []
+    count = FocalKernel.count_subset_lattice
+
+    def recording(kernel, itemsets, floor=None):
+        counted.extend((id(kernel), tuple(row)) for row in np.asarray(itemsets))
+        return count(kernel, itemsets, floor)
+
+    monkeypatch.setattr(FocalKernel, "count_subset_lattice", recording)
+    queries = [
+        LocalizedQuery({0: frozenset({1})}, minsupp, 0.6)
+        for minsupp in (0.5, 0.4, 0.3, 0.2, 0.3, 0.4, 0.5)
+    ]
+    report = execute_batch(index, queries)
+    assert report.n_groups == 1
+    assert counted and len(set(counted)) == len(counted)
+    assert report.lattice_hits > 0
+    monkeypatch.undo()
+    for item, query in zip(report.items, queries):
+        solo = execute_plan(PlanKind.SEV, index, query)
+        assert item.rules == solo.rules, query

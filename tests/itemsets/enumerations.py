@@ -83,6 +83,6 @@ def frequent_in(kernel, schema, minsupp):
     ]
     closed = closed_masks(enumerate(tidsets), floor)
     sources = _mask_sources(list(closed.values()), schema.n_items)
-    for ids, counts in kernel.count_subset_lattice(sources, floor=floor):
+    for ids, counts, _ in kernel.count_subset_lattice(sources, floor=floor):
         found += zip(schema.itemsets(ids), counts[:, -1].tolist())
     return found

@@ -151,7 +151,7 @@ def test_kernel_count_equals_the_tree_lookup(case):
     kernel = focal_kernel(table, dq)
     counted = {}
     for itemset in itemsets:
-        (_, counts), = kernel.count_subset_lattice(
+        (_, counts, _), = kernel.count_subset_lattice(
             [[schema.item_id(item) for item in itemset]]
         )
         counted[itemset] = int(counts[0, -1])

@@ -102,7 +102,7 @@ def test_focal_counts_match_bigint_reference(case):
     width = max(map(len, itemsets))
     padded = [s + (len(tidsets),) * (width - len(s)) for s in itemsets]
     seen = []
-    for ids, counts in kernel.count_subset_lattice(padded):
+    for ids, counts, _ in kernel.count_subset_lattice(padded):
         for source, row in zip(ids.tolist(), counts.tolist()):
             seen.append(tuple(source))
             for cell, count_ in enumerate(row):

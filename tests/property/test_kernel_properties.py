@@ -161,13 +161,13 @@ def test_subset_lattice_counts_do_not_depend_on_the_slab_cap(monkeypatch):
         ts.count(dq),
     )
     sources = [(0, 1, 2), (1, 3, 6), (2, 4, 5), (0, 5, 6), (3, 4, 6)]
-    [(ids, whole)] = kernel.count_subset_lattice(sources)
+    [(ids, whole, _)] = kernel.count_subset_lattice(sources)
     assert ids.tolist() == [list(source) for source in sources]
     for rows_per_slab in (0, 3, 7, 20):
         monkeypatch.setattr(
             kernels, "LATTICE_SLAB_BYTES", max(1, rows_per_slab * words * 8)
         )
-        [(_, sliced)] = kernel.count_subset_lattice(sources)
+        [(_, sliced, _)] = kernel.count_subset_lattice(sources)
         assert np.array_equal(sliced, whole), rows_per_slab
     for j, source in enumerate(sources):
         for mask in range(8):

@@ -7,9 +7,11 @@ against *any* checkout of this repository through ``--repo`` — which is
 how one file measures the parent commit and the change alike::
 
     python tools/planning_audit.py size
-    python tools/planning_audit.py size --repo /root/scratch/parent
+    python tools/planning_audit.py size --repo ../parent
+    python tools/planning_audit.py tail
+    python tools/planning_audit.py tail --repo ../parent
     python tools/planning_audit.py dump here.json
-    python tools/planning_audit.py dump parent.json --repo /root/scratch/parent
+    python tools/planning_audit.py dump parent.json --repo ../parent
     python tools/planning_audit.py compare parent.json here.json
     python tools/planning_audit.py answers here_answers.json
     python tools/planning_audit.py same-answers parent_answers.json here_answers.json
@@ -22,6 +24,17 @@ through ``engine.query(use_cache=False)`` as the benchmark does.  Reports
 milliseconds per request for ``choose()`` and its components, and the
 CHARM search (``closed_masks``) per ARM request the ARM model exists to
 price.
+
+``tail`` — where rule generation's time goes, by answer size
+(``docs/performance.md``, "What rule order costs"): the same wrappers
+around the two callables every plan's rule generation is made of,
+``FocalKernel.count_subset_lattice`` and ``rules_from_subset_lattices``,
+over every query of the seed's ``fresh_grid`` and ``zipf_served`` pools
+at the default weights (the picks are a pure function of the inputs),
+each answered three times through ``engine.query(use_cache=False)``.
+Reports count + extract milliseconds per request, best of the three, by
+rule-count class: the bottom 50 % of requests, 50-90 %, the top 10 % and
+the top 2 %.  Timing-based: alternate runs against ``--repo``.
 
 ``dump`` / ``compare`` — the exact-equality check: for every query of the
 ``fresh_grid``, ``zipf_served`` and ``wide_cluster`` pools, on an immutable
@@ -150,6 +163,46 @@ def size(seed: int) -> int:
     return 0
 
 
+# -- tail ---------------------------------------------------------------------
+
+#: Rule-count classes of ``tail``: (label, first, last) quantiles of the
+#: requests sorted by answer size.
+TAIL_CLASSES = (("bottom 50 %", 0.0, 0.5), ("50-90 %", 0.5, 0.9),
+                ("top 10 %", 0.9, 1.0), ("top 2 %", 0.98, 1.0))
+
+
+def tail(seed: int, repeats: int = 3) -> int:
+    import workloads
+    from repro import kernels
+    from repro.core import operators
+
+    for name in ("fresh_grid", "zipf_served"):
+        workload = workloads.generate(name, seed, 10.0)
+        engines = engines_for(workload, calibrate=False)
+        best = [float("inf")] * len(workload.pool)
+        n_rules = [0] * len(workload.pool)
+        watch = Stopwatch()
+        watch.wrap(kernels.FocalKernel, "count_subset_lattice", "count")
+        watch.wrap(operators, "rules_from_subset_lattices", "extract")
+        for _ in range(repeats):
+            for i, pq in enumerate(workload.pool):
+                before = sum(watch.seconds.values())
+                out = engines[pq.engine].query(pq.query, use_cache=False)
+                best[i] = min(best[i], sum(watch.seconds.values()) - before)
+                n_rules[i] = len(out.rules)
+        watch.restore()
+        ranked = sorted(range(len(best)), key=n_rules.__getitem__)
+        print(f"{name} seed {seed}: {len(ranked)} requests, count + extract "
+              f"ms per request, best of {repeats}")
+        for label, lo, hi in TAIL_CLASSES:
+            picked = ranked[round(lo * len(ranked)):round(hi * len(ranked))]
+            spent = [best[i] for i in picked]
+            print(f"  {label:<12} {1e3 * sum(spent) / len(spent):7.3f} ms  "
+                  f"({len(picked)} requests, {n_rules[picked[0]]}-"
+                  f"{n_rules[picked[-1]]} rules)")
+    return 0
+
+
 # -- dump / compare -----------------------------------------------------------
 
 
@@ -262,6 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("size", parents=[common])
+    sub.add_parser("tail", parents=[common])
     sub.add_parser("dump", parents=[common]).add_argument("out")
     sub.add_parser("answers", parents=[common]).add_argument("out")
     for name in ("compare", "same-answers"):
@@ -276,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     use_checkout(args.repo.resolve())
     if args.command == "size":
         return size(args.seed)
+    if args.command == "tail":
+        return tail(args.seed)
     if args.command == "answers":
         return answers(args.out, args.seed)
     return dump(args.out, args.seed)

@@ -7,8 +7,8 @@ associations.  Shows the two future-work extensions of the paper at work:
 
 * parameter suggestion — pick minsupp/minconf and promising focal subsets
   straight from the index (``repro.core.paramsuggest``);
-* multi-query optimization — probe every region in one shared batch
-  (``repro.core.multiquery``).
+* multi-query batching — probe every region in one batch, one plan
+  execution per focal subset (``repro.core.multiquery``).
 
 Run:  python examples/retail_localized.py
 """
@@ -51,8 +51,8 @@ def main() -> None:
     ]
     report = execute_batch(engine.index, queries)
     print(
-        f"\nbatch of {report.n_queries} regional queries ran with "
-        f"{report.n_searches} R-tree searches in {report.elapsed:.3f}s"
+        f"\nbatch of {report.n_queries} regional queries ran as "
+        f"{report.n_groups} plan executions in {report.elapsed:.3f}s"
     )
     for item in report.items:
         label = engine.schema.attributes[region].values[

@@ -22,6 +22,7 @@ from repro.core.mipindex import MIPIndex
 from repro.core.operators import make_context, op_search, op_supported_verify
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
+from repro.itemsets.itemset import min_count_for
 from repro.itemsets.rules import RuleBlock
 
 __all__ = ["ParameterGrid", "explore_parameter_space"]
@@ -106,14 +107,13 @@ def explore_parameter_space(
         )
 
     # The loosest cell's answer, every rule with its exact statistics;
-    # a tighter cell's is the part of it over both thresholds.
+    # a tighter cell's is the part of it that meets both thresholds.
     rules = op_supported_verify(ctx, op_search(ctx))
     counts = tuple(
         tuple(
-            int(np.count_nonzero(
-                (rules.support >= minsupp - 1e-12)
-                & (rules.confidence >= minconf - 1e-12)
-            ))
+            int(np.count_nonzero(rules.meets(
+                min_count_for(minsupp, ctx.dq_size), minconf
+            )))
             for minconf in minconfs
         )
         for minsupp in minsupps

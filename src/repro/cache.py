@@ -220,8 +220,8 @@ class RuleCache:
 
         Two queries selecting the same records — one naming an attribute's
         entire domain explicitly, one omitting it — share every cache
-        entry (and :mod:`repro.core.multiquery` counts them as one focal
-        subset, :mod:`repro.serving` coalesces them onto one execution).
+        entry (and :mod:`repro.core.multiquery` answers them from one plan
+        execution, :mod:`repro.serving` coalesces them onto one).
         """
         return canonical_focal_key(
             query.range_selections, self._cardinalities

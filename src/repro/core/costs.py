@@ -45,6 +45,7 @@ from repro.core.focal import FocalSubset
 from repro.core.query import FocalRange, LocalizedQuery
 from repro.core.stats import IndexStatistics
 from repro.core.plans import PlanKind
+from repro.itemsets.itemset import min_count_for
 from repro.rtree.costmodel import expected_leaf_matches
 
 __all__ = [
@@ -148,11 +149,7 @@ class QueryProfile:
         combined main+delta universe ``min_count`` is computed for.
         """
         dq_size, min_count = focus.dq_size, focus.min_count
-        exact = query.minsupp * stats.n_records
-        global_floor = int(exact)
-        if global_floor < exact:
-            global_floor += 1
-        global_floor = max(global_floor, 1)
+        global_floor = min_count_for(query.minsupp, stats.n_records)
         aitem_fraction = _aitem_fraction(query, stats)
         contained_fraction = _contained_fraction(query, focus.focal, stats)
         cards = _cardinalities(

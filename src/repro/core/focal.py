@@ -15,7 +15,7 @@ and the query in hand — so a request resolves its focal subset once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,9 +40,8 @@ class FocalSubset:
     (``None`` on an immutable or pristine index) and ``dq_size`` counts
     both universes.  The packed focal row, the focal-projected kernel
     and its rows as int tidsets are built on first use and kept, so the
-    optimizer's profile, SELECT/ARM and VERIFY of one request — or the
-    queries of a multi-query group, through :meth:`rethreshold` — share
-    one projection.
+    optimizer's profile, SELECT/ARM and VERIFY of one request share one
+    projection.
     """
 
     index: "MIPIndex"
@@ -55,8 +54,7 @@ class FocalSubset:
     delta: "DeltaView | None"
     dq_size: int             # |D^Q| (main live + delta live)
     min_count: int           # ceil(minsupp * |D^Q|)
-    #: ``[packed dq, focal kernel, its int tidsets]``, filled on first
-    #: use; siblings made by :meth:`rethreshold` share the list.
+    #: ``[packed dq, focal kernel, its int tidsets]``, filled on first use.
     _lazy: list = field(default_factory=lambda: [None] * 3, repr=False)
 
     def valid_for(
@@ -80,15 +78,6 @@ class FocalSubset:
                     and mine.range_selections == query.range_selections
                 )
             )
-        )
-
-    def rethreshold(self, query: LocalizedQuery) -> "FocalSubset":
-        """The same records under another query's ``minsupp`` (a
-        multi-query group shares one resolution and one projection)."""
-        return replace(
-            self,
-            query=query,
-            min_count=min_count_for(query.minsupp, self.dq_size),
         )
 
     def packed_dq(self) -> np.ndarray:

@@ -38,10 +38,10 @@ def canonical_focal_key(
     it is dropped: two queries selecting the same records — one spelling
     the full domain out, one omitting the attribute — map to the same
     key.  This is the grouping shared by :mod:`repro.core.multiquery`
-    (work sharing within a batch), :mod:`repro.cache` (entry keys), and
-    :mod:`repro.serving` (in-flight request coalescing); keeping it in
-    one place keeps the three layers agreeing on what "the same focal
-    subset" means.
+    (one plan execution per group of a batch), :mod:`repro.cache` (entry
+    keys), and :mod:`repro.serving` (in-flight request coalescing);
+    keeping it in one place keeps the three layers agreeing on what "the
+    same focal subset" means.
     """
     return tuple(sorted(
         (ai, tuple(sorted(vs)))

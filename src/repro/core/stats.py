@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataset.schema import Item
+from repro.itemsets.itemset import min_count_for
 from repro.kernels import and_count, popcount_rows
 from repro.rtree.flat import LevelStat
 from repro.rtree.supported import SupportedRTree
@@ -206,8 +207,7 @@ def gather_statistics(
         for j, row in enumerate(item_tidsets):
             item_mip_counts[j] = and_count(mip_matrix, row)[order]
 
-        exact = primary_support * n_records
-        floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
+        floor = min_count_for(primary_support, n_records)
         item_counts = popcount_rows(item_tidsets)
         strong = np.flatnonzero(item_counts >= floor)
         global_f1 = len(strong)

@@ -138,7 +138,8 @@ class RuleBlock(Sequence):
     rules are listed in.
 
     ``len``, iteration, indexing, slicing (to a block) and ``==`` against
-    any sequence of :class:`Rule` behave as for a ``list[Rule]``, but
+    any sequence of :class:`Rule` behave as for a ``list[Rule]`` (a
+    boolean mask or an index array also selects a block), but
     :class:`Rule` objects are built on each access and never kept: a
     cached or queued block is six references, not thousands of tuples the
     cyclic collector has to walk.  ``list(block)`` gives a mutable copy.
@@ -202,7 +203,7 @@ class RuleBlock(Sequence):
 
     def __getitem__(self, index):
         columns = [getattr(self, name)[index] for name, _ in _COLUMNS]
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return RuleBlock(self.sources, *columns)
         source = self.sources[columns[0]]
         ants, cons = _split_getters(len(source))
@@ -211,6 +212,13 @@ class RuleBlock(Sequence):
             cons[columns[1]](source),
             *(column.item() for column in columns[2:]),
         )
+
+    def meets(self, min_count: int, minconf: float) -> np.ndarray:
+        """Which rules a query at ``min_count`` / ``minconf`` over this
+        block's universe outputs: the two comparisons extraction applies,
+        so over one universe a tighter query's answer is exactly the rows
+        of a looser one's answer this mask selects."""
+        return (self.support_count >= min_count) & (self.confidence >= minconf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -54,20 +54,60 @@ def tables_and_queries(draw):
     return table, queries
 
 
-@settings(max_examples=20, deadline=None)
-@given(tables_and_queries())
+@st.composite
+def mixed_batches(draw):
+    """A table and a batch mixing focal subsets, thresholds in any order
+    and item attributes, so groups of several queries form."""
+    table, _ = draw(tables_and_queries())
+    subsets = draw(st.lists(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=len(CARDS) - 1),
+            st.integers(min_value=1, max_value=7),
+            min_size=1, max_size=2,
+        ),
+        min_size=1, max_size=3,
+    ))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        chosen = draw(st.sampled_from(subsets))
+        selections = {
+            a: frozenset(v for v in range(CARDS[a]) if bits >> v & 1)
+            or frozenset({0})
+            for a, bits in chosen.items()
+        }
+        aitem = draw(st.one_of(
+            st.none(),
+            st.sets(
+                st.integers(min_value=0, max_value=len(CARDS) - 1),
+                min_size=2,
+            ).map(frozenset),
+        ))
+        queries.append(LocalizedQuery(
+            selections,
+            draw(st.sampled_from([0.2, 0.25, 0.3, 0.4, 0.5])),
+            draw(st.sampled_from([0.0, 0.5, 0.65, 0.8])),
+            item_attributes=aitem,
+        ))
+    return table, queries, draw(st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_batches())
 def test_batch_always_matches_individual_runs(case):
-    table, queries = case
+    """Every answer of a mixed batch is the solo S-E-V answer, rule for
+    rule in the same order, in closed and expanded mode."""
+    table, queries, expand = case
     runnable = [
         q for q in queries if table.tids_matching(q.range_selections)
     ]
     if not runnable:
         return
     index = build_mip_index(table, primary_support=0.05)
-    report = execute_batch(index, runnable)
+    report = execute_batch(index, runnable, expand=expand)
     for item, query in zip(report.items, runnable):
-        solo = execute_plan(PlanKind.SEV, index, query)
-        assert rule_key(item.rules) == rule_key(solo.rules)
+        solo = execute_plan(PlanKind.SEV, index, query, expand=expand)
+        assert item.rules == solo.rules
+        assert item.dq_size == solo.dq_size
 
 
 @settings(max_examples=12, deadline=None)

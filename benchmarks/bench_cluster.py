@@ -4,8 +4,8 @@ The tentpole measurement for :mod:`repro.cluster`: a Zipf request stream
 over distinct focal regions of a wide synthetic table, served two ways —
 
 * **single** — one :class:`repro.serving.QueryService` over the engine
-  in-process (the pre-cluster architecture): the engine lock plus the
-  GIL serialize mining no matter how many threads the pool has;
+  in-process (the pre-cluster architecture): its one engine thread
+  runs every miss, so one core mines at a time;
 * **cluster** — ``W = 4`` worker processes over one published
   ``compress=False`` snapshot, each mmap-mapping the same archive and
   owning a consistent-hash slice of the focal-key space.
@@ -123,7 +123,7 @@ def run_bench(seed: int = 23) -> dict:
     # Single-process service over the same engine.
     async def single_burst():
         service = QueryService(engine, ServingConfig(
-            max_pending=len(requests) + 1, workers=2,
+            max_pending=len(requests) + 1,
         ))
         async with service:
             start = time.perf_counter()
@@ -147,7 +147,7 @@ def run_bench(seed: int = 23) -> dict:
                 workers=WORKERS,
                 use_cache=False,
                 serving=ServingConfig(
-                    max_pending=len(requests) + 1, workers=2,
+                    max_pending=len(requests) + 1,
                 ),
             )
             async with ClusterService(engine, Path(tmp), config) as cluster:

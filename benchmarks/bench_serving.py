@@ -166,7 +166,7 @@ def run_bench(seed: int = 11) -> dict:
 
         async def burst(engine=engine, requests=requests):
             service = QueryService(engine, ServingConfig(
-                max_pending=len(requests) + 1, workers=2,
+                max_pending=len(requests) + 1,
             ))
             async with service:
                 start = time.perf_counter()

@@ -24,7 +24,7 @@ the request's ``minconf`` — before the optimizer runs
 
 Policy: every entry is byte-accounted (a rules entry at its columns'
 real ``nbytes``); inserts evict LRU-first under a byte budget, except
-*landmark* entries (``hits >= landmark_hits``), which are only evicted
+*landmark* entries (``hits >= LANDMARK_HITS``), which are only evicted
 once no cold entry remains — a scan of one-off focal regions cannot
 flush the hot set.  Correctness: every entry is stamped
 with the index generation (the R-tree mutation counter) at insert; a
@@ -59,6 +59,7 @@ __all__ = [
     "RuleCache",
     "MIP_FAMILY",
     "ARM_FAMILY",
+    "LANDMARK_HITS",
 ]
 
 #: Plan families a rules entry can belong to.  The five MIP plans return
@@ -66,6 +67,10 @@ __all__ = [
 #: rule set is its own.
 MIP_FAMILY = "mip"
 ARM_FAMILY = "arm"
+
+#: Serves after which an entry is a landmark, evicted only once no cold
+#: entry remains.
+LANDMARK_HITS = 4
 
 #: Per-entry bookkeeping overhead (key tuple, OrderedDict slot, _Entry).
 _ENTRY_BASE_BYTES = 256
@@ -177,26 +182,22 @@ class RuleCache:
     Thread-safe: one lock guards the entry table, the LRU order, the byte
     accounting and :attr:`stats`, so a serving thread can probe-and-serve
     a hit while another thread populates, evicts or rebinds — no caller
-    needs the engine lock to touch the cache.
+    needs to be on the serving layer's engine thread to touch the cache.
     """
 
     def __init__(
         self,
         index: "MIPIndex",
         budget_bytes: int = 64 << 20,
-        landmark_hits: int = 4,
         expand: bool = False,
     ):
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        if landmark_hits < 1:
-            raise ValueError(f"landmark_hits must be >= 1, got {landmark_hits}")
         self.index = index
         #: The schema's domain sizes (fixed for the life of a lineage of
         #: indexes), kept so building a key does not rebuild the tuple.
         self._cardinalities = index.cardinalities
         self.expand = expand
-        self.landmark_hits = landmark_hits
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         #: Source itemsets of the cached blocks, one tuple each: every
         #: tuple a cached block holds is one more object for the cyclic
@@ -403,14 +404,14 @@ class RuleCache:
     def _evict_to_budget(self) -> None:
         """LRU eviction with landmark protection (lock held).
 
-        Cold entries (fewer than ``landmark_hits`` serves) go first in LRU
+        Cold entries (fewer than ``LANDMARK_HITS`` serves) go first in LRU
         order; landmarks are only reclaimed when no cold entry remains —
         so a sweep of one-off regions evicts itself, not the hot set.
         """
         while self.stats.current_bytes > self.stats.budget_bytes:
             victim_key = None
             for key, entry in self._entries.items():
-                if entry.hits < self.landmark_hits:
+                if entry.hits < LANDMARK_HITS:
                     victim_key = key
                     break
             if victim_key is None:

@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "mmap-shared cluster with consistent-hash "
                             "focal routing (default 1: single in-process "
                             "service)")
-        p.add_argument("--threads", type=int, default=2,
-                       help="execution threads per service (default 2)")
         p.add_argument("--cluster-dir", default=None,
                        help="snapshot directory for the cluster's epoch "
                             "publishes (default: a temporary directory)")
@@ -311,7 +309,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _serving_config(args: argparse.Namespace):
     from repro.serving import ServingConfig
 
-    return ServingConfig(max_pending=args.max_pending, workers=args.threads)
+    return ServingConfig(max_pending=args.max_pending)
 
 
 def _cluster_config(args: argparse.Namespace):

@@ -1,6 +1,6 @@
 """Multi-process serving cluster: mmap-shared workers, focal-key routing.
 
-One :class:`~repro.serving.QueryService` scales until its engine lock
+One :class:`~repro.serving.QueryService` scales until its engine thread
 saturates a core; this module takes the system past one process.  An
 asyncio **router** fronts ``W`` worker *processes*, each running its own
 service + engine over the *same* format-v2 snapshot opened with
@@ -16,11 +16,13 @@ Three protocols make the split safe:
   (:func:`repro.core.query.canonical_focal_key`) — the same identity the
   rule cache and request coalescing already share — so identical and
   related queries land on the same worker and per-worker coalescing +
-  warm-cache locality survive the split.  Join/leave remaps only the
-  keys adjacent to the moved ring points (~``1/W`` of the key space).
+  warm-cache locality survive the split.  Membership is fixed at
+  :meth:`ClusterService.start`; a retired worker remaps only the keys
+  adjacent to its ring points (~``1/W`` of the key space).
 
-* **Epoch publish.**  Exactly one writer (the router's engine) owns the
-  delta store.  :meth:`ClusterService.publish` folds pending mutations,
+* **Epoch publish.**  Exactly one writer (the router's engine, driven
+  by one writer thread) owns the delta store.
+  :meth:`ClusterService.publish` folds pending mutations,
   writes ``snapshot-<epoch>.colarm.npz`` with ``compress=False`` (so the
   members stay mappable), then atomically replaces ``EPOCH.json`` — a
   reader either sees the old epoch or the complete new one, never a torn
@@ -49,7 +51,7 @@ import json
 import multiprocessing as mp
 import os
 import select
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,7 +301,6 @@ class ClusterConfig:
 
     workers: int = 2                 #: worker processes to spawn
     serving: ServingConfig = field(default_factory=ServingConfig)
-    replicas: int = 96               #: ring points per worker
     max_respawns: int = 2            #: crash respawns per worker slot
     cache_budget_bytes: int = 16 << 20   #: per-worker rule-cache budget
     use_cache: bool = True           #: workers serve through their cache
@@ -605,17 +606,23 @@ class ClusterService:
         self.engine = engine
         self.directory = Path(directory)
         self.config = config or ClusterConfig()
-        self.ring = HashRing(self.config.replicas)
+        self.ring = HashRing()
         self.publisher = EpochPublisher(engine, self.directory)
         self._handles: dict[int, _WorkerHandle] = {}
         self._pending: dict[int, _Pending] = {}
         self._req_ids = itertools.count(1)
         self._min_epoch = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._writer_lock = threading.Lock()
-        self._publish_lock: asyncio.Lock = asyncio.Lock()
+        #: The one thread that drives the writer engine: every ingest,
+        #: remove and publish runs here, in call order.  The router's
+        #: waits on worker processes run here too: a second helper thread
+        #: would take a malloc arena of its own, and a publish after it
+        #: exits may fill a fresh arena (+11 MB peak RSS measured on the
+        #: 2-vCPU ``wide_cluster`` benchmark run).
+        self._writer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="colarm-writer"
+        )
         self._closed = False
-        self._next_slot = 0
         self.route_counts: dict[int, int] = {}
         self.n_crashes = 0
         self.n_respawns = 0
@@ -638,11 +645,9 @@ class ClusterService:
             self.engine.enable_maintenance(calibrate=False)
         await self._run_writer(self.publisher.publish)
         self._min_epoch = self.publisher.epoch
-        waits = []
-        for _ in range(self.config.workers):
-            waits.append(self._spawn(self._next_slot))
-            self._next_slot += 1
-        await asyncio.gather(*waits)
+        await asyncio.gather(
+            *(self._spawn(worker_id) for worker_id in range(self.config.workers))
+        )
         for handle in self._handles.values():
             self.ring.add(handle.id)
             self.route_counts.setdefault(handle.id, 0)
@@ -660,6 +665,7 @@ class ClusterService:
                     ServiceClosedError("cluster stopped")
                 )
         self._pending.clear()
+        self._writer.shutdown(wait=True)
 
     async def __aenter__(self) -> "ClusterService":
         return await self.start()
@@ -674,10 +680,10 @@ class ClusterService:
         except (KeyError, OSError):
             pass
         process = handle.process
-        await self._loop.run_in_executor(None, process.join, 30)
+        await self._loop.run_in_executor(self._writer, process.join, 30)
         if process.is_alive():  # pragma: no cover — stuck worker backstop
             process.terminate()
-            await self._loop.run_in_executor(None, process.join, 5)
+            await self._loop.run_in_executor(self._writer, process.join, 5)
         self._unwatch(handle.conn)
         self._handles.pop(handle.id, None)
 
@@ -788,7 +794,7 @@ class ClusterService:
                 if handle.process.is_alive():
                     handle.process.kill()
                     await self._loop.run_in_executor(
-                        None, handle.process.join, 5
+                        self._writer, handle.process.join, 5
                     )
                 await self._retire(handle, orphans)
                 return
@@ -864,11 +870,8 @@ class ClusterService:
     # -- mutation: the single writer ---------------------------------------
 
     async def _run_writer(self, fn, *args):
-        """Run one writer-engine touch off the loop, serialized."""
-        def locked():
-            with self._writer_lock:
-                return fn(*args)
-        return await self._loop.run_in_executor(None, locked)
+        """Run one writer-engine touch on the writer thread."""
+        return await self._loop.run_in_executor(self._writer, fn, *args)
 
     async def ingest(self, records, publish: bool = True) -> int:
         """Append records through the writer's delta store.
@@ -904,9 +907,9 @@ class ClusterService:
         """
         if self._closed:
             raise ServiceClosedError("cluster is stopped")
-        async with self._publish_lock:
-            info = await self._run_writer(self.publisher.publish)
-        self._min_epoch = info.epoch
+        info = await self._run_writer(self.publisher.publish)
+        # Publishes finish in call order; the stamp never moves back.
+        self._min_epoch = max(self._min_epoch, info.epoch)
         for handle in self._handles.values():
             if not handle.stopping:
                 try:
@@ -914,33 +917,6 @@ class ClusterService:
                 except (KeyError, OSError):  # pragma: no cover
                     pass
         return info
-
-    # -- membership --------------------------------------------------------
-
-    async def add_worker(self) -> int:
-        """Join one worker: spawn, wait ready, then take its ring points.
-
-        Only ~``1/(W+1)`` of the key space remaps — and only onto the
-        joiner, so no surviving worker's warm state is disturbed.
-        """
-        if self._closed:
-            raise ServiceClosedError("cluster is stopped")
-        worker_id = self._next_slot
-        self._next_slot += 1
-        await self._spawn(worker_id)
-        self.ring.add(worker_id)
-        self.route_counts.setdefault(worker_id, 0)
-        return worker_id
-
-    async def remove_worker(self, worker_id: int) -> None:
-        """Leave: take the worker off the ring *first* (new requests
-        route around it), then let it drain and exit."""
-        handle = self._handles.get(worker_id)
-        if handle is None:
-            raise ServiceError(f"no worker {worker_id}")
-        if worker_id in self.ring:
-            self.ring.remove(worker_id)
-        await self._stop_worker(handle)
 
     # -- introspection -----------------------------------------------------
 

@@ -700,15 +700,6 @@ class CostModel:
 
     # -- cardinality estimates (Lemmas 4.1-4.5) ------------------------------
 
-    def est_candidates_search(self, profile: QueryProfile) -> float:
-        """Lemma 4.1: expected MIPs intersected by the focal hull."""
-        return expected_leaf_matches(
-            self.stats.n_mips,
-            self.stats.avg_box_extents,
-            profile.hull_extents,
-            self.stats.cardinalities,
-        )
-
     def est_node_accesses(self, profile: QueryProfile) -> tuple[float, float]:
         """Eq. 1 COST(S) and Eq. 3 COST(SS): expected node accesses of
         the plain and the supported search, indexed by ``supported`` — the

@@ -368,8 +368,8 @@ class Colarm:
 
         ``q`` must already be validated against the schema (:meth:`query`
         and the serving layer do).  Touches nothing but the cache, which
-        has its own lock, so it is safe on any thread without the serving
-        layer's engine lock.
+        has its own lock, so it is safe on any thread, not only the serving
+        layer's engine thread.
         """
         start = time.perf_counter()
         cache = self.cache

@@ -222,13 +222,6 @@ class DeltaBuffer:
             row &= selected
         return row
 
-    def nbytes(self) -> int:
-        """Footprint of the packed matrices plus the record store."""
-        return int(
-            self.data.nbytes + self.items.nbytes + self.mips.nbytes
-            + self.live.nbytes
-        )
-
 
 class DeltaView:
     """One query's read view of the delta store (plus main tombstones).
@@ -419,10 +412,6 @@ class MaintainedIndex:
         """Packed 64-bit words per delta-matrix row (the cost model's
         ``delta_words`` profile input)."""
         return self._buffer.words
-
-    def delta_nbytes(self) -> int:
-        """Footprint of the delta store's matrices."""
-        return self._buffer.nbytes()
 
     def delta_data(self) -> np.ndarray:
         """The live delta records as an ``(n, n_attrs)`` int32 array (in

@@ -48,7 +48,6 @@ from repro.core.mipindex import MIPIndex
 from repro.core.query import FocalRange, LocalizedQuery
 from repro.errors import QueryError
 from repro.itemsets.charm import closed_masks
-from repro.itemsets.itemset import Itemset
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 
 __all__ = [
@@ -142,10 +141,6 @@ class ExecutionTrace:
     def rulegen_elapsed(self) -> float:
         """Wall time spent generating rules (the VERIFY-family split)."""
         return sum(op.detail.get("rulegen_s", 0.0) for op in self.operators)
-
-    def mining_elapsed(self) -> float:
-        """Wall time spent on everything except rule generation."""
-        return self.total_elapsed() - self.rulegen_elapsed()
 
     def by_name(self, name: str) -> OperatorTrace | None:
         for op in self.operators:
@@ -242,13 +237,6 @@ class QueryContext:
         kernel = self.focus.kernel()
         self.projection_s += time.perf_counter() - start
         return kernel
-
-    def aitem_allows(self, itemset: Itemset) -> bool:
-        """Whether every item of ``itemset`` lies in the query's Aitem."""
-        aitem = self.query.item_attributes
-        if aitem is None:
-            return True
-        return all(item.attribute in aitem for item in itemset)
 
 
 def make_context(

@@ -1,16 +1,14 @@
 """R-tree substrate: geometry, the packed flat tree, supported filter, costs."""
 
-from repro.rtree.costmodel import expected_leaf_matches, expected_node_accesses
+from repro.rtree.costmodel import expected_leaf_matches
 from repro.rtree.flat import FlatLevel, FlatRTree, LevelStat
-from repro.rtree.geometry import Rect, mbr_of
-from repro.rtree.hilbert import bits_needed, hilbert_index, hilbert_indices
+from repro.rtree.geometry import Rect
+from repro.rtree.hilbert import bits_needed, hilbert_indices
 from repro.rtree.packing import pack_hilbert
 from repro.rtree.supported import SupportedRTree
 
 __all__ = [
     "Rect",
-    "mbr_of",
-    "hilbert_index",
     "hilbert_indices",
     "bits_needed",
     "FlatLevel",
@@ -18,6 +16,5 @@ __all__ = [
     "LevelStat",
     "pack_hilbert",
     "SupportedRTree",
-    "expected_node_accesses",
     "expected_leaf_matches",
 ]

@@ -25,8 +25,9 @@ expansion**:
 ``nodes_visited`` is exact, not estimated — a recursive descent reads the
 root plus the child of every internal entry that passes both filters, so
 the traversal returns ``1 + sum(matched internal entries per level)`` —
-and is the unit the R-tree cost model (:mod:`repro.rtree.costmodel`) and
-its calibration price.
+and is the unit the R-tree cost model
+(:meth:`repro.core.costs.CostModel.est_node_accesses`) and its
+calibration price.
 
 The leaf payload is one int64 vector, ``payload_rows``: leaf slot ``j``
 indexes input box ``payload_rows[j]`` (a MIP row).  The arrays round-trip

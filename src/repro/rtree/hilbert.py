@@ -8,13 +8,11 @@ dimensionality and precision.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["hilbert_index", "hilbert_indices", "bits_needed"]
+__all__ = ["hilbert_indices", "bits_needed"]
 
 #: Widest coordinate the vectorized transform holds in an int64 lane.
 _MAX_VECTOR_BITS = 62
@@ -27,60 +25,13 @@ def bits_needed(max_coordinate: int) -> int:
     return max(1, int(max_coordinate).bit_length())
 
 
-def hilbert_index(coords: Sequence[int], bits: int) -> int:
-    """Hilbert-curve index of an n-dimensional point.
-
-    ``coords`` are non-negative integers, each below ``2**bits``.  Returns a
-    single integer in ``[0, 2**(bits * n))`` such that points close on the
-    curve are close in space (the property packing relies on).
-    """
-    n = len(coords)
-    if n == 0:
-        raise DataError("need at least one coordinate")
-    x = list(coords)
-    for i, c in enumerate(x):
-        if c < 0 or c >> bits:
-            raise DataError(f"coordinate {c} out of range for {bits} bits (dim {i})")
-
-    # Skilling: inverse undo of the Gray-code transpose representation.
-    m = 1 << (bits - 1)
-    # Step 1: convert coordinates into the 'transposed' Hilbert form.
-    q = m
-    while q > 1:
-        p = q - 1
-        for i in range(n):
-            if x[i] & q:
-                x[0] ^= p  # invert
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q >>= 1
-    # Gray encode
-    for i in range(1, n):
-        x[i] ^= x[i - 1]
-    t = 0
-    q = m
-    while q > 1:
-        if x[n - 1] & q:
-            t ^= q - 1
-        q >>= 1
-    for i in range(n):
-        x[i] ^= t
-
-    # Step 2: interleave the transposed bits into a single index.
-    index = 0
-    for bit in range(bits - 1, -1, -1):
-        for i in range(n):
-            index = (index << 1) | ((x[i] >> bit) & 1)
-    return index
-
-
 def hilbert_indices(coords: np.ndarray, bits: int) -> list[int]:
     """Hilbert-curve indices of ``N`` points at once.
 
-    ``coords`` is an ``(N, n)`` integer array; entry ``k`` of the result
-    equals ``hilbert_index(coords[k], bits)``.  Skilling's transform runs
+    ``coords`` is an ``(N, n)`` integer array of non-negative coordinates,
+    each below ``2**bits``; entry ``k`` of the result lies in
+    ``[0, 2**(bits * n))``, and points close on the curve are close in
+    space (the property packing relies on).  Skilling's transform runs
     once over whole columns instead of once per point; the indices come
     back as Python ints because ``bits * n`` routinely exceeds 64.
     """

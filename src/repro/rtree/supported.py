@@ -25,8 +25,6 @@ class SupportedRTree:
     def __init__(self, flat: FlatRTree, max_entries: int):
         self.flat = flat
         self.max_entries = max_entries  # the fan-out the tree was packed at
-        #: Sorted global support counts of all indexed boxes.
-        self.counts = np.sort(flat.levels[-1].counts)
 
     @classmethod
     def build(
@@ -86,10 +84,3 @@ class SupportedRTree:
         descended.
         """
         return self.flat.search_hits(query, min_count=min_count)
-
-    def fraction_with_count_at_least(self, min_count: int) -> float:
-        """Fraction of indexed boxes whose global count reaches ``min_count``."""
-        if len(self.counts) == 0:
-            return 0.0
-        idx = int(np.searchsorted(self.counts, min_count, side="left"))
-        return (len(self.counts) - idx) / len(self.counts)

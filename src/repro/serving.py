@@ -8,8 +8,8 @@ three pieces:
 * **Inline cache hits** — every request, forced plans included, makes
   its one cache probe on the event-loop thread
   (:meth:`repro.core.engine.Colarm.serve_cached`).  A hit is served
-  right there, unpriced: it never queues, never takes the engine lock
-  and never waits behind a miss that is mining.
+  right there, unpriced: it never queues, never hops to the engine
+  thread and never waits behind a miss that is mining.
 
 * **Request coalescing** — a miss becomes a *flight* at submit, keyed by
   the same canonical key the cache and the batch executor already use
@@ -21,15 +21,16 @@ three pieces:
   nor accept attachments): a bypass caller asked for a fresh execution,
   not another waiter's shared result.
 
-* **Off-loop execution** — flights wait in a FIFO queue bounded by
+* **One engine thread** — flights wait in a FIFO queue bounded by
   ``max_pending`` (past it a request is shed with
-  :class:`~repro.errors.ServiceOverloadError`) and run on a small thread
-  pool, serialized by one engine lock (the engine's optimizer/index
-  state is not thread-safe; the rule cache has its own lock).  A flight
-  makes one executor hop: :meth:`~repro.core.engine.Colarm.serve_fresh`
-  installs any finished fold, prices the request (its one
-  ``optimizer.choose``), executes the chosen plan on the profiled
-  projection and populates the cache.
+  :class:`~repro.errors.ServiceOverloadError`) and run, in arrival
+  order, on the service's one engine thread: the engine's optimizer and
+  index state are not thread-safe, so one thread drives them, and
+  :meth:`ingest` / :meth:`remove` run on it too (the rule cache has its
+  own lock).  A flight makes one hop to that thread:
+  :meth:`~repro.core.engine.Colarm.serve_fresh` installs any finished
+  fold, prices the request (its one ``optimizer.choose``), executes the
+  chosen plan on the profiled projection and populates the cache.
 
 Correctness across mutations: a miss is priced when its flight runs, so
 an index mutation while it is queued is simply part of the state it is
@@ -47,7 +48,6 @@ against.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -75,23 +75,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Queue bound and execution threads of one :class:`QueryService`.
+    """Queue bound of one :class:`QueryService`.
 
     ``max_pending`` bounds the queue of flights waiting to run (distinct
-    executions; coalesced waiters ride for free).  ``workers`` sizes the
-    execution thread pool.
+    executions; coalesced waiters ride for free).
     """
 
     max_pending: int = 64
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be positive, got {self.max_pending}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 @dataclass
@@ -221,28 +217,27 @@ class QueryService:
     Lifecycle: construct, ``await start()``, ``await submit(...)`` from
     any number of tasks, ``await stop()``.  ``async with`` does the
     start/stop pair.  Requests submitted before :meth:`start` queue up
-    and run once the dispatcher starts — the deterministic mode the
-    ordering tests use.
+    and go to the engine thread when it starts — the deterministic mode
+    the ordering tests use.
     """
 
     def __init__(self, engine: Colarm, config: ServingConfig | None = None):
         self.engine = engine
         self.config = config or ServingConfig()
         self.stats = ServiceStats()
-        #: Serializes execution and mutation on the engine (the optimizer
-        #: memo and the index state are not thread-safe; only
-        #: ``Colarm.serve_cached`` runs outside it).
-        self._engine_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="colarm-serve",
+        #: The one thread that drives the engine: every flight, append and
+        #: delete runs here, in the order it was handed over (the
+        #: optimizer memo and the index state are not thread-safe; only
+        #: ``Colarm.serve_cached`` runs on the loop).
+        self._engine_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="colarm-serve"
         )
+        #: Flights handed over (or waiting for :meth:`start`) that the
+        #: engine thread has not started yet, in arrival order.
         self._queue: deque[_Flight] = deque()
         self._inflight: dict[tuple, _Flight] = {}
-        self._wake = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.config.workers)
-        self._dispatcher: asyncio.Task | None = None
-        self._running: set[asyncio.Task] = set()
+        self._running: set[asyncio.Future] = set()
+        self._started = False
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -250,8 +245,10 @@ class QueryService:
     async def start(self) -> "QueryService":
         if self._closed:
             raise ServiceClosedError("service already stopped")
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+        if not self._started:
+            self._started = True
+            for _ in range(len(self._queue)):
+                self._hand_over()
         return self
 
     async def stop(self, drain: bool = True) -> None:
@@ -259,25 +256,27 @@ class QueryService:
 
         ``drain=True`` serves everything already queued or running before
         shutting down; ``drain=False`` fails queued requests with
-        :class:`~repro.errors.ServiceClosedError` (executions already on
-        a worker thread still complete and fan out — a thread mid-mine
-        cannot be safely killed).
+        :class:`~repro.errors.ServiceClosedError` (the execution already
+        on the engine thread still completes and fans out — a thread
+        mid-mine cannot be safely killed).
         """
         if self._closed:
             return
+        if drain:
+            await self.start()
         self._closed = True
-        if not drain:
-            while self._queue:
-                self._fail_flight(
-                    self._queue.popleft(), ServiceClosedError("service stopped")
-                )
-        self._wake.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
+        await asyncio.sleep(0)  # hand over the arrivals of this loop turn
+        while not drain:
+            # The engine thread pops flights as it starts them: each
+            # queued flight is popped once, here or there.
+            try:
+                flight = self._queue.popleft()
+            except IndexError:
+                break
+            self._fail_flight(flight, ServiceClosedError("service stopped"))
         if self._running:
             await asyncio.gather(*self._running, return_exceptions=True)
-        self._executor.shutdown(wait=True)
+        self._engine_thread.shutdown(wait=True)
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -309,28 +308,24 @@ class QueryService:
     async def ingest(self, records) -> int:
         """Append records through the engine's delta store.
 
-        Runs on a worker thread *under the engine lock*, so a batch lands
-        atomically between flights: every execution sees either none or
-        all of it, and the generation bump invalidates cache entries from
-        before the append.  Returns the new index generation.  Requires
+        Runs on the engine thread, so a batch lands atomically between
+        flights: every execution sees either none or all of it, and the
+        generation bump invalidates cache entries from before the append.
+        Returns the new index generation.  Requires
         ``engine.enable_maintenance()``.
         """
         return await self._mutate(self.engine.append, records)
 
     async def remove(self, tids) -> int:
-        """Tombstone records by tid; same locking contract as :meth:`ingest`."""
+        """Tombstone records by tid; same threading contract as
+        :meth:`ingest`."""
         return await self._mutate(self.engine.delete, tids)
 
     async def _mutate(self, fn, arg) -> int:
         if self._closed:
             raise ServiceClosedError("service is stopped")
-
-        def run() -> int:
-            with self._engine_lock:
-                return fn(arg)
-
         return await asyncio.get_running_loop().run_in_executor(
-            self._executor, run
+            self._engine_thread, fn, arg
         )
 
     # -- request intake ----------------------------------------------------
@@ -369,8 +364,7 @@ class QueryService:
         if use_cache and self.engine.cache is not None:
             outcome = self.engine.serve_cached(q, plan)
             if outcome is not None:
-                # A cache hit: no pricing, no engine lock, no queue, no
-                # thread hop.
+                # A cache hit: no pricing, no queue, no thread hop.
                 return self._served_inline(outcome, t_submit)
         key = self._request_key(q, plan) if use_cache else None
         waiter = self._attach(key, t_submit)
@@ -394,7 +388,10 @@ class QueryService:
         if key is not None:
             self._inflight[key] = flight
         self._queue.append(flight)
-        self._wake.set()
+        if self._started:
+            # At the end of this loop turn: a burst of arrivals counts
+            # against ``max_pending`` before the first of them starts.
+            asyncio.get_running_loop().call_soon(self._hand_over)
         return fut
 
     def _request_key(
@@ -451,69 +448,71 @@ class QueryService:
         self.stats.record_serve(trace.total_s, now)
         return ServedQuery(outcome=outcome, trace=trace)
 
-    # -- engine access (worker threads only) --------------------------------
+    # -- execution ---------------------------------------------------------
+
+    def _hand_over(self) -> None:
+        """Give the engine thread one more flight to start; its finish fans
+        out on the loop."""
+        job = asyncio.get_running_loop().run_in_executor(
+            self._engine_thread, self._start
+        )
+        self._running.add(job)
+        job.add_done_callback(self._finish)
+
+    def _start(self) -> tuple[_Flight, float, object] | None:
+        """Engine thread: run the flight at the head of the queue.
+
+        ``None`` when ``stop(drain=False)`` emptied the queue first; else
+        ``(flight, start time, outcome or the exception it raised)``.
+        """
+        try:
+            flight = self._queue.popleft()
+        except IndexError:
+            return None
+        t_exec = time.monotonic()
+        try:
+            return flight, t_exec, self._execute(flight)
+        except Exception as exc:  # noqa: BLE001 — relayed to every waiter
+            return flight, t_exec, exc
 
     def _execute(self, flight: _Flight) -> QueryOutcome:
-        with self._engine_lock:
-            return self.engine.serve_fresh(
-                flight.query, flight.plan, flight.use_cache
-            )
+        return self.engine.serve_fresh(
+            flight.query, flight.plan, flight.use_cache
+        )
 
-    # -- dispatch ----------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            while not self._closed and not self._queue:
-                self._wake.clear()
-                await self._wake.wait()
-            if not self._queue:  # closed and drained
-                break
-            await self._slots.acquire()
-            if not self._queue:  # drained while waiting for a slot
-                self._slots.release()
+    def _finish(self, job: asyncio.Future) -> None:
+        self._running.discard(job)
+        started = job.result()
+        if started is None:
+            return
+        flight, t_exec, outcome = started
+        if isinstance(outcome, Exception):
+            self._fail_flight(flight, outcome)
+            return
+        # New arrivals must lead a fresh flight once execution is done —
+        # un-register before fan-out, on the loop.
+        if flight.key is not None and self._inflight.get(flight.key) is flight:
+            del self._inflight[flight.key]
+        now = time.monotonic()
+        self.stats.executions += 1
+        fanout = len(flight.waiters)
+        for fut, t_submit, leader in flight.waiters:
+            if fut.done():  # the waiter cancelled; others still serve
                 continue
-            task = asyncio.ensure_future(self._run_flight(self._queue.popleft()))
-            self._running.add(task)
-            task.add_done_callback(self._running.discard)
-
-    async def _run_flight(self, flight: _Flight) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            t_exec = time.monotonic()
-            try:
-                outcome = await loop.run_in_executor(
-                    self._executor, self._execute, flight
-                )
-            finally:
-                # New arrivals must lead a fresh flight once execution is
-                # done — un-register before fan-out, under the loop.
-                if flight.key is not None:
-                    if self._inflight.get(flight.key) is flight:
-                        del self._inflight[flight.key]
-            now = time.monotonic()
-            self.stats.executions += 1
-            fanout = len(flight.waiters)
-            for fut, t_submit, leader in flight.waiters:
-                if fut.done():  # the waiter cancelled; others still serve
-                    continue
-                trace = RequestTrace(
-                    # A waiter that attached after execution started has
-                    # waited zero queue time, not negative.
-                    queue_wait_s=max(0.0, t_exec - t_submit),
-                    execute_s=now - t_exec,
-                    total_s=now - t_submit,
-                    coalesced=fanout,
-                    leader=leader,
-                    plan=outcome.plan,
-                    cached=outcome.cached,
-                    generation=self.engine.index.generation,
-                )
-                self.stats.record_serve(trace.total_s, now)
-                fut.set_result(ServedQuery(outcome=outcome, trace=trace))
-        except Exception as exc:  # noqa: BLE001 — relayed to every waiter
-            self._fail_flight(flight, exc)
-        finally:
-            self._slots.release()
+            trace = RequestTrace(
+                # A waiter that attached after execution started has
+                # waited zero queue time, not negative.
+                queue_wait_s=max(0.0, t_exec - t_submit),
+                execute_s=now - t_exec,
+                total_s=now - t_submit,
+                coalesced=fanout,
+                leader=leader,
+                plan=outcome.plan,
+                cached=outcome.cached,
+                generation=self.engine.index.generation,
+            )
+            self.stats.record_serve(trace.total_s, now)
+            fut.set_result(ServedQuery(outcome=outcome, trace=trace))
 
     def _fail_flight(self, flight: _Flight, exc: BaseException) -> None:
         if flight.key is not None and self._inflight.get(flight.key) is flight:

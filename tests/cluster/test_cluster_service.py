@@ -65,7 +65,6 @@ def fresh_engine() -> Colarm:
 
 
 def config(workers: int = 2, **kw) -> ClusterConfig:
-    kw.setdefault("serving", ServingConfig(workers=2))
     return ClusterConfig(workers=workers, **kw)
 
 
@@ -381,25 +380,45 @@ def test_a_hot_swapped_worker_starts_cold_and_refills(tmp_path):
     assert runtime.engine.query(SEATTLE).rules == want
 
 
-def test_membership_changes_remap_boundedly(tmp_path):
+def test_ingest_remove_and_publish_run_on_one_writer_thread(tmp_path):
+    """Every touch of the writer engine — the start's publish, ingests,
+    removes and publishes issued together — runs on the cluster's one
+    writer thread."""
     engine = fresh_engine()
+    record = [int(v) for v in engine.table.data[0]]
+    threads: list[tuple[str, str]] = []
+
+    def on_thread(owner, name):
+        real = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            threads.append((name, threading.current_thread().name))
+            return real(*args, **kwargs)
+
+        setattr(owner, name, recorded)
 
     async def main():
-        async with ClusterService(engine, tmp_path, config()) as cluster:
-            keys = [f"key-{i}".encode() for i in range(400)]
-            before = {k: cluster.ring.route(k) for k in keys}
-            new_id = await cluster.add_worker()
-            moved = [
-                k for k in keys if cluster.ring.route(k) != before[k]
-            ]
-            assert all(cluster.ring.route(k) == new_id for k in moved)
-            assert len(moved) / len(keys) <= 1 / 2 + 0.1
+        cluster = ClusterService(engine, tmp_path, config(workers=1))
+        for owner, name in ((engine, "append"), (engine, "delete"),
+                            (cluster.publisher, "publish")):
+            on_thread(owner, name)
+        async with cluster:
+            await asyncio.gather(
+                cluster.ingest([record], publish=False),
+                cluster.remove([0], publish=False),
+                cluster.publish(),
+                cluster.ingest([record]),
+            )
             res = await cluster.submit(SEATTLE)
-            assert res.rules == fresh_engine().query(SEATTLE).rules
-            await cluster.remove_worker(new_id)
-            assert {k: cluster.ring.route(k) for k in keys} == before
+            return cluster, res
 
-    asyncio.run(main())
+    cluster, res = asyncio.run(main())
+    assert sorted(name for name, _ in threads) == [
+        "append", "append", "delete", "publish", "publish", "publish",
+    ]
+    (thread,) = {thread for _, thread in threads}
+    assert thread.startswith("colarm-writer")
+    assert res.epoch == cluster.publisher.epoch == 3
 
 
 def test_worker_rss_reports_private_pages(tmp_path):
@@ -484,7 +503,7 @@ def test_burst_larger_than_the_pipes_is_served(tmp_path):
 
     async def main():
         cfg = config(workers=1, serving=ServingConfig(
-            workers=2, max_pending=n_requests + 1,
+            max_pending=n_requests + 1,
         ))
         async with ClusterService(engine, tmp_path, cfg) as cluster:
             served.extend(await asyncio.gather(

@@ -12,13 +12,20 @@ Three layers of coverage:
 """
 
 import asyncio
+import inspect
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
+from repro.cache import (
+    ARM_FAMILY,
+    LANDMARK_HITS,
+    MIP_FAMILY,
+    CachedLattice,
+    RuleCache,
+)
 from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import PlanKind, execute_plan
@@ -145,13 +152,13 @@ def test_focal_key_drops_full_domain_selections(index):
 def test_lru_eviction_with_landmark_protection(index):
     queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(4)]
     rules = execute_plan(PlanKind.SSVS, index, queries[0]).rules
-    cache = RuleCache(index, budget_bytes=1 << 30, landmark_hits=2)
+    cache = RuleCache(index, budget_bytes=1 << 30)
     cache.put_rules(queries[0], rules, 7)
     per_entry = cache.stats.current_bytes
     # Room for exactly two entries; entry 0 is made a landmark.
-    cache = RuleCache(index, budget_bytes=2 * per_entry, landmark_hits=2)
+    cache = RuleCache(index, budget_bytes=2 * per_entry)
     cache.put_rules(queries[0], rules, 7)
-    for _ in range(2):
+    for _ in range(LANDMARK_HITS):
         assert cache.get_rules(queries[0]) is not None
     cache.put_rules(queries[1], rules, 7)
     cache.put_rules(queries[2], rules, 7)  # evicts 1 (cold LRU), never 0
@@ -160,7 +167,7 @@ def test_lru_eviction_with_landmark_protection(index):
     assert cache.stats.evictions == 1
     assert cache.stats.current_bytes <= cache.budget_bytes
     # With only landmarks left, LRU order applies to them after all.
-    for _ in range(2):
+    for _ in range(LANDMARK_HITS):
         cache.get_rules(queries[2])
     cache.put_rules(queries[3], rules, 7)
     assert len(cache) == 2
@@ -212,8 +219,9 @@ def test_invalidate_clears_everything(index):
 def test_constructor_validation(index):
     with pytest.raises(ValueError):
         RuleCache(index, budget_bytes=0)
-    with pytest.raises(ValueError):
-        RuleCache(index, landmark_hits=0)
+    assert list(inspect.signature(RuleCache).parameters) == [
+        "index", "budget_bytes", "expand",
+    ]
     cache = RuleCache(index)
     with pytest.raises(ValueError):
         cache.put_rules(q({0: {1}}), [], 7, family="nope")

@@ -465,7 +465,7 @@ def test_service_ingest_is_serialized_with_queries():
     import asyncio
 
     from repro.core.engine import Colarm
-    from repro.serving import QueryService, ServingConfig
+    from repro.serving import QueryService
 
     table = make_random_table(seed=131, n_records=80,
                               cardinalities=(4, 3, 3, 2))
@@ -473,7 +473,7 @@ def test_service_ingest_is_serialized_with_queries():
     engine.enable_maintenance(calibrate=False)
 
     async def scenario():
-        async with QueryService(engine, ServingConfig(workers=2)) as svc:
+        async with QueryService(engine) as svc:
             first = await svc.submit(QUERY)
             gen = await svc.ingest(make_new_records(6, seed=81))
             assert gen == engine.index.generation
@@ -502,7 +502,7 @@ def test_service_ingest_is_serialized_with_queries():
 def test_flat_form_tracks_index_lifecycle(maintained):
     """Delta mutations leave the main index's packed R-tree alone, and a
     fold's fresh index carries a fresh tree over exactly its own MIPs."""
-    from repro.rtree.geometry import Rect
+    from tests.rtree.reference import full_domain
 
     _, mx = maintained
     tree = mx.index.flat_rtree
@@ -512,7 +512,7 @@ def test_flat_form_tracks_index_lifecycle(maintained):
 
     mx.recompact()
     assert mx.index.flat_rtree is not tree
-    full = Rect.full_domain(mx.index.cardinalities)
+    full = full_domain(mx.index.cardinalities)
     hits = mx.index.rtree.search_arrays(full)
     assert sorted(hits.rows.tolist()) == list(range(mx.index.n_mips))
     assert hits.counts.tolist() == mx.index.global_counts[hits.rows].tolist()

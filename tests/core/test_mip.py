@@ -5,8 +5,8 @@ import numpy as np
 from repro import kernels
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index, mip_boxes
-from repro.rtree.geometry import Rect
 from tests.itemsets.reference_charm import charm
+from tests.rtree.reference import contains_point, full_domain
 
 
 def test_bounding_box_construction(salary):
@@ -24,7 +24,7 @@ def test_bounding_box_construction(salary):
 def test_empty_itemset_box_is_full_domain(salary):
     cards = salary.schema.cardinalities()
     lows, highs = mip_boxes(np.full((1, len(cards)), -1), cards)
-    full = Rect.full_domain(cards)
+    full = full_domain(cards)
     assert tuple(lows[0].tolist()) == full.lows
     assert tuple(highs[0].tolist()) == full.highs
 
@@ -48,4 +48,4 @@ def test_rows_are_charm_closed_itemsets(salary):
         # every supporting record's coordinates lie inside the box
         for tid in ts.iter_tids(cfi.tidset):
             coords = tuple(int(v) for v in salary.data[tid])
-            assert mip.box.contains_point(coords)
+            assert contains_point(mip.box, coords)

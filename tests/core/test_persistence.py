@@ -11,8 +11,8 @@ from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError
-from repro.rtree.geometry import Rect
 from tests.conftest import make_random_table
+from tests.rtree.reference import full_domain
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def _assert_same_tree(a, b):
     assert a.stats.level_stats == b.stats.level_stats
     assert [(p.level, p.sorted_max_counts.tolist()) for p in a.stats.level_counts] \
         == [(p.level, p.sorted_max_counts.tolist()) for p in b.stats.level_counts]
-    hull = Rect.full_domain(a.cardinalities)
+    hull = full_domain(a.cardinalities)
     for min_count in (None, 2, 10**9):
         x = a.rtree.search_arrays(hull, min_count=min_count)
         y = b.rtree.search_arrays(hull, min_count=min_count)
@@ -170,7 +170,7 @@ def test_roundtrip_payload_first_no_entry_rebuild(index, tmp_path):
     loaded, _ = load_index(path)
     flat = loaded.flat_rtree
     assert flat.payload_rows.tolist() == stored_rows.tolist()
-    hits = flat.search_hits(Rect.full_domain(loaded.cardinalities))
+    hits = flat.search_hits(full_domain(loaded.cardinalities))
     assert np.array_equal(hits.rows, stored_rows[hits.slots])
     assert hits.counts.tolist() == loaded.global_counts[hits.rows].tolist()
 

@@ -15,7 +15,6 @@ from repro.cluster import ClusterConfig, ClusterService
 from repro.core.engine import Colarm
 from repro.core.query import LocalizedQuery
 from repro.dataset.loaders import load_fimi, transactions_to_table
-from repro.serving import ServingConfig
 
 FIXTURE = Path(__file__).parent / "fixtures" / "micro_chess.dat"
 ATTR_ITEMS = {"a0": (1, 2, 3), "a1": (4, 5, 6), "a2": (7, 8),
@@ -40,7 +39,7 @@ def test_micro_chess_through_the_cluster(tmp_path):
     engine.enable_cache()
 
     async def main():
-        config = ClusterConfig(workers=2, serving=ServingConfig(workers=2))
+        config = ClusterConfig(workers=2)
         async with ClusterService(engine, tmp_path, config) as cluster:
             # Phase 1: queries over the published fixture.
             cold = Colarm(fixture_table(), primary_support=0.05)

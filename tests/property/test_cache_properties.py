@@ -166,9 +166,7 @@ def test_tight_budget_eviction_keeps_byte_accounting_exact(scenario):
     sizing = RuleCache(index, budget_bytes=1 << 30)
     sizing.put_rules(pool[0], rules[pool[0]], 1)
     per_entry = max(sizing.stats.current_bytes, 1)
-    cache = RuleCache(
-        index, budget_bytes=budget_entries * per_entry, landmark_hits=2
-    )
+    cache = RuleCache(index, budget_bytes=budget_entries * per_entry)
     accepted = 0
     for op, arg in ops:
         query = pool[arg % len(pool)]

@@ -60,14 +60,14 @@ def test_empty_and_single_node_trees():
     hits = assert_matches_oracle(empty, oracle_tree([], 8), FULL)
     assert len(hits) == 0 and hits.nodes_visited == 1
 
-    items = [(Rect.point((1, 2, 3)), 0, 7)]
+    items = [(reference.point((1, 2, 3)), 0, 7)]
     one = pack_hilbert(*as_arrays(items))
     oracle = oracle_tree(items, 8)
     hit = assert_matches_oracle(one, oracle, FULL)
     assert hit.rows.tolist() == [0] and hit.counts.tolist() == [7]
     assert hit.nodes_visited == 1
     assert len(assert_matches_oracle(one, oracle, FULL, min_count=8)) == 0
-    miss = assert_matches_oracle(one, oracle, Rect.point((0, 0, 0)))
+    miss = assert_matches_oracle(one, oracle, reference.point((0, 0, 0)))
     assert len(miss) == 0 and miss.nodes_visited == 1
 
 

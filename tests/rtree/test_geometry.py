@@ -1,26 +1,26 @@
-"""n-dimensional rectangle geometry."""
+"""n-dimensional rectangles and the box helpers the oracle tests share."""
 
+import numpy as np
 import pytest
 
-from repro.errors import DataError
-from repro.rtree.geometry import Rect, mbr_of
+from repro.errors import DataError, IndexError_
+from repro.rtree.geometry import Rect
+from repro.rtree.supported import SupportedRTree
+from tests.rtree import reference
 
 
 def test_construction_and_shape():
     r = Rect((0, 1), (2, 3))
     assert r.n_dims == 2
-    assert r.extents() == (3, 3)
-    assert r.extent(0) == 3
-    assert r.area() == 9
-    assert r.margin() == 6
-    assert r.center() == (1.0, 2.0)
+    assert r.lows == (0, 1) and r.highs == (2, 3)
+    assert reference.extents(r) == (3, 3)
 
 
 def test_point_and_full_domain():
-    p = Rect.point((2, 5))
+    p = reference.point((2, 5))
     assert p.lows == p.highs == (2, 5)
-    assert p.area() == 1
-    full = Rect.full_domain((3, 4))
+    assert reference.extents(p) == (1, 1)
+    full = reference.full_domain((3, 4))
     assert full == Rect((0, 0), (2, 3))
 
 
@@ -34,43 +34,24 @@ def test_validation():
 
 
 def test_intersects():
+    """The oracle's overlap test: closed boxes, so touching intersects."""
     a = Rect((0, 0), (2, 2))
-    assert a.intersects(Rect((2, 2), (4, 4)))  # closed boxes touch-intersect
-    assert a.intersects(Rect((1, 1), (1, 1)))
-    assert not a.intersects(Rect((3, 0), (4, 2)))
+    for b, meets in ((Rect((2, 2), (4, 4)), True),
+                     (Rect((1, 1), (1, 1)), True),
+                     (Rect((3, 0), (4, 2)), False)):
+        assert reference.overlaps(a.lows, a.highs, b.lows, b.highs) is meets
 
 
 def test_contains():
     outer = Rect((0, 0), (5, 5))
-    assert outer.contains(Rect((1, 1), (4, 4)))
-    assert outer.contains(outer)
-    assert not outer.contains(Rect((1, 1), (6, 4)))
-    assert outer.contains_point((5, 5))
-    assert not outer.contains_point((6, 0))
-
-
-def test_union_and_intersection():
-    a = Rect((0, 0), (2, 2))
-    b = Rect((1, 1), (4, 3))
-    assert a.union(b) == Rect((0, 0), (4, 3))
-    assert a.intersection(b) == Rect((1, 1), (2, 2))
-    assert a.intersection(Rect((3, 3), (4, 4))) is None
-
-
-def test_enlargement():
-    a = Rect((0, 0), (1, 1))       # area 4
-    b = Rect((2, 0), (2, 1))       # needs growth to (0..2, 0..1), area 6
-    assert a.enlargement(b) == 2
-    assert a.enlargement(a) == 0
+    assert reference.contains_point(outer, (5, 5))
+    assert reference.contains_point(outer, (0, 0))
+    assert not reference.contains_point(outer, (6, 0))
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DataError):
-        Rect((0,), (1,)).intersects(Rect((0, 0), (1, 1)))
-
-
-def test_mbr_of():
-    rects = [Rect((0, 3), (1, 4)), Rect((2, 0), (3, 1))]
-    assert mbr_of(rects) == Rect((0, 0), (3, 4))
-    with pytest.raises(DataError):
-        mbr_of([])
+    tree = SupportedRTree.build(np.zeros((1, 2), dtype=np.int64),
+                                np.ones((1, 2), dtype=np.int64),
+                                np.ones(1, dtype=np.int64))
+    with pytest.raises(IndexError_):
+        tree.search_arrays(Rect((0,), (1,)))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.rtree.geometry import Rect
-from repro.rtree.hilbert import bits_needed, hilbert_index
+from repro.rtree.hilbert import bits_needed
 from repro.rtree.packing import pack_hilbert
 from repro.rtree.supported import SupportedRTree
 from tests.rtree import reference
@@ -61,7 +61,7 @@ def hilbert_order(items):
         return []
     bits = bits_needed(max(max(r.highs) for r, _, _ in items) * 2 + 1)
     keys = [
-        hilbert_index(tuple(lo + hi for lo, hi in zip(r.lows, r.highs)), bits)
+        reference.hilbert_index(tuple(lo + hi for lo, hi in zip(r.lows, r.highs)), bits)
         for r, _, _ in items
     ]
     return sorted(range(len(items)), key=keys.__getitem__)

@@ -51,18 +51,13 @@ def test_filter_prunes_node_accesses():
     assert len(tree.search_arrays(q, 10_000)) == 0
 
 
-def test_fraction_with_count_at_least():
-    tree, items, _ = build()
-    counts = sorted(c for _, _, c in items)
-    for threshold in (1, 25, 50, 51):
-        expected = sum(1 for c in counts if c >= threshold) / len(counts)
-        assert tree.fraction_with_count_at_least(threshold) == expected
-
-
 def test_fraction_empty_tree():
+    """An empty tree holds no item of any count: every threshold finds none."""
     tree = SupportedRTree.build(*as_arrays([], n_dims=2))
-    assert tree.fraction_with_count_at_least(1) == 0.0
     assert len(tree) == 0
+    q = Rect((0, 0), (9, 9))
+    for mc in (None, 1, 10_000):
+        assert len(tree.search_arrays(q, mc)) == 0
 
 
 def test_level_stats_exposed():

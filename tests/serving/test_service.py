@@ -2,13 +2,15 @@
 
 No pytest-asyncio in this environment: every test drives its own event
 loop with ``asyncio.run``.  The deterministic pattern used throughout:
-submit requests *before* ``start()`` (the dispatcher is not running, so
-flights queue up and attach predictably), then start and drain.
+submit requests *before* ``start()`` (nothing has gone to the engine
+thread yet, so flights queue up and attach predictably), then start and
+drain.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from dataclasses import fields
 
@@ -133,9 +135,9 @@ def test_execution_failure_reaches_every_coalesced_waiter(engine,
                                                           monkeypatch):
     """An exception raised while a coalesced flight executes is relayed
     to every waiter as that very object, counted once per waiter; the
-    flight's slot and in-flight key are freed (the next request for the
-    key executes afresh) and the projection its pricing made is
-    released."""
+    engine thread and the flight's in-flight key are freed (the next
+    request for the key executes afresh) and the projection its pricing
+    made is released."""
     boom = RuntimeError("execution failed")
     priced, failed = [], []
     choose = engine.optimizer.choose
@@ -156,8 +158,7 @@ def test_execution_failure_reaches_every_coalesced_waiter(engine,
     monkeypatch.setattr(engine_module, "execute_plan", failing_once)
 
     async def main():
-        # One slot: a slot the failure kept would park the retry forever.
-        service = QueryService(engine, ServingConfig(workers=1))
+        service = QueryService(engine)
         tasks = [
             asyncio.ensure_future(service.submit(SEATTLE_F))
             for _ in range(4)
@@ -218,15 +219,14 @@ def test_cache_hit_short_circuits_queue(engine):
 
 
 def _park_executions(service):
-    """Make every flight wait, holding the engine lock as a mining miss
-    does, until the returned ``release`` event is set."""
+    """Make every flight hold the engine thread, as a mining miss does,
+    until the returned ``release`` event is set."""
     started, release = threading.Event(), threading.Event()
     real = service._execute
 
     def parked(flight):
-        with service._engine_lock:
-            started.set()
-            assert release.wait(30)
+        started.set()
+        assert release.wait(30)
         return real(flight)
 
     service._execute = parked
@@ -235,7 +235,7 @@ def _park_executions(service):
 
 def test_warm_hit_overtakes_a_parked_miss(engine):
     """A cache hit is answered on the loop thread after its one probe,
-    unpriced: it neither queues nor waits for the engine lock a miss
+    unpriced: it neither queues nor waits for the engine thread a miss
     holds."""
     engine.enable_cache()
     warm = engine.query(SEATTLE_F)  # populates the entry
@@ -265,7 +265,7 @@ def test_warm_hit_overtakes_a_parked_miss(engine):
 def test_forced_hit_overtakes_a_parked_miss(engine):
     """A forced-plan request makes its one probe on the loop thread too:
     whose family entry is cached, it is answered before a miss holding
-    the engine lock is released."""
+    the engine thread is released."""
     engine.enable_cache()
     warm = {plan: engine.query(SEATTLE_F, plan=plan) for plan in ("ARM",
                                                                    "SS-VS")}
@@ -320,7 +320,7 @@ def test_append_between_populate_and_repeat_is_never_inline(engine):
 
 def test_hit_evicted_at_the_probe_is_simply_a_miss(engine):
     """Regression: an entry evicted between probe and serve used to be
-    re-mined outside the queue (no slot, no coalescing) and still counted
+    re-mined outside the queue (off the engine thread, no coalescing) and still counted
     as a cache short circuit.  Now it is an ordinary miss: queued, priced
     and executed as a flight, with no second probe."""
     boston = engine.parse(BOSTON)
@@ -501,12 +501,48 @@ def test_shutdown_without_drain_fails_queued(engine):
     asyncio.run(main())
 
 
+def test_stop_without_drain_resolves_every_flight_under_switching(engine):
+    """The engine thread pops each flight as it starts it while
+    ``stop(drain=False)`` pops the rest: with thread switches forced
+    between bytecodes, every flight is still popped exactly once — served
+    or failed, none lost, none twice."""
+    texts = [
+        SEATTLE.replace("minsupport = 0.4", f"minsupport = 0.{300 + i}")
+        for i in range(40)
+    ]
+
+    async def round_trip():
+        service = QueryService(engine)
+        await service.start()
+        tasks = [asyncio.ensure_future(service.submit(t)) for t in texts]
+        await asyncio.sleep(0.002)
+        await service.stop(drain=False)
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), 30
+        )
+        return service, outcomes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            service, outcomes = asyncio.run(round_trip())
+            served = [o for o in outcomes if isinstance(o, ServedQuery)]
+            closed = [o for o in outcomes
+                      if isinstance(o, ServiceClosedError)]
+            assert len(served) + len(closed) == len(texts)
+            assert service.stats.executions == len(served)
+            assert service.n_pending == 0 and not service._inflight
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_misses_run_in_arrival_order(engine):
     """Queued misses run first in, first out, whatever they would cost."""
     order: list[str] = []
 
     async def main():
-        service = QueryService(engine, ServingConfig(workers=1))
+        service = QueryService(engine)
 
         async def one(text):
             await service.submit(text)
@@ -521,6 +557,48 @@ def test_misses_run_in_arrival_order(engine):
         return texts
 
     assert order == list(asyncio.run(main()))
+
+
+def test_one_thread_drives_the_engine(engine, monkeypatch):
+    """Every ``serve_fresh``, ``append`` and ``delete`` of a service runs
+    on its one engine thread — never the loop, never a second thread —
+    while distinct misses and mutations are in flight together."""
+    engine.enable_cache()
+    engine.enable_maintenance(calibrate=False)
+    threads: list[tuple[str, str]] = []
+
+    def on_thread(name):
+        real = getattr(engine, name)
+
+        def recorded(*args, **kwargs):
+            threads.append((name, threading.current_thread().name))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, recorded)
+
+    for name in ("serve_fresh", "append", "delete"):
+        on_thread(name)
+    record = [int(v) for v in engine.table.data[0]]
+    texts = [
+        SEATTLE_F, BOSTON, SEATTLE,
+        SEATTLE_F.replace("0.5", "0.3"), BOSTON.replace("0.4", "0.3"),
+        SEATTLE.replace("0.7", "0.6"),
+    ]
+
+    async def main():
+        async with QueryService(engine) as service:
+            await asyncio.gather(
+                *(service.submit(text) for text in texts),
+                service.ingest([record]),
+                service.remove([0]),
+            )
+
+    asyncio.run(main())
+    names = [name for name, _ in threads]
+    assert names.count("serve_fresh") >= 6
+    assert set(names) == {"serve_fresh", "append", "delete"}
+    (thread,) = {thread for _, thread in threads}
+    assert thread.startswith("colarm-serve")
 
 
 def test_stats_snapshot_shape(engine):
@@ -592,8 +670,4 @@ def test_forced_plan_requests_coalesce_per_plan(engine):
 def test_config_validation():
     with pytest.raises(ValueError):
         ServingConfig(max_pending=0)
-    with pytest.raises(ValueError):
-        ServingConfig(workers=0)
-    assert [f.name for f in fields(ServingConfig)] == [
-        "max_pending", "workers"
-    ]
+    assert [f.name for f in fields(ServingConfig)] == ["max_pending"]

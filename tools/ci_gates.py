@@ -23,7 +23,7 @@ Usage::
 
 ``--override-weight`` deliberately corrupts one fitted weight after
 calibration, ``--corrupt-admission`` routes the serving layer's cache
-hits through its thread pool, ``--corrupt-maintenance`` severs the delta-store merge
+hits through its engine thread, ``--corrupt-maintenance`` severs the delta-store merge
 correction, ``--corrupt-routing`` swaps consistent hashing for modulo
 placement, ``--corrupt-setup`` puts a full collection back in front
 of every calibration probe, and ``--corrupt-heap`` caches ``Rule``
@@ -328,17 +328,17 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
     one structural promise, checked twice.
 
     * **a warm hit overtakes a parked miss** — with one execution parked
-      on an event while it holds the engine lock, an optimizer-planned
+      on an event while it holds the engine thread, an optimizer-planned
       request whose rules entry is cached must still be answered (after
       its one cache probe, on the loop thread, unpriced) before the miss
       is released.
     * **a forced hit overtakes a parked miss** — the same for a request
       forcing a plan (``ARM``) whose family entry is cached.
 
-    A regression that routes hits back through pricing, the engine lock
-    or the thread pool times out here.  ``corrupt=True`` does exactly
-    that: the service's inline probe finds nothing, so every request,
-    hits included, becomes a flight on the pool — both legs must then
+    A regression that routes hits back through pricing or the engine
+    thread times out here.  ``corrupt=True`` does exactly that: the
+    service's inline probe finds nothing, so every request, hits
+    included, becomes a flight on the engine thread — both legs must then
     FAIL (a gate that cannot fail gates nothing).
     """
     import asyncio
@@ -384,9 +384,9 @@ def run_serving_selftest(config: dict, corrupt: bool = False) -> dict:
 
 async def _hit_overtakes_parked_miss(engine, warm, cold, plan,
                                      corrupt: bool) -> bool:
-    """Park the miss ``cold`` inside ``_execute`` (engine lock held); is
-    ``warm`` — cached under ``plan`` first — answered from the cache
-    before the miss is released?"""
+    """Park the miss ``cold`` inside ``_execute`` (holding the engine
+    thread); is ``warm`` — cached under ``plan`` first — answered from the
+    cache before the miss is released?"""
     import asyncio
     import threading
 
@@ -402,9 +402,8 @@ async def _hit_overtakes_parked_miss(engine, warm, cold, plan,
             execute = service._execute
 
             def parked(flight):
-                with service._engine_lock:
-                    started.set()
-                    release.wait(30)
+                started.set()
+                release.wait(30)
                 return execute(flight)
 
             service._execute = parked
@@ -649,7 +648,6 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
     from repro.dataset.salary import salary_dataset
     from repro.dataset.table import RelationalTable
     from repro.errors import ServiceError
-    from repro.serving import ServingConfig
 
     replicas = int(config.get("replicas", 96))
     n_workers = int(config.get("workers", 3))
@@ -727,7 +725,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
                 cluster = ClusterService(
                     engine,
                     tmp,
-                    ClusterConfig(workers=2, serving=ServingConfig(workers=2)),
+                    ClusterConfig(workers=2),
                 )
                 async with cluster:
                     n_identical = n_sticky = 0
@@ -798,8 +796,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--corrupt-admission",
         action="store_true",
-        help="route cache hits through the service's thread pool and "
-        "engine lock; the serving self-test must then FAIL",
+        help="route cache hits through the service's engine thread; "
+        "the serving self-test must then FAIL",
     )
     parser.add_argument(
         "--corrupt-maintenance",
@@ -934,7 +932,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{serving_report['warm_hit_overtook_parked_miss']}, "
             f"forced hit overtook parked miss="
             f"{serving_report['forced_hit_overtook_parked_miss']}"
-            + (" [hits routed through the pool]"
+            + (" [hits routed through the engine thread]"
                if serving_report["corrupted"] else "")
         )
     if maintenance_report is not None:

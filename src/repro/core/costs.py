@@ -3,10 +3,9 @@
 Each plan's cost is a weighted sum of *load features* — the operator-level
 work estimates the paper's equations describe:
 
-* ``search``    — expected R-tree node accesses (Eq. 1/3 COST(S)/COST(SS),
-  via the Theodoridis-Sellis window-query model, with the supported
-  filter's per-level pruning fractions for SS) plus the per-candidate
-  exact classification;
+* ``search``    — Eq. 1/3 COST(S)/COST(SS) as the operator runs them:
+  the region's bitmap pass over the per-value MIP bitsets, in 64-bit
+  words, plus one gathered row per candidate it returns;
 * ``eliminate`` — record-level support checks, in tidset-word units
   (Eq. 1 COST(E) = |{I^Q_S}| x |D^Q|); SS-E-U-V pays only for partially
   overlapped candidates (Lemma 4.5);
@@ -43,7 +42,7 @@ import numpy as np
 from repro import kernels
 from repro.core.focal import FocalSubset
 from repro.core.query import FocalRange, LocalizedQuery
-from repro.core.stats import IndexStatistics
+from repro.core.stats import IndexStatistics, bit_array
 from repro.core.plans import PlanKind
 from repro.itemsets.itemset import min_count_for
 from repro.rtree.costmodel import expected_leaf_matches
@@ -67,7 +66,7 @@ __all__ = [
 #: pick toward ARM.  When to fold is not priced: see
 #: ``MaintainedIndex.fold_due``.
 DEFAULT_WEIGHTS: dict[str, float] = {
-    "search": 3e-6,
+    "search": 3e-9,
     "eliminate": 3e-8,
     "verify": 4e-8,
     "rulegen": 5e-7,
@@ -153,7 +152,7 @@ class QueryProfile:
         aitem_fraction = _aitem_fraction(query, stats)
         contained_fraction = _contained_fraction(query, focus.focal, stats)
         cards = _cardinalities(
-            query, focus.focal, stats, min_count, global_floor,
+            query, focus, stats, min_count, global_floor,
             aitem_fraction, contained_fraction,
         )
         aitem = query.item_attributes
@@ -503,7 +502,7 @@ def _arm_model(
 
 def _cardinalities(
     query: LocalizedQuery,
-    focal: FocalRange,
+    focus: FocalSubset,
     stats: IndexStatistics,
     min_count: int,
     global_floor: int,
@@ -513,10 +512,10 @@ def _cardinalities(
     """Data-aware candidate/survivor counts from the per-MIP profiles.
 
     The geometric part — which MIPs overlap the region, lie inside it,
-    pass the supported filter — is bit-counting over the statistics'
-    support-ordered MIP bitsets: ORs and ANDs of N-bit ints per partial
-    range attribute and a prefix mask for the filter.  The numeric part —
-    each MIP's expected local count — unpacks and runs over only the
+    pass the supported filter — is bit-counting over the request's
+    support-ordered region bitmaps (:meth:`FocalSubset.region_bits`, the
+    pass SEARCH reads too) and a prefix mask for the filter.  The numeric
+    part — each MIP's expected local count — unpacks and runs over only the
     MIPs still *in play* (overlapping and supported): the estimate never
     exceeds a MIP's global count, so a MIP the filter drops cannot
     qualify.
@@ -530,7 +529,8 @@ def _cardinalities(
         uniform = stats.fraction_with_count_at_least(global_floor)
         pass_frac = (upper * uniform) ** 0.5
         n_cands = expected_leaf_matches(
-            n, stats.avg_box_extents, focal.hull_extents(), stats.cardinalities
+            n, stats.avg_box_extents, focus.focal.hull_extents(),
+            stats.cardinalities,
         )
         n_supported = n_cands * upper
         n_contained = n_supported * contained_fraction
@@ -547,21 +547,9 @@ def _cardinalities(
         }
 
     selections = query.range_selections
-    overlap = contained = (1 << n) - 1
-    for ai, values in selections.items():
-        if len(values) == stats.cardinalities[ai]:
-            continue  # full domain: every box overlaps and is contained
-        # A free attribute always overlaps and is never contained.
-        value_bits = stats.mip_value_bits[ai]
-        inside = 0
-        for v in values:
-            inside |= value_bits[v]
-        contained &= inside
-        overlap &= inside | stats.mip_free_bits[ai]
-
+    overlap, contained = focus.region_bits()
     # Support order: the MIPs reaching the floor are a prefix.
-    n_supported = n - int(stats.sorted_global_counts.searchsorted(min_count))
-    in_play = overlap & ((1 << n_supported) - 1)
+    in_play = overlap & ((1 << stats.n_supported(min_count)) - 1)
     # Without a range attribute the local bound is |D|, not a MIP count,
     # and unsupported MIPs stay in the numeric pass.  A MIP fixing an
     # attribute outside Aitem cannot qualify and leaves it here.
@@ -570,7 +558,7 @@ def _cardinalities(
         for a in range(stats.n_attributes):
             if a not in query.item_attributes:
                 numeric &= stats.mip_free_bits[a]
-    rows = _bit_array(numeric, n).view(np.bool_).nonzero()[0]
+    rows = bit_array(numeric, n).view(np.bool_).nonzero()[0]
     local_upper = np.full(len(rows), stats.n_records, dtype=np.int64)
     log_prod = np.zeros(len(rows), dtype=float)
     # log(0) = -inf is meant: no record there, expected 0 (exp(-inf)).
@@ -610,18 +598,10 @@ def _cardinalities(
         "est_qualified": float(len(qualified)),
         "est_qualified_partial": float(
             len(qualified)
-            - np.count_nonzero(_bit_array(contained, n).take(qualified))
+            - np.count_nonzero(bit_array(contained, n).take(qualified))
         ),
         "qualified_fanout": float(stats.mip_fanout.take(qualified).sum()),
     }
-
-
-def _bit_array(bits: int, n: int) -> np.ndarray:
-    """The low ``n`` bits of an int as a uint8 array (padded to a byte)."""
-    return np.unpackbits(
-        np.frombuffer(bits.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
-        bitorder="little",
-    )
 
 
 #: The fields of :class:`QueryProfile` the cardinality pass fills.
@@ -672,6 +652,12 @@ def _contained_fraction(
 
 _SUPPORTED_PLANS = frozenset({PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV})
 
+#: SEARCH's load unit is one OR'ed 64-bit word of a MIP bitset, about the
+#: time to gather one candidate row; unpacking a bitmap word to positions
+#: scans its 64 bits at about a unit each (on the end-to-end pools: ~4 ns
+#: per OR'ed word, ~3 ns per unpacked MIP bit, ~2 ns per gathered row).
+_UNPACK_WORD_UNITS = 64
+
 
 class CostModel:
     """Constant-time evaluation of the six plan cost formulae."""
@@ -679,60 +665,39 @@ class CostModel:
     def __init__(self, stats: IndexStatistics, weights: CostWeights | None = None):
         self.stats = stats
         self.weights = weights if weights is not None else CostWeights()
-        # Index-only terms: the non-root R-tree levels as (node count,
-        # normalized extents, max-count profile), projection, mean length.
-        root_level = max((s.level for s in stats.level_stats), default=0)
-        by_level = {p.level: p for p in stats.level_counts}
-        self._levels = [
-            (
-                stat.n_nodes,
-                [e / c for e, c in zip(stat.avg_extents, stats.cardinalities)],
-                by_level.get(stat.level),
-            )
-            for stat in stats.level_stats
-            if stat.level != root_level
-        ]
+        # Index-only terms: one MIP bitset's words, projection, mean length.
+        self._mip_words = -(-stats.n_mips // 64)
         self._n_items = float(sum(stats.cardinalities))
         #: One focal projection: every item row (``sum(cardinalities)``, an
         #: upper bound on the item count) repacked at the full tidset width.
         self.projection_load = self._n_items * stats.tidset_words
         self._avg_length = max(stats.avg_length, 1.0)
 
-    # -- cardinality estimates (Lemmas 4.1-4.5) ------------------------------
-
-    def est_node_accesses(self, profile: QueryProfile) -> tuple[float, float]:
-        """Eq. 1 COST(S) and Eq. 3 COST(SS): expected node accesses of
-        the plain and the supported search, indexed by ``supported`` — the
-        Theodoridis-Sellis sum over the non-root levels, the supported
-        search scaling each level by the fraction of its nodes whose max
-        count survives the filter (one pass: every ``prob`` is shared).
-        """
-        q_norm = [
-            q / c for q, c in zip(profile.hull_extents, self.stats.cardinalities)
-        ]
-        # An empty tree has no root to read on the plain search's books.
-        plain = 1.0 if self.stats.level_stats else 0.0
-        supported = 1.0
-        for n_nodes, extents, surviving in self._levels:
-            prob = 1.0
-            for extent, q in zip(extents, q_norm):
-                prob *= min(1.0, extent + q)
-            plain += n_nodes * prob
-            supported += n_nodes * prob * (
-                surviving.fraction_at_least(profile.min_count)
-                if surviving is not None
-                else 1.0
-            )
-        return plain, supported
-
     # -- per-operator loads ----------------------------------------------------
 
     def search_loads(self, profile: QueryProfile) -> tuple[float, float]:
         """Work of SEARCH and SUPPORTED-SEARCH, indexed by ``supported``:
-        node visits plus the exact per-candidate classification against
-        the focal value sets."""
-        plain, supported = self.est_node_accesses(profile)
-        return plain + profile.n_cands, supported + profile.n_cands_supported
+        the region's bitmap pass plus one gathered row per candidate.
+
+        The pass ORs one N-bit MIP bitset per admitted value and the free
+        bitset of every partial range attribute and unpacks the overlap and
+        containment bitmaps to positions, ``_UNPACK_WORD_UNITS`` per word;
+        SUPPORTED-SEARCH's filter is one more mask over the same words.
+        Priced the same for both searches — only their outputs differ.
+
+        The profile carries hull extents, not selection sizes, so the OR
+        count is the hull's: exact for a contiguous range (every pool the
+        benchmark draws), one OR per gap too many for a gapped selection,
+        and none at all for one whose hull spans the domain (``{0, 4}`` of
+        5 values) although the pass ORs its values and free bitset.
+        """
+        ored = sum(
+            extent + 1
+            for extent, card in zip(profile.hull_extents, self.stats.cardinalities)
+            if extent < card
+        )
+        words = (ored + 2 * _UNPACK_WORD_UNITS) * self._mip_words
+        return words + profile.n_cands, words + profile.n_cands_supported
 
     def eliminate_load(self, profile: QueryProfile, kind: PlanKind) -> float:
         """Eq. 1 COST(E): record-level checks in tidset-word units.

@@ -41,7 +41,8 @@ class FocalSubset:
     both universes.  The packed focal row, the focal-projected kernel
     and its rows as int tidsets are built on first use and kept, so the
     optimizer's profile, SELECT/ARM and VERIFY of one request share one
-    projection.
+    projection; so are the region's MIP bitmaps, which the profile's
+    cardinality pass and SEARCH share.
     """
 
     index: "MIPIndex"
@@ -54,8 +55,9 @@ class FocalSubset:
     delta: "DeltaView | None"
     dq_size: int             # |D^Q| (main live + delta live)
     min_count: int           # ceil(minsupp * |D^Q|)
-    #: ``[packed dq, focal kernel, its int tidsets]``, filled on first use.
-    _lazy: list = field(default_factory=lambda: [None] * 3, repr=False)
+    #: ``[packed dq, focal kernel, its int tidsets, region bits]``,
+    #: filled on first use.
+    _lazy: list = field(default_factory=lambda: [None] * 4, repr=False)
 
     def valid_for(
         self,
@@ -79,6 +81,16 @@ class FocalSubset:
                 )
             )
         )
+
+    def region_bits(self) -> tuple[int, int]:
+        """``(overlap, contained)`` MIP bitmaps of the focal region in
+        support order (:meth:`~repro.core.stats.IndexStatistics.
+        region_bits`), computed once per request."""
+        if self._lazy[3] is None:
+            self._lazy[3] = self.index.stats.region_bits(
+                self.query.range_selections
+            )
+        return self._lazy[3]
 
     def packed_dq(self) -> np.ndarray:
         """The live-main focal tidset as a packed kernel row."""

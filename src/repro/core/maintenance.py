@@ -15,7 +15,7 @@ stack as the main index: records live in a growable 2-D matrix, every
 single-item delta tidset and every MIP's delta tidset is one row of a
 packed uint64 matrix (:mod:`repro.kernels` layout), and a query's delta
 focal subset is one packed row.  The online operators then answer
-``|t(I) ∩ D^Q|`` as ``stored ∩ D^Q_main`` (flat R-tree + batched
+``|t(I) ∩ D^Q|`` as ``stored ∩ D^Q_main`` (MIP bitmaps + batched
 AND+popcount, exactly as before) **plus** one vectorized AND+popcount
 over the delta rows — no per-record work anywhere on the read path.
 
@@ -658,8 +658,8 @@ class MaintainedIndex:
         """Answer a localized query over live main+delta on the kernel path.
 
         Runs the requested plan through the ordinary operator pipeline
-        with this delta store attached: stored counts come off the flat
-        R-tree and the batched AND+popcount kernels exactly as for an
+        with this delta store attached: stored counts come off the MIP
+        bitmaps and the batched AND+popcount kernels exactly as for an
         immutable index, and the delta corrections are vectorized
         partials.  An empty focal subset answers the empty block.
         """

@@ -96,9 +96,9 @@ class MIPIndex:
 
     @property
     def flat_rtree(self) -> FlatRTree:
-        """The packed R-tree's per-level arrays — what SEARCH and
-        SUPPORTED-SEARCH traverse, packed by :func:`build_mip_index` or
-        adopted from a snapshot by :mod:`repro.core.persistence`."""
+        """The packed R-tree's per-level arrays, packed by
+        :func:`build_mip_index` or adopted from a snapshot by
+        :mod:`repro.core.persistence`."""
         return self.rtree.flat
 
     @property
@@ -168,10 +168,11 @@ def assemble_index(
 
     ``fixed_values`` is the ``(n_mips, d)`` itemset matrix and
     ``mip_matrix`` the matching packed tidsets.  ``rtree`` supplies a
-    snapshot's stored tree instead of packing one, so the statistics
-    describe the tree that will be searched; it is adopted only if it
-    indexes exactly the MIPs' boxes and global counts
+    snapshot's stored tree instead of packing one; it is adopted only if
+    it indexes exactly the MIPs' boxes and global counts
     (:meth:`repro.rtree.flat.FlatRTree.verify` raises ``IndexError_``).
+    No request reads the tree: SEARCH answers from the statistics'
+    per-value MIP bitmaps.
     """
     cardinalities = table.schema.cardinalities()
     global_counts = kernels.popcount_rows(mip_matrix)
@@ -185,7 +186,6 @@ def assemble_index(
     stats = gather_statistics(
         fixed_values,
         global_counts,
-        rtree,
         cardinalities,
         table.n_records,
         primary_support,

@@ -4,8 +4,8 @@ COLARM treats online mining not as a black box but as a pipeline of
 operators with precise inputs and outputs:
 
 * SELECT            — the focal subset in vertical form (ARM plan);
-* SEARCH            — R-tree window search for overlapping MIPs;
-* SUPPORTED-SEARCH  — SEARCH with the supported R-tree filter (Lemma 4.4);
+* SEARCH            — the MIPs overlapping the focal region;
+* SUPPORTED-SEARCH  — SEARCH with the global-count filter (Lemma 4.4);
 * ELIMINATE         — record-level ``Aitem`` + minsupp filtering;
 * VERIFY            — rule generation + minconf checks over the item rows;
 * SUPPORTED-VERIFY  — ELIMINATE and VERIFY interleaved (selection push-up);
@@ -13,11 +13,12 @@ operators with precise inputs and outputs:
 * ARM               — traditional from-scratch mining on the focal subset.
 
 The MIP-plan pipeline is *array-native* end to end: SEARCH serves hits as
-contiguous payload-row / global-count arrays straight from the packed
-R-tree (:class:`CandidateArray`), ELIMINATE qualifies them with one
-batched kernel call into a :class:`QualifiedArray`, and VERIFY extracts
-rules through a focal-projected kernel (:class:`repro.kernels.FocalKernel`)
-that counts every distinct sub-itemset of the request once over
+contiguous MIP-row / global-count arrays read off the statistics'
+per-value MIP bitmaps (:class:`CandidateArray`), ELIMINATE qualifies
+them with one batched kernel call into a :class:`QualifiedArray`, and
+VERIFY extracts rules through a focal-projected kernel
+(:class:`repro.kernels.FocalKernel`) that counts every distinct
+sub-itemset of the request once over
 ``|D^Q|``-bit rows.  From SELECT/VERIFY to the :class:`RuleBlock`,
 itemsets live in one integer item space (the schema's item ids):
 ``Item`` tuples are built for the sources that kept a rule, and
@@ -46,6 +47,7 @@ from repro import kernels
 from repro.core.focal import FocalSubset, resolve_focal
 from repro.core.mipindex import MIPIndex
 from repro.core.query import FocalRange, LocalizedQuery
+from repro.core.stats import bit_array
 from repro.errors import QueryError
 from repro.itemsets.charm import closed_masks
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
@@ -74,12 +76,12 @@ class CandidateArray:
     """SEARCH output in array form: rows into the index, not MIP objects.
 
     ``rows`` are MIP ids (rows of the index's statistics and tidset
-    matrices), ``global_counts`` the matching global support counts from
-    the supported R-tree, ``contained`` the exact classification against
-    the focal region.
+    matrices) in support order, ``global_counts`` the matching global
+    support counts, ``contained`` the exact classification against the
+    focal region.
     """
 
-    rows: np.ndarray          # (k,) intp — MIP rows, search order
+    rows: np.ndarray          # (k,) intp — MIP rows, support order
     global_counts: np.ndarray  # (k,) int64 — |D^G_I| per row
     contained: np.ndarray     # (k,) bool — CONTAINED vs PARTIAL
 
@@ -287,9 +289,10 @@ def make_context(
 def op_search(ctx: QueryContext) -> CandidateArray:
     """SEARCH: MIPs overlapping the focal region, with exact classification.
 
-    Probes the R-tree with the region's hull interval (no false negatives)
-    and re-classifies each hit against the true per-attribute value sets;
-    hull-only false positives are discarded here.
+    Reads the region's overlap and containment bitmaps over the per-value
+    MIP bitsets (:meth:`repro.core.focal.FocalSubset.region_bits`, shared
+    with the optimizer's cardinality pass): exact on every attribute's
+    value set, so there are no hull-only false positives to discard.
     """
     return _search(ctx, name="SEARCH", min_count=None)
 
@@ -297,12 +300,13 @@ def op_search(ctx: QueryContext) -> CandidateArray:
 def op_supported_search(ctx: QueryContext) -> CandidateArray:
     """SUPPORTED-SEARCH: SEARCH plus the global-count upper-bound filter.
 
-    Entries (and whole subtrees) whose global count cannot reach
-    ``minsupp * |D^Q|`` are pruned during the tree descent (Section 4.3).
+    MIPs whose global count cannot reach ``minsupp * |D^Q|`` are dropped
+    (Lemma 4.4, Section 4.3); in support order the survivors are a
+    prefix of the overlap bitmap, so the filter is one mask.
 
     With a delta store attached the stored global counts no longer bound
     the combined local count — a candidate can gain up to the delta focal
-    size — so the prune threshold relaxes by exactly that bound (deletes
+    size — so the threshold relaxes by exactly that bound (deletes
     need no relaxation: they only shrink live counts, keeping stored
     counts valid upper bounds).
     """
@@ -314,34 +318,25 @@ def op_supported_search(ctx: QueryContext) -> CandidateArray:
 
 def _search(ctx: QueryContext, name: str, min_count: int | None) -> CandidateArray:
     start = time.perf_counter()
-    hull = ctx.focal.hull()
-    hits = ctx.index.rtree.search_arrays(hull, min_count=min_count)
-    rows = hits.rows.astype(np.intp, copy=False)
-    global_counts = hits.counts
-    # Exact classification of the hits in one vectorized pass (equivalent
-    # to a per-box classification — asserted by the operator tests).
-    # Only the hit rows' fixed values are gathered and classified: the
-    # hull usually returns a handful of hits, so classifying all N MIPs
-    # (as the first kernel cut did) wasted a full-index pass per query.
-    if len(rows):
-        overlaps, contained = ctx.focal.classify_all(
-            ctx.index.stats.mip_fixed_values.take(rows, axis=0)
-        )
-        candidates = CandidateArray(
-            rows[overlaps], global_counts[overlaps], contained[overlaps]
-        )
-    else:
-        candidates = CandidateArray(rows, global_counts, np.zeros(0, dtype=bool))
+    stats = ctx.index.stats
+    n = stats.n_mips
+    overlap, contained = ctx.focus.region_bits()
+    if min_count is not None:
+        overlap &= (1 << stats.n_supported(min_count)) - 1
+    # Support positions, largest global count first; the counts are
+    # ``sorted_global_counts`` read backwards.
+    positions = bit_array(overlap, n).view(np.bool_).nonzero()[0]
+    candidates = CandidateArray(
+        stats.mip_rows.take(positions),
+        stats.sorted_global_counts.take(n - 1 - positions),
+        bit_array(contained, n).view(np.bool_).take(positions),
+    )
     ctx.trace.add(
         OperatorTrace(
             name=name,
-            input_size=ctx.index.n_mips,
+            input_size=n,
             output_size=len(candidates),
             elapsed=time.perf_counter() - start,
-            detail={
-                "nodes_visited": hits.nodes_visited,
-                "hull_hits": len(hits),
-            },
         )
     )
     return candidates
@@ -438,8 +433,8 @@ def qualified_from_contained(
     SUPPORTED-SEARCH already guaranteed the global count reaches
     ``min_count`` — so contained candidates become qualified without any
     record-level work (only the cheap Aitem filter applies outside
-    expanded mode).  The global counts ride along from the supported
-    R-tree's leaf level, so this is a masked copy.
+    expanded mode).  The global counts ride along from SUPPORTED-SEARCH,
+    so this is a masked copy.
 
     With a delta store attached the lemma still holds per universe —
     every record supporting a contained MIP's itemset lies inside the

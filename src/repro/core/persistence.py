@@ -14,9 +14,8 @@ the online phase needs into a single ``.npz`` file:
 Tidsets and the statistics are *derived* state: they are recomputed
 deterministically on load, which keeps the file small and the format
 trivially forward-compatible.  The stored R-tree is loaded *as* the
-index's tree — verified against the rebuilt MIPs, never re-packed — so the
-statistics describe the tree that is searched; v1 files (without it)
-still load and pack a fresh one.
+index's tree — verified against the rebuilt MIPs, never re-packed; v1
+files (without it) still load and pack a fresh one.
 """
 
 from __future__ import annotations

@@ -141,7 +141,7 @@ def _run_sseuv(ctx: QueryContext) -> RuleBlock:
     # SUPPORTED-SEARCH already guaranteed global count >= min_count — so
     # contained MIPs skip the record-level ELIMINATE entirely (only the
     # cheap Aitem filter applies outside expanded mode); the counts ride
-    # along as arrays from the supported R-tree's leaf level.
+    # along as arrays from SUPPORTED-SEARCH.
     contained_qualified = qualified_from_contained(ctx, contained)
     partial_qualified = op_eliminate(ctx, partial)
     merged = op_union(ctx, contained_qualified, partial_qualified)

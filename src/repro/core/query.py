@@ -5,11 +5,11 @@ the range selections (``Arange``, defining the focal subset ``D^Q``), the
 optional item attributes (``Aitem``), and the ``minsupp``/``minconf``
 thresholds.
 
-Range selections are per-attribute *value sets*.  The R-tree is probed with
-their per-attribute hull interval — a superset of the true region, so the
-search never loses candidates — and :class:`FocalRange` then re-classifies
-every candidate box exactly as contained / partially overlapped / disjoint
-(Section 3.4's three mutually exclusive groups).
+Range selections are per-attribute *value sets*; :class:`FocalRange`
+holds them as bitmasks.  SEARCH classifies every MIP box against them
+exactly as contained / partially overlapped / disjoint (Section 3.4's
+three mutually exclusive groups) through the index statistics' per-value
+MIP bitmaps (:meth:`repro.core.stats.IndexStatistics.region_bits`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.dataset.schema import Schema
 from repro.errors import QueryError
-from repro.rtree.geometry import Rect
 
 __all__ = [
     "FocalRange",
@@ -83,17 +82,6 @@ class FocalRange:
             masks.append(mask)
         return cls(cardinalities, tuple(masks))
 
-    def hull(self) -> Rect:
-        """Per-dimension [min, max] interval around the admitted values.
-
-        A superset of the true region — the box the R-tree is probed with.
-        """
-        lows, highs = [], []
-        for mask in self.value_masks:
-            lows.append((mask & -mask).bit_length() - 1)
-            highs.append(mask.bit_length() - 1)
-        return Rect(tuple(lows), tuple(highs))
-
     def hull_extents(self) -> tuple[int, ...]:
         """Cell extents of the hull per dimension (the cost model's D^Q_i)."""
         return tuple(
@@ -107,39 +95,6 @@ class FocalRange:
         for card, mask in zip(self.cardinalities, self.value_masks):
             fraction *= mask.bit_count() / card
         return fraction
-
-    def classify_all(self, fixed_values) -> "tuple[object, object]":
-        """Vectorized classification of MIP boxes given their fixed values.
-
-        ``fixed_values`` is the (N, n) int matrix of
-        :class:`~repro.core.stats.IndexStatistics` — the value each MIP
-        fixes per attribute, ``-1`` when free.  Returns boolean arrays
-        ``(overlaps, contained)``: whether each MIP's box meets the region
-        and whether it lies inside it (Section 3.4; checked against a
-        per-box reference in the tests).  SEARCH classifies its hits in
-        this one numpy pass.
-        """
-        import numpy as np
-
-        n = fixed_values.shape[0]
-        overlaps = np.ones(n, dtype=bool)
-        contained = np.ones(n, dtype=bool)
-        for dim, (card, mask) in enumerate(
-            zip(self.cardinalities, self.value_masks)
-        ):
-            full = (1 << card) - 1
-            if mask == full:
-                continue  # full domain: every box overlaps and is contained
-            selected = np.zeros(card, dtype=bool)
-            for v in range(card):
-                selected[v] = bool((mask >> v) & 1)
-            col = fixed_values[:, dim]
-            fixes = col >= 0
-            in_sel = np.zeros(n, dtype=bool)
-            in_sel[fixes] = selected[col[fixes]]
-            overlaps &= ~fixes | in_sel
-            contained &= fixes & in_sel
-        return overlaps, contained
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The offline preprocessing phase stores, next to the MIP-index itself, the
 aggregate statistics the COLARM optimizer needs to evaluate the six cost
-formulae in constant time at query time (Section 3.1): R-tree level
-profiles, the distribution of global support counts, the distribution of
-itemset lengths, and per-attribute fixing probabilities.
+formulae in constant time at query time (Section 3.1): the distribution
+of global support counts, the distribution of itemset lengths,
+per-attribute fixing probabilities, and the per-value MIP bitmaps that
+SEARCH and the cardinality pass read.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 from repro.dataset.schema import Item
 from repro.itemsets.itemset import min_count_for
 from repro.kernels import and_count, popcount_rows
-from repro.rtree.flat import LevelStat
-from repro.rtree.supported import SupportedRTree
 
-__all__ = ["LevelCountProfile", "IndexStatistics"]
+__all__ = ["IndexStatistics", "bit_array"]
 
 #: Rule-generation work per itemset is exponential in its length; the cost
 #: model caps the 2**length factor so one pathological itemset cannot swamp
@@ -30,27 +29,8 @@ _MAX_POW2_LENGTH = 16
 
 
 @dataclass(frozen=True)
-class LevelCountProfile:
-    """Sorted max-subtree-counts of one R-tree level.
-
-    Lets the optimizer compute, by binary search, the exact fraction of
-    level-``j`` nodes that survive the supported filter at any threshold.
-    """
-
-    level: int
-    sorted_max_counts: np.ndarray
-
-    def fraction_at_least(self, min_count: int) -> float:
-        n = len(self.sorted_max_counts)
-        if n == 0:
-            return 0.0
-        idx = int(np.searchsorted(self.sorted_max_counts, min_count, side="left"))
-        return (n - idx) / n
-
-
-@dataclass(frozen=True)
 class IndexStatistics:
-    """Aggregates describing the dataset, the MIPs and the R-tree.
+    """Aggregates describing the dataset and the MIPs.
 
     Beyond the scalar aggregates the paper's formulae use, per-MIP
     profiles make the optimizer's cardinality estimates *data-aware*,
@@ -58,9 +38,9 @@ class IndexStatistics:
 
     * ``mip_fixed_values[i, a]`` — the value MIP ``i`` fixes attribute ``a``
       to, or ``-1`` when the attribute is free.  MIP-major, MIP order:
-      SEARCH, ELIMINATE and the delta store gather its *rows*.
+      ELIMINATE and the delta store gather its *rows*.
 
-    The rest has one reader, the cardinality pass of
+    The rest is read by SEARCH and the cardinality pass of
     :mod:`repro.core.costs`, and is in **support order** — position ``p``
     is the MIP with the ``p``-th largest global count (ties by row), so
     the MIPs passing the supported filter are a *prefix* — and rebuilt,
@@ -68,10 +48,13 @@ class IndexStatistics:
 
     * ``mip_value_bits[a][v]`` / ``mip_free_bits[a]`` — N-bit ints, bit
       ``p`` set when MIP ``p`` fixes attribute ``a`` to ``v`` / leaves it
-      free: overlap and containment are ORs, ANDs and a ``bit_count()``;
-    * ``mip_log_counts[p]`` — log of the global count (the counts are
-      ``sorted_global_counts`` read backwards), ``mip_fanout[p]`` the
-      capped ``2**length`` rule-generation factor;
+      free: overlap and containment are ORs and ANDs
+      (:meth:`region_bits`), their sizes a ``bit_count()``;
+    * ``mip_rows[p]`` — the MIP row at position ``p``, how SEARCH maps
+      its bits back to rows; the global count at ``p`` is
+      ``sorted_global_counts`` read backwards;
+    * ``mip_log_counts[p]`` — log of the global count,
+      ``mip_fanout[p]`` the capped ``2**length`` rule-generation factor;
     * ``item_mip_counts[j, p]`` — ``|t(I_p) ∩ t(item_j)|``, the MIP's
       support inside each single-item subset (rows by ``item_rows``),
       the basis of the local-support upper bound behind ELIMINATE's
@@ -83,8 +66,6 @@ class IndexStatistics:
     cardinalities: tuple[int, ...]
     n_mips: int
     avg_box_extents: tuple[float, ...]      # avg MIP box extent per dim, cells
-    level_stats: tuple[LevelStat, ...]       # R-tree level profile
-    level_counts: tuple[LevelCountProfile, ...]
     sorted_global_counts: np.ndarray         # of all MIPs, ascending
     length_histogram: dict[int, int]         # itemset length -> # MIPs
     attr_fix_prob: tuple[float, ...]         # P(MIP fixes attribute d)
@@ -92,6 +73,7 @@ class IndexStatistics:
     mip_fixed_values: np.ndarray             # (N, n) int32, -1 = free
     mip_value_bits: tuple[tuple[int, ...], ...]  # [a][v] -> N-bit int
     mip_free_bits: tuple[int, ...]           # [a] -> N-bit int
+    mip_rows: np.ndarray                     # (N,) intp, position -> MIP row
     item_rows: dict[tuple[int, int], int]    # (attribute, value) -> row
     item_mip_counts: np.ndarray              # (n_items, N) int32
     mip_fanout: np.ndarray                   # (N,) float64, 2**min(length, 16)
@@ -136,19 +118,52 @@ class IndexStatistics:
         """64-bit words per tidset — the unit of one record-level AND."""
         return max(1, -(-self.n_records // 64))
 
+    def n_supported(self, min_count: int) -> int:
+        """How many MIPs' global counts reach ``min_count`` — the length
+        of the supported prefix in support order."""
+        return self.n_mips - int(self.sorted_global_counts.searchsorted(min_count))
+
     def fraction_with_count_at_least(self, min_count: int) -> float:
         """Fraction of MIPs whose *global* count reaches ``min_count``."""
-        n = len(self.sorted_global_counts)
-        if n == 0:
+        if self.n_mips == 0:
             return 0.0
-        idx = int(np.searchsorted(self.sorted_global_counts, min_count, side="left"))
-        return (n - idx) / n
+        return self.n_supported(min_count) / self.n_mips
+
+    def region_bits(
+        self, selections: Mapping[int, frozenset[int]]
+    ) -> tuple[int, int]:
+        """``(overlap, contained)`` of the region the range selections
+        name: N-bit ints in support order, bit ``p`` set when MIP ``p``'s
+        box meets / lies inside it (Section 3.4's classification).
+
+        A full-domain selection constrains nothing; on a partial one a
+        fixed attribute must hold an admitted value, and a free attribute
+        always overlaps and is never contained.
+        """
+        overlap = contained = (1 << self.n_mips) - 1
+        for ai, values in selections.items():
+            if len(values) == self.cardinalities[ai]:
+                continue
+            value_bits = self.mip_value_bits[ai]
+            inside = 0
+            for v in values:
+                inside |= value_bits[v]
+            contained &= inside
+            overlap &= inside | self.mip_free_bits[ai]
+        return overlap, contained
+
+
+def bit_array(bits: int, n: int) -> np.ndarray:
+    """The low ``n`` bits of an int as a uint8 array (padded to a byte)."""
+    return np.unpackbits(
+        np.frombuffer(bits.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
+        bitorder="little",
+    )
 
 
 def gather_statistics(
     fixed_values: np.ndarray,
     global_counts: np.ndarray,
-    tree: SupportedRTree,
     cardinalities: Sequence[int],
     n_records: int,
     primary_support: float,
@@ -230,11 +245,6 @@ def gather_statistics(
         cardinalities=cardinalities,
         n_mips=n_mips,
         avg_box_extents=avg_extents,
-        level_stats=tuple(tree.level_stats()),
-        level_counts=tuple(
-            LevelCountProfile(level, counts)
-            for level, counts in enumerate(tree.level_max_counts())
-        ),
         sorted_global_counts=sorted_counts,
         length_histogram=histogram,
         attr_fix_prob=fix_prob,
@@ -242,6 +252,7 @@ def gather_statistics(
         mip_fixed_values=fixed_values,
         mip_value_bits=value_bits,
         mip_free_bits=free_bits,
+        mip_rows=order,
         item_rows=item_rows,
         item_mip_counts=item_mip_counts,
         mip_fanout=np.exp2(np.minimum(lengths[order], _MAX_POW2_LENGTH).astype(float)),

@@ -1,7 +1,7 @@
 """R-tree substrate: geometry, the packed flat tree, supported filter, costs."""
 
 from repro.rtree.costmodel import expected_leaf_matches
-from repro.rtree.flat import FlatLevel, FlatRTree, LevelStat
+from repro.rtree.flat import FlatLevel, FlatRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.hilbert import bits_needed, hilbert_indices
 from repro.rtree.packing import pack_hilbert
@@ -13,7 +13,6 @@ __all__ = [
     "bits_needed",
     "FlatLevel",
     "FlatRTree",
-    "LevelStat",
     "pack_hilbert",
     "SupportedRTree",
     "expected_leaf_matches",

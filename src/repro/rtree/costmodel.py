@@ -4,10 +4,8 @@ A uniformly placed box of normalized extent ``s`` intersects a window of
 normalized extent ``q`` with the Minkowski-sum probability
 ``min(1, s + q)`` per dimension (clamped: probabilities cannot exceed 1).
 Over the stored boxes that product gives Lemma 4.1's expected number of
-MIPs a window meets (:func:`expected_leaf_matches`); over each non-root
-R-tree level it gives the expected node accesses that COST(S) and the
-SELECT term of COST(ARM) price (Equations 1 and 6;
-:meth:`repro.core.costs.CostModel.est_node_accesses`).
+MIPs a window meets (:func:`expected_leaf_matches`), the cost model's
+fallback when an index carries no per-item profile.
 """
 
 from __future__ import annotations

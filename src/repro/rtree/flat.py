@@ -24,17 +24,17 @@ expansion**:
 
 ``nodes_visited`` is exact, not estimated — a recursive descent reads the
 root plus the child of every internal entry that passes both filters, so
-the traversal returns ``1 + sum(matched internal entries per level)`` —
-and is the unit the R-tree cost model
-(:meth:`repro.core.costs.CostModel.est_node_accesses`) and its
-calibration price.
+the traversal returns ``1 + sum(matched internal entries per level)``.
 
 The leaf payload is one int64 vector, ``payload_rows``: leaf slot ``j``
 indexes input box ``payload_rows[j]`` (a MIP row).  The arrays round-trip
 through :mod:`repro.core.persistence` (:meth:`FlatRTree.to_arrays` /
-:meth:`FlatRTree.from_arrays`), so a reloaded index searches the stored
-tree itself; :meth:`FlatRTree.verify` is the loader's proof that a stored
-tree indexes exactly the boxes it is attached to.
+:meth:`FlatRTree.from_arrays`), so a reloaded index holds the stored tree
+itself; :meth:`FlatRTree.verify` is the loader's proof that a stored tree
+indexes exactly the boxes it is attached to.  The request path reads no
+tree: SEARCH answers from the index statistics' per-value MIP bitmaps
+(:meth:`repro.core.stats.IndexStatistics.region_bits`), and the tests
+hold it to this traversal.
 """
 
 from __future__ import annotations
@@ -52,19 +52,9 @@ __all__ = [
     "FlatHits",
     "FlatLevel",
     "FlatRTree",
-    "LevelStat",
 ]
 
 DEFAULT_MAX_ENTRIES = 8
-
-
-@dataclass(frozen=True)
-class LevelStat:
-    """Aggregate statistics of one tree level, consumed by the cost model."""
-
-    level: int
-    n_nodes: int
-    avg_extents: tuple[float, ...]  # average MBR extent per dimension, in cells
 
 
 @dataclass(frozen=True)
@@ -73,8 +63,8 @@ class FlatHits:
 
     ``slots`` are leaf-table indices (leaf-array order), ``rows`` the
     indexed boxes' input rows (MIP ids) and ``counts`` their global support
-    counts.  ``nodes_visited`` is the exact number of nodes the traversal
-    read — the unit the R-tree cost model prices.
+    counts.  ``nodes_visited`` is the number of nodes the traversal read
+    (held exactly to the test oracle).
     """
 
     slots: np.ndarray          # (k,) intp — leaf-table slot per hit

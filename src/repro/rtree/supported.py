@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatHits, FlatRTree, LevelStat
+from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatHits, FlatRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.packing import pack_hilbert
 
@@ -47,32 +47,6 @@ class SupportedRTree:
     @property
     def height(self) -> int:
         return self.flat.height
-
-    def level_stats(self) -> list[LevelStat]:
-        """Per-level node counts and average MBR extents, leaf level first
-        (cost-model input).  The empty tree has no boxes to average."""
-        if not len(self):
-            return []
-        stats = []
-        for level, lv in enumerate(reversed(self.flat.levels)):
-            node_lows, node_highs = lv.node_boxes()
-            extents = (node_highs - node_lows + 1).mean(axis=0, dtype=np.float64)
-            stats.append(
-                LevelStat(
-                    level=level,
-                    n_nodes=lv.n_nodes,
-                    avg_extents=tuple(float(x) for x in extents),
-                )
-            )
-        return stats
-
-    def level_max_counts(self) -> list[np.ndarray]:
-        """Sorted maximum subtree count of every node, per level, leaf
-        level first — the fraction of a level's nodes surviving the
-        supported filter at any threshold is one binary search away."""
-        return [
-            np.sort(lv.node_max_counts()) for lv in reversed(self.flat.levels)
-        ]
 
     def search_arrays(
         self, query: Rect, min_count: int | None = None

@@ -8,7 +8,7 @@ fixed attributes and the whole domain elsewhere (Figure 1), and a
 Python-int tidset; and each box classified against a focal region one
 dimension at a time (Section 3.4's contained / partial / disjoint
 groups) — the per-box reference for
-:meth:`repro.core.query.FocalRange.classify_all`.
+:func:`tests.core.reference_search.classify_all`.
 """
 
 from __future__ import annotations

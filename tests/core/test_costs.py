@@ -9,13 +9,9 @@ from repro.core.operators import make_context, op_eliminate, op_search, \
     op_supported_search
 from repro.core.optimizer import ColarmOptimizer
 from repro.core.plans import PlanKind
-from repro.core.calibration import default_probe_queries
 from repro.core.query import LocalizedQuery
-from repro.dataset.salary import salary_dataset
-from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
 from repro.rtree.costmodel import expected_leaf_matches
 from tests.conftest import make_random_table
-from tests.rtree.reference import expected_node_accesses
 
 
 @pytest.fixture(scope="module")
@@ -98,30 +94,30 @@ def test_supported_search_term_not_larger(setup):
     _, index = setup
     profile = profile_for(index, QUERIES[0])
     model = CostModel(index.stats)
-    plain, supported = model.est_node_accesses(profile)
+    plain, supported = model.search_loads(profile)
     assert supported <= plain + 1e-9
 
 
-@pytest.mark.parametrize("make", [
-    lambda: (salary_dataset(), 0.15),
-    lambda: (chess_like(n_records=400, n_attributes=9), 0.15),
-    lambda: (mushroom_like(n_records=400, n_attributes=9), 0.12),
-    lambda: (pumsb_like(n_records=500, n_attributes=9), 0.15),
-], ids=["salary", "chess", "mushroom", "pumsb"])
-def test_plain_node_accesses_are_the_scalar_reference(make):
-    """COST(S)'s node-access term is the Theodoridis-Sellis estimate over
-    the index's level profile, bit for bit."""
-    table, primary_support = make()
-    index = build_mip_index(table, primary_support=primary_support)
-    model = CostModel(index.stats)
-    optimizer = ColarmOptimizer(index)
-    for query in default_probe_queries(index, n_queries=6, seed=5):
-        profile, _focus = optimizer.profile_for(query)
-        plain, _supported = model.est_node_accesses(profile)
-        assert plain == expected_node_accesses(
-            index.rtree.level_stats(), profile.hull_extents,
-            index.stats.cardinalities,
-        )
+@pytest.mark.parametrize("query", QUERIES)
+def test_search_loads_are_pass_words_plus_output_rows(setup, query):
+    """Both searches pay the same bitmap pass — the MIP bitsets of each
+    value in a partial attribute's hull and of its free set ORed, a word
+    a unit, and the two bitmaps unpacked, 64 units a word — and one unit
+    per returned row."""
+    _, index = setup
+    profile = profile_for(index, query)
+    extents = [max(values) - min(values) + 1
+               for values in query.range_selections.values()]
+    words = -(-index.n_mips // 64) * (2 * 64 + sum(
+        extent + 1 for a, extent in zip(query.range_selections, extents)
+        if extent < index.cardinalities[a]
+    ))
+    ctx = make_context(index, query)
+    plain = len(op_search(ctx))
+    supported = len(op_supported_search(ctx))
+    assert CostModel(index.stats).search_loads(profile) == (
+        words + plain, words + supported
+    )
 
 
 def test_estimate_all_returns_every_plan(setup):

@@ -194,7 +194,7 @@ def test_three_minconfs_build_one_profile(monkeypatch):
 
 def projected(choice) -> bool:
     """Whether the choice's subset still holds item rows, in either form."""
-    return choice.focus is not None and choice.focus._lazy[1:] != [None, None]
+    return choice.focus is not None and choice.focus._lazy[1:3] != [None, None]
 
 
 def test_projection_ends_with_the_request(monkeypatch):

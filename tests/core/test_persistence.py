@@ -114,9 +114,9 @@ def _assert_same_tree(a, b):
     for key in arrays_a:
         assert arrays_a[key].dtype == arrays_b[key].dtype, key
         assert np.array_equal(arrays_a[key], arrays_b[key]), key
-    assert a.stats.level_stats == b.stats.level_stats
-    assert [(p.level, p.sorted_max_counts.tolist()) for p in a.stats.level_counts] \
-        == [(p.level, p.sorted_max_counts.tolist()) for p in b.stats.level_counts]
+    assert np.array_equal(a.stats.mip_rows, b.stats.mip_rows)
+    assert a.stats.mip_value_bits == b.stats.mip_value_bits
+    assert a.stats.mip_free_bits == b.stats.mip_free_bits
     hull = full_domain(a.cardinalities)
     for min_count in (None, 2, 10**9):
         x = a.rtree.search_arrays(hull, min_count=min_count)

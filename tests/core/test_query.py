@@ -1,4 +1,5 @@
-"""LocalizedQuery and FocalRange: validation, hull, exact classification."""
+"""LocalizedQuery and FocalRange: validation; the hull and the exact
+classification of the SEARCH reference (``tests/core/reference_search``)."""
 
 import itertools
 
@@ -8,6 +9,7 @@ from repro.core.query import FocalRange, LocalizedQuery
 from repro.errors import QueryError
 from repro.rtree.geometry import Rect
 from tests.core.reference_mips import Overlap, classify
+from tests.core.reference_search import classify_all, hull
 
 
 def test_query_validation():
@@ -75,7 +77,7 @@ def test_validate_against(salary):
 
 def test_focal_range_hull():
     fr = FocalRange.from_selections({0: frozenset({1, 3})}, (5, 3))
-    assert fr.hull() == Rect((1, 0), (3, 2))
+    assert hull(fr) == Rect((1, 0), (3, 2))
     assert fr.hull_extents() == (3, 3)
 
 
@@ -139,7 +141,7 @@ def test_classify_non_contiguous_selection():
     assert classify(fr, Rect((0,), (2,))) is Overlap.PARTIAL
     assert classify(fr, Rect((2,), (2,))) is Overlap.CONTAINED
     # ... while the hull covers the gap
-    assert fr.hull() == Rect((0,), (2,))
+    assert hull(fr) == Rect((0,), (2,))
 
 
 def test_classify_all_matches_classify():
@@ -171,7 +173,7 @@ def test_classify_all_matches_classify():
                 ) or frozenset({rng.randrange(card)})
                 selections[a] = values
         fr = FocalRange.from_selections(selections, cards)
-        overlaps, contained = fr.classify_all(fixed)
+        overlaps, contained = classify_all(fr, fixed)
         for i, box in enumerate(boxes):
             expected = classify(fr, box)
             assert overlaps[i] == (expected is not Overlap.DISJOINT), i

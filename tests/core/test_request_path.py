@@ -3,8 +3,9 @@
 A planned miss — whichever plan the optimizer picks — projects each
 record universe that has focal records once, builds one kernel and one
 sub-itemset table whose row ANDs number at most the widest source's
-width, never calls ``make_itemset``, and turns ids back into ``Item``
-tuples only for the sources the returned block lists.
+width, never calls ``make_itemset``, turns ids back into ``Item``
+tuples only for the sources the returned block lists, and ORs the
+region's MIP bitmaps once for the profile and SEARCH together.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from repro import LocalizedQuery, PlanKind, kernels
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import execute_plan
+from repro.core.stats import IndexStatistics
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from repro.itemsets import itemset as itemset_module
@@ -33,13 +35,14 @@ class Counts:
     def __init__(self, monkeypatch, engine):
         self.projections = []
         self.kernels = self.tables = self.row_ands = self.make_itemset = 0
-        self.widest = 0
+        self.widest = self.region_passes = 0
         main_matrix = engine.index.table.item_matrix()[0]
         project_rows = kernels.project_rows
         kernel_init = kernels.FocalKernel.__init__
         name_cells = kernels._name_cells
         bitwise_and = np.bitwise_and
         make_itemset = itemset_module.make_itemset
+        region_bits = IndexStatistics.region_bits
 
         def counted_project_rows(matrix, mask_row):
             self.projections.append("main" if matrix is main_matrix else "delta")
@@ -62,11 +65,16 @@ class Counts:
             self.make_itemset += 1
             return make_itemset(items)
 
+        def counted_region_bits(stats, selections):
+            self.region_passes += 1
+            return region_bits(stats, selections)
+
         monkeypatch.setattr(kernels, "project_rows", counted_project_rows)
         monkeypatch.setattr(kernels.FocalKernel, "__init__", counted_init)
         monkeypatch.setattr(kernels, "_name_cells", counted_name_cells)
         monkeypatch.setattr(np, "bitwise_and", counted_and)
         monkeypatch.setattr(itemset_module, "make_itemset", counted_make_itemset)
+        monkeypatch.setattr(IndexStatistics, "region_bits", counted_region_bits)
         schema = engine.schema
         monkeypatch.setattr(
             schema, "_items_by_id", CountedItems(schema.items_by_id)
@@ -95,6 +103,12 @@ def test_planned_miss_counts_one_table_in_the_id_space(
     assert counts.make_itemset == 0
     # Item tuples exist for the sources the block lists, and no others.
     assert CountedItems.lookups == sum(map(len, outcome.rules.sources))
+    # The profile's cardinality pass and SEARCH share one region pass; on
+    # a profile-memo hit SEARCH makes it (ARM does not search).
+    assert counts.region_passes == 1
+    counts.region_passes = 0
+    engine.query(QUERY)
+    assert counts.region_passes == (kind is not PlanKind.ARM)
 
 
 def test_a_source_wider_than_any_lattice_slab_rides_the_same_table():

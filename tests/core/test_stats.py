@@ -7,15 +7,12 @@ import pytest
 
 from repro import tidset as ts
 from repro.core.mipindex import build_mip_index
-from repro.core.stats import LevelCountProfile
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
 from repro.dataset.table import RelationalTable
-from repro.rtree.flat import LevelStat
 from tests.conftest import make_random_table
 from tests.core.reference_mips import ref_mips
 from tests.rtree import reference
-from tests.rtree.test_rtree import oracle_tree
 
 
 @pytest.fixture(scope="module")
@@ -141,26 +138,9 @@ def test_support_ordered_bitsets(setup):
         )
 
 
-def test_level_count_profile():
-    profile = LevelCountProfile(0, np.asarray([1, 3, 3, 7]))
-    assert profile.fraction_at_least(0) == 1.0
-    assert profile.fraction_at_least(3) == 0.75
-    assert profile.fraction_at_least(8) == 0.0
-    empty = LevelCountProfile(0, np.asarray([], dtype=np.int64))
-    assert empty.fraction_at_least(1) == 0.0
-
-
 def test_tidset_words(setup):
     _, index = setup
     assert index.stats.tidset_words == -(-index.stats.n_records // 64)
-
-
-def test_level_counts_cover_tree(setup):
-    _, index = setup
-    stats = index.stats
-    leaf_profile = next(p for p in stats.level_counts if p.level == 0)
-    assert len(leaf_profile.sorted_max_counts) == \
-        next(s for s in stats.level_stats if s.level == 0).n_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +227,8 @@ def scalar_statistics(index):
 
     counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     out["sorted_global_counts"] = np.sort(counts)
-    out["level_stats"] = tuple(
-        LevelStat(
-            level,
-            len(nodes),
-            tuple(
-                sum(max(h[d] for _, h, _ in node) - min(l[d] for l, _, _ in node)
-                    + 1 for node in nodes) / len(nodes)
-                for d in range(n_dims)
-            ),
-        )
-        for level, nodes in enumerate(_oracle_levels(index))
-        if mips
-    )
+    out["mip_rows"] = np.asarray([m.row for m in by_support], dtype=np.intp)
     return out
-
-
-def _oracle_levels(index):
-    """The R-tree's nodes per level, leaf level first, from the test
-    oracle packed over the MIP boxes: each node a list of ``(lows, highs,
-    count)`` entries."""
-    items = [(m.box, m.row, m.global_count) for m in ref_mips(index)]
-    arrays = reference.level_arrays(*oracle_tree(items, index.rtree.max_entries))
-    return [
-        [list(zip(lows[a:b], highs[a:b], counts[a:b]))
-         for a, b in zip(offsets, offsets[1:])]
-        for offsets, lows, highs, counts in reversed(arrays)
-    ]
 
 
 def _constant_table(n_records=10):
@@ -322,10 +277,3 @@ def test_kernel_statistics_equal_scalar_loops(case):
             assert list(got.items()) == list(want.items()), name
         else:
             assert got == want, name
-    # The supported filter's per-level profile: every node's maximum count.
-    assert [(p.level, p.sorted_max_counts.tolist()) for p in stats.level_counts] \
-        == [
-            (level, sorted(max([c for _, _, c in node], default=0)
-                           for node in nodes))
-            for level, nodes in enumerate(_oracle_levels(index))
-        ]

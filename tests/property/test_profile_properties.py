@@ -32,23 +32,25 @@ from tests.property import test_maintenance_delta as delta_suite
 from tests.property import test_plan_equivalence as plan_suite
 
 
-def cardinality_args(query, focus, stats):
-    """The arguments ``QueryProfile.from_query`` hands the pass."""
+def threshold_args(query, focus, stats):
+    """The arguments after the first three ``QueryProfile.from_query``
+    hands the pass (none depends on the MIP order)."""
     exact = query.minsupp * stats.n_records
     global_floor = max(int(exact) + (int(exact) < exact), 1)
     return (
-        query, focus.focal, stats, focus.min_count, global_floor,
+        focus.min_count, global_floor,
         costs._aitem_fraction(query, stats),
         costs._contained_fraction(query, focus.focal, stats),
     )
 
 
 def assert_passes_agree(query, focus, stats, reference_stats):
-    """``reference_stats`` is ``stats`` in the reference's MIP order."""
-    new = costs._cardinalities(*cardinality_args(query, focus, stats))
-    old = reference_cardinalities(
-        *cardinality_args(query, focus, reference_stats)
-    )
+    """``reference_stats`` is ``stats`` in the reference's MIP order; the
+    pass reads the region's bitmaps off ``focus``, the reference
+    classifies ``focus.focal`` itself."""
+    rest = threshold_args(query, focus, stats)
+    new = costs._cardinalities(query, focus, stats, *rest)
+    old = reference_cardinalities(query, focus.focal, reference_stats, *rest)
     assert list(new) == list(old) == list(costs._CARDINALITY_FIELDS)
     assert new == old
 
@@ -106,8 +108,8 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     real = costs._cardinalities
     by_mip = mip_order_stats(mx.index)
 
-    def reference(query, focal, _stats, *rest):
-        return reference_cardinalities(query, focal, by_mip, *rest)
+    def reference(query, focus, _stats, *rest):
+        return reference_cardinalities(query, focus.focal, by_mip, *rest)
 
     costs._cardinalities = reference
     try:

@@ -5,10 +5,13 @@ list of entries ``(lows, highs, count, child)``: ``child`` is the item's
 position in ``items`` at the leaf level, the node beneath otherwise.
 
 Also the scalar references the vectorized ``src/`` code is held to — one
-point's Hilbert key, the Theodoridis-Sellis node-access estimate — and
-the box helpers tests build queries with (the only ``src/`` name used
-here is the ``Rect`` they return).
+point's Hilbert key, the Theodoridis-Sellis node-access estimate and the
+per-level summaries it reads off a packed tree — and the box helpers
+tests build queries with (the only ``src/`` name used here is the
+``Rect`` they return).
 """
+
+from dataclasses import dataclass
 
 from repro.rtree.geometry import Rect
 
@@ -113,6 +116,38 @@ def hilbert_index(coords, bits):
         for i in range(n):
             index = (index << 1) | ((x[i] >> bit) & 1)
     return index
+
+
+@dataclass(frozen=True)
+class LevelStat:
+    """One tree level: its node count and average MBR extent per
+    dimension, in cells."""
+
+    level: int
+    n_nodes: int
+    avg_extents: tuple
+
+
+def level_stats(tree):
+    """A packed ``FlatRTree``'s ``LevelStat`` per level, leaf level first
+    (``[]`` for the empty tree: it has no boxes to average)."""
+    if not len(tree):
+        return []
+    stats = []
+    for level, lv in enumerate(reversed(tree.levels)):
+        lows, highs = (a.tolist() for a in lv.node_boxes())
+        avg = tuple(
+            sum(hi[d] - lo[d] + 1 for lo, hi in zip(lows, highs)) / len(lows)
+            for d in range(len(lows[0]))
+        )
+        stats.append(LevelStat(level=level, n_nodes=lv.n_nodes, avg_extents=avg))
+    return stats
+
+
+def level_max_counts(tree):
+    """A packed ``FlatRTree``'s sorted node maxima per level, leaf level
+    first."""
+    return [sorted(lv.node_max_counts().tolist()) for lv in reversed(tree.levels)]
 
 
 def expected_node_accesses(stats, query_extents, cardinalities):

@@ -1,8 +1,9 @@
 """Theodoridis-Sellis expected node accesses and Lemma 4.1.
 
 The node-access estimate is the scalar reference
-:func:`tests.rtree.reference.expected_node_accesses`; the cost model's own
-pass is held to it bit for bit on real indexes in ``tests/core/test_costs.py``.
+:func:`tests.rtree.reference.expected_node_accesses` (SEARCH reads no tree,
+so nothing in ``src/`` prices node accesses); it is held to the measured
+traversal here.
 """
 
 import random
@@ -11,9 +12,13 @@ import pytest
 
 from repro.errors import DataError
 from repro.rtree.costmodel import expected_leaf_matches
-from repro.rtree.flat import LevelStat
 from repro.rtree.supported import SupportedRTree
-from tests.rtree.reference import expected_node_accesses, extents
+from tests.rtree.reference import (
+    LevelStat,
+    expected_node_accesses,
+    extents,
+    level_stats,
+)
 from tests.rtree.test_rtree import as_arrays, random_items, random_query
 
 
@@ -53,7 +58,7 @@ def test_matches_measured_accesses_roughly():
     rng = random.Random(2)
     items = random_items(rng, 500)
     tree = SupportedRTree.build(*as_arrays(items), max_entries=8)
-    stats = tree.level_stats()
+    stats = level_stats(tree.flat)
     cards = (8, 6, 10)
 
     total_est = total_meas = 0.0

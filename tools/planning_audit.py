@@ -1,15 +1,19 @@
 #!/usr/bin/env python
 """What planning costs, and whether a change to it moved any number.
 
-Two jobs, both over the end-to-end benchmark's own query pools
-(``benchmarks/e2e/workloads.py`` is imported, never edited), both runnable
-against *any* checkout of this repository through ``--repo`` — which is
-how one file measures the parent commit and the change alike::
+Every job runs over the end-to-end benchmark's own query pools
+(``benchmarks/e2e/workloads.py`` is imported, never edited), and all but
+``search`` run against *any* checkout of this repository through
+``--repo`` — which is how one file measures the parent commit and the
+change alike::
 
     python tools/planning_audit.py size
     python tools/planning_audit.py size --repo ../parent
     python tools/planning_audit.py tail
     python tools/planning_audit.py tail --repo ../parent
+    python tools/planning_audit.py plans
+    python tools/planning_audit.py plans --repo ../parent
+    python tools/planning_audit.py search
     python tools/planning_audit.py dump here.json
     python tools/planning_audit.py dump parent.json --repo ../parent
     python tools/planning_audit.py compare parent.json here.json
@@ -36,11 +40,33 @@ Reports count + extract milliseconds per request, best of the three, by
 rule-count class: the bottom 50 % of requests, 50-90 %, the top 10 % and
 the top 2 %.  Timing-based: alternate runs against ``--repo``.
 
+``plans`` — which plan is fastest, and whether the optimizer knows it
+(ROADMAP 2(a) data): every key the seed's ``fresh_grid`` and
+``zipf_served`` op lists query, run under each of the six forced plans
+three times through ``engine.query(use_cache=False)``; a key's
+measured-best plan is the one with the lowest best-of-three wall time.
+Reports, per plan, on how many keys it is measured-best and how often the
+optimizer picks it at the default and at the calibrated weights, and for
+each weight set the share of keys picked right and the mean extra time of
+its picks over the measured best.  Timing-based: alternate runs against
+``--repo``.
+
+``search`` — what SEARCH costs (``docs/performance.md``, "What SEARCH
+costs"): for every query of the four pools, on immutable indexes, the
+best-of-five milliseconds of the R-tree descent over the region's hull,
+of ``classify_all`` over its hits, of a leaf scan (``classify_all`` over
+all N MIPs) and of the bitmap SEARCH operator (region bitmaps included),
+with the mean hull hits and MIPs.  The descent and the classifier are
+the tests' reference (``tests/core/reference_search.py``), so this job
+measures this checkout only (``--repo`` is ignored).
+
 ``dump`` / ``compare`` — the exact-equality check: for every query of the
 ``fresh_grid``, ``zipf_served`` and ``wide_cluster`` pools, on an immutable
 index at the default weights, the ``QueryProfile`` (field for field) and
 the six ``estimate_all`` prices, floats written as ``float.hex`` so ``==``
-means bit-identical.  ``compare`` exits 1 on the first difference.
+means bit-identical.  ``compare`` lists the fields that moved and the
+prices that did; it exits 1 when a profile field differs, 2 when only
+prices do.
 
 ``answers`` / ``same-answers`` — same picks, same answers: every workload
 of the benchmark run through the benchmark's own ``run_once`` (seed 1,
@@ -203,6 +229,109 @@ def tail(seed: int, repeats: int = 3) -> int:
     return 0
 
 
+# -- plans --------------------------------------------------------------------
+
+
+def plans(seed: int, repeats: int = 3) -> int:
+    import workloads
+    from repro.core.plans import PlanKind
+
+    for name in ("fresh_grid", "zipf_served"):
+        workload = workloads.generate(name, seed, 10.0)
+        engines = engines_for(workload, calibrate=False)
+        keys = sorted({i for kind, i in workload.ops if kind == "query"})
+        best: dict[int, dict] = {i: {} for i in keys}
+        for _ in range(repeats):
+            for i in keys:
+                pq = workload.pool[i]
+                for kind in PlanKind:
+                    t0 = perf_counter()
+                    engines[pq.engine].query(pq.query, plan=kind, use_cache=False)
+                    spent = perf_counter() - t0
+                    best[i][kind] = min(best[i].get(kind, spent), spent)
+        fastest = {i: min(best[i], key=best[i].get) for i in keys}
+        picks = {}
+        for label in ("default", "calibrated"):
+            if label == "calibrated":
+                for engine in engines.values():
+                    engine.calibrate()
+            picks[label] = {
+                i: engines[workload.pool[i].engine].choose_plan(
+                    workload.pool[i].query).kind
+                for i in keys
+            }
+        print(f"{name} seed {seed}: {len(keys)} keys, best of {repeats} "
+              f"forced runs each")
+        print(f"  {'plan':<9} {'best':>5} {'default':>8} {'calibrated':>11}")
+        for kind in PlanKind:
+            print(f"  {kind.value:<9} "
+                  f"{sum(f is kind for f in fastest.values()):>5} "
+                  f"{sum(p is kind for p in picks['default'].values()):>8} "
+                  f"{sum(p is kind for p in picks['calibrated'].values()):>11}")
+        for label, chosen in picks.items():
+            right = sum(chosen[i] is fastest[i] for i in keys)
+            extra = sum(best[i][chosen[i]] / best[i][fastest[i]] - 1.0
+                        for i in keys) / len(keys)
+            print(f"  {label:<10} picks the measured best on {right} of "
+                  f"{len(keys)} keys, mean extra time {extra:.3f}")
+    return 0
+
+
+# -- search -------------------------------------------------------------------
+
+
+def search(seed: int, repeats: int = 5) -> int:
+    import numpy as np
+
+    import workloads
+    from repro.core.focal import resolve_focal
+    from repro.core.operators import make_context, op_search
+    from tests.core.reference_search import classify_all, hull
+
+    def best(fn) -> float:
+        spent = float("inf")
+        for _ in range(repeats):
+            t0 = perf_counter()
+            fn()
+            spent = min(spent, perf_counter() - t0)
+        return spent
+
+    print(f"{'pool':<13} {'queries':>7} {'hull hits / MIPs':>17} "
+          f"{'descent':>8} {'classify':>9} {'leaf scan':>10} {'bitmap':>7}  ms")
+    for name in ("fresh_grid", "zipf_served", "ingest_mixed", "wide_cluster"):
+        workload = workloads.generate(name, seed, 10.0)
+        engines = engines_for(workload, calibrate=False)
+        rows = []
+        for pq in workload.pool:
+            index = engines[pq.engine].index
+            focus = resolve_focal(index, pq.query)
+            if focus.dq_size == 0:
+                continue
+            window = hull(focus.focal)
+            hits = index.rtree.search_arrays(window)
+            fixed = index.stats.mip_fixed_values
+            hit_rows = fixed.take(hits.rows, axis=0)
+
+            ctx = make_context(index, pq.query, focus=focus)
+
+            def bitmap():
+                focus._lazy[3] = None  # the region bitmaps, recomputed
+                op_search(ctx)
+
+            rows.append((
+                len(hits), index.n_mips,
+                best(lambda: index.rtree.search_arrays(window)),
+                best(lambda: classify_all(focus.focal, hit_rows)),
+                best(lambda: classify_all(focus.focal, fixed)),
+                best(bitmap),
+            ))
+        mean = np.asarray(rows).mean(axis=0)
+        print(f"{name:<13} {len(rows):>7} {mean[0]:>8.0f} / {mean[1]:<6.0f} "
+              f"{1e3 * mean[2]:>8.3f} {1e3 * mean[3]:>9.3f} "
+              f"{1e3 * mean[4]:>10.3f} {1e3 * mean[5]:>7.3f}")
+    return 0
+
+
 # -- dump / compare -----------------------------------------------------------
 
 
@@ -241,22 +370,32 @@ def dump(path: str, seed: int) -> int:
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    total = 0
+    total = moved_profiles = moved_prices = 0
     for name in POOLS:
         if len(a[name]) != len(b[name]):
             print(f"{name}: {len(a[name])} vs {len(b[name])} queries")
             return 1
-        for i, (ra, rb) in enumerate(zip(a[name], b[name])):
-            if ra != rb:
-                keys = [k for k in ra["profile"]
-                        if ra["profile"][k] != rb["profile"].get(k)]
-                print(f"{name}[{i}] differs: profile fields {keys}, "
-                      f"estimates {ra['estimates']} vs {rb['estimates']}")
-                return 1
+        fields: set[str] = set()
+        prices: dict[str, int] = defaultdict(int)
+        for ra, rb in zip(a[name], b[name]):
+            keys = [k for k in ra["profile"] | rb["profile"]
+                    if ra["profile"].get(k) != rb["profile"].get(k)]
+            fields.update(keys)
+            moved_profiles += bool(keys)
+            plans = [k for k in ra["estimates"]
+                     if ra["estimates"][k] != rb["estimates"].get(k)]
+            for plan in plans:
+                prices[plan] += 1
+            moved_prices += bool(plans)
         total += len(a[name])
-        print(f"{name}: {len(a[name])} profiles and estimate sets ==")
-    print(f"all {total} queries bit-identical")
-    return 0
+        print(f"{name}: {len(a[name])} queries, profile fields moved: "
+              f"{sorted(fields) or 'none'}, prices moved: "
+              f"{dict(prices) or 'none'}")
+    print(f"{total} queries: {moved_profiles} profiles and {moved_prices} "
+          f"price sets differ")
+    if moved_profiles:
+        return 1
+    return 2 if moved_prices else 0
 
 
 # -- answers / same-answers ---------------------------------------------------
@@ -316,6 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("size", parents=[common])
     sub.add_parser("tail", parents=[common])
+    sub.add_parser("plans", parents=[common])
+    sub.add_parser("search", parents=[common])
     sub.add_parser("dump", parents=[common]).add_argument("out")
     sub.add_parser("answers", parents=[common]).add_argument("out")
     for name in ("compare", "same-answers"):
@@ -327,11 +468,17 @@ def main(argv: list[str] | None = None) -> int:
         return compare(args.a, args.b)
     if args.command == "same-answers":
         return same_answers(args.a, args.b)
+    if args.command == "search":
+        use_checkout(HERE)
+        sys.path.insert(0, str(HERE))
+        return search(args.seed)
     use_checkout(args.repo.resolve())
     if args.command == "size":
         return size(args.seed)
     if args.command == "tail":
         return tail(args.seed)
+    if args.command == "plans":
+        return plans(args.seed)
     if args.command == "answers":
         return answers(args.out, args.seed)
     return dump(args.out, args.seed)

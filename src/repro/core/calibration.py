@@ -8,11 +8,13 @@ the per-feature weights are fitted from (load, measured time) pairs — per
 feature the median ratio over the rows that exercise it alone, with
 non-negative least squares as the fallback.
 
-Each probe runs three plans, which between them invoke every operator
-kind once: S-E-V (SEARCH, ELIMINATE, VERIFY), SS-VS (SUPPORTED-SEARCH,
-SUPPORTED-VERIFY — also the MIP plan the optimizer picks most) and ARM
-(SELECT, ARM).  The other three plans only recombine those operators, so
-running them would time the same work again on the same inputs.
+Each probe runs SS-VS (also the MIP plan the optimizer picks most) and
+ARM whole, plus S-E-V's SEARCH -> ELIMINATE leg: every code path the fit
+reads, once.  S-E-V's VERIFY would count and extract over the very
+qualified set SUPPORTED-VERIFY does (unsupported candidates never
+qualify), so ``verify`` / ``rulegen`` are fitted from SS-VS alone; the
+leg stays because ELIMINATE qualifies *all* overlapping candidates, which
+SS-VS never does.  The other three plans only recombine these operators.
 
 The probe time excludes the shared FOCUS step (identical across plans, so
 irrelevant to plan *selection*).
@@ -29,9 +31,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import plans
 from repro.core.costs import CostModel, CostWeights, DEFAULT_WEIGHTS, QueryProfile
 from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex
+from repro.core.operators import ExecutionTrace
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
@@ -52,6 +56,8 @@ class CalibrationReport:
     """Fitted weights plus fit diagnostics."""
 
     weights: CostWeights
+    #: timed probe legs, three per non-empty probe: S-E-V's SEARCH ->
+    #: ELIMINATE leg, SS-VS and ARM.
     n_runs: int
     residual: float  # RMS of (predicted - measured) over the probe runs
     #: rows per feature in which that feature was the only active one —
@@ -114,25 +120,22 @@ def default_probe_queries(
     ]
 
 
-#: The plans each probe runs: together they invoke every operator kind of
-#: :data:`_OPERATOR_FEATURES` exactly once.
+#: The plans each probe times: S-E-V up to ELIMINATE (:func:`_probe_leg`),
+#: SS-VS and ARM whole.  Together they invoke every operator kind of
+#: :data:`_OPERATOR_FEATURES` plus SUPPORTED-VERIFY, each code path once.
 _PROBE_PLANS = (PlanKind.SEV, PlanKind.SSVS, PlanKind.ARM)
 
-#: Which cost features each instrumented operator exercises.  Used as the
-#: joint-attribution fallback when an operator trace carries no internal
-#: time split; VERIFY-family traces normally report ``mining_s`` /
-#: ``rulegen_s`` / ``kernel_s`` / ``projection_s`` details, from which
-#: :func:`calibrate` builds *solo* rows per feature instead (support
-#: counting -> ``verify``, extraction -> ``rulegen``, embedded
-#: qualification -> ``eliminate``).
-_OPERATOR_FEATURES: dict[str, tuple[str, ...]] = {
-    "SEARCH": ("search",),
-    "SUPPORTED-SEARCH": ("search",),
-    "ELIMINATE": ("eliminate",),
-    "VERIFY": ("verify", "rulegen"),
-    "SUPPORTED-VERIFY": ("eliminate", "verify", "rulegen"),
-    "SELECT": ("select",),
-    "ARM": ("arm",),
+#: Which cost feature each timed operator exercises alone.  SUPPORTED-
+#: VERIFY exercises three; :func:`calibrate` splits it into one solo row
+#: per feature from its trace's ``mining_s`` / ``kernel_s`` /
+#: ``projection_s`` details (embedded qualification -> ``eliminate``,
+#: support counting -> ``verify``, extraction -> ``rulegen``).
+_OPERATOR_FEATURES: dict[str, str] = {
+    "SEARCH": "search",
+    "SUPPORTED-SEARCH": "search",
+    "ELIMINATE": "eliminate",
+    "SELECT": "select",
+    "ARM": "arm",
 }
 
 
@@ -157,15 +160,12 @@ def calibrate(
     rows: list[list[float]] = []
     times: list[float] = []
     n_runs = 0
-    # Probe timings feed the weight fit directly; a collector pause
-    # mid-probe (rule extraction allocates Rule objects in bulk) would be
-    # priced into the weights, so every timed execution runs with the
-    # collector paused.  The heap is collected *once*, up front: a full
-    # collection walks the whole index (tens of milliseconds) and one
-    # before each of the 3 x len(probe_queries) executions cost more than
-    # the executions themselves, while what a probe leaves behind is
-    # reclaimed by the collector's own schedule between the pauses.
-    gc.collect()
+    # Probe timings feed the weight fit directly; a collection mid-probe
+    # would be priced into the weights, so every timed leg runs with the
+    # collector paused.  The heap is never collected here: a full
+    # collection walks the whole index (10-20 ms per engine, more than the
+    # legs it would precede), and what a leg leaves behind is reclaimed by
+    # the collector's own schedule between the pauses.
     for query in probe_queries:
         focus = resolve_focal(index, query)
         if focus.dq_size == 0:
@@ -177,7 +177,7 @@ def calibrate(
         focus.release()
         for kind in _PROBE_PLANS:
             with _collector_paused():
-                result = execute_plan(kind, index, query, expand=expand)
+                trace = _probe_leg(kind, index, query, expand)
             n_runs += 1
             supported = kind.name.startswith("SS")
             per_feature = {
@@ -195,36 +195,24 @@ def calibrate(
                 rows.append(row)
                 times.append(max(elapsed, 0.0))
 
-            for op in result.trace.operators:
-                if op.name in ("VERIFY", "SUPPORTED-VERIFY") and \
-                        "rulegen_s" in op.detail:
+            for op in trace.operators:
+                if op.name == "SUPPORTED-VERIFY":
                     # The trace's internal split yields one *solo* row per
-                    # feature — support counting (projection build + kernel
-                    # evaluations) identifies ``verify``, the extraction
-                    # remainder identifies ``rulegen``, and SUPPORTED-
-                    # VERIFY's embedded qualification identifies
-                    # ``eliminate`` — instead of leaving the least-squares
-                    # fit to disentangle them from joint rows.
+                    # feature instead of leaving the least-squares fit to
+                    # disentangle them from one joint row.
                     counting_s = (
                         op.detail.get("kernel_s", 0.0)
                         + op.detail.get("projection_s", 0.0)
                     )
                     mining_s = op.detail.get("mining_s", 0.0)
+                    add_solo_row("eliminate", mining_s)
                     add_solo_row("verify", counting_s)
                     add_solo_row(
                         "rulegen", op.elapsed - mining_s - counting_s
                     )
-                    if op.name == "SUPPORTED-VERIFY":
-                        add_solo_row("eliminate", mining_s)
-                    continue
-                features = _OPERATOR_FEATURES.get(op.name)
-                if not features:
-                    continue  # FOCUS / UNION: constant overhead
-                row = [0.0] * len(feature_names)
-                for feature in features:
-                    row[column[feature]] = per_feature[feature]
-                rows.append(row)
-                times.append(max(op.elapsed, 0.0))
+                elif op.name in _OPERATOR_FEATURES:
+                    # FOCUS is constant overhead and not fitted.
+                    add_solo_row(_OPERATOR_FEATURES[op.name], op.elapsed)
 
     if not rows:
         raise QueryError("no probe runs executed; cannot calibrate")
@@ -273,6 +261,21 @@ def calibrate(
     )
 
 
+def _probe_leg(
+    kind: PlanKind, index: MIPIndex, query: LocalizedQuery, expand: bool
+) -> ExecutionTrace:
+    """Run one probe leg and return its trace; S-E-V stops after ELIMINATE.
+
+    The S-E-V leg calls the operators by the names :mod:`repro.core.plans`
+    binds, so whatever wraps a plan body's operators wraps the leg's too.
+    """
+    if kind is not PlanKind.SEV:
+        return execute_plan(kind, index, query, expand=expand).trace
+    ctx = plans.make_context(index, query, expand=expand)
+    plans.op_eliminate(ctx, plans.op_search(ctx))
+    return ctx.trace
+
+
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic collector, restoring the state found on entry."""
@@ -301,9 +304,10 @@ def calibrate_maintenance(
       rows into the request's universe (unpack, select the focal
       columns, repack).
 
-    Every other weight is untouched; rerunning :func:`calibrate`
-    afterwards resets these two to their defaults (the probe traces never
-    exercise them), so fit the maintenance weights last.
+    Every other weight is untouched.  :func:`calibrate` alone returns these
+    two at their defaults (the probe traces never exercise them);
+    :meth:`repro.core.engine.Colarm.calibrate` calls this function after
+    it while maintenance is on.
     """
     words = max(1, maintained.delta_words)
     fitted = dict(weights.weights)

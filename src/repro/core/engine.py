@@ -20,7 +20,7 @@ through :meth:`Colarm.query`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.calibration import (
@@ -134,12 +134,22 @@ class Colarm:
         n_probes: int = 8,
         seed: int = 0,
     ) -> CalibrationReport:
-        """Fit the cost model's unit weights from a probe workload."""
+        """Fit the cost model's unit weights from a probe workload.
+
+        With maintenance on, the ``delta_probe`` / ``delta_merge`` weights
+        the probe traces never exercise are refitted from the live delta
+        store too, so the order of this call and :meth:`enable_maintenance`
+        does not matter.
+        """
         if probe_queries is None:
             probe_queries = default_probe_queries(
                 self.index, n_queries=n_probes, seed=seed
             )
         report = calibrate(self.index, probe_queries, expand=self.expand)
+        if self.maintenance is not None:
+            report = replace(report, weights=calibrate_maintenance(
+                self.maintenance, report.weights
+            ))
         self.optimizer.set_weights(report.weights)
         return report
 
@@ -180,8 +190,8 @@ class Colarm:
            corrections) — the index object and its lineage are untouched;
         2. fits the ``delta_probe``/``delta_merge`` cost weights from the
            live delta store (:func:`repro.core.calibration.
-           calibrate_maintenance`) — run *after* :meth:`calibrate`, which
-           refits from plan traces and would reset them to defaults;
+           calibrate_maintenance`), as :meth:`calibrate` also does while
+           maintenance is on;
         3. installs the delta source in the optimizer, which from then on
            profiles the combined live focal subset and prices the delta
            toll into every MIP plan.

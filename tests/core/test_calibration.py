@@ -31,7 +31,8 @@ def test_probe_queries_deterministic(index):
 
 def test_calibrate_produces_usable_weights(index):
     report = calibrate(index, default_probe_queries(index, 4, seed=1))
-    assert report.n_runs == 4 * 3  # S-E-V, SS-VS and ARM per probe
+    # Three legs per probe: S-E-V up to ELIMINATE, SS-VS and ARM.
+    assert report.n_runs == 4 * 3
     assert report.residual >= 0.0
     weights = report.weights.weights
     assert set(weights) == set(DEFAULT_WEIGHTS)
@@ -39,32 +40,50 @@ def test_calibrate_produces_usable_weights(index):
     assert any(w > 0 for w in weights.values())
 
 
-def test_calibration_times_each_operator_once_per_probe(index, monkeypatch):
-    """The probe plans between them invoke every operator kind the fit
-    reads exactly once per probe: no operator is timed twice on the same
-    qualified set."""
-    from collections import Counter
+def test_calibration_runs_each_code_path_once_per_probe(index, monkeypatch):
+    """Per probe: one rule extraction (SS-VS's; S-E-V's leg stops at
+    ELIMINATE), two qualifications — all overlapping candidates, then the
+    supported ones — two searches, one ARM mining, and no collection."""
+    import gc
 
-    from repro.core import calibration
+    from repro.core import operators
+    from repro.core.operators import make_context, op_search, op_supported_search
 
     probes = default_probe_queries(index, 4, seed=1)
-    traces = []
-    real_execute = calibration.execute_plan
+    expected = []
+    for query in probes:
+        ctx = make_context(index, query)
+        expected += [tuple(op_search(ctx).rows),
+                     tuple(op_supported_search(ctx).rows)]
+    # The fixture must tell the two qualifications apart.
+    assert expected[0::2] != expected[1::2]
 
-    def recording_execute(*args, **kwargs):
-        result = real_execute(*args, **kwargs)
-        traces.append(result.trace)
-        return result
+    calls = {"extract": 0, "search": 0, "mine": 0, "collect": 0}
+    qualified = []
 
-    monkeypatch.setattr(calibration, "execute_plan", recording_execute)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording_qualify(ctx, candidates):
+        qualified.append(tuple(candidates.rows))
+        return real_qualify(ctx, candidates)
+
+    real_qualify = operators._qualify_candidates
+    monkeypatch.setattr(operators, "_qualify_candidates", recording_qualify)
+    monkeypatch.setattr(operators, "_rules_from_qualified", counting(
+        "extract", operators._rules_from_qualified))
+    monkeypatch.setattr(operators, "_search",
+                        counting("search", operators._search))
+    monkeypatch.setattr(operators, "closed_masks",
+                        counting("mine", operators.closed_masks))
+    monkeypatch.setattr(gc, "collect", counting("collect", lambda *a: 0))
     calibrate(index, probes)
-    kinds = ("SEARCH", "ELIMINATE", "VERIFY", "SUPPORTED-SEARCH",
-             "SUPPORTED-VERIFY", "SELECT", "ARM")
-    names = Counter(
-        op.name for trace in traces for op in trace.operators
-        if op.name not in ("FOCUS", "UNION")
-    )
-    assert names == {name: len(probes) for name in kinds}
+    n = len(probes)
+    assert calls == {"extract": n, "search": 2 * n, "mine": n, "collect": 0}
+    assert qualified == expected
 
 
 def test_calibrated_weights_improve_fit(index):
@@ -144,29 +163,24 @@ def test_degenerate_probe_does_not_poison_weights(index):
 
 
 @pytest.mark.parametrize("collector_on", [True, False])
-def test_collects_at_most_once_per_probe_query(index, monkeypatch, collector_on):
-    """A full collection walks the whole index heap; one before each of the
-    3 x n plan executions cost more than the executions.  The collector is
-    still paused inside every execution and left as it was found."""
+def test_every_probe_leg_runs_with_the_collector_paused(
+    index, monkeypatch, collector_on
+):
+    """Every leg — S-E-V's SEARCH -> ELIMINATE included — runs with the
+    collector paused, and calibration leaves it as it was found."""
     import gc
 
-    from repro.core import calibration
+    from repro.core import plans
 
     probes = default_probe_queries(index, 4, seed=1)
-    collections = []
     paused = []
-    real_execute = calibration.execute_plan
+    real_make_context = plans.make_context
 
-    def counting_collect(*args):
-        collections.append(args)
-        return 0
-
-    def watching_execute(*args, **kwargs):
+    def watching_make_context(*args, **kwargs):
         paused.append(not gc.isenabled())
-        return real_execute(*args, **kwargs)
+        return real_make_context(*args, **kwargs)
 
-    monkeypatch.setattr(calibration.gc, "collect", counting_collect)
-    monkeypatch.setattr(calibration, "execute_plan", watching_execute)
+    monkeypatch.setattr(plans, "make_context", watching_make_context)
     was_enabled = gc.isenabled()
     (gc.enable if collector_on else gc.disable)()
     try:
@@ -175,7 +189,6 @@ def test_collects_at_most_once_per_probe_query(index, monkeypatch, collector_on)
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert len(paused) == 3 * len(probes) and all(paused)
-    assert 1 <= len(collections) <= len(probes)
 
 
 @pytest.mark.parametrize("collector_on", [True, False])

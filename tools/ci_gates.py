@@ -26,7 +26,7 @@ calibration, ``--corrupt-admission`` routes the serving layer's cache
 hits through its engine thread, ``--corrupt-maintenance`` severs the delta-store merge
 correction, ``--corrupt-routing`` swaps consistent hashing for modulo
 placement, ``--corrupt-setup`` puts a full collection back in front
-of every calibration probe, and ``--corrupt-heap`` caches ``Rule``
+of every calibration probe leg, and ``--corrupt-heap`` caches ``Rule``
 objects in place of rule blocks; they exist so the gates themselves can be
 tested (a gate that cannot fail gates nothing).
 """
@@ -158,16 +158,17 @@ def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
 
     * the collector's share of the set-up stays under ``max_gc_share`` —
       a full collection walks the whole index heap, and one before each
-      of calibration's probe executions (48 then; 24 now, three plans per
+      of calibration's probe executions (48 then; 24 legs now, three per
       probe) was three-quarters of set-up;
     * the set-up finishes under the recorded ``max_setup_s``.
 
-    ``corrupt=True`` reinstates the per-execution ``gc.collect()`` in
-    front of every probe; the gate must then FAIL.
+    ``corrupt=True`` reinstates a ``gc.collect()`` in front of every probe
+    leg — at ``plans.make_context``, which S-E-V's SEARCH -> ELIMINATE leg
+    and every whole plan run go through; the gate must then FAIL.
     """
     import gc
 
-    from repro.core import calibration
+    from repro.core import plans
     from repro.core.engine import Colarm
     from repro.workloads.experiments import EXPERIMENTS
 
@@ -185,14 +186,14 @@ def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
             gc_s += time.perf_counter() - started
             collections += 1
 
-    execute_plan = calibration.execute_plan
+    make_context = plans.make_context
 
-    def collect_then_execute(*args, **kwargs):
+    def collect_then_make_context(*args, **kwargs):
         gc.collect()
-        return execute_plan(*args, **kwargs)
+        return make_context(*args, **kwargs)
 
     if corrupt:
-        calibration.execute_plan = collect_then_execute
+        plans.make_context = collect_then_make_context
     gc.callbacks.append(clock)
     try:
         t0 = time.perf_counter()
@@ -201,7 +202,7 @@ def run_setup_gate(config: dict, corrupt: bool = False) -> dict:
         setup_s = time.perf_counter() - t0
     finally:
         gc.callbacks.remove(clock)
-        calibration.execute_plan = execute_plan
+        plans.make_context = make_context
     gc_share = gc_s / setup_s
     failures = []
     if gc_share >= config["max_gc_share"]:
@@ -814,7 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--corrupt-setup",
         action="store_true",
-        help="collect before every calibration probe again (the set-up "
+        help="collect before every calibration probe leg again (the set-up "
         "spends its time in gc); the setup gate must then FAIL",
     )
     parser.add_argument(

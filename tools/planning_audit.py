@@ -19,6 +19,7 @@ change alike::
     python tools/planning_audit.py compare parent.json here.json
     python tools/planning_audit.py answers here_answers.json
     python tools/planning_audit.py same-answers parent_answers.json here_answers.json
+    python tools/planning_audit.py weights --runs 6 --repo ../parent
 
 ``size`` — the sizing method of ISSUE 23 (``docs/performance.md``, "What
 planning costs"): ``perf_counter`` wrappers around the callables a
@@ -75,6 +76,16 @@ of the benchmark run through the benchmark's own ``run_once`` (seed 1,
 the inputs; records ``result_digest``, the rule count, the plan shares and
 every op's ``(rules, hash, plan family)``.  ``same-answers`` lists the ops
 whose family moved and exits 1 if a digest or a rule count differs.
+
+``weights`` — whether a calibration change moved the fit or the picks:
+``--runs`` times (alternating the two checkouts, and which goes first,
+when ``--repo`` names another one) a fresh process builds and calibrates
+every table of the four workloads and records the fitted weights and,
+per pool query, the family (ARM or MIP) of ``choose_plan``'s pick.  Reports per table and
+feature the median weight and its interquartile range per checkout, the
+ARM pick share per workload, and the mean family agreement between two
+runs of one checkout and between a run of each.  Timing-based (the fit
+is wall-clock): run it alone.
 """
 
 from __future__ import annotations
@@ -82,6 +93,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -446,6 +459,85 @@ def same_answers(path_a: str, path_b: str) -> int:
     return status
 
 
+# -- weights ------------------------------------------------------------------
+
+#: The fitted features ``weights`` reports (``const`` and the delta-store
+#: weights are not fitted from probe plans).
+FITTED = ("search", "eliminate", "verify", "rulegen", "select", "arm")
+
+
+def weights_run(seed: int) -> int:
+    """One calibration of every table: weights and pick families as JSON."""
+    import workloads
+
+    out: dict[str, dict] = {"weights": {}, "families": {}}
+    for name in workloads.WORKLOADS:
+        workload = workloads.generate(name, seed, 10.0)
+        engines = engines_for(workload, calibrate=True)
+        for table, engine in engines.items():
+            out["weights"][f"{name}/{table}"] = {
+                k: engine.optimizer.weights.weights[k] for k in FITTED}
+        out["families"][name] = "".join(
+            "A" if engines[pq.engine].choose_plan(pq.query).kind.value == "ARM"
+            else "M" for pq in workload.pool)
+    print(json.dumps(out))
+    return 0
+
+
+def _agreement(runs_a: list[str], runs_b: list[str] | None = None) -> float:
+    """Mean share of equal families over run pairs (within one list when
+    ``runs_b`` is None, across the two lists otherwise)."""
+    if runs_b is None:
+        pairs = [(a, b) for i, a in enumerate(runs_a) for b in runs_a[i + 1:]]
+    else:
+        pairs = [(a, b) for a in runs_a for b in runs_b]
+    return statistics.fmean(
+        sum(x == y for x, y in zip(a, b)) / len(a) for a, b in pairs)
+
+
+def weights(repo: Path, seed: int, runs: int) -> int:
+    repos = {"here": HERE} if repo == HERE else {"other": repo, "here": HERE}
+    results: dict[str, list[dict]] = {label: [] for label in repos}
+    for run in range(runs):
+        # Alternate which checkout goes first, so an order effect cancels.
+        for label, checkout in list(repos.items())[::(-1) ** run]:
+            done = subprocess.run(
+                [sys.executable, __file__, "weights-run", "--repo",
+                 str(checkout), "--seed", str(seed)],
+                check=True, capture_output=True, text=True)
+            results[label].append(json.loads(done.stdout.splitlines()[-1]))
+    labels = list(repos)
+    print(f"seed {seed}, {runs} runs per checkout: "
+          + ", ".join(f"{k} = {v}" for k, v in repos.items()))
+    print("weights: median [p25, p75] per checkout")
+    for table in results["here"][0]["weights"]:
+        print(f"  {table}")
+        for feature in FITTED:
+            cells = []
+            for label in labels:
+                values = [r["weights"][table][feature] for r in results[label]]
+                p25, med, p75 = statistics.quantiles(
+                    values, n=4, method="inclusive") \
+                    if len(values) > 1 else values * 3
+                cells.append(f"{label} {med:.3g} [{p25:.3g}, {p75:.3g}]")
+            print(f"    {feature:<10} " + "   ".join(cells))
+    print("ARM/MIP family of the pool picks")
+    for name in results["here"][0]["families"]:
+        fams = {label: [r["families"][name] for r in results[label]]
+                for label in labels}
+        share = {label: statistics.median(f.count("A") / len(f) for f in fs)
+                 for label, fs in fams.items()}
+        line = (f"  {name:<13} ARM share "
+                + ", ".join(f"{k} {v:.3f}" for k, v in share.items())
+                + "; agreement "
+                + ", ".join(f"{k} run-to-run {_agreement(v):.3f}"
+                            for k, v in fams.items() if len(v) > 1))
+        if len(labels) == 2:
+            line += f", other vs here {_agreement(*fams.values()):.3f}"
+        print(line)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--repo", type=Path, default=HERE,
@@ -459,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("search", parents=[common])
     sub.add_parser("dump", parents=[common]).add_argument("out")
     sub.add_parser("answers", parents=[common]).add_argument("out")
+    sub.add_parser("weights", parents=[common]).add_argument(
+        "--runs", type=int, default=6)
+    sub.add_parser("weights-run", parents=[common])
     for name in ("compare", "same-answers"):
         cmp_ = sub.add_parser(name)
         cmp_.add_argument("a")
@@ -472,7 +567,11 @@ def main(argv: list[str] | None = None) -> int:
         use_checkout(HERE)
         sys.path.insert(0, str(HERE))
         return search(args.seed)
+    if args.command == "weights":
+        return weights(args.repo.resolve(), args.seed, args.runs)
     use_checkout(args.repo.resolve())
+    if args.command == "weights-run":
+        return weights_run(args.seed)
     if args.command == "size":
         return size(args.seed)
     if args.command == "tail":

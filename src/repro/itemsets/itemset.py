@@ -9,6 +9,8 @@ itemset violating this has empty support and is never generated).
 from __future__ import annotations
 
 from collections.abc import Iterable
+from fractions import Fraction
+from functools import lru_cache
 
 from repro.dataset.schema import Item
 from repro.errors import DataError
@@ -32,15 +34,23 @@ def min_count_for(minsupp: float, n_records: int) -> int:
 
     An itemset is frequent iff its count is at least
     ``ceil(minsupp * n_records)`` (and at least 1 — empty support never
-    counts as frequent).
+    counts as frequent).  The product is taken in exact arithmetic on the
+    decimal the query states (``str(minsupp)``), not on its binary float:
+    ``0.07 * 100`` is 7.000000000000001 in floating point, but a stated
+    7 % of 100 records is 7.
     """
+    numerator, denominator = _stated_ratio(minsupp)
+    return max(-(-numerator * n_records // denominator), 1)
+
+
+@lru_cache(maxsize=1024)
+def _stated_ratio(minsupp: float) -> tuple[int, int]:
+    """``minsupp``'s stated decimal as a reduced fraction, validated;
+    memoized, as a workload states few distinct thresholds."""
     if not 0.0 <= minsupp <= 1.0:
         raise DataError(f"minsupp must be in [0, 1], got {minsupp}")
-    exact = minsupp * n_records
-    threshold = int(exact)
-    if threshold < exact:
-        threshold += 1
-    return max(threshold, 1)
+    ratio = Fraction(str(minsupp))
+    return ratio.numerator, ratio.denominator
 
 
 def make_itemset(items: Iterable[Item]) -> Itemset:

@@ -76,12 +76,14 @@ def test_rejects_empty_axes(setup):
 
 
 def test_grid_cuts_at_the_plans_count_threshold(setup):
-    """A cell whose ``minsupp * |D^Q|`` lands a hair above an integer:
-    ``0.28 * 25 == 7.000000000000001``, so the plans need count 8 and
-    the grid must not admit the rules at count 7."""
+    """A cell whose ``minsupp * |D^Q|`` is an integer only in decimal:
+    ``0.28 * 25`` is 7.000000000000001 in floating point, but the stated
+    threshold needs count 7 — the same count as ``0.25 * 25`` — and the
+    grid must cut where the plans do."""
     index, _ = setup
     query = LocalizedQuery({0: frozenset({1})}, 0.28, 0.5)
     result = execute_plan(PlanKind.SEV, index, query)
     assert result.dq_size == 25
     grid = explore_parameter_space(index, query, (0.25, 0.28), (0.5,))
-    assert grid.count_at(0.28, 0.5) == result.n_rules == 21
+    assert grid.count_at(0.28, 0.5) == result.n_rules == 42
+    assert grid.count_at(0.25, 0.5) == 42

@@ -15,6 +15,7 @@ import pytest
 from repro import tidset as ts
 from repro.errors import DataError
 from repro.itemsets.itemset import min_count_for
+from tests import oracle
 from tests.conftest import make_random_table
 from tests.itemsets.enumerations import focal_kernel, frequent_by_kernel
 
@@ -43,6 +44,33 @@ def test_min_count_for():
     assert min_count_for(1.0, 7) == 7
     with pytest.raises(DataError):
         min_count_for(1.5, 10)
+
+
+def test_min_count_for_is_exact_on_every_hundredth():
+    """Every stated hundredth against every n <= 1 000, in integers: a
+    float ceiling is one count high on 141 of these pairs (``0.07 * 100``,
+    ``0.28 * 25``), and the brute-force oracle must agree too."""
+    for k in range(101):
+        minsupp = float(f"{k / 100:.2f}")
+        for n in range(1001):
+            want = max(-(-k * n // 100), 1)
+            assert min_count_for(minsupp, n) == want, (minsupp, n)
+            assert oracle.min_count(minsupp, n) == want, (minsupp, n)
+    assert min_count_for(0.07, 100) == 7
+    assert min_count_for(0.28, 25) == 7
+
+
+def test_a_confidence_tie_stays_a_tie_on_every_hundredth():
+    """Confidence is one correctly rounded quotient compared with the
+    correctly rounded decimal, so ``a / b == k / 100`` passes ``minconf``
+    and the next count down fails, for every hundredth and b <= 1 000."""
+    for k in range(101):
+        minconf = float(f"{k / 100:.2f}")
+        for b in range(1, 1001):
+            a, rest = divmod(k * b, 100)
+            if rest == 0:
+                assert a / b >= minconf, (a, b, minconf)
+                assert a == 0 or (a - 1) / b < minconf, (a, b, minconf)
 
 
 def test_apriori_salary_level1(salary):

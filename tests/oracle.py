@@ -34,6 +34,7 @@ Definitions (PAPER.md, DESIGN.md "Semantics notes"):
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
@@ -58,7 +59,9 @@ def focal_rows(rows: list[Row], query: LocalizedQuery) -> list[Row]:
 
 
 def min_count(minsupp: float, n_rows: int) -> int:
-    return max(1, ceil(minsupp * n_rows))
+    """``max(1, ceil(minsupp * n_rows))`` on the decimal ``minsupp``
+    states, in exact rational arithmetic."""
+    return max(1, ceil(Fraction(str(minsupp)) * n_rows))
 
 
 def occurring_itemsets(rows: list[Row], attributes) -> set[Itemset]:

@@ -145,7 +145,6 @@ def run_bench(seed: int = 23) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             config = ClusterConfig(
                 workers=WORKERS,
-                use_cache=False,
                 serving=ServingConfig(
                     max_pending=len(requests) + 1,
                 ),

@@ -318,7 +318,6 @@ def _cluster_config(args: argparse.Namespace):
     return ClusterConfig(
         workers=args.workers,
         serving=_serving_config(args),
-        use_cache=not args.no_cache,
     )
 
 

@@ -7,18 +7,23 @@ service + engine over the *same* format-v2 snapshot opened with
 ``load_index(mmap_mode="r")`` — the table's cell matrix, the flat R-tree
 traversal arrays, and the packed kernel matrices are file-backed pages
 every worker on the box shares, so worker ``i`` pays private RSS only
-for its cache/optimizer state and the per-record tidset integers.
+for its optimizer state and the per-record tidset integers.
+
+The cluster's one rule cache is the writer engine's, and it lives in the
+router: a repeat is served from it inline, before any routing, so it
+crosses no pipe and is never pickled.  Workers keep no cache; only a
+miss reaches one, and its answer fills the router's cache.
 
 Three protocols make the split safe:
 
-* **Consistent-hash focal routing.**  Requests route by a
+* **Consistent-hash focal routing.**  Misses route by a
   :class:`HashRing` over the canonical focal key
   (:func:`repro.core.query.canonical_focal_key`) — the same identity the
-  rule cache and request coalescing already share — so identical and
-  related queries land on the same worker and per-worker coalescing +
-  warm-cache locality survive the split.  Membership is fixed at
-  :meth:`ClusterService.start`; a retired worker remaps only the keys
-  adjacent to its ring points (~``1/W`` of the key space).
+  rule cache and request coalescing already share — so concurrent misses
+  of one key land on the same worker and coalesce onto one execution
+  there.  Membership is fixed at :meth:`ClusterService.start`; a retired
+  worker remaps only the keys adjacent to its ring points (~``1/W`` of
+  the key space).
 
 * **Epoch publish.**  Exactly one writer (the router's engine, driven
   by one writer thread) owns the delta store.
@@ -29,7 +34,10 @@ Three protocols make the split safe:
   snapshot.  Every request is stamped with the minimum epoch it is
   allowed to be served at; a worker that is behind reloads *before*
   executing, so a serve at a stale generation is impossible by
-  construction.
+  construction.  The router's cache is stamped with the writer's
+  generation, which equals the published one right after a publish: an
+  answer a worker served at an older epoch is never inserted, and the
+  publish's fold empties the cache.
 
 * **Crash respawn.**  The router's event loop watches every worker
   pipe (``loop.add_reader``) and sees EOF when a worker dies; an
@@ -51,11 +59,12 @@ import json
 import multiprocessing as mp
 import os
 import select
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.engine import Colarm
+from repro.core.engine import Colarm, QueryOutcome, rule_family
 from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery, canonical_focal_key
@@ -66,7 +75,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.itemsets.rules import RuleBlock
-from repro.serving import QueryService, ServingConfig
+from repro.serving import QueryService, RequestTrace, ServingConfig
 
 __all__ = [
     "HashRing",
@@ -108,8 +117,8 @@ class HashRing:
     circle; a key routes to the owner of the first point clockwise from
     the key's own coordinate.  Adding or removing a worker moves only
     the keys adjacent to that worker's points — everything else keeps
-    its route, which is what keeps per-worker cache locality alive
-    through membership changes.
+    its route, so misses of one key keep meeting on one worker through
+    membership changes.
     """
 
     def __init__(self, replicas: int = 96):
@@ -297,13 +306,17 @@ class EpochPublisher:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for the router and its workers."""
+    """Knobs for the router and its workers.
+
+    There is no cache knob: the cluster caches exactly when the writer
+    engine handed to :class:`ClusterService` has a cache
+    (:meth:`~repro.core.engine.Colarm.enable_cache`), and that cache, in
+    the router, is the only one — workers run cacheless.
+    """
 
     workers: int = 2                 #: worker processes to spawn
     serving: ServingConfig = field(default_factory=ServingConfig)
     max_respawns: int = 2            #: crash respawns per worker slot
-    cache_budget_bytes: int = 16 << 20   #: per-worker rule-cache budget
-    use_cache: bool = True           #: workers serve through their cache
     ready_timeout_s: float = 120.0   #: worker must load within this bound
 
     def __post_init__(self) -> None:
@@ -315,12 +328,18 @@ class ClusterConfig:
 
 @dataclass
 class ClusterResponse:
-    """One routed response: the rules plus where/when they were served."""
+    """One response: the rules plus where/when they were served.
+
+    ``worker`` is the worker process that executed the request, or
+    ``None`` when it was served by the router, from its cache
+    (``cached`` is then true, and ``epoch`` / ``generation`` are the
+    router's current ones).
+    """
 
     rules: RuleBlock
     plan: PlanKind
     cached: bool
-    worker: int
+    worker: int | None
     epoch: int
     generation: int
     trace: dict
@@ -386,15 +405,14 @@ class _WorkerRuntime:
         self._reload_lock = asyncio.Lock()
 
     def _load(self, info: EpochInfo) -> None:
-        """Open one published epoch: mmap the snapshot, start an empty cache.
+        """Open one published epoch: mmap the snapshot, serve it cacheless.
 
         ``verify="stored"`` because the snapshot came from this cluster's
         own writer: tidsets are still cross-checked bit-for-bit against
         the archive's kernel matrices, but no miner runs — the mining
         heap watermark would otherwise dominate the worker's unique RSS
-        and defeat the point of sharing the index via mmap.  The rule
-        cache fills from this worker's own traffic, at first start and
-        after every hot-swap alike.
+        and defeat the point of sharing the index via mmap.  No rule
+        cache: repeats are served by the router's, before they route.
         """
         index, weights = load_index(
             info.snapshot_path(self.directory), mmap_mode="r",
@@ -403,12 +421,9 @@ class _WorkerRuntime:
         # Continue the published generation lineage: stamps issued here
         # are comparable with every other worker's and the writer's.
         index.clock.base = info.generation - index.generation
-        engine = Colarm.from_index(index, weights=weights,
-                                   expand=info.expand)
-        if self.config.use_cache:
-            engine.enable_cache(budget_bytes=self.config.cache_budget_bytes)
-        self.engine = engine
-        self.service = QueryService(engine, self.config.serving)
+        self.engine = Colarm.from_index(index, weights=weights,
+                                        expand=info.expand)
+        self.service = QueryService(self.engine, self.config.serving)
         self.epoch = info.epoch
         self.generation = info.generation
         _trim_heap()
@@ -502,7 +517,7 @@ async def _worker_loop(worker_id: int, conn, directory: Path,
             conn.send(("ok", req_id, {
                 "rules": served.rules,
                 "plan": served.plan,
-                "cached": served.cached,
+                "dq_size": served.outcome.dq_size,
                 "trace": served.trace.as_dict(),
                 "worker": worker_id,
                 "epoch": runtime.epoch,
@@ -845,26 +860,72 @@ class ClusterService:
         plan: PlanKind | str | None = None,
         use_cache: bool = True,
     ) -> ClusterResponse:
-        """Route one request to its focal-key owner and await the answer."""
+        """Answer one request: from the router's cache when it holds the
+        answer, else from the worker owning its focal key.
+
+        Raises the :class:`~repro.errors.QueryError` of a request that
+        does not parse or validate.  A routed answer the worker served at
+        the epoch the router stamps fills the cache for the next repeat;
+        ``use_cache=False`` neither consults nor fills it.
+        """
         if self._closed:
             raise ServiceClosedError("cluster is stopped")
-        q = self.engine.parse(request) if isinstance(request, str) else request
-        if isinstance(plan, PlanKind):
-            plan = plan.value
-        key = _focal_key_bytes(q, self.engine.index.cardinalities)
+        t_submit = time.monotonic()
+        engine = self.engine
+        q = engine.parse(request) if isinstance(request, str) else request
+        kind = plan_from_name(plan) if isinstance(plan, str) else plan
+        q.validate_against(engine.schema)
+        cache = engine.cache if use_cache else None
+        if cache is not None:
+            # The writer's generation, read before the probe: a mutation
+            # racing it on the writer thread makes the probe miss, so it
+            # cannot stamp a hit it did not serve.
+            generation = cache.generation()
+            outcome = engine.serve_cached(q, kind)
+            if outcome is not None:
+                return self._served_by_router(outcome, generation, t_submit)
+        key = _focal_key_bytes(q, engine.index.cardinalities)
         worker_id = self.ring.route(key)
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
         req_id = next(self._req_ids)
-        message = ("query", req_id, q, plan, use_cache, self._min_epoch)
+        message = ("query", req_id, q,
+                   None if kind is None else kind.value,
+                   use_cache, self._min_epoch)
         payload = await self._send(worker_id, message, key)
+        if cache is not None and payload["epoch"] == self._min_epoch:
+            # Refused if the writer has mutated past the served generation.
+            cache.put_rules(
+                q, payload["rules"], payload["dq_size"],
+                family=rule_family(payload["plan"]),
+                generation=payload["generation"],
+            )
         return ClusterResponse(
             rules=payload["rules"],
             plan=payload["plan"],
-            cached=payload["cached"],
+            cached=False,
             worker=payload["worker"],
             epoch=payload["epoch"],
             generation=payload["generation"],
             trace=payload["trace"],
+        )
+
+    def _served_by_router(
+        self, outcome: QueryOutcome, generation: int, t_submit: float
+    ) -> ClusterResponse:
+        """A router cache hit: no routing, no pipe, no pickling."""
+        total_s = time.monotonic() - t_submit
+        trace = RequestTrace(
+            execute_s=total_s, total_s=total_s, plan=outcome.plan,
+            cached=True, generation=generation,
+        )
+        return ClusterResponse(
+            rules=outcome.rules,
+            plan=outcome.plan,
+            cached=True,
+            worker=None,
+            epoch=self._min_epoch,
+            generation=generation,
+            trace=trace.as_dict(),
         )
 
     # -- mutation: the single writer ---------------------------------------
@@ -945,8 +1006,9 @@ class ClusterService:
         return list(await asyncio.gather(*futures))
 
     def snapshot(self) -> dict:
-        """Router-side counters (per-worker detail is async: use
-        :meth:`worker_stats`)."""
+        """Router-side counters, the router cache's ledger under
+        ``"cache"`` (``None`` without a cache); per-worker detail is
+        async: use :meth:`worker_stats`."""
         total = sum(self.route_counts.values())
         return {
             "workers": list(self.workers),
@@ -960,6 +1022,10 @@ class ClusterService:
             "crashes": self.n_crashes,
             "respawns": self.n_respawns,
             "rerouted": self.n_rerouted,
+            "cache": (
+                None if self.engine.cache is None
+                else self.engine.cache.stats.as_dict()
+            ),
         }
 
 

@@ -42,7 +42,7 @@ from repro.itemsets.itemset import min_count_for
 from repro.itemsets.rules import RuleBlock
 from repro.rtree.flat import DEFAULT_MAX_ENTRIES
 
-__all__ = ["QueryOutcome", "Colarm"]
+__all__ = ["QueryOutcome", "Colarm", "rule_family"]
 
 #: The plan a cache serve is named after, by the family of the entry: the
 #: MIP plans' answers are identical, and SS-VS is the one the optimizer
@@ -387,7 +387,7 @@ class Colarm:
         probe = cache.probe(q)
         families = [
             family for family in probe.families
-            if kind is None or family == _family(kind)
+            if kind is None or family == rule_family(kind)
         ]
         if families:
             rules = cache.get_rules(q, families[0])
@@ -430,7 +430,7 @@ class Colarm:
         generation snapshot (refused if the index mutated mid-flight)."""
         self.cache.put_rules(
             q, result.rules, result.dq_size,
-            family=_family(kind), generation=generation,
+            family=rule_family(kind), generation=generation,
         )
         if kind is not PlanKind.ARM and result.lattice_groups is not None:
             lattice = CachedLattice(
@@ -482,6 +482,6 @@ class Colarm:
         return execute_plan(PlanKind.SSVS, self.index, everything).rules
 
 
-def _family(kind: PlanKind) -> str:
+def rule_family(kind: PlanKind) -> str:
     """The rule-cache family a plan's rule set belongs to."""
     return ARM_FAMILY if kind is PlanKind.ARM else MIP_FAMILY

@@ -115,7 +115,7 @@ def test_responses_are_blocks_equal_rule_for_rule_to_the_engines(tmp_path):
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
             for q in QUERIES:
-                for _ in range(2):  # a fresh execution, then a worker hit
+                for _ in range(2):  # workers are cacheless: two executions
                     res = await cluster.submit(q)
                     want = reference.query(q, use_cache=False).rules
                     assert isinstance(res.rules, RuleBlock)
@@ -340,35 +340,14 @@ def test_epoch_publish_never_serves_stale_or_torn(tmp_path):
     asyncio.run(main())
 
 
-def test_a_hot_swapped_worker_starts_cold_and_refills(tmp_path):
-    """A publish ships the snapshot only: the worker that hot-swaps to it
-    answers a key that was hot before with a fresh execution, equal to a
-    rebuild over the grown rows, and serves the repeat from its own cache.
-    An epoch file that still names a cache sidecar stays servable."""
+def test_a_worker_loads_cacheless_and_ignores_a_legacy_cache_sidecar(
+    tmp_path,
+):
+    """A worker opens the published snapshot only, with no rule cache of
+    its own, and an epoch file that still names a cache sidecar stays
+    servable."""
     engine = fresh_engine()
-    engine.enable_cache()
-
-    async def main():
-        async with ClusterService(engine, tmp_path, config()) as cluster:
-            for _ in range(3):
-                assert (await cluster.submit(SEATTLE)).epoch == 1
-            await cluster.ingest(
-                salary_dataset().data[:2].tolist(), publish=True
-            )
-            info = read_epoch(tmp_path)
-            assert not list(tmp_path.glob("*.cache.npz"))
-            want = Colarm(
-                engine.index.table, primary_support=0.15
-            ).query(SEATTLE).rules
-            first = await cluster.submit(SEATTLE)
-            assert first.epoch == info.epoch and not first.cached
-            assert first.rules == want
-            repeat = await cluster.submit(SEATTLE)
-            assert repeat.epoch == info.epoch and repeat.cached
-            assert repeat.rules == want
-            return info, want
-
-    info, want = asyncio.run(main())
+    info = EpochPublisher(engine, tmp_path).publish()
     legacy = dict(info.as_dict(), cache=info.snapshot.replace(
         ".colarm.npz", ".cache.npz"
     ))
@@ -376,8 +355,9 @@ def test_a_hot_swapped_worker_starts_cold_and_refills(tmp_path):
     assert read_epoch(tmp_path) == info
     runtime = _WorkerRuntime(0, tmp_path, config())
     runtime.load_current()
-    assert runtime.epoch == info.epoch and len(runtime.engine.cache) == 0
-    assert runtime.engine.query(SEATTLE).rules == want
+    assert runtime.epoch == info.epoch and runtime.engine.cache is None
+    assert runtime.engine.query(SEATTLE).rules == \
+        fresh_engine().query(SEATTLE).rules
 
 
 def test_ingest_remove_and_publish_run_on_one_writer_thread(tmp_path):

@@ -59,10 +59,12 @@ def test_micro_chess_through_the_cluster(tmp_path):
                 assert res.rules == grown.query(query).rules
 
             # The stream crossed both workers' key spaces or landed on
-            # one — either way, the routing account adds up.
+            # one — either way, the routing account adds up.  Phase 1's
+            # repeats never left the router.
             snap = cluster.snapshot()
-            assert snap["routed"] == 9
-            assert sum(snap["routing"].values()) == 9
+            assert snap["routed"] == 6
+            assert sum(snap["routing"].values()) == 6
+            assert snap["cache"]["rule_hits"] == 3
             assert snap["publishes"] >= 2
 
     asyncio.run(main())

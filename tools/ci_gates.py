@@ -617,15 +617,18 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
       above ``3/W``.
     * **Bounded remap** — adding a worker may move keys *only onto the
       joiner*, and at most ``1/W + eps`` of them; removing it may move
-      only the leaver's keys.  This is the property that keeps warm
-      caches alive through membership changes.
-    * **Identity** — a live two-worker cluster over the salary dataset
-      answers every probe byte-identically to the engine it was built
-      from, on the worker the ring names (sticky routing); then, after
-      one ingest + publish, every probe is answered at the new epoch
-      byte-identically to an engine rebuilt from the grown rows — the
-      hot-swapped workers start with empty caches, so this is the cold
-      path a publish leaves them on.
+      only the leaver's keys.  This is the property that keeps misses
+      of one key meeting on one worker through membership changes.
+    * **Identity** — a live two-worker cluster over the salary dataset,
+      its writer engine caching, answers every probe byte-identically
+      to the engine it was built from, on the worker the ring names
+      (sticky routing); then, after one ingest + publish, every probe
+      is answered at the new epoch byte-identically to an engine
+      rebuilt from the grown rows — the publish emptied the router's
+      cache, so this is the path a publish leaves it on.  Every probe
+      is asked twice, before and after the publish: the repeat must be
+      served by the router (``cached``, nothing routed) and be
+      byte-identical too.
 
     ``corrupt=True`` replaces consistent routing with naive modulo
     placement — still deterministic and balanced, but a join reshuffles
@@ -721,6 +724,8 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
         )
         grown_refs = [grown.query(q, use_cache=False).rules for q in queries]
 
+        engine.enable_cache()
+
         async def identity_run():
             with tempfile.TemporaryDirectory() as tmp:
                 cluster = ClusterService(
@@ -728,28 +733,49 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
                     tmp,
                     ClusterConfig(workers=2),
                 )
+
+                async def router_serves(q, ref) -> bool:
+                    """Ask again: the router must serve it, unrouted."""
+                    routed = dict(cluster.route_counts)
+                    res = await cluster.submit(q)
+                    return (
+                        res.cached and res.worker is None
+                        and cluster.route_counts == routed
+                        and res.epoch == cluster.publisher.epoch
+                        and res.rules == ref
+                    )
+
                 async with cluster:
-                    n_identical = n_sticky = 0
+                    n_identical = n_sticky = n_repeats = 0
                     for q, ref in zip(queries, refs):
                         res = await cluster.submit(q)
                         key = _focal_key_bytes(q, engine.index.cardinalities)
                         n_identical += res.rules == ref
                         n_sticky += res.worker == cluster.ring.route(key)
+                        n_repeats += await router_serves(q, ref)
                     await cluster.ingest(grown_rows.tolist(), publish=True)
                     epoch = cluster.publisher.epoch
                     n_published = 0
                     for q, ref in zip(queries, grown_refs):
                         res = await cluster.submit(q)
-                        n_published += res.epoch == epoch and res.rules == ref
-                    return n_identical, n_sticky, n_published
+                        n_published += (
+                            res.epoch == epoch and not res.cached
+                            and res.rules == ref
+                        )
+                        n_repeats += await router_serves(q, ref)
+                    return n_identical, n_sticky, n_published, n_repeats
 
-        n_identical, n_sticky, n_published = asyncio.run(identity_run())
+        n_identical, n_sticky, n_published, n_repeats = asyncio.run(
+            identity_run()
+        )
         if n_identical != len(queries):
             failures.append("cluster_answers_diverge")
         if n_sticky != len(queries):
             failures.append("routing_not_sticky")
         if n_published != len(queries):
             failures.append("published_answers_diverge")
+        if n_repeats != 2 * len(queries):
+            failures.append("repeats_not_served_by_the_router")
     finally:
         HashRing.route = original_route
 
@@ -765,6 +791,7 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
         "identity": n_identical,
         "sticky": n_sticky,
         "identity_after_publish": n_published,
+        "router_repeats": n_repeats,
         "passed": not failures,
         "failures": failures,
     }
@@ -963,7 +990,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{cluster_report['scenarios']}, sticky "
             f"{cluster_report['sticky']}/{cluster_report['scenarios']}, "
             f"after publish {cluster_report['identity_after_publish']}/"
-            f"{cluster_report['scenarios']}"
+            f"{cluster_report['scenarios']}, router repeats "
+            f"{cluster_report['router_repeats']}/"
+            f"{2 * cluster_report['scenarios']}"
             + (" [routing corrupted]" if cluster_report["corrupted"] else "")
         )
     if passed:

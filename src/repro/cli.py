@@ -101,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_serving_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
                        help="worker service processes; > 1 spawns the "
-                            "mmap-shared cluster with consistent-hash "
-                            "focal routing (default 1: single in-process "
-                            "service)")
+                            "mmap-shared cluster with focal-key home "
+                            "plus load placement (default 1: single "
+                            "in-process service)")
         p.add_argument("--cluster-dir", default=None,
                        help="snapshot directory for the cluster's epoch "
                             "publishes (default: a temporary directory)")

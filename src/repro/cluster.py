@@ -16,14 +16,17 @@ miss reaches one, and its answer fills the router's cache.
 
 Three protocols make the split safe:
 
-* **Consistent-hash focal routing.**  Misses route by a
-  :class:`HashRing` over the canonical focal key
-  (:func:`repro.core.query.canonical_focal_key`) — the same identity the
-  rule cache and request coalescing already share — so concurrent misses
-  of one key land on the same worker and coalesce onto one execution
-  there.  Membership is fixed at :meth:`ClusterService.start`; a retired
-  worker remaps only the keys adjacent to its ring points (~``1/W`` of
-  the key space).
+* **Home-plus-load placement.**  A :class:`HashRing` over the canonical
+  focal key (:func:`repro.core.query.canonical_focal_key`) — the same
+  identity the rule cache and request coalescing already share — names
+  each miss's *home* worker.  The miss goes home when an identical
+  request is in flight there (it coalesces onto that execution) or when
+  no live worker has strictly fewer routed requests in flight; otherwise
+  it goes to the least-loaded worker — consistent hashing with bounded
+  loads at the tightest bound.  Sequential traffic always goes home.
+  Membership is fixed at :meth:`ClusterService.start`; a retired worker
+  remaps only the keys adjacent to its ring points (~``1/W`` of the key
+  space).
 
 * **Epoch publish.**  Exactly one writer (the router's engine, driven
   by one writer thread) owns the delta store.
@@ -75,7 +78,12 @@ from repro.errors import (
     ServiceError,
 )
 from repro.itemsets.rules import RuleBlock
-from repro.serving import QueryService, RequestTrace, ServingConfig
+from repro.serving import (
+    QueryService,
+    RequestTrace,
+    ServingConfig,
+    coalescing_fields,
+)
 
 __all__ = [
     "HashRing",
@@ -642,6 +650,7 @@ class ClusterService:
         self.n_crashes = 0
         self.n_respawns = 0
         self.n_rerouted = 0
+        self.n_spilled = 0
         try:
             self._mp = mp.get_context("fork")
         except ValueError:  # no fork here: the platform's default method
@@ -834,7 +843,8 @@ class ClusterService:
                     ))
                 self._pending.pop(pending.message[1], None)
                 continue
-            new_worker = self.ring.route(pending.key)
+            _, _, q, plan, use_cache, _ = pending.message
+            new_worker = self._place(pending.key, q, plan, use_cache)
             pending.worker = new_worker
             self.n_rerouted += 1
             try:
@@ -843,6 +853,42 @@ class ClusterService:
                 pass  # the successor's EOF handler will re-drive it
 
     # -- requests ----------------------------------------------------------
+
+    def _outstanding(self) -> dict[int, int]:
+        """Each live worker's load: its routed ``"query"`` messages still
+        in ``_pending``."""
+        load = dict.fromkeys(self.ring.workers, 0)
+        for pending in self._pending.values():
+            if pending.message[0] == "query" and pending.worker in load:
+                load[pending.worker] += 1
+        return load
+
+    def _place(self, key: bytes, q: LocalizedQuery, plan: str | None,
+               use_cache: bool) -> int:
+        """The worker a routed request goes to.
+
+        Its ring home when a request with the same coalescing identity
+        (focal key plus :func:`~repro.serving.coalescing_fields`; every
+        worker runs the same engine mode) is in flight there, both with
+        ``use_cache``, so the worker's service joins them; or when no live
+        worker has strictly fewer requests in flight.  Else the
+        least-loaded live worker, the lowest id on a tie.
+        """
+        home = self.ring.route(key)
+        if use_cache:
+            fields = coalescing_fields(q, plan)
+            if any(
+                p.key == key and p.worker == home and p.message[4]
+                and coalescing_fields(p.message[2], p.message[3]) == fields
+                for p in self._pending.values()
+            ):
+                return home
+        load = self._outstanding()
+        idle = min(load, key=lambda w: (load[w], w))
+        if load[idle] < load[home]:
+            self.n_spilled += 1
+            return idle
+        return home
 
     def _send(self, worker_id: int, message: tuple, key: bytes | None):
         req_id = message[1]
@@ -861,7 +907,7 @@ class ClusterService:
         use_cache: bool = True,
     ) -> ClusterResponse:
         """Answer one request: from the router's cache when it holds the
-        answer, else from the worker owning its focal key.
+        answer, else from the worker :meth:`_place` picks.
 
         Raises the :class:`~repro.errors.QueryError` of a request that
         does not parse or validate.  A routed answer the worker served at
@@ -885,12 +931,11 @@ class ClusterService:
             if outcome is not None:
                 return self._served_by_router(outcome, generation, t_submit)
         key = _focal_key_bytes(q, engine.index.cardinalities)
-        worker_id = self.ring.route(key)
+        plan_name = None if kind is None else kind.value
+        worker_id = self._place(key, q, plan_name, use_cache)
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
         req_id = next(self._req_ids)
-        message = ("query", req_id, q,
-                   None if kind is None else kind.value,
-                   use_cache, self._min_epoch)
+        message = ("query", req_id, q, plan_name, use_cache, self._min_epoch)
         payload = await self._send(worker_id, message, key)
         if cache is not None and payload["epoch"] == self._min_epoch:
             # Refused if the writer has mutated past the served generation.
@@ -1008,7 +1053,11 @@ class ClusterService:
     def snapshot(self) -> dict:
         """Router-side counters, the router cache's ledger under
         ``"cache"`` (``None`` without a cache); per-worker detail is
-        async: use :meth:`worker_stats`."""
+        async: use :meth:`worker_stats`.
+
+        ``"routing"`` counts where each request was sent, ``"spilled"``
+        the requests placed away from their ring home, and
+        ``"outstanding"`` the routed requests in flight per worker."""
         total = sum(self.route_counts.values())
         return {
             "workers": list(self.workers),
@@ -1018,6 +1067,10 @@ class ClusterService:
             "routed": total,
             "routing": {
                 str(w): self.route_counts.get(w, 0) for w in self.workers
+            },
+            "spilled": self.n_spilled,
+            "outstanding": {
+                str(w): n for w, n in self._outstanding().items()
             },
             "crashes": self.n_crashes,
             "respawns": self.n_respawns,

@@ -196,6 +196,18 @@ class ServiceStats:
         }
 
 
+def coalescing_fields(q: LocalizedQuery, plan) -> tuple:
+    """What coalesced requests share beside their focal key and engine:
+    item attributes, thresholds and forced plan (a :class:`PlanKind` or
+    its name, as long as both sides of a comparison use the same)."""
+    return (
+        None if q.item_attributes is None else tuple(sorted(q.item_attributes)),
+        q.minsupp,
+        q.minconf,
+        plan,
+    )
+
+
 class _Flight:
     """One queued execution and everyone waiting on it."""
 
@@ -407,13 +419,8 @@ class QueryService:
             canonical_focal_key(
                 q.range_selections, self.engine.index.cardinalities
             ),
-            None
-            if q.item_attributes is None
-            else tuple(sorted(q.item_attributes)),
             self.engine.expand,
-            q.minsupp,
-            q.minconf,
-            plan,
+            *coalescing_fields(q, plan),
         )
 
     def _attach(

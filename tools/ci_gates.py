@@ -629,6 +629,10 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
       is asked twice, before and after the publish: the repeat must be
       served by the router (``cached``, nothing routed) and be
       byte-identical too.
+    * **Spread** — probes whose ring home is the same worker are then
+      submitted two at a time, concurrently and past the cache: each
+      pair must be answered by two workers (the second miss placed on
+      the idle one, not queued behind the first) and byte-identically.
 
     ``corrupt=True`` replaces consistent routing with naive modulo
     placement — still deterministic and balanced, but a join reshuffles
@@ -726,6 +730,17 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
 
         engine.enable_cache()
 
+        def sharing_a_home(cluster, probes):
+            """Disjoint pairs of probes the ring sends to one worker."""
+            by_home: dict[int, list] = {}
+            for q, ref in probes:
+                key = _focal_key_bytes(q, engine.index.cardinalities)
+                by_home.setdefault(cluster.ring.route(key), []).append((q, ref))
+            return [
+                pair for group in by_home.values()
+                for pair in zip(group[0::2], group[1::2])
+            ]
+
         async def identity_run():
             with tempfile.TemporaryDirectory() as tmp:
                 cluster = ClusterService(
@@ -763,19 +778,37 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
                             and res.rules == ref
                         )
                         n_repeats += await router_serves(q, ref)
-                    return n_identical, n_sticky, n_published, n_repeats
+                    n_pairs = n_spread = n_pair_identical = 0
+                    for (a, ref_a), (b, ref_b) in sharing_a_home(
+                        cluster, list(zip(queries, grown_refs))
+                    ):
+                        res_a, res_b = await asyncio.gather(
+                            cluster.submit(a, use_cache=False),
+                            cluster.submit(b, use_cache=False),
+                        )
+                        n_pairs += 1
+                        n_spread += res_a.worker != res_b.worker
+                        n_pair_identical += (
+                            res_a.rules == ref_a and res_b.rules == ref_b
+                        )
+                    spilled = cluster.snapshot()["spilled"]
+                    return (n_identical, n_sticky, n_published, n_repeats,
+                            n_pairs, n_spread, n_pair_identical, spilled)
 
-        n_identical, n_sticky, n_published, n_repeats = asyncio.run(
+        (n_identical, n_sticky, n_published, n_repeats,
+         n_pairs, n_spread, n_pair_identical, spilled) = asyncio.run(
             identity_run()
         )
         if n_identical != len(queries):
             failures.append("cluster_answers_diverge")
         if n_sticky != len(queries):
             failures.append("routing_not_sticky")
-        if n_published != len(queries):
+        if n_published != len(queries) or n_pair_identical != n_pairs:
             failures.append("published_answers_diverge")
         if n_repeats != 2 * len(queries):
             failures.append("repeats_not_served_by_the_router")
+        if n_pairs == 0 or n_spread != n_pairs:
+            failures.append("misses_queued_behind_a_busy_home")
     finally:
         HashRing.route = original_route
 
@@ -792,6 +825,9 @@ def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
         "sticky": n_sticky,
         "identity_after_publish": n_published,
         "router_repeats": n_repeats,
+        "home_pairs": n_pairs,
+        "spread": n_spread,
+        "spilled": spilled,
         "passed": not failures,
         "failures": failures,
     }
@@ -992,7 +1028,9 @@ def main(argv: list[str] | None = None) -> int:
             f"after publish {cluster_report['identity_after_publish']}/"
             f"{cluster_report['scenarios']}, router repeats "
             f"{cluster_report['router_repeats']}/"
-            f"{2 * cluster_report['scenarios']}"
+            f"{2 * cluster_report['scenarios']}, home pairs spread "
+            f"{cluster_report['spread']}/{cluster_report['home_pairs']} "
+            f"(spilled {cluster_report['spilled']})"
             + (" [routing corrupted]" if cluster_report["corrupted"] else "")
         )
     if passed:

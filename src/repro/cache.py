@@ -27,7 +27,7 @@ real ``nbytes``); inserts evict LRU-first under a byte budget, except
 *landmark* entries (``hits >= LANDMARK_HITS``), which are only evicted
 once no cold entry remains — a scan of one-off focal regions cannot
 flush the hot set.  Correctness: every entry is stamped
-with the index generation (the R-tree mutation counter) at insert; a
+with the index generation (the index's mutation counter) at insert; a
 probe under any other generation drops the entry, so a mutated index can
 never serve stale rules.  Rules from the from-scratch ARM plan are tagged
 ``family="arm"`` — in closed mode ARM returns rules over *locally* closed
@@ -173,7 +173,7 @@ class _Entry:
 class RuleCache:
     """The budget-bound materialized-result tier for one MIP-index.
 
-    Bound to its index so invalidation (the R-tree mutation counter) and
+    Bound to its index so invalidation (the index's mutation counter) and
     key canonicalization (full-domain selections are dropped, so queries
     naming the same focal subset differently share entries) need no extra
     plumbing.  ``expand`` mirrors the owning engine's mode and is part of

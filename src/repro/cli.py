@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from repro.analysis.reporting import format_table
 from repro.core.calibration import calibrate, default_probe_queries
 from repro.core.engine import Colarm
-from repro.core.mipindex import MIPIndex, build_mip_index
+from repro.core.mipindex import build_mip_index
 from repro.core.parser import parse_query
 from repro.core.paramsuggest import suggest_minconf, suggest_minsupp, suggest_ranges
 from repro.core.persistence import load_index, save_index
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("index", help="output index file (.npz)")
     build.add_argument("--primary-support", type=float, default=0.1,
                        help="the POQM primary support floor (default 0.1)")
-    build.add_argument("--max-entries", type=int, default=8,
-                       help="R-tree fanout (default 8)")
     build.add_argument("--calibrate", type=int, default=0, metavar="N",
                        help="fit cost weights from N probe queries")
 
@@ -168,10 +166,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     table = load_csv(args.csv)
-    index = build_mip_index(
-        table, primary_support=args.primary_support,
-        max_entries=args.max_entries,
-    )
+    index = build_mip_index(table, primary_support=args.primary_support)
     weights = None
     if args.calibrate > 0:
         probes = default_probe_queries(index, n_queries=args.calibrate)
@@ -195,7 +190,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"attributes:         {stats.n_attributes}")
     print(f"primary support:    {index.primary_support:.2%}")
     print(f"closed itemsets:    {index.n_mips}")
-    print(f"R-tree height:      {index.rtree.height}")
     print(f"itemset lengths:    {dict(sorted(stats.length_histogram.items()))}")
     print(f"calibrated weights: {'yes' if weights else 'no'}")
     for attr in index.table.schema.attributes:

@@ -3,9 +3,9 @@
 One :class:`~repro.serving.QueryService` scales until its engine thread
 saturates a core; this module takes the system past one process.  An
 asyncio **router** fronts ``W`` worker *processes*, each running its own
-service + engine over the *same* format-v2 snapshot opened with
-``load_index(mmap_mode="r")`` — the table's cell matrix, the flat R-tree
-traversal arrays, and the packed kernel matrices are file-backed pages
+service + engine over the *same* snapshot opened with
+``load_index(mmap_mode="r")`` — the table's cell matrix and the packed
+kernel matrices are file-backed pages
 every worker on the box shares, so worker ``i`` pays private RSS only
 for its optimizer state and the per-record tidset integers.
 

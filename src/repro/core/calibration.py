@@ -1,7 +1,7 @@
 """Calibration of the cost model's unit weights.
 
-The cost formulae express each plan's work in abstract load units (node
-accesses, tidset-word operations, rule-generation fan-out, ...).  What one
+The cost formulae express each plan's work in abstract load units (bitmap
+words, tidset-word operations, rule-generation fan-out, ...).  What one
 unit costs in wall-clock seconds depends on the machine and the Python
 runtime, so at index-build time a small *probe workload* is executed and
 the per-feature weights are fitted from (load, measured time) pairs — per

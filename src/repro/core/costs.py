@@ -25,10 +25,10 @@ work estimates the paper's equations describe:
 * ``const``     — fixed per-pipeline-stage overhead (what selection
   push-up saves).
 
-The cardinality estimates behind the features implement Lemmas 4.1-4.5:
-expected overlapping MIPs from Minkowski-sum extents, supported-filter
-selectivity from the precomputed global-count distribution, and the
-contained/partial split from per-attribute fixing probabilities.  The unit
+The cardinalities behind the features stand in for Lemmas 4.1-4.5: the
+overlapping, supported and contained MIP counts are exact bit counts over
+the per-value MIP bitmaps SEARCH reads, and the qualified count is an
+estimate from the per-item local-count profile.  The unit
 weights are fitted by :mod:`repro.core.calibration`; evaluating all six
 formulae is a constant-time computation, as Section 3.1 requires.
 """
@@ -41,11 +41,9 @@ import numpy as np
 
 from repro import kernels
 from repro.core.focal import FocalSubset
-from repro.core.query import FocalRange, LocalizedQuery
+from repro.core.query import LocalizedQuery
 from repro.core.stats import IndexStatistics, bit_array
 from repro.core.plans import PlanKind
-from repro.itemsets.itemset import min_count_for
-from repro.rtree.costmodel import expected_leaf_matches
 
 __all__ = [
     "ArmModelStats",
@@ -98,16 +96,12 @@ class QueryProfile:
     and containment counts, exact supported-filter selectivity, and a
     local-support *upper bound* per MIP (the minimum of its per-range-
     attribute projected counts) standing in for the record-level check.
-    When the per-item profile is unavailable, the distribution-based
-    Lemma 4.1/4.2 estimates take over.
     """
 
     hull_extents: tuple[int, ...]
     min_count: int           # ceil(minsupp * |D^Q|)
-    global_floor: int        # ceil(minsupp * |D|): global count needed to pass
     dq_size: int
     aitem_fraction: float    # P(candidate itemset lies within Aitem)
-    contained_fraction: float  # P(overlapping MIP is fully contained)
     n_cands: float             # MIPs geometrically overlapping the region
     n_cands_supported: float   # ... also passing the supported filter
     n_contained: float         # ... fully contained (of n_cands_supported)
@@ -148,13 +142,8 @@ class QueryProfile:
         combined main+delta universe ``min_count`` is computed for.
         """
         dq_size, min_count = focus.dq_size, focus.min_count
-        global_floor = min_count_for(query.minsupp, stats.n_records)
         aitem_fraction = _aitem_fraction(query, stats)
-        contained_fraction = _contained_fraction(query, focus.focal, stats)
-        cards = _cardinalities(
-            query, focus, stats, min_count, global_floor,
-            aitem_fraction, contained_fraction,
-        )
+        cards = _cardinalities(query, focus, stats, min_count)
         aitem = query.item_attributes
         arm_stats = _arm_model(
             kernels.popcount_rows(focus.kernel().matrix).tolist(),
@@ -170,10 +159,8 @@ class QueryProfile:
         return cls(
             hull_extents=focus.focal.hull_extents(),
             min_count=min_count,
-            global_floor=global_floor,
             dq_size=dq_size,
             aitem_fraction=aitem_fraction,
-            contained_fraction=contained_fraction,
             arm_itemsets=arm_stats.est_itemsets,
             arm_fanout=arm_stats.est_fanout,
             arm_stats=arm_stats,
@@ -505,9 +492,6 @@ def _cardinalities(
     focus: FocalSubset,
     stats: IndexStatistics,
     min_count: int,
-    global_floor: int,
-    aitem_fraction: float,
-    contained_fraction: float,
 ) -> dict[str, float]:
     """Data-aware candidate/survivor counts from the per-MIP profiles.
 
@@ -523,29 +507,6 @@ def _cardinalities(
     n = stats.n_mips
     if n == 0:
         return dict.fromkeys(_CARDINALITY_FIELDS, 0.0)
-    if not stats.item_rows:
-        # No per-item profile: fall back to the distribution-based lemmas.
-        upper = stats.fraction_with_count_at_least(min_count)
-        uniform = stats.fraction_with_count_at_least(global_floor)
-        pass_frac = (upper * uniform) ** 0.5
-        n_cands = expected_leaf_matches(
-            n, stats.avg_box_extents, focus.focal.hull_extents(),
-            stats.cardinalities,
-        )
-        n_supported = n_cands * upper
-        n_contained = n_supported * contained_fraction
-        qualified = n_cands * aitem_fraction * pass_frac
-        return {
-            "n_cands": n_cands,
-            "n_cands_supported": n_supported,
-            "n_contained": n_contained,
-            "est_qualified": qualified,
-            "est_qualified_partial": max(
-                qualified - n_contained * aitem_fraction, 0.0
-            ),
-            "qualified_fanout": qualified * max(stats.avg_pow2_length, 1.0),
-        }
-
     selections = query.range_selections
     overlap, contained = focus.region_bits()
     # Support order: the MIPs reaching the floor are a prefix.
@@ -578,9 +539,8 @@ def _cardinalities(
     # exact for single-attribute regions but overcounts multi-attribute
     # ones (the realized intersection of k attribute slices is far below
     # the loosest slice).  The independence estimate ``g * prod_a(c_a/g)``
-    # errs the other way on correlated attributes, so — as with the
-    # distribution-based fallback above — the model takes their geometric
-    # mean.  (A MIP's global count ``g`` is at least 1.)
+    # errs the other way on correlated attributes, so the model takes
+    # their geometric mean.  (A MIP's global count ``g`` is at least 1.)
     if len(selections) >= 2:
         expected = np.exp(
             log_prod
@@ -624,30 +584,6 @@ def _aitem_fraction(query: LocalizedQuery, stats: IndexStatistics) -> float:
             for length, count in stats.length_histogram.items())
         / total
     )
-
-
-def _contained_fraction(
-    query: LocalizedQuery, focal: FocalRange, stats: IndexStatistics
-) -> float:
-    """P(an overlapping MIP is fully contained in the focal region).
-
-    A MIP is contained iff, on every attribute whose selection is partial,
-    the MIP fixes that attribute (to an admitted value).  Estimated from
-    per-attribute fixing probabilities and selection fractions.
-    """
-    prob = 1.0
-    for dim, (card, mask) in enumerate(
-        zip(focal.cardinalities, focal.value_masks)
-    ):
-        selected = mask.bit_count()
-        if selected == card:
-            continue  # full domain: any box is contained on this dimension
-        fix = stats.attr_fix_prob[dim]
-        # Conditioned on overlap, a fixed attribute already lands inside the
-        # selection, so containment on this dimension simply needs the
-        # attribute to be fixed at all.
-        prob *= fix
-    return prob
 
 
 _SUPPORTED_PLANS = frozenset({PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV})

@@ -40,7 +40,6 @@ from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.itemsets.itemset import min_count_for
 from repro.itemsets.rules import RuleBlock
-from repro.rtree.flat import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm", "rule_family"]
 
@@ -84,13 +83,11 @@ class Colarm:
         self,
         table: RelationalTable,
         primary_support: float,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
+        *,
         weights: CostWeights | None = None,
         expand: bool = False,
     ):
-        self.index: MIPIndex = build_mip_index(
-            table, primary_support, max_entries=max_entries
-        )
+        self.index: MIPIndex = build_mip_index(table, primary_support)
         self.expand = expand
         self.optimizer = ColarmOptimizer(self.index, weights)
         self.cache: RuleCache | None = None

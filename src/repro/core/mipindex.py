@@ -4,18 +4,20 @@ Offline preprocessing in one call: run CHARM at the primary support
 threshold and turn the closed frequent itemsets straight into the arrays
 the index is — the ``(n_mips, d)`` fixed-value matrix (each row an
 itemset and, with it, its cell-grid box), the global counts and the
-packed tidsets — then pack the boxes into a
-:class:`~repro.rtree.supported.SupportedRTree` and gather the statistics
-the optimizer consumes.  The second level — the exact local support of a
+packed tidsets — and gather the statistics the optimizer and SEARCH
+read.  The second level — the exact local support of a
 stored itemset — is one AND + popcount over the table's packed item rows
 (:class:`repro.kernels.FocalKernel`).  A :class:`MIP` object is only a
-view of one row (:meth:`MIPIndex.mip`).
+view of one row (:meth:`MIPIndex.mip`), and the paper's Supported R-tree
+over the boxes is packed only when read (:attr:`MIPIndex.rtree`): SEARCH
+answers from the per-value MIP bitmaps, not from a tree.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from repro.errors import DataError
 # ``mipindex.charm`` as the offline mine.
 from repro.itemsets.charm import closed_masks as charm
 from repro.itemsets.itemset import Itemset, min_count_for
-from repro.rtree.flat import DEFAULT_MAX_ENTRIES, FlatRTree
+from repro.rtree.flat import FlatRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.supported import SupportedRTree
 
@@ -45,8 +47,8 @@ class GenerationClock:
     starts at the predecessor's final generation plus one, so stamps
     issued against any earlier index of the lineage can never collide
     with the new one's.  ``ticks`` counts the logical mutations since —
-    delta-store appends and tombstone deletes, which leave the packed
-    R-tree untouched but must invalidate caches, memoized profiles, and
+    delta-store appends and tombstone deletes, which leave the MIP
+    arrays untouched but must invalidate caches, memoized profiles, and
     serving coalesce windows.
     """
 
@@ -82,7 +84,6 @@ class MIPIndex:
 
     table: RelationalTable
     primary_support: float
-    rtree: SupportedRTree
     stats: IndexStatistics
     global_counts: np.ndarray      # (n_mips,) int64 — |D^G_I| per MIP
     mip_tidset_matrix: np.ndarray  # (n_mips, words) packed tidsets
@@ -94,11 +95,24 @@ class MIPIndex:
     def n_mips(self) -> int:
         return len(self.global_counts)
 
+    @cached_property
+    def rtree(self) -> SupportedRTree:
+        """The Supported R-tree over the MIPs' boxes (Section 4.3),
+        packed on first read at the default fan-out.
+
+        No build, fold, load or request reads it — SEARCH answers from
+        ``stats.region_bits`` — so an index that is never asked for its
+        tree never packs one.  The tree's search is the reference the
+        bitmap SEARCH is tested against.
+        """
+        return SupportedRTree.build(
+            *mip_boxes(self.stats.mip_fixed_values, self.cardinalities),
+            self.global_counts,
+        )
+
     @property
     def flat_rtree(self) -> FlatRTree:
-        """The packed R-tree's per-level arrays, packed by
-        :func:`build_mip_index` or adopted from a snapshot by
-        :mod:`repro.core.persistence`."""
+        """The per-level arrays of :attr:`rtree`."""
         return self.rtree.flat
 
     @property
@@ -161,26 +175,14 @@ def assemble_index(
     primary_support: float,
     fixed_values: np.ndarray,
     mip_matrix: np.ndarray,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    rtree: SupportedRTree | None = None,
 ) -> MIPIndex:
     """The index over MIPs given as arrays — what build and load share.
 
     ``fixed_values`` is the ``(n_mips, d)`` itemset matrix and
-    ``mip_matrix`` the matching packed tidsets.  ``rtree`` supplies a
-    snapshot's stored tree instead of packing one; it is adopted only if
-    it indexes exactly the MIPs' boxes and global counts
-    (:meth:`repro.rtree.flat.FlatRTree.verify` raises ``IndexError_``).
-    No request reads the tree: SEARCH answers from the statistics'
-    per-value MIP bitmaps.
+    ``mip_matrix`` the matching packed tidsets.
     """
     cardinalities = table.schema.cardinalities()
     global_counts = kernels.popcount_rows(mip_matrix)
-    boxes = (*mip_boxes(fixed_values, cardinalities), global_counts)
-    if rtree is None:
-        rtree = SupportedRTree.build(*boxes, max_entries)
-    else:
-        rtree.flat.verify(*boxes)
     mip_matrix.setflags(write=False)
     global_counts.setflags(write=False)
     stats = gather_statistics(
@@ -195,7 +197,6 @@ def assemble_index(
     return MIPIndex(
         table=table,
         primary_support=primary_support,
-        rtree=rtree,
         stats=stats,
         global_counts=global_counts,
         mip_tidset_matrix=mip_matrix,
@@ -249,9 +250,7 @@ def mine_mips(
 
 
 def build_mip_index(
-    table: RelationalTable,
-    primary_support: float,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
+    table: RelationalTable, primary_support: float
 ) -> MIPIndex:
     """Run the offline preprocessing phase and return the MIP-index.
 
@@ -260,8 +259,5 @@ def build_mip_index(
     itemsets below the floor are only reachable through the ARM plan.
     """
     return assemble_index(
-        table,
-        primary_support,
-        *mine_mips(table, primary_support),
-        max_entries=max_entries,
+        table, primary_support, *mine_mips(table, primary_support)
     )

@@ -6,16 +6,17 @@ the online phase needs into a single ``.npz`` file:
 
 * the relational table (schema labels + the cell-index matrix),
 * the closed frequent itemsets (flattened (attribute, value) pairs),
-* the index construction parameters (primary support, fanout),
-* the packed R-tree (format v2 — the per-level arrays of
-  :mod:`repro.rtree.flat`, including the leaf-slot -> MIP-row map),
+* the primary support,
+* the packed MIP-tidset and item matrices, checked against the rebuild
+  on load and then served from the archive's own pages,
 * optionally the calibrated cost weights.
 
-Tidsets and the statistics are *derived* state: they are recomputed
-deterministically on load, which keeps the file small and the format
-trivially forward-compatible.  The stored R-tree is loaded *as* the
-index's tree — verified against the rebuilt MIPs, never re-packed; v1
-files (without it) still load and pack a fresh one.
+The statistics are *derived* state: they are recomputed deterministically
+on load, which keeps the file small and the format trivially
+forward-compatible.  Format v3 stores no R-tree — no request reads one,
+and an index packs its tree only when asked
+(:attr:`repro.core.mipindex.MIPIndex.rtree`).  v1 and v2 files still
+load; a v2 file's tree members and fan-out key are ignored.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from repro.core.costs import CostWeights
 from repro.core.mipindex import MIPIndex, assemble_index, mine_mips
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
-from repro.errors import DataError, IndexError_
+from repro.errors import DataError
 from repro.itemsets.itemset import min_count_for
-from repro.rtree.flat import FlatRTree
-from repro.rtree.supported import SupportedRTree
 
 __all__ = [
     "save_index",
@@ -51,9 +50,8 @@ __all__ = [
     "MmapFallbackWarning",
 ]
 
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
-_FLAT_PREFIX = "flat_"
+_FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
 _KERNEL_MIPS = "kernel_mip_tidsets"
 _KERNEL_ITEMS = "kernel_item_matrix"
 _MAINT_FORMAT_VERSION = 1
@@ -110,16 +108,15 @@ def save_index(
 
     The file is a numpy ``.npz`` archive; ``path`` conventionally ends in
     ``.colarm.npz`` but any name works.  ``compress=False`` stores the
-    members raw (ZIP_STORED), which makes the flat R-tree arrays eligible
-    for zero-copy ``load_index(..., mmap_mode="r")`` loading at the price
-    of a larger file.
+    members raw (ZIP_STORED), which makes the cell matrix and the packed
+    kernel matrices eligible for zero-copy ``load_index(...,
+    mmap_mode="r")`` loading at the price of a larger file.
     """
     path = Path(path)
     schema = index.table.schema
     meta = {
         "format_version": _FORMAT_VERSION,
         "primary_support": index.primary_support,
-        "max_entries": index.rtree.max_entries,
         "attributes": [
             {"name": attr.name, "values": list(attr.values)}
             for attr in schema.attributes
@@ -127,18 +124,16 @@ def save_index(
         "weights": dict(weights.weights) if weights is not None else None,
     }
     itemset_items, itemset_offsets = _itemset_arrays(index.stats.mip_fixed_values)
-    arrays = {
-        _FLAT_PREFIX + key: arr
-        for key, arr in index.flat_rtree.to_arrays().items()
-    }
     # The packed kernel matrices are derived state, but storing them
     # moves the hot-path bulk of a worker's working set into the
     # archive itself: an mmap load shares these pages across every
     # process on the box instead of rebuilding a private copy each.
     # They are verified bit-for-bit against the rebuild on load, so a
     # corrupt file cannot smuggle in wrong counts.
-    arrays[_KERNEL_MIPS] = index.mip_tidset_matrix
-    arrays[_KERNEL_ITEMS] = index.table.item_matrix()[0]
+    arrays = {
+        _KERNEL_MIPS: index.mip_tidset_matrix,
+        _KERNEL_ITEMS: index.table.item_matrix()[0],
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
     savez = np.savez_compressed if compress else np.savez
     savez(
@@ -162,11 +157,10 @@ def load_index(
     was saved without them).  Derived structures (tidsets, statistics)
     are rebuilt; with ``verify="mine"`` (the default) the stored itemset
     arrays must equal a fresh CHARM run's, so a stale or corrupted file
-    cannot silently produce wrong answers.  Format-v2 files additionally
-    carry the packed R-tree's arrays, which become the index's tree once
-    verified against the rebuilt MIPs (every leaf entry is its MIP's box
-    and global count, every internal entry the aggregate of its child
-    node); v1 files pack a fresh tree on load.
+    cannot silently produce wrong answers.  No format stores a tree the
+    load reads: a v2 file's R-tree members are ignored.  A ``meta``
+    member that is not a JSON object with the fields the loader reads
+    is a ``DataError`` naming the file.
 
     ``verify="stored"`` skips the re-mine: each MIP's tidset row is the
     AND of the item rows of its *stored* itemset, and the rows are then
@@ -180,11 +174,11 @@ def load_index(
     small fraction of the mmap-shared archive.
 
     ``mmap_mode="r"`` (or ``"c"``, copy-on-write) opens the big members —
-    the table's cell matrix, the R-tree level arrays, and the
-    packed kernel matrices — as read-only memory maps into the archive
-    itself instead of decompressing each into a fresh heap copy: a mapped
-    load is zero-copy, pages in on demand, and N processes mapping the
-    same file share one page-cache copy of those arrays.  Mapping
+    the table's cell matrix and the packed kernel matrices — as read-only
+    memory maps into the archive itself instead of decompressing each
+    into a fresh heap copy: a mapped load is zero-copy, pages in on
+    demand, and N processes mapping the same file share one page-cache
+    copy of those arrays.  Mapping
     requires the member to be stored uncompressed (:func:`save_index`
     with ``compress=False``); members that cannot be mapped fall back to
     the eager copy, emit a :class:`MmapFallbackWarning`, and are listed
@@ -219,7 +213,7 @@ def load_index(
             return archive[name]
 
         try:
-            meta = json.loads(bytes(archive["meta"]).decode())
+            meta = _meta(archive, path)
             items = archive["itemset_items"]
             offsets = archive["itemset_offsets"]
             data = member("data")
@@ -241,24 +235,26 @@ def load_index(
                 "but the archive carries none — load with "
                 "verify='mine' instead"
             )
-        schema = Schema(
-            tuple(
-                Attribute(spec["name"], tuple(spec["values"]))
-                for spec in meta["attributes"]
+        try:
+            schema = Schema(
+                tuple(
+                    Attribute(spec["name"], tuple(spec["values"]))
+                    for spec in meta["attributes"]
+                )
             )
-        )
+            primary_support = float(meta["primary_support"])
+            weights = (
+                CostWeights(dict(meta["weights"])) if meta.get("weights")
+                else None
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed_meta(path, exc) from None
         table = RelationalTable(schema, data)
-        flat_arrays = {
-            key[len(_FLAT_PREFIX):]: member(key)
-            for key in archive.files
-            if key.startswith(_FLAT_PREFIX)
-        }
         built_items, item_rows = table.item_matrix()
         table._item_matrix = (
             _adopt_kernel(archive, member, _KERNEL_ITEMS, built_items, "item", path),
             item_rows,
         )
-        primary_support = float(meta["primary_support"])
         if verify == "stored":
             fixed, built = _stored_mips(
                 table, items, offsets, primary_support, path
@@ -274,24 +270,7 @@ def load_index(
                     "the file does not match its own data"
                 )
         mip_matrix = _adopt_kernel(archive, member, _KERNEL_MIPS, built, "MIP", path)
-        max_entries = int(meta["max_entries"])
-        try:
-            index = assemble_index(
-                table,
-                primary_support,
-                fixed,
-                mip_matrix,
-                max_entries=max_entries,
-                rtree=(
-                    SupportedRTree(FlatRTree.from_arrays(flat_arrays), max_entries)
-                    if flat_arrays
-                    else None
-                ),
-            )
-        except IndexError_ as exc:
-            raise DataError(
-                f"{path}: corrupt flat R-tree arrays: {exc}"
-            ) from exc
+        index = assemble_index(table, primary_support, fixed, mip_matrix)
     report = LoadReport(
         requested=mmap_mode is not None,
         mapped=tuple(mapped_names),
@@ -307,10 +286,27 @@ def load_index(
             MmapFallbackWarning,
             stacklevel=2,
         )
-    weights = (
-        CostWeights(dict(meta["weights"])) if meta.get("weights") else None
-    )
     return index, weights
+
+
+def _meta(archive, path: Path) -> dict:
+    """An archive's ``meta`` member as a dict; bytes that are not a JSON
+    object are a ``DataError`` naming ``path`` (a missing member is the
+    caller's ``KeyError``)."""
+    try:
+        meta = json.loads(bytes(archive["meta"]).decode())
+    except (TypeError, ValueError) as exc:
+        raise _malformed_meta(path, exc) from None
+    if not isinstance(meta, dict):
+        raise DataError(
+            f"malformed meta in {path}: a JSON {type(meta).__name__}, "
+            "not an object"
+        )
+    return meta
+
+
+def _malformed_meta(path: Path, exc: Exception) -> DataError:
+    return DataError(f"malformed meta in {path}: {type(exc).__name__}: {exc}")
 
 
 def _adopt_kernel(
@@ -471,7 +467,7 @@ def load_maintained(path: str | Path):
     sidecar = delta_sidecar_path(path)
     with _open_npz(sidecar, "delta sidecar") as archive:
         try:
-            meta = json.loads(bytes(archive["meta"]).decode())
+            meta = _meta(archive, sidecar)
             delta_records = archive["delta_records"]
             main_dead = archive["main_dead"]
         except KeyError as exc:
@@ -483,21 +479,26 @@ def load_maintained(path: str | Path):
             f"{sidecar}: unsupported maintenance format version "
             f"{meta.get('maintenance_format_version')}"
         )
+    try:
+        n_main_records = int(meta["n_main_records"])
+        max_delta_fraction = float(meta["max_delta_fraction"])
+        saved_generation = int(meta["generation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed_meta(sidecar, exc) from None
     index, weights = load_index(path)
-    if index.table.n_records != int(meta["n_main_records"]):
+    if index.table.n_records != n_main_records:
         raise DataError(
-            f"{sidecar}: sidecar was taken over {meta['n_main_records']} "
+            f"{sidecar}: sidecar was taken over {n_main_records} "
             f"main records but the index file holds "
             f"{index.table.n_records} — the files do not belong together"
         )
     maintained = MaintainedIndex.from_index(
-        index, max_delta_fraction=float(meta["max_delta_fraction"])
+        index, max_delta_fraction=max_delta_fraction
     )
     if len(main_dead):
         maintained.delete([int(t) for t in main_dead])
     if len(delta_records):
         maintained.append(delta_records)
-    saved_generation = int(meta["generation"])
     if maintained.generation < saved_generation:
         index.clock.base += saved_generation - maintained.generation
     return maintained, weights

@@ -102,18 +102,6 @@ class IndexStatistics:
         return max(self.length_histogram, default=0)
 
     @property
-    def avg_pow2_length(self) -> float:
-        """Average ``2**length`` over MIPs (rule-generation work factor)."""
-        total = sum(self.length_histogram.values())
-        if not total:
-            return 0.0
-        return (
-            sum((1 << min(k, _MAX_POW2_LENGTH)) * v
-                for k, v in self.length_histogram.items())
-            / total
-        )
-
-    @property
     def tidset_words(self) -> int:
         """64-bit words per tidset — the unit of one record-level AND."""
         return max(1, -(-self.n_records // 64))
@@ -122,12 +110,6 @@ class IndexStatistics:
         """How many MIPs' global counts reach ``min_count`` — the length
         of the supported prefix in support order."""
         return self.n_mips - int(self.sorted_global_counts.searchsorted(min_count))
-
-    def fraction_with_count_at_least(self, min_count: int) -> float:
-        """Fraction of MIPs whose *global* count reaches ``min_count``."""
-        if self.n_mips == 0:
-            return 0.0
-        return self.n_supported(min_count) / self.n_mips
 
     def region_bits(
         self, selections: Mapping[int, frozenset[int]]
@@ -168,7 +150,7 @@ def gather_statistics(
     n_records: int,
     primary_support: float,
     mip_matrix: np.ndarray,
-    item_matrix: "tuple[np.ndarray, Mapping[Item, int]] | None" = None,
+    item_matrix: "tuple[np.ndarray, Mapping[Item, int]]",
 ) -> IndexStatistics:
     """Collect all statistics in one offline pass over index and MIPs.
 
@@ -177,10 +159,8 @@ def gather_statistics(
     MIP order; ``mip_matrix`` is the packed ``(n_mips, words)``
     MIP-tidset matrix the index keeps for ELIMINATE; ``item_matrix`` the
     table's packed item matrix with its row lookup
-    (:meth:`RelationalTable.item_matrix`, rows in item sort order).  The
-    latter enables the per-item local-count profile; when omitted, that
-    profile is empty and the optimizer falls back to the
-    distribution-based estimates.
+    (:meth:`RelationalTable.item_matrix`, rows in item sort order), the
+    basis of the per-item local-count profile.
     """
     cardinalities = tuple(cardinalities)
     n_dims = len(cardinalities)
@@ -212,31 +192,24 @@ def gather_statistics(
     )
     free_bits = tuple(bits(by_support[:, a] < 0) for a in range(n_dims))
 
-    item_rows: dict[tuple[int, int], int] = {}
-    global_f1 = 0
-    global_pair_density = 0.0
-    if item_matrix is not None and len(item_matrix[1]):
-        item_tidsets, row_of = item_matrix
-        item_rows = {(item[0], item[1]): j for item, j in row_of.items()}
-        item_mip_counts = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
-        for j, row in enumerate(item_tidsets):
-            item_mip_counts[j] = and_count(mip_matrix, row)[order]
+    item_tidsets, row_of = item_matrix
+    item_rows = {(item[0], item[1]): j for item, j in row_of.items()}
+    item_mip_counts = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
+    for j, row in enumerate(item_tidsets):
+        item_mip_counts[j] = and_count(mip_matrix, row)[order]
 
-        floor = min_count_for(primary_support, n_records)
-        item_counts = popcount_rows(item_tidsets)
-        strong = np.flatnonzero(item_counts >= floor)
-        global_f1 = len(strong)
-        strong = strong[np.argsort(-item_counts[strong], kind="stable")][:48]
-        rows = item_tidsets[strong]
-        pairs = len(rows) * (len(rows) - 1) // 2
-        frequent_pairs = sum(
-            int((and_count(rows[i + 1:], rows[i]) >= floor).sum())
-            for i in range(len(rows) - 1)
-        )
-        if pairs:
-            global_pair_density = frequent_pairs / pairs
-    else:
-        item_mip_counts = np.zeros((0, n_mips), dtype=np.int32)
+    floor = min_count_for(primary_support, n_records)
+    item_counts = popcount_rows(item_tidsets)
+    strong = np.flatnonzero(item_counts >= floor)
+    global_f1 = len(strong)
+    strong = strong[np.argsort(-item_counts[strong], kind="stable")][:48]
+    rows = item_tidsets[strong]
+    pairs = len(rows) * (len(rows) - 1) // 2
+    frequent_pairs = sum(
+        int((and_count(rows[i + 1:], rows[i]) >= floor).sum())
+        for i in range(len(rows) - 1)
+    )
+    global_pair_density = frequent_pairs / pairs if pairs else 0.0
 
     sorted_counts = np.sort(global_counts)
     return IndexStatistics(

@@ -1,6 +1,5 @@
-"""R-tree substrate: geometry, the packed flat tree, supported filter, costs."""
+"""R-tree substrate: geometry, the packed flat tree, supported filter."""
 
-from repro.rtree.costmodel import expected_leaf_matches
 from repro.rtree.flat import FlatLevel, FlatRTree
 from repro.rtree.geometry import Rect
 from repro.rtree.hilbert import bits_needed, hilbert_indices
@@ -15,5 +14,4 @@ __all__ = [
     "FlatRTree",
     "pack_hilbert",
     "SupportedRTree",
-    "expected_leaf_matches",
 ]

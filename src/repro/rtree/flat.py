@@ -27,19 +27,18 @@ root plus the child of every internal entry that passes both filters, so
 the traversal returns ``1 + sum(matched internal entries per level)``.
 
 The leaf payload is one int64 vector, ``payload_rows``: leaf slot ``j``
-indexes input box ``payload_rows[j]`` (a MIP row).  The arrays round-trip
-through :mod:`repro.core.persistence` (:meth:`FlatRTree.to_arrays` /
-:meth:`FlatRTree.from_arrays`), so a reloaded index holds the stored tree
-itself; :meth:`FlatRTree.verify` is the loader's proof that a stored tree
-indexes exactly the boxes it is attached to.  The request path reads no
-tree: SEARCH answers from the index statistics' per-value MIP bitmaps
-(:meth:`repro.core.stats.IndexStatistics.region_bits`), and the tests
-hold it to this traversal.
+indexes input box ``payload_rows[j]`` (a MIP row);
+:meth:`FlatRTree.verify` checks that a tree indexes exactly the boxes
+it was packed from.  The request path reads no tree: SEARCH answers from
+the index statistics' per-value MIP bitmaps
+(:meth:`repro.core.stats.IndexStatistics.region_bits`), the tests hold
+it to this traversal, and an index packs its tree only when asked
+(:attr:`repro.core.mipindex.MIPIndex.rtree`).  No snapshot stores one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,60 +271,3 @@ class FlatRTree:
             counts=self.levels[-1].counts[slots],
             nodes_visited=visited,
         )
-
-    # -- persistence -------------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The tree as a flat mapping of arrays (``.npz``-ready)."""
-        out: dict[str, np.ndarray] = {
-            "shape": np.asarray([self.n_dims, len(self.levels)], dtype=np.int64),
-            "payload_rows": self.payload_rows,
-        }
-        for i, level in enumerate(self.levels):
-            out[f"offsets_{i}"] = np.asarray(level.node_offsets, dtype=np.int64)
-            out[f"lows_{i}"] = level.lows
-            out[f"highs_{i}"] = level.highs
-            out[f"counts_{i}"] = level.counts
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "FlatRTree":
-        """Rebuild a tree from :meth:`to_arrays` output, zero-copy.
-
-        Structural invariants (shapes, CSR offsets covering every entry
-        with no empty node, child-order cardinalities) are re-validated so
-        a corrupted file fails loudly; whether the arrays index the right
-        boxes is :meth:`verify`'s question.
-        """
-        try:
-            n_dims, n_levels = (int(x) for x in arrays["shape"])
-            payload_rows = np.asarray(arrays["payload_rows"], dtype=np.int64)
-        except KeyError as exc:
-            raise IndexError_(f"flat arrays missing field {exc}") from exc
-        if n_levels < 1:
-            raise IndexError_("flat arrays declare no levels")
-        levels: list[FlatLevel] = []
-        for i in range(n_levels):
-            try:
-                offsets = np.asarray(arrays[f"offsets_{i}"], dtype=np.intp)
-                lows = np.asarray(arrays[f"lows_{i}"], dtype=np.int64)
-                highs = np.asarray(arrays[f"highs_{i}"], dtype=np.int64)
-                counts = np.asarray(arrays[f"counts_{i}"], dtype=np.int64)
-            except KeyError as exc:
-                raise IndexError_(f"flat arrays missing field {exc}") from exc
-            n = len(counts)
-            if (
-                len(offsets) < 2
-                or offsets[0] != 0
-                or offsets[-1] != n
-                # Only the empty tree's lone root may own no entries.
-                or (np.any(np.diff(offsets) <= 0) and (n or n_levels > 1))
-                or lows.shape != (n, n_dims)
-                or highs.shape != (n, n_dims)
-            ):
-                raise IndexError_(f"flat level {i} arrays are inconsistent")
-            for arr in (offsets, lows, highs, counts):
-                arr.setflags(write=False)
-            levels.append(FlatLevel(offsets, lows, highs, counts))
-        payload_rows.setflags(write=False)
-        return cls(n_dims=n_dims, levels=levels, payload_rows=payload_rows)

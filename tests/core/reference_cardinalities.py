@@ -16,7 +16,6 @@ import dataclasses
 import numpy as np
 
 from repro.core.stats import IndexStatistics
-from repro.rtree.costmodel import expected_leaf_matches
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,10 +42,7 @@ def mip_order_stats(index) -> MipOrderStatistics:
     return MipOrderStatistics(**fields)
 
 
-def reference_cardinalities(
-    query, focal, stats, min_count, global_floor, aitem_fraction,
-    contained_fraction,
-):
+def reference_cardinalities(query, focal, stats, min_count):
     """The cardinality pass ``QueryProfile.from_query`` ran before the
     item-major statistics layout: every numeric step over all N MIPs,
     reading the per-item profile MIP-major."""
@@ -63,28 +59,6 @@ def reference_cardinalities(
             "est_qualified_partial": 0.0,
             "qualified_fanout": 0.0,
         }
-    if item_local_counts.shape[1] == 0:
-        # No per-item profile: fall back to the distribution-based lemmas.
-        upper = stats.fraction_with_count_at_least(min_count)
-        uniform = stats.fraction_with_count_at_least(global_floor)
-        pass_frac = (upper * uniform) ** 0.5
-        n_cands = expected_leaf_matches(
-            n, stats.avg_box_extents, focal.hull_extents(), stats.cardinalities
-        )
-        n_supported = n_cands * upper
-        n_contained = n_supported * contained_fraction
-        qualified = n_cands * aitem_fraction * pass_frac
-        return {
-            "n_cands": n_cands,
-            "n_cands_supported": n_supported,
-            "n_contained": n_contained,
-            "est_qualified": qualified,
-            "est_qualified_partial": max(
-                qualified - n_contained * aitem_fraction, 0.0
-            ),
-            "qualified_fanout": qualified * max(stats.avg_pow2_length, 1.0),
-        }
-
     fixed = stats.mip_fixed_values
     overlap = np.ones(n, dtype=bool)
     contained = np.ones(n, dtype=bool)
@@ -122,9 +96,8 @@ def reference_cardinalities(
     # exact for single-attribute regions but overcounts multi-attribute
     # ones (the realized intersection of k attribute slices is far below
     # the loosest slice).  The independence estimate ``g * prod_a(c_a/g)``
-    # errs the other way on correlated attributes, so — as with the
-    # distribution-based fallback above — the model takes their geometric
-    # mean.
+    # errs the other way on correlated attributes, so the model takes
+    # their geometric mean.
     if n_range_attrs >= 2:
         g = stats.mip_global_counts.astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):

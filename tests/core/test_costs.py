@@ -10,7 +10,6 @@ from repro.core.operators import make_context, op_eliminate, op_search, \
 from repro.core.optimizer import ColarmOptimizer
 from repro.core.plans import PlanKind
 from repro.core.query import LocalizedQuery
-from repro.rtree.costmodel import expected_leaf_matches
 from tests.conftest import make_random_table
 
 
@@ -132,39 +131,3 @@ def test_estimate_all_returns_every_plan(setup):
 def test_weights_price():
     w = CostWeights({"a": 2.0, "b": 0.5})
     assert w.price({"a": 3.0, "b": 4.0, "unknown": 100.0}) == 8.0
-
-
-def test_lemma41_estimator_available(setup):
-    _, index = setup
-    profile = profile_for(index, QUERIES[0])
-    model = CostModel(index.stats)
-    est = expected_leaf_matches(
-        index.stats.n_mips,
-        index.stats.avg_box_extents,
-        profile.hull_extents,
-        index.stats.cardinalities,
-    )
-    # Lemma 4.1 is a coarse geometric estimate; sanity-check the range.
-    assert 0 <= est <= index.n_mips
-
-
-def test_fallback_without_item_profile(setup):
-    """With the per-item profile stripped, estimates degrade gracefully."""
-    import dataclasses
-
-    import numpy as np
-
-    _, index = setup
-    stats = dataclasses.replace(
-        index.stats,
-        item_rows={},
-        item_mip_counts=np.zeros((0, index.n_mips), dtype=np.int32),
-    )
-    query = QUERIES[0]
-    profile = QueryProfile.from_query(
-        query, resolve_focal(index, query), stats
-    )
-    assert profile.n_cands > 0
-    model = CostModel(stats)
-    estimates = model.estimate_all(profile)
-    assert all(v > 0 for v in estimates.values())

@@ -1,18 +1,25 @@
 """Index save/load round-trips and corruption handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.costs import CostWeights
 from repro.core.mipindex import build_mip_index
-from repro.core.persistence import load_index, save_index
+from repro.core.maintenance import MaintainedIndex
+from repro.core.persistence import (
+    delta_sidecar_path,
+    load_index,
+    load_maintained,
+    save_index,
+    save_maintained,
+)
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError
 from tests.conftest import make_random_table
-from tests.rtree.reference import full_domain
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +43,36 @@ def test_roundtrip_identical_index(index, tmp_path):
     assert np.array_equal(loaded.global_counts, index.global_counts)
 
 
+QUERY = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6)
+
+
+def _answers(index):
+    """Every plan's rules for ``QUERY``, comparable across indexes."""
+    return {
+        kind: sorted(
+            (r.antecedent, r.consequent, r.support_count)
+            for r in execute_plan(kind, index, QUERY).rules
+        )
+        for kind in PlanKind
+    }
+
+
+def _assert_same_index(a, b):
+    """The same MIP arrays, statistics and answers."""
+    assert np.array_equal(a.stats.mip_fixed_values, b.stats.mip_fixed_values)
+    assert np.array_equal(a.global_counts, b.global_counts)
+    assert np.array_equal(a.mip_tidset_matrix, b.mip_tidset_matrix)
+    assert np.array_equal(a.stats.mip_rows, b.stats.mip_rows)
+    assert a.stats.mip_value_bits == b.stats.mip_value_bits
+    assert a.stats.mip_free_bits == b.stats.mip_free_bits
+    assert _answers(a) == _answers(b)
+
+
 def test_roundtrip_same_query_answers(index, tmp_path):
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
     loaded, _ = load_index(path)
-    query = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6)
-    key = lambda rs: sorted((r.antecedent, r.consequent, r.support_count)
-                            for r in rs)
-    for kind in PlanKind:
-        a = execute_plan(kind, index, query)
-        b = execute_plan(kind, loaded, query)
-        assert key(a.rules) == key(b.rules), kind
+    assert _answers(loaded) == _answers(index)
 
 
 def test_roundtrip_with_weights(index, tmp_path):
@@ -103,194 +129,116 @@ def test_load_detects_itemset_mismatch(index, tmp_path):
             load_index(path)
 
 
-def _tree_arrays(index):
-    return {k: np.asarray(v) for k, v in index.flat_rtree.to_arrays().items()}
+def _rewrite(path, change):
+    """Apply ``change`` to the archive's members (a dict) and rewrite it."""
+    with np.load(path) as archive:
+        members = dict(archive)
+    change(members)
+    np.savez(path, **members)
 
 
-def _assert_same_tree(a, b):
-    """Byte-for-byte the same level arrays, statistics and search answers."""
-    arrays_a, arrays_b = _tree_arrays(a), _tree_arrays(b)
-    assert list(arrays_a) == list(arrays_b)
-    for key in arrays_a:
-        assert arrays_a[key].dtype == arrays_b[key].dtype, key
-        assert np.array_equal(arrays_a[key], arrays_b[key]), key
-    assert np.array_equal(a.stats.mip_rows, b.stats.mip_rows)
-    assert a.stats.mip_value_bits == b.stats.mip_value_bits
-    assert a.stats.mip_free_bits == b.stats.mip_free_bits
-    hull = full_domain(a.cardinalities)
-    for min_count in (None, 2, 10**9):
-        x = a.rtree.search_arrays(hull, min_count=min_count)
-        y = b.rtree.search_arrays(hull, min_count=min_count)
-        assert x.nodes_visited == y.nodes_visited
-        assert np.array_equal(x.rows, y.rows)
-        assert np.array_equal(x.counts, y.counts)
+def _v2_tree_members(tree):
+    """The ``flat_*`` members a format-v2 snapshot stored for ``tree``."""
+    members = {
+        "flat_shape": np.asarray([tree.n_dims, tree.height], dtype=np.int64),
+        "flat_payload_rows": tree.payload_rows,
+    }
+    for i, level in enumerate(tree.levels):
+        members[f"flat_offsets_{i}"] = level.node_offsets.astype(np.int64)
+        members[f"flat_lows_{i}"] = level.lows
+        members[f"flat_highs_{i}"] = level.highs
+        members[f"flat_counts_{i}"] = level.counts
+    return members
 
 
-def test_roundtrip_attaches_stored_flat_form(index, tmp_path):
-    """v2 files carry the packed R-tree; the loaded index searches the
-    stored arrays themselves, identical to the tree that was saved."""
+def test_v3_save_stores_no_tree(index, tmp_path):
+    """A v3 snapshot holds the MIP arrays and kernels, and no R-tree."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
-    archive = np.load(path)
-    assert any(k.startswith("flat_") for k in archive.files)
-    loaded, _ = load_index(path)
-    _assert_same_tree(index, loaded)
-    assert loaded.rtree.max_entries == index.rtree.max_entries
-    for key, arr in _tree_arrays(loaded).items():
-        assert np.array_equal(arr, archive["flat_" + key]), key
+    with np.load(path) as archive:
+        assert not any(k.startswith("flat_") for k in archive.files)
+        meta = json.loads(bytes(archive["meta"]).decode())
+    assert meta["format_version"] == 3
+    assert "max_entries" not in meta
 
 
 @pytest.mark.parametrize("verify", ["mine", "stored"])
 def test_v2_load_never_packs(index, tmp_path, monkeypatch, verify):
-    """A format-v2 load adopts the stored tree: no Hilbert keying, no
-    packing — so the statistics describe the tree that is searched."""
+    """A format-v2 archive — a v3 save plus the tree members and the
+    ``max_entries`` key v2 wrote — loads eager and mapped, ignores the
+    tree members, packs nothing, and answers as the saved index does."""
     path = tmp_path / "t.colarm.npz"
-    save_index(index, path)
+    save_index(index, path, compress=False)
+    tree_members = _v2_tree_members(index.flat_rtree)
+
+    def to_v2(members):
+        members.update(tree_members)
+        _set_meta(members, format_version=2,
+                  max_entries=index.rtree.max_entries)
+
+    _rewrite(path, to_v2)
 
     def boom(*args, **kwargs):
         raise AssertionError("a v2 load must not key or pack")
 
     monkeypatch.setattr("repro.rtree.packing.hilbert_indices", boom)
     monkeypatch.setattr("repro.rtree.supported.pack_hilbert", boom)
-    loaded, _ = load_index(path, verify=verify)
-    _assert_same_tree(index, loaded)
-
-
-def test_roundtrip_payload_first_no_entry_rebuild(index, tmp_path):
-    """v2 files round-trip the leaf payload as one row vector, a bijection
-    onto the MIP rows that the loaded tree serves hits through."""
-    path = tmp_path / "t.colarm.npz"
-    save_index(index, path)
-    archive = np.load(path)
-    assert "flat_payload_rows" in archive.files
-    stored_rows = archive["flat_payload_rows"]
-    assert stored_rows.dtype == np.int64
-    assert sorted(stored_rows.tolist()) == list(range(index.n_mips))
-
-    loaded, _ = load_index(path)
-    flat = loaded.flat_rtree
-    assert flat.payload_rows.tolist() == stored_rows.tolist()
-    hits = flat.search_hits(full_domain(loaded.cardinalities))
-    assert np.array_equal(hits.rows, stored_rows[hits.slots])
-    assert hits.counts.tolist() == loaded.global_counts[hits.rows].tolist()
+    for mmap_mode in (None, "r"):
+        loaded, _ = load_index(path, mmap_mode=mmap_mode, verify=verify)
+        _assert_same_index(index, loaded)
+        report = loaded.load_report
+        assert not any(
+            name.startswith("flat_")
+            for name in report.mapped + report.fallbacks
+        )
+        assert "rtree" not in vars(loaded)
 
 
 def test_load_v1_file_recompiles_flat(index, tmp_path):
-    """A legacy v1 archive (no R-tree arrays) still loads; the tree is
-    packed on load instead of adopted, and comes out the same."""
+    """A legacy v1 archive still loads; its tree is packed when read,
+    and comes out the same as the saved index's."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
-    archive = dict(np.load(path))
-    meta = json.loads(bytes(archive["meta"]).decode())
-    meta["format_version"] = 1
-    stripped = {k: v for k, v in archive.items() if not k.startswith("flat_")}
-    stripped["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **stripped)
+    _rewrite(path, lambda members: _set_meta(members, format_version=1))
     loaded, _ = load_index(path)
-    _assert_same_tree(index, loaded)
-    assert np.array_equal(
-        loaded.stats.mip_fixed_values, index.stats.mip_fixed_values
+    _assert_same_index(index, loaded)
+    got = _v2_tree_members(loaded.flat_rtree)
+    want = _v2_tree_members(index.flat_rtree)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _is_mapped(arr):
+    while arr is not None:
+        if isinstance(arr, np.memmap):
+            return True
+        arr = getattr(arr, "base", None)
+    return False
+
+
+def _mappable(index):
+    """The members a load may map: cell matrix and kernel matrices."""
+    return (
+        index.table.data,
+        index.mip_tidset_matrix,
+        index.table.item_matrix()[0],
     )
 
 
-def test_load_detects_corrupt_flat_arrays(index, tmp_path):
-    path = tmp_path / "t.colarm.npz"
-    save_index(index, path)
-    archive = dict(np.load(path))
-
-    # Broken payload bijection.
-    tampered = dict(archive)
-    rows = tampered["flat_payload_rows"].copy()
-    if len(rows) > 1:
-        rows[0] = rows[1]
-        tampered["flat_payload_rows"] = rows
-        np.savez(path, **tampered)
-        with pytest.raises(DataError, match="bijection"):
-            load_index(path)
-
-    # Missing payload map entirely.
-    tampered = {k: v for k, v in archive.items() if k != "flat_payload_rows"}
-    np.savez(path, **tampered)
-    with pytest.raises(DataError, match="payload_rows"):
-        load_index(path)
-
-    # Inconsistent CSR offsets.
-    tampered = dict(archive)
-    n_levels = int(tampered["flat_shape"][1])
-    key = f"flat_offsets_{n_levels - 1}"
-    offs = tampered[key].copy()
-    offs[-1] += 1
-    tampered[key] = offs
-    np.savez(path, **tampered)
-    with pytest.raises(DataError, match="corrupt flat"):
-        load_index(path)
-
-
-def _zero(arr):
-    arr[:] = 0
-
-
-def _flip_bit(arr):
-    arr[len(arr) // 2] ^= 1 << 3
-
-
-def _shrink(arr):
-    arr[np.unravel_index(np.argmax(arr), arr.shape)] -= 1
-
-
-def _swap_ends(arr):
-    arr[[0, -1]] = arr[[-1, 0]]
-
-
-@pytest.mark.parametrize("member,damage", [
-    ("flat_counts_0", _zero),          # the root prunes every supported search
-    ("flat_counts_{leaf}", _zero),
-    ("flat_counts_{leaf}", _flip_bit),
-    ("flat_counts_0", _flip_bit),
-    ("flat_highs_0", _shrink),         # a subtree's box no longer covers it
-    ("flat_highs_{leaf}", _shrink),
-    ("flat_payload_rows", _swap_ends),  # hits would name the wrong MIPs
-])
-def test_load_refuses_a_well_formed_wrong_tree(index, tmp_path, member, damage):
-    """Arrays that pass every structural check but are not the tree of the
-    index's MIPs — zeroed or bit-flipped counts, a shrunken box, a permuted
-    payload map — used to load and silently lose hits; they must fail."""
-    path = tmp_path / "t.colarm.npz"
-    save_index(index, path, compress=False)
-    archive = dict(np.load(path))
-    leaf = int(archive["flat_shape"][1]) - 1
-    assert leaf >= 1  # the damaged root is an internal level
-    key = member.format(leaf=leaf)
-    arr = archive[key].copy()
-    damage(arr)
-    assert not np.array_equal(arr, archive[key])
-    archive[key] = arr
-    np.savez(path, **archive)
-    for verify in ("mine", "stored"):
-        with pytest.raises(DataError, match="corrupt flat"):
-            load_index(path, verify=verify)
-
-
 def test_mmap_load_zero_copy_and_identical(index, tmp_path):
-    """Uncompressed v2 archives open their flat SoA arrays as read-only
-    memory maps, and the mapped tree answers searches identically."""
+    """Uncompressed archives open the cell matrix and the packed kernel
+    matrices as read-only memory maps, and the mapped index answers
+    identically."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path, compress=False)
     loaded, _ = load_index(path, mmap_mode="r")
-    flat = loaded.flat_rtree
-    assert flat is not None
-
-    def is_mapped(arr):
-        while arr is not None:
-            if isinstance(arr, np.memmap):
-                return True
-            arr = getattr(arr, "base", None)
-        return False
-
-    assert all(is_mapped(level.lows) for level in flat.levels)
-    assert is_mapped(flat.payload_rows)
+    for arr in _mappable(loaded):
+        assert _is_mapped(arr)
+        assert not arr.flags.writeable
     eager, _ = load_index(path)
-    _assert_same_tree(eager, loaded)
+    _assert_same_index(eager, loaded)
 
 
 def test_mmap_load_compressed_falls_back_to_copy(index, tmp_path):
@@ -302,12 +250,8 @@ def test_mmap_load_compressed_falls_back_to_copy(index, tmp_path):
     save_index(index, path)  # compressed (the default)
     with pytest.warns(MmapFallbackWarning):
         loaded, _ = load_index(path, mmap_mode="r")
-    flat = loaded.flat_rtree
-    assert flat is not None
-    assert not any(
-        isinstance(level.lows, np.memmap) for level in flat.levels
-    )
-    _assert_same_tree(index, loaded)
+    assert not any(_is_mapped(arr) for arr in _mappable(loaded))
+    _assert_same_index(index, loaded)
 
 
 def test_mmap_load_rejects_writable_modes(index, tmp_path):
@@ -317,14 +261,6 @@ def test_mmap_load_rejects_writable_modes(index, tmp_path):
         load_index(path, mmap_mode="r+")
     with pytest.raises(DataError, match="mmap_mode"):
         load_index(path, mmap_mode="w+")
-
-
-def _is_mapped(arr):
-    while arr is not None:
-        if isinstance(arr, np.memmap):
-            return True
-        arr = getattr(arr, "base", None)
-    return False
 
 
 def test_mmap_load_report_fully_mapped(index, tmp_path):
@@ -382,14 +318,6 @@ def test_load_detects_corrupt_kernel_matrix(index, tmp_path):
     np.savez(path, **archive)
     with pytest.raises(DataError, match="kernel"):
         load_index(path)
-
-
-def _rewrite(path, change):
-    """Apply ``change`` to the archive's members (a dict) and rewrite it."""
-    with np.load(path) as archive:
-        members = dict(archive)
-    change(members)
-    np.savez(path, **members)
 
 
 def _itemset(members, i):
@@ -538,3 +466,52 @@ def test_loads_close_their_archives(index, tmp_path, monkeypatch):
         load_maintained(maintained_path)
         gc.collect()
     assert unraisable == []
+
+
+def _meta_bytes(raw):
+    return lambda meta: raw
+
+
+def _without(key):
+    return lambda meta: json.dumps(
+        {k: v for k, v in meta.items() if k != key}
+    ).encode()
+
+
+def _with(**fields):
+    return lambda meta: json.dumps({**meta, **fields}).encode()
+
+
+_UNREADABLE_META = [
+    ("not_json", _meta_bytes(b"{not json")),
+    ("not_utf8", _meta_bytes(b"\xff\xfe{}")),
+    ("json_list", _meta_bytes(b"[1, 2]")),
+]
+
+
+@pytest.mark.parametrize("target,fault", [
+    *(("index", case) for case in _UNREADABLE_META),
+    ("index", ("no_primary_support", _without("primary_support"))),
+    ("index", ("no_attributes", _without("attributes"))),
+    ("index", ("attributes_not_list", _with(attributes=7))),
+    *(("sidecar", case) for case in _UNREADABLE_META),
+    ("sidecar", ("no_n_main_records", _without("n_main_records"))),
+    ("sidecar", ("no_generation", _without("generation"))),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_malformed_meta_is_a_data_error(index, tmp_path, target, fault):
+    """A ``meta`` member the loader cannot read — of the index archive or
+    of the delta sidecar — is a ``DataError`` naming that file, never a
+    bare decode, attribute, key or type error."""
+    path = tmp_path / "m.colarm.npz"
+    save_maintained(MaintainedIndex.from_index(index), path)
+    victim = path if target == "index" else delta_sidecar_path(path)
+    _, damage = fault
+
+    def change(members):
+        meta = json.loads(bytes(members["meta"]).decode())
+        members["meta"] = np.frombuffer(damage(meta), dtype=np.uint8)
+
+    _rewrite(victim, change)
+    load = load_index if target == "index" else load_maintained
+    with pytest.raises(DataError, match=re.escape(str(victim))):
+        load(path)

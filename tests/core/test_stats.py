@@ -49,9 +49,6 @@ def test_length_histogram_and_derived(setup):
     assert sum(stats.length_histogram.values()) == len(lengths)
     assert stats.avg_length == pytest.approx(np.mean(lengths))
     assert stats.max_length == max(lengths)
-    assert stats.avg_pow2_length == pytest.approx(
-        np.mean([2.0 ** min(length, 16) for length in lengths])
-    )
 
 
 def test_attr_fix_prob(setup):
@@ -62,15 +59,6 @@ def test_attr_fix_prob(setup):
             [dim in m.fixed_attributes for m in ref_mips(index)]
         )
         assert stats.attr_fix_prob[dim] == pytest.approx(expected)
-
-
-def test_fraction_with_count_at_least(setup):
-    _, index = setup
-    stats = index.stats
-    counts = [m.global_count for m in ref_mips(index)]
-    for threshold in (1, 10, max(counts), max(counts) + 1):
-        expected = sum(1 for c in counts if c >= threshold) / len(counts)
-        assert stats.fraction_with_count_at_least(threshold) == expected
 
 
 def test_mip_fixed_values_matrix(setup):

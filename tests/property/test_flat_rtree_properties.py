@@ -61,12 +61,3 @@ def test_flat_matches_packed_pointer_tree(data, max_entries):
     tree = pack_hilbert(*as_arrays(items), max_entries=max_entries)
     assert_flat_equivalent(tree, oracle_tree(items, max_entries), queries)
     tree.verify(*as_arrays(items))
-
-
-@settings(max_examples=25, deadline=None)
-@given(rect_sets())
-def test_flat_array_round_trip_preserves_search(data):
-    items, queries = data
-    tree = pack_hilbert(*as_arrays(items), max_entries=8)
-    rebuilt = FlatRTree.from_arrays(tree.to_arrays())
-    assert_flat_equivalent(rebuilt, oracle_tree(items, 8), queries)

@@ -7,8 +7,7 @@ step over all N MIPs, boolean arrays in MIP order).  The six counts it
 fills must be ``==`` — not
 close — on random tables and queries (``item_attributes`` restrictions
 and full-domain selections included, drawn by the plan-equivalence
-strategy), with no MIPs at all, without the per-item profile, and for
-profiles built over main+delta.
+strategy), with no MIPs at all, and for profiles built over main+delta.
 """
 
 import dataclasses
@@ -32,25 +31,14 @@ from tests.property import test_maintenance_delta as delta_suite
 from tests.property import test_plan_equivalence as plan_suite
 
 
-def threshold_args(query, focus, stats):
-    """The arguments after the first three ``QueryProfile.from_query``
-    hands the pass (none depends on the MIP order)."""
-    exact = query.minsupp * stats.n_records
-    global_floor = max(int(exact) + (int(exact) < exact), 1)
-    return (
-        focus.min_count, global_floor,
-        costs._aitem_fraction(query, stats),
-        costs._contained_fraction(query, focus.focal, stats),
-    )
-
-
 def assert_passes_agree(query, focus, stats, reference_stats):
     """``reference_stats`` is ``stats`` in the reference's MIP order; the
     pass reads the region's bitmaps off ``focus``, the reference
     classifies ``focus.focal`` itself."""
-    rest = threshold_args(query, focus, stats)
-    new = costs._cardinalities(query, focus, stats, *rest)
-    old = reference_cardinalities(query, focus.focal, reference_stats, *rest)
+    new = costs._cardinalities(query, focus, stats, focus.min_count)
+    old = reference_cardinalities(
+        query, focus.focal, reference_stats, focus.min_count
+    )
     assert list(new) == list(old) == list(costs._CARDINALITY_FIELDS)
     assert new == old
 
@@ -69,13 +57,6 @@ def test_cardinalities_equal_reference(scenario, primary_support):
                                 item_attributes=query.item_attributes)
     assert_passes_agree(everything, resolve_focal(index, everything),
                         index.stats, by_mip)
-    # Without the per-item profile both take the distribution fallback.
-    bare = dataclasses.replace(
-        index.stats,
-        item_rows={},
-        item_mip_counts=np.zeros((0, index.n_mips), dtype=np.int32),
-    )
-    assert_passes_agree(query, focus, bare, bare)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,8 +89,8 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     real = costs._cardinalities
     by_mip = mip_order_stats(mx.index)
 
-    def reference(query, focus, _stats, *rest):
-        return reference_cardinalities(query, focus.focal, by_mip, *rest)
+    def reference(query, focus, _stats, min_count):
+        return reference_cardinalities(query, focus.focal, by_mip, min_count)
 
     costs._cardinalities = reference
     try:

@@ -1,4 +1,4 @@
-"""Theodoridis-Sellis expected node accesses and Lemma 4.1.
+"""Theodoridis-Sellis expected node accesses.
 
 The node-access estimate is the scalar reference
 :func:`tests.rtree.reference.expected_node_accesses` (SEARCH reads no tree,
@@ -8,10 +8,6 @@ traversal here.
 
 import random
 
-import pytest
-
-from repro.errors import DataError
-from repro.rtree.costmodel import expected_leaf_matches
 from repro.rtree.supported import SupportedRTree
 from tests.rtree.reference import (
     LevelStat,
@@ -68,22 +64,3 @@ def test_matches_measured_accesses_roughly():
         total_meas += tree.search_arrays(q).nodes_visited
     ratio = total_est / total_meas
     assert 1 / 3 < ratio < 3, ratio
-
-
-def test_expected_leaf_matches_lemma41():
-    # 100 boxes of avg extent 2 in a domain of 10: query extent 3
-    # -> N * (2/10 + 3/10) = 50
-    assert expected_leaf_matches(100, [2.0], [3.0], [10]) == pytest.approx(50.0)
-    # factors clamp at 1
-    assert expected_leaf_matches(100, [20.0], [30.0], [10]) == 100.0
-
-
-def test_validation():
-    with pytest.raises(DataError):
-        expected_leaf_matches(10, [1.0], [1.0, 2.0], [4])
-    with pytest.raises(DataError):
-        expected_leaf_matches(10, [1.0], [1.0], [0])
-    with pytest.raises(DataError):
-        expected_leaf_matches(10, [1.0], [-1.0], [4])
-    with pytest.raises(DataError):
-        expected_leaf_matches(10, [1.0, 1.0], [1.0], [4])

@@ -86,45 +86,6 @@ def test_dimension_mismatch_rejected():
         tree.search_hits(Rect((0, 0), (1, 1)))
 
 
-def test_arrays_round_trip():
-    rng = random.Random(9)
-    items = make_items(rng, 60)
-    tree = pack_hilbert(*as_arrays(items), max_entries=4)
-    rebuilt = FlatRTree.from_arrays(tree.to_arrays())
-    assert rebuilt.height == tree.height
-    assert len(rebuilt) == len(tree)
-    rebuilt.verify(*as_arrays(items))
-    oracle = oracle_tree(items, 4)
-    for query, mc in make_queries(rng):
-        assert_matches_oracle(rebuilt, oracle, query, mc)
-
-
-def test_from_arrays_rejects_corruption():
-    tree = pack_hilbert(*as_arrays(make_items(random.Random(2), 30)), max_entries=4)
-    good = tree.to_arrays()
-    leaf = f"offsets_{tree.height - 1}"
-
-    def corrupt(**changes):
-        with pytest.raises(IndexError_):
-            FlatRTree.from_arrays({**good, **changes})
-
-    missing = dict(good)
-    del missing["counts_0"]
-    with pytest.raises(IndexError_):
-        FlatRTree.from_arrays(missing)
-
-    bad = np.array(good[leaf])
-    bad[-1] += 1  # CSR no longer covers exactly the entry array
-    corrupt(**{leaf: bad})
-    bad = np.array(good[leaf])
-    bad[1] = bad[0]  # a node that owns no entries
-    corrupt(**{leaf: bad})
-    corrupt(payload_rows=good["payload_rows"][:-1])  # payload table short
-    # Two roots: the traversal would only ever read the first.
-    n_root = len(good["counts_0"])
-    corrupt(offsets_0=np.asarray([0, 1, n_root], dtype=np.int64))
-
-
 def test_unbalanced_tree_rejected():
     """Levels that do not chain — some entry has no node beneath it, or a
     node no entry above — are refused (the child-order invariant)."""

@@ -36,7 +36,7 @@ from repro.rtree.supported import SupportedRTree
 
 __all__ = [
     "GenerationClock", "MIP", "MIPIndex", "assemble_index", "build_mip_index",
-    "mine_mips", "mip_boxes",
+    "mine_mips", "mip_boxes", "mip_sources",
 ]
 
 
@@ -76,10 +76,12 @@ class MIPIndex:
     """The offline artifact of the COLARM framework, as arrays.
 
     MIP ``i`` is row ``i`` of ``stats.mip_fixed_values`` (its itemset and
-    box), of ``global_counts`` and of ``mip_tidset_matrix`` — the packed
+    box), of ``global_counts``, of ``mip_tidset_matrix`` — the packed
     ``(n_mips, words)`` tidsets the ELIMINATE / SUPPORTED-VERIFY
     qualification gathers rows of for one batched
-    :func:`repro.kernels.and_count`.
+    :func:`repro.kernels.and_count` — and source ``i`` of
+    ``subset_table``, the MIPs' sub-itemset lattices named once, which
+    MIP-plan rule generation gathers its cells from.
     """
 
     table: RelationalTable
@@ -87,6 +89,7 @@ class MIPIndex:
     stats: IndexStatistics
     global_counts: np.ndarray      # (n_mips,) int64 — |D^G_I| per MIP
     mip_tidset_matrix: np.ndarray  # (n_mips, words) packed tidsets
+    subset_table: kernels.SubsetTable = field(repr=False, compare=False)
     clock: GenerationClock = field(
         default_factory=GenerationClock, repr=False, compare=False
     )
@@ -179,7 +182,9 @@ def assemble_index(
     """The index over MIPs given as arrays — what build and load share.
 
     ``fixed_values`` is the ``(n_mips, d)`` itemset matrix and
-    ``mip_matrix`` the matching packed tidsets.
+    ``mip_matrix`` the matching packed tidsets.  The MIPs' sub-itemset
+    table is named here, so an index answers its first request as fast
+    as its last.
     """
     cardinalities = table.schema.cardinalities()
     global_counts = kernels.popcount_rows(mip_matrix)
@@ -200,7 +205,32 @@ def assemble_index(
         stats=stats,
         global_counts=global_counts,
         mip_tidset_matrix=mip_matrix,
+        subset_table=kernels.SubsetTable(
+            _id_rows(fixed_values, table.schema)[0], table.schema.n_items
+        ),
     )
+
+
+def mip_sources(
+    index: MIPIndex, rows, aitem: "frozenset[int] | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The itemsets of MIP ``rows`` as a right-padded matrix of ascending
+    item ids (cut down to the attributes in ``aitem`` when given), and
+    their widths — read off ``stats.mip_fixed_values``, no ``MIP`` object
+    touched."""
+    fixed = index.stats.mip_fixed_values.take(rows, axis=0)
+    if aitem is not None:
+        fixed[:, [a for a in range(fixed.shape[1]) if a not in aitem]] = -1
+    return _id_rows(fixed, index.table.schema)
+
+
+def _id_rows(fixed: np.ndarray, schema) -> tuple[np.ndarray, np.ndarray]:
+    # One id per fixed attribute, free attributes padded out to the right
+    # (attribute order is id order, so the sort only compacts).
+    sources = np.where(fixed >= 0, fixed + schema.item_bases, schema.n_items)
+    sources.sort(axis=1)
+    widths = (fixed >= 0).sum(axis=1)
+    return sources[:, :widths.max(initial=0)], widths
 
 
 def mine_mips(

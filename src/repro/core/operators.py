@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.focal import FocalSubset, resolve_focal
-from repro.core.mipindex import MIPIndex
+from repro.core.mipindex import MIPIndex, mip_sources
 from repro.core.query import FocalRange, LocalizedQuery
 from repro.core.stats import bit_array
 from repro.errors import QueryError
@@ -68,7 +68,6 @@ __all__ = [
     "op_select",
     "op_arm",
     "qualified_from_contained",
-    "mip_sources",
 ]
 
 @dataclass
@@ -531,7 +530,9 @@ def _rules_from_qualified(
     The qualified MIP rows become rule sources in the integer item space
     without touching a ``MIP`` object — a candidate's itemset is its row
     of ``stats.mip_fixed_values`` — and :func:`_rules_from_sources`
-    counts and extracts them.  In expanded mode the candidates are cut
+    counts and extracts them, gathering their cells from the index's
+    :class:`~repro.kernels.SubsetTable` instead of naming them.  In
+    expanded mode the candidates are cut
     down to ``Aitem`` first and every locally frequent sub-itemset of
     what is left is a source, so all six plans return the same rule set
     whenever the primary floor covers the query (DESIGN.md).
@@ -541,37 +542,18 @@ def _rules_from_qualified(
     """
     aitem = ctx.query.item_attributes if ctx.expand else None
     sources, widths = mip_sources(ctx.index, qualified.rows, aitem)
-    sources = sources[widths >= 2]
+    sources, rows = sources[widths >= 2], qualified.rows[widths >= 2]
     if ctx.expand:
         # Distinct MIPs can agree inside Aitem.
-        sources = np.unique(sources, axis=0)
+        sources, rows = np.unique(sources, axis=0), None
     rules, ctx.lattice_groups, lookups, kernel_s = _rules_from_sources(
-        ctx, sources
+        ctx, sources, rows
     )
     return rules, lookups, kernel_s
 
 
-def mip_sources(
-    index: MIPIndex, rows, aitem: "frozenset[int] | None" = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The itemsets of MIP ``rows`` as a right-padded matrix of ascending
-    item ids (cut down to the attributes in ``aitem`` when given), and
-    their widths — read off ``stats.mip_fixed_values``, no ``MIP`` object
-    touched."""
-    fixed = index.stats.mip_fixed_values.take(rows, axis=0)
-    if aitem is not None:
-        fixed[:, [a for a in range(fixed.shape[1]) if a not in aitem]] = -1
-    schema = index.table.schema
-    # One id per fixed attribute, free attributes padded out to the right
-    # (attribute order is id order, so the sort only compacts).
-    sources = np.where(fixed >= 0, fixed + schema.item_bases, schema.n_items)
-    sources.sort(axis=1)
-    widths = (fixed >= 0).sum(axis=1)
-    return sources[:, :widths.max(initial=0)], widths
-
-
 def _rules_from_sources(
-    ctx: QueryContext, sources: np.ndarray
+    ctx: QueryContext, sources: np.ndarray, rows: np.ndarray | None = None
 ) -> "tuple[RuleBlock, list, int, float]":
     """Count the request's sub-itemset table and extract the rules — the
     shared tail of VERIFY-family and ARM rule generation.
@@ -579,7 +561,9 @@ def _rules_from_sources(
     ``sources`` is a right-padded ``(M, w)`` matrix of ascending item ids
     (what :meth:`repro.kernels.FocalKernel.count_subset_lattice` takes);
     in expanded mode its rows are the closures whose locally frequent
-    sub-itemsets are the sources.  All supports come from the
+    sub-itemsets are the sources.  ``rows`` names MIP sources by their
+    MIP rows: their cells come from the index's sub-itemset table.  All
+    supports come from the
     focal-projected kernel: every *distinct* sub-itemset of the request
     is ANDed and popcounted once over ``|D^Q|``-bit rows, the per-width
     ``(m, 2**n)`` count and order matrices are gathers from that table,
@@ -600,7 +584,10 @@ def _rules_from_sources(
         t0 += time.perf_counter() - built
         before = kernel.evaluations
         groups = kernel.count_subset_lattice(
-            sources, floor=ctx.min_count if ctx.expand else None
+            sources,
+            floor=ctx.min_count if ctx.expand else None,
+            table=None if rows is None else ctx.index.subset_table,
+            rows=rows,
         )
         evaluations = kernel.evaluations - before
     kernel_s = time.perf_counter() - t0

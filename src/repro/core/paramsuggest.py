@@ -23,8 +23,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.focal import resolve_focal
-from repro.core.mipindex import MIPIndex
-from repro.core.operators import mip_sources
+from repro.core.mipindex import MIPIndex, mip_sources
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
 from repro.itemsets.itemset import min_count_for
@@ -80,7 +79,11 @@ def suggest_minconf(index: MIPIndex, target_fraction: float = 0.25,
     )
     sources, widths = mip_sources(index, np.arange(min(sample, index.n_mips)))
     confidences = rules_from_subset_lattices(
-        everything.kernel().count_subset_lattice(sources[widths >= 2]),
+        everything.kernel().count_subset_lattice(
+            sources[widths >= 2],
+            table=index.subset_table,
+            rows=np.flatnonzero(widths >= 2),
+        ),
         everything.dq_size,
         0.0,
         schema=index.table.schema,

@@ -3,9 +3,8 @@
 The offline preprocessing phase stores, next to the MIP-index itself, the
 aggregate statistics the COLARM optimizer needs to evaluate the six cost
 formulae in constant time at query time (Section 3.1): the distribution
-of global support counts, the distribution of itemset lengths,
-per-attribute fixing probabilities, and the per-value MIP bitmaps that
-SEARCH and the cardinality pass read.
+of global support counts, the distribution of itemset lengths, and the
+per-value MIP bitmaps that SEARCH and the cardinality pass read.
 """
 
 from __future__ import annotations
@@ -65,10 +64,8 @@ class IndexStatistics:
     n_attributes: int
     cardinalities: tuple[int, ...]
     n_mips: int
-    avg_box_extents: tuple[float, ...]      # avg MIP box extent per dim, cells
     sorted_global_counts: np.ndarray         # of all MIPs, ascending
     length_histogram: dict[int, int]         # itemset length -> # MIPs
-    attr_fix_prob: tuple[float, ...]         # P(MIP fixes attribute d)
     primary_support: float
     mip_fixed_values: np.ndarray             # (N, n) int32, -1 = free
     mip_value_bits: tuple[tuple[int, ...], ...]  # [a][v] -> N-bit int
@@ -165,16 +162,7 @@ def gather_statistics(
     cardinalities = tuple(cardinalities)
     n_dims = len(cardinalities)
     n_mips = len(fixed_values)
-    fixed = fixed_values >= 0
-    lengths = fixed.sum(axis=1)
-
-    if n_mips:
-        extents = np.where(fixed, 1, np.asarray(cardinalities, dtype=np.int64))
-        avg_extents = tuple(s / n_mips for s in extents.sum(axis=0).tolist())
-        fix_prob = tuple(f / n_mips for f in fixed.sum(axis=0).tolist())
-    else:
-        avg_extents = tuple(float(c) for c in cardinalities)
-        fix_prob = tuple(0.0 for _ in cardinalities)
+    lengths = (fixed_values >= 0).sum(axis=1)
 
     histogram = dict(Counter(lengths.tolist()))
 
@@ -217,10 +205,8 @@ def gather_statistics(
         n_attributes=n_dims,
         cardinalities=cardinalities,
         n_mips=n_mips,
-        avg_box_extents=avg_extents,
         sorted_global_counts=sorted_counts,
         length_histogram=histogram,
-        attr_fix_prob=fix_prob,
         primary_support=primary_support,
         mip_fixed_values=fixed_values,
         mip_value_bits=value_bits,

@@ -36,7 +36,7 @@ tidsets at their boundaries.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "project_rows",
     "set_bits",
     "FocalKernel",
+    "SubsetTable",
 ]
 
 #: Bits per matrix word.
@@ -362,7 +363,12 @@ class FocalKernel:
         ]
 
     def count_subset_lattice(
-        self, itemsets, floor: int | None = None
+        self,
+        itemsets,
+        floor: int | None = None,
+        *,
+        table: "SubsetTable | None" = None,
+        rows=None,
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Support counts of *every* sub-itemset of every source, from one
         table of the request's distinct sub-itemsets.
@@ -379,7 +385,8 @@ class FocalKernel:
         sub-itemsets in id-tuple order — what
         :func:`repro.itemsets.rules.rules_from_subset_lattices` extracts
         and orders rules from.  Both matrices are int32: a cell is eight
-        bytes.  Positions compare only within one call's result.
+        bytes.  Positions compare only within one call's result, or
+        across calls reading the same ``table``.
 
         With ``floor`` the sources are not ``itemsets`` themselves but
         their *distinct* sub-itemsets of two items or more whose support
@@ -393,16 +400,29 @@ class FocalKernel:
         however many items the schema has — and a level's distinct ids
         are one batched ``row[parent] & row[item]``.  The count and order
         matrices are gathers from that table.
+
+        Naming is most of that work, and it depends only on the sources,
+        so a fixed source list can be named once (:class:`SubsetTable`):
+        with ``table`` and ``rows`` — ``itemsets`` being the table's
+        sources at positions ``rows`` — the cells are gathered from it, and
+        only the distinct sub-itemsets they touch are ANDed (the MIP
+        plans' path: every index names its MIPs' table at build, fold and
+        load).  ``floor`` does not combine with ``table``.
         """
         n_items = len(self.matrix)
         sources = np.asarray(itemsets, dtype=np.intp)
+        if table is not None:
+            if floor is not None:
+                raise ValueError("a named table holds no expanded sources")
+            groups, nodes, levels, ranks = table.gather(sources, rows)
+            if not groups:
+                return []
+            counts = self._count_levels(levels)
+            return _cell_groups(groups, counts.take(nodes), ranks.take(nodes))
         groups = _width_groups(sources, n_items) if sources.size else []
         if not groups:
             return []
-        if sum(len(ids) << ids.shape[1] for ids in groups) >= 1 << 31:
-            raise ValueError(  # pragma: no cover - tens of gigabytes of cells
-                "the sources' subset lattices are not tractable"
-            )
+        _check_tractable(groups)
         nodes, levels = _name_cells(groups, n_items)
         counts = self._count_levels(levels)
         if floor is not None:
@@ -413,18 +433,9 @@ class FocalKernel:
             if not groups:
                 return []
             nodes, _ = _name_cells(groups, n_items, levels)
-        cells = counts.take(nodes)
-        ranks = _node_ranks(levels, n_items).take(nodes)
-        out = []
-        at = 0
-        for ids in groups:
-            m, n = ids.shape
-            shape, end = (m, 1 << n), at + (m << n)
-            out.append((
-                ids, cells[at:end].reshape(shape), ranks[at:end].reshape(shape)
-            ))
-            at = end
-        return out
+        return _cell_groups(
+            groups, counts.take(nodes), _node_ranks(levels, n_items).take(nodes)
+        )
 
     def _count_levels(self, levels: list) -> np.ndarray:
         """Support count of every node of the sub-itemset table, by node
@@ -491,18 +502,140 @@ def _or_bits(
     )
 
 
+class SubsetTable:
+    """The sub-itemset table of a fixed list of sources, named once.
+
+    What :meth:`FocalKernel.count_subset_lattice` names for a request —
+    the distinct sub-itemsets (node 0 the empty itemset, node ``1 + i``
+    item ``i``, then the itemsets of two items or more level by level,
+    each node the node ``parents[k]`` extended by its largest item
+    ``items[k]``, ``k`` its id less ``1 + n_items``), each node's position
+    in id-tuple order (``ranks``) and the node of every ``(source, mask)``
+    cell — depends on the sources alone, never on the records counted.
+    Built over all of an index's MIPs
+    (:func:`repro.core.mipindex.assemble_index`), it turns a request's
+    naming into a gather: source ``r``'s cells are ``cells[starts[r]:
+    starts[r] + 2**widths[r]]``, mask by mask.  Ranks keep their order
+    within any subset of the nodes, so rules extracted from gathered
+    cells come out as from a table named for the subset.
+    """
+
+    __slots__ = (
+        "n_items", "bounds", "parents", "items", "ranks", "cells", "starts",
+        "widths",
+    )
+
+    def __init__(self, sources, n_items: int):
+        sources = np.asarray(sources, dtype=np.intp)
+        self.n_items = n_items
+        self.widths = (sources < n_items).sum(axis=1)
+        self.starts = np.zeros(len(sources), dtype=np.int64)
+        slices = _width_slices(self.widths)
+        groups = [sources[picks, :n] for n, picks in slices]
+        levels = []
+        self.cells = np.zeros(0, dtype=np.int32)
+        if groups:
+            _check_tractable(groups)
+            self.cells, levels = _name_cells(groups, n_items)
+        self.ranks = _node_ranks(levels, n_items)
+        #: Node ids where each level of two items or more starts, and
+        #: where the last ends.
+        self.bounds = [first for (first, _), _, _ in levels] + [len(self.ranks)]
+        self.parents, self.items = (
+            np.concatenate([level[k] for level in levels]).astype(np.int32)
+            if levels else np.zeros(0, dtype=np.int32)
+            for k in (1, 2)
+        )
+        at = 0
+        for n, picks in slices:
+            self.starts[picks] = np.arange(at, at + (len(picks) << n), 1 << n)
+            at += len(picks) << n
+        for array in (self.widths, self.starts, self.cells, self.ranks,
+                      self.parents, self.items):
+            array.setflags(write=False)
+
+    def gather(self, sources: np.ndarray, rows) -> tuple:
+        """The sources at positions ``rows`` (``sources`` their id matrix)
+        as :meth:`FocalKernel.count_subset_lattice` lays them out:
+        ``(groups, nodes, levels, ranks)`` — the width groups, every
+        cell's node in a compact table holding only the nodes the cells
+        touch (the empty itemset and the items keep their ids), that
+        table's levels as :func:`_name_cells` gives them and its nodes'
+        ranks."""
+        rows = np.asarray(rows, dtype=np.intp)
+        slices = _width_slices(self.widths.take(rows))
+        groups = [sources[picks, :n] for n, picks in slices]
+        if not groups:
+            return [], None, None, None
+        nodes = self.cells.take(np.concatenate([
+            (self.starts.take(rows.take(picks))[:, None]
+             + np.arange(1 << n)).ravel()
+            for n, picks in slices
+        ]))
+        # A sub-itemset's parent is a sub-itemset of the same source, so
+        # the touched nodes are closed under it: each level of the compact
+        # table is the touched slice of the full one, in the same order.
+        base = 1 + self.n_items
+        touched = np.zeros(len(self.ranks), dtype=bool)
+        touched[:base] = True
+        touched[nodes] = True
+        kept = np.flatnonzero(touched)
+        local = np.empty(len(touched), dtype=np.int32)
+        local[kept] = np.arange(len(kept), dtype=np.int32)
+        above = kept[base:] - base
+        parents = local.take(self.parents.take(above))
+        items = self.items.take(above)
+        bounds = np.searchsorted(kept, self.bounds).tolist()
+        levels = [
+            ((lo, hi), parents[lo - base:hi - base], items[lo - base:hi - base])
+            for lo, hi in zip(bounds, bounds[1:])
+            if lo < hi
+        ]
+        return groups, local.take(nodes), levels, self.ranks.take(kept)
+
+
+def _check_tractable(groups: list[np.ndarray]) -> None:
+    if sum(len(ids) << ids.shape[1] for ids in groups) >= 1 << 31:
+        raise ValueError(  # pragma: no cover - tens of gigabytes of cells
+            "the sources' subset lattices are not tractable"
+        )
+
+
+def _cell_groups(
+    groups: list[np.ndarray], cells: np.ndarray, ranks: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per width group, ``(ids, counts, order)``: the group's slice of the
+    cells' counts and ranks, one ``2**n`` row per source."""
+    out = []
+    at = 0
+    for ids in groups:
+        m, n = ids.shape
+        shape, end = (m, 1 << n), at + (m << n)
+        out.append((
+            ids, cells[at:end].reshape(shape), ranks[at:end].reshape(shape)
+        ))
+        at = end
+    return out
+
+
+def _width_slices(widths: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Per width ``n >= 1`` present, ascending: ``n`` and the positions
+    of the sources that wide, in input order."""
+    order = np.argsort(widths, kind="stable")
+    cuts = np.bincount(widths).cumsum().tolist()
+    return [
+        (n, order[lo:hi])
+        for n, (lo, hi) in enumerate(zip([0] + cuts, cuts))
+        if n and lo < hi
+    ]
+
+
 def _width_groups(sources: np.ndarray, n_items: int) -> list[np.ndarray]:
     """``sources`` (ids ``>= n_items`` are padding) split by width,
     ascending: one ``(m, n)`` id matrix per width ``n >= 1`` present."""
-    widths = (sources < n_items).sum(axis=1)
-    order = np.argsort(widths, kind="stable")
-    ordered = widths[order]
-    present = np.unique(ordered)
-    cuts = np.searchsorted(ordered, present).tolist() + [len(ordered)]
     return [
-        sources[order[lo:hi], :n]
-        for n, lo, hi in zip(present.tolist(), cuts, cuts[1:])
-        if n
+        sources[picks, :n]
+        for n, picks in _width_slices((sources < n_items).sum(axis=1))
     ]
 
 

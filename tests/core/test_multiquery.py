@@ -28,9 +28,9 @@ def lattice_calls(monkeypatch):
     calls = []
     count = FocalKernel.count_subset_lattice
 
-    def recording(kernel, itemsets, floor=None):
+    def recording(kernel, itemsets, floor=None, **named):
         calls.append([tuple(row) for row in np.asarray(itemsets)])
-        return count(kernel, itemsets, floor)
+        return count(kernel, itemsets, floor, **named)
 
     monkeypatch.setattr(FocalKernel, "count_subset_lattice", recording)
     return calls

@@ -1,9 +1,11 @@
 """What one request computes, counted (the integer item space).
 
 A planned miss — whichever plan the optimizer picks — projects each
-record universe that has focal records once, builds one kernel and one
-sub-itemset table whose row ANDs number at most the widest source's
-width, never calls ``make_itemset``, turns ids back into ``Item``
+record universe that has focal records once, builds one kernel, counts
+one sub-itemset table whose row ANDs number at most the widest source's
+width (and names none in closed mode unless the plan is ARM: a MIP
+plan gathers its cells from the index's table), never calls
+``make_itemset``, turns ids back into ``Item``
 tuples only for the sources the returned block lists, and ORs the
 region's MIP bitmaps once for the profile and SEARCH together.
 """
@@ -35,11 +37,12 @@ class Counts:
     def __init__(self, monkeypatch, engine):
         self.projections = []
         self.kernels = self.tables = self.row_ands = self.make_itemset = 0
-        self.widest = self.region_passes = 0
+        self.named = self.widest = self.region_passes = 0
         main_matrix = engine.index.table.item_matrix()[0]
         project_rows = kernels.project_rows
         kernel_init = kernels.FocalKernel.__init__
         name_cells = kernels._name_cells
+        count_levels = kernels.FocalKernel._count_levels
         bitwise_and = np.bitwise_and
         make_itemset = itemset_module.make_itemset
         region_bits = IndexStatistics.region_bits
@@ -53,9 +56,13 @@ class Counts:
             kernel_init(kernel, matrix, dq_size)
 
         def counted_name_cells(groups, n_items, known=None):
-            self.tables += known is None
-            self.widest = max(self.widest, groups[-1].shape[1])
+            self.named += known is None
             return name_cells(groups, n_items, known)
+
+        def counted_count_levels(kernel, levels):
+            self.tables += 1
+            self.widest = max(self.widest, len(levels) + 1)
+            return count_levels(kernel, levels)
 
         def counted_and(*args, **kwargs):
             self.row_ands += 1
@@ -72,6 +79,9 @@ class Counts:
         monkeypatch.setattr(kernels, "project_rows", counted_project_rows)
         monkeypatch.setattr(kernels.FocalKernel, "__init__", counted_init)
         monkeypatch.setattr(kernels, "_name_cells", counted_name_cells)
+        monkeypatch.setattr(
+            kernels.FocalKernel, "_count_levels", counted_count_levels
+        )
         monkeypatch.setattr(np, "bitwise_and", counted_and)
         monkeypatch.setattr(itemset_module, "make_itemset", counted_make_itemset)
         monkeypatch.setattr(IndexStatistics, "region_bits", counted_region_bits)
@@ -99,6 +109,7 @@ def test_planned_miss_counts_one_table_in_the_id_space(
     assert counts.kernels == 1
     # One sub-itemset table; a row AND per level above the items.
     assert counts.tables == 1
+    assert counts.named == (kind is PlanKind.ARM or expand)
     assert 0 < counts.row_ands <= counts.widest - 1
     assert counts.make_itemset == 0
     # Item tuples exist for the sources the block lists, and no others.

@@ -12,7 +12,6 @@ from repro.dataset.synthetic import chess_like, mushroom_like, pumsb_like
 from repro.dataset.table import RelationalTable
 from tests.conftest import make_random_table
 from tests.core.reference_mips import ref_mips
-from tests.rtree import reference
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +32,6 @@ def test_basic_shape(setup):
     assert stats.primary_support == index.primary_support
 
 
-def test_avg_box_extents(setup):
-    _, index = setup
-    stats = index.stats
-    for dim in range(stats.n_attributes):
-        expected = np.mean([reference.extents(m.box)[dim]
-                            for m in ref_mips(index)])
-        assert stats.avg_box_extents[dim] == pytest.approx(expected)
-
-
 def test_length_histogram_and_derived(setup):
     _, index = setup
     stats = index.stats
@@ -49,16 +39,6 @@ def test_length_histogram_and_derived(setup):
     assert sum(stats.length_histogram.values()) == len(lengths)
     assert stats.avg_length == pytest.approx(np.mean(lengths))
     assert stats.max_length == max(lengths)
-
-
-def test_attr_fix_prob(setup):
-    _, index = setup
-    stats = index.stats
-    for dim in range(stats.n_attributes):
-        expected = np.mean(
-            [dim in m.fixed_attributes for m in ref_mips(index)]
-        )
-        assert stats.attr_fix_prob[dim] == pytest.approx(expected)
 
 
 def test_mip_fixed_values_matrix(setup):
@@ -145,20 +125,6 @@ def scalar_statistics(index):
     n_records = index.table.n_records
     item_tidsets = index.table.item_tidsets()
     out = {}
-
-    if mips:
-        sums = [0.0] * n_dims
-        fixes = [0] * n_dims
-        for mip in mips:
-            for d, extent in enumerate(reference.extents(mip.box)):
-                sums[d] += extent
-            for d in mip.fixed_attributes:
-                fixes[d] += 1
-        out["avg_box_extents"] = tuple(s / len(mips) for s in sums)
-        out["attr_fix_prob"] = tuple(f / len(mips) for f in fixes)
-    else:
-        out["avg_box_extents"] = tuple(float(c) for c in cardinalities)
-        out["attr_fix_prob"] = tuple(0.0 for _ in cardinalities)
 
     histogram = {}
     for mip in mips:

@@ -230,7 +230,7 @@ def _cmd_plans(args: argparse.Namespace) -> int:
             [
                 kind.value,
                 f"{result.elapsed * 1000:.1f}",
-                f"{choice.estimates[kind] * 1000:.1f}",
+                f"{choice.bound(kind)}{choice.estimates[kind] * 1000:.1f}",
                 result.n_rules,
                 "<-- optimizer" if kind is choice.kind else "",
             ]

@@ -35,7 +35,7 @@ formulae is a constant-time computation, as Section 3.1 requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from repro.core.stats import IndexStatistics, bit_array
 from repro.core.plans import PlanKind
 
 __all__ = [
+    "ArmFloor",
     "ArmModelStats",
     "CostWeights",
     "QueryProfile",
@@ -110,8 +111,10 @@ class QueryProfile:
     qualified_fanout: float    # sum of 2**length over the expected survivors
     arm_itemsets: float        # model-based locally-frequent itemset count
     arm_fanout: float          # ... and its 2**length rule-generation mass
-    #: Measured local structure behind the ARM estimate (``from_query``
-    #: always measures it; None only on a hand-built profile).
+    #: Measured local structure behind the ARM estimate: the full model
+    #: (``from_query``), or its :class:`ArmFloor` (``floor_from_query``,
+    #: which the optimizer stops at when the floor already loses); None
+    #: only on a hand-built profile.
     arm_stats: "ArmModelStats | None" = None
     #: Live delta-store records awaiting the next fold (0 = immutable
     #: index; the delta load terms then vanish from every plan).
@@ -121,6 +124,12 @@ class QueryProfile:
     #: Packed 64-bit words per delta-matrix row at profile time.
     delta_words: int = 0
 
+    @property
+    def arm_floor(self) -> bool:
+        """Whether ``arm_itemsets`` / ``arm_fanout`` are the floor of the
+        ARM model (an :class:`ArmFloor`), lower bounds on its estimate."""
+        return isinstance(self.arm_stats, ArmFloor)
+
     @classmethod
     def from_query(
         cls,
@@ -129,23 +138,37 @@ class QueryProfile:
         stats: IndexStatistics,
     ) -> "QueryProfile":
         """Build the profile of ``query`` over its resolved, non-empty
-        focal subset.
+        focal subset, the ARM model measured in full."""
+        return cls.floor_from_query(query, focus, stats).with_arm_model(focus)
+
+    @classmethod
+    def floor_from_query(
+        cls,
+        query: LocalizedQuery,
+        focus: FocalSubset,
+        stats: IndexStatistics,
+    ) -> "QueryProfile":
+        """The profile of ``query`` with the ARM model stopped at its floor
+        (:func:`_arm_floor`): every MIP-plan input exact, ``arm_itemsets``
+        and ``arm_fanout`` lower bounds unless ``F1 <= 1``.
+        :meth:`with_arm_model` finishes it.
 
         Besides the statistics, the profile reads the request's own focal
         projection (``focus.kernel()``, built here and adopted by the
         execution): one popcount over it is every item's local support,
         and its rows as int tidsets let the ARM model measure the *exact*
-        locally frequent item, pair and triangle counts (a few hundred
-        ``|D^Q|``-bit ANDs) — ARM's from-scratch mining must account for
-        locally frequent itemsets *below* the index's primary floor, which
-        no stored statistic covers.  Over a live delta that is the
-        combined main+delta universe ``min_count`` is computed for.
+        locally frequent item count and greedy chain here, and pair and
+        triangle counts (a few hundred ``|D^Q|``-bit ANDs) when finished —
+        ARM's from-scratch mining must account for locally frequent
+        itemsets *below* the index's primary floor, which no stored
+        statistic covers.  Over a live delta that is the combined
+        main+delta universe ``min_count`` is computed for.
         """
         dq_size, min_count = focus.dq_size, focus.min_count
         aitem_fraction = _aitem_fraction(query, stats)
         cards = _cardinalities(query, focus, stats, min_count)
         aitem = query.item_attributes
-        arm_stats = _arm_model(
+        arm_stats = _arm_floor(
             kernels.popcount_rows(focus.kernel().matrix).tolist(),
             focus.item_tidsets(),
             [
@@ -168,6 +191,22 @@ class QueryProfile:
             delta_dq_size=delta.dq_size if delta is not None else 0,
             delta_words=delta.buffer.words if delta is not None else 0,
             **cards,
+        )
+
+    def with_arm_model(self, focus: FocalSubset) -> "QueryProfile":
+        """This profile with the ARM model finished (:func:`_arm_finish`)
+        over ``focus``, the subset it was built over; itself when its ARM
+        estimate is not a floor."""
+        if not self.arm_floor:
+            return self
+        arm_stats = _arm_finish(
+            self.arm_stats, focus.item_tidsets(), self.min_count
+        )
+        return replace(
+            self,
+            arm_itemsets=arm_stats.est_itemsets,
+            arm_fanout=arm_stats.est_fanout,
+            arm_stats=arm_stats,
         )
 
 
@@ -247,6 +286,18 @@ class ArmModelStats:
     est_fanout: float       # the rule-generation (sum 2**k) estimate
 
 
+@dataclass(frozen=True)
+class ArmFloor(ArmModelStats):
+    """What :func:`_arm_floor` measures before the rest of the model:
+    ``f1`` and ``chain_length`` as the full model has them, every other
+    measurement 0, and ``est_itemsets`` / ``est_fanout`` lower bounds the
+    full estimate never goes below — ``max(F1, 2**min(chain, 16))`` and
+    ``max(2 F1, 3**min(chain, 13))``.  ``sample`` is the strongest-first
+    item ids :func:`_arm_finish` measures pairs and triangles over."""
+
+    sample: tuple[int, ...]
+
+
 def _clique_equivalent_size(f3: float) -> float:
     """The real ``x`` with ``C(x, 3) = f3`` — the size of the clique whose
     triple count matches the measurement.
@@ -316,13 +367,15 @@ def _quasi_clique_size(f2: float, f3: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _arm_model(
+def _arm_floor(
     counts: list[int],
     tidsets: list[int],
     spans: list[tuple[int, int]],
     min_count: int,
 ) -> ArmModelStats:
-    """Density-aware estimate of ARM's from-scratch mining mass.
+    """Density-aware estimate of ARM's from-scratch mining mass, up to
+    its floor (an :class:`ArmFloor`; the whole model when ``F1 <= 1``);
+    :func:`_arm_finish` measures the rest.
 
     ARM mines the focal subset from scratch, so its work scales with the
     number of *locally* frequent itemsets — including those below the
@@ -331,21 +384,22 @@ def _arm_model(
     id ``i``'s local support and ``|D^Q|``-bit tidset; ``spans``: the id
     ranges of the admitted attributes) with a few hundred intersections:
 
-    * ``F1`` — the exact number of locally frequent items;
+    * ``F1`` — the exact number of locally frequent items (here);
+    * a greedy max-support chain: repeatedly extend a frequent itemset
+      with the best remaining item until support dips below the floor
+      (here);
     * ``F2`` — the exact number of locally frequent item *pairs* among the
       strongest ``_ARM_MODEL_MAX_ITEMS`` items (plus a pair-density
       extrapolation for any unsampled tail);
     * ``F3`` — the exact number of locally frequent *triples* among the
       strongest ``_ARM_MODEL_MAX_TRIANGLE_ITEMS`` items, enumerated
-      Apriori-style over the measured pair graph's triangles;
-    * a greedy max-support chain: repeatedly extend a frequent itemset
-      with the best remaining item until support dips below the floor.
+      Apriori-style over the measured pair graph's triangles.
 
     Levels ``k >= 4`` extrapolate by *moment-matching a quasi-clique* to
-    the measured second and third levels (see the series below),
-    truncated one level past the measured chain depth.  All measured
-    inputs (``f1``, ``f2_sampled``, ``f3_sampled``, the chain) shrink
-    monotonically as ``min_count`` rises.
+    the measured second and third levels, truncated one level past the
+    measured chain depth.  All measured inputs (``f1``, ``f2_sampled``,
+    ``f3_sampled``, the chain) shrink monotonically as ``min_count``
+    rises.
     """
     # The locally frequent items as (-support, id, attribute), id order.
     frequent = [
@@ -360,12 +414,58 @@ def _arm_model(
     if f1 == 1:
         return ArmModelStats(1, 1, 0, 0, 0.0, 1, 0, 0, 1, 1.0, 0.0, 1.0, 2.0)
 
+    # -- measured depth: the greedy max-support chain -------------------------
+    # Greedily extend a frequent itemset with the best remaining item (one
+    # per attribute) until support dips below the floor: a frequent chain
+    # of length L certifies 2**L locally frequent subsets (sum 3**L rule
+    # candidates), and L *measures the lattice's frequent depth* — in
+    # locally dense data the per-level survival decays geometrically with
+    # itemset length, so levels are near-complete up to the depth the
+    # chain reaches and near-empty beyond it.  The path is the one a
+    # greedy walk over *all* items takes (an extension count is bounded
+    # by the item's support and only shrinks as the chain grows), so it
+    # depends on the measured supports alone, never on ``min_count``:
+    # the chain length is provably monotone in the floor.
+    pool = [(tidsets[i], attribute) for _, i, attribute in frequent]
+    chain_mask = -1  # every focal record
+    chain_length = 0
+    while pool:
+        best = None
+        best_count = min_count - 1
+        alive = []
+        for entry in pool:
+            extended_count = (chain_mask & entry[0]).bit_count()
+            if extended_count >= min_count:
+                alive.append(entry)
+                if extended_count > best_count:
+                    best_count = extended_count
+                    best = entry
+        if best is None:
+            break
+        chain_mask &= best[0]
+        chain_length += 1
+        pool = [entry for entry in alive if entry[1] != best[1]]
+
     # Deterministic strongest-first order: the sample at a higher floor is
     # always a prefix of the sample at a lower one, which keeps every
     # sampled measurement monotone in ``min_count``.
-    sample = [
-        tidsets[i] for _, i, _ in sorted(frequent)[:_ARM_MODEL_MAX_ITEMS]
-    ]
+    return ArmFloor(
+        f1, 0, 0, 0, 0.0, 0, 0, 0, chain_length, 0.0, 0.0,
+        max(float(f1), 2.0 ** min(chain_length, _ARM_CHAIN_COUNT_CAP)),
+        max(2.0 * f1, 3.0 ** min(chain_length, _ARM_CHAIN_FANOUT_CAP)),
+        sample=tuple(i for _, i, _ in sorted(frequent)[:_ARM_MODEL_MAX_ITEMS]),
+    )
+
+
+def _arm_finish(
+    floor: ArmFloor, tidsets: list[int], min_count: int
+) -> ArmModelStats:
+    """The density-aware ARM model, finished from its :func:`_arm_floor`
+    over the same focal projection: ``F2`` and ``F3`` over the floor's
+    strongest-first sample, and the quasi-clique series over them and the
+    floor's chain."""
+    f1, chain_length = floor.f1, floor.chain_length
+    sample = [tidsets[i] for i in floor.sample]
     m = len(sample)
 
     # -- F2: exact pairs over the sample --------------------------------------
@@ -403,38 +503,6 @@ def _arm_model(
     tail_triples = _real_comb(float(f1), 3) - _real_comb(float(t), 3)
     f3 = f3_sampled + density ** 3 * max(tail_triples, 0.0)
 
-    # -- measured depth: the greedy max-support chain -------------------------
-    # Greedily extend a frequent itemset with the best remaining item (one
-    # per attribute) until support dips below the floor: a frequent chain
-    # of length L certifies 2**L locally frequent subsets (sum 3**L rule
-    # candidates), and L *measures the lattice's frequent depth* — in
-    # locally dense data the per-level survival decays geometrically with
-    # itemset length, so levels are near-complete up to the depth the
-    # chain reaches and near-empty beyond it.  The path is the one a
-    # greedy walk over *all* items takes (an extension count is bounded
-    # by the item's support and only shrinks as the chain grows), so it
-    # depends on the measured supports alone, never on ``min_count``:
-    # the chain length is provably monotone in the floor.
-    pool = [(tidsets[i], attribute) for _, i, attribute in frequent]
-    chain_mask = -1  # every focal record
-    chain_length = 0
-    while pool:
-        best = None
-        best_count = min_count - 1
-        alive = []
-        for entry in pool:
-            extended_count = (chain_mask & entry[0]).bit_count()
-            if extended_count >= min_count:
-                alive.append(entry)
-                if extended_count > best_count:
-                    best_count = extended_count
-                    best = entry
-        if best is None:
-            break
-        chain_mask &= best[0]
-        chain_length += 1
-        pool = [entry for entry in alive if entry[1] != best[1]]
-
     # -- levels >= 4: depth-truncated two-moment quasi-clique series ---------
     # Fit a quasi-clique G(n, q) to the measured second and third levels
     # (C(n, 2) q = F2 and C(n, 3) q**3 = F3) and price F_k = C(n, k)
@@ -467,8 +535,9 @@ def _arm_model(
                 break
             count += f_k
             fanout += f_k * 2.0 ** min(k, _ARM_MODEL_MAX_LENGTH)
-    count = max(count, 2.0 ** min(chain_length, _ARM_CHAIN_COUNT_CAP))
-    fanout = max(fanout, 3.0 ** min(chain_length, _ARM_CHAIN_FANOUT_CAP))
+    # Never below the floor: the bound the optimizer settles picks on.
+    count = max(count, floor.est_itemsets)
+    fanout = max(fanout, floor.est_fanout)
 
     return ArmModelStats(
         f1=f1,
@@ -708,6 +777,9 @@ class CostModel:
         overprices wide ones by the same factor.  A rule-generation cell
         costs a constant only: its support comes from the request's
         table of distinct sub-itemsets.
+
+        Non-decreasing in ``arm_itemsets`` and ``arm_fanout``, so a floor
+        profile (:attr:`QueryProfile.arm_floor`) prices a lower bound.
         """
         dq_words = max(1, -(-profile.dq_size // 64))
         est_local = max(1.0, profile.arm_itemsets)

@@ -74,12 +74,16 @@ class PlanChoice:
     """The optimizer's suggestion plus everything behind it.
 
     Only a request the cache cannot serve is priced, so a choice is
-    always of a fresh execution.
+    always of a fresh execution.  ``estimates[ARM]`` is a lower bound
+    (:meth:`bound`) when ARM's floor already lost the pick.
     """
 
     kind: PlanKind
     estimates: dict[PlanKind, float]
     profile: QueryProfile
+    #: The request priced (what :meth:`ColarmOptimizer.record_measurement`
+    #: resolves again to finish a floor that came from the memo).
+    query: LocalizedQuery = field(repr=False, compare=False)
     #: The focal subset the profile was built over — resolved *and
     #: projected* — for the execution to adopt (``execute_plan(...,
     #: focus=)``).  ``None`` when nothing was resolved: the profile came
@@ -92,6 +96,11 @@ class PlanChoice:
         if self.focus is not None:
             self.focus.release()
 
+    def bound(self, kind: PlanKind) -> str:
+        """``"≥ "`` when ``kind``'s estimate is a floor (ARM's, when the
+        floor settled the pick), else ``""``."""
+        return "≥ " if kind is PlanKind.ARM and self.profile.arm_floor else ""
+
     def explain(self) -> str:
         """Human-readable ranking of the six plans."""
         lines = [
@@ -100,7 +109,9 @@ class PlanChoice:
         ]
         for kind, cost in sorted(self.estimates.items(), key=lambda kv: kv[1]):
             marker = " <== chosen" if kind is self.kind else ""
-            lines.append(f"  {kind.value:<11} est {cost:.6f}s{marker}")
+            lines.append(
+                f"  {kind.value:<11} est {self.bound(kind)}{cost:.6f}s{marker}"
+            )
         return "\n".join(lines)
 
 
@@ -174,13 +185,22 @@ class ColarmOptimizer:
         self._profile_memo.clear()
 
     def profile_for(
-        self, query: LocalizedQuery
+        self,
+        query: LocalizedQuery,
+        estimates: dict[PlanKind, float] | None = None,
     ) -> tuple[QueryProfile, FocalSubset | None]:
         """Resolve the focal subset and build the query's cost profile.
 
         Returns the profile and the :class:`FocalSubset` it was built
         over, which :meth:`choose` hands on (``PlanChoice.focus``) so the
         execution does not resolve it again.
+
+        Given ``estimates`` (a dict), the six plans' prices for the
+        returned profile are written into it, and the profile may stop at
+        ARM's floor (:meth:`QueryProfile.floor_from_query`): when the
+        floor's price already loses to the cheapest MIP plan, the rest of
+        the ARM model cannot change the pick and is not measured (see
+        :meth:`_settled`).  Without it the profile is always the full one.
 
         The profile is a pure function of the query's range selections
         (as spelled: the cardinality pass counts a full-domain selection
@@ -193,7 +213,9 @@ class ColarmOptimizer:
         dwarf the plan it prices.  Any index mutation changes the
         generation key, so a stale profile is never reused.  A memo hit resolves nothing and
         returns no subset; the memo holds profiles only, never a subset
-        or its projection.
+        or its projection.  A memoized floor serves a hit only while it
+        still settles the pick at the current weights; otherwise the
+        subset is resolved again and the floor finished.
         """
         memo_key = (
             tuple(query.range_selections.items()),
@@ -202,7 +224,7 @@ class ColarmOptimizer:
             self.index.generation,
         )
         cached = self._profile_memo.get(memo_key)
-        if cached is not None:
+        if cached is not None and self._settled(cached, estimates):
             self._profile_memo.move_to_end(memo_key)
             return cached, None
         # Over a live delta this is the combined live |D^Q| every plan
@@ -211,14 +233,63 @@ class ColarmOptimizer:
         focus = resolve_focal(self.index, query, self.delta_source)
         if focus.dq_size == 0:
             raise QueryError("focal subset is empty; nothing to optimize")
-        profile = QueryProfile.from_query(query, focus, self.index.stats)
+        if cached is None:
+            profile = QueryProfile.floor_from_query(
+                query, focus, self.index.stats
+            )
+            settled = self._settled(profile, estimates)
+        else:  # a memoized floor that no longer settles: finish it
+            profile, settled = cached, False
+        if not settled:
+            profile = profile.with_arm_model(focus)
+            if estimates is not None:
+                estimates[PlanKind.ARM] = self.cost_model.estimate(
+                    PlanKind.ARM, profile
+                )
         self._profile_memo[memo_key] = profile
+        self._profile_memo.move_to_end(memo_key)
         if len(self._profile_memo) > _PROFILE_MEMO_MAX:
             self._profile_memo.popitem(last=False)
         return profile, focus
 
     def _risk(self, kind: PlanKind) -> float:
         return self.arm_risk_factor if kind is PlanKind.ARM else 1.0
+
+    def _pick(self, estimates: dict[PlanKind, float]) -> PlanKind:
+        _, _, best = min(
+            (cost * self._risk(kind), _TIE_PREFERENCE[kind], kind)
+            for kind, cost in estimates.items()
+        )
+        return best
+
+    def _settled(
+        self, profile: QueryProfile, estimates: dict[PlanKind, float] | None
+    ) -> bool:
+        """Whether ``profile`` serves as it is, its prices (when asked
+        for) written into ``estimates``.
+
+        A full profile always does.  A floor does only for a caller that
+        takes prices, and only when some MIP plan costs no more than the
+        floor's ARM price times the risk factor: ``arm_load`` is
+        non-decreasing in the floor's inputs and float rounding is
+        monotone, so with non-negative weights and risk factor ARM's full
+        price is at least the floor's, and ARM cannot be picked over that
+        MIP plan (ties go to the MIP plans, :data:`_TIE_PREFERENCE`).
+        With a negative weight nothing bounds the full price, and the
+        model runs.
+        """
+        if estimates is None:
+            return not profile.arm_floor
+        estimates.update(self.cost_model.estimate_all(profile))
+        if not profile.arm_floor:
+            return True
+        arm = estimates[PlanKind.ARM] * self.arm_risk_factor
+        return (
+            self.arm_risk_factor >= 0.0
+            and all(w >= 0.0 for w in self.weights.weights.values())
+            and any(cost <= arm for kind, cost in estimates.items()
+                    if kind is not PlanKind.ARM)
+        )
 
     def choose(self, query: LocalizedQuery) -> PlanChoice:
         """Suggest the cheapest plan for this request.
@@ -231,17 +302,17 @@ class ColarmOptimizer:
         touches at most the same leaves.  (Exact ties are common: below
         the primary floor the supported filter's *estimated* pass
         fraction is 1, which collapses the S-* and SS-* load vectors.)
+
+        ARM's estimate is a floor (``choice.profile.arm_floor``) when the
+        floor already lost: the pick is the one full pricing makes.
         """
-        profile, focus = self.profile_for(query)
-        estimates = self.cost_model.estimate_all(profile)
-        _, _, best = min(
-            (cost * self._risk(kind), _TIE_PREFERENCE[kind], kind)
-            for kind, cost in estimates.items()
-        )
+        estimates: dict[PlanKind, float] = {}
+        profile, focus = self.profile_for(query, estimates)
         return PlanChoice(
-            kind=best,
+            kind=self._pick(estimates),
             estimates=estimates,
             profile=profile,
+            query=query,
             focus=focus,
         )
 
@@ -250,13 +321,24 @@ class ColarmOptimizer:
     def record_measurement(
         self, choice: PlanChoice, kind: PlanKind, measured_s: float
     ) -> EstimateResidual:
-        """Log one measured plan execution against its estimate."""
-        arm = choice.profile.arm_stats
+        """Log one measured plan execution against its estimate — for ARM
+        the full model's price, never its floor."""
+        profile = choice.profile
+        estimated_s = choice.estimates[kind]
+        if kind is PlanKind.ARM and profile.arm_floor:
+            # A floor is not an estimate: finish the model over the
+            # request's subset, resolved again (the choice may hold none,
+            # or a released one) and dropped with the finished profile.
+            focus = resolve_focal(self.index, choice.query, self.delta_source)
+            estimated_s = self.cost_model.estimate(
+                kind, profile.with_arm_model(focus)
+            )
+        arm = profile.arm_stats
         residual = EstimateResidual(
             kind=kind,
-            estimated_s=choice.estimates[kind],
+            estimated_s=estimated_s,
             measured_s=measured_s,
-            dq_size=choice.profile.dq_size,
+            dq_size=profile.dq_size,
             arm_f1=arm.f1 if arm is not None else 0,
             arm_chain=arm.chain_length if arm is not None else 0,
         )

@@ -252,9 +252,9 @@ def project_rows(matrix: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
     over ``|D^Q|/64`` words instead of ``n/64``.  The empty mask projects
     onto a single all-zero word (``n_words`` never returns 0).
     """
-    sel = _unpack_bits(mask_row).astype(bool)
+    positions = np.flatnonzero(_unpack_bits(mask_row))
     bits = _unpack_bits(np.atleast_2d(matrix))
-    return _pack_bits(bits[:, sel])
+    return _pack_bits(bits.take(positions, axis=1))
 
 
 def set_bits(row: np.ndarray, positions: np.ndarray) -> None:

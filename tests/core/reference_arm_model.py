@@ -1,8 +1,9 @@
 """The pre-projection ARM model, kept as the reference.
 
-``repro.core.costs._arm_model`` measures the focal subset's frequent-item
-structure on the request's focal projection (integer item ids,
-``|D^Q|``-bit tidsets, adjacency bitmasks, inlined bisections); this is
+``repro.core.costs._arm_floor`` and ``_arm_finish`` measure the focal
+subset's frequent-item structure on the request's focal projection
+(integer item ids, ``|D^Q|``-bit tidsets, adjacency bitmasks, inlined
+bisections); this is
 the function it replaced, verbatim with the helpers it called —
 ``Item``-keyed, ``|D|``-bit tidsets intersected with ``dq`` per item per
 request.  ``tests/property/test_arm_model_properties.py`` holds the two
@@ -18,15 +19,17 @@ from repro.core.costs import (
     _ARM_MODEL_MAX_ITEMS,
     _ARM_MODEL_MAX_LENGTH,
     _ARM_MODEL_MAX_TRIANGLE_ITEMS,
+    ArmFloor,
     ArmModelStats,
-    _arm_model,
+    _arm_finish,
+    _arm_floor,
 )
 from repro.core.query import LocalizedQuery
 
 
 def projected_arm_model(table, query: LocalizedQuery, min_count: int,
                         dq: "int | None" = None) -> ArmModelStats:
-    """``_arm_model`` fed as :meth:`QueryProfile.from_query` feeds it:
+    """The full ARM model fed as :meth:`QueryProfile.from_query` feeds it:
     the table's item rows projected onto the focal records (``dq``
     defaults to the query's range selections), one popcount for the item
     supports, the rows read out as int tidsets, and the admitted
@@ -39,9 +42,10 @@ def projected_arm_model(table, query: LocalizedQuery, min_count: int,
         kernels.pack(dq, table.tidset_words), ts.count(dq),
     )])
     aitem = query.item_attributes
-    return _arm_model(
+    tidsets = kernel.item_tidsets()
+    floor = _arm_floor(
         kernels.popcount_rows(kernel.matrix).tolist(),
-        kernel.item_tidsets(),
+        tidsets,
         [
             (base, base + card)
             for a, (base, card) in enumerate(
@@ -51,6 +55,9 @@ def projected_arm_model(table, query: LocalizedQuery, min_count: int,
         ],
         min_count,
     )
+    if not isinstance(floor, ArmFloor):  # F1 <= 1: the whole model
+        return floor
+    return _arm_finish(floor, tidsets, min_count)
 
 
 def _clique_equivalent_size(f_k: float, k: int) -> float:

@@ -110,13 +110,19 @@ class Counts:
 
 
 def steer(monkeypatch, kind: PlanKind) -> None:
-    """Make the optimizer pick ``kind`` (its real estimate, zeroed)."""
-    estimate_all = CostModel.estimate_all
+    """Make the optimizer pick ``kind`` (its real estimate, zeroed — in
+    the six prices and in the one ARM is re-priced at once its floor no
+    longer settles the pick)."""
+    estimate_all, estimate = CostModel.estimate_all, CostModel.estimate
 
     def steered(model, profile):
         return {**estimate_all(model, profile), kind: 0.0}
 
+    def steered_one(model, one, profile):
+        return 0.0 if one is kind else estimate(model, one, profile)
+
     monkeypatch.setattr(CostModel, "estimate_all", steered)
+    monkeypatch.setattr(CostModel, "estimate", steered_one)
 
 
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
@@ -162,13 +168,15 @@ def test_three_minconfs_build_one_profile(monkeypatch):
     holds profiles only: no subset, no projection."""
     engine = make_engine(mutate=False)
     built = []
-    from_query = QueryProfile.from_query.__func__
+    # Every profile starts here (``from_query`` finishes one of these).
+    floor_from_query = QueryProfile.floor_from_query.__func__
 
     def counted(cls, *args, **kwargs):
         built.append(args[0])
-        return from_query(cls, *args, **kwargs)
+        return floor_from_query(cls, *args, **kwargs)
 
-    monkeypatch.setattr(QueryProfile, "from_query", classmethod(counted))
+    monkeypatch.setattr(QueryProfile, "floor_from_query",
+                        classmethod(counted))
     outcomes = [
         engine.query(LocalizedQuery(QUERY.range_selections, 0.35, minconf))
         for minconf in (0.5, 0.7, 0.9)

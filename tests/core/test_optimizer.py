@@ -107,7 +107,7 @@ def test_a_warm_cache_changes_no_price(setup):
     assert warm.estimates == fresh.estimates and warm.kind is fresh.kind
 
     assert [f.name for f in fields(PlanChoice)] == [
-        "kind", "estimates", "profile", "focus"
+        "kind", "estimates", "profile", "query", "focus"
     ]
     rows = warm.explain().splitlines()[1:]
     assert sorted(row.split()[0] for row in rows) == sorted(

@@ -8,7 +8,7 @@ Every job runs over the end-to-end benchmark's own query pools
 change alike::
 
     python tools/planning_audit.py size
-    python tools/planning_audit.py size --repo ../parent
+    python tools/planning_audit.py size --workload wide_cluster --repo ../parent
     python tools/planning_audit.py tail
     python tools/planning_audit.py tail --repo ../parent
     python tools/planning_audit.py plans
@@ -24,11 +24,17 @@ change alike::
 ``size`` — the sizing method of ISSUE 23 (``docs/performance.md``, "What
 planning costs"): ``perf_counter`` wrappers around the callables a
 ``choose()`` is made of (no profiler, public API only), over part 0 of the
-seed-1 ``fresh_grid`` op list on calibrated engines, each request answered
-through ``engine.query(use_cache=False)`` as the benchmark does.  Reports
-milliseconds per request for ``choose()`` and its components, and the
-CHARM search (``closed_masks``) per ARM request the ARM model exists to
-price.
+seed's op list of ``--workload`` (default ``fresh_grid``) on calibrated
+engines, each query answered through ``engine.query`` as the benchmark's
+engine sees it — no cache on ``fresh_grid``, the rule cache on the other
+three — and the writes made as its runners make them (``ingest_mixed``'s
+appends, deletes and polls; a ``wide_cluster`` publish is the writer's
+append and fold, after which the workers plan on the folded index).
+Reports milliseconds per *planned* request (one ``choose()``) for
+``choose()`` and its components, the share of planned requests on which
+the full ARM model ran (where ARM's floor did not settle the pick), and
+the CHARM search (``closed_masks``) per ARM request the ARM model exists
+to price.
 
 ``tail`` — where rule generation's time goes, by answer size
 (``docs/performance.md``, "What rule order costs"): the same wrappers
@@ -158,23 +164,37 @@ class Stopwatch:
             setattr(owner, attr, raw)
 
 
-def size(seed: int) -> int:
+def size(seed: int, name: str) -> int:
     import workloads
     from repro.core import costs, focal, operators, optimizer
     from repro.core.costs import CostModel
     from repro.core.optimizer import ColarmOptimizer
 
-    workload = workloads.generate("fresh_grid", seed, 10.0)
+    from harness import Mirror
+
+    workload = workloads.generate(name, seed, 10.0)
     engines = engines_for(workload, calibrate=True)
+    cached = name != "fresh_grid"
+    for engine in engines.values():
+        if cached:
+            engine.enable_cache()
+        if name in ("ingest_mixed", "wide_cluster"):
+            engine.enable_maintenance()
+    # The writes' engine: the one table of ingest_mixed and wide_cluster.
+    writer = next(iter(engines.values()))
+    mirror = Mirror(writer.table.data)
     lo, hi = workload.parts[0]
-    ops = [workload.pool[i] for _kind, i in workload.ops[lo:hi]]
 
     watch = Stopwatch()
     watch.wrap(ColarmOptimizer, "choose", "choose")
-    # The ARM model under whichever name this checkout gives it.
-    for name in ("_model_arm_counts", "_arm_model"):
-        if watch.wrap(costs, name, "arm_model"):
-            break
+    # The ARM model — its finish, where a floor exists — under whichever
+    # name this checkout gives it; the floor (with the chain) apart.
+    for label, names in (("arm_model", ("_arm_finish", "_model_arm_counts",
+                                        "_arm_model")),
+                         ("arm_floor", ("_arm_floor",))):
+        for attr in names:
+            if watch.wrap(costs, attr, label):
+                break
     watch.wrap(costs, "_cardinalities", "cardinalities")
     watch.wrap(CostModel, "estimate_all", "estimate_all")
     watch.wrap(optimizer, "resolve_focal", "resolve_focal")
@@ -182,20 +202,44 @@ def size(seed: int) -> int:
     watch.wrap(operators, "closed_masks", "closed_masks")
 
     plans: dict[str, int] = defaultdict(int)
-    t0 = perf_counter()
-    for pq in ops:
-        out = engines[pq.engine].query(pq.query, use_cache=False)
-        plans[out.plan.value] += 1
-    wall = perf_counter() - t0
+    n = 0
+    wall = 0.0
+    for step in workload.ops[lo:hi]:
+        kind = step[0]
+        if kind == "query":
+            pq = workload.pool[step[1]]
+            t0 = perf_counter()
+            out = engines[pq.engine].query(pq.query, use_cache=cached)
+            wall += perf_counter() - t0
+            n += 1
+            if not out.cached:
+                plans[out.plan.value] += 1
+        # The writes, as the benchmark's runners make them (untimed).
+        elif kind == "publish":  # the cluster writer's ingest + fold
+            writer.append(step[1])
+            writer.maintenance.recompact()
+            writer.poll_maintenance()
+        elif kind == "poll":
+            writer.poll_maintenance()
+        elif kind == "append":
+            writer.append(step[1])
+            mirror.append(step[1])
+        else:  # delete
+            victims = mirror.draw(step[1], workloads.BATCH_ROWS)
+            writer.delete(mirror.tids_of(victims, writer))
+            mirror.remove(victims)
     watch.restore()
 
-    n = len(ops)
-    print(f"fresh_grid seed {seed} part 0: {n} requests, "
-          f"{1e3 * wall / n:.3f} ms each; plans {dict(plans)}")
-    for label in ("choose", "arm_model", "cardinalities", "estimate_all",
-                  "resolve_focal", "focus.kernel"):
-        print(f"  {label:<14} {1e3 * watch.seconds[label] / n:7.3f} ms/request"
-              f"  ({watch.calls[label]} calls)")
+    planned = max(watch.calls["choose"], 1)
+    print(f"{name} seed {seed} part 0: {n} requests, {1e3 * wall / n:.3f} ms "
+          f"each; {watch.calls['choose']} planned, plans {dict(plans)}")
+    for label in ("choose", "arm_floor", "arm_model", "cardinalities",
+                  "estimate_all", "resolve_focal", "focus.kernel"):
+        print(f"  {label:<14} {1e3 * watch.seconds[label] / planned:7.3f} "
+              f"ms/planned request  ({watch.calls[label]} calls)")
+    print(f"  full ARM model ran on {watch.calls['arm_model']} of "
+          f"{watch.calls['choose']} planned requests "
+          f"({watch.calls['arm_model'] / planned:.1%})")
     arm = max(watch.calls["closed_masks"], 1)
     print(f"  {'closed_masks':<14} {1e3 * watch.seconds['closed_masks'] / arm:7.3f}"
           f" ms/ARM request  ({watch.calls['closed_masks']} calls)")
@@ -545,7 +589,9 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--seed", type=int, default=1)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("size", parents=[common])
+    sub.add_parser("size", parents=[common]).add_argument(
+        "--workload", default="fresh_grid",
+        choices=("fresh_grid", "zipf_served", "ingest_mixed", "wide_cluster"))
     sub.add_parser("tail", parents=[common])
     sub.add_parser("plans", parents=[common])
     sub.add_parser("search", parents=[common])
@@ -573,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "weights-run":
         return weights_run(args.seed)
     if args.command == "size":
-        return size(args.seed)
+        return size(args.seed, args.workload)
     if args.command == "tail":
         return tail(args.seed)
     if args.command == "plans":

@@ -42,11 +42,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.query import canonical_focal_key
 from repro.dataset.schema import Schema
 from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
+from repro.kernels import SubsetCells
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.core.mipindex import MIPIndex
@@ -128,23 +127,23 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CachedLattice:
-    """One focal region's width-grouped subset-lattice counts.
+    """One focal region's sub-itemset cell counts.
 
-    ``groups`` are the ``(ids, counts, order)`` width groups of one
-    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call — each
-    same-width source batch as an ``(m, n)`` matrix of item ids, with its
-    ``(m, 2**n)`` int32 matrices of sub-itemset supports and of their
-    positions in the table's id-tuple order (eight bytes a cell): exactly
-    the intermediate :func:`repro.core.operators._rules_from_qualified`
-    builds before rule extraction; ``schema`` is the one the ids belong
-    to.  ``extract`` replays the extraction deterministically, so
-    a lattice hit is byte-identical to the fresh MIP-plan execution for
-    any ``minconf``.  ``extract_min_count`` is the expanded-mode frequency
+    ``cells`` is the :class:`~repro.kernels.SubsetCells` of one
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call — the
+    sources' id matrix, widths and cell offsets, with the flat int32
+    sub-itemset supports and their positions in the table's id-tuple
+    order (eight bytes a cell): exactly the intermediate
+    :func:`repro.core.operators._rules_from_qualified` builds before rule
+    extraction (stored :meth:`~repro.kernels.SubsetCells.narrowed`);
+    ``schema`` is the one the ids belong to.  ``extract`` replays the
+    extraction deterministically, so a lattice hit is byte-identical to
+    the fresh MIP-plan execution for any ``minconf``.  ``extract_min_count`` is the expanded-mode frequency
     floor (``None`` in closed mode, where the sources are already
     qualified closures).
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    cells: SubsetCells
     dq_size: int
     extract_min_count: int | None
     schema: Schema
@@ -152,12 +151,12 @@ class CachedLattice:
     def extract(self, minconf: float) -> RuleBlock:
         """Replay rule extraction from the cached counts."""
         return rules_from_subset_lattices(
-            self.groups, self.dq_size, minconf,
+            self.cells, self.dq_size, minconf,
             schema=self.schema, min_count=self.extract_min_count,
         )
 
     def nbytes(self) -> int:
-        return sum(array.nbytes for group in self.groups for array in group)
+        return self.cells.nbytes
 
 
 @dataclass
@@ -363,9 +362,8 @@ class RuleCache:
     ) -> bool:
         """Insert one focal region's subset-lattice counts.  Every array
         of the lattice becomes read-only: each replay shares them."""
-        for group in lattice.groups:
-            for array in group:
-                array.setflags(write=False)
+        for array in lattice.cells.arrays():
+            array.setflags(write=False)
         nbytes = _ENTRY_BASE_BYTES + lattice.nbytes()
         return self._insert(
             self._lattice_key(query), "lattice", lattice, nbytes, generation,

@@ -36,6 +36,8 @@ formulae is a constant-time computation, as Section 3.1 requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -84,7 +86,12 @@ class CostWeights:
     weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
     def price(self, loads: dict[str, float]) -> float:
-        return sum(self.weights.get(name, 0.0) * load for name, load in loads.items())
+        return self.price_of(loads.keys(), loads.values())
+
+    def price_of(self, names, loads) -> float:
+        """The price of the loads of the features ``names``, summed in
+        that order (a feature without a weight costs nothing)."""
+        return sum(map(mul, map(self.weights.get, names, repeat(0.0)), loads))
 
 
 @dataclass(frozen=True)
@@ -253,9 +260,10 @@ _LATTICE_PASS_WORDS = 8192.0
 _LATTICE_CELL_WORDS = 4.0
 _LATTICE_SHARING = 8.0
 #: Fixed setup cost of one batched rule-extraction pass, in fan-out units:
-#: numpy dispatch over the lattice chunks, the argsort of the rank keys and
-#: the per-width group loop amount to roughly two thousand fan-out units of
-#: vectorized work regardless of how many splits are actually checked.
+#: the numpy dispatch of the one flat pass over the request's cells, the
+#: argsort of the rank keys and the ``Item`` tuples amount to roughly two
+#: thousand fan-out units of vectorized work regardless of how many splits
+#: are actually checked.
 _RULEGEN_OVERHEAD_UNITS = 2048.0
 
 
@@ -360,10 +368,13 @@ def _quasi_clique_size(f2: float, f3: float) -> float:
         return hi
     for _ in range(60):
         mid = (lo + hi) / 2.0
+        converged = mid == lo or mid == hi
         if h(mid) > f3:
             lo = mid
         else:
             hi = mid
+        if converged:  # no later step can move lo or hi again
+            break
     return (lo + hi) / 2.0
 
 
@@ -589,37 +600,45 @@ def _cardinalities(
             if a not in query.item_attributes:
                 numeric &= stats.mip_free_bits[a]
     rows = bit_array(numeric, n).view(np.bool_).nonzero()[0]
-    local_upper = np.full(len(rows), stats.n_records, dtype=np.int64)
-    log_prod = np.zeros(len(rows), dtype=float)
-    # log(0) = -inf is meant: no record there, expected 0 (exp(-inf)).
-    with np.errstate(divide="ignore"):
-        for ai, values in selections.items():
-            # One attribute's values partition the records, so their
-            # counts inside a MIP sum to at most its own: int32 holds.
-            attr_counts = np.zeros(len(rows), dtype=np.int32)
-            for v in values:
-                row = stats.item_rows.get((ai, v))
-                if row is not None:
-                    attr_counts += stats.item_mip_counts[row].take(rows)
-            local_upper = np.minimum(local_upper, attr_counts)
-            log_prod += np.log(attr_counts)
-
-    # Expected local count: the Frechet bound ``min_a |t(M) n D^Q_a|`` is
-    # exact for single-attribute regions but overcounts multi-attribute
-    # ones (the realized intersection of k attribute slices is far below
-    # the loosest slice).  The independence estimate ``g * prod_a(c_a/g)``
-    # errs the other way on correlated attributes, so the model takes
-    # their geometric mean.  (A MIP's global count ``g`` is at least 1.)
-    if len(selections) >= 2:
-        expected = np.exp(
-            log_prod
-            - (len(selections) - 1) * stats.mip_log_counts.take(rows)
-        )
-        est_local = np.sqrt(local_upper * np.minimum(expected, local_upper))
+    # Per range attribute, each MIP's count inside its selected values.
+    # One attribute's values partition the records, so their counts inside
+    # a MIP sum to at most its own: int32 holds.
+    slices = []
+    for ai, values in selections.items():
+        attr_counts = np.zeros(len(rows), dtype=np.int32)
+        for v in values:
+            row = stats.item_rows.get((ai, v))
+            if row is not None:
+                attr_counts += stats.item_mip_counts[row].take(rows)
+        slices.append(attr_counts)
+    if not slices:
+        qualified = rows if stats.n_records >= min_count else rows[:0]
     else:
-        est_local = local_upper.astype(float)
-
-    qualified = rows[est_local >= min_count]
+        local_upper = slices[0]
+        for attr_counts in slices[1:]:
+            local_upper = np.minimum(local_upper, attr_counts)
+        # Expected local count: the Frechet bound ``min_a |t(M) n
+        # D^Q_a|`` is exact for single-attribute regions but overcounts
+        # multi-attribute ones (the realized intersection of k attribute
+        # slices is far below the loosest slice).  The independence
+        # estimate ``g * prod_a(c_a/g)`` errs the other way on correlated
+        # attributes, so the model takes their geometric mean.  (A MIP's
+        # global count ``g`` is at least 1.)  The mean never exceeds the
+        # bound, so only MIPs whose bound reaches the floor are estimated.
+        keep = np.flatnonzero(local_upper >= min_count)
+        if len(slices) >= 2:
+            # A kept MIP has at least one record in every slice: no log(0).
+            upper = local_upper.take(keep)
+            log_prod = np.log(slices[0].take(keep))
+            for attr_counts in slices[1:]:
+                log_prod += np.log(attr_counts.take(keep))
+            expected = np.exp(
+                log_prod
+                - (len(slices) - 1) * stats.mip_log_counts.take(rows.take(keep))
+            )
+            est_local = np.sqrt(upper * np.minimum(expected, upper))
+            keep = keep[est_local >= min_count]
+        qualified = rows.take(keep)
     return {
         "n_cands": float(overlap.bit_count()),
         "n_cands_supported": float(in_play.bit_count()),
@@ -655,7 +674,24 @@ def _aitem_fraction(query: LocalizedQuery, stats: IndexStatistics) -> float:
     )
 
 
-_SUPPORTED_PLANS = frozenset({PlanKind.SSEV, PlanKind.SSVS, PlanKind.SSEUV})
+#: Per plan: whether it searches with the supported filter, whether its
+#: ELIMINATE skips the contained MIPs, and its pipeline stages (``const``).
+_PLAN_SHAPES = {
+    PlanKind.SEV: (False, False, 3.0),
+    PlanKind.SVS: (False, False, 2.0),
+    PlanKind.SSEV: (True, False, 3.0),
+    PlanKind.SSVS: (True, False, 2.0),
+    PlanKind.SSEUV: (True, True, 4.0),
+    PlanKind.ARM: (False, False, 2.0),
+}
+
+#: Every plan, in ``PlanKind`` order.
+_ALL_PLANS = tuple(PlanKind)
+
+#: The load features of the five MIP plans and of ARM, in pricing order
+#: (a MIP plan's delta terms follow while a delta store is live).
+_MIP_FEATURES = ("search", "eliminate", "verify", "rulegen", "const")
+_ARM_FEATURES = ("select", "arm", "const")
 
 #: SEARCH's load unit is one OR'ed 64-bit word of a MIP bitset, about the
 #: time to gather one candidate row; unpacking a bitmap word to positions
@@ -710,9 +746,14 @@ class CostModel:
         SS-E-U-V only pays for the partially-overlapped candidates
         (Lemma 4.5 exempts contained MIPs from the record-level check).
         """
-        supported = kind in _SUPPORTED_PLANS
+        supported, partial, _ = _PLAN_SHAPES[kind]
+        return self._eliminate_load(profile, supported, partial)
+
+    def _eliminate_load(
+        self, profile: QueryProfile, supported: bool, partial: bool
+    ) -> float:
         cands = profile.n_cands_supported if supported else profile.n_cands
-        if kind is PlanKind.SSEUV:
+        if partial:
             cands = max(cands - profile.n_contained, 0.0)
         return cands * profile.aitem_fraction * self.stats.tidset_words
 
@@ -744,12 +785,13 @@ class CostModel:
 
         ``_RULEGEN_OVERHEAD_UNITS`` is the mirror image of
         ``_ARM_OP_OVERHEAD_WORDS``: the batched extraction pays a fixed
-        setup cost (chunked numpy dispatch over the subset lattice, the
-        ``argsort`` of the rank keys, the per-width group loop) that dominates
-        small fan-outs.  Without the constant, the per-unit weight fitted
-        on small probe fan-outs *overprices* large queries by the same
-        factor the vectorized pass amortizes — which tips the optimizer
-        toward ARM on exactly the queries where the MIP plans win.
+        setup cost (the numpy dispatch of its one flat pass over the
+        request's cells, the ``argsort`` of the rank keys, the ``Item``
+        tuples and the rule block) that dominates small fan-outs.
+        Without the constant, the per-unit weight fitted on small probe
+        fan-outs *overprices* large queries by the same factor the
+        vectorized pass amortizes — which tips the optimizer toward ARM on
+        exactly the queries where the MIP plans win.
         """
         return profile.qualified_fanout + _RULEGEN_OVERHEAD_UNITS
 
@@ -818,7 +860,7 @@ class CostModel:
         """
         if profile.delta_records <= 0 or kind is PlanKind.ARM:
             return {}
-        supported = kind in _SUPPORTED_PLANS
+        supported = _PLAN_SHAPES[kind][0]
         cands = profile.n_cands_supported if supported else profile.n_cands
         words = max(1, profile.delta_words)
         return {
@@ -827,6 +869,12 @@ class CostModel:
         }
 
     # -- plan load vectors --------------------------------------------------------
+    #
+    # ``const`` counts a plan's pipeline stages (``_PLAN_SHAPES``), pricing
+    # the fixed per-operator overhead — the intermediate-materialization
+    # cost that selection push-up (VS) saves: S-E-V and SS-E-V have three,
+    # S-VS and SS-VS one fewer, SS-E-U-V four (split + eliminate + union +
+    # verify) and ARM two (select + mine).
 
     def shared_loads(self, profile: QueryProfile) -> tuple:
         """What the plans of one profile share — ``(search loads by
@@ -837,54 +885,60 @@ class CostModel:
             self.rulegen_load(profile),
         )
 
+    def plan_loads(
+        self,
+        kind: PlanKind,
+        profile: QueryProfile,
+        shared: tuple | None = None,
+    ) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """The load features of one plan for one query: their names and
+        loads, in the order they are priced — the one definition
+        :meth:`loads` returns as a dict and :meth:`estimate` /
+        :meth:`estimate_all` price.
+
+        ``shared`` hands in :meth:`shared_loads` of the same profile when
+        the caller prices several of its plans.
+        """
+        supported, partial, stages = _PLAN_SHAPES[kind]
+        if kind is PlanKind.ARM:
+            return _ARM_FEATURES, (
+                self.select_load(profile), self.arm_load(profile), stages
+            )
+        search, verify, rulegen = shared or self.shared_loads(profile)
+        loads = (
+            search[supported],
+            self._eliminate_load(profile, supported, partial),
+            verify,
+            rulegen,
+            stages,
+        )
+        if profile.delta_records <= 0:
+            return _MIP_FEATURES, loads
+        delta = self.delta_loads(kind, profile)
+        return _MIP_FEATURES + tuple(delta), loads + tuple(delta.values())
+
     def loads(
         self,
         kind: PlanKind,
         profile: QueryProfile,
         shared: tuple | None = None,
     ) -> dict[str, float]:
-        """The load-feature vector of one plan for one query.
-
-        ``const`` counts the plan's pipeline stages, pricing the fixed
-        per-operator overhead — the intermediate-materialization cost that
-        selection push-up (VS) saves.
-
-        ``shared`` hands in :meth:`shared_loads` of the same profile when
-        the caller prices several of its plans.
-        """
-        if kind is PlanKind.ARM:
-            return {
-                "select": self.select_load(profile),
-                "arm": self.arm_load(profile),
-                "const": 2.0,
-            }
-        search, verify, rulegen = shared or self.shared_loads(profile)
-        loads = {
-            "search": search[kind in _SUPPORTED_PLANS],
-            "eliminate": self.eliminate_load(profile, kind),
-            "verify": verify,
-            "rulegen": rulegen,
-        }
-        if kind in (PlanKind.SEV, PlanKind.SSEV):
-            loads["const"] = 3.0
-        elif kind in (PlanKind.SVS, PlanKind.SSVS):
-            loads["const"] = 2.0  # selection pushed up: one stage fewer
-        else:  # SS-E-U-V: split + eliminate + union + verify
-            loads["const"] = 4.0
-        loads.update(self.delta_loads(kind, profile))
-        return loads
+        """The load-feature vector of one plan for one query
+        (:meth:`plan_loads` as a dict)."""
+        return dict(zip(*self.plan_loads(kind, profile, shared)))
 
     # -- costs ------------------------------------------------------------------
 
     def estimate(self, kind: PlanKind, profile: QueryProfile) -> float:
         """Estimated execution cost (seconds) of one plan."""
-        return self.weights.price(self.loads(kind, profile))
+        return self.weights.price_of(*self.plan_loads(kind, profile))
 
     def estimate_all(self, profile: QueryProfile) -> dict[PlanKind, float]:
         """All six formulae — the optimizer's constant-time computation."""
         shared = self.shared_loads(profile)
+        price_of = self.weights.price_of
         return {
-            kind: self.weights.price(self.loads(kind, profile, shared))
-            for kind in PlanKind
+            kind: price_of(*self.plan_loads(kind, profile, shared))
+            for kind in _ALL_PLANS
         }
 

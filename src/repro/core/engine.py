@@ -429,9 +429,9 @@ class Colarm:
             q, result.rules, result.dq_size,
             family=rule_family(kind), generation=generation,
         )
-        if kind is not PlanKind.ARM and result.lattice_groups is not None:
+        if kind is not PlanKind.ARM and result.lattice_cells is not None:
             lattice = CachedLattice(
-                groups=tuple(result.lattice_groups),
+                cells=result.lattice_cells.narrowed(),
                 dq_size=result.dq_size,
                 extract_min_count=(
                     min_count_for(q.minsupp, result.dq_size)

@@ -167,11 +167,11 @@ class QueryContext:
     expand: bool       # expand candidates to all locally frequent itemsets
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     projection_s: float = 0.0  # one-off focal-projection build time
-    #: Per-width subset-lattice groups from the last VERIFY-family rule
-    #: generation (``[((m, n) source ids, (m, 2**n) counts, (m, 2**n)
-    #: order), ...]``) — the reusable intermediate the materialized cache
-    #: stores.  ``None`` until rule generation ran.
-    lattice_groups: "list[tuple[np.ndarray, ...]] | None" = field(
+    #: The sub-itemset cells of the last VERIFY-family rule generation
+    #: (a :class:`~repro.kernels.SubsetCells`) — the reusable
+    #: intermediate the materialized cache stores.  ``None`` until rule
+    #: generation ran.
+    lattice_cells: "kernels.SubsetCells | None" = field(
         default=None, repr=False
     )
 
@@ -546,7 +546,7 @@ def _rules_from_qualified(
     if ctx.expand:
         # Distinct MIPs can agree inside Aitem.
         sources, rows = np.unique(sources, axis=0), None
-    rules, ctx.lattice_groups, lookups, kernel_s = _rules_from_sources(
+    rules, ctx.lattice_cells, lookups, kernel_s = _rules_from_sources(
         ctx, sources, rows
     )
     return rules, lookups, kernel_s
@@ -565,25 +565,26 @@ def _rules_from_sources(
     MIP rows: their cells come from the index's sub-itemset table.  All
     supports come from the
     focal-projected kernel: every *distinct* sub-itemset of the request
-    is ANDed and popcounted once over ``|D^Q|``-bit rows, the per-width
-    ``(m, 2**n)`` count and order matrices are gathers from that table,
-    and one vectorized pass checks every antecedent/consequent confidence
-    and emits the rules in the canonical order the table's positions give
-    (:func:`repro.itemsets.rules.rules_from_subset_lattices`) —
-    ``Item`` tuples materialize only for sources that kept a rule.
+    is ANDed and popcounted once over ``|D^Q|``-bit rows, the sources'
+    flat cell counts and positions are gathers from that table, and one
+    vectorized pass over those cells checks every antecedent/consequent
+    confidence and emits the rules in the canonical order the table's
+    positions give (:func:`repro.itemsets.rules.rules_from_subset_lattices`)
+    — ``Item`` tuples materialize only for sources that kept a rule.
 
-    Returns ``(rules, lattice_groups, kernel_evaluations,
+    Returns ``(rules, lattice_cells, kernel_evaluations,
     kernel_seconds)``.
     """
     t0 = time.perf_counter()
     evaluations = 0
-    groups: list[tuple[np.ndarray, ...]] = []
-    if len(sources):
+    if not len(sources):
+        cells = kernels.SubsetCells.empty(sources)
+    else:
         built = time.perf_counter()
         kernel = ctx.focal_kernel()  # its build is ``projection_s``
         t0 += time.perf_counter() - built
         before = kernel.evaluations
-        groups = kernel.count_subset_lattice(
+        cells = kernel.count_subset_lattice(
             sources,
             floor=ctx.min_count if ctx.expand else None,
             table=None if rows is None else ctx.index.subset_table,
@@ -592,13 +593,13 @@ def _rules_from_sources(
         evaluations = kernel.evaluations - before
     kernel_s = time.perf_counter() - t0
     rules = rules_from_subset_lattices(
-        groups,
+        cells,
         ctx.dq_size,
         ctx.query.minconf,
         schema=ctx.index.table.schema,
         min_count=ctx.min_count if ctx.expand else None,
     )
-    return rules, groups, evaluations, kernel_s
+    return rules, cells, evaluations, kernel_s
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.core.operators import (
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
 from repro.itemsets.rules import RuleBlock
+from repro.kernels import SubsetCells
 
 __all__ = ["PlanKind", "PlanResult", "execute_plan", "plan_from_name"]
 
@@ -67,10 +68,10 @@ class PlanResult:
     trace: ExecutionTrace
     elapsed: float
     dq_size: int
-    #: Subset-lattice count groups from VERIFY-family rule generation
-    #: (``None`` for the ARM plan) — the cache-worthy intermediate picked
-    #: up by ``engine.query``.
-    lattice_groups: list | None = None
+    #: Sub-itemset cells from VERIFY-family rule generation (``None`` for
+    #: the ARM plan) — the cache-worthy intermediate picked up by
+    #: ``engine.query``.
+    lattice_cells: SubsetCells | None = None
 
     @property
     def n_rules(self) -> int:
@@ -108,7 +109,7 @@ def execute_plan(
         trace=ctx.trace,
         elapsed=elapsed,
         dq_size=ctx.dq_size,
-        lattice_groups=ctx.lattice_groups,
+        lattice_cells=ctx.lattice_cells,
     )
 
 

@@ -13,8 +13,11 @@ sort cheaply; the schema renders them back into human-readable form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.errors import SchemaError
 
@@ -168,11 +171,23 @@ class Schema:
         """The integer id of an item, ``item_bases[attribute] + value``."""
         return self.item_bases[item[0]] + item[1]
 
-    def itemsets(self, ids) -> list[tuple[Item, ...]]:
-        """The itemsets an ``(m, n)`` matrix of item ids lists, row by
-        row — one stream of items, cut into tuples of the matrix's width."""
-        stream = map(self.items_by_id.__getitem__, ids.ravel().tolist())
-        return list(zip(*[stream] * ids.shape[1]))
+    def itemsets(self, ids, widths) -> list[tuple[Item, ...]]:
+        """The itemsets a right-padded matrix of item ids lists, row by
+        row: row ``j`` holds ``widths[j]`` ids, then padding ``>=
+        n_items``, and the rows come by ascending width — one stream of
+        items, cut into tuples one width at a time."""
+        flat = ids[ids < self.n_items].tolist()
+        # One C-level lookup of every item (a one-key getter would return
+        # the bare item, not a 1-tuple).
+        stream = iter(
+            itemgetter(*flat)(self.items_by_id) if len(flat) > 1
+            else [self.items_by_id[i] for i in flat]
+        )
+        out: list[tuple[Item, ...]] = []
+        for n, m in enumerate(np.bincount(widths).tolist()):
+            if m:
+                out += islice(zip(*[stream] * n), m)
+        return out
 
     def render_item(self, item: Item) -> str:
         """Human-readable form of an item, e.g. ``Age=20-30``."""

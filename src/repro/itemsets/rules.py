@@ -17,13 +17,16 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, compress
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.dataset.schema import Item, Schema
 from repro.errors import DataError
 from repro.itemsets.itemset import Itemset, make_itemset
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels import SubsetCells
 
 __all__ = [
     "Rule",
@@ -320,119 +323,138 @@ class RuleBlock(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Mask-indexed extraction over whole subset lattices
+# Extraction over the flat cell layout
 # ---------------------------------------------------------------------------
 
 
+#: Cap on the cells one extraction chunk divides: a chunk is a run of
+#: whole sources, so its float64 quotients and index temporaries stay a
+#: few tens of MiB however many sources a request has.
+_EXTRACT_CHUNK_CELLS = 4 << 20
+
+
 def rules_from_subset_lattices(
-    groups: "Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]",
+    cells: "SubsetCells",
     universe_count: int,
     minconf: float,
     *,
     schema: Schema,
     min_count: int | None = None,
 ) -> RuleBlock:
-    """Globally sorted rule extraction across several subset-lattice groups.
+    """Globally sorted rule extraction over one flat cell layout.
 
-    ``groups`` are the ``(ids, counts, order)`` width groups of one
-    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call, or any
-    selection of their rows: each same-width batch of *distinct* source
-    itemsets — an ``(m, n)`` matrix of ascending item ids — with its
-    ``(m, 2**n)`` matrices of sub-itemset supports (``counts[j, mask]`` is
-    the support of the sub-itemset of source ``j`` selected by ``mask``'s
-    bits) and of the sub-itemsets' positions in id-tuple order (sources
-    must be distinct across *all* groups); ``schema`` is the one the ids
-    belong to.  Every proper non-empty antecedent/consequent split of
-    every source is checked in one vectorized confidence pass per group;
-    ``min_count`` (floored at 1) filters source supports.  Because
-    ``antecedent ∪ consequent`` determines the source, the kept splits
-    are distinct rules.
+    ``cells`` is what one
+    :meth:`~repro.kernels.FocalKernel.count_subset_lattice` call returns
+    (a :class:`~repro.kernels.SubsetCells`): *distinct* source itemsets
+    by ascending width, each followed by its ``2**n`` cells — the support
+    of every sub-itemset and its position in id-tuple order; ``schema``
+    is the one the ids belong to.  Every proper non-empty split of every
+    source of two items or more is checked in one pass over the cells:
+    the cell ``c`` of a source spanning cells ``s..e`` is the antecedent,
+    ``s + e - c`` the consequent, and the split is kept when
+    ``counts[e] / counts[c] >= minconf`` and ``counts[e]`` reaches
+    ``min_count`` (floored at 1).  Because ``antecedent ∪ consequent``
+    determines the source, the kept splits are distinct rules.
 
     The canonical ``(antecedent, consequent)`` output order is read off
     the table: antecedent and consequent are both nodes of it, so a kept
-    split's key is the one int64 ``order[antecedent] << 32 |
-    order[consequent]`` and one ``argsort`` orders every rule.  The
-    sorted columns *are* the result — a :class:`RuleBlock` whose ``Item``
-    tuples are built for the sources that kept a split and for nothing
-    else; no per-rule Python object is built here.
+    split's key is the one int64 ``order[c] << 32 | order[s + e - c]``
+    and one ``argsort`` orders every rule.  The sorted columns *are* the
+    result — a :class:`RuleBlock` whose ``Item`` tuples are built for the
+    sources that kept a split and for nothing else; no per-rule Python
+    object is built here.
     """
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    live = [
-        group for group in groups
-        if len(group[0]) and group[0].shape[1] >= 2
-    ]
-    if not live:
+    widths, offsets = cells.widths, cells.offsets
+    first = int(np.searchsorted(widths, 2))
+    if first == len(widths):
         return _EMPTY_BLOCK
-    floor = max(min_count if min_count is not None else 1, 1)
-    n_pad = max(ids.shape[1] for ids, _, _ in live)
-    if n_pad > _MAX_BLOCK_WIDTH:
+    if widths[-1] > _MAX_BLOCK_WIDTH:
         raise DataError(
-            f"a rule over {n_pad} items exceeds the "
+            f"a rule over {widths[-1]} items exceeds the "
             f"{_MAX_BLOCK_WIDTH}-item block limit"
         )
-
-    kept_src: list[np.ndarray] = []
-    kept_mask: list[np.ndarray] = []
-    kept_key: list[np.ndarray] = []
-    kept_conf: list[np.ndarray] = []
-    source_counts: list[np.ndarray] = []
-    base = 0  # index of the group's first source
-    for ids, counts, order in live:
-        m, n = ids.shape
-        full = (1 << n) - 1
-        source_counts.append(counts[:, full])
-        # A sub-itemset is supported wherever its source is: a source at
-        # the floor (>= 1) divides by no zero, and one below it goes.
-        rows = None
-        if np.minimum.reduce(source_counts[-1]) < floor:
-            rows = np.flatnonzero(source_counts[-1] >= floor)
-            counts, order = counts[rows], order[rows]
-        # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
-        chunk = max(1, (4 << 20) // (full - 1))
-        for lo in range(0, len(counts), chunk):
-            block = counts[lo:lo + chunk]
-            # True division: bit-identical to Python's ``count / count``
-            # for counts below 2**53.
-            conf = block[:, full, None] / block[:, 1:full]
-            js, masks = (conf >= minconf).nonzero()
-            kept_conf.append(conf[js, masks])
-            masks += 1  # column p: antecedent mask p + 1
-            kept_mask.append(masks)
-            ranks = order[lo:lo + chunk]
-            keys = ranks[js, masks].astype(np.int64)
-            keys <<= 32
-            keys |= ranks[js, full ^ masks]
-            kept_key.append(keys)
-            js += lo
-            kept_src.append((js if rows is None else rows[js]) + base)
-        base += m
-
-    if not any(map(len, kept_src)):  # also: every source under the floor
+    floor = max(min_count if min_count is not None else 1, 1)
+    kept = [
+        _kept_splits(cells, a, b, minconf, floor)
+        for a, b in _chunks(offsets, first)
+    ]
+    src, mask, key, support_count, conf = (
+        part[0] if len(kept) == 1 else np.concatenate(part)
+        for part in zip(*kept)
+    )
+    if not len(src):  # also: every source under the floor
         return _EMPTY_BLOCK
-    ranked = np.argsort(np.concatenate(kept_key))
-    src = np.concatenate(kept_src)[ranked]
-    support_count = np.concatenate(source_counts).astype(np.int64)[src]
-
-    used = np.zeros(base, dtype=bool)
+    ranked = np.argsort(key)
+    src = src.take(ranked)
+    support_count = support_count.take(ranked).astype(np.int64)
+    used = np.zeros(len(widths), dtype=bool)
     used[src] = True
-    sources: list[Itemset] = []
-    base = 0
-    for ids, _, _ in live:
-        sources += schema.itemsets(ids[used[base:base + len(ids)]])
-        base += len(ids)
     return RuleBlock(
-        sources,
-        (used.cumsum() - 1)[src],
-        np.concatenate(kept_mask)[ranked],
+        schema.itemsets(cells.ids[used], widths[used]),
+        (used.cumsum() - 1).take(src),
+        mask.take(ranked),
         support_count,
         # True division: bit-identical to Python's ``count / universe``
         # for counts below 2**53.
         support_count / universe_count
         if universe_count
         else np.zeros(len(src), dtype=np.float64),
-        np.concatenate(kept_conf)[ranked],
+        conf.take(ranked),
     )
+
+
+def _chunks(offsets: np.ndarray, first: int):
+    """Runs ``(a, b)`` of whole sources from ``first`` on, each holding at
+    most :data:`_EXTRACT_CHUNK_CELLS` cells unless one source alone does."""
+    end = len(offsets) - 1
+    if offsets[end] - offsets[first] <= _EXTRACT_CHUNK_CELLS:
+        yield first, end
+        return
+    a = first
+    while a < end:
+        b = int(np.searchsorted(
+            offsets, int(offsets[a]) + _EXTRACT_CHUNK_CELLS, side="right"
+        )) - 1
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
+def _kept_splits(cells, a: int, b: int, minconf: float, floor: int):
+    """The splits of sources ``a..b - 1`` that make rules, unsorted:
+    ``(src, ant_mask, key, support_count, confidence)``."""
+    starts = cells.offsets[a:b + 1]
+    lo, hi = int(starts[0]), int(starts[-1])
+    sizes = np.diff(starts)
+    starts = starts[:-1] - lo  # each source's empty-itemset cell ...
+    ends = starts + sizes
+    ends -= 1  # ... and full-itemset cell, from ``lo``
+    span = cells.counts[lo:hi]
+    full = span.take(ends)
+    dead = np.minimum.reduce(full) < floor
+    support = np.repeat(full, sizes)
+    if dead:
+        # A sub-itemset is supported wherever its source is: a source at
+        # the floor (>= 1) divides by no zero, and one below it goes.
+        span = np.maximum(span, 1)
+    # True division: bit-identical to Python's ``count / count`` for
+    # counts below 2**53.
+    conf = support / span
+    keep = conf >= minconf
+    if dead:
+        keep &= support >= floor
+    keep[starts] = False  # the empty antecedent ...
+    keep[ends] = False  # ... and the empty consequent are no splits
+    at = np.flatnonzero(keep)
+    src = np.searchsorted(ends, at)
+    mask = at - starts.take(src)
+    order = cells.order[lo:hi]
+    key = np.left_shift(order.take(at), 32, dtype=np.int64)
+    key |= order.take(ends.take(src) - mask)
+    src += a
+    return src, mask, key, support.take(at), conf.take(at)
 
 
 def split_counts(
@@ -444,25 +466,25 @@ def split_counts(
     table, the global ones in a focal subset), exact for any rule.
 
     ``kernel`` is a :class:`repro.kernels.FocalKernel` over ``schema``'s
-    item ids; the three counts are cells of the rule's source row of
+    item ids; the three counts are cells of the rule's source in
     :meth:`~repro.kernels.FocalKernel.count_subset_lattice`.
     """
     widths = np.fromiter(map(len, block.sources), np.intp, len(block.sources))
     ids = np.full((len(widths), widths.max(initial=0)), schema.n_items)
     for row, source in zip(ids, block.sources):
         row[:len(source)] = [schema.item_id(item) for item in source]
-    both, antecedent, consequent = np.zeros((3, len(block)), dtype=np.int64)
-    for _, counts, _ in kernel.count_subset_lattice(ids):
-        # A group lists the sources of one width, in ``sources`` order.
-        full = counts.shape[1] - 1
-        of_width = widths == full.bit_length()
-        rules = np.flatnonzero(of_width[block.src])
-        rows = (np.cumsum(of_width) - 1)[block.src[rules]]
-        masks = block.ant_mask[rules]
-        both[rules] = counts[rows, full]
-        antecedent[rules] = counts[rows, masks]
-        consequent[rules] = counts[rows, full ^ masks]
-    return both, antecedent, consequent
+    cells = kernel.count_subset_lattice(ids)
+    # The cells list the sources by ascending width, in block order within
+    # a width: source ``i`` is the ``where[i]``-th.
+    where = np.empty(len(widths), dtype=np.intp)
+    where[np.argsort(widths, kind="stable")] = np.arange(len(widths))
+    at = where.take(block.src)
+    first = cells.offsets.take(at)
+    full = cells.offsets.take(at + 1) - 1
+    return tuple(
+        cells.counts.take(cell).astype(np.int64)
+        for cell in (full, first + block.ant_mask, full - block.ant_mask)
+    )
 
 
 _EMPTY_BLOCK = RuleBlock.from_rules(())

@@ -61,6 +61,7 @@ __all__ = [
     "project_rows",
     "set_bits",
     "FocalKernel",
+    "SubsetCells",
     "SubsetTable",
 ]
 
@@ -369,24 +370,22 @@ class FocalKernel:
         *,
         table: "SubsetTable | None" = None,
         rows=None,
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> "SubsetCells":
         """Support counts of *every* sub-itemset of every source, from one
         table of the request's distinct sub-itemsets.
 
         ``itemsets`` is an ``(M, w)`` id matrix (or same-length id tuples),
         one source per row: ascending item ids, right-padded with any
         value ``>= n_items`` where a source is narrower than ``w``.  The
-        result groups the sources by width, ascending: ``(ids, counts,
-        order)`` per width ``n`` with ``ids`` the ``(m, n)`` sources in
-        input order, ``counts[j, mask]`` the local support ``|t(S) ∩ D^Q|``
-        of the sub-itemset ``S`` of source ``j`` selected by the bits of
-        ``mask`` (``mask == 0`` is the empty itemset: ``|D^Q|``) and
-        ``order[j, mask]`` the position of ``S`` among the table's
-        sub-itemsets in id-tuple order — what
+        result is one flat :class:`SubsetCells` layout: the sources of one
+        item or more by ascending width (input order within a width),
+        each followed by its ``2**n`` cells mask by mask — a cell's local
+        support ``|t(S) ∩ D^Q|`` (``mask == 0`` is the empty itemset:
+        ``|D^Q|``) and the position of ``S`` among the table's
+        sub-itemsets in id-tuple order, what
         :func:`repro.itemsets.rules.rules_from_subset_lattices` extracts
-        and orders rules from.  Both matrices are int32: a cell is eight
-        bytes.  Positions compare only within one call's result, or
-        across calls reading the same ``table``.
+        and orders rules from.  Positions compare only within one call's
+        result, or across calls reading the same ``table``.
 
         With ``floor`` the sources are not ``itemsets`` themselves but
         their *distinct* sub-itemsets of two items or more whose support
@@ -398,8 +397,8 @@ class FocalKernel:
         once: cells are named level by level by the prefix id ``parent *
         n_items + largest item`` — which never outgrows a machine word,
         however many items the schema has — and a level's distinct ids
-        are one batched ``row[parent] & row[item]``.  The count and order
-        matrices are gathers from that table.
+        are one batched ``row[parent] & row[item]``.  The cells' counts
+        and positions are gathers from that table.
 
         Naming is most of that work, and it depends only on the sources,
         so a fixed source list can be named once (:class:`SubsetTable`):
@@ -411,30 +410,34 @@ class FocalKernel:
         """
         n_items = len(self.matrix)
         sources = np.asarray(itemsets, dtype=np.intp)
+        if sources.ndim != 2:  # no sources at all
+            sources = sources.reshape(0, 0)
         if table is not None:
             if floor is not None:
                 raise ValueError("a named table holds no expanded sources")
-            groups, nodes, levels, ranks = table.gather(sources, rows)
-            if not groups:
-                return []
-            counts = self._count_levels(levels)
-            return _cell_groups(groups, counts.take(nodes), ranks.take(nodes))
-        groups = _width_groups(sources, n_items) if sources.size else []
-        if not groups:
-            return []
-        _check_tractable(groups)
-        nodes, levels = _name_cells(groups, n_items)
+            layout, nodes, levels, order = table.gather(sources, rows)
+            if not len(layout[1]):
+                return SubsetCells.empty(layout[0])
+            counts = self._count_levels(levels).take(nodes)
+            return SubsetCells(*layout, counts, order)
+        _, layout = _width_layout(sources, (sources < n_items).sum(axis=1))
+        if not len(layout[1]):
+            return SubsetCells.empty(layout[0])
+        _check_tractable(layout[2])
+        nodes, levels = _name_cells(layout, n_items)
         counts = self._count_levels(levels)
         if floor is not None:
             # The table holds every sub-itemset of the frequent ones, so
             # their lattices are a second naming pass over it: no new AND.
             frequent = _frequent_nodes(levels, counts, max(int(floor), 1))
-            groups = _width_groups(frequent, n_items)
-            if not groups:
-                return []
-            nodes, _ = _name_cells(groups, n_items, levels)
-        return _cell_groups(
-            groups, counts.take(nodes), _node_ranks(levels, n_items).take(nodes)
+            _, layout = _width_layout(
+                frequent, (frequent < n_items).sum(axis=1)
+            )
+            if not len(layout[1]):
+                return SubsetCells.empty(layout[0])
+            nodes, _ = _name_cells(layout, n_items, levels)
+        return SubsetCells(
+            *layout, counts.take(nodes), _node_ranks(levels, n_items).take(nodes)
         )
 
     def _count_levels(self, levels: list) -> np.ndarray:
@@ -502,6 +505,62 @@ def _or_bits(
     )
 
 
+class SubsetCells:
+    """The sub-itemset cells of a request's sources, source after source:
+    what :meth:`FocalKernel.count_subset_lattice` returns.
+
+    ``ids`` is the sources' right-padded ``(M, w)`` id matrix (ascending
+    ids, padding ``>= n_items``), by ascending width and in input order
+    within a width; ``widths`` their widths (at least 1); ``offsets``
+    (``M + 1`` int64) where each source's ``2**width`` cells start.  Cell
+    ``offsets[j] + mask`` is the sub-itemset of source ``j`` that
+    ``mask``'s bits select: ``counts`` holds its support (the source's
+    first cell is the empty itemset, its last the source itself) and
+    ``order`` its position among the table's sub-itemsets in id-tuple
+    order.  Both are flat int32, eight bytes a cell; the complement of
+    cell ``c`` within a source spanning cells ``s..e`` is ``s + e - c``.
+    """
+
+    __slots__ = ("ids", "widths", "offsets", "counts", "order")
+
+    def __init__(self, ids, widths, offsets, counts, order):
+        self.ids = ids
+        self.widths = widths
+        self.offsets = offsets
+        self.counts = counts
+        self.order = order
+
+    @classmethod
+    def empty(cls, ids: np.ndarray) -> "SubsetCells":
+        """No source: ``ids`` is a ``(0, w)`` id matrix."""
+        none = np.zeros(0, dtype=np.int32)
+        return cls(ids, np.zeros(0, dtype=np.intp),
+                   np.zeros(1, dtype=np.int64), none, none)
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.ids, self.widths, self.offsets, self.counts, self.order
+
+    def narrowed(self) -> "SubsetCells":
+        """The same layout with int32 ids (padding clipped, still ``>=
+        n_items``), uint8 widths and int32 offsets — a cell count is
+        below ``2**31`` — what the lattice cache stores, so an entry
+        weighs about what the cells themselves do."""
+        return SubsetCells(
+            np.minimum(self.ids, np.iinfo(np.int32).max).astype(np.int32),
+            self.widths.astype(np.uint8),
+            self.offsets.astype(np.int32),
+            self.counts,
+            self.order,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.arrays())
+
+
 class SubsetTable:
     """The sub-itemset table of a fixed list of sources, named once.
 
@@ -530,13 +589,13 @@ class SubsetTable:
         self.n_items = n_items
         self.widths = (sources < n_items).sum(axis=1)
         self.starts = np.zeros(len(sources), dtype=np.int64)
-        slices = _width_slices(self.widths)
-        groups = [sources[picks, :n] for n, picks in slices]
+        picks, layout = _width_layout(sources, self.widths)
         levels = []
         self.cells = np.zeros(0, dtype=np.int32)
-        if groups:
-            _check_tractable(groups)
-            self.cells, levels = _name_cells(groups, n_items)
+        if len(picks):
+            _check_tractable(layout[2])
+            self.cells, levels = _name_cells(layout, n_items)
+            self.starts[picks] = layout[2][:-1]
         self.ranks = _node_ranks(levels, n_items)
         #: Node ids where each level of two items or more starts, and
         #: where the last ends.
@@ -546,10 +605,6 @@ class SubsetTable:
             if levels else np.zeros(0, dtype=np.int32)
             for k in (1, 2)
         )
-        at = 0
-        for n, picks in slices:
-            self.starts[picks] = np.arange(at, at + (len(picks) << n), 1 << n)
-            at += len(picks) << n
         for array in (self.widths, self.starts, self.cells, self.ranks,
                       self.parents, self.items):
             array.setflags(write=False)
@@ -557,21 +612,21 @@ class SubsetTable:
     def gather(self, sources: np.ndarray, rows) -> tuple:
         """The sources at positions ``rows`` (``sources`` their id matrix)
         as :meth:`FocalKernel.count_subset_lattice` lays them out:
-        ``(groups, nodes, levels, ranks)`` — the width groups, every
-        cell's node in a compact table holding only the nodes the cells
-        touch (the empty itemset and the items keep their ids), that
-        table's levels as :func:`_name_cells` gives them and its nodes'
-        ranks."""
+        ``(layout, nodes, levels, order)`` — the :class:`SubsetCells`
+        ``(ids, widths, offsets)``, every cell's node in a compact table
+        holding only the nodes the cells touch (the empty itemset and the
+        items keep their ids), that table's levels as :func:`_name_cells`
+        gives them, and every cell's position."""
         rows = np.asarray(rows, dtype=np.intp)
-        slices = _width_slices(self.widths.take(rows))
-        groups = [sources[picks, :n] for n, picks in slices]
-        if not groups:
-            return [], None, None, None
-        nodes = self.cells.take(np.concatenate([
-            (self.starts.take(rows.take(picks))[:, None]
-             + np.arange(1 << n)).ravel()
-            for n, picks in slices
-        ]))
+        picks, layout = _width_layout(sources, self.widths.take(rows))
+        widths, offsets = layout[1:]
+        if not len(widths):
+            return layout, None, None, None
+        # One run of cell ids per source, from its start in the table.
+        at = np.repeat(self.starts.take(rows.take(picks)) - offsets[:-1],
+                       1 << widths)
+        at += np.arange(offsets[-1])
+        nodes = self.cells.take(at).astype(np.intp)
         # A sub-itemset's parent is a sub-itemset of the same source, so
         # the touched nodes are closed under it: each level of the compact
         # table is the touched slice of the full one, in the same order.
@@ -580,8 +635,8 @@ class SubsetTable:
         touched[:base] = True
         touched[nodes] = True
         kept = np.flatnonzero(touched)
-        local = np.empty(len(touched), dtype=np.int32)
-        local[kept] = np.arange(len(kept), dtype=np.int32)
+        local = np.empty(len(touched), dtype=np.intp)
+        local[kept] = np.arange(len(kept))
         above = kept[base:] - base
         parents = local.take(self.parents.take(above))
         items = self.items.take(above)
@@ -591,62 +646,50 @@ class SubsetTable:
             for lo, hi in zip(bounds, bounds[1:])
             if lo < hi
         ]
-        return groups, local.take(nodes), levels, self.ranks.take(kept)
+        return layout, local.take(nodes), levels, self.ranks.take(nodes)
 
 
-def _check_tractable(groups: list[np.ndarray]) -> None:
-    if sum(len(ids) << ids.shape[1] for ids in groups) >= 1 << 31:
+def _check_tractable(offsets: np.ndarray) -> None:
+    if offsets[-1] >= 1 << 31:
         raise ValueError(  # pragma: no cover - tens of gigabytes of cells
             "the sources' subset lattices are not tractable"
         )
 
 
-def _cell_groups(
-    groups: list[np.ndarray], cells: np.ndarray, ranks: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per width group, ``(ids, counts, order)``: the group's slice of the
-    cells' counts and ranks, one ``2**n`` row per source."""
-    out = []
-    at = 0
-    for ids in groups:
-        m, n = ids.shape
-        shape, end = (m, 1 << n), at + (m << n)
-        out.append((
-            ids, cells[at:end].reshape(shape), ranks[at:end].reshape(shape)
-        ))
-        at = end
-    return out
+def _width_layout(sources: np.ndarray, widths: np.ndarray) -> tuple:
+    """``(picks, (ids, widths, offsets))``: the positions of the sources
+    of width ``>= 1`` by ascending width, in input order within a width,
+    and the :class:`SubsetCells` layout of those sources, each source's
+    ``2**width`` cells starting at its offset."""
+    picks = np.argsort(widths, kind="stable")
+    widths = widths.take(picks)
+    skip = np.searchsorted(widths, 1)
+    picks, widths = picks[skip:], widths[skip:]
+    offsets = np.zeros(len(picks) + 1, dtype=np.int64)
+    np.cumsum(1 << widths, out=offsets[1:])
+    return picks, (sources.take(picks, axis=0), widths, offsets)
 
 
-def _width_slices(widths: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Per width ``n >= 1`` present, ascending: ``n`` and the positions
-    of the sources that wide, in input order."""
-    order = np.argsort(widths, kind="stable")
+def _width_runs(widths: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(n, lo, hi)`` per width ``n`` present in ascending ``widths``:
+    positions ``lo..hi - 1`` are that wide."""
     cuts = np.bincount(widths).cumsum().tolist()
     return [
-        (n, order[lo:hi])
+        (n, lo, hi)
         for n, (lo, hi) in enumerate(zip([0] + cuts, cuts))
-        if n and lo < hi
-    ]
-
-
-def _width_groups(sources: np.ndarray, n_items: int) -> list[np.ndarray]:
-    """``sources`` (ids ``>= n_items`` are padding) split by width,
-    ascending: one ``(m, n)`` id matrix per width ``n >= 1`` present."""
-    return [
-        sources[picks, :n]
-        for n, picks in _width_slices((sources < n_items).sum(axis=1))
+        if lo < hi
     ]
 
 
 def _name_cells(
-    groups: list[np.ndarray], n_items: int, known: list | None = None
+    layout: tuple, n_items: int, known: list | None = None
 ) -> tuple[np.ndarray, list]:
-    """Name every ``(source, mask)`` cell of width-grouped sources by the
-    node id of its sub-itemset.
+    """Name every ``(source, mask)`` cell of the ``(ids, widths,
+    offsets)`` of a :class:`SubsetCells` layout by the node id of its
+    sub-itemset.
 
-    Returns ``(nodes, levels)``: ``nodes`` lists the cells group by
-    group, source by source, mask by mask; node 0 is the empty itemset,
+    Returns ``(nodes, levels)``: ``nodes`` lists the cells as the layout
+    does, source by source, mask by mask; node 0 is the empty itemset,
     node ``1 + i`` item ``i``, and ``levels[k]`` describes the distinct
     sub-itemsets of ``k + 2`` items as ``((first, end), parents, items)``
     — node ids ``first..end - 1`` in lexicographic order, each the node
@@ -654,27 +697,25 @@ def _name_cells(
     ``known`` (the levels of an earlier call whose sources contain these)
     cells are looked up instead and no level is made.
     """
-    # Per level, every group's cells of that level: their index in
+    # Per level, every width's cells of that level: their index in
     # ``nodes``, their parent cell's, and their largest item (32-bit: a
     # request's cells are what its transient footprint is made of).
-    deepest = groups[-1].shape[1]
+    sources, widths, offsets = layout
+    deepest = int(widths[-1])
     cells, parents, items = ([[] for _ in range(deepest)] for _ in range(3))
-    at = 0
-    for ids in groups:
-        m, n = ids.shape
+    for n, a, b in _width_runs(widths):
         masks, parent_masks, high, starts = _lattice_template(n)
         # Each source's cell 0, then masks down the rows, sources across.
-        first = np.arange(at, at + (m << n), 1 << n, dtype=np.int32)
+        first = offsets[a:b].astype(np.int32)
         pieces = (
             masks + first,
             parent_masks + first,
-            ids.astype(np.int32).T.take(high, axis=0),
+            sources[a:b, :n].astype(np.int32).T.take(high, axis=0),
         )
         for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
             for level, piece in zip((cells, parents, items), pieces):
                 level[k].append(piece[lo:hi].ravel())
-        at += m << n
-    nodes = np.zeros(at, dtype=np.int32)
+    nodes = np.zeros(offsets[-1], dtype=np.int32)
     nodes[_joined(cells[0])] = _joined(items[0]) + 1
     levels = [] if known is None else known
     first, end = 1, 1 + n_items  # the node ids of the level below

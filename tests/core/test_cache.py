@@ -95,7 +95,7 @@ def test_probe_preference_and_no_lru_bump(index):
     query = q({0: {1}})
     result = execute_plan(PlanKind.SSVS, index, query)
     lattice = CachedLattice(
-        groups=tuple(result.lattice_groups),
+        cells=result.lattice_cells,
         dq_size=result.dq_size,
         extract_min_count=None,
         schema=index.table.schema,
@@ -123,18 +123,18 @@ def test_replayed_lattice_is_read_only(index):
     query = q({0: {1}})
     result = execute_plan(PlanKind.SSVS, index, query)
     assert cache.put_lattice(query, CachedLattice(
-        groups=tuple(result.lattice_groups),
+        cells=result.lattice_cells,
         dq_size=result.dq_size,
         extract_min_count=None,
         schema=index.table.schema,
     ))
     replayed = cache.get_lattice(query)
-    assert replayed.groups
-    for group in replayed.groups:
-        assert len(group) == 3
-        for array in group:
-            with pytest.raises(ValueError, match="read-only"):
-                array[(0,) * array.ndim] = 1
+    assert len(replayed.cells)
+    arrays = replayed.cells.arrays()
+    assert len(arrays) == 5
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
     assert replayed.extract(query.minconf) == result.rules
 
 

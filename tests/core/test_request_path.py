@@ -55,9 +55,9 @@ class Counts:
             self.kernels += 1
             kernel_init(kernel, matrix, dq_size)
 
-        def counted_name_cells(groups, n_items, known=None):
+        def counted_name_cells(layout, n_items, known=None):
             self.named += known is None
-            return name_cells(groups, n_items, known)
+            return name_cells(layout, n_items, known)
 
         def counted_count_levels(kernel, levels):
             self.tables += 1

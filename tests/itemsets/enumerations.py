@@ -66,6 +66,18 @@ def closed_by_projection(table, minsupp, dq=None):
     }
 
 
+def per_source(cells):
+    """``(ids, counts, order)`` per source of a
+    :class:`repro.kernels.SubsetCells`, in its order: the source's id
+    tuple (padding dropped) and its ``2**width`` cells' supports and
+    positions, mask by mask, as lists."""
+    bounds = cells.offsets.tolist()
+    for row, n, lo, hi in zip(cells.ids.tolist(), cells.widths.tolist(),
+                              bounds, bounds[1:]):
+        yield (tuple(row[:n]), cells.counts[lo:hi].tolist(),
+               cells.order[lo:hi].tolist())
+
+
 def frequent_by_kernel(table, minsupp, dq=None):
     """``[(itemset, count), ...]`` of every itemset frequent in ``dq``, in
     the order the kernel lists them: the items, then each longer level."""
@@ -83,6 +95,8 @@ def frequent_in(kernel, schema, minsupp):
     ]
     closed = closed_masks(enumerate(tidsets), floor)
     sources = _mask_sources(list(closed.values()), schema.n_items)
-    for ids, counts, _ in kernel.count_subset_lattice(sources, floor=floor):
-        found += zip(schema.itemsets(ids), counts[:, -1].tolist())
+    cells = kernel.count_subset_lattice(sources, floor=floor)
+    # A source's last cell is the source itself.
+    found += zip(schema.itemsets(cells.ids, cells.widths),
+                 cells.counts[cells.offsets[1:] - 1].tolist())
     return found

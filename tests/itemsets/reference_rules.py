@@ -15,8 +15,6 @@ one ``np.lexsort`` sorts them.  The two must agree byte for byte
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.dataset.schema import Schema
@@ -30,21 +28,25 @@ _MAX_BLOCK_WIDTH = 31
 
 
 def rules_from_subset_lattices(
-    groups: Sequence[tuple],
+    cells,
     universe_count: int,
     minconf: float,
     *,
     schema: Schema,
     min_count: int | None = None,
 ) -> RuleBlock:
-    """The rules of ``groups`` (``(ids, counts, ...)`` per width, as the
-    kernel returns them) in canonical order, sorted on packed id keys."""
+    """The rules of ``cells`` (a :class:`repro.kernels.SubsetCells`, as
+    the kernel returns it) in canonical order, sorted on packed id keys,
+    one width at a time as ``(m, n)`` id and ``(m, 2**n)`` count
+    matrices."""
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    live = [
-        (ids, counts) for ids, counts, *_ in groups
-        if len(ids) and ids.shape[1] >= 2
-    ]
+    live = []
+    for n in sorted(set(cells.widths.tolist())):
+        rows = np.flatnonzero(cells.widths == n)
+        if n >= 2:
+            cell = cells.offsets[rows][:, None] + np.arange(1 << n)
+            live.append((cells.ids[rows, :n], cells.counts[cell]))
     if not live:
         return RuleBlock.from_rules(())
     floor = max(min_count if min_count is not None else 1, 1)
@@ -114,7 +116,8 @@ def rules_from_subset_lattices(
     sources: list[Itemset] = []
     base = 0
     for ids, _ in live:
-        sources += schema.itemsets(ids[used[base:base + len(ids)]])
+        picked = ids[used[base:base + len(ids)]]
+        sources += schema.itemsets(picked, np.full(len(picked), ids.shape[1]))
         base += len(ids)
     return RuleBlock(
         sources,

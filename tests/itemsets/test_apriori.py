@@ -129,6 +129,7 @@ def test_apriori_nothing_frequent():
 def test_frequent_itemset_support_on_empty_universe(salary):
     """No record in focus: every itemset counts zero, the empty one too."""
     kernel = focal_kernel(salary, dq=ts.EMPTY)
-    (_, counts, _), = kernel.count_subset_lattice([(0, 6, 10)])
-    assert kernel.dq_size == 0 and not counts.any()
-    assert kernel.count_subset_lattice([(0, 6, 10)], floor=1) == []
+    cells = kernel.count_subset_lattice([(0, 6, 10)])
+    assert len(cells) == 1 and len(cells.counts) == 8
+    assert kernel.dq_size == 0 and not cells.counts.any()
+    assert len(kernel.count_subset_lattice([(0, 6, 10)], floor=1)) == 0

@@ -151,10 +151,11 @@ def test_kernel_count_equals_the_tree_lookup(case):
     kernel = focal_kernel(table, dq)
     counted = {}
     for itemset in itemsets:
-        (_, counts, _), = kernel.count_subset_lattice(
+        cells = kernel.count_subset_lattice(
             [[schema.item_id(item) for item in itemset]]
         )
-        counted[itemset] = int(counts[0, -1])
+        assert len(cells) == 1 and len(cells.counts) == 1 << len(itemset)
+        counted[itemset] = int(cells.counts[-1])
     floor = min_count_for(index.primary_support, table.n_records)
     for itemset in itemsets:
         covered = table.support_count(itemset) >= floor

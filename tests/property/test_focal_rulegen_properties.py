@@ -37,6 +37,7 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from tests import oracle
 from tests.conftest import rows_of
+from tests.itemsets.enumerations import per_source
 
 MIP_PLANS = (PlanKind.SEV, PlanKind.SVS, PlanKind.SSEV, PlanKind.SSVS,
              PlanKind.SSEUV)
@@ -102,12 +103,12 @@ def test_focal_counts_match_bigint_reference(case):
     width = max(map(len, itemsets))
     padded = [s + (len(tidsets),) * (width - len(s)) for s in itemsets]
     seen = []
-    for ids, counts, _ in kernel.count_subset_lattice(padded):
-        for source, row in zip(ids.tolist(), counts.tolist()):
-            seen.append(tuple(source))
-            for cell, count_ in enumerate(row):
-                subset = [i for k, i in enumerate(source) if cell >> k & 1]
-                assert count_ == reference(subset), (source, cell)
+    for source, row, _ in per_source(kernel.count_subset_lattice(padded)):
+        seen.append(source)
+        assert len(row) == 1 << len(source)
+        for cell, count_ in enumerate(row):
+            subset = [i for k, i in enumerate(source) if cell >> k & 1]
+            assert count_ == reference(subset), (source, cell)
     assert sorted(seen) == sorted(itemsets)
     assert kernel.item_tidsets() == [_dense(t, mask) for t in tidsets]
 

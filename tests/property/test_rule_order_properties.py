@@ -24,7 +24,7 @@ from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import RelationalTable
 from repro.itemsets.rules import rules_from_subset_lattices
 from tests.itemsets import reference_rules
-from tests.itemsets.enumerations import focal_kernel
+from tests.itemsets.enumerations import focal_kernel, per_source
 
 #: ``(attributes, values per attribute)``: 5 x 4 = 20 items fit a node key
 #: in one int64; 10 x 13 = 130 items (8 bits a field, 7 fields a word)
@@ -78,9 +78,9 @@ def _assert_same_blocks(case):
     schema = table.schema
     for lattice_floor, min_count in ((None, None), (None, floor),
                                      (floor, floor)):
-        groups = kernel.count_subset_lattice(sources, floor=lattice_floor)
+        cells = kernel.count_subset_lattice(sources, floor=lattice_floor)
         ours, reference = (
-            extract(groups, kernel.dq_size, minconf, schema=schema,
+            extract(cells, kernel.dq_size, minconf, schema=schema,
                     min_count=min_count)
             for extract in (rules_from_subset_lattices,
                             reference_rules.rules_from_subset_lattices)
@@ -120,17 +120,15 @@ def test_positions_follow_tuple_order(case):
     kernel = focal_kernel(table, dq)
     for lattice_floor in (None, floor):
         position: dict[tuple, int] = {}
-        for ids, _, order in kernel.count_subset_lattice(
+        for source, _, ranks in per_source(kernel.count_subset_lattice(
             sources, floor=lattice_floor
-        ):
-            n = ids.shape[1]
-            for source, ranks in zip(ids.tolist(), order.tolist()):
-                for mask, rank in enumerate(ranks):
-                    subset = tuple(i for k, i in enumerate(source)
-                                   if mask >> k & 1)
-                    # One sub-itemset, one position, whichever cell.
-                    assert position.setdefault(subset, rank) == rank
-                assert len(ranks) == 1 << n
+        )):
+            for mask, rank in enumerate(ranks):
+                subset = tuple(i for k, i in enumerate(source)
+                               if mask >> k & 1)
+                # One sub-itemset, one position, whichever cell.
+                assert position.setdefault(subset, rank) == rank
+            assert len(ranks) == 1 << len(source)
         by_position = sorted(position, key=position.__getitem__)
         assert by_position == sorted(position)
         assert len(set(position.values())) == len(position)

@@ -5,7 +5,7 @@ Every index names the sub-itemset lattices of all its MIPs once
 (:class:`repro.kernels.SubsetTable`); MIP-plan rule generation gathers
 the qualified rows' cells from it and ANDs only the nodes they touch.
 For random row subsets of built indexes — any order, any widths — the
-gathered path must give the same count matrices, positions in the same
+gathered path must give the same cell layout and counts, positions in the same
 relative order, the same number of ANDed sub-itemsets and byte-identical
 rules, in order, as ``count_subset_lattice(mip_sources(rows))``, at any
 lattice slab cap.
@@ -26,13 +26,10 @@ from repro.itemsets.rules import rules_from_subset_lattices
 from tests.conftest import make_random_table
 
 
-def dense_ranks(groups) -> np.ndarray:
-    """The groups' positions as dense ranks: equal when two results order
+def dense_ranks(cells) -> np.ndarray:
+    """The cells' positions as dense ranks: equal when two results order
     their cells alike, whatever numbers name the positions."""
-    if not groups:
-        return np.zeros(0, dtype=np.intp)
-    order = np.concatenate([order.ravel() for _, _, order in groups])
-    return np.unique(order, return_inverse=True)[1]
+    return np.unique(cells.order, return_inverse=True)[1]
 
 
 def assert_same_lattices(index, kernel, rows, minconf=0.5):
@@ -46,10 +43,10 @@ def assert_same_lattices(index, kernel, rows, minconf=0.5):
     )
     assert kernel.evaluations - before - named_ands == named_ands
     assert len(gathered) == len(named)
-    for (ids, counts, _), (ids2, counts2, order2) in zip(named, gathered):
-        assert np.array_equal(ids2, ids)
-        assert np.array_equal(counts2, counts)
-        assert counts2.dtype == order2.dtype == np.int32
+    for name in ("ids", "widths", "offsets", "counts"):
+        assert np.array_equal(getattr(gathered, name), getattr(named, name))
+    assert gathered.counts.dtype == gathered.order.dtype == np.int32
+    assert len(gathered.order) == len(gathered.counts)
     assert np.array_equal(dense_ranks(gathered), dense_ranks(named))
     schema = index.table.schema
     expected = rules_from_subset_lattices(
@@ -129,9 +126,10 @@ def widths_of(index):
 
 def test_no_rows_gather_nothing(index, kernel):
     sources, _ = mip_sources(index, np.zeros(0, dtype=np.intp))
-    assert kernel.count_subset_lattice(
+    cells = kernel.count_subset_lattice(
         sources, table=index.subset_table, rows=[]
-    ) == []
+    )
+    assert len(cells) == 0 and len(cells.counts) == 0
     assert not len(assert_same_lattices(index, kernel, []))
 
 

@@ -81,7 +81,11 @@ of the benchmark run through the benchmark's own ``run_once`` (seed 1,
 ``benchmarks/e2e/test_e2e.py`` does, so the picks are a pure function of
 the inputs; records ``result_digest``, the rule count, the plan shares and
 every op's ``(rules, hash, plan family)``.  ``same-answers`` lists the ops
-whose family moved and exits 1 if a digest or a rule count differs.
+whose family moved and exits 1 if a digest, a rule count or an op's plan
+family differs; plan shares that move while no op changed family are
+reported as cached-vs-planned timing (a request racing the cache is a
+cached serve in one run and a planned miss in the other), not as a pick
+change.
 
 ``weights`` — whether a calibration change moved the fit or the picks:
 ``--runs`` times (alternating the two checkouts, and which goes first,
@@ -494,13 +498,29 @@ def same_answers(path_a: str, path_b: str) -> int:
                 and ra["n_rules"] == rb["n_rules"])
         print(f"{key}: digest {'==' if same else 'DIFFERS'}, "
               f"{ra['n_rules']} vs {rb['n_rules']} rules, shares "
-              f"{'==' if ra['shares'] == rb['shares'] else 'differ'}, "
+              f"{_share_verdict(ra['shares'], rb['shares'], moved)}, "
               f"failed {ra['failed']}/{rb['failed']}, "
               f"{len(moved)} of {len(ra['per_op'])} ops changed plan family"
               + (f": ops {moved[:20]}" if moved else ""))
-        if not same or ra["failed"] or rb["failed"]:
+        if not same or moved or ra["failed"] or rb["failed"]:
             status = 1
     return status
+
+
+def _share_verdict(a: dict, b: dict, moved: list) -> str:
+    """How two runs' plan shares compare.  With no op changing plan
+    family, a share that moves is a request that raced the cache — a
+    cached serve (counted SS-VS) in one run, a planned miss in the other
+    — so the delta is timing, not a pick change."""
+    if a == b:
+        return "=="
+    delta = ", ".join(
+        f"{k.removeprefix('plans.share.')} {b.get(k, 0.0) - a.get(k, 0.0):+.5f}"
+        for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)
+    )
+    if moved:
+        return f"differ ({delta})"
+    return f"differ by cached-vs-planned timing only ({delta})"
 
 
 # -- weights ------------------------------------------------------------------

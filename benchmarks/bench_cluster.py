@@ -7,8 +7,8 @@ over distinct focal regions of a wide synthetic table, served two ways —
   in-process (the pre-cluster architecture): its one engine thread
   runs every miss, so one core mines at a time;
 * **cluster** — ``W = 4`` worker processes over one published
-  ``compress=False`` snapshot, each mmap-mapping the same archive and
-  owning a consistent-hash slice of the focal-key space.
+  ``compress=False`` snapshot, each mmap-mapping the same archive; each
+  miss goes to the least-loaded worker.
 
 Every response in both runs is asserted **byte-identical** to a cold
 serial reference before any number is reported.  Two gates (enforced by
@@ -143,12 +143,7 @@ def run_bench(seed: int = 23) -> dict:
     # The cluster: publish one snapshot, fan out W mmap-shared workers.
     async def cluster_burst():
         with tempfile.TemporaryDirectory() as tmp:
-            config = ClusterConfig(
-                workers=WORKERS,
-                serving=ServingConfig(
-                    max_pending=len(requests) + 1,
-                ),
-            )
+            config = ClusterConfig(workers=WORKERS)
             async with ClusterService(engine, Path(tmp), config) as cluster:
                 info = read_epoch(tmp)
                 snapshot_bytes = info.snapshot_path(Path(tmp)).stat().st_size
@@ -195,12 +190,7 @@ def run_bench(seed: int = 23) -> dict:
             "identical": n_cluster_identical,
             "routing": snap["routing"],
             "per_worker": [
-                {
-                    "worker": s["worker"],
-                    "served": s.get("served", 0),
-                    "p50_ms": s.get("p50_s", 0.0) * 1e3,
-                    "p99_ms": s.get("p99_s", 0.0) * 1e3,
-                }
+                {"worker": s["worker"], "served": s["served"]}
                 for s in worker_stats
             ],
         },
@@ -272,8 +262,9 @@ def test_cluster_gate():
         f"cluster: only {out['cluster']['identical']}/{out['n_requests']} "
         "responses byte-identical to the cold serial reference"
     )
-    # Every worker took a share of the stream (the ring cannot starve
-    # one with 24+ distinct focal keys at 96 virtual nodes per worker).
+    # Every worker took a share of the stream (a burst of concurrent
+    # misses keeps every worker loaded, and least-loaded placement
+    # starves none).
     assert all(n > 0 for n in out["cluster"]["routing"].values()), (
         f"a worker served nothing: {out['cluster']['routing']}"
     )

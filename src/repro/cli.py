@@ -98,16 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_serving_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker service processes; > 1 spawns the "
-                            "mmap-shared cluster with focal-key home "
-                            "plus load placement (default 1: single "
+                       help="worker processes; > 1 spawns the "
+                            "mmap-shared cluster, misses placed on the "
+                            "least-loaded worker (default 1: single "
                             "in-process service)")
         p.add_argument("--cluster-dir", default=None,
                        help="snapshot directory for the cluster's epoch "
                             "publishes (default: a temporary directory)")
         p.add_argument("--max-pending", type=int, default=64,
-                       help="bound on queued cache misses per service; "
-                            "past it a request is shed (default 64)")
+                       help="bound on queued cache misses of the "
+                            "single-process service (--workers 1); past "
+                            "it a request is shed (default 64)")
         p.add_argument("--no-cache", action="store_true",
                        help="serve without the materialized rule cache")
 
@@ -306,24 +307,15 @@ def _serving_config(args: argparse.Namespace):
     return ServingConfig(max_pending=args.max_pending)
 
 
-def _cluster_config(args: argparse.Namespace):
-    from repro.cluster import ClusterConfig
-
-    return ClusterConfig(
-        workers=args.workers,
-        serving=_serving_config(args),
-    )
-
-
 def _make_cluster(engine: Colarm, args: argparse.Namespace):
     """The cluster behind ``--workers N`` plus the context keeping its
     snapshot directory alive (a no-op context for an explicit dir)."""
     import contextlib
     import tempfile
 
-    from repro.cluster import ClusterService
+    from repro.cluster import ClusterConfig, ClusterService
 
-    config = _cluster_config(args)
+    config = ClusterConfig(workers=args.workers)
     if args.cluster_dir is not None:
         return ClusterService(engine, args.cluster_dir, config), \
             contextlib.nullcontext()
@@ -331,19 +323,18 @@ def _make_cluster(engine: Colarm, args: argparse.Namespace):
     return ClusterService(engine, tmp.name, config), tmp
 
 
-def _print_cluster_stats(cluster, worker_stats: list[dict]) -> None:
-    """Per-worker p50/p99 + routing distribution, on stderr."""
+def _print_cluster_stats(snapshot: dict, worker_stats: list[dict]) -> None:
+    """Per-worker served count, reloads and routed share, then the router
+    snapshot, on stderr."""
     import json
 
-    snapshot = cluster.snapshot()
-    routed = max(snapshot.get("routed", 0), 1)
+    routed = max(snapshot["routed"], 1)
     for stats in worker_stats:
         wid = stats["worker"]
         share = snapshot["routing"].get(str(wid), 0) / routed
         print(
-            f"worker {wid}: {stats.get('served', 0)} served, "
-            f"p50 {stats.get('p50_s', 0.0) * 1000:.1f} ms, "
-            f"p99 {stats.get('p99_s', 0.0) * 1000:.1f} ms, "
+            f"worker {wid}: {stats['served']} served, "
+            f"{stats['n_reloads']} reloads, "
             f"{share:.0%} of routed requests",
             file=sys.stderr,
         )
@@ -431,7 +422,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if pending:
                 await asyncio.gather(*pending)
             if cluster_mode:
-                _print_cluster_stats(service, await service.worker_stats())
+                stats = await service.worker_stats()
+                _print_cluster_stats(service.snapshot(), stats)
         if not cluster_mode:
             print(json.dumps(service.snapshot()), file=sys.stderr)
         if directory is not None:
@@ -479,9 +471,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             if directory is not None:
                 with directory:
                     pass
-            return results, snapshot, stats, cluster
+            return results, snapshot, stats
 
-        results, snapshot, worker_stats, cluster = asyncio.run(run_cluster())
+        results, snapshot, worker_stats = asyncio.run(run_cluster())
         n_failed = 0
         for i, res in enumerate(results, start=1):
             if isinstance(res, (ServiceError, QueryError)):
@@ -496,7 +488,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 )
                 for rule in res.rules[: args.limit]:
                     print("      " + rule.render(engine.schema))
-        _print_cluster_stats(cluster, worker_stats)
+        _print_cluster_stats(snapshot, worker_stats)
         print(json.dumps(snapshot, indent=2))
         return 1 if n_failed == len(results) else 0
 

@@ -1,32 +1,28 @@
-"""Multi-process serving cluster: mmap-shared workers, focal-key routing.
+"""Multi-process serving cluster: mmap-shared workers behind one router.
 
 One :class:`~repro.serving.QueryService` scales until its engine thread
 saturates a core; this module takes the system past one process.  An
-asyncio **router** fronts ``W`` worker *processes*, each running its own
-service + engine over the *same* snapshot opened with
-``load_index(mmap_mode="r")`` — the table's cell matrix and the packed
-kernel matrices are file-backed pages
-every worker on the box shares, so worker ``i`` pays private RSS only
-for its optimizer state and the per-record tidset integers.
+asyncio **router** fronts ``W`` worker *processes*.  Each worker is one
+synchronous loop over its pipe — receive a request, execute it, send the
+answer — over the *same* snapshot opened with
+``load_index(mmap_mode="r")``: the table's cell matrix and the packed
+kernel matrices are file-backed pages every worker on the box shares,
+so worker ``i`` pays private RSS only for its optimizer state and the
+per-record tidset integers.
 
-The cluster's one rule cache is the writer engine's, and it lives in the
-router: a repeat is served from it inline, before any routing, so it
+The router is the cluster's one service.  Its rule cache is the writer
+engine's: a repeat is served from it inline, before any routing, so it
 crosses no pipe and is never pickled.  Workers keep no cache; only a
 miss reaches one, and its answer fills the router's cache.
 
 Three protocols make the split safe:
 
-* **Home-plus-load placement.**  A :class:`HashRing` over the canonical
-  focal key (:func:`repro.core.query.canonical_focal_key`) — the same
-  identity the rule cache and request coalescing already share — names
-  each miss's *home* worker.  The miss goes home when an identical
-  request is in flight there (it coalesces onto that execution) or when
-  no live worker has strictly fewer routed requests in flight; otherwise
-  it goes to the least-loaded worker — consistent hashing with bounded
-  loads at the tightest bound.  Sequential traffic always goes home.
-  Membership is fixed at :meth:`ClusterService.start`; a retired worker
-  remaps only the keys adjacent to its ring points (~``1/W`` of the key
-  space).
+* **Least-loaded placement, coalescing at the router.**  A miss goes to
+  the live worker with the fewest routed requests in flight, the lowest
+  id on a tie.  A miss identical to one in flight — the same
+  :func:`~repro.serving.request_key` and epoch stamp, both with
+  ``use_cache`` — is not routed at all: it awaits that miss's answer,
+  so N concurrent identical misses cost one execution.
 
 * **Epoch publish.**  Exactly one writer (the router's engine, driven
   by one writer thread) owns the delta store.
@@ -36,27 +32,28 @@ Three protocols make the split safe:
   reader either sees the old epoch or the complete new one, never a torn
   snapshot.  Every request is stamped with the minimum epoch it is
   allowed to be served at; a worker that is behind reloads *before*
-  executing, so a serve at a stale generation is impossible by
-  construction.  The router's cache is stamped with the writer's
-  generation, which equals the published one right after a publish: an
-  answer a worker served at an older epoch is never inserted, and the
-  publish's fold empties the cache.
+  executing it, between two messages, so a serve at a stale generation
+  or across two snapshots is impossible by construction.  The worker
+  maps the new epoch before it drops the old one: a reload that fails
+  leaves it serving, and the request that asked for the new epoch gets
+  the failure as its answer.  The router's cache is stamped with the
+  writer's generation, which equals the published one right after a
+  publish: an answer a worker served at an older epoch is never
+  inserted, and the publish's fold empties the cache.
 
 * **Crash respawn.**  The router's event loop watches every worker
   pipe (``loop.add_reader``) and sees EOF when a worker dies; an
   unexpected death respawns the worker (bounded by
   ``max_respawns``) and re-sends its in-flight requests — executions are
   deterministic, so the retried responses are byte-identical.  A worker
-  past its respawn budget, or whose respawn fails, is removed from the
-  ring and its in-flight requests re-route to the survivors.
+  past its respawn budget, or whose respawn fails, is retired and its
+  in-flight requests are placed again on the survivors.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 import gc
-import hashlib
 import itertools
 import json
 import multiprocessing as mp
@@ -64,13 +61,13 @@ import os
 import select
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.engine import Colarm, QueryOutcome, rule_family
 from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, plan_from_name
-from repro.core.query import LocalizedQuery, canonical_focal_key
+from repro.core.query import LocalizedQuery
 from repro.errors import (
     DataError,
     QueryError,
@@ -78,20 +75,15 @@ from repro.errors import (
     ServiceError,
 )
 from repro.itemsets.rules import RuleBlock
-from repro.serving import (
-    QueryService,
-    RequestTrace,
-    ServingConfig,
-    coalescing_fields,
-)
+from repro.serving import RequestTrace, request_key
 
 __all__ = [
-    "HashRing",
     "ClusterConfig",
     "ClusterResponse",
     "ClusterService",
     "EpochInfo",
     "EpochPublisher",
+    "open_epoch",
     "read_epoch",
     "private_rss_kb",
 ]
@@ -101,92 +93,6 @@ EPOCH_FILE = "EPOCH.json"
 #: Published snapshots kept on disk: the current epoch and the one before
 #: it, which a worker still mid-reload may hold open.
 KEEP_SNAPSHOTS = 2
-
-
-# -- consistent hashing ------------------------------------------------------
-
-
-def _point(data: bytes) -> int:
-    """A stable 64-bit ring coordinate.
-
-    ``hash()`` is salted per process, so it cannot place the same key at
-    the same coordinate in the router and in a test harness — blake2b
-    gives process-independent placement for free.
-    """
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8).digest(), "big"
-    )
-
-
-class HashRing:
-    """A consistent-hash ring of integer worker ids.
-
-    Each worker owns ``replicas`` pseudo-random points on a 64-bit
-    circle; a key routes to the owner of the first point clockwise from
-    the key's own coordinate.  Adding or removing a worker moves only
-    the keys adjacent to that worker's points — everything else keeps
-    its route, so misses of one key keep meeting on one worker through
-    membership changes.
-    """
-
-    def __init__(self, replicas: int = 96):
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self._hashes: list[int] = []       # sorted ring coordinates
-        self._owners: list[int] = []       # worker id at the same slot
-        self._workers: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._workers)
-
-    def __contains__(self, worker_id: int) -> bool:
-        return worker_id in self._workers
-
-    @property
-    def workers(self) -> tuple[int, ...]:
-        return tuple(sorted(self._workers))
-
-    def _points(self, worker_id: int) -> list[int]:
-        return [
-            _point(f"worker-{worker_id}:{r}".encode())
-            for r in range(self.replicas)
-        ]
-
-    def add(self, worker_id: int) -> None:
-        if worker_id in self._workers:
-            raise ValueError(f"worker {worker_id} already on the ring")
-        for h in self._points(worker_id):
-            at = bisect.bisect_left(self._hashes, h)
-            self._hashes.insert(at, h)
-            self._owners.insert(at, worker_id)
-        self._workers.add(worker_id)
-
-    def remove(self, worker_id: int) -> None:
-        if worker_id not in self._workers:
-            raise ValueError(f"worker {worker_id} not on the ring")
-        keep = [
-            (h, w)
-            for h, w in zip(self._hashes, self._owners)
-            if w != worker_id
-        ]
-        self._hashes = [h for h, _ in keep]
-        self._owners = [w for _, w in keep]
-        self._workers.discard(worker_id)
-
-    def route(self, key: bytes) -> int:
-        """The worker owning ``key``; raises when the ring is empty."""
-        if not self._hashes:
-            raise ServiceError("hash ring is empty — no workers")
-        at = bisect.bisect_right(self._hashes, _point(key))
-        if at == len(self._hashes):
-            at = 0
-        return self._owners[at]
-
-
-def _focal_key_bytes(q: LocalizedQuery, cardinalities) -> bytes:
-    """The routing identity: the canonical focal key, stably encoded."""
-    return repr(canonical_focal_key(q.range_selections, cardinalities)).encode()
 
 
 # -- epoch publishing --------------------------------------------------------
@@ -206,13 +112,7 @@ class EpochInfo:
         return Path(directory) / self.snapshot
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "snapshot": self.snapshot,
-            "generation": self.generation,
-            "n_records": self.n_records,
-            "expand": self.expand,
-        }
+        return asdict(self)
 
 
 def read_epoch(directory: str | Path) -> EpochInfo | None:
@@ -272,19 +172,12 @@ class EpochPublisher:
         epoch = self.epoch + 1
         self.directory.mkdir(parents=True, exist_ok=True)
         snapshot = f"snapshot-{epoch:06d}.colarm.npz"
-        save_index(
-            index,
-            self.directory / snapshot,
-            weights=self.engine.optimizer.weights,
-            compress=False,
-        )
-        info = EpochInfo(
-            epoch=epoch,
-            snapshot=snapshot,
-            generation=index.generation,
-            n_records=index.table.n_records,
-            expand=self.engine.expand,
-        )
+        save_index(index, self.directory / snapshot,
+                   weights=self.engine.optimizer.weights, compress=False)
+        info = EpochInfo(epoch=epoch, snapshot=snapshot,
+                         generation=index.generation,
+                         n_records=index.table.n_records,
+                         expand=self.engine.expand)
         tmp = self.directory / (EPOCH_FILE + ".tmp")
         tmp.write_text(json.dumps(info.as_dict()))
         os.replace(tmp, self.directory / EPOCH_FILE)
@@ -323,7 +216,6 @@ class ClusterConfig:
     """
 
     workers: int = 2                 #: worker processes to spawn
-    serving: ServingConfig = field(default_factory=ServingConfig)
     max_respawns: int = 2            #: crash respawns per worker slot
     ready_timeout_s: float = 120.0   #: worker must load within this bound
 
@@ -396,184 +288,39 @@ def _trim_heap() -> None:
 # -- the worker process ------------------------------------------------------
 
 
-class _WorkerRuntime:
-    """Everything one worker process keeps between requests."""
+def open_epoch(directory: Path, min_epoch: int = 1) -> tuple[EpochInfo, Colarm]:
+    """Open the published epoch: mmap its snapshot, serve it cacheless.
 
-    def __init__(self, worker_id: int, directory: Path,
-                 config: ClusterConfig):
-        self.worker_id = worker_id
-        self.directory = directory
-        self.config = config
-        self.epoch = 0
-        self.generation = 0
-        self.baseline_rss_kb = private_rss_kb()
-        self.n_reloads = 0
-        self.engine: Colarm | None = None
-        self.service: QueryService | None = None
-        self._reload_lock = asyncio.Lock()
-
-    def _load(self, info: EpochInfo) -> None:
-        """Open one published epoch: mmap the snapshot, serve it cacheless.
-
-        ``verify="stored"`` because the snapshot came from this cluster's
-        own writer: tidsets are still cross-checked bit-for-bit against
-        the archive's kernel matrices, but no miner runs — the mining
-        heap watermark would otherwise dominate the worker's unique RSS
-        and defeat the point of sharing the index via mmap.  No rule
-        cache: repeats are served by the router's, before they route.
-        """
-        index, weights = load_index(
-            info.snapshot_path(self.directory), mmap_mode="r",
-            verify="stored",
+    Raises ``DataError`` when no epoch at or past ``min_epoch`` is
+    published in ``directory``, or its snapshot cannot be read.
+    ``verify="stored"`` because the snapshot came from this cluster's
+    own writer: tidsets are still cross-checked bit-for-bit against the
+    archive's kernel matrices, but no miner runs — the mining heap
+    watermark would otherwise dominate the worker's unique RSS and
+    defeat the point of sharing the index via mmap.  No rule cache:
+    repeats are served by the router's, before they route.
+    """
+    info = read_epoch(directory)
+    if info is None or info.epoch < min_epoch:
+        raise DataError(
+            f"epoch {min_epoch} required but "
+            f"{info.epoch if info else None} published in {directory}"
         )
-        # Continue the published generation lineage: stamps issued here
-        # are comparable with every other worker's and the writer's.
-        index.clock.base = info.generation - index.generation
-        self.engine = Colarm.from_index(index, weights=weights,
-                                        expand=info.expand)
-        self.service = QueryService(self.engine, self.config.serving)
-        self.epoch = info.epoch
-        self.generation = info.generation
-        _trim_heap()
-
-    def load_current(self) -> None:
-        info = read_epoch(self.directory)
-        if info is None:
-            raise DataError(
-                f"worker {self.worker_id}: no published epoch in "
-                f"{self.directory}"
-            )
-        self._load(info)
-
-    async def ensure_epoch(self, min_epoch: int) -> None:
-        """Hot-swap to a newer epoch between requests.
-
-        Drains the current service first, so in-flight executions finish
-        against the snapshot they started on; only then does the worker
-        re-point at the new snapshot — a request can never observe half
-        of each.
-        """
-        if self.epoch >= min_epoch:
-            return
-        async with self._reload_lock:
-            if self.epoch >= min_epoch:
-                return
-            info = read_epoch(self.directory)
-            if info is None or info.epoch < min_epoch:
-                raise DataError(
-                    f"worker {self.worker_id}: epoch {min_epoch} required "
-                    f"but {info.epoch if info else None} published"
-                )
-            await self.service.stop(drain=True)
-            self._load(info)
-            await self.service.start()
-            self.n_reloads += 1
-
-    def rss(self) -> dict:
-        current = private_rss_kb()
-        unique = (
-            current - self.baseline_rss_kb
-            if current is not None and self.baseline_rss_kb is not None
-            else None
-        )
-        return {
-            "worker": self.worker_id,
-            "baseline_kb": self.baseline_rss_kb,
-            "private_kb": current,
-            "unique_kb": unique,
-        }
-
-    def stats(self) -> dict:
-        snap = self.service.snapshot() if self.service is not None else {}
-        snap.update(
-            worker=self.worker_id,
-            epoch=self.epoch,
-            generation=self.generation,
-            n_reloads=self.n_reloads,
-        )
-        return snap
+    index, weights = load_index(
+        info.snapshot_path(directory), mmap_mode="r", verify="stored"
+    )
+    # Continue the published generation lineage: stamps issued here are
+    # comparable with every other worker's and the writer's.
+    index.clock.base = info.generation - index.generation
+    return info, Colarm.from_index(index, weights=weights, expand=info.expand)
 
 
-async def _worker_loop(worker_id: int, conn, directory: Path,
-                       config: ClusterConfig) -> None:
-    runtime = _WorkerRuntime(worker_id, directory, config)
-    runtime.load_current()
-    await runtime.service.start()
-    loop = asyncio.get_running_loop()
-    tasks: set[asyncio.Task] = set()
-    stopped = loop.create_future()
-    conn.send(("ready", worker_id, runtime.epoch, runtime.generation,
-               runtime.rss()))
+def _worker_main(worker_id: int, conn, directory: str) -> None:
+    """One worker process: a synchronous loop over its pipe.
 
-    async def serve(req_id: int, query: LocalizedQuery, plan_name,
-                    use_cache: bool, min_epoch: int) -> None:
-        try:
-            await runtime.ensure_epoch(min_epoch)
-            plan = plan_from_name(plan_name) if plan_name else None
-            try:
-                served = await runtime.service.submit(
-                    query, plan=plan, use_cache=use_cache
-                )
-            except ServiceClosedError:
-                # Lost the race with a hot-swap: the drain closed the old
-                # service under us.  Wait the swap out, run on the new one.
-                async with runtime._reload_lock:
-                    pass
-                served = await runtime.service.submit(
-                    query, plan=plan, use_cache=use_cache
-                )
-            conn.send(("ok", req_id, {
-                "rules": served.rules,
-                "plan": served.plan,
-                "dq_size": served.outcome.dq_size,
-                "trace": served.trace.as_dict(),
-                "worker": worker_id,
-                "epoch": runtime.epoch,
-                "generation": runtime.generation,
-            }))
-        except Exception as exc:  # noqa: BLE001 — the router re-raises it
-            conn.send(("err", req_id, exc))
-
-    def spawn(coro) -> None:
-        task = asyncio.ensure_future(coro)
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    def on_readable() -> None:
-        """One message per wake-up, read on the loop thread: the pipe is
-        watched by the loop's selector, so a request reaches ``serve``
-        without a thread hand-off."""
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            msg = ("stop",)
-        tag = msg[0]
-        if tag == "query":
-            spawn(serve(*msg[1:]))
-        elif tag == "reload":
-            spawn(runtime.ensure_epoch(msg[1]))
-        elif tag == "stats":
-            conn.send(("stats", msg[1], runtime.stats()))
-        elif tag == "rss":
-            conn.send(("rss", msg[1], runtime.rss()))
-        elif tag == "stop":
-            loop.remove_reader(conn.fileno())
-            stopped.set_result(None)
-        else:  # pragma: no cover — protocol drift guard
-            conn.send(("err", None, ServiceError(f"unknown message {tag!r}")))
-
-    loop.add_reader(conn.fileno(), on_readable)
-    await stopped
-    if tasks:
-        await asyncio.gather(*tasks, return_exceptions=True)
-    if runtime.service is not None:
-        await runtime.service.stop(drain=True)
-    conn.send(("bye", worker_id))
-    conn.close()
-
-
-def _worker_main(worker_id: int, conn, directory: str,
-                 config: ClusterConfig) -> None:
+    Messages are handled one at a time, in arrival order — a reload
+    runs between two requests, so none observes half of each snapshot.
+    """
     # Under the fork start method the child inherits the parent's whole
     # heap copy-on-write — including the writer engine's tidsets.  Freeze
     # those inherited objects so the cyclic collector never traverses
@@ -581,10 +328,79 @@ def _worker_main(worker_id: int, conn, directory: str,
     # the worker's own index arrives as a read-only mmap of the snapshot.
     gc.collect()
     gc.freeze()
-    try:
-        asyncio.run(_worker_loop(worker_id, conn, Path(directory), config))
-    except KeyboardInterrupt:  # pragma: no cover
-        pass
+    directory = Path(directory)
+    baseline_kb = private_rss_kb()
+    info, engine = open_epoch(directory)
+    _trim_heap()
+    n_served = n_reloads = 0
+
+    def ensure_epoch(min_epoch: int) -> None:
+        nonlocal info, engine, n_reloads
+        if info.epoch < min_epoch:
+            # Mapped before the old epoch is dropped: if the open raises,
+            # this worker still serves the epoch it had.
+            info, engine = open_epoch(directory, min_epoch)
+            n_reloads += 1
+            _trim_heap()
+
+    conn.send(("ready", worker_id))
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return  # the router is gone: nobody to answer
+        tag = msg[0]
+        if tag == "query":
+            _, req_id, q, plan_name, use_cache, min_epoch = msg
+            try:
+                ensure_epoch(min_epoch)
+                t0 = time.monotonic()
+                outcome = engine.serve_fresh(
+                    q, plan_from_name(plan_name) if plan_name else None,
+                    use_cache,
+                )
+                total_s = time.monotonic() - t0
+                n_served += 1
+                reply = ("ok", req_id, {
+                    "rules": outcome.rules,
+                    "plan": outcome.plan,
+                    "dq_size": outcome.dq_size,
+                    "trace": RequestTrace(
+                        execute_s=total_s, total_s=total_s,
+                        plan=outcome.plan, generation=info.generation,
+                    ).as_dict(),
+                    "worker": worker_id,
+                    "epoch": info.epoch,
+                    "generation": info.generation,
+                })
+            except Exception as exc:  # noqa: BLE001 — the router re-raises it
+                reply = ("err", req_id, exc)
+            conn.send(reply)
+        elif tag == "reload":
+            try:
+                ensure_epoch(msg[1])
+            except Exception:  # noqa: BLE001
+                pass  # the first request stamped with it retries, and reports
+        elif tag == "stats":
+            conn.send(("stats", msg[1], {
+                "worker": worker_id, "epoch": info.epoch,
+                "generation": info.generation, "served": n_served,
+                "n_reloads": n_reloads,
+            }))
+        elif tag == "rss":
+            current = private_rss_kb()
+            conn.send(("rss", msg[1], {
+                "worker": worker_id, "baseline_kb": baseline_kb,
+                "private_kb": current,
+                "unique_kb": (
+                    None if current is None or baseline_kb is None
+                    else current - baseline_kb
+                ),
+            }))
+        elif tag == "stop":
+            conn.send(("bye", worker_id))
+            conn.close()
+            return
 
 
 # -- the router --------------------------------------------------------------
@@ -600,19 +416,17 @@ class _WorkerHandle:
         self.ready: asyncio.Future | None = None
         self.stopping = False
         self.respawns = 0
-        self.rss: dict | None = None
 
 
 class _Pending:
     """One request the router has sent but not yet resolved."""
 
-    __slots__ = ("future", "worker", "message", "key")
+    __slots__ = ("future", "worker", "message")
 
-    def __init__(self, future, worker, message, key):
+    def __init__(self, future, worker, message):
         self.future = future
         self.worker = worker
         self.message = message
-        self.key = key
 
 
 class ClusterService:
@@ -629,10 +443,11 @@ class ClusterService:
         self.engine = engine
         self.directory = Path(directory)
         self.config = config or ClusterConfig()
-        self.ring = HashRing()
         self.publisher = EpochPublisher(engine, self.directory)
         self._handles: dict[int, _WorkerHandle] = {}
         self._pending: dict[int, _Pending] = {}
+        #: Coalescing identity -> the routed miss's future, while in flight.
+        self._flights: dict[tuple, asyncio.Future] = {}
         self._req_ids = itertools.count(1)
         self._min_epoch = 0
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -650,7 +465,6 @@ class ClusterService:
         self.n_crashes = 0
         self.n_respawns = 0
         self.n_rerouted = 0
-        self.n_spilled = 0
         try:
             self._mp = mp.get_context("fork")
         except ValueError:  # no fork here: the platform's default method
@@ -672,9 +486,8 @@ class ClusterService:
         await asyncio.gather(
             *(self._spawn(worker_id) for worker_id in range(self.config.workers))
         )
-        for handle in self._handles.values():
-            self.ring.add(handle.id)
-            self.route_counts.setdefault(handle.id, 0)
+        for worker_id in self._handles:
+            self.route_counts.setdefault(worker_id, 0)
         return self
 
     async def stop(self) -> None:
@@ -720,7 +533,7 @@ class ClusterService:
         parent, child = self._mp.Pipe()
         process = self._mp.Process(
             target=_worker_main,
-            args=(worker_id, child, str(self.directory), self.config),
+            args=(worker_id, child, str(self.directory)),
             name=f"colarm-worker-{worker_id}",
             daemon=True,
         )
@@ -775,10 +588,8 @@ class ClusterService:
         tag = msg[0]
         handle = self._handles.get(worker_id)
         if tag == "ready":
-            if handle is not None:
-                handle.rss = msg[4]
-                if handle.ready is not None and not handle.ready.done():
-                    handle.ready.set_result(msg)
+            if handle is not None and not handle.ready.done():
+                handle.ready.set_result(msg)
             return
         if tag == "bye":
             if handle is not None:
@@ -820,7 +631,7 @@ class ClusterService:
                     await self._loop.run_in_executor(
                         self._writer, handle.process.join, 5
                     )
-                await self._retire(handle, orphans)
+                self._retire(handle, orphans)
                 return
             for pending in orphans:
                 try:
@@ -828,27 +639,23 @@ class ClusterService:
                 except (KeyError, OSError):  # pragma: no cover
                     pass  # the new pipe died too; the next EOF re-drives
         else:
-            await self._retire(handle, orphans)
+            self._retire(handle, orphans)
 
-    async def _retire(self, handle: _WorkerHandle, orphans) -> None:
-        """Drop a worker from the ring and re-route its in-flight load."""
-        if handle.id in self.ring:
-            self.ring.remove(handle.id)
+    def _retire(self, handle: _WorkerHandle, orphans) -> None:
+        """Drop a worker and place its in-flight queries again by load."""
         self._handles.pop(handle.id, None)
         for pending in orphans:
-            if pending.key is None or len(self.ring) == 0:
+            if pending.message[0] != "query" or not self._handles:
                 if not pending.future.done():
                     pending.future.set_exception(ServiceError(
                         f"worker {handle.id} died with no successor"
                     ))
                 self._pending.pop(pending.message[1], None)
                 continue
-            _, _, q, plan, use_cache, _ = pending.message
-            new_worker = self._place(pending.key, q, plan, use_cache)
-            pending.worker = new_worker
+            pending.worker = self._place()
             self.n_rerouted += 1
             try:
-                self._post(new_worker, pending.message)
+                self._post(pending.worker, pending.message)
             except (KeyError, OSError):  # pragma: no cover
                 pass  # the successor's EOF handler will re-drive it
 
@@ -857,43 +664,23 @@ class ClusterService:
     def _outstanding(self) -> dict[int, int]:
         """Each live worker's load: its routed ``"query"`` messages still
         in ``_pending``."""
-        load = dict.fromkeys(self.ring.workers, 0)
+        load = dict.fromkeys(self.workers, 0)
         for pending in self._pending.values():
             if pending.message[0] == "query" and pending.worker in load:
                 load[pending.worker] += 1
         return load
 
-    def _place(self, key: bytes, q: LocalizedQuery, plan: str | None,
-               use_cache: bool) -> int:
-        """The worker a routed request goes to.
-
-        Its ring home when a request with the same coalescing identity
-        (focal key plus :func:`~repro.serving.coalescing_fields`; every
-        worker runs the same engine mode) is in flight there, both with
-        ``use_cache``, so the worker's service joins them; or when no live
-        worker has strictly fewer requests in flight.  Else the
-        least-loaded live worker, the lowest id on a tie.
-        """
-        home = self.ring.route(key)
-        if use_cache:
-            fields = coalescing_fields(q, plan)
-            if any(
-                p.key == key and p.worker == home and p.message[4]
-                and coalescing_fields(p.message[2], p.message[3]) == fields
-                for p in self._pending.values()
-            ):
-                return home
+    def _place(self) -> int:
+        """The worker a routed request goes to: the least-loaded live
+        one, the lowest id on a tie."""
         load = self._outstanding()
-        idle = min(load, key=lambda w: (load[w], w))
-        if load[idle] < load[home]:
-            self.n_spilled += 1
-            return idle
-        return home
+        if not load:
+            raise ServiceError("no live workers")
+        return min(load, key=lambda w: (load[w], w))
 
-    def _send(self, worker_id: int, message: tuple, key: bytes | None):
-        req_id = message[1]
+    def _send(self, worker_id: int, message: tuple) -> asyncio.Future:
         future = self._loop.create_future()
-        self._pending[req_id] = _Pending(future, worker_id, message, key)
+        self._pending[message[1]] = _Pending(future, worker_id, message)
         try:
             self._post(worker_id, message)
         except (KeyError, OSError):
@@ -907,12 +694,14 @@ class ClusterService:
         use_cache: bool = True,
     ) -> ClusterResponse:
         """Answer one request: from the router's cache when it holds the
-        answer, else from the worker :meth:`_place` picks.
+        answer, else from the miss in flight with the same identity, else
+        from the worker :meth:`_place` picks.
 
         Raises the :class:`~repro.errors.QueryError` of a request that
         does not parse or validate.  A routed answer the worker served at
         the epoch the router stamps fills the cache for the next repeat;
-        ``use_cache=False`` neither consults nor fills it.
+        ``use_cache=False`` neither consults nor fills it, and neither
+        joins another miss nor is joined.
         """
         if self._closed:
             raise ServiceClosedError("cluster is stopped")
@@ -930,13 +719,24 @@ class ClusterService:
             outcome = engine.serve_cached(q, kind)
             if outcome is not None:
                 return self._served_by_router(outcome, generation, t_submit)
-        key = _focal_key_bytes(q, engine.index.cardinalities)
-        plan_name = None if kind is None else kind.value
-        worker_id = self._place(key, q, plan_name, use_cache)
+        min_epoch = self._min_epoch
+        key = (request_key(engine, q, kind), min_epoch) if use_cache else None
+        flight = self._flights.get(key) if key is not None else None
+        if flight is not None:
+            # Shielded: a joiner that gives up must not cancel the answer
+            # the others await.
+            payload = await asyncio.shield(flight)
+            return self._response(payload, leader=False)
+        worker_id = self._place()
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
-        req_id = next(self._req_ids)
-        message = ("query", req_id, q, plan_name, use_cache, self._min_epoch)
-        payload = await self._send(worker_id, message, key)
+        flight = self._send(worker_id, (
+            "query", next(self._req_ids), q,
+            None if kind is None else kind.value, use_cache, min_epoch,
+        ))
+        if key is not None:
+            self._flights[key] = flight
+            flight.add_done_callback(lambda _: self._flights.pop(key, None))
+        payload = await asyncio.shield(flight)
         if cache is not None and payload["epoch"] == self._min_epoch:
             # Refused if the writer has mutated past the served generation.
             cache.put_rules(
@@ -944,14 +744,18 @@ class ClusterService:
                 family=rule_family(payload["plan"]),
                 generation=payload["generation"],
             )
+        return self._response(payload, leader=True)
+
+    @staticmethod
+    def _response(payload: dict, leader: bool) -> ClusterResponse:
+        """A worker's answer, to the request that routed it or one that
+        joined it (``trace["leader"]`` tells them apart)."""
+        trace = payload["trace"]
         return ClusterResponse(
-            rules=payload["rules"],
-            plan=payload["plan"],
-            cached=False,
-            worker=payload["worker"],
-            epoch=payload["epoch"],
+            rules=payload["rules"], plan=payload["plan"], cached=False,
+            worker=payload["worker"], epoch=payload["epoch"],
             generation=payload["generation"],
-            trace=payload["trace"],
+            trace=trace if leader else dict(trace, leader=False),
         )
 
     def _served_by_router(
@@ -987,18 +791,16 @@ class ClusterService:
         point of the epoch-publish protocol.  Returns the writer's new
         generation.
         """
-        if self._closed:
-            raise ServiceClosedError("cluster is stopped")
-        generation = await self._run_writer(self.engine.append, records)
-        if publish:
-            await self.publish()
-        return generation
+        return await self._mutate(self.engine.append, records, publish)
 
     async def remove(self, tids, publish: bool = True) -> int:
         """Delete records by tid through the writer's delta store."""
+        return await self._mutate(self.engine.delete, tids, publish)
+
+    async def _mutate(self, fn, arg, publish: bool) -> int:
         if self._closed:
             raise ServiceClosedError("cluster is stopped")
-        generation = await self._run_writer(self.engine.delete, tids)
+        generation = await self._run_writer(fn, arg)
         if publish:
             await self.publish()
         return generation
@@ -1028,35 +830,29 @@ class ClusterService:
 
     @property
     def workers(self) -> tuple[int, ...]:
-        return self.ring.workers
+        """The live worker ids, ascending."""
+        return tuple(sorted(self._handles))
 
     async def worker_stats(self) -> list[dict]:
-        """Per-worker service snapshots (p50/p99, epoch, reload count)."""
-        futures = []
-        for worker_id in self.workers:
-            req_id = next(self._req_ids)
-            futures.append(
-                self._send(worker_id, ("stats", req_id), None)
-            )
-        return list(await asyncio.gather(*futures))
+        """Per-worker counters: requests served, epoch, reload count."""
+        return await self._ask_all("stats")
 
     async def worker_rss(self) -> list[dict]:
         """Per-worker private-RSS reports (see :func:`private_rss_kb`)."""
-        futures = []
-        for worker_id in self.workers:
-            req_id = next(self._req_ids)
-            futures.append(
-                self._send(worker_id, ("rss", req_id), None)
-            )
-        return list(await asyncio.gather(*futures))
+        return await self._ask_all("rss")
+
+    async def _ask_all(self, tag: str) -> list[dict]:
+        return list(await asyncio.gather(*(
+            self._send(worker_id, (tag, next(self._req_ids)))
+            for worker_id in self.workers
+        )))
 
     def snapshot(self) -> dict:
         """Router-side counters, the router cache's ledger under
         ``"cache"`` (``None`` without a cache); per-worker detail is
         async: use :meth:`worker_stats`.
 
-        ``"routing"`` counts where each request was sent, ``"spilled"``
-        the requests placed away from their ring home, and
+        ``"routing"`` counts where each request was sent and
         ``"outstanding"`` the routed requests in flight per worker."""
         total = sum(self.route_counts.values())
         return {
@@ -1068,7 +864,6 @@ class ClusterService:
             "routing": {
                 str(w): self.route_counts.get(w, 0) for w in self.workers
             },
-            "spilled": self.n_spilled,
             "outstanding": {
                 str(w): n for w, n in self._outstanding().items()
             },

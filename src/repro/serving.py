@@ -70,6 +70,7 @@ __all__ = [
     "ServedQuery",
     "ServiceStats",
     "QueryService",
+    "request_key",
 ]
 
 
@@ -196,11 +197,18 @@ class ServiceStats:
         }
 
 
-def coalescing_fields(q: LocalizedQuery, plan) -> tuple:
-    """What coalesced requests share beside their focal key and engine:
-    item attributes, thresholds and forced plan (a :class:`PlanKind` or
-    its name, as long as both sides of a comparison use the same)."""
+def request_key(engine: Colarm, q: LocalizedQuery, plan) -> tuple:
+    """The coalescing identity of a request to ``engine``.
+
+    The focal part is the same canonical key the cache and the batch
+    executor group by; the rest pins everything else that changes the
+    answer (engine mode, item attributes, thresholds, forced plan — a
+    :class:`PlanKind` or ``None``).  The cluster router coalesces by it
+    too.
+    """
     return (
+        canonical_focal_key(q.range_selections, engine.index.cardinalities),
+        engine.expand,
         None if q.item_attributes is None else tuple(sorted(q.item_attributes)),
         q.minsupp,
         q.minconf,
@@ -378,7 +386,7 @@ class QueryService:
             if outcome is not None:
                 # A cache hit: no pricing, no queue, no thread hop.
                 return self._served_inline(outcome, t_submit)
-        key = self._request_key(q, plan) if use_cache else None
+        key = request_key(self.engine, q, plan) if use_cache else None
         waiter = self._attach(key, t_submit)
         if waiter is None:
             waiter = self._enqueue(q, plan, use_cache, key, t_submit)
@@ -405,23 +413,6 @@ class QueryService:
             # against ``max_pending`` before the first of them starts.
             asyncio.get_running_loop().call_soon(self._hand_over)
         return fut
-
-    def _request_key(
-        self, q: LocalizedQuery, plan: PlanKind | None
-    ) -> tuple:
-        """The coalescing identity of a request.
-
-        The focal part is the same canonical key the cache and the batch
-        executor group by; the rest pins everything else that changes the
-        answer (item attributes, thresholds, engine mode, forced plan).
-        """
-        return (
-            canonical_focal_key(
-                q.range_selections, self.engine.index.cardinalities
-            ),
-            self.engine.expand,
-            *coalescing_fields(q, plan),
-        )
 
     def _attach(
         self, key: tuple | None, t_submit: float

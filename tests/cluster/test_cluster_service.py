@@ -23,8 +23,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterService,
     EpochPublisher,
-    _focal_key_bytes,
-    _WorkerRuntime,
+    open_epoch,
     read_epoch,
 )
 from repro.core.engine import Colarm
@@ -32,9 +31,8 @@ from repro.core.mipindex import build_mip_index
 from repro.core.persistence import load_index
 from repro.dataset.salary import salary_dataset
 from repro.dataset.table import RelationalTable
-from repro.errors import QueryError
+from repro.errors import DataError, QueryError
 from repro.itemsets.rules import RuleBlock
-from repro.serving import ServingConfig
 
 SEATTLE = (
     "REPORT LOCALIZED ASSOCIATION RULES FROM salary "
@@ -88,20 +86,17 @@ def test_routing_is_sticky_and_byte_identical(tmp_path):
                 for q in QUERIES:
                     res = await cluster.submit(q)
                     assert res.rules == refs[q]
-                    # Identical focal keys always land on the same worker
-                    # — and on the worker the ring names, so placement is
-                    # predictable from the outside.
-                    key = _focal_key_bytes(
-                        engine.parse(q), engine.index.cardinalities
-                    )
-                    assert res.worker == cluster.ring.route(key)
+                    # Sequential traffic finds every worker idle: it lands
+                    # on the lowest id, so placement is predictable from
+                    # the outside.
+                    assert res.worker == 0
                     assert seen.setdefault(q, res.worker) == res.worker
             snap = cluster.snapshot()
             assert snap["routed"] == 9
-            assert sum(snap["routing"].values()) == 9
+            assert snap["routing"] == {"0": 9, "1": 0}
             stats = await cluster.worker_stats()
             assert sorted(s["worker"] for s in stats) == [0, 1]
-            assert sum(s["served"] for s in stats) >= 3  # coalescing may fold
+            assert [s["served"] for s in stats] == [9, 0]
 
     asyncio.run(main())
 
@@ -165,9 +160,7 @@ def test_respawn_budget_exhausted_reroutes_to_survivors(tmp_path):
     async def main():
         cfg = config(max_respawns=0)
         async with ClusterService(engine, tmp_path, cfg) as cluster:
-            victim = cluster.ring.route(_focal_key_bytes(
-                engine.parse(SEATTLE), engine.index.cardinalities
-            ))
+            victim = 0
             tasks = [
                 asyncio.ensure_future(cluster.submit(q))
                 for q in (SEATTLE, BOSTON, SEATTLE_F) * 2
@@ -177,8 +170,8 @@ def test_respawn_budget_exhausted_reroutes_to_survivors(tmp_path):
             results = await asyncio.gather(*tasks)
             for res, q in zip(results, (SEATTLE, BOSTON, SEATTLE_F) * 2):
                 assert res.rules == refs[q]
-            # The victim is off the ring; survivors own its key space.
-            await _settle(lambda: victim not in cluster.ring)
+            # The victim is retired; the survivor takes every request.
+            await _settle(lambda: victim not in cluster.workers)
             res = await cluster.submit(SEATTLE)
             assert res.rules == refs[SEATTLE]
             assert res.worker != victim
@@ -198,18 +191,12 @@ def test_a_request_the_worker_cannot_answer_raises_and_the_worker_serves_on(
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
-            def owner(q: str) -> int:
-                return cluster.ring.route(_focal_key_bytes(
-                    engine.parse(q), engine.index.cardinalities
-                ))
-
-            worker = owner(EMPTY)
-            follow = next(q for q in QUERIES if owner(q) == worker)
+            # An idle cluster places both on the lowest id: one worker.
             with pytest.raises(QueryError):
                 await cluster.submit(EMPTY)
-            res = await cluster.submit(follow)
-            assert res.worker == worker
-            assert res.rules == fresh_engine().query(follow).rules
+            res = await cluster.submit(SEATTLE)
+            assert res.worker == 0
+            assert res.rules == fresh_engine().query(SEATTLE).rules
             assert cluster.snapshot()["crashes"] == 0
 
     asyncio.run(main())
@@ -218,16 +205,14 @@ def test_a_request_the_worker_cannot_answer_raises_and_the_worker_serves_on(
 @pytest.mark.parametrize("failure", ["oserror", "ready_timeout"])
 def test_a_failed_respawn_retires_the_slot_and_reroutes(tmp_path, failure):
     """A crashed worker whose respawn fails — the fork raises, or the new
-    worker misses its ready deadline — leaves the ring, and the request
-    it held is answered by a survivor, byte-identically."""
+    worker misses its ready deadline — is retired, and the request it
+    held is answered by a survivor, byte-identically."""
     engine = fresh_engine()
     want = fresh_engine().query(SEATTLE).rules
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
-            victim = cluster.ring.route(_focal_key_bytes(
-                engine.parse(SEATTLE), engine.index.cardinalities
-            ))
+            victim = 0  # where an idle cluster places the next miss
             if failure == "oserror":
                 def spawn(worker_id):
                     raise OSError("fork failed")
@@ -246,7 +231,8 @@ def test_a_failed_respawn_retires_the_slot_and_reroutes(tmp_path, failure):
             assert res.worker != victim
             assert res.rules == want
             snap = cluster.snapshot()
-            assert victim not in cluster.ring and victim not in snap["workers"]
+            assert victim not in cluster.workers
+            assert victim not in snap["workers"]
             assert (snap["crashes"], snap["respawns"], snap["rerouted"]) == (
                 1, 1, 1
             )
@@ -350,11 +336,12 @@ def test_a_worker_loads_cacheless_and_ignores_a_legacy_cache_sidecar(
     ))
     (tmp_path / "EPOCH.json").write_text(json.dumps(legacy))
     assert read_epoch(tmp_path) == info
-    runtime = _WorkerRuntime(0, tmp_path, config())
-    runtime.load_current()
-    assert runtime.epoch == info.epoch and runtime.engine.cache is None
-    assert runtime.engine.query(SEATTLE).rules == \
+    opened, worker_engine = open_epoch(tmp_path)
+    assert opened == info and worker_engine.cache is None
+    assert worker_engine.query(SEATTLE).rules == \
         fresh_engine().query(SEATTLE).rules
+    with pytest.raises(DataError, match="epoch 2 required but 1"):
+        open_epoch(tmp_path, min_epoch=2)
 
 
 def test_ingest_remove_and_publish_run_on_one_writer_thread(tmp_path):
@@ -459,8 +446,6 @@ def test_publish_after_stop_raises(tmp_path):
 def test_a_malformed_epoch_file_is_a_data_error(tmp_path, text, reason):
     """A readable ``EPOCH.json`` that is not a complete epoch record is
     refused as a ``DataError`` naming the file, never a bare exception."""
-    from repro.errors import DataError
-
     path = tmp_path / "EPOCH.json"
     path.write_text(text)
     with pytest.raises(DataError, match="EPOCH.json") as refused:
@@ -472,20 +457,20 @@ def test_burst_larger_than_the_pipes_is_served(tmp_path):
     """The router's loop both writes requests into a worker's pipe and
     reads its answers: a burst that fills both directions must not leave
     router and worker each blocked in ``send`` waiting for the other to
-    read.  Run off-thread so a regression fails the test, not the suite."""
+    read.  ``use_cache=False``: identical misses would otherwise share
+    one routed execution.  Run off-thread so a regression fails the
+    test, not the suite."""
     engine = fresh_engine()
     reference = fresh_engine().query(SEATTLE).rules
     n_requests = 2000
     served: list = []
 
     async def main():
-        cfg = config(workers=1, serving=ServingConfig(
-            max_pending=n_requests + 1,
-        ))
-        async with ClusterService(engine, tmp_path, cfg) as cluster:
-            served.extend(await asyncio.gather(
-                *(cluster.submit(SEATTLE) for _ in range(n_requests))
-            ))
+        async with ClusterService(engine, tmp_path, config(workers=1)) as cluster:
+            served.extend(await asyncio.gather(*(
+                cluster.submit(SEATTLE, use_cache=False)
+                for _ in range(n_requests)
+            )))
 
     runner = threading.Thread(target=asyncio.run, args=(main(),), daemon=True)
     runner.start()
@@ -493,3 +478,46 @@ def test_burst_larger_than_the_pipes_is_served(tmp_path):
     assert not runner.is_alive(), "router and worker deadlocked on full pipes"
     assert len(served) == n_requests
     assert all(res.rules == reference for res in served)
+
+
+def test_a_failed_reload_keeps_serving_and_reports_to_the_caller(tmp_path):
+    """An ``EPOCH.json`` naming a missing snapshot: the reload broadcast
+    fails inside each worker, which keeps its old epoch; a request
+    stamped with the broken epoch gets the ``DataError`` as its answer;
+    a valid publish after it brings byte-identical answers back."""
+    engine = fresh_engine()
+    refs = {q: fresh_engine().query(q).rules for q in QUERIES}
+
+    async def main():
+        async with ClusterService(engine, tmp_path, config()) as cluster:
+            assert (await cluster.submit(SEATTLE)).rules == refs[SEATTLE]
+            publisher = cluster.publisher
+            real = publisher.publish
+
+            def broken():
+                info = dataclasses.replace(
+                    read_epoch(tmp_path), epoch=publisher.epoch + 1,
+                    snapshot="snapshot-missing.colarm.npz",
+                )
+                (tmp_path / "EPOCH.json").write_text(
+                    json.dumps(info.as_dict())
+                )
+                publisher.epoch = info.epoch
+                return info
+
+            publisher.publish = broken
+            await cluster.publish()
+            publisher.publish = real
+            for q in QUERIES:
+                with pytest.raises(DataError, match="snapshot-missing"):
+                    await cluster.submit(q)
+            assert cluster.snapshot()["crashes"] == 0
+            await cluster.publish()
+            for q in QUERIES:
+                res = await cluster.submit(q)
+                assert res.epoch == cluster.publisher.epoch == 3
+                assert res.rules == refs[q]
+            stats = await cluster.worker_stats()
+            assert all(s["epoch"] == 3 for s in stats)
+
+    asyncio.run(main())

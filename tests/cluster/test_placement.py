@@ -1,10 +1,13 @@
-"""Where the router sends a miss: its ring home, unless load overrules it.
+"""Where the router sends a miss, and when it sends none.
 
-``ClusterService._place`` reads each worker's load from the router's own
-``_pending`` table.  The unit tests below stub that table on a cluster
-that was never started; the live tests run real worker processes, as in
-``test_cluster_service.py``, and check every answer byte-identical to a
-fresh engine.
+``ClusterService._place`` picks the least-loaded live worker, reading
+each worker's load from the router's own ``_pending`` table; a miss
+identical to one in flight (same ``serving.request_key`` and epoch
+stamp, both with ``use_cache``) is not routed at all but awaits that
+miss's answer.  The unit tests below run on a cluster that was never
+started, with its pipes stubbed; the live tests run real worker
+processes, as in ``test_cluster_service.py``, and check every answer
+byte-identical to a fresh engine.
 """
 
 from __future__ import annotations
@@ -14,15 +17,14 @@ import dataclasses
 import itertools
 import os
 import signal
-import time
 
 import pytest
 
-from repro.cluster import ClusterService, _focal_key_bytes, _Pending
+from repro.cluster import ClusterService, _Pending, _WorkerHandle
 from repro.core.query import LocalizedQuery
-from repro.serving import QueryService
+from repro.errors import QueryError
 from tests.cluster.test_cluster_service import (
-    QUERIES,
+    BOSTON,
     SEATTLE,
     config,
     fresh_engine,
@@ -35,8 +37,7 @@ Q = LocalizedQuery({0: frozenset({0})}, minsupp=0.4, minconf=0.7)
 def idle(tmp_path):
     """A three-worker router with no processes and an empty ``_pending``."""
     cluster = ClusterService(fresh_engine(), tmp_path, config(workers=3))
-    for worker_id in range(3):
-        cluster.ring.add(worker_id)
+    cluster._handles = {w: _WorkerHandle(w) for w in range(3)}
     yield cluster
     cluster._writer.shutdown()
 
@@ -44,153 +45,213 @@ def idle(tmp_path):
 _req_ids = itertools.count(1)
 
 
-def in_flight(cluster, worker, key=b"elsewhere", q=Q, plan=None,
-              use_cache=True, tag="query"):
+def in_flight(cluster, worker, tag="query"):
     """Stub one outstanding message to ``worker`` in ``_pending``."""
     req_id = next(_req_ids)
-    if tag == "query":
-        message = ("query", req_id, q, plan, use_cache, 0)
-    else:
-        message, key = (tag, req_id), None
-    cluster._pending[req_id] = _Pending(None, worker, message, key)
-
-
-def key_at(cluster, home: int) -> bytes:
-    """A key the ring routes to ``home``."""
-    return next(
-        key for key in (f"key-{i}".encode() for i in itertools.count())
-        if cluster.ring.route(key) == home
+    message = (
+        ("query", req_id, Q, None, True, 0) if tag == "query"
+        else (tag, req_id)
     )
+    cluster._pending[req_id] = _Pending(None, worker, message)
 
 
-def test_an_idle_cluster_sends_a_request_home(idle):
-    for home in range(3):
-        assert idle._place(key_at(idle, home), Q, None, True) == home
-    assert idle.n_spilled == 0
+def posting(cluster) -> list[tuple[int, tuple]]:
+    """Route on the running loop with the pipes stubbed: every posted
+    ``(worker, message)`` lands in the returned list."""
+    cluster._loop = asyncio.get_running_loop()
+    posted: list[tuple[int, tuple]] = []
+    cluster._post = lambda worker, message: posted.append((worker, message))
+    return posted
 
 
-def test_a_busier_home_spills_to_the_least_loaded_lowest_id_first(idle):
-    key = key_at(idle, 2)
-    in_flight(idle, 2)
-    assert idle._place(key, Q, None, True) == 0      # 0 and 1 tie: lowest id
+def answer(cluster, worker, message, epoch=None) -> None:
+    """Deliver the worker answer ``message`` would get."""
+    _, req_id, q, plan, _, min_epoch = message
+    outcome = fresh_engine().query(q, plan=plan, use_cache=False)
+    cluster._on_message(worker, ("ok", req_id, {
+        "rules": outcome.rules, "plan": outcome.plan,
+        "dq_size": outcome.dq_size,
+        "trace": {"total_s": 0.0, "leader": True},
+        "worker": worker, "epoch": min_epoch if epoch is None else epoch,
+        "generation": 0,
+    }))
+
+
+def test_an_idle_cluster_sends_a_request_to_the_lowest_id(idle):
+    for _ in range(3):
+        assert idle._place() == 0
+    assert idle.snapshot()["outstanding"] == {"0": 0, "1": 0, "2": 0}
+
+
+def test_a_busier_worker_yields_to_the_least_loaded_lowest_id_first(idle):
     in_flight(idle, 0)
-    assert idle._place(key, Q, None, True) == 1      # least loaded wins
+    assert idle._place() == 1                        # 1 and 2 tie: lowest id
     in_flight(idle, 1)
-    assert idle._place(key, Q, None, True) == 2      # all level: home
-    assert idle.n_spilled == 2
-    snap = idle.snapshot()
-    assert snap["spilled"] == 2
-    assert snap["outstanding"] == {"0": 1, "1": 1, "2": 1}
-
-
-def test_an_identical_outstanding_request_keeps_the_new_one_home(idle):
-    key = key_at(idle, 1)
-    in_flight(idle, 1, key=key, plan="SS-VS")
-    in_flight(idle, 1)
-    assert idle._place(key, Q, "SS-VS", True) == 1
-    # Anything that changes the answer is another identity: it spills.
-    for q, plan in [
-        (dataclasses.replace(Q, minsupp=0.5), "SS-VS"),
-        (dataclasses.replace(Q, minconf=0.8), "SS-VS"),
-        (dataclasses.replace(Q, item_attributes=frozenset({1})), "SS-VS"),
-        (Q, None),
-    ]:
-        assert idle._place(key, q, plan, True) == 0
-    assert idle.n_spilled == 4
-
-
-def test_a_request_without_use_cache_never_joins_another(idle):
-    key = key_at(idle, 1)
-    in_flight(idle, 1, key=key)
-    assert idle._place(key, Q, None, False) == 0     # the new one lacks it
-    idle._pending.clear()
-    in_flight(idle, 1, key=key, use_cache=False)
-    assert idle._place(key, Q, None, True) == 0      # the outstanding one
-    assert idle.n_spilled == 2
+    assert idle._place() == 2
+    in_flight(idle, 2)
+    assert idle._place() == 0                        # all level: lowest id
+    in_flight(idle, 0)
+    in_flight(idle, 2)
+    assert idle._place() == 1                        # least loaded wins
+    assert idle.snapshot()["outstanding"] == {"0": 2, "1": 1, "2": 2}
 
 
 def test_stats_and_rss_messages_are_not_load(idle):
     for tag in ("stats", "rss", "stats"):
         in_flight(idle, 0, tag=tag)
-    assert idle._place(key_at(idle, 0), Q, None, True) == 0
-    assert idle.n_spilled == 0
+    assert idle._place() == 0
     assert idle.snapshot()["outstanding"] == {"0": 0, "1": 0, "2": 0}
 
 
-def _two_sharing_a_home(cluster, engine):
-    """Two distinct queries the ring sends to the same worker."""
-    homes = {}
-    for text in QUERIES:
-        home = cluster.ring.route(
-            _focal_key_bytes(engine.parse(text), engine.index.cardinalities)
+def test_an_identical_outstanding_request_is_joined_not_routed(idle):
+    """Three identical misses cost one routed execution and share its
+    answer; anything that changes the answer is another identity and
+    routes.  A joiner that gives up leaves the others their answer."""
+    variants = [
+        (dataclasses.replace(Q, minsupp=0.5), "SS-VS"),
+        (dataclasses.replace(Q, minconf=0.8), "SS-VS"),
+        (dataclasses.replace(Q, item_attributes=frozenset({1})), "SS-VS"),
+        (Q, None),
+    ]
+
+    async def main():
+        posted = posting(idle)
+        same = [
+            asyncio.ensure_future(idle.submit(Q, plan="SS-VS"))
+            for _ in range(4)
+        ]
+        others = [
+            asyncio.ensure_future(idle.submit(q, plan=plan))
+            for q, plan in variants
+        ]
+        await asyncio.sleep(0)
+        assert len(posted) == 1 + len(variants)
+        assert [worker for worker, _ in posted] == [0, 1, 2, 0, 1]
+        same[3].cancel()
+        for worker, message in posted:
+            answer(idle, worker, message)
+        shared = await asyncio.gather(*same[:3])
+        assert [res.trace["leader"] for res in shared] == [True, False, False]
+        assert all(res.rules is shared[0].rules for res in shared)
+        for res, (q, plan) in zip(await asyncio.gather(*others), variants):
+            assert res.trace["leader"]
+            assert res.rules == fresh_engine().query(q, plan=plan).rules
+        assert idle.route_counts == {0: 2, 1: 2, 2: 1}
+        assert idle._flights == {} and idle._pending == {}
+
+    asyncio.run(main())
+
+
+def test_a_request_without_use_cache_never_joins_another(idle):
+    """A bypass routes even with an identical miss in flight, and an
+    identical miss arriving while a bypass is in flight routes too."""
+    async def main():
+        posted = posting(idle)
+        flags = (False, True, False, True)
+        tasks = [
+            asyncio.ensure_future(idle.submit(Q, use_cache=use_cache))
+            for use_cache in flags
+        ]
+        await asyncio.sleep(0)
+        assert [message[4] for _, message in posted] == [False, True, False]
+        for worker, message in posted:
+            answer(idle, worker, message)
+        results = await asyncio.gather(*tasks)
+        assert [res.trace["leader"] for res in results] == [
+            True, True, True, False
+        ]
+        assert results[3].rules is results[1].rules
+
+    asyncio.run(main())
+
+
+def test_a_miss_after_a_publish_never_joins_an_older_epochs_flight(idle):
+    """A publish moves the stamp: an identical miss submitted after it
+    routes at the new epoch, and later ones join that flight instead."""
+    async def main():
+        posted = posting(idle)
+        idle._min_epoch = 1
+        old = asyncio.ensure_future(idle.submit(Q))
+        await asyncio.sleep(0)
+        idle._min_epoch = 2                 # what a publish does
+        new = [asyncio.ensure_future(idle.submit(Q)) for _ in range(2)]
+        await asyncio.sleep(0)
+        assert [message[5] for _, message in posted] == [1, 2]
+        for worker, message in posted:
+            answer(idle, worker, message)
+        assert (await old).epoch == 1
+        fresh = await asyncio.gather(*new)
+        assert [res.epoch for res in fresh] == [2, 2]
+        assert [res.trace["leader"] for res in fresh] == [True, False]
+
+    asyncio.run(main())
+
+
+def test_a_leaders_exception_reaches_every_joiner(idle):
+    async def main():
+        posted = posting(idle)
+        tasks = [asyncio.ensure_future(idle.submit(Q)) for _ in range(3)]
+        await asyncio.sleep(0)
+        ((worker, message),) = posted
+        idle._on_message(
+            worker, ("err", message[1], QueryError("empty focal subset"))
         )
-        if home in homes:
-            return home, homes[home], text
-        homes[home] = text
-    raise AssertionError("three queries over two workers share no home")
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        assert all(isinstance(res, QueryError) for res in results)
+        assert idle._flights == {}
+        # The failure is not remembered: the next ask routes again.
+        retry = asyncio.ensure_future(idle.submit(Q))
+        await asyncio.sleep(0)
+        assert len(posted) == 2
+        answer(idle, *posted[1])
+        assert (await retry).rules == fresh_engine().query(Q).rules
+
+    asyncio.run(main())
 
 
-def test_two_concurrent_distinct_misses_with_one_home_use_both_workers(
-    tmp_path,
-):
+def test_two_concurrent_distinct_misses_use_both_workers(tmp_path):
     engine = fresh_engine()
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
-            home, a, b = _two_sharing_a_home(cluster, engine)
             first, second = await asyncio.gather(
-                cluster.submit(a), cluster.submit(b)
+                cluster.submit(SEATTLE), cluster.submit(BOSTON)
             )
-            assert first.worker == home and second.worker == 1 - home
-            assert first.rules == fresh_engine().query(a).rules
-            assert second.rules == fresh_engine().query(b).rules
+            assert (first.worker, second.worker) == (0, 1)
+            assert first.rules == fresh_engine().query(SEATTLE).rules
+            assert second.rules == fresh_engine().query(BOSTON).rules
             snap = cluster.snapshot()
-            assert snap["spilled"] == 1
             assert snap["routing"] == {"0": 1, "1": 1}
             assert snap["outstanding"] == {"0": 0, "1": 0}
 
     asyncio.run(main())
 
 
-def test_two_concurrent_identical_misses_run_as_one_execution(
-    tmp_path, monkeypatch
-):
-    """Held on the engine thread (the forked workers inherit the patch),
-    the second miss is sure to find the first one in flight."""
-    real = QueryService._execute
-
-    def slow(self, flight):
-        time.sleep(0.2)
-        return real(self, flight)
-
-    monkeypatch.setattr(QueryService, "_execute", slow)
+def test_two_concurrent_identical_misses_run_as_one_execution(tmp_path):
+    """Four concurrent identical misses: one routed, one executed, four
+    byte-identical answers."""
     engine = fresh_engine()
     want = fresh_engine().query(SEATTLE).rules
 
     async def main():
         async with ClusterService(engine, tmp_path, config()) as cluster:
-            home = cluster.ring.route(_focal_key_bytes(
-                engine.parse(SEATTLE), engine.index.cardinalities
-            ))
             answers = await asyncio.gather(
-                cluster.submit(SEATTLE), cluster.submit(SEATTLE)
+                *(cluster.submit(SEATTLE) for _ in range(4))
             )
-            assert [res.worker for res in answers] == [home, home]
             assert all(res.rules == want for res in answers)
-            assert all(res.trace["coalesced"] == 2 for res in answers)
-            assert sorted(res.trace["leader"] for res in answers) == [
-                False, True
+            assert [res.trace["leader"] for res in answers] == [
+                True, False, False, False
             ]
-            assert cluster.snapshot()["spilled"] == 0
-            stats = {s["worker"]: s for s in await cluster.worker_stats()}
-            assert stats[home]["executions"] == 1
-            assert stats[1 - home]["executions"] == 0
+            assert {res.worker for res in answers} == {0}
+            assert cluster.snapshot()["routed"] == 1
+            stats = await cluster.worker_stats()
+            assert sum(s["served"] for s in stats) == 1
 
     asyncio.run(main())
 
 
 def test_a_retired_workers_orphans_are_re_placed(tmp_path):
-    """A request routed to a worker that died past its respawn budget is
+    """A request placed on a worker that died past its respawn budget is
     placed again, through ``_place``, on a survivor."""
     engine = fresh_engine()
     want = fresh_engine().query(SEATTLE).rules
@@ -199,25 +260,21 @@ def test_a_retired_workers_orphans_are_re_placed(tmp_path):
         async with ClusterService(
             engine, tmp_path, config(max_respawns=0)
         ) as cluster:
-            key = _focal_key_bytes(
-                engine.parse(SEATTLE), engine.index.cardinalities
-            )
-            victim = cluster.ring.route(key)
             placed = []
             real = cluster._place
 
-            def spy(*args):
-                placed.append((args[0], real(*args)))
-                return placed[-1][1]
+            def spy():
+                placed.append(real())
+                return placed[-1]
 
             cluster._place = spy
-            process = cluster._handles[victim].process
+            process = cluster._handles[0].process
             os.kill(process.pid, signal.SIGKILL)
             process.join(10)
             # Placed on the dead worker before the router saw its EOF.
             res = await asyncio.wait_for(cluster.submit(SEATTLE), 30)
-            assert placed == [(key, victim), (key, 1 - victim)]
-            assert res.worker == 1 - victim and res.rules == want
+            assert placed == [0, 1]
+            assert res.worker == 1 and res.rules == want
             assert cluster.snapshot()["rerouted"] == 1
 
     asyncio.run(main())

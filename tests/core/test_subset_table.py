@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.cluster import ClusterConfig, ClusterService, _WorkerRuntime
+from repro.cluster import ClusterConfig, ClusterService, open_epoch
 from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index, mip_sources
 from repro.core.persistence import load_index, save_index
@@ -111,27 +111,24 @@ def test_a_cluster_reload_serves_from_its_own_table(tmp_path):
     async def main():
         config = ClusterConfig(workers=1)
         async with ClusterService(engine, tmp_path, config) as cluster:
-            first = _WorkerRuntime(0, tmp_path, config)
-            first.load_current()
+            first = open_epoch(tmp_path)
             await cluster.ingest(grown, publish=True)
             res = await cluster.submit(query)
-            runtime = _WorkerRuntime(0, tmp_path, config)
-            runtime.load_current()
-            return first, runtime, res
+            return first, open_epoch(tmp_path), res
 
-    first, runtime, res = asyncio.run(main())
-    assert runtime.epoch == first.epoch + 1 == res.epoch
+    (first, first_engine), (info, worker), res = asyncio.run(main())
+    assert info.epoch == first.epoch + 1 == res.epoch
     live = np.vstack([salary_dataset().data, grown])
-    assert np.array_equal(runtime.engine.index.table.data, live)
-    assert_own_table(runtime.engine.index)
+    assert np.array_equal(worker.index.table.data, live)
+    assert_own_table(worker.index)
     assert (
-        runtime.engine.index.subset_table.cells.shape
-        != first.engine.index.subset_table.cells.shape
+        worker.index.subset_table.cells.shape
+        != first_engine.index.subset_table.cells.shape
     )
     reference = Colarm(
         RelationalTable(salary_dataset().schema, live), primary_support=0.15
     )
     assert res.rules == reference.query(query).rules
-    assert runtime.engine.query(query).rules == res.rules
+    assert worker.query(query).rules == res.rules
     assert build_mip_index(reference.table, 0.15).n_mips == \
-        runtime.engine.index.n_mips
+        worker.index.n_mips

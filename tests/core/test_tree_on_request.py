@@ -12,7 +12,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterService,
     EpochPublisher,
-    _WorkerRuntime,
+    open_epoch,
 )
 from repro.core.engine import Colarm
 from repro.core.persistence import load_index, save_index
@@ -59,13 +59,12 @@ def test_nothing_packs_a_tree_until_it_is_read(tmp_path, monkeypatch):
     # respawned until the cluster gave up.
     publisher = EpochPublisher(engine, tmp_path / "epochs")
     publisher.publish()
-    worker = _WorkerRuntime(0, tmp_path / "epochs", ClusterConfig(workers=1))
-    worker.load_current()
+    open_epoch(tmp_path / "epochs")
     engine.append(salary.data[5:7].tolist())
     publisher.publish()
-    worker.load_current()
-    assert worker.epoch == 2
-    assert worker.engine.query(SEATTLE).n_rules > 0
+    info, worker = open_epoch(tmp_path / "epochs", min_epoch=2)
+    assert info.epoch == 2
+    assert worker.query(SEATTLE).n_rules > 0
 
     async def publish_and_reload():
         async with ClusterService(

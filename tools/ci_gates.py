@@ -17,15 +17,15 @@ Usage::
     ... --override-weight arm=0   # sanity check: must FAIL the gate
     ... --only serving --corrupt-admission       # likewise: must FAIL
     ... --only maintenance --corrupt-maintenance # likewise: must FAIL
-    ... --only cluster --corrupt-routing         # likewise: must FAIL
+    ... --only cluster --corrupt-placement       # likewise: must FAIL
     ... --only setup --corrupt-setup             # likewise: must FAIL
     ... --only heap --corrupt-heap               # likewise: must FAIL
 
 ``--override-weight`` deliberately corrupts one fitted weight after
 calibration, ``--corrupt-admission`` routes the serving layer's cache
 hits through its engine thread, ``--corrupt-maintenance`` severs the delta-store merge
-correction, ``--corrupt-routing`` swaps consistent hashing for modulo
-placement, ``--corrupt-setup`` puts a full collection back in front
+correction, ``--corrupt-placement`` sends every cluster miss to the
+lowest worker id whatever its load, ``--corrupt-setup`` puts a full collection back in front
 of every calibration probe leg, and ``--corrupt-heap`` caches ``Rule``
 objects in place of rule blocks; they exist so the gates themselves can be
 tested (a gate that cannot fail gates nothing).
@@ -604,230 +604,155 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
 
 
 def run_cluster_selftest(config: dict, corrupt: bool = False) -> dict:
-    """Routing sanity for the multi-process serving cluster.
+    """Placement, coalescing and identity of the multi-process cluster.
 
-    Structural assertions over the consistent-hash ring plus one live
-    end-to-end identity check:
+    One live two-worker cluster over the salary dataset, its writer
+    engine caching:
 
-    * **Determinism** — two rings built from the same membership in
-      different insertion orders must place every key identically
-      (routing is a function of membership, nothing else).
-    * **Balance** — with W workers at the production replica count, no
-      worker's share of a key sample may fall below ``1/(4W)`` or rise
-      above ``3/W``.
-    * **Bounded remap** — adding a worker may move keys *only onto the
-      joiner*, and at most ``1/W + eps`` of them; removing it may move
-      only the leaver's keys.  This is the property that keeps misses
-      of one key meeting on one worker through membership changes.
-    * **Identity** — a live two-worker cluster over the salary dataset,
-      its writer engine caching, answers every probe byte-identically
-      to the engine it was built from, on the worker the ring names
-      (sticky routing); then, after one ingest + publish, every probe
-      is answered at the new epoch byte-identically to an engine
-      rebuilt from the grown rows — the publish emptied the router's
-      cache, so this is the path a publish leaves it on.  Every probe
-      is asked twice, before and after the publish: the repeat must be
-      served by the router (``cached``, nothing routed) and be
-      byte-identical too.
-    * **Spread** — probes whose ring home is the same worker are then
-      submitted two at a time, concurrently and past the cache: each
-      pair must be answered by two workers (the second miss placed on
-      the idle one, not queued behind the first) and byte-identically.
+    * **Coalescing** — ``n_coalesced`` concurrent identical misses cost
+      one routed execution (one request routed, one served by the
+      workers), and every answer is byte-identical to the engine's.
+    * **Identity** — every probe is answered byte-identically to the
+      engine the cluster was built from; then, after one ingest +
+      publish, at the new epoch byte-identically to an engine rebuilt
+      from the grown rows — the publish emptied the router's cache, so
+      this is the path a publish leaves it on.  Every probe is asked
+      twice, before and after the publish: the repeat must be served by
+      the router (``cached``, nothing routed) and be byte-identical too.
+    * **Spread** — disjoint pairs of probes are submitted two at a time,
+      concurrently and past the cache: each pair must be answered by
+      two workers (the second miss placed on the idle one, not queued
+      behind the first) and byte-identically to the grown engine.
 
-    ``corrupt=True`` replaces consistent routing with naive modulo
-    placement — still deterministic and balanced, but a join reshuffles
-    nearly the whole key space, so the bounded-remap assertions must
-    then FAIL (a gate that cannot fail gates nothing).
+    ``corrupt=True`` places every miss on the lowest live worker id
+    whatever its load, so the spread check must then FAIL (a gate that
+    cannot fail gates nothing).
     """
     import asyncio
     import tempfile
 
     import numpy as np
 
-    from repro import cluster as cluster_mod
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterService,
-        HashRing,
-        _focal_key_bytes,
-    )
+    from repro.cluster import ClusterConfig, ClusterService
     from repro.core.calibration import default_probe_queries
     from repro.core.engine import Colarm
     from repro.dataset.salary import salary_dataset
     from repro.dataset.table import RelationalTable
-    from repro.errors import ServiceError
 
-    replicas = int(config.get("replicas", 96))
-    n_workers = int(config.get("workers", 3))
-    keys = [f"gate-key-{i}".encode() for i in range(int(config["n_keys"]))]
+    n_coalesced = int(config["n_coalesced"])
+    primary_support = float(config.get("primary_support", 0.15))
+    salary = salary_dataset()
+    t0 = time.perf_counter()
+    engine = Colarm(salary, primary_support=primary_support)
+    build_s = time.perf_counter() - t0
+    # One probe more than the identity checks ask: the coalescing check
+    # gets a request nothing else has cached.
+    queries = default_probe_queries(
+        engine.index,
+        n_queries=int(config["n_queries"]) + 1,
+        seed=int(config["seed"]),
+    )
+    lone = queries.pop()
+    lone_ref = engine.query(lone, use_cache=False).rules
+    refs = [engine.query(q, use_cache=False).rules for q in queries]
+    grown_rows = salary.data[::5]
+    grown = Colarm(
+        RelationalTable(salary.schema, np.vstack([salary.data, grown_rows])),
+        primary_support=primary_support,
+    )
+    grown_refs = [grown.query(q, use_cache=False).rules for q in queries]
+    engine.enable_cache()
 
-    original_route = HashRing.route
-    if corrupt:
+    async def identity_run():
+        with tempfile.TemporaryDirectory() as tmp:
+            cluster = ClusterService(engine, tmp, ClusterConfig(workers=2))
 
-        def modulo_route(self, key: bytes) -> int:
-            workers = sorted(set(self._owners))
-            if not workers:
-                raise ServiceError("cannot route on an empty ring")
-            return workers[cluster_mod._point(key) % len(workers)]
+            def routed() -> int:
+                return sum(cluster.route_counts.values())
 
-        HashRing.route = modulo_route
-
-    try:
-
-        def make_ring(worker_ids) -> HashRing:
-            ring = HashRing(replicas=replicas)
-            for worker_id in worker_ids:
-                ring.add(worker_id)
-            return ring
-
-        failures = []
-        ids = list(range(n_workers))
-        a, b = make_ring(ids), make_ring(reversed(ids))
-        if any(a.route(k) != b.route(k) for k in keys[:300]):
-            failures.append("routing_not_deterministic")
-
-        shares = {w: 0 for w in ids}
-        for k in keys:
-            shares[a.route(k)] += 1
-        if any(
-            n / len(keys) < 1 / (4 * n_workers)
-            or n / len(keys) > 3 / n_workers
-            for n in shares.values()
-        ):
-            failures.append("routing_unbalanced")
-
-        before = {k: a.route(k) for k in keys}
-        joiner = n_workers
-        a.add(joiner)
-        moved = [k for k in keys if a.route(k) != before[k]]
-        if any(a.route(k) != joiner for k in moved):
-            failures.append("join_moved_keys_between_survivors")
-        if len(moved) / len(keys) > 1 / n_workers + 0.08:
-            failures.append("join_remapped_beyond_bound")
-        a.remove(joiner)
-        if any(a.route(k) != before[k] for k in keys):
-            failures.append("leave_moved_unrelated_keys")
-
-        primary_support = float(config.get("primary_support", 0.15))
-        salary = salary_dataset()
-        t0 = time.perf_counter()
-        engine = Colarm(salary, primary_support=primary_support)
-        build_s = time.perf_counter() - t0
-        queries = default_probe_queries(
-            engine.index,
-            n_queries=int(config["n_queries"]),
-            seed=int(config["seed"]),
-        )
-        refs = [engine.query(q, use_cache=False).rules for q in queries]
-        grown_rows = salary.data[::5]
-        grown = Colarm(
-            RelationalTable(
-                salary.schema, np.vstack([salary.data, grown_rows])
-            ),
-            primary_support=primary_support,
-        )
-        grown_refs = [grown.query(q, use_cache=False).rules for q in queries]
-
-        engine.enable_cache()
-
-        def sharing_a_home(cluster, probes):
-            """Disjoint pairs of probes the ring sends to one worker."""
-            by_home: dict[int, list] = {}
-            for q, ref in probes:
-                key = _focal_key_bytes(q, engine.index.cardinalities)
-                by_home.setdefault(cluster.ring.route(key), []).append((q, ref))
-            return [
-                pair for group in by_home.values()
-                for pair in zip(group[0::2], group[1::2])
-            ]
-
-        async def identity_run():
-            with tempfile.TemporaryDirectory() as tmp:
-                cluster = ClusterService(
-                    engine,
-                    tmp,
-                    ClusterConfig(workers=2),
+            async def router_serves(q, ref) -> bool:
+                """Ask again: the router must serve it, unrouted."""
+                before = routed()
+                res = await cluster.submit(q)
+                return (
+                    res.cached and res.worker is None and routed() == before
+                    and res.epoch == cluster.publisher.epoch
+                    and res.rules == ref
                 )
 
-                async def router_serves(q, ref) -> bool:
-                    """Ask again: the router must serve it, unrouted."""
-                    routed = dict(cluster.route_counts)
+            async with cluster:
+                answers = await asyncio.gather(
+                    *(cluster.submit(lone) for _ in range(n_coalesced))
+                )
+                stats = await cluster.worker_stats()
+                coalesced = {
+                    "routed": routed(),
+                    "executed": sum(s["served"] for s in stats),
+                    "identical": sum(res.rules == lone_ref for res in answers),
+                }
+                n_identical = n_repeats = 0
+                for q, ref in zip(queries, refs):
+                    n_identical += (await cluster.submit(q)).rules == ref
+                    n_repeats += await router_serves(q, ref)
+                await cluster.ingest(grown_rows.tolist(), publish=True)
+                epoch = cluster.publisher.epoch
+                n_published = 0
+                for q, ref in zip(queries, grown_refs):
                     res = await cluster.submit(q)
-                    return (
-                        res.cached and res.worker is None
-                        and cluster.route_counts == routed
-                        and res.epoch == cluster.publisher.epoch
+                    n_published += (
+                        res.epoch == epoch and not res.cached
                         and res.rules == ref
                     )
+                    n_repeats += await router_serves(q, ref)
+                probes = list(zip(queries, grown_refs))
+                n_pairs = n_spread = n_pair_identical = 0
+                for (a, ref_a), (b, ref_b) in zip(probes[0::2], probes[1::2]):
+                    res_a, res_b = await asyncio.gather(
+                        cluster.submit(a, use_cache=False),
+                        cluster.submit(b, use_cache=False),
+                    )
+                    n_pairs += 1
+                    n_spread += res_a.worker != res_b.worker
+                    n_pair_identical += (
+                        res_a.rules == ref_a and res_b.rules == ref_b
+                    )
+                return (coalesced, n_identical, n_published, n_repeats,
+                        n_pairs, n_spread, n_pair_identical)
 
-                async with cluster:
-                    n_identical = n_sticky = n_repeats = 0
-                    for q, ref in zip(queries, refs):
-                        res = await cluster.submit(q)
-                        key = _focal_key_bytes(q, engine.index.cardinalities)
-                        n_identical += res.rules == ref
-                        n_sticky += res.worker == cluster.ring.route(key)
-                        n_repeats += await router_serves(q, ref)
-                    await cluster.ingest(grown_rows.tolist(), publish=True)
-                    epoch = cluster.publisher.epoch
-                    n_published = 0
-                    for q, ref in zip(queries, grown_refs):
-                        res = await cluster.submit(q)
-                        n_published += (
-                            res.epoch == epoch and not res.cached
-                            and res.rules == ref
-                        )
-                        n_repeats += await router_serves(q, ref)
-                    n_pairs = n_spread = n_pair_identical = 0
-                    for (a, ref_a), (b, ref_b) in sharing_a_home(
-                        cluster, list(zip(queries, grown_refs))
-                    ):
-                        res_a, res_b = await asyncio.gather(
-                            cluster.submit(a, use_cache=False),
-                            cluster.submit(b, use_cache=False),
-                        )
-                        n_pairs += 1
-                        n_spread += res_a.worker != res_b.worker
-                        n_pair_identical += (
-                            res_a.rules == ref_a and res_b.rules == ref_b
-                        )
-                    spilled = cluster.snapshot()["spilled"]
-                    return (n_identical, n_sticky, n_published, n_repeats,
-                            n_pairs, n_spread, n_pair_identical, spilled)
-
-        (n_identical, n_sticky, n_published, n_repeats,
-         n_pairs, n_spread, n_pair_identical, spilled) = asyncio.run(
-            identity_run()
-        )
-        if n_identical != len(queries):
-            failures.append("cluster_answers_diverge")
-        if n_sticky != len(queries):
-            failures.append("routing_not_sticky")
-        if n_published != len(queries) or n_pair_identical != n_pairs:
-            failures.append("published_answers_diverge")
-        if n_repeats != 2 * len(queries):
-            failures.append("repeats_not_served_by_the_router")
-        if n_pairs == 0 or n_spread != n_pairs:
-            failures.append("misses_queued_behind_a_busy_home")
+    real_place = ClusterService._place
+    if corrupt:
+        ClusterService._place = lambda self: min(self.workers)
+    try:
+        (coalesced, n_identical, n_published, n_repeats,
+         n_pairs, n_spread, n_pair_identical) = asyncio.run(identity_run())
     finally:
-        HashRing.route = original_route
+        ClusterService._place = real_place
 
+    failures = []
+    if coalesced["routed"] != 1 or coalesced["executed"] != 1:
+        failures.append("identical_misses_not_coalesced")
+    if coalesced["identical"] != n_coalesced or n_identical != len(queries):
+        failures.append("cluster_answers_diverge")
+    if n_published != len(queries) or n_pair_identical != n_pairs:
+        failures.append("published_answers_diverge")
+    if n_repeats != 2 * len(queries):
+        failures.append("repeats_not_served_by_the_router")
+    if n_pairs == 0 or n_spread != n_pairs:
+        failures.append("misses_queued_behind_a_busy_worker")
     return {
         "dataset": "salary",
         "scenarios": len(queries),
         "build_s": round(build_s, 2),
         "corrupted": corrupt,
-        "workers": n_workers,
-        "replicas": replicas,
-        "n_keys": len(keys),
-        "join_remap_fraction": round(len(moved) / len(keys), 4),
+        "n_coalesced": n_coalesced,
+        "coalesced_routed": coalesced["routed"],
+        "coalesced_executed": coalesced["executed"],
+        "coalesced_identical": coalesced["identical"],
         "identity": n_identical,
-        "sticky": n_sticky,
         "identity_after_publish": n_published,
         "router_repeats": n_repeats,
-        "home_pairs": n_pairs,
+        "pairs": n_pairs,
         "spread": n_spread,
-        "spilled": spilled,
         "passed": not failures,
         "failures": failures,
     }
@@ -870,10 +795,10 @@ def main(argv: list[str] | None = None) -> int:
         "with live delta records); the maintenance self-test must then FAIL",
     )
     parser.add_argument(
-        "--corrupt-routing",
+        "--corrupt-placement",
         action="store_true",
-        help="replace consistent hashing with modulo placement (a join "
-        "reshuffles the key space); the cluster self-test must then FAIL",
+        help="place every cluster miss on the lowest worker id whatever "
+        "its load; the cluster self-test must then FAIL",
     )
     parser.add_argument(
         "--corrupt-setup",
@@ -922,7 +847,7 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
     cluster_report = (
-        run_cluster_selftest(config["cluster"], corrupt=args.corrupt_routing)
+        run_cluster_selftest(config["cluster"], corrupt=args.corrupt_placement)
         if "cluster" in config and wanted("cluster")
         else None
     )
@@ -1020,18 +945,18 @@ def main(argv: list[str] | None = None) -> int:
         status = "ok  " if cluster_report["passed"] else "FAIL"
         print(
             f"  {status} cluster-selftest   "
-            f"join remap={cluster_report['join_remap_fraction']:.3f}"
-            f" (bound {1 / cluster_report['workers'] + 0.08:.3f}), "
+            f"{cluster_report['n_coalesced']} identical misses -> "
+            f"{cluster_report['coalesced_routed']} routed / "
+            f"{cluster_report['coalesced_executed']} executed "
+            f"({cluster_report['coalesced_identical']} identical), "
             f"identity {cluster_report['identity']}/"
-            f"{cluster_report['scenarios']}, sticky "
-            f"{cluster_report['sticky']}/{cluster_report['scenarios']}, "
+            f"{cluster_report['scenarios']}, "
             f"after publish {cluster_report['identity_after_publish']}/"
             f"{cluster_report['scenarios']}, router repeats "
             f"{cluster_report['router_repeats']}/"
-            f"{2 * cluster_report['scenarios']}, home pairs spread "
-            f"{cluster_report['spread']}/{cluster_report['home_pairs']} "
-            f"(spilled {cluster_report['spilled']})"
-            + (" [routing corrupted]" if cluster_report["corrupted"] else "")
+            f"{2 * cluster_report['scenarios']}, pairs spread "
+            f"{cluster_report['spread']}/{cluster_report['pairs']}"
+            + (" [placement corrupted]" if cluster_report["corrupted"] else "")
         )
     if passed:
         print("ci-gates: PASS")

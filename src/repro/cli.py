@@ -301,20 +301,22 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_config(args: argparse.Namespace):
-    from repro.serving import ServingConfig
-
-    return ServingConfig(max_pending=args.max_pending)
-
-
-def _make_cluster(engine: Colarm, args: argparse.Namespace):
-    """The cluster behind ``--workers N`` plus the context keeping its
-    snapshot directory alive (a no-op context for an explicit dir)."""
+def _make_service(args: argparse.Namespace):
+    """The service behind ``colarm serve`` / ``replay`` — in process, or
+    the cluster with ``--workers N`` — plus the context that keeps the
+    cluster's snapshot directory alive (a no-op context otherwise)."""
     import contextlib
     import tempfile
 
     from repro.cluster import ClusterConfig, ClusterService
+    from repro.serving import QueryService, ServingConfig
 
+    engine = _load_engine(args.index)
+    if not args.no_cache:
+        engine.enable_cache()
+    if args.workers <= 1:
+        config = ServingConfig(max_pending=args.max_pending)
+        return QueryService(engine, config), contextlib.nullcontext()
     config = ClusterConfig(workers=args.workers)
     if args.cluster_dir is not None:
         return ClusterService(engine, args.cluster_dir, config), \
@@ -323,42 +325,26 @@ def _make_cluster(engine: Colarm, args: argparse.Namespace):
     return ClusterService(engine, tmp.name, config), tmp
 
 
-def _print_cluster_stats(snapshot: dict, worker_stats: list[dict]) -> None:
-    """Per-worker served count, reloads and routed share, then the router
-    snapshot, on stderr."""
-    import json
-
-    routed = max(snapshot["routed"], 1)
-    for stats in worker_stats:
-        wid = stats["worker"]
-        share = snapshot["routing"].get(str(wid), 0) / routed
-        print(
-            f"worker {wid}: {stats['served']} served, "
-            f"{stats['n_reloads']} reloads, "
-            f"{share:.0%} of routed requests",
-            file=sys.stderr,
-        )
-    print(json.dumps(snapshot), file=sys.stderr)
-
-
-def _serving_engine(args: argparse.Namespace) -> Colarm:
-    engine = _load_engine(args.index)
-    if not args.no_cache:
-        engine.enable_cache()
-    return engine
+def _where(served) -> dict:
+    """Where a cluster answer was served — its ``worker`` (``None``: the
+    router's cache) and ``epoch``; nothing for an in-process one."""
+    return {
+        name: getattr(served, name) for name in ("worker", "epoch")
+        if hasattr(served, name)
+    }
 
 
 def _response_json(served, engine: Colarm, limit: int | None = None) -> str:
     import json
 
     rules = served.rules if limit is None else served.rules[:limit]
-    trace = served.trace
     return json.dumps({
         "ok": True,
         "plan": served.plan.value,
         "n_rules": len(served.rules),
         "rules": [rule.render(engine.schema) for rule in rules],
-        "trace": trace if isinstance(trace, dict) else trace.as_dict(),
+        "trace": served.trace.as_dict(),
+        **_where(served),
     })
 
 
@@ -376,29 +362,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import QueryError, ServiceError
-    from repro.serving import QueryService
 
-    engine = _serving_engine(args)
+    service, directory = _make_service(args)
 
-    async def run() -> int:
+    async def run() -> None:
         loop = asyncio.get_running_loop()
-        cluster_mode = args.workers > 1
-        if cluster_mode:
-            service, directory = _make_cluster(engine, args)
-        else:
-            service, directory = (
-                QueryService(engine, _serving_config(args)), None
-            )
         pending: set[asyncio.Task] = set()
 
         async def one(line_no: int, text: str) -> None:
             try:
                 served = await service.submit(text)
-                payload = json.loads(_response_json(served, engine))
+                payload = json.loads(_response_json(served, service.engine))
                 payload["line"] = line_no
-                if cluster_mode:
-                    payload["worker"] = served.worker
-                    payload["epoch"] = served.epoch
                 print(json.dumps(payload), flush=True)
             except (ServiceError, QueryError) as exc:
                 print(json.dumps({
@@ -421,17 +396,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 task.add_done_callback(pending.discard)
             if pending:
                 await asyncio.gather(*pending)
-            if cluster_mode:
-                stats = await service.worker_stats()
-                _print_cluster_stats(service.snapshot(), stats)
-        if not cluster_mode:
             print(json.dumps(service.snapshot()), file=sys.stderr)
-        if directory is not None:
-            with directory:
-                pass  # drop the temporary snapshot directory
-        return 0
 
-    return asyncio.run(run())
+    with directory:
+        asyncio.run(run())
+    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -459,58 +428,32 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("colarm: error: empty workload", file=sys.stderr)
         return 2
 
-    engine = _serving_engine(args)
-    if args.workers > 1:
-        from repro.cluster import replay_cluster
+    service, directory = _make_service(args)
 
-        async def run_cluster():
-            cluster, directory = _make_cluster(engine, args)
-            async with cluster:
-                results, snapshot = await replay_cluster(cluster, requests)
-                stats = await cluster.worker_stats()
-            if directory is not None:
-                with directory:
-                    pass
-            return results, snapshot, stats
+    async def run():
+        async with service:
+            return await serve_all(service, requests)
 
-        results, snapshot, worker_stats = asyncio.run(run_cluster())
-        n_failed = 0
-        for i, res in enumerate(results, start=1):
-            if isinstance(res, (ServiceError, QueryError)):
-                n_failed += 1
-                print(f"[{i}] {type(res).__name__}: {res}")
-            else:
-                print(
-                    f"[{i}] worker {res.worker} plan {res.plan.value} "
-                    f"{'cached ' if res.cached else ''}"
-                    f"{res.trace['total_s'] * 1000:.1f} ms, "
-                    f"{len(res.rules)} rules"
-                )
-                for rule in res.rules[: args.limit]:
-                    print("      " + rule.render(engine.schema))
-        _print_cluster_stats(snapshot, worker_stats)
-        print(json.dumps(snapshot, indent=2))
-        return 1 if n_failed == len(results) else 0
-
-    results, snapshot = asyncio.run(
-        serve_all(engine, requests, _serving_config(args))
-    )
+    with directory:
+        results, snapshot = asyncio.run(run())
+    schema = service.engine.schema
     n_failed = 0
     for i, res in enumerate(results, start=1):
         if isinstance(res, (ServiceError, QueryError)):
             n_failed += 1
             print(f"[{i}] {type(res).__name__}: {res}")
-        else:
-            trace = res.trace
-            print(
-                f"[{i}] plan {res.plan.value} "
-                f"{'cached ' if res.cached else ''}"
-                f"{'coalesced ' if not trace.leader else ''}"
-                f"{res.trace.total_s * 1000:.1f} ms, "
-                f"{len(res.rules)} rules"
-            )
-            for rule in res.rules[: args.limit]:
-                print("      " + rule.render(engine.schema))
+            continue
+        worker = _where(res).get("worker")
+        print(
+            f"[{i}] {'' if worker is None else f'worker {worker} '}"
+            f"plan {res.plan.value} "
+            f"{'cached ' if res.cached else ''}"
+            f"{'coalesced ' if not res.trace.leader else ''}"
+            f"{res.trace.total_s * 1000:.1f} ms, "
+            f"{len(res.rules)} rules"
+        )
+        for rule in res.rules[: args.limit]:
+            print("      " + rule.render(schema))
     print(json.dumps(snapshot, indent=2))
     return 1 if n_failed == len(results) else 0
 

@@ -10,22 +10,25 @@ kernel matrices are file-backed pages every worker on the box shares,
 so worker ``i`` pays private RSS only for its optimizer state and the
 per-record tidset integers.
 
-The router is the cluster's one service.  Its rule cache is the writer
-engine's: a repeat is served from it inline, before any routing, so it
-crosses no pipe and is never pickled.  Workers keep no cache; only a
-miss reaches one, and its answer fills the router's cache.
+The router, :class:`ClusterService`, is a
+:class:`~repro.serving.QueryService` whose misses run on worker pipes:
+the intake, coalescing table and stats ledger are the service's.  Its
+rule cache is the writer engine's: a repeat is served from it inline,
+before any routing, so it crosses no pipe and is never pickled.
+Workers keep no cache; only a miss reaches one, and its answer fills
+the router's cache.
 
 Three protocols make the split safe:
 
 * **Least-loaded placement, coalescing at the router.**  A miss goes to
   the live worker with the fewest routed requests in flight, the lowest
   id on a tie.  A miss identical to one in flight — the same
-  :func:`~repro.serving.request_key` and epoch stamp, both with
-  ``use_cache`` — is not routed at all: it awaits that miss's answer,
-  so N concurrent identical misses cost one execution.
+  :func:`~repro.serving.request_key`, its flight stamped with the same
+  epoch, both with ``use_cache`` — is not routed at all: it joins that
+  flight, so N concurrent identical misses cost one execution.
 
 * **Epoch publish.**  Exactly one writer (the router's engine, driven
-  by one writer thread) owns the delta store.
+  by the service's one engine thread) owns the delta store.
   :meth:`ClusterService.publish` folds pending mutations,
   writes ``snapshot-<epoch>.colarm.npz`` with ``compress=False`` (so the
   members stay mappable), then atomically replaces ``EPOCH.json`` — a
@@ -60,7 +63,6 @@ import multiprocessing as mp
 import os
 import select
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -68,14 +70,9 @@ from repro.core.engine import Colarm, QueryOutcome, rule_family
 from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery
-from repro.errors import (
-    DataError,
-    QueryError,
-    ServiceClosedError,
-    ServiceError,
-)
+from repro.errors import DataError, ServiceClosedError, ServiceError
 from repro.itemsets.rules import RuleBlock
-from repro.serving import RequestTrace, request_key
+from repro.serving import QueryService, RequestTrace, _Flight
 
 __all__ = [
     "ClusterConfig",
@@ -233,7 +230,9 @@ class ClusterResponse:
     ``worker`` is the worker process that executed the request, or
     ``None`` when it was served by the router, from its cache
     (``cached`` is then true, and ``epoch`` / ``generation`` are the
-    router's current ones).
+    router's current ones).  ``trace`` is the service's
+    :class:`~repro.serving.RequestTrace`; a routed answer's
+    ``trace.total_s`` is the worker's time.
     """
 
     rules: RuleBlock
@@ -242,7 +241,7 @@ class ClusterResponse:
     worker: int | None
     epoch: int
     generation: int
-    trace: dict
+    trace: RequestTrace
 
     @property
     def n_rules(self) -> int:
@@ -365,10 +364,7 @@ def _worker_main(worker_id: int, conn, directory: str) -> None:
                     "rules": outcome.rules,
                     "plan": outcome.plan,
                     "dq_size": outcome.dq_size,
-                    "trace": RequestTrace(
-                        execute_s=total_s, total_s=total_s,
-                        plan=outcome.plan, generation=info.generation,
-                    ).as_dict(),
+                    "total_s": total_s,
                     "worker": worker_id,
                     "epoch": info.epoch,
                     "generation": info.generation,
@@ -429,38 +425,29 @@ class _Pending:
         self.message = message
 
 
-class ClusterService:
+class ClusterService(QueryService):
     """The asyncio router over ``W`` mmap-shared worker processes.
 
-    Construct with the *writer* engine (the one that owns mutation) and
-    a snapshot directory, ``await start()``, then :meth:`submit` from
-    any number of tasks; ``async with`` does the start/stop pair.  All
+    A :class:`~repro.serving.QueryService` whose misses run on worker
+    pipes and whose engine thread is the writer's (ingest, remove,
+    publish and the joins of worker processes run on it).  Construct
+    with the *writer* engine (the one that owns mutation) and a
+    snapshot directory, ``await start()``, then :meth:`submit` from any
+    number of tasks; ``async with`` does the start/stop pair.  All
     public methods must be called from the event loop thread.
     """
 
     def __init__(self, engine: Colarm, directory: str | Path,
                  config: ClusterConfig | None = None):
-        self.engine = engine
+        super().__init__(engine)
         self.directory = Path(directory)
         self.config = config or ClusterConfig()
         self.publisher = EpochPublisher(engine, self.directory)
         self._handles: dict[int, _WorkerHandle] = {}
         self._pending: dict[int, _Pending] = {}
-        #: Coalescing identity -> the routed miss's future, while in flight.
-        self._flights: dict[tuple, asyncio.Future] = {}
         self._req_ids = itertools.count(1)
         self._min_epoch = 0
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: The one thread that drives the writer engine: every ingest,
-        #: remove and publish runs here, in call order.  The router's
-        #: waits on worker processes run here too: a second helper thread
-        #: would take a malloc arena of its own, and a publish after it
-        #: exits may fill a fresh arena (+11 MB peak RSS measured on the
-        #: 2-vCPU ``wide_cluster`` benchmark run).
-        self._writer = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="colarm-writer"
-        )
-        self._closed = False
         self.route_counts: dict[int, int] = {}
         self.n_crashes = 0
         self.n_respawns = 0
@@ -481,7 +468,7 @@ class ClusterService:
             # fold path; calibration already happened (or was skipped)
             # upstream — don't re-fit weights here.
             self.engine.enable_maintenance(calibrate=False)
-        await self._run_writer(self.publisher.publish)
+        await self._on_engine_thread(self.publisher.publish)
         self._min_epoch = self.publisher.epoch
         await asyncio.gather(
             *(self._spawn(worker_id) for worker_id in range(self.config.workers))
@@ -490,7 +477,14 @@ class ClusterService:
             self.route_counts.setdefault(worker_id, 0)
         return self
 
-    async def stop(self) -> None:
+    async def stop(self, drain: bool = True) -> None:
+        """Stop every worker, then the writer thread.
+
+        The router queues nothing, so there is nothing for ``drain`` to
+        serve or shed: a worker answers what it was sent before its stop
+        message, and a request still unanswered after that fails with
+        :class:`~repro.errors.ServiceClosedError`.
+        """
         if self._closed:
             return
         self._closed = True
@@ -502,13 +496,7 @@ class ClusterService:
                     ServiceClosedError("cluster stopped")
                 )
         self._pending.clear()
-        self._writer.shutdown(wait=True)
-
-    async def __aenter__(self) -> "ClusterService":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
+        self._engine_thread.shutdown(wait=True)
 
     async def _stop_worker(self, handle: _WorkerHandle) -> None:
         handle.stopping = True
@@ -517,10 +505,10 @@ class ClusterService:
         except (KeyError, OSError):
             pass
         process = handle.process
-        await self._loop.run_in_executor(self._writer, process.join, 30)
+        await self._on_engine_thread(process.join, 30)
         if process.is_alive():  # pragma: no cover — stuck worker backstop
             process.terminate()
-            await self._loop.run_in_executor(self._writer, process.join, 5)
+            await self._on_engine_thread(process.join, 5)
         self._unwatch(handle.conn)
         self._handles.pop(handle.id, None)
 
@@ -628,9 +616,7 @@ class ClusterService:
                 self._unwatch(handle.conn)
                 if handle.process.is_alive():
                     handle.process.kill()
-                    await self._loop.run_in_executor(
-                        self._writer, handle.process.join, 5
-                    )
+                    await self._on_engine_thread(handle.process.join, 5)
                 self._retire(handle, orphans)
                 return
             for pending in orphans:
@@ -694,8 +680,8 @@ class ClusterService:
         use_cache: bool = True,
     ) -> ClusterResponse:
         """Answer one request: from the router's cache when it holds the
-        answer, else from the miss in flight with the same identity, else
-        from the worker :meth:`_place` picks.
+        answer, else from the miss in flight with the same identity and
+        epoch stamp, else from the worker :meth:`_place` picks.
 
         Raises the :class:`~repro.errors.QueryError` of a request that
         does not parse or validate.  A routed answer the worker served at
@@ -703,85 +689,71 @@ class ClusterService:
         ``use_cache=False`` neither consults nor fills it, and neither
         joins another miss nor is joined.
         """
-        if self._closed:
-            raise ServiceClosedError("cluster is stopped")
-        t_submit = time.monotonic()
-        engine = self.engine
-        q = engine.parse(request) if isinstance(request, str) else request
-        kind = plan_from_name(plan) if isinstance(plan, str) else plan
-        q.validate_against(engine.schema)
-        cache = engine.cache if use_cache else None
-        if cache is not None:
-            # The writer's generation, read before the probe: a mutation
-            # racing it on the writer thread makes the probe miss, so it
-            # cannot stamp a hit it did not serve.
-            generation = cache.generation()
-            outcome = engine.serve_cached(q, kind)
-            if outcome is not None:
-                return self._served_by_router(outcome, generation, t_submit)
-        min_epoch = self._min_epoch
-        key = (request_key(engine, q, kind), min_epoch) if use_cache else None
-        flight = self._flights.get(key) if key is not None else None
-        if flight is not None:
-            # Shielded: a joiner that gives up must not cancel the answer
-            # the others await.
-            payload = await asyncio.shield(flight)
-            return self._response(payload, leader=False)
-        worker_id = self._place()
+        return await self._intake(request, plan, use_cache)
+
+    def _stamp(self) -> int:
+        """The epoch a request may be served at: a worker behind it
+        reloads first."""
+        return self._min_epoch
+
+    def _dispatch(self, flight: _Flight) -> None:
+        """Send the flight down the least-loaded live worker's pipe; its
+        answer fills the router's cache, then fans out."""
+        try:
+            worker_id = self._place()
+        except ServiceError:
+            self.stats.errors += 1
+            raise
         self.route_counts[worker_id] = self.route_counts.get(worker_id, 0) + 1
-        flight = self._send(worker_id, (
-            "query", next(self._req_ids), q,
-            None if kind is None else kind.value, use_cache, min_epoch,
+        kind = flight.plan
+        routed = self._send(worker_id, (
+            "query", next(self._req_ids), flight.query,
+            None if kind is None else kind.value, flight.use_cache,
+            flight.stamp,
         ))
-        if key is not None:
-            self._flights[key] = flight
-            flight.add_done_callback(lambda _: self._flights.pop(key, None))
-        payload = await asyncio.shield(flight)
+        routed.add_done_callback(lambda done: self._answered(flight, done))
+
+    def _answered(self, flight: _Flight, routed: asyncio.Future) -> None:
+        """A worker answered a routed flight (or it failed)."""
+        exc = routed.exception()
+        if exc is not None:
+            self._fail_flight(flight, exc)
+            return
+        payload = routed.result()
+        cache = self.engine.cache if flight.use_cache else None
         if cache is not None and payload["epoch"] == self._min_epoch:
             # Refused if the writer has mutated past the served generation.
             cache.put_rules(
-                q, payload["rules"], payload["dq_size"],
+                flight.query, payload["rules"], payload["dq_size"],
                 family=rule_family(payload["plan"]),
                 generation=payload["generation"],
             )
-        return self._response(payload, leader=True)
-
-    @staticmethod
-    def _response(payload: dict, leader: bool) -> ClusterResponse:
-        """A worker's answer, to the request that routed it or one that
-        joined it (``trace["leader"]`` tells them apart)."""
-        trace = payload["trace"]
-        return ClusterResponse(
-            rules=payload["rules"], plan=payload["plan"], cached=False,
-            worker=payload["worker"], epoch=payload["epoch"],
-            generation=payload["generation"],
-            trace=trace if leader else dict(trace, leader=False),
+        fanout = len(flight.waiters)
+        plan, total_s, generation = (
+            payload["plan"], payload["total_s"], payload["generation"]
         )
 
-    def _served_by_router(
-        self, outcome: QueryOutcome, generation: int, t_submit: float
-    ) -> ClusterResponse:
+        def answer(_t_submit: float, leader: bool) -> ClusterResponse:
+            return ClusterResponse(
+                rules=payload["rules"], plan=plan, cached=False,
+                worker=payload["worker"], epoch=payload["epoch"],
+                generation=generation, trace=RequestTrace(
+                    execute_s=total_s, total_s=total_s, coalesced=fanout,
+                    leader=leader, plan=plan, generation=generation,
+                ),
+            )
+
+        self._fan_out(flight, time.monotonic(), answer)
+
+    def _hit(self, outcome: QueryOutcome,
+             trace: RequestTrace) -> ClusterResponse:
         """A router cache hit: no routing, no pipe, no pickling."""
-        total_s = time.monotonic() - t_submit
-        trace = RequestTrace(
-            execute_s=total_s, total_s=total_s, plan=outcome.plan,
-            cached=True, generation=generation,
-        )
         return ClusterResponse(
-            rules=outcome.rules,
-            plan=outcome.plan,
-            cached=True,
-            worker=None,
-            epoch=self._min_epoch,
-            generation=generation,
-            trace=trace.as_dict(),
+            rules=outcome.rules, plan=outcome.plan, cached=True, worker=None,
+            epoch=self._min_epoch, generation=trace.generation, trace=trace,
         )
 
     # -- mutation: the single writer ---------------------------------------
-
-    async def _run_writer(self, fn, *args):
-        """Run one writer-engine touch on the writer thread."""
-        return await self._loop.run_in_executor(self._writer, fn, *args)
 
     async def ingest(self, records, publish: bool = True) -> int:
         """Append records through the writer's delta store.
@@ -791,16 +763,14 @@ class ClusterService:
         point of the epoch-publish protocol.  Returns the writer's new
         generation.
         """
-        return await self._mutate(self.engine.append, records, publish)
+        return await self._published(super().ingest(records), publish)
 
     async def remove(self, tids, publish: bool = True) -> int:
         """Delete records by tid through the writer's delta store."""
-        return await self._mutate(self.engine.delete, tids, publish)
+        return await self._published(super().remove(tids), publish)
 
-    async def _mutate(self, fn, arg, publish: bool) -> int:
-        if self._closed:
-            raise ServiceClosedError("cluster is stopped")
-        generation = await self._run_writer(fn, arg)
+    async def _published(self, mutation, publish: bool) -> int:
+        generation = await mutation
         if publish:
             await self.publish()
         return generation
@@ -815,7 +785,7 @@ class ClusterService:
         """
         if self._closed:
             raise ServiceClosedError("cluster is stopped")
-        info = await self._run_writer(self.publisher.publish)
+        info = await self._on_engine_thread(self.publisher.publish)
         # Publishes finish in call order; the stamp never moves back.
         self._min_epoch = max(self._min_epoch, info.epoch)
         for handle in self._handles.values():
@@ -848,19 +818,20 @@ class ClusterService:
         )))
 
     def snapshot(self) -> dict:
-        """Router-side counters, the router cache's ledger under
+        """The service's stats ledger (:meth:`QueryService.snapshot`),
+        the router's counters, and the router cache's ledger under
         ``"cache"`` (``None`` without a cache); per-worker detail is
         async: use :meth:`worker_stats`.
 
         ``"routing"`` counts where each request was sent and
         ``"outstanding"`` the routed requests in flight per worker."""
-        total = sum(self.route_counts.values())
-        return {
+        out = super().snapshot()
+        out.update({
             "workers": list(self.workers),
             "epoch": self.publisher.epoch,
             "min_epoch": self._min_epoch,
             "publishes": self.publisher.n_publishes,
-            "routed": total,
+            "routed": sum(self.route_counts.values()),
             "routing": {
                 str(w): self.route_counts.get(w, 0) for w in self.workers
             },
@@ -874,22 +845,5 @@ class ClusterService:
                 None if self.engine.cache is None
                 else self.engine.cache.stats.as_dict()
             ),
-        }
-
-
-async def replay_cluster(cluster, requests) -> tuple[list, dict]:
-    """Submit a workload through a started cluster; gather all responses.
-
-    Mirrors :func:`repro.serving.serve_all`: per-request failures —
-    a shed or failed request, or query text that does not parse or
-    validate — come back as the exception object in the results list,
-    and the second element is the router snapshot taken after the drain.
-    """
-    async def one(req):
-        try:
-            return await cluster.submit(req)
-        except (ServiceError, QueryError) as exc:
-            return exc
-
-    results = await asyncio.gather(*(one(r) for r in requests))
-    return list(results), cluster.snapshot()
+        })
+        return out

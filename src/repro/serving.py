@@ -2,8 +2,10 @@
 
 The ROADMAP's north-star is COLARM as a *service*: heavy concurrent
 traffic over one shared MIP-index.  This module is that serving layer —
-an asyncio front door over :class:`repro.core.engine.Colarm` built from
-three pieces:
+the one asyncio front door over :class:`repro.core.engine.Colarm`, for
+both deployments: :class:`QueryService` runs a miss on its engine
+thread, and its subclass :class:`repro.cluster.ClusterService` runs it
+on a worker process.  Both share three pieces:
 
 * **Inline cache hits** — every request, forced plans included, makes
   its one cache probe on the event-loop thread
@@ -21,22 +23,24 @@ three pieces:
   nor accept attachments): a bypass caller asked for a fresh execution,
   not another waiter's shared result.
 
-* **One engine thread** — flights wait in a FIFO queue bounded by
-  ``max_pending`` (past it a request is shed with
-  :class:`~repro.errors.ServiceOverloadError`) and run, in arrival
-  order, on the service's one engine thread: the engine's optimizer and
-  index state are not thread-safe, so one thread drives them, and
-  :meth:`ingest` / :meth:`remove` run on it too (the rule cache has its
-  own lock).  A flight makes one hop to that thread:
+* **One engine thread** — the engine's optimizer and index state are
+  not thread-safe, so one thread drives them: :meth:`ingest` /
+  :meth:`remove` run on it (the rule cache has its own lock), and so
+  does every miss in process.  Its flights wait in a FIFO queue bounded
+  by ``max_pending`` (past it a request is shed with
+  :class:`~repro.errors.ServiceOverloadError`) and run in arrival
+  order, each one hop to that thread:
   :meth:`~repro.core.engine.Colarm.serve_fresh` installs any finished
   fold, prices the request (its one ``optimizer.choose``), executes the
-  chosen plan on the profiled projection and populates the cache.
+  chosen plan on the profiled projection and populates the cache.  In a
+  cluster the thread is the writer's, and misses run on the workers.
 
 Correctness across mutations: a miss is priced when its flight runs, so
 an index mutation while it is queued is simply part of the state it is
 planned against.  Every flight is stamped with the index generation it
-was queued at, and a request never attaches to a flight of an older
-generation (the cache's own generation check backstops the populate).
+was queued at (in a cluster, the epoch it may be served at), and a
+request never attaches to a flight of an older stamp (the cache's own
+generation check backstops the populate).
 
 Every response carries a :class:`RequestTrace` (queue wait, coalesce
 fan-out, plan, cached flag) and the service keeps running counters with
@@ -93,7 +97,12 @@ class ServingConfig:
 
 @dataclass
 class RequestTrace:
-    """What happened to one request inside the service."""
+    """What happened to one request inside the service.
+
+    A cluster's routed answer carries the worker's ``serve_fresh`` time
+    as ``execute_s`` and ``total_s`` (its router latency minus that is
+    the hop) and no queue wait: a worker has no queue.
+    """
 
     queue_wait_s: float = 0.0
     execute_s: float = 0.0
@@ -103,6 +112,10 @@ class RequestTrace:
     plan: PlanKind | None = None
     cached: bool = False
     generation: int = 0
+
+    def __getitem__(self, name: str):
+        """A field by name, as a mapping reads it: ``trace["total_s"]``."""
+        return getattr(self, name)
 
     def as_dict(self) -> dict:
         return {
@@ -203,8 +216,7 @@ def request_key(engine: Colarm, q: LocalizedQuery, plan) -> tuple:
     The focal part is the same canonical key the cache and the batch
     executor group by; the rest pins everything else that changes the
     answer (engine mode, item attributes, thresholds, forced plan — a
-    :class:`PlanKind` or ``None``).  The cluster router coalesces by it
-    too.
+    :class:`PlanKind` or ``None``).
     """
     return (
         canonical_focal_key(q.range_selections, engine.index.cardinalities),
@@ -217,15 +229,16 @@ def request_key(engine: Colarm, q: LocalizedQuery, plan) -> tuple:
 
 
 class _Flight:
-    """One queued execution and everyone waiting on it."""
+    """One execution of a miss and everyone waiting on it."""
 
-    __slots__ = ("query", "plan", "use_cache", "generation", "key", "waiters")
+    __slots__ = ("query", "plan", "use_cache", "stamp", "key", "waiters")
 
-    def __init__(self, query, plan, use_cache, generation, key):
+    def __init__(self, query, plan, use_cache, stamp, key):
         self.query = query
         self.plan = plan
         self.use_cache = use_cache
-        self.generation = generation
+        #: The index generation in process, the epoch in a cluster.
+        self.stamp = stamp
         self.key = key              # None: not coalescible (cache bypass)
         #: (future, submit time, leader?) per request sharing this flight.
         self.waiters: list[tuple[asyncio.Future, float, bool]] = []
@@ -239,11 +252,19 @@ class QueryService:
     start/stop pair.  Requests submitted before :meth:`start` queue up
     and go to the engine thread when it starts — the deterministic mode
     the ordering tests use.
+
+    The front door — intake, inline hit, coalescing table, fan-out and
+    stats — is this class's alone; a subclass overrides where a miss
+    runs (:meth:`_dispatch`, with the flight stamp :meth:`_stamp`) and
+    how a hit is shaped (:meth:`_hit`).
+    :class:`repro.cluster.ClusterService` runs misses on worker
+    processes that way.
     """
 
     def __init__(self, engine: Colarm, config: ServingConfig | None = None):
         self.engine = engine
-        self.config = config or ServingConfig()
+        #: Bound on the engine thread's queue of flights.
+        self._max_pending = (config or ServingConfig()).max_pending
         self.stats = ServiceStats()
         #: The one thread that drives the engine: every flight, append and
         #: delete runs here, in the order it was handed over (the
@@ -255,6 +276,7 @@ class QueryService:
         #: Flights handed over (or waiting for :meth:`start`) that the
         #: engine thread has not started yet, in arrival order.
         self._queue: deque[_Flight] = deque()
+        #: The coalescing table: request key -> the flight a joiner awaits.
         self._inflight: dict[tuple, _Flight] = {}
         self._running: set[asyncio.Future] = set()
         self._started = False
@@ -344,8 +366,11 @@ class QueryService:
     async def _mutate(self, fn, arg) -> int:
         if self._closed:
             raise ServiceClosedError("service is stopped")
-        return await asyncio.get_running_loop().run_in_executor(
-            self._engine_thread, fn, arg
+        return await self._on_engine_thread(fn, arg)
+
+    def _on_engine_thread(self, fn, *args) -> asyncio.Future:
+        return asyncio.get_running_loop().run_in_executor(
+            self._engine_thread, fn, *args
         )
 
     # -- request intake ----------------------------------------------------
@@ -365,6 +390,12 @@ class QueryService:
         additionally opts the request out of coalescing — it always gets
         a fresh execution.
         """
+        return await self._intake(request, plan, use_cache)
+
+    async def _intake(self, request, plan, use_cache):
+        """Parse, validate, serve a cache hit inline (nothing is awaited
+        before it), else join the flight in the coalescing table or lead
+        a new one through :meth:`_dispatch`; await its answer."""
         if self._closed:
             raise ServiceClosedError("service is stopped")
         t_submit = time.monotonic()
@@ -382,57 +413,53 @@ class QueryService:
             self.stats.errors += 1
             raise
         if use_cache and self.engine.cache is not None:
+            # Read before the probe: a mutation racing it on the engine
+            # thread makes the probe miss, so a hit is never stamped with
+            # a generation it was not served from.
+            generation = self.engine.index.generation
             outcome = self.engine.serve_cached(q, plan)
             if outcome is not None:
                 # A cache hit: no pricing, no queue, no thread hop.
-                return self._served_inline(outcome, t_submit)
+                return self._served_inline(outcome, generation, t_submit)
         key = request_key(self.engine, q, plan) if use_cache else None
         waiter = self._attach(key, t_submit)
         if waiter is None:
-            waiter = self._enqueue(q, plan, use_cache, key, t_submit)
+            waiter = self._lead(
+                _Flight(q, plan, use_cache, self._stamp(), key), t_submit
+            )
         return await waiter
 
-    def _enqueue(self, q, plan, use_cache, key, t_submit) -> asyncio.Future:
-        """Queue a new flight led by this request; the future to await."""
-        if self.n_pending >= self.config.max_pending:
-            self.stats.shed += 1
-            raise ServiceOverloadError(
-                f"queue full ({self.config.max_pending} pending)"
-            )
-        flight = _Flight(
-            query=q, plan=plan, use_cache=use_cache,
-            generation=self.engine.index.generation, key=key,
-        )
-        fut = asyncio.get_running_loop().create_future()
-        flight.waiters.append((fut, t_submit, True))
-        if key is not None:
-            self._inflight[key] = flight
-        self._queue.append(flight)
-        if self._started:
-            # At the end of this loop turn: a burst of arrivals counts
-            # against ``max_pending`` before the first of them starts.
-            asyncio.get_running_loop().call_soon(self._hand_over)
-        return fut
+    def _stamp(self) -> int:
+        """What a flight is stamped with: a request joins only a flight of
+        the current stamp.  Here the index generation."""
+        return self.engine.index.generation
 
     def _attach(
         self, key: tuple | None, t_submit: float
     ) -> asyncio.Future | None:
-        """Join the in-flight execution of ``key`` queued at the current
-        index generation, if there is one."""
+        """Join the in-flight execution of ``key`` at the current stamp,
+        if there is one."""
         flight = self._inflight.get(key) if key is not None else None
-        if (
-            flight is None
-            or flight.generation != self.engine.index.generation
-        ):
+        if flight is None or flight.stamp != self._stamp():
             return None
         fut = asyncio.get_running_loop().create_future()
         flight.waiters.append((fut, t_submit, False))
         self.stats.coalesced += 1
         return fut
 
+    def _lead(self, flight: _Flight, t_submit: float) -> asyncio.Future:
+        """Dispatch a new flight led by this request; the future to await.
+        A flight the dispatch refuses is never registered."""
+        self._dispatch(flight)
+        fut = asyncio.get_running_loop().create_future()
+        flight.waiters.append((fut, t_submit, True))
+        if flight.key is not None:
+            self._inflight[flight.key] = flight
+        return fut
+
     def _served_inline(
-        self, outcome: QueryOutcome, t_submit: float
-    ) -> ServedQuery:
+        self, outcome: QueryOutcome, generation: int, t_submit: float
+    ):
         now = time.monotonic()
         self.stats.cache_short_circuits += 1
         self.stats.executions += 1
@@ -441,19 +468,35 @@ class QueryService:
             total_s=now - t_submit,
             plan=outcome.plan,
             cached=True,
-            generation=self.engine.index.generation,
+            generation=generation,
         )
         self.stats.record_serve(trace.total_s, now)
+        return self._hit(outcome, trace)
+
+    def _hit(self, outcome: QueryOutcome, trace: RequestTrace) -> ServedQuery:
+        """The response to an inline cache hit."""
         return ServedQuery(outcome=outcome, trace=trace)
 
     # -- execution ---------------------------------------------------------
 
+    def _dispatch(self, flight: _Flight) -> None:
+        """Queue a flight for the engine thread, or shed it when the queue
+        is full."""
+        if self.n_pending >= self._max_pending:
+            self.stats.shed += 1
+            raise ServiceOverloadError(
+                f"queue full ({self._max_pending} pending)"
+            )
+        self._queue.append(flight)
+        if self._started:
+            # At the end of this loop turn: a burst of arrivals counts
+            # against ``max_pending`` before the first of them starts.
+            asyncio.get_running_loop().call_soon(self._hand_over)
+
     def _hand_over(self) -> None:
         """Give the engine thread one more flight to start; its finish fans
         out on the loop."""
-        job = asyncio.get_running_loop().run_in_executor(
-            self._engine_thread, self._start
-        )
+        job = self._on_engine_thread(self._start)
         self._running.add(job)
         job.add_done_callback(self._finish)
 
@@ -487,17 +530,12 @@ class QueryService:
         if isinstance(outcome, Exception):
             self._fail_flight(flight, outcome)
             return
-        # New arrivals must lead a fresh flight once execution is done —
-        # un-register before fan-out, on the loop.
-        if flight.key is not None and self._inflight.get(flight.key) is flight:
-            del self._inflight[flight.key]
         now = time.monotonic()
-        self.stats.executions += 1
         fanout = len(flight.waiters)
-        for fut, t_submit, leader in flight.waiters:
-            if fut.done():  # the waiter cancelled; others still serve
-                continue
-            trace = RequestTrace(
+        generation = self.engine.index.generation
+
+        def answer(t_submit: float, leader: bool) -> ServedQuery:
+            return ServedQuery(outcome=outcome, trace=RequestTrace(
                 # A waiter that attached after execution started has
                 # waited zero queue time, not negative.
                 queue_wait_s=max(0.0, t_exec - t_submit),
@@ -507,40 +545,51 @@ class QueryService:
                 leader=leader,
                 plan=outcome.plan,
                 cached=outcome.cached,
-                generation=self.engine.index.generation,
-            )
-            self.stats.record_serve(trace.total_s, now)
-            fut.set_result(ServedQuery(outcome=outcome, trace=trace))
+                generation=generation,
+            ))
+
+        self._fan_out(flight, now, answer)
+
+    def _fan_out(self, flight: _Flight, now: float, answer) -> None:
+        """Hand every waiter still listening ``answer(submit time,
+        leader?)``.  The flight leaves the coalescing table first: new
+        arrivals lead a fresh flight once its execution is done."""
+        self._unregister(flight)
+        self.stats.executions += 1
+        for fut, t_submit, leader in flight.waiters:
+            if fut.done():  # the waiter cancelled; others still serve
+                continue
+            self.stats.record_serve(now - t_submit, now)
+            fut.set_result(answer(t_submit, leader))
 
     def _fail_flight(self, flight: _Flight, exc: BaseException) -> None:
-        if flight.key is not None and self._inflight.get(flight.key) is flight:
-            del self._inflight[flight.key]
+        self._unregister(flight)
         for fut, _t, _leader in flight.waiters:
             if not fut.done():
                 self.stats.errors += 1
                 fut.set_exception(exc)
 
+    def _unregister(self, flight: _Flight) -> None:
+        if flight.key is not None and self._inflight.get(flight.key) is flight:
+            del self._inflight[flight.key]
+
 
 async def serve_all(
-    engine: Colarm,
-    requests: list[LocalizedQuery | str],
-    config: ServingConfig | None = None,
-) -> tuple[list[ServedQuery | ServiceError | QueryError], dict]:
-    """Run a whole workload through a fresh service (the replay helper).
+    service: QueryService, requests: list[LocalizedQuery | str]
+) -> tuple[list, dict]:
+    """Submit a whole workload concurrently through a started service —
+    in process or a cluster — and gather every answer (the replay helper).
 
     Returns per-request results *in submission order* — a shed, failed or
     malformed request yields its :class:`~repro.errors.ServiceError` or
     :class:`~repro.errors.QueryError` instead of a response — plus the
-    final stats snapshot.
+    service's stats snapshot after the last answer.
     """
-    service = QueryService(engine, config)
-
     async def one(req):
         try:
             return await service.submit(req)
         except (ServiceError, QueryError) as exc:
             return exc
 
-    async with service:
-        results = await asyncio.gather(*(one(r) for r in requests))
+    results = await asyncio.gather(*(one(r) for r in requests))
     return list(results), service.snapshot()

@@ -347,7 +347,7 @@ def test_a_worker_loads_cacheless_and_ignores_a_legacy_cache_sidecar(
 def test_ingest_remove_and_publish_run_on_one_writer_thread(tmp_path):
     """Every touch of the writer engine — the start's publish, ingests,
     removes and publishes issued together — runs on the cluster's one
-    writer thread."""
+    writer thread: the service's engine thread."""
     engine = fresh_engine()
     record = [int(v) for v in engine.table.data[0]]
     threads: list[tuple[str, str]] = []
@@ -381,7 +381,7 @@ def test_ingest_remove_and_publish_run_on_one_writer_thread(tmp_path):
         "append", "append", "delete", "publish", "publish", "publish",
     ]
     (thread,) = {thread for _, thread in threads}
-    assert thread.startswith("colarm-writer")
+    assert thread.startswith("colarm-serve")
     assert res.epoch == cluster.publisher.epoch == 3
 
 

@@ -2,9 +2,10 @@
 
 ``ClusterService._place`` picks the least-loaded live worker, reading
 each worker's load from the router's own ``_pending`` table; a miss
-identical to one in flight (same ``serving.request_key`` and epoch
-stamp, both with ``use_cache``) is not routed at all but awaits that
-miss's answer.  The unit tests below run on a cluster that was never
+identical to one in flight (same ``serving.request_key``, its flight
+stamped with the same epoch, both with ``use_cache``) is not routed at
+all but joins that flight in the service's coalescing table,
+``_inflight``.  The unit tests below run on a cluster that was never
 started, with its pipes stubbed; the live tests run real worker
 processes, as in ``test_cluster_service.py``, and check every answer
 byte-identical to a fresh engine.
@@ -23,6 +24,7 @@ import pytest
 from repro.cluster import ClusterService, _Pending, _WorkerHandle
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
+from repro.serving import QueryService
 from tests.cluster.test_cluster_service import (
     BOSTON,
     SEATTLE,
@@ -39,7 +41,7 @@ def idle(tmp_path):
     cluster = ClusterService(fresh_engine(), tmp_path, config(workers=3))
     cluster._handles = {w: _WorkerHandle(w) for w in range(3)}
     yield cluster
-    cluster._writer.shutdown()
+    cluster._engine_thread.shutdown()
 
 
 _req_ids = itertools.count(1)
@@ -70,9 +72,7 @@ def answer(cluster, worker, message, epoch=None) -> None:
     outcome = fresh_engine().query(q, plan=plan, use_cache=False)
     cluster._on_message(worker, ("ok", req_id, {
         "rules": outcome.rules, "plan": outcome.plan,
-        "dq_size": outcome.dq_size,
-        "trace": {"total_s": 0.0, "leader": True},
-        "worker": worker, "epoch": min_epoch if epoch is None else epoch,
+        "dq_size": outcome.dq_size, "total_s": 0.0, "worker": worker, "epoch": min_epoch if epoch is None else epoch,
         "generation": 0,
     }))
 
@@ -137,7 +137,9 @@ def test_an_identical_outstanding_request_is_joined_not_routed(idle):
             assert res.trace["leader"]
             assert res.rules == fresh_engine().query(q, plan=plan).rules
         assert idle.route_counts == {0: 2, 1: 2, 2: 1}
-        assert idle._flights == {} and idle._pending == {}
+        assert idle._inflight == {} and idle._pending == {}
+        assert (idle.stats.coalesced, idle.stats.executions) == (3, 5)
+        assert idle.stats.served == 7
 
     asyncio.run(main())
 
@@ -198,7 +200,7 @@ def test_a_leaders_exception_reaches_every_joiner(idle):
         )
         results = await asyncio.gather(*tasks, return_exceptions=True)
         assert all(isinstance(res, QueryError) for res in results)
-        assert idle._flights == {}
+        assert idle._inflight == {} and idle.stats.errors == 3
         # The failure is not remembered: the next ask routes again.
         retry = asyncio.ensure_future(idle.submit(Q))
         await asyncio.sleep(0)
@@ -207,6 +209,26 @@ def test_a_leaders_exception_reaches_every_joiner(idle):
         assert (await retry).rules == fresh_engine().query(Q).rules
 
     asyncio.run(main())
+
+
+def test_a_cluster_request_never_passes_through_the_services_submit(
+    idle, monkeypatch,
+):
+    """Both services share one intake, but each ``submit`` is its own:
+    the benchmark's tracer times the two methods as separate spans."""
+    async def refused(*args, **kwargs):
+        raise AssertionError("QueryService.submit called")
+
+    monkeypatch.setattr(QueryService, "submit", refused)
+
+    async def main():
+        posted = posting(idle)
+        task = asyncio.ensure_future(idle.submit(Q))
+        await asyncio.sleep(0)
+        answer(idle, *posted[0])
+        return await task
+
+    assert asyncio.run(main()).rules == fresh_engine().query(Q).rules
 
 
 def test_two_concurrent_distinct_misses_use_both_workers(tmp_path):

@@ -13,11 +13,12 @@ import asyncio
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService, replay_cluster
+from repro.cluster import ClusterConfig, ClusterService
 from repro.core.engine import Colarm
 from repro.core.query import LocalizedQuery
 from repro.dataset.salary import salary_dataset
 from repro.errors import QueryError
+from repro.serving import serve_all
 from tests.cluster.test_cluster_service import (
     BOSTON,
     QUERIES,
@@ -195,16 +196,50 @@ def test_an_engine_without_a_cache_routes_every_request(tmp_path):
 def test_an_invalid_request_is_a_query_error_before_routing(tmp_path, cache):
     """A request naming an attribute the schema lacks is refused as the
     ``QueryError`` an in-process service raises — before it is keyed —
-    and comes back in its place from ``replay_cluster``."""
+    counts in the ledger's ``errors``, and comes back in its place from
+    ``serve_all``."""
     engine = cached_engine() if cache else fresh_engine()
     bad = LocalizedQuery({99: frozenset({0})}, 0.4, 0.7)
 
     async def main():
         async with cluster_over(engine, tmp_path) as cluster:
-            return await replay_cluster(cluster, [bad, SEATTLE])
+            return await serve_all(cluster, [bad, SEATTLE])
 
     (refused, served), snap = asyncio.run(main())
     assert isinstance(refused, QueryError)
     assert "range attribute index 99 out of range" in str(refused)
     assert served.rules == fresh_engine().query(SEATTLE).rules
     assert snap["routed"] == 1
+    assert (snap["submitted"], snap["errors"], snap["served"]) == (2, 1, 1)
+
+
+def test_the_cluster_keeps_the_services_ledger(tmp_path):
+    """One stats ledger for both deployments: a malformed request counts
+    in ``errors``, eight concurrent identical misses are one worker
+    execution and seven joins, and a repeat is a cache short circuit —
+    next to the router's own counters in ``snapshot()``."""
+    engine = cached_engine()
+
+    async def main():
+        async with cluster_over(engine, tmp_path) as cluster:
+            with pytest.raises(QueryError):
+                await cluster.submit("REPORT garbage;")
+            answers = await asyncio.gather(
+                *(cluster.submit(SEATTLE) for _ in range(8))
+            )
+            repeat = await cluster.submit(SEATTLE)
+            stats = await cluster.worker_stats()
+            return answers, repeat, stats, cluster.snapshot()
+
+    answers, repeat, stats, snap = asyncio.run(main())
+    want = fresh_engine().query(SEATTLE).rules
+    assert all(res.rules == want for res in answers) and repeat.cached
+    assert [res.trace.leader for res in answers] == [True] + [False] * 7
+    assert all(res.trace.coalesced == 8 for res in answers)
+    assert sum(s["served"] for s in stats) == 1
+    assert (snap["submitted"], snap["served"], snap["errors"]) == (10, 9, 1)
+    assert (snap["executions"], snap["coalesced"]) == (2, 7)
+    assert snap["cache_short_circuits"] == 1
+    assert snap["p99_s"] >= snap["p50_s"] > 0 and snap["throughput_qps"] > 0
+    assert snap["routed"] == 1 and snap["routing"] == {"0": 1, "1": 0}
+    assert {"workers", "respawns", "epoch", "cache"} <= set(snap)

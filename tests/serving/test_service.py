@@ -297,6 +297,33 @@ def test_forced_hit_overtakes_a_parked_miss(engine):
     assert service.stats.cache_short_circuits == 2
 
 
+def test_an_inline_hit_is_stamped_with_the_generation_it_was_served_at(
+    engine, monkeypatch,
+):
+    """A mutation landing right after the probe (here: a generation bump
+    once the real ``serve_cached`` returns) does not restamp the hit: its
+    trace carries the generation read before the probe."""
+    engine.enable_cache()
+    engine.query(SEATTLE_F)  # populate
+    serve_cached = engine.serve_cached
+
+    def then_bumped(q, kind):
+        outcome = serve_cached(q, kind)
+        engine.index.bump_generation()
+        return outcome
+
+    monkeypatch.setattr(engine, "serve_cached", then_bumped)
+    before = engine.index.generation
+
+    async def main():
+        async with QueryService(engine) as service:
+            return await service.submit(SEATTLE_F)
+
+    served = asyncio.run(main())
+    assert served.cached and engine.index.generation == before + 1
+    assert served.trace.generation == before
+
+
 def test_append_between_populate_and_repeat_is_never_inline(engine):
     engine.enable_cache()
     engine.enable_maintenance(calibrate=False)
@@ -625,9 +652,16 @@ def test_stats_snapshot_shape(engine):
     }
 
 
+async def _serve_all(service, requests):
+    async with service:
+        return await serve_all(service, requests)
+
+
 def test_serve_all_keeps_submission_order(engine):
     requests = [SEATTLE_F, BOSTON, SEATTLE_F, SEATTLE]
-    results, snapshot = asyncio.run(serve_all(engine, requests))
+    results, snapshot = asyncio.run(
+        _serve_all(QueryService(engine), requests)
+    )
     assert len(results) == 4
     assert all(isinstance(r, ServedQuery) for r in results)
     assert results[0].rules == results[2].rules
@@ -637,9 +671,9 @@ def test_serve_all_keeps_submission_order(engine):
 def test_serve_all_reports_shed_requests_in_place(engine):
     """A shed request and one whose text does not parse come back as
     their errors, in place; the others are served."""
-    config = ServingConfig(max_pending=1)
+    service = QueryService(engine, ServingConfig(max_pending=1))
     results, snapshot = asyncio.run(
-        serve_all(engine, [SEATTLE_F, BOSTON, "REPORT garbage;"], config)
+        _serve_all(service, [SEATTLE_F, BOSTON, "REPORT garbage;"])
     )
     assert isinstance(results[0], ServedQuery)
     assert isinstance(results[1], ServiceOverloadError)

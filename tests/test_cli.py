@@ -137,6 +137,30 @@ def test_replay(workspace, tmp_path, capsys):
     assert snapshot["served"] == 2 and "parallel" not in snapshot
 
 
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["service", "cluster"])
+def test_replay_joins_a_duplicated_line(workspace, tmp_path, capsys,
+                                        workers):
+    """One path with or without ``--workers``: a duplicated line is
+    answered twice, identically, the second marked ``coalesced``, and
+    the stats show the join; a cluster answer names its worker."""
+    _, index_path = workspace
+    workload = tmp_path / "dup.txt"
+    workload.write_text(f"{QUERY}\n{QUERY}\n")
+    assert main(["replay", str(index_path), str(workload),
+                 "--workers", workers, "--limit", "1000"]) == 0
+    out = capsys.readouterr().out
+    body, stats = out[: out.index("\n{")], out[out.index("\n{"):]
+    first, second = body.split("[2] ")
+    first_head, *first_rules = first.splitlines()
+    second_head, *second_rules = second.splitlines()
+    assert first_rules == second_rules and first_rules
+    assert "coalesced" not in first_head and "coalesced" in second_head
+    assert ("worker 0" in first_head) == (workers == "2")
+    snapshot = json.loads(stats)
+    assert (snapshot["served"], snapshot["coalesced"]) == (2, 1)
+    assert snapshot["executions"] == 1
+
+
 def test_replay_all_failed_exits_nonzero(workspace, tmp_path, capsys):
     _, index_path = workspace
     workload = tmp_path / "w.txt"
@@ -187,10 +211,11 @@ def test_serve_answers_malformed_text_with_an_error(workspace, capsys,
     assert responses[2]["error"] == "ParseError"
     assert "garbage" in responses[2]["message"]
     assert "never retrieved" not in captured.err
-    if workers == "1":
-        snapshot = json.loads(captured.err.strip().splitlines()[-1])
-        assert snapshot["submitted"] == 3
-        assert snapshot["served"] == 2 and snapshot["errors"] == 1
+    snapshot = json.loads(captured.err.strip().splitlines()[-1])
+    assert snapshot["submitted"] == 3
+    assert snapshot["served"] == 2 and snapshot["errors"] == 1
+    assert ("routing" in snapshot) == (workers == "2")
+    assert ("worker" in responses[1]) == (workers == "2")
 
 
 def test_replay_empty_workload(workspace, tmp_path, capsys):

@@ -6,10 +6,10 @@ appends a batch (plus a couple of deletes), then serves a burst of
 Zipf-drawn queries from a fixed pool; the same episode is priced two
 ways:
 
-* **array** — the maintained kernel path (``MaintainedIndex.query``):
-  vectorized batch append, then stored∩D^Q counts off the flat R-tree
-  and the batched AND+popcount kernels with vectorized delta
-  corrections;
+* **array** — the maintained kernel path (``execute_plan`` with the
+  ``MaintainedIndex`` as its ``delta``): vectorized batch append, then
+  stored∩D^Q counts off the MIP bitmaps and the batched AND+popcount
+  kernels with vectorized delta corrections;
 * **rebuild** — no delta store at all: a from-scratch
   ``build_mip_index`` over the live records every round, then kernel
   serves against the fresh index (the freshness-equivalent strategy
@@ -115,7 +115,7 @@ def run_bench(seed: int = 13) -> dict:
         pool = _query_pool(spec, base, seed + di)
 
         mx = MaintainedIndex(
-            base, primary_support=spec.primary_support
+            build_mip_index(base, primary_support=spec.primary_support)
         )
         rows = [list(map(int, r)) for r in base.data]
         alive = [True] * len(rows)
@@ -149,7 +149,7 @@ def run_bench(seed: int = 13) -> dict:
             with paused_gc():
                 t0 = time.perf_counter()
                 for qi in draws:
-                    mx.query(pool[qi])
+                    execute_plan(PlanKind.SEV, mx.index, pool[qi], delta=mx)
                 array_serve_s = time.perf_counter() - t0
 
             # -- rebuild path: fresh index over the live records -------
@@ -184,7 +184,10 @@ def run_bench(seed: int = 13) -> dict:
                 expected = rule_key(
                     execute_plan(PlanKind.SEV, fresh, q, expand=True).rules
                 )
-                if rule_key(mx.query(q, expand=True)) != expected:
+                got = execute_plan(
+                    PlanKind.SEV, mx.index, q, expand=True, delta=mx
+                ).rules
+                if rule_key(got) != expected:
                     mismatches += 1
                 assert mismatches == 0, (
                     f"maintained serve diverged from rebuild: "

@@ -325,27 +325,22 @@ def _make_service(args: argparse.Namespace):
     return ClusterService(engine, tmp.name, config), tmp
 
 
-def _where(served) -> dict:
-    """Where a cluster answer was served — its ``worker`` (``None``: the
-    router's cache) and ``epoch``; nothing for an in-process one."""
-    return {
-        name: getattr(served, name) for name in ("worker", "epoch")
-        if hasattr(served, name)
-    }
-
-
 def _response_json(served, engine: Colarm, limit: int | None = None) -> str:
+    """One answer as JSON; a cluster's (it has an epoch) also names its
+    ``worker`` (``None``: the router's cache) and ``epoch``."""
     import json
 
     rules = served.rules if limit is None else served.rules[:limit]
-    return json.dumps({
+    payload = {
         "ok": True,
         "plan": served.plan.value,
         "n_rules": len(served.rules),
         "rules": [rule.render(engine.schema) for rule in rules],
         "trace": served.trace.as_dict(),
-        **_where(served),
-    })
+    }
+    if served.epoch is not None:
+        payload.update(worker=served.worker, epoch=served.epoch)
+    return json.dumps(payload)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -443,9 +438,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             n_failed += 1
             print(f"[{i}] {type(res).__name__}: {res}")
             continue
-        worker = _where(res).get("worker")
         print(
-            f"[{i}] {'' if worker is None else f'worker {worker} '}"
+            f"[{i}] {'' if res.worker is None else f'worker {res.worker} '}"
             f"plan {res.plan.value} "
             f"{'cached ' if res.cached else ''}"
             f"{'coalesced ' if not res.trace.leader else ''}"
@@ -473,7 +467,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         maintained.max_delta_fraction = args.max_delta_fraction
     else:
         index, weights = load_index(args.index)
-        maintained = MaintainedIndex.from_index(
+        maintained = MaintainedIndex(
             index, max_delta_fraction=args.max_delta_fraction
         )
     schema = maintained.schema

@@ -71,12 +71,10 @@ from repro.core.persistence import load_index, save_index
 from repro.core.plans import PlanKind, plan_from_name
 from repro.core.query import LocalizedQuery
 from repro.errors import DataError, ServiceClosedError, ServiceError
-from repro.itemsets.rules import RuleBlock
-from repro.serving import QueryService, RequestTrace, _Flight
+from repro.serving import QueryService, RequestTrace, ServedQuery, _Flight
 
 __all__ = [
     "ClusterConfig",
-    "ClusterResponse",
     "ClusterService",
     "EpochInfo",
     "EpochPublisher",
@@ -199,7 +197,7 @@ class EpochPublisher:
                     pass
 
 
-# -- configuration / responses ----------------------------------------------
+# -- configuration -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -221,31 +219,6 @@ class ClusterConfig:
             raise ValueError("workers must be >= 1")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
-
-
-@dataclass
-class ClusterResponse:
-    """One response: the rules plus where/when they were served.
-
-    ``worker`` is the worker process that executed the request, or
-    ``None`` when it was served by the router, from its cache
-    (``cached`` is then true, and ``epoch`` / ``generation`` are the
-    router's current ones).  ``trace`` is the service's
-    :class:`~repro.serving.RequestTrace`; a routed answer's
-    ``trace.total_s`` is the worker's time.
-    """
-
-    rules: RuleBlock
-    plan: PlanKind
-    cached: bool
-    worker: int | None
-    epoch: int
-    generation: int
-    trace: RequestTrace
-
-    @property
-    def n_rules(self) -> int:
-        return len(self.rules)
 
 
 def private_rss_kb() -> int | None:
@@ -678,10 +651,14 @@ class ClusterService(QueryService):
         request: LocalizedQuery | str,
         plan: PlanKind | str | None = None,
         use_cache: bool = True,
-    ) -> ClusterResponse:
+    ) -> ServedQuery:
         """Answer one request: from the router's cache when it holds the
         answer, else from the miss in flight with the same identity and
         epoch stamp, else from the worker :meth:`_place` picks.
+
+        The answer is a :class:`~repro.serving.ServedQuery` whose
+        ``worker`` names the process that executed it (``None``: the
+        router's cache) and whose ``epoch`` is the one it was served at.
 
         Raises the :class:`~repro.errors.QueryError` of a request that
         does not parse or validate.  A routed answer the worker served at
@@ -729,29 +706,23 @@ class ClusterService(QueryService):
                 generation=payload["generation"],
             )
         fanout = len(flight.waiters)
-        plan, total_s, generation = (
-            payload["plan"], payload["total_s"], payload["generation"]
+        plan, total_s = payload["plan"], payload["total_s"]
+        outcome = QueryOutcome.unpriced(
+            payload["rules"], plan, forced=flight.plan is not None,
+            elapsed=total_s, dq_size=payload["dq_size"], cached=False,
         )
 
-        def answer(_t_submit: float, leader: bool) -> ClusterResponse:
-            return ClusterResponse(
-                rules=payload["rules"], plan=plan, cached=False,
-                worker=payload["worker"], epoch=payload["epoch"],
-                generation=generation, trace=RequestTrace(
+        def answer(_t_submit: float, leader: bool) -> ServedQuery:
+            return ServedQuery(
+                outcome=outcome, worker=payload["worker"],
+                epoch=payload["epoch"], trace=RequestTrace(
                     execute_s=total_s, total_s=total_s, coalesced=fanout,
-                    leader=leader, plan=plan, generation=generation,
+                    leader=leader, plan=plan,
+                    generation=payload["generation"],
                 ),
             )
 
         self._fan_out(flight, time.monotonic(), answer)
-
-    def _hit(self, outcome: QueryOutcome,
-             trace: RequestTrace) -> ClusterResponse:
-        """A router cache hit: no routing, no pipe, no pickling."""
-        return ClusterResponse(
-            rules=outcome.rules, plan=outcome.plan, cached=True, worker=None,
-            epoch=self._min_epoch, generation=trace.generation, trace=trace,
-        )
 
     # -- mutation: the single writer ---------------------------------------
 

@@ -309,7 +309,7 @@ def calibrate_maintenance(
     :meth:`repro.core.engine.Colarm.calibrate` calls this function after
     it while maintenance is on.
     """
-    words = max(1, maintained.delta_words)
+    words = max(1, maintained.buffer.words)
     fitted = dict(weights.weights)
     fitted["delta_probe"] = max(_measure_delta_probe(words), 1e-10)
     fitted["delta_merge"] = max(_measure_delta_merge(words), 1e-12)

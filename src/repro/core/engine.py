@@ -63,6 +63,23 @@ class QueryOutcome:
     result: PlanResult
     cached: bool = False            # served from the materialized cache
 
+    @classmethod
+    def unpriced(
+        cls, rules: RuleBlock, plan: PlanKind, *, forced: bool,
+        elapsed: float, dq_size: int, cached: bool,
+    ) -> "QueryOutcome":
+        """An answer this engine did not price: a cache hit's, or one a
+        cluster worker planned and executed.  No choice, an empty trace."""
+        return cls(
+            rules=rules,
+            plan=plan,
+            chosen_by="forced" if forced else "optimizer",
+            choice=None,
+            result=PlanResult(kind=plan, rules=rules, trace=ExecutionTrace(),
+                              elapsed=elapsed, dq_size=dq_size),
+            cached=cached,
+        )
+
     @property
     def n_rules(self) -> int:
         return len(self.rules)
@@ -203,7 +220,7 @@ class Colarm:
         ``self``.
         """
         if self.maintenance is None:
-            self.maintenance = MaintainedIndex.from_index(
+            self.maintenance = MaintainedIndex(
                 self.index, max_delta_fraction=max_delta_fraction
             )
         else:
@@ -400,19 +417,9 @@ class Colarm:
             return None
         if rules is None:
             return None
-        result = PlanResult(
-            kind=served,
-            rules=rules,
-            trace=ExecutionTrace(),
-            elapsed=time.perf_counter() - start,
-            dq_size=probe.dq_size,
-        )
-        return QueryOutcome(
-            rules=rules,
-            plan=served,
-            chosen_by="optimizer" if kind is None else "forced",
-            choice=None,
-            result=result,
+        return QueryOutcome.unpriced(
+            rules, served, forced=kind is not None,
+            elapsed=time.perf_counter() - start, dq_size=probe.dq_size,
             cached=True,
         )
 

@@ -66,13 +66,10 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro import kernels, tidset as ts
-from repro.core.focal import resolve_focal
 from repro.core.mipindex import MIPIndex, build_mip_index
-from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.errors import DataError
-from repro.itemsets.rules import RuleBlock
 
 __all__ = ["DeltaBuffer", "DeltaView", "MaintainedIndex"]
 
@@ -302,33 +299,14 @@ class MaintainedIndex:
     :meth:`recompact` to wait for it.  Installs are counted by how they
     were awaited: ``n_rebuilds`` for a fold someone blocked on,
     ``n_recompactions`` for one a poll found finished.
+
+    It answers no query itself: every plan reads it as the ``delta`` of
+    :func:`repro.core.plans.execute_plan` (``Colarm`` with maintenance
+    on hands it there).
     """
 
-    def __init__(
-        self,
-        table: RelationalTable,
-        primary_support: float,
-        max_delta_fraction: float = 0.1,
-    ):
-        if not 0.0 < max_delta_fraction < 1.0:
-            raise DataError("max_delta_fraction must be in (0, 1)")
-        self.primary_support = primary_support
-        self.max_delta_fraction = max_delta_fraction
-        self.n_rebuilds = 0
-        self.n_recompactions = 0
-        self.last_build_s = 0.0
-        self._recomp: _Recompaction | None = None
-        start = time.perf_counter()
-        self._adopt(build_mip_index(table, primary_support))
-        self.last_build_s = time.perf_counter() - start
-
-    @classmethod
-    def from_index(
-        cls,
-        index: MIPIndex,
-        max_delta_fraction: float = 0.1,
-    ) -> "MaintainedIndex":
-        """Wrap an existing (possibly persisted) index for maintenance.
+    def __init__(self, index: MIPIndex, max_delta_fraction: float = 0.1):
+        """Wrap a built (possibly persisted) index for maintenance.
 
         The index keeps its identity — same object, same generation
         lineage — so engines can adopt maintenance without invalidating
@@ -336,20 +314,19 @@ class MaintainedIndex:
         """
         if not 0.0 < max_delta_fraction < 1.0:
             raise DataError("max_delta_fraction must be in (0, 1)")
-        self = cls.__new__(cls)
         self.primary_support = index.primary_support
         self.max_delta_fraction = max_delta_fraction
         self.n_rebuilds = 0
         self.n_recompactions = 0
         self.last_build_s = 0.0
-        self._recomp = None
+        self._recomp: _Recompaction | None = None
         self._adopt(index)
-        return self
 
     def _adopt(self, index: MIPIndex) -> None:
         """Install an index and reset the delta store around it."""
         self.index = index
-        self._buffer = DeltaBuffer(
+        #: The appended records, packed in the kernel layout.
+        self.buffer = DeltaBuffer(
             index.table.schema, index.stats.mip_fixed_values
         )
         self._main_dead = ts.EMPTY
@@ -369,12 +346,12 @@ class MaintainedIndex:
     @property
     def n_delta_records(self) -> int:
         """Live delta records (appended minus tombstoned)."""
-        return self._buffer.n_live
+        return self.buffer.n_live
 
     @property
     def n_pending(self) -> int:
         """Un-folded mutations: live delta records plus main tombstones."""
-        return self._buffer.n_live + self._main_dead_count
+        return self.buffer.n_live + self._main_dead_count
 
     @property
     def fold_due(self) -> bool:
@@ -407,16 +384,10 @@ class MaintainedIndex:
         """Whether a background fold is currently in flight."""
         return self._recomp is not None
 
-    @property
-    def delta_words(self) -> int:
-        """Packed 64-bit words per delta-matrix row (the cost model's
-        ``delta_words`` profile input)."""
-        return self._buffer.words
-
     def delta_data(self) -> np.ndarray:
         """The live delta records as an ``(n, n_attrs)`` int32 array (in
         tid order — the persistence sidecar's replay payload)."""
-        return self._buffer.data[: self._buffer.n_rows][self._buffer.live_bool()]
+        return self.buffer.data[: self.buffer.n_rows][self.buffer.live_bool()]
 
     def coverage_guaranteed(self, query: LocalizedQuery, dq_size: int) -> bool:
         """Whether results for this query are provably complete.
@@ -465,7 +436,7 @@ class MaintainedIndex:
         batch = self._validated(records)
         if len(batch) == 0:
             return
-        self._buffer.append(batch)
+        self.buffer.append(batch)
         if self._recomp is not None:
             self._recomp.log.append(("append", batch.copy()))
         self.index.bump_generation()
@@ -480,7 +451,7 @@ class MaintainedIndex:
         tids = np.asarray(tids, dtype=np.int64).ravel()
         if tids.size == 0:
             return
-        total = self.n_main_records + self._buffer.n_rows
+        total = self.n_main_records + self.buffer.n_rows
         if int(tids.min()) < 0 or int(tids.max()) >= total:
             raise DataError(f"tid outside the record universe [0, {total})")
         self._apply_delete(tids)
@@ -497,7 +468,7 @@ class MaintainedIndex:
             self._main_dead_count = ts.count(self._main_dead)
             self._main_dead_packed = None
         if len(delta_ids):
-            self._buffer.delete_local(delta_ids)
+            self.buffer.delete_local(delta_ids)
 
     # -- folding ---------------------------------------------------------------
 
@@ -524,12 +495,12 @@ class MaintainedIndex:
         """
         if self._recomp is not None:
             return False
-        if self._buffer.n_rows == 0 and not self._main_dead_count:
+        if self.buffer.n_rows == 0 and not self._main_dead_count:
             return False
-        state = _Recompaction(self._main_live_mask(), self._buffer.live_bool())
+        state = _Recompaction(self._main_live_mask(), self.buffer.live_bool())
         data = np.vstack([
             self.index.table.data[state.main_live],
-            self._buffer.data[: self._buffer.n_rows][state.delta_live],
+            self.buffer.data[: self.buffer.n_rows][state.delta_live],
         ])
         schema, primary = self.schema, self.primary_support
 
@@ -590,7 +561,7 @@ class MaintainedIndex:
             self.n_recompactions += 1
         for op, payload in state.log:
             if op == "append":
-                self._buffer.append(payload)
+                self.buffer.append(payload)
                 continue
             translated: list[int] = []
             for tid in payload.tolist():
@@ -623,16 +594,16 @@ class MaintainedIndex:
             generation = self.poll_recompaction(wait=True)
         return generation
 
-    # -- queries ---------------------------------------------------------------
+    # -- reads -----------------------------------------------------------------
 
     def delta_view(self, query: LocalizedQuery) -> DeltaView | None:
         """Per-query delta read view, or ``None`` when the index is
         pristine (no delta rows, no tombstones) — the pure main path."""
-        if self._buffer.n_rows == 0 and not self._main_dead_count:
+        if self.buffer.n_rows == 0 and not self._main_dead_count:
             return None
         view = DeltaView(
-            self._buffer,
-            self._buffer.focal_row(query.range_selections),
+            self.buffer,
+            self.buffer.focal_row(query.range_selections),
             self._packed_dead(),
             self._main_dead_count,
         )
@@ -648,24 +619,3 @@ class MaintainedIndex:
                 self._main_dead, self.index.tidset_words
             )
         return self._main_dead_packed
-
-    def query(
-        self,
-        query: LocalizedQuery,
-        plan: PlanKind = PlanKind.SEV,
-        expand: bool = False,
-    ) -> RuleBlock:
-        """Answer a localized query over live main+delta on the kernel path.
-
-        Runs the requested plan through the ordinary operator pipeline
-        with this delta store attached: stored counts come off the MIP
-        bitmaps and the batched AND+popcount kernels exactly as for an
-        immutable index, and the delta corrections are vectorized
-        partials.  An empty focal subset answers the empty block.
-        """
-        focus = resolve_focal(self.index, query, self)
-        if focus.dq_size == 0:
-            return RuleBlock.from_rules(())
-        return execute_plan(
-            plan, self.index, query, expand=expand, delta=self, focus=focus
-        ).rules

@@ -492,7 +492,7 @@ def load_maintained(path: str | Path):
             f"main records but the index file holds "
             f"{index.table.n_records} — the files do not belong together"
         )
-    maintained = MaintainedIndex.from_index(
+    maintained = MaintainedIndex(
         index, max_delta_fraction=max_delta_fraction
     )
     if len(main_dead):

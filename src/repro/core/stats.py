@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataset.schema import Item
-from repro.itemsets.itemset import min_count_for
-from repro.kernels import and_count, popcount_rows
+from repro.kernels import and_count
 
 __all__ = ["IndexStatistics", "bit_array"]
 
@@ -75,15 +74,6 @@ class IndexStatistics:
     item_mip_counts: np.ndarray              # (n_items, N) int32
     mip_fanout: np.ndarray                   # (N,) float64, 2**min(length, 16)
     mip_log_counts: np.ndarray               # (N,) float64, log(global count)
-    #: Whole-table analogues of the per-query ARM-model measurements
-    #: (:class:`~repro.core.costs.ArmModelStats`), computed once at build
-    #: time: how many items are frequent at the primary support, and the
-    #: frequent-pair density among the strongest of them.  They are the
-    #: dataset-level prior behind the per-query measurements — a dense
-    #: global pair graph predicts dense focal subsets — and a calibration/
-    #: diagnostics feature that costs ~1k bitmask ANDs offline.
-    global_f1: int = 0
-    global_pair_density: float = 0.0
 
     # -- derived scalars ----------------------------------------------------
 
@@ -186,19 +176,6 @@ def gather_statistics(
     for j, row in enumerate(item_tidsets):
         item_mip_counts[j] = and_count(mip_matrix, row)[order]
 
-    floor = min_count_for(primary_support, n_records)
-    item_counts = popcount_rows(item_tidsets)
-    strong = np.flatnonzero(item_counts >= floor)
-    global_f1 = len(strong)
-    strong = strong[np.argsort(-item_counts[strong], kind="stable")][:48]
-    rows = item_tidsets[strong]
-    pairs = len(rows) * (len(rows) - 1) // 2
-    frequent_pairs = sum(
-        int((and_count(rows[i + 1:], rows[i]) >= floor).sum())
-        for i in range(len(rows) - 1)
-    )
-    global_pair_density = frequent_pairs / pairs if pairs else 0.0
-
     sorted_counts = np.sort(global_counts)
     return IndexStatistics(
         n_records=n_records,
@@ -216,6 +193,4 @@ def gather_statistics(
         item_mip_counts=item_mip_counts,
         mip_fanout=np.exp2(np.minimum(lengths[order], _MAX_POW2_LENGTH).astype(float)),
         mip_log_counts=np.log(sorted_counts[::-1].astype(float)),
-        global_f1=global_f1,
-        global_pair_density=global_pair_density,
     )

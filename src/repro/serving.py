@@ -42,8 +42,9 @@ was queued at (in a cluster, the epoch it may be served at), and a
 request never attaches to a flight of an older stamp (the cache's own
 generation check backstops the populate).
 
-Every response carries a :class:`RequestTrace` (queue wait, coalesce
-fan-out, plan, cached flag) and the service keeps running counters with
+Every response, in process or from a cluster, is a :class:`ServedQuery`
+carrying a :class:`RequestTrace` (queue wait, coalesce fan-out, plan,
+cached flag), and the service keeps running counters with
 p50/p99 latency and throughput (:meth:`ServiceStats.snapshot`) — the
 observables the serving benchmark and the CI ``serving-gate`` assert
 against.
@@ -132,10 +133,21 @@ class RequestTrace:
 
 @dataclass
 class ServedQuery:
-    """One served response: the engine outcome plus its service trace."""
+    """One served response: the engine outcome plus its service trace.
+
+    ``worker`` is the cluster worker process that executed the request
+    (``None`` in process and for a router cache hit); ``epoch`` is the
+    published epoch it was served at (``None`` in process).
+    """
 
     outcome: QueryOutcome
     trace: RequestTrace
+    worker: int | None = None
+    epoch: int | None = None
+
+    @property
+    def generation(self) -> int:
+        return self.trace.generation
 
     @property
     def rules(self) -> RuleBlock:
@@ -173,14 +185,17 @@ class ServiceStats:
     latencies_s: deque[float] = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
     )
-    first_serve_t: float | None = None
+    first_submit_t: float | None = None
     last_serve_t: float | None = None
+
+    def record_submit(self, now: float) -> None:
+        self.submitted += 1
+        if self.first_submit_t is None:
+            self.first_submit_t = now
 
     def record_serve(self, latency_s: float, now: float) -> None:
         self.served += 1
         self.latencies_s.append(latency_s)
-        if self.first_serve_t is None:
-            self.first_serve_t = now
         self.last_serve_t = now
 
     def percentile(self, q: float) -> float:
@@ -192,10 +207,15 @@ class ServiceStats:
         return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
 
     def snapshot(self) -> dict:
-        """The service's observable state — the benchmark/gate payload."""
+        """The service's observable state — the benchmark/gate payload.
+
+        Throughput is answers over the span from the first submit to the
+        last serve: answers that all land at one instant still took the
+        time since their requests arrived.
+        """
         span = 0.0
-        if self.first_serve_t is not None and self.last_serve_t is not None:
-            span = self.last_serve_t - self.first_serve_t
+        if self.first_submit_t is not None and self.last_serve_t is not None:
+            span = self.last_serve_t - self.first_submit_t
         return {
             "submitted": self.submitted,
             "served": self.served,
@@ -254,11 +274,11 @@ class QueryService:
     the ordering tests use.
 
     The front door — intake, inline hit, coalescing table, fan-out and
-    stats — is this class's alone; a subclass overrides where a miss
-    runs (:meth:`_dispatch`, with the flight stamp :meth:`_stamp`) and
-    how a hit is shaped (:meth:`_hit`).
-    :class:`repro.cluster.ClusterService` runs misses on worker
-    processes that way.
+    stats — is this class's alone, and every answer is a
+    :class:`ServedQuery`; a subclass overrides only where a miss runs
+    (:meth:`_dispatch`) and what its flight is stamped with
+    (:meth:`_stamp`).  :class:`repro.cluster.ClusterService` runs misses
+    on worker processes that way.
     """
 
     def __init__(self, engine: Colarm, config: ServingConfig | None = None):
@@ -279,6 +299,9 @@ class QueryService:
         #: The coalescing table: request key -> the flight a joiner awaits.
         self._inflight: dict[tuple, _Flight] = {}
         self._running: set[asyncio.Future] = set()
+        #: The published epoch answers are served at: ``None`` in
+        #: process; a cluster's publishes advance it.
+        self._min_epoch: int | None = None
         self._started = False
         self._closed = False
 
@@ -399,7 +422,7 @@ class QueryService:
         if self._closed:
             raise ServiceClosedError("service is stopped")
         t_submit = time.monotonic()
-        self.stats.submitted += 1
+        self.stats.record_submit(t_submit)
         try:
             q = (
                 self.engine.parse(request)
@@ -459,7 +482,7 @@ class QueryService:
 
     def _served_inline(
         self, outcome: QueryOutcome, generation: int, t_submit: float
-    ):
+    ) -> ServedQuery:
         now = time.monotonic()
         self.stats.cache_short_circuits += 1
         self.stats.executions += 1
@@ -471,11 +494,7 @@ class QueryService:
             generation=generation,
         )
         self.stats.record_serve(trace.total_s, now)
-        return self._hit(outcome, trace)
-
-    def _hit(self, outcome: QueryOutcome, trace: RequestTrace) -> ServedQuery:
-        """The response to an inline cache hit."""
-        return ServedQuery(outcome=outcome, trace=trace)
+        return ServedQuery(outcome=outcome, trace=trace, epoch=self._min_epoch)
 
     # -- execution ---------------------------------------------------------
 

@@ -117,7 +117,7 @@ def test_responses_are_blocks_equal_rule_for_rule_to_the_engines(tmp_path):
                     assert isinstance(want, RuleBlock)
                     assert res.rules == want and want == res.rules
                     assert list(res.rules) == list(want)
-                    assert res.n_rules == len(want)
+                    assert len(res.rules) == len(want)
                     assert not res.rules.support.flags.writeable
                     assert len(res.rules.sources) == \
                         len(set(res.rules.src.tolist()))

@@ -24,7 +24,7 @@ import pytest
 from repro.cluster import ClusterService, _Pending, _WorkerHandle
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
-from repro.serving import QueryService
+from repro.serving import QueryService, ServedQuery
 from tests.cluster.test_cluster_service import (
     BOSTON,
     SEATTLE,
@@ -142,6 +142,36 @@ def test_an_identical_outstanding_request_is_joined_not_routed(idle):
         assert idle.stats.served == 7
 
     asyncio.run(main())
+
+
+def test_a_routed_answer_is_a_served_query(idle):
+    """The cluster answers with the service's one type: a routed answer's
+    outcome is assembled at the router the way a cache hit's is (no
+    choice, an empty trace, the worker's time and ``|D^Q|``), and the
+    answer names the worker, epoch and generation that served it."""
+    want = fresh_engine().query(Q, plan="SS-VS", use_cache=False)
+
+    async def main():
+        posted = posting(idle)
+        idle._min_epoch = 3
+        task = asyncio.ensure_future(idle.submit(Q, plan="SS-VS"))
+        await asyncio.sleep(0)
+        ((worker, message),) = posted
+        idle._on_message(worker, ("ok", message[1], {
+            "rules": want.rules, "plan": want.plan, "dq_size": want.dq_size,
+            "total_s": 0.25, "worker": worker, "epoch": 3, "generation": 5,
+        }))
+        return await task
+
+    res = asyncio.run(main())
+    assert isinstance(res, ServedQuery) and not res.cached
+    assert (res.worker, res.epoch, res.generation) == (0, 3, 5)
+    assert res.rules is want.rules and res.plan is want.plan
+    outcome = res.outcome
+    assert outcome.choice is None and outcome.chosen_by == "forced"
+    assert outcome.result.trace.operators == []
+    assert outcome.elapsed == res.trace["total_s"] == 0.25
+    assert outcome.dq_size == want.dq_size
 
 
 def test_a_request_without_use_cache_never_joins_another(idle):

@@ -10,7 +10,7 @@ from repro.core.mipindex import build_mip_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
-from repro.errors import DataError
+from repro.errors import DataError, QueryError
 from tests.conftest import make_random_table
 
 
@@ -25,7 +25,13 @@ def rule_key(rules):
 def maintained():
     table = make_random_table(seed=111, n_records=80,
                               cardinalities=(4, 3, 3, 2))
-    return table, MaintainedIndex(table, primary_support=0.05)
+    index = build_mip_index(table, primary_support=0.05)
+    return table, MaintainedIndex(index)
+
+
+def answer(mx, query):
+    """S-E-V over live main+delta: the plan path every caller shares."""
+    return execute_plan(PlanKind.SEV, mx.index, query, delta=mx).rules
 
 
 QUERY = LocalizedQuery({0: frozenset({1, 2})}, 0.35, 0.6)
@@ -43,7 +49,7 @@ def test_no_delta_matches_plain_index(maintained):
     table, mx = maintained
     index = build_mip_index(table, primary_support=0.05)
     expected = execute_plan(PlanKind.SEV, index, QUERY).rules
-    assert rule_key(mx.query(QUERY)) == rule_key(expected)
+    assert rule_key(answer(mx, QUERY)) == rule_key(expected)
 
 
 def test_delta_query_equals_full_rebuild(maintained):
@@ -60,7 +66,7 @@ def test_delta_query_equals_full_rebuild(maintained):
     )
     fresh = build_mip_index(combined, primary_support=0.05)
     expected = execute_plan(PlanKind.SEV, fresh, QUERY).rules
-    got = mx.query(QUERY)
+    got = answer(mx, QUERY)
     # Exactness holds when the coverage condition is met for this query;
     # with 7 delta records over 80 it comfortably is for minsupp 0.35.
     assert rule_key(got) == rule_key(expected)
@@ -69,13 +75,13 @@ def test_delta_query_equals_full_rebuild(maintained):
 def test_recompact_folds_delta(maintained):
     table, mx = maintained
     mx.append(make_new_records(5, seed=9))
-    before = mx.query(QUERY)
+    before = answer(mx, QUERY)
     g0 = mx.generation
     assert mx.recompact() == mx.generation > g0
     assert mx.n_delta_records == 0
     assert mx.n_main_records == 85
     assert (mx.n_rebuilds, mx.n_recompactions) == (1, 0)
-    assert rule_key(mx.query(QUERY)) == rule_key(before)
+    assert rule_key(answer(mx, QUERY)) == rule_key(before)
     assert mx.recompact() is None  # nothing pending: nothing to fold
 
 
@@ -199,14 +205,15 @@ def test_empty_focal_subset(maintained):
     )
     if mx.index.table.tids_matching(impossible.range_selections):
         pytest.skip("selection unexpectedly non-empty")
-    assert mx.query(impossible) == []
+    with pytest.raises(QueryError, match="focal subset is empty"):
+        answer(mx, impossible)
 
 
 def test_many_appends_random_equivalence():
     """Randomized: repeated appends, each query checked vs full rebuild."""
     table = make_random_table(seed=117, n_records=70,
                               cardinalities=(3, 3, 2, 3))
-    mx = MaintainedIndex(table, primary_support=0.04)
+    mx = MaintainedIndex(build_mip_index(table, primary_support=0.04))
     all_rows = [table.data]
     rng = np.random.default_rng(0)
     for step in range(3):
@@ -219,7 +226,7 @@ def test_many_appends_random_equivalence():
             {int(rng.integers(0, 4)): frozenset({0, 1})}, 0.4, 0.6
         )
         expected = execute_plan(PlanKind.SEV, fresh, query).rules
-        assert rule_key(mx.query(query)) == rule_key(expected), step
+        assert rule_key(answer(mx, query)) == rule_key(expected), step
 
 
 def test_append_bumps_generation(maintained):
@@ -284,11 +291,11 @@ def test_delete_matches_rebuild_of_live_subset(maintained):
         primary_support=0.05,
     )
     expected = execute_plan(PlanKind.SEV, fresh, QUERY).rules
-    assert rule_key(mx.query(QUERY)) == rule_key(expected)
+    assert rule_key(answer(mx, QUERY)) == rule_key(expected)
     # Deletes are idempotent; repeating them changes nothing but the clock.
     mx.delete([3, 82])
     assert mx.n_main_live == 78 and mx.n_delta_records == 5
-    assert rule_key(mx.query(QUERY)) == rule_key(expected)
+    assert rule_key(answer(mx, QUERY)) == rule_key(expected)
 
 
 def test_batched_append_validation_is_all_or_nothing(maintained):
@@ -312,16 +319,16 @@ def test_delta_buffer_grows_as_packed_matrices(maintained):
     """The delta store is one growable 2-D array per matrix (amortized
     doubling), not a list of per-record rows."""
     _, mx = maintained
-    buf = mx._buffer
+    buf = mx.buffer
     assert isinstance(buf.data, np.ndarray) and buf.data.ndim == 2
     assert isinstance(buf.items, np.ndarray) and buf.items.ndim == 2
     assert buf.items.dtype == np.dtype("<u8")
     start_capacity = buf.capacity
     mx.append(make_new_records(start_capacity + 1, seed=55))
-    assert mx._buffer.capacity >= 2 * start_capacity
-    assert mx._buffer.n_live == start_capacity + 1
+    assert mx.buffer.capacity >= 2 * start_capacity
+    assert mx.buffer.n_live == start_capacity + 1
     # Capacity growth keeps the packed columns word-aligned.
-    assert mx._buffer.items.shape[1] == -(-mx._buffer.capacity // 64)
+    assert mx.buffer.items.shape[1] == -(-mx.buffer.capacity // 64)
 
 
 def test_background_recompaction_with_interleaved_mutations(maintained):
@@ -329,7 +336,7 @@ def test_background_recompaction_with_interleaved_mutations(maintained):
     survive the install — the final state equals a from-scratch build."""
     table, mx = maintained
     mx.append(make_new_records(8, seed=61))
-    before = rule_key(mx.query(QUERY))
+    before = rule_key(answer(mx, QUERY))
     assert mx.begin_recompaction()
     # Mutations while the fold is in flight:
     late = make_new_records(4, seed=62)
@@ -349,8 +356,8 @@ def test_background_recompaction_with_interleaved_mutations(maintained):
         RelationalTable(table.schema, combined), primary_support=0.05
     )
     expected = execute_plan(PlanKind.SEV, fresh, QUERY).rules
-    assert rule_key(mx.query(QUERY)) == rule_key(expected)
-    assert rule_key(mx.query(QUERY)) != before or before == rule_key(expected)
+    assert rule_key(answer(mx, QUERY)) == rule_key(expected)
+    assert rule_key(answer(mx, QUERY)) != before or before == rule_key(expected)
 
 
 def test_engine_append_delete_and_background_fold():
@@ -408,7 +415,7 @@ def test_maintained_persistence_roundtrip(tmp_path, maintained):
     _, mx = maintained
     mx.append(make_new_records(6, seed=91))
     mx.delete([5, 82])
-    before = rule_key(mx.query(QUERY))
+    before = rule_key(answer(mx, QUERY))
     path = tmp_path / "m.colarm.npz"
     save_maintained(mx, path)
     assert delta_sidecar_path(path).exists()
@@ -418,7 +425,7 @@ def test_maintained_persistence_roundtrip(tmp_path, maintained):
     assert loaded.n_main_records == mx.n_main_records
     assert loaded.n_main_live == mx.n_main_live
     assert loaded.n_delta_records == mx.n_delta_records
-    assert rule_key(loaded.query(QUERY)) == before
+    assert rule_key(answer(loaded, QUERY)) == before
 
 
 def test_a_sidecar_carrying_the_old_fold_flag_loads_the_same(

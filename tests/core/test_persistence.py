@@ -440,7 +440,7 @@ def test_loads_close_their_archives(index, tmp_path, monkeypatch):
     save_index(index, damaged, compress=False)
     _rewrite(damaged, _flipped_kernel_bit)
     maintained_path = tmp_path / "m.colarm.npz"
-    save_maintained(MaintainedIndex.from_index(index), maintained_path)
+    save_maintained(MaintainedIndex(index), maintained_path)
 
     def open_fds():
         fd_dir = "/proc/self/fd"
@@ -503,7 +503,7 @@ def test_malformed_meta_is_a_data_error(index, tmp_path, target, fault):
     of the delta sidecar — is a ``DataError`` naming that file, never a
     bare decode, attribute, key or type error."""
     path = tmp_path / "m.colarm.npz"
-    save_maintained(MaintainedIndex.from_index(index), path)
+    save_maintained(MaintainedIndex(index), path)
     victim = path if target == "index" else delta_sidecar_path(path)
     _, damage = fault
 

@@ -122,7 +122,6 @@ def scalar_statistics(index):
     mips = ref_mips(index)
     cardinalities = index.cardinalities
     n_dims = len(cardinalities)
-    n_records = index.table.n_records
     item_tidsets = index.table.item_tidsets()
     out = {}
 
@@ -162,22 +161,6 @@ def scalar_statistics(index):
     out["mip_fanout"] = np.asarray(
         [2.0 ** min(m.length, 16) for m in by_support], dtype=float
     )
-
-    exact = index.primary_support * n_records
-    floor = max(int(exact) + (1 if int(exact) < exact else 0), 1)
-    strong = sorted(
-        (mask for mask in item_tidsets.values() if mask.bit_count() >= floor),
-        key=lambda m: -m.bit_count(),
-    )
-    out["global_f1"] = len(strong)
-    strong = strong[:48]
-    pairs = frequent_pairs = 0
-    for i, mi in enumerate(strong):
-        for mj in strong[i + 1:]:
-            pairs += 1
-            if (mi & mj).bit_count() >= floor:
-                frequent_pairs += 1
-    out["global_pair_density"] = frequent_pairs / pairs if pairs else 0.0
 
     counts = np.asarray([m.global_count for m in mips], dtype=np.int64)
     out["sorted_global_counts"] = np.sort(counts)

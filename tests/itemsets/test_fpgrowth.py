@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
+from repro.core.mipindex import build_mip_index
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from tests import oracle
@@ -24,9 +25,9 @@ def assert_same(table, minsupp, max_length=None):
     must be the oracle's over the same rows."""
     rows = rows_of(table)
     n_main = 3 * len(rows) // 4
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         RelationalTable(table.schema, table.data[:n_main]), 0.5,
-    )
+    ))
     mx.append(rows[n_main:])
     mx.delete([1, len(rows) - 1])
     live = [row for tid, row in enumerate(rows) if tid not in (1, len(rows) - 1)]

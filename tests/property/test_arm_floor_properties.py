@@ -169,10 +169,10 @@ def test_lazy_choice_equals_full_pricing_over_a_live_delta(
     rows = [[int(rng.integers(0, c)) for c in delta_suite.CARDS]
             for _ in range(n_base)]
     alive = [True] * n_base
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         delta_suite._live_table(rows, alive),
         primary_support=delta_suite.PRIMARY,
-    )
+    ))
     delta_suite._apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)
     if resolve_focal(mx.index, query, mx).dq_size == 0:

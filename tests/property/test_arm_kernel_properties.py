@@ -52,10 +52,10 @@ def test_arm_kernel_equals_scalar_over_main_plus_delta(scenario):
     base = np.column_stack(
         [rng.integers(0, c, size=n_base) for c in delta_suite.CARDS]
     ).astype(np.int32)
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         RelationalTable(delta_suite._schema(), base),
         primary_support=delta_suite.PRIMARY,
-    )
+    ))
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base
     delta_suite._apply_ops(mx, rows, alive, ops)

@@ -35,6 +35,7 @@ import pytest
 from repro import tidset as ts
 from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
+from repro.core.mipindex import build_mip_index
 from repro.core.optimizer import ColarmOptimizer
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
@@ -215,10 +216,10 @@ def test_profile_over_main_and_delta_equals_reference_on_live_rows(scenario):
     rows = [[int(rng.integers(0, c)) for c in delta_suite.CARDS]
             for _ in range(n_base)]
     alive = [True] * n_base
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         delta_suite._live_table(rows, alive),
         primary_support=delta_suite.PRIMARY,
-    )
+    ))
     delta_suite._apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)
     focus = resolve_focal(mx.index, query, mx)

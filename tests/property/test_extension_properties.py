@@ -128,7 +128,7 @@ def test_maintained_index_matches_full_rebuild(case, seed, n_new):
     ]
     if not runnable:
         return
-    mx = MaintainedIndex(table, primary_support=0.05)
+    mx = MaintainedIndex(build_mip_index(table, primary_support=0.05))
     rng = np.random.default_rng(seed)
     new = [[int(rng.integers(0, c)) for c in CARDS] for _ in range(n_new)]
     mx.append(new)
@@ -143,7 +143,7 @@ def test_maintained_index_matches_full_rebuild(case, seed, n_new):
         if not dq:
             continue
         dq_size = ts.count(dq)
-        got = mx.query(query)
+        got = execute_plan(PlanKind.SEV, mx.index, query, delta=mx).rules
 
         # Invariant 1: every maintained rule's statistics are exact over
         # the combined (main + delta) data and pass the thresholds.

@@ -143,7 +143,7 @@ def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
         [rng.integers(0, c, size=n_base) for c in CARDS]
     ).astype(np.int32)
     table = RelationalTable(_schema(), base)
-    mx = MaintainedIndex(table, primary_support=PRIMARY)
+    mx = MaintainedIndex(build_mip_index(table, primary_support=PRIMARY))
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base
     _apply_ops(mx, rows, alive, ops)
@@ -165,11 +165,18 @@ def test_interleavings_byte_identical_to_rebuild_all_plans(scenario):
         ).rules
         assert rule_key(got) == rule_key(expected), plan
 
-    # Closed mode: the kernel path against the brute-force oracle — same
-    # rules, same floats, same order.
-    assert [tuple(r) for r in mx.query(query)] == oracle_rules(
-        mx, rows, alive, query, expand=False
-    )
+    # Closed mode: every plan on the kernel path against the brute-force
+    # oracle — same rules, same floats, same order.
+    want = {
+        "mip": oracle_rules(mx, rows, alive, query, expand=False),
+        "arm": oracle.arm_rules(
+            [tuple(r) for r, ok in zip(rows, alive) if ok], query, False
+        ),
+    }
+    for plan in PlanKind:
+        got = execute_plan(plan, mx.index, query, delta=mx).rules
+        family = "arm" if plan is PlanKind.ARM else "mip"
+        assert [tuple(r) for r in got] == want[family], plan
 
 
 @settings(max_examples=12, deadline=None)

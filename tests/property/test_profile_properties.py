@@ -69,10 +69,10 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     rows = [[int(rng.integers(0, c)) for c in delta_suite.CARDS]
             for _ in range(n_base)]
     alive = [True] * n_base
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         delta_suite._live_table(rows, alive),
         primary_support=delta_suite.PRIMARY,
-    )
+    ))
     delta_suite._apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)
     focus = resolve_focal(mx.index, query, mx)

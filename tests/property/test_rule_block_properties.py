@@ -88,15 +88,14 @@ def test_block_lists_the_scalar_reference_main_plus_delta(scenario, expand):
     base = np.column_stack(
         [rng.integers(0, c, size=n_base) for c in CARDS]
     ).astype(np.int32)
-    mx = MaintainedIndex(
+    mx = MaintainedIndex(build_mip_index(
         RelationalTable(_schema(), base), primary_support=PRIMARY,
-    )
+    ))
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base
     _apply_ops(mx, rows, alive, ops)
     query = LocalizedQuery(selections, minsupp, minconf)
     reference = [Rule(*r) for r in oracle_rules(mx, rows, alive, query, expand)]
     for kind in (PlanKind.SEV, PlanKind.SSVS):
-        _same_rules_every_way(
-            mx.query(query, plan=kind, expand=expand), reference
-        )
+        got = execute_plan(kind, mx.index, query, expand=expand, delta=mx)
+        _same_rules_every_way(got.rules, reference)

@@ -127,7 +127,9 @@ def test_relaxed_folded_and_loaded_searches_equal_descent(scenario, seed):
     mmap-loaded snapshot rebuild the support-order arrays the bitmap
     search reads."""
     table, primary, query = scenario
-    mx = MaintainedIndex(table, primary_support=max(primary, 0.05))
+    mx = MaintainedIndex(
+        build_mip_index(table, primary_support=max(primary, 0.05))
+    )
     rng = np.random.default_rng(seed)
     cards = table.schema.cardinalities()
     mx.append([[int(rng.integers(0, c)) for c in cards] for _ in range(8)])

@@ -657,6 +657,19 @@ async def _serve_all(service, requests):
         return await serve_all(service, requests)
 
 
+def test_throughput_counts_from_the_first_submit(engine):
+    """One query submitted twice is one flight whose finish answers both
+    at the same instant: the rate spans the time since the requests
+    arrived, so it is positive, not 0.0."""
+    results, snap = asyncio.run(
+        _serve_all(QueryService(engine), [SEATTLE, SEATTLE])
+    )
+    assert all(isinstance(res, ServedQuery) for res in results)
+    assert results[0].rules is results[1].rules
+    assert (snap["served"], snap["executions"], snap["coalesced"]) == (2, 1, 1)
+    assert snap["throughput_qps"] > 0
+
+
 def test_serve_all_keeps_submission_order(engine):
     requests = [SEATTLE_F, BOSTON, SEATTLE_F, SEATTLE]
     results, snapshot = asyncio.run(

@@ -247,3 +247,54 @@ def test_serve_stdin_loop(workspace, capsys, monkeypatch):
     } for r in responses)
     snapshot = json.loads(captured.err.strip().splitlines()[-1])
     assert snapshot["served"] == 2 and "parallel" not in snapshot
+
+
+def _ssvs_answer(index_path, capsys):
+    """``colarm query`` forced to SS-VS: the focal/plan/rule-count head
+    without its timing, and every rule line."""
+    capsys.readouterr()
+    assert main(["query", str(index_path), QUERY, "--plan", "SS-VS",
+                 "--limit", "100000"]) == 0
+    head, *rules = capsys.readouterr().out.splitlines()
+    return head.rsplit(" in ", 1)[0], rules
+
+
+def test_ingest_folds_mid_stream_and_answers_as_a_full_build(tmp_path,
+                                                             capsys):
+    """``colarm ingest`` with a delta bound small enough that a fold starts
+    mid-stream: the output answers as an index built over all the rows
+    does, and so does a second ingest onto it, which reads the sidecar
+    saved next to it."""
+    from repro.core.persistence import delta_sidecar_path
+    from repro.dataset.table import RelationalTable
+
+    table = quest_like(n_records=300, n_categories=4, seed=5)
+
+    def csv_of(name, lo, hi):
+        path = tmp_path / f"{name}.csv"
+        save_csv(RelationalTable(table.schema, table.data[lo:hi]), path)
+        return path
+
+    def built_over(name, hi):
+        path = tmp_path / f"{name}.colarm.npz"
+        assert main(["build", str(csv_of(name, 0, hi)), str(path),
+                     "--primary-support", "0.05"]) == 0
+        return path
+
+    base = built_over("base", 200)
+    out = tmp_path / "ingested.colarm.npz"
+    assert main(["ingest", str(base), str(csv_of("first", 200, 260)),
+                 "--batch-size", "20", "--max-delta-fraction", "0.05",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "recompaction started" in printed
+    assert "ingested 60 records" in printed
+    want = _ssvs_answer(built_over("all260", 260), capsys)
+    assert want[1] and _ssvs_answer(out, capsys) == want
+
+    assert delta_sidecar_path(out).exists()
+    assert main(["ingest", str(out), str(csv_of("second", 260, 300)),
+                 "--batch-size", "20", "--max-delta-fraction", "0.05"]) == 0
+    assert "ingested 40 records" in capsys.readouterr().out
+    want = _ssvs_answer(built_over("all300", 300), capsys)
+    assert want[1] and _ssvs_answer(out, capsys) == want

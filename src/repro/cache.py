@@ -48,7 +48,7 @@ from repro.itemsets.rules import RuleBlock, rules_from_subset_lattices
 from repro.kernels import SubsetCells
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.core.mipindex import MIPIndex
+    from repro.core.maintenance import MaintainedIndex
     from repro.core.query import LocalizedQuery
 
 __all__ = [
@@ -170,32 +170,34 @@ class _Entry:
 
 
 class RuleCache:
-    """The budget-bound materialized-result tier for one MIP-index.
+    """The budget-bound materialized-result tier of one engine.
 
-    Bound to its index so invalidation (the index's mutation counter) and
-    key canonicalization (full-domain selections are dropped, so queries
+    Bound to the engine's delta store, which holds the live index, so
+    invalidation (the live index's mutation counter) and key
+    canonicalization (full-domain selections are dropped, so queries
     naming the same focal subset differently share entries) need no extra
     plumbing.  ``expand`` mirrors the owning engine's mode and is part of
     every key.
 
     Thread-safe: one lock guards the entry table, the LRU order, the byte
     accounting and :attr:`stats`, so a serving thread can probe-and-serve
-    a hit while another thread populates, evicts or rebinds — no caller
-    needs to be on the serving layer's engine thread to touch the cache.
+    a hit while another thread populates, evicts or invalidates — no
+    caller needs to be on the serving layer's engine thread to touch the
+    cache.
     """
 
     def __init__(
         self,
-        index: "MIPIndex",
+        store: "MaintainedIndex",
         budget_bytes: int = 64 << 20,
         expand: bool = False,
     ):
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        self.index = index
+        self.store = store
         #: The schema's domain sizes (fixed for the life of a lineage of
         #: indexes), kept so building a key does not rebuild the tuple.
-        self._cardinalities = index.cardinalities
+        self._cardinalities = store.index.cardinalities
         self.expand = expand
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         #: Source itemsets of the cached blocks, one tuple each: every
@@ -212,8 +214,8 @@ class RuleCache:
         return self.stats.budget_bytes
 
     def generation(self) -> int:
-        """The index's current mutation counter — the invalidation token."""
-        return self.index.generation
+        """The live index's mutation counter — the invalidation token."""
+        return self.store.index.generation
 
     def focal_key(self, query: "LocalizedQuery") -> tuple:
         """Canonical focal-subset key: full-domain selections dropped.
@@ -422,29 +424,18 @@ class RuleCache:
     # -- maintenance -----------------------------------------------------------
 
     def invalidate(self) -> int:
-        """Drop every entry (e.g. after a bulk index rebuild); returns count."""
+        """Drop every entry; returns the count.  The engine calls it when
+        a fold installs a new index, whose generation clock starts past
+        the old one's: every stamp is stale anyway, and clearing now keeps
+        the footprint honest instead of leaking dead payloads until
+        probe-time drops find them."""
         with self._lock:
-            return self._clear()
-
-    def _clear(self) -> int:
-        n = len(self._entries)
-        self._entries.clear()
-        self._itemsets.clear()
-        self.stats.stale_drops += n
-        self.stats.current_bytes = 0
-        return n
-
-    def rebind_index(self, index: "MIPIndex") -> None:
-        """Point the cache at a recompacted replacement index.
-
-        Every entry is dropped eagerly: the replacement's generation clock
-        starts past the old index's, so all stamps are stale anyway —
-        clearing now keeps the footprint honest instead of leaking dead
-        payloads until probe-time drops find them.
-        """
-        with self._lock:
-            self.index = index
-            self._clear()
+            n = len(self._entries)
+            self._entries.clear()
+            self._itemsets.clear()
+            self.stats.stale_drops += n
+            self.stats.current_bytes = 0
+            return n
 
     def __len__(self) -> int:
         return len(self._entries)

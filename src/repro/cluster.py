@@ -159,10 +159,7 @@ class EpochPublisher:
 
     def publish(self) -> EpochInfo:
         """Fold, snapshot, and atomically advance the published epoch."""
-        if self.engine.maintenance is not None:
-            # Land every pending mutation in the main index.
-            self.engine.maintenance.recompact()
-            self.engine.poll_maintenance()
+        self.engine.fold()  # land every pending mutation in the main index
         index = self.engine.index
         epoch = self.epoch + 1
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -436,11 +433,6 @@ class ClusterService(QueryService):
         if self._closed:
             raise ServiceClosedError("cluster already stopped")
         self._loop = asyncio.get_running_loop()
-        if self.engine.maintenance is None:
-            # The writer must own a delta store for ingest to have a
-            # fold path; calibration already happened (or was skipped)
-            # upstream — don't re-fit weights here.
-            self.engine.enable_maintenance(calibrate=False)
         await self._on_engine_thread(self.publisher.publish)
         self._min_epoch = self.publisher.epoch
         await asyncio.gather(

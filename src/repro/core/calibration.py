@@ -307,7 +307,7 @@ def calibrate_maintenance(
     Every other weight is untouched.  :func:`calibrate` alone returns these
     two at their defaults (the probe traces never exercise them);
     :meth:`repro.core.engine.Colarm.calibrate` calls this function after
-    it while maintenance is on.
+    it.
     """
     words = max(1, maintained.buffer.words)
     fitted = dict(weights.weights)

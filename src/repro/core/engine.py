@@ -94,7 +94,15 @@ class QueryOutcome:
 
 
 class Colarm:
-    """Build once, query many: the localized rule mining engine."""
+    """Build once, query many: the localized rule mining engine.
+
+    Every engine owns one delta store (:attr:`maintenance`, a
+    :class:`MaintainedIndex`), the only holder of the live index:
+    :attr:`index` reads through it, and so do the optimizer and the
+    cache, for the index, its generation and its statistics.  A fold
+    the store installs is therefore seen everywhere at once; the engine
+    only empties its cache.
+    """
 
     def __init__(
         self,
@@ -104,11 +112,7 @@ class Colarm:
         weights: CostWeights | None = None,
         expand: bool = False,
     ):
-        self.index: MIPIndex = build_mip_index(table, primary_support)
-        self.expand = expand
-        self.optimizer = ColarmOptimizer(self.index, weights)
-        self.cache: RuleCache | None = None
-        self.maintenance: MaintainedIndex | None = None
+        self._wrap(build_mip_index(table, primary_support), weights, expand)
 
     @classmethod
     def from_index(
@@ -119,14 +123,25 @@ class Colarm:
     ) -> "Colarm":
         """Wrap an already-built (e.g. loaded-from-disk) MIP-index."""
         engine = cls.__new__(cls)
-        engine.index = index
-        engine.expand = expand
-        engine.optimizer = ColarmOptimizer(index, weights)
-        engine.cache = None
-        engine.maintenance = None
+        engine._wrap(index, weights, expand)
         return engine
 
+    def _wrap(
+        self, index: MIPIndex, weights: CostWeights | None, expand: bool
+    ) -> None:
+        """The one constructor body: the delta store over ``index``, and
+        the optimizer reading through it."""
+        self.maintenance = MaintainedIndex(index)
+        self.expand = expand
+        self.optimizer = ColarmOptimizer(self.maintenance, weights)
+        self.cache: RuleCache | None = None
+
     # -- introspection ------------------------------------------------------
+
+    @property
+    def index(self) -> MIPIndex:
+        """The live index, as the delta store last installed it."""
+        return self.maintenance.index
 
     @property
     def table(self) -> RelationalTable:
@@ -150,20 +165,18 @@ class Colarm:
     ) -> CalibrationReport:
         """Fit the cost model's unit weights from a probe workload.
 
-        With maintenance on, the ``delta_probe`` / ``delta_merge`` weights
-        the probe traces never exercise are refitted from the live delta
-        store too, so the order of this call and :meth:`enable_maintenance`
-        does not matter.
+        The ``delta_probe`` / ``delta_merge`` weights the probe traces
+        never exercise are fitted from the delta store
+        (:func:`repro.core.calibration.calibrate_maintenance`).
         """
         if probe_queries is None:
             probe_queries = default_probe_queries(
                 self.index, n_queries=n_probes, seed=seed
             )
         report = calibrate(self.index, probe_queries, expand=self.expand)
-        if self.maintenance is not None:
-            report = replace(report, weights=calibrate_maintenance(
-                self.maintenance, report.weights
-            ))
+        report = replace(report, weights=calibrate_maintenance(
+            self.maintenance, report.weights
+        ))
         self.optimizer.set_weights(report.weights)
         return report
 
@@ -172,14 +185,14 @@ class Colarm:
     def enable_cache(self, budget_bytes: int = 64 << 20) -> "Colarm":
         """Attach a budget-bound materialized-result cache (:mod:`repro.cache`).
 
-        Builds an empty :class:`~repro.cache.RuleCache` bound to this
-        index.  From then on every request is first offered to the cache
+        Builds an empty :class:`~repro.cache.RuleCache` over the delta
+        store.  From then on every request is first offered to the cache
         (:meth:`serve_cached`) and every fresh execution populates it.
 
         Idempotent (replaces any previous cache); returns ``self``.
         """
         self.cache = RuleCache(
-            self.index, budget_bytes=budget_bytes, expand=self.expand
+            self.maintenance, budget_bytes=budget_bytes, expand=self.expand
         )
         return self
 
@@ -188,96 +201,55 @@ class Colarm:
         self.cache = None
         return self
 
-    # -- offline: delta-store maintenance --------------------------------------
+    # -- ingest while serving ------------------------------------------------
 
-    def enable_maintenance(
-        self,
-        max_delta_fraction: float = 0.1,
-        calibrate: bool = True,
-    ) -> "Colarm":
-        """Make the engine ingest-while-serving (:mod:`repro.core.maintenance`).
+    def enable_maintenance(self, max_delta_fraction: float = 0.1) -> "Colarm":
+        """Set the delta store's fold bound; returns ``self``.
 
-        Enabling:
-
-        1. wraps the index in a :class:`MaintainedIndex` whose array-native
-           delta store every plan answers over (live main+delta, vectorized
-           corrections) — the index object and its lineage are untouched;
-        2. fits the ``delta_probe``/``delta_merge`` cost weights from the
-           live delta store (:func:`repro.core.calibration.
-           calibrate_maintenance`), as :meth:`calibrate` also does while
-           maintenance is on;
-        3. installs the delta source in the optimizer, which from then on
-           profiles the combined live focal subset and prices the delta
-           toll into every MIP plan.
-
-        When the un-folded mutations outgrow ``max_delta_fraction`` of the
-        main data (:attr:`MaintainedIndex.fold_due`), :meth:`append` /
-        :meth:`delete` start a **background** fold.  It is installed on
-        the serving thread at the next query or :meth:`poll_maintenance`
-        call, rebinding the optimizer and cache to the fresh index.
-
-        Idempotent (re-enabling keeps the current delta store); returns
-        ``self``.
+        When the un-folded mutations outgrow ``max_delta_fraction`` of
+        the main data (:attr:`MaintainedIndex.fold_due`), :meth:`append`
+        / :meth:`delete` start a **background** fold, installed on the
+        serving thread at the next query or :meth:`poll_maintenance`.
         """
-        if self.maintenance is None:
-            self.maintenance = MaintainedIndex(
-                self.index, max_delta_fraction=max_delta_fraction
-            )
-        else:
-            self.maintenance.max_delta_fraction = max_delta_fraction
-        if calibrate:
-            self.optimizer.set_weights(
-                calibrate_maintenance(self.maintenance, self.optimizer.weights)
-            )
-        self.optimizer.set_delta(self.maintenance)
-        return self
-
-    def disable_maintenance(self) -> "Colarm":
-        """Fold any outstanding delta and return to an immutable index."""
-        if self.maintenance is None:
-            return self
-        self.maintenance.recompact()
-        self.poll_maintenance()
-        self.maintenance = None
-        self.optimizer.set_delta(None)
+        self.maintenance.max_delta_fraction = max_delta_fraction
         return self
 
     def append(self, records) -> int:
         """Ingest new records; returns the index generation after the append.
 
-        Requires :meth:`enable_maintenance`.  The append is a vectorized
-        delta-store insert (no index rebuild on the hot path); once the
-        fold is due (:attr:`MaintainedIndex.fold_due`) a *background*
-        recompaction starts, folding the delta into a fresh index off the
-        serving path.
+        The append is a vectorized delta-store insert (no index rebuild
+        on the hot path); once the fold is due
+        (:attr:`MaintainedIndex.fold_due`) a *background* recompaction
+        starts, folding the delta into a fresh index off the serving
+        path.
         """
-        self._require_maintenance().append(records)
+        self.maintenance.append(records)
         self._maybe_recompact()
         return self.index.generation
 
     def delete(self, tids) -> int:
         """Tombstone records by tid; returns the generation after."""
-        self._require_maintenance().delete(tids)
+        self.maintenance.delete(tids)
         self._maybe_recompact()
         return self.index.generation
 
     def poll_maintenance(self) -> bool:
-        """Install a finished background fold — or rebind to one the
-        maintained index installed itself; True if the index changed."""
-        if self.maintenance is None:
-            return False
-        self.maintenance.poll_recompaction()
-        if self.maintenance.index is self.index:
-            return False
-        self._rebind_index(self.maintenance.index)
-        return True
+        """Install a finished background fold; True if one was installed."""
+        return self._installed(self.maintenance.poll_recompaction())
 
-    def _require_maintenance(self) -> MaintainedIndex:
-        if self.maintenance is None:
-            raise ValueError(
-                "maintenance is not enabled; call enable_maintenance() first"
-            )
-        return self.maintenance
+    def fold(self) -> bool:
+        """Fold everything pending into a fresh index now, waiting out any
+        fold in flight, and install it; True if the index changed."""
+        return self._installed(self.maintenance.recompact())
+
+    def _installed(self, generation: int | None) -> bool:
+        """After an install (``generation`` is not None) empty the cache:
+        every entry was stamped against the replaced index."""
+        if generation is None:
+            return False
+        if self.cache is not None:
+            self.cache.invalidate()
+        return True
 
     def _maybe_recompact(self) -> None:
         """Install a finished fold, or start one when it is due."""
@@ -286,13 +258,6 @@ class Colarm:
             self.poll_maintenance()
         elif m.fold_due:
             m.begin_recompaction()
-
-    def _rebind_index(self, index: MIPIndex) -> None:
-        """Swap in a replacement index across every attached component."""
-        self.index = index
-        self.optimizer.rebind_index(index)
-        if self.cache is not None:
-            self.cache.rebind_index(index)
 
     # -- online: queries -------------------------------------------------------
 
@@ -347,8 +312,7 @@ class Colarm:
         the resolution only.  With a cache enabled and ``use_cache``, the
         fresh answer populates it for the next repeat.
         """
-        if self.maintenance is not None:
-            self.poll_maintenance()
+        self.poll_maintenance()
         choice = None
         focus = None
         if kind is None:
@@ -476,14 +440,17 @@ class Colarm:
 
         The baseline analysts start from; comparing these against localized
         query results is how Simpson's-paradox effects are surfaced
-        (Section 5.3 / :mod:`repro.analysis.simpson`).  The whole table is
-        the focal subset no range selects from, so this is that localized
-        query's answer.
+        (Section 5.3 / :mod:`repro.analysis.simpson`).  The live records
+        (appends and deletes not yet folded included) are the focal
+        subset no range selects from, so this is that localized query's
+        closed-mode SS-VS answer, whatever the engine's ``expand``.
         """
         everything = LocalizedQuery(
             range_selections={}, minsupp=minsupp, minconf=minconf
         )
-        return execute_plan(PlanKind.SSVS, self.index, everything).rules
+        return execute_plan(
+            PlanKind.SSVS, self.index, everything, delta=self.maintenance
+        ).rules
 
 
 def rule_family(kind: PlanKind) -> str:

@@ -109,7 +109,9 @@ class DeltaBuffer:
         #: schema's item id; *every* schema item has a row (also ones
         #: absent from the main table), so delta-only items still count.
         self.bases = np.asarray(schema.item_bases, dtype=np.int64)
-        self.mip_fixed = np.asarray(mip_fixed_values, dtype=np.int64)
+        #: The index's own ``(n_mips, n_attrs)`` int32 array, read in
+        #: place: the append-time match compares it with int32 records.
+        self.mip_fixed = mip_fixed_values
         self.capacity = 0
         self.words = 1
         self.n_rows = 0
@@ -301,19 +303,18 @@ class MaintainedIndex:
     ``n_recompactions`` for one a poll found finished.
 
     It answers no query itself: every plan reads it as the ``delta`` of
-    :func:`repro.core.plans.execute_plan` (``Colarm`` with maintenance
-    on hands it there).
+    :func:`repro.core.plans.execute_plan`.  Every ``Colarm`` owns one,
+    and it is the only holder of the engine's live index: the engine,
+    its optimizer and its cache read the index through it, so
+    :meth:`_adopt` is the one place a fold's index is installed.
     """
 
     def __init__(self, index: MIPIndex, max_delta_fraction: float = 0.1):
         """Wrap a built (possibly persisted) index for maintenance.
 
         The index keeps its identity — same object, same generation
-        lineage — so engines can adopt maintenance without invalidating
-        caches or plan choices stamped against the current generation.
+        lineage — until a fold installs its successor.
         """
-        if not 0.0 < max_delta_fraction < 1.0:
-            raise DataError("max_delta_fraction must be in (0, 1)")
         self.primary_support = index.primary_support
         self.max_delta_fraction = max_delta_fraction
         self.n_rebuilds = 0
@@ -323,7 +324,8 @@ class MaintainedIndex:
         self._adopt(index)
 
     def _adopt(self, index: MIPIndex) -> None:
-        """Install an index and reset the delta store around it."""
+        """Install an index — the one place the live index is assigned —
+        and reset the delta store around it."""
         self.index = index
         #: The appended records, packed in the kernel layout.
         self.buffer = DeltaBuffer(
@@ -334,6 +336,18 @@ class MaintainedIndex:
         self._main_dead_packed: np.ndarray | None = None
 
     # -- state ----------------------------------------------------------------
+
+    @property
+    def max_delta_fraction(self) -> float:
+        """The fold bound: un-folded mutations relative to the main
+        table past which :attr:`fold_due` holds."""
+        return self._max_delta_fraction
+
+    @max_delta_fraction.setter
+    def max_delta_fraction(self, value: float) -> None:
+        if not 0.0 < value < 1.0:
+            raise DataError("max_delta_fraction must be in (0, 1)")
+        self._max_delta_fraction = value
 
     @property
     def n_main_records(self) -> int:

@@ -13,13 +13,16 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.costs import CostModel, CostWeights, QueryProfile
 from repro.core.focal import FocalSubset, resolve_focal
-from repro.core.mipindex import MIPIndex
 from repro.core.plans import PlanKind
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
+    from repro.core.maintenance import MaintainedIndex
 
 __all__ = [
     "EstimateResidual",
@@ -116,7 +119,7 @@ class PlanChoice:
 
 
 class ColarmOptimizer:
-    """Constant-time plan selection over a built MIP-index.
+    """Constant-time plan selection over the live index of a delta store.
 
     ``arm_risk_factor`` applies risk aversion to the ARM plan: its cost
     comes from a *model* of the focal subset's itemset lattice, while the
@@ -134,19 +137,17 @@ class ColarmOptimizer:
 
     def __init__(
         self,
-        index: MIPIndex,
+        store: "MaintainedIndex",
         weights: CostWeights | None = None,
         arm_risk_factor: float = 1.15,
     ):
-        self.index = index
-        self.cost_model = CostModel(index.stats, weights)
+        #: The engine's delta store: the live index, its generation and
+        #: its statistics are read through it, and :meth:`profile_for`
+        #: prices the live main+delta focal subset with the delta
+        #: load-term inputs attached (none while the store is pristine).
+        self.store = store
+        self._cost_model = CostModel(store.index.stats, weights)
         self.arm_risk_factor = arm_risk_factor
-        #: Delta-store source (a :class:`repro.core.maintenance.
-        #: MaintainedIndex`, None = immutable index); installed by
-        #: ``Colarm.enable_maintenance``.  While set, :meth:`profile_for`
-        #: prices the combined live main+delta focal subset and attaches
-        #: the delta load-term inputs to the profile.
-        self.delta_source = None
         #: estimate-vs-actual observations fed back by the caller
         #: (:meth:`record_measurement`); unbounded only if the caller
         #: keeps feeding it — benches clear it per run.
@@ -156,33 +157,20 @@ class ColarmOptimizer:
         self._profile_memo: "OrderedDict[tuple, QueryProfile]" = OrderedDict()
 
     @property
+    def cost_model(self) -> CostModel:
+        """The cost model over the live index's statistics: rebuilt, with
+        the weights kept, once a fold has installed a new index."""
+        stats = self.store.index.stats
+        if self._cost_model.stats is not stats:
+            self._cost_model = CostModel(stats, self._cost_model.weights)
+        return self._cost_model
+
+    @property
     def weights(self) -> CostWeights:
-        return self.cost_model.weights
+        return self._cost_model.weights
 
     def set_weights(self, weights: CostWeights) -> None:
-        self.cost_model = CostModel(self.index.stats, weights)
-
-    def set_delta(self, source) -> None:
-        """Install (or clear) the maintained-index delta source.
-
-        While set, profiles are built over the *live* main+delta focal
-        subset and carry the delta sizes the cost model's
-        ``delta_probe``/``delta_merge`` terms are computed from.  No memo
-        flush is needed: delta mutations bump the index generation, which
-        is part of the memo key.
-        """
-        self.delta_source = source
-
-    def rebind_index(self, index: MIPIndex) -> None:
-        """Point the optimizer at a freshly folded index.
-
-        Rebuilds the cost model on the new index statistics and drops the
-        profile memo; weights, risk factor and the installed delta source
-        are kept.
-        """
-        self.index = index
-        self.cost_model = CostModel(index.stats, self.cost_model.weights)
-        self._profile_memo.clear()
+        self._cost_model = CostModel(self.store.index.stats, weights)
 
     def profile_for(
         self,
@@ -217,11 +205,12 @@ class ColarmOptimizer:
         still settles the pick at the current weights; otherwise the
         subset is resolved again and the floor finished.
         """
+        index = self.store.index
         memo_key = (
             tuple(query.range_selections.items()),
             query.item_attributes,
             query.minsupp,
-            self.index.generation,
+            index.generation,
         )
         cached = self._profile_memo.get(memo_key)
         if cached is not None and self._settled(cached, estimates):
@@ -230,13 +219,11 @@ class ColarmOptimizer:
         # Over a live delta this is the combined live |D^Q| every plan
         # answers over, so min_count and all cardinality estimates line
         # up with the maintained execution.
-        focus = resolve_focal(self.index, query, self.delta_source)
+        focus = resolve_focal(index, query, self.store)
         if focus.dq_size == 0:
             raise QueryError("focal subset is empty; nothing to optimize")
         if cached is None:
-            profile = QueryProfile.floor_from_query(
-                query, focus, self.index.stats
-            )
+            profile = QueryProfile.floor_from_query(query, focus, index.stats)
             settled = self._settled(profile, estimates)
         else:  # a memoized floor that no longer settles: finish it
             profile, settled = cached, False
@@ -329,7 +316,7 @@ class ColarmOptimizer:
             # A floor is not an estimate: finish the model over the
             # request's subset, resolved again (the choice may hold none,
             # or a released one) and dropped with the finished profile.
-            focus = resolve_focal(self.index, choice.query, self.delta_source)
+            focus = resolve_focal(self.store.index, choice.query, self.store)
             estimated_s = self.cost_model.estimate(
                 kind, profile.with_arm_model(focus)
             )

@@ -358,14 +358,13 @@ class QueryService:
         out = self.stats.snapshot()
         out["pending"] = self.n_pending
         out["inflight_groups"] = len(self._inflight)
-        if self.engine.maintenance is not None:
-            m = self.engine.maintenance
-            out["maintenance"] = {
-                "generation": m.generation,
-                "delta_records": m.n_delta_records,
-                "main_live": m.n_main_live,
-                "recompacting": m.recompacting,
-            }
+        m = self.engine.maintenance
+        out["maintenance"] = {
+            "generation": m.generation,
+            "delta_records": m.n_delta_records,
+            "main_live": m.n_main_live,
+            "recompacting": m.recompacting,
+        }
         return out
 
     # -- ingest-while-serving ----------------------------------------------
@@ -376,8 +375,7 @@ class QueryService:
         Runs on the engine thread, so a batch lands atomically between
         flights: every execution sees either none or all of it, and the
         generation bump invalidates cache entries from before the append.
-        Returns the new index generation.  Requires
-        ``engine.enable_maintenance()``.
+        Returns the new index generation.
         """
         return await self._mutate(self.engine.append, records)
 

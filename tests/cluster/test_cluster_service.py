@@ -250,7 +250,7 @@ def test_publish_folds_pending_mutations_into_the_snapshot(tmp_path):
     then delta, and its generation continues past the pre-fold one."""
     salary = salary_dataset()
     engine = fresh_engine()
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.99)
     appended = salary.data[:3].tolist()
     engine.append(appended)
     assert engine.maintenance.begin_recompaction()

@@ -27,6 +27,7 @@ from repro.cache import (
     RuleCache,
 )
 from repro.core.engine import Colarm
+from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
@@ -61,7 +62,7 @@ def q(selections, minsupp=0.3, minconf=0.6, aitem=None):
 
 
 def test_put_get_rules_roundtrip(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     assert cache.put_rules(query, rules, 7)
@@ -78,7 +79,7 @@ def test_put_get_rules_roundtrip(index):
 
 
 def test_rules_entry_accounts_its_columns_real_bytes(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     assert isinstance(rules, RuleBlock) and len(rules)
@@ -91,7 +92,7 @@ def test_rules_entry_accounts_its_columns_real_bytes(index):
 
 
 def test_probe_preference_and_no_lru_bump(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     result = execute_plan(PlanKind.SSVS, index, query)
     lattice = CachedLattice(
@@ -119,7 +120,7 @@ def test_probe_preference_and_no_lru_bump(index):
 def test_replayed_lattice_is_read_only(index):
     """Every array of a cached lattice is shared by every replay: none of
     them — source ids, counts or order — can be written to."""
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     result = execute_plan(PlanKind.SSVS, index, query)
     assert cache.put_lattice(query, CachedLattice(
@@ -139,7 +140,7 @@ def test_replayed_lattice_is_read_only(index):
 
 
 def test_focal_key_drops_full_domain_selections(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     cards = index.cardinalities
     spelled = q({0: {1}, 1: set(range(cards[1]))})
     implicit = q({0: {1}})
@@ -152,11 +153,11 @@ def test_focal_key_drops_full_domain_selections(index):
 def test_lru_eviction_with_landmark_protection(index):
     queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(4)]
     rules = execute_plan(PlanKind.SSVS, index, queries[0]).rules
-    cache = RuleCache(index, budget_bytes=1 << 30)
+    cache = RuleCache(MaintainedIndex(index), budget_bytes=1 << 30)
     cache.put_rules(queries[0], rules, 7)
     per_entry = cache.stats.current_bytes
     # Room for exactly two entries; entry 0 is made a landmark.
-    cache = RuleCache(index, budget_bytes=2 * per_entry)
+    cache = RuleCache(MaintainedIndex(index), budget_bytes=2 * per_entry)
     cache.put_rules(queries[0], rules, 7)
     for _ in range(LANDMARK_HITS):
         assert cache.get_rules(queries[0]) is not None
@@ -177,13 +178,13 @@ def test_lru_eviction_with_landmark_protection(index):
 def test_oversized_entry_rejected(index):
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
-    cache = RuleCache(index, budget_bytes=64)
+    cache = RuleCache(MaintainedIndex(index), budget_bytes=64)
     assert not cache.put_rules(query, rules, 7)
     assert cache.stats.rejected == 1 and len(cache) == 0
 
 
 def test_generation_invalidation(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     cache.put_rules(query, rules, 7)
@@ -205,7 +206,7 @@ def test_generation_invalidation(index):
 
 
 def test_invalidate_clears_everything(index):
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = q({0: {1}})
     rules = execute_plan(PlanKind.SSVS, index, query).rules
     cache.put_rules(query, rules, 7)
@@ -218,17 +219,17 @@ def test_invalidate_clears_everything(index):
 
 def test_constructor_validation(index):
     with pytest.raises(ValueError):
-        RuleCache(index, budget_bytes=0)
+        RuleCache(MaintainedIndex(index), budget_bytes=0)
     assert list(inspect.signature(RuleCache).parameters) == [
-        "index", "budget_bytes", "expand",
+        "store", "budget_bytes", "expand",
     ]
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     with pytest.raises(ValueError):
         cache.put_rules(q({0: {1}}), [], 7, family="nope")
 
 
 def test_thread_hammer_keeps_accounting_and_generations(index):
-    """Concurrent probe / serve / put / invalidate / rebind under a budget
+    """Concurrent probe / serve / put / invalidate / fold under a budget
     of a few entries: every counter update happens under the cache lock
     (none is lost), the byte ledger matches the entries, and no serve
     ever hands out an entry stamped with another generation."""
@@ -237,9 +238,10 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
     queries = [q({0: {1}}, minconf=0.5 + i / 100) for i in range(12)]
     template = execute_plan(PlanKind.SSVS, index, queries[0]).rules[:6]
     assert template
-    sizing = RuleCache(index, budget_bytes=1 << 30)
+    sizing = RuleCache(MaintainedIndex(index), budget_bytes=1 << 30)
     sizing.put_rules(queries[0], template, 7)
-    cache = RuleCache(index, budget_bytes=3 * sizing.stats.current_bytes)
+    store = MaintainedIndex(index)
+    cache = RuleCache(store, budget_bytes=3 * sizing.stats.current_bytes)
     rounds, n_readers, n_writers = 2500, 5, 3
     probes = [0] * n_readers
     problems: list[str] = []
@@ -275,15 +277,17 @@ def test_thread_hammer_keeps_accounting_and_generations(index):
             cache.put_rules(queries[(i * 5 + slot) % len(queries)],
                             tagged(generation), 7, generation=generation)
             if slot == 0 and i % 40 == 39:
-                cache.index.bump_generation()
+                store.index.bump_generation()
             if slot == 1 and i % 97 == 96:
                 cache.invalidate()
             if slot == 2 and i % 131 == 130:
-                # As a fold does: the replacement's clock starts past the
-                # old index's.
-                new = other if cache.index is index else index
+                # As a fold installs: the store adopts a replacement
+                # whose clock starts past the old index's, and the engine
+                # empties the cache.
+                new = other if store.index is index else index
                 new.clock.base += cache.generation() + 1 - new.generation
-                cache.rebind_index(new)
+                store._adopt(new)
+                cache.invalidate()
 
     def guarded(work, slot):
         try:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.costs import CostModel, CostWeights, DEFAULT_WEIGHTS, QueryProfile
 from repro.core.focal import resolve_focal
+from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.operators import make_context, op_eliminate, op_search, \
     op_supported_search
@@ -30,7 +31,7 @@ QUERIES = [
 
 
 def profile_for(index, query):
-    profile, _focus = ColarmOptimizer(index).profile_for(query)
+    profile, _focus = ColarmOptimizer(MaintainedIndex(index)).profile_for(query)
     return profile
 
 

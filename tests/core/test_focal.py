@@ -49,7 +49,7 @@ def make_engine(mutate: bool, expand: bool = False) -> Colarm:
     engine = Colarm(make_table(), primary_support=0.05, expand=expand)
     if mutate:
         # A near-unity fraction: nothing folds.
-        engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+        engine.enable_maintenance(max_delta_fraction=0.99)
         mutate_region(engine, n_append=6, n_delete=5)
     return engine
 
@@ -65,8 +65,6 @@ def mutate_region(engine: Colarm, n_append: int, n_delete: int) -> None:
 def live_data(engine: Colarm) -> np.ndarray:
     """The live records, as the fold would collect them."""
     m = engine.maintenance
-    if m is None:
-        return engine.table.data
     main = np.delete(engine.table.data, ts.to_list(m.main_dead), axis=0)
     return np.vstack([main, m.delta_data()])
 
@@ -134,7 +132,7 @@ def test_planned_miss_resolves_once(monkeypatch, kind, mutate):
     outcome = engine.query(QUERY)
     assert outcome.plan is kind and outcome.chosen_by == "optimizer"
     assert counts.tids_matching == 1
-    assert counts.delta_view == (1 if mutate else 0)
+    assert counts.delta_view == 1
     assert counts.main_projections == 1
     assert outcome.dq_size == live_dq_size(engine, QUERY)
 
@@ -147,7 +145,7 @@ def test_forced_plan_resolves_once(monkeypatch, kind, mutate):
     outcome = engine.query(QUERY, plan=kind)
     assert outcome.plan is kind and outcome.chosen_by == "forced"
     assert counts.tids_matching == 1
-    assert counts.delta_view == (1 if mutate else 0)
+    assert counts.delta_view == 1
     assert counts.main_projections == 1
 
 
@@ -296,7 +294,7 @@ def test_forced_cached_serve_reports_live_dq_size(n_append, n_delete, expand):
     main table unmasked and ignore the delta)."""
     engine = Colarm(make_table(), primary_support=0.05, expand=expand)
     engine.enable_cache()
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.99)
     mutate_region(engine, n_append, n_delete)
     fresh = engine.query(QUERY, plan="SS-VS")
     cached = engine.query(QUERY, plan="SS-VS")

@@ -94,7 +94,7 @@ def test_size_bound_starts_a_background_fold():
     table = make_random_table(seed=113, n_records=60,
                               cardinalities=(4, 3, 3, 2))
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_maintenance(max_delta_fraction=0.1, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.1)
     mx = engine.maintenance
     engine.append(make_new_records(5, seed=1))  # 5/60 = 8.3% -> not due
     assert not mx.fold_due and not mx.recompacting
@@ -123,7 +123,7 @@ def test_recompact_waits_out_a_fold_in_flight_and_folds_the_rest():
     cards = (4, 3, 3, 2)
     table = make_random_table(seed=137, n_records=80, cardinalities=cards)
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.5)
     mx = engine.maintenance
     first = make_new_records(6, seed=141)
     engine.append(first)
@@ -160,22 +160,47 @@ def test_recompact_waits_out_a_fold_in_flight_and_folds_the_rest():
             assert [tuple(rule) for rule in out.rules] == want[family], kind
 
 
-def test_disable_maintenance_folds_everything_pending():
+def test_fold_folds_everything_pending():
+    """``fold()`` waits out the fold in flight, folds what landed
+    mid-build too, installs it and empties the cache."""
     from repro.core.engine import Colarm
 
     table = make_random_table(seed=139, n_records=60,
                               cardinalities=(4, 3, 3, 2))
     engine = Colarm(table, primary_support=0.05)
     engine.enable_cache()
-    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.5)
     engine.append(make_new_records(4, seed=3))
+    engine.query(QUERY)
+    assert len(engine.cache) > 0
     assert engine.maintenance.begin_recompaction()
     engine.maintenance.append(make_new_records(2, seed=4))
-    engine.disable_maintenance()
-    assert engine.maintenance is None and engine.optimizer.delta_source is None
+    assert engine.fold()
+    mx = engine.maintenance
+    assert not mx.recompacting and mx.n_pending == 0
     assert engine.index.table.n_records == 66
-    assert engine.optimizer.index is engine.index
-    assert engine.cache.index is engine.index
+    assert len(engine.cache) == 0
+    assert engine.optimizer.cost_model.stats is engine.index.stats
+    assert not engine.fold()  # nothing pending: nothing installed
+
+
+def test_delta_buffer_reads_the_index_fixed_values_in_place(maintained):
+    """The append-time MIP match reads the index's own int32 array: every
+    engine carries a delta store, so it must not carry a copy too."""
+    _, mx = maintained
+    assert mx.buffer.mip_fixed is mx.index.stats.mip_fixed_values
+    assert mx.buffer.mip_fixed.dtype == np.int32
+    mx.append(make_new_records(3, seed=5))
+    assert mx.recompact() is not None
+    assert mx.buffer.mip_fixed is mx.index.stats.mip_fixed_values
+
+
+def test_max_delta_fraction_is_validated(maintained):
+    _, mx = maintained
+    for bad in (0.0, 1.0):
+        with pytest.raises(DataError):
+            mx.max_delta_fraction = bad
+    assert mx.max_delta_fraction == 0.1
 
 
 def test_append_validation(maintained):
@@ -252,7 +277,7 @@ def test_cache_staleness_append_between_populate_and_probe():
 
     engine = Colarm(table, primary_support=0.05)
     engine.enable_cache()
-    engine.enable_maintenance(calibrate=False)
+    engine.enable_maintenance()
     engine.query(QUERY, plan=PlanKind.SEV)       # populates the cache
     assert engine.cache.probe(QUERY).kind == "rules"
 
@@ -362,15 +387,15 @@ def test_background_recompaction_with_interleaved_mutations(maintained):
 
 def test_engine_append_delete_and_background_fold():
     """Colarm.append/delete ride the delta store; outgrowing the fraction
-    starts a background fold that the next query installs, rebinding the
-    optimizer and cache to the fresh index."""
+    starts a background fold.  Once the store installs it, the engine,
+    its optimizer and its cache read the fresh index through the store."""
     from repro.core.engine import Colarm
 
     table = make_random_table(seed=127, n_records=80,
                               cardinalities=(4, 3, 3, 2))
     engine = Colarm(table, primary_support=0.05)
     engine.enable_cache()
-    engine.enable_maintenance(max_delta_fraction=0.1, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.1)
     old_index = engine.index
 
     gen = engine.append(make_new_records(5, seed=71))
@@ -381,13 +406,13 @@ def test_engine_append_delete_and_background_fold():
     assert not engine.maintenance.recompacting and engine.index is old_index
 
     engine.append(make_new_records(4, seed=72))  # 10 mutations > 8: fold
-    engine.maintenance.poll_recompaction(wait=True)
-    outcome = engine.query(QUERY)  # installs the finished fold
+    engine.maintenance.poll_recompaction(wait=True)  # the store installs it
+    outcome = engine.query(QUERY)
     assert engine.index is not old_index
     assert engine.index is engine.maintenance.index
-    assert engine.optimizer.index is engine.index
-    assert engine.cache.index is engine.index
-    # ... and that is all a swap rebinds: there is no worker pool to restart.
+    assert engine.optimizer.cost_model.stats is engine.index.stats
+    assert engine.cache.generation() == engine.index.generation
+    # ... and nothing else holds the index: no worker pool to restart.
     assert not any(
         hasattr(engine, name) for name in ("parallel", "configure", "close")
     )
@@ -477,7 +502,7 @@ def test_service_ingest_is_serialized_with_queries():
     table = make_random_table(seed=131, n_records=80,
                               cardinalities=(4, 3, 3, 2))
     engine = Colarm(table, primary_support=0.05)
-    engine.enable_maintenance(calibrate=False)
+    engine.enable_maintenance()
 
     async def scenario():
         async with QueryService(engine) as svc:
@@ -536,7 +561,7 @@ def test_failed_background_fold_surfaces_and_keeps_serving(monkeypatch):
     cards = (3, 3, 2)
     table = make_random_table(seed=131, n_records=40, cardinalities=cards)
     engine = Colarm(table, primary_support=0.1)
-    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.5)
     appended = make_new_records(5, seed=73, cards=cards)
     engine.append(appended)
     engine.delete([4])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.costs import CostWeights
 from repro.core.engine import Colarm
+from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.optimizer import ColarmOptimizer, PlanChoice
 from repro.core.plans import PlanKind, execute_plan
@@ -24,7 +25,7 @@ def setup():
 
 def test_choice_is_argmin(setup):
     _, index = setup
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     query = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.7)
     choice = optimizer.choose(query)
     assert choice.kind in PlanKind
@@ -34,7 +35,7 @@ def test_choice_is_argmin(setup):
 
 def test_explain_mentions_all_plans(setup):
     _, index = setup
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     query = LocalizedQuery({0: frozenset({1})}, 0.3, 0.7)
     text = optimizer.choose(query).explain()
     for kind in PlanKind:
@@ -51,7 +52,7 @@ def test_weights_change_choice(setup):
         {"nodes": 1e3, "touches": 1e3, "eliminate": 1e3, "verify": 1e3,
          "select": 0.0, "arm": 0.0, "const": 0.0}
     )
-    optimizer = ColarmOptimizer(index, arm_free)
+    optimizer = ColarmOptimizer(MaintainedIndex(index), arm_free)
     assert optimizer.choose(query).kind is PlanKind.ARM
 
     arm_terrible = CostWeights(
@@ -72,14 +73,14 @@ def test_empty_focal_subset_rejected(setup):
     )
     if table.tids_matching(query.range_selections):
         pytest.skip("dataset has a record matching the all-zero selection")
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     with pytest.raises(QueryError):
         optimizer.choose(query)
 
 
 def test_chosen_plan_executes(setup):
     _, index = setup
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     query = LocalizedQuery({0: frozenset({1})}, 0.35, 0.7)
     choice = optimizer.choose(query)
     result = execute_plan(choice.kind, index, query)
@@ -88,7 +89,7 @@ def test_chosen_plan_executes(setup):
 
 def test_profile_for_validates(setup):
     _, index = setup
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     with pytest.raises(QueryError):
         optimizer.profile_for(LocalizedQuery({99: frozenset({0})}, 0.3, 0.5))
 

@@ -74,7 +74,7 @@ def test_build_fold_and_load_each_own_a_table(tmp_path):
     assert_own_table(engine.index)
     built = engine.index
 
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.99)
     engine.append([[1 + i % 2, i % 3, 0, i % 2] for i in range(8)])
     engine.delete([3, 5, 7])
     engine.maintenance.recompact()

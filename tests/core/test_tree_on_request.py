@@ -46,7 +46,7 @@ def test_nothing_packs_a_tree_until_it_is_read(tmp_path, monkeypatch):
             loaded, _ = load_index(path, mmap_mode=mmap_mode, verify=verify)
             assert Colarm.from_index(loaded).query(SEATTLE).n_rules > 0
 
-    engine.enable_maintenance(max_delta_fraction=0.5, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.5)
     engine.append(salary.data[:3].tolist())
     engine.maintenance.recompact()
     assert engine.maintenance.n_pending == 0

@@ -154,7 +154,9 @@ def test_lazy_choice_equals_full_pricing_on_main(scenario, w1, w2, risk):
     focus = resolve_focal(index, query)
     if focus.dq_size == 0:
         return
-    optimizer = ColarmOptimizer(index, w1, arm_risk_factor=risk)
+    optimizer = ColarmOptimizer(
+        MaintainedIndex(index), w1, arm_risk_factor=risk
+    )
     tables = (table.item_tidsets(), focus.dq)
     check(optimizer, index, None, query, (w1, w2, w1), risk, tables)
 
@@ -179,8 +181,7 @@ def test_lazy_choice_equals_full_pricing_over_a_live_delta(
         return
     live = delta_suite._live_table(rows, alive)
     tables = (live.item_tidsets(), live.tids_matching(selections))
-    optimizer = ColarmOptimizer(mx.index, w1, arm_risk_factor=risk)
-    optimizer.set_delta(mx)
+    optimizer = ColarmOptimizer(mx, w1, arm_risk_factor=risk)
     check(optimizer, mx.index, mx, query, (w1, w2, w1), risk, tables)
 
 
@@ -199,7 +200,7 @@ def test_a_memoized_floor_is_finished_once_it_stops_settling(dense):
     floor — and the finished profile replaces the floor in the memo."""
     table, index = dense
     query = LocalizedQuery({0: frozenset({0})}, 0.3, 0.6)
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     first = optimizer.choose(query)
     first.release()
     assert first.profile.arm_floor and first.kind is not ARM
@@ -226,7 +227,8 @@ def test_negative_weights_price_in_full(dense):
     _table, index = dense
     query = LocalizedQuery({0: frozenset({0})}, 0.3, 0.6)
     optimizer = ColarmOptimizer(
-        index, CostWeights({**DEFAULT_WEIGHTS, "search": -1e-12})
+        MaintainedIndex(index),
+        CostWeights({**DEFAULT_WEIGHTS, "search": -1e-12}),
     )
     choice = optimizer.choose(query)
     choice.release()
@@ -240,12 +242,12 @@ def test_a_measurement_logs_the_full_arm_price(dense):
     served."""
     _table, index = dense
     query = LocalizedQuery({0: frozenset({0})}, 0.3, 0.6)
-    optimizer = ColarmOptimizer(index)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
     choice = optimizer.choose(query)
     choice.release()
     assert choice.profile.arm_floor
     residual = optimizer.record_measurement(choice, ARM, 1e-3)
-    full, _focus = ColarmOptimizer(index).profile_for(query)
+    full, _focus = ColarmOptimizer(MaintainedIndex(index)).profile_for(query)
     assert residual.estimated_s == optimizer.cost_model.estimate(ARM, full)
     assert residual.estimated_s > choice.estimates[ARM]
     assert (residual.arm_f1, residual.arm_chain) == \

@@ -225,8 +225,7 @@ def test_profile_over_main_and_delta_equals_reference_on_live_rows(scenario):
     focus = resolve_focal(mx.index, query, mx)
     if focus.dq_size == 0:
         return
-    optimizer = ColarmOptimizer(mx.index)
-    optimizer.set_delta(mx)
+    optimizer = ColarmOptimizer(mx)
     profile, _focus = optimizer.profile_for(query)
     live = delta_suite._live_table(rows, alive)
     dq = live.tids_matching(selections)

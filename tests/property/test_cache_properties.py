@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cache import RuleCache
 from repro.core.engine import Colarm
+from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
@@ -163,10 +164,12 @@ def test_tight_budget_eviction_keeps_byte_accounting_exact(scenario):
         return
     index = build_mip_index(table, primary_support=0.05)
     rules = {q: execute_plan(PlanKind.SSVS, index, q).rules for q in pool}
-    sizing = RuleCache(index, budget_bytes=1 << 30)
+    sizing = RuleCache(MaintainedIndex(index), budget_bytes=1 << 30)
     sizing.put_rules(pool[0], rules[pool[0]], 1)
     per_entry = max(sizing.stats.current_bytes, 1)
-    cache = RuleCache(index, budget_bytes=budget_entries * per_entry)
+    cache = RuleCache(
+        MaintainedIndex(index), budget_bytes=budget_entries * per_entry
+    )
     accepted = 0
     for op, arg in ops:
         query = pool[arg % len(pool)]

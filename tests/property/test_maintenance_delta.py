@@ -193,7 +193,7 @@ def test_engine_with_cache_matches_rebuild(scenario):
     table = RelationalTable(_schema(), base)
     engine = Colarm(table, primary_support=PRIMARY, expand=True)
     engine.enable_cache()
-    engine.enable_maintenance(calibrate=False)
+    engine.enable_maintenance()
     mx = engine.maintenance
     rows = [list(map(int, r)) for r in base]
     alive = [True] * n_base

@@ -78,8 +78,7 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     focus = resolve_focal(mx.index, query, mx)
     if focus.dq_size == 0:
         return
-    optimizer = ColarmOptimizer(mx.index)
-    optimizer.set_delta(mx)
+    optimizer = ColarmOptimizer(mx)
     profile, _focus = optimizer.profile_for(query)
     assert profile.dq_size == focus.dq_size
     assert profile.min_count == focus.min_count

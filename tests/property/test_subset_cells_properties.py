@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro import tidset as ts
 from repro.cache import CachedLattice, RuleCache
 from repro.core.focal import resolve_focal
+from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index, mip_sources
 from repro.core.query import LocalizedQuery
 from repro.dataset.schema import Attribute, Schema
@@ -263,7 +264,7 @@ def test_a_mip_request_over_every_row(minconf):
         assert extract(cells, kernel, minconf, None,
                        table.schema).pack() == rules.pack()
     # Stored read-only in the lattice tier, replayed alike.
-    cache = RuleCache(index)
+    cache = RuleCache(MaintainedIndex(index))
     query = LocalizedQuery({0: frozenset({0, 1})}, 0.1, minconf)
     assert cache.put_lattice(query, CachedLattice(
         cells.narrowed(), kernel.dq_size, None, table.schema

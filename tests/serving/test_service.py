@@ -326,7 +326,7 @@ def test_an_inline_hit_is_stamped_with_the_generation_it_was_served_at(
 
 def test_append_between_populate_and_repeat_is_never_inline(engine):
     engine.enable_cache()
-    engine.enable_maintenance(calibrate=False)
+    engine.enable_maintenance()
     record = [int(v) for v in engine.table.data[0]]
 
     async def main():
@@ -591,7 +591,7 @@ def test_one_thread_drives_the_engine(engine, monkeypatch):
     on its one engine thread — never the loop, never a second thread —
     while distinct misses and mutations are in flight together."""
     engine.enable_cache()
-    engine.enable_maintenance(calibrate=False)
+    engine.enable_maintenance()
     threads: list[tuple[str, str]] = []
 
     def on_thread(name):
@@ -648,7 +648,12 @@ def test_stats_snapshot_shape(engine):
     assert set(snap) == {
         "submitted", "served", "errors", "executions", "coalesced",
         "cache_short_circuits", "shed", "p50_s", "p99_s", "throughput_qps",
-        "pending", "inflight_groups",
+        "pending", "inflight_groups", "maintenance",
+    }
+    # Every engine owns a delta store, so the snapshot always reports it.
+    assert snap["maintenance"] == {
+        "generation": engine.index.generation, "delta_records": 0,
+        "main_live": engine.index.table.n_records, "recompacting": False,
     }
 
 

@@ -476,7 +476,7 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
     # A near-unity delta fraction: no fold may land the delta mid-gate,
     # or the corrupted run would trivially pass (a gate that cannot fail
     # gates nothing).
-    engine.enable_maintenance(max_delta_fraction=0.99, calibrate=False)
+    engine.enable_maintenance(max_delta_fraction=0.99)
     queries = default_probe_queries(
         engine.index,
         n_queries=int(config["n_queries"]),

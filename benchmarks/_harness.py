@@ -167,7 +167,7 @@ class AccuracyRecord:
     chosen_s: float = 0.0   # measured time of the chosen plan (paired median)
     fastest_s: float = 0.0  # measured time of the fastest plan (paired median)
     choose_s: float = 0.0   # one un-memoized optimizer.choose() for the query
-    planned_s: float = 0.0  # the chosen plan run on that choice's projection
+    planned_s: float = 0.0  # the chosen plan run on that choice's kernel
 
 
 def run_accuracy(
@@ -215,8 +215,8 @@ def run_accuracy(
                 fastest = min(times, key=lambda k: times[k])
                 # The scenario's first choose(): nothing above went through
                 # the optimizer, so the profile is built, not recalled — and
-                # with it the request's projection, which the chosen plan
-                # then adopts as a request does (the projection is paid
+                # with it the request's masked kernel, which a chosen MIP
+                # plan then adopts as a request does (the kernel is paid
                 # once, on the planning side of ``planning_share``).
                 with paused_gc():
                     t0 = time.perf_counter()
@@ -282,7 +282,7 @@ def summarize_accuracy(records: list[AccuracyRecord],
         ),
         # What share of an optimizer-planned request is the planning: per
         # scenario choose() over choose() + the plan it chose run on the
-        # choice's projection, the median.
+        # choice's kernel, the median.
         "planning_share": float(np.median(
             [r.choose_s / (r.choose_s + r.planned_s) for r in records]
         )) if n else 0.0,

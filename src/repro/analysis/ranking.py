@@ -37,7 +37,7 @@ def _block_stats(index: MIPIndex, block: RuleBlock, dq: int) -> list[RuleStats]:
     """The contingency counts of every rule of ``block`` inside ``dq``."""
     table = index.table
     n = ts.count(dq)
-    kernel = kernels.FocalKernel.project(
+    kernel = kernels.FocalKernel.masked(
         table.schema.n_items,
         [(table.item_matrix()[0], table.item_ids(),
           kernels.pack(dq, index.tidset_words), n)],
@@ -53,7 +53,7 @@ def _block_stats(index: MIPIndex, block: RuleBlock, dq: int) -> list[RuleStats]:
 def localized_rule_stats(index: MIPIndex, rule: Rule, dq: int) -> RuleStats:
     """Exact contingency counts of a rule inside a focal tidset.
 
-    Counted over the table's item rows projected onto ``dq``, so any rule
+    Counted over the table's item rows masked to ``dq``, so any rule
     can be evaluated — also one an ARM-plan answer holds whose parts lie
     below the index's primary floor.
     """

@@ -128,7 +128,7 @@ _PROBE_PLANS = (PlanKind.SEV, PlanKind.SSVS, PlanKind.ARM)
 #: Which cost feature each timed operator exercises alone.  SUPPORTED-
 #: VERIFY exercises three; :func:`calibrate` splits it into one solo row
 #: per feature from its trace's ``mining_s`` / ``kernel_s`` /
-#: ``projection_s`` details (embedded qualification -> ``eliminate``,
+#: ``masking_s`` details (embedded qualification -> ``eliminate``,
 #: support counting -> ``verify``, extraction -> ``rulegen``).
 _OPERATOR_FEATURES: dict[str, str] = {
     "SEARCH": "search",
@@ -171,9 +171,9 @@ def calibrate(
         if focus.dq_size == 0:
             continue
         profile = QueryProfile.from_query(query, focus, index.stats)
-        # Each timed execution resolves (and projects) for itself: a
-        # projection shared across the probe plans would be timed once and
-        # bias the ``verify``/``select`` fits.
+        # Each timed execution resolves (and builds its kernel) for
+        # itself: a kernel shared across the probe plans would be timed
+        # once and bias the ``verify`` fit.
         focus.release()
         for kind in _PROBE_PLANS:
             with _collector_paused():
@@ -202,7 +202,7 @@ def calibrate(
                     # disentangle them from one joint row.
                     counting_s = (
                         op.detail.get("kernel_s", 0.0)
-                        + op.detail.get("projection_s", 0.0)
+                        + op.detail.get("masking_s", 0.0)
                     )
                     mining_s = op.detail.get("mining_s", 0.0)
                     add_solo_row("eliminate", mining_s)
@@ -300,9 +300,9 @@ def calibrate_maintenance(
       focal row), measured over a matrix shaped like the live delta
       store so the per-call numpy overhead is amortized exactly as the
       query path amortizes it;
-    * ``delta_merge`` — seconds per word of projecting the delta item
-      rows into the request's universe (unpack, select the focal
-      columns, repack).
+    * ``delta_merge`` — seconds per word of masking the delta item rows
+      into the request's kernel (one AND with the delta focal row,
+      written into the kernel's delta block).
 
     Every other weight is untouched.  :func:`calibrate` alone returns these
     two at their defaults (the probe traces never exercise them);
@@ -338,18 +338,17 @@ def _measure_delta_probe(
 def _measure_delta_merge(
     words: int, n_rows: int = 128, rounds: int = 3
 ) -> float:
-    """Seconds per row-word of the delta item rows' focal projection."""
-    from repro import kernels
-
+    """Seconds per row-word of masking the delta item rows."""
     rng = np.random.default_rng(11)
     matrix = rng.integers(
         0, np.iinfo(np.uint64).max, size=(n_rows, words), dtype=np.uint64
     ).astype(np.dtype("<u8"))
     row = matrix[0].copy()
+    out = np.empty_like(matrix)
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        kernels.project_rows(matrix, row)
+        np.bitwise_and(matrix, row, out=out)
         best = min(best, time.perf_counter() - start)
     return best / (n_rows * words)
 

@@ -9,17 +9,18 @@ work estimates the paper's equations describe:
 * ``eliminate`` — record-level support checks, in tidset-word units
   (Eq. 1 COST(E) = |{I^Q_S}| x |D^Q|); SS-E-U-V pays only for partially
   overlapped candidates (Lemma 4.5);
-* ``verify``    — support-counting work inside VERIFY: one focal
-  projection of the item tidsets (all item rows times the full tidset
-  width) plus the request's sub-itemset table — every ``(source, mask)``
-  cell named and gathered, every *distinct* sub-itemset ANDed once at
-  the *projected* ``|D^Q|``-word width (Eq. 1 COST(V));
+* ``verify``    — support-counting work inside VERIFY: one masking pass
+  over the item tidsets (all item rows times the full tidset width)
+  plus the request's sub-itemset table — every ``(source, mask)`` cell
+  named and gathered, every *distinct* sub-itemset ANDed once at the
+  *masked* width, the table's plus the delta block's words (Eq. 1
+  COST(V));
 * ``rulegen``   — rule extraction proper: the per-candidate antecedent /
   consequent enumeration and vectorized confidence pass, scaling with the
   qualified fan-out but independent of the tidset width;
 * ``select``    — focal-subset extraction (Eq. 6 COST(sigma)): the
-  subset is read out of the focal projection, so this is the projection
-  term ``verify`` also pays;
+  subset is read out of the dense focal projection ARM alone builds, one
+  pass over the item rows;
 * ``arm``       — from-scratch mining work (Eq. 6 COST(eps_AR)), sized by
   a density-aware estimate of the *locally* frequent itemsets;
 * ``const``     — fixed per-pipeline-stage overhead (what selection
@@ -41,7 +42,6 @@ from operator import mul
 
 import numpy as np
 
-from repro import kernels
 from repro.core.focal import FocalSubset
 from repro.core.query import LocalizedQuery
 from repro.core.stats import IndexStatistics, bit_array
@@ -60,7 +60,7 @@ __all__ = [
 #: magnitude for CPython; calibration replaces them with fitted values.
 #: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
 #: maintained index (per-candidate AND+popcount over the delta MIP matrix,
-#: and projecting the delta item rows into the request's one universe);
+#: and masking the delta item rows into the kernel's delta block);
 #: they are fitted from the live delta store by
 #: ``calibration.calibrate_maintenance`` and appear in a MIP plan's load
 #: vector only while un-folded delta records exist, where they can tip a
@@ -69,13 +69,13 @@ __all__ = [
 DEFAULT_WEIGHTS: dict[str, float] = {
     "search": 3e-9,
     "eliminate": 3e-8,
-    "verify": 4e-8,
+    "verify": 2e-9,
     "rulegen": 5e-7,
     "select": 6e-8,
     "arm": 2e-7,
     "const": 5e-5,
     "delta_probe": 3e-8,
-    "delta_merge": 4e-8,
+    "delta_merge": 1e-8,
 }
 
 
@@ -160,12 +160,13 @@ class QueryProfile:
         and ``arm_fanout`` lower bounds unless ``F1 <= 1``.
         :meth:`with_arm_model` finishes it.
 
-        Besides the statistics, the profile reads the request's own focal
-        projection (``focus.kernel()``, built here and adopted by the
-        execution): one popcount over it is every item's local support,
-        and its rows as int tidsets let the ARM model measure the *exact*
-        locally frequent item count and greedy chain here, and pair and
-        triangle counts (a few hundred ``|D^Q|``-bit ANDs) when finished —
+        Besides the statistics, the profile reads the request's own masked
+        kernel (``focus.kernel()``, built here and adopted by the MIP
+        plans' VERIFY): one popcount over it is every item's local
+        support, and its rows as int tidsets let the ARM model measure the
+        *exact* locally frequent item count and greedy chain here, and
+        pair and triangle counts (a few hundred ANDs — the same counts
+        the dense projection gives) when finished —
         ARM's from-scratch mining must account for locally frequent
         itemsets *below* the index's primary floor, which no stored
         statistic covers.  Over a live delta that is the combined
@@ -176,7 +177,7 @@ class QueryProfile:
         cards = _cardinalities(query, focus, stats, min_count)
         aitem = query.item_attributes
         arm_stats = _arm_floor(
-            kernels.popcount_rows(focus.kernel().matrix).tolist(),
+            focus.kernel().supports.tolist(),
             focus.item_tidsets(),
             [
                 (base, base + stats.cardinalities[a])
@@ -249,16 +250,22 @@ _ARM_PASS_OVERHEAD_WORDS = 32768.0
 #: same units: about one word's AND, and independent of the width (a
 #: shared sub-itemset is ANDed once, not once per pair).
 _ARM_CELL_WORDS = 1.0
-#: The sub-itemset table of a VERIFY pass, in projected-word units (one
-#: word of the focal projection repacked): the fixed cost of its naming
-#: passes, the price of one ``(source, mask)`` cell, and how many
-#: cell-words of AND one projected word buys — cells per distinct
-#: sub-itemset (6-15 measured) times the AND's speed against the repack's.
-#: Fitted over the e2e pools: counting takes 0.19 ms + 13 ns a cell + 1 ns
-#: a cell-word, against 22 ns a projected word.
-_LATTICE_PASS_WORDS = 8192.0
-_LATTICE_CELL_WORDS = 4.0
-_LATTICE_SHARING = 8.0
+#: The sub-itemset table of a VERIFY pass, in masked-word units (one word
+#: of one item row ANDed with the focal row by the kernel build): the
+#: fixed cost of its gather, naming and counting passes, and per
+#: qualified fan-out unit ``(words + _LATTICE_CELL_WORDS) /
+#: _LATTICE_SHARING`` — a width-independent share for the unit's cells
+#: and the share of its distinct sub-itemsets' ANDs at the masked width.
+#: Fitted over the 880 distinct SS-VS requests of the e2e ``fresh_grid``,
+#: ``zipf_served`` and ``wide_cluster`` pools (2-vCPU box): masking takes
+#: 0.61 ns a word, and counting 99 us + 9.0 ns a fan-out unit + 0.22 ns a
+#: fan-out unit per masked word.  (The constants priced at the projected
+#: ``|D^Q|``-word width, 8192 / 4 / 8 in projected-word units, weighed the
+#: width about ten times too heavily against the cells; at the masked
+#: width that turned large-fan-out ``fresh_grid`` requests to ARM.)
+_LATTICE_PASS_WORDS = 163840.0
+_LATTICE_CELL_WORDS = 40.0
+_LATTICE_SHARING = 2.7
 #: Fixed setup cost of one batched rule-extraction pass, in fan-out units:
 #: the numpy dispatch of the one flat pass over the request's cells, the
 #: argsort of the rank keys and the ``Item`` tuples amount to roughly two
@@ -391,8 +398,9 @@ def _arm_floor(
     ARM mines the focal subset from scratch, so its work scales with the
     number of *locally* frequent itemsets — including those below the
     index's primary floor, which no stored statistic covers.  The model
-    measures on the focal projection (``counts[i]``, ``tidsets[i]``: item
-    id ``i``'s local support and ``|D^Q|``-bit tidset; ``spans``: the id
+    measures on the request's masked kernel (``counts[i]``,
+    ``tidsets[i]``: item id ``i``'s local support and focal tidset — any
+    form whose intersections count the focal records; ``spans``: the id
     ranges of the admitted attributes) with a few hundred intersections:
 
     * ``F1`` — the exact number of locally frequent items (here);
@@ -472,7 +480,7 @@ def _arm_finish(
     floor: ArmFloor, tidsets: list[int], min_count: int
 ) -> ArmModelStats:
     """The density-aware ARM model, finished from its :func:`_arm_floor`
-    over the same focal projection: ``F2`` and ``F3`` over the floor's
+    over the same focal tidsets: ``F2`` and ``F3`` over the floor's
     strongest-first sample, and the quasi-clique series over them and the
     floor's chain."""
     f1, chain_length = floor.f1, floor.chain_length
@@ -709,8 +717,9 @@ class CostModel:
         # Index-only terms: one MIP bitset's words, projection, mean length.
         self._mip_words = -(-stats.n_mips // 64)
         self._n_items = float(sum(stats.cardinalities))
-        #: One focal projection: every item row (``sum(cardinalities)``, an
-        #: upper bound on the item count) repacked at the full tidset width.
+        #: One pass over every item row (``sum(cardinalities)``, an upper
+        #: bound on the item count) at the full tidset width: what the
+        #: masked kernel's AND and ARM's focal projection each read.
         self.projection_load = self._n_items * stats.tidset_words
         self._avg_length = max(stats.avg_length, 1.0)
 
@@ -758,21 +767,22 @@ class CostModel:
         return cands * profile.aitem_fraction * self.stats.tidset_words
 
     def verify_load(self, profile: QueryProfile) -> float:
-        """Eq. 1 COST(V): support counting through the focal projection.
+        """Eq. 1 COST(V): support counting through the masked kernel.
 
-        The kernel path pays the projection once
+        The kernel path pays the masking pass once
         (:attr:`projection_load`) and then one sub-itemset table: a fixed
-        pass cost, a width-independent price per ``(source, mask)`` cell
-        (named and gathered, never ANDed per pair) and the distinct
-        sub-itemsets' ANDs at the *projected* ``|D^Q|``-word width —
-        ``_LATTICE_SHARING`` cells to the projected word.
+        pass cost, and per qualified fan-out unit a width-independent
+        price for its cells (named and gathered, never ANDed per pair)
+        plus its share of the distinct sub-itemsets' ANDs at the *masked*
+        width — the table's ``tidset_words`` plus the delta block's
+        ``delta_words`` (the ``_LATTICE_*`` constants, in masked words).
         """
-        dq_words = max(1, -(-profile.dq_size // 64))
+        words = self.stats.tidset_words + profile.delta_words
         return (
             self.projection_load
             + _LATTICE_PASS_WORDS
             + profile.qualified_fanout
-            * (dq_words + _LATTICE_CELL_WORDS) / _LATTICE_SHARING
+            * (words + _LATTICE_CELL_WORDS) / _LATTICE_SHARING
         )
 
     def rulegen_load(self, profile: QueryProfile) -> float:
@@ -798,9 +808,11 @@ class CostModel:
     def select_load(self, profile: QueryProfile) -> float:
         """Eq. 6 COST(sigma): the focal subset in vertical form.
 
-        SELECT builds the focal projection and reads its rows out as
-        tidsets — no record is copied — so it costs the projection term
-        :meth:`verify_load` prices for the MIP plans.
+        SELECT builds the dense focal projection — every item row
+        repacked to ``|D^Q|`` bits, which only ARM's thousands of
+        intersections repay — and reads its rows out as tidsets; no
+        record is copied.  Priced as one pass over the item rows
+        (:attr:`projection_load`).
         """
         return self.projection_load
 
@@ -808,8 +820,8 @@ class CostModel:
         """Eq. 6 COST(eps_AR): from-scratch mining sized by the local-
         itemset estimate, plus its rule-generation fan-out, on top of the
         pass's fixed cost (``_ARM_PASS_OVERHEAD_WORDS``).  The subset's
-        item tidsets arrive from SELECT's projection, so there is no
-        per-record scan term.
+        item tidsets arrive from SELECT's projection, ``|D^Q|`` bits
+        wide, so there is no per-record scan term.
 
         Each candidate evaluation costs its tidset intersection (``dq``
         words) *plus* a constant — the per-operation interpreter overhead
@@ -847,16 +859,17 @@ class CostModel:
           AND+popcount of its delta-MIP row against the delta focal row
           (``cands x delta_words``), plus the focal-row build itself
           (one pass over the delta item rows);
-        * ``delta_merge`` — rule generation projects the delta item rows
-          (``sum(cardinalities) x delta_words``) and appends them to the
-          main projection.  There is no second lattice: the request's one
-          universe is ``dq_size`` bits wide, delta records included, and
-          ``verify`` prices it at that width.
+        * ``delta_merge`` — the masked kernel ANDs the delta item rows
+          with the delta focal row (``sum(cardinalities) x
+          delta_words``) into a second block of words after the main
+          rows.  There is no second lattice: the request's one kernel
+          spans both blocks, and ``verify`` prices its lookups at that
+          width.
 
         ARM has no delta-specific term: the delta view's projection (a
-        handful of words per row) stacks under the main one in SELECT,
-        and ``arm`` is already priced by the *combined* ``dq_size`` the
-        optimizer profiles.
+        handful of words per row) is a block after the main one in
+        SELECT, and ``arm`` is already priced by the *combined*
+        ``dq_size`` the optimizer profiles.
         """
         if profile.delta_records <= 0 or kind is PlanKind.ARM:
             return {}

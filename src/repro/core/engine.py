@@ -306,8 +306,8 @@ class Colarm:
         planned and executed against the live index.  With ``kind=None``
         the optimizer prices the request (its one ``choose``) and the
         chosen plan executes on the focal subset that was profiled
-        (``choice.focus``): the subset is resolved and projected once per
-        request, and the projection ends with the request
+        (``choice.focus``): the subset is resolved and masked once per
+        request, and its item rows end with the request
         (:meth:`PlanChoice.release`), so an outcome a caller keeps pins
         the resolution only.  With a cache enabled and ``use_cache``, the
         fresh answer populates it for the next repeat.
@@ -427,7 +427,7 @@ class Colarm:
         }
 
     def choose_plan(self, request: LocalizedQuery | str) -> PlanChoice:
-        """The optimizer's suggestion; nothing executes on its projection."""
+        """The optimizer's suggestion; nothing executes on its kernel."""
         q = self.parse(request) if isinstance(request, str) else request
         choice = self.optimizer.choose(q)
         choice.release()

@@ -38,11 +38,12 @@ class FocalSubset:
     ``dq`` holds the *live main* records only (tombstones already masked
     out); ``delta`` is the request's read view of the delta store
     (``None`` on an immutable or pristine index) and ``dq_size`` counts
-    both universes.  The packed focal row, the focal-projected kernel
-    and its rows as int tidsets are built on first use and kept, so the
-    optimizer's profile, SELECT/ARM and VERIFY of one request share one
-    projection; so are the region's MIP bitmaps, which the profile's
-    cardinality pass and SEARCH share.
+    both universes.  The packed focal row, the masked kernel and its
+    rows as int tidsets are built on first use and kept, so the
+    optimizer's profile and VERIFY of one request share one kernel; so
+    are the region's MIP bitmaps, which the profile's cardinality pass
+    and SEARCH share.  ARM alone builds the dense projection
+    (:meth:`projection`), on first use too.
     """
 
     index: "MIPIndex"
@@ -55,9 +56,9 @@ class FocalSubset:
     delta: "DeltaView | None"
     dq_size: int             # |D^Q| (main live + delta live)
     min_count: int           # ceil(minsupp * |D^Q|)
-    #: ``[packed dq, focal kernel, its int tidsets, region bits]``,
-    #: filled on first use.
-    _lazy: list = field(default_factory=lambda: [None] * 4, repr=False)
+    #: ``[packed dq, masked kernel, its int tidsets, region bits,
+    #: projection]``, filled on first use.
+    _lazy: list = field(default_factory=lambda: [None] * 5, repr=False)
 
     def valid_for(
         self,
@@ -98,44 +99,68 @@ class FocalSubset:
             self._lazy[0] = kernels.pack(self.dq, self.index.tidset_words)
         return self._lazy[0]
 
-    def kernel(self) -> "kernels.FocalKernel":
-        """The focal-projected support kernel.
+    def _universes(self) -> list[tuple]:
+        """The request's record universes as the kernel builds take them:
+        the live main records, then the delta view's."""
+        table = self.index.table
+        universes = [(
+            table.item_matrix()[0], table.item_ids(), self.packed_dq(),
+            self.main_dq_size,
+        )]
+        if self.delta is not None:
+            universes.append((
+                self.delta.buffer.items, None, self.delta.focal_row,
+                self.delta.dq_size,
+            ))
+        return universes
 
-        One universe: the live main focal records first, the delta
-        view's focal records after them, item rows aligned by item id —
-        so every support is counted once, over ``|D^Q|`` bits, and an
-        empty delta is simply the case where nothing is appended.
+    def kernel(self) -> "kernels.FocalKernel":
+        """The masked support kernel (:meth:`kernels.FocalKernel.masked`).
+
+        Every item row ANDed with the focal row over the table's
+        ``tidset_words``, item rows aligned by item id; the delta view's
+        masked rows are a second block of words after them — so every
+        support is counted once, and an empty delta adds no block.  The
+        profile counts item supports and ARM's model on it, and the MIP
+        plans' VERIFY counts every sub-itemset on it.
         """
         if self._lazy[1] is None:
-            table = self.index.table
-            universes = [(
-                table.item_matrix()[0], table.item_ids(), self.packed_dq(),
-                self.main_dq_size,
-            )]
-            if self.delta is not None:
-                universes.append((
-                    self.delta.buffer.items, None, self.delta.focal_row,
-                    self.delta.dq_size,
-                ))
-            self._lazy[1] = kernels.FocalKernel.project(
-                table.schema.n_items, universes
+            self._lazy[1] = kernels.FocalKernel.masked(
+                self.index.table.schema.n_items, self._universes()
             )
         return self._lazy[1]
 
     def item_tidsets(self) -> list[int]:
-        """The kernel's rows as int tidsets by item id, read once: the ARM
-        model measures on them and SELECT hands them to CHARM."""
+        """The masked kernel's rows of the locally frequent items (local
+        support at least ``min_count``) as int tidsets by item id, every
+        other id the empty tidset, read once: all the ARM model measures
+        its floor and finish on."""
         if self._lazy[2] is None:
-            self._lazy[2] = self.kernel().item_tidsets()
+            kernel = self.kernel()
+            self._lazy[2] = kernel.item_tidsets(
+                kernel.supports >= self.min_count
+            )
         return self._lazy[2]
 
+    def projection(self) -> "kernels.FocalKernel":
+        """The dense focal projection (:meth:`kernels.FocalKernel.
+        project`): each universe's focal records repacked into its own
+        ``|D^Q|``-bit block.  ARM's SELECT hands its rows to CHARM and
+        ARM's rule generation counts on it — thousands of lookups, where
+        the narrower rows repay the repack; nothing else builds it."""
+        if self._lazy[4] is None:
+            self._lazy[4] = kernels.FocalKernel.project(
+                self.index.table.schema.n_items, self._universes()
+            )
+        return self._lazy[4]
+
     def release(self) -> None:
-        """Drop the projection, both forms (a later :meth:`kernel`
-        rebuilds it): the owner of a request calls this when the request
-        ends, so a subset that stays reachable — through a kept
-        ``PlanChoice`` — holds the resolution, not ``n_items x |D^Q|``
-        bits of item rows."""
-        self._lazy[1] = self._lazy[2] = None
+        """Drop the item rows, every form (a later :meth:`kernel` or
+        :meth:`projection` rebuilds them): the owner of a request calls
+        this when the request ends, so a subset that stays reachable —
+        through a kept ``PlanChoice`` — holds the resolution, not
+        ``n_items x n`` bits of item rows."""
+        self._lazy[1] = self._lazy[2] = self._lazy[4] = None
 
 
 def resolve_focal(

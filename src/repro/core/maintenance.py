@@ -231,9 +231,9 @@ class DeltaView:
 
     * :meth:`mip_counts` — ELIMINATE's per-candidate delta partial, one
       AND+popcount over a row-gather of the buffer's MIP matrix;
-    * ``buffer.items`` / ``focal_row`` — the delta universe the request's
-      focal projection appends to the main one
-      (:meth:`repro.core.focal.FocalSubset.kernel`);
+    * ``buffer.items`` / ``focal_row`` — the delta universe, a block of
+      words after the main one in the request's kernels
+      (:meth:`repro.core.focal.FocalSubset.kernel` / ``projection``);
     * ``main_dead_packed`` — the packed main tombstone mask, for the
       contained-candidate correction (Lemma 4.5 counts must drop dead
       records the stored global counts still include).

@@ -16,11 +16,12 @@ The MIP-plan pipeline is *array-native* end to end: SEARCH serves hits as
 contiguous MIP-row / global-count arrays read off the statistics'
 per-value MIP bitmaps (:class:`CandidateArray`), ELIMINATE qualifies
 them with one batched kernel call into a :class:`QualifiedArray`, and
-VERIFY extracts rules through a focal-projected kernel
-(:class:`repro.kernels.FocalKernel`) that counts every distinct
-sub-itemset of the request once over
-``|D^Q|``-bit rows.  From SELECT/VERIFY to the :class:`RuleBlock`,
-itemsets live in one integer item space (the schema's item ids):
+VERIFY extracts rules through the request's masked kernel
+(:class:`repro.kernels.FocalKernel`: item rows ANDed with the focal row)
+that counts every distinct sub-itemset of the request once; ARM mines
+and counts on the dense focal projection instead.  From SELECT/VERIFY
+to the :class:`RuleBlock`, itemsets live in one integer item space (the
+schema's item ids):
 ``Item`` tuples are built for the sources that kept a rule, and
 :class:`Rule` objects only when a consumer iterates the block; a caller
 that wants a MIP object asks the index for the row's view
@@ -31,7 +32,7 @@ record-level work, wall time) to the query's :class:`ExecutionTrace`; the
 calibration module turns those traces into the cost-model unit weights.
 VERIFY-family traces additionally split their wall time into mining
 (``mining_s``) and rule generation (``rulegen_s``, with the kernel share
-in ``kernel_s`` and the one-off projection build in ``projection_s``) so
+in ``kernel_s`` and the one-off masked-kernel build in ``masking_s``) so
 the cost model can price the ``rulegen`` term separately.
 """
 
@@ -155,10 +156,10 @@ class QueryContext:
     """Shared runtime state for one localized query execution.
 
     The focal subset itself — tidset, sizes, thresholds, delta view, the
-    packed focal row and the focal-projected kernel — lives on ``focus``
-    (:class:`repro.core.focal.FocalSubset`); the context reads through
-    to it, so a subset the optimizer already resolved is executed on
-    as-is.
+    packed focal row, the masked kernel and ARM's projection — lives on
+    ``focus`` (:class:`repro.core.focal.FocalSubset`); the context reads
+    through to it, so a subset the optimizer already resolved is executed
+    on as-is.
     """
 
     index: MIPIndex
@@ -166,7 +167,7 @@ class QueryContext:
     focus: FocalSubset
     expand: bool       # expand candidates to all locally frequent itemsets
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    projection_s: float = 0.0  # one-off focal-projection build time
+    masking_s: float = 0.0  # one-off masked-kernel build time
     #: The sub-itemset cells of the last VERIFY-family rule generation
     #: (a :class:`~repro.kernels.SubsetCells`) — the reusable
     #: intermediate the materialized cache stores.  ``None`` until rule
@@ -229,14 +230,13 @@ class QueryContext:
         return self.focus.packed_dq()
 
     def focal_kernel(self) -> "kernels.FocalKernel":
-        """The focal-projected support kernel, built once per resolved
-        subset; the build (if this call makes it) is timed into
-        ``projection_s``.  A context whose ``focus`` arrives with the
-        kernel already built — a later query of a multi-query group —
-        pays nothing here."""
+        """The masked support kernel, built once per resolved subset; the
+        build (if this call makes it) is timed into ``masking_s``.  A
+        context whose ``focus`` arrives with the kernel already built —
+        by the optimizer's profile — pays nothing here."""
         start = time.perf_counter()
         kernel = self.focus.kernel()
-        self.projection_s += time.perf_counter() - start
+        self.masking_s += time.perf_counter() - start
         return kernel
 
 
@@ -464,9 +464,9 @@ def qualified_from_contained(
 
 def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
     """VERIFY: rule generation and minconf checks, every support counted
-    over the focal-projected item rows (the paper's IT-tree lookups)."""
+    over the masked item rows (the paper's IT-tree lookups)."""
     start = time.perf_counter()
-    projection_before = ctx.projection_s
+    masking_before = ctx.masking_s
     rules, lookups, kernel_s = _rules_from_qualified(ctx, qualified)
     elapsed = time.perf_counter() - start
     ctx.trace.add(
@@ -480,7 +480,7 @@ def op_verify(ctx: QueryContext, qualified: QualifiedArray) -> RuleBlock:
                 "mining_s": 0.0,
                 "rulegen_s": elapsed,
                 "kernel_s": kernel_s,
-                "projection_s": ctx.projection_s - projection_before,
+                "masking_s": ctx.masking_s - masking_before,
             },
         )
     )
@@ -498,7 +498,7 @@ def op_supported_verify(
     qualification is ``mining_s``, the rest is ``rulegen_s``.
     """
     start = time.perf_counter()
-    projection_before = ctx.projection_s
+    masking_before = ctx.masking_s
     qualified, record_checks = _qualify_candidates(ctx, candidates)
     mining_s = time.perf_counter() - start
     rules, lookups, kernel_s = _rules_from_qualified(ctx, qualified)
@@ -515,7 +515,7 @@ def op_supported_verify(
                 "mining_s": mining_s,
                 "rulegen_s": elapsed - mining_s,
                 "kernel_s": kernel_s,
-                "projection_s": ctx.projection_s - projection_before,
+                "masking_s": ctx.masking_s - masking_before,
             },
         )
     )
@@ -553,7 +553,10 @@ def _rules_from_qualified(
 
 
 def _rules_from_sources(
-    ctx: QueryContext, sources: np.ndarray, rows: np.ndarray | None = None
+    ctx: QueryContext,
+    sources: np.ndarray,
+    rows: np.ndarray | None = None,
+    kernel: "kernels.FocalKernel | None" = None,
 ) -> "tuple[RuleBlock, list, int, float]":
     """Count the request's sub-itemset table and extract the rules — the
     shared tail of VERIFY-family and ARM rule generation.
@@ -563,9 +566,9 @@ def _rules_from_sources(
     in expanded mode its rows are the closures whose locally frequent
     sub-itemsets are the sources.  ``rows`` names MIP sources by their
     MIP rows: their cells come from the index's sub-itemset table.  All
-    supports come from the
-    focal-projected kernel: every *distinct* sub-itemset of the request
-    is ANDed and popcounted once over ``|D^Q|``-bit rows, the sources'
+    supports come from ``kernel`` — ARM's projection — or, by default,
+    the request's masked kernel: every *distinct* sub-itemset of the
+    request is ANDed and popcounted once, the sources'
     flat cell counts and positions are gathers from that table, and one
     vectorized pass over those cells checks every antecedent/consequent
     confidence and emits the rules in the canonical order the table's
@@ -580,9 +583,10 @@ def _rules_from_sources(
     if not len(sources):
         cells = kernels.SubsetCells.empty(sources)
     else:
-        built = time.perf_counter()
-        kernel = ctx.focal_kernel()  # its build is ``projection_s``
-        t0 += time.perf_counter() - built
+        if kernel is None:
+            built = time.perf_counter()
+            kernel = ctx.focal_kernel()  # its build is ``masking_s``
+            t0 += time.perf_counter() - built
         before = kernel.evaluations
         cells = kernel.count_subset_lattice(
             sources,
@@ -632,18 +636,17 @@ def op_union(
 def op_select(ctx: QueryContext) -> list[int]:
     """SELECT: the focal subset in vertical form, one tidset per item id.
 
-    The records of ``D^Q`` are exactly the columns of the context's
-    focal projection, so SELECT takes that projection (the one VERIFY
-    would build; a planned request arrives with it built and read out by
-    the profile) and hands its rows out as ``|D^Q|``-bit int tidsets —
-    entry ``i`` is item id ``i``, bit ``p`` the ``p``-th focal record,
-    live main records first and the delta view's records after them.  No
-    row is copied and no tidset is rebuilt from rows; ARM's rule
-    generation then counts through the same kernel.
+    SELECT builds the request's dense focal projection
+    (:meth:`~repro.core.focal.FocalSubset.projection`; only ARM does)
+    and hands its rows out as int tidsets — entry ``i`` is item id ``i``,
+    bit ``p`` of a universe's block its ``p``-th focal record, the live
+    main records' block first and the delta view's after it.  No record
+    is copied; ARM's rule generation then counts through the same
+    projection.  CHARM's thousands of intersections run over
+    ``|D^Q|``-bit ints, not the table's full width.
     """
     start = time.perf_counter()
-    ctx.focal_kernel()
-    item_tidsets = ctx.focus.item_tidsets()
+    item_tidsets = ctx.focus.projection().item_tidsets()
     ctx.trace.add(
         OperatorTrace(
             name="SELECT",
@@ -661,9 +664,8 @@ def op_arm(ctx: QueryContext, sub: list[int]) -> RuleBlock:
     Mines closed frequent itemsets with CHARM at the query's minsupp over
     the item attributes only — on SELECT's vertical subset, in the
     integer item space — then generates rules from them as VERIFY does:
-    the focal-projected kernel counts the closed itemsets' sub-itemset
-    table (no MIP is consulted) and one vectorized pass checks the
-    confidences.  In expanded mode all locally frequent sub-itemsets are
+    SELECT's projection counts the closed itemsets' sub-itemset table (no
+    MIP is consulted) and one vectorized pass checks the confidences.  In expanded mode all locally frequent sub-itemsets are
     sources, to mirror the expanded MIP-plans.
     """
     start = time.perf_counter()
@@ -675,7 +677,9 @@ def op_arm(ctx: QueryContext, sub: list[int]) -> RuleBlock:
     )
     closed = closed_masks(((i, sub[i]) for i in admitted), ctx.min_count)
     rules, _, _, _ = _rules_from_sources(
-        ctx, _mask_sources(list(closed.values()), schema.n_items)
+        ctx,
+        _mask_sources(list(closed.values()), schema.n_items),
+        kernel=ctx.focus.projection(),
     )
     ctx.trace.add(
         OperatorTrace(

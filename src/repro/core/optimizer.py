@@ -88,14 +88,14 @@ class PlanChoice:
     #: resolves again to finish a floor that came from the memo).
     query: LocalizedQuery = field(repr=False, compare=False)
     #: The focal subset the profile was built over — resolved *and
-    #: projected* — for the execution to adopt (``execute_plan(...,
+    #: masked* — for the execution to adopt (``execute_plan(...,
     #: focus=)``).  ``None`` when nothing was resolved: the profile came
     #: from the memo.  Whoever holds the choice calls :meth:`release`
     #: when the request ends.
     focus: FocalSubset | None = field(default=None, repr=False, compare=False)
 
     def release(self) -> None:
-        """End the request's projection; resolution and prices stay."""
+        """End the request's item rows; resolution and prices stay."""
         if self.focus is not None:
             self.focus.release()
 
@@ -201,7 +201,7 @@ class ColarmOptimizer:
         dwarf the plan it prices.  Any index mutation changes the
         generation key, so a stale profile is never reused.  A memo hit resolves nothing and
         returns no subset; the memo holds profiles only, never a subset
-        or its projection.  A memoized floor serves a hit only while it
+        or its item rows.  A memoized floor serves a hit only while it
         still settles the pick at the current weights; otherwise the
         subset is resolved again and the floor finished.
         """

@@ -23,10 +23,12 @@ the batched kernels the hot paths need:
   popcounts (``np.bitwise_count``);
 * :func:`pack` / :func:`pack_many` / :func:`unpack` — cheap converters
   between Python-int tidsets and packed rows;
-* :func:`project_rows` / :class:`FocalKernel` — the focal projection:
-  repack rows into the dense ``|D^Q|``-bit universe of one focal tidset,
-  so every subsequent support lookup ANDs ``|D^Q|/64`` words instead of
-  ``n/64`` (the rule-generation hot path).
+* :class:`FocalKernel` — a focal subset's item rows, built by masking
+  (each row ANDed with the focal row, full width: what the profile and
+  the MIP plans count on) or by :func:`project_rows`, which repacks rows
+  into the dense ``|D^Q|``-bit universe of one focal tidset so every
+  later lookup ANDs ``|D^Q|/64`` words instead of ``n/64`` (what ARM
+  mines on).
 
 Everything here is an *optimization layer*: every kernel agrees exactly
 with the pure-int reference (property-tested in
@@ -37,6 +39,7 @@ tidsets at their boundaries.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -213,7 +216,7 @@ def is_zero_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Focal projection: repacking rows into a dense |D^Q|-bit universe
+# Focal kernels: item rows masked or repacked to one focal subset
 # ---------------------------------------------------------------------------
 
 
@@ -248,9 +251,11 @@ def project_rows(matrix: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
 
         popcount(project(a) & project(b)) == popcount(a & b & mask)
 
-    This is the space-time trade behind the rule-generation kernels: one
-    O(k x n) repack per query buys every subsequent support lookup an AND
-    over ``|D^Q|/64`` words instead of ``n/64``.  The empty mask projects
+    A space-time trade: one O(k x n) repack buys every later support
+    lookup an AND over ``|D^Q|/64`` words instead of ``n/64``.  It pays
+    only where lookups run in the thousands — ARM's CHARM and rule
+    generation (:meth:`FocalKernel.project`); the MIP plans' few dozen
+    lookups count on the masked rows instead.  The empty mask projects
     onto a single all-zero word (``n_words`` never returns 0).
     """
     positions = np.flatnonzero(_unpack_bits(mask_row))
@@ -305,62 +310,101 @@ def _lattice_template(n: int):
 
 
 class FocalKernel:
-    """Batched support counting over one focal-projected universe.
+    """Batched support counting over the item rows of one focal subset.
 
-    Built once per query (or shared across a multi-query batch) from the
-    item rows repacked into the dense ``|D^Q|``-bit universe of the focal
-    subset (:meth:`project`): the support of any itemset inside ``D^Q`` is
-    the popcount of the AND of its items' *projected* rows — no
-    per-lookup intersection with the focal tidset, and ``|D^Q|/64``-word
-    operands.
+    Row ``i`` of ``matrix`` is item id ``i`` (all-zero for an item no
+    focal record holds) and holds that item's *focal* records only, so
+    the support of any itemset inside ``D^Q`` is the popcount of the AND
+    of its items' rows — no per-lookup intersection with the focal
+    tidset.  An itemset is a row of ascending ids.
 
-    The kernel speaks the schema's integer item space: row ``i`` of
-    ``matrix`` is item id ``i`` (all-zero for an item no focal record
-    holds), an itemset is a row of ascending ids.
+    Two builds give the same counts.  :meth:`masked` ANDs each item row
+    with the focal row over the table's full tidset width — one pass, no
+    repacking — and is what the profile and the MIP plans count on.
+    :meth:`project` repacks the rows into the dense ``|D^Q|``-bit
+    universe (:func:`project_rows`) — an ``n_items x n`` bit repack that
+    narrows every later AND to ``|D^Q|/64`` words — and is what ARM
+    mines and counts on, thousands of intersections over one universe.
+    Either way each record universe is its own block of words, so
+    ``words`` is the matrix's width, not a function of ``dq_size``.
     """
 
     def __init__(self, matrix: np.ndarray, dq_size: int):
         self.dq_size = int(dq_size)
-        self.words = n_words(self.dq_size)
-        if matrix.ndim != 2 or matrix.shape[1] != self.words:
-            raise ValueError(
-                f"item rows of shape {matrix.shape} for a "
-                f"{self.dq_size}-bit universe ({self.words} words)"
-            )
+        if matrix.ndim != 2 or matrix.shape[1] == 0:
+            raise ValueError(f"item rows of shape {matrix.shape}")
+        self.words = matrix.shape[1]
         self.matrix = matrix
         #: sub-itemsets counted by an actual AND + popcount so far
         self.evaluations = 0
 
     @classmethod
-    def project(cls, n_items: int, universes) -> "FocalKernel":
-        """The kernel over the focal records of several universes, stacked.
+    def masked(cls, n_items: int, universes) -> "FocalKernel":
+        """The kernel over the focal records of several universes, each
+        universe's item rows ANDed with its focal row (:meth:`_stacked`):
+        a block of ``len(mask_row)`` words per universe."""
+        return cls._stacked(n_items, universes, np.bitwise_and)
 
-        ``universes`` lists ``(matrix, ids, mask_row, size)``: packed item
-        rows over one record universe, the item id of each row (``None``
-        when row ``i`` is id ``i``), the universe's packed focal row and
-        its popcount.  Bit ``p`` of a projected row is the ``p``-th focal
-        record, the first universe's records first; a universe without
-        focal records is not projected at all.
-        """
+    @classmethod
+    def project(cls, n_items: int, universes) -> "FocalKernel":
+        """The kernel over the focal records of several universes, each
+        universe's item rows repacked by :func:`project_rows`
+        (:meth:`_stacked`): a block of ``n_words(size)`` words per
+        universe, bit ``p`` of it the universe's ``p``-th focal record."""
+        # ``project_rows`` is looked up per call: tracers wrap it.
+        return cls._stacked(
+            n_items, universes, lambda matrix, row: project_rows(matrix, row)
+        )
+
+    @classmethod
+    def _stacked(cls, n_items: int, universes, restrict) -> "FocalKernel":
+        """``universes`` lists ``(matrix, ids, mask_row, size)``: packed
+        item rows over one record universe, the item id of each row
+        (``None`` when row ``i`` is id ``i``), the universe's packed focal
+        row and its popcount.  Each universe with focal records becomes
+        one block of words, ``restrict(matrix, mask_row)``, the first
+        universe's block first; one without focal records adds none."""
         dq_size = sum(size for *_, size in universes)
-        rows = np.zeros((n_items, n_words(dq_size)), dtype=_WORD_DTYPE)
+        parts = [
+            (ids, restrict(matrix, mask_row))
+            for matrix, ids, mask_row, size in universes
+            if size
+        ]
+        if len(parts) == 1 and len(parts[0][1]) == n_items:
+            return cls(parts[0][1], dq_size)  # one block holding every id
+        rows = np.zeros(
+            (n_items, sum(part.shape[1] for _, part in parts) or 1),
+            dtype=_WORD_DTYPE,
+        )
         at = 0
-        for matrix, ids, mask_row, size in universes:
-            if size:
-                _or_bits(rows, ids, at, project_rows(matrix, mask_row))
-                at += size
+        for ids, part in parts:
+            rows[slice(None) if ids is None else ids,
+                 at:at + part.shape[1]] = part
+            at += part.shape[1]
         return cls(rows, dq_size)
 
-    def item_tidsets(self) -> list[int]:
-        """The projected item rows as int tidsets over the dense universe,
-        by item id — the focal subset in *vertical* form (bit ``p`` of an
-        item's tidset is the ``p``-th focal record), what a tidset miner
-        runs on."""
+    @cached_property
+    def supports(self) -> np.ndarray:
+        """Every item's local support by id (int64), counted once."""
+        return popcount_rows(self.matrix)
+
+    def item_tidsets(self, keep: np.ndarray | None = None) -> list[int]:
+        """The item rows as int tidsets, by item id — the focal subset in
+        *vertical* form, what a tidset miner runs on (bit ``p`` of a
+        projected kernel's tidset is the ``p``-th focal record of its
+        block; a masked kernel's keep the records' own positions).
+
+        ``keep`` (bool by id) reads only those rows; the others read as
+        the empty tidset."""
         data = self.matrix.tobytes()
         stride = self.words * 8
+        starts = range(0, len(data), stride)
+        if keep is None:
+            return [int.from_bytes(data[at:at + stride], "little")
+                    for at in starts]
         return [
-            int.from_bytes(data[at:at + stride], "little")
-            for at in range(0, len(data), stride)
+            int.from_bytes(data[at:at + stride], "little") if kept else 0
+            for at, kept in zip(starts, keep.tolist())
         ]
 
     def count_subset_lattice(
@@ -456,7 +500,7 @@ class FocalKernel:
         counts = np.empty(levels[-1][0][1] if levels else 1 + n_items,
                           dtype=np.int32)
         counts[0] = self.dq_size
-        counts[1:1 + n_items] = popcount_rows(self.matrix)
+        counts[1:1 + n_items] = self.supports
         if not levels:
             return counts
         self.evaluations += len(counts) - 1 - n_items
@@ -483,26 +527,6 @@ class FocalKernel:
                 counts[first + lo:first + hi] = chunk[at:at + size]
                 at += size
         return counts
-
-
-def _or_bits(
-    rows: np.ndarray, ids: np.ndarray | None, at: int, part: np.ndarray
-) -> None:
-    """OR ``part``'s bits into ``rows[ids]`` (all rows when ``ids`` is
-    ``None``) from bit position ``at`` on, in place."""
-    word, shift = divmod(at, WORD_BITS)
-    if shift:
-        span = part.shape[1]
-        shifted = np.zeros((len(part), span + 1), dtype=_WORD_DTYPE)
-        shifted[:, :span] = part << np.uint64(shift)
-        shifted[:, 1:] |= part >> np.uint64(WORD_BITS - shift)
-        part = shifted
-    # Words past the stacked universe hold no bit: the projection keeps
-    # everything beyond its own size clear.
-    width = min(part.shape[1], rows.shape[1] - word)
-    rows[slice(None) if ids is None else ids, word:word + width] |= (
-        part[:, :width]
-    )
 
 
 class SubsetCells:

@@ -32,7 +32,7 @@ on a worker process.  Both share three pieces:
   order, each one hop to that thread:
   :meth:`~repro.core.engine.Colarm.serve_fresh` installs any finished
   fold, prices the request (its one ``optimizer.choose``), executes the
-  chosen plan on the profiled projection and populates the cache.  In a
+  chosen plan on the profiled focal subset and populates the cache.  In a
   cluster the thread is the writer's, and misses run on the workers.
 
 Correctness across mutations: a miss is priced when its flight runs, so

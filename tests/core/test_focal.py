@@ -1,11 +1,11 @@
 """One resolution of the focal subset per request (``repro.core.focal``).
 
-The optimizer resolves — and projects — ``D^Q`` for the profile,
-``PlanChoice`` carries it and ``make_context`` adopts it — while it still
-describes the index — so a request makes one ``tids_matching``, one delta
-view and one main projection whatever plan runs; a resolution made before
-a mutation is re-made, never executed on; and the projection ends with
-the request on every exit.
+The optimizer resolves ``D^Q`` — and masks the item rows to it — for the
+profile, ``PlanChoice`` carries it and ``make_context`` adopts it — while
+it still describes the index — so a request makes one ``tids_matching``,
+one delta view and one masked kernel, and a main projection only when
+ARM runs; a resolution made before a mutation is re-made, never
+executed on; and the item rows end with the request on every exit.
 """
 
 import asyncio
@@ -32,7 +32,7 @@ QUERY = LocalizedQuery({0: frozenset({1, 2})}, 0.3, 0.6)
 
 def make_table() -> RelationalTable:
     """200 rows whose later attributes mostly follow the earlier ones, so
-    every plan has rules to generate (and a projection to build)."""
+    every plan has rules to generate (and a kernel to build)."""
     rng = np.random.default_rng(5)
     noise = make_random_table(seed=5, n_records=200, cardinalities=CARDS)
     data = noise.data.copy()
@@ -79,14 +79,17 @@ def live_dq_size(engine: Colarm, query: LocalizedQuery) -> int:
 
 
 class Counts:
-    """Call counters on the three steps a resolution is made of."""
+    """Call counters on the steps a resolution and its kernels are made
+    of."""
 
     def __init__(self, monkeypatch, engine: Colarm) -> None:
         self.tids_matching = self.delta_view = self.main_projections = 0
+        self.masked = 0
         item_matrix = engine.index.table.item_matrix()[0]
         tids_matching = RelationalTable.tids_matching
         delta_view = MaintainedIndex.delta_view
         project_rows = kernels.project_rows
+        masked = kernels.FocalKernel.masked.__func__
 
         def counted_tids_matching(table, selections):
             self.tids_matching += 1
@@ -100,11 +103,18 @@ class Counts:
             self.main_projections += matrix is item_matrix
             return project_rows(matrix, mask_row)
 
+        def counted_masked(cls, n_items, universes):
+            self.masked += 1
+            return masked(cls, n_items, universes)
+
         monkeypatch.setattr(
             RelationalTable, "tids_matching", counted_tids_matching
         )
         monkeypatch.setattr(MaintainedIndex, "delta_view", counted_delta_view)
         monkeypatch.setattr(kernels, "project_rows", counted_project_rows)
+        monkeypatch.setattr(
+            kernels.FocalKernel, "masked", classmethod(counted_masked)
+        )
 
 
 def steer(monkeypatch, kind: PlanKind) -> None:
@@ -133,7 +143,10 @@ def test_planned_miss_resolves_once(monkeypatch, kind, mutate):
     assert outcome.plan is kind and outcome.chosen_by == "optimizer"
     assert counts.tids_matching == 1
     assert counts.delta_view == 1
-    assert counts.main_projections == 1
+    # The profile's masked kernel, which a MIP plan counts on; ARM alone
+    # projects the main records too.
+    assert counts.masked == 1
+    assert counts.main_projections == (kind is PlanKind.ARM)
     assert outcome.dq_size == live_dq_size(engine, QUERY)
 
 
@@ -146,7 +159,9 @@ def test_forced_plan_resolves_once(monkeypatch, kind, mutate):
     assert outcome.plan is kind and outcome.chosen_by == "forced"
     assert counts.tids_matching == 1
     assert counts.delta_view == 1
-    assert counts.main_projections == 1
+    # Nothing is profiled: a MIP plan masks, ARM projects, neither both.
+    assert counts.masked == (kind is not PlanKind.ARM)
+    assert counts.main_projections == (kind is PlanKind.ARM)
 
 
 def test_memoized_profile_still_resolves_once(monkeypatch):
@@ -157,8 +172,9 @@ def test_memoized_profile_still_resolves_once(monkeypatch):
     counts = Counts(monkeypatch, engine)
     outcome = engine.query(QUERY)
     assert outcome.choice.focus is None
-    assert (counts.tids_matching, counts.delta_view,
-            counts.main_projections) == (1, 1, 1)
+    arm = outcome.plan is PlanKind.ARM
+    assert (counts.tids_matching, counts.delta_view, counts.masked,
+            counts.main_projections) == (1, 1, not arm, arm)
 
 
 def test_three_minconfs_build_one_profile(monkeypatch):
@@ -199,8 +215,11 @@ def test_three_minconfs_build_one_profile(monkeypatch):
 
 
 def projected(choice) -> bool:
-    """Whether the choice's subset still holds item rows, in either form."""
-    return choice.focus is not None and choice.focus._lazy[1:3] != [None, None]
+    """Whether the choice's subset still holds item rows, in any form: the
+    masked kernel, its int tidsets or ARM's projection."""
+    return choice.focus is not None and any(
+        choice.focus._lazy[k] is not None for k in (1, 2, 4)
+    )
 
 
 def test_projection_ends_with_the_request(monkeypatch):
@@ -247,7 +266,8 @@ def test_projection_ends_with_a_cached_serve(monkeypatch):
     counts = Counts(monkeypatch, engine)
     outcome = engine.query(looser)
     assert outcome.cached and outcome.choice is None
-    assert (counts.tids_matching, counts.main_projections) == (0, 0)
+    assert (counts.tids_matching, counts.masked,
+            counts.main_projections) == (0, 0, 0)
     assert outcome.dq_size == live_dq_size(engine, QUERY)
 
 
@@ -442,13 +462,15 @@ def test_estimate_all_prices_each_plans_own_loads(mutate):
 @pytest.mark.parametrize("kind", [PlanKind.ARM, PlanKind.SSVS],
                          ids=lambda k: k.value)
 def test_profile_and_execution_share_one_projection(monkeypatch, kind, mutate):
-    """The profile measures on the projection the plan then counts
-    through: one ``project_rows`` per universe and at most one read-out
-    of its rows per planned miss, and the table's ``Item``-keyed tidsets
-    are not on the request path at all."""
+    """The profile measures on the masked kernel a MIP plan then counts
+    through: one masked build and one read-out of its rows per planned
+    miss; ARM adds one ``project_rows`` per universe and one read-out of
+    the projection's rows, for CHARM; and the table's ``Item``-keyed
+    tidsets are not on the request path at all."""
     engine = make_engine(mutate)
     steer(monkeypatch, kind)
-    calls = {"project_rows": 0, "kernel_tidsets": 0, "table_tidsets": 0}
+    calls = {"project_rows": 0, "masked": 0, "kernel_tidsets": 0,
+             "table_tidsets": 0}
 
     def counted(owner, attr, key):
         fn = getattr(owner, attr)
@@ -460,13 +482,16 @@ def test_profile_and_execution_share_one_projection(monkeypatch, kind, mutate):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counted(kernels, "project_rows", "project_rows")
+    counted(kernels.FocalKernel, "masked", "masked")
     counted(kernels.FocalKernel, "item_tidsets", "kernel_tidsets")
     counted(RelationalTable, "item_tidsets", "table_tidsets")
     outcome = engine.query(QUERY)
     assert outcome.plan is kind and outcome.choice.focus is not None
+    arm = kind is PlanKind.ARM
     assert calls == {
-        "project_rows": 2 if mutate else 1,
-        "kernel_tidsets": 1,
+        "project_rows": (2 if mutate else 1) if arm else 0,
+        "masked": 1,
+        "kernel_tidsets": 1 + arm,
         "table_tidsets": 0,
     }
     # A memo hit resolves and projects nothing at planning time.

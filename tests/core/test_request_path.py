@@ -1,10 +1,12 @@
 """What one request computes, counted (the integer item space).
 
-A planned miss — whichever plan the optimizer picks — projects each
-record universe that has focal records once, builds one kernel, counts
-one sub-itemset table whose row ANDs number at most the widest source's
-width (and names none in closed mode unless the plan is ARM: a MIP
-plan gathers its cells from the index's table), never calls
+A planned miss — whichever plan the optimizer picks — builds one masked
+kernel (the profile's, which a MIP plan's VERIFY counts on) and projects
+nothing, unless the plan is ARM, which also projects each record
+universe that has focal records once; it counts one sub-itemset table
+whose row ANDs number at most the widest source's width (and names none
+in closed mode unless the plan is ARM: a MIP plan gathers its cells
+from the index's table), never calls
 ``make_itemset``, turns ids back into ``Item``
 tuples only for the sources the returned block lists, and ORs the
 region's MIP bitmaps once for the profile and SEARCH together.
@@ -36,11 +38,13 @@ class CountedItems(tuple):
 class Counts:
     def __init__(self, monkeypatch, engine):
         self.projections = []
-        self.kernels = self.tables = self.row_ands = self.make_itemset = 0
-        self.named = self.widest = self.region_passes = 0
+        self.kernels = self.masked = self.tables = self.row_ands = 0
+        self.make_itemset = self.named = self.widest = self.region_passes = 0
+        self.in_table = False
         main_matrix = engine.index.table.item_matrix()[0]
         project_rows = kernels.project_rows
         kernel_init = kernels.FocalKernel.__init__
+        masked = kernels.FocalKernel.masked.__func__
         name_cells = kernels._name_cells
         count_levels = kernels.FocalKernel._count_levels
         bitwise_and = np.bitwise_and
@@ -55,6 +59,10 @@ class Counts:
             self.kernels += 1
             kernel_init(kernel, matrix, dq_size)
 
+        def counted_masked(cls, n_items, universes):
+            self.masked += 1
+            return masked(cls, n_items, universes)
+
         def counted_name_cells(layout, n_items, known=None):
             self.named += known is None
             return name_cells(layout, n_items, known)
@@ -62,10 +70,15 @@ class Counts:
         def counted_count_levels(kernel, levels):
             self.tables += 1
             self.widest = max(self.widest, len(levels) + 1)
-            return count_levels(kernel, levels)
+            self.in_table = True
+            try:
+                return count_levels(kernel, levels)
+            finally:
+                self.in_table = False
 
         def counted_and(*args, **kwargs):
-            self.row_ands += 1
+            # The table's row ANDs (a kernel build ANDs too, outside it).
+            self.row_ands += self.in_table
             return bitwise_and(*args, **kwargs)
 
         def counted_make_itemset(items):
@@ -78,6 +91,9 @@ class Counts:
 
         monkeypatch.setattr(kernels, "project_rows", counted_project_rows)
         monkeypatch.setattr(kernels.FocalKernel, "__init__", counted_init)
+        monkeypatch.setattr(
+            kernels.FocalKernel, "masked", classmethod(counted_masked)
+        )
         monkeypatch.setattr(kernels, "_name_cells", counted_name_cells)
         monkeypatch.setattr(
             kernels.FocalKernel, "_count_levels", counted_count_levels
@@ -104,9 +120,14 @@ def test_planned_miss_counts_one_table_in_the_id_space(
     outcome = engine.query(QUERY)
     assert outcome.plan is kind and outcome.chosen_by == "optimizer"
     assert len(outcome.rules)
-    # One projection per record universe with focal records, one kernel.
-    assert counts.projections == (["main", "delta"] if mutate else ["main"])
-    assert counts.kernels == 1
+    # One masked kernel; ARM alone adds one projection per record
+    # universe with focal records (and its kernel), a MIP plan none.
+    arm = kind is PlanKind.ARM
+    assert counts.masked == 1
+    assert counts.projections == (
+        (["main", "delta"] if mutate else ["main"]) if arm else []
+    )
+    assert counts.kernels == 1 + arm
     # One sub-itemset table; a row AND per level above the items.
     assert counts.tables == 1
     assert counts.named == (kind is PlanKind.ARM or expand)

@@ -150,7 +150,7 @@ def test_execution_failure_reaches_every_coalesced_waiter(engine,
     def failing_once(*args, **kwargs):
         if not failed:
             failed.append(kwargs["focus"])
-            assert kwargs["focus"]._lazy[1] is not None  # projected
+            assert kwargs["focus"]._lazy[1] is not None  # masked
             raise boom
         return real(*args, **kwargs)
 

@@ -61,8 +61,8 @@ def run_acc_gate(config: dict, overrides: dict[str, float]) -> dict:
 
     ``planning_share`` holds the optimizer to its own budget: per
     scenario, one un-memoized ``choose()`` over ``choose()`` plus the
-    plan it chose, timed as a request runs them — the plan adopts the
-    projection ``choose()`` built, so the projection counts once, as
+    plan it chose, timed as a request runs them — a MIP plan adopts the
+    masked kernel ``choose()`` built, so the kernel counts once, as
     planning — the median over the scenarios.
     A planner that re-derives what the execution derives anyway (or a
     profile that stops being a pass over precomputed statistics) shows

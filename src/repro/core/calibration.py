@@ -18,16 +18,19 @@ SS-VS never does.  The other three plans only recombine these operators.
 
 The probe time excludes the shared FOCUS step (identical across plans, so
 irrelevant to plan *selection*).
+
+The probes run on the main index alone.  A delta store needs no fit of
+its own: its block of words is priced as more words of the ``eliminate``,
+``verify`` and ``select`` loads (:mod:`repro.core.costs`), which time the
+same kernels over it.
 """
 
 from __future__ import annotations
 
 import gc
-import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,13 +43,9 @@ from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
 from repro.errors import QueryError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
-    from repro.core.maintenance import MaintainedIndex
-
 __all__ = [
     "CalibrationReport",
     "calibrate",
-    "calibrate_maintenance",
     "default_probe_queries",
 ]
 
@@ -286,71 +285,6 @@ def _collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def calibrate_maintenance(
-    maintained: "MaintainedIndex", weights: CostWeights
-) -> CostWeights:
-    """Fit the delta-store weights from the live maintained index.
-
-    The two delta cost terms are measured, not guessed —
-
-    * ``delta_probe`` — seconds per candidate-word of the delta count
-      correction (one AND+popcount of a delta-MIP row against the delta
-      focal row), measured over a matrix shaped like the live delta
-      store so the per-call numpy overhead is amortized exactly as the
-      query path amortizes it;
-    * ``delta_merge`` — seconds per word of masking the delta item rows
-      into the request's kernel (one AND with the delta focal row,
-      written into the kernel's delta block).
-
-    Every other weight is untouched.  :func:`calibrate` alone returns these
-    two at their defaults (the probe traces never exercise them);
-    :meth:`repro.core.engine.Colarm.calibrate` calls this function after
-    it.
-    """
-    words = max(1, maintained.buffer.words)
-    fitted = dict(weights.weights)
-    fitted["delta_probe"] = max(_measure_delta_probe(words), 1e-10)
-    fitted["delta_merge"] = max(_measure_delta_merge(words), 1e-12)
-    return CostWeights(fitted)
-
-
-def _measure_delta_probe(
-    words: int, n_rows: int = 2048, rounds: int = 3
-) -> float:
-    """Seconds per row-word of the batched delta AND+popcount."""
-    from repro import kernels
-
-    rng = np.random.default_rng(7)
-    matrix = rng.integers(
-        0, np.iinfo(np.uint64).max, size=(n_rows, words), dtype=np.uint64
-    ).astype(np.dtype("<u8"))
-    row = matrix[0].copy()
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        kernels.and_count(matrix, row)
-        best = min(best, time.perf_counter() - start)
-    return best / (n_rows * words)
-
-
-def _measure_delta_merge(
-    words: int, n_rows: int = 128, rounds: int = 3
-) -> float:
-    """Seconds per row-word of masking the delta item rows."""
-    rng = np.random.default_rng(11)
-    matrix = rng.integers(
-        0, np.iinfo(np.uint64).max, size=(n_rows, words), dtype=np.uint64
-    ).astype(np.dtype("<u8"))
-    row = matrix[0].copy()
-    out = np.empty_like(matrix)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        np.bitwise_and(matrix, row, out=out)
-        best = min(best, time.perf_counter() - start)
-    return best / (n_rows * words)
 
 
 def _nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -10,11 +10,10 @@ work estimates the paper's equations describe:
   (Eq. 1 COST(E) = |{I^Q_S}| x |D^Q|); SS-E-U-V pays only for partially
   overlapped candidates (Lemma 4.5);
 * ``verify``    — support-counting work inside VERIFY: one masking pass
-  over the item tidsets (all item rows times the full tidset width)
-  plus the request's sub-itemset table — every ``(source, mask)`` cell
-  named and gathered, every *distinct* sub-itemset ANDed once at the
-  *masked* width, the table's plus the delta block's words (Eq. 1
-  COST(V));
+  over the item tidsets (all item rows times the tidset width) plus the
+  request's sub-itemset table — every ``(source, mask)`` cell named and
+  gathered, every *distinct* sub-itemset ANDed once at the masked width
+  (Eq. 1 COST(V));
 * ``rulegen``   — rule extraction proper: the per-candidate antecedent /
   consequent enumeration and vectorized confidence pass, scaling with the
   qualified fan-out but independent of the tidset width;
@@ -25,6 +24,10 @@ work estimates the paper's equations describe:
   a density-aware estimate of the *locally* frequent itemsets;
 * ``const``     — fixed per-pipeline-stage overhead (what selection
   push-up saves).
+
+A tidset word is a word of the main universe or of the delta store's
+block after it (:attr:`QueryProfile.delta_words`, 0 on an immutable
+index): the delta is priced as more words of the operators that read it.
 
 The cardinalities behind the features stand in for Lemmas 4.1-4.5: the
 overlapping, supported and contained MIP counts are exact bit counts over
@@ -58,13 +61,7 @@ __all__ = [
 
 #: Uncalibrated per-unit weights (seconds per load unit), rough orders of
 #: magnitude for CPython; calibration replaces them with fitted values.
-#: ``delta_probe``/``delta_merge`` price the delta-store corrections of a
-#: maintained index (per-candidate AND+popcount over the delta MIP matrix,
-#: and masking the delta item rows into the kernel's delta block);
-#: they are fitted from the live delta store by
-#: ``calibration.calibrate_maintenance`` and appear in a MIP plan's load
-#: vector only while un-folded delta records exist, where they can tip a
-#: pick toward ARM.  When to fold is not priced: see
+#: When to fold the delta store is not priced: see
 #: ``MaintainedIndex.fold_due``.
 DEFAULT_WEIGHTS: dict[str, float] = {
     "search": 3e-9,
@@ -74,8 +71,6 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "select": 6e-8,
     "arm": 2e-7,
     "const": 5e-5,
-    "delta_probe": 3e-8,
-    "delta_merge": 1e-8,
 }
 
 
@@ -123,12 +118,8 @@ class QueryProfile:
     #: which the optimizer stops at when the floor already loses); None
     #: only on a hand-built profile.
     arm_stats: "ArmModelStats | None" = None
-    #: Live delta-store records awaiting the next fold (0 = immutable
-    #: index; the delta load terms then vanish from every plan).
-    delta_records: int = 0
-    #: Live delta records inside the focal subset (``|D^Q ∩ delta|``).
-    delta_dq_size: int = 0
-    #: Packed 64-bit words per delta-matrix row at profile time.
+    #: Words of the delta store's block after the main universe, which
+    #: every tidset-width load adds (0 without a delta view).
     delta_words: int = 0
 
     @property
@@ -195,8 +186,6 @@ class QueryProfile:
             arm_itemsets=arm_stats.est_itemsets,
             arm_fanout=arm_stats.est_fanout,
             arm_stats=arm_stats,
-            delta_records=focus.source.n_pending if delta is not None else 0,
-            delta_dq_size=delta.dq_size if delta is not None else 0,
             delta_words=delta.buffer.words if delta is not None else 0,
             **cards,
         )
@@ -696,8 +685,7 @@ _PLAN_SHAPES = {
 #: Every plan, in ``PlanKind`` order.
 _ALL_PLANS = tuple(PlanKind)
 
-#: The load features of the five MIP plans and of ARM, in pricing order
-#: (a MIP plan's delta terms follow while a delta store is live).
+#: The load features of the five MIP plans and of ARM, in pricing order.
 _MIP_FEATURES = ("search", "eliminate", "verify", "rulegen", "const")
 _ARM_FEATURES = ("select", "arm", "const")
 
@@ -714,13 +702,9 @@ class CostModel:
     def __init__(self, stats: IndexStatistics, weights: CostWeights | None = None):
         self.stats = stats
         self.weights = weights if weights is not None else CostWeights()
-        # Index-only terms: one MIP bitset's words, projection, mean length.
+        # Index-only terms: one MIP bitset's words, item count, mean length.
         self._mip_words = -(-stats.n_mips // 64)
         self._n_items = float(sum(stats.cardinalities))
-        #: One pass over every item row (``sum(cardinalities)``, an upper
-        #: bound on the item count) at the full tidset width: what the
-        #: masked kernel's AND and ARM's focal projection each read.
-        self.projection_load = self._n_items * stats.tidset_words
         self._avg_length = max(stats.avg_length, 1.0)
 
     # -- per-operator loads ----------------------------------------------------
@@ -764,22 +748,32 @@ class CostModel:
         cands = profile.n_cands_supported if supported else profile.n_cands
         if partial:
             cands = max(cands - profile.n_contained, 0.0)
-        return cands * profile.aitem_fraction * self.stats.tidset_words
+        return cands * profile.aitem_fraction * self._words(profile)
+
+    def _words(self, profile: QueryProfile) -> int:
+        """The tidset width: the main universe's words plus the delta
+        block's."""
+        return self.stats.tidset_words + profile.delta_words
+
+    def masking_load(self, profile: QueryProfile) -> float:
+        """One pass over every item row (``sum(cardinalities)``, an upper
+        bound on the item count) at the tidset width: what the masked
+        kernel's AND and ARM's focal projection each read."""
+        return self._n_items * self._words(profile)
 
     def verify_load(self, profile: QueryProfile) -> float:
         """Eq. 1 COST(V): support counting through the masked kernel.
 
         The kernel path pays the masking pass once
-        (:attr:`projection_load`) and then one sub-itemset table: a fixed
+        (:meth:`masking_load`) and then one sub-itemset table: a fixed
         pass cost, and per qualified fan-out unit a width-independent
         price for its cells (named and gathered, never ANDed per pair)
-        plus its share of the distinct sub-itemsets' ANDs at the *masked*
-        width — the table's ``tidset_words`` plus the delta block's
-        ``delta_words`` (the ``_LATTICE_*`` constants, in masked words).
+        plus its share of the distinct sub-itemsets' ANDs at the masked
+        width (the ``_LATTICE_*`` constants, in masked words).
         """
-        words = self.stats.tidset_words + profile.delta_words
+        words = self._words(profile)
         return (
-            self.projection_load
+            self.masking_load(profile)
             + _LATTICE_PASS_WORDS
             + profile.qualified_fanout
             * (words + _LATTICE_CELL_WORDS) / _LATTICE_SHARING
@@ -812,9 +806,9 @@ class CostModel:
         repacked to ``|D^Q|`` bits, which only ARM's thousands of
         intersections repay — and reads its rows out as tidsets; no
         record is copied.  Priced as one pass over the item rows
-        (:attr:`projection_load`).
+        (:meth:`masking_load`).
         """
-        return self.projection_load
+        return self.masking_load(profile)
 
     def arm_load(self, profile: QueryProfile) -> float:
         """Eq. 6 COST(eps_AR): from-scratch mining sized by the local-
@@ -843,43 +837,6 @@ class CostModel:
             * (dq_words + _ARM_OP_OVERHEAD_WORDS)
             + profile.arm_fanout * _ARM_CELL_WORDS
         )
-
-    def delta_loads(
-        self, kind: PlanKind, profile: QueryProfile
-    ) -> dict[str, float]:
-        """Extra load terms a live delta store adds to one plan.
-
-        Empty when the index is immutable (``delta_records == 0``) — the
-        delta terms must *vanish* rather than appear with zero loads, so
-        that pricing with ``delta_probe = inf`` (the CI gate's forcing
-        function) never multiplies ``inf * 0 = nan`` into a delta-free
-        plan's cost.
-
-        * ``delta_probe`` — every candidate's count correction is one
-          AND+popcount of its delta-MIP row against the delta focal row
-          (``cands x delta_words``), plus the focal-row build itself
-          (one pass over the delta item rows);
-        * ``delta_merge`` — the masked kernel ANDs the delta item rows
-          with the delta focal row (``sum(cardinalities) x
-          delta_words``) into a second block of words after the main
-          rows.  There is no second lattice: the request's one kernel
-          spans both blocks, and ``verify`` prices its lookups at that
-          width.
-
-        ARM has no delta-specific term: the delta view's projection (a
-        handful of words per row) is a block after the main one in
-        SELECT, and ``arm`` is already priced by the *combined*
-        ``dq_size`` the optimizer profiles.
-        """
-        if profile.delta_records <= 0 or kind is PlanKind.ARM:
-            return {}
-        supported = _PLAN_SHAPES[kind][0]
-        cands = profile.n_cands_supported if supported else profile.n_cands
-        words = max(1, profile.delta_words)
-        return {
-            "delta_probe": (cands + 1.0) * words,
-            "delta_merge": self._n_items * words,
-        }
 
     # -- plan load vectors --------------------------------------------------------
     #
@@ -918,17 +875,13 @@ class CostModel:
                 self.select_load(profile), self.arm_load(profile), stages
             )
         search, verify, rulegen = shared or self.shared_loads(profile)
-        loads = (
+        return _MIP_FEATURES, (
             search[supported],
             self._eliminate_load(profile, supported, partial),
             verify,
             rulegen,
             stages,
         )
-        if profile.delta_records <= 0:
-            return _MIP_FEATURES, loads
-        delta = self.delta_loads(kind, profile)
-        return _MIP_FEATURES + tuple(delta), loads + tuple(delta.values())
 
     def loads(
         self,

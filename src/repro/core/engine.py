@@ -20,13 +20,12 @@ through :meth:`Colarm.query`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cache import ARM_FAMILY, MIP_FAMILY, CachedLattice, RuleCache
 from repro.core.calibration import (
     CalibrationReport,
     calibrate,
-    calibrate_maintenance,
     default_probe_queries,
 )
 from repro.core.costs import CostWeights
@@ -163,20 +162,12 @@ class Colarm:
         n_probes: int = 8,
         seed: int = 0,
     ) -> CalibrationReport:
-        """Fit the cost model's unit weights from a probe workload.
-
-        The ``delta_probe`` / ``delta_merge`` weights the probe traces
-        never exercise are fitted from the delta store
-        (:func:`repro.core.calibration.calibrate_maintenance`).
-        """
+        """Fit the cost model's unit weights from a probe workload."""
         if probe_queries is None:
             probe_queries = default_probe_queries(
                 self.index, n_queries=n_probes, seed=seed
             )
         report = calibrate(self.index, probe_queries, expand=self.expand)
-        report = replace(report, weights=calibrate_maintenance(
-            self.maintenance, report.weights
-        ))
         self.optimizer.set_weights(report.weights)
         return report
 

@@ -102,7 +102,7 @@ class DeltaBuffer:
     focal row is ANDed with ``live`` first.
     """
 
-    def __init__(self, schema, mip_fixed_values: np.ndarray, capacity: int = 64):
+    def __init__(self, schema, mip_fixed_values: np.ndarray):
         self.schema = schema
         self.n_attrs = schema.n_attributes
         #: Row ``bases[a] + v`` of ``items`` is item ``(a, v)`` — the
@@ -119,7 +119,7 @@ class DeltaBuffer:
         self.live = kernels.zero_row(1)
         self.items = np.zeros((schema.n_items, 1), dtype=_WORD_DTYPE)
         self.mips = np.zeros((len(self.mip_fixed), 1), dtype=_WORD_DTYPE)
-        self._reserve(max(int(capacity), 1))
+        self._reserve(kernels.WORD_BITS)
 
     # -- storage ---------------------------------------------------------------
 

@@ -221,8 +221,8 @@ class QueryContext:
         SUPPORTED-SEARCH's does); the exact combined-count filter of the
         extraction discards whatever it over-admits.
         """
-        if self.expand and self.delta is not None:
-            return max(self.min_count - self.delta.dq_size, 1)
+        if self.expand:
+            return max(self.min_count - (self.dq_size - self.main_dq_size), 1)
         return self.min_count
 
     def packed_dq(self) -> np.ndarray:
@@ -309,9 +309,7 @@ def op_supported_search(ctx: QueryContext) -> CandidateArray:
     need no relaxation: they only shrink live counts, keeping stored
     counts valid upper bounds).
     """
-    min_count = ctx.min_count
-    if ctx.delta is not None and ctx.delta.dq_size:
-        min_count = max(min_count - ctx.delta.dq_size, 1)
+    min_count = max(ctx.min_count - (ctx.dq_size - ctx.main_dq_size), 1)
     return _search(ctx, name="SUPPORTED-SEARCH", min_count=min_count)
 
 

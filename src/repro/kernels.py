@@ -55,12 +55,10 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "and_count",
-    "andnot_count",
     "intersect_many",
     "subset_of",
     "union_reduce",
     "and_reduce",
-    "is_zero_rows",
     "project_rows",
     "set_bits",
     "FocalKernel",
@@ -166,11 +164,6 @@ def and_count(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return popcount_rows(matrix & mask)
 
 
-def andnot_count(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``|row_i & ~mask|`` for every row (diffset arithmetic)."""
-    return popcount_rows(matrix & ~mask)
-
-
 def intersect_many(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``row_i & mask`` for every row, as a new matrix."""
     return matrix & mask
@@ -206,13 +199,6 @@ def and_reduce(matrix: np.ndarray, initial: np.ndarray | None = None) -> np.ndar
     if initial is not None:
         out = out & initial
     return out
-
-
-def is_zero_rows(matrix: np.ndarray) -> np.ndarray:
-    """Boolean per row: is the row the empty tidset?"""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    return ~np.any(matrix, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ executed on; and the item rows end with the request on every exit.
 """
 
 import asyncio
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,12 @@ import pytest
 
 from repro import Colarm, LocalizedQuery, PlanKind, kernels
 from repro import tidset as ts
-from repro.core.costs import CostModel, CostWeights, QueryProfile
+from repro.core.costs import (
+    _LATTICE_SHARING,
+    CostModel,
+    CostWeights,
+    QueryProfile,
+)
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
@@ -417,45 +423,69 @@ def test_context_adopts_only_a_matching_resolution():
     ).dq_size == focus.dq_size
 
 
-# -- the delta load terms ------------------------------------------------------
+# -- the delta block's words ---------------------------------------------------
 
 
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
 def test_estimate_all_prices_each_plans_own_loads(mutate):
     """Six prices from shared terms are the six load vectors priced one
-    by one — with a live delta, without, and at the CI gate's infinite
-    probe weight (where a delta-free plan must not turn ``nan``).  A live
-    delta puts positive ``delta_probe``/``delta_merge`` loads on every
-    MIP plan and none on ARM; a pristine index puts them on no plan."""
+    by one — with a live delta, without, and at an infinite ``verify``
+    weight (where ARM, which has no verify load, must not turn ``nan``).
+    A live delta is priced as more words of the loads that read it: over
+    the same profile without the block, each MIP plan's ``eliminate``
+    grows by ``cands x aitem_fraction x delta_words`` and its ``verify``
+    by the masking pass's ``n_items x delta_words`` plus the sub-itemset
+    table's ANDs over the block, ARM's ``select`` by ``n_items x
+    delta_words``, and nothing else moves; a pristine index has no
+    block."""
     engine = make_engine(mutate)
     optimizer = engine.optimizer
+    n_items = float(sum(engine.index.stats.cardinalities))
     queries = (
         QUERY,
         LocalizedQuery({0: frozenset({1}), 2: frozenset({0, 1})}, 0.2, 0.5),
         LocalizedQuery({1: frozenset({0, 1, 2})}, 0.3, 0.5,
                        item_attributes=frozenset({0, 2, 3})),
     )
-    for probe_weight in (optimizer.weights.weights["delta_probe"],
-                         float("inf")):
+    for verify_weight in (optimizer.weights.weights["verify"], math.inf):
         optimizer.set_weights(CostWeights(
-            {**optimizer.weights.weights, "delta_probe": probe_weight}
+            {**optimizer.weights.weights, "verify": verify_weight}
         ))
         model, weights = optimizer.cost_model, optimizer.weights
         for query in queries:
             profile, _focus = optimizer.profile_for(query)
-            assert (profile.delta_records > 0) == mutate
+            words = profile.delta_words
+            assert words == (engine.maintenance.buffer.words if mutate else 0)
             estimates = model.estimate_all(profile)
             assert list(estimates) == list(PlanKind)
+            plain = dataclasses.replace(profile, delta_words=0)
+            cands = {
+                PlanKind.SEV: profile.n_cands,
+                PlanKind.SVS: profile.n_cands,
+                PlanKind.SSEV: profile.n_cands_supported,
+                PlanKind.SSVS: profile.n_cands_supported,
+                PlanKind.SSEUV: max(
+                    profile.n_cands_supported - profile.n_contained, 0.0
+                ),
+            }
             for kind in PlanKind:
                 loads = model.loads(kind, profile)
                 assert estimates[kind] == weights.price(loads)
                 assert not math.isnan(estimates[kind])
-                if mutate and kind is not PlanKind.ARM:
-                    assert loads["delta_probe"] > 0
-                    assert loads["delta_merge"] > 0
+                assert math.isinf(estimates[kind]) == (
+                    kind is not PlanKind.ARM and math.isinf(verify_weight)
+                )
+                grown = model.loads(kind, plain)
+                if kind is PlanKind.ARM:
+                    grown["select"] += n_items * words
                 else:
-                    assert "delta_probe" not in loads
-                    assert "delta_merge" not in loads
+                    grown["eliminate"] += (
+                        cands[kind] * profile.aitem_fraction * words
+                    )
+                    grown["verify"] += (
+                        n_items + profile.qualified_fanout / _LATTICE_SHARING
+                    ) * words
+                assert loads == pytest.approx(grown, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])

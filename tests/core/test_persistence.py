@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.costs import CostWeights
+from repro.core.costs import DEFAULT_WEIGHTS, CostWeights
+from repro.core.engine import Colarm
 from repro.core.mipindex import build_mip_index
 from repro.core.maintenance import MaintainedIndex
 from repro.core.persistence import (
@@ -82,6 +83,33 @@ def test_roundtrip_with_weights(index, tmp_path):
     _, loaded_weights = load_index(path)
     assert loaded_weights is not None
     assert loaded_weights.weights == weights.weights
+
+
+def test_weights_saved_with_delta_features_price_the_same(index, tmp_path):
+    """A snapshot saved while the delta store had weights of its own
+    (``delta_probe`` / ``delta_merge``) still loads, and its engine prices
+    all six plans over a live delta exactly as with those keys dropped:
+    no load names them, so they price nothing."""
+    path = tmp_path / "old.colarm.npz"
+    fitted = {**DEFAULT_WEIGHTS, "verify": 1.5e-9, "arm": 3e-7}
+    old = CostWeights({**fitted, "delta_probe": 5.3e-9, "delta_merge": 1.5e-8})
+    save_index(index, path, weights=old)
+
+    def live_prices(weights):
+        loaded, _ = load_index(path)
+        engine = Colarm.from_index(loaded, weights=weights)
+        engine.enable_maintenance(max_delta_fraction=0.99)
+        engine.append([[1 + i % 2, i % 3, i % 3, i % 2] for i in range(6)])
+        engine.delete([0, 1, 2])
+        profile, _focus = engine.optimizer.profile_for(QUERY)
+        assert profile.delta_words == engine.maintenance.buffer.words
+        return engine.optimizer.cost_model.estimate_all(profile)
+
+    _, loaded_weights = load_index(path)
+    assert loaded_weights.weights == old.weights
+    prices = live_prices(loaded_weights)
+    assert list(prices) == list(PlanKind)
+    assert prices == live_prices(CostWeights(fitted))
 
 
 def test_load_missing_file(tmp_path):

@@ -6,7 +6,7 @@ on the model's itemset and fan-out estimates) and finishes the ARM model
 only when the floor's price does not already lose to the cheapest MIP
 plan.  Checked here on random tables and queries, over the main index and
 over main + a live delta, at the default weights, random non-negative
-weights, ``arm = 0`` and ``delta_probe = inf``, at risk factors 1.0 and
+weights, ``arm = 0`` and ``verify = inf``, at risk factors 1.0 and
 1.15:
 
 * the floor's price never exceeds the full price, and its F1 and chain
@@ -50,17 +50,17 @@ ARM = PlanKind.ARM
 def _with(variant: str, weights: dict) -> CostWeights:
     if variant == "arm 0":
         weights = {**weights, "arm": 0.0}
-    elif variant == "probe inf":
-        weights = {**weights, "delta_probe": math.inf}
+    elif variant == "verify inf":
+        weights = {**weights, "verify": math.inf}
     return CostWeights(weights)
 
 
 #: Default weights or log-uniform random ones (some features 0), then as
 #: drawn, with ``arm = 0`` (the floor is then exact) or with an infinite
-#: ``delta_probe`` (every MIP plan infinite over a live delta).
+#: ``verify`` (every MIP plan infinite: each carries a positive verify load).
 WEIGHTS = st.builds(
     _with,
-    st.sampled_from(["as drawn", "arm 0", "probe inf"]),
+    st.sampled_from(["as drawn", "arm 0", "verify inf"]),
     st.one_of(
         st.just(dict(DEFAULT_WEIGHTS)),
         st.fixed_dictionaries({

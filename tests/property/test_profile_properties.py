@@ -82,8 +82,8 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     profile, _focus = optimizer.profile_for(query)
     assert profile.dq_size == focus.dq_size
     assert profile.min_count == focus.min_count
-    assert profile.delta_dq_size == (
-        focus.delta.dq_size if focus.delta is not None else 0
+    assert profile.delta_words == (
+        focus.delta.buffer.words if focus.delta is not None else 0
     )
     real = costs._cardinalities
     by_mip = mip_order_stats(mx.index)

@@ -17,6 +17,7 @@ Usage::
     ... --override-weight arm=0   # sanity check: must FAIL the gate
     ... --only serving --corrupt-admission       # likewise: must FAIL
     ... --only maintenance --corrupt-maintenance # likewise: must FAIL
+    ... --only maintenance --corrupt-delta-pricing # likewise: must FAIL
     ... --only cluster --corrupt-placement       # likewise: must FAIL
     ... --only setup --corrupt-setup             # likewise: must FAIL
     ... --only heap --corrupt-heap               # likewise: must FAIL
@@ -24,7 +25,8 @@ Usage::
 ``--override-weight`` deliberately corrupts one fitted weight after
 calibration, ``--corrupt-admission`` routes the serving layer's cache
 hits through its engine thread, ``--corrupt-maintenance`` severs the delta-store merge
-correction, ``--corrupt-placement`` sends every cluster miss to the
+correction, ``--corrupt-delta-pricing`` prices every request as if it had
+no delta block, ``--corrupt-placement`` sends every cluster miss to the
 lowest worker id whatever its load, ``--corrupt-setup`` puts a full collection back in front
 of every calibration probe leg, and ``--corrupt-heap`` caches ``Rule``
 objects in place of rule blocks; they exist so the gates themselves can be
@@ -426,7 +428,9 @@ async def _hit_overtakes_parked_miss(engine, warm, cold, plan,
         engine.disable_cache()
 
 
-def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
+def run_maintenance_selftest(
+    config: dict, corrupt: bool = False, corrupt_pricing: bool = False
+) -> dict:
     """Delta-store maintenance sanity: staleness, pricing, byte-identity.
 
     A live engine (cache + maintenance enabled) over a probe workload is
@@ -438,26 +442,32 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
       probe must MISS.  A regression that stops stamping delta mutations
       into the generation clock (serving pre-append rules from the
       cache) fails here.
-    * **Pricing** — while un-folded delta exists, ``delta_probe = inf``
-      must price **every** MIP plan of every probe at ``inf`` and so
-      make every probe pick ARM; at the default weights every MIP plan's
-      load vector must carry finite, positive ``delta_probe`` and
-      ``delta_merge`` loads, and ARM's neither.  A regression that drops
-      the delta terms from the cost formulae (making un-folded delta
-      look free to the MIP plans) fails the first; one that charges
-      them to ARM, or lets them go non-finite, fails the second.
+    * **Pricing** — while un-folded delta exists, ``verify = inf`` must
+      price **every** MIP plan of every probe at ``inf`` and so make
+      every probe pick ARM; and the delta store's block of words must be
+      priced exactly as more words of the operators that read it: over
+      the same profile without the block, every MIP plan's
+      ``eliminate`` grows by ``cands x aitem_fraction x delta_words``
+      and its ``verify`` by ``n_items x delta_words`` plus the
+      sub-itemset table's ANDs over the block, ARM's ``select`` by
+      ``n_items x delta_words``, and no other load moves.  A regression
+      that drops the block from the loads (making un-folded delta look
+      free) fails the second.
     * **Byte-identity** — every coverage-guaranteed probe answered
       against main + delta must equal a from-scratch rebuild of the live
       records, rule for rule, support count for support count.
 
     ``corrupt=True`` severs the delta merge correction (the engine serves
-    main-only answers while the delta still holds live records) and must
-    FAIL — a gate that cannot fail gates nothing.
+    main-only answers while the delta still holds live records) and
+    ``corrupt_pricing=True`` builds every profile with ``delta_words =
+    0``; each must FAIL — a gate that cannot fail gates nothing.
     """
+    import dataclasses
+
     import numpy as np
 
     from repro.core.calibration import default_probe_queries
-    from repro.core.costs import CostWeights
+    from repro.core.costs import _LATTICE_SHARING, CostWeights, QueryProfile
     from repro.core.engine import Colarm
     from repro.core.mipindex import build_mip_index
     from repro.core.plans import PlanKind, execute_plan
@@ -503,37 +513,58 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         1 for q in queries if engine.cache.probe(q).kind is not None
     )
 
+    floor_from_query = QueryProfile.__dict__["floor_from_query"]
+    if corrupt_pricing:
+        QueryProfile.floor_from_query = classmethod(
+            lambda cls, *args: dataclasses.replace(
+                floor_from_query.__func__(cls, *args), delta_words=0
+            )
+        )
     base = dict(engine.optimizer.weights.weights)
-    engine.optimizer.set_weights(
-        CostWeights({**base, "delta_probe": float("inf")})
-    )
+    engine.optimizer.set_weights(CostWeights({**base, "verify": float("inf")}))
     profiles = []
     inf_arm_picks = inf_mip_priced = 0
-    for q in queries:
-        choice = engine.optimizer.choose(q)
-        choice.release()
-        profiles.append(choice.profile)
-        inf_arm_picks += choice.kind is PlanKind.ARM
-        inf_mip_priced += all(
-            math.isinf(cost) for kind, cost in choice.estimates.items()
-            if kind is not PlanKind.ARM
-        )
+    try:
+        for q in queries:
+            choice = engine.optimizer.choose(q)
+            choice.release()
+            profiles.append(choice.profile)
+            inf_arm_picks += choice.kind is PlanKind.ARM
+            inf_mip_priced += all(
+                math.isinf(cost)
+                for kind, cost in choice.estimates.items()
+                if kind is not PlanKind.ARM
+            )
+    finally:
+        QueryProfile.floor_from_query = floor_from_query
     engine.optimizer.set_weights(CostWeights(base))
     model = engine.optimizer.cost_model
-    delta_terms_ok = 0
-    for profile in profiles:
-        placed = True
+    # The deletes leave main tombstones, so every probe has a delta view,
+    # and its block is the buffer's words wide.
+    delta_words = engine.maintenance.buffer.words
+    main_words = engine.index.stats.tidset_words
+    n_items = float(sum(engine.index.stats.cardinalities))
+
+    def priced_exactly(profile) -> bool:
+        plain = dataclasses.replace(profile, delta_words=0)
         for kind in PlanKind:
-            loads = model.loads(kind, profile)
-            terms = [loads.get(name) for name in ("delta_probe", "delta_merge")]
+            have = model.loads(kind, profile)
+            want = model.loads(kind, plain)
             if kind is PlanKind.ARM:
-                placed &= terms == [None, None]
+                want["select"] += n_items * delta_words
             else:
-                placed &= all(
-                    t is not None and math.isfinite(t) and t > 0
-                    for t in terms
-                )
-        delta_terms_ok += placed
+                want["eliminate"] *= (main_words + delta_words) / main_words
+                want["verify"] += (
+                    n_items + profile.qualified_fanout / _LATTICE_SHARING
+                ) * delta_words
+            if have.keys() != want.keys() or not all(
+                math.isclose(have[name], want[name], rel_tol=1e-9)
+                for name in want
+            ):
+                return False
+        return True
+
+    delta_priced = sum(map(priced_exactly, profiles))
 
     keep = np.ones(len(table.data), dtype=bool)
     keep[:n_delete] = False
@@ -575,11 +606,11 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
     if stale_hits != 0:
         failures.append("stale_cache_hit_after_append")
     if inf_mip_priced != len(queries):
-        failures.append("inf_delta_probe_left_a_mip_plan_finite")
+        failures.append("inf_verify_left_a_mip_plan_finite")
     if inf_arm_picks != len(queries):
-        failures.append("inf_delta_probe_did_not_force_arm")
-    if delta_terms_ok != len(queries):
-        failures.append("delta_load_terms_missing_or_misplaced")
+        failures.append("inf_verify_did_not_force_arm")
+    if delta_priced != len(queries):
+        failures.append("delta_words_not_priced_exactly")
     if covered == 0:
         failures.append("no_coverage_guaranteed_probes")
     if mismatches != 0:
@@ -589,13 +620,14 @@ def run_maintenance_selftest(config: dict, corrupt: bool = False) -> dict:
         "scenarios": len(queries),
         "build_s": round(build_s, 2),
         "corrupted": corrupt,
+        "pricing_corrupted": corrupt_pricing,
         "n_append": n_append,
         "n_delete": n_delete,
         "warm_hits_before_append": warm_hits,
         "stale_hits_after_append": stale_hits,
-        "mip_plans_inf_at_inf_probe": inf_mip_priced,
-        "arm_picks_at_inf_probe": inf_arm_picks,
-        "delta_terms_placed_at_default": delta_terms_ok,
+        "mip_plans_inf_at_inf_verify": inf_mip_priced,
+        "arm_picks_at_inf_verify": inf_arm_picks,
+        "delta_priced_exactly": delta_priced,
         "identity_covered": covered,
         "identity_mismatches": mismatches,
         "passed": not failures,
@@ -795,6 +827,12 @@ def main(argv: list[str] | None = None) -> int:
         "with live delta records); the maintenance self-test must then FAIL",
     )
     parser.add_argument(
+        "--corrupt-delta-pricing",
+        action="store_true",
+        help="build every query profile with delta_words = 0 (the delta "
+        "block priced as free); the maintenance self-test must then FAIL",
+    )
+    parser.add_argument(
         "--corrupt-placement",
         action="store_true",
         help="place every cluster miss on the lowest worker id whatever "
@@ -841,7 +879,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     maintenance_report = (
         run_maintenance_selftest(
-            config["maintenance"], corrupt=args.corrupt_maintenance
+            config["maintenance"],
+            corrupt=args.corrupt_maintenance,
+            corrupt_pricing=args.corrupt_delta_pricing,
         )
         if "maintenance" in config and wanted("maintenance")
         else None
@@ -932,13 +972,18 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  {status} maintenance-selftest "
             f"stale hits={maintenance_report['stale_hits_after_append']}"
-            f" (want 0), inf-probe ARM picks="
-            f"{maintenance_report['arm_picks_at_inf_probe']}"
-            f" (want {maintenance_report['scenarios']}), delta terms placed="
-            f"{maintenance_report['delta_terms_placed_at_default']}"
+            f" (want 0), inf-verify ARM picks="
+            f"{maintenance_report['arm_picks_at_inf_verify']}"
+            f" (want {maintenance_report['scenarios']}), delta priced exactly="
+            f"{maintenance_report['delta_priced_exactly']}"
             f" (want {maintenance_report['scenarios']}), "
             f"identity {identical}/{covered}"
             + (" [merge corrupted]" if maintenance_report["corrupted"] else "")
+            + (
+                " [delta pricing corrupted]"
+                if maintenance_report["pricing_corrupted"]
+                else ""
+            )
         )
     if cluster_report is not None:
         passed = passed and cluster_report["passed"]

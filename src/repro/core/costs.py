@@ -26,8 +26,9 @@ work estimates the paper's equations describe:
   push-up saves).
 
 A tidset word is a word of the main universe or of the delta store's
-block after it (:attr:`QueryProfile.delta_words`, 0 on an immutable
-index): the delta is priced as more words of the operators that read it.
+block after it (:attr:`QueryProfile.delta_words`, 0 when no focal record
+is in the delta): the delta is priced as more words of the operators that
+read it.
 
 The cardinalities behind the features stand in for Lemmas 4.1-4.5: the
 overlapping, supported and contained MIP counts are exact bit counts over
@@ -119,7 +120,8 @@ class QueryProfile:
     #: only on a hand-built profile.
     arm_stats: "ArmModelStats | None" = None
     #: Words of the delta store's block after the main universe, which
-    #: every tidset-width load adds (0 without a delta view).
+    #: every tidset-width load adds (0 without a delta view, and 0 when the
+    #: view has no focal record: the masked kernel then adds no block).
     delta_words: int = 0
 
     @property
@@ -186,7 +188,10 @@ class QueryProfile:
             arm_itemsets=arm_stats.est_itemsets,
             arm_fanout=arm_stats.est_fanout,
             arm_stats=arm_stats,
-            delta_words=delta.buffer.words if delta is not None else 0,
+            delta_words=(
+                delta.buffer.words
+                if delta is not None and delta.dq_size > 0 else 0
+            ),
             **cards,
         )
 

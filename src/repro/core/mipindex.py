@@ -246,9 +246,9 @@ def mine_mips(
             f"primary_support must be in (0, 1], got {primary_support}"
         )
     schema = table.schema
+    item_rows, _ = table.item_matrix()
     closed = charm(
-        ((schema.item_id(item), tidset)
-         for item, tidset in table.item_tidsets().items()),
+        zip(table.item_ids().tolist(), map(kernels.unpack, item_rows)),
         min_count_for(primary_support, table.n_records),
     )
     n_bytes = -(-schema.n_items // 8)

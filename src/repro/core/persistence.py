@@ -154,18 +154,21 @@ def load_index(
     """Load a MIP-index saved by :func:`save_index`.
 
     Returns the index plus the calibrated weights (``None`` when the file
-    was saved without them).  Derived structures (tidsets, statistics)
-    are rebuilt; with ``verify="mine"`` (the default) the stored itemset
-    arrays must equal a fresh CHARM run's, so a stale or corrupted file
-    cannot silently produce wrong answers.  No format stores a tree the
-    load reads: a v2 file's R-tree members are ignored.  A ``meta``
-    member that is not a JSON object with the fields the loader reads
-    is a ``DataError`` naming the file.
+    was saved without them).  Derived structures are rebuilt from the
+    table: its packed item matrix (one ``packbits`` per schema item,
+    straight from the columns), the MIP tidset rows, the statistics and
+    the sub-itemset table.  With ``verify="mine"`` (the default) the
+    stored itemset arrays must equal a fresh CHARM run's, so a stale or
+    corrupted file cannot silently produce wrong answers.  No format
+    stores a tree the load reads: a v2 file's R-tree members are
+    ignored.  A ``meta`` member that is not a JSON object with the
+    fields the loader reads is a ``DataError`` naming the file.
 
     ``verify="stored"`` skips the re-mine: each MIP's tidset row is the
-    AND of the item rows of its *stored* itemset, and the rows are then
-    cross-checked bit-for-bit against the archive's packed kernel
-    matrices (required to be present).  A tampered itemset or tidset
+    AND of the item rows of its *stored* itemset, and the rebuilt item
+    and MIP rows are then cross-checked bit-for-bit against the
+    archive's packed kernel matrices (required to be present); no
+    ``Item``-keyed int tidset is built.  A tampered itemset or tidset
     still fails the load, but the closure/completeness of the stored
     list is taken on trust — use it for snapshots your own process
     published (cluster workers), not for files of unknown origin.  The

@@ -147,7 +147,10 @@ def gather_statistics(
     MIP-tidset matrix the index keeps for ELIMINATE; ``item_matrix`` the
     table's packed item matrix with its row lookup
     (:meth:`RelationalTable.item_matrix`, rows in item sort order), the
-    basis of the per-item local-count profile.
+    basis of the per-item local-count profile.  Its rows must cover every
+    record of the MIPs' universe with one present item per attribute (as
+    a table's always do): each attribute's last row is counted as the
+    MIP's global count less the others.
     """
     cardinalities = tuple(cardinalities)
     n_dims = len(cardinalities)
@@ -172,9 +175,22 @@ def gather_statistics(
 
     item_tidsets, row_of = item_matrix
     item_rows = {(item[0], item[1]): j for item, j in row_of.items()}
-    item_mip_counts = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
-    for j, row in enumerate(item_tidsets):
-        item_mip_counts[j] = and_count(mip_matrix, row)[order]
+    attribute_of = np.empty(len(item_tidsets), dtype=np.intp)
+    for item, j in row_of.items():
+        attribute_of[j] = item[0]
+    # Every record holds one value per attribute, so a MIP's counts over
+    # an attribute's present items sum to its global count: the last row
+    # of each attribute is that remainder, one AND fewer per attribute.
+    last = np.ones(len(attribute_of), dtype=bool)
+    last[:-1] = attribute_of[1:] != attribute_of[:-1]
+    by_mip = np.empty((len(item_tidsets), n_mips), dtype=np.int32)
+    first = 0
+    for j in np.flatnonzero(last):
+        for k in range(first, j):
+            by_mip[k] = and_count(mip_matrix, item_tidsets[k])
+        by_mip[j] = global_counts - by_mip[first:j].sum(axis=0)
+        first = j + 1
+    item_mip_counts = by_mip.take(order, axis=1)
 
     sorted_counts = np.sort(global_counts)
     return IndexStatistics(

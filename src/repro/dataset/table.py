@@ -92,51 +92,54 @@ class RelationalTable:
         """Tidset for every item that occurs in the data (computed once).
 
         Items that occur in no record are omitted; their tidset is empty.
+        Each tidset is read off its :meth:`item_matrix` row; build, fold,
+        load and requests read the matrix itself and never build this.
         """
         if self._item_tidsets is None:
-            masks: dict[Item, int] = {}
-            for ai in range(self.n_attributes):
-                column = self.data[:, ai]
-                for vi in np.unique(column):
-                    # One vectorized packbits per item: the column's
-                    # membership bits become the tidset's little-endian
-                    # bytes directly (no per-tid Python work).
-                    bits = np.packbits(column == vi, bitorder="little")
-                    masks[Item(ai, int(vi))] = int.from_bytes(
-                        bits.tobytes(), "little"
-                    )
-            self._item_tidsets = masks
+            matrix, rows = self.item_matrix()
+            self._item_tidsets = {
+                item: kernels.unpack(matrix[row]) for item, row in rows.items()
+            }
         return self._item_tidsets
 
     def item_matrix(self) -> tuple[np.ndarray, dict[Item, int]]:
         """Packed ``(n_items, words)`` item-tidset matrix plus row lookup.
 
-        Row ``rows[item]`` of the matrix is ``pack(item_tidset(item))``;
-        items are ordered by their natural sort, matching the column order
-        of :func:`repro.core.stats.gather_statistics`.  Computed once and
-        cached — this is the vectorized mirror of :meth:`item_tidsets`.
+        The source of every item tidset in the library: row ``rows[item]``
+        has bit ``t`` set when record ``t`` holds ``item``.  Only items
+        that occur get a row, ordered by their natural sort (ascending
+        item id), matching the column order of
+        :func:`repro.core.stats.gather_statistics`.  Built once: one
+        ``packbits`` of a column's membership bits per schema item, straight
+        into a zeroed row, keeping the rows of present items.
         """
         if self._item_matrix is None:
-            tidsets = self.item_tidsets()
-            items = sorted(tidsets)
-            words = kernels.n_words(self.n_records)
-            matrix = kernels.pack_many([tidsets[it] for it in items], words)
+            schema = self.schema
+            full = np.zeros(
+                (schema.n_items, self.tidset_words), dtype=np.dtype("<u8")
+            )
+            row_bytes = full.view(np.uint8)
+            for a, base in enumerate(schema.item_bases):
+                column = np.ascontiguousarray(self.data[:, a])
+                for v in range(schema.attributes[a].cardinality):
+                    bits = np.packbits(column == v, bitorder="little")
+                    row_bytes[base + v, : len(bits)] = bits
+            ids = np.flatnonzero(full.any(axis=1))
+            matrix = full if len(ids) == len(full) else full[ids]
             matrix.setflags(write=False)
-            self._item_matrix = (matrix, {it: i for i, it in enumerate(items)})
+            ids.setflags(write=False)
+            self._item_ids = ids
+            items = schema.items_by_id
+            self._item_matrix = (
+                matrix, {items[i]: row for row, i in enumerate(ids.tolist())}
+            )
         return self._item_matrix
 
     def item_ids(self) -> np.ndarray:
         """Schema item id (:meth:`Schema.item_id`) of each
         :meth:`item_matrix` row, ascending — the one array that maps the
         matrix's present-items-only rows into the integer item space."""
-        if self._item_ids is None:
-            bases = self.schema.item_bases
-            ids = np.fromiter(
-                (bases[a] + v for a, v in self.item_matrix()[1]),
-                dtype=np.intp,
-            )
-            ids.setflags(write=False)
-            self._item_ids = ids
+        self.item_matrix()
         return self._item_ids
 
     @property

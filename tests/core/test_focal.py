@@ -488,6 +488,21 @@ def test_estimate_all_prices_each_plans_own_loads(mutate):
                 assert loads == pytest.approx(grown, rel=1e-12, abs=0)
 
 
+def test_a_delta_with_no_focal_record_adds_no_words():
+    """Appends outside the region plus a tombstone keep a delta view
+    alive with no focal record: the masked kernel adds no block, so the
+    profile prices none."""
+    engine = make_engine(mutate=False)
+    engine.enable_maintenance(max_delta_fraction=0.99)
+    engine.append([[3 * (i % 2), i % 3, i % 3, i % 2] for i in range(100)])
+    engine.delete([0])
+    profile, focus = engine.optimizer.profile_for(QUERY)
+    assert focus.delta is not None and focus.delta.dq_size == 0
+    assert engine.maintenance.buffer.words > 0
+    assert focus.kernel().words == engine.index.stats.tidset_words
+    assert profile.delta_words == 0
+
+
 @pytest.mark.parametrize("mutate", [False, True], ids=["main", "main+delta"])
 @pytest.mark.parametrize("kind", [PlanKind.ARM, PlanKind.SSVS],
                          ids=lambda k: k.value)

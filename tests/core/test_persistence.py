@@ -19,6 +19,7 @@ from repro.core.persistence import (
 )
 from repro.core.plans import PlanKind, execute_plan
 from repro.core.query import LocalizedQuery
+from repro.dataset.table import RelationalTable
 from repro.errors import DataError
 from tests.conftest import make_random_table
 
@@ -335,17 +336,47 @@ def test_eager_load_report_requested_false(index, tmp_path):
 
 
 def test_load_detects_corrupt_kernel_matrix(index, tmp_path):
-    """A tampered stored kernel matrix is caught by the bit-for-bit
-    cross-check against the rebuild, not served."""
+    """A tampered stored kernel matrix — MIP tidsets or item rows — is
+    caught by the bit-for-bit cross-check against the rebuild, not
+    served, whichever way the file is verified and opened."""
     path = tmp_path / "t.colarm.npz"
     save_index(index, path)
-    archive = dict(np.load(path))
-    kernel = archive["kernel_mip_tidsets"].copy()
-    kernel[0, 0] ^= 1
-    archive["kernel_mip_tidsets"] = kernel
-    np.savez(path, **archive)
-    with pytest.raises(DataError, match="kernel"):
-        load_index(path)
+    with np.load(path) as archive:
+        pristine = dict(archive)
+    for name in ("kernel_mip_tidsets", "kernel_item_matrix"):
+        kernel = pristine[name].copy()
+        kernel[0, 0] ^= 1
+        np.savez(path, **{**pristine, name: kernel})
+        for verify, mmap_mode in (("mine", None), ("stored", "r")):
+            with pytest.raises(DataError, match="kernel"):
+                load_index(path, mmap_mode=mmap_mode, verify=verify)
+
+
+def test_stored_load_builds_no_int_tidsets(index, tmp_path, monkeypatch):
+    """A worker's reload (``mmap_mode="r"``, ``verify="stored"``) packs
+    the item rows straight from the columns: it never builds the
+    ``Item``-keyed int tidsets and never runs ``np.unique`` over a table
+    column."""
+    path = tmp_path / "t.colarm.npz"
+    save_index(index, path, compress=False)
+    unique_args = []
+    real_unique = np.unique
+
+    def unique(array, *args, **kwargs):
+        unique_args.append(array)
+        return real_unique(array, *args, **kwargs)
+
+    def no_tidsets(self):
+        raise AssertionError("load built the int item tidsets")
+
+    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(RelationalTable, "item_tidsets", no_tidsets)
+    loaded, _ = load_index(path, mmap_mode="r", verify="stored")
+    assert not any(
+        np.shares_memory(array, loaded.table.data) for array in unique_args
+    )
+    monkeypatch.undo()
+    _assert_same_index(index, loaded)
 
 
 def _itemset(members, i):

@@ -82,8 +82,9 @@ def test_profiles_over_main_and_delta_equal_reference(scenario):
     profile, _focus = optimizer.profile_for(query)
     assert profile.dq_size == focus.dq_size
     assert profile.min_count == focus.min_count
+    # The delta block is priced at the words the masked kernel adds.
     assert profile.delta_words == (
-        focus.delta.buffer.words if focus.delta is not None else 0
+        focus.kernel().words - mx.index.stats.tidset_words
     )
     real = costs._cardinalities
     by_mip = mip_order_stats(mx.index)

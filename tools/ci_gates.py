@@ -450,7 +450,10 @@ def run_maintenance_selftest(
       ``eliminate`` grows by ``cands x aitem_fraction x delta_words``
       and its ``verify`` by ``n_items x delta_words`` plus the
       sub-itemset table's ANDs over the block, ARM's ``select`` by
-      ``n_items x delta_words``, and no other load moves.  A regression
+      ``n_items x delta_words``, and no other load moves — where
+      ``delta_words`` is the buffer's words for a probe whose delta view
+      holds a focal record and 0 for one whose view holds none (its
+      masked kernel has no delta block).  A regression
       that drops the block from the loads (making un-folded delta look
       free) fails the second.
     * **Byte-identity** — every coverage-guaranteed probe answered
@@ -469,6 +472,7 @@ def run_maintenance_selftest(
     from repro.core.calibration import default_probe_queries
     from repro.core.costs import _LATTICE_SHARING, CostWeights, QueryProfile
     from repro.core.engine import Colarm
+    from repro.core.focal import resolve_focal
     from repro.core.mipindex import build_mip_index
     from repro.core.plans import PlanKind, execute_plan
     from repro.dataset.table import RelationalTable
@@ -539,13 +543,20 @@ def run_maintenance_selftest(
         QueryProfile.floor_from_query = floor_from_query
     engine.optimizer.set_weights(CostWeights(base))
     model = engine.optimizer.cost_model
-    # The deletes leave main tombstones, so every probe has a delta view,
-    # and its block is the buffer's words wide.
-    delta_words = engine.maintenance.buffer.words
+    # The deletes leave main tombstones, so every probe has a delta view;
+    # its block is the buffer's words wide when the view holds a focal
+    # record, and absent from the masked kernel (priced 0) otherwise.
     main_words = engine.index.stats.tidset_words
     n_items = float(sum(engine.index.stats.cardinalities))
+    block_words = []
+    for q in queries:
+        view = resolve_focal(engine.index, q, engine.maintenance).delta
+        has_block = view is not None and view.dq_size > 0
+        block_words.append(engine.maintenance.buffer.words if has_block else 0)
 
-    def priced_exactly(profile) -> bool:
+    def priced_exactly(profile, delta_words) -> bool:
+        if profile.delta_words != delta_words:
+            return False
         plain = dataclasses.replace(profile, delta_words=0)
         for kind in PlanKind:
             have = model.loads(kind, profile)
@@ -564,7 +575,7 @@ def run_maintenance_selftest(
                 return False
         return True
 
-    delta_priced = sum(map(priced_exactly, profiles))
+    delta_priced = sum(map(priced_exactly, profiles, block_words))
 
     keep = np.ones(len(table.data), dtype=bool)
     keep[:n_delete] = False
@@ -611,6 +622,8 @@ def run_maintenance_selftest(
         failures.append("inf_verify_did_not_force_arm")
     if delta_priced != len(queries):
         failures.append("delta_words_not_priced_exactly")
+    if not any(block_words):
+        failures.append("no_probe_reads_the_delta_block")
     if covered == 0:
         failures.append("no_coverage_guaranteed_probes")
     if mismatches != 0:
@@ -628,6 +641,7 @@ def run_maintenance_selftest(
         "mip_plans_inf_at_inf_verify": inf_mip_priced,
         "arm_picks_at_inf_verify": inf_arm_picks,
         "delta_priced_exactly": delta_priced,
+        "probes_with_delta_block": sum(map(bool, block_words)),
         "identity_covered": covered,
         "identity_mismatches": mismatches,
         "passed": not failures,
@@ -976,8 +990,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{maintenance_report['arm_picks_at_inf_verify']}"
             f" (want {maintenance_report['scenarios']}), delta priced exactly="
             f"{maintenance_report['delta_priced_exactly']}"
-            f" (want {maintenance_report['scenarios']}), "
-            f"identity {identical}/{covered}"
+            f" (want {maintenance_report['scenarios']}; "
+            f"{maintenance_report['probes_with_delta_block']} with a delta "
+            f"block), identity {identical}/{covered}"
             + (" [merge corrupted]" if maintenance_report["corrupted"] else "")
             + (
                 " [delta pricing corrupted]"

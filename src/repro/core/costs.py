@@ -40,7 +40,7 @@ formulae is a constant-time computation, as Section 3.1 requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
 
@@ -115,10 +115,10 @@ class QueryProfile:
     arm_itemsets: float        # model-based locally-frequent itemset count
     arm_fanout: float          # ... and its 2**length rule-generation mass
     #: Measured local structure behind the ARM estimate: the full model
-    #: (``from_query``), or its :class:`ArmFloor` (``floor_from_query``,
-    #: which the optimizer stops at when the floor already loses); None
-    #: only on a hand-built profile.
-    arm_stats: "ArmModelStats | None" = None
+    #: (``from_query``), or an :class:`ArmFloor` (``floor_from_query``,
+    #: ``with_arm_chain``: where the optimizer stops when a floor already
+    #: loses); None only on a hand-built profile.
+    arm_stats: "ArmModelStats | ArmFloor | None" = None
     #: Words of the delta store's block after the main universe, which
     #: every tidset-width load adds (0 without a delta view, and 0 when the
     #: view has no focal record: the masked kernel then adds no block).
@@ -148,22 +148,21 @@ class QueryProfile:
         focus: FocalSubset,
         stats: IndexStatistics,
     ) -> "QueryProfile":
-        """The profile of ``query`` with the ARM model stopped at its floor
-        (:func:`_arm_floor`): every MIP-plan input exact, ``arm_itemsets``
-        and ``arm_fanout`` lower bounds unless ``F1 <= 1``.
-        :meth:`with_arm_model` finishes it.
+        """The profile of ``query`` with the ARM model stopped at its F1
+        floor (:func:`_arm_floor`): every MIP-plan input exact,
+        ``arm_itemsets`` and ``arm_fanout`` lower bounds unless
+        ``F1 <= 1``.  :meth:`with_arm_chain` raises the floor by the
+        greedy chain and :meth:`with_arm_model` finishes it.
 
         Besides the statistics, the profile reads the request's own masked
         kernel (``focus.kernel()``, built here and adopted by the MIP
         plans' VERIFY): one popcount over it is every item's local
-        support, and its rows as int tidsets let the ARM model measure the
-        *exact* locally frequent item count and greedy chain here, and
-        pair and triangle counts (a few hundred ANDs — the same counts
-        the dense projection gives) when finished —
-        ARM's from-scratch mining must account for locally frequent
-        itemsets *below* the index's primary floor, which no stored
-        statistic covers.  Over a live delta that is the combined
-        main+delta universe ``min_count`` is computed for.
+        support, so the *exact* locally frequent item count costs no item
+        row.  The chain and the rest of the model read the rows as int
+        tidsets (``focus.item_tidsets()``) — ARM's from-scratch mining must
+        account for locally frequent itemsets *below* the index's primary
+        floor, which no stored statistic covers.  Over a live delta that
+        is the combined main+delta universe ``min_count`` is computed for.
         """
         dq_size, min_count = focus.dq_size, focus.min_count
         aitem_fraction = _aitem_fraction(query, stats)
@@ -171,7 +170,6 @@ class QueryProfile:
         aitem = query.item_attributes
         arm_stats = _arm_floor(
             focus.kernel().supports.tolist(),
-            focus.item_tidsets(),
             [
                 (base, base + stats.cardinalities[a])
                 for a, base in enumerate(focus.index.table.schema.item_bases)
@@ -195,21 +193,44 @@ class QueryProfile:
             **cards,
         )
 
+    def with_arm_chain(self, focus: FocalSubset) -> "QueryProfile":
+        """This profile with its F1 floor raised by the greedy chain
+        (:func:`_arm_chain`) over ``focus``, the subset it was built over;
+        itself when the chain is walked already or the model is whole."""
+        arm = self.arm_stats
+        if not self.arm_floor or arm.chain_length:
+            return self
+        return self._with_arm(
+            _arm_chain(arm, focus.item_tidsets(), self.min_count)
+        )
+
     def with_arm_model(self, focus: FocalSubset) -> "QueryProfile":
-        """This profile with the ARM model finished (:func:`_arm_finish`)
-        over ``focus``, the subset it was built over; itself when its ARM
-        estimate is not a floor."""
+        """This profile with the ARM model finished (:func:`_arm_finish`,
+        past :meth:`with_arm_chain`) over ``focus``, the subset it was
+        built over; itself when its ARM estimate is not a floor."""
         if not self.arm_floor:
             return self
-        arm_stats = _arm_finish(
-            self.arm_stats, focus.item_tidsets(), self.min_count
-        )
-        return replace(
-            self,
+        return self._with_arm(_arm_finish(
+            self.with_arm_chain(focus).arm_stats, focus.item_tidsets(),
+            self.min_count,
+        ))
+
+    def _with_arm(
+        self, arm_stats: "ArmModelStats | ArmFloor"
+    ) -> "QueryProfile":
+        """A copy with the ARM fields taken from ``arm_stats``, built on
+        the instance dict: ``dataclasses.replace`` re-runs the frozen
+        ``__init__`` over every field, about 6 us against 1 us (2-vCPU
+        box, Python 3.11), where the stage's re-price and settle test
+        take about 5 us."""
+        profile = object.__new__(QueryProfile)
+        profile.__dict__.update(
+            self.__dict__,
             arm_itemsets=arm_stats.est_itemsets,
             arm_fanout=arm_stats.est_fanout,
             arm_stats=arm_stats,
         )
+        return profile
 
 
 #: At most this many locally frequent items have their pairwise supports
@@ -296,15 +317,36 @@ class ArmModelStats:
 
 
 @dataclass(frozen=True)
-class ArmFloor(ArmModelStats):
-    """What :func:`_arm_floor` measures before the rest of the model:
-    ``f1`` and ``chain_length`` as the full model has them, every other
-    measurement 0, and ``est_itemsets`` / ``est_fanout`` lower bounds the
-    full estimate never goes below — ``max(F1, 2**min(chain, 16))`` and
-    ``max(2 F1, 3**min(chain, 13))``.  ``sample`` is the strongest-first
-    item ids :func:`_arm_finish` measures pairs and triangles over."""
+class ArmFloor:
+    """A lower bound on the ARM model, before its pairs and triangles:
+    ``f1`` as the full model has it, ``chain_length`` as well once
+    :func:`_arm_chain` has walked it (0 before: with ``F1 >= 2`` a walked
+    chain is at least 1 long), and ``est_itemsets`` / ``est_fanout``
+    lower bounds the full estimate never goes below — ``max(F1,
+    2**min(chain, 16))`` and ``max(2 F1, 3**min(chain, 13))``, ``F1`` and
+    ``2 F1`` at chain length 0.  ``frequent`` is the locally frequent
+    items as ``(-support, id, attribute)`` in id order, what the chain
+    walks and the strongest-first sample :func:`_arm_finish` measures is
+    drawn from."""
 
-    sample: tuple[int, ...]
+    f1: int
+    chain_length: int
+    est_itemsets: float
+    est_fanout: float
+    frequent: tuple[tuple[int, int, int], ...]
+
+
+def _floor_at(
+    frequent: tuple[tuple[int, int, int], ...], chain_length: int
+) -> ArmFloor:
+    """The :class:`ArmFloor` of ``frequent`` at ``chain_length``."""
+    f1 = len(frequent)
+    return ArmFloor(
+        f1, chain_length,
+        max(float(f1), 2.0 ** min(chain_length, _ARM_CHAIN_COUNT_CAP)),
+        max(2.0 * f1, 3.0 ** min(chain_length, _ARM_CHAIN_FANOUT_CAP)),
+        frequent,
+    )
 
 
 def _clique_equivalent_size(f3: float) -> float:
@@ -381,26 +423,28 @@ def _quasi_clique_size(f2: float, f3: float) -> float:
 
 def _arm_floor(
     counts: list[int],
-    tidsets: list[int],
     spans: list[tuple[int, int]],
     min_count: int,
-) -> ArmModelStats:
+) -> "ArmModelStats | ArmFloor":
     """Density-aware estimate of ARM's from-scratch mining mass, up to
-    its floor (an :class:`ArmFloor`; the whole model when ``F1 <= 1``);
-    :func:`_arm_finish` measures the rest.
+    its F1 floor (an :class:`ArmFloor`; the whole model when ``F1 <= 1``);
+    :func:`_arm_chain` raises the floor and :func:`_arm_finish` measures
+    the rest.
 
     ARM mines the focal subset from scratch, so its work scales with the
     number of *locally* frequent itemsets — including those below the
     index's primary floor, which no stored statistic covers.  The model
-    measures on the request's masked kernel (``counts[i]``,
-    ``tidsets[i]``: item id ``i``'s local support and focal tidset — any
-    form whose intersections count the focal records; ``spans``: the id
-    ranges of the admitted attributes) with a few hundred intersections:
+    measures on the request's masked kernel (``counts[i]``: item id
+    ``i``'s local support; ``spans``: the id ranges of the admitted
+    attributes; the chain and finish read the rows as tidsets — any form
+    whose intersections count the focal records) with a few hundred
+    intersections:
 
-    * ``F1`` — the exact number of locally frequent items (here);
+    * ``F1`` — the exact number of locally frequent items (here, off the
+      supports alone: no item row is read);
     * a greedy max-support chain: repeatedly extend a frequent itemset
       with the best remaining item until support dips below the floor
-      (here);
+      (:func:`_arm_chain`);
     * ``F2`` — the exact number of locally frequent item *pairs* among the
       strongest ``_ARM_MODEL_MAX_ITEMS`` items (plus a pair-density
       extrapolation for any unsampled tail);
@@ -415,31 +459,39 @@ def _arm_floor(
     rises.
     """
     # The locally frequent items as (-support, id, attribute), id order.
-    frequent = [
+    frequent = tuple([
         (-counts[i], i, attribute)
         for attribute, (lo, hi) in enumerate(spans)
         for i in range(lo, hi)
         if counts[i] >= min_count
-    ]
+    ])
     f1 = len(frequent)
     if f1 == 0:
         return ArmModelStats(0, 0, 0, 0, 0.0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0)
     if f1 == 1:
         return ArmModelStats(1, 1, 0, 0, 0.0, 1, 0, 0, 1, 1.0, 0.0, 1.0, 2.0)
+    return _floor_at(frequent, 0)
 
-    # -- measured depth: the greedy max-support chain -------------------------
-    # Greedily extend a frequent itemset with the best remaining item (one
-    # per attribute) until support dips below the floor: a frequent chain
-    # of length L certifies 2**L locally frequent subsets (sum 3**L rule
-    # candidates), and L *measures the lattice's frequent depth* — in
-    # locally dense data the per-level survival decays geometrically with
-    # itemset length, so levels are near-complete up to the depth the
-    # chain reaches and near-empty beyond it.  The path is the one a
-    # greedy walk over *all* items takes (an extension count is bounded
-    # by the item's support and only shrinks as the chain grows), so it
-    # depends on the measured supports alone, never on ``min_count``:
-    # the chain length is provably monotone in the floor.
-    pool = [(tidsets[i], attribute) for _, i, attribute in frequent]
+
+def _arm_chain(
+    floor: ArmFloor, tidsets: list[int], min_count: int
+) -> ArmFloor:
+    """The F1 ``floor`` raised by the measured depth: the greedy
+    max-support chain over the focal tidsets (``F1 x chain`` ANDs).
+
+    Greedily extend a frequent itemset with the best remaining item (one
+    per attribute) until support dips below the floor: a frequent chain
+    of length L certifies 2**L locally frequent subsets (sum 3**L rule
+    candidates), and L *measures the lattice's frequent depth* — in
+    locally dense data the per-level survival decays geometrically with
+    itemset length, so levels are near-complete up to the depth the
+    chain reaches and near-empty beyond it.  The path is the one a
+    greedy walk over *all* items takes (an extension count is bounded
+    by the item's support and only shrinks as the chain grows), so it
+    depends on the measured supports alone, never on ``min_count``:
+    the chain length is provably monotone in the floor.
+    """
+    pool = [(tidsets[i], attribute) for _, i, attribute in floor.frequent]
     chain_mask = -1  # every focal record
     chain_length = 0
     while pool:
@@ -458,27 +510,24 @@ def _arm_floor(
         chain_mask &= best[0]
         chain_length += 1
         pool = [entry for entry in alive if entry[1] != best[1]]
-
-    # Deterministic strongest-first order: the sample at a higher floor is
-    # always a prefix of the sample at a lower one, which keeps every
-    # sampled measurement monotone in ``min_count``.
-    return ArmFloor(
-        f1, 0, 0, 0, 0.0, 0, 0, 0, chain_length, 0.0, 0.0,
-        max(float(f1), 2.0 ** min(chain_length, _ARM_CHAIN_COUNT_CAP)),
-        max(2.0 * f1, 3.0 ** min(chain_length, _ARM_CHAIN_FANOUT_CAP)),
-        sample=tuple(i for _, i, _ in sorted(frequent)[:_ARM_MODEL_MAX_ITEMS]),
-    )
+    return _floor_at(floor.frequent, chain_length)
 
 
 def _arm_finish(
     floor: ArmFloor, tidsets: list[int], min_count: int
 ) -> ArmModelStats:
-    """The density-aware ARM model, finished from its :func:`_arm_floor`
-    over the same focal tidsets: ``F2`` and ``F3`` over the floor's
-    strongest-first sample, and the quasi-clique series over them and the
-    floor's chain."""
+    """The density-aware ARM model, finished from its chained floor
+    (:func:`_arm_chain`) over the same focal tidsets: ``F2`` and ``F3``
+    over the floor's strongest-first sample, and the quasi-clique series
+    over them and the floor's chain."""
     f1, chain_length = floor.f1, floor.chain_length
-    sample = [tidsets[i] for i in floor.sample]
+    # Deterministic strongest-first order: the sample at a higher floor is
+    # always a prefix of the sample at a lower one, which keeps every
+    # sampled measurement monotone in ``min_count``.
+    sample = [
+        tidsets[i]
+        for _, i, _ in sorted(floor.frequent)[:_ARM_MODEL_MAX_ITEMS]
+    ]
     m = len(sample)
 
     # -- F2: exact pairs over the sample --------------------------------------

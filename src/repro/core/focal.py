@@ -133,8 +133,8 @@ class FocalSubset:
     def item_tidsets(self) -> list[int]:
         """The masked kernel's rows of the locally frequent items (local
         support at least ``min_count``) as int tidsets by item id, every
-        other id the empty tidset, read once: all the ARM model measures
-        its floor and finish on."""
+        other id the empty tidset, read once: what the ARM model walks its
+        chain and finishes on (its F1 floor reads the supports alone)."""
         if self._lazy[2] is None:
             kernel = self.kernel()
             self._lazy[2] = kernel.item_tidsets(

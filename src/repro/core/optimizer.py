@@ -63,7 +63,7 @@ class EstimateResidual:
     measured_s: float
     dq_size: int = 0
     arm_f1: int = 0          # measured local structure behind the ARM price
-    arm_chain: int = 0
+    arm_chain: int = 0       # (0 behind a MIP plan's F1-settled choice)
 
     @property
     def log_ratio(self) -> float:
@@ -184,11 +184,15 @@ class ColarmOptimizer:
         execution does not resolve it again.
 
         Given ``estimates`` (a dict), the six plans' prices for the
-        returned profile are written into it, and the profile may stop at
-        ARM's floor (:meth:`QueryProfile.floor_from_query`): when the
-        floor's price already loses to the cheapest MIP plan, the rest of
-        the ARM model cannot change the pick and is not measured (see
-        :meth:`_settled`).  Without it the profile is always the full one.
+        returned profile are written into it, and ARM's price is built in
+        order of cost, stopping at the first bound that settles the pick
+        (see :meth:`_settled`): its F1 floor
+        (:meth:`QueryProfile.floor_from_query`, no item row read), then
+        the floor raised by the greedy chain
+        (:meth:`QueryProfile.with_arm_chain`), then the full model
+        (:meth:`QueryProfile.with_arm_model`).  The MIP prices are
+        computed once; each later stage re-prices ARM alone.  Without
+        ``estimates`` the profile is always the full one.
 
         The profile is a pure function of the query's range selections
         (as spelled: the cardinality pass counts a full-domain selection
@@ -199,11 +203,12 @@ class ColarmOptimizer:
         frequent-item structure, and on repeated-query workloads
         re-measuring an unchanged subset per ``minconf`` variant would
         dwarf the plan it prices.  Any index mutation changes the
-        generation key, so a stale profile is never reused.  A memo hit resolves nothing and
-        returns no subset; the memo holds profiles only, never a subset
-        or its item rows.  A memoized floor serves a hit only while it
-        still settles the pick at the current weights; otherwise the
-        subset is resolved again and the floor finished.
+        generation key, so a stale profile is never reused.  A memo hit
+        resolves nothing and returns no subset; the memo holds profiles
+        only, never a subset or its item rows.  A memoized floor serves a
+        hit only while it still settles the pick at the current weights;
+        otherwise the subset is resolved again and the floor raised stage
+        by stage.
         """
         index = self.store.index
         memo_key = (
@@ -225,14 +230,13 @@ class ColarmOptimizer:
         if cached is None:
             profile = QueryProfile.floor_from_query(query, focus, index.stats)
             settled = self._settled(profile, estimates)
-        else:  # a memoized floor that no longer settles: finish it
+        else:  # a memoized floor that no longer settles: raise it
             profile, settled = cached, False
-        if not settled:
-            profile = profile.with_arm_model(focus)
-            if estimates is not None:
-                estimates[PlanKind.ARM] = self.cost_model.estimate(
-                    PlanKind.ARM, profile
-                )
+        for stage in (QueryProfile.with_arm_chain, QueryProfile.with_arm_model):
+            if settled:
+                break
+            profile = stage(profile, focus)
+            settled = self._settled(profile, estimates)
         self._profile_memo[memo_key] = profile
         self._profile_memo.move_to_end(memo_key)
         if len(self._profile_memo) > _PROFILE_MEMO_MAX:
@@ -253,7 +257,9 @@ class ColarmOptimizer:
         self, profile: QueryProfile, estimates: dict[PlanKind, float] | None
     ) -> bool:
         """Whether ``profile`` serves as it is, its prices (when asked
-        for) written into ``estimates``.
+        for) written into ``estimates``: all six into an empty dict, ARM's
+        alone into a filled one — a later stage of the same profile moves
+        only ARM's inputs.
 
         A full profile always does.  A floor does only for a caller that
         takes prices, and only when some MIP plan costs no more than the
@@ -267,7 +273,12 @@ class ColarmOptimizer:
         """
         if estimates is None:
             return not profile.arm_floor
-        estimates.update(self.cost_model.estimate_all(profile))
+        if estimates:
+            estimates[PlanKind.ARM] = self.cost_model.estimate(
+                PlanKind.ARM, profile
+            )
+        else:
+            estimates.update(self.cost_model.estimate_all(profile))
         if not profile.arm_floor:
             return True
         arm = estimates[PlanKind.ARM] * self.arm_risk_factor
@@ -290,8 +301,9 @@ class ColarmOptimizer:
         the primary floor the supported filter's *estimated* pass
         fraction is 1, which collapses the S-* and SS-* load vectors.)
 
-        ARM's estimate is a floor (``choice.profile.arm_floor``) when the
-        floor already lost: the pick is the one full pricing makes.
+        ARM's estimate is a floor (``choice.profile.arm_floor``: F1 alone,
+        or F1 and the greedy chain) when the floor already lost: the pick
+        is the one full pricing makes.
         """
         estimates: dict[PlanKind, float] = {}
         profile, focus = self.profile_for(query, estimates)
@@ -309,17 +321,17 @@ class ColarmOptimizer:
         self, choice: PlanChoice, kind: PlanKind, measured_s: float
     ) -> EstimateResidual:
         """Log one measured plan execution against its estimate — for ARM
-        the full model's price, never its floor."""
+        the full model's price, F1 and chain, never its floor's."""
         profile = choice.profile
         estimated_s = choice.estimates[kind]
         if kind is PlanKind.ARM and profile.arm_floor:
-            # A floor is not an estimate: finish the model over the
-            # request's subset, resolved again (the choice may hold none,
-            # or a released one) and dropped with the finished profile.
+            # A floor is not an estimate (and an F1 floor has no chain):
+            # finish the model over the request's subset, resolved again
+            # (the choice may hold none, or a released one) and dropped
+            # with the finished profile.
             focus = resolve_focal(self.store.index, choice.query, self.store)
-            estimated_s = self.cost_model.estimate(
-                kind, profile.with_arm_model(focus)
-            )
+            profile = profile.with_arm_model(focus)
+            estimated_s = self.cost_model.estimate(kind, profile)
         arm = profile.arm_stats
         residual = EstimateResidual(
             kind=kind,

@@ -1,15 +1,15 @@
 """The pre-projection ARM model, kept as the reference.
 
-``repro.core.costs._arm_floor`` and ``_arm_finish`` measure the focal
-subset's frequent-item structure on the request's focal projection
-(integer item ids, ``|D^Q|``-bit tidsets, adjacency bitmasks, inlined
-bisections); this is
-the function it replaced, verbatim with the helpers it called —
-``Item``-keyed, ``|D|``-bit tidsets intersected with ``dq`` per item per
-request.  ``tests/property/test_arm_model_properties.py`` holds the two
-to ``==`` on every field of :class:`~repro.core.costs.ArmModelStats`,
-floats included.  :func:`projected_arm_model` is how a request feeds the
-new one.
+``repro.core.costs._arm_floor``, ``_arm_chain`` and ``_arm_finish``
+measure the focal subset's frequent-item structure on the request's focal
+projection (integer item ids, ``|D^Q|``-bit tidsets, adjacency bitmasks,
+inlined bisections); this is the function it replaced, verbatim with the
+helpers it called — ``Item``-keyed, ``|D|``-bit tidsets intersected with
+``dq`` per item per request.
+``tests/property/test_arm_model_properties.py`` holds the two to ``==``
+on every field of :class:`~repro.core.costs.ArmModelStats`, floats
+included.  :func:`projected_arm_model` is how a request feeds the new
+one.
 """
 
 from repro import kernels, tidset as ts
@@ -21,6 +21,7 @@ from repro.core.costs import (
     _ARM_MODEL_MAX_TRIANGLE_ITEMS,
     ArmFloor,
     ArmModelStats,
+    _arm_chain,
     _arm_finish,
     _arm_floor,
 )
@@ -45,7 +46,6 @@ def projected_arm_model(table, query: LocalizedQuery, min_count: int,
     tidsets = kernel.item_tidsets()
     floor = _arm_floor(
         kernels.popcount_rows(kernel.matrix).tolist(),
-        tidsets,
         [
             (base, base + card)
             for a, (base, card) in enumerate(
@@ -57,7 +57,8 @@ def projected_arm_model(table, query: LocalizedQuery, min_count: int,
     )
     if not isinstance(floor, ArmFloor):  # F1 <= 1: the whole model
         return floor
-    return _arm_finish(floor, tidsets, min_count)
+    return _arm_finish(_arm_chain(floor, tidsets, min_count), tidsets,
+                       min_count)
 
 
 def _clique_equivalent_size(f_k: float, k: int) -> float:

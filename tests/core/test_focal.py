@@ -508,10 +508,12 @@ def test_a_delta_with_no_focal_record_adds_no_words():
                          ids=lambda k: k.value)
 def test_profile_and_execution_share_one_projection(monkeypatch, kind, mutate):
     """The profile measures on the masked kernel a MIP plan then counts
-    through: one masked build and one read-out of its rows per planned
-    miss; ARM adds one ``project_rows`` per universe and one read-out of
-    the projection's rows, for CHARM; and the table's ``Item``-keyed
-    tidsets are not on the request path at all."""
+    through: one masked build per planned miss, and no read-out of its
+    rows when ARM's F1 floor settles the pick (the SS-VS miss); an ARM
+    miss reads them out once for the chain and the model, and adds one
+    ``project_rows`` per universe and one read-out of the projection's
+    rows, for CHARM; and the table's ``Item``-keyed tidsets are not on
+    the request path at all."""
     engine = make_engine(mutate)
     steer(monkeypatch, kind)
     calls = {"project_rows": 0, "masked": 0, "kernel_tidsets": 0,
@@ -536,7 +538,7 @@ def test_profile_and_execution_share_one_projection(monkeypatch, kind, mutate):
     assert calls == {
         "project_rows": (2 if mutate else 1) if arm else 0,
         "masked": 1,
-        "kernel_tidsets": 1 + arm,
+        "kernel_tidsets": 2 * arm,
         "table_tidsets": 0,
     }
     # A memo hit resolves and projects nothing at planning time.

@@ -1,16 +1,18 @@
 """ARM is priced in full only when it can win, and the picks do not move.
 
-``ColarmOptimizer.choose`` prices a request's profile at ARM's *floor*
-(``QueryProfile.floor_from_query``: F1 and the greedy chain, lower bounds
-on the model's itemset and fan-out estimates) and finishes the ARM model
-only when the floor's price does not already lose to the cheapest MIP
-plan.  Checked here on random tables and queries, over the main index and
-over main + a live delta, at the default weights, random non-negative
-weights, ``arm = 0`` and ``verify = inf``, at risk factors 1.0 and
-1.15:
+``ColarmOptimizer.choose`` prices a request's profile at ARM's *F1
+floor* (``QueryProfile.floor_from_query``: F1 alone, a lower bound on
+the model's itemset and fan-out estimates), raises it by the greedy chain
+(``with_arm_chain``) only when the F1 price does not already lose to the
+cheapest MIP plan, and finishes the ARM model only when the chain's price
+does not lose either.  Checked here on random tables and queries, over
+the main index and over main + a live delta, at the default weights,
+random non-negative weights, ``arm = 0`` and ``verify = inf``, at risk
+factors 1.0 and 1.15:
 
-* the floor's price never exceeds the full price, and its F1 and chain
-  are the full model's;
+* the prices run F1 floor <= chain floor <= full model; F1 is the full
+  model's at every stage, and so is the chain length wherever the chain
+  was walked;
 * the full model behind the oracle is the pre-split reference model's,
   field for field (so the oracle owes nothing to the floor);
 * ``choose()`` picks what pricing every plan in full picks, with the same
@@ -19,6 +21,7 @@ weights, ``arm = 0`` and ``verify = inf``, at risk factors 1.0 and
   ``set_weights``, where a memoized floor may have stopped settling.
 """
 
+import collections
 import dataclasses
 import math
 
@@ -27,6 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
+from repro.core import costs
 from repro.core.costs import (
     DEFAULT_WEIGHTS,
     CostModel,
@@ -96,20 +101,29 @@ def full_pricing(index, delta, query, weights, risk, reference_tables):
         for k, cost in estimates.items()
     )
     floor = QueryProfile.floor_from_query(query, focus, index.stats)
-    return profile, floor, estimates, kind, model
+    stages = (floor, floor.with_arm_chain(focus), profile)
+    return profile, stages, estimates, kind, model
 
 
-def assert_floor_bounds(floor, profile, model):
-    full_arm, floor_arm = profile.arm_stats, floor.arm_stats
-    assert (floor_arm.f1, floor_arm.chain_length) == \
-        (full_arm.f1, full_arm.chain_length)
-    assert model.estimate(ARM, floor) <= model.estimate(ARM, profile)
-    assert floor.arm_itemsets <= profile.arm_itemsets
-    assert floor.arm_fanout <= profile.arm_fanout
+def assert_floor_bounds(stages, model):
+    """F1 floor <= chain floor <= full model, stage by stage."""
+    floor, chain, profile = stages
+    full_arm = profile.arm_stats
+    for lower, upper in zip(stages, stages[1:]):
+        assert lower.arm_stats.f1 == full_arm.f1
+        assert model.estimate(ARM, lower) <= model.estimate(ARM, upper)
+        assert lower.arm_itemsets <= upper.arm_itemsets
+        assert lower.arm_fanout <= upper.arm_fanout
+    assert chain.arm_stats.chain_length == full_arm.chain_length
     if floor.arm_floor:
         assert full_arm.f1 >= 2
+        assert floor.arm_stats.chain_length == 0
+        assert chain.arm_floor and chain.arm_stats.chain_length >= 1
+        # F1 alone: today's floor formula at chain length 0.
+        assert (floor.arm_itemsets, floor.arm_fanout) == \
+            (full_arm.f1, 2.0 * full_arm.f1)
     else:  # F1 <= 1: the floor is the model
-        assert floor == profile
+        assert floor == chain == profile
 
 
 def assert_same_pick(choice, profile, estimates, kind):
@@ -122,6 +136,10 @@ def assert_same_pick(choice, profile, estimates, kind):
         else:
             assert choice.bound(k) == ""
             assert choice.estimates[k] == estimates[k]
+    arm = choice.profile.arm_stats
+    assert arm.f1 == profile.arm_stats.f1
+    if arm.chain_length:  # walked: the full model's
+        assert arm.chain_length == profile.arm_stats.chain_length
     if choice.profile.arm_floor:
         assert choice.kind is not ARM
         assert dataclasses.replace(
@@ -137,10 +155,10 @@ def check(optimizer, index, delta, query, weight_sets, risk, tables):
     profile memo) against full pricing at that set."""
     for weights in weight_sets:
         optimizer.set_weights(weights)
-        profile, floor, estimates, kind, model = full_pricing(
+        profile, stages, estimates, kind, model = full_pricing(
             index, delta, query, weights, risk, tables
         )
-        assert_floor_bounds(floor, profile, model)
+        assert_floor_bounds(stages, model)
         choice = optimizer.choose(query)
         assert_same_pick(choice, profile, estimates, kind)
         choice.release()
@@ -210,7 +228,7 @@ def test_a_memoized_floor_is_finished_once_it_stops_settling(dense):
     optimizer.set_weights(CostWeights(dear))
     again = optimizer.choose(query)
     again.release()
-    profile, _floor, estimates, kind, _model = full_pricing(
+    profile, _stages, estimates, kind, _model = full_pricing(
         index, None, query, CostWeights(dear), optimizer.arm_risk_factor,
         (table.item_tidsets(), table.tids_matching(query.range_selections)),
     )
@@ -261,3 +279,93 @@ def test_a_measurement_logs_the_full_arm_price(dense):
     assert recalled.focus is None and recalled.profile is choice.profile
     assert optimizer.record_measurement(recalled, ARM, 1e-3).estimated_s \
         == residual.estimated_s
+
+
+# -- how far each miss prices ARM ---------------------------------------------
+
+
+def count_stages(monkeypatch):
+    """Count the chain walks, the model finishes and the masked kernel's
+    row read-outs from here on."""
+    calls = collections.Counter()
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(costs, "_arm_chain")
+    counted(costs, "_arm_finish")
+    counted(kernels.FocalKernel, "item_tidsets")
+    return calls
+
+
+def stage_prices(index, query):
+    """ARM's price at the F1 floor, the chain floor and the full model,
+    and the cheapest MIP plan's, at the default weights."""
+    focus = resolve_focal(index, query)
+    floor = QueryProfile.floor_from_query(query, focus, index.stats)
+    chain = floor.with_arm_chain(focus)
+    model = CostModel(index.stats)
+    mip = min(cost for kind, cost in model.estimate_all(floor).items()
+              if kind is not ARM)
+    prices = [model.estimate(ARM, p)
+              for p in (floor, chain, chain.with_arm_model(focus))]
+    assert prices[0] < prices[1] < prices[2]
+    return prices, mip
+
+
+def test_a_miss_f1_settles_reads_no_item_row(dense, monkeypatch):
+    """F1 comes off the kernel's supports: when its price already loses,
+    no row is read out, no chain walked and no model finished."""
+    _table, index = dense
+    query = LocalizedQuery({0: frozenset({0})}, 0.1, 0.6)
+    (f1, _chain, _full), mip = stage_prices(index, query)
+    optimizer = ColarmOptimizer(MaintainedIndex(index))
+    assert mip <= f1 * optimizer.arm_risk_factor
+    calls = count_stages(monkeypatch)
+    choice = optimizer.choose(query)
+    choice.release()
+    assert choice.kind is not ARM and choice.estimates[ARM] == f1
+    assert choice.profile.arm_floor
+    assert choice.profile.arm_stats.chain_length == 0
+    assert calls == {}
+
+
+def test_a_miss_only_the_chain_settles_never_finishes(dense, monkeypatch):
+    """A risk factor that puts the cheapest MIP plan between ARM's F1 and
+    chain prices: the chain is walked once, and the model never runs."""
+    _table, index = dense
+    query = LocalizedQuery({0: frozenset({0})}, 0.1, 0.6)
+    (f1, chain, _full), mip = stage_prices(index, query)
+    optimizer = ColarmOptimizer(
+        MaintainedIndex(index), arm_risk_factor=2.0 * mip / (f1 + chain)
+    )
+    calls = count_stages(monkeypatch)
+    choice = optimizer.choose(query)
+    choice.release()
+    assert choice.kind is not ARM and choice.estimates[ARM] == chain
+    assert choice.profile.arm_floor
+    assert calls == {"_arm_chain": 1, "item_tidsets": 1}
+
+
+def test_a_miss_the_model_settles_walks_the_chain_once(dense, monkeypatch):
+    """Every MIP plan infinite: neither floor settles, so the chain is
+    walked once and the model finished once on the one read-out."""
+    _table, index = dense
+    query = LocalizedQuery({0: frozenset({0})}, 0.1, 0.6)
+    (_f1, _chain, full), _mip = stage_prices(index, query)
+    optimizer = ColarmOptimizer(
+        MaintainedIndex(index),
+        CostWeights({**DEFAULT_WEIGHTS, "verify": math.inf}),
+    )
+    calls = count_stages(monkeypatch)
+    choice = optimizer.choose(query)
+    choice.release()
+    assert choice.kind is ARM and choice.estimates[ARM] == full
+    assert not choice.profile.arm_floor
+    assert calls == {"_arm_chain": 1, "_arm_finish": 1, "item_tidsets": 1}

@@ -14,14 +14,14 @@ exact, which is what makes the monotonicity provable rather than merely
 typical.
 
 And the contract of the model's own rewrite: measured on the request's
-focal projection (``costs._arm_floor`` + ``_arm_finish`` — integer
-ids, ``|D^Q|``-bit tidsets, adjacency bitmasks, inlined bisections)
-every field of :class:`ArmModelStats` is ``==`` — floats included — the
-pre-projection model's (``tests/core/reference_arm_model.py``): on random
-tables and queries with ``item_attributes`` restrictions and full-domain
-selections, on two wide schemas past the sample caps, and over
-main+delta against the reference run on a table rebuilt from the live
-rows.
+focal projection (``costs._arm_floor``, ``_arm_chain`` and
+``_arm_finish`` — integer ids, ``|D^Q|``-bit tidsets, adjacency
+bitmasks, inlined bisections) every field of :class:`ArmModelStats` is
+``==`` — floats included — the pre-projection model's
+(``tests/core/reference_arm_model.py``): on random tables and queries
+with ``item_attributes`` restrictions and full-domain selections, on two
+wide schemas past the sample caps, and over main+delta against the
+reference run on a table rebuilt from the live rows.
 """
 
 import dataclasses

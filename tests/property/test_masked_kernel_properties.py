@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.costs import _arm_finish, _arm_floor
+from repro.core.costs import ArmFloor, _arm_chain, _arm_finish, _arm_floor
 from repro.core.focal import resolve_focal
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import build_mip_index, mip_sources
@@ -185,19 +185,20 @@ def test_masked_and_projected_kernels_count_alike(case, seed):
         projected.count_subset_lattice(named, floor=floor),
     )
 
-    # ARM's floor and finish measure the same structure on either form.
+    # ARM's chain and finish measure the same structure on either form.
     spans = [
         (base, base + card)
         for base, card in zip(schema.item_bases, schema.cardinalities())
     ]
-    floors = [
-        _arm_floor(supports.tolist(), tidsets, spans, floor)
-        for tidsets in (focus.item_tidsets(), projected.item_tidsets())
-    ]
-    assert floors[0] == floors[1]
-    if hasattr(floors[0], "sample"):
-        assert _arm_finish(floors[0], focus.item_tidsets(), floor) == (
-            _arm_finish(floors[1], projected.item_tidsets(), floor)
+    f1 = _arm_floor(supports.tolist(), spans, floor)
+    if isinstance(f1, ArmFloor):
+        chains = [
+            _arm_chain(f1, tidsets, floor)
+            for tidsets in (focus.item_tidsets(), projected.item_tidsets())
+        ]
+        assert chains[0] == chains[1]
+        assert _arm_finish(chains[0], focus.item_tidsets(), floor) == (
+            _arm_finish(chains[1], projected.item_tidsets(), floor)
         )
     focus.release()
 

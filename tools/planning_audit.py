@@ -31,10 +31,14 @@ three — and the writes made as its runners make them (``ingest_mixed``'s
 appends, deletes and polls; a ``wide_cluster`` publish is the writer's
 append and fold, after which the workers plan on the folded index).
 Reports milliseconds per *planned* request (one ``choose()``) for
-``choose()`` and its components, the share of planned requests on which
-the full ARM model ran (where ARM's floor did not settle the pick), and
-the CHARM search (``closed_masks``) per ARM request the ARM model exists
-to price.
+``choose()`` and its components — ARM's F1 floor (``arm_floor``; on a
+checkout from before the split it includes the chain), the greedy chain
+(``arm_chain``), the read-out of the masked kernel's rows the chain and
+the model run on (``read-out``) and the rest of the model
+(``arm_model``) apart — the share of planned requests whose pick stands
+on each stage of ARM's price (F1 alone, F1 and the chain, the full
+model), and the CHARM search (``closed_masks``) per ARM request the ARM
+model exists to price.
 
 ``tail`` — where rule generation's time goes, by answer size
 (``docs/performance.md``, "What rule order costs"): the same wrappers
@@ -168,6 +172,23 @@ class Stopwatch:
             setattr(owner, attr, raw)
 
 
+#: The stages ARM's price is built in, cheapest first.
+ARM_STAGES = ("F1", "chain", "full model")
+
+
+def arm_stage(profile) -> str:
+    """The stage of ARM's price a planned pick stands on: ``F1`` when
+    the F1 count settled it (or, at ``F1 <= 1``, is the whole model),
+    ``chain`` when the chain did, else ``full model``.  A floor without a
+    chain exists only past the split; before it every floor is
+    ``chain``."""
+    arm = profile.arm_stats
+    floor = profile.arm_floor
+    if arm.f1 <= 1 or (floor and not arm.chain_length):
+        return "F1"
+    return "chain" if floor else "full model"
+
+
 def size(seed: int, name: str) -> int:
     import workloads
     from repro.core import costs, focal, operators, optimizer
@@ -192,13 +213,15 @@ def size(seed: int, name: str) -> int:
     watch = Stopwatch()
     watch.wrap(ColarmOptimizer, "choose", "choose")
     # The ARM model — its finish, where a floor exists — under whichever
-    # name this checkout gives it; the floor (with the chain) apart.
+    # name this checkout gives it; the floor and the chain apart.
     for label, names in (("arm_model", ("_arm_finish", "_model_arm_counts",
                                         "_arm_model")),
-                         ("arm_floor", ("_arm_floor",))):
+                         ("arm_floor", ("_arm_floor",)),
+                         ("arm_chain", ("_arm_chain",))):
         for attr in names:
             if watch.wrap(costs, attr, label):
                 break
+    watch.wrap(focal.FocalSubset, "item_tidsets", "read-out")
     watch.wrap(costs, "_cardinalities", "cardinalities")
     watch.wrap(CostModel, "estimate_all", "estimate_all")
     watch.wrap(optimizer, "resolve_focal", "resolve_focal")
@@ -206,6 +229,7 @@ def size(seed: int, name: str) -> int:
     watch.wrap(operators, "closed_masks", "closed_masks")
 
     plans: dict[str, int] = defaultdict(int)
+    stages: dict[str, int] = defaultdict(int)
     n = 0
     wall = 0.0
     for step in workload.ops[lo:hi]:
@@ -218,6 +242,8 @@ def size(seed: int, name: str) -> int:
             n += 1
             if not out.cached:
                 plans[out.plan.value] += 1
+            if out.choice is not None:
+                stages[arm_stage(out.choice.profile)] += 1
         # The writes, as the benchmark's runners make them (untimed).
         elif kind == "publish":  # the cluster writer's ingest + fold
             writer.append(step[1])
@@ -237,13 +263,14 @@ def size(seed: int, name: str) -> int:
     planned = max(watch.calls["choose"], 1)
     print(f"{name} seed {seed} part 0: {n} requests, {1e3 * wall / n:.3f} ms "
           f"each; {watch.calls['choose']} planned, plans {dict(plans)}")
-    for label in ("choose", "arm_floor", "arm_model", "cardinalities",
-                  "estimate_all", "resolve_focal", "focus.kernel"):
+    for label in ("choose", "arm_floor", "arm_chain", "read-out",
+                  "arm_model", "cardinalities", "estimate_all",
+                  "resolve_focal", "focus.kernel"):
         print(f"  {label:<14} {1e3 * watch.seconds[label] / planned:7.3f} "
               f"ms/planned request  ({watch.calls[label]} calls)")
-    print(f"  full ARM model ran on {watch.calls['arm_model']} of "
-          f"{watch.calls['choose']} planned requests "
-          f"({watch.calls['arm_model'] / planned:.1%})")
+    print("  pick settled by ARM's " + ", ".join(
+        f"{stage} {stages[stage]}" for stage in ARM_STAGES
+    ) + f" of {watch.calls['choose']} planned requests")
     arm = max(watch.calls["closed_masks"], 1)
     print(f"  {'closed_masks':<14} {1e3 * watch.seconds['closed_masks'] / arm:7.3f}"
           f" ms/ARM request  ({watch.calls['closed_masks']} calls)")
